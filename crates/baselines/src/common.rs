@@ -14,6 +14,7 @@ use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, Fragment, FragmentLayout};
+use hyrd_metastore::{DirEntry, MetadataBlock, NormPath, ShardedMetaStore};
 
 /// The container every scheme stores under.
 pub fn key(name: &str) -> ObjectKey {
@@ -329,8 +330,8 @@ pub fn ec_update<C: ErasureCode + ?Sized>(
 pub struct SchemeCore {
     /// The Cloud-of-Clouds.
     pub fleet: Fleet,
-    /// Client-side metadata.
-    pub meta: hyrd_metastore::MetaStore,
+    /// Client-side metadata (one shard: baselines are single-session).
+    pub meta: ShardedMetaStore,
     /// Client content cache (write-through).
     pub cache: ContentCache,
     /// Missed writes per provider in outage.
@@ -342,7 +343,7 @@ impl SchemeCore {
     pub fn new(fleet: &Fleet) -> Self {
         SchemeCore {
             fleet: fleet.clone(),
-            meta: hyrd_metastore::MetaStore::new(),
+            meta: ShardedMetaStore::with_shards(1),
             cache: ContentCache::default(),
             log: UpdateLog::new(),
         }
@@ -368,16 +369,40 @@ impl SchemeCore {
     }
 
     /// Directory-listing names from local metadata.
-    pub fn local_listing(&self, dir: &hyrd_metastore::NormPath) -> SchemeResult<Vec<String>> {
+    pub fn local_listing(&self, dir: &NormPath) -> SchemeResult<Vec<String>> {
         Ok(self
             .meta
             .list(dir)?
             .into_iter()
             .map(|e| match e {
-                hyrd_metastore::namespace::DirEntry::Dir(n) => n,
-                hyrd_metastore::namespace::DirEntry::File(n, _) => n,
+                DirEntry::Dir(n) => n,
+                DirEntry::File(n, _) => n,
             })
             .collect())
+    }
+
+    /// Flushes the metastore and hands `ship` one object per directory
+    /// whose metadata changed — `(core, object name, block bytes)` —
+    /// composing the returned batches as concurrent. The baselines
+    /// re-replicate a directory's **full** block on every change (HyRD's
+    /// incremental diffs are part of what they are compared against), so
+    /// a flush item is read only as "directory D is now at version V".
+    pub fn flush_metadata(
+        &mut self,
+        mut ship: impl FnMut(&mut SchemeCore, &str, Vec<u8>) -> BatchReport,
+    ) -> BatchReport {
+        let mut batch = BatchReport::empty();
+        for item in self.meta.flush_dirty_encoded() {
+            let entries = self.meta.inodes_in(&item.dir).expect("flushed directories exist");
+            let block = MetadataBlock {
+                dir: item.dir,
+                version: item.version,
+                entries: entries.into_iter().collect(),
+            };
+            let name = MetadataBlock::object_name(&block.dir);
+            batch = batch.alongside(ship(self, &name, block.to_bytes()));
+        }
+        batch
     }
 }
 
@@ -389,6 +414,55 @@ mod tests {
 
     fn fleet() -> Fleet {
         Fleet::standard_four(SimClock::new())
+    }
+
+    #[test]
+    fn flush_metadata_ships_one_full_block_per_changed_directory() {
+        use hyrd_metastore::Placement;
+
+        let mut core = SchemeCore::new(&fleet());
+        let dir = NormPath::parse("/d").unwrap();
+        let file = |i: usize| dir.join(&format!("f{i}")).unwrap();
+        let placed = |object: &str| Placement::Replicated {
+            providers: vec![ProviderId(0)],
+            object: object.to_string(),
+        };
+        // Flushes the way every scheme does, recording what was shipped.
+        fn flush(core: &mut SchemeCore) -> Vec<(String, Vec<u8>)> {
+            let mut shipped = Vec::new();
+            core.flush_metadata(|_, name, bytes| {
+                shipped.push((name.to_string(), bytes));
+                BatchReport::empty()
+            });
+            shipped
+        }
+        // The one object a changed `/d` must ship: its full current block.
+        let full_block = |core: &SchemeCore, version: u64| {
+            let entries = core.meta.inodes_in(&dir).unwrap().into_iter().collect();
+            let block = MetadataBlock { dir: dir.clone(), version, entries };
+            vec![(MetadataBlock::object_name(&dir), block.to_bytes())]
+        };
+
+        // N creates (create + place, like `Scheme::create_file`): the
+        // first flush is at the max inode version, then +1 per change.
+        let v0 = 1;
+        for i in 0..3 {
+            core.meta.create_file(&file(i), 10, core.now()).unwrap();
+            core.meta.set_placement(&file(i), placed("o"), 10, core.now()).unwrap();
+            assert_eq!(flush(&mut core), full_block(&core, v0 + i as u64), "create {i}");
+        }
+        // An update and a delete each re-ship the whole block — never a diff.
+        core.meta.set_placement(&file(0), placed("o2"), 12, core.now()).unwrap();
+        assert_eq!(flush(&mut core), full_block(&core, v0 + 3));
+        core.meta.remove_file(&file(1)).unwrap();
+        assert_eq!(flush(&mut core), full_block(&core, v0 + 4));
+
+        // A rolled-back create ships nothing and burns no version.
+        core.meta.create_file(&file(9), 10, core.now()).unwrap();
+        core.meta.remove_file(&file(9)).unwrap();
+        assert!(flush(&mut core).is_empty());
+        core.meta.remove_file(&file(2)).unwrap();
+        assert_eq!(flush(&mut core), full_block(&core, v0 + 5));
     }
 
     #[test]

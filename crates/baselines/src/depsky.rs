@@ -56,20 +56,7 @@ impl DepSky {
     /// stragglers complete in the background (still charged as ops).
     fn put_quorum(&mut self, name: &str, data: &Bytes) -> (BatchReport, usize) {
         let (batch, live) = common::put_parallel(&self.targets(), name, data, &mut self.core.log);
-        if live == 0 {
-            return (batch, 0);
-        }
-        // Quorum latency: the q-th smallest op latency.
-        let mut lats: Vec<_> = batch.ops.iter().map(|o| o.latency).collect();
-        lats.sort();
-        let q = self.quorum().min(lats.len());
-        let mut quorum_batch = BatchReport { latency: lats[q - 1], ops: batch.ops };
-        if live < self.quorum() {
-            // Not enough acks: the write's latency degenerates to the
-            // slowest survivor (it must wait hoping for a quorum).
-            quorum_batch.latency = *lats.last().expect("live > 0");
-        }
-        (quorum_batch, live)
+        (acked_at_quorum(batch, live, self.quorum()), live)
     }
 
     /// Ranged quorum overwrite: like [`Self::put_quorum`] but transfers
@@ -90,32 +77,16 @@ impl DepSky {
             full_for_log,
             &mut self.core.log,
         );
-        if live == 0 {
-            return (batch, 0);
-        }
-        let mut lats: Vec<_> = batch.ops.iter().map(|o| o.latency).collect();
-        lats.sort();
-        let q = self.quorum().min(lats.len());
-        let mut out = BatchReport { latency: lats[q - 1], ops: batch.ops };
-        if live < self.quorum() {
-            out.latency = *lats.last().expect("live > 0");
-        }
-        (out, live)
+        (acked_at_quorum(batch, live, self.quorum()), live)
     }
 
     fn flush_metadata(&mut self) -> BatchReport {
-        let blocks = self.core.meta.flush_dirty_encoded();
-        if blocks.is_empty() {
-            return BatchReport::empty();
-        }
-        let mut batch = BatchReport::empty();
-        for block in blocks {
-            let name = block.object_name();
-            let bytes = Bytes::from(block.bytes);
-            let (b, _) = self.put_quorum(&name, &bytes);
-            batch = batch.alongside(b);
-        }
-        batch
+        let (targets, quorum) = (self.targets(), self.quorum());
+        self.core.flush_metadata(|core, name, bytes| {
+            let (batch, live) =
+                common::put_parallel(&targets, name, &Bytes::from(bytes), &mut core.log);
+            acked_at_quorum(batch, live, quorum)
+        })
     }
 
     /// Replays missed writes onto a returned provider.
@@ -125,6 +96,20 @@ impl DepSky {
     ) -> SchemeResult<(hyrd::recovery::RecoveryReport, BatchReport)> {
         self.core.recover_provider(id)
     }
+}
+
+/// Re-times a parallel fan-out of which `live` puts landed as a quorum
+/// write: acknowledged at the `quorum`-th fastest op. With fewer acks
+/// than a quorum the latency degenerates to the slowest survivor (the
+/// write must wait hoping for a quorum).
+fn acked_at_quorum(batch: BatchReport, live: usize, quorum: usize) -> BatchReport {
+    if live == 0 {
+        return batch;
+    }
+    let mut lats: Vec<_> = batch.ops.iter().map(|o| o.latency).collect();
+    lats.sort();
+    let acked = if live < quorum { lats.len() } else { quorum.min(lats.len()) };
+    BatchReport { latency: lats[acked - 1], ops: batch.ops }
 }
 
 impl Scheme for DepSky {
@@ -158,7 +143,7 @@ impl Scheme for DepSky {
 
     fn read_file(&mut self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let Placement::Replicated { object, .. } = &inode.placement else {
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
@@ -170,7 +155,7 @@ impl Scheme for DepSky {
 
     fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let size = inode.size;
         if offset + data.len() as u64 > size {
             return Err(SchemeError::BadRange {
@@ -243,7 +228,7 @@ impl Scheme for DepSky {
 
     fn file_size(&self, path: &str) -> Option<u64> {
         let npath = NormPath::parse(path).ok()?;
-        self.core.meta.get(&npath).ok().map(|i| i.size)
+        self.core.meta.inode(&npath).ok().map(|i| i.size)
     }
 
     fn recover_provider(

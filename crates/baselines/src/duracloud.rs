@@ -71,20 +71,11 @@ impl DuraCloud {
     }
 
     fn flush_metadata(&mut self) -> BatchReport {
-        let blocks = self.core.meta.flush_dirty_encoded();
-        if blocks.is_empty() {
-            return BatchReport::empty();
-        }
         let targets = self.targets();
-        let mut batch = BatchReport::empty();
-        for block in blocks {
-            let name = block.object_name();
-            let bytes = Bytes::from(block.bytes);
-            // Metadata follows the same synchronized path.
-            let (b, _) = common::put_serial(&targets, &name, &bytes, &mut self.core.log);
-            batch = batch.alongside(b);
-        }
-        batch
+        // Metadata follows the same synchronized path.
+        self.core.flush_metadata(|core, name, bytes| {
+            common::put_serial(&targets, name, &Bytes::from(bytes), &mut core.log).0
+        })
     }
 
     /// Replays missed writes onto a returned provider.
@@ -132,7 +123,7 @@ impl Scheme for DuraCloud {
 
     fn read_file(&mut self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let Placement::Replicated { object, .. } = &inode.placement else {
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
@@ -144,7 +135,7 @@ impl Scheme for DuraCloud {
 
     fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let size = inode.size;
         if offset + data.len() as u64 > size {
             return Err(SchemeError::BadRange {
@@ -223,7 +214,7 @@ impl Scheme for DuraCloud {
 
     fn file_size(&self, path: &str) -> Option<u64> {
         let npath = NormPath::parse(path).ok()?;
-        self.core.meta.get(&npath).ok().map(|i| i.size)
+        self.core.meta.inode(&npath).ok().map(|i| i.size)
     }
 
     fn recover_provider(

@@ -45,8 +45,8 @@ pub struct EcEverything<C: ErasureCode> {
     planner: StripePlanner,
     code: C,
     scheme_name: String,
-    /// Metadata-block placements (dir → layout + fragment map), client
-    /// state mirroring the dirty-block bookkeeping.
+    /// Metadata-block placements (object name → layout + fragment
+    /// map), client state mirroring the dirty-block bookkeeping.
     meta_blocks: HashMap<String, (FragmentLayout, Vec<(ProviderId, String)>)>,
     /// Fragments that missed degraded updates, awaiting rebuild.
     dirty: hyrd::ecops::DirtyFragments,
@@ -90,44 +90,29 @@ impl<C: ErasureCode> EcEverything<C> {
     }
 
     fn flush_metadata(&mut self) -> BatchReport {
-        let blocks = self.core.meta.flush_dirty_encoded();
-        if blocks.is_empty() {
-            return BatchReport::empty();
-        }
         let providers = self.core.fleet.providers().to_vec();
-        let mut batch = BatchReport::empty();
-        for block in blocks {
-            let name = block.object_name();
-            let bytes = block.bytes;
+        let EcEverything { core, planner, code, meta_blocks, strips, strip_unit, .. } = self;
+        core.flush_metadata(|core, name, bytes| {
             // Metadata blocks are small: they take the strip layout (one
             // provider + parity), exactly like small files.
-            if bytes.len() <= self.strip_unit {
-                let b = if self.strips.contains(&name) {
-                    self.strips.replace(&name, &bytes, &mut self.core.log, name.as_str())
+            if bytes.len() <= *strip_unit {
+                let placed = if strips.contains(name) {
+                    strips.replace(name, &bytes, &mut core.log, name)
                 } else {
-                    self.strips.place(&name, &bytes, &mut self.core.log).map(|(_, b)| b)
+                    strips.place(name, &bytes, &mut core.log).map(|(_, b)| b)
                 };
-                if let Ok(b) = b {
-                    batch = batch.alongside(b);
-                }
-                continue;
+                return placed.unwrap_or_default();
             }
             // Oversized block: full striping.
             let rot = name.bytes().map(|b| b as usize).sum::<usize>() % providers.len();
-            if let Ok((layout, map, b, _)) = common::ec_write(
-                &self.planner,
-                &self.code,
-                &providers,
-                &name,
-                &bytes,
-                rot,
-                &mut self.core.log,
-            ) {
-                self.meta_blocks.insert(block.dir.as_str().to_string(), (layout, map));
-                batch = batch.alongside(b);
+            match common::ec_write(planner, code, &providers, name, &bytes, rot, &mut core.log) {
+                Ok((layout, map, b, _)) => {
+                    meta_blocks.insert(name.to_string(), (layout, map));
+                    b
+                }
+                Err(_) => BatchReport::empty(),
             }
-        }
-        batch
+        })
     }
 
     /// Replays missed writes onto a returned provider and rebuilds
@@ -143,7 +128,7 @@ impl<C: ErasureCode> EcEverything<C> {
         };
         for path in self.dirty.paths() {
             let placement = NormPath::parse(&path).ok().and_then(|np| {
-                self.core.meta.get(&np).ok().and_then(|inode| match &inode.placement {
+                self.core.meta.inode(&np).ok().and_then(|inode| match &inode.placement {
                     Placement::ErasureCoded { layout, fragments, .. } => {
                         Some((*layout, fragments.clone()))
                     }
@@ -210,7 +195,7 @@ impl<C: ErasureCode> EcEverything<C> {
         // Collect every placement that has a fragment on `id`.
         let mut jobs: Vec<(FragmentLayout, Vec<(ProviderId, String)>)> = Vec::new();
         for path in self.all_file_paths() {
-            if let Ok(inode) = self.core.meta.get(&path) {
+            if let Ok(inode) = self.core.meta.inode(&path) {
                 if let Placement::ErasureCoded { layout, fragments, .. } = &inode.placement {
                     if fragments.iter().any(|(p, _)| *p == id) {
                         jobs.push((*layout, fragments.clone()));
@@ -275,7 +260,7 @@ impl<C: ErasureCode> EcEverything<C> {
         for dir in self.core.meta.all_dirs() {
             if let Ok(entries) = self.core.meta.list(&dir) {
                 for e in entries {
-                    if let hyrd_metastore::namespace::DirEntry::File(name, _) = e {
+                    if let hyrd_metastore::DirEntry::File(name, _) = e {
                         if let Ok(p) = dir.join(&name) {
                             out.push(p);
                         }
@@ -346,7 +331,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
 
     fn read_file(&mut self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         match inode.placement.clone() {
             Placement::Replicated { object, .. } if self.strips.contains(&object) => {
                 self.strips.read(&object, path)
@@ -368,7 +353,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
 
     fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let size = inode.size;
         if offset + data.len() as u64 > size {
             return Err(SchemeError::BadRange {
@@ -460,7 +445,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
             let (_, batch) = self.strips.read(&strip_name, path)?;
             return Ok((self.core.local_listing(&npath)?, batch));
         }
-        let batch = match self.meta_blocks.get(npath.as_str()).cloned() {
+        let batch = match self.meta_blocks.get(&strip_name).cloned() {
             Some((layout, map)) => {
                 match common::ec_read(
                     &self.planner,
@@ -481,7 +466,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
 
     fn file_size(&self, path: &str) -> Option<u64> {
         let npath = NormPath::parse(path).ok()?;
-        self.core.meta.get(&npath).ok().map(|i| i.size)
+        self.core.meta.inode(&npath).ok().map(|i| i.size)
     }
 
     fn recover_provider(

@@ -51,19 +51,10 @@ impl SingleCloud {
     }
 
     fn flush_metadata(&mut self) -> BatchReport {
-        let blocks = self.core.meta.flush_dirty_encoded();
-        if blocks.is_empty() {
-            return BatchReport::empty();
-        }
         let targets = self.targets();
-        let mut ops = Vec::new();
-        for block in blocks {
-            let name = block.object_name();
-            let bytes = Bytes::from(block.bytes);
-            let (batch, _) = common::put_parallel(&targets, &name, &bytes, &mut self.core.log);
-            ops.extend(batch.ops);
-        }
-        BatchReport::parallel(ops)
+        self.core.flush_metadata(|core, name, bytes| {
+            common::put_parallel(&targets, name, &Bytes::from(bytes), &mut core.log).0
+        })
     }
 }
 
@@ -99,7 +90,7 @@ impl Scheme for SingleCloud {
 
     fn read_file(&mut self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let Placement::Replicated { object, .. } = &inode.placement else {
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
@@ -111,7 +102,7 @@ impl Scheme for SingleCloud {
 
     fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
         let npath = NormPath::parse(path)?;
-        let inode = self.core.meta.get(&npath)?;
+        let inode = self.core.meta.inode(&npath)?;
         let size = inode.size;
         if offset + data.len() as u64 > size {
             return Err(SchemeError::BadRange {
@@ -190,7 +181,7 @@ impl Scheme for SingleCloud {
 
     fn file_size(&self, path: &str) -> Option<u64> {
         let npath = NormPath::parse(path).ok()?;
-        self.core.meta.get(&npath).ok().map(|i| i.size)
+        self.core.meta.inode(&npath).ok().map(|i| i.size)
     }
 
     fn recover_provider(

@@ -42,9 +42,13 @@ struct Lap {
 /// conflicts the OCC path exists to absorb.
 fn hammer(shards: usize, threads: usize, txns_per_thread: usize) -> Lap {
     let store = Arc::new(ShardedMetaStore::with_shards(shards));
-    store.mkdir_all(&NormPath::parse("/shared").expect("valid path"));
+    let mkdir = |dir: &str| {
+        let dir = NormPath::parse(dir).expect("valid path");
+        store.mkdir_all(&dir).expect("fresh store: no file in the way");
+    };
+    mkdir("/shared");
     for t in 0..threads {
-        store.mkdir_all(&NormPath::parse(&format!("/client{t}")).expect("valid path"));
+        mkdir(&format!("/client{t}"));
     }
 
     let t0 = Instant::now();

@@ -81,7 +81,7 @@ use crate::integrity::{IntegrityIndex, Verdict};
 use crate::journal::{FragWrite, Intent, Journal};
 use crate::monitor::{DataClass, WorkloadMonitor};
 use crate::recovery::{RecoveryReport, UpdateLog};
-use crate::scheme::{Scheme, SchemeError, SchemeResult, SharedScheme};
+use crate::scheme::{Scheme, SchemeError, SchemeResult};
 
 /// Concrete erasure code behind [`CodeChoice`].
 pub(crate) enum CodeImpl {
@@ -1646,7 +1646,7 @@ impl Hyrd {
     }
 
     // ------------------------------------------------------------------
-    // Inherent API mirrored by the Scheme/SharedScheme impls
+    // Inherent API mirrored by the Scheme impls
     // ------------------------------------------------------------------
 
     /// Creates a file, classifying it through the Workload Monitor.
@@ -1881,8 +1881,8 @@ impl Hyrd {
             .list(&npath)?
             .into_iter()
             .map(|e| match e {
-                hyrd_metastore::namespace::DirEntry::Dir(n) => n,
-                hyrd_metastore::namespace::DirEntry::File(n, _) => n,
+                hyrd_metastore::DirEntry::Dir(n) => n,
+                hyrd_metastore::DirEntry::File(n, _) => n,
             })
             .collect();
         Ok((names, batch))
@@ -2012,33 +2012,41 @@ impl Scheme for Hyrd {
     }
 }
 
-impl SharedScheme for Hyrd {
+/// The same surface over a shared reference: every inherent operation
+/// takes `&self`, so `&Hyrd` is itself a [`Scheme`] and one client can
+/// serve many sessions through the `&mut dyn Scheme` drivers (see
+/// DESIGN.md §11).
+impl Scheme for &Hyrd {
     fn name(&self) -> &str {
         "HyRD"
     }
 
-    fn create_file(&self, path: &str, data: &[u8]) -> SchemeResult<BatchReport> {
+    fn create_file(&mut self, path: &str, data: &[u8]) -> SchemeResult<BatchReport> {
         Hyrd::create_file(self, path, data)
     }
 
-    fn read_file(&self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
+    fn read_file(&mut self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
         Hyrd::read_file(self, path)
     }
 
-    fn update_file(&self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
+    fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
         Hyrd::update_file(self, path, offset, data)
     }
 
-    fn delete_file(&self, path: &str) -> SchemeResult<BatchReport> {
+    fn delete_file(&mut self, path: &str) -> SchemeResult<BatchReport> {
         Hyrd::delete_file(self, path)
     }
 
-    fn list_dir(&self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
+    fn list_dir(&mut self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
         Hyrd::list_dir(self, path)
     }
 
     fn file_size(&self, path: &str) -> Option<u64> {
         Hyrd::file_size(self, path)
+    }
+
+    fn recover_provider(&mut self, id: ProviderId) -> SchemeResult<(RecoveryReport, BatchReport)> {
+        Hyrd::recover_provider(self, id)
     }
 }
 

@@ -1,5 +1,5 @@
 //! Deterministic multi-client replay: N closed-loop sessions over one
-//! shared [`SharedScheme`] namespace.
+//! shared [`Hyrd`] namespace.
 //!
 //! # Model
 //!
@@ -45,7 +45,8 @@ use hyrd_workloads::FsOp;
 use super::{
     effective_jobs, exec_one, record_into, ReplayOptions, ReplayState, ReplayStats, SynthBuf,
 };
-use crate::scheme::{SharedAsScheme, SharedScheme};
+use crate::dispatcher::Hyrd;
+use crate::scheme::Scheme;
 use crate::stats::LatencyStats;
 
 /// Multi-client replay knobs.
@@ -123,7 +124,7 @@ struct Inner {
 /// harnesses can interleave replay phases with maintenance (recovery,
 /// scrub) exactly like the single-session `replay_with_state` pattern.
 pub struct MultiClient<'a> {
-    scheme: &'a dyn SharedScheme,
+    scheme: &'a Hyrd,
     clock: &'a SimClock,
     opts: MultiClientOptions,
     inner: std::sync::Mutex<Inner>,
@@ -131,11 +132,7 @@ pub struct MultiClient<'a> {
 
 impl<'a> MultiClient<'a> {
     /// Builds an engine over a shared scheme and its fleet clock.
-    pub fn new(
-        scheme: &'a dyn SharedScheme,
-        clock: &'a SimClock,
-        opts: MultiClientOptions,
-    ) -> Self {
+    pub fn new(scheme: &'a Hyrd, clock: &'a SimClock, opts: MultiClientOptions) -> Self {
         let clients = opts.clients.max(1);
         let sessions = (0..clients)
             .map(|i| SessionReport { label: session_label(i), ..Default::default() })
@@ -236,8 +233,8 @@ impl<'a> MultiClient<'a> {
             .expect("at least one session");
         let Inner { state, synth, batch, busy_until, sessions, .. } = inner;
         let tally = &mut sessions[session];
-        let mut shim = SharedAsScheme(self.scheme);
-        match exec_one(&mut shim, op, state, synth, opts) {
+        let mut scheme = self.scheme;
+        match exec_one(&mut scheme, op, state, synth, opts) {
             Ok(done) => {
                 record_into(batch, done.class, &done.batch, opts);
                 if done.verify_failure {
@@ -284,7 +281,7 @@ impl<'a> MultiClient<'a> {
 /// One-shot convenience: builds an engine, runs `ops` as a single batch,
 /// and packages merged + per-session results.
 pub fn run(
-    scheme: &dyn SharedScheme,
+    scheme: &Hyrd,
     clock: &SimClock,
     ops: &[FsOp],
     opts: MultiClientOptions,

@@ -26,8 +26,8 @@
 //! [`scheme`] (the `Scheme` trait every Cloud-of-Clouds layout — HyRD and
 //! the baselines — implements), [`recovery`] (the update log), [`driver`]
 //! (workload replay, including the deterministic multi-client engine
-//! `driver::multi_client` over the `&self` [`scheme::SharedScheme`]
-//! surface, and the open-loop Poisson driver `driver::openloop`),
+//! `driver::multi_client` over a shared `&Hyrd`, and the open-loop
+//! Poisson driver `driver::openloop`),
 //! [`stats`] (latency statistics the figures report), [`engine`] (the
 //! discrete-event fan-out scheduler behind every read: in-flight
 //! operations on the virtual clock, per-provider queueing, hedged
@@ -100,7 +100,7 @@ pub use observatory::{
 pub use policy::{MigrationKind, MigrationReport, PolicyEngine};
 pub use recovery::{LogRecord, RecoveryReport, UpdateLog};
 pub use restart::RestartReport;
-pub use scheme::{Scheme, SchemeError, SchemeResult, SharedAsScheme, SharedScheme};
+pub use scheme::{Scheme, SchemeError, SchemeResult};
 pub use scrub::ScrubReport;
 
 /// Structured tracing and metrics ([`hyrd_telemetry`]), re-exported so
@@ -113,7 +113,7 @@ pub mod prelude {
     pub use crate::dispatcher::Hyrd;
     pub use crate::driver::multi_client::{MultiClient, MultiClientOptions, MultiClientReport};
     pub use crate::driver::{replay, replay_sweep, ReplayOptions, ReplayStats};
-    pub use crate::scheme::{Scheme, SchemeError, SharedScheme};
+    pub use crate::scheme::{Scheme, SchemeError};
     pub use hyrd_cloudsim::{Fleet, SimClock};
     pub use hyrd_gcsapi::{BatchReport, CloudStorage};
 }

@@ -143,83 +143,6 @@ pub trait Scheme {
     ) -> SchemeResult<(crate::recovery::RecoveryReport, BatchReport)>;
 }
 
-/// The concurrency-ready CRUD surface: every operation takes `&self`, so
-/// one client can serve many sessions at once. [`crate::dispatcher::Hyrd`]
-/// implements this by lock-striping its mutable interior state (see
-/// DESIGN.md §11); the single-session baselines keep the plain
-/// `&mut self` [`Scheme`] trait. `Sync` is a supertrait on purpose: a
-/// `&dyn SharedScheme` must be shareable across the worker threads of
-/// `driver::multi_client`.
-pub trait SharedScheme: Sync {
-    /// Scheme name for reports ("HyRD", …).
-    fn name(&self) -> &str;
-
-    /// Creates a file with the given contents.
-    fn create_file(&self, path: &str, data: &[u8]) -> SchemeResult<BatchReport>;
-
-    /// Reads a whole file.
-    fn read_file(&self, path: &str) -> SchemeResult<(Bytes, BatchReport)>;
-
-    /// Overwrites `data.len()` bytes at `offset`.
-    fn update_file(&self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport>;
-
-    /// Deletes a file.
-    fn delete_file(&self, path: &str) -> SchemeResult<BatchReport>;
-
-    /// Lists a directory.
-    fn list_dir(&self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)>;
-
-    /// Logical size of a file, if it exists.
-    fn file_size(&self, path: &str) -> Option<u64>;
-}
-
-/// Adapts a [`SharedScheme`] to the `&mut self` [`Scheme`] trait so the
-/// shared-state CRUD surface can run through the existing replay driver
-/// unchanged (the driver never calls `recover_provider`; maintenance is
-/// the harness's job and runs directly on the concrete client).
-pub struct SharedAsScheme<'a>(pub &'a dyn SharedScheme);
-
-impl Scheme for SharedAsScheme<'_> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn create_file(&mut self, path: &str, data: &[u8]) -> SchemeResult<BatchReport> {
-        self.0.create_file(path, data)
-    }
-
-    fn read_file(&mut self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
-        self.0.read_file(path)
-    }
-
-    fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
-        self.0.update_file(path, offset, data)
-    }
-
-    fn delete_file(&mut self, path: &str) -> SchemeResult<BatchReport> {
-        self.0.delete_file(path)
-    }
-
-    fn list_dir(&mut self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
-        self.0.list_dir(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.0.file_size(path)
-    }
-
-    fn recover_provider(
-        &mut self,
-        _id: ProviderId,
-    ) -> SchemeResult<(crate::recovery::RecoveryReport, BatchReport)> {
-        Err(SchemeError::DataUnavailable {
-            path: String::new(),
-            detail: "recover_provider runs on the concrete client, not the shared adapter"
-                .to_string(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

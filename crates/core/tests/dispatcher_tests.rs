@@ -8,6 +8,7 @@ use hyrd::scheme::{Scheme, SchemeError};
 use hyrd::Hyrd;
 use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
 use hyrd_gcsapi::{CloudStorage, OpKind};
+use hyrd_metastore::MetaError;
 
 const KB: usize = 1024;
 const MB: usize = 1024 * 1024;
@@ -722,6 +723,27 @@ fn monitor_tracks_live_data_through_delete_and_failed_create() {
     // In-place updates keep the size, so the tallies are untouched.
     h.update_file("/s", 0, &synth_content("/s", 1, KB)).unwrap();
     assert_eq!(h.monitor().files_seen(), 1);
+}
+
+#[test]
+fn create_under_a_file_is_refused_and_leaves_the_namespace_intact() {
+    let fleet = fleet();
+    let mut h = hyrd(&fleet);
+    let data = synth_content("/a", 0, 4 * KB);
+    h.create_file("/a", &data).unwrap();
+
+    // `/a` is a file: it cannot also become the directory of `/a/b`,
+    // whatever tier the new file would land on.
+    for size in [KB, 2 * MB] {
+        let err = h.create_file("/a/b", &synth_content("/a/b", 0, size)).unwrap_err();
+        assert!(
+            matches!(&err, SchemeError::Meta(MetaError::NotADirectory(p)) if p == "/a"),
+            "{size} B create under a file: {err:?}"
+        );
+    }
+    assert_eq!(h.list_dir("/").unwrap().0, vec!["a"], "one entry, and it is the file");
+    assert!(h.list_dir("/a").is_err());
+    assert_eq!(&h.read_file("/a").unwrap().0[..], &data[..]);
 }
 
 #[test]

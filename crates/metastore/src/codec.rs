@@ -1,30 +1,28 @@
-//! Compact length-framed binary encoding for metadata blocks — the
-//! flush hot path. Every mutating op re-serializes its directory's
-//! block; at replay scale the serde_json encoder and its output size
-//! both showed up in profiles, so the default wire format is this
-//! fixed-layout little-endian framing instead. JSON stays readable on
-//! the way *in* forever ([`MetadataBlock::from_bytes`] sniffs the magic
-//! and falls back), and writable behind the `json-blocks` feature for
-//! debugging sessions that want human-inspectable provider objects.
+//! The metadata block and its `HYM2` wire format — the flush hot path.
 //!
-//! The current frame (`HYM2`) carries an FNV-1a-64 checksum over
-//! everything after the 12-byte header, so a **torn block** — a write
-//! truncated or bit-flipped by a crash or fault mid-flush — fails
-//! validation deterministically instead of decoding into garbage (the
-//! reader's length framing alone already catches most truncations; the
-//! checksum closes the rest, including bit flips and torn tails that
-//! happen to land on a frame boundary). Legacy `HYM1` frames (no
-//! checksum) stay decodable forever.
+//! The replication unit is the **metadata block**: one record per
+//! directory holding that directory's file entries and their inodes
+//! ("groups the metadata in a directory together to exploit the access
+//! locality", §III-C). It ships as a compact fixed-layout little-endian
+//! framing, and that framing is the only encoding this crate reads or
+//! writes.
+//!
+//! The frame carries an FNV-1a-64 checksum over everything after the
+//! 12-byte header, so a **torn block** — a write truncated or
+//! bit-flipped by a crash or fault mid-flush — fails validation
+//! deterministically instead of decoding into garbage (the reader's
+//! length framing alone already catches most truncations; the checksum
+//! closes the rest, including bit flips and torn tails that happen to
+//! land on a frame boundary).
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! block   := MAGIC("HYM2") checksum:u64 dir:str version:u64 body
-//!          | MAGIC("HYM1") dir:str version:u64 body          (legacy)
 //! body    := count:u32 entry*
 //! entry   := name:str inode
 //! inode   := id:u64 size:u64 version:u64 created:time modified:time place
-//! time    := secs:u64 nanos:u32
+//! time    := secs:u64 nanos:u32                    (nanos < 10^9)
 //! place   := 0x00
 //!          | 0x01 providers:u32 provider:u16* object:str
 //!          | 0x02 object_len:u64 m:u32 n:u32 shard_len:u64
@@ -41,14 +39,41 @@ use hyrd_gfec::FragmentLayout;
 
 use crate::inode::{FileId, Inode, Placement};
 use crate::path::NormPath;
-use crate::store::MetadataBlock;
 use crate::{MetaError, Result};
 
-/// Leading bytes of a legacy (unchecksummed) binary-encoded block.
-pub const MAGIC: &[u8; 4] = b"HYM1";
+/// Leading bytes of a binary-encoded block.
+pub const MAGIC: &[u8; 4] = b"HYM2";
 
-/// Leading bytes of a current, checksummed binary-encoded block.
-pub const MAGIC2: &[u8; 4] = b"HYM2";
+/// One directory's replicable metadata record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetadataBlock {
+    /// The directory this block describes.
+    pub dir: NormPath,
+    /// Block version (max inode version inside, plus structural bumps).
+    pub version: u64,
+    /// File entries: name → inode.
+    pub entries: BTreeMap<String, Inode>,
+}
+
+impl MetadataBlock {
+    /// Serializes to the `HYM2` frame the dispatcher ships to providers.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        encode_block(self)
+    }
+
+    /// Parses a block fetched from a provider. Anything that is not an
+    /// intact `HYM2` frame — wrong magic, torn, bit-flipped — is a
+    /// [`MetaError::CorruptBlock`], never garbage.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        decode_block(bytes)
+    }
+
+    /// The object name this block is stored under on every replica.
+    pub fn object_name(dir: &NormPath) -> String {
+        // Encode the path so it is a legal flat object name.
+        format!("meta:{}", dir.as_str().replace('/', "\u{1}"))
+    }
+}
 
 /// FNV-1a 64-bit. Not cryptographic — it guards against *accidental*
 /// corruption (torn writes, bit rot), which is all a metadata block
@@ -62,27 +87,15 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encodes the entry table alone — the part whose bytes decide whether
-/// a flush has anything new to ship (the header repeats dir + version).
+/// Encodes the entry table alone — the frame body [`assemble_block`]
+/// wraps (the header carries dir + version).
 pub fn encode_entries(entries: &BTreeMap<String, Inode>) -> Vec<u8> {
-    encode_entries_iter(entries.len(), entries.iter().map(|(n, i)| (n.as_str(), i)))
-}
-
-/// Borrowing variant of [`encode_entries`]: encodes straight from
-/// `(name, &inode)` references so flush probes never clone entry tables
-/// just to serialize them. The iterator must yield entries in sorted
-/// name order (the namespace's `BTreeMap` order).
-pub fn encode_entries_iter<'a, I>(count: usize, entries: I) -> Vec<u8>
-where
-    I: Iterator<Item = (&'a str, &'a Inode)>,
-{
     // Entries dominate: ~90 bytes each plus names; headroom avoids
     // doubling mid-encode.
-    let mut out = Vec::with_capacity(16 + count * 128);
-    put_u32(&mut out, count as u32);
+    let mut out = Vec::with_capacity(16 + entries.len() * 128);
+    put_u32(&mut out, entries.len() as u32);
     for (name, inode) in entries {
-        put_str(&mut out, name);
-        put_inode(&mut out, inode);
+        encode_entry(&mut out, name, inode);
     }
     out
 }
@@ -99,8 +112,8 @@ pub(crate) fn encode_entry(out: &mut Vec<u8>, name: &str, inode: &Inode) {
 /// `HYM2` frame whose checksum covers everything after the header.
 pub fn assemble_block(dir: &NormPath, version: u64, body: &[u8]) -> Vec<u8> {
     let dir = dir.as_str();
-    let mut out = Vec::with_capacity(MAGIC2.len() + 8 + 4 + dir.len() + 8 + body.len());
-    out.extend_from_slice(MAGIC2);
+    let mut out = Vec::with_capacity(MAGIC.len() + 8 + 4 + dir.len() + 8 + body.len());
+    out.extend_from_slice(MAGIC);
     out.extend_from_slice(&[0u8; 8]); // checksum, patched below
     put_str(&mut out, dir);
     put_u64(&mut out, version);
@@ -115,21 +128,18 @@ pub fn encode_block(block: &MetadataBlock) -> Vec<u8> {
     assemble_block(&block.dir, block.version, &encode_entries(&block.entries))
 }
 
-/// Decodes a binary block — `HYM2` (checksum-validated) or legacy
-/// `HYM1` (length framing only).
+/// Decodes a checksum-validated `HYM2` block.
 pub fn decode_block(bytes: &[u8]) -> Result<MetadataBlock> {
-    let mut r = Reader { bytes, pos: 0 };
-    let magic = r.take(4)?;
-    if magic == MAGIC2 {
-        let stored = r.u64()?;
-        let computed = fnv64(&bytes[12..]);
-        if stored != computed {
-            return Err(MetaError::CorruptBlock(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-    } else if magic != MAGIC {
+    if !bytes.starts_with(MAGIC) {
         return Err(MetaError::CorruptBlock("bad magic".to_string()));
+    }
+    let mut r = Reader { bytes, pos: MAGIC.len() };
+    let stored = r.u64()?;
+    let computed = fnv64(&bytes[12..]);
+    if stored != computed {
+        return Err(MetaError::CorruptBlock(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        )));
     }
     let dir = NormPath::parse(r.str()?).map_err(|e| MetaError::CorruptBlock(e.to_string()))?;
     let version = r.u64()?;
@@ -242,6 +252,11 @@ impl<'a> Reader<'a> {
     fn time(&mut self) -> Result<Duration> {
         let secs = self.u64()?;
         let nanos = self.u32()?;
+        // `Duration::new` panics when the nanosecond carry overflows
+        // `secs`; canonical encodings never carry at all.
+        if nanos >= 1_000_000_000 {
+            return Err(MetaError::CorruptBlock(format!("timestamp nanos {nanos} out of range")));
+        }
         Ok(Duration::new(secs, nanos))
     }
 
@@ -325,29 +340,10 @@ mod tests {
         MetadataBlock { dir: p("/docs/deep"), version: 7, entries }
     }
 
-    /// What `assemble_block` produced before the `HYM2` checksum frame:
-    /// the compatibility surface the legacy tests decode.
-    fn assemble_legacy(block: &MetadataBlock) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_str(&mut out, block.dir.as_str());
-        put_u64(&mut out, block.version);
-        out.extend_from_slice(&encode_entries(&block.entries));
-        out
-    }
-
     #[test]
     fn roundtrip_preserves_every_field() {
         let block = sample_block();
         let bytes = encode_block(&block);
-        assert_eq!(&bytes[..4], MAGIC2);
-        assert_eq!(decode_block(&bytes).unwrap(), block);
-    }
-
-    #[test]
-    fn legacy_hym1_blocks_still_decode() {
-        let block = sample_block();
-        let bytes = assemble_legacy(&block);
         assert_eq!(&bytes[..4], MAGIC);
         assert_eq!(decode_block(&bytes).unwrap(), block);
     }
@@ -383,14 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_much_smaller_than_json() {
-        let block = sample_block();
-        let bin = encode_block(&block).len();
-        let json = serde_json::to_vec(&block).unwrap().len();
-        assert!(bin * 2 < json, "binary {bin} B vs json {json} B");
-    }
-
-    #[test]
     fn truncation_and_garbage_are_corrupt_errors() {
         let bytes = encode_block(&sample_block());
         for cut in [0, 3, 4, 10, bytes.len() - 1] {
@@ -402,9 +390,74 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(decode_block(&trailing), Err(MetaError::CorruptBlock(_))));
-        assert!(matches!(decode_block(b"HYM1"), Err(MetaError::CorruptBlock(_))));
         assert!(matches!(decode_block(b"HYM2"), Err(MetaError::CorruptBlock(_))));
-        assert!(matches!(decode_block(b"not a block"), Err(MetaError::CorruptBlock(_))));
+    }
+
+    #[test]
+    fn anything_but_the_hym2_magic_is_bad_magic() {
+        let mut other_magic = encode_block(&sample_block());
+        other_magic[3] = b'1';
+        for bytes in [&other_magic[..], b"", b"HYM", b"not a block", br#"{"dir":"/","version":0}"#]
+        {
+            assert_eq!(
+                MetadataBlock::from_bytes(bytes),
+                Err(MetaError::CorruptBlock("bad magic".to_string()))
+            );
+        }
+    }
+
+    /// Re-checksums a frame after tampering — what a hostile provider
+    /// can do, since FNV-1a is not a MAC.
+    fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+        let checksum = fnv64(&frame[12..]);
+        frame[4..12].copy_from_slice(&checksum.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn overflowing_timestamp_is_corrupt_not_a_panic() {
+        // The largest canonical timestamp decodes; one more nanosecond
+        // would carry out of `secs` inside `Duration::new`.
+        let latest = Duration::new(u64::MAX, 999_999_999);
+        let inode = Inode::new(FileId(1), 1, latest);
+        let block = MetadataBlock {
+            dir: p("/d"),
+            version: 1,
+            entries: BTreeMap::from([("f".to_string(), inode.clone())]),
+        };
+        let diff = crate::diff::DiffBlock {
+            dir: p("/d"),
+            base: 1,
+            version: 2,
+            ops: vec![crate::diff::EntryOp::Upsert("f".to_string(), inode)],
+        };
+        assert_eq!(MetadataBlock::from_bytes(&block.to_bytes()).unwrap(), block);
+
+        let mut needle = [0xFFu8; 12];
+        needle[8..].copy_from_slice(&999_999_999u32.to_le_bytes());
+        let overflow = |mut frame: Vec<u8>| {
+            let at = frame.windows(12).position(|w| w == needle).expect("created timestamp");
+            frame[at + 8..at + 12].copy_from_slice(&1_000_000_000u32.to_le_bytes());
+            reseal(frame)
+        };
+        assert!(matches!(
+            MetadataBlock::from_bytes(&overflow(block.to_bytes())),
+            Err(MetaError::CorruptBlock(_))
+        ));
+        assert!(matches!(
+            crate::diff::DiffBlock::from_bytes(&overflow(diff.to_bytes())),
+            Err(MetaError::CorruptBlock(_))
+        ));
+    }
+
+    #[test]
+    fn object_names_are_flat_and_unique() {
+        let a = MetadataBlock::object_name(&p("/a/b"));
+        let b = MetadataBlock::object_name(&p("/a"));
+        let r = MetadataBlock::object_name(&NormPath::root());
+        assert_ne!(a, b);
+        assert_ne!(b, r);
+        assert!(!a.contains('/'));
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //!       | 0x01 name:str           (remove)
 //! ```
 
-use crate::codec;
+use crate::codec::{self, MetadataBlock};
 use crate::inode::Inode;
 use crate::path::NormPath;
-use crate::store::MetadataBlock;
 use crate::{MetaError, Result};
 
 /// Leading bytes of a binary-encoded metadata diff.

@@ -2,13 +2,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::FragmentLayout;
 
-/// Stable file identifier, unique within one [`crate::MetaStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// Stable file identifier, unique within one [`crate::ShardedMetaStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
 impl std::fmt::Display for FileId {
@@ -18,7 +16,7 @@ impl std::fmt::Display for FileId {
 }
 
 /// Where a file's bytes physically live in the Cloud-of-Clouds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Not yet dispatched (metadata exists, data write pending).
     Pending,
@@ -40,7 +38,6 @@ pub enum Placement {
         /// Optional whole-object cache on a performance-oriented
         /// provider — Figure 2's "frequently accessed large files are
         /// also placed in performance-oriented providers".
-        #[serde(default)]
         hot_copy: Option<(ProviderId, String)>,
     },
 }
@@ -87,7 +84,7 @@ impl Placement {
 }
 
 /// Per-file metadata. This is what a metadata block replicates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Inode {
     /// Stable id.
     pub id: FileId,
@@ -170,14 +167,5 @@ mod tests {
         assert_eq!(i.version, 1);
         assert_eq!(i.modified, Duration::from_secs(9));
         assert_eq!(i.created, Duration::from_secs(5));
-    }
-
-    #[test]
-    fn inode_serde_roundtrip() {
-        let mut i = Inode::new(FileId(7), 4096, Duration::from_secs(1));
-        i.placement = ec_placement();
-        let json = serde_json::to_string(&i).unwrap();
-        let back: Inode = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, i);
     }
 }

@@ -13,43 +13,32 @@
 //!   *placement* record that says where the bytes physically live
 //!   (replicas on providers, or erasure-coded fragments with their
 //!   [`hyrd_gfec::FragmentLayout`]).
-//! * [`namespace`] — the directory tree mapping paths to file ids.
-//! * [`store`] — the flat [`MetaStore`] facade: inode table + namespace
-//!   + dirty-directory tracking, and (de)serialization of per-directory
-//!   **metadata blocks**, the replication unit the dispatcher ships to
-//!   performance-oriented providers. Flushes are change-detected: a
-//!   block whose bytes match its last flush is neither re-serialized
-//!   nor re-replicated ([`MetaStore::flush_dirty_encoded`]). The
-//!   baselines still use it; HyRD's dispatcher uses [`shard`].
-//! * [`shard`] — the [`ShardedMetaStore`] the dispatcher runs on: the
-//!   namespace hash-partitioned by directory into independently
-//!   versioned shards with optimistic read-validate-commit mutations,
-//!   and incremental flushes that ship per-directory **state diffs**
-//!   with periodic compaction back into full blocks.
+//! * [`codec`] — the per-directory [`MetadataBlock`], the replication
+//!   unit the dispatcher ships to performance-oriented providers, and
+//!   `HYM2`, the checksummed length-framed binary frame it travels in —
+//!   the only block encoding this crate reads or writes.
+//! * [`shard`] — the [`ShardedMetaStore`], the one namespace every
+//!   scheme runs on (HyRD's dispatcher at 16 shards, the baselines at
+//!   one): directories hash-partitioned into independently versioned
+//!   shards with optimistic read-validate-commit mutations, dirty
+//!   tracking, and change-detected incremental flushes that ship
+//!   per-directory **state diffs** with periodic compaction back into
+//!   full blocks.
 //! * [`diff`] — the `HYD1` wire frame for those diffs and
 //!   [`resolve_chain`], which folds a block + diff chain back into the
 //!   directory's current state on restart/attach.
-//! * [`codec`] — the compact length-framed binary wire format blocks
-//!   ship in by default. JSON writing stays available behind the
-//!   `json-blocks` feature (human-inspectable provider objects for
-//!   recovery debugging), and JSON *reading* is always available:
-//!   [`MetadataBlock::from_bytes`] sniffs the binary magic and falls
-//!   back, so legacy blocks keep loading.
 
 pub mod codec;
 pub mod diff;
 pub mod inode;
-pub mod namespace;
 pub mod path;
 pub mod shard;
-pub mod store;
 
+pub use codec::MetadataBlock;
 pub use diff::{resolve_chain, ChainResolution, DiffBlock, EntryOp};
 pub use inode::{FileId, Inode, Placement};
-pub use namespace::Namespace;
 pub use path::NormPath;
-pub use shard::{FlushItem, FlushKind, MetaOccStats, ShardGauge, ShardedMetaStore};
-pub use store::{EncodedBlock, MetaStore, MetadataBlock};
+pub use shard::{DirEntry, FlushItem, FlushKind, MetaOccStats, ShardGauge, ShardedMetaStore};
 
 /// Errors from the metadata layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,12 +5,10 @@
 //! components. Normalization happens once at the boundary; everything
 //! downstream works with [`NormPath`] and cannot hold a malformed path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MetaError, Result};
 
 /// An absolute, normalized path ("/", "/a", "/a/b").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NormPath(String);
 
 impl NormPath {

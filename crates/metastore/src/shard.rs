@@ -1,9 +1,9 @@
 //! The sharded, OCC-versioned metastore — [`ShardedMetaStore`].
 //!
-//! The original [`crate::MetaStore`] is a single structure the
-//! dispatcher wraps in one mutex: at many-writer scale every metadata
-//! op convoys on that stripe, and every flush re-encodes whole
-//! directory blocks. This store removes both serialization points:
+//! A single structure behind one mutex makes every metadata op convoy
+//! on that stripe at many-writer scale, and re-encoding whole directory
+//! blocks on every flush is quadratic in directory size. This store
+//! has neither serialization point:
 //!
 //! * **Sharding.** The namespace is hash-partitioned *by directory*
 //!   ([`ShardedMetaStore::shard_of`]: FNV-1a-64 of the directory path
@@ -41,12 +41,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crate::codec;
+use crate::codec::{self, MetadataBlock};
 use crate::diff::{DiffBlock, EntryOp};
 use crate::inode::{FileId, Inode, Placement};
-use crate::namespace::DirEntry;
 use crate::path::NormPath;
-use crate::store::MetadataBlock;
 use crate::{MetaError, Result};
 
 /// Diff-chain length at which a flush folds the chain back into a full
@@ -57,6 +55,15 @@ pub const COMPACT_EVERY: usize = 8;
 /// OCC retries before a writer falls back to planning under the write
 /// lock (guaranteed progress; still serializable).
 pub const MAX_OCC_RETRIES: usize = 8;
+
+/// An entry in a directory listing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirEntry {
+    /// A subdirectory name.
+    Dir(String),
+    /// A file name with its id.
+    File(String, FileId),
+}
 
 /// What one flush item is, for telemetry and supersede bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +184,7 @@ impl ShardedMetaStore {
             contended: AtomicU64::new(0),
             wait_ns: AtomicU64::new(0),
         };
-        // The root always exists, like `Namespace::default`.
+        // The root always exists.
         store
             .write_shard(Self::shard_of(&NormPath::root(), shards))
             .dirs
@@ -260,10 +267,10 @@ impl ShardedMetaStore {
     }
 
     /// Ensures the directory chain exists without marking anything
-    /// dirty (directory *structure* is not persisted in blocks; see the
-    /// namespace docs). One shard lock at a time — no ordering, no
-    /// deadlock.
-    fn ensure_dir(&self, dir: &NormPath) {
+    /// dirty (directory *structure* is not persisted in blocks). One
+    /// shard lock at a time — no ordering, no deadlock. A component
+    /// that names an existing file is [`MetaError::NotADirectory`].
+    fn ensure_dir(&self, dir: &NormPath) -> Result<()> {
         let mut cur = NormPath::root();
         for comp in dir.components() {
             let child = cur.join(comp).expect("normalized component");
@@ -273,48 +280,46 @@ impl ShardedMetaStore {
                 shard.dirs.get(&cur).is_some_and(|d| d.subdirs.contains(comp))
             };
             if !known {
-                let name = comp.to_string();
-                let cur_owned = cur.clone();
-                let _ = self.commit(
+                // First creation of this component: the only moment a
+                // file of the same name can be in the way (`create_file`
+                // refuses names in `subdirs` from here on).
+                self.commit(
                     parent_idx,
-                    |_| Ok(()),
-                    move |shard, ()| {
-                        shard
-                            .dirs
-                            .entry(cur_owned.clone())
-                            .or_default()
-                            .subdirs
-                            .insert(name.clone());
+                    |shard| match shard.dirs.get(&cur) {
+                        Some(d) if d.files.contains_key(comp) => {
+                            Err(MetaError::NotADirectory(child.as_str().to_string()))
+                        }
+                        _ => Ok(()),
                     },
-                );
-                let child_idx = self.idx(&child);
-                let child_owned = child.clone();
-                let _ = self.commit(
-                    child_idx,
-                    |_| Ok(()),
-                    move |shard, ()| {
-                        shard.dirs.entry(child_owned.clone()).or_default();
+                    |shard, ()| {
+                        shard.dirs.entry(cur.clone()).or_default().subdirs.insert(comp.to_string());
                     },
-                );
+                )?;
+                self.commit(
+                    self.idx(&child),
+                    |_| Ok(()),
+                    |shard, ()| {
+                        shard.dirs.entry(child.clone()).or_default();
+                    },
+                )?;
             }
             cur = child;
         }
+        Ok(())
     }
 
     /// Creates a directory chain and marks the target dirty (so a bare
-    /// `mkdir` ships an — possibly empty — block, exactly like
-    /// [`crate::MetaStore::mkdir_all`]).
-    pub fn mkdir_all(&self, dir: &NormPath) {
-        self.ensure_dir(dir);
-        let idx = self.idx(dir);
-        let _ = self.commit(
-            idx,
+    /// `mkdir` ships an — possibly empty — block).
+    pub fn mkdir_all(&self, dir: &NormPath) -> Result<()> {
+        self.ensure_dir(dir)?;
+        self.commit(
+            self.idx(dir),
             |_| Ok(()),
             |shard, ()| {
                 shard.dirs.entry(dir.clone()).or_default();
                 shard.dirty.insert(dir.clone());
             },
-        );
+        )
     }
 
     /// Creates a file of `size` bytes at `path` (virtual time `now`),
@@ -325,7 +330,7 @@ impl ShardedMetaStore {
             .ok_or_else(|| MetaError::BadPath(path.as_str().to_string()))?
             .to_string();
         let parent = path.parent();
-        self.ensure_dir(&parent);
+        self.ensure_dir(&parent)?;
         let idx = self.idx(&parent);
         self.commit(
             idx,
@@ -484,7 +489,7 @@ impl ShardedMetaStore {
     }
 
     /// Sorted listing: subdirectories first, then files, both in name
-    /// order (parity with [`crate::Namespace::list`]).
+    /// order.
     pub fn list(&self, dir: &NormPath) -> Result<Vec<DirEntry>> {
         let shard = self.read_shard(self.idx(dir));
         let state = shard
@@ -513,9 +518,8 @@ impl ShardedMetaStore {
         Ok(state.files.iter().map(|(n, i)| (n.clone(), i.clone())).collect())
     }
 
-    /// Every directory, depth-first from the root — byte-for-byte the
-    /// order [`crate::Namespace::all_dirs`] produces, reconstructed from
-    /// a per-shard topology snapshot.
+    /// Every directory, depth-first from the root (children in name
+    /// order), reconstructed from a per-shard topology snapshot.
     pub fn all_dirs(&self) -> Vec<NormPath> {
         let mut children: BTreeMap<NormPath, Vec<String>> = BTreeMap::new();
         for idx in 0..self.shards.len() {
@@ -760,7 +764,7 @@ impl ShardedMetaStore {
     /// them), and the id allocator is advanced past every adopted id.
     /// Loads mark nothing dirty — the caller seeds the flush state.
     pub fn load_block(&self, block: &MetadataBlock) -> Result<()> {
-        self.ensure_dir(&block.dir);
+        self.ensure_dir(&block.dir)?;
         let idx = self.idx(&block.dir);
         self.commit(
             idx,
@@ -866,6 +870,8 @@ mod tests {
         assert_eq!(inode.id, id);
         assert_eq!(s.file_count(), 0);
         assert!(s.inode(&p("/docs/a.txt")).is_err());
+        // The directory outlives its last file.
+        assert!(s.list(&p("/docs")).unwrap().is_empty());
     }
 
     #[test]
@@ -892,12 +898,12 @@ mod tests {
     }
 
     #[test]
-    fn namespace_error_semantics_match_the_flat_store() {
+    fn namespace_error_semantics() {
         let s = ShardedMetaStore::with_shards(4);
         s.create_file(&p("/x"), 1, t(0)).unwrap();
         assert!(matches!(s.create_file(&p("/x"), 2, t(0)), Err(MetaError::AlreadyExists(_))));
         // A file may not shadow a directory either.
-        s.mkdir_all(&p("/dir"));
+        s.mkdir_all(&p("/dir")).unwrap();
         assert!(matches!(s.create_file(&p("/dir"), 3, t(0)), Err(MetaError::AlreadyExists(_))));
         assert!(matches!(s.inode(&p("/nope/f")), Err(MetaError::NoSuchFile(_))));
         assert!(matches!(s.list(&p("/nope")), Err(MetaError::NoSuchDirectory(_))));
@@ -905,11 +911,68 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_cannot_shadow_a_file() {
+        let s = ShardedMetaStore::with_shards(4);
+        s.create_file(&p("/a"), 1, t(0)).unwrap();
+        assert_eq!(
+            s.create_file(&p("/a/b"), 2, t(1)),
+            Err(MetaError::NotADirectory("/a".to_string()))
+        );
+        assert_eq!(s.mkdir_all(&p("/a/deep/er")), Err(MetaError::NotADirectory("/a".to_string())));
+        let block = MetadataBlock { dir: p("/a"), version: 0, entries: BTreeMap::new() };
+        assert_eq!(s.load_block(&block), Err(MetaError::NotADirectory("/a".to_string())));
+        // Nothing leaked into the namespace: one entry, and it is the file.
+        assert!(matches!(&s.list(&p("/")).unwrap()[..], [DirEntry::File(n, _)] if n == "a"));
+        assert_eq!(s.all_dirs(), vec![p("/")]);
+
+        // Once the file is gone the name is free for a directory.
+        s.remove_file(&p("/a")).unwrap();
+        s.create_file(&p("/a/b"), 2, t(2)).unwrap();
+        assert!(matches!(&s.list(&p("/")).unwrap()[..], [DirEntry::Dir(n)] if n == "a"));
+    }
+
+    #[test]
+    fn placement_update_bumps_version() {
+        let s = ShardedMetaStore::with_shards(4);
+        s.create_file(&p("/f"), 10, t(0)).unwrap();
+        s.set_placement(&p("/f"), replicated(), 10, t(5)).unwrap();
+        let i = s.inode(&p("/f")).unwrap();
+        assert_eq!(i.version, 1);
+        assert_eq!(i.modified, t(5));
+        assert!(matches!(i.placement, Placement::Replicated { .. }));
+    }
+
+    #[test]
+    fn logical_vs_physical_bytes() {
+        let s = ShardedMetaStore::with_shards(4);
+        s.create_file(&p("/f"), 1000, t(0)).unwrap();
+        assert_eq!(s.logical_bytes(), 1000);
+        assert_eq!(s.physical_bytes(), 0); // pending placement
+        s.set_placement(&p("/f"), replicated(), 1000, t(1)).unwrap();
+        assert_eq!(s.physical_bytes(), 2000);
+    }
+
+    #[test]
+    fn dirty_tracking_follows_parent_directories() {
+        let s = ShardedMetaStore::with_shards(4);
+        s.create_file(&p("/a/one"), 1, t(0)).unwrap();
+        s.create_file(&p("/b/two"), 2, t(0)).unwrap();
+        assert_eq!(s.dirty_dirs(), vec![p("/a"), p("/b")]);
+
+        assert_eq!(s.flush_dirty_encoded().len(), 2);
+        assert!(s.dirty_dirs().is_empty());
+
+        // A placement change redirties only the affected directory.
+        s.set_placement(&p("/a/one"), replicated(), 1, t(3)).unwrap();
+        assert_eq!(s.dirty_dirs(), vec![p("/a")]);
+    }
+
+    #[test]
     fn listing_is_sorted_dirs_then_files() {
         let s = ShardedMetaStore::with_shards(4);
         s.create_file(&p("/d/zfile"), 1, t(0)).unwrap();
         s.create_file(&p("/d/afile"), 2, t(0)).unwrap();
-        s.mkdir_all(&p("/d/subdir"));
+        s.mkdir_all(&p("/d/subdir")).unwrap();
         let entries = s.list(&p("/d")).unwrap();
         assert!(matches!(&entries[0], DirEntry::Dir(n) if n == "subdir"));
         assert!(matches!(&entries[1], DirEntry::File(n, _) if n == "afile"));
@@ -917,10 +980,20 @@ mod tests {
     }
 
     #[test]
+    fn inodes_in_is_directory_scoped() {
+        let s = ShardedMetaStore::with_shards(4);
+        let one = s.create_file(&p("/a/one"), 1, t(0)).unwrap();
+        s.create_file(&p("/a/b/two"), 2, t(0)).unwrap();
+        let files = s.inodes_in(&p("/a")).unwrap();
+        assert_eq!(files.len(), 1);
+        assert_eq!((files[0].0.as_str(), files[0].1.id), ("one", one));
+    }
+
+    #[test]
     fn all_dirs_walks_depth_first_across_shards() {
         let s = ShardedMetaStore::with_shards(7);
-        s.mkdir_all(&p("/a/b"));
-        s.mkdir_all(&p("/c"));
+        s.mkdir_all(&p("/a/b")).unwrap();
+        s.mkdir_all(&p("/c")).unwrap();
         let dirs: Vec<String> = s.all_dirs().iter().map(|d| d.as_str().to_string()).collect();
         assert_eq!(dirs, vec!["/", "/a", "/a/b", "/c"]);
     }
@@ -953,7 +1026,7 @@ mod tests {
         s.create_file(&p("/a/one"), 1, t(0)).unwrap();
         assert_eq!(s.flush_dirty_encoded().len(), 1);
 
-        s.mkdir_all(&p("/a"));
+        s.mkdir_all(&p("/a")).unwrap();
         assert_eq!(s.dirty_dirs().len(), 1);
         assert!(s.flush_dirty_encoded().is_empty());
         assert!(s.dirty_dirs().is_empty());
@@ -967,7 +1040,7 @@ mod tests {
     #[test]
     fn bare_mkdir_ships_an_empty_block() {
         let s = ShardedMetaStore::with_shards(4);
-        s.mkdir_all(&p("/empty"));
+        s.mkdir_all(&p("/empty")).unwrap();
         let items = s.flush_dirty_encoded();
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].kind, FlushKind::Block);
@@ -1042,7 +1115,7 @@ mod tests {
         dst.load_block(&block).unwrap();
         dst.seed_flushed(&p("/d"), block.version);
 
-        dst.mkdir_all(&p("/d"));
+        dst.mkdir_all(&p("/d")).unwrap();
         assert!(dst.flush_dirty_encoded().is_empty());
 
         dst.create_file(&p("/d/b"), 5, t(3)).unwrap();
@@ -1073,6 +1146,20 @@ mod tests {
         // New ids never collide with adopted ones.
         let fresh = dst.create_file(&p("/d/new"), 1, t(5)).unwrap();
         assert!(fresh.0 > block.entries["b"].id.0);
+    }
+
+    #[test]
+    fn load_block_does_not_regress_newer_local_state() {
+        let src = ShardedMetaStore::with_shards(4);
+        src.create_file(&p("/d/a"), 10, t(1)).unwrap();
+        let items = src.flush_dirty_encoded();
+        let stale_block = MetadataBlock::from_bytes(&items[0].bytes).unwrap(); // version 0 entry
+
+        let dst = ShardedMetaStore::with_shards(4);
+        dst.create_file(&p("/d/a"), 50, t(1)).unwrap();
+        dst.set_placement(&p("/d/a"), replicated(), 50, t(2)).unwrap(); // version 1
+        dst.load_block(&stale_block).unwrap();
+        assert_eq!(dst.inode(&p("/d/a")).unwrap().size, 50, "stale block must not win");
     }
 
     #[test]

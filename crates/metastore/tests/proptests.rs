@@ -1,17 +1,21 @@
 //! Property-based tests for the metadata layer: a random operation
-//! sequence applied both to the [`MetaStore`] and to a plain
-//! `HashMap<String, u64>` model must always agree; the sharded store's
-//! flush output must be shard-count independent; and replaying a
-//! block + diff chain must reconstruct the exact flushed state, torn
-//! diffs stranding only the chain suffix behind the tear.
+//! sequence applied both to the [`ShardedMetaStore`] and to a plain
+//! `HashMap<String, u64>` model must always agree; the store's flush
+//! output must be shard-count independent; replaying a block + diff
+//! chain must reconstruct the exact flushed state, torn diffs stranding
+//! only the chain suffix behind the tear; and neither wire decoder may
+//! panic on hostile bytes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use hyrd_gcsapi::ProviderId;
+use hyrd_gfec::FragmentLayout;
 use hyrd_metastore::{
-    resolve_chain, DiffBlock, FlushKind, MetaStore, MetadataBlock, NormPath, ShardedMetaStore,
+    resolve_chain, DiffBlock, DirEntry, EntryOp, FileId, FlushKind, Inode, MetadataBlock, NormPath,
+    Placement, ShardedMetaStore,
 };
 
 #[derive(Debug, Clone)]
@@ -54,12 +58,122 @@ fn apply_sharded(store: &ShardedMetaStore, ops: &[Op], t: &mut u64) {
     }
 }
 
+/// Inodes covering every placement arm of the wire format.
+fn inode_strategy() -> impl Strategy<Value = Inode> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), 0..3u8, 0..5usize).prop_map(
+        |(id, size, version, tag, n)| {
+            let nanos = (version % 1_000_000_000) as u32;
+            let mut inode = Inode::new(FileId(id), size, Duration::new(size, nanos));
+            inode.version = version;
+            let at = |i: usize| (ProviderId(i as u16), format!("o{id}.{i}"));
+            inode.placement = match tag {
+                0 => Placement::Pending,
+                1 => Placement::Replicated {
+                    providers: (0..n).map(|i| at(i).0).collect(),
+                    object: format!("o{id}"),
+                },
+                _ => Placement::ErasureCoded {
+                    layout: FragmentLayout {
+                        object_len: size as usize,
+                        m: n,
+                        n: n + 1,
+                        shard_len: n,
+                    },
+                    fragments: (0..=n).map(at).collect(),
+                    hot_copy: (n % 2 == 0).then(|| at(n)),
+                },
+            };
+            inode
+        },
+    )
+}
+
+/// `(name, inode)` tables; duplicate names are fine (later ones win in
+/// a block, and a diff may legitimately touch a name twice).
+fn entries_strategy() -> impl Strategy<Value = Vec<(String, Inode)>> {
+    proptest::collection::vec((0..12u8, inode_strategy()), 0..6)
+        .prop_map(|v| v.into_iter().map(|(n, i)| (format!("f{n}"), i)).collect())
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Overwrites body bytes of a valid frame, optionally truncates it, and
+/// then **re-checksums** it: FNV-1a is not a MAC, so this is what a
+/// hostile provider can serve — and it gets past the checksum gate to
+/// the body parser, which plain bit flips never do.
+fn mutate_and_reseal(mut frame: Vec<u8>, edits: &[(usize, u8)], cut: Option<usize>) -> Vec<u8> {
+    const HEADER: usize = 12; // magic + checksum
+    for &(at, byte) in edits {
+        let body = frame.len() - HEADER;
+        frame[HEADER + at % body] = byte;
+    }
+    if let Some(cut) = cut {
+        frame.truncate(HEADER + cut % (frame.len() - HEADER + 1));
+    }
+    let checksum = fnv64(&frame[HEADER..]);
+    frame[4..HEADER].copy_from_slice(&checksum.to_le_bytes());
+    frame
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+    /// Neither decoder panics on arbitrary bytes, with or without the
+    /// right magic in front.
+    #[test]
+    fn decoders_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        magic in 0..3u8,
+    ) {
+        let mut frame = match magic {
+            0 => Vec::new(),
+            1 => b"HYM2".to_vec(),
+            _ => b"HYD1".to_vec(),
+        };
+        frame.extend_from_slice(&bytes);
+        let _ = MetadataBlock::from_bytes(&frame);
+        let _ = DiffBlock::from_bytes(&frame);
+        // Same bytes behind a valid checksum reach the body parsers.
+        if frame.len() > 12 {
+            let sealed = mutate_and_reseal(frame, &[], None);
+            let _ = MetadataBlock::from_bytes(&sealed);
+            let _ = DiffBlock::from_bytes(&sealed);
+        }
+    }
+
+    /// Valid `HYM2` and `HYD1` frames, mutated in the body and
+    /// re-checksummed, decode or fail with an error — never a panic.
+    #[test]
+    fn decoders_never_panic_on_resealed_mutations(
+        entries in entries_strategy(),
+        version in any::<u64>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        cut in proptest::option::of(any::<usize>()),
+    ) {
+        let dir = NormPath::parse("/some/dir").expect("well-formed");
+        let block =
+            MetadataBlock { dir: dir.clone(), version, entries: entries.iter().cloned().collect() };
+        let ops = entries
+            .into_iter()
+            .map(|(name, inode)| {
+                if inode.size % 4 == 0 { EntryOp::Remove(name) } else { EntryOp::Upsert(name, inode) }
+            })
+            .collect();
+        let diff = DiffBlock { dir, base: version / 2, version: version / 2 + 1, ops };
+
+        // Unmutated frames round-trip (the generators are honest)...
+        prop_assert_eq!(&MetadataBlock::from_bytes(&block.to_bytes()).expect("own bytes"), &block);
+        prop_assert_eq!(&DiffBlock::from_bytes(&diff.to_bytes()).expect("own bytes"), &diff);
+        // ...and whatever the mutation did, the parsers return.
+        let _ = MetadataBlock::from_bytes(&mutate_and_reseal(block.to_bytes(), &edits, cut));
+        let _ = DiffBlock::from_bytes(&mutate_and_reseal(diff.to_bytes(), &edits, cut));
+    }
+
     #[test]
     fn store_agrees_with_a_map_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
-        let mut store = MetaStore::new();
+        let store = ShardedMetaStore::with_shards(4);
         let mut model: HashMap<String, u64> = HashMap::new();
         let mut t = 0u64;
 
@@ -87,10 +201,10 @@ proptest! {
                     let p = path_of(dir, name);
                     match model.get(p.as_str()) {
                         Some(&size) => {
-                            let inode = store.get(&p).expect("model says present");
+                            let inode = store.inode(&p).expect("model says present");
                             prop_assert_eq!(inode.size, size);
                         }
-                        None => prop_assert!(store.get(&p).is_err()),
+                        None => prop_assert!(store.inode(&p).is_err()),
                     }
                 }
             }
@@ -106,28 +220,16 @@ proptest! {
     fn flush_and_reload_reconstructs_the_namespace(
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
-        // Apply ops, serialize every directory block, load into a fresh
-        // store: file sets and sizes must match.
-        let mut store = MetaStore::new();
-        let mut t = 0u64;
-        for op in ops {
-            t += 1;
-            match op {
-                Op::Create { dir, name, size } => {
-                    let _ = store.create_file(&path_of(dir, name), size, Duration::from_secs(t));
-                }
-                Op::Remove { dir, name } => {
-                    let _ = store.remove_file(&path_of(dir, name));
-                }
-                Op::Lookup { .. } => {}
-            }
-        }
+        // Apply ops, flush (every directory's first flush is a full
+        // block), load the shipped bytes into a fresh store: file sets
+        // and sizes must match.
+        let store = ShardedMetaStore::with_shards(4);
+        apply_sharded(&store, &ops, &mut 0);
 
-        let mut fresh = MetaStore::new();
-        for dir in store.all_dirs() {
-            let block = store.block_for(&dir).expect("dir exists");
-            let bytes = block.to_bytes();
-            let parsed = MetadataBlock::from_bytes(&bytes).expect("own serialization");
+        let fresh = ShardedMetaStore::with_shards(4);
+        for item in store.flush_dirty_encoded() {
+            prop_assert_eq!(item.kind, FlushKind::Block);
+            let parsed = MetadataBlock::from_bytes(&item.bytes).expect("own serialization");
             fresh.load_block(&parsed).expect("well-formed block");
         }
 
@@ -138,11 +240,11 @@ proptest! {
             let b = fresh.list(&dir).expect("reloaded");
             // Compare names (ids are preserved by load_block, but compare
             // structurally to stay robust).
-            let names = |v: &[hyrd_metastore::namespace::DirEntry]| -> Vec<String> {
+            let names = |v: &[DirEntry]| -> Vec<String> {
                 v.iter()
                     .map(|e| match e {
-                        hyrd_metastore::namespace::DirEntry::Dir(n) => format!("d:{n}"),
-                        hyrd_metastore::namespace::DirEntry::File(n, _) => format!("f:{n}"),
+                        DirEntry::Dir(n) => format!("d:{n}"),
+                        DirEntry::File(n, _) => format!("f:{n}"),
                     })
                     .collect()
             };
@@ -238,7 +340,7 @@ fn assert_diff_chain_replay(rounds: &[Vec<Op>]) {
         }
     }
 
-    let mut fresh = MetaStore::new();
+    let fresh = ShardedMetaStore::with_shards(1);
     for (dir, base) in bases {
         let diffs = chains.remove(&dir).unwrap_or_default();
         let expected = diffs.last().map_or(base.version, |d| d.version);
@@ -254,7 +356,7 @@ fn assert_diff_chain_replay(rounds: &[Vec<Op>]) {
     for dir in store.all_dirs() {
         for (name, inode) in store.inodes_in(&dir).expect("dir exists") {
             let path = dir.join(&name).expect("well-formed");
-            let reloaded = fresh.get(&path).expect("entry survives replay");
+            let reloaded = fresh.inode(&path).expect("entry survives replay");
             assert_eq!(reloaded.size, inode.size, "size of {path}");
             assert_eq!(reloaded.version, inode.version, "version of {path}");
         }
@@ -305,7 +407,7 @@ fn assert_torn_diff(links: usize, victim: usize) {
     assert_eq!(resolved.applied, victim);
     assert_eq!(resolved.block.version, expected_version);
 
-    let mut fresh = MetaStore::new();
+    let fresh = ShardedMetaStore::with_shards(1);
     fresh.load_block(&resolved.block).expect("well-formed block");
     // The block holds f0; diff i adds f{i+1}; `victim` applied diffs
     // leave exactly 1 + victim files visible.

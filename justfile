@@ -93,6 +93,16 @@ bench-policy:
 bench-meta:
     cargo bench -p hyrd-bench --bench meta_benches
 
+# The two-clock perf ledger (BENCHMARK.json): all four hyrd-perf
+# workloads, end to end + per-layer, results under hyrd-perf/target/perf.
+perf:
+    cargo run --release --offline --quiet --manifest-path hyrd-perf/Cargo.toml -- --all
+
+# hyrd-perf's own tests (a separate workspace `cargo test -q` does not
+# reach): unit tests, the allocator test, four workloads at smoke scale.
+perf-test:
+    cargo test --offline --manifest-path hyrd-perf/Cargo.toml
+
 # Full Criterion run (also refreshes BENCH_gfec.json at the end).
 bench:
     cargo bench -p hyrd-bench
