@@ -13,7 +13,7 @@ use hyrd::scheme::{SchemeError, SchemeResult};
 use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
-use hyrd_gfec::{ErasureCode, Fragment, FragmentLayout};
+use hyrd_gfec::{ErasureCode, FragmentLayout};
 use hyrd_metastore::{DirEntry, MetadataBlock, NormPath, ShardedMetaStore};
 
 /// The container every scheme stores under.
@@ -232,17 +232,17 @@ pub fn ec_write<C: ErasureCode + ?Sized>(
     rot: usize,
     log: &mut UpdateLog,
 ) -> SchemeResult<(FragmentLayout, Vec<(ProviderId, String)>, BatchReport, usize)> {
-    let (layout, frags) = planner.encode_object(code, data)?;
+    let (layout, frags) = planner.split_encode(code, data)?;
     let n = frags.len();
     assert_eq!(n, providers.len(), "one fragment per provider");
     let mut ops = Vec::new();
     let mut live = 0;
     let mut map = Vec::with_capacity(n);
-    for frag in frags {
-        let p = &providers[(frag.index + rot) % n];
-        let name = format!("{base_name}.f{}", frag.index);
+    for (index, frag) in frags.into_iter().enumerate() {
+        let p = &providers[(index + rot) % n];
+        let name = format!("{base_name}.f{index}");
         let k = key(&name);
-        let bytes = Bytes::from(frag.data);
+        let bytes = Bytes::from(frag);
         match p.put(&k, bytes.clone()) {
             Ok(out) => {
                 ops.push(out.report);
@@ -260,7 +260,6 @@ pub fn ec_write<C: ErasureCode + ?Sized>(
 /// (the degraded read that pulls extra providers in — the RACS behaviour
 /// §IV-C calls out).
 pub fn ec_read<C: ErasureCode + ?Sized>(
-    planner: &StripePlanner,
     code: &C,
     fleet_lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
     layout: &FragmentLayout,
@@ -269,7 +268,7 @@ pub fn ec_read<C: ErasureCode + ?Sized>(
 ) -> SchemeResult<(Bytes, BatchReport)> {
     let m = layout.m;
     // Preferred order: data fragments first (free decode), then parity.
-    let mut got: Vec<Fragment> = Vec::with_capacity(m);
+    let mut got: Vec<(usize, Bytes)> = Vec::with_capacity(m);
     let mut ops = Vec::new();
     for (idx, (pid, name)) in fragments.iter().enumerate() {
         if got.len() == m {
@@ -281,7 +280,7 @@ pub fn ec_read<C: ErasureCode + ?Sized>(
         }
         if let Ok(out) = p.get(&key(name)) {
             ops.push(out.report);
-            got.push(Fragment::new(idx, out.value.to_vec()));
+            got.push((idx, out.value));
         }
     }
     if got.len() < m {
@@ -290,7 +289,7 @@ pub fn ec_read<C: ErasureCode + ?Sized>(
             detail: format!("{} of {} fragments reachable, need {m}", got.len(), fragments.len()),
         });
     }
-    let object = planner.decode_object(code, layout, &got)?;
+    let object = hyrd_gfec::decode_object(code, layout, &got)?;
     Ok((Bytes::from(object), BatchReport::parallel(ops)))
 }
 
@@ -526,7 +525,7 @@ mod tests {
             assert_eq!(map[3].0, f.providers()[(3 + rot) % 4].id());
 
             let lookup = |id: ProviderId| f.get(id).unwrap().clone();
-            let (bytes, report) = ec_read(&planner, &code, &lookup, &layout, &map, "/p").unwrap();
+            let (bytes, report) = ec_read(&code, &lookup, &layout, &map, "/p").unwrap();
             assert_eq!(&bytes[..], &data[..]);
             assert_eq!(report.op_count(), 3, "reads the three data fragments");
         }
@@ -546,7 +545,7 @@ mod tests {
         let victim = map[0].0;
         f.get(victim).unwrap().force_down();
         let lookup = |id: ProviderId| f.get(id).unwrap().clone();
-        let (bytes, report) = ec_read(&planner, &code, &lookup, &layout, &map, "/p").unwrap();
+        let (bytes, report) = ec_read(&code, &lookup, &layout, &map, "/p").unwrap();
         assert_eq!(&bytes[..], &data[..]);
         assert_eq!(report.op_count(), 3);
         assert!(report.ops.iter().all(|o| o.provider != victim));

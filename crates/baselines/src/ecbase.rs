@@ -12,7 +12,7 @@ use hyrd::scheme::{Scheme, SchemeError, SchemeResult};
 use hyrd_cloudsim::Fleet;
 use hyrd_gcsapi::{BatchReport, CloudStorage, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
-use hyrd_gfec::{ErasureCode, Fragment, FragmentLayout};
+use hyrd_gfec::{ErasureCode, FragmentLayout};
 use hyrd_metastore::{MetadataBlock, NormPath, Placement};
 
 use crate::common::{self, SchemeCore};
@@ -218,7 +218,7 @@ impl<C: ErasureCode> EcEverything<C> {
 
         for (layout, map) in jobs {
             // Read m surviving fragments.
-            let mut got: Vec<Fragment> = Vec::new();
+            let mut got: Vec<(usize, Bytes)> = Vec::new();
             for (idx, (pid, name)) in map.iter().enumerate() {
                 if *pid == id || got.len() == layout.m {
                     continue;
@@ -226,24 +226,18 @@ impl<C: ErasureCode> EcEverything<C> {
                 if let Ok(out) = self.core.provider(*pid).get(&common::key(name)) {
                     traffic.bytes_read += out.report.bytes_out;
                     ops.push(out.report);
-                    got.push(Fragment::new(idx, out.value.to_vec()));
+                    got.push((idx, out.value));
                 }
             }
             if got.len() < layout.m {
                 continue; // another provider is also down; skip this object
             }
             // Reconstruct the lost fragments and write them back.
-            let shards = self.code.reconstruct(&got, layout.shard_len)?;
             for (idx, (pid, name)) in map.iter().enumerate() {
                 if *pid != id {
                     continue;
                 }
-                let data = if idx < layout.m {
-                    shards[idx].clone()
-                } else {
-                    let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-                    self.code.encode(&refs)?[idx - layout.m].clone()
-                };
+                let data = hyrd_gfec::rebuild_fragment(&self.code, layout.shard_len, &got, idx)?;
                 let bytes = Bytes::from(data);
                 let out = self.core.provider(*pid).put(&common::key(name), bytes)?;
                 traffic.bytes_written += out.report.bytes_in;
@@ -336,14 +330,9 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
             Placement::Replicated { object, .. } if self.strips.contains(&object) => {
                 self.strips.read(&object, path)
             }
-            Placement::ErasureCoded { layout, fragments, .. } => common::ec_read(
-                &self.planner,
-                &self.code,
-                &self.lookup(),
-                &layout,
-                &fragments,
-                path,
-            ),
+            Placement::ErasureCoded { layout, fragments, .. } => {
+                common::ec_read(&self.code, &self.lookup(), &layout, &fragments, path)
+            }
             _ => Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
                 detail: "no placement".to_string(),
@@ -447,17 +436,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         }
         let batch = match self.meta_blocks.get(&strip_name).cloned() {
             Some((layout, map)) => {
-                match common::ec_read(
-                    &self.planner,
-                    &self.code,
-                    &self.lookup(),
-                    &layout,
-                    &map,
-                    path,
-                ) {
-                    Ok((_, b)) => b,
-                    Err(e) => return Err(e),
-                }
+                common::ec_read(&self.code, &self.lookup(), &layout, &map, path)?.1
             }
             None => BatchReport::empty(),
         };

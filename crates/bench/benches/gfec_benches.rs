@@ -16,7 +16,7 @@ use hyrd_gfec::gf256::{mul_slice_acc, reference, xor_slice, Gf256};
 use hyrd_gfec::parallel::encode_parallel;
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::update::{apply_ranged_update_multi, parity_window, plan_update};
-use hyrd_gfec::{ErasureCode, Fragment, Raid5, Raid6, ReedSolomon};
+use hyrd_gfec::{decode_object, ErasureCode, Raid5, Raid6, ReedSolomon};
 
 const MB: usize = 1 << 20;
 
@@ -41,6 +41,16 @@ fn bench_gf_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// Borrowed views of every fragment except the `lost` ones.
+fn without<'a>(fragments: &'a [Vec<u8>], lost: &[usize]) -> Vec<(usize, &'a [u8])> {
+    fragments
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !lost.contains(i))
+        .map(|(i, f)| (i, f.as_slice()))
+        .collect()
+}
+
 fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("encode");
     for len in [64 * 1024usize, 1 << 20, 4 << 20] {
@@ -56,9 +66,10 @@ fn bench_encode(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("rs(3,5)", len), &refs, |b, refs| {
             b.iter(|| rs.encode(refs).expect("valid shards"))
         });
-        let mut parity = vec![Vec::new(); 2];
+        let mut parity = vec![vec![0u8; len]; 2];
+        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
         g.bench_with_input(BenchmarkId::new("rs(3,5)-into", len), &refs, |b, refs| {
-            b.iter(|| rs.encode_into(refs, &mut parity).expect("valid shards"))
+            b.iter(|| rs.encode_into(refs, &mut rows).expect("valid shards"))
         });
         let raid6 = Raid6::new(3).expect("valid shape");
         g.bench_with_input(BenchmarkId::new("raid6(3+2)", len), &refs, |b, refs| {
@@ -77,29 +88,26 @@ fn bench_reconstruct(c: &mut Criterion) {
     let planner = StripePlanner::new(3, 4).expect("valid shape");
     let code = Raid5::new(3).expect("valid shape");
     let object: Vec<u8> = (0..3 * len).map(|i| (i % 251) as u8).collect();
-    let (layout, frags) = planner.encode_object(&code, &object).expect("encodes");
+    let (layout, frags) = planner.split_encode(&code, &object).expect("encodes");
     g.throughput(Throughput::Bytes(object.len() as u64));
 
     // Losing a data fragment forces the XOR rebuild.
-    let degraded: Vec<Fragment> = frags.iter().filter(|f| f.index != 1).cloned().collect();
+    let degraded = without(&frags, &[1]);
     g.bench_function("raid5-degraded/3MiB", |b| {
-        b.iter(|| code.reconstruct(&degraded, layout.shard_len).expect("decodable"))
+        b.iter(|| decode_object(&code, &layout, &degraded).expect("decodable"))
     });
-    // All data fragments present: the systematic fast path.
-    let healthy: Vec<Fragment> = frags.iter().filter(|f| f.index != 3).cloned().collect();
+    // All data fragments present: the systematic copy-only path.
+    let healthy = without(&frags, &[3]);
     g.bench_function("raid5-systematic/3MiB", |b| {
-        b.iter(|| code.reconstruct(&healthy, layout.shard_len).expect("decodable"))
+        b.iter(|| decode_object(&code, &layout, &healthy).expect("decodable"))
     });
 
     let rs = ReedSolomon::new(3, 5).expect("valid shape");
-    let (layout5, frags5) = StripePlanner::new(3, 5)
-        .expect("valid shape")
-        .encode_object(&rs, &object)
-        .expect("encodes");
-    let two_lost: Vec<Fragment> =
-        frags5.iter().filter(|f| f.index != 0 && f.index != 2).cloned().collect();
+    let (layout5, frags5) =
+        StripePlanner::new(3, 5).expect("valid shape").split_encode(&rs, &object).expect("encodes");
+    let two_lost = without(&frags5, &[0, 2]);
     g.bench_function("rs(3,5)-two-erasures/3MiB", |b| {
-        b.iter(|| rs.reconstruct(&two_lost, layout5.shard_len).expect("decodable"))
+        b.iter(|| decode_object(&rs, &layout5, &two_lost).expect("decodable"))
     });
     g.finish();
 }
@@ -137,10 +145,11 @@ fn write_summary() {
     });
     // Reused caller buffers: no per-call allocation, no page faults —
     // the number the dispatcher's hot paths see.
-    let mut parity_bufs = vec![Vec::new(); 2];
+    let mut parity_bufs = vec![vec![0u8; MB]; 2];
+    let mut rows: Vec<&mut [u8]> = parity_bufs.iter_mut().map(Vec::as_mut_slice).collect();
     let rs_into = summary::throughput_mbps(3 * MB, t, || {
-        rs.encode_into(&refs, &mut parity_bufs).expect("valid shards");
-        black_box(&parity_bufs);
+        rs.encode_into(&refs, &mut rows).expect("valid shards");
+        black_box(&rows);
     });
     // The seed algorithm: one naive log/exp sweep per parity row, with
     // per-call allocation (as the seed's encode had) and warm-buffer.
@@ -176,25 +185,24 @@ fn write_summary() {
     // Decode, 3 MiB object.
     let object: Vec<u8> = (0..3 * MB).map(|i| (i % 251) as u8).collect();
     let planner5 = StripePlanner::new(3, 5).expect("valid shape");
-    let (layout5, frags5) = planner5.encode_object(&rs, &object).expect("encodes");
-    let two_lost: Vec<Fragment> =
-        frags5.iter().filter(|f| f.index != 0 && f.index != 3).cloned().collect();
+    let (layout5, frags5) = planner5.split_encode(&rs, &object).expect("encodes");
+    let two_lost = without(&frags5, &[0, 3]);
     let rs_dec = summary::throughput_mbps(3 * MB, t, || {
-        black_box(rs.reconstruct(&two_lost, layout5.shard_len).expect("decodable"));
+        black_box(decode_object(&rs, &layout5, &two_lost).expect("decodable"));
     });
     let planner4 = StripePlanner::new(3, 4).expect("valid shape");
-    let (layout4, frags4) = planner4.encode_object(&raid5, &object).expect("encodes");
-    let degraded: Vec<Fragment> = frags4.iter().filter(|f| f.index != 1).cloned().collect();
+    let (layout4, frags4) = planner4.split_encode(&raid5, &object).expect("encodes");
+    let degraded = without(&frags4, &[1]);
     let raid5_dec = summary::throughput_mbps(3 * MB, t, || {
-        black_box(raid5.reconstruct(&degraded, layout4.shard_len).expect("decodable"));
+        black_box(decode_object(&raid5, &layout4, &degraded).expect("decodable"));
     });
 
     // Ranged partial update: 4 KiB rewritten inside the 3 MiB object.
     let plan = plan_update(&layout5, 1_234_567, 4096).expect("in bounds");
     let (lo, hi) = parity_window(&plan.touched);
     let old_segments: Vec<Vec<u8>> =
-        plan.touched.iter().map(|&(sh, st, l)| frags5[sh].data[st..st + l].to_vec()).collect();
-    let old_parities: Vec<Vec<u8>> = (3..5).map(|p| frags5[p].data[lo..hi].to_vec()).collect();
+        plan.touched.iter().map(|&(sh, st, l)| frags5[sh][st..st + l].to_vec()).collect();
+    let old_parities: Vec<Vec<u8>> = (3..5).map(|p| frags5[p][lo..hi].to_vec()).collect();
     let new_bytes: Vec<u8> = (0..4096).map(|i| (i * 89) as u8).collect();
     let upd = summary::throughput_mbps(4096, t, || {
         black_box(

@@ -28,6 +28,21 @@ use crate::pricing::{PriceBook, ProviderCategory};
 use crate::profiles::{ProviderProfile, WellKnownProvider};
 use crate::queue::ProviderQueue;
 
+/// One process-wide run of zeros that ghost reads are views of: a Get
+/// of an object up to this size is an O(1) `slice`, not an allocation
+/// plus a memset per call.
+const GHOST_ZEROS_LEN: usize = 4 << 20;
+
+/// `len` zero bytes for a ghost read: a view of the shared zero run, or
+/// a fresh buffer for the rare object beyond it.
+fn ghost_zeros(len: usize) -> Bytes {
+    static ZEROS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    if len > GHOST_ZEROS_LEN {
+        return Bytes::from(vec![0u8; len]);
+    }
+    ZEROS.get_or_init(|| Bytes::from(vec![0u8; GHOST_ZEROS_LEN])).slice(..len)
+}
+
 /// What the store keeps for one object. In **ghost mode** only the
 /// length is retained (Gets return zero-filled bytes of the right size),
 /// letting benchmarks replay terabyte-scale workloads without holding the
@@ -49,7 +64,7 @@ impl Stored {
     fn to_bytes(&self) -> Bytes {
         match self {
             Stored::Real(b) => b.clone(),
-            Stored::Ghost(n) => Bytes::from(vec![0u8; *n as usize]),
+            Stored::Ghost(n) => ghost_zeros(*n as usize),
         }
     }
 }
@@ -548,7 +563,7 @@ impl CloudStorage for SimProvider {
         let start = offset.min(end);
         let slice = match stored {
             Stored::Real(b) => b.slice(start as usize..end as usize),
-            Stored::Ghost(_) => Bytes::from(vec![0u8; (end - start) as usize]),
+            Stored::Ghost(_) => ghost_zeros((end - start) as usize),
         };
         drop(s);
         let n = slice.len() as u64;
@@ -571,7 +586,13 @@ impl CloudStorage for SimProvider {
         let end = offset + written;
         match stored {
             Stored::Real(b) => {
-                let mut content = b.to_vec();
+                // Patch in place: taking the stored handle and converting
+                // it reclaims the buffer when the store is its only
+                // owner, and copies only while a reader still holds a
+                // view of the old bytes (which it keeps). The reclaim is
+                // measured with the `hyrd-perf` stand-in for `bytes`
+                // only; a `bytes` that copies here is still correct.
+                let mut content = Vec::from(std::mem::take(b));
                 if (content.len() as u64) < end {
                     content.resize(end as usize, 0);
                 }
@@ -725,6 +746,76 @@ mod tests {
         // Remove still maintains the gauge.
         p.remove(&key).unwrap();
         assert_eq!(p.stored_bytes(), 0);
+    }
+
+    #[test]
+    fn ghost_reads_are_views_of_one_shared_zero_run() {
+        let (p, _) = provider();
+        p.set_ghost_mode(true);
+        let key = ObjectKey::new("data", "big");
+        p.put(&key, Bytes::from(vec![0xAB; 512 * 1024])).unwrap();
+        let before = p.stats();
+
+        let whole = p.get(&key).unwrap();
+        let again = p.get(&key).unwrap();
+        let range = p.get_range(&key, 1000, 300 * 1024).unwrap();
+        let tail = p.get_range(&key, 512 * 1024 - 10, 100).unwrap();
+        // No per-read buffer: every read is a view of the same zeros.
+        assert_eq!(whole.value.as_ptr(), again.value.as_ptr());
+        assert_eq!(whole.value.as_ptr(), range.value.as_ptr());
+        // Lengths, billing and stats are what a real read reports.
+        assert_eq!(whole.value.len(), 512 * 1024);
+        assert_eq!(whole.report.bytes_out, 512 * 1024);
+        assert_eq!(range.value.len(), 300 * 1024);
+        assert_eq!(range.report.bytes_out, 300 * 1024);
+        assert_eq!((tail.value.len(), tail.report.bytes_out), (10, 10), "clamped to the object");
+        assert!(range.value.iter().all(|&b| b == 0));
+        let after = p.stats();
+        assert_eq!(after.get - before.get, 4);
+        assert_eq!(after.bytes_out - before.bytes_out, (2 * 512 + 300) * 1024 + 10);
+
+        // Beyond the shared run a read still gets its full length.
+        let huge = ObjectKey::new("data", "huge");
+        p.put(&huge, Bytes::from(vec![1u8; GHOST_ZEROS_LEN + 1])).unwrap();
+        let got = p.get(&huge).unwrap();
+        assert_eq!(got.value.len(), GHOST_ZEROS_LEN + 1);
+        assert!(got.value.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn put_range_patches_and_readers_keep_their_snapshot() {
+        let (p, _) = provider();
+        let key = ObjectKey::new("data", "k");
+        p.put(&key, Bytes::from(vec![0x11u8; 100])).unwrap();
+
+        // That a sole-owner patch reuses the buffer is asserted as an
+        // allocation budget in `crates/core/tests/alloc_budget.rs`.
+        let out = p.put_range(&key, 20, Bytes::from(vec![0xEEu8; 30])).unwrap();
+        assert_eq!(
+            (out.report.kind, out.report.bytes_in, out.report.bytes_out),
+            (OpKind::Put, 30, 0)
+        );
+        assert_eq!(p.stored_bytes(), 100);
+        let patched = p.get(&key).unwrap().value;
+        assert!(patched[..20].iter().chain(&patched[50..]).all(|&b| b == 0x11));
+        assert!(patched[20..50].iter().all(|&b| b == 0xEE));
+
+        // Handles obtained before a patch keep reading the old bytes.
+        let range = p.get_range(&key, 10, 30).unwrap().value;
+        let snapshot = patched.to_vec();
+        p.put_range(&key, 0, Bytes::from(vec![0x77u8; 100])).unwrap();
+        assert_eq!(&patched[..], &snapshot[..], "whole-object handle is a snapshot");
+        assert_eq!(&range[..], &snapshot[10..40], "range handle is a snapshot");
+        assert!(p.get(&key).unwrap().value.iter().all(|&b| b == 0x77));
+
+        // Growth past the old end zero-fills the gap and moves the gauge.
+        let out = p.put_range(&key, 150, Bytes::from(vec![0x55u8; 10])).unwrap();
+        assert_eq!(out.report.bytes_in, 10);
+        assert_eq!(p.stored_bytes(), 160);
+        let grown = p.get(&key).unwrap().value;
+        assert_eq!(grown.len(), 160);
+        assert!(grown[100..150].iter().all(|&b| b == 0));
+        assert!(grown[150..].iter().all(|&b| b == 0x55));
     }
 
     #[test]

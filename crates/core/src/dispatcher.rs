@@ -64,9 +64,8 @@ use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{
     BatchReport, CloudError, CloudResult, CloudStorage, ObjectKey, OpReport, ProviderId,
 };
-use hyrd_gfec::parallel::{decode_object_parallel, encode_parallel};
 use hyrd_gfec::stripe::StripePlanner;
-use hyrd_gfec::{ErasureCode, Fragment, Raid5, Raid6, ReedSolomon};
+use hyrd_gfec::{decode_object, ErasureCode, Raid5, Raid6, ReedSolomon};
 use hyrd_metastore::{
     resolve_chain, DiffBlock, FlushKind, MetaOccStats, MetadataBlock, NormPath, Placement,
     ShardedMetaStore,
@@ -1135,10 +1134,11 @@ impl Hyrd {
                 .collect(),
         });
 
-        // Split + encode (rayon-parallel for multi-MB objects).
-        let (layout, shards) = self.planner.split(data);
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let parity = {
+        // Split + encode (rayon-parallel for multi-MB objects), in
+        // `split_encode`'s two halves so `ec.encode` times the parity
+        // arithmetic only, as it always has.
+        let (layout, mut encoded) = self.planner.split(data);
+        {
             let _enc = self
                 .telemetry
                 .span_with("ec.encode")
@@ -1146,20 +1146,19 @@ impl Hyrd {
                 .field("m", self.config.code.m() as u64)
                 .start();
             let wall = self.wall_start();
-            let parity = encode_parallel(self.code.as_code(), &refs)?;
+            self.planner.push_parity(self.code.as_code(), &mut encoded)?;
             self.observe_wall("ec.encode_wall_ns", wall);
-            parity
-        };
+        }
 
         let mut fragments: Vec<(ProviderId, String)> = Vec::with_capacity(targets.len());
         let mut ops = Vec::new();
         let mut live = 0;
         let mut rejected: Vec<(ProviderId, String, Bytes)> = Vec::new();
-        for (idx, shard) in shards.into_iter().chain(parity).enumerate() {
+        for (idx, fragment) in encoded.into_iter().enumerate() {
             let target = targets[idx];
             let name = format!("{base_name}.f{idx}");
             let key = Self::key(&name);
-            let bytes = Bytes::from(shard);
+            let bytes = Bytes::from(fragment);
             self.integrity_l().record(&name, &bytes);
             if !self.health.admits(target, self.now()) {
                 self.note_breaker_reject(target);
@@ -1352,12 +1351,10 @@ impl Hyrd {
         };
         self.note_hedges(&outcome.hedges);
         let FanoutOutcome { winners, report, .. } = outcome;
-        let got: Vec<Fragment> = winners
-            .into_iter()
-            // `into` reclaims the Bytes' unique buffer — no copy of the
-            // fragment payload.
-            .map(|w| Fragment::new(frag_index[w.candidate], w.payload.into()))
-            .collect();
+        // The fetched payloads are borrowed as they arrived; the decode
+        // writes the object straight into its one buffer.
+        let got: Vec<(usize, &Bytes)> =
+            winners.iter().map(|w| (frag_index[w.candidate], &w.payload)).collect();
         let ops = report;
         let object = {
             let _dec = self
@@ -1367,7 +1364,7 @@ impl Hyrd {
                 .field("fragments", got.len() as u64)
                 .start();
             let wall = self.wall_start();
-            let object = decode_object_parallel(self.code.as_code(), &self.planner, layout, &got)?;
+            let object = decode_object(self.code.as_code(), layout, &got)?;
             self.observe_wall("ec.decode_wall_ns", wall);
             object
         };

@@ -75,7 +75,7 @@ pub struct ReplayStats {
 impl ReplayStats {
     /// Stats for one class (empty stats if the class never occurred).
     pub fn class(&self, class: OpClass) -> LatencyStats {
-        self.per_class.get(&class.to_string()).cloned().unwrap_or_default()
+        self.per_class.get(class.as_str()).cloned().unwrap_or_default()
     }
 
     /// Mean latency across all requests.
@@ -308,24 +308,24 @@ pub(crate) fn record_into(
     opts: &ReplayOptions,
 ) {
     stats.overall.record(batch.latency);
-    stats.per_class.entry(class.to_string()).or_default().record(batch.latency);
+    let class = class.as_str();
+    // The key is allocated once per class, on the first miss only.
+    match stats.per_class.get_mut(class) {
+        Some(per_class) => per_class.record(batch.latency),
+        None => stats.per_class.entry(class.to_string()).or_default().record(batch.latency),
+    }
     stats.provider_ops += batch.op_count() as u64;
     stats.bytes_in += batch.bytes_in();
     stats.bytes_out += batch.bytes_out();
     if opts.telemetry.enabled() {
-        let class = class.to_string();
         opts.telemetry
             .event("replay.op")
-            .field("class", class.as_str())
+            .field("class", class)
             .field("latency_ns", batch.latency.as_nanos() as u64)
             .field("provider_ops", batch.op_count() as u64)
             .emit();
-        opts.telemetry.inc_labeled("replay.ops", &class, 1);
-        opts.telemetry.observe_labeled(
-            "replay.latency_ns",
-            &class,
-            batch.latency.as_nanos() as u64,
-        );
+        opts.telemetry.inc_labeled("replay.ops", class, 1);
+        opts.telemetry.observe_labeled("replay.latency_ns", class, batch.latency.as_nanos() as u64);
     }
 }
 

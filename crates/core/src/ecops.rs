@@ -27,12 +27,9 @@ use bytes::Bytes;
 
 use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
-use hyrd_gfec::parallel::{encode_parallel, reconstruct_parallel};
 use hyrd_gfec::stripe::FragmentLayout;
-use hyrd_gfec::update::{
-    apply_ranged_update_multi, parity_window, plan_update, recompute_parity_windows,
-};
-use hyrd_gfec::{ErasureCode, Fragment};
+use hyrd_gfec::update::{apply_ranged_update_multi, parity_window, plan_update};
+use hyrd_gfec::ErasureCode;
 use hyrd_telemetry::Collector;
 
 use crate::journal::FragWrite;
@@ -194,14 +191,13 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
             let (pid, name) = &fragments[shard];
             let out = chk(lookup(*pid).get_range(&key(name), start as u64, len as u64))?;
             read_ops.push(out.report);
-            old_segments.push(out.value.to_vec());
+            old_segments.push(out.value);
         }
         let mut old_parities = Vec::with_capacity(layout.n - layout.m);
-        for p in layout.m..layout.n {
-            let (pid, name) = &fragments[p];
+        for (pid, name) in &fragments[layout.m..layout.n] {
             let out = chk(lookup(*pid).get_range(&key(name), lo as u64, (hi - lo) as u64))?;
             read_ops.push(out.report);
-            old_parities.push(out.value.to_vec());
+            old_parities.push(out.value);
         }
 
         let wall = telemetry.enabled().then(std::time::Instant::now);
@@ -210,6 +206,9 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         if let Some(t0) = wall {
             telemetry.observe("ec.update_wall_ns", t0.elapsed().as_nanos() as u64);
         }
+        // The old ranges are views into the stored fragments; let go of
+        // them so the range writes below can patch those in place.
+        drop((old_segments, old_parities));
 
         // Writes are not allowed to abort the stripe half-written: a
         // provider that fails mid-phase (a transient burst, say) just
@@ -284,50 +283,61 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         });
     }
     let mut read_ops = Vec::new();
-    let mut window_frags: Vec<Fragment> = Vec::new();
+    let mut fetched: Vec<(usize, Bytes)> = Vec::new();
     for &i in &reachable {
         let (pid, name) = &fragments[i];
         if let Ok(out) = chk(lookup(*pid).get_range(&key(name), lo as u64, (hi - lo) as u64)) {
             read_ops.push(out.report);
-            window_frags.push(Fragment::new(i, out.value.to_vec()));
+            fetched.push((i, out.value));
         }
     }
-    if window_frags.len() < layout.m {
+    if fetched.len() < layout.m {
         return Err(SchemeError::DataUnavailable {
             path: path.to_string(),
             detail: "window fetches failed mid-update".to_string(),
         });
     }
-    // Decode the data windows; code.reconstruct works positionwise, so
-    // feeding it window slices is valid for these linear codes.
+    // Decode the data windows: the codes work positionwise, so the
+    // windows of a stripe are themselves a stripe of `width`-byte shards
+    // whose "object" is the m data windows back to back.
+    let width = hi - lo;
+    let window_stripe =
+        FragmentLayout { object_len: layout.m * width, m: layout.m, n: layout.n, shard_len: width };
     let wall = telemetry.enabled().then(std::time::Instant::now);
-    let mut data_windows = code.reconstruct(&window_frags, hi - lo)?;
+    let mut data_windows = hyrd_gfec::decode_object(code, &window_stripe, &fetched)?;
     if let Some(t0) = wall {
         telemetry.observe("ec.update_wall_ns", t0.elapsed().as_nanos() as u64);
     }
 
-    // Patch the new bytes into the decoded windows.
+    // Patch the new bytes into the decoded windows, then re-encode them.
     let mut consumed = 0usize;
     for &(shard, start, len) in &plan.touched {
-        data_windows[shard][start - lo..start - lo + len]
-            .copy_from_slice(&data[consumed..consumed + len]);
+        let at = shard * width + start - lo;
+        data_windows[at..at + len].copy_from_slice(&data[consumed..consumed + len]);
         consumed += len;
     }
-    let new_parities = recompute_parity_windows(&data_windows, &coeffs)?;
+    // Sliced by index, not `chunks(width)`: an empty update has width 0.
+    let shards: Vec<&[u8]> =
+        (0..layout.m).map(|i| &data_windows[i * width..(i + 1) * width]).collect();
+    let new_parities = code.encode(&shards)?;
+    // The fetched windows are views into the stored fragments; let go of
+    // them so the range writes below can patch those in place.
+    drop(fetched);
 
     // Write back what is reachable; everything else goes dirty. As in
     // the normal path, the WAL hook sees the full write set first.
     let mut planned: Vec<FragWrite> = Vec::new();
+    let mut consumed = 0usize;
     for &(shard, start, len) in &plan.touched {
         let (pid, name) = &fragments[shard];
-        let seg = data_windows[shard][start - lo..start - lo + len].to_vec();
         planned.push(FragWrite {
             index: shard,
             provider: *pid,
             object: name.clone(),
             offset: start as u64,
-            bytes: Bytes::from(seg),
+            bytes: Bytes::copy_from_slice(&data[consumed..consumed + len]),
         });
+        consumed += len;
     }
     for (j, w) in new_parities.into_iter().enumerate() {
         let idx = layout.m + j;
@@ -386,7 +396,7 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
         }));
     }
     let mut read_ops = Vec::new();
-    let mut got: Vec<Fragment> = Vec::new();
+    let mut got: Vec<(usize, Bytes)> = Vec::new();
     for (i, (pid, name)) in fragments.iter().enumerate() {
         if i == target || got.len() == layout.m {
             continue;
@@ -397,8 +407,7 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
         }
         if let Ok(out) = chk(p.get(&key(name))) {
             read_ops.push(out.report);
-            // `into` reclaims the Bytes' unique buffer — no survivor copy.
-            got.push(Fragment::new(i, out.value.into()));
+            got.push((i, out.value));
         }
     }
     if got.len() < layout.m {
@@ -408,13 +417,7 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
         });
     }
     let wall = telemetry.enabled().then(std::time::Instant::now);
-    let mut shards = reconstruct_parallel(code, &got, layout.shard_len)?;
-    let bytes = if target < layout.m {
-        shards.swap_remove(target)
-    } else {
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        encode_parallel(code, &refs)?.swap_remove(target - layout.m)
-    };
+    let bytes = hyrd_gfec::rebuild_fragment(code, layout.shard_len, &got, target)?;
     if let Some(t0) = wall {
         telemetry.observe("ec.rebuild_wall_ns", t0.elapsed().as_nanos() as u64);
     }
@@ -436,12 +439,12 @@ mod tests {
         let fleet = Fleet::standard_four(SimClock::new());
         let code = Raid5::new(3).unwrap();
         let planner = StripePlanner::new(3, 4).unwrap();
-        let (layout, frags) = planner.encode_object(&code, obj).unwrap();
+        let (layout, frags) = planner.split_encode(&code, obj).unwrap();
         let mut map = Vec::new();
-        for f in frags {
-            let pid = fleet.providers()[f.index].id();
-            let name = format!("t.f{}", f.index);
-            fleet.providers()[f.index].put(&key(&name), Bytes::from(f.data)).unwrap();
+        for (index, data) in frags.into_iter().enumerate() {
+            let pid = fleet.providers()[index].id();
+            let name = format!("t.f{index}");
+            fleet.providers()[index].put(&key(&name), Bytes::from(data)).unwrap();
             map.push((pid, name));
         }
         (fleet, code, layout, map)
@@ -453,20 +456,14 @@ mod tests {
         layout: &FragmentLayout,
         map: &[(ProviderId, String)],
     ) -> Vec<u8> {
-        let planner = StripePlanner::new(3, 4).unwrap();
-        let frags: Vec<Fragment> = map
+        let frags: Vec<(usize, Bytes)> = map
             .iter()
             .enumerate()
             .filter_map(|(i, (pid, name))| {
-                fleet
-                    .get(*pid)
-                    .unwrap()
-                    .get(&key(name))
-                    .ok()
-                    .map(|out| Fragment::new(i, out.value.to_vec()))
+                fleet.get(*pid).unwrap().get(&key(name)).ok().map(|out| (i, out.value))
             })
             .collect();
-        planner.decode_object(code, layout, &frags).unwrap()
+        hyrd_gfec::decode_object(code, layout, &frags).unwrap()
     }
 
     #[test]
@@ -509,9 +506,37 @@ mod tests {
 
         // And fragment 0 alone now matches a fresh encode.
         let planner = StripePlanner::new(3, 4).unwrap();
-        let (_, oracle) = planner.encode_object(&code, &obj).unwrap();
+        let (_, oracle) = planner.split_encode(&code, &obj).unwrap();
         let got = fleet.get(victim).unwrap().get(&key(&map[0].1)).unwrap().value;
-        assert_eq!(&got[..], &oracle[0].data[..]);
+        assert_eq!(&got[..], &oracle[0][..]);
+    }
+
+    #[test]
+    fn empty_update_is_a_no_op_healthy_and_degraded() {
+        let obj: Vec<u8> = (0..4096).map(|i| (i % 241) as u8).collect();
+        let off = Collector::disabled();
+        // Nobody down, a data provider down, the parity provider down.
+        for down in [None, Some(1), Some(3)] {
+            let (fleet, code, layout, map) = setup(&obj);
+            let lookup = |id: ProviderId| fleet.get(id).unwrap().clone();
+            if let Some(i) = down {
+                fleet.get(map[i].0).unwrap().force_down();
+            }
+            let out = ranged_update(&code, &lookup, &off, &layout, &map, "/t", 10, &[]).unwrap();
+            // No data fragment is touched; only a zero-width parity write
+            // to a down provider can miss.
+            assert!(out.missed.iter().all(|&i| i >= layout.m), "down={down:?}");
+            if let Some(i) = down {
+                fleet.get(map[i].0).unwrap().restore();
+            }
+            assert_eq!(read_all(&fleet, &code, &layout, &map), obj, "down={down:?}");
+            let planner = StripePlanner::new(3, 4).unwrap();
+            let (_, oracle) = planner.split_encode(&code, &obj).unwrap();
+            for (i, (pid, name)) in map.iter().enumerate() {
+                let got = fleet.get(*pid).unwrap().get(&key(name)).unwrap().value;
+                assert_eq!(&got[..], &oracle[i][..], "down={down:?} fragment {i}");
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, OpReport, ProviderId};
-use hyrd_gfec::parallel::encode_parallel;
 use hyrd_metastore::{Inode, NormPath, Placement};
 
 use crate::config::PolicyConfig;
@@ -409,17 +408,15 @@ impl Hyrd {
             old_objects: old_objects.clone(),
         });
 
-        let (layout, shards) = self.planner.split(&bytes);
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let parity = encode_parallel(self.code.as_code(), &refs).ok()?;
+        let (layout, encoded) = self.planner.split_encode(self.code.as_code(), &bytes).ok()?;
 
         self.journal.crashpoint("migrate.publish.pre");
         let mut live = 0;
         let mut fragments: Vec<(ProviderId, String)> = Vec::with_capacity(targets.len());
-        for (idx, shard) in shards.into_iter().chain(parity).enumerate() {
+        for (idx, fragment) in encoded.into_iter().enumerate() {
             let (target, name) = new_objects[idx].clone();
             let key = Self::key(&name);
-            let frag = Bytes::from(shard);
+            let frag = Bytes::from(fragment);
             self.integrity_l().record(&name, &frag);
             match self.guarded(target, |p| p.put(&key, frag.clone())) {
                 Ok(out) => {

@@ -25,7 +25,6 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use hyrd_gcsapi::{BatchReport, CloudStorage, OpReport, ProviderId};
-use hyrd_gfec::Fragment;
 use hyrd_metastore::Placement;
 
 use crate::dispatcher::Hyrd;
@@ -258,13 +257,13 @@ impl Hyrd {
             return; // nothing reachable; outage recovery's problem
         };
 
-        let frags: Vec<Fragment> =
-            source.iter().take(m).map(|(i, _, b, _)| Fragment::new(*i, b.to_vec())).collect();
-        let Ok(object) = self.planner.decode_object(self.code.as_code(), layout, &frags) else {
+        let frags: Vec<(usize, &Bytes)> =
+            source.iter().take(m).map(|(i, _, b, _)| (*i, b)).collect();
+        let Ok(object) = hyrd_gfec::decode_object(self.code.as_code(), layout, &frags) else {
             report.unrecoverable += 1;
             return;
         };
-        let Ok((_, oracle)) = self.planner.encode_object(self.code.as_code(), &object) else {
+        let Ok((_, mut oracle)) = self.planner.split_encode(self.code.as_code(), &object) else {
             report.unrecoverable += 1;
             return;
         };
@@ -274,7 +273,7 @@ impl Hyrd {
             // the whole fetched stripe is consistent with the re-encode.
             let consistent = fetched
                 .iter()
-                .all(|(i, _, b, _)| oracle.get(*i).map(|f| f.data == b[..]) == Some(true));
+                .all(|(i, _, b, _)| oracle.get(*i).is_some_and(|want| want[..] == b[..]));
             if !consistent {
                 report.unrecoverable += 1;
                 return;
@@ -284,21 +283,16 @@ impl Hyrd {
         // The truth is established: repair mismatching fragments and
         // (re-)record every fragment digest we are now sure of.
         for (i, p, bytes, verdict) in &fetched {
-            let want = &oracle[*i].data;
-            if &bytes[..] != want.as_slice() {
-                let name = &fragments[*i].1;
-                if self.scrub_rewrite(
-                    path,
-                    Some(*i as u64),
-                    *p,
-                    name,
-                    &Bytes::from(want.clone()),
-                    ops,
-                ) {
+            let name = &fragments[*i].1;
+            if bytes[..] != oracle[*i][..] {
+                // Each fragment was fetched once, so its oracle copy can
+                // move into the repair write.
+                let good = Bytes::from(std::mem::take(&mut oracle[*i]));
+                if self.scrub_rewrite(path, Some(*i as u64), *p, name, &good, ops) {
                     report.repaired += 1;
                 }
             } else if *verdict == Verdict::Unknown {
-                self.integrity_l().record(&fragments[*i].1, want);
+                self.integrity_l().record(name, bytes);
                 report.digests_refreshed += 1;
             }
         }
@@ -311,7 +305,7 @@ impl Hyrd {
                     if bytes[..] != object[..] {
                         report.corrupt_detected += 1;
                         self.note_scrub_corrupt(path, None, *p, name);
-                        let good = Bytes::from(object.clone());
+                        let good = Bytes::from(object);
                         if self.scrub_rewrite(path, None, *p, name, &good, ops) {
                             report.repaired += 1;
                             self.integrity_l().record(name, &good);

@@ -116,11 +116,10 @@ impl OpClass {
         OpClass::Delete,
         OpClass::Metadata,
     ];
-}
 
-impl std::fmt::Display for OpClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The class's name in reports and traces (what `Display` prints).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             OpClass::SmallWrite => "small-write",
             OpClass::LargeWrite => "large-write",
             OpClass::SmallRead => "small-read",
@@ -128,8 +127,13 @@ impl std::fmt::Display for OpClass {
             OpClass::Update => "update",
             OpClass::Delete => "delete",
             OpClass::Metadata => "metadata",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for OpClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -262,5 +266,6 @@ mod tests {
     fn op_class_display_and_all() {
         assert_eq!(OpClass::ALL.len(), 7);
         assert_eq!(OpClass::LargeRead.to_string(), "large-read");
+        assert!(OpClass::ALL.iter().all(|c| c.to_string() == c.as_str()));
     }
 }

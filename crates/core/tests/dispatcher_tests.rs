@@ -270,6 +270,29 @@ fn update_during_outage_takes_degraded_path_and_recovers() {
 }
 
 #[test]
+fn empty_update_of_a_large_file_is_harmless_through_any_outage() {
+    let fleet = fleet();
+    let mut h = hyrd(&fleet);
+    let content = synth_content("/big", 0, 3 * MB);
+    h.create_file("/big", &content).unwrap();
+
+    // Whichever fragment (data or parity) the victim holds, a zero-length
+    // update takes the degraded path with a zero-width window.
+    for victim in ["Amazon S3", "Windows Azure", "Aliyun", "Rackspace"] {
+        let victim = fleet.by_name(victim).unwrap();
+        victim.force_down();
+        h.update_file("/big", 500_000, &[]).unwrap();
+        let (bytes, _) = h.read_file("/big").unwrap();
+        assert_eq!(&bytes[..], &content[..], "with {} down", victim.name());
+        victim.restore();
+        h.recover_provider(victim.id()).unwrap();
+    }
+    h.update_file("/big", 500_000, &[]).unwrap();
+    let (bytes, _) = h.read_file("/big").unwrap();
+    assert_eq!(&bytes[..], &content[..]);
+}
+
+#[test]
 fn delete_removes_objects_and_listing() {
     let fleet = fleet();
     let mut h = hyrd(&fleet);

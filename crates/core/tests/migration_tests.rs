@@ -225,7 +225,7 @@ proptest! {
         files in 1usize..4,
         jitter_kb in 0usize..256,
         point_idx in 0usize..MIGRATE_POINTS.len(),
-        kill_on in 1u32..4,
+        kill_on in 1u64..4,
     ) {
         hyrd::silence_crash_panics();
         let point = MIGRATE_POINTS[point_idx];
@@ -253,7 +253,7 @@ proptest! {
 
         // Each migration crosses each crashpoint once, so clamping the
         // hit count to the candidate count guarantees the switch fires.
-        let kill_on = kill_on.min(files as u32);
+        let kill_on = kill_on.min(files as u64);
         fleet.crash_switch().arm(CrashPlan::at_point(point, kill_on));
         assert!(
             h.migrate_pass().is_none(),

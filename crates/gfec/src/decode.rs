@@ -1,0 +1,302 @@
+//! The borrowed decode core: the one place fragments become an object
+//! (or one rebuilt fragment) again.
+//!
+//! Fragments come in as `(index, bytes)` views (`&[u8]`, or anything
+//! else that lends its bytes, such as the `Bytes` a provider returned):
+//! whatever buffer they were fetched into is borrowed, never converted.
+//! The result goes out in a single `Vec` that is written exactly once.
+//! Fragments that are present are copied straight to their offset; only
+//! *absent* ones cost arithmetic, and that arithmetic is the same for
+//! every code: an absent fragment is a fixed linear combination of any
+//! `m` present ones, with coefficients read off the inverse of those
+//! fragments' generator rows. For RAID5 every coefficient is 1 and the
+//! kernels degenerate to the plain XOR of the survivors; a healthy read
+//! does no arithmetic at all.
+//!
+//! The combination is computed in [`PARALLEL_BLOCK`] chunks of the output
+//! with rayon, each task writing its own disjoint block in place — no
+//! per-block buffers, nothing to stitch.
+
+use std::cell::OnceCell;
+
+use rayon::prelude::*;
+
+use crate::gf256::{mul_slice, mul_slice_acc, Gf256, FUSED_BLOCK};
+use crate::matrix::Matrix;
+use crate::parallel::PARALLEL_BLOCK;
+use crate::stripe::FragmentLayout;
+use crate::{ErasureCode, GfecError, Result};
+
+/// A validated set of borrowed fragments of one stripe, ready to produce
+/// any fragment of that stripe.
+pub(crate) struct Decoder<'a, C: ErasureCode + ?Sized> {
+    code: &'a C,
+    m: usize,
+    n: usize,
+    by_index: Vec<Option<&'a [u8]>>,
+    /// Generator rows of the parity fragments (row `j` makes fragment
+    /// `m + j`); data fragment `i`'s row is the unit vector `e_i`.
+    /// Fetched on first use: a healthy read never asks.
+    parity_rows: OnceCell<Vec<Vec<Gf256>>>,
+    /// The `m` present fragments every absent one is computed from:
+    /// lowest indices first, so data before parity.
+    basis: Vec<usize>,
+    /// Inverse of the basis fragments' generator rows; `None` when the
+    /// basis is the data fragments themselves (the identity).
+    inverse: Option<Matrix>,
+}
+
+impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
+    /// Validates a decode input: at least `m` fragments, indices in range
+    /// and exactly once, every payload `shard_len` bytes.
+    pub(crate) fn new<B: AsRef<[u8]>>(
+        code: &'a C,
+        shard_len: usize,
+        available: &'a [(usize, B)],
+    ) -> Result<Self> {
+        let (m, n) = (code.data_fragments(), code.total_fragments());
+        if available.len() < m {
+            return Err(GfecError::NotEnoughFragments { have: available.len(), need: m });
+        }
+        let mut by_index: Vec<Option<&'a [u8]>> = vec![None; n];
+        for (index, bytes) in available {
+            let (index, bytes) = (*index, bytes.as_ref());
+            if index >= n {
+                return Err(GfecError::BadFragmentIndex { index, n });
+            }
+            if by_index[index].is_some() {
+                return Err(GfecError::DuplicateFragment { index });
+            }
+            if bytes.len() != shard_len {
+                return Err(GfecError::FragmentSizeMismatch {
+                    expected: shard_len,
+                    got: bytes.len(),
+                });
+            }
+            by_index[index] = Some(bytes);
+        }
+        let basis: Vec<usize> = (0..n).filter(|&i| by_index[i].is_some()).take(m).collect();
+        let mut decoder =
+            Decoder { code, m, n, by_index, parity_rows: OnceCell::new(), basis, inverse: None };
+        if decoder.basis.iter().copied().ne(0..m) {
+            let rows: Vec<Vec<u8>> = decoder
+                .basis
+                .iter()
+                .map(|&i| (0..m).map(|col| decoder.generator(i, col).0).collect())
+                .collect();
+            decoder.inverse = Some(Matrix::from_rows(&rows).invert()?);
+        }
+        Ok(decoder)
+    }
+
+    /// Entry `col` of fragment `index`'s generator row.
+    fn generator(&self, index: usize, col: usize) -> Gf256 {
+        if index < self.m {
+            Gf256(u8::from(index == col))
+        } else {
+            let rows = self.parity_rows.get_or_init(|| self.code.parity_coefficients());
+            rows[index - self.m][col]
+        }
+    }
+
+    /// The nonzero `(coefficient, source)` terms whose GF(2^8) sum is the
+    /// absent fragment `index`: its generator row pushed through the
+    /// inverse of the basis rows.
+    fn terms(&self, index: usize) -> Vec<(Gf256, &'a [u8])> {
+        self.basis
+            .iter()
+            .enumerate()
+            .map(|(j, &i)| {
+                let c = match &self.inverse {
+                    None => self.generator(index, j),
+                    Some(inverse) => (0..self.m).fold(Gf256::ZERO, |acc, k| {
+                        acc + self.generator(index, k) * inverse.get(k, j)
+                    }),
+                };
+                (c, self.by_index[i].expect("basis fragments are present"))
+            })
+            .filter(|(c, _)| c.0 != 0)
+            .collect()
+    }
+
+    /// Appends the first `take` bytes of fragment `index` to `out`: one
+    /// copy when the fragment is present, otherwise its linear
+    /// combination computed block-parallel directly in place.
+    pub(crate) fn append(&self, index: usize, take: usize, out: &mut Vec<u8>) {
+        if let Some(src) = self.by_index[index] {
+            out.extend_from_slice(&src[..take]);
+            return;
+        }
+        let terms = self.terms(index);
+        let start = out.len();
+        // The zero fill is the value of an all-zero combination; every
+        // other block is overwritten by its first term below.
+        out.resize(start + take, 0);
+        out[start..].par_chunks_mut(PARALLEL_BLOCK).enumerate().for_each(|(b, block)| {
+            // Sub-blocks keep the accumulator in L1 across the terms.
+            for (s, dst) in block.chunks_mut(FUSED_BLOCK).enumerate() {
+                let at = b * PARALLEL_BLOCK + s * FUSED_BLOCK;
+                for (k, &(c, src)) in terms.iter().enumerate() {
+                    let src = &src[at..at + dst.len()];
+                    if k == 0 {
+                        mul_slice(dst, src, c);
+                    } else {
+                        mul_slice_acc(dst, src, c);
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// Decodes an object from any `m` of its fragments: the data shards
+/// concatenated into one buffer of `layout.object_len` bytes (the tail
+/// shard trimmed, no padded intermediate). The degraded read is implicit
+/// — an absent data shard is computed in place from the survivors.
+///
+/// ```
+/// use hyrd_gfec::{decode_object, Raid5, StripePlanner};
+///
+/// let planner = StripePlanner::new(3, 4).unwrap();
+/// let code = Raid5::new(3).unwrap();
+/// let object = vec![7u8; 10_000];
+/// let (layout, fragments) = planner.split_encode(&code, &object).unwrap();
+///
+/// // Any single fragment may vanish (one cloud outage).
+/// let survivors: Vec<(usize, &[u8])> = fragments
+///     .iter()
+///     .enumerate()
+///     .filter(|(i, _)| *i != 2)
+///     .map(|(i, f)| (i, f.as_slice()))
+///     .collect();
+/// assert_eq!(decode_object(&code, &layout, &survivors).unwrap(), object);
+/// ```
+pub fn decode_object<C: ErasureCode + ?Sized, B: AsRef<[u8]>>(
+    code: &C,
+    layout: &FragmentLayout,
+    available: &[(usize, B)],
+) -> Result<Vec<u8>> {
+    let decoder = Decoder::new(code, layout.shard_len, available)?;
+    // The fragments bound the allocation, whatever the layout claims.
+    let len = layout.object_len.min(decoder.m * layout.shard_len);
+    let mut object = Vec::with_capacity(len);
+    for shard in 0..decoder.m {
+        let take = (len - object.len()).min(layout.shard_len);
+        decoder.append(shard, take, &mut object);
+    }
+    Ok(object)
+}
+
+/// Rebuilds one whole fragment — data or parity — from any `m` others:
+/// the per-fragment unit of outage recovery and scrub repair.
+pub fn rebuild_fragment<C: ErasureCode + ?Sized, B: AsRef<[u8]>>(
+    code: &C,
+    shard_len: usize,
+    available: &[(usize, B)],
+    target: usize,
+) -> Result<Vec<u8>> {
+    let decoder = Decoder::new(code, shard_len, available)?;
+    if target >= decoder.n {
+        return Err(GfecError::BadFragmentIndex { index: target, n: decoder.n });
+    }
+    let mut fragment = Vec::with_capacity(shard_len);
+    decoder.append(target, shard_len, &mut fragment);
+    Ok(fragment)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::raid5::Raid5;
+    use crate::raid6::Raid6;
+    use crate::rs::ReedSolomon;
+    use crate::stripe::StripePlanner;
+
+    /// Borrowed views of every fragment except the `lost` ones.
+    pub(crate) fn without<'a>(fragments: &'a [Vec<u8>], lost: &[usize]) -> Vec<(usize, &'a [u8])> {
+        fragments
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !lost.contains(i))
+            .map(|(i, f)| (i, f.as_slice()))
+            .collect()
+    }
+
+    fn object(len: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 31) % 251) as u8).collect()
+    }
+
+    #[test]
+    fn every_single_loss_decodes_across_block_boundaries() {
+        let planner = StripePlanner::new(3, 4).unwrap();
+        let code = Raid5::new(3).unwrap();
+        let obj = object(3 * PARALLEL_BLOCK + 777);
+        let (layout, frags) = planner.split_encode(&code, &obj).unwrap();
+        assert!(layout.shard_len > PARALLEL_BLOCK, "the lost shard spans two blocks");
+        for lost in 0..4 {
+            let back = decode_object(&code, &layout, &without(&frags, &[lost])).unwrap();
+            assert_eq!(back, obj, "lost={lost}");
+        }
+    }
+
+    #[test]
+    fn every_double_loss_decodes_and_rebuilds_for_two_parity_codes() {
+        let planner = StripePlanner::new(4, 6).unwrap();
+        let obj = object(5_555);
+        let codes: [&dyn ErasureCode; 2] =
+            [&Raid6::new(4).unwrap(), &ReedSolomon::new(4, 6).unwrap()];
+        for code in codes {
+            let (layout, frags) = planner.split_encode(code, &obj).unwrap();
+            for a in 0..6 {
+                for b in a..6 {
+                    let avail = without(&frags, &[a, b]);
+                    assert_eq!(decode_object(code, &layout, &avail).unwrap(), obj, "({a},{b})");
+                    for lost in [a, b] {
+                        let rebuilt = rebuild_fragment(code, layout.shard_len, &avail, lost);
+                        assert_eq!(rebuilt.unwrap(), frags[lost], "({a},{b}) -> {lost}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn output_is_trimmed_to_the_object_and_allocated_once() {
+        let planner = StripePlanner::new(3, 4).unwrap();
+        let code = Raid5::new(3).unwrap();
+        // One byte: shards 1 and 2 are pure padding and never touched.
+        let (layout, frags) = planner.split_encode(&code, &[0xA5]).unwrap();
+        let back = decode_object(&code, &layout, &without(&frags, &[0])).unwrap();
+        assert_eq!(back, vec![0xA5]);
+        assert_eq!(back.capacity(), 1);
+        // A layout that claims more than the fragments hold is bounded by them.
+        let greedy = FragmentLayout { object_len: usize::MAX, ..layout };
+        let all = decode_object(&code, &greedy, &without(&frags, &[3])).unwrap();
+        assert_eq!(all.len(), 3 * layout.shard_len);
+    }
+
+    #[test]
+    fn decode_input_validation_names_the_defect() {
+        let planner = StripePlanner::new(3, 4).unwrap();
+        let code = Raid5::new(3).unwrap();
+        let (layout, frags) = planner.split_encode(&code, &object(1000)).unwrap();
+        let f = |i: usize| (i, frags[i].as_slice());
+        let decode = |avail: &[(usize, &[u8])]| decode_object(&code, &layout, avail).unwrap_err();
+
+        // Too few: more than n - m erasures.
+        assert_eq!(decode(&[f(0), f(3)]), GfecError::NotEnoughFragments { have: 2, need: 3 });
+        assert_eq!(decode(&[f(0), f(0), f(1)]), GfecError::DuplicateFragment { index: 0 });
+        assert_eq!(
+            decode(&[f(0), f(1), (9, frags[2].as_slice())]),
+            GfecError::BadFragmentIndex { index: 9, n: 4 }
+        );
+        assert_eq!(
+            decode(&[f(0), f(1), (2, &frags[2][..8])]),
+            GfecError::FragmentSizeMismatch { expected: layout.shard_len, got: 8 }
+        );
+        assert_eq!(
+            rebuild_fragment(&code, layout.shard_len, &[f(0), f(1), f(2)], 4).unwrap_err(),
+            GfecError::BadFragmentIndex { index: 4, n: 4 }
+        );
+    }
+}

@@ -16,12 +16,16 @@
 //! * [`update`] — partial-update planning: which fragments a byte-range
 //!   update must read and rewrite (the write-amplification the paper
 //!   measures for RACS).
+//! * [`decode`] — the borrowed decode core: fragments come in as
+//!   `(index, &[u8])` views and the object (or one rebuilt fragment)
+//!   goes out in a single buffer written once.
 //! * [`parallel`] — rayon-parallel block encoding for large objects.
 //!
 //! The code-rate terminology follows the paper (§II-B): a code that splits
 //! an object into `m` data fragments and stores `n` total fragments has
 //! rate `r = m/n` and space overhead `1/r`.
 
+pub mod decode;
 pub mod gf256;
 pub mod matrix;
 pub mod parallel;
@@ -31,6 +35,7 @@ pub mod rs;
 pub mod stripe;
 pub mod update;
 
+pub use decode::{decode_object, rebuild_fragment};
 pub use gf256::Gf256;
 pub use matrix::Matrix;
 pub use raid5::Raid5;
@@ -118,6 +123,31 @@ impl Fragment {
     }
 }
 
+/// Validates one `encode_into` call of `code`: exactly `m` equal-length
+/// shards and `n - m` parity rows of that same length. Returns the
+/// shard length.
+///
+/// # Panics
+/// Panics if the number of parity rows is not `n - m` — a caller bug,
+/// not an input condition.
+pub(crate) fn check_encode_shapes<C: ErasureCode + ?Sized>(
+    code: &C,
+    shards: &[&[u8]],
+    parity: &[&mut [u8]],
+) -> Result<usize> {
+    let m = code.data_fragments();
+    if shards.len() != m {
+        return Err(GfecError::NotEnoughFragments { have: shards.len(), need: m });
+    }
+    assert_eq!(parity.len(), code.parity_fragments(), "parity row count must equal n - m");
+    let len = shards[0].len();
+    let rows = parity.iter().map(|p| p.len());
+    if let Some(got) = shards.iter().map(|s| s.len()).chain(rows).find(|&l| l != len) {
+        return Err(GfecError::FragmentSizeMismatch { expected: len, got });
+    }
+    Ok(len)
+}
+
 /// Common interface over the concrete codes (RS, RAID5, RAID6) so the
 /// dispatcher can switch the large-file tier's code (ablation §4.4 in
 /// DESIGN.md) without caring which one is active.
@@ -126,28 +156,24 @@ pub trait ErasureCode: Send + Sync {
     fn data_fragments(&self) -> usize;
     /// Total number of fragments `n`.
     fn total_fragments(&self) -> usize;
-    /// Encodes equal-length data shards into `n - m` parity shards,
-    /// returning the parity shards. `shards` must contain exactly `m`
-    /// equal-length slices.
-    fn encode(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>>;
+    /// Fills the `n - m` caller-provided parity rows from `m`
+    /// equal-length data shards — the fused, allocation-free kernel every
+    /// encode goes through. Each row must already have the shard length
+    /// and is fully overwritten (prior contents are discarded), so rows
+    /// can be block views into preallocated fragments.
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()>;
 
-    /// Encodes into caller-provided parity buffers, avoiding per-call
-    /// allocation on repeated encodes. `parity` must hold exactly
-    /// `n - m` vectors; each is resized to the shard length and fully
-    /// overwritten (prior contents are discarded). The default
-    /// implementation falls back to [`encode`](Self::encode) and moves
-    /// the results into the buffers; the concrete codes override it with
-    /// fused allocation-free kernels.
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
-        assert_eq!(parity.len(), self.parity_fragments(), "parity buffer count must equal n - m");
-        for (buf, row) in parity.iter_mut().zip(self.encode(shards)?) {
-            *buf = row;
-        }
-        Ok(())
+    /// Encodes equal-length data shards into `n - m` freshly allocated
+    /// parity shards. `shards` must contain exactly `m` equal-length
+    /// slices.
+    fn encode(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
+        let len = shards.first().map_or(0, |s| s.len());
+        let mut parity: Vec<Vec<u8>> =
+            (0..self.parity_fragments()).map(|_| vec![0u8; len]).collect();
+        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        self.encode_into(shards, &mut rows)?;
+        Ok(parity)
     }
-
-    /// Reconstructs the `m` data shards from any `m` of the `n` fragments.
-    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>>;
 
     /// The parity generator coefficients: `coeffs[j][i]` is the factor
     /// applied to data shard `i` when computing parity shard `j`

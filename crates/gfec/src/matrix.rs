@@ -206,40 +206,34 @@ impl Matrix {
     /// Panics if `shards.len() != cols` or shard lengths differ.
     pub fn mul_shards(&self, shards: &[&[u8]]) -> Vec<Vec<u8>> {
         let len = shards.first().map_or(0, |s| s.len());
-        let mut out = vec![Vec::new(); self.rows];
-        self.mul_shards_into(shards, &mut out);
-        debug_assert!(out.iter().all(|r| r.len() == len));
+        let mut out: Vec<Vec<u8>> = (0..self.rows).map(|_| vec![0u8; len]).collect();
+        let mut rows: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+        self.mul_shards_into(shards, &mut rows);
         out
     }
 
-    /// Fused, cache-blocked `mul_shards` into caller-provided buffers —
-    /// no per-call allocation once the buffers have capacity.
+    /// Fused, cache-blocked `mul_shards` into caller-provided rows — no
+    /// allocation at all, so the rows can be block views into larger
+    /// preallocated buffers.
     ///
-    /// Output rows are resized to the shard length and recomputed from
-    /// scratch (any prior contents are discarded). The sweep is blocked
-    /// along the byte axis in [`FUSED_BLOCK`](crate::gf256::FUSED_BLOCK)
-    /// chunks, and within a block each shard is read once while hot and
-    /// accumulated into *every* output row before moving on — memory
-    /// traffic is one pass over the data plus one streaming pass per
-    /// output row, instead of one full data sweep per row.
+    /// Output rows must already have the shard length and are recomputed
+    /// from scratch (any prior contents are discarded). The sweep is
+    /// blocked along the byte axis in
+    /// [`FUSED_BLOCK`](crate::gf256::FUSED_BLOCK) chunks, and within a
+    /// block each shard is read once while hot and accumulated into
+    /// *every* output row before moving on — memory traffic is one pass
+    /// over the data plus one streaming pass per output row, instead of
+    /// one full data sweep per row.
     ///
     /// # Panics
-    /// Panics if `shards.len() != cols`, shard lengths differ, or
-    /// `out.len() != rows`.
-    pub fn mul_shards_into(&self, shards: &[&[u8]], out: &mut [Vec<u8>]) {
+    /// Panics if `shards.len() != cols`, `out.len() != rows`, or any
+    /// shard or output row length differs from the first shard's.
+    pub fn mul_shards_into(&self, shards: &[&[u8]], out: &mut [&mut [u8]]) {
         assert_eq!(shards.len(), self.cols, "shard count must equal matrix cols");
         assert_eq!(out.len(), self.rows, "output row count must equal matrix rows");
         let len = shards.first().map_or(0, |s| s.len());
         assert!(shards.iter().all(|s| s.len() == len), "ragged shards");
-        // Rows are fully overwritten by the j == 0 pass below, so a dirty
-        // reused buffer only needs its length fixed, not a zero fill.
-        for row in out.iter_mut() {
-            row.resize(len, 0);
-        }
-        if self.cols == 0 {
-            // No shards: `len` is zero and every row was just truncated.
-            return;
-        }
+        assert!(out.iter().all(|r| r.len() == len), "output rows must have the shard length");
         let mut start = 0;
         while start < len {
             let end = (start + crate::gf256::FUSED_BLOCK).min(len);
@@ -350,15 +344,16 @@ mod tests {
     }
 
     #[test]
-    fn mul_shards_into_reuses_dirty_buffers() {
+    fn mul_shards_into_overwrites_dirty_rows() {
         let a = Matrix::cauchy(3, 4);
         let shards: Vec<Vec<u8>> = (0..4u8).map(|j| vec![j * 17 + 1; 100]).collect();
         let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
         let expect = a.mul_shards(&refs);
-        // Wrong-size, garbage-filled buffers must still produce identical
-        // output — callers recycle parity buffers across stripes.
-        let mut out = vec![vec![0xEEu8; 7], Vec::new(), vec![1u8; 500]];
-        a.mul_shards_into(&refs, &mut out);
+        // Garbage-filled rows must still produce identical output — rows
+        // are block views into buffers that are never pre-zeroed.
+        let mut out = vec![vec![0xEEu8; 100], vec![0x55u8; 100], vec![1u8; 100]];
+        let mut rows: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+        a.mul_shards_into(&refs, &mut rows);
         assert_eq!(out, expect);
     }
 

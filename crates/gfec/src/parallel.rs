@@ -1,114 +1,92 @@
-//! Rayon-parallel encoding and decoding for large objects.
+//! Rayon-parallel encoding for large objects, plus the owned-shard
+//! adapters over the borrowed cores.
 //!
 //! The paper's large-file tier erasure-codes objects up to 100 MB; the
 //! GF(2^8) parity loops are embarrassingly parallel across byte blocks,
-//! so we chunk each shard into fixed-size blocks and encode blocks with
-//! `par_iter`. Results are bit-identical to the sequential path (the code
-//! is a per-byte linear map, so any partition of the byte axis commutes
-//! with encoding). Decoding is the same linear map through the inverted
-//! matrix, so [`reconstruct_parallel`] blocks it the same way.
+//! so [`encode_into_parallel`] chunks the preallocated parity rows into
+//! fixed-size blocks and fills each block in its own task. Results are
+//! bit-identical to the sequential path (the code is a per-byte linear
+//! map, so any partition of the byte axis commutes with encoding).
+//! Decoding is blocked the same way inside [`crate::decode`].
 
 use rayon::prelude::*;
 
-use crate::stripe::{FragmentLayout, StripePlanner};
-use crate::{ErasureCode, Fragment, GfecError, Result};
+use crate::decode::Decoder;
+use crate::{check_encode_shapes, ErasureCode, Fragment, Result};
 
-/// Block size for parallel encoding. Large enough that per-task overhead
-/// vanishes, small enough to parallelize a few-MB object across cores.
+/// Block size for parallel encoding and decoding. Large enough that
+/// per-task overhead vanishes, small enough to parallelize a few-MB
+/// object across cores.
 pub const PARALLEL_BLOCK: usize = 256 * 1024;
 
-/// Encodes the parity shards for `shards` in parallel blocks.
+/// Fills caller-provided parity rows for `shards`, one task per
+/// [`PARALLEL_BLOCK`] of the byte axis, each writing its block of every
+/// row in place.
 ///
-/// Falls back to the plain sequential encode for inputs below one block —
-/// spawning tasks for a 4 KB shard costs more than the XORs themselves.
+/// Falls back to one plain [`ErasureCode::encode_into`] for inputs below
+/// one block — spawning tasks for a 4 KB shard costs more than the XORs
+/// themselves.
+pub fn encode_into_parallel<C: ErasureCode + ?Sized>(
+    code: &C,
+    shards: &[&[u8]],
+    parity: &mut [&mut [u8]],
+) -> Result<()> {
+    // Lengths must be known equal before block views are sliced out.
+    let len = check_encode_shapes(code, shards, parity)?;
+    if len <= PARALLEL_BLOCK {
+        return code.encode_into(shards, parity);
+    }
+    // Block `b` of every parity row, grouped so each task owns its outputs.
+    let mut blocks: Vec<Vec<&mut [u8]>> =
+        (0..len.div_ceil(PARALLEL_BLOCK)).map(|_| Vec::with_capacity(parity.len())).collect();
+    for row in parity.iter_mut() {
+        for (b, chunk) in row.chunks_mut(PARALLEL_BLOCK).enumerate() {
+            blocks[b].push(chunk);
+        }
+    }
+    blocks
+        .into_par_iter()
+        .enumerate()
+        .map(|(b, mut rows)| {
+            let start = b * PARALLEL_BLOCK;
+            let end = (start + PARALLEL_BLOCK).min(len);
+            let views: Vec<&[u8]> = shards.iter().map(|s| &s[start..end]).collect();
+            code.encode_into(&views, &mut rows)
+        })
+        .collect()
+}
+
+/// Encodes the parity shards for `shards` in parallel blocks, into
+/// freshly allocated rows — [`encode_into_parallel`] for callers that
+/// have no fragments to fill.
 pub fn encode_parallel<C: ErasureCode + ?Sized>(
     code: &C,
     shards: &[&[u8]],
 ) -> Result<Vec<Vec<u8>>> {
     let len = shards.first().map_or(0, |s| s.len());
-    if len <= PARALLEL_BLOCK {
-        return code.encode(shards);
-    }
-    // Validate once up front via a zero-length probe encode of the first
-    // block; per-block encodes then cannot fail differently.
-    let block_count = len.div_ceil(PARALLEL_BLOCK);
-    let blocks: Result<Vec<Vec<Vec<u8>>>> = (0..block_count)
-        .into_par_iter()
-        .map(|b| {
-            let start = b * PARALLEL_BLOCK;
-            let end = (start + PARALLEL_BLOCK).min(len);
-            let views: Vec<&[u8]> = shards.iter().map(|s| &s[start..end]).collect();
-            code.encode(&views)
-        })
-        .collect();
-    let blocks = blocks?;
-
-    // Stitch the per-block parity outputs back together.
-    let parity_count = code.parity_fragments();
-    let mut out = vec![Vec::with_capacity(len); parity_count];
-    for block in blocks {
-        debug_assert_eq!(block.len(), parity_count);
-        for (acc, part) in out.iter_mut().zip(block) {
-            acc.extend_from_slice(&part);
-        }
-    }
-    Ok(out)
+    let mut parity: Vec<Vec<u8>> = (0..code.parity_fragments()).map(|_| vec![0u8; len]).collect();
+    let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+    encode_into_parallel(code, shards, &mut rows)?;
+    Ok(parity)
 }
 
-/// Reconstructs the `m` data shards from any `m` fragments, in parallel
-/// byte blocks. Bit-identical to [`ErasureCode::reconstruct`]; falls back
-/// to it outright for inputs below one block.
+/// Reconstructs the `m` data shards from any `m` fragments as `m` owned
+/// buffers — the borrowed decode core for callers that hold owned
+/// [`Fragment`]s and want whole shards rather than an object.
 pub fn reconstruct_parallel<C: ErasureCode + ?Sized>(
     code: &C,
     available: &[Fragment],
     shard_len: usize,
 ) -> Result<Vec<Vec<u8>>> {
-    if shard_len <= PARALLEL_BLOCK {
-        return code.reconstruct(available, shard_len);
-    }
-    // Length validation must happen before slicing fragment views; index
-    // validation is repeated (cheaply) by every per-block reconstruct.
-    for f in available {
-        if f.data.len() != shard_len {
-            return Err(GfecError::FragmentSizeMismatch { expected: shard_len, got: f.data.len() });
-        }
-    }
-    let block_count = shard_len.div_ceil(PARALLEL_BLOCK);
-    let blocks: Result<Vec<Vec<Vec<u8>>>> = (0..block_count)
-        .into_par_iter()
-        .map(|b| {
-            let start = b * PARALLEL_BLOCK;
-            let end = (start + PARALLEL_BLOCK).min(shard_len);
-            let views: Vec<Fragment> = available
-                .iter()
-                .map(|f| Fragment::new(f.index, f.data[start..end].to_vec()))
-                .collect();
-            code.reconstruct(&views, end - start)
+    let views: Vec<(usize, &Vec<u8>)> = available.iter().map(|f| (f.index, &f.data)).collect();
+    let decoder = Decoder::new(code, shard_len, &views)?;
+    Ok((0..code.data_fragments())
+        .map(|i| {
+            let mut shard = Vec::with_capacity(shard_len);
+            decoder.append(i, shard_len, &mut shard);
+            shard
         })
-        .collect();
-    let blocks = blocks?;
-
-    let m = code.data_fragments();
-    let mut out = vec![Vec::with_capacity(shard_len); m];
-    for block in blocks {
-        debug_assert_eq!(block.len(), m);
-        for (acc, part) in out.iter_mut().zip(block) {
-            acc.extend_from_slice(&part);
-        }
-    }
-    Ok(out)
-}
-
-/// Convenience: parallel reconstruct + join back into the original object
-/// — the large-object read path of the dispatcher.
-pub fn decode_object_parallel<C: ErasureCode + ?Sized>(
-    code: &C,
-    planner: &StripePlanner,
-    layout: &FragmentLayout,
-    available: &[Fragment],
-) -> Result<Vec<u8>> {
-    let shards = reconstruct_parallel(code, available, layout.shard_len)?;
-    planner.join(layout, &shards)
+        .collect())
 }
 
 #[cfg(test)]
@@ -116,6 +94,7 @@ mod tests {
     use super::*;
     use crate::raid5::Raid5;
     use crate::rs::ReedSolomon;
+    use crate::GfecError;
 
     fn big_shards(m: usize, len: usize) -> Vec<Vec<u8>> {
         (0..m)
@@ -161,21 +140,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reconstruct_matches_sequential() {
+    fn reconstruct_recovers_the_shards_across_a_block_boundary() {
         let code = ReedSolomon::new(3, 5).unwrap();
         let shard_len = PARALLEL_BLOCK + 4_321;
         let shards = big_shards(3, shard_len);
-        let frags = code.encode_fragments(shards).unwrap();
+        let frags = code.encode_fragments(shards.clone()).unwrap();
         // Drop two fragments (one data, one parity) — a degraded read.
         let avail: Vec<Fragment> =
             frags.into_iter().filter(|f| f.index != 1 && f.index != 4).collect();
-        let seq = code.reconstruct(&avail, shard_len).unwrap();
-        let par = reconstruct_parallel(&code, &avail, shard_len).unwrap();
-        assert_eq!(seq, par);
+        assert_eq!(reconstruct_parallel(&code, &avail, shard_len).unwrap(), shards);
     }
 
     #[test]
-    fn parallel_reconstruct_validates_lengths() {
+    fn reconstruct_validates_lengths() {
         let code = Raid5::new(2).unwrap();
         let shard_len = PARALLEL_BLOCK + 1;
         let frags = vec![Fragment::new(0, vec![0u8; shard_len]), Fragment::new(1, vec![0u8; 16])];
@@ -183,21 +160,5 @@ mod tests {
             reconstruct_parallel(&code, &frags, shard_len),
             Err(GfecError::FragmentSizeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_decode_object_roundtrips() {
-        let planner = StripePlanner::new(3, 4).unwrap();
-        let code = Raid5::new(3).unwrap();
-        let obj: Vec<u8> =
-            (0..(3 * PARALLEL_BLOCK + 777)).map(|i| ((i * 31) % 251) as u8).collect();
-        let (layout, frags) = planner.encode_object(&code, &obj).unwrap();
-        for lost in 0..4 {
-            let avail: Vec<Fragment> = frags.iter().filter(|f| f.index != lost).cloned().collect();
-            let seq = planner.decode_object(&code, &layout, &avail).unwrap();
-            let par = decode_object_parallel(&code, &planner, &layout, &avail).unwrap();
-            assert_eq!(par, seq, "lost={lost}");
-            assert_eq!(par, obj, "lost={lost}");
-        }
     }
 }

@@ -11,7 +11,7 @@
 //!    amplification quoted for RACS in §I.
 
 use crate::gf256::xor_slice;
-use crate::{ErasureCode, Fragment, GfecError, Result};
+use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// XOR-parity erasure code with `m` data fragments and one parity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,16 +26,6 @@ impl Raid5 {
             return Err(GfecError::InvalidParams { m, n: m + 1 });
         }
         Ok(Raid5 { m })
-    }
-
-    /// XOR of all supplied equal-length shards.
-    fn xor_all(shards: &[&[u8]]) -> Vec<u8> {
-        let len = shards.first().map_or(0, |s| s.len());
-        let mut parity = vec![0u8; len];
-        for s in shards {
-            xor_slice(&mut parity, s);
-        }
-        parity
     }
 
     /// Computes the new parity after an in-place update of one data
@@ -55,19 +45,6 @@ impl Raid5 {
         xor_slice(&mut p, new_data);
         Ok(p)
     }
-
-    fn validate(&self, shards: &[&[u8]]) -> Result<usize> {
-        if shards.len() != self.m {
-            return Err(GfecError::NotEnoughFragments { have: shards.len(), need: self.m });
-        }
-        let len = shards[0].len();
-        for s in shards {
-            if s.len() != len {
-                return Err(GfecError::FragmentSizeMismatch { expected: len, got: s.len() });
-            }
-        }
-        Ok(len)
-    }
 }
 
 impl ErasureCode for Raid5 {
@@ -79,24 +56,14 @@ impl ErasureCode for Raid5 {
         self.m + 1
     }
 
-    fn encode(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
-        self.validate(shards)?;
-        Ok(vec![Self::xor_all(shards)])
-    }
-
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
-        let len = self.validate(shards)?;
-        assert_eq!(parity.len(), 1, "RAID5 produces exactly one parity shard");
-        let p = &mut parity[0];
-        // The first shard overwrites the row, so a dirty reused buffer
-        // only needs its length fixed — no zero fill.
-        p.resize(len, 0);
-        for (i, s) in shards.iter().enumerate() {
-            if i == 0 {
-                p.copy_from_slice(s);
-            } else {
-                xor_slice(p, s);
-            }
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
+        check_encode_shapes(self, shards, parity)?;
+        // The first shard overwrites the row, so a dirty buffer needs no
+        // zero fill.
+        let p = &mut *parity[0];
+        p.copy_from_slice(shards[0]);
+        for s in &shards[1..] {
+            xor_slice(p, s);
         }
         Ok(())
     }
@@ -104,69 +71,13 @@ impl ErasureCode for Raid5 {
     fn parity_coefficients(&self) -> Vec<Vec<crate::gf256::Gf256>> {
         vec![vec![crate::gf256::Gf256::ONE; self.m]]
     }
-
-    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>> {
-        let n = self.m + 1;
-        if available.len() < self.m {
-            return Err(GfecError::NotEnoughFragments { have: available.len(), need: self.m });
-        }
-        let mut by_index: Vec<Option<&Fragment>> = vec![None; n];
-        for f in available {
-            if f.index >= n {
-                return Err(GfecError::BadFragmentIndex { index: f.index, n });
-            }
-            if by_index[f.index].is_some() {
-                return Err(GfecError::DuplicateFragment { index: f.index });
-            }
-            if f.data.len() != shard_len {
-                return Err(GfecError::FragmentSizeMismatch {
-                    expected: shard_len,
-                    got: f.data.len(),
-                });
-            }
-            by_index[f.index] = Some(f);
-        }
-
-        let missing: Vec<usize> = (0..n).filter(|&i| by_index[i].is_none()).collect();
-        match missing.len() {
-            0 | 1 => {}
-            _ => {
-                // More than one erasure: the survivors cannot span the data.
-                return Err(GfecError::NotEnoughFragments {
-                    have: n - missing.len(),
-                    need: self.m,
-                });
-            }
-        }
-
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(self.m);
-        if missing.first().is_some_and(|&lost| lost < self.m) {
-            // A data fragment is lost: XOR of all survivors rebuilds it.
-            let lost = missing[0];
-            let mut rebuilt = vec![0u8; shard_len];
-            for f in by_index.iter().flatten() {
-                xor_slice(&mut rebuilt, &f.data);
-            }
-            for i in 0..self.m {
-                if i == lost {
-                    data.push(rebuilt.clone());
-                } else {
-                    data.push(by_index[i].expect("only `lost` is missing").data.clone());
-                }
-            }
-        } else {
-            // All data fragments present (parity may be the lost one).
-            for i in 0..self.m {
-                data.push(by_index[i].expect("data fragment present").data.clone());
-            }
-        }
-        Ok(data)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::reconstruct_parallel;
+    use crate::Fragment;
 
     fn mk_shards(m: usize, len: usize) -> Vec<Vec<u8>> {
         (0..m)
@@ -198,7 +109,7 @@ mod tests {
 
         for lost in 0..5 {
             let avail: Vec<Fragment> = frags.iter().filter(|f| f.index != lost).cloned().collect();
-            let got = r.reconstruct(&avail, 64).unwrap();
+            let got = reconstruct_parallel(&r, &avail, 64).unwrap();
             assert_eq!(got, d, "lost={lost}");
         }
     }
@@ -210,7 +121,10 @@ mod tests {
         let refs: Vec<&[u8]> = d.iter().map(|x| x.as_slice()).collect();
         let parity = r.encode(&refs).unwrap().remove(0);
         let frags = vec![Fragment::new(0, d[0].clone()), Fragment::new(3, parity)];
-        assert!(matches!(r.reconstruct(&frags, 16), Err(GfecError::NotEnoughFragments { .. })));
+        assert!(matches!(
+            reconstruct_parallel(&r, &frags, 16),
+            Err(GfecError::NotEnoughFragments { .. })
+        ));
     }
 
     #[test]
@@ -249,28 +163,33 @@ mod tests {
         let avail: Vec<Fragment> = frags_rs.iter().filter(|f| f.index != 1).cloned().collect();
         // Both codes recover identical data from index loss 1 (parity
         // encodings differ; the recovered *data* must not).
-        let via_rs = rs.reconstruct(&avail, 48).unwrap();
+        let via_rs = reconstruct_parallel(&rs, &avail, 48).unwrap();
 
         let parity = raid.encode(&refs).unwrap().remove(0);
         let mut frags_r5: Vec<Fragment> =
             d.iter().enumerate().map(|(i, x)| Fragment::new(i, x.clone())).collect();
         frags_r5.push(Fragment::new(3, parity));
         let avail5: Vec<Fragment> = frags_r5.iter().filter(|f| f.index != 1).cloned().collect();
-        let via_r5 = raid.reconstruct(&avail5, 48).unwrap();
+        let via_r5 = reconstruct_parallel(&raid, &avail5, 48).unwrap();
 
         assert_eq!(via_rs, via_r5);
         assert_eq!(via_r5, d);
     }
 
     #[test]
-    fn encode_into_reuses_dirty_buffers() {
+    fn encode_into_overwrites_dirty_rows() {
         let r = Raid5::new(3).unwrap();
         let d = mk_shards(3, 50);
         let refs: Vec<&[u8]> = d.iter().map(|x| x.as_slice()).collect();
         let expect = r.encode(&refs).unwrap();
-        let mut parity = vec![vec![0xABu8; 9]];
-        r.encode_into(&refs, &mut parity).unwrap();
+        let mut parity = vec![vec![0xABu8; 50]];
+        r.encode_into(&refs, &mut [parity[0].as_mut_slice()]).unwrap();
         assert_eq!(parity, expect);
+        // A row of the wrong length is an error, not a resize.
+        assert!(matches!(
+            r.encode_into(&refs, &mut [&mut parity[0][..9]]),
+            Err(GfecError::FragmentSizeMismatch { expected: 50, got: 9 })
+        ));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! `Q = sum_i g^i * D_i` over GF(2^8) — the classic Anvin construction
 //! used by Linux md.
 
-use crate::gf256::{mul_slice, mul_slice_acc, xor_slice, Gf256, FUSED_BLOCK};
-use crate::{ErasureCode, Fragment, GfecError, Result};
+use crate::gf256::{mul_slice_acc, xor_slice, Gf256, FUSED_BLOCK};
+use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// Double-parity erasure code: `m` data fragments, parity fragments P
 /// (index `m`) and Q (index `m + 1`).
@@ -26,62 +26,6 @@ impl Raid6 {
         }
         Ok(Raid6 { m })
     }
-
-    fn validate(&self, shards: &[&[u8]]) -> Result<usize> {
-        if shards.len() != self.m {
-            return Err(GfecError::NotEnoughFragments { have: shards.len(), need: self.m });
-        }
-        let len = shards[0].len();
-        for s in shards {
-            if s.len() != len {
-                return Err(GfecError::FragmentSizeMismatch { expected: len, got: s.len() });
-            }
-        }
-        Ok(len)
-    }
-
-    /// Rebuilds two lost data shards `(a, b)` from the survivors plus P
-    /// and Q — the hardest RAID6 case, solved with the standard 2x2
-    /// system over GF(2^8).
-    fn rebuild_two_data(
-        &self,
-        by_index: &[Option<&Fragment>],
-        a: usize,
-        b: usize,
-        shard_len: usize,
-    ) -> Result<(Vec<u8>, Vec<u8>)> {
-        let p = &by_index[self.m]
-            .ok_or(GfecError::NotEnoughFragments { have: self.m, need: self.m })?
-            .data;
-        let q = &by_index[self.m + 1]
-            .ok_or(GfecError::NotEnoughFragments { have: self.m, need: self.m })?
-            .data;
-
-        // Pxy = P ^ sum(surviving data); Qxy = Q ^ sum(g^i * surviving data)
-        let mut pxy = p.clone();
-        let mut qxy = q.clone();
-        for (i, f) in by_index.iter().enumerate().take(self.m) {
-            if let Some(f) = f {
-                xor_slice(&mut pxy, &f.data);
-                mul_slice_acc(&mut qxy, &f.data, Gf256::exp(i));
-            }
-        }
-        // Solve: Da ^ Db = Pxy ; g^a*Da ^ g^b*Db = Qxy
-        // => Da = (g^b * Pxy ^ Qxy) / (g^a ^ g^b); Db = Pxy ^ Da
-        let ga = Gf256::exp(a);
-        let gb = Gf256::exp(b);
-        let denom = (ga + gb).inv();
-
-        let mut da = vec![0u8; shard_len];
-        mul_slice(&mut da, &pxy, gb);
-        xor_slice(&mut da, &qxy);
-        let mut da_final = vec![0u8; shard_len];
-        mul_slice(&mut da_final, &da, denom);
-
-        let mut db = pxy;
-        xor_slice(&mut db, &da_final);
-        Ok((da_final, db))
-    }
 }
 
 impl ErasureCode for Raid6 {
@@ -93,23 +37,13 @@ impl ErasureCode for Raid6 {
         self.m + 2
     }
 
-    fn encode(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
-        let mut parity = vec![Vec::new(), Vec::new()];
-        self.encode_into(shards, &mut parity)?;
-        Ok(parity)
-    }
-
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
-        let len = self.validate(shards)?;
-        assert_eq!(parity.len(), 2, "RAID6 produces exactly P and Q");
-        let (p_buf, q_buf) = parity.split_at_mut(1);
-        let p = &mut p_buf[0];
-        let q = &mut q_buf[0];
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
+        let len = check_encode_shapes(self, shards, parity)?;
+        let (p_row, q_row) = parity.split_at_mut(1);
+        let (p, q) = (&mut *p_row[0], &mut *q_row[0]);
         // Shard 0 overwrites both rows (g^0 = 1, so Q's first term is a
-        // plain copy too), so dirty reused buffers only need their length
-        // fixed — no zero fill, and no wasted read pass over P and Q.
-        p.resize(len, 0);
-        q.resize(len, 0);
+        // plain copy too), so dirty buffers need no zero fill and no
+        // wasted read pass over P and Q.
         // Fused pass: within each block, every shard is read once while hot
         // and accumulated into both P and Q before moving on.
         let mut start = 0;
@@ -133,100 +67,13 @@ impl ErasureCode for Raid6 {
     fn parity_coefficients(&self) -> Vec<Vec<Gf256>> {
         vec![vec![Gf256::ONE; self.m], (0..self.m).map(Gf256::exp).collect()]
     }
-
-    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>> {
-        let n = self.m + 2;
-        if available.len() < self.m {
-            return Err(GfecError::NotEnoughFragments { have: available.len(), need: self.m });
-        }
-        let mut by_index: Vec<Option<&Fragment>> = vec![None; n];
-        for f in available {
-            if f.index >= n {
-                return Err(GfecError::BadFragmentIndex { index: f.index, n });
-            }
-            if by_index[f.index].is_some() {
-                return Err(GfecError::DuplicateFragment { index: f.index });
-            }
-            if f.data.len() != shard_len {
-                return Err(GfecError::FragmentSizeMismatch {
-                    expected: shard_len,
-                    got: f.data.len(),
-                });
-            }
-            by_index[f.index] = Some(f);
-        }
-
-        let missing_data: Vec<usize> = (0..self.m).filter(|&i| by_index[i].is_none()).collect();
-        match missing_data.len() {
-            0 => Ok((0..self.m).map(|i| by_index[i].expect("present").data.clone()).collect()),
-            1 => {
-                let lost = missing_data[0];
-                // Prefer P-based XOR rebuild; fall back to Q if P is gone.
-                let rebuilt = if let Some(p) = by_index[self.m] {
-                    let mut r = p.data.clone();
-                    for (i, f) in by_index.iter().enumerate().take(self.m) {
-                        if i != lost {
-                            if let Some(f) = f {
-                                xor_slice(&mut r, &f.data);
-                            }
-                        }
-                    }
-                    r
-                } else if let Some(q) = by_index[self.m + 1] {
-                    // Q ^ sum_{i != lost} g^i D_i = g^lost * D_lost
-                    let mut syn = q.data.clone();
-                    for (i, f) in by_index.iter().enumerate().take(self.m) {
-                        if i != lost {
-                            if let Some(f) = f {
-                                mul_slice_acc(&mut syn, &f.data, Gf256::exp(i));
-                            }
-                        }
-                    }
-                    let mut r = vec![0u8; shard_len];
-                    mul_slice(&mut r, &syn, Gf256::exp(lost).inv());
-                    r
-                } else {
-                    return Err(GfecError::NotEnoughFragments {
-                        have: available.len(),
-                        need: self.m,
-                    });
-                };
-                Ok((0..self.m)
-                    .map(|i| {
-                        if i == lost {
-                            rebuilt.clone()
-                        } else {
-                            by_index[i].expect("present").data.clone()
-                        }
-                    })
-                    .collect())
-            }
-            2 => {
-                let (a, b) = (missing_data[0], missing_data[1]);
-                let (da, db) = self.rebuild_two_data(&by_index, a, b, shard_len)?;
-                Ok((0..self.m)
-                    .map(|i| {
-                        if i == a {
-                            da.clone()
-                        } else if i == b {
-                            db.clone()
-                        } else {
-                            by_index[i].expect("present").data.clone()
-                        }
-                    })
-                    .collect())
-            }
-            _ => Err(GfecError::NotEnoughFragments {
-                have: self.m - missing_data.len() + 2,
-                need: self.m,
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::reconstruct_parallel;
+    use crate::Fragment;
 
     fn mk_shards(m: usize, len: usize) -> Vec<Vec<u8>> {
         (0..m)
@@ -255,7 +102,7 @@ mod tests {
             for b in (a + 1)..n {
                 let avail: Vec<Fragment> =
                     frags.iter().filter(|f| f.index != a && f.index != b).cloned().collect();
-                let got = r.reconstruct(&avail, 40).unwrap();
+                let got = reconstruct_parallel(&r, &avail, 40).unwrap();
                 assert_eq!(got, d, "lost=({a},{b})");
             }
         }
@@ -270,7 +117,7 @@ mod tests {
         // Lose data shard 1 AND parity P — forces the Q path.
         let avail: Vec<Fragment> =
             frags.iter().filter(|f| f.index != 1 && f.index != m).cloned().collect();
-        assert_eq!(r.reconstruct(&avail, 24).unwrap(), d);
+        assert_eq!(reconstruct_parallel(&r, &avail, 24).unwrap(), d);
     }
 
     #[test]
@@ -280,7 +127,10 @@ mod tests {
         let d = mk_shards(m, 16);
         let frags = frags_for(&r, &d);
         let avail: Vec<Fragment> = frags.iter().filter(|f| f.index > 2).cloned().collect();
-        assert!(matches!(r.reconstruct(&avail, 16), Err(GfecError::NotEnoughFragments { .. })));
+        assert!(matches!(
+            reconstruct_parallel(&r, &avail, 16),
+            Err(GfecError::NotEnoughFragments { .. })
+        ));
     }
 
     #[test]
@@ -318,14 +168,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_reuses_dirty_buffers() {
+    fn encode_into_overwrites_dirty_rows() {
         let m = 4;
         let r = Raid6::new(m).unwrap();
         let d = mk_shards(m, 100);
         let refs: Vec<&[u8]> = d.iter().map(|x| x.as_slice()).collect();
         let expect = r.encode(&refs).unwrap();
-        let mut parity = vec![vec![0x11u8; 7], vec![0x22u8; 999]];
-        r.encode_into(&refs, &mut parity).unwrap();
+        let mut parity = vec![vec![0x11u8; 100], vec![0x22u8; 100]];
+        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        r.encode_into(&refs, &mut rows).unwrap();
         assert_eq!(parity, expect);
     }
 
@@ -345,8 +196,14 @@ mod tests {
         let d = mk_shards(3, 16);
         let frags = frags_for(&r, &d);
         let dup = vec![frags[0].clone(), frags[0].clone(), frags[1].clone()];
-        assert!(matches!(r.reconstruct(&dup, 16), Err(GfecError::DuplicateFragment { .. })));
+        assert!(matches!(
+            reconstruct_parallel(&r, &dup, 16),
+            Err(GfecError::DuplicateFragment { .. })
+        ));
         let bad = vec![frags[0].clone(), frags[1].clone(), Fragment::new(99, vec![0; 16])];
-        assert!(matches!(r.reconstruct(&bad, 16), Err(GfecError::BadFragmentIndex { .. })));
+        assert!(matches!(
+            reconstruct_parallel(&r, &bad, 16),
+            Err(GfecError::BadFragmentIndex { .. })
+        ));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::gf256::Gf256;
 use crate::matrix::Matrix;
-use crate::{ErasureCode, Fragment, GfecError, Result};
+use crate::{check_encode_shapes, ErasureCode, Fragment, GfecError, Result};
 
 /// Which matrix construction generates the parity rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,7 +26,8 @@ pub enum MatrixKind {
 /// fragments, tolerating any `n - m` erasures.
 ///
 /// ```
-/// use hyrd_gfec::{ReedSolomon, ErasureCode, Fragment};
+/// use hyrd_gfec::parallel::reconstruct_parallel;
+/// use hyrd_gfec::{Fragment, ReedSolomon};
 ///
 /// let rs = ReedSolomon::new(3, 5).unwrap();
 /// let shards: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 64]).collect();
@@ -35,7 +36,7 @@ pub enum MatrixKind {
 /// // Lose any two of the five fragments — the data still decodes.
 /// let survivors: Vec<Fragment> =
 ///     fragments.into_iter().filter(|f| f.index != 0 && f.index != 4).collect();
-/// assert_eq!(rs.reconstruct(&survivors, 64).unwrap(), shards);
+/// assert_eq!(reconstruct_parallel(&rs, &survivors, 64).unwrap(), shards);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReedSolomon {
@@ -109,71 +110,6 @@ impl ReedSolomon {
         }
         Ok(out)
     }
-
-    fn validate_shards(&self, shards: &[&[u8]]) -> Result<usize> {
-        if shards.len() != self.m {
-            return Err(GfecError::NotEnoughFragments { have: shards.len(), need: self.m });
-        }
-        let len = shards[0].len();
-        for s in shards {
-            if s.len() != len {
-                return Err(GfecError::FragmentSizeMismatch { expected: len, got: s.len() });
-            }
-        }
-        Ok(len)
-    }
-
-    /// Validates a decode input: exactly-once indices in range, equal
-    /// lengths, at least `m` fragments. Returns the shard length.
-    fn validate_fragments(&self, available: &[Fragment], shard_len: usize) -> Result<()> {
-        if available.len() < self.m {
-            return Err(GfecError::NotEnoughFragments { have: available.len(), need: self.m });
-        }
-        let mut seen = vec![false; self.n];
-        for f in available {
-            if f.index >= self.n {
-                return Err(GfecError::BadFragmentIndex { index: f.index, n: self.n });
-            }
-            if seen[f.index] {
-                return Err(GfecError::DuplicateFragment { index: f.index });
-            }
-            seen[f.index] = true;
-            if f.data.len() != shard_len {
-                return Err(GfecError::FragmentSizeMismatch {
-                    expected: shard_len,
-                    got: f.data.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconstructs one specific missing fragment (data or parity) from
-    /// any `m` available fragments — the degraded-read path for a single
-    /// cloud outage where only the lost fragment matters.
-    pub fn reconstruct_fragment(
-        &self,
-        available: &[Fragment],
-        target_index: usize,
-        shard_len: usize,
-    ) -> Result<Fragment> {
-        if target_index >= self.n {
-            return Err(GfecError::BadFragmentIndex { index: target_index, n: self.n });
-        }
-        let data = self.reconstruct(available, shard_len)?;
-        if target_index < self.m {
-            return Ok(Fragment::new(target_index, data[target_index].clone()));
-        }
-        // Parity fragment: re-apply its generator row to the data shards.
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let row = self
-            .encode_matrix
-            .select_rows(&[target_index])
-            .mul_shards(&refs)
-            .pop()
-            .expect("one selected row yields one shard");
-        Ok(Fragment::new(target_index, row))
-    }
 }
 
 impl ErasureCode for ReedSolomon {
@@ -185,13 +121,8 @@ impl ErasureCode for ReedSolomon {
         self.n
     }
 
-    fn encode(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
-        self.validate_shards(shards)?;
-        Ok(self.parity_matrix.mul_shards(shards))
-    }
-
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
-        self.validate_shards(shards)?;
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
+        check_encode_shapes(self, shards, parity)?;
         self.parity_matrix.mul_shards_into(shards, parity);
         Ok(())
     }
@@ -201,44 +132,12 @@ impl ErasureCode for ReedSolomon {
             .map(|r| (0..self.m).map(|c| self.encode_matrix.get(r, c)).collect())
             .collect()
     }
-
-    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>> {
-        self.validate_fragments(available, shard_len)?;
-
-        // Fast path: all data fragments present — systematic, just copy.
-        let mut by_index: Vec<Option<&Fragment>> = vec![None; self.n];
-        for f in available {
-            by_index[f.index] = Some(f);
-        }
-        if (0..self.m).all(|i| by_index[i].is_some()) {
-            return Ok((0..self.m)
-                .map(|i| by_index[i].expect("checked present").data.clone())
-                .collect());
-        }
-
-        // General path: pick m fragments (prefer data fragments to keep
-        // the decode matrix close to identity), invert, multiply.
-        let mut picked: Vec<&Fragment> = Vec::with_capacity(self.m);
-        for f in by_index.iter().flatten() {
-            if picked.len() == self.m {
-                break;
-            }
-            picked.push(f);
-        }
-        let rows: Vec<usize> = picked.iter().map(|f| f.index).collect();
-        let decode = self
-            .encode_matrix
-            .select_rows(&rows)
-            .invert()
-            .map_err(|_| GfecError::SingularMatrix)?;
-        let refs: Vec<&[u8]> = picked.iter().map(|f| f.data.as_slice()).collect();
-        Ok(decode.mul_shards(&refs))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::reconstruct_parallel;
 
     fn shards(m: usize, len: usize, seed: u8) -> Vec<Vec<u8>> {
         (0..m)
@@ -265,7 +164,7 @@ mod tests {
                 if avail.len() < m {
                     continue;
                 }
-                let got = rs.reconstruct(&avail, 64).unwrap();
+                let got = reconstruct_parallel(&rs, &avail, 64).unwrap();
                 assert_eq!(got, data, "kind={kind:?} m={m} n={n} lost=({lost_a},{lost_b})");
             }
         }
@@ -321,8 +220,10 @@ mod tests {
         for target in 0..5 {
             let avail: Vec<Fragment> =
                 frags.iter().filter(|f| f.index != target).cloned().collect();
-            let rebuilt = rs.reconstruct_fragment(&avail, target, 48).unwrap();
-            assert_eq!(rebuilt, frags[target], "target={target}");
+            let views: Vec<(usize, &[u8])> =
+                avail.iter().map(|f| (f.index, f.data.as_slice())).collect();
+            let rebuilt = crate::rebuild_fragment(&rs, 48, &views, target).unwrap();
+            assert_eq!(rebuilt, frags[target].data, "target={target}");
         }
     }
 
@@ -341,24 +242,27 @@ mod tests {
         let frags = rs.encode_fragments(data).unwrap();
 
         // Too few.
-        let err = rs.reconstruct(&frags[..2], 16).unwrap_err();
+        let err = reconstruct_parallel(&rs, &frags[..2], 16).unwrap_err();
         assert!(matches!(err, GfecError::NotEnoughFragments { have: 2, need: 3 }));
 
         // Duplicate index.
         let dup = vec![frags[0].clone(), frags[0].clone(), frags[1].clone()];
-        assert!(matches!(rs.reconstruct(&dup, 16), Err(GfecError::DuplicateFragment { index: 0 })));
+        assert!(matches!(
+            reconstruct_parallel(&rs, &dup, 16),
+            Err(GfecError::DuplicateFragment { index: 0 })
+        ));
 
         // Bad index.
         let bad = vec![frags[0].clone(), frags[1].clone(), Fragment::new(9, vec![0; 16])];
         assert!(matches!(
-            rs.reconstruct(&bad, 16),
+            reconstruct_parallel(&rs, &bad, 16),
             Err(GfecError::BadFragmentIndex { index: 9, .. })
         ));
 
         // Ragged sizes.
         let ragged = vec![frags[0].clone(), frags[1].clone(), Fragment::new(2, vec![0; 8])];
         assert!(matches!(
-            rs.reconstruct(&ragged, 16),
+            reconstruct_parallel(&rs, &ragged, 16),
             Err(GfecError::FragmentSizeMismatch { expected: 16, got: 8 })
         ));
     }
@@ -376,16 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_encode_with_dirty_buffers() {
+    fn encode_into_matches_encode_with_dirty_rows() {
         let rs = ReedSolomon::new(3, 5).unwrap();
         let data = shards(3, 100, 4);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let expect = rs.encode(&refs).unwrap();
-        let mut parity = vec![vec![0xDDu8; 3], vec![0u8; 1000]];
-        rs.encode_into(&refs, &mut parity).unwrap();
-        assert_eq!(parity, expect);
+        let mut parity = vec![vec![0xDDu8; 100], vec![0u8; 100]];
+        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        rs.encode_into(&refs, &mut rows).unwrap();
         // Validation errors surface before any buffer is touched.
-        assert!(rs.encode_into(&refs[..2], &mut parity).is_err());
+        assert!(rs.encode_into(&refs[..2], &mut rows).is_err());
+        assert_eq!(parity, expect);
     }
 
     #[test]

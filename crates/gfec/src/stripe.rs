@@ -10,7 +10,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ErasureCode, Fragment, GfecError, Result};
+use crate::parallel::encode_into_parallel;
+use crate::{ErasureCode, GfecError, Result};
 
 /// The geometry of one encoded object: everything needed to split, join
 /// and plan updates. Stored in HyRD's metadata next to the fragment
@@ -79,20 +80,17 @@ impl FragmentLayout {
     }
 }
 
-/// Splits objects into shards and reassembles them, for a given code shape.
+/// Plans fragment geometry and turns objects into fragments, for a given
+/// code shape. The way back is [`crate::decode_object`].
 ///
 /// ```
-/// use hyrd_gfec::{StripePlanner, Raid5, Fragment};
+/// use hyrd_gfec::{Raid5, StripePlanner};
 ///
 /// let planner = StripePlanner::new(3, 4).unwrap();
 /// let code = Raid5::new(3).unwrap();
-/// let object = vec![7u8; 10_000];
-/// let (layout, fragments) = planner.encode_object(&code, &object).unwrap();
-///
-/// // Any single fragment may vanish (one cloud outage).
-/// let survivors: Vec<Fragment> =
-///     fragments.into_iter().filter(|f| f.index != 2).collect();
-/// assert_eq!(planner.decode_object(&code, &layout, &survivors).unwrap(), object);
+/// let (layout, fragments) = planner.split_encode(&code, &[7u8; 10_000]).unwrap();
+/// assert_eq!(fragments.len(), 4);
+/// assert!(fragments.iter().all(|f| f.len() == layout.shard_len));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripePlanner {
@@ -130,80 +128,68 @@ impl StripePlanner {
         FragmentLayout { object_len, m: self.m, n: self.n, shard_len }
     }
 
-    /// Splits an object into `m` zero-padded data shards per [`Self::plan`].
+    /// Splits `object` into its `m` data fragments — the first half of
+    /// [`Self::split_encode`], for callers that time the parity fill on
+    /// its own. Each fragment is built with a single copy from the
+    /// caller's slice, zero-padding only past the object's end; the
+    /// result has room for the parity fragments.
     pub fn split(&self, object: &[u8]) -> (FragmentLayout, Vec<Vec<u8>>) {
         let layout = self.plan(object.len());
-        let mut shards = Vec::with_capacity(self.m);
+        let len = layout.shard_len;
+        let mut fragments: Vec<Vec<u8>> = Vec::with_capacity(self.n);
         for i in 0..self.m {
-            let start = (i * layout.shard_len).min(object.len());
-            let end = ((i + 1) * layout.shard_len).min(object.len());
-            let mut shard = vec![0u8; layout.shard_len];
-            shard[..end - start].copy_from_slice(&object[start..end]);
-            shards.push(shard);
+            let start = (i * len).min(object.len());
+            let end = ((i + 1) * len).min(object.len());
+            let mut shard = Vec::with_capacity(len);
+            shard.extend_from_slice(&object[start..end]);
+            shard.resize(len, 0);
+            fragments.push(shard);
         }
-        (layout, shards)
+        (layout, fragments)
     }
 
-    /// Reassembles an object from its data shards, trimming padding.
-    pub fn join(&self, layout: &FragmentLayout, shards: &[Vec<u8>]) -> Result<Vec<u8>> {
-        if shards.len() != self.m {
-            return Err(GfecError::NotEnoughFragments { have: shards.len(), need: self.m });
+    /// Appends the `n - m` parity fragments to the `m` data fragments of
+    /// [`Self::split`] — the second half of [`Self::split_encode`].
+    /// Parity is filled in place, block-parallel for multi-MB objects.
+    pub fn push_parity<C: ErasureCode + ?Sized>(
+        &self,
+        code: &C,
+        fragments: &mut Vec<Vec<u8>>,
+    ) -> Result<()> {
+        assert_eq!(code.data_fragments(), self.m, "code/planner m mismatch");
+        assert_eq!(code.total_fragments(), self.n, "code/planner n mismatch");
+        if fragments.len() != self.m {
+            return Err(GfecError::NotEnoughFragments { have: fragments.len(), need: self.m });
         }
-        for s in shards {
-            if s.len() != layout.shard_len {
-                return Err(GfecError::FragmentSizeMismatch {
-                    expected: layout.shard_len,
-                    got: s.len(),
-                });
-            }
-        }
-        let mut out = Vec::with_capacity(layout.object_len);
-        for s in shards {
-            let remaining = layout.object_len - out.len();
-            if remaining == 0 {
-                break;
-            }
-            out.extend_from_slice(&s[..remaining.min(s.len())]);
-        }
-        Ok(out)
+        let len = fragments[0].len();
+        fragments.extend((self.m..self.n).map(|_| vec![0u8; len]));
+        let (data, parity) = fragments.split_at_mut(self.m);
+        let shards: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        encode_into_parallel(code, &shards, &mut rows)
     }
 
-    /// Convenience: split + encode in one call, returning all `n`
-    /// fragments and the layout.
-    pub fn encode_object<C: ErasureCode + ?Sized>(
+    /// Splits `object` into `m` data fragments and encodes the `n - m`
+    /// parity fragments — the one place an object becomes fragments.
+    /// Fragment `i` is element `i` of the result.
+    ///
+    /// Every fragment is its own exactly-sized allocation (a ranged
+    /// update that later replaces one must not pin the whole stripe).
+    pub fn split_encode<C: ErasureCode + ?Sized>(
         &self,
         code: &C,
         object: &[u8],
-    ) -> Result<(FragmentLayout, Vec<Fragment>)> {
-        assert_eq!(code.data_fragments(), self.m, "code/planner m mismatch");
-        assert_eq!(code.total_fragments(), self.n, "code/planner n mismatch");
-        let (layout, shards) = self.split(object);
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let parity = code.encode(&refs)?;
-        let mut frags: Vec<Fragment> =
-            shards.into_iter().enumerate().map(|(i, s)| Fragment::new(i, s)).collect();
-        for (k, p) in parity.into_iter().enumerate() {
-            frags.push(Fragment::new(self.m + k, p));
-        }
-        Ok((layout, frags))
-    }
-
-    /// Convenience: reconstruct data shards from any `m` fragments and
-    /// reassemble the original object.
-    pub fn decode_object<C: ErasureCode + ?Sized>(
-        &self,
-        code: &C,
-        layout: &FragmentLayout,
-        available: &[Fragment],
-    ) -> Result<Vec<u8>> {
-        let shards = code.reconstruct(available, layout.shard_len)?;
-        self.join(layout, &shards)
+    ) -> Result<(FragmentLayout, Vec<Vec<u8>>)> {
+        let (layout, mut fragments) = self.split(object);
+        self.push_parity(code, &mut fragments)?;
+        Ok((layout, fragments))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{decode_object, tests::without};
     use crate::raid5::Raid5;
     use crate::rs::ReedSolomon;
 
@@ -223,21 +209,27 @@ mod tests {
         let p = StripePlanner::new(2, 3).unwrap();
         let l = p.plan(0);
         assert_eq!(l.shard_len, StripePlanner::DEFAULT_ALIGN);
-        let (l2, shards) = p.split(&[]);
+        let code = Raid5::new(2).unwrap();
+        let (l2, frags) = p.split_encode(&code, &[]).unwrap();
         assert_eq!(l2, l);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(p.join(&l2, &shards).unwrap(), Vec::<u8>::new());
+        assert_eq!(frags, vec![vec![0u8; l.shard_len]; 3]);
+        assert_eq!(decode_object(&code, &l2, &without(&frags, &[0])).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
-    fn split_join_roundtrip_various_sizes() {
+    fn data_fragments_are_the_object_zero_padded_at_various_sizes() {
         let p = StripePlanner::new(3, 4).unwrap();
+        let code = Raid5::new(3).unwrap();
         for size in [0usize, 1, 63, 64, 65, 191, 192, 193, 1000, 4096, 100_000] {
             let obj: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-            let (layout, shards) = p.split(&obj);
-            assert!(shards.iter().all(|s| s.len() == layout.shard_len));
-            let back = p.join(&layout, &shards).unwrap();
-            assert_eq!(back, obj, "size={size}");
+            let (layout, frags) = p.split_encode(&code, &obj).unwrap();
+            assert!(frags.iter().all(|f| f.len() == layout.shard_len), "size={size}");
+            let mut padded = frags[..3].concat();
+            assert!(padded[size..].iter().all(|&b| b == 0), "size={size}");
+            padded.truncate(size);
+            assert_eq!(padded, obj, "size={size}");
+            // The healthy read: data fragments only, no arithmetic.
+            assert_eq!(decode_object(&code, &layout, &without(&frags, &[3])).unwrap(), obj);
         }
     }
 
@@ -246,11 +238,10 @@ mod tests {
         let p = StripePlanner::new(3, 4).unwrap();
         let code = Raid5::new(3).unwrap();
         let obj: Vec<u8> = (0..10_000).map(|i| (i * 7 % 256) as u8).collect();
-        let (layout, frags) = p.encode_object(&code, &obj).unwrap();
+        let (layout, frags) = p.split_encode(&code, &obj).unwrap();
         assert_eq!(frags.len(), 4);
         for lost in 0..4 {
-            let avail: Vec<Fragment> = frags.iter().filter(|f| f.index != lost).cloned().collect();
-            let back = p.decode_object(&code, &layout, &avail).unwrap();
+            let back = decode_object(&code, &layout, &without(&frags, &[lost])).unwrap();
             assert_eq!(back, obj, "lost={lost}");
         }
     }
@@ -260,9 +251,23 @@ mod tests {
         let p = StripePlanner::new(4, 6).unwrap();
         let code = ReedSolomon::new(4, 6).unwrap();
         let obj = vec![0xC3u8; 5555];
-        let (layout, frags) = p.encode_object(&code, &obj).unwrap();
-        let avail: Vec<Fragment> = frags.iter().skip(2).cloned().collect();
-        assert_eq!(p.decode_object(&code, &layout, &avail).unwrap(), obj);
+        let (layout, frags) = p.split_encode(&code, &obj).unwrap();
+        assert_eq!(decode_object(&code, &layout, &without(&frags, &[0, 1])).unwrap(), obj);
+    }
+
+    #[test]
+    fn push_parity_wants_exactly_the_data_fragments() {
+        let p = StripePlanner::new(4, 6).unwrap();
+        let code = ReedSolomon::new(4, 6).unwrap();
+        let (_, mut frags) = p.split(&[0x5Au8; 999]);
+        assert_eq!(frags.len(), 4);
+        p.push_parity(&code, &mut frags).unwrap();
+        assert_eq!(frags, p.split_encode(&code, &[0x5Au8; 999]).unwrap().1);
+        // Already carries its parity: not a set of data fragments any more.
+        assert_eq!(
+            p.push_parity(&code, &mut frags),
+            Err(GfecError::NotEnoughFragments { have: 6, need: 4 })
+        );
     }
 
     #[test]
@@ -296,14 +301,5 @@ mod tests {
         // Tiny objects pay padding overhead instead.
         let tiny = p.plan(10);
         assert!(tiny.overhead() > 4.0 / 3.0);
-    }
-
-    #[test]
-    fn join_validates_inputs() {
-        let p = StripePlanner::new(2, 3).unwrap();
-        let (l, shards) = p.split(b"hello world");
-        assert!(p.join(&l, &shards[..1].to_vec()).is_err());
-        let bad = vec![vec![0u8; 1], vec![0u8; 1]];
-        assert!(matches!(p.join(&l, &bad), Err(GfecError::FragmentSizeMismatch { .. })));
     }
 }

@@ -1,0 +1,171 @@
+//! The borrowed decode core and `split_encode` against the owning paths
+//! they replaced (`tests/oracle`): same bytes for every erasure pattern
+//! a code tolerates, at the object lengths where trimming, padding and
+//! block boundaries bite, and the same `GfecError` for every malformed
+//! input.
+
+mod oracle;
+
+use proptest::collection::vec as pvec;
+use proptest::prelude::*;
+
+use hyrd_gfec::parallel::{reconstruct_parallel, PARALLEL_BLOCK};
+use hyrd_gfec::{
+    decode_object, rebuild_fragment, Fragment, Raid5, Raid6, ReedSolomon, StripePlanner,
+};
+use oracle::OwningDecode;
+
+/// Every way of losing at most `max_lost` of `n` fragments.
+fn erasure_patterns(n: usize, max_lost: usize) -> Vec<Vec<usize>> {
+    (0u32..1 << n)
+        .filter(|mask| mask.count_ones() as usize <= max_lost)
+        .map(|mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
+        .collect()
+}
+
+fn payload(len: usize, seed: u8) -> Vec<u8> {
+    (0..len).map(|i| (i as u8).wrapping_mul(167).wrapping_add((i >> 8) as u8) ^ seed).collect()
+}
+
+/// New path ≡ oracle on `object`, for every tolerated erasure pattern.
+fn check_against_oracle<C: OwningDecode>(code: &C, object: &[u8]) -> Result<(), TestCaseError> {
+    let (m, n) = (code.data_fragments(), code.total_fragments());
+    let planner = StripePlanner::new(m, n).unwrap();
+
+    let (layout, frags) = planner.split_encode(code, object).unwrap();
+    let (oracle_layout, oracle_frags) = oracle::encode_object(&planner, code, object).unwrap();
+    prop_assert_eq!(layout, oracle_layout);
+    for (got, want) in frags.iter().zip(&oracle_frags) {
+        prop_assert_eq!(
+            got,
+            &want.data,
+            "fragment {} of a {}-byte object",
+            want.index,
+            object.len()
+        );
+        prop_assert_eq!(got.capacity(), layout.shard_len, "fragments are exactly sized");
+    }
+
+    for lost in erasure_patterns(n, n - m) {
+        let owned: Vec<Fragment> =
+            oracle_frags.iter().filter(|f| !lost.contains(&f.index)).cloned().collect();
+        let views = oracle::without(&frags, &lost);
+
+        let got = decode_object(code, &layout, &views).unwrap();
+        prop_assert_eq!(&got, &oracle::decode_object(code, &layout, &owned).unwrap());
+        prop_assert_eq!(&got[..], object, "len={} lost={:?}", object.len(), &lost);
+        prop_assert_eq!(got.capacity(), object.len(), "one exact allocation");
+
+        prop_assert_eq!(
+            reconstruct_parallel(code, &owned, layout.shard_len).unwrap(),
+            code.reconstruct(&owned, layout.shard_len).unwrap()
+        );
+        for &target in &lost {
+            let rebuilt = rebuild_fragment(code, layout.shard_len, &views, target).unwrap();
+            prop_assert_eq!(&rebuilt, &frags[target], "rebuild {} after {:?}", target, &lost);
+        }
+    }
+    Ok(())
+}
+
+fn check_all_codes(object: &[u8]) -> Result<(), TestCaseError> {
+    check_against_oracle(&Raid5::new(3).unwrap(), object)?;
+    check_against_oracle(&Raid6::new(3).unwrap(), object)?;
+    check_against_oracle(&ReedSolomon::new(4, 6).unwrap(), object)
+}
+
+/// The lengths where the layout changes shape: empty, one byte, one
+/// byte either side of a whole shard (64 is the alignment, so these are
+/// `shard_len - 1`, `shard_len`, `shard_len + 1` of the planned
+/// layout), the same around two shards, a length no `m` divides, and
+/// one whose shards span more than one parallel block.
+#[test]
+fn boundary_lengths_match_the_oracle_for_every_erasure_pattern() {
+    for len in [0, 1, 63, 64, 65, 127, 128, 129, 1_000, 4 * PARALLEL_BLOCK + 4_321] {
+        check_all_codes(&payload(len, len as u8)).unwrap();
+    }
+}
+
+/// What a hostile or buggy caller can hand the decoder.
+#[derive(Debug, Clone)]
+enum Defect {
+    TooFew,
+    Duplicate(usize),
+    OutOfRange(usize),
+    WrongLength(usize, usize),
+}
+
+fn defect() -> impl Strategy<Value = Defect> {
+    prop_oneof![
+        Just(Defect::TooFew),
+        (0usize..8).prop_map(Defect::Duplicate),
+        (0usize..300).prop_map(Defect::OutOfRange),
+        (0usize..8, 0usize..200).prop_map(|(at, len)| Defect::WrongLength(at, len)),
+    ]
+}
+
+/// Applies `defect` to a fragment list.
+fn corrupt(avail: &mut Vec<Fragment>, defect: &Defect, m: usize, n: usize) {
+    match *defect {
+        Defect::TooFew => avail.truncate(m - 1),
+        Defect::Duplicate(at) => {
+            let at = at % avail.len();
+            let copy = avail[at].clone();
+            avail.insert((at * 7) % avail.len(), copy);
+        }
+        Defect::OutOfRange(by) => {
+            let at = by % avail.len();
+            avail[at].index = n + by;
+        }
+        Defect::WrongLength(at, len) => {
+            let at = at % avail.len();
+            avail[at].data.resize(len, 0xEE);
+        }
+    }
+}
+
+fn check_error_parity<C: OwningDecode>(
+    code: &C,
+    object: &[u8],
+    defects: &[Defect],
+) -> Result<(), TestCaseError> {
+    let (m, n) = (code.data_fragments(), code.total_fragments());
+    let planner = StripePlanner::new(m, n).unwrap();
+    let (layout, frags) = oracle::encode_object(&planner, code, object).unwrap();
+    let mut avail = frags;
+    for defect in defects {
+        corrupt(&mut avail, defect, m, n);
+    }
+    let views: Vec<(usize, &[u8])> = avail.iter().map(|f| (f.index, f.data.as_slice())).collect();
+    // Two defects can cancel (a length changed and changed back).
+    let Err(want) = oracle::decode_object(code, &layout, &avail) else {
+        return Ok(());
+    };
+    prop_assert_eq!(decode_object(code, &layout, &views).unwrap_err(), want.clone());
+    prop_assert_eq!(rebuild_fragment(code, layout.shard_len, &views, 0).unwrap_err(), want.clone());
+    prop_assert_eq!(reconstruct_parallel(code, &avail, layout.shard_len).unwrap_err(), want);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn arbitrary_objects_match_the_oracle_for_every_erasure_pattern(
+        object in pvec(any::<u8>(), 0..3_000),
+    ) {
+        check_all_codes(&object)?;
+    }
+
+    /// One or two defects at once: the first one met in input order is
+    /// the one reported, exactly as the per-code decoders did.
+    #[test]
+    fn malformed_inputs_get_the_oracles_error(
+        object in pvec(any::<u8>(), 0..600),
+        defects in pvec(defect(), 1..3),
+    ) {
+        check_error_parity(&Raid5::new(3).unwrap(), &object, &defects)?;
+        check_error_parity(&Raid6::new(3).unwrap(), &object, &defects)?;
+        check_error_parity(&ReedSolomon::new(4, 6).unwrap(), &object, &defects)?;
+    }
+}

@@ -8,6 +8,8 @@
 //! empty slices and odd tails shorter than one 8-byte SWAR chunk) and
 //! demands byte equality with the naive computation.
 
+mod oracle;
+
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -16,7 +18,7 @@ use hyrd_gfec::raid5::Raid5;
 use hyrd_gfec::raid6::Raid6;
 use hyrd_gfec::rs::{MatrixKind, ReedSolomon};
 use hyrd_gfec::update::{parity_window, plan_update};
-use hyrd_gfec::{ErasureCode, Fragment, Matrix, StripePlanner};
+use hyrd_gfec::{decode_object, ErasureCode, Matrix, StripePlanner};
 
 /// Lengths that stress every SWAR alignment case: empty, sub-chunk tails,
 /// exact multiples of 8, and odd sizes just past a multiple.
@@ -120,7 +122,7 @@ proptest! {
     fn encode_into_matches_encode_for_all_codes(
         m in 2usize..5,
         len in kernel_len(),
-        garbage in pvec(any::<u8>(), 0..16),
+        garbage: u8,
     ) {
         let shards: Vec<Vec<u8>> = (0..m)
             .map(|j| (0..len).map(|b| (b as u8) ^ (j as u8 * 29)).collect())
@@ -134,9 +136,10 @@ proptest! {
         ];
         for code in &codes {
             let expect = code.encode(&refs).unwrap();
-            // Dirty, wrong-size reused buffers must not leak into output.
-            let mut parity = vec![garbage.clone(); code.parity_fragments()];
-            code.encode_into(&refs, &mut parity).unwrap();
+            // Dirty rows must not leak into output.
+            let mut parity = vec![vec![garbage; len]; code.parity_fragments()];
+            let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+            code.encode_into(&refs, &mut rows).unwrap();
             prop_assert_eq!(&parity, &expect);
         }
     }
@@ -176,15 +179,10 @@ proptest! {
         let n = m + 2;
         let planner = StripePlanner::new(m, n).unwrap();
         let code = ReedSolomon::new(m, n).unwrap();
-        let (layout, frags) = planner.encode_object(&code, &payload).unwrap();
+        let (layout, frags) = planner.split_encode(&code, &payload).unwrap();
         let a = (lose_seed % n as u64) as usize;
         let b = ((lose_seed >> 17) % n as u64) as usize;
-        let avail: Vec<Fragment> = frags
-            .iter()
-            .filter(|f| f.index != a && f.index != b)
-            .cloned()
-            .collect();
-        let back = planner.decode_object(&code, &layout, &avail).unwrap();
+        let back = decode_object(&code, &layout, &oracle::without(&frags, &[a, b])).unwrap();
         prop_assert_eq!(back, payload);
     }
 
@@ -203,7 +201,7 @@ proptest! {
         let planner = StripePlanner::new(m, n).unwrap();
         let code = ReedSolomon::new(m, n).unwrap();
         let mut obj = payload;
-        let (layout, mut frags) = planner.encode_object(&code, &obj).unwrap();
+        let (layout, mut frags) = planner.split_encode(&code, &obj).unwrap();
         let coeffs = code.parity_coefficients();
 
         let offset = ((obj.len() - 1) as f64 * offset_frac) as usize;
@@ -215,25 +213,25 @@ proptest! {
         let old_segments: Vec<Vec<u8>> = plan
             .touched
             .iter()
-            .map(|&(sh, st, l)| frags[sh].data[st..st + l].to_vec())
+            .map(|&(sh, st, l)| frags[sh][st..st + l].to_vec())
             .collect();
         let old_parities: Vec<Vec<u8>> =
-            (m..n).map(|p| frags[p].data[lo..hi].to_vec()).collect();
+            (m..n).map(|p| frags[p][lo..hi].to_vec()).collect();
         let (new_segs, new_pars) = apply_ranged_update_multi(
             &plan.touched, &old_segments, &old_parities, &new_bytes, &coeffs,
         )
         .unwrap();
         for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
-            frags[sh].data[st..st + l].copy_from_slice(&new_segs[k]);
+            frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
         }
 
         // Naive oracle: recompute each parity window from the (updated)
         // data shards with the reference kernel, byte by byte.
         obj[offset..offset + len].copy_from_slice(&new_bytes);
-        let (_, new_shards) = planner.split(&obj);
+        let (_, new_frags) = planner.split_encode(&code, &obj).unwrap();
         for (j, row) in coeffs.iter().enumerate() {
             let mut want = vec![0u8; hi - lo];
-            for (i, shard) in new_shards.iter().enumerate() {
+            for (i, shard) in new_frags[..m].iter().enumerate() {
                 reference::mul_slice_acc(&mut want, &shard[lo..hi], row[i]);
             }
             prop_assert_eq!(&new_pars[j], &want, "parity {} window", j);

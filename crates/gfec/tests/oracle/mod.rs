@@ -1,0 +1,220 @@
+//! The owning decode and encode paths this crate shipped before the
+//! borrowed core (`hyrd_gfec::decode`, `StripePlanner::split_encode`),
+//! kept as the property-test oracle the new paths are proven
+//! bit-identical against — the role `gf256::reference` plays for the
+//! slice kernels. Each code keeps its own hand-written `reconstruct`
+//! (XOR rebuild, the RAID6 two-erasure solve, invert-and-multiply), so
+//! agreement with the one generic core is a real cross-check. Also home of
+//! the integration tests' shared fragment-view helper. Never used
+//! outside tests.
+
+#![allow(dead_code)]
+
+use hyrd_gfec::gf256::{mul_slice, mul_slice_acc, xor_slice, Gf256};
+use hyrd_gfec::{
+    ErasureCode, Fragment, FragmentLayout, GfecError, Matrix, Raid5, Raid6, ReedSolomon,
+    StripePlanner,
+};
+
+type Result<T> = std::result::Result<T, GfecError>;
+
+/// Borrowed views of every fragment except the `lost` ones.
+pub fn without<'a>(fragments: &'a [Vec<u8>], lost: &[usize]) -> Vec<(usize, &'a [u8])> {
+    fragments
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !lost.contains(i))
+        .map(|(i, f)| (i, f.as_slice()))
+        .collect()
+}
+
+/// A code that still knows its pre-core owning decode.
+pub trait OwningDecode: ErasureCode {
+    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>>;
+}
+
+/// Index the fragments, with the validation every code shared.
+fn by_index(
+    m: usize,
+    n: usize,
+    available: &[Fragment],
+    shard_len: usize,
+) -> Result<Vec<Option<&Fragment>>> {
+    if available.len() < m {
+        return Err(GfecError::NotEnoughFragments { have: available.len(), need: m });
+    }
+    let mut by_index: Vec<Option<&Fragment>> = vec![None; n];
+    for f in available {
+        if f.index >= n {
+            return Err(GfecError::BadFragmentIndex { index: f.index, n });
+        }
+        if by_index[f.index].is_some() {
+            return Err(GfecError::DuplicateFragment { index: f.index });
+        }
+        if f.data.len() != shard_len {
+            return Err(GfecError::FragmentSizeMismatch { expected: shard_len, got: f.data.len() });
+        }
+        by_index[f.index] = Some(f);
+    }
+    Ok(by_index)
+}
+
+impl OwningDecode for Raid5 {
+    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>> {
+        let m = self.data_fragments();
+        let by_index = by_index(m, m + 1, available, shard_len)?;
+        let missing: Vec<usize> = (0..=m).filter(|&i| by_index[i].is_none()).collect();
+        let mut data: Vec<Vec<u8>> = Vec::with_capacity(m);
+        if missing.first().is_some_and(|&lost| lost < m) {
+            // A data fragment is lost: XOR of all survivors rebuilds it.
+            let lost = missing[0];
+            let mut rebuilt = vec![0u8; shard_len];
+            for f in by_index.iter().flatten() {
+                xor_slice(&mut rebuilt, &f.data);
+            }
+            for (i, f) in by_index.iter().enumerate().take(m) {
+                if i == lost {
+                    data.push(rebuilt.clone());
+                } else {
+                    data.push(f.expect("only `lost` is missing").data.clone());
+                }
+            }
+        } else {
+            for f in by_index.iter().take(m) {
+                data.push(f.expect("data fragment present").data.clone());
+            }
+        }
+        Ok(data)
+    }
+}
+
+impl OwningDecode for Raid6 {
+    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>> {
+        let m = self.data_fragments();
+        let by_index = by_index(m, m + 2, available, shard_len)?;
+        let present = |i: usize| by_index[i].expect("present").data.clone();
+        let missing_data: Vec<usize> = (0..m).filter(|&i| by_index[i].is_none()).collect();
+        match missing_data[..] {
+            [] => Ok((0..m).map(present).collect()),
+            [lost] => {
+                // Prefer P-based XOR rebuild; fall back to Q if P is gone.
+                let rebuilt = if let Some(p) = by_index[m] {
+                    let mut r = p.data.clone();
+                    for (i, f) in by_index.iter().enumerate().take(m) {
+                        if let (true, Some(f)) = (i != lost, f) {
+                            xor_slice(&mut r, &f.data);
+                        }
+                    }
+                    r
+                } else {
+                    // Q ^ sum_{i != lost} g^i D_i = g^lost * D_lost
+                    let mut syn = by_index[m + 1].expect("P lost, so Q survives").data.clone();
+                    for (i, f) in by_index.iter().enumerate().take(m) {
+                        if let (true, Some(f)) = (i != lost, f) {
+                            mul_slice_acc(&mut syn, &f.data, Gf256::exp(i));
+                        }
+                    }
+                    let mut r = vec![0u8; shard_len];
+                    mul_slice(&mut r, &syn, Gf256::exp(lost).inv());
+                    r
+                };
+                Ok((0..m).map(|i| if i == lost { rebuilt.clone() } else { present(i) }).collect())
+            }
+            [a, b] => {
+                // Pxy = P ^ sum(surviving data); Qxy = Q ^ sum(g^i * surviving data)
+                let mut pxy = present(m);
+                let mut qxy = present(m + 1);
+                for (i, f) in by_index.iter().enumerate().take(m) {
+                    if let Some(f) = f {
+                        xor_slice(&mut pxy, &f.data);
+                        mul_slice_acc(&mut qxy, &f.data, Gf256::exp(i));
+                    }
+                }
+                // Solve: Da ^ Db = Pxy ; g^a*Da ^ g^b*Db = Qxy
+                // => Da = (g^b * Pxy ^ Qxy) / (g^a ^ g^b); Db = Pxy ^ Da
+                let (ga, gb) = (Gf256::exp(a), Gf256::exp(b));
+                let mut t = vec![0u8; shard_len];
+                mul_slice(&mut t, &pxy, gb);
+                xor_slice(&mut t, &qxy);
+                let mut da = vec![0u8; shard_len];
+                mul_slice(&mut da, &t, (ga + gb).inv());
+                let mut db = pxy;
+                xor_slice(&mut db, &da);
+                Ok((0..m)
+                    .map(|i| match i {
+                        i if i == a => da.clone(),
+                        i if i == b => db.clone(),
+                        i => present(i),
+                    })
+                    .collect())
+            }
+            _ => unreachable!("at least m distinct fragments of m + 2 leave at most two erasures"),
+        }
+    }
+}
+
+impl OwningDecode for ReedSolomon {
+    fn reconstruct(&self, available: &[Fragment], shard_len: usize) -> Result<Vec<Vec<u8>>> {
+        let (m, n) = (self.data_fragments(), self.total_fragments());
+        let by_index = by_index(m, n, available, shard_len)?;
+        // Fast path: all data fragments present — systematic, just copy.
+        if (0..m).all(|i| by_index[i].is_some()) {
+            return Ok((0..m)
+                .map(|i| by_index[i].expect("checked present").data.clone())
+                .collect());
+        }
+        // General path: pick m fragments (data first), invert, multiply.
+        let picked: Vec<&Fragment> = by_index.iter().flatten().take(m).copied().collect();
+        let rows: Vec<usize> = picked.iter().map(|f| f.index).collect();
+        let decode: Matrix = self.encode_matrix().select_rows(&rows).invert()?;
+        let refs: Vec<&[u8]> = picked.iter().map(|f| f.data.as_slice()).collect();
+        Ok(decode.mul_shards(&refs))
+    }
+}
+
+/// Splits an object into `m` zero-padded data shards per `planner.plan`.
+pub fn split(planner: &StripePlanner, m: usize, object: &[u8]) -> (FragmentLayout, Vec<Vec<u8>>) {
+    let layout = planner.plan(object.len());
+    let mut shards = Vec::with_capacity(m);
+    for i in 0..m {
+        let start = (i * layout.shard_len).min(object.len());
+        let end = ((i + 1) * layout.shard_len).min(object.len());
+        let mut shard = vec![0u8; layout.shard_len];
+        shard[..end - start].copy_from_slice(&object[start..end]);
+        shards.push(shard);
+    }
+    (layout, shards)
+}
+
+/// Reassembles an object from its data shards, trimming padding.
+pub fn join(layout: &FragmentLayout, shards: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(layout.object_len);
+    for s in shards {
+        let remaining = layout.object_len - out.len();
+        out.extend_from_slice(&s[..remaining.min(s.len())]);
+    }
+    out
+}
+
+/// Split + whole-shard encode, data fragments first then parity.
+pub fn encode_object<C: ErasureCode + ?Sized>(
+    planner: &StripePlanner,
+    code: &C,
+    object: &[u8],
+) -> Result<(FragmentLayout, Vec<Fragment>)> {
+    let (layout, shards) = split(planner, code.data_fragments(), object);
+    let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+    let parity = code.encode(&refs)?;
+    let frags =
+        shards.into_iter().chain(parity).enumerate().map(|(i, s)| Fragment::new(i, s)).collect();
+    Ok((layout, frags))
+}
+
+/// Owning reconstruct of the data shards + join.
+pub fn decode_object<C: OwningDecode + ?Sized>(
+    code: &C,
+    layout: &FragmentLayout,
+    available: &[Fragment],
+) -> Result<Vec<u8>> {
+    Ok(join(layout, &code.reconstruct(available, layout.shard_len)?))
+}

@@ -1,5 +1,7 @@
 //! Property-based tests for the erasure-coding substrate (DESIGN.md §5).
 
+mod oracle;
+
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -8,8 +10,9 @@ use hyrd_gfec::raid5::Raid5;
 use hyrd_gfec::raid6::Raid6;
 use hyrd_gfec::rs::{MatrixKind, ReedSolomon};
 use hyrd_gfec::stripe::StripePlanner;
-use hyrd_gfec::update::{apply_update, plan_update};
-use hyrd_gfec::{ErasureCode, Fragment, Matrix};
+use hyrd_gfec::update::{apply_ranged_update, parity_window, plan_update};
+use hyrd_gfec::{decode_object, ErasureCode, Matrix};
+use oracle::without;
 
 proptest! {
     // ---------------- field axioms ----------------
@@ -97,7 +100,7 @@ proptest! {
         let n = m + extra;
         let planner = StripePlanner::new(m, n).unwrap();
         let code = ReedSolomon::with_kind(m, n, kind).unwrap();
-        let (layout, frags) = planner.encode_object(&code, &payload).unwrap();
+        let (layout, frags) = planner.split_encode(&code, &payload).unwrap();
 
         // Deterministically pick `extra` fragments to lose.
         let mut order: Vec<usize> = (0..n).collect();
@@ -107,10 +110,7 @@ proptest! {
             order.swap(i, (s >> 33) as usize % (i + 1));
         }
         let lost: Vec<usize> = order[..extra].to_vec();
-        let avail: Vec<Fragment> =
-            frags.iter().filter(|f| !lost.contains(&f.index)).cloned().collect();
-
-        let back = planner.decode_object(&code, &layout, &avail).unwrap();
+        let back = decode_object(&code, &layout, &without(&frags, &lost)).unwrap();
         prop_assert_eq!(back, payload);
     }
 
@@ -123,7 +123,7 @@ proptest! {
         let planner = StripePlanner::new(3, 4).unwrap();
         let code = Raid5::new(3).unwrap();
         let mut obj = payload;
-        let (layout, mut frags) = planner.encode_object(&code, &obj).unwrap();
+        let (layout, mut frags) = planner.split_encode(&code, &obj).unwrap();
 
         let offset = ((obj.len() - 1) as f64 * offset_frac) as usize;
         let max_len = obj.len() - offset;
@@ -131,19 +131,24 @@ proptest! {
         let new_bytes: Vec<u8> = (0..len).map(|i| (i * 151 % 256) as u8).collect();
 
         let plan = plan_update(&layout, offset, len).unwrap();
-        let old: Vec<Fragment> = plan.reads.iter().map(|&i| frags[i].clone()).collect();
-        let (new_data, new_parity) =
-            apply_update(&layout, &plan, &old, &frags[3], offset, &new_bytes).unwrap();
-        for nf in new_data {
-            let i = nf.index;
-            frags[i] = nf;
+        let (lo, hi) = parity_window(&plan.touched);
+        let old_segments: Vec<Vec<u8>> = plan
+            .touched
+            .iter()
+            .map(|&(sh, st, l)| frags[sh][st..st + l].to_vec())
+            .collect();
+        let (new_segs, new_parity) =
+            apply_ranged_update(&plan.touched, &old_segments, &frags[3][lo..hi], &new_bytes)
+                .unwrap();
+        for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
+            frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
         }
-        frags[3] = new_parity;
+        frags[3][lo..hi].copy_from_slice(&new_parity);
 
         obj[offset..offset + len].copy_from_slice(&new_bytes);
-        let (_, oracle) = planner.encode_object(&code, &obj).unwrap();
+        let (_, oracle) = planner.split_encode(&code, &obj).unwrap();
         for (got, want) in frags.iter().zip(&oracle) {
-            prop_assert_eq!(&got.data, &want.data);
+            prop_assert_eq!(got, want);
         }
     }
 
@@ -157,13 +162,11 @@ proptest! {
         let n = m + 2;
         let planner = StripePlanner::new(m, n).unwrap();
         let code = Raid6::new(m).unwrap();
-        let (layout, frags) = planner.encode_object(&code, &payload).unwrap();
+        let (layout, frags) = planner.split_encode(&code, &payload).unwrap();
         let a = a_pick % n;
         let mut b = b_pick % n;
         if b == a { b = (b + 1) % n; }
-        let avail: Vec<Fragment> =
-            frags.iter().filter(|f| f.index != a && f.index != b).cloned().collect();
-        let back = planner.decode_object(&code, &layout, &avail).unwrap();
+        let back = decode_object(&code, &layout, &without(&frags, &[a, b])).unwrap();
         prop_assert_eq!(back, payload);
     }
 
@@ -175,12 +178,12 @@ proptest! {
         offset_frac in 0.0f64..1.0,
         len_frac in 0.0f64..1.0,
     ) {
-        use hyrd_gfec::update::{apply_ranged_update_multi, parity_window, plan_update};
+        use hyrd_gfec::update::apply_ranged_update_multi;
         let n = m + parities;
         let planner = StripePlanner::new(m, n).unwrap();
         let code = ReedSolomon::new(m, n).unwrap();
         let mut obj = payload;
-        let (layout, mut frags) = planner.encode_object(&code, &obj).unwrap();
+        let (layout, mut frags) = planner.split_encode(&code, &obj).unwrap();
         let coeffs = code.parity_coefficients();
 
         let offset = ((obj.len() - 1) as f64 * offset_frac) as usize;
@@ -192,32 +195,34 @@ proptest! {
         let old_segments: Vec<Vec<u8>> = plan
             .touched
             .iter()
-            .map(|&(sh, st, l)| frags[sh].data[st..st + l].to_vec())
+            .map(|&(sh, st, l)| frags[sh][st..st + l].to_vec())
             .collect();
         let old_parities: Vec<Vec<u8>> =
-            (m..n).map(|p| frags[p].data[lo..hi].to_vec()).collect();
+            (m..n).map(|p| frags[p][lo..hi].to_vec()).collect();
         let (new_segs, new_pars) = apply_ranged_update_multi(
             &plan.touched, &old_segments, &old_parities, &new_bytes, &coeffs,
         )
         .unwrap();
         for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
-            frags[sh].data[st..st + l].copy_from_slice(&new_segs[k]);
+            frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
         }
         for (j, w) in new_pars.iter().enumerate() {
-            frags[m + j].data[lo..hi].copy_from_slice(w);
+            frags[m + j][lo..hi].copy_from_slice(w);
         }
         obj[offset..offset + len].copy_from_slice(&new_bytes);
-        let (_, oracle) = planner.encode_object(&code, &obj).unwrap();
+        let (_, oracle) = planner.split_encode(&code, &obj).unwrap();
         for (got, want) in frags.iter().zip(&oracle) {
-            prop_assert_eq!(&got.data, &want.data);
+            prop_assert_eq!(got, want);
         }
     }
 
     #[test]
     fn stripe_roundtrip_any_size(payload in pvec(any::<u8>(), 0..8192), m in 1usize..8) {
         let planner = StripePlanner::new(m, m + 1).unwrap();
-        let (layout, shards) = planner.split(&payload);
-        prop_assert_eq!(planner.join(&layout, &shards).unwrap(), payload);
+        let code = Raid5::new(m).unwrap();
+        let (layout, frags) = planner.split_encode(&code, &payload).unwrap();
+        // Data fragments alone: the copy-only healthy read.
+        prop_assert_eq!(decode_object(&code, &layout, &without(&frags, &[m])).unwrap(), payload);
     }
 
     #[test]

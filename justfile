@@ -103,6 +103,14 @@ perf:
 perf-test:
     cargo test --offline --manifest-path hyrd-perf/Cargo.toml
 
+# Paired, alternating hyrd-perf runs of <base> (a git revision, built in
+# a worktree) against the working tree on one workload: per end-to-end
+# metric each side's median and quartiles and the pair win count. Every
+# wall-clock claim needs this — the host drifts ±20 % with identical
+# code. PERF_SEED overrides the default seed 11.
+perf-pairs base workload pairs="10":
+    scripts/perf_pairs.sh {{base}} {{workload}} {{pairs}}
+
 # Full Criterion run (also refreshes BENCH_gfec.json at the end).
 bench:
     cargo bench -p hyrd-bench
