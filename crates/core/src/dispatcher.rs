@@ -121,8 +121,8 @@ pub(crate) struct SmallFileCache {
     budget: usize,
     used: usize,
     generation: u64,
-    map: HashMap<String, (Bytes, u64)>,
-    order: VecDeque<(String, u64)>,
+    map: HashMap<Arc<str>, (Bytes, u64)>,
+    order: VecDeque<(Arc<str>, u64)>,
 }
 
 impl SmallFileCache {
@@ -147,13 +147,19 @@ impl SmallFileCache {
             self.remove(path);
             return;
         }
-        if let Some((old, _)) = self.map.remove(path) {
-            self.used -= old.len();
-        }
+        // One key allocation per path, shared by the map and the FIFO
+        // and kept across re-insertions.
+        let key = match self.map.remove_entry(path) {
+            Some((key, (old, _))) => {
+                self.used -= old.len();
+                key
+            }
+            None => Arc::from(path),
+        };
         self.generation += 1;
         self.used += data.len();
-        self.map.insert(path.to_string(), (data, self.generation));
-        self.order.push_back((path.to_string(), self.generation));
+        self.map.insert(key.clone(), (data, self.generation));
+        self.order.push_back((key, self.generation));
         while self.used > self.budget {
             let Some((victim, generation)) = self.order.pop_front() else {
                 break;
@@ -340,7 +346,7 @@ impl Hyrd {
 
         // Find a metadata replica that answers a List.
         let mut listing: Option<Vec<String>> = None;
-        for id in hyrd.evaluator.fastest_first() {
+        for &id in hyrd.evaluator.fastest_first() {
             match hyrd.provider(id).list(Fleet::CONTAINER) {
                 Ok(out) => {
                     ops.push(out.report);
@@ -844,8 +850,8 @@ impl Hyrd {
     /// first, padded from the global fastest ranking if the tier is
     /// smaller than the replication level.
     pub(crate) fn replica_targets(&self) -> Vec<ProviderId> {
-        let mut targets = self.evaluator.performance_tier();
-        for id in self.evaluator.fastest_first() {
+        let mut targets = self.evaluator.performance_tier().to_vec();
+        for &id in self.evaluator.fastest_first() {
             if targets.len() >= self.config.replication_level {
                 break;
             }
@@ -861,8 +867,8 @@ impl Hyrd {
     /// first, padded with the remaining fastest providers up to `n`.
     pub(crate) fn fragment_targets(&self) -> Vec<ProviderId> {
         let n = self.config.code.n();
-        let mut targets = self.evaluator.cost_tier();
-        for id in self.evaluator.fastest_first() {
+        let mut targets = self.evaluator.cost_tier().to_vec();
+        for &id in self.evaluator.fastest_first() {
             if targets.len() >= n {
                 break;
             }
@@ -1093,7 +1099,7 @@ impl Hyrd {
         let name = crate::scheme::object_name(path.as_str());
         let bytes = Bytes::copy_from_slice(data);
         let targets = self.replica_targets();
-        let _intent = self.journal.begin(Intent::Create {
+        let _intent = self.journal.begin(|| Intent::Create {
             path: path.as_str().to_string(),
             objects: targets.iter().map(|&t| (t, name.clone())).collect(),
         });
@@ -1127,7 +1133,7 @@ impl Hyrd {
         self.meta.create_file(path, data.len() as u64, now)?;
         let base_name = crate::scheme::object_name(path.as_str());
         let targets = self.fragment_targets();
-        let _intent = self.journal.begin(Intent::Create {
+        let _intent = self.journal.begin(|| Intent::Create {
             path: path.as_str().to_string(),
             objects: (0..targets.len())
                 .map(|i| (targets[i], format!("{base_name}.f{i}")))
@@ -1239,13 +1245,13 @@ impl Hyrd {
         // breaker-suspect providers demoted to the back of the line.
         // A replica with a pending log record holds stale bytes (it
         // missed the latest write); never serve a read from it.
-        let mut order = Evaluator::order_by(&self.evaluator.fastest_first(), providers);
+        let mut order = Evaluator::order_by(self.evaluator.fastest_first(), providers);
         let now = self.now();
         order.sort_by_key(|&id| !self.health.admits(id, now));
-        let candidates: Vec<(ProviderId, String)> = order
+        let candidates: Vec<(ProviderId, &ObjectKey)> = order
             .into_iter()
             .filter(|&id| !self.log_l().is_pending(id, &key))
-            .map(|id| (id, object.to_string()))
+            .map(|id| (id, &key))
             .collect();
         // One copy wins; the hedge timer fans out to a second replica
         // when the first is slow (metadata and small files included —
@@ -1280,15 +1286,17 @@ impl Hyrd {
         // degraded update), ordered by the selection policy with
         // breaker-suspect providers last.
         let now = self.now();
-        let mut candidates: Vec<(usize, ProviderId, &String)> = fragments
+        let keys: Vec<ObjectKey> = fragments.iter().map(|(_, name)| Self::key(name)).collect();
+        let mut candidates: Vec<(usize, ProviderId, &ObjectKey)> = fragments
             .iter()
+            .zip(&keys)
             .enumerate()
-            .filter(|(i, (p, name))| {
+            .filter(|(i, ((p, _), key))| {
                 self.provider(*p).is_available()
-                    && !self.log_l().is_pending(*p, &Self::key(name))
+                    && !self.log_l().is_pending(*p, key)
                     && !self.dirty_l().contains(path, *i)
             })
-            .map(|(i, (p, name))| (i, *p, name))
+            .map(|(i, ((p, _), key))| (i, *p, key))
             .collect();
         candidates.sort_by_key(|(_, p, _)| {
             (
@@ -1338,8 +1346,8 @@ impl Hyrd {
         // fetches in flight at once, redundant extras after the hedge
         // deadline, first `m` completions win, stragglers cancelled.
         let frag_index: Vec<usize> = candidates.iter().map(|(i, _, _)| *i).collect();
-        let fanout_candidates: Vec<(ProviderId, String)> =
-            candidates.into_iter().map(|(_, p, name)| (p, name.clone())).collect();
+        let fanout_candidates: Vec<(ProviderId, &ObjectKey)> =
+            candidates.into_iter().map(|(_, p, key)| (p, key)).collect();
         let mut fanout =
             ReadFanout { hyrd: self, span: "fetch_fragment", candidates: fanout_candidates };
         let Some(outcome) = engine::fanout_read(&mut fanout, m, &self.config.hedge, self.now())
@@ -1485,7 +1493,7 @@ impl Hyrd {
         // consistency update restores a complete object.
         let key = Self::key(&object);
         let patch = Bytes::copy_from_slice(data);
-        let _intent = self.journal.begin(Intent::UpdateReplicated {
+        let _intent = self.journal.begin(|| Intent::UpdateReplicated {
             path: path.as_str().to_string(),
             object: object.clone(),
             providers: providers.clone(),
@@ -1542,8 +1550,9 @@ impl Hyrd {
             });
         }
         // The object's authoritative content changed: refresh the digest
-        // (live replicas hold it; logged replicas will after replay).
-        self.integrity_l().record(&object, &bytes);
+        // of the blocks the patch touched (live replicas hold the new
+        // content; logged replicas will after replay).
+        self.integrity_l().record_patch(&object, &bytes, offset as usize, data.len());
         self.cache_l().put(path.as_str(), bytes);
         let now = self.now();
         self.meta.set_placement(path, Placement::Replicated { providers, object }, size, now)?;
@@ -1573,7 +1582,7 @@ impl Hyrd {
         // the planned fragment writes *inside* the engine, after the
         // deltas are computed but before the first provider mutation, so
         // a crash earlier than that rolls back to "nothing happened".
-        let intent = self.journal.begin(Intent::UpdateErasure {
+        let intent = self.journal.begin(|| Intent::UpdateErasure {
             path: path.as_str().to_string(),
             writes: Vec::new(),
             hot_remove: hot_copy.clone(),
@@ -1806,26 +1815,19 @@ impl Hyrd {
         // touching metadata or providers: a crash mid-delete then rolls
         // forward (finish the removes) instead of leaking billed storage.
         let inode = self.meta.inode(&npath)?;
-        let mut doomed: Vec<(ProviderId, String)> = Vec::new();
-        match &inode.placement {
-            Placement::Pending => {}
+        let doomed: Vec<(ProviderId, &str)> = match &inode.placement {
+            Placement::Pending => Vec::new(),
             Placement::Replicated { providers, object } => {
-                for &p in providers {
-                    doomed.push((p, object.clone()));
-                }
+                providers.iter().map(|&p| (p, object.as_str())).collect()
             }
             Placement::ErasureCoded { fragments, hot_copy, .. } => {
-                for (p, name) in fragments {
-                    doomed.push((*p, name.clone()));
-                }
-                if let Some((p, name)) = hot_copy {
-                    doomed.push((*p, name.clone()));
-                }
+                fragments.iter().chain(hot_copy).map(|(p, name)| (*p, name.as_str())).collect()
             }
-        }
-        let _intent = self
-            .journal
-            .begin(Intent::Delete { path: npath.as_str().to_string(), objects: doomed.clone() });
+        };
+        let _intent = self.journal.begin(|| Intent::Delete {
+            path: npath.as_str().to_string(),
+            objects: doomed.iter().map(|&(p, name)| (p, name.to_string())).collect(),
+        });
         self.meta.remove_file(&npath)?;
         // Cache and dirty-set keys are *normalized* paths (that is what
         // the write paths insert); evicting under the caller's raw
@@ -1853,8 +1855,8 @@ impl Hyrd {
                 Err(_) => self.wal_log_remove(p, key),
             }
         };
-        for (p, name) in &doomed {
-            remove_one(*p, name);
+        for &(p, name) in &doomed {
+            remove_one(p, name);
         }
         Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
     }
@@ -1894,7 +1896,7 @@ impl Hyrd {
 
 /// The dispatcher's side of a fan-out read: the event engine owns the
 /// timeline, this adapter owns the cloud. `candidates` are ranked
-/// `(provider, object-name)` pairs; every fetch runs through the full
+/// `(provider, object)` pairs; every fetch runs through the full
 /// hardening stack ([`Hyrd::guarded`]: breaker admission, retries with
 /// virtual-clock backoff, health bookkeeping) and integrity check, and
 /// every admission/cancellation goes to the provider's queue.
@@ -1902,7 +1904,7 @@ struct ReadFanout<'a> {
     hyrd: &'a Hyrd,
     /// Telemetry span label ("fetch_replica" / "fetch_fragment").
     span: &'static str,
-    candidates: Vec<(ProviderId, String)>,
+    candidates: Vec<(ProviderId, &'a ObjectKey)>,
 }
 
 impl FanoutDriver for ReadFanout<'_> {
@@ -1931,16 +1933,15 @@ impl FanoutDriver for ReadFanout<'_> {
     }
 
     fn attempt(&mut self, idx: usize) -> Attempt {
-        let (id, name) = &self.candidates[idx];
-        let key = Hyrd::key(name);
+        let (id, key) = self.candidates[idx];
         let fetched = {
-            let _get = self.hyrd.telemetry.span_labeled(self.span, self.hyrd.provider(*id).name());
-            self.hyrd.guarded(*id, |p| p.get(&key))
+            let _get = self.hyrd.telemetry.span_labeled(self.span, self.hyrd.provider(id).name());
+            self.hyrd.guarded(id, |p| p.get(key))
         };
         match fetched {
-            Ok(out) => match self.hyrd.check(*id, name, &out.value) {
+            Ok(out) => match self.hyrd.check(id, &key.name, &out.value) {
                 Verdict::Corrupt => {
-                    self.hyrd.note_corruption(*id, name);
+                    self.hyrd.note_corruption(id, &key.name);
                     Attempt::Corrupt { report: out.report }
                 }
                 Verdict::Verified | Verdict::Unknown => {

@@ -19,6 +19,7 @@
 //! categories exactly: {Azure, Aliyun} performance-oriented, {S3, Aliyun,
 //! Rackspace} cost-oriented, Aliyun in both.
 
+use std::cmp::Ordering;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -47,9 +48,15 @@ pub struct ProviderAssessment {
 }
 
 /// The evaluator: probes a fleet once and answers placement queries.
+/// The rankings are derived once, when the probes come back — every
+/// request asks for at least one of them.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     assessments: Vec<ProviderAssessment>,
+    performance_tier: Vec<ProviderId>,
+    cost_tier: Vec<ProviderId>,
+    fastest_first: Vec<ProviderId>,
+    cheapest_egress_first: Vec<ProviderId>,
 }
 
 impl Evaluator {
@@ -118,7 +125,35 @@ impl Evaluator {
         }
 
         // Probes of different providers run concurrently.
-        (Evaluator { assessments: raw }, BatchReport::parallel(reports))
+        (Evaluator::ranked(raw), BatchReport::parallel(reports))
+    }
+
+    /// Derives the rankings from finished assessments.
+    fn ranked(assessments: Vec<ProviderAssessment>) -> Evaluator {
+        type A = ProviderAssessment;
+        let rank = |keep: fn(&A) -> bool, by: &dyn Fn(&A, &A) -> Ordering| -> Vec<ProviderId> {
+            let mut order: Vec<&A> = assessments.iter().filter(|a| keep(a)).collect();
+            order.sort_by(|a, b| by(a, b));
+            order.into_iter().map(|a| a.id).collect()
+        };
+        let price = |a: f64, b: f64| a.partial_cmp(&b).expect("prices are finite");
+        Evaluator {
+            performance_tier: rank(|a| a.performance_oriented, &|a, b| {
+                (a.probe_get, a.id).cmp(&(b.probe_get, b.id))
+            }),
+            cost_tier: rank(|a| a.cost_oriented, &|a, b| {
+                price(a.prices.storage_gb_month, b.prices.storage_gb_month).then(a.id.cmp(&b.id))
+            }),
+            fastest_first: rank(|_| true, &|a, b| {
+                (a.probe_get, a.probe_put, a.id).cmp(&(b.probe_get, b.probe_put, b.id))
+            }),
+            cheapest_egress_first: rank(|_| true, &|a, b| {
+                price(a.prices.data_out_gb, b.prices.data_out_gb)
+                    .then(a.probe_get.cmp(&b.probe_get))
+                    .then(a.id.cmp(&b.id))
+            }),
+            assessments,
+        }
     }
 
     /// All assessments in provider-id order.
@@ -132,25 +167,13 @@ impl Evaluator {
     }
 
     /// Performance-oriented providers, fastest first.
-    pub fn performance_tier(&self) -> Vec<ProviderId> {
-        let mut tier: Vec<&ProviderAssessment> =
-            self.assessments.iter().filter(|a| a.performance_oriented).collect();
-        tier.sort_by_key(|a| (a.probe_get, a.id));
-        tier.into_iter().map(|a| a.id).collect()
+    pub fn performance_tier(&self) -> &[ProviderId] {
+        &self.performance_tier
     }
 
     /// Cost-oriented providers, cheapest storage first.
-    pub fn cost_tier(&self) -> Vec<ProviderId> {
-        let mut tier: Vec<&ProviderAssessment> =
-            self.assessments.iter().filter(|a| a.cost_oriented).collect();
-        tier.sort_by(|a, b| {
-            a.prices
-                .storage_gb_month
-                .partial_cmp(&b.prices.storage_gb_month)
-                .expect("prices are finite")
-                .then(a.id.cmp(&b.id))
-        });
-        tier.into_iter().map(|a| a.id).collect()
+    pub fn cost_tier(&self) -> &[ProviderId] {
+        &self.cost_tier
     }
 
     /// All providers ordered fastest-first by measured Get latency.
@@ -159,29 +182,14 @@ impl Evaluator {
     /// the Put probe, then to the provider id — so two providers with
     /// identical latency profiles always rank in the same order, and
     /// replay traces stay byte-identical across runs and worker counts.
-    pub fn fastest_first(&self) -> Vec<ProviderId> {
-        let mut ids: Vec<usize> = (0..self.assessments.len()).collect();
-        ids.sort_by_key(|&i| {
-            let a = &self.assessments[i];
-            (a.probe_get, a.probe_put, a.id)
-        });
-        ids.into_iter().map(|i| self.assessments[i].id).collect()
+    pub fn fastest_first(&self) -> &[ProviderId] {
+        &self.fastest_first
     }
 
     /// All providers ordered by egress price then latency — the
     /// CheapestEgress fragment-selection order.
-    pub fn cheapest_egress_first(&self) -> Vec<ProviderId> {
-        let mut ids: Vec<usize> = (0..self.assessments.len()).collect();
-        ids.sort_by(|&i, &j| {
-            let (a, b) = (&self.assessments[i], &self.assessments[j]);
-            a.prices
-                .data_out_gb
-                .partial_cmp(&b.prices.data_out_gb)
-                .expect("prices are finite")
-                .then(a.probe_get.cmp(&b.probe_get))
-                .then(a.id.cmp(&b.id))
-        });
-        ids.into_iter().map(|i| self.assessments[i].id).collect()
+    pub fn cheapest_egress_first(&self) -> &[ProviderId] {
+        &self.cheapest_egress_first
     }
 
     /// Orders the given providers by a reference ranking (providers not
@@ -209,11 +217,11 @@ mod tests {
         let e = eval();
         let name = |id: ProviderId| e.get(id).unwrap().name.clone();
 
-        let perf: Vec<String> = e.performance_tier().into_iter().map(name).collect();
+        let perf: Vec<String> = e.performance_tier().iter().copied().map(name).collect();
         assert_eq!(perf, vec!["Aliyun", "Windows Azure"], "fastest first");
 
         let name2 = |id: ProviderId| e.get(id).unwrap().name.clone();
-        let cost: Vec<String> = e.cost_tier().into_iter().map(name2).collect();
+        let cost: Vec<String> = e.cost_tier().iter().copied().map(name2).collect();
         assert_eq!(cost, vec!["Aliyun", "Amazon S3", "Rackspace"], "cheapest first");
     }
 
@@ -246,13 +254,11 @@ mod tests {
             performance_oriented: true,
             cost_oriented: false,
         };
-        let e = Evaluator {
-            assessments: vec![
-                assessment(2, 10, 20), // ties with id 0 on both probes ⇒ id decides
-                assessment(1, 10, 15), // same Get, faster Put ⇒ ranks first
-                assessment(0, 10, 20),
-            ],
-        };
+        let e = Evaluator::ranked(vec![
+            assessment(2, 10, 20), // ties with id 0 on both probes ⇒ id decides
+            assessment(1, 10, 15), // same Get, faster Put ⇒ ranks first
+            assessment(0, 10, 20),
+        ]);
         assert_eq!(
             e.fastest_first(),
             vec![ProviderId(1), ProviderId(0), ProviderId(2)],

@@ -7,10 +7,24 @@
 //! verifies every whole-object Get against it. A mismatch is treated as an
 //! erasure: the read fails over to another replica or to erasure-coded
 //! reconstruction, and the scrub pass rewrites the damaged copy.
+//!
+//! A digest is the object's length plus the SHA-256 of each
+//! [`DIGEST_BLOCK`]-sized block of it, so a ranged update re-hashes the
+//! blocks it overlaps instead of the object ([`IntegrityIndex::record_patch`]).
+//! Verification hashes the same bytes once, block by block, and every
+//! bit of the object is under exactly one block hash: a flipped bit
+//! fails its block, a truncation or extension fails the length. An object
+//! of at most one block — the paper's ≤ 4 KB files, every metadata diff —
+//! has the one digest `sha256(object)`.
 
 use std::collections::BTreeMap;
 
 use hyrd_dedup::sha256::{sha256, Digest};
+
+/// Bytes under one block hash. Large enough that SHA-256 runs at stream
+/// speed and a MiB-scale object keeps a handful of digests; small enough
+/// that a 4 KiB update of a 512 KiB replica hashes an eighth of it.
+pub const DIGEST_BLOCK: usize = 64 * 1024;
 
 /// Outcome of verifying fetched bytes against the recorded digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,11 +38,67 @@ pub enum Verdict {
     Unknown,
 }
 
-/// Object-name → SHA-256 digest map. `BTreeMap` so iteration order (and
-/// anything serialized from it) is deterministic.
+/// What is on record for one object: its length and a SHA-256 per block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObjectDigest {
+    len: usize,
+    /// Block 0 — the whole object when it fits one block. Inline, so the
+    /// small objects that dominate the index cost no second allocation.
+    head: Digest,
+    /// Blocks 1.. (the last one may be short).
+    tail: Vec<Digest>,
+}
+
+impl ObjectDigest {
+    /// Length of the recorded object.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the recorded object is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The block digests in order; at least one (an empty object has the
+    /// digest of the empty string).
+    pub fn blocks(&self) -> impl Iterator<Item = &Digest> {
+        std::iter::once(&self.head).chain(&self.tail)
+    }
+
+    /// Re-hashes blocks `first..=last` from `bytes`, growing or shrinking
+    /// the table to `bytes`' block count.
+    fn rehash(&mut self, bytes: &[u8], first: usize, last: usize) {
+        self.len = bytes.len();
+        self.tail.resize(bytes.len().div_ceil(DIGEST_BLOCK).saturating_sub(1), [0; 32]);
+        for index in first..=last {
+            let start = index * DIGEST_BLOCK;
+            let digest = sha256(&bytes[start..bytes.len().min(start + DIGEST_BLOCK)]);
+            match index {
+                0 => self.head = digest,
+                i => self.tail[i - 1] = digest,
+            }
+        }
+    }
+
+    fn matches(&self, bytes: &[u8]) -> bool {
+        // An empty object is one empty block, which `chunks` would skip.
+        bytes.len() == self.len
+            && self.head == sha256(&bytes[..bytes.len().min(DIGEST_BLOCK)])
+            && bytes.chunks(DIGEST_BLOCK).skip(1).zip(&self.tail).all(|(b, d)| sha256(b) == *d)
+    }
+}
+
+/// Index of the last block of a `len`-byte object.
+fn last_block(len: usize) -> usize {
+    len.saturating_sub(1) / DIGEST_BLOCK
+}
+
+/// Object-name → digest map. `BTreeMap` so iteration order (and anything
+/// serialized from it) is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct IntegrityIndex {
-    digests: BTreeMap<String, Digest>,
+    digests: BTreeMap<String, ObjectDigest>,
 }
 
 impl IntegrityIndex {
@@ -37,10 +107,37 @@ impl IntegrityIndex {
         IntegrityIndex::default()
     }
 
+    /// The entry for `name`, created empty on first sight (the name is
+    /// only allocated then).
+    fn entry(&mut self, name: &str) -> &mut ObjectDigest {
+        if !self.digests.contains_key(name) {
+            let fresh = ObjectDigest { len: 0, head: [0; 32], tail: Vec::new() };
+            self.digests.insert(name.to_string(), fresh);
+        }
+        self.digests.get_mut(name).expect("present or just inserted")
+    }
+
     /// Records the digest of `bytes` under `name`, replacing any previous
     /// entry.
     pub fn record(&mut self, name: &str, bytes: &[u8]) {
-        self.digests.insert(name.to_string(), sha256(bytes));
+        self.entry(name).rehash(bytes, 0, last_block(bytes.len()));
+    }
+
+    /// Brings `name`'s digest up to date after `bytes[offset..offset +
+    /// len]` was overwritten in place: only the blocks that range
+    /// overlaps are hashed again. `bytes` is the whole object *after*
+    /// the patch. With nothing on record for `name`, or a recorded
+    /// length other than `bytes`', there is nothing to patch and the
+    /// object is recorded whole.
+    pub fn record_patch(&mut self, name: &str, bytes: &[u8], offset: usize, len: usize) {
+        match self.digests.get_mut(name) {
+            Some(digest) if digest.len == bytes.len() => {
+                if len > 0 {
+                    digest.rehash(bytes, offset / DIGEST_BLOCK, (offset + len - 1) / DIGEST_BLOCK);
+                }
+            }
+            _ => self.record(name, bytes),
+        }
     }
 
     /// Drops the entry for `name` (object deleted or rewritten opaquely).
@@ -48,17 +145,18 @@ impl IntegrityIndex {
         self.digests.remove(name);
     }
 
-    /// Verifies `bytes` against the recorded digest for `name`.
+    /// Verifies `bytes` against the recorded digest for `name`: the
+    /// length and every block.
     pub fn verify(&self, name: &str, bytes: &[u8]) -> Verdict {
         match self.digests.get(name) {
             None => Verdict::Unknown,
-            Some(expected) if *expected == sha256(bytes) => Verdict::Verified,
+            Some(expected) if expected.matches(bytes) => Verdict::Verified,
             Some(_) => Verdict::Corrupt,
         }
     }
 
     /// The recorded digest for `name`, if any.
-    pub fn digest(&self, name: &str) -> Option<&Digest> {
+    pub fn digest(&self, name: &str) -> Option<&ObjectDigest> {
         self.digests.get(name)
     }
 

@@ -211,8 +211,13 @@ impl Journal {
     /// `wal.append.post` fire around the append). Returns a guard that
     /// commits the intent on every normal exit of the operation — and
     /// deliberately does *not* commit while unwinding from a crash.
-    pub fn begin(&self, intent: Intent) -> IntentGuard<'_> {
+    ///
+    /// The intent is built by `intent` only on a recording journal: an
+    /// ordinary client never pays for the paths, object lists and
+    /// payload handles an intent owns.
+    pub fn begin(&self, intent: impl FnOnce() -> Intent) -> IntentGuard<'_> {
         let seq = if let Some(inner) = &self.inner {
+            let intent = intent();
             self.crashpoint("wal.append.pre");
             let mut state = inner.state.lock();
             let seq = state.next_seq;
@@ -342,7 +347,7 @@ mod tests {
     fn disabled_journal_is_a_noop() {
         let j = Journal::disabled();
         assert!(!j.enabled());
-        let guard = j.begin(create_intent("/a"));
+        let guard = j.begin(|| unreachable!("a disabled journal builds no intent"));
         assert_eq!(guard.seq(), 0);
         drop(guard);
         j.crashpoint("meta.flush.pre");
@@ -357,7 +362,7 @@ mod tests {
     fn guard_commits_on_normal_exit() {
         let j = Journal::recording();
         {
-            let _g = j.begin(create_intent("/a"));
+            let _g = j.begin(|| create_intent("/a"));
             assert_eq!(j.intent_count(), 1);
         }
         assert_eq!(j.intent_count(), 0, "dropped guard committed the intent");
@@ -367,7 +372,7 @@ mod tests {
     fn guard_keeps_intent_across_a_crash_panic() {
         let j = Journal::recording();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = j.begin(create_intent("/a"));
+            let _g = j.begin(|| create_intent("/a"));
             std::panic::panic_any(crate::crashtest::ClientCrashed);
         }));
         assert!(result.is_err());
@@ -398,7 +403,7 @@ mod tests {
     #[test]
     fn amend_fills_in_erasure_writes() {
         let j = Journal::recording();
-        let g = j.begin(Intent::UpdateErasure {
+        let g = j.begin(|| Intent::UpdateErasure {
             path: "/big".into(),
             writes: Vec::new(),
             hot_remove: None,
@@ -431,7 +436,7 @@ mod tests {
         j.set_crash_switch(switch.clone());
         switch.arm(CrashPlan::at_point("wal.append.pre", 1));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = j.begin(create_intent("/a"));
+            let _g = j.begin(|| create_intent("/a"));
         }));
         assert!(result.is_err(), "the armed crashpoint kills the client");
         assert!(switch.crashed());

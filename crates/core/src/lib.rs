@@ -91,7 +91,7 @@ pub use dispatcher::Hyrd;
 pub use engine::HedgeStats;
 pub use evaluator::{Evaluator, ProviderAssessment};
 pub use health::{BreakerSettings, BreakerState, FaultCounterSnapshot, HealthTracker};
-pub use integrity::{IntegrityIndex, Verdict};
+pub use integrity::{IntegrityIndex, ObjectDigest, Verdict, DIGEST_BLOCK};
 pub use journal::{FragWrite, Intent, Journal};
 pub use monitor::{DataClass, WorkloadMonitor};
 pub use observatory::{

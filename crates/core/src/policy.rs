@@ -306,7 +306,7 @@ impl Hyrd {
         if let Some(hot) = hot_copy {
             old_objects.push(hot.clone());
         }
-        let _intent = self.journal.begin(Intent::Migrate {
+        let _intent = self.journal.begin(|| Intent::Migrate {
             path: path.as_str().to_string(),
             new_objects: new_objects.clone(),
             old_objects: old_objects.clone(),
@@ -402,7 +402,7 @@ impl Hyrd {
             (0..targets.len()).map(|i| (targets[i], format!("{base}.f{i}"))).collect();
         let old_objects: Vec<(ProviderId, String)> =
             providers.iter().map(|&p| (p, object.clone())).collect();
-        let _intent = self.journal.begin(Intent::Migrate {
+        let _intent = self.journal.begin(|| Intent::Migrate {
             path: path.as_str().to_string(),
             new_objects: new_objects.clone(),
             old_objects: old_objects.clone(),

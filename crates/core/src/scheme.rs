@@ -100,7 +100,10 @@ pub fn object_name(path: &str) -> String {
     for b in path.bytes() {
         h = (h ^ b as u64).wrapping_mul(0x100000001b3);
     }
-    format!("o{h:016x}")
+    use std::fmt::Write;
+    let mut name = String::with_capacity(17);
+    write!(name, "o{h:016x}").expect("writing to a String");
+    name
 }
 
 /// A Cloud-of-Clouds data distribution scheme.

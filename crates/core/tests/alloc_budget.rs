@@ -1,6 +1,8 @@
-//! Allocation budget of the large-object path (DESIGN.md §8, "buffer
-//! ownership"): the bytes the client asks the allocator for per large
-//! op are the bytes the op has to produce, plus small change.
+//! Allocation budgets of the request path.
+//!
+//! **Large objects** (DESIGN.md §8, "buffer ownership"): the bytes the
+//! client asks the allocator for per large op are the bytes the op has
+//! to produce, plus small change.
 //!
 //! * a read — healthy or degraded — allocates the object once: fetched
 //!   fragments are borrowed where they lie and the decode writes into
@@ -11,7 +13,14 @@
 //!   it patches (the provider patches a stored fragment in place as long
 //!   as nobody still holds a view of it).
 //!
-//! One `#[test]` on purpose: the counter is process-wide, and a second
+//! **Small objects** (DESIGN.md §7, §15): create, update, read and delete
+//! of a 4 KB replicated file cost a pinned number of allocations that
+//! does not depend on how many siblings share the directory — the
+//! metadata flush encodes what changed, not the directory — and a 4 KiB
+//! update of a large replica allocates the one copy it patches, however
+//! long the replica is.
+//!
+//! One `#[test]` on purpose: the counters are process-wide, and a second
 //! test running on another thread would bill its bytes to this one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,22 +31,26 @@ use hyrd::driver::synth_content;
 use hyrd::Hyrd;
 use hyrd_cloudsim::{Fleet, SimClock};
 
-/// System allocator that adds up the bytes requested of it (a `realloc`
-/// requests its new size), the way `hyrd-perf`'s ledger counts them.
+/// System allocator that counts the calls made to it and adds up the
+/// bytes requested (a `realloc` requests its new size), the way
+/// `hyrd-perf`'s ledger counts them.
 struct CountingAlloc;
 
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is
 // a statistic and touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc_zeroed(layout) }
@@ -49,6 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -65,7 +79,110 @@ fn requested_by<T>(op: impl FnOnce() -> T) -> (u64, T) {
     (REQUESTED.load(Ordering::Relaxed) - before, out)
 }
 
+/// Allocator calls and bytes requested while `op` runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Cost {
+    allocs: u64,
+    bytes: u64,
+}
+
+fn cost_of<T>(op: impl FnOnce() -> T) -> (Cost, T) {
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let (bytes, out) = requested_by(op);
+    (Cost { allocs: ALLOCS.load(Ordering::Relaxed) - allocs, bytes }, out)
+}
+
 #[test]
+fn request_path_allocation_budgets() {
+    large_object_ops_allocate_what_they_produce();
+    small_object_ops_cost_what_they_change();
+}
+
+/// The floor cost of each of create / update / read / delete of a 4 KB
+/// file in `dir`, over `REPS` files: what the op costs when no B-tree
+/// node splits, no hash table grows and no diff chain compacts under it
+/// (each of those happens on a fixed fraction of ops whatever the
+/// directory holds — a compaction's body is the one per-directory cost
+/// left, every `COMPACT_EVERY`th flush).
+fn small_op_floor(h: &Hyrd, dir: &str) -> [Cost; 4] {
+    const REPS: usize = 24;
+    let data = synth_content("/small", 0, 4096);
+    let patch = synth_content("/small", 1, 512);
+    let mut floor = [Cost { allocs: u64::MAX, bytes: u64::MAX }; 4];
+    for i in 0..REPS {
+        let path = format!("{dir}/m{i:04}");
+        let (create, r) = cost_of(|| h.create_file(&path, &data));
+        r.expect("fleet up");
+        let (update, r) = cost_of(|| h.update_file(&path, 1024, &patch));
+        r.expect("fleet up");
+        let (read, r) = cost_of(|| h.read_file(&path));
+        assert_eq!(r.expect("fleet up").0.len(), data.len());
+        let (delete, r) = cost_of(|| h.delete_file(&path));
+        r.expect("fleet up");
+        for (floor, cost) in floor.iter_mut().zip([create, update, read, delete]) {
+            *floor = (*floor).min(cost);
+        }
+    }
+    floor
+}
+
+fn small_object_ops_cost_what_they_change() {
+    let fleet = Fleet::standard_four(SimClock::new());
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("default config is valid");
+    let data = synth_content("/small", 0, 4096);
+    // Both directories get the same history — 1,024 creates — so their
+    // flush versions, which object names carry in decimal, are as long;
+    // then one of them is emptied again.
+    for dir in ["/solo", "/full"] {
+        for i in 0..1024 {
+            h.create_file(&format!("{dir}/f{i:04}"), &data).expect("fleet up");
+        }
+    }
+    for i in 0..1024 {
+        h.delete_file(&format!("/solo/f{i:04}")).expect("fleet up");
+    }
+
+    let solo = small_op_floor(&h, "/solo");
+    let full = small_op_floor(&h, "/full");
+    println!("4 KB file, [create, update, read, delete]: alone {solo:?}, beside 1,024 {full:?}");
+    assert_eq!(solo, full, "per-op allocations depend on the directory's size");
+    // Bytes: a create allocates the payload once (the providers and the
+    // write-through cache share it); an update its next version, plus —
+    // simulator-side — each replica's copy-on-write of the object the
+    // cache still holds a view of.
+    let budget = [
+        Cost { allocs: 36, bytes: 4096 + 3072 },
+        Cost { allocs: 36, bytes: 3 * 4096 + 4096 },
+        Cost { allocs: 12, bytes: 1024 },
+        Cost { allocs: 30, bytes: 2048 },
+    ];
+    for ((op, cost), budget) in ["create", "update", "read", "delete"].iter().zip(full).zip(budget)
+    {
+        assert!(
+            cost.allocs <= budget.allocs && cost.bytes <= budget.bytes,
+            "{op} of a 4 KB file: {cost:?} exceeds {budget:?}"
+        );
+    }
+
+    // A small update of a large replica: one copy of the object (the
+    // write-through cache's next version) plus small change — no second
+    // copy, no whole-object hash input, no per-sibling metadata. Measured
+    // on the second update: until the first one, the simulated replicas
+    // and the cache share the buffer the create shipped, and each replica
+    // copies it before patching (simulator memory, not client work). In
+    // the small directory, so that a diff-chain compaction — the one
+    // flush whose body is the directory — cannot land on the measurement.
+    let len = 512 * 1024;
+    h.create_file("/solo/replica", &synth_content("/solo/replica", 0, len)).expect("fleet up");
+    let patch = synth_content("/solo/replica", 1, 4096);
+    h.update_file("/solo/replica", 300_000, &patch).expect("fleet up");
+    let (update, r) = requested_by(|| h.update_file("/solo/replica", 100_000, &patch));
+    r.expect("fleet up");
+    let budget = len as u64 + 64 * 1024;
+    assert!(update < budget, "4 KiB update of {len} B requested {update} B (budget {budget})");
+    println!("4 KiB update of a {len} B replica: {update} B");
+}
+
 fn large_object_ops_allocate_what_they_produce() {
     const SLACK: u64 = 64 * 1024;
     let fleet = Fleet::standard_four(SimClock::new());

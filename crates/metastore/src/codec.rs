@@ -70,9 +70,17 @@ impl MetadataBlock {
 
     /// The object name this block is stored under on every replica.
     pub fn object_name(dir: &NormPath) -> String {
-        // Encode the path so it is a legal flat object name.
-        format!("meta:{}", dir.as_str().replace('/', "\u{1}"))
+        flat_name("meta:", dir, 0)
     }
+}
+
+/// `prefix` + `dir` with its slashes encoded, so the path is a legal flat
+/// object name — built in one allocation with `extra` bytes to spare.
+pub(crate) fn flat_name(prefix: &str, dir: &NormPath, extra: usize) -> String {
+    let mut name = String::with_capacity(prefix.len() + dir.as_str().len() + extra);
+    name.push_str(prefix);
+    name.extend(dir.as_str().chars().map(|c| if c == '/' { '\u{1}' } else { c }));
+    name
 }
 
 /// FNV-1a 64-bit. Not cryptographic — it guards against *accidental*

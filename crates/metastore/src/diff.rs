@@ -44,6 +44,45 @@ pub enum EntryOp {
     Remove(String),
 }
 
+impl EntryOp {
+    /// The entry name the op applies to.
+    pub fn name(&self) -> &str {
+        match self {
+            EntryOp::Upsert(name, _) | EntryOp::Remove(name) => name,
+        }
+    }
+}
+
+/// Wire tag of an upsert op; the entry encoding follows.
+pub(crate) const OP_UPSERT: u8 = 0;
+/// Wire tag of a remove op; the name follows.
+pub(crate) const OP_REMOVE: u8 = 1;
+
+/// Assembles the full `HYD1` wire bytes from `count` pre-encoded ops —
+/// the diff twin of [`codec::assemble_block`]. The flush path feeds it
+/// the cached entry encodings directly, so shipping a diff clones no
+/// inode.
+pub(crate) fn assemble_diff(
+    dir: &NormPath,
+    base: u64,
+    version: u64,
+    count: usize,
+    ops: &[u8],
+) -> Vec<u8> {
+    let dir = dir.as_str();
+    let mut out = Vec::with_capacity(DIFF_MAGIC.len() + 8 + 4 + dir.len() + 8 + 8 + 4 + ops.len());
+    out.extend_from_slice(DIFF_MAGIC);
+    out.extend_from_slice(&[0u8; 8]); // checksum, patched below
+    codec::put_str(&mut out, dir);
+    codec::put_u64(&mut out, base);
+    codec::put_u64(&mut out, version);
+    codec::put_u32(&mut out, count as u32);
+    out.extend_from_slice(ops);
+    let checksum = codec::fnv64(&out[12..]);
+    out[4..12].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
 /// A directory's changes between flushed versions `base` → `version`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffBlock {
@@ -63,7 +102,10 @@ impl DiffBlock {
     /// place), every diff version is its own object — the chain must
     /// stay individually addressable for restart to walk it.
     pub fn object_name(dir: &NormPath, version: u64) -> String {
-        format!("{DIFF_PREFIX}{}:{version}", dir.as_str().replace('/', "\u{1}"))
+        use std::fmt::Write;
+        let mut name = codec::flat_name(DIFF_PREFIX, dir, 21);
+        write!(name, ":{version}").expect("writing to a String");
+        name
     }
 
     /// Whether a provider object name is a metadata diff.
@@ -73,29 +115,20 @@ impl DiffBlock {
 
     /// Serializes to the checksummed `HYD1` wire frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let dir = self.dir.as_str();
-        let mut out = Vec::with_capacity(32 + dir.len() + self.ops.len() * 128);
-        out.extend_from_slice(DIFF_MAGIC);
-        out.extend_from_slice(&[0u8; 8]); // checksum, patched below
-        codec::put_str(&mut out, dir);
-        codec::put_u64(&mut out, self.base);
-        codec::put_u64(&mut out, self.version);
-        codec::put_u32(&mut out, self.ops.len() as u32);
+        let mut ops = Vec::with_capacity(self.ops.len() * 128);
         for op in &self.ops {
             match op {
                 EntryOp::Upsert(name, inode) => {
-                    out.push(0);
-                    codec::encode_entry(&mut out, name, inode);
+                    ops.push(OP_UPSERT);
+                    codec::encode_entry(&mut ops, name, inode);
                 }
                 EntryOp::Remove(name) => {
-                    out.push(1);
-                    codec::put_str(&mut out, name);
+                    ops.push(OP_REMOVE);
+                    codec::put_str(&mut ops, name);
                 }
             }
         }
-        let checksum = codec::fnv64(&out[12..]);
-        out[4..12].copy_from_slice(&checksum.to_le_bytes());
-        out
+        assemble_diff(&self.dir, self.base, self.version, self.ops.len(), &ops)
     }
 
     /// Parses a diff fetched from a provider. A torn or bit-flipped
@@ -126,12 +159,12 @@ impl DiffBlock {
         let mut ops = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
             match r.take(1)?[0] {
-                0 => {
+                OP_UPSERT => {
                     let name = r.str()?.to_string();
                     let inode = r.inode()?;
                     ops.push(EntryOp::Upsert(name, inode));
                 }
-                1 => ops.push(EntryOp::Remove(r.str()?.to_string())),
+                OP_REMOVE => ops.push(EntryOp::Remove(r.str()?.to_string())),
                 t => return Err(MetaError::CorruptBlock(format!("bad diff op tag {t}"))),
             }
         }

@@ -23,18 +23,21 @@ impl NormPath {
         if !raw.starts_with('/') {
             return Err(MetaError::BadPath(raw.to_string()));
         }
-        let mut parts = Vec::new();
+        let mut out = String::with_capacity(raw.len());
         for comp in raw.split('/') {
             match comp {
                 "" => {} // leading slash / doubled slash / trailing slash
                 "." | ".." => return Err(MetaError::BadPath(raw.to_string())),
-                c => parts.push(c),
+                c => {
+                    out.push('/');
+                    out.push_str(c);
+                }
             }
         }
-        if parts.is_empty() {
+        if out.is_empty() {
             return Ok(NormPath::root());
         }
-        Ok(NormPath(format!("/{}", parts.join("/"))))
+        Ok(NormPath(out))
     }
 
     /// The path as a string slice.
@@ -54,12 +57,16 @@ impl NormPath {
 
     /// Parent directory; root's parent is root.
     pub fn parent(&self) -> NormPath {
-        if self.is_root() {
-            return NormPath::root();
-        }
+        NormPath(self.parent_str().to_string())
+    }
+
+    /// [`parent`](Self::parent) as a borrowed slice of this path — what
+    /// directory-keyed lookups use, so finding a file's directory
+    /// allocates nothing.
+    pub fn parent_str(&self) -> &str {
         match self.0.rfind('/') {
-            Some(0) => NormPath::root(),
-            Some(i) => NormPath(self.0[..i].to_string()),
+            Some(0) => "/",
+            Some(i) => &self.0[..i],
             None => unreachable!("normalized paths contain '/'"),
         }
     }
@@ -83,6 +90,15 @@ impl NormPath {
         } else {
             Ok(NormPath(format!("{}/{name}", self.0)))
         }
+    }
+}
+
+/// A `NormPath` compares, orders and hashes exactly as its string (the
+/// derives above are the newtype's), so maps keyed by directory can be
+/// probed with a borrowed `&str`.
+impl std::borrow::Borrow<str> for NormPath {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -128,6 +144,10 @@ mod tests {
         assert_eq!(p.parent().parent().parent().as_str(), "/");
         assert_eq!(NormPath::root().parent().as_str(), "/");
         assert_eq!(NormPath::root().file_name(), None);
+        for path in ["/", "/a", "/a/b", "/a/b/c"] {
+            let p = NormPath::parse(path).unwrap();
+            assert_eq!(p.parent_str(), p.parent().as_str());
+        }
     }
 
     #[test]

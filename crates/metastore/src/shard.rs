@@ -22,15 +22,20 @@
 //!   deterministic multi-client engine ops are serialized, so conflict
 //!   counts are zero and the committed state — and therefore every
 //!   flushed byte — is a pure function of the op order.
-//! * **Incremental flushes.** Instead of re-encoding a dirty
-//!   directory's whole block, the flush walk diffs the directory's
-//!   current entries against their per-entry encodings at the last
-//!   flush and ships a compact [`DiffBlock`] of just the changes. Every
-//!   [`COMPACT_EVERY`] diffs the chain is folded back into a full block
-//!   (a [`FlushKind::Compact`] item that also names the superseded diff
-//!   objects so the dispatcher can delete them). Restart reconstructs
-//!   state with [`crate::diff::resolve_chain`]: the highest intact full
-//!   block plus every intact diff that links onto it.
+//! * **Incremental flushes, O(changed).** Every mutation records the
+//!   entry *name* it touched next to the directory's dirty mark. A
+//!   flush visits only those names: it re-encodes each, byte-compares
+//!   it with the entry's encoding at the last flush, and ships a compact
+//!   [`DiffBlock`] of just the entries that really changed — a rollback
+//!   or a netted-out change ships nothing. Every [`COMPACT_EVERY`] diffs
+//!   the chain is folded back into a full block (a
+//!   [`FlushKind::Compact`] item, a concatenation of the cached
+//!   encodings, that also names the superseded diff objects so the
+//!   dispatcher can delete them). Only a directory's first flush, a
+//!   compaction body and [`ShardedMetaStore::seed_flushed`] are
+//!   O(directory). Restart reconstructs state with
+//!   [`crate::diff::resolve_chain`]: the highest intact full block plus
+//!   every intact diff that links onto it.
 //!
 //! Lock-contention telemetry (contended acquisitions and wall-clock
 //! wait) is accumulated in atomics and published to the metrics
@@ -42,7 +47,7 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crate::codec::{self, MetadataBlock};
-use crate::diff::{DiffBlock, EntryOp};
+use crate::diff::{self, DiffBlock};
 use crate::inode::{FileId, Inode, Placement};
 use crate::path::NormPath;
 use crate::{MetaError, Result};
@@ -132,11 +137,30 @@ struct DirState {
     flushed_entries: BTreeMap<String, Vec<u8>>,
     /// Live diff object names since the last full block, version order.
     chain: Vec<String>,
+    /// Names whose entry in `files` may differ from `flushed_entries`
+    /// (created, re-placed, removed or loaded since the last flush), in
+    /// the order they were touched, repeats included. Invariant: every
+    /// name *not* in here has `files[name]` encoding to exactly
+    /// `flushed_entries[name]`, or is absent from both — so a flush need
+    /// look at nothing else.
+    touched: Vec<String>,
 }
 
 impl DirState {
     fn max_inode_version(&self) -> u64 {
         self.files.values().map(|i| i.version).max().unwrap_or(0)
+    }
+
+    /// Makes `flushed_entries` the encoding of `files` as they stand —
+    /// the O(directory) step of a first flush and of a seed.
+    fn snapshot_entries(&mut self) {
+        self.flushed_entries.clear();
+        for (name, inode) in &self.files {
+            let mut enc = Vec::with_capacity(128);
+            codec::encode_entry(&mut enc, name, inode);
+            self.flushed_entries.insert(name.clone(), enc);
+        }
+        self.touched.clear();
     }
 }
 
@@ -149,6 +173,18 @@ struct Shard {
     dirs: BTreeMap<NormPath, DirState>,
     /// Directories with unflushed changes.
     dirty: BTreeSet<NormPath>,
+}
+
+impl Shard {
+    /// Marks `dir` dirty and `name` inside it touched — what every
+    /// mutation of a (plan-validated) directory's entry table ends with.
+    fn touch(&mut self, dir: &str, name: &str) {
+        self.dirs.get_mut(dir).expect("validated by plan").touched.push(name.to_string());
+        if !self.dirty.contains(dir) {
+            let (key, _) = self.dirs.get_key_value(dir).expect("validated by plan");
+            self.dirty.insert(key.clone());
+        }
+    }
 }
 
 /// The sharded store. All methods take `&self`; synchronization is
@@ -202,11 +238,15 @@ impl ShardedMetaStore {
     /// modulo the shard count. Pure — same path ⇒ same shard in every
     /// process and across restarts.
     pub fn shard_of(dir: &NormPath, shards: usize) -> usize {
-        (codec::fnv64(dir.as_str().as_bytes()) % shards.max(1) as u64) as usize
+        Self::shard_of_str(dir.as_str(), shards)
     }
 
-    fn idx(&self, dir: &NormPath) -> usize {
-        Self::shard_of(dir, self.shards.len())
+    fn shard_of_str(dir: &str, shards: usize) -> usize {
+        (codec::fnv64(dir.as_bytes()) % shards.max(1) as u64) as usize
+    }
+
+    fn idx(&self, dir: &str) -> usize {
+        Self::shard_of_str(dir, self.shards.len())
     }
 
     fn read_shard(&self, idx: usize) -> RwLockReadGuard<'_, Shard> {
@@ -239,11 +279,11 @@ impl ShardedMetaStore {
         &self,
         idx: usize,
         plan: impl Fn(&Shard) -> Result<T>,
-        apply: impl Fn(&mut Shard, T) -> R,
+        apply: impl FnOnce(&mut Shard, T) -> R,
     ) -> Result<R> {
         let mut conflicts = 0usize;
         loop {
-            let (seen, planned) = {
+            let (seen, mut planned) = {
                 let shard = self.read_shard(idx);
                 (shard.version, plan(&shard)?)
             };
@@ -255,10 +295,7 @@ impl ShardedMetaStore {
                     self.occ_retries.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let planned = plan(&shard)?;
-                let out = apply(&mut shard, planned);
-                shard.version += 1;
-                return Ok(out);
+                planned = plan(&shard)?;
             }
             let out = apply(&mut shard, planned);
             shard.version += 1;
@@ -270,11 +307,17 @@ impl ShardedMetaStore {
     /// dirty (directory *structure* is not persisted in blocks). One
     /// shard lock at a time — no ordering, no deadlock. A component
     /// that names an existing file is [`MetaError::NotADirectory`].
-    fn ensure_dir(&self, dir: &NormPath) -> Result<()> {
+    fn ensure_dir(&self, dir: &str) -> Result<()> {
+        // A directory is only ever created under a parent that lists it,
+        // so one that exists has its whole chain: the common case costs
+        // one lookup.
+        if self.read_shard(self.idx(dir)).dirs.contains_key(dir) {
+            return Ok(());
+        }
         let mut cur = NormPath::root();
-        for comp in dir.components() {
+        for comp in dir.split('/').filter(|c| !c.is_empty()) {
             let child = cur.join(comp).expect("normalized component");
-            let parent_idx = self.idx(&cur);
+            let parent_idx = self.idx(cur.as_str());
             let known = {
                 let shard = self.read_shard(parent_idx);
                 shard.dirs.get(&cur).is_some_and(|d| d.subdirs.contains(comp))
@@ -296,7 +339,7 @@ impl ShardedMetaStore {
                     },
                 )?;
                 self.commit(
-                    self.idx(&child),
+                    self.idx(child.as_str()),
                     |_| Ok(()),
                     |shard, ()| {
                         shard.dirs.entry(child.clone()).or_default();
@@ -311,9 +354,9 @@ impl ShardedMetaStore {
     /// Creates a directory chain and marks the target dirty (so a bare
     /// `mkdir` ships an — possibly empty — block).
     pub fn mkdir_all(&self, dir: &NormPath) -> Result<()> {
-        self.ensure_dir(dir)?;
+        self.ensure_dir(dir.as_str())?;
         self.commit(
-            self.idx(dir),
+            self.idx(dir.as_str()),
             |_| Ok(()),
             |shard, ()| {
                 shard.dirs.entry(dir.clone()).or_default();
@@ -325,30 +368,27 @@ impl ShardedMetaStore {
     /// Creates a file of `size` bytes at `path` (virtual time `now`),
     /// returning its id. Placement starts [`Placement::Pending`].
     pub fn create_file(&self, path: &NormPath, size: u64, now: Duration) -> Result<FileId> {
-        let name = path
-            .file_name()
-            .ok_or_else(|| MetaError::BadPath(path.as_str().to_string()))?
-            .to_string();
-        let parent = path.parent();
-        self.ensure_dir(&parent)?;
-        let idx = self.idx(&parent);
+        let name = path.file_name().ok_or_else(|| MetaError::BadPath(path.as_str().to_string()))?;
+        let parent = path.parent_str();
+        self.ensure_dir(parent)?;
+        let idx = self.idx(parent);
         self.commit(
             idx,
             |shard| {
                 let dir = shard
                     .dirs
-                    .get(&parent)
-                    .ok_or_else(|| MetaError::NoSuchDirectory(parent.as_str().to_string()))?;
-                if dir.files.contains_key(&name) || dir.subdirs.contains(&name) {
+                    .get(parent)
+                    .ok_or_else(|| MetaError::NoSuchDirectory(parent.to_string()))?;
+                if dir.files.contains_key(name) || dir.subdirs.contains(name) {
                     return Err(MetaError::AlreadyExists(path.as_str().to_string()));
                 }
                 Ok(())
             },
             |shard, ()| {
                 let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
-                let dir = shard.dirs.get_mut(&parent).expect("validated by plan");
-                dir.files.insert(name.clone(), Inode::new(id, size, now));
-                shard.dirty.insert(parent.clone());
+                let dir = shard.dirs.get_mut(parent).expect("validated by plan");
+                dir.files.insert(name.to_string(), Inode::new(id, size, now));
+                shard.touch(parent, name);
                 id
             },
         )
@@ -359,11 +399,11 @@ impl ShardedMetaStore {
     pub fn inode(&self, path: &NormPath) -> Result<Inode> {
         let name =
             path.file_name().ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
-        let parent = path.parent();
-        let shard = self.read_shard(self.idx(&parent));
+        let parent = path.parent_str();
+        let shard = self.read_shard(self.idx(parent));
         shard
             .dirs
-            .get(&parent)
+            .get(parent)
             .and_then(|d| d.files.get(name))
             .cloned()
             .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))
@@ -378,29 +418,27 @@ impl ShardedMetaStore {
         size: u64,
         now: Duration,
     ) -> Result<()> {
-        let name = path
-            .file_name()
-            .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?
-            .to_string();
-        let parent = path.parent();
-        let idx = self.idx(&parent);
+        let name =
+            path.file_name().ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
+        let parent = path.parent_str();
+        let idx = self.idx(parent);
         self.commit(
             idx,
             |shard| {
                 shard
                     .dirs
-                    .get(&parent)
-                    .and_then(|d| d.files.get(&name))
+                    .get(parent)
+                    .and_then(|d| d.files.get(name))
                     .map(|_| ())
                     .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))
             },
             |shard, ()| {
-                let dir = shard.dirs.get_mut(&parent).expect("validated by plan");
-                let inode = dir.files.get_mut(&name).expect("validated by plan");
-                inode.placement = placement.clone();
+                let dir = shard.dirs.get_mut(parent).expect("validated by plan");
+                let inode = dir.files.get_mut(name).expect("validated by plan");
+                inode.placement = placement;
                 inode.size = size;
                 inode.touch(now);
-                shard.dirty.insert(parent.clone());
+                shard.touch(parent, name);
             },
         )
     }
@@ -421,19 +459,17 @@ impl ShardedMetaStore {
         size: u64,
         now: Duration,
     ) -> Result<bool> {
-        let name = path
-            .file_name()
-            .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?
-            .to_string();
-        let parent = path.parent();
-        let idx = self.idx(&parent);
+        let name =
+            path.file_name().ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
+        let parent = path.parent_str();
+        let idx = self.idx(parent);
         self.commit(
             idx,
             |shard| {
                 let inode = shard
                     .dirs
-                    .get(&parent)
-                    .and_then(|d| d.files.get(&name))
+                    .get(parent)
+                    .and_then(|d| d.files.get(name))
                     .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
                 Ok(inode.version == expect)
             },
@@ -441,8 +477,8 @@ impl ShardedMetaStore {
                 if !matches {
                     return false;
                 }
-                let dir = shard.dirs.get_mut(&parent).expect("validated by plan");
-                let inode = dir.files.get_mut(&name).expect("validated by plan");
+                let dir = shard.dirs.get_mut(parent).expect("validated by plan");
+                let inode = dir.files.get_mut(name).expect("validated by plan");
                 // Re-check under the write lock: the plan may have been
                 // re-run there after exhausted OCC retries, but a racing
                 // commit between plan and apply is impossible either way
@@ -451,10 +487,10 @@ impl ShardedMetaStore {
                 if inode.version != expect {
                     return false;
                 }
-                inode.placement = placement.clone();
+                inode.placement = placement;
                 inode.size = size;
                 inode.touch(now);
-                shard.dirty.insert(parent.clone());
+                shard.touch(parent, name);
                 true
             },
         )
@@ -463,26 +499,24 @@ impl ShardedMetaStore {
     /// Removes a file, returning its inode (so the dispatcher can
     /// delete the physical objects).
     pub fn remove_file(&self, path: &NormPath) -> Result<Inode> {
-        let name = path
-            .file_name()
-            .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?
-            .to_string();
-        let parent = path.parent();
-        let idx = self.idx(&parent);
+        let name =
+            path.file_name().ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
+        let parent = path.parent_str();
+        let idx = self.idx(parent);
         self.commit(
             idx,
             |shard| {
                 shard
                     .dirs
-                    .get(&parent)
-                    .and_then(|d| d.files.get(&name))
+                    .get(parent)
+                    .and_then(|d| d.files.get(name))
                     .map(|_| ())
                     .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))
             },
             |shard, ()| {
-                let dir = shard.dirs.get_mut(&parent).expect("validated by plan");
-                let inode = dir.files.remove(&name).expect("validated by plan");
-                shard.dirty.insert(parent.clone());
+                let dir = shard.dirs.get_mut(parent).expect("validated by plan");
+                let inode = dir.files.remove(name).expect("validated by plan");
+                shard.touch(parent, name);
                 inode
             },
         )
@@ -491,7 +525,7 @@ impl ShardedMetaStore {
     /// Sorted listing: subdirectories first, then files, both in name
     /// order.
     pub fn list(&self, dir: &NormPath) -> Result<Vec<DirEntry>> {
-        let shard = self.read_shard(self.idx(dir));
+        let shard = self.read_shard(self.idx(dir.as_str()));
         let state = shard
             .dirs
             .get(dir)
@@ -510,7 +544,7 @@ impl ShardedMetaStore {
     /// directory's metadata block persists. One lock, one pass; callers
     /// that used to `list` + look up each id do this instead.
     pub fn inodes_in(&self, dir: &NormPath) -> Result<Vec<(String, Inode)>> {
-        let shard = self.read_shard(self.idx(dir));
+        let shard = self.read_shard(self.idx(dir.as_str()));
         let state = shard
             .dirs
             .get(dir)
@@ -590,9 +624,9 @@ impl ShardedMetaStore {
         out
     }
 
-    /// The incremental flush walk. For each dirty directory, diff the
-    /// current entries against their per-entry encodings at the last
-    /// flush:
+    /// The incremental flush walk. For each dirty directory, compare the
+    /// entries touched since the last flush against their per-entry
+    /// encodings at that flush:
     ///
     /// * first flush → a full [`FlushKind::Block`] (version = max inode
     ///   version, so a bare `mkdir` ships an empty block at version 0);
@@ -618,7 +652,7 @@ impl ShardedMetaStore {
                 let Some(state) = shard.dirs.get_mut(&dir) else {
                     continue;
                 };
-                if let Some(item) = Self::flush_dir(&dir, state) {
+                if let Some(item) = Self::flush_dir(dir, state) {
                     items.push(item);
                     mutated = true;
                 }
@@ -632,97 +666,103 @@ impl ShardedMetaStore {
     }
 
     /// Flushes one directory in place, returning the item to ship (or
-    /// `None` when nothing changed since the last flush).
-    fn flush_dir(dir: &NormPath, state: &mut DirState) -> Option<FlushItem> {
-        // Change detection against the last flush, encoding only
-        // entries that are new or changed.
-        let mut upserts: Vec<(String, Vec<u8>)> = Vec::new();
-        for (name, inode) in &state.files {
-            let mut enc = Vec::with_capacity(128);
-            codec::encode_entry(&mut enc, name, inode);
-            if state.flushed_entries.get(name) != Some(&enc) {
-                upserts.push((name.clone(), enc));
-            }
-        }
-        let removals: Vec<String> = state
-            .flushed_entries
-            .keys()
-            .filter(|name| !state.files.contains_key(*name))
-            .cloned()
-            .collect();
+    /// `None` when nothing changed since the last flush). Work is
+    /// proportional to the names touched since then, not to the
+    /// directory — except on the first flush and for a compaction's body.
+    fn flush_dir(dir: NormPath, state: &mut DirState) -> Option<FlushItem> {
+        let Some(base) = state.flushed_version else {
+            // First flush: every entry is new.
+            state.snapshot_entries();
+            let version = state.max_inode_version();
+            return Some(Self::full_block(dir, state, version, FlushKind::Block));
+        };
+        // Each touched name once, in name order — the order diff ops
+        // travel in.
+        state.touched.sort_unstable();
+        state.touched.dedup();
 
-        let first = state.flushed_version.is_none();
-        if !first && upserts.is_empty() && removals.is_empty() {
+        // Fold each touched name into `flushed_entries`, keeping the wire
+        // form of every byte-level change. The byte compare is what lets
+        // a rollback (create + remove) or a change that netted out ship
+        // nothing.
+        let compact = state.chain.len() >= COMPACT_EVERY;
+        let mut ops = Vec::with_capacity(if compact { 0 } else { 160 * state.touched.len() });
+        let mut records = 0;
+        let mut enc = Vec::with_capacity(128);
+        for name in &state.touched {
+            match state.files.get(name) {
+                Some(inode) => {
+                    enc.clear();
+                    codec::encode_entry(&mut enc, name, inode);
+                    match state.flushed_entries.get_mut(name) {
+                        Some(flushed) if *flushed == enc => continue,
+                        Some(flushed) => flushed.clone_from(&enc),
+                        None => {
+                            state.flushed_entries.insert(name.clone(), enc.clone());
+                        }
+                    }
+                    if !compact {
+                        ops.push(diff::OP_UPSERT);
+                        ops.extend_from_slice(&enc);
+                    }
+                }
+                None => {
+                    if state.flushed_entries.remove(name).is_none() {
+                        continue;
+                    }
+                    if !compact {
+                        ops.push(diff::OP_REMOVE);
+                        codec::put_str(&mut ops, name);
+                    }
+                }
+            }
+            records += 1;
+        }
+        state.touched.clear();
+        if records == 0 {
             return None;
         }
-
-        if first || state.chain.len() >= COMPACT_EVERY {
-            // Full block: fold everything into fresh entry encodings.
-            for name in &removals {
-                state.flushed_entries.remove(name);
-            }
-            for (name, enc) in upserts {
-                state.flushed_entries.insert(name, enc);
-            }
-            let version = match state.flushed_version {
-                None => state.max_inode_version(),
-                Some(v) => v + 1,
-            };
-            let mut body =
-                Vec::with_capacity(8 + state.flushed_entries.values().map(Vec::len).sum::<usize>());
-            codec::put_u32(&mut body, state.flushed_entries.len() as u32);
-            for enc in state.flushed_entries.values() {
-                body.extend_from_slice(enc);
-            }
-            let bytes = codec::assemble_block(dir, version, &body);
-            let records = state.flushed_entries.len();
-            let supersedes = std::mem::take(&mut state.chain);
-            state.flushed_version = Some(version);
-            return Some(FlushItem {
-                dir: dir.clone(),
-                version,
-                object: MetadataBlock::object_name(dir),
-                bytes,
-                kind: if first { FlushKind::Block } else { FlushKind::Compact },
-                records,
-                supersedes,
-            });
+        let version = base + 1;
+        if compact {
+            return Some(Self::full_block(dir, state, version, FlushKind::Compact));
         }
 
         // Incremental diff on top of the previous flushed version.
-        let base = state.flushed_version.expect("not first");
-        let version = base + 1;
-        let mut ops = Vec::with_capacity(upserts.len() + removals.len());
-        for name in &removals {
-            state.flushed_entries.remove(name);
-            ops.push(EntryOp::Remove(name.clone()));
-        }
-        for (name, enc) in upserts {
-            let inode = state.files.get(&name).expect("upsert names are current").clone();
-            ops.push(EntryOp::Upsert(name.clone(), inode));
-            state.flushed_entries.insert(name, enc);
-        }
-        // Ops sorted by name (removals may interleave with upserts).
-        ops.sort_by(|a, b| {
-            let name = |op: &EntryOp| match op {
-                EntryOp::Upsert(n, _) | EntryOp::Remove(n) => n.clone(),
-            };
-            name(a).cmp(&name(b))
-        });
-        let records = ops.len();
-        let diff = DiffBlock { dir: dir.clone(), base, version, ops };
-        let object = DiffBlock::object_name(dir, version);
+        let bytes = diff::assemble_diff(&dir, base, version, records, &ops);
+        let object = DiffBlock::object_name(&dir, version);
         state.chain.push(object.clone());
         state.flushed_version = Some(version);
         Some(FlushItem {
-            dir: dir.clone(),
+            dir,
             version,
             object,
-            bytes: diff.to_bytes(),
+            bytes,
             kind: FlushKind::Diff,
             records,
             supersedes: Vec::new(),
         })
+    }
+
+    /// A full block at `version` from the (already current) cached entry
+    /// encodings — no entry is re-encoded. Folds and supersedes the live
+    /// diff chain.
+    fn full_block(dir: NormPath, state: &mut DirState, version: u64, kind: FlushKind) -> FlushItem {
+        let mut body =
+            Vec::with_capacity(4 + state.flushed_entries.values().map(Vec::len).sum::<usize>());
+        codec::put_u32(&mut body, state.flushed_entries.len() as u32);
+        for enc in state.flushed_entries.values() {
+            body.extend_from_slice(enc);
+        }
+        state.flushed_version = Some(version);
+        FlushItem {
+            object: MetadataBlock::object_name(&dir),
+            bytes: codec::assemble_block(&dir, version, &body),
+            dir,
+            version,
+            kind,
+            records: state.flushed_entries.len(),
+            supersedes: std::mem::take(&mut state.chain),
+        }
     }
 
     /// Seeds the flush change-detection state for `dir` at `version`
@@ -731,16 +771,11 @@ impl ShardedMetaStore {
     /// whose entries match ships nothing. Clears the live chain — the
     /// healed full block subsumes it.
     pub fn seed_flushed(&self, dir: &NormPath, version: u64) {
-        let mut shard = self.write_shard(self.idx(dir));
+        let mut shard = self.write_shard(self.idx(dir.as_str()));
         let Some(state) = shard.dirs.get_mut(dir) else {
             return;
         };
-        state.flushed_entries.clear();
-        for (name, inode) in &state.files {
-            let mut enc = Vec::with_capacity(128);
-            codec::encode_entry(&mut enc, name, inode);
-            state.flushed_entries.insert(name.clone(), enc);
-        }
+        state.snapshot_entries();
         state.flushed_version = Some(version);
         state.chain.clear();
         shard.version += 1;
@@ -750,7 +785,7 @@ impl ShardedMetaStore {
     /// for `dir` (the attach path, which loads state without rewriting
     /// providers): the next compaction then supersedes them properly.
     pub fn seed_chain(&self, dir: &NormPath, chain: Vec<String>) {
-        let mut shard = self.write_shard(self.idx(dir));
+        let mut shard = self.write_shard(self.idx(dir.as_str()));
         let Some(state) = shard.dirs.get_mut(dir) else {
             return;
         };
@@ -762,10 +797,12 @@ impl ShardedMetaStore {
     /// recovery). Entries newer than local state win; unknown files are
     /// created **keeping their original file ids** (placements embed
     /// them), and the id allocator is advanced past every adopted id.
-    /// Loads mark nothing dirty — the caller seeds the flush state.
+    /// Loads mark nothing dirty — the caller seeds the flush state —
+    /// but the entries they write are touched, so should the directory
+    /// be flushed unseeded, the flush sees them.
     pub fn load_block(&self, block: &MetadataBlock) -> Result<()> {
-        self.ensure_dir(&block.dir)?;
-        let idx = self.idx(&block.dir);
+        self.ensure_dir(block.dir.as_str())?;
+        let idx = self.idx(block.dir.as_str());
         self.commit(
             idx,
             |shard| {
@@ -786,17 +823,19 @@ impl ShardedMetaStore {
                 for (name, inode) in &block.entries {
                     match dir.files.get_mut(name) {
                         Some(existing) => {
-                            if inode.version > existing.version {
-                                let keep = existing.id; // path keeps its local id
-                                *existing = inode.clone();
-                                existing.id = keep;
+                            if inode.version <= existing.version {
+                                continue;
                             }
+                            let keep = existing.id; // path keeps its local id
+                            *existing = inode.clone();
+                            existing.id = keep;
                         }
                         None => {
                             dir.files.insert(name.clone(), inode.clone());
                             self.next_id.fetch_max(inode.id.0 + 1, Ordering::Relaxed);
                         }
                     }
+                    dir.touched.push(name.clone());
                 }
             },
         )
