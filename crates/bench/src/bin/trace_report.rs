@@ -28,12 +28,16 @@
 //! Usage: `trace_report --trace PATH [--jobs N] [--out PATH]
 //! [--check-model] [--tolerance F] [--slo-ms N] [--top N] [--buckets N]
 //! [--rep R] [--m M] [--n N] [--selfcheck]`
+//!
+//! A trace that cannot be read or does not parse is refused with the
+//! reason (for a parse error, the line it is on) on stderr and exit
+//! code 2.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use hyrd::observatory::{self, ObservatoryReport};
-use hyrd::telemetry::TraceRecord;
+use hyrd::telemetry::{ParseError, TraceRecord};
 use hyrd_costsim::hyrd_availability;
 
 /// Shading ramp for the heatmap and burn bars, blank to dense.
@@ -364,8 +368,8 @@ fn build_report(
     m: u64,
     n: u64,
     tolerance: f64,
-) -> (String, ModelCheck) {
-    let records = observatory::parse_trace_jobs(text, jobs).expect("parse trace");
+) -> Result<(String, ModelCheck), ParseError> {
+    let records = observatory::parse_trace_jobs(text, jobs)?;
     let mut obs = observatory::Observatory::new();
     for rec in &records {
         obs.ingest(rec);
@@ -378,7 +382,14 @@ fn build_report(
     render_flame(&mut out, &forest, 20);
     render_heatmap(&mut out, &records, buckets);
     render_slo_burn(&mut out, &records, slo_ms, buckets);
-    (out, check)
+    Ok((out, check))
+}
+
+/// The trace is outside input: whatever is wrong with it is said on
+/// stderr and answered with exit code 2, never a panic.
+fn refuse(trace: &str, why: impl std::fmt::Display) -> ! {
+    eprintln!("trace_report: {trace}: {why}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -416,16 +427,17 @@ fn main() {
         }
     }
     let trace = trace.expect("--trace PATH is required");
-    let text = std::fs::read_to_string(&trace)
-        .unwrap_or_else(|e| panic!("cannot read trace {trace}: {e}"));
+    let text = std::fs::read_to_string(&trace).unwrap_or_else(|e| refuse(&trace, e));
 
-    let (report, check) = build_report(&text, jobs, top, buckets, slo_ms, rep, m, n, tolerance);
+    let (report, check) = build_report(&text, jobs, top, buckets, slo_ms, rep, m, n, tolerance)
+        .unwrap_or_else(|e| refuse(&trace, e));
 
     if selfcheck {
         // The whole pipeline re-run across several worker counts must
         // produce the same bytes.
         for alt in [1usize, 2, 8] {
-            let (again, _) = build_report(&text, alt, top, buckets, slo_ms, rep, m, n, tolerance);
+            let (again, _) = build_report(&text, alt, top, buckets, slo_ms, rep, m, n, tolerance)
+                .expect("it parsed a moment ago");
             assert_eq!(report, again, "report diverged between jobs={jobs} and jobs={alt}");
         }
         eprintln!("selfcheck: report byte-identical across jobs 1/2/8 ✓");

@@ -419,7 +419,7 @@ impl SimProvider {
             let latency_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
             tel.event("provider.op")
                 .field("provider", name)
-                .field("op", kind.to_string())
+                .field("op", kind.name())
                 .field("bytes_in", bytes_in)
                 .field("bytes_out", bytes_out)
                 .field("latency_ns", latency_ns)

@@ -1013,15 +1013,13 @@ impl Hyrd {
                     FlushKind::Diff => ("meta.flush.diff", "meta.flush.diffs"),
                     FlushKind::Compact => ("meta.flush.compact", "meta.flush.compacts"),
                 };
-                let mut ev = self
-                    .telemetry
-                    .event(event)
-                    .field("dir", item.dir.as_str())
+                let mut ev = self.telemetry.event(event);
+                ev.field("dir", item.dir.as_str())
                     .field("version", item.version)
                     .field("records", item.records as u64)
                     .field("bytes", bytes.len() as u64);
                 if item.kind == FlushKind::Compact {
-                    ev = ev.field("folded", item.supersedes.len() as u64);
+                    ev.field("folded", item.supersedes.len() as u64);
                 }
                 ev.emit();
                 self.telemetry.inc(counter, 1);
@@ -1079,7 +1077,7 @@ impl Hyrd {
         }
         let gauges = self.meta.shard_gauges();
         for (i, g) in gauges.iter().enumerate() {
-            self.telemetry.set_gauge(&format!("meta.shard.dirty[{i}]"), g.dirty as i64);
+            self.telemetry.set_gauge_labeled("meta.shard.dirty", i, g.dirty as i64);
         }
         let chain_max = gauges.iter().map(|g| g.chain_max).max().unwrap_or(0);
         self.telemetry.set_gauge("meta.chain.max", chain_max as i64);
@@ -1959,10 +1957,9 @@ impl FanoutDriver for ReadFanout<'_> {
             // Registry-only backlog gauges (never the trace): the depth
             // this arrival contends with, last value + distribution.
             let depth = provider.queue().busy_at(now_ns) as u64;
-            self.hyrd
-                .telemetry
-                .set_gauge(&format!("engine.queue_depth[{}]", provider.name()), depth as i64);
-            self.hyrd.telemetry.observe_labeled("engine.queue_depth", provider.name(), depth);
+            let telemetry = &self.hyrd.telemetry;
+            telemetry.set_gauge_labeled("engine.queue_depth", provider.name(), depth as i64);
+            telemetry.observe_labeled("engine.queue_depth", provider.name(), depth);
         }
         admission
     }

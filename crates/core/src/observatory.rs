@@ -1,10 +1,14 @@
 //! Availability observatory: streaming SLIs and redundancy-exposure
 //! accounting over the telemetry event stream.
 //!
-//! The observatory consumes [`TraceRecord`]s — either **online**, tapped
+//! The observatory consumes trace records — either **online**, tapped
 //! straight off a live [`Collector`](hyrd_telemetry::Collector) via
 //! [`SharedObservatory`], or **offline**, by parsing a JSONL trace file —
-//! and folds them into three ledgers, all on the virtual clock:
+//! and folds them into three ledgers, all on the virtual clock. It reads a
+//! record through the [`Record`] accessors, so the borrowed record a tap or
+//! the streaming parser lends and an owned [`TraceRecord`] fold alike, and
+//! folding a record whose providers and files are already known allocates
+//! nothing:
 //!
 //! 1. **Per-provider SLIs** ([`ProviderTracker`] → [`ProviderHealthView`]):
 //!    op counts and per-kind latency histograms, fault/cancel/backoff/
@@ -25,15 +29,19 @@
 //!
 //! Determinism: ingestion is a pure left-fold over the record sequence and
 //! every map is a `BTreeMap`, so the rendered report is byte-identical for
-//! the same trace no matter how the records were produced or parsed (the
-//! parallel parser in [`parse_trace_jobs`] only parallelises *parsing*;
-//! ingestion order is always trace order). DESIGN.md §14 states the
-//! contract and defines each SLI precisely.
+//! the same trace no matter how the records were produced or parsed
+//! ([`from_trace`] streams line by line; the parallel parser in
+//! [`parse_trace_jobs`] only parallelises *parsing*; ingestion order is
+//! always trace order). DESIGN.md §14 states the contract and defines each
+//! SLI precisely.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use hyrd_telemetry::{parse_line, Histogram, MetricsSnapshot, ParseError, TraceRecord};
+use hyrd_telemetry::{
+    for_each_record, Histogram, LineParser, MetricsSnapshot, ParseError, Record, RecordKind,
+    RecordRef, TraceRecord,
+};
 
 use crate::driver::replay_sweep;
 
@@ -44,6 +52,15 @@ const ERROR_EWMA_ALPHA: f64 = 0.05;
 
 /// Lines per parallel parse chunk in [`parse_trace_jobs`].
 const PARSE_CHUNK_LINES: usize = 512;
+
+/// `map[key]`, made with its default value on first sight. The key is
+/// copied only then: a hit allocates nothing.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present, or inserted above")
+}
 
 // ---------------------------------------------------------------------------
 // Per-provider tracking
@@ -92,8 +109,8 @@ pub struct ProviderTracker {
 impl ProviderTracker {
     fn note_op(&mut self, kind: &str, latency_ns: u64, bytes_in: u64, bytes_out: u64) {
         self.ops += 1;
-        *self.ops_by_kind.entry(kind.to_string()).or_insert(0) += 1;
-        self.latency_by_kind.entry(kind.to_string()).or_default().record(latency_ns);
+        *slot(&mut self.ops_by_kind, kind) += 1;
+        slot(&mut self.latency_by_kind, kind).record(latency_ns);
         self.latency.record(latency_ns);
         self.bytes_in += bytes_in;
         self.bytes_out += bytes_out;
@@ -102,7 +119,7 @@ impl ProviderTracker {
 
     fn note_fault(&mut self, reason: &str) {
         self.faults += 1;
-        *self.faults_by_reason.entry(reason.to_string()).or_insert(0) += 1;
+        *slot(&mut self.faults_by_reason, reason) += 1;
         self.error_ewma = self.error_ewma * (1.0 - ERROR_EWMA_ALPHA) + ERROR_EWMA_ALPHA;
     }
 
@@ -142,10 +159,12 @@ pub struct ProviderHealthView {
 /// redundancy and how much exposure has accumulated.
 #[derive(Debug, Clone, Default)]
 pub struct FileTracker {
-    /// Open exposure intervals keyed by (fragment index, provider name),
-    /// value = open timestamp. A fragment re-reported dirty while already
-    /// open keeps its original open time (exposure started then).
-    open: BTreeMap<(u64, String), u64>,
+    /// Open exposure intervals, at most one per (fragment index, provider
+    /// name). A fragment re-reported dirty while already open keeps its
+    /// original open time (exposure started then). A file has a handful of
+    /// fragments, so this is searched, and every reader sums over it: the
+    /// order intervals sit in never shows.
+    open: Vec<OpenInterval>,
     /// Exposure from closed intervals, nanoseconds.
     pub exposure_ns: u64,
     /// Closed interval count.
@@ -158,31 +177,44 @@ pub struct FileTracker {
     pub corrupt: u64,
 }
 
+#[derive(Debug, Clone)]
+struct OpenInterval {
+    fragment: u64,
+    provider: String,
+    since: u64,
+}
+
 impl FileTracker {
+    fn position(&self, fragment: u64, provider: &str) -> Option<usize> {
+        self.open.iter().position(|i| i.fragment == fragment && i.provider == provider)
+    }
+
     fn open_interval(&mut self, fragment: u64, provider: &str, t: u64) {
-        self.open.entry((fragment, provider.to_string())).or_insert(t);
+        if self.position(fragment, provider).is_none() {
+            self.open.push(OpenInterval { fragment, provider: provider.to_string(), since: t });
+        }
     }
 
     fn close_interval(&mut self, fragment: u64, provider: &str, t: u64) {
-        if let Some(since) = self.open.remove(&(fragment, provider.to_string())) {
-            let span = t.saturating_sub(since);
+        if let Some(at) = self.position(fragment, provider) {
+            let span = t.saturating_sub(self.open.swap_remove(at).since);
             self.exposure_ns += span;
             self.intervals_closed += 1;
-            *self.by_provider.entry(provider.to_string()).or_insert(0) += span;
+            *slot(&mut self.by_provider, provider) += span;
         }
     }
 
     /// Exposure including still-open intervals extended to `now_ns`.
     fn exposure_at(&self, now_ns: u64) -> u64 {
-        let open: u64 = self.open.values().map(|s| now_ns.saturating_sub(*s)).sum();
+        let open: u64 = self.open.iter().map(|i| now_ns.saturating_sub(i.since)).sum();
         self.exposure_ns + open
     }
 
     /// Attribution including still-open intervals extended to `now_ns`.
     fn attribution_at(&self, now_ns: u64) -> BTreeMap<String, u64> {
         let mut out = self.by_provider.clone();
-        for ((_, provider), since) in &self.open {
-            *out.entry(provider.clone()).or_insert(0) += now_ns.saturating_sub(*since);
+        for i in &self.open {
+            *slot(&mut out, &i.provider) += now_ns.saturating_sub(i.since);
         }
         out
     }
@@ -261,50 +293,48 @@ impl Observatory {
     }
 
     fn provider(&mut self, name: &str) -> &mut ProviderTracker {
-        self.providers.entry(name.to_string()).or_default()
+        slot(&mut self.providers, name)
     }
 
     fn file(&mut self, path: &str) -> &mut FileTracker {
-        self.files.entry(path.to_string()).or_default()
+        slot(&mut self.files, path)
     }
 
-    /// Folds one record into the ledgers.
-    pub fn ingest(&mut self, rec: &TraceRecord) {
+    /// Folds one record, owned or borrowed, into the ledgers.
+    pub fn ingest<R: Record + ?Sized>(&mut self, rec: &R) {
         self.records += 1;
-        let t = match rec {
-            TraceRecord::Meta { schema, clock, t } => {
-                self.schema = Some(*schema);
-                self.clock_domain = clock.clone();
-                *t
+        if let Some((schema, clock)) = rec.meta() {
+            self.schema = Some(schema);
+            if self.clock_domain != clock {
+                self.clock_domain = clock.to_string();
             }
-            TraceRecord::SpanStart { t, .. }
-            | TraceRecord::SpanEnd { t, .. }
-            | TraceRecord::Event { t, .. } => *t,
-        };
+        }
+        let t = rec.t();
         if self.start_ns.is_none() {
             self.start_ns = Some(t);
         }
         self.last_ns = self.last_ns.max(t);
 
-        let TraceRecord::Event { name, fields, .. } = rec else {
+        let (RecordKind::Event, Some(name)) = (rec.kind(), rec.name()) else {
             return;
         };
-        let fstr = |key: &str| fields.get(key).and_then(|v| v.as_str());
-        let fu64 = |key: &str| fields.get(key).and_then(|v| v.as_u64());
-        match name.as_str() {
+        let fstr = |key: &str| rec.field_str(key);
+        let fu64 = |key: &str| rec.field_u64(key);
+        // The fragment a record is about: file, fragment index, holder.
+        let fragment = || Some((fstr("path")?, fu64("fragment")?, fstr("provider")?));
+        match name {
             "provider.op" => {
                 if let Some(p) = fstr("provider") {
-                    let kind = fstr("op").unwrap_or("?").to_string();
+                    let kind = fstr("op").unwrap_or("?");
                     let lat = fu64("latency_ns").unwrap_or(0);
                     let bin = fu64("bytes_in").unwrap_or(0);
                     let bout = fu64("bytes_out").unwrap_or(0);
-                    self.provider(p).note_op(&kind, lat, bin, bout);
+                    self.provider(p).note_op(kind, lat, bin, bout);
                 }
             }
             "provider.fault" => {
                 if let Some(p) = fstr("provider") {
-                    let reason = fstr("reason").unwrap_or("?").to_string();
-                    self.provider(p).note_fault(&reason);
+                    self.provider(p).note_fault(fstr("reason").unwrap_or("?"));
                 }
             }
             "provider.cancel" => {
@@ -346,54 +376,28 @@ impl Observatory {
                     self.provider(p).outages_scheduled += 1;
                 }
             }
-            "update.dirty" => {
-                if let (Some(path), Some(frag), Some(p)) =
-                    (fstr("path"), fu64("fragment"), fstr("provider"))
-                {
-                    let (path, p) = (path.to_string(), p.to_string());
-                    self.file(&path).open_interval(frag, &p, t);
-                }
-            }
-            "read.degraded.fragment" => {
-                if let (Some(path), Some(frag), Some(p)) =
-                    (fstr("path"), fu64("fragment"), fstr("provider"))
-                {
-                    let (path, p) = (path.to_string(), p.to_string());
-                    self.file(&path).open_interval(frag, &p, t);
+            "update.dirty" | "read.degraded.fragment" => {
+                if let Some((path, frag, p)) = fragment() {
+                    self.file(path).open_interval(frag, p, t);
                 }
             }
             "read.degraded" => {
                 if let Some(path) = fstr("path") {
-                    let path = path.to_string();
-                    self.file(&path).degraded_reads += 1;
+                    self.file(path).degraded_reads += 1;
                 }
             }
             "scrub.corrupt" => {
                 if let Some(path) = fstr("path") {
-                    let path = path.to_string();
-                    let frag = fu64("fragment");
-                    let p = fstr("provider").map(str::to_string);
-                    let tracker = self.file(&path);
+                    let tracker = self.file(path);
                     tracker.corrupt += 1;
-                    if let (Some(frag), Some(p)) = (frag, p) {
-                        tracker.open_interval(frag, &p, t);
+                    if let (Some(frag), Some(p)) = (fu64("fragment"), fstr("provider")) {
+                        tracker.open_interval(frag, p, t);
                     }
                 }
             }
-            "scrub.repair" => {
-                if let (Some(path), Some(frag), Some(p)) =
-                    (fstr("path"), fu64("fragment"), fstr("provider"))
-                {
-                    let (path, p) = (path.to_string(), p.to_string());
-                    self.file(&path).close_interval(frag, &p, t);
-                }
-            }
-            "recovery.rebuild" => {
-                if let (Some(path), Some(frag), Some(p)) =
-                    (fstr("path"), fu64("fragment"), fstr("provider"))
-                {
-                    let (path, p) = (path.to_string(), p.to_string());
-                    self.file(&path).close_interval(frag, &p, t);
+            "scrub.repair" | "recovery.rebuild" => {
+                if let Some((path, frag, p)) = fragment() {
+                    self.file(path).close_interval(frag, p, t);
                 }
             }
             "replay.op" => match fstr("class") {
@@ -410,7 +414,7 @@ impl Observatory {
                 }
             }
             "meta.flush.block" | "meta.flush.diff" | "meta.flush.compact" => {
-                match name.as_str() {
+                match name {
                     "meta.flush.block" => self.meta.flush_blocks += 1,
                     "meta.flush.diff" => self.meta.flush_diffs += 1,
                     _ => {
@@ -735,9 +739,9 @@ impl SharedObservatory {
     }
 
     /// The closure to hand to `CollectorBuilder::tap`.
-    pub fn tap(&self) -> impl FnMut(&TraceRecord) + Send + 'static {
+    pub fn tap(&self) -> impl FnMut(&RecordRef<'_>) + Send + 'static {
         let shared = Arc::clone(&self.0);
-        move |rec: &TraceRecord| {
+        move |rec: &RecordRef<'_>| {
             shared.lock().unwrap_or_else(|e| e.into_inner()).ingest(rec);
         }
     }
@@ -762,17 +766,26 @@ impl SharedObservatory {
 // Offline parsing
 // ---------------------------------------------------------------------------
 
-/// Parses a JSONL trace with `jobs` worker threads. Lines are split into
-/// fixed-size chunks, chunks parse in parallel via [`replay_sweep`], and
-/// results are re-joined in line order — so the record sequence (and
-/// everything derived from it) is identical for every `jobs` value.
+/// Parses a JSONL trace into owned records with `jobs` worker threads, for
+/// consumers that need the whole record sequence at hand (`trace_report`'s
+/// span forest and heat-map). Lines are split into fixed-size chunks,
+/// chunks parse in parallel via [`replay_sweep`], and results are
+/// re-joined in line order — so the record sequence (and everything
+/// derived from it) is identical for every `jobs` value. An error names
+/// its line, 0-based.
 pub fn parse_trace_jobs(text: &str, jobs: usize) -> Result<Vec<TraceRecord>, ParseError> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let lines: Vec<(usize, &str)> =
+        text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).collect();
     let cells: Vec<_> = lines
         .chunks(PARSE_CHUNK_LINES)
         .map(|chunk| {
             move || -> Result<Vec<TraceRecord>, ParseError> {
-                chunk.iter().map(|line| parse_line(line)).collect()
+                let mut parser = LineParser::new();
+                let owned = |&(i, line)| match parser.parse(line) {
+                    Ok(rec) => Ok(rec.to_owned()),
+                    Err(e) => Err(e.on_line(i)),
+                };
+                chunk.iter().map(owned).collect()
             }
         })
         .collect();
@@ -783,13 +796,16 @@ pub fn parse_trace_jobs(text: &str, jobs: usize) -> Result<Vec<TraceRecord>, Par
     Ok(out)
 }
 
-/// Builds an observatory from a JSONL trace in one call.
-pub fn from_trace(text: &str, jobs: usize) -> Result<Observatory, ParseError> {
-    let records = parse_trace_jobs(text, jobs)?;
+/// Builds an observatory from a JSONL trace in one call: each line is
+/// parsed into a borrowed record and folded before the next is read, on
+/// the calling thread. No record outlives its fold, so memory is the
+/// ledgers' and time is one pass over the text. The fold is sequential by
+/// contract and the borrowed parse is a small part of it, so `jobs` has
+/// nothing left to spread; it stays for the callers that pass their
+/// `--jobs` through.
+pub fn from_trace(text: &str, _jobs: usize) -> Result<Observatory, ParseError> {
     let mut obs = Observatory::new();
-    for rec in &records {
-        obs.ingest(rec);
-    }
+    for_each_record(text, |rec| obs.ingest(rec))?;
     Ok(obs)
 }
 

@@ -73,14 +73,12 @@ impl Hyrd {
         object: &str,
     ) {
         if self.telemetry.enabled() {
-            let mut ev = self
-                .telemetry
-                .event("scrub.corrupt")
-                .field("path", path)
+            let mut ev = self.telemetry.event("scrub.corrupt");
+            ev.field("path", path)
                 .field("provider", self.provider(provider).name())
                 .field("object", object);
             if let Some(idx) = fragment {
-                ev = ev.field("fragment", idx);
+                ev.field("fragment", idx);
             }
             ev.emit();
             self.telemetry.inc("scrub.corruptions", 1);
@@ -128,14 +126,12 @@ impl Hyrd {
             Ok(out) => {
                 ops.push(out.report);
                 if self.telemetry.enabled() {
-                    let mut ev = self
-                        .telemetry
-                        .event("scrub.repair")
-                        .field("path", path)
+                    let mut ev = self.telemetry.event("scrub.repair");
+                    ev.field("path", path)
                         .field("provider", self.provider(provider).name())
                         .field("object", name);
                     if let Some(idx) = fragment {
-                        ev = ev.field("fragment", idx);
+                        ev.field("fragment", idx);
                     }
                     ev.emit();
                     self.telemetry.inc("scrub.repairs", 1);

@@ -20,6 +20,13 @@
 //! update of a large replica allocates the one copy it patches, however
 //! long the replica is.
 //!
+//! **Telemetry** (DESIGN.md §9): watching costs what it writes. With a
+//! JSONL sink and the observatory's tap attached, an event, a labelled
+//! span, a labelled metric and the tap's fold of a `provider.op` allocate
+//! nothing once their names have been seen; the disabled collector
+//! allocates nothing ever; and folding a trace back allocates for the
+//! providers and files in it, not for its records.
+//!
 //! One `#[test]` on purpose: the counters are process-wide, and a second
 //! test running on another thread would bill its bytes to this one.
 
@@ -28,6 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyrd::config::HyrdConfig;
 use hyrd::driver::synth_content;
+use hyrd::observatory::{self, SharedObservatory};
+use hyrd::telemetry::{Collector, ManualClock, SharedBuf};
 use hyrd::Hyrd;
 use hyrd_cloudsim::{Fleet, SimClock};
 
@@ -96,6 +105,111 @@ fn cost_of<T>(op: impl FnOnce() -> T) -> (Cost, T) {
 fn request_path_allocation_budgets() {
     large_object_ops_allocate_what_they_produce();
     small_object_ops_cost_what_they_change();
+    telemetry_costs_what_it_writes();
+}
+
+/// One request's worth of records, as `postmark_observed` emits them: a
+/// request span with a field, the provider ops under it in a labelled
+/// span, the metadata flush, the driver's verdict — over `PROVIDERS` and
+/// sixteen files, so the ground is known after the first few rounds. The
+/// integers are equally wide every round, so no later line outgrows a
+/// buffer an earlier one sized.
+fn emit_request(c: &Collector, clock: &ManualClock, round: u64) {
+    const PROVIDERS: [&str; 4] = ["Amazon S3", "Windows Azure", "Aliyun", "Rackspace"];
+    const PATHS: [&str; 16] = [
+        "/d/f00", "/d/f01", "/d/f02", "/d/f03", "/d/f04", "/d/f05", "/d/f06", "/d/f07", "/d/f08",
+        "/d/f09", "/d/f10", "/d/f11", "/d/f12", "/d/f13", "/d/f14", "/d/f15",
+    ];
+    let wide = 1_000_000_000_000_000 + round;
+    let path = PATHS[round as usize % PATHS.len()];
+    let _request = c.span_with("update_file").field("path", path).field("bytes", wide).start();
+    for provider in [PROVIDERS[round as usize % 4], PROVIDERS[(round as usize + 1) % 4]] {
+        let _put = c.span_labeled("put_replica", provider);
+        clock.advance(1_000);
+        c.event("provider.op")
+            .field("provider", provider)
+            .field("op", ["Put", "Get"][round as usize % 2])
+            .field("bytes_in", wide)
+            .field("bytes_out", 0u64)
+            .field("latency_ns", wide)
+            .field("cost", 0.047 / 10_000.0)
+            .emit();
+        c.inc_labeled("provider.ops", provider, 1);
+        c.observe_labeled("provider.latency_ns", provider, round);
+        c.set_gauge_labeled("engine.queue_depth", provider, round as i64);
+    }
+    // Re-reported while still open: the exposure interval it names exists.
+    c.event("update.dirty")
+        .field("path", PATHS[0])
+        .field("fragment", 1u64)
+        .field("provider", PROVIDERS[0])
+        .emit();
+    c.event("meta.flush.diff")
+        .field("dir", "/d")
+        .field("version", wide)
+        .field("records", 1u64)
+        .field("bytes", wide)
+        .emit();
+    c.event("replay.op").field("class", "small-write").field("latency_ns", wide).emit();
+}
+
+fn telemetry_costs_what_it_writes() {
+    /// A sink that never grows: growth is the sink's business, and a
+    /// `Vec` doubling under the measurement would be billed to the record
+    /// that happened to cross the line.
+    struct Presized(Vec<u8>);
+    impl std::io::Write for Presized {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            assert!(self.0.len() + buf.len() <= self.0.capacity(), "pre-size the sink further");
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    // Disabled: nothing, known ground or not.
+    let clock = std::sync::Arc::new(ManualClock::new());
+    let off = Collector::disabled();
+    let (cost, ()) = cost_of(|| (0..64).for_each(|round| emit_request(&off, &clock, round)));
+    assert_eq!(cost.allocs, 0, "the disabled collector allocated: {cost:?}");
+
+    // Enabled, JSONL sink and the observatory's tap attached.
+    let watcher = SharedObservatory::new();
+    let on = Collector::builder(clock.clone())
+        .jsonl(Presized(Vec::with_capacity(1 << 20)))
+        .tap(watcher.tap())
+        .build();
+    // Every provider, path, op kind, span path and metric series once.
+    (0..32).for_each(|round| emit_request(&on, &clock, round));
+    let (cost, ()) = cost_of(|| (32..96).for_each(|round| emit_request(&on, &clock, round)));
+    let report = watcher.report();
+    assert_eq!(report.providers.iter().map(|p| p.ops).sum::<u64>(), 2 * 96, "the tap folded");
+    assert_eq!(report.files.len(), 1, "the dirty fragment is tracked");
+    println!("64 traced requests (11 records, 6 metric updates each) on known ground: {cost:?}");
+    assert_eq!(cost.allocs, 0, "emitting on known ground allocated: {cost:?}");
+
+    // Offline: the fold allocates for what the trace is about — a tracker
+    // per provider and file, the parser's field storage — not per record.
+    let trace_of = |requests: u64| {
+        let sink = SharedBuf::new();
+        let clock = std::sync::Arc::new(ManualClock::new());
+        let c = Collector::builder(clock.clone()).jsonl(sink.clone()).build();
+        (0..requests).for_each(|round| emit_request(&c, &clock, round));
+        c.flush();
+        sink.text()
+    };
+    let (short, long) = (trace_of(200), trace_of(400));
+    let (short_cost, folded) = cost_of(|| observatory::from_trace(&short, 1));
+    assert_eq!(folded.expect("own trace parses").records, 1 + 11 * 200);
+    let (long_cost, folded) = cost_of(|| observatory::from_trace(&long, 1));
+    assert_eq!(folded.expect("own trace parses").records, 1 + 11 * 400);
+    println!("from_trace: 2,201 records {short_cost:?}, 4,401 records {long_cost:?}");
+    assert!(
+        long_cost.allocs <= short_cost.allocs,
+        "twice the records of the same providers and files cost {long_cost:?}, not {short_cost:?}"
+    );
 }
 
 /// The floor cost of each of create / update / read / delete of a 4 KB

@@ -2,16 +2,18 @@
 //! dispatcher: an outage scenario must produce nonzero exposure-seconds
 //! attributed to the right file and provider, the online tap must agree
 //! with an offline parse of the same trace, and the rendered report must
-//! be byte-identical for every parser worker count.
+//! be byte-identical for every parser worker count — and, on a drill-sized
+//! trace with every kind of trouble in it, for every way of folding it.
 
 use std::time::Duration;
 
-use hyrd::driver::synth_content;
-use hyrd::observatory::{self, SharedObservatory};
-use hyrd::telemetry::{Collector, SharedBuf};
+use hyrd::driver::{replay_with_state, synth_content, ReplayOptions, ReplayState};
+use hyrd::observatory::{self, Observatory, SharedObservatory};
+use hyrd::telemetry::{parse_jsonl, Collector, SharedBuf};
 use hyrd::{Hyrd, HyrdConfig};
-use hyrd_cloudsim::{Fleet, SimClock};
-use hyrd_gcsapi::CloudStorage;
+use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
+use hyrd_gcsapi::{CloudStorage, ObjectKey};
+use hyrd_workloads::FsOp;
 
 const KB: usize = 1024;
 const MB: usize = 1024 * 1024;
@@ -140,4 +142,132 @@ fn quiet_run_reports_full_availability_and_zero_exposure() {
     assert!(report.providers.iter().all(|p| (p.availability - 1.0).abs() < 1e-12));
     assert_eq!(report.reads_failed, 0);
     assert!((report.empirical_read_availability - 1.0).abs() < 1e-12);
+}
+
+/// A chaos-smoke-sized drill (DESIGN.md §10 in miniature): sixty files in
+/// both tiers replayed for a dozen rounds of reads and updates while every
+/// provider throttles in bursts, spikes and tears puts, with an outage of
+/// one provider through the middle third, recovery after it, and a scrub
+/// every fourth round — the last over a replica corrupted by hand.
+/// Returns the trace and the observatory that watched it live.
+///
+/// The schedule is [`FaultPlan::chaos`] without its wire corruption and
+/// bit rot: with a provider down, those get past an erasure-coded file
+/// whose fragment digests a ranged update has dropped, and reads of it
+/// then fail verification (ROADMAP, "found while testing"). This test is
+/// about folding, so it keeps to ground where every read verifies.
+fn chaos_scenario() -> (String, SharedObservatory) {
+    const FILES: usize = 60;
+    const ROUNDS: usize = 12;
+    let clock = SimClock::new();
+    let fleet = Fleet::standard_four(clock.clone());
+    let buf = SharedBuf::new();
+    let obs = SharedObservatory::new();
+    let telemetry = Collector::builder(clock.clone()).jsonl(buf.clone()).tap(obs.tap()).build();
+    let mut h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone())
+        .expect("valid default config");
+    let opts = ReplayOptions {
+        verify_reads: true,
+        telemetry: telemetry.clone(),
+        ..ReplayOptions::default()
+    };
+    let mut state = ReplayState::default();
+
+    // Every sixth file is erasure-coded; the rest are small replicas.
+    let path = |i: usize| format!("/drill/f{i:02}");
+    let size = |i: usize| match i % 6 {
+        0 => (MB + 256 * KB) as u64,
+        _ => (2 + i as u64 % 30) * KB as u64,
+    };
+    let pool: Vec<FsOp> =
+        (0..FILES).map(|i| FsOp::Create { path: path(i), size: size(i) }).collect();
+    let stats = replay_with_state(&mut h, &pool, &clock, &opts, &mut state);
+    assert_eq!(stats.errors, 0, "the pool is built before the faults start");
+
+    let horizon = Duration::from_millis((FILES * ROUNDS) as u64 * 1500);
+    for (i, p) in fleet.providers().iter().enumerate() {
+        let mut plan = FaultPlan::quiet().with_seed(0xC4A05 + i as u64).with_torn_puts(3);
+        for k in 0..12 {
+            let start = horizon.mul_f64((k as f64 + 0.25) / 12.0);
+            plan = plan.with_burst(start, start + horizon / 72, 150 + 40 * i as u16);
+        }
+        for k in 0..6 {
+            let start = horizon.mul_f64((k as f64 + 0.55) / 6.0);
+            plan = plan.with_spike(start, start + horizon / 48, 2.0 + k as f64);
+        }
+        p.set_fault_plan(plan);
+    }
+    let victim = fleet.by_name("Windows Azure").expect("standard fleet");
+    let recover = |h: &Hyrd| {
+        for p in fleet.providers().iter().filter(|p| p.is_available()) {
+            let _ = h.recover_provider(p.id());
+        }
+    };
+    for round in 0..ROUNDS {
+        if round == ROUNDS / 3 {
+            victim.force_down();
+        }
+        if round == 2 * ROUNDS / 3 {
+            victim.restore();
+            recover(&h);
+        }
+        let ops: Vec<FsOp> = (0..FILES)
+            .map(|i| match (i + round) % 3 {
+                0 => FsOp::Update { path: path(i), offset: (round * 97) as u64, len: 256 },
+                _ => FsOp::Read { path: path(i) },
+            })
+            .collect();
+        // Refused requests are part of the picture (`replay.error`); wrong
+        // bytes are not.
+        let stats = replay_with_state(&mut h, &ops, &clock, &opts, &mut state);
+        assert_eq!(stats.verify_failures, 0);
+        if round % 4 == 3 {
+            if round == ROUNDS - 1 {
+                let key = ObjectKey::new(Fleet::CONTAINER, hyrd::scheme::object_name(&path(1)));
+                let hit = fleet.providers().iter().any(|p| p.corrupt_object(&key, 4321));
+                assert!(hit, "some provider holds a replica of a small file");
+            }
+            recover(&h);
+            h.scrub().expect("scrub runs");
+        }
+    }
+    telemetry.flush();
+    (buf.text(), obs)
+}
+
+#[test]
+fn every_way_of_folding_a_drill_trace_renders_the_same_report() {
+    let (trace, online) = chaos_scenario();
+    let online = online.report();
+
+    // The drill had what the exposure tracker and the SLIs exist for.
+    let azure = online.providers.iter().find(|p| p.provider == "Windows Azure").expect("tracked");
+    assert_eq!(azure.outages, 1);
+    assert!(online.providers.iter().any(|p| p.faults > 0), "the chaos plan injected faults");
+    assert!(online.files.iter().any(|f| f.degraded_reads > 0), "reads ran degraded");
+    assert!(online.files.iter().any(|f| f.corrupt > 0), "scrub found corruption");
+    assert!(online.files.iter().any(|f| f.intervals_closed > 0), "rebuilds closed intervals");
+    assert!(online.reads_ok_small > 0 && online.reads_ok_large > 0);
+    assert!(trace.contains("\"name\":\"scrub.repair\""), "scrub repaired something");
+    assert!(trace.lines().count() > 5_000, "drill-sized: {} records", trace.lines().count());
+
+    let streamed = |jobs: usize| observatory::from_trace(&trace, jobs).expect("own trace").report();
+    let mut owned = Observatory::new();
+    for record in &parse_jsonl(&trace).expect("own trace") {
+        owned.ingest(record);
+    }
+    let mut by_jobs = Observatory::new();
+    for record in &observatory::parse_trace_jobs(&trace, 3).expect("own trace") {
+        by_jobs.ingest(record);
+    }
+    let want = online.render();
+    for (how, report) in [
+        ("from_trace, jobs 1", streamed(1)),
+        ("from_trace, jobs 4", streamed(4)),
+        ("a fold of parse_jsonl", owned.report()),
+        ("a fold of parse_trace_jobs", by_jobs.report()),
+    ] {
+        assert_eq!(report, online, "{how} against the online tap");
+        assert_eq!(report.render(), want, "{how} against the online tap");
+    }
 }

@@ -67,18 +67,22 @@ impl OpKind {
     /// All op kinds, for exhaustive iteration in stats tables.
     pub const ALL: [OpKind; 5] =
         [OpKind::List, OpKind::Get, OpKind::Create, OpKind::Put, OpKind::Remove];
-}
 
-impl std::fmt::Display for OpKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The kind's name, as `Display` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
             OpKind::List => "List",
             OpKind::Get => "Get",
             OpKind::Create => "Create",
             OpKind::Put => "Put",
             OpKind::Remove => "Remove",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for OpKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -43,16 +43,22 @@ mod registry;
 mod summary;
 
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use parse::{parse_jsonl, parse_line, ParseError};
-pub use record::{Fields, IntoValue, TraceRecord, Value, TRACE_SCHEMA_VERSION};
+pub use parse::{for_each_record, parse_jsonl, parse_line, LineParser, ParseError};
+pub use record::{
+    Field, Fields, IntoValue, Record, RecordKind, RecordRef, TraceRecord, Value, ValueRef,
+    TRACE_SCHEMA_VERSION,
+};
 pub use registry::{HistogramSummary, MetricsSnapshot, Registry};
 pub use summary::{fmt_ns, SlowSpan};
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Display;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use record::FieldBuf;
+use registry::with_labeled;
 use summary::{slow_span_order, SpanAgg, PATH_SEP};
 
 /// Clock a collector stamps records with. Simulation code implements this
@@ -116,11 +122,74 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-struct OpenSpan {
-    name: String,
+/// The span tree seen so far, one node per distinct flame path. A span
+/// finds its node by walking from its parent's node to the child with its
+/// name, so opening and closing spans on known paths formats and allocates
+/// nothing: a path is rendered once, when its node is made.
+#[derive(Default)]
+struct Flame {
+    nodes: Vec<FlameNode>,
+    roots: BTreeMap<String, usize>,
+}
+
+struct FlameNode {
     /// Full flame path including ancestors, e.g. `read_file → ec.decode`.
     path: String,
+    /// Where the span's own name starts in `path`.
+    name_at: usize,
+    children: BTreeMap<String, usize>,
+    /// Completed spans on this path.
+    agg: SpanAgg,
+}
+
+impl FlameNode {
+    fn name(&self) -> &str {
+        &self.path[self.name_at..]
+    }
+}
+
+impl Flame {
+    /// The node for a span called `name` under `parent` (`None`: a root).
+    fn child(&mut self, parent: Option<usize>, name: &str) -> usize {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p].children,
+            None => &self.roots,
+        };
+        if let Some(&node) = siblings.get(name) {
+            return node;
+        }
+        let path = match parent {
+            Some(p) => format!("{}{PATH_SEP}{name}", self.nodes[p].path),
+            None => name.to_string(),
+        };
+        let node = self.nodes.len();
+        self.nodes.push(FlameNode {
+            name_at: path.len() - name.len(),
+            path,
+            children: BTreeMap::new(),
+            agg: SpanAgg::default(),
+        });
+        let siblings = match parent {
+            Some(p) => &mut self.nodes[p].children,
+            None => &mut self.roots,
+        };
+        siblings.insert(name.to_string(), node);
+        node
+    }
+}
+
+struct OpenSpan {
+    id: u64,
+    /// The span's node in [`Flame`].
+    node: usize,
     start: u64,
+}
+
+/// A completed span in the slowest-spans ranking.
+struct Slow {
+    dur_ns: u64,
+    start_ns: u64,
+    node: usize,
 }
 
 struct Ring {
@@ -128,20 +197,50 @@ struct Ring {
     buf: VecDeque<TraceRecord>,
 }
 
-struct State {
-    next_id: u64,
+/// Where records go. A record reaches every sink as the same borrowed
+/// [`RecordRef`]; only the ring, which keeps records, makes an owned copy.
+struct Sinks {
     jsonl: Option<Box<dyn Write + Send>>,
+    /// The line being written, reused from record to record.
+    line: String,
     ring: Option<Ring>,
     /// Online observer invoked with every record, in emission order and
     /// under the collector lock — the deterministic feed the availability
     /// observatory ingests without waiting for the JSONL trace.
-    tap: Option<Box<dyn FnMut(&TraceRecord) + Send>>,
-    /// Innermost-last stack of open span ids (the instrumented request path
-    /// is single-threaded; events attribute to the innermost open span).
-    stack: Vec<u64>,
-    open: BTreeMap<u64, OpenSpan>,
-    agg: BTreeMap<String, SpanAgg>,
-    slowest: Vec<SlowSpan>,
+    tap: Option<Tap>,
+}
+
+type Tap = Box<dyn FnMut(&RecordRef<'_>) + Send>;
+
+impl Sinks {
+    fn emit(&mut self, rec: &RecordRef<'_>) {
+        if let Some(tap) = self.tap.as_mut() {
+            tap(rec);
+        }
+        if let Some(w) = self.jsonl.as_mut() {
+            self.line.clear();
+            rec.write_json(&mut self.line);
+            self.line.push('\n');
+            let _ = w.write_all(self.line.as_bytes());
+        }
+        if let Some(ring) = self.ring.as_mut() {
+            if ring.buf.len() == ring.cap {
+                ring.buf.pop_front();
+            }
+            ring.buf.push_back(rec.to_owned());
+        }
+    }
+}
+
+struct State {
+    next_id: u64,
+    sinks: Sinks,
+    /// Open spans, innermost last (the instrumented request path is
+    /// single-threaded; events attribute to the innermost open span).
+    open: Vec<OpenSpan>,
+    flame: Flame,
+    /// The [`SLOW_CAP`] slowest completed spans, in [`slow_span_order`].
+    slowest: Vec<Slow>,
     spans_ended: u64,
 }
 
@@ -151,29 +250,16 @@ struct Inner {
     registry: Registry,
 }
 
-impl Inner {
-    fn emit(&self, state: &mut State, rec: TraceRecord) {
-        if let Some(tap) = state.tap.as_mut() {
-            tap(&rec);
-        }
-        if let Some(w) = state.jsonl.as_mut() {
-            let mut line = rec.to_json();
-            line.push('\n');
-            let _ = w.write_all(line.as_bytes());
-        }
-        if let Some(ring) = state.ring.as_mut() {
-            if ring.buf.len() == ring.cap {
-                ring.buf.pop_front();
-            }
-            ring.buf.push_back(rec);
-        }
-    }
-}
-
 /// Telemetry handle. `Collector::default()` / [`Collector::disabled`] is
 /// the no-op collector: every method returns immediately without touching a
 /// lock or allocating, so instrumentation can stay unconditionally in place
 /// on hot paths.
+///
+/// An enabled collector allocates only for what it has not seen before — a
+/// new span path, a new metric series, a record with more fields than a
+/// builder holds inline — and for what a sink keeps (the ring's owned
+/// records, the JSONL writer's own buffering). Emitting on known paths
+/// with a JSONL sink and a tap attached allocates nothing.
 #[derive(Clone, Default)]
 pub struct Collector(Option<Arc<Inner>>);
 
@@ -200,6 +286,7 @@ impl Collector {
         }
     }
 
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.0.is_some()
     }
@@ -207,46 +294,47 @@ impl Collector {
     /// Open a span. Close it by dropping the guard (or calling
     /// [`SpanGuard::end`]).
     pub fn span(&self, name: &str) -> SpanGuard {
-        self.span_with(name).start()
+        self.start_span(name, &[])
     }
 
     /// Open a span named `name[label]` — the conventional shape for
-    /// per-provider phases, e.g. `fetch_fragment[aliyun]`. The format only
-    /// happens when enabled.
-    pub fn span_labeled(&self, name: &str, label: &str) -> SpanGuard {
+    /// per-provider phases, e.g. `fetch_fragment[aliyun]`.
+    pub fn span_labeled(&self, name: &str, label: impl Display) -> SpanGuard {
         if self.0.is_none() {
-            return SpanGuard { collector: Collector(None), id: 0 };
+            return SpanGuard::inert();
         }
-        self.span_with(&format!("{name}[{label}]")).start()
+        with_labeled(name, label, |full| self.start_span(full, &[]))
     }
 
     /// Span builder, for attaching fields to the start record.
-    pub fn span_with(&self, name: &str) -> SpanBuilder<'_> {
-        SpanBuilder {
-            collector: self,
-            inner: self.0.as_ref().map(|_| (name.to_string(), Fields::new())),
-        }
+    #[inline]
+    pub fn span_with<'a>(&'a self, name: &'a str) -> SpanBuilder<'a> {
+        SpanBuilder(self.pending(name))
     }
 
     /// Point event, attributed to the innermost open span.
-    pub fn event(&self, name: &str) -> EventBuilder<'_> {
-        EventBuilder {
-            collector: self,
-            inner: self.0.as_ref().map(|_| (name.to_string(), Fields::new())),
-        }
+    #[inline]
+    pub fn event<'a>(&'a self, name: &'a str) -> EventBuilder<'a> {
+        EventBuilder(self.pending(name))
+    }
+
+    #[inline]
+    fn pending<'a>(&'a self, name: &'a str) -> Pending<'a> {
+        Pending { collector: self, name, fields: self.0.as_ref().map(|_| FieldBuf::new()) }
     }
 
     /// Increment counter `name`.
+    #[inline]
     pub fn inc(&self, name: &str, by: u64) {
         if let Some(i) = &self.0 {
             i.registry.inc(name, by);
         }
     }
 
-    /// Increment counter `name[label]` (format deferred to the enabled path).
-    pub fn inc_labeled(&self, name: &str, label: &str, by: u64) {
+    /// Increment counter `name[label]`.
+    pub fn inc_labeled(&self, name: &str, label: impl Display, by: u64) {
         if let Some(i) = &self.0 {
-            i.registry.inc(&format!("{name}[{label}]"), by);
+            with_labeled(name, label, |series| i.registry.inc(series, by));
         }
     }
 
@@ -258,15 +346,22 @@ impl Collector {
     }
 
     /// Record `v` into histogram `name[label]`.
-    pub fn observe_labeled(&self, name: &str, label: &str, v: u64) {
+    pub fn observe_labeled(&self, name: &str, label: impl Display, v: u64) {
         if let Some(i) = &self.0 {
-            i.registry.observe(&format!("{name}[{label}]"), v);
+            with_labeled(name, label, |series| i.registry.observe(series, v));
         }
     }
 
     pub fn set_gauge(&self, name: &str, v: i64) {
         if let Some(i) = &self.0 {
             i.registry.set_gauge(name, v);
+        }
+    }
+
+    /// Set gauge `name[label]`.
+    pub fn set_gauge_labeled(&self, name: &str, label: impl Display, v: i64) {
+        if let Some(i) = &self.0 {
+            with_labeled(name, label, |series| i.registry.set_gauge(series, v));
         }
     }
 
@@ -292,7 +387,7 @@ impl Collector {
             None => Vec::new(),
             Some(i) => {
                 let state = lock(&i.state);
-                state.ring.as_ref().map_or_else(Vec::new, |r| r.buf.iter().cloned().collect())
+                state.sinks.ring.as_ref().map_or_else(Vec::new, |r| r.buf.iter().cloned().collect())
             }
         }
     }
@@ -304,7 +399,12 @@ impl Collector {
             None => Vec::new(),
             Some(i) => {
                 let state = lock(&i.state);
-                state.slowest.iter().take(k).cloned().collect()
+                let slow_span = |s: &Slow| SlowSpan {
+                    path: state.flame.nodes[s.node].path.clone(),
+                    dur_ns: s.dur_ns,
+                    start_ns: s.start_ns,
+                };
+                state.slowest.iter().take(k).map(slow_span).collect()
             }
         }
     }
@@ -316,7 +416,15 @@ impl Collector {
             Some(i) => {
                 let snapshot = i.registry.snapshot();
                 let state = lock(&i.state);
-                summary::render(&state.agg, state.spans_ended, &snapshot)
+                // Keyed by rendered path: two nodes can render alike when a
+                // span name itself contains the separator.
+                let mut agg: BTreeMap<String, SpanAgg> = BTreeMap::new();
+                for node in state.flame.nodes.iter().filter(|n| n.agg.count > 0) {
+                    let a = agg.entry(node.path.clone()).or_default();
+                    a.count += node.agg.count;
+                    a.total_ns += node.agg.total_ns;
+                }
+                summary::render(&agg, state.spans_ended, &snapshot)
             }
         }
     }
@@ -325,7 +433,7 @@ impl Collector {
     pub fn flush(&self) {
         if let Some(i) = &self.0 {
             let mut state = lock(&i.state);
-            if let Some(w) = state.jsonl.as_mut() {
+            if let Some(w) = state.sinks.jsonl.as_mut() {
                 let _ = w.flush();
             }
         }
@@ -337,23 +445,21 @@ impl Collector {
         self.0.as_ref().map(|i| i.clock.now_nanos())
     }
 
-    fn start_span(&self, name: String, fields: Fields) -> SpanGuard {
+    fn start_span(&self, name: &str, fields: &[Field<'_>]) -> SpanGuard {
         let inner = match &self.0 {
-            None => return SpanGuard { collector: Collector(None), id: 0 },
+            None => return SpanGuard::inert(),
             Some(i) => i,
         };
         let t = inner.clock.now_nanos();
         let mut state = lock(&inner.state);
+        let state = &mut *state;
         state.next_id += 1;
         let id = state.next_id;
-        let parent = state.stack.last().copied();
-        let path = match parent.and_then(|p| state.open.get(&p)) {
-            Some(p) => format!("{}{PATH_SEP}{name}", p.path),
-            None => name.clone(),
-        };
-        state.open.insert(id, OpenSpan { name: name.clone(), path, start: t });
-        state.stack.push(id);
-        inner.emit(&mut state, TraceRecord::SpanStart { id, parent, name, t, fields });
+        let parent = state.open.last();
+        let node = state.flame.child(parent.map(|p| p.node), name);
+        let parent = parent.map(|p| p.id);
+        state.open.push(OpenSpan { id, node, start: t });
+        state.sinks.emit(&RecordRef::SpanStart { id, parent, name, t, fields });
         SpanGuard { collector: self.clone(), id }
     }
 
@@ -364,41 +470,42 @@ impl Collector {
         };
         let t = inner.clock.now_nanos();
         let mut state = lock(&inner.state);
-        let span = match state.open.remove(&id) {
+        let state = &mut *state;
+        // Normally LIFO; search by id to stay correct if guards are dropped
+        // out of order.
+        let span = match state.open.iter().rposition(|s| s.id == id) {
             None => return, // already ended explicitly
-            Some(s) => s,
+            Some(at) => state.open.remove(at),
         };
-        // Normally LIFO; remove by value to stay correct if guards are
-        // dropped out of order.
-        if state.stack.last() == Some(&id) {
-            state.stack.pop();
-        } else {
-            state.stack.retain(|&s| s != id);
-        }
         let dur_ns = t.saturating_sub(span.start);
-        let agg = state.agg.entry(span.path.clone()).or_default();
-        agg.count += 1;
-        agg.total_ns += dur_ns;
-        let slow = SlowSpan { path: span.path, dur_ns, start_ns: span.start };
-        state.slowest.push(slow);
-        state.slowest.sort_by(slow_span_order);
-        state.slowest.truncate(SLOW_CAP);
+        let nodes = &mut state.flame.nodes;
+        nodes[span.node].agg.count += 1;
+        nodes[span.node].agg.total_ns += dur_ns;
         state.spans_ended += 1;
-        inner.emit(
-            &mut state,
-            TraceRecord::SpanEnd { id, name: span.name, t, dur_ns, fields: Fields::new() },
-        );
+
+        let key = |s: &Slow| (s.dur_ns, s.start_ns, nodes[s.node].path.as_str());
+        let slow = Slow { dur_ns, start_ns: span.start, node: span.node };
+        // Behind every retained span that ranks no later, as a push and a
+        // stable sort would leave it; most spans rank behind all of them.
+        let rank = state.slowest.partition_point(|s| slow_span_order(key(s), key(&slow)).is_le());
+        if rank < SLOW_CAP {
+            state.slowest.truncate(SLOW_CAP - 1);
+            state.slowest.insert(rank, slow);
+        }
+
+        let name = nodes[span.node].name();
+        state.sinks.emit(&RecordRef::SpanEnd { id, name, t, dur_ns, fields: &[] });
     }
 
-    fn emit_event(&self, name: String, fields: Fields) {
+    fn emit_event(&self, name: &str, fields: &[Field<'_>]) {
         let inner = match &self.0 {
             None => return,
             Some(i) => i,
         };
         let t = inner.clock.now_nanos();
         let mut state = lock(&inner.state);
-        let span = state.stack.last().copied();
-        inner.emit(&mut state, TraceRecord::Event { span, name, t, fields });
+        let span = state.open.last().map(|s| s.id);
+        state.sinks.emit(&RecordRef::Event { span, name, t, fields });
     }
 }
 
@@ -408,7 +515,7 @@ pub struct CollectorBuilder {
     clock_label: &'static str,
     jsonl: Option<Box<dyn Write + Send>>,
     ring: Option<usize>,
-    tap: Option<Box<dyn FnMut(&TraceRecord) + Send>>,
+    tap: Option<Tap>,
 }
 
 impl CollectorBuilder {
@@ -427,8 +534,9 @@ impl CollectorBuilder {
     /// Attach an online record observer: `f` sees every record (the
     /// leading meta line included) in emission order, under the collector
     /// lock. Streaming consumers — the availability observatory — hang
-    /// off this instead of re-parsing the JSONL sink.
-    pub fn tap(mut self, f: impl FnMut(&TraceRecord) + Send + 'static) -> Self {
+    /// off this instead of re-parsing the JSONL sink. The record is lent
+    /// for the call; a tap that keeps one calls [`RecordRef::to_owned`].
+    pub fn tap(mut self, f: impl FnMut(&RecordRef<'_>) + Send + 'static) -> Self {
         self.tap = Some(Box::new(f));
         self
     }
@@ -443,33 +551,25 @@ impl CollectorBuilder {
     /// Build the collector and emit the leading meta record.
     pub fn build(self) -> Collector {
         let t = self.clock.now_nanos();
-        let inner = Inner {
+        let mut sinks = Sinks {
+            jsonl: self.jsonl,
+            line: String::new(),
+            ring: self.ring.map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
+            tap: self.tap,
+        };
+        sinks.emit(&RecordRef::Meta { schema: TRACE_SCHEMA_VERSION, clock: self.clock_label, t });
+        Collector(Some(Arc::new(Inner {
             clock: self.clock,
             state: Mutex::new(State {
                 next_id: 0,
-                jsonl: self.jsonl,
-                ring: self
-                    .ring
-                    .map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
-                tap: self.tap,
-                stack: Vec::new(),
-                open: BTreeMap::new(),
-                agg: BTreeMap::new(),
-                slowest: Vec::new(),
+                sinks,
+                open: Vec::new(),
+                flame: Flame::default(),
+                slowest: Vec::with_capacity(SLOW_CAP),
                 spans_ended: 0,
             }),
             registry: Registry::default(),
-        };
-        {
-            let mut state = lock(&inner.state);
-            let meta = TraceRecord::Meta {
-                schema: TRACE_SCHEMA_VERSION,
-                clock: self.clock_label.to_string(),
-                t,
-            };
-            inner.emit(&mut state, meta);
-        }
-        Collector(Some(Arc::new(inner)))
+        })))
     }
 }
 
@@ -481,6 +581,11 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
+    /// The guard a disabled collector hands out.
+    fn inert() -> Self {
+        SpanGuard { collector: Collector(None), id: 0 }
+    }
+
     /// The span id (0 when telemetry is disabled).
     pub fn id(&self) -> u64 {
         self.id
@@ -500,70 +605,108 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Builder attaching fields to a span-start record.
-pub struct SpanBuilder<'c> {
-    collector: &'c Collector,
-    inner: Option<(String, Fields)>,
+/// A span start or event under construction. The name and field values
+/// stay borrowed from the call site until the record has been handed to
+/// the sinks; on a disabled collector there is nowhere to put a field and
+/// every call falls through.
+///
+/// The builders are filled in place (`&mut self` all the way to the
+/// closing call) because they hold their fields inline: passing one along
+/// a by-value chain would copy the lot at every step.
+struct Pending<'a> {
+    collector: &'a Collector,
+    name: &'a str,
+    /// `None` on a disabled collector, and once the record is out.
+    fields: Option<FieldBuf<'a>>,
 }
 
-impl SpanBuilder<'_> {
-    pub fn field(mut self, key: &str, v: impl IntoValue) -> Self {
-        if let Some((_, f)) = &mut self.inner {
-            f.insert(key.to_string(), v.into_value());
+/// Builder attaching fields to a span-start record.
+pub struct SpanBuilder<'a>(Pending<'a>);
+
+impl<'a> SpanBuilder<'a> {
+    #[inline]
+    pub fn field(&mut self, key: &'static str, v: impl IntoValue<'a>) -> &mut Self {
+        if let Some(fields) = &mut self.0.fields {
+            fields.insert(key, v.into_value());
         }
         self
     }
 
-    pub fn start(self) -> SpanGuard {
-        match self.inner {
-            None => SpanGuard { collector: Collector(None), id: 0 },
-            Some((name, fields)) => self.collector.start_span(name, fields),
-        }
+    /// Open the span. A builder opens one span: a second call returns the
+    /// guard a disabled collector would.
+    #[inline]
+    pub fn start(&mut self) -> SpanGuard {
+        let guard = match &self.0.fields {
+            None => SpanGuard::inert(),
+            Some(fields) => self.0.collector.start_span(self.0.name, fields.as_slice()),
+        };
+        self.0.fields = None;
+        guard
     }
 }
 
 /// Builder attaching fields to a point event.
-pub struct EventBuilder<'c> {
-    collector: &'c Collector,
-    inner: Option<(String, Fields)>,
-}
+pub struct EventBuilder<'a>(Pending<'a>);
 
-impl EventBuilder<'_> {
-    pub fn field(mut self, key: &str, v: impl IntoValue) -> Self {
-        if let Some((_, f)) = &mut self.inner {
-            f.insert(key.to_string(), v.into_value());
+impl<'a> EventBuilder<'a> {
+    #[inline]
+    pub fn field(&mut self, key: &'static str, v: impl IntoValue<'a>) -> &mut Self {
+        if let Some(fields) = &mut self.0.fields {
+            fields.insert(key, v.into_value());
         }
         self
     }
 
-    pub fn emit(self) {
-        if let Some((name, fields)) = self.inner {
-            self.collector.emit_event(name, fields);
+    /// Emit the event. A builder emits once: a second call does nothing.
+    #[inline]
+    pub fn emit(&mut self) {
+        if let Some(fields) = &self.0.fields {
+            self.0.collector.emit_event(self.0.name, fields.as_slice());
+            self.0.fields = None;
         }
     }
 }
 
 /// Cloneable in-memory byte sink for JSONL traces in tests and drills.
+///
+/// Bytes are kept in chunks of [`SharedBuf::CHUNK`] rather than one
+/// growing `Vec`: a trace of tens of megabytes is then never copied while
+/// it is written (a doubling `Vec` copies it about once over, through
+/// ever larger fresh allocations), and reading it out copies it exactly
+/// once.
 #[derive(Clone, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+pub struct SharedBuf(Arc<Mutex<Vec<Vec<u8>>>>);
 
 impl SharedBuf {
+    const CHUNK: usize = 1 << 20;
+
     pub fn new() -> Self {
         Self::default()
     }
 
     pub fn contents(&self) -> Vec<u8> {
-        lock(&self.0).clone()
+        lock(&self.0).concat()
     }
 
     pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.contents()).into_owned()
+        String::from_utf8(self.contents())
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 }
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        lock(&self.0).extend_from_slice(buf);
+        let mut chunks = lock(&self.0);
+        // A write is never split: when the last chunk cannot take it
+        // whole, the next one is made large enough.
+        match chunks.last_mut() {
+            Some(last) if last.len() + buf.len() <= last.capacity() => last.extend_from_slice(buf),
+            _ => {
+                let mut next = Vec::with_capacity(Self::CHUNK.max(buf.len()));
+                next.extend_from_slice(buf);
+                chunks.push(next);
+            }
+        }
         Ok(buf.len())
     }
 
@@ -752,6 +895,27 @@ mod tests {
             TraceRecord::SpanEnd { name, .. } => assert_eq!(name, "c"),
             r => panic!("unexpected: {r:?}"),
         }
+    }
+
+    #[test]
+    fn shared_buf_reads_back_what_was_written_across_chunks() {
+        let mut buf = SharedBuf::new();
+        let mut want = Vec::new();
+        // Lines that do not divide a chunk, one write larger than a chunk,
+        // an empty write.
+        let big = "x".repeat(SharedBuf::CHUNK + 17);
+        let line = "a line of trace, π included\n".repeat(100);
+        for piece in [line.as_str(), "", big.as_str()].iter().cycle().take(3 * 10) {
+            buf.write_all(piece.as_bytes()).unwrap();
+            want.extend_from_slice(piece.as_bytes());
+        }
+        assert!(lock(&buf.0).len() >= 10, "the walk crossed chunks");
+        assert_eq!(buf.contents(), want);
+        assert_eq!(buf.text().as_bytes(), want);
+        // Bytes that are not UTF-8 are replaced, not refused.
+        buf.write_all(b"\xff!").unwrap();
+        assert!(buf.text().ends_with("\u{fffd}!"));
+        assert_eq!(SharedBuf::new().text(), "");
     }
 
     #[test]

@@ -1,32 +1,54 @@
-//! Trace parsing: the inverse of [`TraceRecord::to_json`].
+//! Trace parsing: the inverse of [`RecordRef::write_json`].
 //!
 //! The observatory and the `trace_report` analyzer consume traces that
 //! were written by this crate's own hand-rolled emitter, so the parser
-//! here is deliberately small: a recursive-descent JSON reader covering
-//! exactly the shapes the emitter produces (flat objects of scalars plus
-//! one nested `fields` object). Keeping it dependency-free means the
+//! here is deliberately small: a JSON reader covering exactly the shapes
+//! the emitter produces (flat objects of scalars plus one nested `fields`
+//! object; unknown keys may hold scalars or nested objects and are
+//! skipped, arrays are refused). Keeping it dependency-free means the
 //! whole trace → report pipeline stays testable in minimal environments
 //! and byte-level behaviour never drifts with an external serializer.
 //!
+//! It reads a line once, left to right, and yields a [`RecordRef`] that
+//! borrows its strings from the line: a string is copied only when it
+//! contains escapes, and a [`LineParser`] keeps its field storage between
+//! lines, so streaming a trace allocates nothing per record.
+//! [`parse_line`] / [`parse_jsonl`] are the same parser followed by
+//! [`RecordRef::to_owned`]. A key that occurs twice takes its last value,
+//! at the top level and inside `fields`, as it would in a map.
+//!
 //! Number mapping is type-directed rather than syntax-preserving: a
-//! bare integer becomes `Value::U64` (or `I64` when negative), anything
-//! with a fraction or exponent becomes `Value::F64`. A float that the
+//! bare integer becomes `U64` (or `I64` when negative), anything
+//! with a fraction or exponent becomes `F64`. A float that the
 //! emitter printed without a fractional part (`3`) therefore reads back
 //! as `U64(3)` — acceptable lossiness for analysis, called out here so
 //! nobody relies on exact `Value` round-trips for integral floats.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
-use crate::record::{Fields, TraceRecord, Value};
+use crate::record::{Field, RecordRef, TraceRecord, ValueRef};
 
 /// Why a line failed to parse. The line number (0-based) is attached by
-/// [`parse_jsonl`]; single-line entry points report position only.
+/// [`for_each_record`] and [`parse_jsonl`]; single-line entry points
+/// report position only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
     /// Byte offset within the line where parsing gave up.
     pub at: usize,
     /// Human-readable description of what went wrong.
     pub what: String,
+}
+
+impl ParseError {
+    fn new(at: usize, what: impl Into<String>) -> Self {
+        ParseError { at, what: what.into() }
+    }
+
+    /// This error with the 0-based number of the line it came from folded
+    /// into the message.
+    pub fn on_line(self, line: usize) -> Self {
+        ParseError { at: self.at, what: format!("line {line}: {}", self.what) }
+    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -37,44 +59,71 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed JSON value, only as rich as the trace format needs.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
+/// A parsed JSON value, only as rich as the trace format needs. Nested
+/// objects are checked and skipped, never built.
+#[derive(Debug, Default)]
+enum Json<'a> {
+    #[default]
+    Absent,
     Null,
-    Bool(bool),
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    Str(String),
-    Obj(BTreeMap<String, Json>),
+    Scalar(ValueRef<'a>),
+    Object,
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, what: impl Into<String>) -> ParseError {
-        ParseError { at: self.pos, what: what.into() }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl<'a> Json<'a> {
+    fn u64(&self, key: &str) -> Result<u64, ParseError> {
+        match self {
+            Json::Scalar(ValueRef::U64(v)) => Ok(*v),
+            _ => Err(ParseError::new(0, format!("missing or non-integer '{key}'"))),
         }
     }
 
+    /// `parent` / `span`: an id, or `null` / absent for none.
+    fn opt_u64(&self, key: &str) -> Result<Option<u64>, ParseError> {
+        match self {
+            Json::Scalar(ValueRef::U64(v)) => Ok(Some(*v)),
+            Json::Null | Json::Absent => Ok(None),
+            _ => Err(ParseError::new(0, format!("bad '{key}'"))),
+        }
+    }
+
+    fn str(&self, key: &str) -> Result<&str, ParseError> {
+        match self {
+            Json::Scalar(ValueRef::Str(s)) => Ok(s),
+            _ => Err(ParseError::new(0, format!("missing or non-string '{key}'"))),
+        }
+    }
+}
+
+/// Where the stretch of string body starting at `from` stops: at the next
+/// `"` or `\`, or at the end of the text. Both are ASCII, so they never
+/// occur inside a multi-byte character and the stretch is sliceable.
+fn plain_end(text: &str, from: usize) -> usize {
+    text.as_bytes()[from..]
+        .iter()
+        .position(|b| matches!(b, b'"' | b'\\'))
+        .map_or(text.len(), |n| from + n)
+}
+
+/// Position in one line.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn err(&self, what: impl Into<String>) -> ParseError {
+        ParseError::new(self.pos, what)
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -86,22 +135,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// Any value. A nested object is validated and reported as
+    /// [`Json::Object`] without being built.
+    fn value(&mut self) -> Result<Json<'a>, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'{') => self.skip_object().map(|()| Json::Object),
+            Some(b'"') => Ok(Json::Scalar(ValueRef::Str(self.string()?))),
+            Some(b't') => self.literal("true", Json::Scalar(ValueRef::Bool(true))),
+            Some(b'f') => self.literal("false", Json::Scalar(ValueRef::Bool(false))),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Scalar),
             Some(b'[') => Err(self.err("arrays are not part of the trace format")),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, v: Json<'a>) -> Result<Json<'a>, ParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -109,41 +160,91 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    /// The members of the object at the cursor, in order: `on_member` is
+    /// called after each `"key":` and must consume the value.
+    fn members(
+        &mut self,
+        mut on_member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
+            on_member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Checks the object at the cursor, and whatever objects it nests,
+    /// against the grammar without building anything. Nesting is counted,
+    /// not recursed into, so depth costs no stack.
+    fn skip_object(&mut self) -> Result<(), ParseError> {
+        let mut depth = 0usize;
+        loop {
+            // At a '{'.
+            self.expect(b'{')?;
+            depth += 1;
+            self.skip_ws();
+            let mut after_value = self.peek() == Some(b'}');
+            loop {
+                if after_value {
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b'}') => {
+                            self.pos += 1;
+                            depth -= 1;
+                            if depth == 0 {
+                                return Ok(());
+                            }
+                            continue;
+                        }
+                        _ => return Err(self.err("expected ',' or '}' in object")),
+                    }
+                }
+                self.skip_ws();
+                self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                if self.peek() == Some(b'{') {
+                    break;
+                }
+                self.value()?;
+                after_value = true;
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.pos = plain_end(self.text, start);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let e = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -156,57 +257,49 @@ impl<'a> Parser<'a> {
                         b't' => out.push('\t'),
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Combine a surrogate pair if one follows.
-                            if (0xD800..0xDC00).contains(&cp)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                let save = self.pos;
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if (0xDC00..0xE000).contains(&lo) {
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    out.push(
-                                        char::from_u32(c)
-                                            .ok_or_else(|| self.err("bad surrogate pair"))?,
-                                    );
-                                    continue;
-                                }
-                                self.pos = save;
-                            }
-                            out.push(char::from_u32(cp).ok_or_else(|| self.err("bad \\u escape"))?);
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
                 _ => {
-                    // Re-borrow the original UTF-8: step back and take the
-                    // full char (multi-byte sequences arrive intact since
-                    // the input is a &str).
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let from = self.pos - 1;
+                    self.pos = plain_end(self.text, from);
+                    out.push_str(&self.text[from..self.pos]);
                 }
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+    /// The character of a `\u` escape whose `\u` has been consumed,
+    /// combining a surrogate pair if one follows.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let cp = self.hex4()?;
+        if (0xD800..0xDC00).contains(&cp) && self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+            let save = self.pos;
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if (0xDC00..0xE000).contains(&lo) {
+                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                return char::from_u32(c).ok_or_else(|| self.err("bad surrogate pair"));
+            }
+            self.pos = save;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
+        char::from_u32(cp).ok_or_else(|| self.err("bad \\u escape"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let s = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<ValueRef<'a>, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -222,138 +315,182 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        let text = &self.text[start..self.pos];
         if float {
-            text.parse::<f64>().map(Json::F64).map_err(|_| self.err("bad float"))
+            text.parse().map(ValueRef::F64).map_err(|_| self.err("bad float"))
         } else if text.starts_with('-') {
-            text.parse::<i64>().map(Json::I64).map_err(|_| self.err("bad integer"))
+            text.parse().map(ValueRef::I64).map_err(|_| self.err("bad integer"))
         } else {
-            text.parse::<u64>().map(Json::U64).map_err(|_| self.err("bad integer"))
+            text.parse().map(ValueRef::U64).map_err(|_| self.err("bad integer"))
         }
     }
 }
 
-fn scalar(j: Json, at: usize) -> Result<Value, ParseError> {
-    match j {
-        Json::Bool(b) => Ok(Value::Bool(b)),
-        Json::U64(v) => Ok(Value::U64(v)),
-        Json::I64(v) => Ok(Value::I64(v)),
-        Json::F64(v) => Ok(Value::F64(v)),
-        Json::Str(s) => Ok(Value::Str(s)),
-        Json::Null | Json::Obj(_) => {
-            Err(ParseError { at, what: "field values must be scalars".into() })
+/// The record keys of one line, each holding the last value it was given.
+#[derive(Default)]
+struct Slots<'a> {
+    kind: Json<'a>,
+    schema: Json<'a>,
+    clock: Json<'a>,
+    t: Json<'a>,
+    id: Json<'a>,
+    parent: Json<'a>,
+    name: Json<'a>,
+    dur_ns: Json<'a>,
+    span: Json<'a>,
+    /// The last `fields` key held something other than an object (an
+    /// object's scalar members are in [`LineParser::fields`]).
+    fields_not_an_object: bool,
+}
+
+/// The trace parser: one line in, one borrowed record out.
+///
+/// `'a` is the lifetime of the text the lines come from; the returned
+/// record also borrows the parser (its field storage, and any string that
+/// had escapes to resolve), so it has to be dropped — folded, copied,
+/// `to_owned()` — before the next line is parsed.
+#[derive(Default)]
+pub struct LineParser<'a> {
+    slots: Slots<'a>,
+    /// Scalar members of the line's `fields` object, in line order.
+    fields: Vec<Field<'a>>,
+    /// Keys in `fields` whose value was `null` or an object, with
+    /// `fields.len()` at that moment. Such a member refuses the line unless
+    /// a later scalar under the same key replaces it.
+    not_scalar: Vec<(Cow<'a, str>, usize)>,
+}
+
+impl<'a> LineParser<'a> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Parse one JSONL line.
+    pub fn parse(&mut self, line: &'a str) -> Result<RecordRef<'_>, ParseError> {
+        let LineParser { slots, fields, not_scalar } = self;
+        *slots = Slots::default();
+        fields.clear();
+        not_scalar.clear();
+
+        let mut cur = Cursor { text: line, pos: 0 };
+        cur.skip_ws();
+        if cur.peek() != Some(b'{') {
+            return Err(cur.err("record is not an object"));
         }
-    }
-}
-
-fn take_u64(map: &mut BTreeMap<String, Json>, key: &str) -> Result<u64, ParseError> {
-    match map.remove(key) {
-        Some(Json::U64(v)) => Ok(v),
-        _ => Err(ParseError { at: 0, what: format!("missing or non-integer '{key}'") }),
-    }
-}
-
-fn take_str(map: &mut BTreeMap<String, Json>, key: &str) -> Result<String, ParseError> {
-    match map.remove(key) {
-        Some(Json::Str(s)) => Ok(s),
-        _ => Err(ParseError { at: 0, what: format!("missing or non-string '{key}'") }),
-    }
-}
-
-fn take_fields(map: &mut BTreeMap<String, Json>) -> Result<Fields, ParseError> {
-    let mut fields = Fields::new();
-    if let Some(j) = map.remove("fields") {
-        match j {
-            Json::Obj(inner) => {
-                for (k, v) in inner {
-                    fields.insert(k, scalar(v, 0)?);
+        cur.members(|cur, key| {
+            let slot = match key.as_ref() {
+                "kind" => &mut slots.kind,
+                "schema" => &mut slots.schema,
+                "clock" => &mut slots.clock,
+                "t" => &mut slots.t,
+                "id" => &mut slots.id,
+                "parent" => &mut slots.parent,
+                "name" => &mut slots.name,
+                "dur_ns" => &mut slots.dur_ns,
+                "span" => &mut slots.span,
+                "fields" => {
+                    fields.clear();
+                    not_scalar.clear();
+                    cur.skip_ws();
+                    slots.fields_not_an_object = cur.peek() != Some(b'{');
+                    if slots.fields_not_an_object {
+                        return cur.value().map(drop);
+                    }
+                    return cur.members(|cur, key| {
+                        match cur.value()? {
+                            Json::Scalar(v) => fields.push((key, v)),
+                            _ => not_scalar.push((key, fields.len())),
+                        }
+                        Ok(())
+                    });
                 }
+                _ => return cur.value().map(drop),
+            };
+            *slot = cur.value()?;
+            Ok(())
+        })?;
+        cur.skip_ws();
+        if cur.pos != line.len() {
+            return Err(cur.err("trailing bytes after record"));
+        }
+
+        let slots: &Slots<'a> = slots;
+        let fields: &[Field<'a>] = fields;
+        // Only a record that has fields is refused for what sits under the key.
+        let checked_fields = || {
+            if slots.fields_not_an_object {
+                return Err(ParseError::new(0, "'fields' must be an object"));
             }
-            _ => return Err(ParseError { at: 0, what: "'fields' must be an object".into() }),
+            let replaced =
+                |(key, at): &(Cow<'_, str>, usize)| fields[*at..].iter().any(|(k, _)| k == key);
+            if !not_scalar.iter().all(replaced) {
+                return Err(ParseError::new(0, "field values must be scalars"));
+            }
+            Ok(fields)
+        };
+        let t = || slots.t.u64("t");
+        match slots.kind.str("kind")? {
+            "meta" => Ok(RecordRef::Meta {
+                schema: slots.schema.u64("schema")? as u32,
+                clock: slots.clock.str("clock")?,
+                t: t()?,
+            }),
+            "span_start" => Ok(RecordRef::SpanStart {
+                id: slots.id.u64("id")?,
+                parent: slots.parent.opt_u64("parent")?,
+                name: slots.name.str("name")?,
+                t: t()?,
+                fields: checked_fields()?,
+            }),
+            "span_end" => Ok(RecordRef::SpanEnd {
+                id: slots.id.u64("id")?,
+                name: slots.name.str("name")?,
+                t: t()?,
+                dur_ns: slots.dur_ns.u64("dur_ns")?,
+                fields: checked_fields()?,
+            }),
+            "event" => Ok(RecordRef::Event {
+                span: slots.span.opt_u64("span")?,
+                name: slots.name.str("name")?,
+                t: t()?,
+                fields: checked_fields()?,
+            }),
+            other => Err(ParseError::new(0, format!("unknown record kind '{other}'"))),
         }
     }
-    Ok(fields)
 }
 
-/// Parse one JSONL line into a [`TraceRecord`].
+/// Parse one JSONL line into an owned [`TraceRecord`].
 pub fn parse_line(line: &str) -> Result<TraceRecord, ParseError> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing bytes after record"));
-    }
-    let Json::Obj(mut map) = v else {
-        return Err(ParseError { at: 0, what: "record is not an object".into() });
-    };
-    let kind = take_str(&mut map, "kind")?;
-    match kind.as_str() {
-        "meta" => Ok(TraceRecord::Meta {
-            schema: take_u64(&mut map, "schema")? as u32,
-            clock: take_str(&mut map, "clock")?,
-            t: take_u64(&mut map, "t")?,
-        }),
-        "span_start" => {
-            let parent = match map.remove("parent") {
-                Some(Json::U64(v)) => Some(v),
-                Some(Json::Null) | None => None,
-                _ => return Err(ParseError { at: 0, what: "bad 'parent'".into() }),
-            };
-            Ok(TraceRecord::SpanStart {
-                id: take_u64(&mut map, "id")?,
-                parent,
-                name: take_str(&mut map, "name")?,
-                t: take_u64(&mut map, "t")?,
-                fields: take_fields(&mut map)?,
-            })
-        }
-        "span_end" => Ok(TraceRecord::SpanEnd {
-            id: take_u64(&mut map, "id")?,
-            name: take_str(&mut map, "name")?,
-            t: take_u64(&mut map, "t")?,
-            dur_ns: take_u64(&mut map, "dur_ns")?,
-            fields: take_fields(&mut map)?,
-        }),
-        "event" => {
-            let span = match map.remove("span") {
-                Some(Json::U64(v)) => Some(v),
-                Some(Json::Null) | None => None,
-                _ => return Err(ParseError { at: 0, what: "bad 'span'".into() }),
-            };
-            Ok(TraceRecord::Event {
-                span,
-                name: take_str(&mut map, "name")?,
-                t: take_u64(&mut map, "t")?,
-                fields: take_fields(&mut map)?,
-            })
-        }
-        other => Err(ParseError { at: 0, what: format!("unknown record kind '{other}'") }),
-    }
+    LineParser::new().parse(line).map(|r| r.to_owned())
 }
 
-/// Parse a whole JSONL trace. Blank lines are skipped; the first failing
-/// line aborts with its 0-based line number folded into the message.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
-    let mut out = Vec::new();
+/// Stream a whole JSONL trace through `f`, one borrowed record per line.
+/// Blank lines are skipped; the first failing line aborts with its
+/// 0-based line number folded into the message.
+pub fn for_each_record(text: &str, mut f: impl FnMut(&RecordRef<'_>)) -> Result<(), ParseError> {
+    let mut parser = LineParser::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(line) {
-            Ok(r) => out.push(r),
-            Err(e) => {
-                return Err(ParseError { at: e.at, what: format!("line {i}: {}", e.what) });
-            }
-        }
+        f(&parser.parse(line).map_err(|e| e.on_line(i))?);
     }
+    Ok(())
+}
+
+/// Parse a whole JSONL trace into owned records ([`for_each_record`]
+/// followed by [`RecordRef::to_owned`]).
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
+    let mut out = Vec::new();
+    for_each_record(text, |r| out.push(r.to_owned()))?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TRACE_SCHEMA_VERSION;
+    use crate::record::{Fields, Record, Value, TRACE_SCHEMA_VERSION};
 
     fn roundtrip(r: &TraceRecord) {
         let parsed = parse_line(&r.to_json()).expect("parses");
@@ -432,5 +569,69 @@ mod tests {
                     \"fields\":{\"s\":\"\\ud834\\udd1e\"}}";
         let r = parse_line(line).unwrap();
         assert_eq!(r.field_str("s"), Some("\u{1D11E}"));
+    }
+
+    #[test]
+    fn plain_strings_are_borrowed_from_the_line() {
+        let line = "{\"kind\":\"event\",\"span\":3,\"name\":\"provider.op\",\"t\":1,\
+                    \"fields\":{\"provider\":\"Aliyun\",\"why\":\"a\\tb\"}}";
+        let mut parser = LineParser::new();
+        let r = parser.parse(line).unwrap();
+        let in_line = |s: &str| line.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        assert!(in_line(r.name().unwrap()));
+        assert!(in_line(r.field_str("provider").unwrap()));
+        assert_eq!(r.field_str("why"), Some("a\tb"));
+        assert!(!in_line(r.field_str("why").unwrap()), "escapes force a copy");
+    }
+
+    #[test]
+    fn a_repeated_key_takes_its_last_value() {
+        let r = parse_line(
+            "{\"t\":1,\"kind\":\"meta\",\"kind\":\"event\",\"name\":\"n\",\"fields\":{\"dropped\":1},\
+             \"t\":2,\"fields\":{\"k\":{},\"k\":null,\"k\":7,\"j\":1,\"j\":\"x\"}}",
+        )
+        .unwrap();
+        let mut fields = Fields::new();
+        fields.insert("j".into(), Value::Str("x".into()));
+        fields.insert("k".into(), Value::U64(7));
+        assert_eq!(r, TraceRecord::Event { span: None, name: "n".into(), t: 2, fields });
+    }
+
+    #[test]
+    fn non_scalar_field_values_refuse_the_line_unless_replaced() {
+        let event = |fields: &str| {
+            parse_line(&format!(
+                "{{\"kind\":\"event\",\"name\":\"n\",\"t\":1,\"fields\":{fields}}}"
+            ))
+        };
+        assert!(event("{\"k\":null}").is_err());
+        assert!(event("{\"k\":{\"deep\":{\"deeper\":{}}}}").is_err());
+        assert!(event("{\"k\":1,\"k\":{}}").is_err());
+        assert!(event("{\"k\":{},\"k\":1}").is_ok());
+        assert!(event("null").is_err());
+        assert!(event("7").is_err());
+        // A meta record has no fields: whatever sits under the key is
+        // checked as JSON and otherwise ignored.
+        let meta = "{\"kind\":\"meta\",\"schema\":2,\"clock\":\"v\",\"t\":0,\"fields\":";
+        assert!(parse_line(&format!("{meta}7}}")).is_ok());
+        assert!(parse_line(&format!("{meta}{{\"k\":null}}}}")).is_ok());
+        assert!(parse_line(&format!("{meta}[]}}")).is_err());
+    }
+
+    #[test]
+    fn unknown_keys_may_nest_objects_to_any_depth() {
+        let deep = 100_000;
+        let line = format!(
+            "{{\"kind\":\"meta\",\"schema\":2,\"clock\":\"v\",\"t\":0,\"x\":{}1{}}}",
+            "{\"a\":".repeat(deep),
+            "}".repeat(deep)
+        );
+        assert!(parse_line(&line).is_ok());
+        assert!(parse_line(&line[..line.len() - 2]).is_err());
+        let members = "{\"kind\":\"meta\",\"schema\":2,\"clock\":\"v\",\"t\":0,\
+                       \"x\":{\"a\":{},\"b\":{\"c\":1,\"d\":{}},\"e\":\"s\"} }";
+        assert!(parse_line(members).is_ok());
+        assert!(parse_line(&members.replace("{},", "{}")).is_err());
+        assert!(parse_line(&members.replace("\"c\":1,", "\"c\":[],")).is_err());
     }
 }

@@ -1,14 +1,25 @@
 //! Trace records: the wire format of a telemetry trace.
 //!
-//! A trace is a sequence of JSONL lines, one [`TraceRecord`] each. The first
+//! A trace is a sequence of JSONL lines, one record each. The first
 //! record is always a `meta` line carrying [`TRACE_SCHEMA_VERSION`] and the
 //! clock domain; the rest are span starts/ends and point events. All
 //! timestamps are nanoseconds on the collector's clock — for simulation runs
 //! that is the *virtual* `SimClock`, which is what makes traces reproducible.
+//!
+//! A record exists in two forms. [`RecordRef`] borrows everything — names,
+//! field keys, string values — from whoever produced it: the collector's
+//! builders on the way out, one line of trace text on the way back in. It
+//! is what the serialiser writes, what the parser yields and what a tap
+//! sees, and making one allocates nothing. [`TraceRecord`] owns its
+//! strings; it is built from a `RecordRef` only where a record has to
+//! outlive its source (the ring sink, `parse_line` / `parse_jsonl`).
+//! Consumers that only read a record take either form through [`Record`].
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use crate::json::{push_f64, push_str_escaped};
+use crate::json::{push_f64, push_i64, push_opt_u64, push_str_escaped, push_u64};
 
 /// Version stamped into every trace's leading `meta` record. Bump when the
 /// JSONL shape changes incompatibly (renamed fields, changed units, ...).
@@ -23,7 +34,7 @@ use crate::json::{push_f64, push_str_escaped};
 ///   for refused requests.
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
-/// A typed field value attached to a span or event.
+/// A typed field value attached to a span or event, owning its string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Bool(bool),
@@ -34,25 +45,6 @@ pub enum Value {
 }
 
 impl Value {
-    fn push_json(&self, out: &mut String) {
-        match self {
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::U64(v) => {
-                out.push_str(itoa_u64(*v).as_str());
-            }
-            Value::I64(v) => {
-                if *v < 0 {
-                    out.push('-');
-                    out.push_str(itoa_u64(v.unsigned_abs()).as_str());
-                } else {
-                    out.push_str(itoa_u64(*v as u64).as_str());
-                }
-            }
-            Value::F64(v) => push_f64(out, *v),
-            Value::Str(s) => push_str_escaped(out, s),
-        }
-    }
-
     /// The string payload, if this is a `Str` value.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -68,87 +60,254 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The same value, borrowing the string.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::U64(v) => ValueRef::U64(*v),
+            Value::I64(v) => ValueRef::I64(*v),
+            Value::F64(v) => ValueRef::F64(*v),
+            Value::Str(s) => ValueRef::Str(Cow::Borrowed(s)),
+        }
+    }
 }
 
-fn itoa_u64(v: u64) -> String {
-    // Plain Display; tiny helper so call sites stay terse.
-    v.to_string()
+/// A field value whose string is borrowed where it can be: from the
+/// instrumented call site, or from the trace line it was parsed out of.
+/// It is owned only when a caller handed a `String` over or the parser had
+/// to resolve escapes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ValueRef<'a> {
+    Bool(bool),
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Str(Cow<'a, str>),
 }
 
-/// Conversion into [`Value`], deferred until the collector is known to be
-/// enabled. Implementors must not allocate in their own construction — the
-/// allocation (if any) happens inside `into_value`, which the builders only
-/// call on the enabled path.
-pub trait IntoValue {
-    fn into_value(self) -> Value;
+impl ValueRef<'_> {
+    fn push_json(&self, out: &mut String) {
+        match self {
+            ValueRef::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            ValueRef::U64(v) => push_u64(out, *v),
+            ValueRef::I64(v) => push_i64(out, *v),
+            ValueRef::F64(v) => push_f64(out, *v),
+            ValueRef::Str(s) => push_str_escaped(out, s),
+        }
+    }
+
+    /// The string payload, if this is a `Str` value.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer payload, if this is a `U64` value.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            ValueRef::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The same value, owning its string.
+    pub fn to_value(&self) -> Value {
+        match self {
+            ValueRef::Bool(b) => Value::Bool(*b),
+            ValueRef::U64(v) => Value::U64(*v),
+            ValueRef::I64(v) => Value::I64(*v),
+            ValueRef::F64(v) => Value::F64(*v),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
 }
 
-impl IntoValue for Value {
-    fn into_value(self) -> Value {
+/// Conversion into a field value, deferred until the collector is known to
+/// be enabled. Nothing here allocates: a `&str` stays borrowed for the
+/// builder's lifetime and a `String` is moved in.
+pub trait IntoValue<'a> {
+    fn into_value(self) -> ValueRef<'a>;
+}
+
+impl<'a> IntoValue<'a> for ValueRef<'a> {
+    fn into_value(self) -> ValueRef<'a> {
         self
     }
 }
-impl IntoValue for bool {
-    fn into_value(self) -> Value {
-        Value::Bool(self)
+impl<'a> IntoValue<'a> for bool {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::Bool(self)
     }
 }
-impl IntoValue for u64 {
-    fn into_value(self) -> Value {
-        Value::U64(self)
+impl<'a> IntoValue<'a> for u64 {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::U64(self)
     }
 }
-impl IntoValue for u32 {
-    fn into_value(self) -> Value {
-        Value::U64(self as u64)
+impl<'a> IntoValue<'a> for u32 {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::U64(self as u64)
     }
 }
-impl IntoValue for usize {
-    fn into_value(self) -> Value {
-        Value::U64(self as u64)
+impl<'a> IntoValue<'a> for usize {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::U64(self as u64)
     }
 }
-impl IntoValue for i64 {
-    fn into_value(self) -> Value {
-        Value::I64(self)
+impl<'a> IntoValue<'a> for i64 {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::I64(self)
     }
 }
-impl IntoValue for i32 {
-    fn into_value(self) -> Value {
-        Value::I64(self as i64)
+impl<'a> IntoValue<'a> for i32 {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::I64(self as i64)
     }
 }
-impl IntoValue for f64 {
-    fn into_value(self) -> Value {
-        Value::F64(self)
+impl<'a> IntoValue<'a> for f64 {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::F64(self)
     }
 }
-impl IntoValue for &str {
-    fn into_value(self) -> Value {
-        Value::Str(self.to_string())
+impl<'a> IntoValue<'a> for &'a str {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::Str(Cow::Borrowed(self))
     }
 }
-impl IntoValue for String {
-    fn into_value(self) -> Value {
-        Value::Str(self)
+impl<'a> IntoValue<'a> for String {
+    fn into_value(self) -> ValueRef<'a> {
+        ValueRef::Str(Cow::Owned(self))
     }
 }
 
-/// Key/value fields on a record. `BTreeMap` keeps JSON key order sorted and
-/// therefore deterministic.
+/// Key/value fields on an owned record. `BTreeMap` keeps JSON key order
+/// sorted and therefore deterministic.
 pub type Fields = BTreeMap<String, Value>;
 
-fn push_fields(out: &mut String, fields: &Fields) {
+/// One `(key, value)` pair of a borrowed record.
+pub type Field<'a> = (Cow<'a, str>, ValueRef<'a>);
+
+/// Fields a builder can carry without touching the heap; `provider.op`,
+/// the busiest record, has six.
+const INLINE_FIELDS: usize = 8;
+
+const NO_FIELD: Field<'static> = (Cow::Borrowed(""), ValueRef::Bool(false));
+
+/// The fields of a record under construction, kept the way the trace
+/// prints them — sorted by key, one value per key, the last one set — so
+/// the record can be serialised as it stands. The first
+/// [`INLINE_FIELDS`] live inline; a larger record moves to the heap.
+pub(crate) struct FieldBuf<'a> {
+    inline: [Field<'a>; INLINE_FIELDS],
+    /// Fields in use in `inline`; unused once `spill` has taken over.
+    len: usize,
+    spill: Vec<Field<'a>>,
+}
+
+impl<'a> FieldBuf<'a> {
+    pub(crate) fn new() -> Self {
+        FieldBuf { inline: [NO_FIELD; INLINE_FIELDS], len: 0, spill: Vec::new() }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[Field<'a>] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// `BTreeMap::insert` on a sorted array: a new key takes its sorted
+    /// place, a repeated key keeps its place and takes the new value.
+    pub(crate) fn insert(&mut self, key: &'static str, value: ValueRef<'a>) {
+        if !self.spill.is_empty() {
+            match self.spill.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
+                Ok(at) => self.spill[at].1 = value,
+                Err(at) => self.spill.insert(at, (Cow::Borrowed(key), value)),
+            }
+            return;
+        }
+        // A handful of fields at most: walk back from the end to the
+        // key's place, then shift the tail up by one through `carry`.
+        let mut at = self.len;
+        while at > 0 {
+            match self.inline[at - 1].0.as_ref().cmp(key) {
+                Ordering::Less => break,
+                Ordering::Equal => {
+                    self.inline[at - 1].1 = value;
+                    return;
+                }
+                Ordering::Greater => at -= 1,
+            }
+        }
+        let mut carry = (Cow::Borrowed(key), value);
+        if self.len == INLINE_FIELDS {
+            self.spill.extend(self.inline.iter_mut().map(|f| std::mem::replace(f, NO_FIELD)));
+            self.spill.insert(at, carry);
+            return;
+        }
+        for slot in &mut self.inline[at..=self.len] {
+            std::mem::swap(slot, &mut carry);
+        }
+        self.len += 1;
+    }
+}
+
+/// Which of the four record shapes a record has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    Meta,
+    SpanStart,
+    SpanEnd,
+    Event,
+}
+
+/// Read access to a record in either form, for consumers that fold
+/// records without keeping them (the observatory).
+pub trait Record {
+    fn kind(&self) -> RecordKind;
+    /// The record's timestamp on the trace clock, nanoseconds.
+    fn t(&self) -> u64;
+    /// The span or event name; meta records have none.
+    fn name(&self) -> Option<&str>;
+    /// `(schema, clock domain)` of a meta record.
+    fn meta(&self) -> Option<(u32, &str)>;
+    /// Field `key` as a string, if present and a string.
+    fn field_str(&self, key: &str) -> Option<&str>;
+    /// Field `key` as a u64, if present and an unsigned integer.
+    fn field_u64(&self, key: &str) -> Option<u64>;
+}
+
+/// One line of a trace, borrowing its strings (see the module docs).
+///
+/// `fields` is in trace order. What the collector emits is sorted by key
+/// with one value per key; a record parsed from a foreign line may repeat a
+/// key, and then the last occurrence is the field's value, as it is in
+/// the owned form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RecordRef<'a> {
+    /// Leading record: schema version and clock domain ("virtual" or "wall").
+    Meta { schema: u32, clock: &'a str, t: u64 },
+    /// A span opened at `t`; `parent` links to the enclosing span, if any.
+    SpanStart { id: u64, parent: Option<u64>, name: &'a str, t: u64, fields: &'a [Field<'a>] },
+    /// The matching close: `dur_ns` is `t_end - t_start` on the trace clock.
+    SpanEnd { id: u64, name: &'a str, t: u64, dur_ns: u64, fields: &'a [Field<'a>] },
+    /// A point event, attributed to the innermost open span (if any).
+    Event { span: Option<u64>, name: &'a str, t: u64, fields: &'a [Field<'a>] },
+}
+
+fn push_fields(out: &mut String, fields: &[Field<'_>]) {
     if fields.is_empty() {
         return;
     }
     out.push_str(",\"fields\":{");
-    let mut first = true;
-    for (k, v) in fields {
-        if !first {
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
         push_str_escaped(out, k);
         out.push(':');
         v.push_json(out);
@@ -156,7 +315,145 @@ fn push_fields(out: &mut String, fields: &Fields) {
     out.push('}');
 }
 
-/// One line of a trace.
+impl RecordRef<'_> {
+    /// Append this record as a single JSON object (no trailing newline) —
+    /// the one serialiser every trace byte comes from. Key order is fixed
+    /// here and fields are written in slice order; see the `json` module
+    /// for why this is hand-rolled.
+    pub fn write_json(&self, out: &mut String) {
+        match *self {
+            RecordRef::Meta { schema, clock, t } => {
+                out.push_str("{\"kind\":\"meta\",\"schema\":");
+                push_u64(out, schema.into());
+                out.push_str(",\"clock\":");
+                push_str_escaped(out, clock);
+                out.push_str(",\"t\":");
+                push_u64(out, t);
+            }
+            RecordRef::SpanStart { id, parent, name, t, fields } => {
+                out.push_str("{\"kind\":\"span_start\",\"id\":");
+                push_u64(out, id);
+                out.push_str(",\"parent\":");
+                push_opt_u64(out, parent);
+                out.push_str(",\"name\":");
+                push_str_escaped(out, name);
+                out.push_str(",\"t\":");
+                push_u64(out, t);
+                push_fields(out, fields);
+            }
+            RecordRef::SpanEnd { id, name, t, dur_ns, fields } => {
+                out.push_str("{\"kind\":\"span_end\",\"id\":");
+                push_u64(out, id);
+                out.push_str(",\"name\":");
+                push_str_escaped(out, name);
+                out.push_str(",\"t\":");
+                push_u64(out, t);
+                out.push_str(",\"dur_ns\":");
+                push_u64(out, dur_ns);
+                push_fields(out, fields);
+            }
+            RecordRef::Event { span, name, t, fields } => {
+                out.push_str("{\"kind\":\"event\",\"span\":");
+                push_opt_u64(out, span);
+                out.push_str(",\"name\":");
+                push_str_escaped(out, name);
+                out.push_str(",\"t\":");
+                push_u64(out, t);
+                push_fields(out, fields);
+            }
+        }
+        out.push('}');
+    }
+
+    /// The record's fields (none on a meta record).
+    pub fn fields(&self) -> &[Field<'_>] {
+        match self {
+            RecordRef::Meta { .. } => &[],
+            RecordRef::SpanStart { fields, .. }
+            | RecordRef::SpanEnd { fields, .. }
+            | RecordRef::Event { fields, .. } => fields,
+        }
+    }
+
+    fn field(&self, key: &str) -> Option<&ValueRef<'_>> {
+        self.fields().iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The owned form of this record.
+    pub fn to_owned(&self) -> TraceRecord {
+        let owned = |fields: &[Field<'_>]| -> Fields {
+            fields.iter().map(|(k, v)| (k.to_string(), v.to_value())).collect()
+        };
+        match *self {
+            RecordRef::Meta { schema, clock, t } => {
+                TraceRecord::Meta { schema, clock: clock.to_string(), t }
+            }
+            RecordRef::SpanStart { id, parent, name, t, fields } => TraceRecord::SpanStart {
+                id,
+                parent,
+                name: name.to_string(),
+                t,
+                fields: owned(fields),
+            },
+            RecordRef::SpanEnd { id, name, t, dur_ns, fields } => TraceRecord::SpanEnd {
+                id,
+                name: name.to_string(),
+                t,
+                dur_ns,
+                fields: owned(fields),
+            },
+            RecordRef::Event { span, name, t, fields } => {
+                TraceRecord::Event { span, name: name.to_string(), t, fields: owned(fields) }
+            }
+        }
+    }
+}
+
+impl Record for RecordRef<'_> {
+    fn kind(&self) -> RecordKind {
+        match self {
+            RecordRef::Meta { .. } => RecordKind::Meta,
+            RecordRef::SpanStart { .. } => RecordKind::SpanStart,
+            RecordRef::SpanEnd { .. } => RecordKind::SpanEnd,
+            RecordRef::Event { .. } => RecordKind::Event,
+        }
+    }
+
+    fn t(&self) -> u64 {
+        match self {
+            RecordRef::Meta { t, .. }
+            | RecordRef::SpanStart { t, .. }
+            | RecordRef::SpanEnd { t, .. }
+            | RecordRef::Event { t, .. } => *t,
+        }
+    }
+
+    fn name(&self) -> Option<&str> {
+        match self {
+            RecordRef::Meta { .. } => None,
+            RecordRef::SpanStart { name, .. }
+            | RecordRef::SpanEnd { name, .. }
+            | RecordRef::Event { name, .. } => Some(name),
+        }
+    }
+
+    fn meta(&self) -> Option<(u32, &str)> {
+        match self {
+            RecordRef::Meta { schema, clock, .. } => Some((*schema, clock)),
+            _ => None,
+        }
+    }
+
+    fn field_str(&self, key: &str) -> Option<&str> {
+        self.field(key).and_then(ValueRef::as_str)
+    }
+
+    fn field_u64(&self, key: &str) -> Option<u64> {
+        self.field(key).and_then(ValueRef::as_u64)
+    }
+}
+
+/// One line of a trace, owning its strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceRecord {
     /// Leading record: schema version and clock domain ("virtual" or "wall").
@@ -170,61 +467,31 @@ pub enum TraceRecord {
 }
 
 impl TraceRecord {
-    /// Render this record as a single JSON object (no trailing newline).
-    /// Field order is fixed; see module docs for why this is hand-rolled.
+    /// Render this record as a single JSON object (no trailing newline),
+    /// through [`RecordRef::write_json`].
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        match self {
+        let fields: Vec<Field<'_>> = self
+            .fields()
+            .into_iter()
+            .flatten()
+            .map(|(k, v)| (Cow::Borrowed(k.as_str()), v.as_ref()))
+            .collect();
+        let borrowed = match self {
             TraceRecord::Meta { schema, clock, t } => {
-                s.push_str("{\"kind\":\"meta\",\"schema\":");
-                s.push_str(&schema.to_string());
-                s.push_str(",\"clock\":");
-                push_str_escaped(&mut s, clock);
-                s.push_str(",\"t\":");
-                s.push_str(&t.to_string());
-                s.push('}');
+                RecordRef::Meta { schema: *schema, clock, t: *t }
             }
-            TraceRecord::SpanStart { id, parent, name, t, fields } => {
-                s.push_str("{\"kind\":\"span_start\",\"id\":");
-                s.push_str(&id.to_string());
-                s.push_str(",\"parent\":");
-                match parent {
-                    Some(p) => s.push_str(&p.to_string()),
-                    None => s.push_str("null"),
-                }
-                s.push_str(",\"name\":");
-                push_str_escaped(&mut s, name);
-                s.push_str(",\"t\":");
-                s.push_str(&t.to_string());
-                push_fields(&mut s, fields);
-                s.push('}');
+            TraceRecord::SpanStart { id, parent, name, t, .. } => {
+                RecordRef::SpanStart { id: *id, parent: *parent, name, t: *t, fields: &fields }
             }
-            TraceRecord::SpanEnd { id, name, t, dur_ns, fields } => {
-                s.push_str("{\"kind\":\"span_end\",\"id\":");
-                s.push_str(&id.to_string());
-                s.push_str(",\"name\":");
-                push_str_escaped(&mut s, name);
-                s.push_str(",\"t\":");
-                s.push_str(&t.to_string());
-                s.push_str(",\"dur_ns\":");
-                s.push_str(&dur_ns.to_string());
-                push_fields(&mut s, fields);
-                s.push('}');
+            TraceRecord::SpanEnd { id, name, t, dur_ns, .. } => {
+                RecordRef::SpanEnd { id: *id, name, t: *t, dur_ns: *dur_ns, fields: &fields }
             }
-            TraceRecord::Event { span, name, t, fields } => {
-                s.push_str("{\"kind\":\"event\",\"span\":");
-                match span {
-                    Some(p) => s.push_str(&p.to_string()),
-                    None => s.push_str("null"),
-                }
-                s.push_str(",\"name\":");
-                push_str_escaped(&mut s, name);
-                s.push_str(",\"t\":");
-                s.push_str(&t.to_string());
-                push_fields(&mut s, fields);
-                s.push('}');
+            TraceRecord::Event { span, name, t, .. } => {
+                RecordRef::Event { span: *span, name, t: *t, fields: &fields }
             }
-        }
+        };
+        let mut s = String::with_capacity(96);
+        borrowed.write_json(&mut s);
         s
     }
 
@@ -238,7 +505,7 @@ impl TraceRecord {
         }
     }
 
-    /// The record's fields (empty for meta records).
+    /// The record's fields (none on a meta record).
     pub fn fields(&self) -> Option<&Fields> {
         match self {
             TraceRecord::Meta { .. } => None,
@@ -261,6 +528,45 @@ impl TraceRecord {
     /// Convenience: field `key` as a u64, if present.
     pub fn field_u64(&self, key: &str) -> Option<u64> {
         self.fields().and_then(|f| f.get(key)).and_then(Value::as_u64)
+    }
+}
+
+impl Record for TraceRecord {
+    fn kind(&self) -> RecordKind {
+        match self {
+            TraceRecord::Meta { .. } => RecordKind::Meta,
+            TraceRecord::SpanStart { .. } => RecordKind::SpanStart,
+            TraceRecord::SpanEnd { .. } => RecordKind::SpanEnd,
+            TraceRecord::Event { .. } => RecordKind::Event,
+        }
+    }
+
+    fn t(&self) -> u64 {
+        match self {
+            TraceRecord::Meta { t, .. }
+            | TraceRecord::SpanStart { t, .. }
+            | TraceRecord::SpanEnd { t, .. }
+            | TraceRecord::Event { t, .. } => *t,
+        }
+    }
+
+    fn name(&self) -> Option<&str> {
+        TraceRecord::name(self)
+    }
+
+    fn meta(&self) -> Option<(u32, &str)> {
+        match self {
+            TraceRecord::Meta { schema, clock, .. } => Some((*schema, clock)),
+            _ => None,
+        }
+    }
+
+    fn field_str(&self, key: &str) -> Option<&str> {
+        TraceRecord::field_str(self, key)
+    }
+
+    fn field_u64(&self, key: &str) -> Option<u64> {
+        TraceRecord::field_u64(self, key)
     }
 }
 
@@ -311,5 +617,34 @@ mod tests {
         };
         assert_eq!(end.name(), Some("read_file"));
         assert!(end.to_json().contains("\"dur_ns\":4"));
+    }
+
+    #[test]
+    fn field_buf_sorts_replaces_and_spills_like_a_map() {
+        const KEYS: [&str; 12] = ["k", "c", "x", "a", "c", "m", "b", "z", "y", "d", "e", "k"];
+        let mut buf = FieldBuf::new();
+        let mut map = BTreeMap::new();
+        for (i, key) in KEYS.into_iter().enumerate() {
+            buf.insert(key, ValueRef::U64(i as u64));
+            map.insert(key, i as u64);
+            let got: Vec<(&str, u64)> =
+                buf.as_slice().iter().map(|(k, v)| (k.as_ref(), v.as_u64().unwrap())).collect();
+            let want: Vec<(&str, u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(got, want, "after {} inserts", i + 1);
+        }
+        assert!(map.len() > INLINE_FIELDS, "the walk crosses the spill point");
+    }
+
+    #[test]
+    fn borrowed_lookup_takes_the_last_of_a_repeated_key() {
+        let fields: [Field<'_>; 3] = [
+            ("k".into(), ValueRef::U64(1)),
+            ("other".into(), ValueRef::Str("s".into())),
+            ("k".into(), ValueRef::U64(2)),
+        ];
+        let r = RecordRef::Event { span: None, name: "e", t: 0, fields: &fields };
+        assert_eq!(r.field_u64("k"), Some(2));
+        assert_eq!(r.field_str("other"), Some("s"));
+        assert_eq!(r.to_owned().field_u64("k"), Some(2));
     }
 }

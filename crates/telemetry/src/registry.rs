@@ -5,6 +5,7 @@
 //! stable across runs with the same seed.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::sync::Mutex;
 
 use crate::hist::Histogram;
@@ -13,6 +14,41 @@ use crate::hist::Histogram;
 /// into a deadlocked one.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Longest `name[label]` that [`with_labeled`] renders on the stack.
+const LABELED_INLINE: usize = 96;
+
+/// A string put together in place from whole `&str` pieces; a piece that
+/// does not fit is refused.
+struct InlineStr {
+    buf: [u8; LABELED_INLINE],
+    len: usize,
+}
+
+impl std::fmt::Write for InlineStr {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.buf.get_mut(self.len..end).ok_or(std::fmt::Error)?.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// Calls `f` with the series name `name[label]`. The name is put together
+/// on the stack whenever it fits, so looking a labelled series up costs no
+/// allocation; only a first sighting pays for the map's key.
+pub(crate) fn with_labeled<R>(name: &str, label: impl Display, f: impl FnOnce(&str) -> R) -> R {
+    let mut series = InlineStr { buf: [0; LABELED_INLINE], len: 0 };
+    let fits = series.write_str(name).is_ok()
+        && series.write_char('[').is_ok()
+        && write!(series, "{label}").is_ok()
+        && series.write_char(']').is_ok();
+    if fits {
+        f(std::str::from_utf8(&series.buf[..series.len]).expect("whole strs, end to end"))
+    } else {
+        f(&format!("{name}[{label}]"))
+    }
 }
 
 #[derive(Debug, Default)]
@@ -34,7 +70,13 @@ impl Registry {
     }
 
     pub fn set_gauge(&self, name: &str, v: i64) {
-        lock(&self.gauges).insert(name.to_string(), v);
+        let mut g = lock(&self.gauges);
+        match g.get_mut(name) {
+            Some(gauge) => *gauge = v,
+            None => {
+                g.insert(name.to_string(), v);
+            }
+        }
     }
 
     pub fn observe(&self, name: &str, v: u64) {
@@ -156,6 +198,22 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.counter("ops"), 5);
         assert_eq!(s.gauges.get("depth"), Some(&-4));
+    }
+
+    #[test]
+    fn labeled_names_render_inline_and_past_the_inline_limit() {
+        for (name, label) in [("a", ""), ("provider.ops", "Windows Azure"), ("π", "→")] {
+            with_labeled(name, label, |series| assert_eq!(series, format!("{name}[{label}]")));
+        }
+        with_labeled("meta.shard.dirty", 17usize, |series| {
+            assert_eq!(series, "meta.shard.dirty[17]")
+        });
+        let long = "x".repeat(LABELED_INLINE);
+        with_labeled("n", &long, |series| assert_eq!(series, format!("n[{long}]")));
+        let fits = "y".repeat(LABELED_INLINE - 3);
+        with_labeled("n", &fits, |series| assert_eq!(series.len(), LABELED_INLINE));
+        let one_over = "y".repeat(LABELED_INLINE - 2);
+        with_labeled("n", &one_over, |series| assert_eq!(series, format!("n[{one_over}]")));
     }
 
     #[test]

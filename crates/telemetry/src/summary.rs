@@ -28,10 +28,11 @@ pub struct SlowSpan {
     pub start_ns: u64,
 }
 
-/// Deterministic ordering: longest first, earliest start breaks ties, then
-/// path for full stability.
-pub(crate) fn slow_span_order(a: &SlowSpan, b: &SlowSpan) -> std::cmp::Ordering {
-    b.dur_ns.cmp(&a.dur_ns).then(a.start_ns.cmp(&b.start_ns)).then(a.path.cmp(&b.path))
+/// Deterministic ordering of completed spans, each given as `(dur_ns,
+/// start_ns, path)`: longest first, earliest start breaks ties, then path
+/// for full stability.
+pub(crate) fn slow_span_order(a: (u64, u64, &str), b: (u64, u64, &str)) -> std::cmp::Ordering {
+    b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(b.2))
 }
 
 /// Format nanoseconds with a unit chosen for readability. Deterministic
@@ -127,7 +128,10 @@ mod tests {
         let b = SlowSpan { path: "b".into(), dur_ns: 10, start_ns: 3 };
         let c = SlowSpan { path: "c".into(), dur_ns: 99, start_ns: 9 };
         let mut v = vec![a.clone(), b.clone(), c.clone()];
-        v.sort_by(slow_span_order);
+        fn key(s: &SlowSpan) -> (u64, u64, &str) {
+            (s.dur_ns, s.start_ns, &s.path)
+        }
+        v.sort_by(|a, b| slow_span_order(key(a), key(b)));
         assert_eq!(v, vec![c, b, a]);
     }
 }
