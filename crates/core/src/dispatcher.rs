@@ -111,6 +111,12 @@ impl CodeImpl {
 /// need no read round. FIFO eviction is enough: the workloads touch
 /// recent files.
 ///
+/// An entry is the client's one copy of a replicated file (DESIGN.md
+/// §8.1): an update [`lend`](Self::lend)s it out, patches the buffer
+/// where it lies and [`put`](Self::put)s it back, or hands the
+/// pre-update bytes back ([`hand_back`](Self::hand_back)) when no
+/// replica took the write.
+///
 /// Entries carry a generation stamp so removal and re-insertion are
 /// O(1): the FIFO keeps stale `(path, generation)` records and the
 /// eviction loop discards any whose generation no longer matches the
@@ -121,8 +127,17 @@ pub(crate) struct SmallFileCache {
     budget: usize,
     used: usize,
     generation: u64,
-    map: HashMap<Arc<str>, (Bytes, u64)>,
+    map: HashMap<Arc<str>, Slot>,
     order: VecDeque<(Arc<str>, u64)>,
+}
+
+struct Slot {
+    /// `None` while lent out to an updater; the slot then reads as a
+    /// miss but keeps its budget share and its place in the FIFO.
+    data: Option<Bytes>,
+    /// Bytes held against the budget, lent out or not.
+    len: usize,
+    generation: u64,
 }
 
 impl SmallFileCache {
@@ -150,43 +165,67 @@ impl SmallFileCache {
         // One key allocation per path, shared by the map and the FIFO
         // and kept across re-insertions.
         let key = match self.map.remove_entry(path) {
-            Some((key, (old, _))) => {
-                self.used -= old.len();
+            Some((key, old)) => {
+                self.used -= old.len;
                 key
             }
             None => Arc::from(path),
         };
         self.generation += 1;
         self.used += data.len();
-        self.map.insert(key.clone(), (data, self.generation));
+        let slot = Slot { len: data.len(), data: Some(data), generation: self.generation };
+        self.map.insert(key.clone(), slot);
         self.order.push_back((key, self.generation));
         while self.used > self.budget {
             let Some((victim, generation)) = self.order.pop_front() else {
                 break;
             };
             // Stale record: the path was removed or re-inserted since.
-            let live = self.map.get(&victim).is_some_and(|(_, g)| *g == generation);
-            if live {
-                if let Some((b, _)) = self.map.remove(&victim) {
-                    self.used -= b.len();
-                }
+            if self.map.get(&victim).is_some_and(|slot| slot.generation == generation) {
+                self.remove(&victim);
             }
         }
         // Bound the stale-record backlog independently of the byte
         // budget so `order` cannot grow past O(live entries).
         if self.order.len() > self.map.len() * 2 + 16 {
             let map = &self.map;
-            self.order.retain(|(p, g)| map.get(p).is_some_and(|(_, live)| live == g));
+            self.order.retain(|(p, g)| map.get(p).is_some_and(|slot| slot.generation == *g));
         }
     }
 
+    /// A shared view of the entry (the migration engine's read; an
+    /// update takes the entry itself with [`Self::lend`]).
     pub(crate) fn get(&self, path: &str) -> Option<Bytes> {
-        self.map.get(path).map(|(b, _)| b.clone())
+        self.map.get(path).and_then(|slot| slot.data.clone())
+    }
+
+    /// Moves the `len`-byte entry for `path` out for mutation, with the
+    /// generation to present when handing it back. The slot stays — its
+    /// budget share, its generation, its FIFO record — so the cache is
+    /// exactly as [`Self::get`] would have left it, except that until the
+    /// updater's [`Self::put`] or [`Self::hand_back`] the path reads as a
+    /// miss. An entry of any other length does not describe the file the
+    /// caller is updating and is a miss too.
+    pub(crate) fn lend(&mut self, path: &str, len: usize) -> Option<(Bytes, u64)> {
+        let slot = self.map.get_mut(path).filter(|slot| slot.len == len)?;
+        Some((slot.data.take()?, slot.generation))
+    }
+
+    /// Returns lent bytes unchanged (the update failed): the slot is
+    /// whole again, at its old generation and FIFO position. A slot that
+    /// was removed, evicted or re-inserted in the meantime is not
+    /// resurrected — the generation no longer matches and the bytes drop.
+    pub(crate) fn hand_back(&mut self, path: &str, generation: u64, data: Bytes) {
+        if let Some(slot) = self.map.get_mut(path) {
+            if slot.generation == generation && slot.len == data.len() {
+                slot.data = Some(data);
+            }
+        }
     }
 
     pub(crate) fn remove(&mut self, path: &str) {
-        if let Some((b, _)) = self.map.remove(path) {
-            self.used -= b.len();
+        if let Some(slot) = self.map.remove(path) {
+            self.used -= slot.len;
             // The FIFO record goes stale and is skipped at eviction.
         }
     }
@@ -432,7 +471,7 @@ impl Hyrd {
         ops: &mut Vec<OpReport>,
         decode: impl Fn(&[u8]) -> Option<T>,
     ) -> Option<T> {
-        let mut decoded = match hyrd.read_replicated("<bootstrap>", targets, name) {
+        let mut decoded = match hyrd.read_replicated("<bootstrap>", targets, name, None) {
             Ok((bytes, batch)) => {
                 ops.extend(batch.ops);
                 decode(&bytes)
@@ -1232,11 +1271,16 @@ impl Hyrd {
     // Read
     // ------------------------------------------------------------------
 
+    /// One whole replica of `object`. With `expect_len` (the inode's
+    /// size, for file payloads) a replica of any other length is an
+    /// erasure like a digest mismatch: the read fails over to the next
+    /// replica and no caller ever indexes into a short one.
     pub(crate) fn read_replicated(
         &self,
         path: &str,
         providers: &[ProviderId],
         object: &str,
+        expect_len: Option<u64>,
     ) -> SchemeResult<(Bytes, BatchReport)> {
         let key = Self::key(object);
         // Fastest replica first — the evaluator's whole purpose — with
@@ -1254,7 +1298,7 @@ impl Hyrd {
         // One copy wins; the hedge timer fans out to a second replica
         // when the first is slow (metadata and small files included —
         // `list_dir`'s fastest-replica fetch rides the same path).
-        let mut fanout = ReadFanout { hyrd: self, span: "fetch_replica", candidates };
+        let mut fanout = ReadFanout { hyrd: self, span: "fetch_replica", candidates, expect_len };
         let Some(mut outcome) = engine::fanout_read(&mut fanout, 1, &self.config.hedge, now) else {
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
@@ -1346,8 +1390,12 @@ impl Hyrd {
         let frag_index: Vec<usize> = candidates.iter().map(|(i, _, _)| *i).collect();
         let fanout_candidates: Vec<(ProviderId, &ObjectKey)> =
             candidates.into_iter().map(|(_, p, key)| (p, key)).collect();
-        let mut fanout =
-            ReadFanout { hyrd: self, span: "fetch_fragment", candidates: fanout_candidates };
+        let mut fanout = ReadFanout {
+            hyrd: self,
+            span: "fetch_fragment",
+            candidates: fanout_candidates,
+            expect_len: None,
+        };
         let Some(outcome) = engine::fanout_read(&mut fanout, m, &self.config.hedge, self.now())
         else {
             return Err(SchemeError::DataUnavailable {
@@ -1470,20 +1518,32 @@ impl Hyrd {
         offset: u64,
         data: &[u8],
     ) -> SchemeResult<BatchReport> {
-        // Base version: write-through cache, or one replica read.
-        let (mut content, read_batch) = match self.cache_l().get(path.as_str()) {
-            Some(b) => (b.to_vec(), BatchReport::empty()),
+        let (start, end) = (offset as usize, offset as usize + data.len());
+        // Base version: the write-through cache's entry, lent out for the
+        // length of the update, or one replica read. Either is exactly
+        // `size` bytes, and either way this call now holds the client's
+        // one copy of the file.
+        let lent = self.cache_l().lend(path.as_str(), size as usize);
+        let (base, lent_generation, read_batch) = match lent {
+            Some((bytes, generation)) => (bytes, Some(generation), BatchReport::empty()),
             None => {
-                let (b, r) = self.read_replicated(path.as_str(), &providers, &object)?;
-                (b.to_vec(), r)
+                let (bytes, report) =
+                    self.read_replicated(path.as_str(), &providers, &object, Some(size))?;
+                (bytes, None, report)
             }
         };
-        debug_assert_eq!(content.len() as u64, size);
+        // Patch the buffer where it lies. `Vec::from` reclaims it when
+        // this handle is its only owner and copies exactly when something
+        // still shares the bytes (a simulated replica until its own first
+        // `put_range`, a journal intent, a logged put for a down replica,
+        // a migration in flight) — its own reference-count check, the
+        // idiom `SimProvider::put_range` uses.
+        let mut content = Vec::from(base);
         // Keep the overwritten window so a totally failed update can
         // restore the pre-update content in the log (the update is
         // reported failed; replaying its bytes anyway would diverge).
-        let old_window = content[offset as usize..offset as usize + data.len()].to_vec();
-        content[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        let old_window = content[start..end].to_vec();
+        content[start..end].copy_from_slice(data);
         let bytes = Bytes::from(content);
         // Ranged write: only the modified bytes travel to each replica
         // (the Put function "writes or modifies a file", §III-D).
@@ -1536,11 +1596,14 @@ impl Hyrd {
             // The update failed outright: supersede the logged entries
             // with the pre-update content so replay restores the state
             // the caller was told still stands.
-            let mut old = bytes.to_vec();
-            old[offset as usize..offset as usize + old_window.len()].copy_from_slice(&old_window);
+            let mut old = Vec::from(bytes);
+            old[start..end].copy_from_slice(&old_window);
             let old_bytes = Bytes::from(old);
             for &t in &providers {
                 self.wal_log_put(t, key.clone(), old_bytes.clone());
+            }
+            if let Some(generation) = lent_generation {
+                self.cache_l().hand_back(path.as_str(), generation, old_bytes);
             }
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
@@ -1719,7 +1782,7 @@ impl Hyrd {
                 detail: "file has no placement".to_string(),
             }),
             Placement::Replicated { providers, object } => {
-                let out = self.read_replicated(path, providers, object)?;
+                let out = self.read_replicated(path, providers, object, Some(inode.size))?;
                 if self.config.policy.enabled {
                     // The adaptive policy wants heat on every class of
                     // read; without it, promoted files would look cold
@@ -1867,7 +1930,7 @@ impl Hyrd {
         let npath = NormPath::parse(path)?;
         let name = MetadataBlock::object_name(&npath);
         let targets = self.replica_targets();
-        let batch = match self.read_replicated(path, &targets, &name) {
+        let batch = match self.read_replicated(path, &targets, &name, None) {
             Ok((_bytes, batch)) => batch,
             // Directory never flushed (or all replicas down): local view,
             // zero ops. Availability of listings degrades gracefully.
@@ -1903,6 +1966,20 @@ struct ReadFanout<'a> {
     /// Telemetry span label ("fetch_replica" / "fetch_fragment").
     span: &'static str,
     candidates: Vec<(ProviderId, &'a ObjectKey)>,
+    /// Length every payload must have, where the caller knows it.
+    expect_len: Option<u64>,
+}
+
+impl ReadFanout<'_> {
+    /// [`Hyrd::check`], after the length: a payload of the wrong length
+    /// is corrupt whatever the integrity index knows (it knows nothing
+    /// on a freshly attached client or a ghost fleet).
+    fn check(&self, id: ProviderId, object: &str, bytes: &[u8]) -> Verdict {
+        if self.expect_len.is_some_and(|len| bytes.len() as u64 != len) {
+            return Verdict::Corrupt;
+        }
+        self.hyrd.check(id, object, bytes)
+    }
 }
 
 impl FanoutDriver for ReadFanout<'_> {
@@ -1937,7 +2014,7 @@ impl FanoutDriver for ReadFanout<'_> {
             self.hyrd.guarded(id, |p| p.get(key))
         };
         match fetched {
-            Ok(out) => match self.hyrd.check(id, &key.name, &out.value) {
+            Ok(out) => match self.check(id, &key.name, &out.value) {
                 Verdict::Corrupt => {
                     self.hyrd.note_corruption(id, &key.name);
                     Attempt::Corrupt { report: out.report }
@@ -2087,6 +2164,179 @@ mod tests {
         assert!(cache.get("/other").is_some());
         assert_eq!(cache.used, 30);
         assert_eq!(cache.map.len(), 1);
+    }
+
+    /// The cache as it was before entries could be lent out — `get` a
+    /// shared view, `put` the patched copy — kept as the oracle for
+    /// [`lending_cache_matches_the_get_put_oracle`].
+    struct OracleCache {
+        budget: usize,
+        used: usize,
+        generation: u64,
+        map: HashMap<Arc<str>, (Bytes, u64)>,
+        order: VecDeque<(Arc<str>, u64)>,
+    }
+
+    impl OracleCache {
+        fn put(&mut self, path: &str, data: Bytes) {
+            if data.len() > self.budget {
+                self.remove(path);
+                return;
+            }
+            let key = match self.map.remove_entry(path) {
+                Some((key, (old, _))) => {
+                    self.used -= old.len();
+                    key
+                }
+                None => Arc::from(path),
+            };
+            self.generation += 1;
+            self.used += data.len();
+            self.map.insert(key.clone(), (data, self.generation));
+            self.order.push_back((key, self.generation));
+            while self.used > self.budget {
+                let Some((victim, generation)) = self.order.pop_front() else {
+                    break;
+                };
+                let live = self.map.get(&victim).is_some_and(|(_, g)| *g == generation);
+                if live {
+                    if let Some((b, _)) = self.map.remove(&victim) {
+                        self.used -= b.len();
+                    }
+                }
+            }
+            if self.order.len() > self.map.len() * 2 + 16 {
+                let map = &self.map;
+                self.order.retain(|(p, g)| map.get(p).is_some_and(|(_, live)| live == g));
+            }
+        }
+
+        fn get(&self, path: &str) -> Option<Bytes> {
+            self.map.get(path).map(|(b, _)| b.clone())
+        }
+
+        fn remove(&mut self, path: &str) {
+            if let Some((b, _)) = self.map.remove(path) {
+                self.used -= b.len();
+            }
+        }
+    }
+
+    /// Same budget accounting, same generations, same FIFO — hence the
+    /// same eviction victims in the same order — and, for every path not
+    /// lent out right now, the same bytes.
+    fn assert_same_state(cache: &SmallFileCache, oracle: &OracleCache, lent: Option<&str>) {
+        assert_eq!(cache.used, oracle.used);
+        assert_eq!(cache.generation, oracle.generation);
+        assert_eq!(cache.order, oracle.order);
+        assert_eq!(cache.map.len(), oracle.map.len());
+        for (path, (bytes, generation)) in &oracle.map {
+            let slot = &cache.map[path];
+            assert_eq!((slot.len, slot.generation), (bytes.len(), *generation), "{path}");
+            if lent == Some(&**path) {
+                assert!(slot.data.is_none() && cache.get(path).is_none(), "{path} is lent");
+            } else {
+                assert_eq!(slot.data.as_ref(), Some(bytes), "{path}");
+            }
+        }
+    }
+
+    fn put_both(cache: &mut SmallFileCache, oracle: &mut OracleCache, path: &str, data: Bytes) {
+        cache.put(path, data.clone());
+        oracle.put(path, data);
+    }
+
+    /// The path whose slot is lent out: the loan's, until that slot is
+    /// removed, evicted or replaced (the oracle's entry then no longer
+    /// carries the generation the loan was taken at).
+    fn lent_now<'a>(loan: &Option<(&'a str, Bytes, u64)>, oracle: &OracleCache) -> Option<&'a str> {
+        let (path, _, generation) = loan.as_ref()?;
+        oracle.map.get(*path).is_some_and(|(_, live)| live == generation).then_some(*path)
+    }
+
+    /// Random put / update (lend, then put or hand back) / remove / get
+    /// sequences over a budget a few entries wide, with other operations
+    /// landing while an entry is lent out: the lending cache answers and
+    /// evicts exactly as `get` + `put` did, a failed update leaves no
+    /// trace, a lent slot reads as a miss, and a remove during the loan
+    /// is not undone by handing the bytes back.
+    #[test]
+    fn lending_cache_matches_the_get_put_oracle() {
+        const PATHS: [&str; 6] = ["/a", "/b", "/c", "/d", "/e", "/f"];
+        for seed in 0..200u64 {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = move |n: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % n as u64) as usize
+            };
+            let mut cache = SmallFileCache::new(100);
+            let mut oracle = OracleCache {
+                budget: 100,
+                used: 0,
+                generation: 0,
+                map: HashMap::new(),
+                order: VecDeque::new(),
+            };
+            // What the metadata says each file's size is.
+            let mut sizes: HashMap<&str, usize> = HashMap::new();
+            // The update in flight: its path, the lent bytes, their generation.
+            let mut loan: Option<(&str, Bytes, u64)> = None;
+            let mut stamp = 0u8;
+            let mut fresh = |len: usize| {
+                stamp = stamp.wrapping_add(1);
+                Bytes::from(vec![stamp; len])
+            };
+            for _ in 0..400 {
+                let path = PATHS[rand(PATHS.len())];
+                match rand(6) {
+                    // Create (or migrate in): a few sizes, so a path is
+                    // often re-created at the length a loan was taken at,
+                    // and now and then one over the budget.
+                    0 => {
+                        let len = [10, 25, 40, 55, 70, 130][rand(6)];
+                        sizes.insert(path, len);
+                        put_both(&mut cache, &mut oracle, path, fresh(len));
+                    }
+                    // An update starts, or the one in flight ends.
+                    1 | 2 => match loan.take() {
+                        None => {
+                            let Some(&size) = sizes.get(path) else { continue };
+                            let held = oracle.get(path).filter(|b| b.len() == size);
+                            let lent = cache.lend(path, size);
+                            assert_eq!(lent.as_ref().map(|(b, _)| b), held.as_ref(), "hit or miss");
+                            match lent {
+                                Some((bytes, generation)) => loan = Some((path, bytes, generation)),
+                                // A miss fetches a replica; the update
+                                // lands (and caches it) or fails.
+                                None if rand(2) == 0 => {
+                                    put_both(&mut cache, &mut oracle, path, fresh(size))
+                                }
+                                None => {}
+                            }
+                        }
+                        Some((path, bytes, _)) if rand(2) == 0 => {
+                            put_both(&mut cache, &mut oracle, path, fresh(bytes.len()))
+                        }
+                        // Every replica refused: the oracle does nothing.
+                        Some((path, bytes, generation)) => cache.hand_back(path, generation, bytes),
+                    },
+                    // Delete (or migrate out), lent or not.
+                    3 => {
+                        sizes.remove(path);
+                        cache.remove(path);
+                        oracle.remove(path);
+                    }
+                    _ if lent_now(&loan, &oracle) == Some(path) => {
+                        assert!(cache.get(path).is_none(), "a lent slot reads as a miss");
+                        assert!(cache.lend(path, sizes[path]).is_none(), "and lends once");
+                    }
+                    _ => assert_eq!(cache.get(path), oracle.get(path)),
+                }
+                assert_same_state(&cache, &oracle, lent_now(&loan, &oracle));
+            }
+        }
     }
 
     #[test]

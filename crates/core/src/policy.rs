@@ -389,8 +389,9 @@ impl Hyrd {
         let bytes = match self.cache_l().get(path.as_str()) {
             Some(b) => b,
             None => {
-                let (b, read_batch) =
-                    self.read_replicated(path.as_str(), providers, object).ok()?;
+                let (b, read_batch) = self
+                    .read_replicated(path.as_str(), providers, object, Some(inode.size))
+                    .ok()?;
                 ops.extend(read_batch.ops);
                 b
             }

@@ -7,7 +7,7 @@ use hyrd::driver::synth_content;
 use hyrd::scheme::{Scheme, SchemeError};
 use hyrd::Hyrd;
 use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
-use hyrd_gcsapi::{CloudStorage, OpKind};
+use hyrd_gcsapi::{CloudStorage, ObjectKey, OpKind};
 use hyrd_metastore::MetaError;
 
 const KB: usize = 1024;
@@ -846,4 +846,48 @@ fn concurrent_sessions_share_one_client_across_threads() {
         assert_eq!(bytes.len(), 2 * MB);
     }
     assert_eq!(h.pending_log_len(), 0, "no outages, so no pending writes");
+}
+
+fn replica_key(path: &str) -> ObjectKey {
+    ObjectKey::new(Fleet::CONTAINER, hyrd::scheme::object_name(path))
+}
+
+/// Cuts the stored replica of `path` on `provider` down to its first
+/// `keep` bytes, behind the client's back.
+fn truncate_replica(provider: &hyrd_cloudsim::SimProvider, path: &str, keep: usize) {
+    let whole = provider.get(&replica_key(path)).unwrap().value;
+    provider.put(&replica_key(path), whole.slice(..keep)).unwrap();
+}
+
+/// A replica shorter than the inode says the file is must never be
+/// indexed into or handed out as the file. A freshly attached client has
+/// no digests on record (verdict `Unknown`), so the length is the only
+/// thing that can tell: release builds used to panic in the update
+/// ("range start index 8000 out of range for slice of length 5000") and
+/// the read returned the 5,000 bytes as if they were the file.
+#[test]
+fn short_replicas_are_erasures_not_panics() {
+    let fleet = fleet();
+    let data = synth_content("/short", 0, 10_000);
+    hyrd(&fleet).create_file("/short", &data).unwrap();
+    let replicas = [fleet.by_name("Aliyun").unwrap(), fleet.by_name("Windows Azure").unwrap()];
+
+    // One short replica: the fastest (Aliyun) fails over to the intact one.
+    truncate_replica(replicas[0], "/short", 5_000);
+    let (h, _) = Hyrd::attach(&fleet, HyrdConfig::default()).unwrap();
+    let (bytes, _) = h.read_file("/short").unwrap();
+    assert!(bytes[..] == data[..], "read {} of {} bytes", bytes.len(), data.len());
+
+    // Both short: typed errors, and nothing was written on top.
+    truncate_replica(replicas[1], "/short", 5_000);
+    let (h, _) = Hyrd::attach(&fleet, HyrdConfig::default()).unwrap();
+    assert!(matches!(
+        h.update_file("/short", 8_000, &[1; 100]),
+        Err(SchemeError::DataUnavailable { .. })
+    ));
+    assert!(matches!(h.read_file("/short"), Err(SchemeError::DataUnavailable { .. })));
+    for replica in replicas {
+        let stored = replica.get(&replica_key("/short")).unwrap().value;
+        assert!(stored[..] == data[..5_000], "{}", replica.name());
+    }
 }

@@ -157,3 +157,32 @@ proptest! {
         }
     }
 }
+
+/// The grain the block size is chosen for: a 4 KiB patch of a 512 KiB
+/// replica, wherever it lands, changes at most two of the object's 128
+/// block digests, and the table is the one a fresh `record` builds.
+#[test]
+fn a_4k_patch_of_a_512k_object_rehashes_at_most_two_blocks() {
+    const LEN: usize = 512 * 1024;
+    const PATCH: usize = 4096;
+    let mut object = content(LEN, 13);
+    let mut idx = IntegrityIndex::new();
+    idx.record("o", &object);
+    let blocks = |idx: &IntegrityIndex| -> Vec<_> {
+        idx.digest("o").expect("recorded").blocks().copied().collect()
+    };
+    assert_eq!(blocks(&idx).len(), 128);
+    // Unaligned, aligned, one byte either side of a block edge, the tail.
+    for (round, offset) in
+        [100_000, 7 * B, 9 * B - 1, 9 * B + 1, LEN - PATCH].into_iter().enumerate()
+    {
+        let before = blocks(&idx);
+        object[offset..offset + PATCH].copy_from_slice(&content(PATCH, round as u64));
+        idx.record_patch("o", &object, offset, PATCH);
+        let changed = before.iter().zip(blocks(&idx)).filter(|(old, new)| *old != new).count();
+        assert!((1..=2).contains(&changed), "patch at {offset} changed {changed} block digests");
+        let mut fresh = IntegrityIndex::new();
+        fresh.record("o", &object);
+        assert_eq!(idx.digest("o"), fresh.digest("o"), "patch at {offset}");
+    }
+}

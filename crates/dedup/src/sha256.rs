@@ -158,17 +158,16 @@ impl Sha256 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Manually absorb the length (update would change total_len, but
-        // bit_len is already captured).
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.kernel.compress_blocks(&mut self.state, &block);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — written in
+        // one step. The tail plus 0x80 plus the length fit one block when
+        // at most 55 bytes are buffered, two otherwise; either way one
+        // kernel call.
+        let mut pad = [0u8; 128];
+        pad[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        pad[self.buffered] = 0x80;
+        let padded = if self.buffered < 56 { 64 } else { 128 };
+        pad[padded - 8..padded].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.kernel.compress_blocks(&mut self.state, &pad[..padded]);
 
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {

@@ -103,13 +103,17 @@ perf:
 perf-test:
     cargo test --offline --manifest-path hyrd-perf/Cargo.toml
 
-# Paired, alternating hyrd-perf runs of <base> (a git revision, built in
-# a worktree) against the working tree on one workload: per end-to-end
-# metric each side's median and quartiles and the pair win count. Every
-# wall-clock claim needs this — the host drifts ±20 % with identical
-# code. PERF_SEED overrides the default seed 11.
-perf-pairs base workload pairs="10":
-    scripts/perf_pairs.sh {{base}} {{workload}} {{pairs}}
+# Paired, alternating hyrd-perf runs of <base> (a git revision, unpacked
+# with `git archive`) against the working tree: per workload and
+# end-to-end metric each side's median and quartiles and the pair win
+# count. <workloads> is one name, a comma-separated list or `all`; the
+# runs of a list interleave, so the claimed row and the "must not move"
+# rows come from the same minutes. Exits 1 when any run is incorrect or
+# has failed operations or any row reads "WORSE than bound", so it can
+# gate. Every wall-clock claim needs this — the host drifts ±20 % with
+# identical code. PERF_SEED overrides the default seed 11.
+perf-pairs base workloads pairs="10":
+    scripts/perf_pairs.sh {{base}} {{workloads}} {{pairs}}
 
 # Full Criterion run (also refreshes BENCH_gfec.json at the end).
 bench:
