@@ -1,0 +1,456 @@
+//! The write path: create, update, delete and the metadata flush, all
+//! built on [`Hyrd::publish`] and [`Hyrd::retire`].
+
+use bytes::Bytes;
+
+use hyrd_gcsapi::{BatchReport, CloudStorage, OpReport, ProviderId};
+use hyrd_metastore::{FlushKind, NormPath, Placement};
+
+use crate::journal::{FragWrite, Intent};
+use crate::monitor::DataClass;
+use crate::scheme::{SchemeError, SchemeResult};
+
+use super::Hyrd;
+
+impl Hyrd {
+    /// Puts `data` to every target in one parallel round
+    /// ([`Self::publish`] with a floor of one replica) and returns the
+    /// ops of the targets that took the write synchronously.
+    pub(crate) fn put_replicated(
+        &self,
+        name: &str,
+        data: &Bytes,
+        targets: &[ProviderId],
+    ) -> Vec<OpReport> {
+        let key = Self::key(name);
+        // The digest is what the object *should* hold from now on; it is
+        // recorded up front so even log-replayed copies verify.
+        self.integrity_l().record(name, data);
+        let writes = targets.iter().map(|&t| (t, &key, data.clone()));
+        self.publish(writes, None, 1, Some("put_replica"))
+    }
+
+    /// Replicates every **changed** dirty directory's flush item to the
+    /// metadata tier (one parallel round; items are independent
+    /// objects). Directories whose bytes match their last flush are
+    /// skipped by the metastore — a flush with nothing new issues zero
+    /// provider ops — and steady-state changes ship as incremental
+    /// diffs, with every [`hyrd_metastore::shard::COMPACT_EVERY`]th
+    /// flush folding the chain back into a full block and deleting the
+    /// superseded diff objects.
+    ///
+    /// Each shipped item leaves a `meta.flush.block` / `meta.flush.diff`
+    /// / `meta.flush.compact` trace event. The fields (dir, version,
+    /// records, bytes) are pure functions of the serialized op order, so
+    /// deterministic runs stay byte-identical.
+    pub(crate) fn flush_metadata(&self) -> BatchReport {
+        self.journal.crashpoint("meta.flush.pre");
+        let items = self.meta.flush_dirty_encoded();
+        if items.is_empty() {
+            return BatchReport::empty();
+        }
+        let targets = self.replica_targets();
+        let mut ops = Vec::new();
+        for item in items {
+            let bytes = Bytes::from(item.bytes);
+            ops.extend(self.put_replicated(&item.object, &bytes, &targets));
+            if self.telemetry.enabled() {
+                let (event, counter) = match item.kind {
+                    FlushKind::Block => ("meta.flush.block", "meta.flush.blocks"),
+                    FlushKind::Diff => ("meta.flush.diff", "meta.flush.diffs"),
+                    FlushKind::Compact => ("meta.flush.compact", "meta.flush.compacts"),
+                };
+                let mut ev = self.telemetry.event(event);
+                ev.field("dir", item.dir.as_str())
+                    .field("version", item.version)
+                    .field("records", item.records as u64)
+                    .field("bytes", bytes.len() as u64);
+                if item.kind == FlushKind::Compact {
+                    ev.field("folded", item.supersedes.len() as u64);
+                }
+                ev.emit();
+                self.telemetry.inc(counter, 1);
+            }
+            // A compaction's full block supersedes its diff chain: the
+            // diff objects are garbage now, and leaving them would both
+            // leak billed storage and re-apply on the next restart (a
+            // no-op by version, but the GC pass would never converge).
+            for stale in &item.supersedes {
+                let key = Self::key(stale);
+                self.retire(targets.iter().map(|&t| (t, &key)), &mut ops);
+            }
+        }
+        self.journal.crashpoint("meta.flush.post");
+        BatchReport::parallel(ops)
+    }
+
+    // ------------------------------------------------------------------
+    // Create
+    // ------------------------------------------------------------------
+
+    fn create_small(&self, path: &NormPath, data: &[u8]) -> SchemeResult<BatchReport> {
+        let now = self.now();
+        self.meta.create_file(path, data.len() as u64, now)?;
+        let name = crate::scheme::object_name(path.as_str());
+        let bytes = Bytes::copy_from_slice(data);
+        let targets = self.replica_targets();
+        let _intent = self.journal.begin(|| Intent::Create {
+            path: path.as_str().to_string(),
+            objects: targets.iter().map(|&t| (t, name.clone())).collect(),
+        });
+
+        let ops = self.put_replicated(&name, &bytes, &targets);
+        if ops.is_empty() {
+            // No provider holds the data — fail the write and roll back.
+            self.meta.remove_file(path)?;
+            self.integrity_l().forget(&name);
+            self.roll_back_logged(&targets, &Self::key(&name), None);
+            return Err(SchemeError::DataUnavailable {
+                path: path.to_string(),
+                detail: "all replica targets unavailable".to_string(),
+            });
+        }
+        self.cache_l().put(path.as_str(), bytes);
+        self.meta.set_placement(
+            path,
+            Placement::Replicated { providers: targets, object: name },
+            data.len() as u64,
+            now,
+        )?;
+        Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
+    }
+
+    fn create_large(&self, path: &NormPath, data: &[u8]) -> SchemeResult<BatchReport> {
+        let now = self.now();
+        self.meta.create_file(path, data.len() as u64, now)?;
+        let base_name = crate::scheme::object_name(path.as_str());
+        let targets = self.fragment_targets();
+        let fragments: Vec<(ProviderId, String)> =
+            targets.iter().enumerate().map(|(i, &t)| (t, format!("{base_name}.f{i}"))).collect();
+        let _intent = self.journal.begin(|| Intent::Create {
+            path: path.as_str().to_string(),
+            objects: fragments.clone(),
+        });
+
+        // Split + encode (rayon-parallel for multi-MB objects), in
+        // `split_encode`'s two halves so `ec.encode` times the parity
+        // arithmetic only, as it always has.
+        let (layout, mut encoded) = self.planner.split(data);
+        {
+            let _enc = self
+                .telemetry
+                .span_with("ec.encode")
+                .field("bytes", data.len() as u64)
+                .field("m", self.config.code.m() as u64)
+                .start();
+            let wall = self.wall_start();
+            self.planner.push_parity(self.code.as_code(), &mut encoded)?;
+            self.observe_wall("ec.encode_wall_ns", wall);
+        }
+
+        // Each fragment's digest is recorded as it ships; `m` landed
+        // fragments are the durability floor.
+        let m = self.config.code.m();
+        let writes = encoded.into_iter().zip(&fragments).map(|(fragment, (target, name))| {
+            let bytes = Bytes::from(fragment);
+            self.integrity_l().record(name, &bytes);
+            (*target, Self::key(name), bytes)
+        });
+        let mut ops = self.publish(writes, None, m, Some("put_fragment"));
+        let live = ops.len();
+        if live < m {
+            // Not enough survivors to make the object durable: undo —
+            // remove what landed, supersede the logged writes.
+            self.meta.remove_file(path)?;
+            self.retire(fragments.iter().map(|(t, name)| (*t, Self::key(name))), &mut ops);
+            return Err(SchemeError::DataUnavailable {
+                path: path.to_string(),
+                detail: format!("only {live} of {} fragment targets available", targets.len()),
+            });
+        }
+
+        self.meta.set_placement(
+            path,
+            Placement::ErasureCoded { layout, fragments, hot_copy: None },
+            data.len() as u64,
+            now,
+        )?;
+        Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
+    }
+
+    // ------------------------------------------------------------------
+    // Update
+    // ------------------------------------------------------------------
+
+    fn update_replicated(
+        &self,
+        path: &NormPath,
+        providers: Vec<ProviderId>,
+        object: String,
+        size: u64,
+        offset: u64,
+        data: &[u8],
+    ) -> SchemeResult<BatchReport> {
+        let (start, end) = (offset as usize, offset as usize + data.len());
+        // Base version: the write-through cache's entry, lent out for the
+        // length of the update, or one replica read. Either is exactly
+        // `size` bytes, and either way this call now holds the client's
+        // one copy of the file.
+        let lent = self.cache_l().lend(path.as_str(), size as usize);
+        let (base, lent_generation, read_batch) = match lent {
+            Some((bytes, generation)) => (bytes, Some(generation), BatchReport::empty()),
+            None => {
+                let (bytes, report) =
+                    self.read_replicated(path.as_str(), &providers, &object, Some(size))?;
+                (bytes, None, report)
+            }
+        };
+        // Patch the buffer where it lies. `Vec::from` reclaims it when
+        // this handle is its only owner and copies exactly when something
+        // still shares the bytes (a simulated replica until its own first
+        // `put_range`, a journal intent, a logged put for a down replica,
+        // a migration in flight) — its own reference-count check, the
+        // idiom `SimProvider::put_range` uses.
+        let mut content = Vec::from(base);
+        // Keep the overwritten window so a totally failed update can
+        // restore the pre-update content in the log (the update is
+        // reported failed; replaying its bytes anyway would diverge).
+        let old_window = content[start..end].to_vec();
+        content[start..end].copy_from_slice(data);
+        let bytes = Bytes::from(content);
+        let key = Self::key(&object);
+        let patch = Bytes::copy_from_slice(data);
+        let _intent = self.journal.begin(|| Intent::UpdateReplicated {
+            path: path.as_str().to_string(),
+            object: object.clone(),
+            providers: providers.clone(),
+            bytes: bytes.clone(),
+        });
+        // Only the patch travels to each replica; a replica that misses
+        // it gets the *full* new content logged, so the consistency
+        // update restores a complete object.
+        let writes = providers.iter().map(|&t| (t, &key, bytes.clone()));
+        let ops = self.publish(writes, Some((offset, &patch)), 1, None);
+        if ops.is_empty() {
+            // The update failed outright: supersede the logged entries
+            // with the pre-update content so replay restores the state
+            // the caller was told still stands.
+            let mut old = Vec::from(bytes);
+            old[start..end].copy_from_slice(&old_window);
+            let old_bytes = Bytes::from(old);
+            self.roll_back_logged(&providers, &key, Some(&old_bytes));
+            if let Some(generation) = lent_generation {
+                self.cache_l().hand_back(path.as_str(), generation, old_bytes);
+            }
+            return Err(SchemeError::DataUnavailable {
+                path: path.to_string(),
+                detail: "no replica target available for update".to_string(),
+            });
+        }
+        let write_batch = BatchReport::parallel(ops);
+        // The object's authoritative content changed: refresh the digest
+        // of the blocks the patch touched (live replicas hold the new
+        // content; logged replicas will after replay).
+        self.integrity_l().record_patch(&object, &bytes, offset as usize, data.len());
+        self.cache_l().put(path.as_str(), bytes);
+        let now = self.now();
+        self.meta.set_placement(path, Placement::Replicated { providers, object }, size, now)?;
+        Ok(read_batch.then(write_batch).then(self.flush_metadata()))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn update_erasure(
+        &self,
+        path: &NormPath,
+        layout: hyrd_gfec::FragmentLayout,
+        fragments: Vec<(ProviderId, String)>,
+        hot_copy: Option<(ProviderId, String)>,
+        size: u64,
+        offset: u64,
+        data: &[u8],
+    ) -> SchemeResult<BatchReport> {
+        // The engine below reads its base from every provider that is up.
+        // A provider that has returned but not had its consistency update
+        // may still hold a fragment the log or the dirty set calls stale
+        // (a predecessor's bytes, even): parity computed over that would
+        // corrupt the stripe, so the update waits for the recovery.
+        let stale = fragments.iter().enumerate().find(|(i, (p, name))| {
+            // One stripe at a time, log before dirty (DESIGN.md §11); by
+            // name, so this per-update check builds no key.
+            let pending =
+                self.log_l().records().iter().any(|(q, r)| q == p && r.key().name == *name);
+            (pending || self.dirty_l().contains(path.as_str(), *i))
+                && self.provider(*p).is_available()
+        });
+        if let Some((i, (p, _))) = stale {
+            return Err(SchemeError::DataUnavailable {
+                path: path.to_string(),
+                detail: format!("fragment {i} awaits recovery of {}", self.provider(*p).name()),
+            });
+        }
+        // One engine for every code and every availability state: ranged
+        // RMW when all touched providers are up, the window-decode
+        // degraded path otherwise (missed fragments go dirty and are
+        // rebuilt by recover_provider).
+        let lookup = {
+            let fleet = self.fleet.clone();
+            move |id: ProviderId| fleet.get(id).expect("fleet member").clone()
+        };
+        // The intent starts with an empty write set: it is amended with
+        // the planned fragment writes *inside* the engine, after the
+        // deltas are computed but before the first provider mutation, so
+        // a crash earlier than that rolls back to "nothing happened".
+        let intent = self.journal.begin(|| Intent::UpdateErasure {
+            path: path.as_str().to_string(),
+            writes: Vec::new(),
+            hot_remove: hot_copy.clone(),
+        });
+        let seq = intent.seq();
+        let wal_cb = |writes: &[FragWrite]| self.journal.amend_update_writes(seq, writes.to_vec());
+        let wal: Option<&dyn Fn(&[FragWrite])> =
+            if self.journal.enabled() { Some(&wal_cb) } else { None };
+        let outcome = crate::ecops::ranged_update_with(
+            self.code.as_code(),
+            &lookup,
+            &self.telemetry,
+            &layout,
+            &fragments,
+            path.as_str(),
+            offset as usize,
+            data,
+            wal,
+        )?;
+        let mut batch = outcome.batch;
+        {
+            let mut dirty = self.dirty_l();
+            for idx in outcome.missed {
+                dirty.mark(path.as_str(), idx);
+            }
+        }
+        self.sync_dirty_journal();
+        // Ranged writes changed the fragments in place; the recorded
+        // whole-fragment digests no longer apply. Drop them — reads fall
+        // back to `Unknown` until the scrub pass re-records them.
+        {
+            let mut integrity = self.integrity_l();
+            for (_, name) in &fragments {
+                integrity.forget(name);
+            }
+        }
+
+        // A stale hot copy must not serve future reads: drop it, in the
+        // background (its op is billed, the user does not wait for it).
+        if let Some((p, name)) = hot_copy {
+            self.retire([(p, Self::key(&name))], &mut batch.ops);
+        }
+        // The content changed, so accumulated heat describes a file that
+        // no longer exists. Reset unconditionally — not just when a hot
+        // copy had to be dropped — or a file one read short of the
+        // threshold gets a hot copy on its first post-update read.
+        self.reads_remove(path);
+
+        let now = self.now();
+        self.meta.set_placement(
+            path,
+            Placement::ErasureCoded { layout, fragments, hot_copy: None },
+            size,
+            now,
+        )?;
+        Ok(batch.then(self.flush_metadata()))
+    }
+
+    // ------------------------------------------------------------------
+    // Inherent API mirrored by the Scheme impls
+    // ------------------------------------------------------------------
+
+    /// Creates a file, classifying it through the Workload Monitor.
+    pub fn create_file(&self, path: &str, data: &[u8]) -> SchemeResult<BatchReport> {
+        let _span = self
+            .telemetry
+            .span_with("create_file")
+            .field("path", path)
+            .field("bytes", data.len() as u64)
+            .start();
+        let path = NormPath::parse(path)?;
+        let result = match self.monitor_l().classify(data.len() as u64) {
+            DataClass::SmallFile | DataClass::Metadata => self.create_small(&path, data),
+            DataClass::LargeFile => self.create_large(&path, data),
+        };
+        if result.is_err() {
+            // The file never came to exist; keep the monitor describing
+            // live data only (its fractions feed the placement policy).
+            self.monitor_l().forget(data.len() as u64);
+        }
+        result
+    }
+
+    /// Overwrites a byte range.
+    pub fn update_file(&self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
+        let _span = self
+            .telemetry
+            .span_with("update_file")
+            .field("path", path)
+            .field("offset", offset)
+            .field("bytes", data.len() as u64)
+            .start();
+        let npath = NormPath::parse(path)?;
+        let inode = self.meta.inode(&npath)?;
+        let size = inode.size;
+        // `offset + len` can wrap for offsets near `u64::MAX`, which
+        // would pass a plain `>` check and then panic at the slice index
+        // in the update paths below. Checked arithmetic keeps adversarial
+        // offsets in the error path.
+        let in_range = offset.checked_add(data.len() as u64).is_some_and(|end| end <= size);
+        if !in_range {
+            return Err(SchemeError::BadRange {
+                path: path.to_string(),
+                offset,
+                len: data.len() as u64,
+                size,
+            });
+        }
+        match inode.placement {
+            Placement::Pending => Err(SchemeError::DataUnavailable {
+                path: path.to_string(),
+                detail: "file has no placement".to_string(),
+            }),
+            Placement::Replicated { providers, object } => {
+                self.update_replicated(&npath, providers, object, size, offset, data)
+            }
+            Placement::ErasureCoded { layout, fragments, hot_copy } => {
+                self.update_erasure(&npath, layout, fragments, hot_copy, size, offset, data)
+            }
+        }
+    }
+
+    /// Deletes a file and its physical objects.
+    pub fn delete_file(&self, path: &str) -> SchemeResult<BatchReport> {
+        let _span = self.telemetry.span_with("delete_file").field("path", path).start();
+        let npath = NormPath::parse(path)?;
+        // Enumerate the doomed objects and journal the intent *before*
+        // touching metadata or providers: a crash mid-delete then rolls
+        // forward (finish the removes) instead of leaking billed storage.
+        let inode = self.meta.inode(&npath)?;
+        let doomed: Vec<(ProviderId, &str)> = inode.placement.objects().collect();
+        let _intent = self.journal.begin(|| Intent::Delete {
+            path: npath.as_str().to_string(),
+            objects: doomed.iter().map(|&(p, name)| (p, name.to_string())).collect(),
+        });
+        self.meta.remove_file(&npath)?;
+        // Cache and dirty-set keys are *normalized* paths (that is what
+        // the write paths insert); evicting under the caller's raw
+        // spelling would leave a live entry behind for aliases like
+        // `/a//b`, and a stale cached body later poisons update digests.
+        self.cache_l().remove(npath.as_str());
+        self.reads_remove(&npath);
+        self.dirty_l().forget(npath.as_str());
+        self.sync_dirty_journal();
+        self.monitor_l().forget(inode.size);
+
+        // An object out of reach keeps its bytes (and its bill) while the
+        // metadata is gone: `retire` leaves its removal to recovery.
+        let mut ops = Vec::new();
+        self.retire(doomed.iter().map(|&(p, name)| (p, Self::key(name))), &mut ops);
+        Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
+    }
+}

@@ -25,8 +25,9 @@
 //!    read path;
 //! 2. journal an [`Intent::Migrate`] naming both object sets;
 //! 3. **publish** the new placement's objects (crashpoint
-//!    `migrate.publish.pre`), discharging any stale pending-log entry a
-//!    staged put supersedes;
+//!    `migrate.publish.pre`) through [`Hyrd::put_object`], one target at
+//!    a time with no desperation pass: a migration below its durability
+//!    floor aborts, it does not force breakers;
 //! 4. **flip** the metadata through
 //!    [`set_placement_if_version`](hyrd_metastore::ShardedMetaStore::set_placement_if_version)
 //!    — an OCC compare-and-swap at the version the bytes were read at
@@ -49,7 +50,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, OpReport, ProviderId};
+use hyrd_gcsapi::{BatchReport, OpReport, ProviderId};
 use hyrd_metastore::{Inode, NormPath, Placement};
 
 use crate::config::PolicyConfig;
@@ -199,12 +200,8 @@ impl Hyrd {
         // against anything that moves between the sweep and the flip.
         let now = self.now();
         let mut candidates: Vec<(NormPath, MigrationKind)> = Vec::new();
-        let mut dirs = self.meta.all_dirs();
-        dirs.sort_by(|a, b| a.as_str().cmp(b.as_str()));
-        'scan: for dir in dirs {
-            let entries = self.meta.inodes_in(&dir)?;
-            for (name, inode) in entries {
-                let Ok(fpath) = dir.join(&name) else { continue };
+        'scan: for (_, files) in self.meta.walk() {
+            for (fpath, inode) in files {
                 report.scanned += 1;
                 if let Some(kind) = engine.decide(&inode, self.reads_of(&fpath), now) {
                     candidates.push((fpath, kind));
@@ -292,79 +289,21 @@ impl Hyrd {
         report: &mut MigrationReport,
         ops: &mut Vec<OpReport>,
     ) -> Option<u64> {
-        let Placement::ErasureCoded { layout, fragments, hot_copy } = &inode.placement else {
+        let Placement::ErasureCoded { layout, fragments, .. } = &inode.placement else {
             return None;
         };
         let (bytes, read_batch) = self.read_erasure(path.as_str(), layout, fragments).ok()?;
         ops.extend(read_batch.ops);
 
         let providers = self.replica_targets();
+        let copies = vec![bytes.clone(); providers.len()];
         let object = crate::scheme::object_name(path.as_str());
-        let new_objects: Vec<(ProviderId, String)> =
-            providers.iter().map(|&p| (p, object.clone())).collect();
-        let mut old_objects: Vec<(ProviderId, String)> = fragments.clone();
-        if let Some(hot) = hot_copy {
-            old_objects.push(hot.clone());
-        }
-        let _intent = self.journal.begin(|| Intent::Migrate {
-            path: path.as_str().to_string(),
-            new_objects: new_objects.clone(),
-            old_objects: old_objects.clone(),
-        });
-
-        self.journal.crashpoint("migrate.publish.pre");
-        let mut live = 0;
-        let key = Self::key(&object);
-        self.integrity_l().record(&object, &bytes);
-        for &t in &providers {
-            match self.guarded(t, |p| p.put(&key, bytes.clone())) {
-                Ok(out) => {
-                    ops.push(out.report);
-                    live += 1;
-                    // A stale pending REMOVE for this key (an earlier
-                    // failed GC at the same path) would delete the copy
-                    // we just staged when recovery replays it.
-                    self.wal_discharge(t, &key);
-                }
-                Err(_) => self.wal_log_put(t, key.clone(), bytes.clone()),
-            }
-        }
-        if live == 0 {
-            // Below the durability floor: nothing holds the new copy
-            // synchronously. Unstage and keep the EC placement.
-            self.migrate_sweep(&new_objects, None, ops);
+        let replicated = Placement::Replicated { providers, object };
+        if !self.migrate_commit(path, inode, replicated, copies, report, ops) {
             return None;
         }
-
-        self.journal.crashpoint("migrate.flip.pre");
-        let now = self.now();
-        let flipped = self
-            .meta
-            .set_placement_if_version(
-                path,
-                inode.version,
-                Placement::Replicated { providers, object },
-                inode.size,
-                now,
-            )
-            .unwrap_or(false);
-        if !flipped {
-            // A writer (or delete) got there first: its placement is the
-            // truth, our staged bytes are already stale.
-            self.migrate_sweep(&new_objects, None, ops);
-            return None;
-        }
-        self.journal.crashpoint("migrate.flip.post");
-        // The flip must be durable *before* the old objects go away —
-        // restart decides forward-vs-back from recovered metadata.
-        let meta_batch = self.flush_metadata();
-        ops.extend(meta_batch.ops);
-
-        self.journal.crashpoint("migrate.gc.pre");
-        self.migrate_sweep(&old_objects, Some(report), ops);
-        // Fresh heat epoch for the new scheme; stale dirty-fragment
-        // marks describe fragments that no longer exist.
-        self.reads_remove(path);
+        // Stale dirty-fragment marks describe fragments that no longer
+        // exist.
         self.dirty_l().forget(path.as_str());
         self.sync_dirty_journal();
         // The whole object now lives replicated: updates can come
@@ -398,67 +337,17 @@ impl Hyrd {
         };
 
         let base = crate::scheme::object_name(path.as_str());
-        let targets = self.fragment_targets();
-        let new_objects: Vec<(ProviderId, String)> =
-            (0..targets.len()).map(|i| (targets[i], format!("{base}.f{i}"))).collect();
-        let old_objects: Vec<(ProviderId, String)> =
-            providers.iter().map(|&p| (p, object.clone())).collect();
-        let _intent = self.journal.begin(|| Intent::Migrate {
-            path: path.as_str().to_string(),
-            new_objects: new_objects.clone(),
-            old_objects: old_objects.clone(),
-        });
-
         let (layout, encoded) = self.planner.split_encode(self.code.as_code(), &bytes).ok()?;
-
-        self.journal.crashpoint("migrate.publish.pre");
-        let mut live = 0;
-        let mut fragments: Vec<(ProviderId, String)> = Vec::with_capacity(targets.len());
-        for (idx, fragment) in encoded.into_iter().enumerate() {
-            let (target, name) = new_objects[idx].clone();
-            let key = Self::key(&name);
-            let frag = Bytes::from(fragment);
-            self.integrity_l().record(&name, &frag);
-            match self.guarded(target, |p| p.put(&key, frag.clone())) {
-                Ok(out) => {
-                    ops.push(out.report);
-                    live += 1;
-                    self.wal_discharge(target, &key);
-                }
-                Err(_) => self.wal_log_put(target, key, frag),
-            }
-            fragments.push((target, name));
-        }
-        if live < self.config.code.m() {
-            // Not enough fragments landed to decode the object back:
-            // unstage and keep the replicated placement.
-            self.migrate_sweep(&new_objects, None, ops);
+        let targets = self.fragment_targets().into_iter().enumerate();
+        let coded = Placement::ErasureCoded {
+            layout,
+            fragments: targets.map(|(i, t)| (t, format!("{base}.f{i}"))).collect(),
+            hot_copy: None,
+        };
+        let encoded = encoded.into_iter().map(Bytes::from).collect();
+        if !self.migrate_commit(path, inode, coded, encoded, report, ops) {
             return None;
         }
-
-        self.journal.crashpoint("migrate.flip.pre");
-        let now = self.now();
-        let flipped = self
-            .meta
-            .set_placement_if_version(
-                path,
-                inode.version,
-                Placement::ErasureCoded { layout, fragments, hot_copy: None },
-                inode.size,
-                now,
-            )
-            .unwrap_or(false);
-        if !flipped {
-            self.migrate_sweep(&new_objects, None, ops);
-            return None;
-        }
-        self.journal.crashpoint("migrate.flip.post");
-        let meta_batch = self.flush_metadata();
-        ops.extend(meta_batch.ops);
-
-        self.journal.crashpoint("migrate.gc.pre");
-        self.migrate_sweep(&old_objects, Some(report), ops);
-        self.reads_remove(path);
         // The cached whole object would serve stale bytes if a later
         // update went through the replicated path; the file is EC now.
         self.cache_l().remove(path.as_str());
@@ -466,41 +355,89 @@ impl Hyrd {
         Some(bytes.len() as u64)
     }
 
-    /// Removes a set of placement objects, tolerantly: verifiably-gone
-    /// is success, unreachable gets the remove logged for recovery.
-    /// Every resolved key also discharges its pending-log entry — a
-    /// lingering PUT would resurrect the object on replay. With
-    /// `report`, the sweep is a post-flip GC and counts as such;
-    /// without, it unstages an aborted publish.
+    /// Steps 2–5 of the module docs, for either direction: journal the
+    /// intent, publish `data` (one buffer per object of `placement`, in
+    /// [`Placement::objects`] order), flip the file to `placement` at
+    /// the snapshot's version, flush, collect the old objects. `false`
+    /// is an abort — too few objects landed, or a writer (or delete) got
+    /// to the file first and its placement is the truth: the staged
+    /// objects are removed and the old placement stands.
+    fn migrate_commit(
+        &self,
+        path: &NormPath,
+        inode: &Inode,
+        placement: Placement,
+        data: Vec<Bytes>,
+        report: &mut MigrationReport,
+        ops: &mut Vec<OpReport>,
+    ) -> bool {
+        let owned = |placement: &Placement| -> Vec<(ProviderId, String)> {
+            placement.objects().map(|(p, name)| (p, name.to_string())).collect()
+        };
+        let (new_objects, old_objects) = (owned(&placement), owned(&inode.placement));
+        let _intent = self.journal.begin(|| Intent::Migrate {
+            path: path.as_str().to_string(),
+            new_objects: new_objects.clone(),
+            old_objects: old_objects.clone(),
+        });
+
+        self.journal.crashpoint("migrate.publish.pre");
+        let mut live = 0;
+        let mut recorded = None;
+        for ((target, name), bytes) in placement.objects().zip(&data) {
+            // Replicas share one object name, and so one digest.
+            if recorded != Some(name) {
+                self.integrity_l().record(name, bytes);
+                recorded = Some(name);
+            }
+            if let Ok(put) = self.put_object(target, Self::key(name), bytes) {
+                ops.push(put);
+                live += 1;
+            }
+        }
+        // The durability floor: one replica, or enough fragments to
+        // decode the object back.
+        let floor = match &placement {
+            Placement::ErasureCoded { layout, .. } => layout.m,
+            _ => 1,
+        };
+        let flipped = live >= floor && {
+            self.journal.crashpoint("migrate.flip.pre");
+            let now = self.now();
+            self.meta
+                .set_placement_if_version(path, inode.version, placement, inode.size, now)
+                .unwrap_or(false)
+        };
+        if !flipped {
+            self.migrate_sweep(&new_objects, None, ops);
+            return false;
+        }
+        self.journal.crashpoint("migrate.flip.post");
+        // The flip must be durable *before* the old objects go away —
+        // restart decides forward-vs-back from recovered metadata.
+        let meta_batch = self.flush_metadata();
+        ops.extend(meta_batch.ops);
+
+        self.journal.crashpoint("migrate.gc.pre");
+        self.migrate_sweep(&old_objects, Some(report), ops);
+        // Fresh heat epoch for the new scheme.
+        self.reads_remove(path);
+        true
+    }
+
+    /// [`Hyrd::retire`]s a set of placement objects. With `report`, the
+    /// sweep is a post-flip GC and counts as such; without, it unstages
+    /// an aborted publish.
     fn migrate_sweep(
         &self,
         doomed: &[(ProviderId, String)],
         report: Option<&mut MigrationReport>,
         ops: &mut Vec<OpReport>,
     ) {
-        let mut removed = 0u64;
-        let mut logged = 0u64;
-        for (p, name) in doomed {
-            let key = Self::key(name);
-            self.integrity_l().forget(name);
-            match self.guarded(*p, |prov| prov.remove(&key)) {
-                Ok(out) => {
-                    ops.push(out.report);
-                    removed += 1;
-                    self.wal_discharge(*p, &key);
-                }
-                Err(CloudError::NoSuchObject { .. }) | Err(CloudError::NoSuchContainer { .. }) => {
-                    self.wal_discharge(*p, &key);
-                }
-                Err(_) => {
-                    self.wal_log_remove(*p, key);
-                    logged += 1;
-                }
-            }
-        }
+        let retired = self.retire(doomed.iter().map(|(p, name)| (*p, Self::key(name))), ops);
         if let Some(report) = report {
-            report.gc_removed += removed;
-            report.gc_logged += logged;
+            report.gc_removed += retired.removed;
+            report.gc_logged += retired.logged;
         }
     }
 }

@@ -71,16 +71,18 @@ impl UpdateLog {
         UpdateLog::default()
     }
 
-    fn supersede(&mut self, provider: ProviderId, key: &ObjectKey) {
+    fn supersede(&mut self, provider: ProviderId, key: &ObjectKey) -> bool {
+        let before = self.records.len();
         self.records.retain(|(p, r)| !(*p == provider && r.key() == key));
+        self.records.len() < before
     }
 
-    /// Discharges the pending record for `key` on `provider`: the write
-    /// (or remove) it described has since landed through another route —
-    /// e.g. a desperation-pass forced put — so replaying it would only
-    /// re-ship bytes the provider already holds.
-    pub fn discharge(&mut self, provider: ProviderId, key: &ObjectKey) {
-        self.supersede(provider, key);
+    /// Discharges the pending record for `key` on `provider`, if there is
+    /// one (the return value says so): a newer mutation of the object
+    /// has since landed there, so replaying the record would undo it —
+    /// re-ship older bytes over newer ones, or remove a live copy.
+    pub fn discharge(&mut self, provider: ProviderId, key: &ObjectKey) -> bool {
+        self.supersede(provider, key)
     }
 
     /// Logs a missed Put.
@@ -217,12 +219,12 @@ mod tests {
         log.log_put(p, key("a"), Bytes::from_static(b"v1"));
         log.log_put(p, key("b"), Bytes::from_static(b"v1"));
         log.log_put(ProviderId(1), key("a"), Bytes::from_static(b"v1"));
-        log.discharge(p, &key("a"));
+        assert!(log.discharge(p, &key("a")));
         assert!(!log.is_pending(p, &key("a")));
         assert!(log.is_pending(p, &key("b")));
         assert!(log.is_pending(ProviderId(1), &key("a")));
-        // Discharging an absent record is a no-op.
-        log.discharge(p, &key("zzz"));
+        // Discharging an absent record is a no-op, and says so.
+        assert!(!log.discharge(p, &key("zzz")));
         assert_eq!(log.len(), 2);
     }
 

@@ -54,7 +54,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use hyrd_cloudsim::Fleet;
-use hyrd_gcsapi::{CloudError, CloudStorage};
+use hyrd_gcsapi::{CloudStorage, ProviderId};
 use hyrd_metastore::{resolve_chain, DiffBlock, MetadataBlock, NormPath, Placement};
 use hyrd_telemetry::Collector;
 
@@ -159,7 +159,7 @@ impl Hyrd {
                 // twice — wire corruption is transient — before the
                 // replica is skipped in favor of the other candidates.
                 for _attempt in 0..3 {
-                    let Ok(out) = hyrd.guarded(p.id(), |prov| prov.get(&key)) else {
+                    let Ok(out) = hyrd.get_object(p.id(), &key) else {
                         break;
                     };
                     let decoded = if is_diff {
@@ -296,7 +296,7 @@ impl Hyrd {
         let targets = hyrd.replica_targets();
         for (block, bytes) in &winners {
             let name = MetadataBlock::object_name(&block.dir);
-            let (_, _live) = hyrd.put_replicated(&name, bytes, &targets);
+            hyrd.put_replicated(&name, bytes, &targets);
             report.replicas_healed += 1;
         }
 
@@ -330,22 +330,17 @@ impl Hyrd {
                     if refs.contains(&name) {
                         continue;
                     }
-                    let key = Self::key(&name);
-                    match hyrd.guarded(p.id(), |prov| prov.remove(&key)) {
-                        Ok(_) => {
-                            report.orphans_removed += 1;
-                            if hyrd.telemetry.enabled() {
-                                hyrd.telemetry
-                                    .event("restart.orphan_removed")
-                                    .field("object", name.as_str())
-                                    .field("provider", p.name())
-                                    .emit();
-                                hyrd.telemetry.inc("restart.orphans_removed", 1);
-                            }
+                    let orphan = [(p.id(), Self::key(&name))];
+                    if hyrd.retire(orphan, &mut Vec::new()).removed > 0 {
+                        report.orphans_removed += 1;
+                        if hyrd.telemetry.enabled() {
+                            hyrd.telemetry
+                                .event("restart.orphan_removed")
+                                .field("object", name.as_str())
+                                .field("provider", p.name())
+                                .emit();
+                            hyrd.telemetry.inc("restart.orphans_removed", 1);
                         }
-                        Err(CloudError::NoSuchObject { .. })
-                        | Err(CloudError::NoSuchContainer { .. }) => {}
-                        Err(_) => hyrd.wal_log_remove(p.id(), key),
                     }
                 }
             }
@@ -386,6 +381,13 @@ impl Hyrd {
         Ok((hyrd, report))
     }
 
+    /// [`Hyrd::retire`] for intent resolution, which keeps no op
+    /// accounting.
+    fn sweep<'a>(&self, objects: impl IntoIterator<Item = &'a (ProviderId, String)>) {
+        let keyed = objects.into_iter().map(|(p, name)| (*p, Self::key(name)));
+        self.retire(keyed, &mut Vec::new());
+    }
+
     /// Resolves one in-flight intent (see the module docs for the
     /// roll-forward / roll-back contract of each variant).
     fn resolve_intent(&self, intent: &Intent, report: &mut RestartReport) {
@@ -393,21 +395,7 @@ impl Hyrd {
             Intent::Create { path, objects } => {
                 // Roll back: the caller never got an ack, so the clean
                 // outcome is total absence — no objects, no metadata.
-                for (p, object) in objects {
-                    let key = Self::key(object);
-                    self.integrity_l().forget(object);
-                    match self.guarded(*p, |prov| prov.remove(&key)) {
-                        // Gone (or never landed): also discharge any
-                        // pending put that would resurrect it on replay.
-                        Ok(_)
-                        | Err(CloudError::NoSuchObject { .. })
-                        | Err(CloudError::NoSuchContainer { .. }) => {
-                            self.wal_discharge(*p, &key);
-                        }
-                        // Unreachable: supersede the put with a remove.
-                        Err(_) => self.wal_log_remove(*p, key),
-                    }
-                }
+                self.sweep(objects);
                 if let Ok(npath) = NormPath::parse(path) {
                     if self.meta.inode(&npath).is_ok() {
                         let _ = self.meta.remove_file(&npath);
@@ -422,10 +410,7 @@ impl Hyrd {
                 let key = Self::key(object);
                 self.integrity_l().record(object, bytes);
                 for &p in providers {
-                    match self.guarded(p, |prov| prov.put(&key, bytes.clone())) {
-                        Ok(_) => self.wal_discharge(p, &key),
-                        Err(_) => self.wal_log_put(p, key.clone(), bytes.clone()),
-                    }
+                    let _ = self.put_object(p, &key, bytes);
                 }
                 report.intents_rolled_forward += 1;
             }
@@ -443,25 +428,11 @@ impl Hyrd {
                 for w in writes {
                     let key = Self::key(&w.object);
                     self.integrity_l().forget(&w.object);
-                    match self
-                        .guarded(w.provider, |prov| prov.put_range(&key, w.offset, w.bytes.clone()))
-                    {
-                        Ok(_) => {}
-                        Err(_) => self.dirty_l().mark(path, w.index),
+                    if self.put_fragment_range(w.provider, &key, w.offset, &w.bytes).is_err() {
+                        self.dirty_l().mark(path, w.index);
                     }
                 }
-                if let Some((p, name)) = hot_remove {
-                    let key = Self::key(name);
-                    self.integrity_l().forget(name);
-                    match self.guarded(*p, |prov| prov.remove(&key)) {
-                        Ok(_)
-                        | Err(CloudError::NoSuchObject { .. })
-                        | Err(CloudError::NoSuchContainer { .. }) => {
-                            self.wal_discharge(*p, &key);
-                        }
-                        Err(_) => self.wal_log_remove(*p, key),
-                    }
-                }
+                self.sweep(hot_remove);
                 // The stripe now holds the new bytes; a recovered
                 // placement may still advertise the stale hot copy.
                 if let Ok(npath) = NormPath::parse(path) {
@@ -493,18 +464,7 @@ impl Hyrd {
                     self.dirty_l().forget(path);
                     self.sync_dirty_journal();
                 }
-                for (p, object) in objects {
-                    let key = Self::key(object);
-                    self.integrity_l().forget(object);
-                    match self.guarded(*p, |prov| prov.remove(&key)) {
-                        Ok(_)
-                        | Err(CloudError::NoSuchObject { .. })
-                        | Err(CloudError::NoSuchContainer { .. }) => {
-                            self.wal_discharge(*p, &key);
-                        }
-                        Err(_) => self.wal_log_remove(*p, key),
-                    }
-                }
+                self.sweep(objects);
                 report.intents_rolled_forward += 1;
             }
             Intent::Migrate { path, new_objects, old_objects } => {
@@ -517,47 +477,18 @@ impl Hyrd {
                 // neither set, so both are swept.
                 let recovered =
                     NormPath::parse(path).ok().and_then(|npath| self.meta.inode(&npath).ok());
-                let mut placed: BTreeSet<&str> = BTreeSet::new();
-                if let Some(inode) = &recovered {
-                    match &inode.placement {
-                        Placement::Pending => {}
-                        Placement::Replicated { object, .. } => {
-                            placed.insert(object.as_str());
-                        }
-                        Placement::ErasureCoded { fragments, hot_copy, .. } => {
-                            for (_, name) in fragments {
-                                placed.insert(name.as_str());
-                            }
-                            if let Some((_, name)) = hot_copy {
-                                placed.insert(name.as_str());
-                            }
-                        }
-                    }
-                }
-                let committed = new_objects.iter().any(|(_, name)| placed.contains(name.as_str()));
-                let sweep = |doomed: &[(hyrd_gcsapi::ProviderId, String)]| {
-                    for (p, object) in doomed {
-                        let key = Self::key(object);
-                        self.integrity_l().forget(object);
-                        match self.guarded(*p, |prov| prov.remove(&key)) {
-                            Ok(_)
-                            | Err(CloudError::NoSuchObject { .. })
-                            | Err(CloudError::NoSuchContainer { .. }) => {
-                                self.wal_discharge(*p, &key);
-                            }
-                            Err(_) => self.wal_log_remove(*p, key),
-                        }
-                    }
-                };
+                let committed = recovered.as_ref().is_some_and(|inode| {
+                    let mut placed = inode.placement.objects();
+                    placed.any(|(_, name)| new_objects.iter().any(|(_, staged)| staged == name))
+                });
                 if recovered.is_none() {
-                    sweep(new_objects);
-                    sweep(old_objects);
+                    self.sweep(new_objects.iter().chain(old_objects));
                     report.intents_rolled_forward += 1;
                 } else if committed {
-                    sweep(old_objects);
+                    self.sweep(old_objects);
                     report.intents_rolled_forward += 1;
                 } else {
-                    sweep(new_objects);
+                    self.sweep(new_objects);
                     report.intents_rolled_back += 1;
                 }
                 // Heat accumulated against the old scheme means nothing
@@ -577,26 +508,10 @@ impl Hyrd {
     /// the restart GC's removal predicate).
     pub fn audit_references(&self) -> BTreeSet<String> {
         let mut refs = BTreeSet::new();
-        for dir in self.meta.all_dirs() {
+        for (dir, files) in self.meta.walk() {
             refs.insert(MetadataBlock::object_name(&dir));
-            let Ok(entries) = self.meta.inodes_in(&dir) else {
-                continue;
-            };
-            for (_, inode) in entries {
-                match &inode.placement {
-                    Placement::Pending => {}
-                    Placement::Replicated { object, .. } => {
-                        refs.insert(object.clone());
-                    }
-                    Placement::ErasureCoded { fragments, hot_copy, .. } => {
-                        for (_, name) in fragments {
-                            refs.insert(name.clone());
-                        }
-                        if let Some((_, name)) = hot_copy {
-                            refs.insert(name.clone());
-                        }
-                    }
-                }
+            for (_, inode) in files {
+                refs.extend(inode.placement.objects().map(|(_, name)| name.to_string()));
             }
         }
         refs.extend(self.meta.live_diff_objects());

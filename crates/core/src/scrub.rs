@@ -18,13 +18,15 @@
 //!
 //! Unreachable copies (provider in outage, open breaker, pending replay,
 //! dirty fragment) are *skipped*, not condemned: outage recovery owns
-//! them. Scrub traffic runs through the same hardened [`Hyrd::guarded`]
-//! call path as foreground I/O.
+//! them. A reachable holder that answers "no such object" is different:
+//! that copy is **lost**, and is restored like a corrupt one. Scrub
+//! traffic runs through the same hardened verbs as foreground I/O
+//! ([`Hyrd::get_object`], [`Hyrd::put_object`]).
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use hyrd_gcsapi::{BatchReport, CloudStorage, OpReport, ProviderId};
+use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, OpReport, ProviderId};
 use hyrd_metastore::Placement;
 
 use crate::dispatcher::Hyrd;
@@ -60,9 +62,19 @@ impl ScrubReport {
     }
 }
 
+/// One holder's answer to a scrub fetch.
+enum Fetched {
+    Copy(Bytes),
+    /// A scrubbable holder says the object does not exist.
+    Lost,
+    /// The fetch failed some other way: neither examined nor condemned.
+    Failed,
+}
+
 impl Hyrd {
-    /// Traces a digest mismatch found by the sweep (distinct from
-    /// `integrity.corrupt`, which marks read-path detections). Carries
+    /// Traces a digest mismatch or a lost copy found by the sweep
+    /// (distinct from `integrity.corrupt`, which marks read-path
+    /// detections). Carries
     /// the file identity — and the fragment index for erasure fragments —
     /// so the exposure tracker can open a below-redundancy interval.
     fn note_scrub_corrupt(
@@ -93,19 +105,14 @@ impl Hyrd {
     }
 
     /// Fetches one copy for scrubbing, pushing its op on success.
-    fn scrub_fetch(
-        &self,
-        provider: ProviderId,
-        name: &str,
-        ops: &mut Vec<OpReport>,
-    ) -> Option<Bytes> {
-        let key = Self::key(name);
-        match self.guarded(provider, |p| p.get(&key)) {
+    fn scrub_fetch(&self, provider: ProviderId, name: &str, ops: &mut Vec<OpReport>) -> Fetched {
+        match self.get_object(provider, &Self::key(name)) {
             Ok(out) => {
                 ops.push(out.report);
-                Some(out.value)
+                Fetched::Copy(out.value)
             }
-            Err(_) => None,
+            Err(CloudError::NoSuchObject { .. }) => Fetched::Lost,
+            Err(_) => Fetched::Failed,
         }
     }
 
@@ -121,10 +128,9 @@ impl Hyrd {
         good: &Bytes,
         ops: &mut Vec<OpReport>,
     ) -> bool {
-        let key = Self::key(name);
-        match self.guarded(provider, |p| p.put(&key, good.clone())) {
-            Ok(out) => {
-                ops.push(out.report);
+        match self.put_object(provider, Self::key(name), good) {
+            Ok(put) => {
+                ops.push(put);
                 if self.telemetry.enabled() {
                     let mut ev = self.telemetry.event("scrub.repair");
                     ev.field("path", path)
@@ -150,57 +156,59 @@ impl Hyrd {
         report: &mut ScrubReport,
         ops: &mut Vec<OpReport>,
     ) {
-        let mut copies: Vec<(ProviderId, Bytes)> = Vec::new();
+        // `None` is a lost copy.
+        let mut copies: Vec<(ProviderId, Option<Bytes>)> = Vec::new();
         for &p in providers {
             if !self.scrubbable(p, object) {
                 report.skipped += 1;
                 continue;
             }
-            if let Some(bytes) = self.scrub_fetch(p, object, ops) {
-                report.objects_swept += 1;
-                copies.push((p, bytes));
+            match self.scrub_fetch(p, object, ops) {
+                Fetched::Copy(bytes) => {
+                    report.objects_swept += 1;
+                    copies.push((p, Some(bytes)));
+                }
+                Fetched::Lost => copies.push((p, None)),
+                Fetched::Failed => {}
             }
         }
-        if copies.is_empty() {
-            return;
-        }
-        if self.integrity_l().digest(object).is_some() {
-            let mut good: Option<Bytes> = None;
-            let mut bad: Vec<ProviderId> = Vec::new();
-            for (p, bytes) in &copies {
-                match self.integrity_l().verify(object, bytes) {
-                    Verdict::Verified => {
-                        if good.is_none() {
-                            good = Some(bytes.clone());
-                        }
-                    }
-                    Verdict::Corrupt => {
-                        report.corrupt_detected += 1;
-                        self.note_scrub_corrupt(path, None, *p, object);
-                        bad.push(*p);
-                    }
-                    Verdict::Unknown => unreachable!("digest is on record"),
-                }
-            }
-            match good {
-                Some(good) => {
-                    for p in bad {
-                        if self.scrub_rewrite(path, None, p, object, &good, ops) {
-                            report.repaired += 1;
-                        }
-                    }
-                }
-                None => report.unrecoverable += 1,
-            }
+        // The truth: a copy that verifies, or — with no digest on record
+        // (a freshly attached client) — what every held copy agrees on;
+        // there is no way to tell which of two differing copies it is.
+        let known = self.integrity_l().digest(object).is_some();
+        let mut held = copies.iter().filter_map(|(_, copy)| copy.as_ref());
+        let good = if known {
+            held.find(|bytes| self.integrity_l().verify(object, bytes) == Verdict::Verified)
         } else {
-            // No digest on record (legacy object): adopt the stored state
-            // if every reachable copy agrees, otherwise flag it — there
-            // is no way to tell which copy is the truth.
-            if copies.iter().all(|(_, b)| b == &copies[0].1) {
-                self.integrity_l().record(object, &copies[0].1);
-                report.digests_refreshed += 1;
-            } else {
+            held.next().filter(|first| held.all(|bytes| bytes == *first))
+        };
+        // Against the truth every other copy is corrupt or lost; against
+        // a digest no copy meets, every held copy is corrupt.
+        let condemned = |copy: &Option<Bytes>| match good {
+            Some(good) => copy.as_ref() != Some(good),
+            None => known && copy.is_some(),
+        };
+        let mut bad: Vec<ProviderId> = Vec::new();
+        for (p, copy) in &copies {
+            if condemned(copy) {
+                report.corrupt_detected += 1;
+                self.note_scrub_corrupt(path, None, *p, object);
+                bad.push(*p);
+            }
+        }
+        let Some(good) = good else {
+            if !copies.is_empty() {
                 report.unrecoverable += 1;
+            }
+            return;
+        };
+        if !known {
+            self.integrity_l().record(object, good);
+            report.digests_refreshed += 1;
+        }
+        for p in bad {
+            if self.scrub_rewrite(path, None, p, object, good, ops) {
+                report.repaired += 1;
             }
         }
     }
@@ -216,19 +224,28 @@ impl Hyrd {
         ops: &mut Vec<OpReport>,
     ) {
         let mut fetched: Vec<(usize, ProviderId, Bytes, Verdict)> = Vec::new();
+        let mut lost: Vec<usize> = Vec::new();
         for (i, (p, name)) in fragments.iter().enumerate() {
             if !self.scrubbable(*p, name) || self.dirty_l().contains(path, i) {
                 report.skipped += 1;
                 continue;
             }
-            if let Some(bytes) = self.scrub_fetch(*p, name, ops) {
-                report.objects_swept += 1;
-                let verdict = self.integrity_l().verify(name, &bytes);
-                if verdict == Verdict::Corrupt {
+            match self.scrub_fetch(*p, name, ops) {
+                Fetched::Copy(bytes) => {
+                    report.objects_swept += 1;
+                    let verdict = self.integrity_l().verify(name, &bytes);
+                    if verdict == Verdict::Corrupt {
+                        report.corrupt_detected += 1;
+                        self.note_scrub_corrupt(path, Some(i as u64), *p, name);
+                    }
+                    fetched.push((i, *p, bytes, verdict));
+                }
+                Fetched::Lost => {
                     report.corrupt_detected += 1;
                     self.note_scrub_corrupt(path, Some(i as u64), *p, name);
+                    lost.push(i);
                 }
-                fetched.push((i, *p, bytes, verdict));
+                Fetched::Failed => {}
             }
         }
 
@@ -292,29 +309,42 @@ impl Hyrd {
                 report.digests_refreshed += 1;
             }
         }
+        for i in lost {
+            let (p, name) = &fragments[i];
+            let good = Bytes::from(std::mem::take(&mut oracle[i]));
+            if self.scrub_rewrite(path, Some(i as u64), *p, name, &good, ops) {
+                report.repaired += 1;
+                self.integrity_l().record(name, &good);
+            }
+        }
 
         // The hot copy, when reachable, must match the decoded object.
         if let Some((p, name)) = hot_copy {
-            if self.scrubbable(*p, name) {
-                if let Some(bytes) = self.scrub_fetch(*p, name, ops) {
-                    report.objects_swept += 1;
-                    if bytes[..] != object[..] {
-                        report.corrupt_detected += 1;
-                        self.note_scrub_corrupt(path, None, *p, name);
-                        let good = Bytes::from(object);
-                        if self.scrub_rewrite(path, None, *p, name, &good, ops) {
-                            report.repaired += 1;
-                            self.integrity_l().record(name, &good);
-                        }
-                    } else if self.integrity_l().digest(name).is_none() {
+            let fetched = if self.scrubbable(*p, name) {
+                self.scrub_fetch(*p, name, ops)
+            } else {
+                Fetched::Failed
+            };
+            if matches!(fetched, Fetched::Copy(_)) {
+                report.objects_swept += 1;
+            }
+            match fetched {
+                Fetched::Failed => report.skipped += 1,
+                Fetched::Copy(bytes) if bytes[..] == object[..] => {
+                    if self.integrity_l().digest(name).is_none() {
                         self.integrity_l().record(name, &bytes);
                         report.digests_refreshed += 1;
                     }
-                } else {
-                    report.skipped += 1;
                 }
-            } else {
-                report.skipped += 1;
+                Fetched::Copy(_) | Fetched::Lost => {
+                    report.corrupt_detected += 1;
+                    self.note_scrub_corrupt(path, None, *p, name);
+                    let good = Bytes::from(object);
+                    if self.scrub_rewrite(path, None, *p, name, &good, ops) {
+                        report.repaired += 1;
+                        self.integrity_l().record(name, &good);
+                    }
+                }
             }
         }
     }
@@ -327,14 +357,8 @@ impl Hyrd {
         let mut report = ScrubReport::default();
         let mut ops: Vec<OpReport> = Vec::new();
 
-        let mut dirs = self.meta.all_dirs();
-        dirs.sort_by(|a, b| a.as_str().cmp(b.as_str()));
-        for dir in dirs {
-            // One shard read-lock per directory: names and inodes come
-            // out together, so no per-file lookups are needed.
-            let entries = self.meta.inodes_in(&dir)?;
-            for (name, inode) in entries {
-                let Ok(fpath) = dir.join(&name) else { continue };
+        for (_, files) in self.meta.walk() {
+            for (fpath, inode) in files {
                 match inode.placement {
                     Placement::Pending => {}
                     Placement::Replicated { providers, object } => {
@@ -447,6 +471,45 @@ mod tests {
         assert_eq!(&bytes[..], &data[..]);
         let (again, _) = h.scrub().expect("scrub runs");
         assert_eq!(again.corrupt_detected, 0);
+    }
+
+    /// A holder that answers "no such object" has lost its copy; the
+    /// sweep used to pass over it (`repaired: 0`) and leave the file one
+    /// failure from gone.
+    #[test]
+    fn lost_replica_and_lost_fragment_are_restored() {
+        let fleet = fleet();
+        let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let small = synth_content("/f", 0, 8 * KB);
+        let large = synth_content("/big", 0, 2 * MB);
+        h.create_file("/f", &small).expect("up");
+        h.create_file("/big", &large).expect("up");
+
+        // Remove one replica and one fragment behind the client's back.
+        let replica = Hyrd::key(&crate::scheme::object_name("/f"));
+        let fragment = Hyrd::key(&format!("{}.f2", crate::scheme::object_name("/big")));
+        let lose = |key: &hyrd_gcsapi::ObjectKey| {
+            let holder = fleet.providers().iter().find(|p| p.get(key).is_ok());
+            let holder = holder.expect("some provider holds the object");
+            let was = holder.get(key).expect("held").value;
+            holder.remove(key).expect("held");
+            (holder.id(), was)
+        };
+        let (replica_holder, _) = lose(&replica);
+        let (fragment_holder, fragment_was) = lose(&fragment);
+
+        let (report, _) = h.scrub().expect("scrub runs");
+        assert_eq!(report.corrupt_detected, 2);
+        assert_eq!(report.repaired, 2);
+        assert_eq!(report.unrecoverable, 0);
+        let stored = |id, key| fleet.get(id).expect("fleet member").get(key).expect("restored");
+        assert_eq!(&stored(replica_holder, &replica).value[..], &small[..]);
+        assert_eq!(stored(fragment_holder, &fragment).value, fragment_was);
+        let (bytes, _) = h.read_file("/big").expect("up");
+        assert_eq!(&bytes[..], &large[..]);
+
+        let (again, _) = h.scrub().expect("scrub runs");
+        assert_eq!((again.corrupt_detected, again.repaired), (0, 0), "a second pass is quiet");
     }
 
     #[test]

@@ -891,3 +891,136 @@ fn short_replicas_are_erasures_not_panics() {
         assert!(stored[..] == data[..5_000], "{}", replica.name());
     }
 }
+
+/// The log rule (dispatcher module docs), replica side: a write that
+/// lands on a returned-but-not-yet-recovered replica supersedes what the
+/// log held for it. The ranged update used to patch the replica's stale
+/// base and leave the older logged bytes pending, so `recover_provider`
+/// replayed update 1 over update 2 and the replica ended `new|old`.
+#[test]
+fn an_update_after_a_replica_returns_is_not_undone_by_recovery() {
+    let fleet = fleet();
+    let h = hyrd(&fleet);
+    let replicas = [fleet.by_name("Aliyun").unwrap(), fleet.by_name("Windows Azure").unwrap()];
+    h.create_file("/f", &synth_content("/f", 0, 8 * KB)).unwrap();
+
+    replicas[0].force_down();
+    let first = synth_content("/f", 1, 4 * KB);
+    h.update_file("/f", 0, &first).unwrap();
+    replicas[0].restore();
+    let second = synth_content("/f", 2, 4 * KB);
+    h.update_file("/f", 4 * KB as u64, &second).unwrap();
+    h.recover_provider(replicas[0].id()).unwrap();
+    assert_eq!(h.pending_log_len(), 0);
+
+    let acked = [first, second].concat();
+    for replica in replicas {
+        let stored = replica.get(&replica_key("/f")).unwrap().value;
+        assert!(stored[..] == acked[..], "{} holds stale bytes", replica.name());
+    }
+    // A fresh client that can only reach the returned replica reads them.
+    replicas[1].force_down();
+    let (fresh, _) = Hyrd::attach(&fleet, HyrdConfig::default()).unwrap();
+    let (bytes, _) = fresh.read_file("/f").unwrap();
+    assert!(bytes[..] == acked[..]);
+}
+
+/// One replicated and one erasure-coded file, each with a provider that
+/// holds a copy of it (the victim of the outage).
+const TIERS: [(&str, usize, &str); 2] =
+    [("/small", 8 * KB, "Aliyun"), ("/large", 2 * MB, "Amazon S3")];
+
+/// How many objects of `path` (replicas, fragments) the fleet stores.
+fn stored_objects_of(fleet: &Fleet, path: &str) -> usize {
+    let prefix = hyrd::scheme::object_name(path);
+    fleet
+        .providers()
+        .iter()
+        .flat_map(|p| p.object_inventory(Fleet::CONTAINER))
+        .filter(|(name, _)| name.starts_with(&prefix))
+        .count()
+}
+
+/// The log rule, stale Remove: a re-created object landing on the
+/// returned provider discharges the Remove logged for its predecessor.
+/// Recovery used to replay it and delete the live copy (2 replicas → 1,
+/// 4 fragments → 3).
+#[test]
+fn a_delete_missed_in_an_outage_does_not_remove_the_recreated_file() {
+    for (path, len, victim) in TIERS {
+        let fleet = fleet();
+        let h = hyrd(&fleet);
+        let victim = fleet.by_name(victim).unwrap();
+        h.create_file(path, &synth_content(path, 0, len)).unwrap();
+        let copies = stored_objects_of(&fleet, path);
+
+        victim.force_down();
+        h.delete_file(path).unwrap();
+        victim.restore();
+        let reborn = synth_content(path, 1, len);
+        h.create_file(path, &reborn).unwrap();
+        h.recover_provider(victim.id()).unwrap();
+
+        assert_eq!(h.pending_log_len(), 0);
+        assert_eq!(stored_objects_of(&fleet, path), copies, "{path}: a live copy was removed");
+        let (bytes, _) = h.read_file(path).unwrap();
+        assert!(bytes[..] == reborn[..], "{path}");
+    }
+}
+
+/// The log rule, stale Put: a delete that finds the object verifiably
+/// absent on the returned provider discharges the Put logged for it.
+/// Recovery used to replay it and resurrect a copy nothing references.
+#[test]
+fn a_create_missed_in_an_outage_is_not_resurrected_after_the_delete() {
+    for (path, len, victim) in TIERS {
+        let fleet = fleet();
+        let h = hyrd(&fleet);
+        let victim = fleet.by_name(victim).unwrap();
+
+        victim.force_down();
+        h.create_file(path, &synth_content(path, 0, len)).unwrap();
+        victim.restore();
+        h.delete_file(path).unwrap();
+        h.recover_provider(victim.id()).unwrap();
+
+        assert_eq!(h.pending_log_len(), 0);
+        let refs = h.audit_references();
+        for p in fleet.providers() {
+            for (name, _) in p.object_inventory(Fleet::CONTAINER) {
+                assert!(refs.contains(&name), "{path}: orphan {name} on {}", p.name());
+            }
+        }
+    }
+}
+
+/// A returned provider can hold a *predecessor's* fragment under the
+/// name the log has a pending Put for. The ranged update engine reads
+/// its base from every provider that is up, so it used to fold those
+/// bytes into the parity and acknowledge a stripe that no longer
+/// decodes; now the update waits for the consistency update.
+#[test]
+fn an_erasure_update_never_builds_on_a_stale_fragment_of_a_returned_provider() {
+    let fleet = fleet();
+    let h = hyrd(&fleet);
+    let victim = fleet.by_name("Amazon S3").unwrap();
+    h.create_file("/large", &synth_content("/large", 0, 2 * MB)).unwrap();
+    victim.force_down();
+    h.delete_file("/large").unwrap();
+    let mut acked = synth_content("/large", 1, 2 * MB);
+    h.create_file("/large", &acked).unwrap();
+    victim.restore();
+
+    let patch = synth_content("/large", 2, 2 * MB);
+    assert!(matches!(h.update_file("/large", 0, &patch), Err(SchemeError::DataUnavailable { .. })));
+    h.recover_provider(victim.id()).unwrap();
+    h.update_file("/large", 0, &patch[..MB]).unwrap();
+    acked[..MB].copy_from_slice(&patch[..MB]);
+
+    for down in fleet.providers() {
+        down.force_down();
+        let (bytes, _) = h.read_file("/large").unwrap();
+        assert!(bytes[..] == acked[..], "without {}", down.name());
+        down.restore();
+    }
+}

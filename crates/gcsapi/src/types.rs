@@ -33,6 +33,21 @@ impl ObjectKey {
     }
 }
 
+/// A call that may have to keep the key (the recovery log does) takes
+/// `impl Into<Cow<ObjectKey>>`: lend a key shared between calls, or
+/// give away one the caller is done with and spare the copy.
+impl<'a> From<&'a ObjectKey> for std::borrow::Cow<'a, ObjectKey> {
+    fn from(key: &'a ObjectKey) -> Self {
+        std::borrow::Cow::Borrowed(key)
+    }
+}
+
+impl From<ObjectKey> for std::borrow::Cow<'_, ObjectKey> {
+    fn from(key: ObjectKey) -> Self {
+        std::borrow::Cow::Owned(key)
+    }
+}
+
 impl std::fmt::Display for ObjectKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.container, self.name)

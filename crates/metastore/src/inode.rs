@@ -61,6 +61,20 @@ impl Placement {
         v
     }
 
+    /// Every physical object of this placement with the provider that
+    /// holds it: each replica, or each fragment and then the hot copy.
+    pub fn objects(&self) -> impl Iterator<Item = (ProviderId, &str)> {
+        let (replicas, object, fragments, hot_copy): (&[ProviderId], &str, &[_], _) = match self {
+            Placement::Pending => (&[], "", &[], None),
+            Placement::Replicated { providers, object } => (providers, object, &[], None),
+            Placement::ErasureCoded { fragments, hot_copy, .. } => {
+                (&[], "", fragments, hot_copy.as_ref())
+            }
+        };
+        let placed = fragments.iter().chain(hot_copy).map(|(p, name)| (*p, name.as_str()));
+        replicas.iter().map(move |&p| (p, object)).chain(placed)
+    }
+
     /// Number of provider outages this placement survives while staying
     /// readable (replication: replicas−1; erasure code: n−m; pending: 0).
     pub fn fault_tolerance(&self) -> usize {
@@ -135,6 +149,27 @@ mod tests {
         assert_eq!(p.providers(), vec![ProviderId(0), ProviderId(2)]);
         assert_eq!(ec_placement().providers().len(), 4);
         assert!(Placement::Pending.providers().is_empty());
+    }
+
+    #[test]
+    fn objects_lists_every_copy_with_its_holder() {
+        let r2 = Placement::Replicated {
+            providers: vec![ProviderId(2), ProviderId(0)],
+            object: "o".into(),
+        };
+        assert_eq!(r2.objects().collect::<Vec<_>>(), [(ProviderId(2), "o"), (ProviderId(0), "o")]);
+        let Placement::ErasureCoded { layout, fragments, .. } = ec_placement() else {
+            unreachable!("built erasure-coded");
+        };
+        let hot = Placement::ErasureCoded {
+            layout,
+            fragments,
+            hot_copy: Some((ProviderId(9), "o.hot".into())),
+        };
+        let names: Vec<&str> = hot.objects().map(|(_, name)| name).collect();
+        assert_eq!(names, ["f0", "f1", "f2", "f3", "o.hot"]);
+        assert_eq!(hot.objects().last(), Some((ProviderId(9), "o.hot")));
+        assert_eq!(Placement::Pending.objects().count(), 0);
     }
 
     #[test]

@@ -841,6 +841,26 @@ impl ShardedMetaStore {
         )
     }
 
+    /// The namespace in path order: every directory with the files
+    /// directly inside it as `(full path, inode)`, each directory read
+    /// under one shard lock as the walk reaches it. This is the scan
+    /// every background pass makes (scrub, migration, the reference
+    /// audit): same state ⇒ same order ⇒ byte-identical traces.
+    pub fn walk(&self) -> impl Iterator<Item = (NormPath, Vec<(NormPath, Inode)>)> + '_ {
+        let mut dirs = self.all_dirs();
+        dirs.sort_by(|a, b| a.as_str().cmp(b.as_str()));
+        dirs.into_iter().map(move |dir| {
+            // Directories are never removed, so the lookup cannot miss.
+            let files = self
+                .inodes_in(&dir)
+                .unwrap_or_default()
+                .into_iter()
+                .filter_map(|(name, inode)| Some((dir.join(&name).ok()?, inode)))
+                .collect();
+            (dir, files)
+        })
+    }
+
     /// Every live diff object name (unsuperseded chains) — what the
     /// durability auditor must treat as referenced.
     pub fn live_diff_objects(&self) -> Vec<String> {

@@ -6,6 +6,13 @@ verify:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo test -q
 
+# Non-test Rust lines of code per crate (non-blank, non-comment, each
+# file cut at its `#[cfg(test)]` tail, `tests/` and `benches/` left out)
+# — the count every simplicity gate in ROADMAP.md quotes before/after.
+# `just loc crates/core/src/dispatcher` counts given directories.
+loc *dirs:
+    scripts/loc.sh {{dirs}}
+
 # Quick chaos soak: seeded fault schedule, asserts zero unrecoverable
 # reads and a byte-identical report across two same-seed runs.
 chaos:
