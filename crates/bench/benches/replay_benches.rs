@@ -33,9 +33,30 @@ fn bench_sha_kernels(c: &mut Criterion) {
             b.iter(|| sha256::sha256_with_kernel(kernel, black_box(&data)))
         });
     }
-    // The seed's straight-line compress, kept as the correctness oracle —
-    // benched here so the kernel speedup stays visible.
-    g.bench_function("reference/1MiB", |b| b.iter(|| sha256::reference::sha256(black_box(&data))));
+    g.finish();
+}
+
+const BLOCK: usize = hyrd::DIGEST_BLOCK;
+const REPLICA: usize = 512 * 1024;
+
+/// The integrity index's digest of a 512 KiB replica as one `sha256`
+/// per 4 KiB block — what `record` and `verify` did until PR 21, and
+/// what `block_digests` still does where there is no wide kernel.
+fn per_block_loop(data: &[u8], out: &mut [sha256::Digest]) {
+    sha256::block_digests_with(usize::MAX, data, BLOCK, out);
+}
+
+fn bench_block_digests(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sha256-blocks");
+    let data = payload(REPLICA);
+    let mut out = vec![[0u8; 32]; REPLICA / BLOCK];
+    g.throughput(Throughput::Bytes(REPLICA as u64));
+    g.bench_function("blocks/512KiB/per-block", |b| {
+        b.iter(|| per_block_loop(black_box(&data), &mut out))
+    });
+    g.bench_function("blocks/512KiB/block_digests", |b| {
+        b.iter(|| sha256::block_digests(black_box(&data), BLOCK, &mut out))
+    });
     g.finish();
 }
 
@@ -77,10 +98,12 @@ fn bench_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// Wall-clock numbers for the repo-root baseline: SHA-256 kernel MB/s
-/// (fast path vs the seed's reference), single-thread replay ops/s, and
-/// the 8-cell sweep at jobs=1 vs jobs=8. On a single-core host the
-/// sweep ratio is ~1 by construction; `host_cores` records the context.
+/// Wall-clock numbers for the repo-root baseline: SHA-256 MiB/s (one
+/// stream at 1 MiB; the 128 block digests of a 512 KiB replica as a
+/// per-block loop and through `block_digests`), single-thread replay
+/// ops/s, and the 8-cell sweep at jobs=1 vs jobs=8. On a single-core
+/// host the sweep ratio is ~1 by construction; `host_cores` records the
+/// context.
 fn write_summary() {
     let t =
         if summary::json_only() { Duration::from_millis(120) } else { Duration::from_millis(400) };
@@ -90,8 +113,12 @@ fn write_summary() {
     let fast = summary::throughput_mbps(MB, t, || {
         black_box(sha256::sha256(black_box(&data)));
     });
-    let reference = summary::throughput_mbps(MB, t, || {
-        black_box(sha256::reference::sha256(black_box(&data)));
+    let mut digests = vec![[0u8; 32]; REPLICA / BLOCK];
+    let per_block = summary::throughput_mbps(REPLICA, t, || {
+        per_block_loop(black_box(&data[..REPLICA]), &mut digests);
+    });
+    let batch = summary::throughput_mbps(REPLICA, t, || {
+        sha256::block_digests(black_box(&data[..REPLICA]), BLOCK, &mut digests);
     });
 
     // Single-thread replay: ops per wall-clock second through the full
@@ -131,8 +158,9 @@ fn write_summary() {
         &[
             ("sha256_kernel", serde_json::json!(fast_kernel.name())),
             ("sha256_fast_1mib_mbps", summary::round1(fast)),
-            ("sha256_reference_1mib_mbps", summary::round1(reference)),
-            ("sha256_speedup", summary::round1(fast / reference.max(1e-9))),
+            ("sha256_blocks_512kib_per_block_mibps", summary::round1(per_block)),
+            ("sha256_blocks_512kib_batch_mibps", summary::round1(batch)),
+            ("sha256_blocks_speedup", summary::round1(batch / per_block.max(1e-9))),
             ("replay_ops_per_sec", summary::round1(replay_ops_per_sec)),
             ("sweep_8cells_jobs1_secs", serde_json::json!((jobs1 * 1000.0).round() / 1000.0)),
             ("sweep_8cells_jobs8_secs", serde_json::json!((jobs8 * 1000.0).round() / 1000.0)),
@@ -145,7 +173,7 @@ fn write_summary() {
     );
 }
 
-criterion_group!(benches, bench_sha_kernels, bench_sweep);
+criterion_group!(benches, bench_sha_kernels, bench_block_digests, bench_sweep);
 
 fn main() {
     if summary::json_only() {

@@ -101,7 +101,7 @@ use hyrd_telemetry::Collector;
 use crate::config::{CodeChoice, HyrdConfig};
 use crate::evaluator::Evaluator;
 use crate::health::{FaultCounterSnapshot, FaultCounters, HealthTracker};
-use crate::integrity::IntegrityIndex;
+use crate::integrity::{IntegrityIndex, Verdict};
 use crate::journal::Journal;
 use crate::monitor::WorkloadMonitor;
 use crate::recovery::{RecoveryReport, UpdateLog};
@@ -477,6 +477,40 @@ impl Hyrd {
 
     pub(crate) fn integrity_l(&self) -> MutexGuard<'_, IntegrityIndex> {
         self.stripe("integrity", &self.integrity)
+    }
+
+    /// [`IntegrityIndex::record`], timed (see [`Hyrd::observe_hashing`]).
+    pub(crate) fn record_digest(&self, name: &str, bytes: &[u8]) {
+        let wall = self.wall_start();
+        let hashed = self.integrity_l().record(name, bytes);
+        self.observe_hashing(wall, hashed);
+    }
+
+    /// [`IntegrityIndex::record_patch`], timed.
+    pub(crate) fn patch_digest(&self, name: &str, bytes: &[u8], offset: usize, len: usize) {
+        let wall = self.wall_start();
+        let hashed = self.integrity_l().record_patch(name, bytes, offset, len);
+        self.observe_hashing(wall, hashed);
+    }
+
+    /// [`IntegrityIndex::verify`], timed. With no digest on record
+    /// nothing is hashed and nothing observed.
+    pub(crate) fn verify_digest(&self, name: &str, bytes: &[u8]) -> Verdict {
+        let wall = self.wall_start();
+        let verdict = self.integrity_l().verify(name, bytes);
+        self.observe_hashing(wall, if verdict == Verdict::Unknown { 0 } else { bytes.len() });
+        verdict
+    }
+
+    /// Hashing measured where it happens: the wall time of a call that
+    /// hashed payload bytes goes into `integrity.hash_wall_ns` and the
+    /// bytes into `integrity.hashed_bytes` — registry only and only with
+    /// telemetry on, like the `ec.*_wall_ns` timers.
+    fn observe_hashing(&self, started: Option<std::time::Instant>, hashed: usize) {
+        if hashed > 0 {
+            self.observe_wall("integrity.hash_wall_ns", started);
+            self.telemetry.inc("integrity.hashed_bytes", hashed as u64);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -57,7 +57,7 @@ impl Hyrd {
         if self.provider(id).ghost_mode() {
             Verdict::Unknown
         } else {
-            self.integrity_l().verify(object, bytes)
+            self.verify_digest(object, bytes)
         }
     }
 
@@ -267,7 +267,7 @@ impl Hyrd {
             return batch.with_background(BatchReport::parallel(ops));
         };
         let mut ops = vec![put];
-        self.integrity_l().record(&name, data);
+        self.record_digest(&name, data);
         let landed = self.meta.set_placement_if_version(
             path,
             inode.version,

@@ -25,7 +25,7 @@ impl Hyrd {
         let key = Self::key(name);
         // The digest is what the object *should* hold from now on; it is
         // recorded up front so even log-replayed copies verify.
-        self.integrity_l().record(name, data);
+        self.record_digest(name, data);
         let writes = targets.iter().map(|&t| (t, &key, data.clone()));
         self.publish(writes, None, 1, Some("put_replica"))
     }
@@ -153,7 +153,7 @@ impl Hyrd {
         let m = self.config.code.m();
         let writes = encoded.into_iter().zip(&fragments).map(|(fragment, (target, name))| {
             let bytes = Bytes::from(fragment);
-            self.integrity_l().record(name, &bytes);
+            self.record_digest(name, &bytes);
             (*target, Self::key(name), bytes)
         });
         let mut ops = self.publish(writes, None, m, Some("put_fragment"));
@@ -251,7 +251,7 @@ impl Hyrd {
         // The object's authoritative content changed: refresh the digest
         // of the blocks the patch touched (live replicas hold the new
         // content; logged replicas will after replay).
-        self.integrity_l().record_patch(&object, &bytes, offset as usize, data.len());
+        self.patch_digest(&object, &bytes, offset as usize, data.len());
         self.cache_l().put(path.as_str(), bytes);
         let now = self.now();
         self.meta.set_placement(path, Placement::Replicated { providers, object }, size, now)?;

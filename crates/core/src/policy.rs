@@ -387,7 +387,7 @@ impl Hyrd {
         for ((target, name), bytes) in placement.objects().zip(&data) {
             // Replicas share one object name, and so one digest.
             if recorded != Some(name) {
-                self.integrity_l().record(name, bytes);
+                self.record_digest(name, bytes);
                 recorded = Some(name);
             }
             if let Ok(put) = self.put_object(target, Self::key(name), bytes) {

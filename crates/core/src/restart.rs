@@ -408,7 +408,7 @@ impl Hyrd {
                 // content, so re-putting it everywhere is idempotent and
                 // converges every replica on the new version.
                 let key = Self::key(object);
-                self.integrity_l().record(object, bytes);
+                self.record_digest(object, bytes);
                 for &p in providers {
                     let _ = self.put_object(p, &key, bytes);
                 }

@@ -178,7 +178,7 @@ impl Hyrd {
         let known = self.integrity_l().digest(object).is_some();
         let mut held = copies.iter().filter_map(|(_, copy)| copy.as_ref());
         let good = if known {
-            held.find(|bytes| self.integrity_l().verify(object, bytes) == Verdict::Verified)
+            held.find(|bytes| self.verify_digest(object, bytes) == Verdict::Verified)
         } else {
             held.next().filter(|first| held.all(|bytes| bytes == *first))
         };
@@ -203,7 +203,7 @@ impl Hyrd {
             return;
         };
         if !known {
-            self.integrity_l().record(object, good);
+            self.record_digest(object, good);
             report.digests_refreshed += 1;
         }
         for p in bad {
@@ -233,7 +233,7 @@ impl Hyrd {
             match self.scrub_fetch(*p, name, ops) {
                 Fetched::Copy(bytes) => {
                     report.objects_swept += 1;
-                    let verdict = self.integrity_l().verify(name, &bytes);
+                    let verdict = self.verify_digest(name, &bytes);
                     if verdict == Verdict::Corrupt {
                         report.corrupt_detected += 1;
                         self.note_scrub_corrupt(path, Some(i as u64), *p, name);
@@ -305,7 +305,7 @@ impl Hyrd {
                     report.repaired += 1;
                 }
             } else if *verdict == Verdict::Unknown {
-                self.integrity_l().record(name, bytes);
+                self.record_digest(name, bytes);
                 report.digests_refreshed += 1;
             }
         }
@@ -314,7 +314,7 @@ impl Hyrd {
             let good = Bytes::from(std::mem::take(&mut oracle[i]));
             if self.scrub_rewrite(path, Some(i as u64), *p, name, &good, ops) {
                 report.repaired += 1;
-                self.integrity_l().record(name, &good);
+                self.record_digest(name, &good);
             }
         }
 
@@ -332,7 +332,7 @@ impl Hyrd {
                 Fetched::Failed => report.skipped += 1,
                 Fetched::Copy(bytes) if bytes[..] == object[..] => {
                     if self.integrity_l().digest(name).is_none() {
-                        self.integrity_l().record(name, &bytes);
+                        self.record_digest(name, &bytes);
                         report.digests_refreshed += 1;
                     }
                 }
@@ -342,7 +342,7 @@ impl Hyrd {
                     let good = Bytes::from(object);
                     if self.scrub_rewrite(path, None, *p, name, &good, ops) {
                         report.repaired += 1;
-                        self.integrity_l().record(name, &good);
+                        self.record_digest(name, &good);
                     }
                 }
             }

@@ -29,6 +29,11 @@
 //! allocates nothing ever; and folding a trace back allocates for the
 //! providers and files in it, not for its records.
 //!
+//! **Integrity** (DESIGN.md §7 item 3): recording an object allocates its
+//! digest table and nothing to hash with, verifying allocates nothing —
+//! the block digests are computed sixteen at a time into a table on the
+//! stack, whichever kernel computes them.
+//!
 //! One `#[test]` on purpose: the counters are process-wide, and a second
 //! test running on another thread would bill its bytes to this one.
 
@@ -39,7 +44,7 @@ use hyrd::config::HyrdConfig;
 use hyrd::driver::synth_content;
 use hyrd::observatory::{self, SharedObservatory};
 use hyrd::telemetry::{Collector, ManualClock, SharedBuf};
-use hyrd::Hyrd;
+use hyrd::{Hyrd, IntegrityIndex, Verdict};
 use hyrd_cloudsim::{Fleet, SimClock};
 
 /// System allocator that counts the calls made to it and adds up the
@@ -108,6 +113,24 @@ fn request_path_allocation_budgets() {
     large_object_ops_allocate_what_they_produce();
     small_object_ops_cost_what_they_change();
     telemetry_costs_what_it_writes();
+    hashing_allocates_the_digest_table_and_nothing_else();
+}
+
+fn hashing_allocates_the_digest_table_and_nothing_else() {
+    let object = synth_content("/o", 0, 512 * 1024);
+    let mut index = IntegrityIndex::new();
+    // The map's first node.
+    index.record("warm", &object[..1]);
+
+    // The entry's name and the 127 digests after block 0, which is inline.
+    let (record, _) = cost_of(|| index.record("o", &object));
+    assert_eq!(record, Cost { allocs: 2, bytes: 1 + 127 * 32 }, "record of a 512 KiB object");
+    let (verify, verdict) = cost_of(|| index.verify("o", &object));
+    assert_eq!(verdict, Verdict::Verified);
+    assert_eq!(verify, Cost { allocs: 0, bytes: 0 }, "verify of a 512 KiB object");
+    let (again, _) = cost_of(|| index.record("o", &object));
+    assert_eq!(again, Cost { allocs: 0, bytes: 0 }, "re-record over a table of the same size");
+    println!("512 KiB object: record {record:?}, verify {verify:?}");
 }
 
 /// One request's worth of records, as `postmark_observed` emits them: a
@@ -331,6 +354,9 @@ fn large_object_ops_allocate_what_they_produce() {
     r.expect("fleet up");
     let budget = len as u64 * n / m + SLACK;
     assert!(create < budget, "create of {len} B requested {create} B (budget {budget})");
+    // Measured: 4.05 MiB — the fragments plus 37 KiB of digest tables,
+    // metadata diff and names. Hashing the fragments adds nothing to it.
+    assert!(create < 4_257_218, "create of {len} B requested {create} B, over 4.06 MiB");
 
     let (healthy, r) = requested_by(|| h.read_file("/big.bin"));
     assert_eq!(&r.expect("fleet up").0[..], &data[..]);

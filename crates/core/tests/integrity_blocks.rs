@@ -1,0 +1,181 @@
+//! The digest table at the sizes where its hashing changes hands: since
+//! PR 21 `record` and `verify` go through `block_digests` in groups of
+//! 16, which hashes runs of 8 or more full blocks in the 16-lane kernel
+//! and the rest (a short run, the short last block) one block at a time.
+//! Whatever path a block takes, its digest is `sha256` of it, a flipped
+//! bit in it is `Corrupt`, and `record_patch` of it ≡ `record`.
+//!
+//! Std-only and seeded, like `log_rule_model.rs`. The proptest suite
+//! beside it (`integrity_proptests.rs`) covers the small sizes.
+//!
+//! Last, where the time goes: the dispatcher times every `record`,
+//! `record_patch` and `verify` it makes into the registry — and only
+//! there.
+
+use hyrd::config::HyrdConfig;
+use hyrd::telemetry::{Collector, SharedBuf};
+use hyrd::{Hyrd, IntegrityIndex, Verdict, DIGEST_BLOCK};
+use hyrd_cloudsim::{Fleet, SimClock};
+use hyrd_dedup::sha256::sha256;
+
+const B: usize = DIGEST_BLOCK;
+
+/// Block counts either side of the wide kernel's break-even (8), of one
+/// full group (16) and of two (33 = 16 + 16 + 1).
+const BLOCKS: [usize; 7] = [7, 8, 9, 15, 16, 17, 33];
+/// `len % 4096`: a full, a one-byte and an all-but-one-byte last block.
+const LAST: [usize; 3] = [0, 1, B - 1];
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn content(&mut self, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            out.extend_from_slice(&self.next().to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+}
+
+/// Every `(blocks, len)` of the grid: `blocks` blocks, the last one
+/// `last` bytes long (a full block for `last == 0`).
+fn objects() -> impl Iterator<Item = (usize, usize)> {
+    BLOCKS.into_iter().flat_map(|blocks| {
+        LAST.into_iter()
+            .map(move |last| (blocks, (blocks - 1) * B + if last == 0 { B } else { last }))
+    })
+}
+
+fn table(idx: &IntegrityIndex) -> Vec<[u8; 32]> {
+    idx.digest("o").expect("recorded").blocks().copied().collect()
+}
+
+#[test]
+fn record_then_verify_round_trips_and_the_table_is_sha256_per_block() {
+    let mut rng = SplitMix64(21);
+    for (blocks, len) in objects() {
+        let object = rng.content(len);
+        let mut idx = IntegrityIndex::new();
+        assert_eq!(idx.record("o", &object), len, "record hashes the object once");
+        assert_eq!(idx.verify("o", &object), Verdict::Verified, "{blocks} blocks, {len} bytes");
+        assert_eq!(table(&idx), object.chunks(B).map(sha256).collect::<Vec<_>>(), "{len} bytes");
+        assert_eq!(table(&idx).len(), blocks);
+        // The length is part of the digest at these sizes too.
+        assert_eq!(idx.verify("o", &object[..len - 1]), Verdict::Corrupt);
+    }
+}
+
+#[test]
+fn one_flipped_bit_in_each_block_of_a_17_block_object_is_corrupt() {
+    // Blocks 0..16 fill every lane of one wide pass; block 16, one byte
+    // long, takes the single-stream path.
+    let mut rng = SplitMix64(17);
+    let object = rng.content(16 * B + 1);
+    let mut idx = IntegrityIndex::new();
+    idx.record("o", &object);
+    for block in 0..17 {
+        let span = B.min(object.len() - block * B);
+        for at in [0, rng.below(span), span - 1] {
+            let mut flipped = object.clone();
+            flipped[block * B + at] ^= 1 << rng.below(8);
+            assert_eq!(idx.verify("o", &flipped), Verdict::Corrupt, "block {block}, byte {at}");
+        }
+    }
+    assert_eq!(idx.verify("o", &object), Verdict::Verified);
+}
+
+#[test]
+fn record_patch_is_record_at_every_size() {
+    let mut rng = SplitMix64(19);
+    for (blocks, len) in objects() {
+        let mut object = rng.content(len);
+        let mut idx = IntegrityIndex::new();
+        idx.record("o", &object);
+        // A patch inside one block, one over a block edge, one wide
+        // enough to fill a pass (when the object is), one to the end.
+        let wide = (9 * B).min(len);
+        for (offset, patch) in [
+            (rng.below(len - 16), 16),
+            ((1 + rng.below(blocks - 1)) * B - 8, 16.min(len - (blocks - 1) * B + 8)),
+            (rng.below(len - wide + 1), wide),
+            (len - 1, 1),
+        ] {
+            let fresh = rng.content(patch);
+            object[offset..offset + patch].copy_from_slice(&fresh);
+            let hashed = idx.record_patch("o", &object, offset, patch);
+            assert!((patch..patch + 2 * B).contains(&hashed), "{patch}-byte patch hashed {hashed}");
+            let mut whole = IntegrityIndex::new();
+            whole.record("o", &object);
+            assert_eq!(idx.digest("o"), whole.digest("o"), "{len} bytes, patch {offset}+{patch}");
+            assert_eq!(idx.verify("o", &object), Verdict::Verified);
+        }
+    }
+}
+
+#[test]
+fn a_patch_range_past_the_end_is_clamped_to_the_object() {
+    // Used to index past the end of the 2-block table and panic.
+    let object = [0u8; 8192];
+    let mut whole = IntegrityIndex::new();
+    whole.record("o", &object);
+
+    let mut idx = whole.clone();
+    assert_eq!(idx.record_patch("o", &object, 8000, 5000), B, "block 1 is all the range names");
+    assert_eq!(idx.digest("o"), whole.digest("o"));
+    // Wholly outside, and a length that overflows `offset + len`: no
+    // block to hash, nothing changed.
+    assert_eq!(idx.record_patch("o", &object, 8192, 1), 0);
+    assert_eq!(idx.record_patch("o", &object, 1 << 40, 4096), 0);
+    assert_eq!(idx.record_patch("o", &object, 4096, usize::MAX), B);
+    assert_eq!(idx.digest("o"), whole.digest("o"));
+    assert_eq!(idx.verify("o", &object), Verdict::Verified);
+
+    // The clamped part is still re-hashed.
+    let mut changed = object;
+    changed[8191] = 1;
+    idx.record_patch("o", &changed, 8191, 5000);
+    assert_eq!(idx.verify("o", &changed), Verdict::Verified);
+    assert_eq!(idx.verify("o", &object), Verdict::Corrupt);
+}
+
+#[test]
+fn the_dispatcher_times_hashing_in_the_registry_and_never_in_the_trace() {
+    let clock = SimClock::new();
+    let fleet = Fleet::standard_four(clock.clone());
+    let trace = SharedBuf::new();
+    let telemetry = Collector::builder(clock).jsonl(trace.clone()).build();
+    let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
+    let payload = SplitMix64(23).content(2 * 1024 * 1024);
+
+    h.create_file("/big", &payload).expect("fleet up");
+    let created = telemetry.metrics();
+    // Every fragment of the file (n/m of it, 4/3 by default) and the
+    // metadata block that names it were recorded.
+    let hashed = created.counter("integrity.hashed_bytes");
+    assert!(hashed as usize >= payload.len() * 4 / 3, "create hashed {hashed} B");
+    assert!(created.histograms["integrity.hash_wall_ns"].count >= 4, "one sample per fragment");
+
+    // A read verifies the m fragments it fetched: the payload again.
+    assert_eq!(&h.read_file("/big").expect("fleet up").0[..], &payload[..]);
+    let verified = telemetry.metrics().counter("integrity.hashed_bytes") - hashed;
+    assert!(verified as usize >= payload.len(), "read hashed {verified} B");
+
+    // Wall time is not a deterministic quantity: none of it in the trace.
+    let text = trace.text();
+    assert!(text.contains("create_file"), "the trace is on");
+    assert!(!text.contains("integrity.hash"), "hashing leaked into the trace");
+}

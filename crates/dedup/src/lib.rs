@@ -11,10 +11,14 @@
 //! This crate is that module, built to the constraint:
 //!
 //! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256 for chunk
-//!   fingerprints, with runtime-dispatched fast kernels (x86 SHA-NI and
-//!   a fully-unrolled scalar compress) and the original straightforward
-//!   implementation preserved as [`sha256::reference`] — every kernel is
-//!   verified bit-identical against the standard test vectors.
+//!   fingerprints and the integrity index, with runtime-dispatched fast
+//!   kernels: x86 SHA-NI and a fully-unrolled scalar compress for one
+//!   stream, and [`sha256::block_digests`] — sixteen independent
+//!   equal-length blocks at a time in AVX-512 lanes — for the per-block
+//!   digests of a whole object. The original straightforward
+//!   implementation lives on as the test oracle (`tests/oracle/`, not in
+//!   the library); every path is verified bit-identical against it and
+//!   the standard test vectors.
 //! * [`chunker`] — FastCDC-style content-defined chunking with a gear
 //!   hash: boundaries follow content, so an insertion early in a file
 //!   shifts chunk boundaries only locally and the rest of the file still

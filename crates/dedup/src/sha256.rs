@@ -3,7 +3,7 @@
 //! dedup-by-hash sound: two chunks with equal digests are treated as
 //! identical content.
 //!
-//! Three compression kernels share one incremental hasher:
+//! Two compression kernels share one incremental hasher:
 //!
 //! * [`Kernel::ShaNi`] — the x86 SHA extensions
 //!   (`sha256rnds2`/`sha256msg1`/`sha256msg2`), selected at runtime when
@@ -11,13 +11,18 @@
 //!   dozens of ALU ops.
 //! * [`Kernel::Scalar`] — a fully-unrolled portable compress with a
 //!   rolling 16-word message schedule; the fallback everywhere else.
-//! * [`reference`] — the original straightforward implementation, kept
-//!   verbatim as the oracle the fast kernels are proven bit-identical
-//!   against (same playbook as `gf256::reference`).
 //!
-//! All three produce identical digests for every input; the tests here
-//! and in `tests/sha_kernels.rs` assert it on the FIPS vectors, on
-//! random lengths, and on the 63/64/65-byte block boundaries.
+//! A single stream is a dependency chain, so that is as fast as one
+//! digest gets. Many *independent* digests of equal-length blocks are
+//! another matter: [`block_digests`] hashes sixteen at a time in the
+//! 32-bit lanes of AVX-512 where the CPU has it, and block by block on
+//! the kernels above where it does not (DESIGN.md §10).
+//!
+//! Every path produces identical digests for every input. The oracle is
+//! the seed's straightforward implementation under `tests/oracle/`; the
+//! tests here and in `tests/{sha_kernels,block_digests}.rs` assert it on
+//! the FIPS vectors, on random lengths, on the 63/64/65-byte block
+//! boundaries and on every lane and tail position of the wide kernel.
 
 use std::sync::OnceLock;
 
@@ -189,6 +194,64 @@ pub fn sha256_with_kernel(kernel: Kernel, data: &[u8]) -> Digest {
     let mut h = Sha256::with_kernel(kernel);
     h.update(data);
     h.finalize()
+}
+
+/// Fewest full blocks the 16-lane kernel takes in one pass; a shorter
+/// run goes block by block through [`sha256`]. A pass costs the same
+/// however many lanes carry a block of their own, so this is where
+/// sixteen lanes' worth of work undercuts that many single-stream
+/// digests. Measured at 4 KiB blocks on the AVX-512 + SHA-NI host of
+/// DESIGN.md §10: a pass takes 20.5–22.8 µs with one lane filled or
+/// sixteen, a single-stream block 2.9–4.1 µs as the neighbours' load
+/// moves, so 7 blocks tie on a quiet host (21.3 µs both ways) and 8 win
+/// in every run (20.5–22.4 against 23.6–33.3 µs).
+pub const WIDE_MIN_BLOCKS: usize = 8;
+
+/// Writes the SHA-256 of each consecutive `block`-byte block of `data`
+/// (the last one may be short) into `out`: `out[i]` is
+/// `sha256(&data[i * block..][..block])`, bit for bit. Where the CPU has
+/// AVX-512 and `block` is a multiple of 64, runs of at least
+/// [`WIDE_MIN_BLOCKS`] full blocks are hashed sixteen at a time — the
+/// blocks are independent, so each takes one 32-bit lane of the register
+/// file; everything else (a short run, the short last block, any other
+/// `block`, any other CPU) is the single-stream [`sha256`] per block.
+/// Allocates nothing.
+///
+/// # Panics
+/// If `block` is zero or `out.len()` is not `data.len().div_ceil(block)`.
+pub fn block_digests(data: &[u8], block: usize, out: &mut [Digest]) {
+    block_digests_with(WIDE_MIN_BLOCKS, data, block, out);
+}
+
+/// [`block_digests`] with the wide kernel taking any run of at least
+/// `wide_from` full blocks — 1 puts every full block through it (idle
+/// lanes and all), `usize::MAX` none. For the bit-identity tests and
+/// benches, which must reach both paths on one host.
+pub fn block_digests_with(wide_from: usize, data: &[u8], block: usize, out: &mut [Digest]) {
+    assert!(block > 0, "block_digests: block length is zero");
+    assert!(
+        out.len() == data.len().div_ceil(block),
+        "block_digests: {} digests for {} bytes in {block}-byte blocks, expected {}",
+        out.len(),
+        data.len(),
+        data.len().div_ceil(block),
+    );
+    let full = data.len() / block;
+    let mut done = 0;
+    if block.is_multiple_of(64) && wide16::available() {
+        while full - done >= wide_from.max(1) {
+            let n = (full - done).min(16);
+            wide16::digest_blocks(
+                &data[done * block..(done + n) * block],
+                block,
+                &mut out[done..done + n],
+            );
+            done += n;
+        }
+    }
+    for (bytes, digest) in data[done * block..].chunks(block).zip(&mut out[done..]) {
+        *digest = sha256(bytes);
+    }
 }
 
 /// Renders a digest as lowercase hex (object-name safe).
@@ -417,131 +480,223 @@ mod shani {
     }
 }
 
-/// The original straightforward implementation, kept verbatim as the
-/// oracle: an indexed 64-word schedule and a textbook round loop with
-/// explicit register rotation. The fast kernels are proven bit-identical
-/// against this.
-pub mod reference {
+/// Sixteen independent SHA-256 streams in the sixteen 32-bit lanes of
+/// the AVX-512 register file: the eight working variables are eight
+/// `zmm` registers, lane `l` of each belonging to block `l`, and every
+/// round is the scalar round with `vprord` for the rotations and
+/// `vpternlogd` for Ch, Maj and the three-way XORs. Message words reach
+/// that layout through a byte swap and a 16×16 word transpose per
+/// 64-byte step. All sixteen blocks have one length, so they share one
+/// padding block, broadcast.
+#[cfg(target_arch = "x86_64")]
+mod wide16 {
+    use core::arch::x86_64::*;
+
     use super::{Digest, H0, K};
 
-    /// Incremental reference hasher.
-    #[derive(Debug, Clone)]
-    pub struct Sha256 {
-        state: [u32; 8],
-        buffer: [u8; 64],
-        buffered: usize,
-        total_len: u64,
+    pub fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
     }
 
-    impl Default for Sha256 {
-        fn default() -> Self {
-            Sha256::new()
-        }
+    /// The digests of the `out.len()` (1 to 16) consecutive `block`-byte
+    /// blocks that make up `data`; `block` is a multiple of 64.
+    pub fn digest_blocks(data: &[u8], block: usize, out: &mut [Digest]) {
+        assert!(available(), "16-lane kernel invoked on a CPU without avx512f + avx512bw");
+        assert!(block.is_multiple_of(64) && (1..=16).contains(&out.len()));
+        assert_eq!(data.len(), block * out.len());
+        // SAFETY: the required target features were just verified.
+        unsafe { digest_blocks_impl(data, block, out) }
     }
 
-    impl Sha256 {
-        /// A fresh hasher.
-        pub fn new() -> Self {
-            Sha256 { state: H0, buffer: [0; 64], buffered: 0, total_len: 0 }
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn digest_blocks_impl(data: &[u8], block: usize, out: &mut [Digest]) {
+        // Lane `l` reads block `l`; the idle lanes of a short group
+        // re-read block 0 and their digests are dropped.
+        let mut lanes = [&data[..block]; 16];
+        for (lane, bytes) in lanes.iter_mut().zip(data.chunks_exact(block)) {
+            *lane = bytes;
         }
+        // Per 128-bit quarter, the shuffle that turns four little-endian
+        // loads into big-endian message words.
+        let swap = _mm512_broadcast_i32x4(_mm_set_epi64x(
+            0x0c0d_0e0f_0809_0a0bu64 as i64,
+            0x0405_0607_0001_0203,
+        ));
 
-        /// Absorbs bytes.
-        pub fn update(&mut self, mut data: &[u8]) {
-            self.total_len = self.total_len.wrapping_add(data.len() as u64);
-            // Fill the partial block first.
-            if self.buffered > 0 {
-                let take = (64 - self.buffered).min(data.len());
-                self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-                self.buffered += take;
-                data = &data[take..];
-                if self.buffered == 64 {
-                    let block = self.buffer;
-                    self.compress(&block);
-                    self.buffered = 0;
-                }
+        let mut state = H0.map(|h| _mm512_set1_epi32(h as i32));
+        let mut w = [_mm512_setzero_si512(); 16];
+        for step in 0..block / 64 {
+            for (row, lane) in w.iter_mut().zip(lanes) {
+                let bytes: &[u8; 64] =
+                    lane[64 * step..][..64].try_into().expect("a slice of 64 is an array of 64");
+                // SAFETY: `bytes` is 64 readable bytes and the load has no
+                // alignment requirement.
+                let loaded = unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) };
+                *row = _mm512_shuffle_epi8(loaded, swap);
             }
-            // Whole blocks straight from the input.
-            while data.len() >= 64 {
-                let (block, rest) = data.split_at(64);
-                let mut b = [0u8; 64];
-                b.copy_from_slice(block);
-                self.compress(&b);
-                data = rest;
-            }
-            // Stash the tail.
-            if !data.is_empty() {
-                self.buffer[..data.len()].copy_from_slice(data);
-                self.buffered = data.len();
-            }
+            transpose(&mut w);
+            compress(&mut state, &mut w);
         }
+        // 0x80, zeros, the bit length: the same block in every lane.
+        let bits = (block as u64) * 8;
+        w = [_mm512_setzero_si512(); 16];
+        w[0] = _mm512_set1_epi32(0x8000_0000u32 as i32);
+        w[14] = _mm512_set1_epi32((bits >> 32) as i32);
+        w[15] = _mm512_set1_epi32(bits as i32);
+        compress(&mut state, &mut w);
 
-        /// Finishes and returns the digest.
-        pub fn finalize(mut self) -> Digest {
-            let bit_len = self.total_len.wrapping_mul(8);
-            // Padding: 0x80, zeros, 64-bit big-endian length.
-            self.update(&[0x80]);
-            while self.buffered != 56 {
-                self.update(&[0]);
-            }
-            // Manually absorb the length (update would change total_len,
-            // but bit_len is already captured).
-            self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-            let block = self.buffer;
-            self.compress(&block);
-
-            let mut out = [0u8; 32];
-            for (i, w) in self.state.iter().enumerate() {
-                out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-            }
-            out
+        let mut words = [[0u32; 16]; 8];
+        for (row, v) in words.iter_mut().zip(state) {
+            // SAFETY: `row` is 64 writable bytes and the store has no
+            // alignment requirement.
+            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
         }
-
-        fn compress(&mut self, block: &[u8; 64]) {
-            let mut w = [0u32; 64];
-            for (i, chunk) in block.chunks_exact(4).enumerate() {
-                w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (l, digest) in out.iter_mut().enumerate() {
+            for (i, row) in words.iter().enumerate() {
+                digest[4 * i..4 * i + 4].copy_from_slice(&row[l].to_be_bytes());
             }
-            for i in 16..64 {
-                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-                w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-            }
-
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-            for i in 0..64 {
-                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-                let ch = (e & f) ^ ((!e) & g);
-                let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-                let maj = (a & b) ^ (a & c) ^ (b & c);
-                let t2 = s0.wrapping_add(maj);
-                h = g;
-                g = f;
-                f = e;
-                e = d.wrapping_add(t1);
-                d = c;
-                c = b;
-                b = a;
-                a = t1.wrapping_add(t2);
-            }
-            self.state[0] = self.state[0].wrapping_add(a);
-            self.state[1] = self.state[1].wrapping_add(b);
-            self.state[2] = self.state[2].wrapping_add(c);
-            self.state[3] = self.state[3].wrapping_add(d);
-            self.state[4] = self.state[4].wrapping_add(e);
-            self.state[5] = self.state[5].wrapping_add(f);
-            self.state[6] = self.state[6].wrapping_add(g);
-            self.state[7] = self.state[7].wrapping_add(h);
         }
     }
 
-    /// One-shot reference digest.
-    pub fn sha256(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+    /// In: `w[l]` is the sixteen message words of lane `l`. Out: `w[t]`
+    /// is word `t` of all sixteen lanes. Interleave 32-bit then 64-bit
+    /// pairs inside each 128-bit quarter, then transpose the quarters.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(w: &mut [__m512i; 16]) {
+        let mut t = [_mm512_setzero_si512(); 16];
+        for i in 0..8 {
+            t[2 * i] = _mm512_unpacklo_epi32(w[2 * i], w[2 * i + 1]);
+            t[2 * i + 1] = _mm512_unpackhi_epi32(w[2 * i], w[2 * i + 1]);
+        }
+        // u[4g + j], quarter q = word 4q + j of lanes 4g..4g + 4.
+        let mut u = [_mm512_setzero_si512(); 16];
+        for g in 0..4 {
+            u[4 * g] = _mm512_unpacklo_epi64(t[4 * g], t[4 * g + 2]);
+            u[4 * g + 1] = _mm512_unpackhi_epi64(t[4 * g], t[4 * g + 2]);
+            u[4 * g + 2] = _mm512_unpacklo_epi64(t[4 * g + 1], t[4 * g + 3]);
+            u[4 * g + 3] = _mm512_unpackhi_epi64(t[4 * g + 1], t[4 * g + 3]);
+        }
+        for j in 0..4 {
+            let even_lo = _mm512_shuffle_i32x4(u[j], u[4 + j], 0x88);
+            let odd_lo = _mm512_shuffle_i32x4(u[j], u[4 + j], 0xdd);
+            let even_hi = _mm512_shuffle_i32x4(u[8 + j], u[12 + j], 0x88);
+            let odd_hi = _mm512_shuffle_i32x4(u[8 + j], u[12 + j], 0xdd);
+            w[j] = _mm512_shuffle_i32x4(even_lo, even_hi, 0x88);
+            w[4 + j] = _mm512_shuffle_i32x4(odd_lo, odd_hi, 0x88);
+            w[8 + j] = _mm512_shuffle_i32x4(even_lo, even_hi, 0xdd);
+            w[12 + j] = _mm512_shuffle_i32x4(odd_lo, odd_hi, 0xdd);
+        }
+    }
+
+    /// One 64-byte step of all sixteen lanes; `w` is the rolling
+    /// sixteen-word schedule window, as in the scalar kernel.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn compress(state: &mut [__m512i; 8], w: &mut [__m512i; 16]) {
+        // Truth tables for `vpternlogd`.
+        const XOR3: i32 = 0x96;
+        const CH: i32 = 0xca; // e ? f : g
+        const MAJ: i32 = 0xe8;
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+             $k:expr, $w:expr) => {{
+                let s1 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<6>($e),
+                    _mm512_ror_epi32::<11>($e),
+                    _mm512_ror_epi32::<25>($e),
+                );
+                let ch = _mm512_ternarylogic_epi32::<CH>($e, $f, $g);
+                let kw = _mm512_add_epi32(_mm512_set1_epi32($k as i32), $w);
+                let t1 = _mm512_add_epi32(_mm512_add_epi32($h, s1), _mm512_add_epi32(ch, kw));
+                let s0 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<2>($a),
+                    _mm512_ror_epi32::<13>($a),
+                    _mm512_ror_epi32::<22>($a),
+                );
+                let maj = _mm512_ternarylogic_epi32::<MAJ>($a, $b, $c);
+                $d = _mm512_add_epi32($d, t1);
+                $h = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
+            }};
+        }
+        // Schedule word for round 16r + $i, r >= 1, updating the window.
+        macro_rules! sched {
+            ($i:expr) => {{
+                let w15 = w[($i + 1) & 15];
+                let w2 = w[($i + 14) & 15];
+                let s0 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<7>(w15),
+                    _mm512_ror_epi32::<18>(w15),
+                    _mm512_srli_epi32::<3>(w15),
+                );
+                let s1 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<17>(w2),
+                    _mm512_ror_epi32::<19>(w2),
+                    _mm512_srli_epi32::<10>(w2),
+                );
+                w[$i] = _mm512_add_epi32(
+                    _mm512_add_epi32(w[$i], s0),
+                    _mm512_add_epi32(w[($i + 9) & 15], s1),
+                );
+                w[$i]
+            }};
+        }
+        // Sixteen rounds: two turns of the eight-variable rotation.
+        macro_rules! rounds16 {
+            ($k:expr, $word:ident) => {{
+                round!(a, b, c, d, e, f, g, h, $k[0], $word!(0));
+                round!(h, a, b, c, d, e, f, g, $k[1], $word!(1));
+                round!(g, h, a, b, c, d, e, f, $k[2], $word!(2));
+                round!(f, g, h, a, b, c, d, e, $k[3], $word!(3));
+                round!(e, f, g, h, a, b, c, d, $k[4], $word!(4));
+                round!(d, e, f, g, h, a, b, c, $k[5], $word!(5));
+                round!(c, d, e, f, g, h, a, b, $k[6], $word!(6));
+                round!(b, c, d, e, f, g, h, a, $k[7], $word!(7));
+                round!(a, b, c, d, e, f, g, h, $k[8], $word!(8));
+                round!(h, a, b, c, d, e, f, g, $k[9], $word!(9));
+                round!(g, h, a, b, c, d, e, f, $k[10], $word!(10));
+                round!(f, g, h, a, b, c, d, e, $k[11], $word!(11));
+                round!(e, f, g, h, a, b, c, d, $k[12], $word!(12));
+                round!(d, e, f, g, h, a, b, c, $k[13], $word!(13));
+                round!(c, d, e, f, g, h, a, b, $k[14], $word!(14));
+                round!(b, c, d, e, f, g, h, a, $k[15], $word!(15));
+            }};
+        }
+        macro_rules! loaded {
+            ($i:expr) => {
+                w[$i]
+            };
+        }
+
+        rounds16!(K[..16], loaded);
+        for k in K[16..].chunks_exact(16) {
+            rounds16!(k, sched);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = _mm512_add_epi32(*s, v);
+        }
     }
 }
+
+/// Stub for non-x86 targets: the kernel is simply never available.
+#[cfg(not(target_arch = "x86_64"))]
+mod wide16 {
+    pub fn available() -> bool {
+        false
+    }
+
+    pub fn digest_blocks(_data: &[u8], _block: usize, _out: &mut [super::Digest]) {
+        unreachable!("16-lane kernel is x86_64-only and gated by available()")
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -604,7 +759,7 @@ mod tests {
     fn every_available_kernel_matches_reference() {
         let data: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
         for len in [0usize, 1, 3, 55, 56, 63, 64, 65, 127, 128, 129, 1000, 4096] {
-            let want = reference::sha256(&data[..len]);
+            let want = oracle::sha256(&data[..len]);
             for k in Kernel::available() {
                 assert_eq!(
                     sha256_with_kernel(k, &data[..len]),

@@ -1,0 +1,164 @@
+//! `block_digests` ≡ the oracle's SHA-256 of each block, on both of its
+//! paths: the 16-lane kernel forced onto every full block (`wide_from`
+//! 1, so every lane count 1..=16 of a last group and every group count
+//! occurs) and the single-stream loop forced onto all of them
+//! (`usize::MAX`). For each block size the grid is every block count
+//! 0..=40 × every tail length in `TAILS` × every misalignment 0..64 of
+//! the base pointer against a cache line. On a CPU without AVX-512 both
+//! settings take the single-stream loop, which is then all there is to
+//! check.
+//!
+//! Std-only and seeded (splitmix64), so it also runs from a scratch
+//! manifest with a path dependency on this crate. Build it optimised:
+//! the grid hashes ≈ 8 GB, seconds at `opt-level = 3` (what the
+//! workspace's dev profile gives this package, and `--release`) and a
+//! quarter of an hour with every intrinsic a call.
+
+use std::collections::HashMap;
+
+use hyrd_dedup::sha256::{block_digests, block_digests_with, Digest, WIDE_MIN_BLOCKS};
+
+mod oracle;
+
+const MAX_BLOCKS: usize = 40;
+const TAILS: [usize; 6] = [0, 1, 63, 64, 65, 4095];
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            out.extend_from_slice(&self.next().to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+}
+
+/// The oracle's digest of each `block`-byte block of `content[..len]`,
+/// each distinct block hashed once however many inputs share it.
+fn expected(
+    memo: &mut HashMap<(usize, usize), Digest>,
+    content: &[u8],
+    block: usize,
+    len: usize,
+) -> Vec<Digest> {
+    (0..len)
+        .step_by(block)
+        .map(|start| {
+            let end = len.min(start + block);
+            *memo.entry((start, end)).or_insert_with(|| oracle::sha256(&content[start..end]))
+        })
+        .collect()
+}
+
+/// The whole grid for one block size, on both paths.
+fn check_grid(block: usize, seed: u64) {
+    let longest = MAX_BLOCKS * block + TAILS[TAILS.len() - 1];
+    let content = SplitMix64(seed).bytes(longest);
+    let mut memo = HashMap::new();
+    let want: Vec<Vec<Vec<Digest>>> = (0..=MAX_BLOCKS)
+        .map(|n| {
+            TAILS.iter().map(|t| expected(&mut memo, &content, block, n * block + t)).collect()
+        })
+        .collect();
+
+    // Room to start the input at every offset from a cache-line boundary.
+    let mut arena = vec![0u8; longest + 128];
+    let line = arena.as_ptr().align_offset(64);
+    for misalign in 0..64 {
+        let base = line + misalign;
+        arena[base..base + longest].copy_from_slice(&content);
+        for (n, per_tail) in want.iter().enumerate() {
+            for (tail, want) in TAILS.iter().zip(per_tail) {
+                let input = &arena[base..base + n * block + tail];
+                for from in [1, usize::MAX] {
+                    let mut got = vec![[0xa5u8; 32]; want.len()];
+                    block_digests_with(from, input, block, &mut got);
+                    assert_eq!(
+                        &got, want,
+                        "block {block}, {n} blocks + {tail}, misaligned by {misalign}, wide from {from}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn grid_at_64_byte_blocks() {
+    // One compression and the padding: a tail of 4,095 is 63 more
+    // blocks, so groups run up to 103 blocks here.
+    check_grid(64, 0x64);
+}
+
+#[test]
+fn grid_at_4_kib_blocks() {
+    check_grid(4096, 0x4096);
+}
+
+#[test]
+fn grid_at_8_kib_blocks() {
+    check_grid(8192, 0x8192);
+}
+
+#[test]
+fn a_block_that_is_not_whole_compressions_falls_through() {
+    // 1,000 = 15 × 64 + 40: no lane layout for it, so "wide from 1" must
+    // be the single-stream loop too — and agree with the oracle.
+    check_grid(1000, 0x1000);
+}
+
+#[test]
+fn the_entry_point_is_the_break_even_dispatch() {
+    // `block_digests` itself, where 7 full blocks stay single-stream, 8
+    // go wide, 23 are one pass and 7 singles and 24 a pass and a half.
+    assert_eq!(WIDE_MIN_BLOCKS, 8, "the counts in this test straddle the break-even");
+    let content = SplitMix64(0x21).bytes(MAX_BLOCKS * 4096 + 4095);
+    let mut memo = HashMap::new();
+    for n in 0..=MAX_BLOCKS {
+        for tail in TAILS {
+            let len = n * 4096 + tail;
+            let mut got = vec![[0xa5u8; 32]; len.div_ceil(4096)];
+            block_digests(&content[..len], 4096, &mut got);
+            assert_eq!(got, expected(&mut memo, &content, 4096, len), "{n} blocks + {tail}");
+        }
+    }
+}
+
+#[test]
+fn no_bytes_are_no_blocks() {
+    block_digests(&[], 4096, &mut []);
+    block_digests_with(1, &[], 64, &mut []);
+}
+
+#[test]
+#[should_panic(
+    expected = "block_digests: 2 digests for 12288 bytes in 4096-byte blocks, expected 3"
+)]
+fn too_few_digests_is_a_panic_not_a_short_write() {
+    block_digests(&[0u8; 12288], 4096, &mut [[0u8; 32]; 2]);
+}
+
+#[test]
+#[should_panic(
+    expected = "block_digests: 17 digests for 65536 bytes in 4096-byte blocks, expected 16"
+)]
+fn too_many_digests_is_a_panic_not_a_stale_entry() {
+    block_digests_with(1, &[0u8; 65536], 4096, &mut [[0u8; 32]; 17]);
+}
+
+#[test]
+#[should_panic(expected = "block_digests: block length is zero")]
+fn a_zero_block_length_is_a_panic() {
+    block_digests(&[0u8; 64], 0, &mut []);
+}

@@ -1,10 +1,12 @@
 # Developer entry points. `just verify` is the tier-1 gate CI runs.
 
-# Format check, lints as errors, full test suite.
+# Format check, lints as errors, full test suite, then the hash kernels'
+# suites again under the release profile.
 verify:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
     cargo test -q
+    cargo test -q -p hyrd-dedup --release
 
 # Non-test Rust lines of code per crate (non-blank, non-comment, each
 # file cut at its `#[cfg(test)]` tail, `tests/` and `benches/` left out)

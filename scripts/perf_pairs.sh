@@ -11,11 +11,11 @@
 # BENCHMARK.json `pairs` times per side and workload (the side that goes
 # first alternates; with several workloads every pair visits each of them
 # in turn, so the claimed row and the "must not move" rows are measured
-# over the same minutes), and prints per workload and end-to-end metric
-# each side's median and quartiles and how many pairs the working tree
-# won. A gain may be claimed where the change wins at least 9/10 of the
-# pairs and the medians differ by more than the base's own inter-quartile
-# range.
+# over the same minutes), and prints each side's `host` line once, then
+# per workload and end-to-end metric each side's median and quartiles
+# and how many pairs the working tree won. A gain may be claimed where
+# the change wins at least 9/10 of the pairs and the medians differ by
+# more than the base's own inter-quartile range.
 #
 # Exit status: 1 when any run reports `correct: false` or failed
 # operations, or any row reads "WORSE than bound" (median worse than the
@@ -50,6 +50,7 @@ for workload in $workloads; do
     mkdir -p "$work/runs/$workload-seed$seed"
     rm -f "$work/runs/$workload-seed$seed"/*.json
 done
+rm -f "$work/runs"/host_*.txt
 
 build() { # <checkout> <target-dir>
     CARGO_TARGET_DIR=$2 cargo build --release --offline --quiet \
@@ -61,7 +62,11 @@ build "$root" "$work/target-change"
 
 run() { # <side> <checkout> <target-dir> <workload> <pair>
     (cd "$2" && "$3/release/hyrd-perf" --workload "$4" --seed "$seed" \
-        --seconds 20 --trace 0 | tail -n 1) >"$work/runs/$4-seed$seed/$1_$5.json"
+        --seconds 20 --trace 0) >"$work/runs/last.out"
+    tail -n 1 "$work/runs/last.out" >"$work/runs/$4-seed$seed/$1_$5.json"
+    # The side's `host` line, kept from its first run.
+    [ -s "$work/runs/host_$1.txt" ] ||
+        { grep -m 1 '^host ' "$work/runs/last.out" || true; } >"$work/runs/host_$1.txt"
 }
 for i in $(seq 1 "$pairs"); do
     for workload in $workloads; do
@@ -74,6 +79,13 @@ for i in $(seq 1 "$pairs"); do
         fi
     done
     echo "pair $i/$pairs done" >&2
+done
+
+# What each side ran on and as — `cpu_features`, the SHA-256 kernel, the
+# commit, the compiler — once: a claim that holds only where the CPU has
+# a feature carries the evidence that it did.
+for side in base change; do
+    printf '%6s: %s\n' "$side" "$(cat "$work/runs/host_$side.txt")"
 done
 
 # Per workload and end-to-end metric: each side's median and quartiles,
