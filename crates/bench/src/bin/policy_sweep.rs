@@ -35,7 +35,7 @@ use hyrd::policy::MigrationReport;
 use hyrd::prelude::*;
 use hyrd::telemetry::{Collector, SharedBuf};
 use hyrd_baselines::{DuraCloud, Racs};
-use hyrd_bench::{flag_usize, header, summary, write_json};
+use hyrd_bench::{flag_usize, header, write_json};
 use hyrd_workloads::{ZipfConfig, ZipfWorkload};
 
 /// Access ops per chunk between adaptive migration passes.
@@ -284,14 +284,4 @@ fn main() {
     }
 
     write_json("policy_sweep", &cells);
-    summary::merge_into(
-        &summary::repo_root_file("BENCH_policy.json"),
-        &[(
-            "policy_sweep",
-            serde_json::json!({
-                "cells": cells,
-                "adaptive_dominates": dominated,
-            }),
-        )],
-    );
 }

@@ -16,8 +16,10 @@
 //! tail-smoke job additionally `cmp`s `--trace` files across separate
 //! processes.
 //!
-//! Writes the headline numbers (p99 speedup from hedging under spikes,
-//! extra provider ops paid for it) to repo-root `BENCH_tail.json`.
+//! Prints the headline (p99 speedup from hedging under spikes, extra
+//! provider ops paid for it); the committed numbers for the same regime
+//! are the ledger's `engine.step*_read_p99_s` / `engine.hedges_*` rows on
+//! `openloop_zipf`.
 //!
 //! Usage: `tail_latency [--arrivals N] [--rate R] [--seed S] [--jobs N]
 //! [--smoke] [--check] [--trace PATH] [--obs PATH]`
@@ -30,7 +32,7 @@ use hyrd::driver::openloop::replay_arrivals;
 use hyrd::driver::{replay_sweep, replay_with_state, ReplayOptions, ReplayState, ReplayStats};
 use hyrd::prelude::*;
 use hyrd::telemetry::{Collector, SharedBuf};
-use hyrd_bench::{header, summary};
+use hyrd_bench::header;
 use hyrd_cloudsim::faults::FaultPlan;
 use hyrd_workloads::{OpenLoop, OpenLoopConfig};
 
@@ -273,27 +275,4 @@ fn main() {
             obs_report.files.len()
         );
     }
-
-    summary::merge_into(
-        &summary::repo_root_file("BENCH_tail.json"),
-        &[
-            ("arrivals", serde_json::json!(arrivals)),
-            ("rate_per_sec", serde_json::json!(rate)),
-            ("hedge_delay_s", serde_json::json!(default_delay_s)),
-            ("spike_p99_unhedged_s", summary::round1(p99_un)),
-            ("spike_p99_hedged_s", summary::round1(p99_h)),
-            ("spike_p99_speedup", summary::round1(speedup)),
-            (
-                "spike_p999_unhedged_s",
-                summary::round1(unhedged.timed.overall.quantile(0.999).as_secs_f64()),
-            ),
-            (
-                "spike_p999_hedged_s",
-                summary::round1(hedged_default.timed.overall.quantile(0.999).as_secs_f64()),
-            ),
-            ("extra_provider_ops_pct", summary::round1(extra_ops * 100.0)),
-            ("hedges_fired", serde_json::json!(hedged_default.hedges_fired)),
-            ("hedges_won", serde_json::json!(hedged_default.hedges_won)),
-        ],
-    );
 }

@@ -10,7 +10,6 @@ use std::path::PathBuf;
 use serde::Serialize;
 
 pub mod fig6;
-pub mod summary;
 
 /// Directory experiment outputs land in.
 pub fn experiments_dir() -> PathBuf {

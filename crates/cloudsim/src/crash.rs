@@ -65,11 +65,6 @@ impl CrashPlan {
         Self { site: Some(CrashSite::AtPoint { name: name.into(), hit }) }
     }
 
-    /// Whether this plan can ever fire.
-    pub fn is_armed(&self) -> bool {
-        self.site.is_some()
-    }
-
     /// The site this plan fires at, if armed.
     pub fn site(&self) -> Option<&CrashSite> {
         self.site.as_ref()

@@ -26,12 +26,10 @@
 //! *driver* advances the [`clock::SimClock`]. Parallel fan-out is
 //! therefore composed analytically (max of branches) — deterministic and
 //! free of host-machine noise, which is exactly what a figure-regenerating
-//! harness wants. A real-thread executor ([`realtime`]) is provided for
-//! demos that want to *feel* the latencies.
+//! harness wants.
 
 pub mod clock;
 pub mod crash;
-pub mod dircloud;
 pub mod faults;
 pub mod fleet;
 pub mod latency;
@@ -40,11 +38,9 @@ pub mod pricing;
 pub mod profiles;
 pub mod provider;
 pub mod queue;
-pub mod realtime;
 
 pub use clock::SimClock;
 pub use crash::{CrashPlan, CrashSite, CrashSwitch};
-pub use dircloud::DirCloud;
 pub use faults::{FaultPlan, FaultWindow, LatencySpike};
 pub use fleet::Fleet;
 pub use latency::LatencyModel;

@@ -290,11 +290,6 @@ impl SimProvider {
         self.rot_applied.store(0, Ordering::Relaxed);
     }
 
-    /// The active fault schedule.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults.read().clone()
-    }
-
     /// Whether ghost mode is on (payloads discarded, Gets zero-filled).
     /// Integrity checks are meaningless against ghost reads, so clients
     /// must skip verification for ghost-mode providers.

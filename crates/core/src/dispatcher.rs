@@ -90,12 +90,10 @@ use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 
 use hyrd_cloudsim::{Fleet, SimProvider};
-use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
+use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, Raid5, Raid6, ReedSolomon};
-use hyrd_metastore::{
-    resolve_chain, DiffBlock, MetaOccStats, MetadataBlock, NormPath, Placement, ShardedMetaStore,
-};
+use hyrd_metastore::{MetaOccStats, NormPath, Placement, ShardedMetaStore};
 use hyrd_telemetry::Collector;
 
 use crate::config::{CodeChoice, HyrdConfig};
@@ -267,8 +265,10 @@ impl Hyrd {
     /// every metadata block from the cloud ("Before accessing a file, its
     /// metadata blocks must be loaded into the client memory", §III-C) —
     /// the market-mobility story of the Cloud-of-Clouds. Returns the
-    /// client plus what the bootstrap cost (one List + one Get per
-    /// directory block, served by the fastest metadata replica).
+    /// client plus what the bootstrap cost: one List per available
+    /// provider and one Get per metadata object and provider listing it
+    /// (see [`crate::bootstrap`] — the highest intact version wins, so a
+    /// replica that missed an outage's writes cannot hide them).
     ///
     /// The namespace has a single active writer at a time; attach after
     /// the previous client is gone (object names embed the file ids the
@@ -277,142 +277,25 @@ impl Hyrd {
         Hyrd::attach_with(fleet, config, Collector::disabled())
     }
 
-    /// [`Hyrd::attach`] with a telemetry collector. A metadata block
-    /// that fails its length/checksum validation (a torn write caught
-    /// by the `HYM2` codec) does **not** abort the mount: the other
-    /// replicas are tried directly, and a block with no intact replica
-    /// is skipped with a `attach.block_lost` event — the rest of the
-    /// namespace stays mountable.
+    /// [`Hyrd::attach`] with a telemetry collector. A torn metadata
+    /// object does **not** abort the mount: a block with no intact copy
+    /// is skipped with a `bootstrap.block_lost` event and the rest of
+    /// the namespace stays mountable. Fails with `DataUnavailable` only
+    /// when no provider answers the List.
     pub fn attach_with(
         fleet: &Fleet,
         config: HyrdConfig,
         telemetry: Collector,
     ) -> SchemeResult<(Self, BatchReport)> {
         let hyrd = Hyrd::with_telemetry(fleet, config, telemetry)?;
-        let mut ops = Vec::new();
-
-        // Find a metadata replica that answers a List.
-        let mut listing: Option<Vec<String>> = None;
-        for &id in hyrd.evaluator.fastest_first() {
-            match hyrd.provider(id).list(Fleet::CONTAINER) {
-                Ok(out) => {
-                    ops.push(out.report);
-                    listing = Some(out.value);
-                    break;
-                }
-                Err(_) => continue,
-            }
+        let loaded = hyrd.load_namespace(None)?;
+        // Attach rewrites nothing on the providers, so the diffs it
+        // folded stay recorded as each directory's live chain and the
+        // next compaction supersedes them there.
+        for dir in loaded.dirs {
+            hyrd.meta.seed_chain(&dir.block.dir, dir.chain);
         }
-        let names = listing.ok_or_else(|| SchemeError::DataUnavailable {
-            path: String::new(),
-            detail: "no provider answered the bootstrap List".to_string(),
-        })?;
-
-        // Fetch every metadata block and diff (they are small; fastest
-        // replica first with failover, like any metadata read).
-        let targets = hyrd.replica_targets();
-        let mut blocks: Vec<MetadataBlock> = Vec::new();
-        let mut dir_diffs: std::collections::BTreeMap<NormPath, Vec<DiffBlock>> =
-            std::collections::BTreeMap::new();
-        for name in &names {
-            if DiffBlock::is_diff_object(name) {
-                // A torn or lost diff just truncates that directory's
-                // chain at the gap — resolve_chain strands the suffix.
-                if let Some(diff) = Self::fetch_decoded(&hyrd, &targets, name, &mut ops, |b| {
-                    DiffBlock::from_bytes(b).ok()
-                }) {
-                    dir_diffs.entry(diff.dir.clone()).or_default().push(diff);
-                }
-            } else if name.starts_with("meta:") {
-                if let Some(block) = Self::fetch_decoded(&hyrd, &targets, name, &mut ops, |b| {
-                    MetadataBlock::from_bytes(b).ok()
-                }) {
-                    blocks.push(block);
-                }
-            }
-        }
-        // Parent directories first so joins always resolve. Each block
-        // is folded with its surviving diff chain before loading; the
-        // flush state is seeded at the resolved version (the next real
-        // change ships a diff on top) and the applied diffs stay
-        // recorded as the live chain so a later compaction supersedes
-        // them on the providers.
-        blocks.sort_by(|a, b| a.dir.cmp(&b.dir));
-        for block in blocks {
-            let dir = block.dir.clone();
-            let diffs = dir_diffs.remove(&dir).unwrap_or_default();
-            let chain: Vec<String> = Self::chain_objects(&block, &diffs);
-            let resolved = resolve_chain(block, diffs);
-            hyrd.meta.load_block(&resolved.block)?;
-            hyrd.meta.seed_flushed(&dir, resolved.block.version);
-            hyrd.meta.seed_chain(&dir, chain);
-        }
-        Ok((hyrd, BatchReport::serial(ops)))
-    }
-
-    /// The object names of the diffs that will link onto `block`, in
-    /// version order — exactly what [`resolve_chain`] applies, computed
-    /// up front because resolution consumes the diffs.
-    fn chain_objects(block: &MetadataBlock, diffs: &[DiffBlock]) -> Vec<String> {
-        let mut sorted: Vec<&DiffBlock> = diffs.iter().collect();
-        sorted.sort_by_key(|d| d.version);
-        let mut reached = block.version;
-        let mut chain = Vec::new();
-        for diff in sorted {
-            if diff.version <= reached || diff.base != reached {
-                continue;
-            }
-            chain.push(DiffBlock::object_name(&diff.dir, diff.version));
-            reached = diff.version;
-        }
-        chain
-    }
-
-    /// Fetches one metadata object during attach and decodes it with
-    /// `decode`, falling back to per-replica direct gets when the chosen
-    /// replica served torn bytes. Returns `None` (with `attach.torn_block`
-    /// / `attach.block_lost` marks) when no intact copy exists.
-    fn fetch_decoded<T>(
-        hyrd: &Hyrd,
-        targets: &[ProviderId],
-        name: &str,
-        ops: &mut Vec<OpReport>,
-        decode: impl Fn(&[u8]) -> Option<T>,
-    ) -> Option<T> {
-        let mut decoded = match hyrd.read_replicated("<bootstrap>", targets, name, None) {
-            Ok((bytes, batch)) => {
-                ops.extend(batch.ops);
-                decode(&bytes)
-            }
-            Err(_) => return None, // an orphaned or unreachable object
-        };
-        if decoded.is_none() {
-            // The chosen replica served a torn object (e.g. a crash
-            // mid-flush tore the write). Try the remaining replicas
-            // directly: any intact copy keeps the directory.
-            if hyrd.telemetry.enabled() {
-                hyrd.telemetry.event("attach.torn_block").field("object", name).emit();
-                hyrd.telemetry.inc("attach.torn_blocks", 1);
-            }
-            for &t in targets {
-                if decoded.is_some() {
-                    break;
-                }
-                if let Ok(out) = hyrd.get_object(t, &Self::key(name)) {
-                    ops.push(out.report);
-                    decoded = decode(&out.value);
-                }
-            }
-            if decoded.is_none() {
-                // No replica holds an intact copy: mount without the
-                // directory rather than refusing the namespace.
-                if hyrd.telemetry.enabled() {
-                    hyrd.telemetry.event("attach.block_lost").field("object", name).emit();
-                    hyrd.telemetry.inc("attach.blocks_lost", 1);
-                }
-            }
-        }
-        decoded
+        Ok((hyrd, BatchReport::serial(loaded.ops)))
     }
 
     // ------------------------------------------------------------------

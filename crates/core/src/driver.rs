@@ -13,6 +13,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use hyrd_cloudsim::SimClock;
+use hyrd_gcsapi::BatchReport;
 use hyrd_telemetry::Collector;
 use hyrd_workloads::FsOp;
 
@@ -222,25 +223,16 @@ pub fn replay(
     replay_with_state(scheme, ops, clock, opts, &mut state)
 }
 
-/// What [`exec_one`] observed for a successfully executed op.
-pub(crate) struct ExecOk {
-    pub(crate) class: OpClass,
-    pub(crate) batch: hyrd_gcsapi::BatchReport,
-    pub(crate) verify_failure: bool,
-}
-
 /// Executes one [`FsOp`] against `scheme`, maintaining the live-file /
-/// expected-content tables. This is the single op-semantics kernel shared
-/// by [`replay_with_state`] and the [`multi_client`] engine, so both
-/// agree byte-for-byte on classification, verification and bookkeeping.
-/// `Err(())` means the scheme refused the op (the caller counts it).
-pub(crate) fn exec_one(
+/// expected-content tables: the op's class, what it cost, and whether a
+/// read came back wrong. `Err(())` means the scheme refused the op.
+fn exec_one(
     scheme: &mut dyn Scheme,
     op: &FsOp,
     state: &mut ReplayState,
     synth: &mut SynthBuf,
     opts: &ReplayOptions,
-) -> Result<ExecOk, ()> {
+) -> Result<(OpClass, BatchReport, bool), ()> {
     let ReplayState { files, expected } = state;
     match op {
         FsOp::Create { path, size } => {
@@ -255,7 +247,7 @@ pub(crate) fn exec_one(
             if opts.verify_reads {
                 expected.insert(path.clone(), data.to_vec());
             }
-            Ok(ExecOk { class, batch, verify_failure: false })
+            Ok((class, batch, false))
         }
         FsOp::Read { path } => {
             let size = files.get(path).map_or(0, |(s, _)| *s);
@@ -267,7 +259,7 @@ pub(crate) fn exec_one(
             } else {
                 bytes.len() as u64 != size
             };
-            Ok(ExecOk { class, batch, verify_failure })
+            Ok((class, batch, verify_failure))
         }
         FsOp::Update { path, offset, len } => {
             let version = files.get(path).map_or(1, |(_, v)| *v);
@@ -282,31 +274,24 @@ pub(crate) fn exec_one(
                     content[off..off + data.len()].copy_from_slice(data);
                 }
             }
-            Ok(ExecOk { class: OpClass::Update, batch, verify_failure: false })
+            Ok((OpClass::Update, batch, false))
         }
         FsOp::Delete { path } => {
             let batch = scheme.delete_file(path).map_err(|_| ())?;
             files.remove(path);
             expected.remove(path);
-            Ok(ExecOk { class: OpClass::Delete, batch, verify_failure: false })
+            Ok((OpClass::Delete, batch, false))
         }
         FsOp::ListDir { path } => {
             let (_, batch) = scheme.list_dir(path).map_err(|_| ())?;
-            Ok(ExecOk { class: OpClass::Metadata, batch, verify_failure: false })
+            Ok((OpClass::Metadata, batch, false))
         }
     }
 }
 
 /// Folds one executed op into `stats` and emits the `replay.op`
-/// telemetry — everything [`replay_with_state`]'s record step does
-/// *except* advancing the clock, which stays at the call site (the
-/// multi-client engine interleaves session bookkeeping between the two).
-pub(crate) fn record_into(
-    stats: &mut ReplayStats,
-    class: OpClass,
-    batch: &hyrd_gcsapi::BatchReport,
-    opts: &ReplayOptions,
-) {
+/// telemetry.
+fn record_into(stats: &mut ReplayStats, class: OpClass, batch: &BatchReport, opts: &ReplayOptions) {
     stats.overall.record(batch.latency);
     let class = class.as_str();
     // The key is allocated once per class, on the first miss only.
@@ -333,7 +318,7 @@ pub(crate) fn record_into(
 /// event (op kind + path). Successful requests mark `replay.op`; these
 /// mark the failures, which is what lets the observatory measure
 /// empirical per-request availability straight from the trace.
-pub(crate) fn record_error(stats: &mut ReplayStats, op: &FsOp, opts: &ReplayOptions) {
+fn record_error(stats: &mut ReplayStats, op: &FsOp, opts: &ReplayOptions) {
     stats.errors += 1;
     if opts.telemetry.enabled() {
         let (kind, path) = match op {
@@ -346,6 +331,29 @@ pub(crate) fn record_error(stats: &mut ReplayStats, op: &FsOp, opts: &ReplayOpti
         opts.telemetry.event("replay.error").field("op", kind).field("path", path.as_str()).emit();
         opts.telemetry.inc_labeled("replay.errors", kind, 1);
     }
+}
+
+/// The one replay step: executes `op`, keeps the live-file tables, folds
+/// the outcome into `stats` and emits its `replay.op` / `replay.error`
+/// record. Every driver — closed loop, open loop, multi-client — is this
+/// step plus its own rule for who moves the clock, which is why they
+/// agree byte-for-byte on classification, verification and bookkeeping.
+/// Returns what the op cost, or `None` when the scheme refused it.
+pub(crate) fn step(
+    scheme: &mut dyn Scheme,
+    op: &FsOp,
+    state: &mut ReplayState,
+    synth: &mut SynthBuf,
+    stats: &mut ReplayStats,
+    opts: &ReplayOptions,
+) -> Option<BatchReport> {
+    let Ok((class, batch, verify_failure)) = exec_one(scheme, op, state, synth, opts) else {
+        record_error(stats, op, opts);
+        return None;
+    };
+    record_into(stats, class, &batch, opts);
+    stats.verify_failures += u64::from(verify_failure);
+    Some(batch)
 }
 
 /// Replays `ops` through `scheme`, carrying `state` across calls —
@@ -361,17 +369,10 @@ pub fn replay_with_state(
     let mut stats = ReplayStats { scheme: scheme.name().to_string(), ..Default::default() };
     let mut synth = SynthBuf::new();
     for op in ops {
-        match exec_one(scheme, op, state, &mut synth, opts) {
-            Ok(done) => {
-                record_into(&mut stats, done.class, &done.batch, opts);
-                if done.verify_failure {
-                    stats.verify_failures += 1;
-                }
-                if opts.advance_clock {
-                    clock.advance(done.batch.latency);
-                }
+        if let Some(batch) = step(scheme, op, state, &mut synth, &mut stats, opts) {
+            if opts.advance_clock {
+                clock.advance(batch.latency);
             }
-            Err(()) => record_error(&mut stats, op, opts),
         }
     }
     stats

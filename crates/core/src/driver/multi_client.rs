@@ -42,9 +42,7 @@ use serde::{Deserialize, Serialize};
 use hyrd_cloudsim::SimClock;
 use hyrd_workloads::FsOp;
 
-use super::{
-    effective_jobs, exec_one, record_into, ReplayOptions, ReplayState, ReplayStats, SynthBuf,
-};
+use super::{effective_jobs, ReplayOptions, ReplayState, ReplayStats, SynthBuf};
 use crate::dispatcher::Hyrd;
 use crate::scheme::Scheme;
 use crate::stats::LatencyStats;
@@ -234,18 +232,14 @@ impl<'a> MultiClient<'a> {
         let Inner { state, synth, batch, busy_until, sessions, .. } = inner;
         let tally = &mut sessions[session];
         let mut scheme = self.scheme;
-        match exec_one(&mut scheme, op, state, synth, opts) {
-            Ok(done) => {
-                record_into(batch, done.class, &done.batch, opts);
-                if done.verify_failure {
-                    batch.verify_failures += 1;
-                }
+        match super::step(&mut scheme, op, state, synth, batch, opts) {
+            Some(done) => {
                 tally.ops += 1;
-                tally.provider_ops += done.batch.op_count() as u64;
-                tally.bytes_in += done.batch.bytes_in();
-                tally.bytes_out += done.batch.bytes_out();
-                tally.busy += done.batch.latency;
-                tally.stats.record(done.batch.latency);
+                tally.provider_ops += done.op_count() as u64;
+                tally.bytes_in += done.bytes_in();
+                tally.bytes_out += done.bytes_out();
+                tally.busy += done.latency;
+                tally.stats.record(done.latency);
                 if opts.telemetry.enabled() {
                     // Metrics only — labels must never reach the trace,
                     // which stays invariant across client counts.
@@ -253,18 +247,17 @@ impl<'a> MultiClient<'a> {
                     opts.telemetry.observe_labeled(
                         "session.latency_ns",
                         &tally.label,
-                        done.batch.latency.as_nanos() as u64,
+                        done.latency.as_nanos() as u64,
                     );
                 }
                 if opts.advance_clock {
-                    self.clock.advance(done.batch.latency);
+                    self.clock.advance(done.latency);
                 }
                 busy_until[session] = self.clock.now();
             }
-            Err(()) => {
-                // `record_error` emits the session-agnostic `replay.error`
-                // trace event — the trace stays client-count invariant.
-                super::record_error(batch, op, opts);
+            None => {
+                // The step's `replay.error` trace event is
+                // session-agnostic — the trace stays client-count invariant.
                 tally.errors += 1;
                 if opts.telemetry.enabled() {
                     opts.telemetry.inc_labeled("session.errors", &tally.label, 1);

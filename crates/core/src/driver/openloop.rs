@@ -14,28 +14,18 @@
 //! what lets hedged reads show up in p99/p999 instead of in the mean.
 
 use hyrd_cloudsim::SimClock;
-use hyrd_workloads::openloop::{Arrival, OpenLoop};
+use hyrd_workloads::openloop::Arrival;
 
-use super::{
-    exec_one, record_into, replay_with_state, ReplayOptions, ReplayState, ReplayStats, SynthBuf,
-};
+use super::{step, ReplayOptions, ReplayState, ReplayStats, SynthBuf};
 use crate::scheme::Scheme;
 
-/// What [`run_open_loop`] produced: the untimed pool-setup phase and the
-/// timed arrival phase, separately (setup latencies would otherwise
-/// pollute the tail percentiles the timed phase exists to measure).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopReport {
-    /// Stats for the untimed create phase.
-    pub setup: ReplayStats,
-    /// Stats for the timed arrival phase — the numbers that matter.
-    pub timed: ReplayStats,
-}
-
 /// Replays a timed arrival stream through `scheme`, carrying `state`
-/// from the setup phase. Arrival offsets are relative to the clock's
-/// position on entry. `opts.advance_clock` is ignored: in an open loop
-/// the arrival schedule owns the clock by definition.
+/// from the setup phase (an untimed [`super::replay_with_state`] of the
+/// pool's creates, kept apart so setup latencies do not pollute the tail
+/// percentiles the timed phase exists to measure). Arrival offsets are
+/// relative to the clock's position on entry. `opts.advance_clock` is
+/// ignored: in an open loop the arrival schedule owns the clock by
+/// definition.
 pub fn replay_arrivals(
     scheme: &mut dyn Scheme,
     arrivals: &[Arrival],
@@ -48,31 +38,9 @@ pub fn replay_arrivals(
     let mut synth = SynthBuf::new();
     for arrival in arrivals {
         clock.advance_to(origin + arrival.at);
-        match exec_one(scheme, &arrival.op, state, &mut synth, opts) {
-            Ok(done) => {
-                record_into(&mut stats, done.class, &done.batch, opts);
-                if done.verify_failure {
-                    stats.verify_failures += 1;
-                }
-            }
-            Err(()) => super::record_error(&mut stats, &arrival.op, opts),
-        }
+        step(scheme, &arrival.op, state, &mut synth, &mut stats, opts);
     }
     stats
-}
-
-/// Runs a full open-loop experiment: the untimed setup phase (closed
-/// loop, per `opts`), then the timed arrival phase.
-pub fn run_open_loop(
-    scheme: &mut dyn Scheme,
-    workload: &OpenLoop,
-    clock: &SimClock,
-    opts: &ReplayOptions,
-) -> OpenLoopReport {
-    let mut state = ReplayState::default();
-    let setup = replay_with_state(scheme, &workload.setup_ops(), clock, opts, &mut state);
-    let timed = replay_arrivals(scheme, &workload.arrivals(), clock, opts, &mut state);
-    OpenLoopReport { setup, timed }
 }
 
 #[cfg(test)]
@@ -80,8 +48,9 @@ mod tests {
     use super::*;
     use crate::config::HyrdConfig;
     use crate::dispatcher::Hyrd;
+    use crate::driver::replay_with_state;
     use hyrd_cloudsim::Fleet;
-    use hyrd_workloads::openloop::OpenLoopConfig;
+    use hyrd_workloads::openloop::{OpenLoop, OpenLoopConfig};
     use std::time::Duration;
 
     fn small_workload() -> OpenLoop {
@@ -93,21 +62,25 @@ mod tests {
         })
     }
 
-    fn run_once() -> (OpenLoopReport, Duration) {
+    /// The untimed setup phase (closed loop), then the timed arrivals.
+    fn run_once() -> ((ReplayStats, ReplayStats), Duration) {
         let clock = SimClock::new();
         let fleet = Fleet::standard_four(clock.clone());
         let mut hyrd = Hyrd::new(&fleet, HyrdConfig::default()).unwrap();
-        let report = run_open_loop(&mut hyrd, &small_workload(), &clock, &ReplayOptions::default());
-        (report, clock.now())
+        let (workload, opts) = (small_workload(), ReplayOptions::default());
+        let mut state = ReplayState::default();
+        let setup = replay_with_state(&mut hyrd, &workload.setup_ops(), &clock, &opts, &mut state);
+        let timed = replay_arrivals(&mut hyrd, &workload.arrivals(), &clock, &opts, &mut state);
+        ((setup, timed), clock.now())
     }
 
     #[test]
     fn arrivals_drive_the_clock_not_completions() {
-        let (report, end) = run_once();
-        assert_eq!(report.setup.overall.count(), 7);
-        assert_eq!(report.timed.overall.count(), 60);
-        assert_eq!(report.timed.errors, 0);
-        assert_eq!(report.timed.verify_failures, 0);
+        let ((setup, timed), end) = run_once();
+        assert_eq!(setup.overall.count(), 7);
+        assert_eq!(timed.overall.count(), 60);
+        assert_eq!(timed.errors, 0);
+        assert_eq!(timed.verify_failures, 0);
         // The clock ends at the last arrival (plus the setup phase that
         // preceded it), not at the sum of request latencies: in a closed
         // loop 60 multi-second reads would push virtual time far past the
@@ -129,11 +102,11 @@ mod tests {
     #[test]
     fn timed_phase_records_both_tiers_and_metadata() {
         use crate::stats::OpClass;
-        let (report, _) = run_once();
-        assert!(report.timed.class(OpClass::SmallRead).count() > 0);
-        assert!(report.timed.class(OpClass::LargeRead).count() > 0);
-        assert!(report.timed.class(OpClass::Metadata).count() > 0);
-        assert_eq!(report.timed.class(OpClass::SmallWrite).count(), 0);
-        assert_eq!(report.timed.class(OpClass::LargeWrite).count(), 0);
+        let ((_, timed), _) = run_once();
+        assert!(timed.class(OpClass::SmallRead).count() > 0);
+        assert!(timed.class(OpClass::LargeRead).count() > 0);
+        assert!(timed.class(OpClass::Metadata).count() > 0);
+        assert_eq!(timed.class(OpClass::SmallWrite).count(), 0);
+        assert_eq!(timed.class(OpClass::LargeWrite).count(), 0);
     }
 }

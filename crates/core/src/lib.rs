@@ -37,8 +37,10 @@
 //! every whole-object read), [`scrub`] (the background sweep that finds
 //! and repairs silent corruption). Crash-durability modules: [`journal`]
 //! (the crash journal: mirrored recovery state plus per-operation
-//! intents), [`restart`] ([`Hyrd::restart`] — rebuilding a client purely
-//! from persisted state) and [`crashtest`] (the deterministic
+//! intents), [`bootstrap`] (the one loader of the namespace from stored
+//! state, under both [`Hyrd::attach`] and [`Hyrd::restart`]), [`restart`]
+//! ([`Hyrd::restart`] — rebuilding a client purely from persisted state)
+//! and [`crashtest`] (the deterministic
 //! crash-injection harness and durability auditor; see DESIGN.md §12).
 //! Extension module: [`dedupstore`]
 //! (the §VI client-side deduplication layer over any [`Scheme`], built
@@ -64,6 +66,7 @@
 //! assert_eq!(bytes.len(), 3 * 1024 * 1024);
 //! ```
 
+pub mod bootstrap;
 pub mod config;
 pub mod crashtest;
 pub mod dedupstore;

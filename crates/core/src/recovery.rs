@@ -102,12 +102,6 @@ impl UpdateLog {
         &self.records
     }
 
-    /// Rebuilds a log from journaled records (restart path). Records are
-    /// assumed already compacted — they came out of a compacted log.
-    pub fn from_records(records: Vec<(ProviderId, LogRecord)>) -> Self {
-        UpdateLog { records }
-    }
-
     /// Keeps only the records the predicate accepts (restart GC drops
     /// pending puts for objects no longer referenced by any inode).
     pub fn retain_records(&mut self, mut keep: impl FnMut(ProviderId, &LogRecord) -> bool) {

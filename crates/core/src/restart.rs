@@ -13,17 +13,12 @@
 //!
 //! The flow, in order:
 //!
-//! * **Recover metadata**: union the `meta:` *and* `metad:` (diff)
-//!   listings of every available provider with the journal's pending
-//!   block/diff writes; for each block name, decode every reachable
-//!   candidate (torn blocks fail the `HYM2`/`HYD1` validation and are
-//!   skipped with a `restart.torn_block` event) and keep the highest
-//!   version, then fold each directory's surviving diff chain onto its
-//!   winning block with [`resolve_chain`] — a torn or lost diff strands
-//!   the chain's suffix there, exactly like a torn block (the journal
-//!   re-drives the operations that produced it). Load the resolved
-//!   winners parent-first and seed the flush cache at each resolved
-//!   version so re-flushes never regress.
+//! * **Recover metadata**: [`crate::bootstrap`] with the journal's
+//!   pending block/diff puts among the candidates — highest intact
+//!   version per block, chains folded, loaded parent-first, flush state
+//!   seeded at each resolved version so re-flushes never regress (a torn
+//!   or lost object strands what hung off it; the journal re-drives the
+//!   operations that produced it).
 //! * **Reinstall journal state**: the mirrored recovery log (minus
 //!   `meta:` records — the heal below re-establishes those) and the
 //!   mirrored dirty set become the new dispatcher's volatile state.
@@ -48,16 +43,16 @@
 //! The result is a [`RestartReport`] of plain scalars, so crash-torture
 //! reports stay byte-deterministic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use hyrd_cloudsim::Fleet;
 use hyrd_gcsapi::{CloudStorage, ProviderId};
-use hyrd_metastore::{resolve_chain, DiffBlock, MetadataBlock, NormPath, Placement};
+use hyrd_metastore::{MetadataBlock, NormPath, Placement};
 use hyrd_telemetry::Collector;
 
+use crate::bootstrap::is_meta_object;
 use crate::config::HyrdConfig;
 use crate::dispatcher::Hyrd;
 use crate::journal::{Intent, Journal};
@@ -116,153 +111,14 @@ impl Hyrd {
         let (pending, dirty, intents) = journal.restart_state();
 
         // ------------------------------------------------------------------
-        // Phase 1: recover the metadata blocks.
+        // Phase 1: recover the metadata blocks — the one bootstrap, with
+        // the journal's pending puts among the candidates.
         // ------------------------------------------------------------------
-        let mut names: BTreeSet<String> = BTreeSet::new();
-        for p in fleet.available() {
-            if let Ok(out) = p.list(Fleet::CONTAINER) {
-                names.extend(
-                    out.value
-                        .into_iter()
-                        .filter(|n| n.starts_with("meta:") || DiffBlock::is_diff_object(n)),
-                );
-            }
-        }
-        for (_, record) in pending.records() {
-            if let LogRecord::Put { key, .. } = record {
-                if key.name.starts_with("meta:") || DiffBlock::is_diff_object(&key.name) {
-                    names.insert(key.name.clone());
-                }
-            }
-        }
-
-        let mut winners: Vec<(MetadataBlock, Bytes)> = Vec::new();
-        let mut dir_diffs: BTreeMap<NormPath, Vec<DiffBlock>> = BTreeMap::new();
-        for name in &names {
-            let is_diff = DiffBlock::is_diff_object(name);
-            let mut best: Option<(MetadataBlock, Bytes)> = None;
-            let mut diff: Option<DiffBlock> = None;
-            let mut better = |block: MetadataBlock, bytes: Bytes| {
-                if best.as_ref().map_or(true, |(b, _)| block.version > b.version) {
-                    best = Some((block, bytes));
-                }
-            };
-            let key = Self::key(name);
-            for p in fleet.available() {
-                // A diff object is written once and never overwritten, so
-                // any intact copy is authoritative — stop at the first.
-                if is_diff && diff.is_some() {
-                    break;
-                }
-                // A torn read (truncated or bit-flipped bytes, caught by
-                // the HYM2/HYD1 length/checksum validation) is retried
-                // twice — wire corruption is transient — before the
-                // replica is skipped in favor of the other candidates.
-                for _attempt in 0..3 {
-                    let Ok(out) = hyrd.get_object(p.id(), &key) else {
-                        break;
-                    };
-                    let decoded = if is_diff {
-                        match DiffBlock::from_bytes(&out.value) {
-                            Ok(d) => {
-                                diff = Some(d);
-                                true
-                            }
-                            Err(_) => false,
-                        }
-                    } else {
-                        match MetadataBlock::from_bytes(&out.value) {
-                            Ok(block) => {
-                                better(block, out.value);
-                                true
-                            }
-                            Err(_) => false,
-                        }
-                    };
-                    if decoded {
-                        break;
-                    }
-                    report.torn_blocks += 1;
-                    if hyrd.telemetry.enabled() {
-                        hyrd.telemetry
-                            .event("restart.torn_block")
-                            .field("object", name.as_str())
-                            .field("provider", p.name())
-                            .emit();
-                        hyrd.telemetry.inc("restart.torn_blocks", 1);
-                    }
-                }
-            }
-            // The journal's pending puts may hold block or diff bytes
-            // newer than anything that landed (the crashed client was
-            // mid-ship).
-            for (_, record) in pending.records() {
-                if let LogRecord::Put { key, data } = record {
-                    if key.name == *name {
-                        if is_diff {
-                            if diff.is_none() {
-                                diff = DiffBlock::from_bytes(data).ok();
-                            }
-                        } else if let Ok(block) = MetadataBlock::from_bytes(data) {
-                            better(block, data.clone());
-                        }
-                    }
-                }
-            }
-            if let Some(d) = diff {
-                dir_diffs.entry(d.dir.clone()).or_default().push(d);
-                continue;
-            }
-            match best {
-                Some(winner) => winners.push(winner),
-                None => {
-                    // A lost diff also lands here: the chain truncates at
-                    // the gap, and — like a lost block — GC soundness is
-                    // off the table, since objects referenced only by the
-                    // stranded suffix would look orphaned.
-                    report.blocks_lost += 1;
-                    if hyrd.telemetry.enabled() {
-                        hyrd.telemetry
-                            .event("restart.block_lost")
-                            .field("object", name.as_str())
-                            .emit();
-                        hyrd.telemetry.inc("restart.blocks_lost", 1);
-                    }
-                }
-            }
-        }
-
-        // Fold each directory's surviving diff chain onto its winning
-        // block. The resolved block is re-encoded only when a diff
-        // actually applied; diffs that resolve nothing (stale, or
-        // stranded past a gap) leave the winner's original bytes — and
-        // the heal below re-replicates full blocks, so every applied
-        // chain is compacted away by construction.
-        let mut resolved: Vec<(MetadataBlock, Bytes)> = Vec::with_capacity(winners.len());
-        for (block, bytes) in winners {
-            let diffs = dir_diffs.remove(&block.dir).unwrap_or_default();
-            if diffs.is_empty() {
-                resolved.push((block, bytes));
-                continue;
-            }
-            let r = resolve_chain(block, diffs);
-            report.diffs_applied += r.applied as u64;
-            let bytes = if r.applied > 0 { Bytes::from(r.block.to_bytes()) } else { bytes };
-            resolved.push((r.block, bytes));
-        }
-        let mut winners = resolved;
-
-        // Parent directories first so joins always resolve; seed the
-        // flush cache at each winner's resolved version so nothing
-        // regresses.
-        winners.sort_by(|a, b| a.0.dir.cmp(&b.0.dir));
-        for (block, _) in &winners {
-            hyrd.meta.load_block(block)?;
-        }
-        for (block, _) in &winners {
-            hyrd.meta.seed_flushed(&block.dir, block.version);
-        }
-        report.meta_blocks_loaded = winners.len() as u64;
+        let loaded = hyrd.load_namespace(Some(&pending))?;
+        report.meta_blocks_loaded = loaded.dirs.len() as u64;
+        report.diffs_applied = loaded.dirs.iter().map(|d| d.chain.len() as u64).sum();
+        report.torn_blocks = loaded.torn;
+        report.blocks_lost = loaded.lost;
 
         // ------------------------------------------------------------------
         // Phase 2: reinstall the journal's mirrored recovery state.
@@ -272,9 +128,7 @@ impl Hyrd {
         // ------------------------------------------------------------------
         let mut pending = pending;
         pending.retain_records(|_, record| match record {
-            LogRecord::Put { key, .. } => {
-                !key.name.starts_with("meta:") && !DiffBlock::is_diff_object(&key.name)
-            }
+            LogRecord::Put { key, .. } => !is_meta_object(&key.name),
             LogRecord::Remove { .. } => true,
         });
         report.log_records_restored = pending.len() as u64;
@@ -294,9 +148,9 @@ impl Hyrd {
         // live diffs and the old diff objects become orphans for phase 6.
         // ------------------------------------------------------------------
         let targets = hyrd.replica_targets();
-        for (block, bytes) in &winners {
-            let name = MetadataBlock::object_name(&block.dir);
-            hyrd.put_replicated(&name, bytes, &targets);
+        for dir in &loaded.dirs {
+            let name = MetadataBlock::object_name(&dir.block.dir);
+            hyrd.put_replicated(&name, &dir.bytes, &targets);
             report.replicas_healed += 1;
         }
 

@@ -18,9 +18,10 @@
 //! two 16-entry tables become `vpshufb` operands, doing 32 bytes of
 //! products per shuffle pair; elsewhere (and for tails) the products of
 //! an 8-byte chunk are assembled into a `u64` and XOR-accumulated with a
-//! single wide load/store pair (SWAR). The log/exp routines are kept in [`reference`] as
-//! the property-test oracle; the fast kernels are proven bit-identical
-//! to them for every coefficient and every tail length.
+//! single wide load/store pair (SWAR). `tests/oracle/` computes the same
+//! products one [`Gf256`] multiplication per byte; the fast kernels are
+//! proven bit-identical to that for every coefficient and every tail
+//! length (`tests/kernel_proptests.rs`).
 
 /// The primitive polynomial 0x11d, with the implicit x^8 term.
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -399,59 +400,6 @@ pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Naive byte-at-a-time kernels through the log/exp tables — the seed
-/// implementation, kept verbatim as the property-test oracle that the
-/// fast split-nibble paths are proven bit-identical against. Never used
-/// on hot paths.
-pub mod reference {
-    use super::{Gf256, EXP, LOG};
-
-    /// `dst[i] ^= c * src[i]`, one dependent log→exp lookup per byte.
-    pub fn mul_slice_acc(dst: &mut [u8], src: &[u8], c: Gf256) {
-        assert_eq!(dst.len(), src.len(), "mul_slice_acc length mismatch");
-        if c.0 == 0 {
-            return;
-        }
-        if c.0 == 1 {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= *s;
-            }
-            return;
-        }
-        let lc = LOG[c.0 as usize] as usize;
-        for (d, s) in dst.iter_mut().zip(src) {
-            if *s != 0 {
-                *d ^= EXP[lc + LOG[*s as usize] as usize];
-            }
-        }
-    }
-
-    /// `dst[i] = c * src[i]`, one dependent log→exp lookup per byte.
-    pub fn mul_slice(dst: &mut [u8], src: &[u8], c: Gf256) {
-        assert_eq!(dst.len(), src.len(), "mul_slice length mismatch");
-        if c.0 == 0 {
-            dst.fill(0);
-            return;
-        }
-        if c.0 == 1 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let lc = LOG[c.0 as usize] as usize;
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = if *s == 0 { 0 } else { EXP[lc + LOG[*s as usize] as usize] };
-        }
-    }
-
-    /// `dst[i] ^= src[i]`, one byte at a time.
-    pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= *s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,41 +531,6 @@ mod tests {
         let mut d = vec![0b1010u8; 16];
         xor_slice(&mut d, &vec![0b0110u8; 16]);
         assert!(d.iter().all(|&b| b == 0b1100));
-    }
-
-    #[test]
-    fn fast_kernels_match_reference_at_all_tail_lengths() {
-        // Exercise every alignment case of the 8-byte SWAR loop: empty,
-        // shorter than one chunk, exact multiples, and odd tails.
-        let mut state = 0x243F_6A88_85A3_08D3u64; // deterministic PRNG
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state as u8
-        };
-        for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 63, 257] {
-            let src: Vec<u8> = (0..len).map(|_| next()).collect();
-            let base: Vec<u8> = (0..len).map(|_| next()).collect();
-            for c in [0u8, 1, 2, 0x1d, 0x8e, 0xff, next()] {
-                let mut fast = base.clone();
-                let mut slow = base.clone();
-                mul_slice_acc(&mut fast, &src, Gf256(c));
-                reference::mul_slice_acc(&mut slow, &src, Gf256(c));
-                assert_eq!(fast, slow, "mul_slice_acc len={len} c={c}");
-
-                let mut fast = base.clone();
-                let mut slow = base.clone();
-                mul_slice(&mut fast, &src, Gf256(c));
-                reference::mul_slice(&mut slow, &src, Gf256(c));
-                assert_eq!(fast, slow, "mul_slice len={len} c={c}");
-            }
-            let mut fast = base.clone();
-            let mut slow = base.clone();
-            xor_slice(&mut fast, &src);
-            reference::xor_slice(&mut slow, &src);
-            assert_eq!(fast, slow, "xor_slice len={len}");
-        }
     }
 
     #[test]

@@ -358,26 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_blocked_mul_matches_row_at_a_time_reference() {
-        // Lengths straddling the fused block boundary, checked against the
-        // seed algorithm: one full naive sweep per output row.
-        let a = Matrix::cauchy(2, 3);
-        for len in [0usize, 1, crate::gf256::FUSED_BLOCK - 3, crate::gf256::FUSED_BLOCK + 5] {
-            let shards: Vec<Vec<u8>> = (0..3u8)
-                .map(|j| (0..len).map(|b| (b as u8).wrapping_mul(j + 3)).collect())
-                .collect();
-            let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-            let mut expect = vec![vec![0u8; len]; 2];
-            for (i, row) in expect.iter_mut().enumerate() {
-                for (j, shard) in refs.iter().enumerate() {
-                    crate::gf256::reference::mul_slice_acc(row, shard, a.get(i, j));
-                }
-            }
-            assert_eq!(a.mul_shards(&refs), expect, "len={len}");
-        }
-    }
-
-    #[test]
     fn display_renders_hex_grid() {
         let m = Matrix::identity(2);
         let s = m.to_string();

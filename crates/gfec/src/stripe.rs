@@ -96,35 +96,26 @@ impl FragmentLayout {
 pub struct StripePlanner {
     m: usize,
     n: usize,
-    /// Shard lengths are rounded up to a multiple of this (provider
-    /// object stores and the GF block ops both like aligned sizes).
-    align: usize,
 }
 
 impl StripePlanner {
-    /// Default alignment for shard sizes (64 B keeps the XOR loops on
-    /// cache-line boundaries without bloating tiny objects).
-    pub const DEFAULT_ALIGN: usize = 64;
+    /// Shard lengths are rounded up to a multiple of this: 64 B keeps
+    /// the XOR loops on cache-line boundaries without bloating tiny
+    /// objects.
+    pub const ALIGN: usize = 64;
 
     /// Creates a planner for an `(m, n)` code shape.
     pub fn new(m: usize, n: usize) -> Result<Self> {
         if m == 0 || n <= m || n > 255 {
             return Err(GfecError::InvalidParams { m, n });
         }
-        Ok(StripePlanner { m, n, align: Self::DEFAULT_ALIGN })
-    }
-
-    /// Overrides the shard alignment (must be nonzero).
-    pub fn with_align(mut self, align: usize) -> Self {
-        assert!(align > 0, "alignment must be nonzero");
-        self.align = align;
-        self
+        Ok(StripePlanner { m, n })
     }
 
     /// Computes the layout for an object of `object_len` bytes.
     pub fn plan(&self, object_len: usize) -> FragmentLayout {
         let raw = object_len.div_ceil(self.m).max(1);
-        let shard_len = raw.div_ceil(self.align) * self.align;
+        let shard_len = raw.div_ceil(Self::ALIGN) * Self::ALIGN;
         FragmentLayout { object_len, m: self.m, n: self.n, shard_len }
     }
 
@@ -199,7 +190,7 @@ mod tests {
         let l = p.plan(1000);
         assert_eq!(l.m, 3);
         assert_eq!(l.n, 4);
-        assert!(l.shard_len % StripePlanner::DEFAULT_ALIGN == 0);
+        assert!(l.shard_len % StripePlanner::ALIGN == 0);
         assert!(l.padded_len() >= 1000);
         assert_eq!(l.padding(), l.padded_len() - 1000);
     }
@@ -208,7 +199,7 @@ mod tests {
     fn empty_object_still_has_one_aligned_shard() {
         let p = StripePlanner::new(2, 3).unwrap();
         let l = p.plan(0);
-        assert_eq!(l.shard_len, StripePlanner::DEFAULT_ALIGN);
+        assert_eq!(l.shard_len, StripePlanner::ALIGN);
         let code = Raid5::new(2).unwrap();
         let (l2, frags) = p.split_encode(&code, &[]).unwrap();
         assert_eq!(l2, l);

@@ -1,7 +1,7 @@
 //! Bit-identity proofs for the fast GF(2^8) kernels (DESIGN.md §8).
 //!
-//! The seed's naive log/exp slice routines are preserved verbatim in
-//! `gf256::reference` as the oracle. Every property here drives a fast
+//! The oracle is `oracle::reference`: the slice routines computed one
+//! `Gf256` multiplication per byte. Every property here drives a fast
 //! path — split-nibble SWAR kernels, the fused cache-blocked matrix
 //! encode, `encode_into`, RAID5/RAID6 parity, decode, and the ranged
 //! partial update — with randomized coefficients and lengths (including
@@ -9,11 +9,12 @@
 //! demands byte equality with the naive computation.
 
 mod oracle;
+use oracle::reference;
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-use hyrd_gfec::gf256::{self, reference, Gf256, FUSED_BLOCK};
+use hyrd_gfec::gf256::{self, Gf256, FUSED_BLOCK};
 use hyrd_gfec::raid5::Raid5;
 use hyrd_gfec::raid6::Raid6;
 use hyrd_gfec::rs::{MatrixKind, ReedSolomon};
@@ -236,5 +237,81 @@ proptest! {
             }
             prop_assert_eq!(&new_pars[j], &want, "parity {} window", j);
         }
+    }
+}
+
+// ---------------- fixed cases at the kernels' boundaries ----------------
+
+#[test]
+fn fast_kernels_match_reference_at_all_tail_lengths() {
+    // Exercise every alignment case of the 8-byte SWAR loop: empty,
+    // shorter than one chunk, exact multiples, and odd tails.
+    let mut state = 0x243F_6A88_85A3_08D3u64; // deterministic PRNG
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as u8
+    };
+    for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 63, 257] {
+        let src: Vec<u8> = (0..len).map(|_| next()).collect();
+        let base: Vec<u8> = (0..len).map(|_| next()).collect();
+        for c in [0u8, 1, 2, 0x1d, 0x8e, 0xff, next()] {
+            let mut fast = base.clone();
+            let mut slow = base.clone();
+            gf256::mul_slice_acc(&mut fast, &src, Gf256(c));
+            reference::mul_slice_acc(&mut slow, &src, Gf256(c));
+            assert_eq!(fast, slow, "mul_slice_acc len={len} c={c}");
+
+            let mut fast = base.clone();
+            let mut slow = base.clone();
+            gf256::mul_slice(&mut fast, &src, Gf256(c));
+            reference::mul_slice(&mut slow, &src, Gf256(c));
+            assert_eq!(fast, slow, "mul_slice len={len} c={c}");
+        }
+        let mut fast = base.clone();
+        let mut slow = base.clone();
+        gf256::xor_slice(&mut fast, &src);
+        reference::xor_slice(&mut slow, &src);
+        assert_eq!(fast, slow, "xor_slice len={len}");
+    }
+}
+
+#[test]
+fn fused_blocked_mul_matches_row_at_a_time_reference() {
+    // Lengths straddling the fused block boundary, checked against the
+    // seed algorithm: one full naive sweep per output row.
+    let a = Matrix::cauchy(2, 3);
+    for len in [0usize, 1, FUSED_BLOCK - 3, FUSED_BLOCK + 5] {
+        let shards: Vec<Vec<u8>> =
+            (0..3u8).map(|j| (0..len).map(|b| (b as u8).wrapping_mul(j + 3)).collect()).collect();
+        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+        let mut expect = vec![vec![0u8; len]; 2];
+        for (i, row) in expect.iter_mut().enumerate() {
+            for (j, shard) in refs.iter().enumerate() {
+                reference::mul_slice_acc(row, shard, a.get(i, j));
+            }
+        }
+        assert_eq!(a.mul_shards(&refs), expect, "len={len}");
+    }
+}
+
+#[test]
+fn fused_raid6_encode_matches_reference_across_block_boundary() {
+    let m = 3;
+    let r = Raid6::new(m).unwrap();
+    for len in [0usize, 5, FUSED_BLOCK - 1, FUSED_BLOCK + 9] {
+        let d: Vec<Vec<u8>> = (0..m)
+            .map(|i| (0..len).map(|b| (b as u8).wrapping_mul(17) ^ (i as u8 + 1)).collect())
+            .collect();
+        let refs: Vec<&[u8]> = d.iter().map(|x| x.as_slice()).collect();
+        // Seed algorithm: one full naive sweep per parity row.
+        let mut p = vec![0u8; len];
+        let mut q = vec![0u8; len];
+        for (i, s) in refs.iter().enumerate() {
+            reference::xor_slice(&mut p, s);
+            reference::mul_slice_acc(&mut q, s, Gf256::exp(i));
+        }
+        assert_eq!(r.encode(&refs).unwrap(), vec![p, q], "len={len}");
     }
 }

@@ -1,8 +1,8 @@
 //! The owning decode and encode paths this crate shipped before the
 //! borrowed core (`hyrd_gfec::decode`, `StripePlanner::split_encode`),
 //! kept as the property-test oracle the new paths are proven
-//! bit-identical against — the role `gf256::reference` plays for the
-//! slice kernels. Each code keeps its own hand-written `reconstruct`
+//! bit-identical against — the role [`reference`] plays for the slice
+//! kernels. Each code keeps its own hand-written `reconstruct`
 //! (XOR rebuild, the RAID6 two-erasure solve, invert-and-multiply), so
 //! agreement with the one generic core is a real cross-check. Also home of
 //! the integration tests' shared fragment-view helper. Never used
@@ -217,4 +217,36 @@ pub fn decode_object<C: OwningDecode + ?Sized>(
     available: &[Fragment],
 ) -> Result<Vec<u8>> {
     Ok(join(layout, &code.reconstruct(available, layout.shard_len)?))
+}
+
+/// The slice kernels straight from the field's definition: one
+/// [`Gf256`] multiplication (a log→exp lookup) per byte, no product
+/// tables, no wide loads — what the split-nibble SIMD/SWAR kernels in
+/// `hyrd_gfec::gf256` are proven bit-identical against.
+pub mod reference {
+    use hyrd_gfec::gf256::Gf256;
+
+    /// `dst[i] ^= c * src[i]`.
+    pub fn mul_slice_acc(dst: &mut [u8], src: &[u8], c: Gf256) {
+        assert_eq!(dst.len(), src.len(), "mul_slice_acc length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= (c * Gf256(*s)).0;
+        }
+    }
+
+    /// `dst[i] = c * src[i]`.
+    pub fn mul_slice(dst: &mut [u8], src: &[u8], c: Gf256) {
+        assert_eq!(dst.len(), src.len(), "mul_slice length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = (c * Gf256(*s)).0;
+        }
+    }
+
+    /// `dst[i] ^= src[i]`.
+    pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
+        assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= *s;
+        }
+    }
 }

@@ -184,8 +184,9 @@ pub struct ChainResolution {
     /// The reconstructed directory state: the base with every linking
     /// diff applied, at the version of the last applied diff.
     pub block: MetadataBlock,
-    /// Diffs applied, in version order.
-    pub applied: usize,
+    /// Object names of the diffs applied, in version order — the live
+    /// chain a reader that keeps the diffs on the providers must record.
+    pub applied: Vec<String>,
     /// Diffs ignored: superseded by the base version, duplicates, or
     /// stranded past a gap/torn link in the chain.
     pub stale: usize,
@@ -201,9 +202,10 @@ pub struct ChainResolution {
 pub fn resolve_chain(base: MetadataBlock, mut diffs: Vec<DiffBlock>) -> ChainResolution {
     diffs.sort_by_key(|d| d.version);
     let mut block = base;
-    let mut applied = 0;
+    let mut applied = Vec::new();
     let mut stale = 0;
     for diff in diffs {
+        // The one place the "diff links onto version" rule is written.
         if diff.version <= block.version || diff.base != block.version {
             stale += 1;
             continue;
@@ -219,7 +221,7 @@ pub fn resolve_chain(base: MetadataBlock, mut diffs: Vec<DiffBlock>) -> ChainRes
             }
         }
         block.version = diff.version;
-        applied += 1;
+        applied.push(DiffBlock::object_name(&diff.dir, diff.version));
     }
     ChainResolution { block, applied, stale }
 }
@@ -328,7 +330,10 @@ mod tests {
             DiffBlock { dir: p("/d"), base: 3, version: 4, ops: vec![EntryOp::Remove("b".into())] },
         ];
         let r = resolve_chain(base, diffs);
-        assert_eq!(r.applied, 2);
+        assert_eq!(
+            r.applied,
+            [DiffBlock::object_name(&p("/d"), 4), DiffBlock::object_name(&p("/d"), 5)]
+        );
         assert_eq!(r.stale, 0);
         assert_eq!(r.block.version, 5);
         assert_eq!(r.block.entries.keys().collect::<Vec<_>>(), vec!["a", "c"]);
@@ -353,7 +358,7 @@ mod tests {
             },
         ];
         let r = resolve_chain(base, diffs);
-        assert_eq!((r.applied, r.stale), (1, 1));
+        assert_eq!((r.applied.len(), r.stale), (1, 1));
         assert_eq!(r.block.version, 2);
         assert!(r.block.entries.contains_key("x"));
         assert!(!r.block.entries.contains_key("y"));
@@ -375,7 +380,7 @@ mod tests {
             fresh, // a duplicate replica of the same diff
         ];
         let r = resolve_chain(base, diffs);
-        assert_eq!((r.applied, r.stale), (1, 2));
+        assert_eq!((r.applied.len(), r.stale), (1, 2));
         assert_eq!(r.block.version, 6);
         assert!(r.block.entries.contains_key("x"));
     }

@@ -229,11 +229,6 @@ impl ShardedMetaStore {
         store
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a directory's state lives in: FNV-1a-64 of the path
     /// modulo the shard count. Pure — same path ⇒ same shard in every
     /// process and across restarts.
@@ -1155,7 +1150,7 @@ mod tests {
             diffs.push(DiffBlock::from_bytes(&item.bytes).unwrap());
         }
         let r = resolve_chain(base.unwrap(), diffs);
-        assert_eq!(r.applied, 2);
+        assert_eq!(r.applied.len(), 2);
         assert_eq!(r.block.entries.keys().collect::<Vec<_>>(), vec!["a", "c"]);
         assert_eq!(r.block.entries["a"].size, 5);
         assert_eq!(r.block.entries["c"].size, 7);

@@ -398,7 +398,11 @@ impl Rig {
             let diffs = self.diffs.get(dir).cloned().unwrap_or_default();
             let links = diffs.len();
             let resolved = resolve_chain(base.clone(), diffs);
-            assert_eq!((resolved.applied, resolved.stale), (links, 0), "chain of {dir} links up");
+            assert_eq!(
+                (resolved.applied.len(), resolved.stale),
+                (links, 0),
+                "chain of {dir} links up"
+            );
             let live: BTreeMap<String, Inode> =
                 self.store.inodes_in(dir).expect("flushed directories exist").into_iter().collect();
             assert_eq!(resolved.block.entries, live, "reload state of {dir}");

@@ -6,4 +6,3 @@
 //!   yearly bill across schemes.
 //! * `outage_drill` — a scripted incident with scheduled outage windows
 //!   and a bytewise audit.
-//! * `realtime_demo` — wall-clock pacing of the simulated latencies.

@@ -50,32 +50,19 @@ multi-client:
 experiments:
     cargo run --release -p hyrd-bench --bin fig6
 
-# Refresh the repo-root BENCH_gfec.json throughput baseline without the
-# full Criterion sampling (quick wall-clock measurements only).
-bench-json:
-    BENCH_JSON_ONLY=1 cargo bench -p hyrd-bench --bench gfec_benches
-    BENCH_JSON_ONLY=1 cargo bench -p hyrd-bench --bench scheme_benches
-
-# Refresh the repo-root BENCH_replay.json baseline (SHA-256 kernels,
-# replay ops/s, sweep scaling) and prove jobs-invariance on a one-week
-# archive sweep.
-bench-replay:
-    BENCH_JSON_ONLY=1 cargo bench -p hyrd-bench --bench replay_benches
+# Jobs-invariance of the parallel sweep engine on a one-week archive
+# sweep: --check re-runs the grid single-threaded and asserts
+# byte-identical serialized stats.
+replay-sweep:
     cargo run --release -p hyrd-bench --bin replay_sweep -- --weeks 1 --jobs 2 --check
 
-# Refresh the repo-root BENCH_tail.json tail-latency baseline: the
-# open-loop Poisson workload swept over hedging delay × fault plan
-# (rotating x8 latency spikes), with --check proving stats and traces
-# are byte-identical across worker counts, hedging on or off.
-bench-tail:
+# Tail-latency sweep: the open-loop Poisson workload over hedging delay
+# × fault plan (rotating x8 latency spikes), with --check proving stats
+# and traces are byte-identical across worker counts, hedging on or off.
+# The committed numbers for this regime are the ledger's
+# `engine.step*_read_p99_s` rows on `openloop_zipf` (`just perf`).
+tail-check:
     cargo run --release -p hyrd-bench --bin tail_latency -- --check
-
-# Refresh the repo-root BENCH_obs.json observability baseline: asserts
-# the disabled telemetry path allocates zero, then measures the replay
-# overhead of the full observatory (JSONL sink + live tap) and the
-# offline trace parse+fold throughput.
-bench-obs:
-    cargo bench -p hyrd-bench --bench obs_benches
 
 # Availability-observatory report over a seeded smoke drill: writes the
 # telemetry trace, then renders provider SLIs, redundancy exposure and
@@ -88,19 +75,13 @@ obs-report:
     @echo "observatory report at target/experiments/obs_report.txt"
     @echo "trace analysis at target/experiments/trace_report.txt"
 
-# Refresh the repo-root BENCH_policy.json adaptive-policy baseline: the
-# Zipf Pareto sweep (static baselines vs SLI-gated background migration,
-# DESIGN.md §16), with --check asserting the adaptive cell dominates at
-# least one static baseline and that cells + traces are byte-identical
-# across job counts.
-bench-policy:
+# Adaptive-policy Pareto sweep (static baselines vs SLI-gated background
+# migration, DESIGN.md §16): --check asserts the adaptive cell dominates
+# at least one static baseline and that cells + traces are
+# byte-identical across job counts; the record lands in
+# target/experiments/policy_sweep.json.
+policy-check:
     cargo run --release -p hyrd-bench --bin policy_sweep -- --check
-
-# Refresh the repo-root BENCH_meta.json metastore baseline: free-running
-# writer contention at 1 vs 16 shards, writer scaling at 16 shards, and
-# the full-block vs incremental-diff flush byte ratio (DESIGN.md §15).
-bench-meta:
-    cargo bench -p hyrd-bench --bench meta_benches
 
 # The two-clock perf ledger (BENCHMARK.json): all four hyrd-perf
 # workloads, end to end + per-layer, results under hyrd-perf/target/perf.
@@ -123,7 +104,3 @@ perf-test:
 # identical code. PERF_SEED overrides the default seed 11.
 perf-pairs base workloads pairs="10":
     scripts/perf_pairs.sh {{base}} {{workloads}} {{pairs}}
-
-# Full Criterion run (also refreshes BENCH_gfec.json at the end).
-bench:
-    cargo bench -p hyrd-bench

@@ -120,3 +120,56 @@ fn updates_by_the_new_client_persist_through_another_attach() {
     let (got, _) = c.read_file("/f").expect("present");
     assert_eq!(&got[..], &content[..]);
 }
+
+/// What a client wrote while the fastest metadata replica was down is
+/// the namespace, even if that client is gone before the replica is
+/// recovered: the returned replica lists fewer names and serves older
+/// blocks, and neither its rank nor its answering first may let it
+/// decide what a new client sees.
+#[test]
+fn attach_sees_what_was_written_while_the_fastest_metadata_replica_was_down() {
+    let (_, fleet) = fresh_fleet();
+    let mut audit: Vec<(&str, Vec<u8>)> = Vec::new();
+    {
+        let a = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let fastest = fleet.get(a.evaluator().fastest_first()[0]).expect("in the fleet").clone();
+        a.create_file("/docs/before.txt", &synth_content("/docs/before.txt", 0, 4 * KB))
+            .expect("fleet up");
+
+        fastest.force_down();
+        for (path, size) in [
+            ("/docs/during.txt", 6 * KB),
+            ("/new-dir/small.txt", 8 * KB),
+            ("/new-dir/big.bin", 2 * MB),
+        ] {
+            let data = synth_content(path, 0, size);
+            a.create_file(path, &data).expect("one replica and three fragments take it");
+            audit.push((path, data));
+        }
+        // Client A is dropped without `recover_provider`; the replica returns.
+        fastest.restore();
+    }
+
+    let (b, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("namespace loads");
+    let (names, _) = b.list_dir("/docs").expect("loaded namespace");
+    assert_eq!(names, vec!["before.txt", "during.txt"]);
+    let (names, _) = b.list_dir("/new-dir").expect("a directory the stale replica never listed");
+    assert_eq!(names, vec!["big.bin", "small.txt"]);
+    for (path, want) in &audit {
+        assert_eq!(b.file_size(path), Some(want.len() as u64), "{path}");
+        let (got, _) = b.read_file(path).expect("created during the outage");
+        assert_eq!(&got[..], &want[..], "{path}");
+    }
+}
+
+#[test]
+fn attach_fails_typed_when_no_provider_answers_the_list() {
+    let (_, fleet) = fresh_fleet();
+    for p in fleet.providers() {
+        p.force_down();
+    }
+    assert!(matches!(
+        Hyrd::attach(&fleet, HyrdConfig::default()),
+        Err(SchemeError::DataUnavailable { .. })
+    ));
+}

@@ -3,7 +3,8 @@
 //! behind locks and atomics); these tests are what make the "data-race
 //! freedom" story more than a compiler promise.
 
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use hyrd::driver::synth_content;
 use hyrd::prelude::*;
@@ -52,29 +53,30 @@ fn eight_clients_share_one_fleet_without_interference() {
 
 #[test]
 fn work_queue_of_mixed_jobs_drains_across_worker_clients() {
-    // A crossbeam work queue feeding worker threads, each with its own
-    // dispatcher over the shared fleet — the shape of a real ingest farm.
+    // A work queue (an atomic index over the job list) feeding worker
+    // threads, each with its own dispatcher over the shared fleet — the
+    // shape of a real ingest farm.
     let (_, fleet) = fresh_fleet();
-    let (tx, rx) = channel::unbounded::<(String, usize)>();
-    for i in 0..60 {
-        let size = if i % 5 == 0 { 3 * MB } else { 4 * KB * (i % 7 + 1) };
-        tx.send((format!("/ingest/f{i:03}"), size)).expect("open channel");
-    }
-    drop(tx);
+    let jobs: Vec<(String, usize)> = (0..60)
+        .map(|i| {
+            (format!("/ingest/f{i:03}"), if i % 5 == 0 { 3 * MB } else { 4 * KB * (i % 7 + 1) })
+        })
+        .collect();
+    let next = AtomicUsize::new(0);
 
     let workers = 6;
-    let (done_tx, done_rx) = channel::unbounded::<(String, usize)>();
+    let (done_tx, done_rx) = mpsc::channel::<(String, usize)>();
     std::thread::scope(|s| {
         for _ in 0..workers {
-            let rx = rx.clone();
+            let (jobs, next) = (&jobs, &next);
             let done = done_tx.clone();
             let fleet = fleet.clone();
             s.spawn(move || {
-                let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
-                while let Ok((path, size)) = rx.recv() {
-                    let data = synth_content(&path, 0, size);
-                    h.create_file(&path, &data).expect("fleet up");
-                    done.send((path, size)).expect("collector open");
+                let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+                while let Some((path, size)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let data = synth_content(path, 0, *size);
+                    h.create_file(path, &data).expect("fleet up");
+                    done.send((path.clone(), *size)).expect("collector open");
                 }
             });
         }
