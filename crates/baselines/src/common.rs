@@ -219,10 +219,19 @@ pub fn fastest_first(providers: &[Arc<SimProvider>]) -> Vec<Arc<SimProvider>> {
     v
 }
 
+/// What [`ec_write`] put where.
+pub struct EcWrite {
+    pub layout: FragmentLayout,
+    /// The fragment map for the placement record.
+    pub fragments: Vec<(ProviderId, String)>,
+    pub report: BatchReport,
+    /// Fragments that landed (the rest are in the update log).
+    pub live: usize,
+}
+
 /// Erasure-codes `data` and puts fragment `i` on `providers[(i + rot) %
 /// n]` in parallel — `rot` rotates parity placement across objects, the
-/// RAID5 layout RACS uses. Returns the fragment map for the placement
-/// record.
+/// RAID5 layout RACS uses.
 pub fn ec_write<C: ErasureCode + ?Sized>(
     planner: &StripePlanner,
     code: &C,
@@ -231,7 +240,7 @@ pub fn ec_write<C: ErasureCode + ?Sized>(
     data: &[u8],
     rot: usize,
     log: &mut UpdateLog,
-) -> SchemeResult<(FragmentLayout, Vec<(ProviderId, String)>, BatchReport, usize)> {
+) -> SchemeResult<EcWrite> {
     let (layout, frags) = planner.split_encode(code, data)?;
     let n = frags.len();
     assert_eq!(n, providers.len(), "one fragment per provider");
@@ -252,7 +261,7 @@ pub fn ec_write<C: ErasureCode + ?Sized>(
         }
         map.push((p.id(), name));
     }
-    Ok((layout, map, BatchReport::parallel(ops), live))
+    Ok(EcWrite { layout, fragments: map, report: BatchReport::parallel(ops), live })
 }
 
 /// Reads an erasure-coded object: the `m` data fragments when all their
@@ -510,7 +519,7 @@ mod tests {
         let data: Vec<u8> = (0..100_000).map(|i| (i % 251) as u8).collect();
 
         for rot in 0..4 {
-            let (layout, map, _, live) = ec_write(
+            let EcWrite { layout, fragments: map, live, .. } = ec_write(
                 &planner,
                 &code,
                 f.providers(),
@@ -538,7 +547,7 @@ mod tests {
         let code = Raid5::new(3).unwrap();
         let mut log = UpdateLog::new();
         let data = vec![7u8; 50_000];
-        let (layout, map, _, _) =
+        let EcWrite { layout, fragments: map, .. } =
             ec_write(&planner, &code, f.providers(), "obj", &data, 0, &mut log).unwrap();
 
         // Down the provider holding data fragment 0.
@@ -555,7 +564,7 @@ mod tests {
     fn remove_everywhere_tolerates_missing_and_logs_down() {
         let f = fleet();
         let mut log = UpdateLog::new();
-        put_parallel(&f.providers()[..2].to_vec(), "only-two", &Bytes::from_static(b"x"), &mut log);
+        put_parallel(&f.providers()[..2], "only-two", &Bytes::from_static(b"x"), &mut log);
         f.providers()[0].force_down();
         let batch = remove_everywhere(f.providers(), "only-two", &mut log);
         // Provider 1 removed it; 0 logged; 2 and 3 never had it (fine).

@@ -302,7 +302,7 @@ mod tests {
         d.create_file("/a", &[1u8; 1_000_000]).unwrap();
         // 2 MB of data + 2 small metadata blocks.
         let stored = fleet.total_stored_bytes();
-        assert!(stored >= 2_000_000 && stored < 2_010_000, "stored={stored}");
+        assert!((2_000_000..2_010_000).contains(&stored), "stored={stored}");
     }
 
     #[test]

@@ -106,9 +106,9 @@ impl<C: ErasureCode> EcEverything<C> {
             // Oversized block: full striping.
             let rot = name.bytes().map(|b| b as usize).sum::<usize>() % providers.len();
             match common::ec_write(planner, code, &providers, name, &bytes, rot, &mut core.log) {
-                Ok((layout, map, b, _)) => {
-                    meta_blocks.insert(name.to_string(), (layout, map));
-                    b
+                Ok(written) => {
+                    meta_blocks.insert(name.to_string(), (written.layout, written.fragments));
+                    written.report
                 }
                 Err(_) => BatchReport::empty(),
             }
@@ -298,7 +298,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         let providers = self.core.fleet.providers().to_vec();
         // Rotate parity placement by the name hash (stable per path).
         let rot = base_name.bytes().map(|b| b as usize).sum::<usize>() % providers.len();
-        let (layout, map, batch, live) = common::ec_write(
+        let common::EcWrite { layout, fragments: map, report: batch, live } = common::ec_write(
             &self.planner,
             &self.code,
             &providers,

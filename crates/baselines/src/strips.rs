@@ -507,7 +507,7 @@ impl StripStore {
         let mut bytes_written = 0u64;
         let mut ops = Vec::new();
         for group in &self.groups {
-            let has_strip_here = group.providers.iter().any(|&p| p == id);
+            let has_strip_here = group.providers.contains(&id);
             if !has_strip_here || group.strip_len == 0 {
                 continue;
             }
@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn replace_with_longer_content_extends_the_strip() {
         let (fleet, mut s, mut log) = store();
-        let (pid, _) = s.place("grow", &vec![1u8; 64], &mut log).unwrap();
+        let (pid, _) = s.place("grow", &[1u8; 64], &mut log).unwrap();
         let longer = vec![2u8; 9000];
         s.replace("grow", &longer, &mut log, "/p").unwrap();
         fleet.get(pid).unwrap().force_down();
@@ -686,7 +686,7 @@ mod tests {
         let data = vec![0x5Au8; 256];
         let (pid, _) = s.place("during", &data, &mut log).unwrap();
         assert_eq!(pid, victim.id());
-        assert!(log.len() > 0, "missed member write is logged");
+        assert!(!log.is_empty(), "missed member write is logged");
         // Degraded read serves from parity immediately.
         let (bytes, _) = s.read("during", "/p").unwrap();
         assert_eq!(&bytes[..], &data[..]);

@@ -25,8 +25,7 @@ fn main() {
         let config = paper_postmark(0xC0DE);
         let stats = run_scheme(
             move |f| {
-                let mut cfg = HyrdConfig::default();
-                cfg.code = code;
+                let cfg = HyrdConfig { code, ..HyrdConfig::default() };
                 Box::new(Hyrd::new(f, cfg).expect("valid config"))
             },
             Mode::Normal,
@@ -35,9 +34,8 @@ fn main() {
 
         // Overhead + double-outage behaviour on a dedicated instance.
         let fleet = Fleet::standard_four(SimClock::new());
-        let mut cfg = HyrdConfig::default();
-        cfg.code = code;
-        let mut h = Hyrd::new(&fleet, cfg).expect("valid config");
+        let cfg = HyrdConfig { code, ..HyrdConfig::default() };
+        let h = Hyrd::new(&fleet, cfg).expect("valid config");
         let data = vec![7u8; 6 << 20];
         h.create_file("/big", &data).expect("fleet up");
         let overhead = h.physical_bytes() as f64 / h.logical_bytes() as f64;

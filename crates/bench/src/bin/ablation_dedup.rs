@@ -69,7 +69,7 @@ fn main() {
     for p in fleet_plain.providers() {
         p.set_ghost_mode(true);
     }
-    let mut plain = Hyrd::new(&fleet_plain, HyrdConfig::default()).expect("valid config");
+    let plain = Hyrd::new(&fleet_plain, HyrdConfig::default()).expect("valid config");
     let mut plain_latency = 0.0;
     for day in &data {
         for (path, bytes) in day {

@@ -22,9 +22,8 @@ fn main() {
         for p in fleet.providers() {
             p.set_ghost_mode(true);
         }
-        let mut cfg = HyrdConfig::default();
-        cfg.fragment_selection = policy;
-        let mut h = Hyrd::new(&fleet, cfg).expect("valid config");
+        let cfg = HyrdConfig { fragment_selection: policy, ..HyrdConfig::default() };
+        let h = Hyrd::new(&fleet, cfg).expect("valid config");
         for i in 0..20 {
             h.create_file(&format!("/m/f{i}"), &vec![0u8; 6 << 20]).expect("fleet up");
         }
@@ -65,9 +64,8 @@ fn main() {
         for p in fleet.providers() {
             p.set_ghost_mode(true);
         }
-        let mut cfg = HyrdConfig::default();
-        cfg.fragment_selection = policy;
-        let mut h = Hyrd::new(&fleet, cfg).expect("valid config");
+        let cfg = HyrdConfig { fragment_selection: policy, ..HyrdConfig::default() };
+        let h = Hyrd::new(&fleet, cfg).expect("valid config");
         for i in 0..20 {
             h.create_file(&format!("/m/f{i}"), &vec![0u8; 6 << 20]).expect("fleet up");
         }

@@ -21,8 +21,7 @@ fn main() {
         let config = paper_postmark(0xAB1E);
         let stats = run_scheme(
             move |f| {
-                let mut cfg = HyrdConfig::default();
-                cfg.replication_level = level;
+                let cfg = HyrdConfig { replication_level: level, ..HyrdConfig::default() };
                 Box::new(Hyrd::new(f, cfg).expect("valid config"))
             },
             Mode::Normal,
@@ -33,9 +32,8 @@ fn main() {
 
         // Storage overhead on a dedicated instance.
         let fleet = Fleet::standard_four(SimClock::new());
-        let mut cfg = HyrdConfig::default();
-        cfg.replication_level = level;
-        let mut h = Hyrd::new(&fleet, cfg).expect("valid config");
+        let cfg = HyrdConfig { replication_level: level, ..HyrdConfig::default() };
+        let h = Hyrd::new(&fleet, cfg).expect("valid config");
         for i in 0..40 {
             h.create_file(&format!("/s/f{i}"), &vec![0u8; 16 << 10]).expect("fleet up");
         }

@@ -25,7 +25,7 @@ fn main() {
     // HyRD.
     {
         let fleet = Fleet::standard_four(SimClock::new());
-        let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
         h.create_file("/f", &synth_content("/f", 0, 256 << 10)).expect("fleet up");
         let report = h.update_file("/f", 1000, &synth_content("/f", 1, 8 << 10)).expect("fleet up");
         print_row("HyRD", &report);
@@ -97,7 +97,7 @@ fn main() {
     // HyRD consistency update after an outage (log replay, not rebuild).
     header("HyRD consistency update after a 1-provider outage (50 small writes)");
     let fleet = Fleet::standard_four(SimClock::new());
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let azure = fleet.by_name("Windows Azure").expect("standard fleet");
     azure.force_down();
     for i in 0..50 {

@@ -18,15 +18,16 @@ fn main() {
         "scheme", "p=0.99", "p=0.995", "p=0.999", "p=0.9995"
     );
     let ps = [0.99, 0.995, 0.999, 0.9995];
-    let rows: Vec<(&str, Box<dyn Fn(f64) -> f64>)> = vec![
-        ("single cloud", Box::new(|p| p)),
-        ("DuraCloud (r=2)", Box::new(|p| replication_availability(p, 2))),
-        ("DepSky (r=4)", Box::new(|p| replication_availability(p, 4))),
-        ("RACS RAID5(3+1)", Box::new(|p| erasure_availability(p, 3, 4))),
-        ("NCCloud RS(2,4)", Box::new(|p| erasure_availability(p, 2, 4))),
-        ("HyRD small tier", Box::new(|p| replication_availability(p, 2))),
-        ("HyRD large tier", Box::new(|p| erasure_availability(p, 3, 4))),
-        ("HyRD (88% small)", Box::new(|p| hyrd_availability(p, 2, 3, 4, 0.88))),
+    type Availability = fn(f64) -> f64;
+    let rows: [(&str, Availability); 8] = [
+        ("single cloud", |p| p),
+        ("DuraCloud (r=2)", |p| replication_availability(p, 2)),
+        ("DepSky (r=4)", |p| replication_availability(p, 4)),
+        ("RACS RAID5(3+1)", |p| erasure_availability(p, 3, 4)),
+        ("NCCloud RS(2,4)", |p| erasure_availability(p, 2, 4)),
+        ("HyRD small tier", |p| replication_availability(p, 2)),
+        ("HyRD large tier", |p| erasure_availability(p, 3, 4)),
+        ("HyRD (88% small)", |p| hyrd_availability(p, 2, 3, 4, 0.88)),
     ];
     for (name, f) in &rows {
         print!("{name:<18}");

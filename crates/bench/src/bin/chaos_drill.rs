@@ -50,14 +50,12 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use serde::Serialize;
-
 use hyrd::crashtest::CrashHarness;
 use hyrd::driver::ReplayOptions;
 use hyrd::policy::MigrationReport;
 use hyrd::prelude::*;
 use hyrd::scrub::ScrubReport;
-use hyrd::telemetry::{Collector, SharedBuf, SlowSpan};
+use hyrd::telemetry::{json, Collector, SharedBuf, SlowSpan};
 use hyrd_bench::{header, write_json};
 use hyrd_cloudsim::{CrashPlan, FaultPlan};
 use hyrd_workloads::{FsOp, IaTrace};
@@ -109,7 +107,7 @@ fn build_ops(trace: &IaTrace, seed: u64, want: usize) -> Vec<FsOp> {
                 other => ops.push(other),
             }
             let z = mix(seed ^ 0x55AA, ops.len() as u64);
-            if z % 19 == 0 && !created.is_empty() {
+            if z.is_multiple_of(19) && !created.is_empty() {
                 let target = created[(z >> 32) as usize % created.len()].clone();
                 ops.push(FsOp::Update {
                     path: target,
@@ -158,61 +156,65 @@ fn weave_policy_pool(ops: Vec<FsOp>) -> Vec<FsOp> {
     out
 }
 
-/// Everything one drill run measured. Field order is the JSON order; all
-/// collections are scalar, so same-seed runs serialize byte-identically.
-#[derive(Debug, Serialize, PartialEq)]
-struct ChaosReport {
-    seed: u64,
-    clients: usize,
-    ops_requested: usize,
-    ops_replayed: usize,
-    files_live: usize,
-    virtual_hours: f64,
-    // Replay-visible fault handling.
-    replay_errors: u64,
-    retries: u64,
-    breaker_trips: u64,
-    breaker_rejections: u64,
-    corrupt_gets: u64,
-    // Consistency updates (outage + periodic sweeps).
-    recovery_puts_replayed: u64,
-    recovery_removes_replayed: u64,
-    recovery_bytes_restored: u64,
-    // Scrub passes during the drill, then the final clean-state pass.
-    drill_scrub: ScrubReport,
-    final_scrub: ScrubReport,
-    // Background migration activity (`--migrate`; `None` when the
-    // policy is off, so plain-drill reports keep their exact shape).
-    migrations: Option<MigrationReport>,
-    // The availability verdict.
-    verify_failures_mid_drill: u64,
-    final_sweep_files: usize,
-    final_sweep_mismatches: u64,
-    final_sweep_errors: u64,
-    unrecoverable_reads: u64,
-    // Per-session op counts (these legitimately vary with `--clients`;
-    // everything above, and the trace, does not).
-    session_ops: BTreeMap<String, u64>,
-    // What the trace collector saw (virtual-clock data only, so this
-    // section is as deterministic as the rest of the report).
-    telemetry: TelemetrySection,
+hyrd::telemetry::json_struct! {
+    /// Everything one drill run measured. Field order is the JSON order; all
+    /// collections are scalar, so same-seed runs serialize byte-identically.
+    #[derive(Debug, PartialEq)]
+    struct ChaosReport {
+        seed: u64,
+        clients: usize,
+        ops_requested: usize,
+        ops_replayed: usize,
+        files_live: usize,
+        virtual_hours: f64,
+        // Replay-visible fault handling.
+        replay_errors: u64,
+        retries: u64,
+        breaker_trips: u64,
+        breaker_rejections: u64,
+        corrupt_gets: u64,
+        // Consistency updates (outage + periodic sweeps).
+        recovery_puts_replayed: u64,
+        recovery_removes_replayed: u64,
+        recovery_bytes_restored: u64,
+        // Scrub passes during the drill, then the final clean-state pass.
+        drill_scrub: ScrubReport,
+        final_scrub: ScrubReport,
+        // Background migration activity (`--migrate`; `None` when the
+        // policy is off, so plain-drill reports keep their exact shape).
+        migrations: Option<MigrationReport>,
+        // The availability verdict.
+        verify_failures_mid_drill: u64,
+        final_sweep_files: usize,
+        final_sweep_mismatches: u64,
+        final_sweep_errors: u64,
+        unrecoverable_reads: u64,
+        // Per-session op counts (these legitimately vary with `--clients`;
+        // everything above, and the trace, does not).
+        session_ops: BTreeMap<String, u64>,
+        // What the trace collector saw (virtual-clock data only, so this
+        // section is as deterministic as the rest of the report).
+        telemetry: TelemetrySection,
+    }
 }
 
-/// Report section distilled from the telemetry collector. Only
-/// virtual-clock-derived values belong here: wall-clock histograms (e.g.
-/// `ec.encode_wall_ns`) stay out so same-seed reports stay byte-identical.
-#[derive(Debug, Serialize, PartialEq)]
-struct TelemetrySection {
-    /// Lines in the JSONL trace (spans, events, meta).
-    trace_records: u64,
-    /// The five slowest spans by virtual duration, flame path included.
-    spans_top5: Vec<SlowSpan>,
-    /// Provider operations issued, per provider.
-    provider_ops: BTreeMap<String, u64>,
-    /// Faults injected by the simulator, per provider.
-    provider_faults: BTreeMap<String, u64>,
-    /// Retry backoffs taken by the dispatcher, per provider.
-    retry_backoffs: BTreeMap<String, u64>,
+hyrd::telemetry::json_struct! {
+    /// Report section distilled from the telemetry collector. Only
+    /// virtual-clock-derived values belong here: wall-clock histograms (e.g.
+    /// `ec.encode_wall_ns`) stay out so same-seed reports stay byte-identical.
+    #[derive(Debug, PartialEq)]
+    struct TelemetrySection {
+        /// Lines in the JSONL trace (spans, events, meta).
+        trace_records: u64,
+        /// The five slowest spans by virtual duration, flame path included.
+        spans_top5: Vec<SlowSpan>,
+        /// Provider operations issued, per provider.
+        provider_ops: BTreeMap<String, u64>,
+        /// Faults injected by the simulator, per provider.
+        provider_faults: BTreeMap<String, u64>,
+        /// Retry backoffs taken by the dispatcher, per provider.
+        retry_backoffs: BTreeMap<String, u64>,
+    }
 }
 
 /// The `--migrate` drill config: adaptive policy on, tuned so both
@@ -383,25 +385,27 @@ fn run_drill(
     (report, trace)
 }
 
-/// Everything one crash-mode drill measured. All scalars, so the same
-/// seed serializes byte-identically.
-#[derive(Debug, Serialize, PartialEq)]
-struct CrashDrillReport {
-    seed: u64,
-    ops_replayed: usize,
-    acked: u64,
-    refused: u64,
-    crashes: u64,
-    restarts: u64,
-    restarts_gc_skipped: u64,
-    intents_rolled_forward: u64,
-    intents_rolled_back: u64,
-    replicas_healed: u64,
-    orphans_removed: u64,
-    pending_pruned: u64,
-    torn_blocks_seen: u64,
-    total_violations: u64,
-    violations: Vec<String>,
+hyrd::telemetry::json_struct! {
+    /// Everything one crash-mode drill measured. All scalars, so the same
+    /// seed serializes byte-identically.
+    #[derive(Debug, PartialEq)]
+    struct CrashDrillReport {
+        seed: u64,
+        ops_replayed: usize,
+        acked: u64,
+        refused: u64,
+        crashes: u64,
+        restarts: u64,
+        restarts_gc_skipped: u64,
+        intents_rolled_forward: u64,
+        intents_rolled_back: u64,
+        replicas_healed: u64,
+        orphans_removed: u64,
+        pending_pruned: u64,
+        torn_blocks_seen: u64,
+        total_violations: u64,
+        violations: Vec<String>,
+    }
 }
 
 /// The chaos schedule with deterministic client deaths on top: the op
@@ -520,7 +524,7 @@ fn main() {
     if crash {
         header(&format!("chaos crash drill: {ops} ops, seed {seed}"));
         let report = run_crash_drill(seed, ops);
-        let body = serde_json::to_string_pretty(&report).expect("serialize report");
+        let body = json::to_string_pretty(&report);
         if selfcheck {
             let again = run_crash_drill(seed, ops);
             assert_eq!(report, again, "crash drill diverged between same-seed runs");
@@ -551,19 +555,19 @@ fn main() {
     let policy = if migrate { ", adaptive policy on" } else { "" };
     header(&format!("chaos drill: {ops} ops, seed {seed}, {clients} client(s){policy}"));
     let (report, trace) = run_drill(seed, ops, clients, migrate);
-    let body = serde_json::to_string_pretty(&report).expect("serialize report");
+    let body = json::to_string_pretty(&report);
 
     if selfcheck {
         // Two more drills through the parallel sweep engine at the
         // requested worker count: every swept report and trace must be
         // byte-identical to the inline run above — same-seed
         // repeatability and sweep-engine neutrality in one check.
-        let cells: Vec<Box<dyn FnOnce() -> (String, Vec<u8>) + Send>> = (0..2)
+        let cells: Vec<_> = (0..2)
             .map(|_| {
-                Box::new(move || {
+                move || {
                     let (r, t) = run_drill(seed, ops, clients, migrate);
-                    (serde_json::to_string_pretty(&r).expect("serialize report"), t)
-                }) as Box<dyn FnOnce() -> (String, Vec<u8>) + Send>
+                    (json::to_string_pretty(&r), t)
+                }
             })
             .collect();
         for (i, (body_j, trace_j)) in replay_sweep(cells, jobs).into_iter().enumerate() {

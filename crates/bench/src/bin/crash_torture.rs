@@ -29,11 +29,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::Serialize;
-
 use hyrd::crashtest::CrashHarness;
 use hyrd::prelude::*;
-use hyrd::telemetry::{Collector, SharedBuf};
+use hyrd::telemetry::{json, Collector, SharedBuf};
 use hyrd_bench::{header, write_json};
 use hyrd_cloudsim::CrashPlan;
 use hyrd_workloads::{FsOp, IaTrace};
@@ -122,7 +120,7 @@ fn ia_ops(seed: u64, want: usize) -> Vec<FsOp> {
                 other => ops.push(other),
             }
             let z = mix(seed ^ 0x55AA, ops.len() as u64);
-            if z % 17 == 0 && !created.is_empty() {
+            if z.is_multiple_of(17) && !created.is_empty() {
                 let target = created[(z >> 32) as usize % created.len()].clone();
                 ops.push(FsOp::Update {
                     path: target,
@@ -316,40 +314,42 @@ fn sampled_plans(clean: &CleanRun, seed: u64, samples: usize) -> Vec<(String, Cr
     plans
 }
 
-/// The deterministic torture report: scalars and sorted maps only.
-#[derive(Debug, Serialize, PartialEq)]
-struct TortureReport {
-    seed: u64,
-    // Exhaustive sweep over the handcrafted trace.
-    trace_ops: usize,
-    setup_ops: u64,
-    trace_provider_ops: u64,
-    clean_point_hits: BTreeMap<String, u64>,
-    clean_trace_records: u64,
-    budget_cells: usize,
-    point_cells: usize,
-    cells_crashed: usize,
-    cells_missed: usize,
-    restarts: u64,
-    intents_rolled_forward: u64,
-    intents_rolled_back: u64,
-    replicas_healed: u64,
-    orphans_removed: u64,
-    pending_pruned: u64,
-    torn_blocks_seen: u64,
-    // Seeded sampling over the IA trace.
-    ia_ran: bool,
-    ia_trace_ops: usize,
-    ia_provider_ops: u64,
-    ia_cells: usize,
-    ia_cells_crashed: usize,
-    ia_restarts: u64,
-    ia_intents_rolled_forward: u64,
-    ia_intents_rolled_back: u64,
-    ia_orphans_removed: u64,
-    // Verdict.
-    total_violations: u64,
-    violations: Vec<String>,
+hyrd::telemetry::json_struct! {
+    /// The deterministic torture report: scalars and sorted maps only.
+    #[derive(Debug, PartialEq)]
+    struct TortureReport {
+        seed: u64,
+        // Exhaustive sweep over the handcrafted trace.
+        trace_ops: usize,
+        setup_ops: u64,
+        trace_provider_ops: u64,
+        clean_point_hits: BTreeMap<String, u64>,
+        clean_trace_records: u64,
+        budget_cells: usize,
+        point_cells: usize,
+        cells_crashed: usize,
+        cells_missed: usize,
+        restarts: u64,
+        intents_rolled_forward: u64,
+        intents_rolled_back: u64,
+        replicas_healed: u64,
+        orphans_removed: u64,
+        pending_pruned: u64,
+        torn_blocks_seen: u64,
+        // Seeded sampling over the IA trace.
+        ia_ran: bool,
+        ia_trace_ops: usize,
+        ia_provider_ops: u64,
+        ia_cells: usize,
+        ia_cells_crashed: usize,
+        ia_restarts: u64,
+        ia_intents_rolled_forward: u64,
+        ia_intents_rolled_back: u64,
+        ia_orphans_removed: u64,
+        // Verdict.
+        total_violations: u64,
+        violations: Vec<String>,
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -461,7 +461,7 @@ fn main() {
 
     header(&format!("crash torture: {} trace ops exhaustive, seed {}", opts.trace_ops, opts.seed));
     let (report, clean_trace) = run_torture(&opts);
-    let body = serde_json::to_string_pretty(&report).expect("serialize report");
+    let body = json::to_string_pretty(&report);
 
     if selfcheck {
         // The whole torture again at a different worker count: report
@@ -469,7 +469,7 @@ fn main() {
         // repeatability and sweep-engine neutrality in one check.
         let alt = TortureOptions { jobs: if opts.jobs == 1 { 0 } else { 1 }, ..opts };
         let (report_j, trace_j) = run_torture(&alt);
-        let body_j = serde_json::to_string_pretty(&report_j).expect("serialize report");
+        let body_j = json::to_string_pretty(&report_j);
         assert_eq!(body, body_j, "torture report diverged across worker counts");
         assert_eq!(clean_trace, trace_j, "clean-run trace diverged across worker counts");
         println!(

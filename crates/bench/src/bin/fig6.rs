@@ -11,7 +11,7 @@ use hyrd_bench::fig6::{extended_lineup, paper_postmark, run_lineup_sweep};
 use hyrd_bench::{flag_usize, header, write_json, Series};
 
 fn main() {
-    let config = paper_postmark(0xF16_6);
+    let config = paper_postmark(0xF166);
     header("Figure 6: access latency, normalized to Amazon S3 (normal state)");
 
     let mut results: Vec<(String, f64, f64)> = Vec::new(); // (name, normal, outage)

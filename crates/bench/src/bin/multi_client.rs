@@ -21,11 +21,9 @@
 //! Usage: `multi_client [--clients N] [--jobs N] [--files N] [--ops N]
 //! [--seed S] [--smoke] [--check] [--trace PATH] [--obs PATH]`
 
-use serde::Serialize;
-
 use hyrd::driver::{multi_client, ReplayOptions};
 use hyrd::prelude::*;
-use hyrd::telemetry::{Collector, MetricsSnapshot, SharedBuf};
+use hyrd::telemetry::{json, Collector, MetricsSnapshot, SharedBuf};
 use hyrd_bench::{header, write_json};
 use hyrd_workloads::{FileSizeDist, PostMark, PostMarkConfig};
 
@@ -74,14 +72,16 @@ fn run_soak(
     SoakOutput { report, trace: trace_buf.contents(), snapshot: telemetry.metrics() }
 }
 
-/// The JSON artifact: the engine report plus the workload shape.
-#[derive(Debug, Serialize)]
-struct SoakRecord {
-    seed: u64,
-    files: usize,
-    transactions: usize,
-    jobs: usize,
-    report: MultiClientReport,
+hyrd::telemetry::json_struct! {
+    /// The JSON artifact: the engine report plus the workload shape.
+    #[derive(Debug)]
+    struct SoakRecord {
+        seed: u64,
+        files: usize,
+        transactions: usize,
+        jobs: usize,
+        report: MultiClientReport,
+    }
 }
 
 fn main() {
@@ -121,8 +121,7 @@ fn main() {
          seed {seed}, jobs {jobs}"
     ));
     let out = run_soak(seed, files, transactions, clients, jobs);
-    let merged_json =
-        serde_json::to_string_pretty(&out.report.merged).expect("serialize merged stats");
+    let merged_json = json::to_string_pretty(&out.report.merged);
 
     let m = &out.report.merged;
     println!(
@@ -187,8 +186,7 @@ fn main() {
         );
         for (c, j) in [(1usize, 1usize), (clients, 2)] {
             let alt = run_soak(seed, files, transactions, c, j);
-            let alt_json =
-                serde_json::to_string_pretty(&alt.report.merged).expect("serialize merged stats");
+            let alt_json = json::to_string_pretty(&alt.report.merged);
             assert_eq!(merged_json, alt_json, "merged stats diverged at --clients {c} --jobs {j}");
             assert_eq!(out.trace, alt.trace, "trace diverged at --clients {c} --jobs {j}");
         }

@@ -27,9 +27,9 @@
 
 use std::time::Duration;
 
-use serde::Serialize;
-
-use hyrd::driver::{replay_sweep, replay_with_state, ReplayOptions, ReplayState, ReplayStats};
+use hyrd::driver::{
+    replay_sweep, replay_with_state, ReplayOptions, ReplayState, ReplayStats, SweepCell,
+};
 use hyrd::observatory;
 use hyrd::policy::MigrationReport;
 use hyrd::prelude::*;
@@ -52,19 +52,21 @@ fn adaptive_config() -> HyrdConfig {
     cfg
 }
 
-/// One sweep cell's outcome. Latency values are virtual-clock
-/// nanoseconds over the access phase only (the create phase is setup).
-#[derive(Debug, Clone, Serialize, PartialEq)]
-struct Cell {
-    scheme: String,
-    read_p50_ns: u64,
-    read_p99_ns: u64,
-    mean_ns: u64,
-    stored_bytes: u64,
-    errors: u64,
-    verify_failures: u64,
-    provider_ops: u64,
-    migrations: Option<MigrationReport>,
+hyrd::telemetry::json_struct! {
+    /// One sweep cell's outcome. Latency values are virtual-clock
+    /// nanoseconds over the access phase only (the create phase is setup).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Cell {
+        scheme: String,
+        read_p50_ns: u64,
+        read_p99_ns: u64,
+        mean_ns: u64,
+        stored_bytes: u64,
+        errors: u64,
+        verify_failures: u64,
+        provider_ops: u64,
+        migrations: Option<MigrationReport>,
+    }
 }
 
 /// Shared per-cell harness: fresh fleet + clock + trace collector, the
@@ -165,19 +167,19 @@ fn run_adaptive(workload: &ZipfWorkload) -> (Cell, Vec<u8>) {
 
 /// The sweep lineup: static baselines, then the adaptive policy.
 fn run_lineup(workload: &ZipfWorkload, jobs: usize) -> Vec<(Cell, Vec<u8>)> {
-    let statics: Vec<(&'static str, fn(&Fleet, Collector) -> Box<dyn Scheme>)> = vec![
+    type Make = fn(&Fleet, Collector) -> Box<dyn Scheme>;
+    let statics: Vec<(&'static str, Make)> = vec![
         ("DuraCloud", |f, _| Box::new(DuraCloud::standard(f).expect("standard fleet"))),
         ("RACS", |f, _| Box::new(Racs::new(f).expect("4-provider fleet"))),
         ("HyRD", |f, t| {
             Box::new(Hyrd::with_telemetry(f, HyrdConfig::default(), t).expect("valid config"))
         }),
         ("HyRD+hot", |f, t| {
-            let mut cfg = HyrdConfig::default();
-            cfg.hot_read_threshold = Some(2);
+            let cfg = HyrdConfig { hot_read_threshold: Some(2), ..HyrdConfig::default() };
             Box::new(Hyrd::with_telemetry(f, cfg, t).expect("valid config"))
         }),
     ];
-    let mut cells: Vec<Box<dyn FnOnce() -> (Cell, Vec<u8>) + Send>> = Vec::new();
+    let mut cells: Vec<SweepCell<'_, (Cell, Vec<u8>)>> = Vec::new();
     for (name, make) in statics {
         let w = workload.clone();
         cells.push(Box::new(move || run_static(name, make, &w)));

@@ -17,19 +17,20 @@
 //! Usage: `postmark [--files N] [--ops N] [--seed S] [--clients N]
 //! [--jobs N] [--smoke] [--check]`
 
-use serde::Serialize;
-
 use hyrd::driver::{multi_client, ReplayOptions};
 use hyrd::prelude::*;
+use hyrd::telemetry::json;
 use hyrd_bench::{header, write_json};
 use hyrd_workloads::{PostMark, PostMarkConfig, PostMarkReport};
 
-#[derive(Debug, Serialize)]
-struct PostMarkRecord {
-    seed: u64,
-    clients: usize,
-    workload: PostMarkReport,
-    report: MultiClientReport,
+hyrd::telemetry::json_struct! {
+    #[derive(Debug)]
+    struct PostMarkRecord {
+        seed: u64,
+        clients: usize,
+        workload: PostMarkReport,
+        report: MultiClientReport,
+    }
 }
 
 /// One fresh replay of `ops`: new fleet, clock and HyRD client.
@@ -109,12 +110,10 @@ fn main() {
     }
 
     if check {
-        let merged_json =
-            serde_json::to_string_pretty(&report.merged).expect("serialize merged stats");
+        let merged_json = json::to_string_pretty(&report.merged);
         for (c, j) in [(1usize, 1usize), (clients, 2)] {
             let alt = run_replay(&ops, c, j);
-            let alt_json =
-                serde_json::to_string_pretty(&alt.merged).expect("serialize merged stats");
+            let alt_json = json::to_string_pretty(&alt.merged);
             assert_eq!(merged_json, alt_json, "merged stats diverged at --clients {c} --jobs {j}");
         }
         println!("check: merged stats byte-identical across --clients {clients}/1, --jobs 1/2 ✓");

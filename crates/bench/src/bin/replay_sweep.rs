@@ -13,15 +13,17 @@
 
 use std::time::Instant;
 
-use hyrd::driver::{effective_jobs, replay, ReplayOptions, ReplayStats};
+use hyrd::driver::{effective_jobs, replay, ReplayOptions, ReplayStats, SweepCell};
 use hyrd::prelude::*;
+use hyrd::telemetry::json;
 use hyrd_baselines::{DuraCloud, Racs};
+use hyrd_bench::fig6::SchemeFactory;
 use hyrd_bench::{flag_usize, header, write_json, Series};
 use hyrd_workloads::{FsOp, IaTrace};
 
 /// The swept lineup: HyRD plus the two baselines the paper's Figure 6
 /// spends the most ink on.
-fn lineup() -> Vec<(&'static str, fn(&Fleet) -> Box<dyn Scheme>)> {
+fn lineup() -> Vec<(&'static str, SchemeFactory)> {
     vec![
         ("HyRD", |f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid default config"))),
         ("RACS", |f| Box::new(Racs::new(f).expect("4-provider fleet"))),
@@ -56,7 +58,7 @@ fn week_ops(trace: &IaTrace, week: usize, seed: u64) -> Vec<FsOp> {
 }
 
 /// One cell: a fresh ghost-mode fleet replaying one week.
-fn run_cell(make: fn(&Fleet) -> Box<dyn Scheme>, ops: &[FsOp]) -> ReplayStats {
+fn run_cell(make: SchemeFactory, ops: &[FsOp]) -> ReplayStats {
     let clock = SimClock::new();
     let fleet = Fleet::standard_four(clock.clone());
     for p in fleet.providers() {
@@ -68,7 +70,7 @@ fn run_cell(make: fn(&Fleet) -> Box<dyn Scheme>, ops: &[FsOp]) -> ReplayStats {
 
 /// Runs the whole scheme × week grid on `jobs` workers.
 fn run_grid(weeks_ops: &[Vec<FsOp>], jobs: usize) -> Vec<ReplayStats> {
-    let mut cells: Vec<Box<dyn FnOnce() -> ReplayStats + Send + '_>> = Vec::new();
+    let mut cells: Vec<SweepCell<'_, ReplayStats>> = Vec::new();
     for (_, make) in lineup() {
         for ops in weeks_ops {
             cells.push(Box::new(move || run_cell(make, ops)));
@@ -136,8 +138,8 @@ fn main() {
 
     if check {
         let single = run_grid(&weeks_ops, 1);
-        let a = serde_json::to_string(&results).expect("serialize stats");
-        let b = serde_json::to_string(&single).expect("serialize stats");
+        let a = json::to_string(&results);
+        let b = json::to_string(&single);
         assert_eq!(a, b, "jobs={} and jobs=1 must be byte-identical", effective_jobs(jobs));
         println!("check: jobs={} matches jobs=1 byte-for-byte ✓", effective_jobs(jobs));
     }

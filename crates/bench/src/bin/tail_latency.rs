@@ -75,7 +75,7 @@ fn run_cell(cell: &Cell, workload: &OpenLoop) -> CellOutput {
     let fleet = Fleet::standard_four(clock.clone());
     let trace_buf = SharedBuf::new();
     let telemetry = Collector::builder(clock.clone()).jsonl(trace_buf.clone()).build();
-    let config = HyrdConfig { hedge: cell.hedge.clone(), ..HyrdConfig::default() };
+    let config = HyrdConfig { hedge: cell.hedge, ..HyrdConfig::default() };
     let mut hyrd = Hyrd::with_telemetry(&fleet, config, telemetry.clone()).expect("valid config");
     let opts = ReplayOptions {
         verify_reads: true,

@@ -14,6 +14,7 @@ use hyrd_bench::fig6::{paper_postmark, run_scheme, Mode};
 use hyrd_bench::{header, write_json, Series};
 use hyrd_costsim::model::HyrdModel;
 use hyrd_costsim::report::run_model;
+use hyrd_workloads::rng::Rng;
 use hyrd_workloads::{FileSizeDist, IaTrace};
 
 const THRESHOLDS: [(u64, &str); 6] = [
@@ -42,8 +43,7 @@ fn main() {
         let config = paper_postmark(0x5EEE);
         let stats = run_scheme(
             move |f| {
-                let mut cfg = HyrdConfig::default();
-                cfg.threshold = threshold;
+                let cfg = HyrdConfig { threshold, ..HyrdConfig::default() };
                 Box::new(Hyrd::new(f, cfg).expect("valid config"))
             },
             Mode::Normal,
@@ -57,18 +57,16 @@ fn main() {
         for p in fleet.providers() {
             p.set_ghost_mode(true);
         }
-        let mut cfg = HyrdConfig::default();
-        cfg.threshold = threshold;
-        let mut h = Hyrd::new(&fleet, cfg).expect("valid config");
+        let cfg = HyrdConfig { threshold, ..HyrdConfig::default() };
+        let h = Hyrd::new(&fleet, cfg).expect("valid config");
         let mut rng_state = 0x1234_5678_u64;
         let mut next = || {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
             rng_state
         };
-        use rand::prelude::*;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(next());
+        let mut rng = Rng::seed_from_u64(next());
         for i in 0..120 {
-            let size = rng.sample(&dist) as usize;
+            let size = dist.sample(&mut rng) as usize;
             h.create_file(&format!("/sweep/f{i}"), &vec![0u8; size]).expect("fleet up");
         }
         let overhead = h.physical_bytes() as f64 / h.logical_bytes() as f64;

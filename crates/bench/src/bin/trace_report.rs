@@ -358,9 +358,8 @@ fn render_model_check(
 // Entry point
 // ---------------------------------------------------------------------------
 
-fn build_report(
-    text: &str,
-    jobs: usize,
+/// What the report shows and what the model cross-check assumes.
+struct ReportOptions {
     top: usize,
     buckets: usize,
     slo_ms: u64,
@@ -368,7 +367,14 @@ fn build_report(
     m: u64,
     n: u64,
     tolerance: f64,
+}
+
+fn build_report(
+    text: &str,
+    jobs: usize,
+    opts: &ReportOptions,
 ) -> Result<(String, ModelCheck), ParseError> {
+    let &ReportOptions { top, buckets, slo_ms, rep, m, n, tolerance } = opts;
     let records = observatory::parse_trace_jobs(text, jobs)?;
     let mut obs = observatory::Observatory::new();
     for rec in &records {
@@ -398,13 +404,8 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut check_model = false;
     let mut selfcheck = false;
-    let mut tolerance: f64 = 0.02;
-    let mut slo_ms: u64 = 30_000;
-    let mut top: usize = 5;
-    let mut buckets: usize = 16;
-    let mut rep: u64 = 2;
-    let mut m: u64 = 3;
-    let mut n: u64 = 4;
+    let mut opts =
+        ReportOptions { top: 5, buckets: 16, slo_ms: 30_000, rep: 2, m: 3, n: 4, tolerance: 0.02 };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut next = |what: &str| args.next().unwrap_or_else(|| panic!("{what} needs a value"));
@@ -414,30 +415,31 @@ fn main() {
             "--out" => out_path = Some(next("--out")),
             "--check-model" => check_model = true,
             "--selfcheck" => selfcheck = true,
-            "--tolerance" => tolerance = next("--tolerance").parse().expect("numeric --tolerance"),
-            "--slo-ms" => slo_ms = next("--slo-ms").parse().expect("numeric --slo-ms"),
-            "--top" => top = next("--top").parse().expect("numeric --top"),
-            "--buckets" => {
-                buckets = next("--buckets").parse::<usize>().expect("numeric --buckets").max(1);
+            "--tolerance" => {
+                opts.tolerance = next("--tolerance").parse().expect("numeric --tolerance")
             }
-            "--rep" => rep = next("--rep").parse().expect("numeric --rep"),
-            "--m" => m = next("--m").parse().expect("numeric --m"),
-            "--n" => n = next("--n").parse().expect("numeric --n"),
+            "--slo-ms" => opts.slo_ms = next("--slo-ms").parse().expect("numeric --slo-ms"),
+            "--top" => opts.top = next("--top").parse().expect("numeric --top"),
+            "--buckets" => {
+                opts.buckets =
+                    next("--buckets").parse::<usize>().expect("numeric --buckets").max(1);
+            }
+            "--rep" => opts.rep = next("--rep").parse().expect("numeric --rep"),
+            "--m" => opts.m = next("--m").parse().expect("numeric --m"),
+            "--n" => opts.n = next("--n").parse().expect("numeric --n"),
             other => panic!("unknown argument: {other} (see module docs for usage)"),
         }
     }
     let trace = trace.expect("--trace PATH is required");
     let text = std::fs::read_to_string(&trace).unwrap_or_else(|e| refuse(&trace, e));
 
-    let (report, check) = build_report(&text, jobs, top, buckets, slo_ms, rep, m, n, tolerance)
-        .unwrap_or_else(|e| refuse(&trace, e));
+    let (report, check) = build_report(&text, jobs, &opts).unwrap_or_else(|e| refuse(&trace, e));
 
     if selfcheck {
         // The whole pipeline re-run across several worker counts must
         // produce the same bytes.
         for alt in [1usize, 2, 8] {
-            let (again, _) = build_report(&text, alt, top, buckets, slo_ms, rep, m, n, tolerance)
-                .expect("it parsed a moment ago");
+            let (again, _) = build_report(&text, alt, &opts).expect("it parsed a moment ago");
             assert_eq!(report, again, "report diverged between jobs={jobs} and jobs={alt}");
         }
         eprintln!("selfcheck: report byte-identical across jobs 1/2/8 ✓");

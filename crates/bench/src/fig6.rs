@@ -2,7 +2,9 @@
 //! latency under PostMark, normal state and Azure-outage state), reused
 //! by the threshold sweep and the ablation binaries.
 
-use hyrd::driver::{replay_sweep, replay_with_state, ReplayOptions, ReplayState, ReplayStats};
+use hyrd::driver::{
+    replay_sweep, replay_with_state, ReplayOptions, ReplayState, ReplayStats, SweepCell,
+};
 use hyrd::prelude::*;
 use hyrd_baselines::{DepSky, DuraCloud, NcCloudLite, Racs, SingleCloud};
 use hyrd_workloads::{FsOp, PostMark, PostMarkConfig};
@@ -67,11 +69,11 @@ pub type LineupRow = (&'static str, ReplayStats, Option<ReplayStats>);
 /// collects results in submission order, which makes the output —
 /// including the JSON record — byte-identical for every job count.
 pub fn run_lineup_sweep(
-    schemes: Vec<(&'static str, fn(&Fleet) -> Box<dyn Scheme>)>,
+    schemes: Vec<(&'static str, SchemeFactory)>,
     config: &PostMarkConfig,
     jobs: usize,
 ) -> Vec<LineupRow> {
-    let mut cells: Vec<Box<dyn FnOnce() -> ReplayStats + Send>> = Vec::new();
+    let mut cells: Vec<SweepCell<'_, ReplayStats>> = Vec::new();
     let mut shape = Vec::new();
     for (name, make) in schemes {
         let cfg = config.clone();
@@ -94,8 +96,12 @@ pub fn run_lineup_sweep(
         .collect()
 }
 
+/// Builds one scheme over a fresh fleet; a lineup pairs each with the
+/// name its row is printed under.
+pub type SchemeFactory = fn(&Fleet) -> Box<dyn Scheme>;
+
 /// The scheme lineup of Figure 6 (name, factory).
-pub fn lineup() -> Vec<(&'static str, fn(&Fleet) -> Box<dyn Scheme>)> {
+pub fn lineup() -> Vec<(&'static str, SchemeFactory)> {
     vec![
         ("Amazon S3", |f| Box::new(SingleCloud::amazon_s3(f).expect("fleet has S3"))),
         ("DuraCloud", |f| Box::new(DuraCloud::standard(f).expect("standard fleet"))),
@@ -107,11 +113,10 @@ pub fn lineup() -> Vec<(&'static str, fn(&Fleet) -> Box<dyn Scheme>)> {
 /// Extended lineup including the schemes beyond the paper's Figure 6,
 /// plus HyRD with the Figure 2 hot-file overlap enabled (frequently read
 /// large files gain a whole-object copy on the performance tier).
-pub fn extended_lineup() -> Vec<(&'static str, fn(&Fleet) -> Box<dyn Scheme>)> {
+pub fn extended_lineup() -> Vec<(&'static str, SchemeFactory)> {
     let mut v = lineup();
     v.push(("HyRD+hot", |f| {
-        let mut cfg = HyrdConfig::default();
-        cfg.hot_read_threshold = Some(2);
+        let cfg = HyrdConfig { hot_read_threshold: Some(2), ..HyrdConfig::default() };
         Box::new(Hyrd::new(f, cfg).expect("valid config"))
     }));
     v.push(("DepSky", |f| Box::new(DepSky::new(f).expect("4-provider fleet"))));

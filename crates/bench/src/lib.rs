@@ -7,7 +7,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use hyrd_telemetry::json::{self, ToJson};
 
 pub mod fig6;
 
@@ -19,10 +19,10 @@ pub fn experiments_dir() -> PathBuf {
 }
 
 /// Writes an experiment's JSON record.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     let path = experiments_dir().join(format!("{name}.json"));
     let mut f = std::fs::File::create(&path).expect("create experiment file");
-    let body = serde_json::to_string_pretty(value).expect("serialize experiment");
+    let body = json::to_string_pretty(value);
     f.write_all(body.as_bytes()).expect("write experiment");
     println!("\n[written {}]", path.display());
 }
@@ -56,26 +56,33 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
 }
 
-/// A labelled series for JSON output.
-#[derive(Debug, Serialize)]
-pub struct Series {
-    /// Series label (scheme or provider name).
-    pub label: String,
-    /// Values in x-axis order.
-    pub values: Vec<f64>,
+hyrd_telemetry::json_struct! {
+    /// A labelled series for JSON output.
+    #[derive(Debug)]
+    pub struct Series {
+        /// Series label (scheme or provider name).
+        pub label: String,
+        /// Values in x-axis order.
+        pub values: Vec<f64>,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyrd_telemetry::{Document, Value};
 
     #[test]
     fn experiments_dir_exists_and_json_roundtrips() {
-        let s = Series { label: "t".into(), values: vec![1.0, 2.0] };
-        write_json("self-test", &s);
-        let path = experiments_dir().join("self-test.json");
-        let body = std::fs::read_to_string(path).unwrap();
+        let s = Series { label: "t".into(), values: vec![1.0, 2.5] };
+        write_json("self-test", &[s]);
+        let body = std::fs::read_to_string(experiments_dir().join("self-test.json")).unwrap();
         assert!(body.contains("\"label\": \"t\""));
+        let doc = hyrd_telemetry::parse_document(&body).expect("the record is a JSON document");
+        let Document::Array(series) = doc else { panic!("expected an array: {doc:?}") };
+        assert_eq!(series[0].get("label"), Some(&Document::Scalar(Value::Str("t".into()))));
+        let values = vec![Document::Scalar(Value::U64(1)), Document::Scalar(Value::F64(2.5))];
+        assert_eq!(series[0].get("values"), Some(&Document::Array(values)));
     }
 
     #[test]

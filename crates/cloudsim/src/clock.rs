@@ -4,7 +4,7 @@
 //! to decide whether they are inside an outage window; workload drivers
 //! advance it by request latencies and think times. Using a plain atomic
 //! (no mutex, no ordering stronger than needed) keeps the clock free to
-//! share across rayon workers in the replay engine: `advance` publishes
+//! share across the replay engine's worker threads: `advance` publishes
 //! with `AcqRel` so a reader that observes the new time also observes
 //! everything the advancing thread did before.
 

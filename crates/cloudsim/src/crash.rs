@@ -20,11 +20,12 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
+
+use hyrd_gcsapi::sync::lock;
 
 /// Where a crash lands. Carried by [`CrashPlan`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrashSite {
     /// Die when the fleet admits its `op`-th provider operation
     /// (1-based: `AtOp(1)` kills the very first op).
@@ -43,7 +44,7 @@ pub enum CrashSite {
 
 /// A seeded, deterministic plan for killing the client. Disarmed by
 /// default; build with [`CrashPlan::at_op`] or [`CrashPlan::at_point`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashPlan {
     site: Option<CrashSite>,
 }
@@ -92,7 +93,7 @@ impl CrashSwitch {
     /// run, [`reset`](Self::reset), and arm again on the same switch.
     pub fn arm(&self, plan: CrashPlan) {
         self.crashed.store(false, Ordering::SeqCst);
-        *self.plan.lock() = plan;
+        *lock(&self.plan) = plan;
     }
 
     /// Disarms the plan and clears the latch. Counters are *kept*: a
@@ -106,7 +107,7 @@ impl CrashSwitch {
     /// Zeroes the op and crashpoint counters (start of a fresh run).
     pub fn reset_counters(&self) {
         self.ops.store(0, Ordering::SeqCst);
-        self.points.lock().clear();
+        lock(&self.points).clear();
     }
 
     /// Whether the crash has fired and the client is considered dead.
@@ -122,7 +123,7 @@ impl CrashSwitch {
             return true;
         }
         let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(CrashSite::AtOp(budget)) = self.plan.lock().site() {
+        if let Some(CrashSite::AtOp(budget)) = lock(&self.plan).site() {
             if n >= *budget {
                 self.crashed.store(true, Ordering::SeqCst);
                 return true;
@@ -137,12 +138,12 @@ impl CrashSwitch {
         if self.crashed() {
             return true;
         }
-        let mut points = self.points.lock();
+        let mut points = lock(&self.points);
         let hits = points.entry(name.to_string()).or_insert(0);
         *hits += 1;
         let n = *hits;
         drop(points);
-        if let Some(CrashSite::AtPoint { name: want, hit }) = self.plan.lock().site() {
+        if let Some(CrashSite::AtPoint { name: want, hit }) = lock(&self.plan).site() {
             if want == name && n >= *hit {
                 self.crashed.store(true, Ordering::SeqCst);
                 return true;
@@ -158,7 +159,7 @@ impl CrashSwitch {
 
     /// Hit counts per crashpoint name since the last counter reset.
     pub fn point_hits(&self) -> BTreeMap<String, u64> {
-        self.points.lock().clone()
+        lock(&self.points).clone()
     }
 }
 
@@ -213,15 +214,5 @@ mod tests {
         s.reset_counters();
         assert_eq!(s.op_count(), 0);
         assert!(s.point_hits().is_empty());
-    }
-
-    #[test]
-    fn plans_roundtrip_through_serde() {
-        for plan in
-            [CrashPlan::disarmed(), CrashPlan::at_op(17), CrashPlan::at_point("meta.flush.post", 3)]
-        {
-            let json = serde_json::to_string(&plan).unwrap();
-            assert_eq!(serde_json::from_str::<CrashPlan>(&json).unwrap(), plan);
-        }
     }
 }

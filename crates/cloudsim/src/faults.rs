@@ -27,8 +27,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 finalizer over a seed and a salt: the one hash behind
 /// every per-op fault decision.
 fn mix(seed: u64, salt: u64) -> u64 {
@@ -44,7 +42,7 @@ const SALT_TORN: u64 = 0x544F_524E;
 const SALT_ROT: u64 = 0x0052_4F54;
 
 /// A window of elevated transient-error probability (throttling burst).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {
     /// Window start (virtual time, inclusive).
     pub start: Duration,
@@ -64,7 +62,7 @@ impl FaultWindow {
 
 /// A window during which op latencies are multiplied (tail-latency
 /// episode: a degraded network path, a hot shard on the provider side).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySpike {
     /// Episode start (inclusive).
     pub start: Duration,
@@ -83,7 +81,7 @@ impl LatencySpike {
 
 /// Per-provider fault schedule. Composes freely with the provider's
 /// [`crate::outage::OutageSchedule`] and flakiness knob.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     bursts: Vec<FaultWindow>,
@@ -125,7 +123,7 @@ impl FaultPlan {
         assert!(end > start, "spike must end after it starts");
         assert!(multiplier >= 1.0, "latency can only be inflated");
         self.spikes.push(LatencySpike { start, end, multiplier });
-        self.spikes.sort_by(|a, b| a.start.cmp(&b.start));
+        self.spikes.sort_by_key(|a| a.start);
         self
     }
 

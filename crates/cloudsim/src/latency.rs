@@ -20,8 +20,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_gcsapi::OpKind;
 
 /// The large-transfer knee: beyond this many bytes, effective bandwidth
@@ -30,7 +28,7 @@ use hyrd_gcsapi::OpKind;
 pub const DEFAULT_KNEE_BYTES: u64 = 1024 * 1024;
 
 /// Latency model parameters for one provider.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// One network round-trip (includes request processing).
     pub rtt: Duration,

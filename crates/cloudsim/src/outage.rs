@@ -10,10 +10,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// One unavailability window in virtual time, `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageWindow {
     /// When service drops.
     pub start: Duration,
@@ -41,7 +39,7 @@ impl OutageWindow {
 
 /// A provider's outage schedule: any number of windows plus a manual
 /// "forced down" switch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutageSchedule {
     windows: Vec<OutageWindow>,
     forced_down: bool,

@@ -6,10 +6,8 @@
 //! storage, per GB for transfer, and per 10K transactions split into the
 //! Put/Copy/Post/List class and the Get-and-others class.
 
-use serde::{Deserialize, Serialize};
-
 /// How the paper's evaluator classifies a provider (Table II last row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProviderCategory {
     /// Low storage price — where HyRD erasure-codes large files.
     CostOriented,
@@ -32,7 +30,7 @@ impl ProviderCategory {
 }
 
 /// One provider's price plan (all rates in US dollars).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceBook {
     /// Storage, $ per GB per month.
     pub storage_gb_month: f64,

@@ -16,13 +16,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::latency::LatencyModel;
 use crate::pricing::{PriceBook, ProviderCategory};
 
 /// A complete description of one provider: identity, prices, latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderProfile {
     /// Human-readable name.
     pub name: String,
@@ -35,7 +33,7 @@ pub struct ProviderProfile {
 }
 
 /// The four providers of the paper's evaluation, with calibrated models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WellKnownProvider {
     /// Amazon S3 (US region, reached from China).
     AmazonS3,

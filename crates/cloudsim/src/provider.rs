@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::atomic::AtomicBool;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use std::sync::RwLock;
+
+use hyrd_gcsapi::sync::{read, write};
 
 use hyrd_gcsapi::{
     CloudError, CloudResult, CloudStorage, ObjectKey, OpKind, OpOutcome, OpReport, OpStats,
@@ -124,7 +126,7 @@ impl SimProvider {
     /// Attaches the fleet's shared [`CrashSwitch`]; every admitted op
     /// consults (and counts on) it. Called by `Fleet::new`.
     pub fn set_crash_switch(&self, switch: std::sync::Arc<CrashSwitch>) {
-        *self.crash.write() = Some(switch);
+        *write(&self.crash) = Some(switch);
     }
 
     /// Installs a telemetry collector; every subsequent op emits a
@@ -132,11 +134,11 @@ impl SimProvider {
     /// fault a `provider.fault` event. Pass `Collector::disabled()` to
     /// turn instrumentation back into a no-op.
     pub fn set_telemetry(&self, collector: Collector) {
-        *self.telemetry.write() = collector;
+        *write(&self.telemetry) = collector;
     }
 
     fn telemetry(&self) -> Collector {
-        self.telemetry.read().clone()
+        read(&self.telemetry).clone()
     }
 
     /// Emits a fault event + counter. `reason` matches the `CloudError`
@@ -223,15 +225,14 @@ impl SimProvider {
 
     /// Number of stored objects across containers.
     pub fn object_count(&self) -> usize {
-        self.store.read().values().map(|c| c.len()).sum()
+        read(&self.store).values().map(|c| c.len()).sum()
     }
 
     /// Audit backdoor: every `(name, length)` stored in `container`, in
     /// name order, without an op, stats, or latency — the durability
     /// auditor's ground-truth view of what physically exists.
     pub fn object_inventory(&self, container: &str) -> Vec<(String, u64)> {
-        self.store
-            .read()
+        read(&self.store)
             .get(container)
             .map(|c| c.iter().map(|(k, v)| (k.clone(), v.len())).collect())
             .unwrap_or_default()
@@ -253,19 +254,19 @@ impl SimProvider {
 
     /// Forces the provider into an outage (Figure 6 methodology).
     pub fn force_down(&self) {
-        self.outage.write().force_down();
+        write(&self.outage).force_down();
         self.note_status("down", "forced");
     }
 
     /// Ends a forced outage.
     pub fn restore(&self) {
-        self.outage.write().restore();
+        write(&self.outage).restore();
         self.note_status("up", "restored");
     }
 
     /// Adds a scheduled outage window in virtual time.
     pub fn schedule_outage(&self, start: std::time::Duration, end: std::time::Duration) {
-        self.outage.write().add_window(start, end);
+        write(&self.outage).add_window(start, end);
         let tel = self.telemetry();
         if tel.enabled() {
             tel.event("provider.outage_scheduled")
@@ -286,7 +287,7 @@ impl SimProvider {
     /// Installs a fault schedule (replacing any previous one; the rot
     /// cursor restarts with the new plan).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.faults.write() = plan;
+        *write(&self.faults) = plan;
         self.rot_applied.store(0, Ordering::Relaxed);
     }
 
@@ -301,7 +302,7 @@ impl SimProvider {
     /// rest*, without an op, stats, or latency. Returns false when the
     /// object is absent, empty, or ghost (nothing to corrupt).
     pub fn corrupt_object(&self, key: &ObjectKey, bit: u64) -> bool {
-        let mut s = self.store.write();
+        let mut s = write(&self.store);
         let Some(container) = s.get_mut(&key.container) else {
             return false;
         };
@@ -325,12 +326,12 @@ impl SimProvider {
     fn apply_due_rot(&self) {
         loop {
             let consumed = self.rot_applied.load(Ordering::Relaxed) as usize;
-            let Some(entropy) = self.faults.read().rot_due(consumed, self.clock.now()) else {
+            let Some(entropy) = read(&self.faults).rot_due(consumed, self.clock.now()) else {
                 return;
             };
             self.rot_applied.store(consumed as u64 + 1, Ordering::Relaxed);
             self.note_fault("bit rot");
-            let mut s = self.store.write();
+            let mut s = write(&self.store);
             let total: usize = s.values().map(|c| c.len()).sum();
             if total == 0 {
                 continue;
@@ -360,7 +361,7 @@ impl SimProvider {
         // Crash check first: a dead client issues no ops at all, so the
         // boundary counter must see every attempt, including ones an
         // outage or fault would have rejected anyway.
-        if let Some(crash) = self.crash.read().clone() {
+        if let Some(crash) = read(&self.crash).clone() {
             if crash.on_op() {
                 self.stats.record_err();
                 self.note_fault("crash");
@@ -368,7 +369,7 @@ impl SimProvider {
             }
         }
         self.apply_due_rot();
-        if !self.outage.read().is_up(self.clock.now()) {
+        if !read(&self.outage).is_up(self.clock.now()) {
             self.stats.record_err();
             self.note_fault("outage");
             return Err(CloudError::Unavailable { provider: self.id });
@@ -386,7 +387,7 @@ impl SimProvider {
                 return Err(CloudError::Transient { provider: self.id, reason: "injected" });
             }
         }
-        if self.faults.read().burst_error(self.clock.now(), seq) {
+        if read(&self.faults).burst_error(self.clock.now(), seq) {
             self.stats.record_err();
             self.note_fault("burst");
             return Err(CloudError::Transient { provider: self.id, reason: "burst" });
@@ -397,7 +398,7 @@ impl SimProvider {
     fn report(&self, kind: OpKind, bytes_in: u64, bytes_out: u64, seq: u64) -> OpReport {
         let payload = bytes_in.max(bytes_out);
         let mut latency = self.profile.latency.latency(kind, payload, seq);
-        let spike = self.faults.read().latency_multiplier(self.clock.now());
+        let spike = read(&self.faults).latency_multiplier(self.clock.now());
         if spike > 1.0 {
             latency = latency.mul_f64(spike);
         }
@@ -438,7 +439,7 @@ impl CloudStorage for SimProvider {
 
     fn create(&self, container: &str) -> CloudResult<OpOutcome<()>> {
         let seq = self.admit()?;
-        let mut s = self.store.write();
+        let mut s = write(&self.store);
         if s.contains_key(container) {
             self.stats.record_err();
             return Err(CloudError::ContainerExists { container: container.to_string() });
@@ -450,8 +451,8 @@ impl CloudStorage for SimProvider {
 
     fn put(&self, key: &ObjectKey, data: Bytes) -> CloudResult<OpOutcome<()>> {
         let seq = self.admit()?;
-        let torn = self.faults.read().torn_put(seq);
-        let mut s = self.store.write();
+        let torn = read(&self.faults).torn_put(seq);
+        let mut s = write(&self.store);
         let container = s.get_mut(&key.container).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: key.container.clone() }
@@ -490,7 +491,7 @@ impl CloudStorage for SimProvider {
 
     fn get(&self, key: &ObjectKey) -> CloudResult<OpOutcome<Bytes>> {
         let seq = self.admit()?;
-        let s = self.store.read();
+        let s = read(&self.store);
         let container = s.get(&key.container).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: key.container.clone() }
@@ -501,7 +502,7 @@ impl CloudStorage for SimProvider {
         })?;
         drop(s);
         if !data.is_empty() {
-            if let Some(entropy) = self.faults.read().wire_corruption(seq) {
+            if let Some(entropy) = read(&self.faults).wire_corruption(seq) {
                 // One bit flips on the wire; the stored object is intact.
                 let mut v = data.to_vec();
                 let target = ((entropy >> 11) as usize) % (v.len() * 8);
@@ -516,7 +517,7 @@ impl CloudStorage for SimProvider {
 
     fn list(&self, container: &str) -> CloudResult<OpOutcome<Vec<String>>> {
         let seq = self.admit()?;
-        let s = self.store.read();
+        let s = read(&self.store);
         let cont = s.get(container).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: container.to_string() }
@@ -528,7 +529,7 @@ impl CloudStorage for SimProvider {
 
     fn remove(&self, key: &ObjectKey) -> CloudResult<OpOutcome<()>> {
         let seq = self.admit()?;
-        let mut s = self.store.write();
+        let mut s = write(&self.store);
         let container = s.get_mut(&key.container).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: key.container.clone() }
@@ -544,7 +545,7 @@ impl CloudStorage for SimProvider {
 
     fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> CloudResult<OpOutcome<Bytes>> {
         let seq = self.admit()?;
-        let s = self.store.read();
+        let s = read(&self.store);
         let container = s.get(&key.container).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: key.container.clone() }
@@ -568,7 +569,7 @@ impl CloudStorage for SimProvider {
     fn put_range(&self, key: &ObjectKey, offset: u64, data: Bytes) -> CloudResult<OpOutcome<()>> {
         let seq = self.admit()?;
         let written = data.len() as u64;
-        let mut s = self.store.write();
+        let mut s = write(&self.store);
         let container = s.get_mut(&key.container).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: key.container.clone() }
@@ -607,7 +608,7 @@ impl CloudStorage for SimProvider {
     }
 
     fn is_available(&self) -> bool {
-        self.outage.read().is_up(self.clock.now())
+        read(&self.outage).is_up(self.clock.now())
     }
 }
 

@@ -20,7 +20,9 @@
 //! schedule is a pure function of the admission sequence — same seed,
 //! same trace, for any worker count.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use hyrd_gcsapi::sync::lock;
 
 /// Default number of concurrent server slots per provider. Wide enough
 /// that every existing closed-loop workload (at most `n` fragment
@@ -59,20 +61,20 @@ impl ProviderQueue {
 
     /// Number of server slots.
     pub fn concurrency(&self) -> usize {
-        self.slots.lock().len()
+        lock(&self.slots).len()
     }
 
     /// Resizes to `concurrency` slots (clamped to at least one) and
     /// clears all busy times — a scenario-setup knob, not a mid-run one.
     pub fn set_concurrency(&self, concurrency: usize) {
-        *self.slots.lock() = vec![0; concurrency.max(1)];
+        *lock(&self.slots) = vec![0; concurrency.max(1)];
     }
 
     /// Admits an op arriving at `now_ns` needing `service_ns` of service:
     /// claims the earliest-free slot (lowest index on ties) and returns
     /// the resulting start/completion times.
     pub fn admit(&self, now_ns: u64, service_ns: u64) -> Admission {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let (idx, free) = slots
             .iter()
             .copied()
@@ -90,7 +92,7 @@ impl ProviderQueue {
     /// instead (never later than its old commitment). No-op if no slot
     /// matches — e.g. the op already completed.
     pub fn release_early(&self, done_ns: u64, free_at_ns: u64) {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         if let Some(slot) = slots.iter_mut().find(|s| **s == done_ns) {
             *slot = free_at_ns.min(done_ns);
         }
@@ -99,7 +101,7 @@ impl ProviderQueue {
     /// How many slots are still busy after `now_ns` — the backlog an
     /// arrival at `now_ns` would contend with.
     pub fn busy_at(&self, now_ns: u64) -> usize {
-        self.slots.lock().iter().filter(|&&free| free > now_ns).count()
+        lock(&self.slots).iter().filter(|&&free| free > now_ns).count()
     }
 }
 

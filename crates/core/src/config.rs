@@ -1,12 +1,10 @@
 //! HyRD tunables, defaulting to the paper's evaluated configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::health::BreakerSettings;
 use hyrd_gcsapi::RetryPolicy;
 
 /// Which erasure code protects the large-file tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodeChoice {
     /// Single XOR parity over `m` data fragments — the paper's choice
     /// ("we choose the RAID5 scheme in HyRD as a case study", §IV-A).
@@ -50,7 +48,7 @@ impl CodeChoice {
 }
 
 /// How the dispatcher picks which `m` fragments to fetch on a large read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FragmentSelection {
     /// Prefer providers with the cheapest egress, break ties by expected
     /// latency — the paper's cost-reduction policy ("by reading data from
@@ -70,7 +68,7 @@ pub enum FragmentSelection {
 /// of issue, up to `extra` redundant requests launch against the
 /// remaining candidates, the first `k` completions win, and stragglers
 /// are cancelled (billing zero payload bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgeConfig {
     /// Master switch. Off by default: with hedging disabled the event
     /// engine reproduces the pre-engine serial/parallel read latencies
@@ -98,7 +96,7 @@ impl Default for HedgeConfig {
 /// from observed heat, size and provider health, instead of freezing
 /// every file in the tier its creation size picked. Off by default —
 /// the static threshold is the paper's evaluated configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// Master switch. When off, no heat is tracked beyond the hot-copy
     /// counter and [`crate::Hyrd::migrate_pass`] is a no-op.
@@ -145,7 +143,7 @@ impl Default for PolicyConfig {
 }
 
 /// Full HyRD configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyrdConfig {
     /// Large/small file boundary in bytes. The paper's sensitivity study
     /// picks 1 MB ("we set the file-size threshold at 1MB", §IV-C).
@@ -178,9 +176,7 @@ pub struct HyrdConfig {
     /// so deterministic runs stay byte-identical across values.
     pub meta_shards: usize,
     /// Adaptive redundancy policy + background migrator (off by
-    /// default; see [`crate::policy`]). Deserializes as the default
-    /// when absent, so stored configurations stay readable.
-    #[serde(default)]
+    /// default; see [`crate::policy`]).
     pub policy: PolicyConfig,
 }
 
@@ -283,25 +279,22 @@ mod tests {
 
     #[test]
     fn validation_catches_misconfiguration() {
-        let mut c = HyrdConfig::default();
-        c.threshold = 0;
+        let c = HyrdConfig { threshold: 0, ..HyrdConfig::default() };
         assert!(c.validate(4).is_err());
 
-        let mut c = HyrdConfig::default();
-        c.replication_level = 0;
+        let c = HyrdConfig { replication_level: 0, ..HyrdConfig::default() };
         assert!(c.validate(4).is_err());
 
-        let mut c = HyrdConfig::default();
-        c.replication_level = 5;
+        let c = HyrdConfig { replication_level: 5, ..HyrdConfig::default() };
         assert!(c.validate(4).is_err());
 
-        let mut c = HyrdConfig::default();
-        c.code = CodeChoice::Raid5 { m: 4 }; // n=5 > 4 providers
+        // n=5 > 4 providers
+        let c = HyrdConfig { code: CodeChoice::Raid5 { m: 4 }, ..HyrdConfig::default() };
         assert!(c.validate(4).is_err());
         assert!(c.validate(5).is_ok());
 
-        let mut c = HyrdConfig::default();
-        c.code = CodeChoice::ReedSolomon { m: 3, n: 3 };
+        let c =
+            HyrdConfig { code: CodeChoice::ReedSolomon { m: 3, n: 3 }, ..HyrdConfig::default() };
         assert!(c.validate(4).is_err());
 
         let mut c = HyrdConfig::default();
@@ -311,8 +304,7 @@ mod tests {
         c.hedge.extra = 1;
         assert!(c.validate(4).is_ok());
 
-        let mut c = HyrdConfig::default();
-        c.meta_shards = 0;
+        let c = HyrdConfig { meta_shards: 0, ..HyrdConfig::default() };
         assert!(c.validate(4).is_err());
 
         let mut c = HyrdConfig::default();

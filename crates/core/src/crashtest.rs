@@ -449,9 +449,7 @@ impl CrashHarness {
     /// — whichever placement survives the restart must still serve the
     /// oracle content, which the ordinary audit checks.
     pub fn migrate_pass(&mut self) -> Option<crate::policy::MigrationReport> {
-        let Some(client) = self.client.take() else {
-            return None;
-        };
+        let client = self.client.take()?;
         let result =
             panic::catch_unwind(AssertUnwindSafe(|| client.migrate_pass().map(|(r, _)| r)));
         match result {

@@ -1,7 +1,7 @@
 //! [`DedupStore`]: the deduplicating layer over any [`Scheme`].
 //!
-//! Files are stored as a **manifest** (the chunk fingerprint list, JSON
-//! like the metadata blocks) plus one object per *unique* chunk. A chunk
+//! Files are stored as a **manifest** (the chunk fingerprint list, as
+//! JSON) plus one object per *unique* chunk. A chunk
 //! already in the index never travels over the network again — the
 //! transfer reduction §VI is after. Chunk objects inherit the underlying
 //! scheme's redundancy policy: with HyRD underneath, the (small) chunks
@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use hyrd_gcsapi::BatchReport;
 
@@ -24,13 +23,15 @@ use hyrd_dedup::chunker::{Chunker, ChunkerConfig};
 use hyrd_dedup::index::{ChunkIndex, Fingerprint};
 use hyrd_dedup::sha256::hex;
 
-/// A stored file's chunk list.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-struct Manifest {
-    /// Total file length.
-    len: u64,
-    /// Chunk fingerprints (hex) in order, with lengths.
-    chunks: Vec<(String, usize)>,
+hyrd_telemetry::json_struct! {
+    /// A stored file's chunk list.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Manifest {
+        /// Total file length.
+        len: u64,
+        /// Chunk fingerprints (hex) in order, with lengths.
+        chunks: Vec<(String, usize)>,
+    }
 }
 
 /// Cumulative dedup effectiveness counters.
@@ -156,7 +157,7 @@ impl<S: Scheme> DedupStore<S> {
         }
 
         let manifest = Manifest { len: data.len() as u64, chunks: entries };
-        let mbytes = serde_json::to_vec(&manifest).expect("manifests always serialize");
+        let mbytes = hyrd_telemetry::json::to_string(&manifest).into_bytes();
         self.stats.transferred_bytes += mbytes.len() as u64;
         self.stats.logical_bytes += data.len() as u64;
         let mb = self.inner.create_file(&Self::manifest_path(path), &mbytes)?;

@@ -66,8 +66,8 @@
 //! The whole CRUD surface takes `&self`: the mutable interior state is
 //! **lock-striped** — the update log, the small-file cache, the
 //! dirty-fragment set, the workload monitor and the integrity index each
-//! sit behind their own `parking_lot::Mutex` (fleet, health, counters
-//! and telemetry were already interior-mutable). Namespace metadata no
+//! sit behind their own `Mutex` (fleet, health, counters and telemetry
+//! were already interior-mutable). Namespace metadata no
 //! longer has a stripe at all: it lives in a
 //! [`hyrd_metastore::ShardedMetaStore`] — hash-partitioned by directory
 //! into independently `RwLock`ed shards with optimistic
@@ -84,13 +84,12 @@
 //! byte-deterministic.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard};
 
 use hyrd_cloudsim::{Fleet, SimProvider};
-use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
+use hyrd_gcsapi::{sync, BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, Raid5, Raid6, ReedSolomon};
 use hyrd_metastore::{MetaOccStats, NormPath, Placement, ShardedMetaStore};
@@ -226,7 +225,7 @@ impl Hyrd {
         let (evaluator, setup_cost) = {
             let _span = telemetry
                 .span_with("setup.assess")
-                .field("probe_bytes", config.probe_bytes as u64)
+                .field("probe_bytes", config.probe_bytes)
                 .start();
             Evaluator::assess(fleet, config.probe_bytes)
         };
@@ -307,11 +306,11 @@ impl Hyrd {
     /// `lock.wait_ns[name]`. The fast path is an uncontended `try_lock`
     /// with zero bookkeeping, so single-session runs pay nothing.
     fn stripe<'a, T>(&self, name: &'static str, lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        if let Some(guard) = lock.try_lock() {
+        if let Some(guard) = sync::try_lock(lock) {
             return guard;
         }
         let waited = std::time::Instant::now();
-        let guard = lock.lock();
+        let guard = sync::lock(lock);
         if self.telemetry.enabled() {
             self.telemetry.inc_labeled("lock.contended", name, 1);
             let waited_ns = waited.elapsed().as_nanos() as u64;

@@ -132,7 +132,7 @@ impl Hyrd {
             objects: fragments.clone(),
         });
 
-        // Split + encode (rayon-parallel for multi-MB objects), in
+        // Split + encode, in
         // `split_encode`'s two halves so `ec.encode` times the parity
         // arithmetic only, as it always has.
         let (layout, mut encoded) = self.planner.split(data);
@@ -307,8 +307,7 @@ impl Hyrd {
         });
         let seq = intent.seq();
         let wal_cb = |writes: &[FragWrite]| self.journal.amend_update_writes(seq, writes.to_vec());
-        let wal: Option<&dyn Fn(&[FragWrite])> =
-            if self.journal.enabled() { Some(&wal_cb) } else { None };
+        let wal = self.journal.enabled().then_some(&wal_cb as &dyn Fn(&[FragWrite]));
         let outcome = crate::ecops::ranged_update_with(
             self.code.as_code(),
             &lookup,

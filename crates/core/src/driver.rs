@@ -10,8 +10,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_cloudsim::SimClock;
 use hyrd_gcsapi::BatchReport;
 use hyrd_telemetry::Collector;
@@ -51,26 +49,28 @@ impl Default for ReplayOptions {
     }
 }
 
-/// What a replay produced. `PartialEq` + serde make sweep determinism
-/// checkable: same seed, same stats, any `--jobs`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReplayStats {
-    /// Scheme name.
-    pub scheme: String,
-    /// Latency per op class.
-    pub per_class: BTreeMap<String, LatencyStats>,
-    /// All requests combined.
-    pub overall: LatencyStats,
-    /// Requests that failed (e.g. data unavailable during an outage).
-    pub errors: u64,
-    /// Underlying provider operations issued.
-    pub provider_ops: u64,
-    /// Bytes uploaded to providers.
-    pub bytes_in: u64,
-    /// Bytes downloaded from providers.
-    pub bytes_out: u64,
-    /// Read verification failures (only counted when verification is on).
-    pub verify_failures: u64,
+hyrd_telemetry::json_struct! {
+    /// What a replay produced. `PartialEq` + `ToJson` make sweep determinism
+    /// checkable: same seed, same stats, any `--jobs`.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ReplayStats {
+        /// Scheme name.
+        pub scheme: String,
+        /// Latency per op class.
+        pub per_class: BTreeMap<String, LatencyStats>,
+        /// All requests combined.
+        pub overall: LatencyStats,
+        /// Requests that failed (e.g. data unavailable during an outage).
+        pub errors: u64,
+        /// Underlying provider operations issued.
+        pub provider_ops: u64,
+        /// Bytes uploaded to providers.
+        pub bytes_in: u64,
+        /// Bytes downloaded from providers.
+        pub bytes_out: u64,
+        /// Read verification failures (only counted when verification is on).
+        pub verify_failures: u64,
+    }
 }
 
 impl ReplayStats {
@@ -387,6 +387,9 @@ pub fn effective_jobs(jobs: usize) -> usize {
     }
 }
 
+/// One cell of a [`replay_sweep`] whose cells are different closures.
+pub type SweepCell<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+
 /// Runs independent sweep cells on `jobs` worker threads and collects
 /// their results **in cell order**.
 ///
@@ -473,7 +476,7 @@ mod tests {
 
     #[test]
     fn replay_sweep_collects_in_cell_order_for_any_job_count() {
-        let make_cells = || -> Vec<Box<dyn FnOnce() -> u64 + Send>> {
+        let make_cells = || -> Vec<SweepCell<'_, u64>> {
             (0..13u64)
                 .map(|i| {
                     Box::new(move || {
@@ -485,7 +488,7 @@ mod tests {
                         }
                         std::hint::black_box(acc);
                         i * i
-                    }) as Box<dyn FnOnce() -> u64 + Send>
+                    }) as SweepCell<'_, u64>
                 })
                 .collect()
         };
@@ -494,7 +497,7 @@ mod tests {
             assert_eq!(replay_sweep(make_cells(), jobs), want, "jobs={jobs}");
         }
         assert_eq!(replay_sweep(make_cells(), 0), want, "jobs=0 (auto)");
-        assert_eq!(replay_sweep(Vec::<Box<dyn FnOnce() -> u64 + Send>>::new(), 4), vec![]);
+        assert_eq!(replay_sweep(Vec::<SweepCell<'_, u64>>::new(), 4), vec![]);
     }
 
     #[test]

@@ -37,8 +37,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_cloudsim::SimClock;
 use hyrd_workloads::FsOp;
 
@@ -66,37 +64,41 @@ impl Default for MultiClientOptions {
     }
 }
 
-/// What one session did across every batch run so far.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SessionReport {
-    /// Telemetry label ("c00", "c01", …).
-    pub label: String,
-    /// Ops this session executed successfully.
-    pub ops: u64,
-    /// Ops this session saw refused.
-    pub errors: u64,
-    /// Provider operations its ops issued.
-    pub provider_ops: u64,
-    /// Bytes its ops uploaded.
-    pub bytes_in: u64,
-    /// Bytes its ops downloaded.
-    pub bytes_out: u64,
-    /// Total virtual time spent executing (the closed-loop busy time).
-    pub busy: Duration,
-    /// Latency digest of its ops.
-    pub stats: LatencyStats,
+hyrd_telemetry::json_struct! {
+    /// What one session did across every batch run so far.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct SessionReport {
+        /// Telemetry label ("c00", "c01", …).
+        pub label: String,
+        /// Ops this session executed successfully.
+        pub ops: u64,
+        /// Ops this session saw refused.
+        pub errors: u64,
+        /// Provider operations its ops issued.
+        pub provider_ops: u64,
+        /// Bytes its ops uploaded.
+        pub bytes_in: u64,
+        /// Bytes its ops downloaded.
+        pub bytes_out: u64,
+        /// Total virtual time spent executing (the closed-loop busy time).
+        pub busy: Duration,
+        /// Latency digest of its ops.
+        pub stats: LatencyStats,
+    }
 }
 
-/// Everything a multi-client run produced.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MultiClientReport {
-    /// Session count the engine ran with.
-    pub clients: usize,
-    /// Merged stats, recorded in execution order — byte-identical for
-    /// any client/job count (the artifact `--check` compares).
-    pub merged: ReplayStats,
-    /// Per-session breakdowns (these legitimately vary with `clients`).
-    pub sessions: Vec<SessionReport>,
+hyrd_telemetry::json_struct! {
+    /// Everything a multi-client run produced.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MultiClientReport {
+        /// Session count the engine ran with.
+        pub clients: usize,
+        /// Merged stats, recorded in execution order — byte-identical for
+        /// any client/job count (the artifact `--check` compares).
+        pub merged: ReplayStats,
+        /// Per-session breakdowns (these legitimately vary with `clients`).
+        pub sessions: Vec<SessionReport>,
+    }
 }
 
 /// The stable per-session telemetry label.

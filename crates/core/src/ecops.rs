@@ -158,7 +158,8 @@ pub fn ranged_update<C: ErasureCode + ?Sized>(
 /// is computed but before the first range write is issued. The crash
 /// journal uses it to record an intent that can be rolled forward if
 /// the client dies mid-write-phase.
-#[allow(clippy::too_many_arguments)]
+// `wal` is an optional borrowed callback; an alias would only rename it.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn ranged_update_with<C: ErasureCode + ?Sized>(
     code: &C,
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,

@@ -14,14 +14,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
+
+use hyrd_gcsapi::sync::lock;
 
 use hyrd_gcsapi::ProviderId;
 use hyrd_telemetry::Collector;
 
 /// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerSettings {
     /// Consecutive health-relevant failures that trip the breaker.
     pub trip_after: u32,
@@ -177,7 +178,7 @@ impl HealthTracker {
     }
 
     fn with<T>(&self, id: ProviderId, f: impl FnOnce(&mut CircuitBreaker) -> T) -> T {
-        let mut map = self.breakers.lock();
+        let mut map = lock(&self.breakers);
         let breaker = map.entry(id).or_insert_with(|| CircuitBreaker::new(self.settings));
         let before = breaker.state();
         let out = f(breaker);
@@ -227,14 +228,13 @@ impl HealthTracker {
 
     /// Total trips across providers.
     pub fn trips(&self) -> u64 {
-        self.breakers.lock().values().map(|b| b.trips()).sum()
+        lock(&self.breakers).values().map(|b| b.trips()).sum()
     }
 
     /// Per-provider trip counts for providers that have tripped at
     /// least once, sorted by provider id (deterministic).
     pub fn trip_counts(&self) -> Vec<(ProviderId, u64)> {
-        self.breakers
-            .lock()
+        lock(&self.breakers)
             .iter()
             .filter(|(_, b)| b.trips() > 0)
             .map(|(id, b)| (*id, b.trips()))
@@ -280,7 +280,7 @@ impl FaultCounters {
 }
 
 /// Point-in-time view of [`FaultCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounterSnapshot {
     /// Backoff sleeps taken by the retry layer.
     pub retries: u64,

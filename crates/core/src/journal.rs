@@ -32,7 +32,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use hyrd_gcsapi::sync::lock;
 
 use hyrd_cloudsim::CrashSwitch;
 use hyrd_gcsapi::ProviderId;
@@ -188,7 +190,7 @@ impl Journal {
     /// [`Hyrd::with_journal`](crate::Hyrd::with_journal).
     pub fn set_crash_switch(&self, switch: Arc<CrashSwitch>) {
         if let Some(inner) = &self.inner {
-            *inner.switch.lock() = Some(switch);
+            *lock(&inner.switch) = Some(switch);
         }
     }
 
@@ -198,7 +200,7 @@ impl Journal {
     /// crash harness catches as the simulated process death.
     pub fn crashpoint(&self, name: &str) {
         if let Some(inner) = &self.inner {
-            let switch = inner.switch.lock().clone();
+            let switch = lock(&inner.switch).clone();
             if let Some(switch) = switch {
                 if switch.at_point(name) {
                     std::panic::panic_any(crate::crashtest::ClientCrashed);
@@ -219,7 +221,7 @@ impl Journal {
         let seq = if let Some(inner) = &self.inner {
             let intent = intent();
             self.crashpoint("wal.append.pre");
-            let mut state = inner.state.lock();
+            let mut state = lock(&inner.state);
             let seq = state.next_seq;
             state.next_seq += 1;
             state.intents.insert(seq, intent);
@@ -239,7 +241,7 @@ impl Journal {
     pub fn amend_update_writes(&self, seq: u64, writes: Vec<FragWrite>) {
         if let Some(inner) = &self.inner {
             self.crashpoint("wal.amend.pre");
-            let mut state = inner.state.lock();
+            let mut state = lock(&inner.state);
             if let Some(Intent::UpdateErasure { writes: w, .. }) = state.intents.get_mut(&seq) {
                 *w = writes;
             }
@@ -256,7 +258,7 @@ impl Journal {
     pub fn commit(&self, seq: u64) {
         if let Some(inner) = &self.inner {
             self.crashpoint("wal.commit.pre");
-            inner.state.lock().intents.remove(&seq);
+            lock(&inner.state).intents.remove(&seq);
             self.crashpoint("wal.commit.post");
         }
     }
@@ -269,7 +271,7 @@ impl Journal {
     pub fn sync_pending(&self, log: &UpdateLog) {
         if let Some(inner) = &self.inner {
             self.crashpoint("wal.sync");
-            inner.state.lock().pending = log.clone();
+            lock(&inner.state).pending = log.clone();
         }
     }
 
@@ -278,7 +280,7 @@ impl Journal {
     pub fn sync_dirty(&self, dirty: &DirtyFragments) {
         if let Some(inner) = &self.inner {
             self.crashpoint("wal.sync");
-            inner.state.lock().dirty = dirty.clone();
+            lock(&inner.state).dirty = dirty.clone();
         }
     }
 
@@ -289,7 +291,7 @@ impl Journal {
     pub fn restart_state(&self) -> (UpdateLog, DirtyFragments, Vec<(u64, Intent)>) {
         match &self.inner {
             Some(inner) => {
-                let state = inner.state.lock();
+                let state = lock(&inner.state);
                 let intents = state.intents.iter().map(|(s, i)| (*s, i.clone())).collect();
                 (state.pending.clone(), state.dirty.clone(), intents)
             }
@@ -299,12 +301,12 @@ impl Journal {
 
     /// Unresolved intents (tests and reports).
     pub fn intent_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.state.lock().intents.len())
+        self.inner.as_ref().map_or(0, |i| lock(&i.state).intents.len())
     }
 
     /// Mirrored pending-log records (tests and reports).
     pub fn pending_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.state.lock().pending.len())
+        self.inner.as_ref().map_or(0, |i| lock(&i.state).pending.len())
     }
 }
 

@@ -7,10 +7,8 @@
 //! threshold-sensitivity experiment can inspect what a deployment
 //! actually sees.
 
-use serde::{Deserialize, Serialize};
-
 /// The three data classes HyRD distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataClass {
     /// File-system metadata blocks — always replicated.
     Metadata,
@@ -24,7 +22,7 @@ pub enum DataClass {
 const BUCKETS: usize = 41;
 
 /// The workload monitor: classifier plus observed-size statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadMonitor {
     threshold: u64,
     histogram: Vec<u64>,

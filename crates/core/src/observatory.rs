@@ -38,6 +38,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use hyrd_gcsapi::sync::lock;
 use hyrd_telemetry::{
     for_each_record, Histogram, LineParser, MetricsSnapshot, ParseError, Record, RecordKind,
     RecordRef, TraceRecord,
@@ -356,11 +357,9 @@ impl Observatory {
                 if let (Some(p), Some(state)) = (fstr("provider"), fstr("state")) {
                     let tracker = self.provider(p);
                     match state {
-                        "down" => {
-                            if tracker.down_since.is_none() {
-                                tracker.down_since = Some(t);
-                                tracker.outages += 1;
-                            }
+                        "down" if tracker.down_since.is_none() => {
+                            tracker.down_since = Some(t);
+                            tracker.outages += 1;
                         }
                         "up" => {
                             if let Some(since) = tracker.down_since.take() {
@@ -742,23 +741,23 @@ impl SharedObservatory {
     pub fn tap(&self) -> impl FnMut(&RecordRef<'_>) + Send + 'static {
         let shared = Arc::clone(&self.0);
         move |rec: &RecordRef<'_>| {
-            shared.lock().unwrap_or_else(|e| e.into_inner()).ingest(rec);
+            lock(&shared).ingest(rec);
         }
     }
 
     /// Clone of the current aggregator state.
     pub fn snapshot(&self) -> Observatory {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.0).clone()
     }
 
     /// Folds registry metrics in (see [`Observatory::absorb_metrics`]).
     pub fn absorb_metrics(&self, metrics: &MetricsSnapshot) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).absorb_metrics(metrics);
+        lock(&self.0).absorb_metrics(metrics);
     }
 
     /// Current report.
     pub fn report(&self) -> ObservatoryReport {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).report()
+        lock(&self.0).report()
     }
 }
 

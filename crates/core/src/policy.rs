@@ -48,7 +48,6 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use hyrd_gcsapi::{BatchReport, OpReport, ProviderId};
 use hyrd_metastore::{Inode, NormPath, Placement};
@@ -60,7 +59,7 @@ use crate::observatory::ProviderHealthView;
 use crate::scheme::SchemeResult;
 
 /// Which direction a migration moves a file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationKind {
     /// Erasure-coded → whole-object replication on the performance tier
     /// (the file is hot: fragment fan-in on every read costs more than
@@ -112,29 +111,31 @@ impl PolicyEngine {
     }
 }
 
-/// What one [`Hyrd::migrate_pass`] accomplished — plain scalars, so
-/// drill reports stay byte-deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MigrationReport {
-    /// Files examined by the decision function.
-    pub scanned: u64,
-    /// Files moved EC → replicated.
-    pub promoted: u64,
-    /// Files moved replicated → EC.
-    pub demoted: u64,
-    /// Migrations started but abandoned (publish below the durability
-    /// floor, or the OCC flip lost to a concurrent writer). Aborts leave
-    /// the old placement fully intact.
-    pub aborted: u64,
-    /// Passes skipped whole because a provider was down or failed the
-    /// SLI gate.
-    pub skipped_unhealthy: u64,
-    /// Old-placement objects removed by the post-flip GC.
-    pub gc_removed: u64,
-    /// Old-placement objects left to recovery (remove logged).
-    pub gc_logged: u64,
-    /// Logical bytes re-encoded by completed migrations.
-    pub bytes_rewritten: u64,
+hyrd_telemetry::json_struct! {
+    /// What one [`Hyrd::migrate_pass`] accomplished — plain scalars, so
+    /// drill reports stay byte-deterministic.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MigrationReport {
+        /// Files examined by the decision function.
+        pub scanned: u64,
+        /// Files moved EC → replicated.
+        pub promoted: u64,
+        /// Files moved replicated → EC.
+        pub demoted: u64,
+        /// Migrations started but abandoned (publish below the durability
+        /// floor, or the OCC flip lost to a concurrent writer). Aborts leave
+        /// the old placement fully intact.
+        pub aborted: u64,
+        /// Passes skipped whole because a provider was down or failed the
+        /// SLI gate.
+        pub skipped_unhealthy: u64,
+        /// Old-placement objects removed by the post-flip GC.
+        pub gc_removed: u64,
+        /// Old-placement objects left to recovery (remove logged).
+        pub gc_logged: u64,
+        /// Logical bytes re-encoded by completed migrations.
+        pub bytes_rewritten: u64,
+    }
 }
 
 impl MigrationReport {
@@ -181,7 +182,7 @@ impl Hyrd {
         let _span = self.telemetry.span("migrate.pass");
         let engine = PolicyEngine::new(self.config.policy);
         let fleet_up = self.fleet.available().len() == self.fleet.len();
-        let slis_ok = slis.map_or(true, |s| engine.fleet_healthy(s));
+        let slis_ok = slis.is_none_or(|s| engine.fleet_healthy(s));
         if !fleet_up || !slis_ok {
             report.skipped_unhealthy = 1;
             if self.telemetry.enabled() {
@@ -447,7 +448,6 @@ mod tests {
     use super::*;
     use crate::config::HyrdConfig;
     use crate::driver::synth_content;
-    use crate::scheme::Scheme;
     use hyrd_cloudsim::{Fleet, SimClock};
 
     const KB: usize = 1024;
@@ -526,7 +526,7 @@ mod tests {
         };
         let mut sick = healthy.clone();
         sick.availability = 0.5;
-        assert!(e.fleet_healthy(&[healthy.clone()]));
+        assert!(e.fleet_healthy(std::slice::from_ref(&healthy)));
         assert!(!e.fleet_healthy(&[healthy.clone(), sick]));
         let mut flaky = healthy.clone();
         flaky.error_ewma = 0.9;

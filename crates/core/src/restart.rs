@@ -45,8 +45,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_cloudsim::Fleet;
 use hyrd_gcsapi::{CloudStorage, ProviderId};
 use hyrd_metastore::{MetadataBlock, NormPath, Placement};
@@ -61,7 +59,7 @@ use crate::scheme::SchemeResult;
 
 /// What a [`Hyrd::restart`] accomplished — all plain scalars so sweep
 /// reports serialize byte-identically run over run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RestartReport {
     /// Metadata blocks recovered and loaded.
     pub meta_blocks_loaded: u64,

@@ -24,7 +24,6 @@
 //! ([`Hyrd::get_object`], [`Hyrd::put_object`]).
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, OpReport, ProviderId};
 use hyrd_metastore::Placement;
@@ -33,21 +32,23 @@ use crate::dispatcher::Hyrd;
 use crate::integrity::Verdict;
 use crate::scheme::SchemeResult;
 
-/// What one scrub pass found and fixed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScrubReport {
-    /// Stored copies/fragments fetched and examined.
-    pub objects_swept: u64,
-    /// Copies whose bytes failed their digest.
-    pub corrupt_detected: u64,
-    /// Copies rewritten with known-good bytes.
-    pub repaired: u64,
-    /// Objects whose digests were re-recorded after proving consistent.
-    pub digests_refreshed: u64,
-    /// Objects with no intact source left to repair from.
-    pub unrecoverable: u64,
-    /// Copies not examined (outage, open breaker, pending replay, dirty).
-    pub skipped: u64,
+hyrd_telemetry::json_struct! {
+    /// What one scrub pass found and fixed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ScrubReport {
+        /// Stored copies/fragments fetched and examined.
+        pub objects_swept: u64,
+        /// Copies whose bytes failed their digest.
+        pub corrupt_detected: u64,
+        /// Copies rewritten with known-good bytes.
+        pub repaired: u64,
+        /// Objects whose digests were re-recorded after proving consistent.
+        pub digests_refreshed: u64,
+        /// Objects with no intact source left to repair from.
+        pub unrecoverable: u64,
+        /// Copies not examined (outage, open breaker, pending replay, dirty).
+        pub skipped: u64,
+    }
 }
 
 impl ScrubReport {

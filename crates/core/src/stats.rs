@@ -14,14 +14,15 @@
 use std::time::Duration;
 
 use hyrd_telemetry::Histogram;
-use serde::{Deserialize, Serialize};
 
-/// Online latency statistics: exact mean/std-dev, bucketed quantiles.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    hist: Histogram,
-    sum_secs: f64,
-    sum_sq_secs: f64,
+hyrd_telemetry::json_struct! {
+    /// Online latency statistics: exact mean/std-dev, bucketed quantiles.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct LatencyStats {
+        hist: Histogram,
+        sum_secs: f64,
+        sum_sq_secs: f64,
+    }
 }
 
 impl LatencyStats {
@@ -87,7 +88,7 @@ impl LatencyStats {
 }
 
 /// The operation classes the experiments break latency down by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Creates at or below the threshold.
     SmallWrite,

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use hyrd::config::{CodeChoice, FragmentSelection, HyrdConfig};
 use hyrd::driver::synth_content;
-use hyrd::scheme::{Scheme, SchemeError};
+use hyrd::scheme::SchemeError;
 use hyrd::Hyrd;
 use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
 use hyrd_gcsapi::{CloudStorage, ObjectKey, OpKind};
@@ -24,7 +24,7 @@ fn hyrd(fleet: &Fleet) -> Hyrd {
 #[test]
 fn small_file_is_replicated_on_performance_tier() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let data = synth_content("/a.txt", 0, 4 * KB);
     h.create_file("/a.txt", &data).unwrap();
 
@@ -48,7 +48,7 @@ fn small_file_is_replicated_on_performance_tier() {
 #[test]
 fn large_file_is_erasure_coded_across_four_providers() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let data = synth_content("/big.bin", 0, 3 * MB);
     h.create_file("/big.bin", &data).unwrap();
 
@@ -72,7 +72,7 @@ fn large_file_is_erasure_coded_across_four_providers() {
 #[test]
 fn cheapest_egress_policy_avoids_s3_reads() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/big.bin", &synth_content("/big.bin", 0, 3 * MB)).unwrap();
     let s3 = fleet.by_name("Amazon S3").unwrap();
     let gets_before = s3.stats().get;
@@ -85,14 +85,14 @@ fn cheapest_egress_policy_avoids_s3_reads() {
 #[test]
 fn fastest_policy_reads_differently_from_cheapest() {
     let fleet_a = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.fragment_selection = FragmentSelection::Fastest;
-    let mut h = Hyrd::new(&fleet_a, cfg).unwrap();
+    let cfg =
+        HyrdConfig { fragment_selection: FragmentSelection::Fastest, ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet_a, cfg).unwrap();
     h.create_file("/big.bin", &synth_content("/big.bin", 0, 3 * MB)).unwrap();
     let (_, fast_report) = h.read_file("/big.bin").unwrap();
 
     let fleet_b = fleet();
-    let mut h2 = Hyrd::new(&fleet_b, HyrdConfig::default()).unwrap();
+    let h2 = Hyrd::new(&fleet_b, HyrdConfig::default()).unwrap();
     h2.create_file("/big.bin", &synth_content("/big.bin", 0, 3 * MB)).unwrap();
     let (_, cheap_report) = h2.read_file("/big.bin").unwrap();
 
@@ -110,7 +110,7 @@ fn fastest_policy_reads_differently_from_cheapest() {
 #[test]
 fn single_outage_degraded_read_still_serves_everything() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let small = synth_content("/s", 0, 2 * KB);
     let large = synth_content("/l", 0, 4 * MB);
     h.create_file("/s", &small).unwrap();
@@ -129,7 +129,7 @@ fn single_outage_degraded_read_still_serves_everything() {
 #[test]
 fn writes_during_outage_are_logged_and_replayed() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
 
     let azure = fleet.by_name("Windows Azure").unwrap();
     azure.force_down();
@@ -161,7 +161,7 @@ fn writes_during_outage_are_logged_and_replayed() {
 #[test]
 fn large_write_during_outage_recovers_consistently() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let rackspace = fleet.by_name("Rackspace").unwrap();
     rackspace.force_down();
 
@@ -182,7 +182,7 @@ fn large_write_during_outage_recovers_consistently() {
 #[test]
 fn update_small_file_is_one_write_round() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/f", &synth_content("/f", 0, 8 * KB)).unwrap();
 
     let patch = synth_content("/f", 1, KB);
@@ -199,7 +199,7 @@ fn update_small_file_is_one_write_round() {
 #[test]
 fn update_large_file_is_raid5_rmw_with_four_data_accesses() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/big", &synth_content("/big", 0, 6 * MB)).unwrap();
 
     let patch = synth_content("/big", 1, 4 * KB);
@@ -224,7 +224,7 @@ fn update_large_file_is_raid5_rmw_with_four_data_accesses() {
 #[test]
 fn chained_large_updates_survive_any_single_outage() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let mut content = synth_content("/big", 0, 3 * MB);
     h.create_file("/big", &content).unwrap();
 
@@ -245,7 +245,7 @@ fn chained_large_updates_survive_any_single_outage() {
 #[test]
 fn update_during_outage_takes_degraded_path_and_recovers() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let mut content = synth_content("/big", 0, 3 * MB);
     h.create_file("/big", &content).unwrap();
 
@@ -272,7 +272,7 @@ fn update_during_outage_takes_degraded_path_and_recovers() {
 #[test]
 fn empty_update_of_a_large_file_is_harmless_through_any_outage() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let content = synth_content("/big", 0, 3 * MB);
     h.create_file("/big", &content).unwrap();
 
@@ -295,7 +295,7 @@ fn empty_update_of_a_large_file_is_harmless_through_any_outage() {
 #[test]
 fn delete_removes_objects_and_listing() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/dir/a", &synth_content("/dir/a", 0, KB)).unwrap();
     h.create_file("/dir/b", &synth_content("/dir/b", 0, 2 * MB)).unwrap();
 
@@ -314,7 +314,7 @@ fn delete_removes_objects_and_listing() {
 #[test]
 fn list_dir_is_a_single_fast_metadata_get() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/docs/x", &synth_content("/docs/x", 0, KB)).unwrap();
     let (_, report) = h.list_dir("/docs").unwrap();
     assert_eq!(report.op_count(), 1);
@@ -327,9 +327,8 @@ fn list_dir_is_a_single_fast_metadata_get() {
 #[test]
 fn hot_large_files_gain_a_performance_tier_copy() {
     let fleet = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.hot_read_threshold = Some(3);
-    let mut h = Hyrd::new(&fleet, cfg).unwrap();
+    let cfg = HyrdConfig { hot_read_threshold: Some(3), ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).unwrap();
     let data = synth_content("/hot", 0, 2 * MB);
     h.create_file("/hot", &data).unwrap();
 
@@ -355,9 +354,8 @@ fn hot_large_files_gain_a_performance_tier_copy() {
 #[test]
 fn hot_copy_is_invalidated_by_updates() {
     let fleet = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.hot_read_threshold = Some(1);
-    let mut h = Hyrd::new(&fleet, cfg).unwrap();
+    let cfg = HyrdConfig { hot_read_threshold: Some(1), ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).unwrap();
     let mut content = synth_content("/hot", 0, 2 * MB);
     h.create_file("/hot", &content).unwrap();
     h.read_file("/hot").unwrap(); // installs hot copy
@@ -374,7 +372,7 @@ fn hot_copy_is_invalidated_by_updates() {
 #[test]
 fn total_blackout_reports_data_unavailable() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/f", &synth_content("/f", 0, KB)).unwrap();
     h.create_file("/big", &synth_content("/big", 0, 2 * MB)).unwrap();
     for p in fleet.providers() {
@@ -392,16 +390,16 @@ fn two_outages_break_raid5_but_not_raid6() {
     let data: Vec<u8> = synth_content("/big", 0, 2 * MB);
 
     let fleet5 = fleet();
-    let mut h5 = hyrd(&fleet5);
+    let h5 = hyrd(&fleet5);
     h5.create_file("/big", &data).unwrap();
     fleet5.by_name("Amazon S3").unwrap().force_down();
     fleet5.by_name("Rackspace").unwrap().force_down();
     assert!(matches!(h5.read_file("/big"), Err(SchemeError::DataUnavailable { .. })));
 
     let fleet6 = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.code = CodeChoice::Raid6 { m: 2 }; // n = 4 providers
-    let mut h6 = Hyrd::new(&fleet6, cfg).unwrap();
+    // n = 4 providers
+    let cfg = HyrdConfig { code: CodeChoice::Raid6 { m: 2 }, ..HyrdConfig::default() };
+    let h6 = Hyrd::new(&fleet6, cfg).unwrap();
     h6.create_file("/big", &data).unwrap();
     fleet6.by_name("Amazon S3").unwrap().force_down();
     fleet6.by_name("Rackspace").unwrap().force_down();
@@ -412,9 +410,8 @@ fn two_outages_break_raid5_but_not_raid6() {
 #[test]
 fn reed_solomon_code_choice_works_end_to_end() {
     let fleet = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.code = CodeChoice::ReedSolomon { m: 2, n: 4 };
-    let mut h = Hyrd::new(&fleet, cfg).unwrap();
+    let cfg = HyrdConfig { code: CodeChoice::ReedSolomon { m: 2, n: 4 }, ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).unwrap();
     let data = synth_content("/rs", 0, 3 * MB);
     h.create_file("/rs", &data).unwrap();
 
@@ -427,9 +424,8 @@ fn reed_solomon_code_choice_works_end_to_end() {
 #[test]
 fn replication_level_is_configurable() {
     let fleet = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.replication_level = 3;
-    let mut h = Hyrd::new(&fleet, cfg).unwrap();
+    let cfg = HyrdConfig { replication_level: 3, ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).unwrap();
     h.create_file("/f", &synth_content("/f", 0, KB)).unwrap();
 
     // Three replicas → two providers down still serves.
@@ -442,7 +438,7 @@ fn replication_level_is_configurable() {
 #[test]
 fn monitor_observes_the_classification() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     for i in 0..8 {
         h.create_file(&format!("/s{i}"), &synth_content("x", 0, 4 * KB)).unwrap();
     }
@@ -456,7 +452,7 @@ fn monitor_observes_the_classification() {
 #[test]
 fn threshold_boundary_routes_exactly() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     // Exactly 1 MB → replicated; 1 MB + 1 → erasure-coded.
     h.create_file("/at", &vec![1u8; MB]).unwrap();
     h.create_file("/above", &vec![2u8; MB + 1]).unwrap();
@@ -483,8 +479,8 @@ fn setup_cost_covers_probing_all_providers() {
 #[test]
 fn file_size_and_missing_paths() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
-    h.create_file("/f", &vec![0u8; 123]).unwrap();
+    let h = hyrd(&fleet);
+    h.create_file("/f", &[0u8; 123]).unwrap();
     assert_eq!(h.file_size("/f"), Some(123));
     assert_eq!(h.file_size("/nope"), None);
     assert!(matches!(h.read_file("/nope"), Err(SchemeError::Meta(_))));
@@ -514,7 +510,7 @@ fn reassess_adopts_the_current_topology() {
 #[test]
 fn duplicate_create_is_rejected() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/f", &[1u8; 10]).unwrap();
     assert!(matches!(h.create_file("/f", &[2u8; 10]), Err(SchemeError::Meta(_))));
 }
@@ -522,7 +518,7 @@ fn duplicate_create_is_rejected() {
 #[test]
 fn rolled_back_create_ships_no_metadata_on_the_next_flush() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/a/f1", &synth_content("/a/f1", 0, 4 * KB)).unwrap();
 
     // Full outage: the large create inserts the inode, fails to store a
@@ -679,9 +675,8 @@ fn update_resets_heat_so_hot_copy_needs_fresh_reads() {
     // post-update read — staging a copy whose heat belongs to content
     // that no longer exists.
     let fleet = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.hot_read_threshold = Some(3);
-    let mut h = Hyrd::new(&fleet, cfg).unwrap();
+    let cfg = HyrdConfig { hot_read_threshold: Some(3), ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).unwrap();
     let mut content = synth_content("/big", 0, 2 * MB);
     h.create_file("/big", &content).unwrap();
 
@@ -719,7 +714,7 @@ fn monitor_tracks_live_data_through_delete_and_failed_create() {
     // files and rolled-back creates kept distorting the distribution
     // forever.
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     h.create_file("/s", &synth_content("/s", 0, 4 * KB)).unwrap();
     h.create_file("/l", &synth_content("/l", 0, 2 * MB)).unwrap();
     assert_eq!(h.monitor().files_seen(), 2);
@@ -751,7 +746,7 @@ fn monitor_tracks_live_data_through_delete_and_failed_create() {
 #[test]
 fn create_under_a_file_is_refused_and_leaves_the_namespace_intact() {
     let fleet = fleet();
-    let mut h = hyrd(&fleet);
+    let h = hyrd(&fleet);
     let data = synth_content("/a", 0, 4 * KB);
     h.create_file("/a", &data).unwrap();
 
@@ -777,9 +772,8 @@ fn delete_via_alias_path_clears_heat_and_cache_for_the_successor() {
     // `count == threshold` edge then never fires again) and a stale
     // cached body.
     let fleet = fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.hot_read_threshold = Some(2);
-    let mut h = Hyrd::new(&fleet, cfg).unwrap();
+    let cfg = HyrdConfig { hot_read_threshold: Some(2), ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).unwrap();
     h.create_file("/d/f", &synth_content("/d/f", 0, 2 * MB)).unwrap();
     h.read_file("/d/f").unwrap();
     h.read_file("/d/f").unwrap(); // crosses the threshold: hot copy installed

@@ -5,7 +5,7 @@
 use hyrd::driver::{multi_client, replay, replay_with_state, ReplayOptions, ReplayState};
 use hyrd::prelude::*;
 use hyrd::stats::OpClass;
-use hyrd::telemetry::{Collector, SharedBuf};
+use hyrd::telemetry::{json, parse_document, Collector, Document, SharedBuf};
 use hyrd_workloads::{FileSizeDist, FsOp, PostMark, PostMarkConfig};
 
 const KB: u64 = 1024;
@@ -180,12 +180,26 @@ fn multi_client_output_is_invariant_across_clients_and_jobs() {
         let report =
             multi_client::run(&h, &clock, &ops, MultiClientOptions { clients, jobs, replay: opts });
         telemetry.flush();
-        (serde_json::to_string(&report.merged).expect("serialize"), buf.contents(), report)
+        (json::to_string(&report.merged), buf.contents(), report)
     };
 
     let (base_json, base_trace, base_report) = run(1, 1);
     assert_eq!(base_report.sessions.len(), 1);
     assert!(!base_trace.is_empty(), "the trace sink must actually receive events");
+    // The serialised report is a real document: the whole report parses
+    // back and carries what the struct holds.
+    let doc = parse_document(&json::to_string_pretty(&base_report)).expect("report parses");
+    let merged = doc.get("merged").expect("merged stats");
+    let u64_at = |doc: &Document, key: &str| match doc.get(key) {
+        Some(Document::Scalar(v)) => v.as_u64(),
+        _ => None,
+    };
+    assert_eq!(u64_at(&doc, "clients"), Some(1));
+    assert_eq!(u64_at(merged, "provider_ops"), Some(base_report.merged.provider_ops));
+    let count = merged.get("overall").and_then(|o| o.get("hist")).and_then(|h| u64_at(h, "count"));
+    assert_eq!(count, Some(base_report.merged.overall.count() as u64));
+    let sessions = doc.get("sessions").expect("per-session breakdown");
+    assert!(matches!(sessions, Document::Array(items) if items.len() == 1));
     for (clients, jobs) in [(3, 1), (8, 2), (3, 4), (16, 1)] {
         let (json, trace, report) = run(clients, jobs);
         assert_eq!(json, base_json, "merged stats diverged at clients={clients} jobs={jobs}");

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use hyrd_testkit::check;
 
 use hyrd::config::{HedgeConfig, HyrdConfig};
 use hyrd::driver::{multi_client, synth_content, ReplayOptions};
@@ -214,22 +214,19 @@ fn traces_are_byte_identical_across_jobs_with_hedging_on_and_off() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The engine's determinism contract, fuzzed: any client count and
-    /// worker count, spikes or not, hedging on or off — the merged
-    /// stats and the trace depend only on the workload.
-    #[test]
-    fn soak_is_deterministic_for_any_topology(
-        clients in 1usize..4,
-        jobs in 1usize..5,
-        hedge in any::<bool>(),
-        spikes in any::<bool>(),
-    ) {
-        let (stats_a, trace_a) = soak(hedge, spikes, clients, jobs);
-        let (stats_b, trace_b) = soak(hedge, spikes, 1, 1);
-        prop_assert_eq!(stats_a, stats_b);
-        prop_assert_eq!(trace_a, trace_b);
-    }
+/// The engine's determinism contract, fuzzed: any client count and
+/// worker count, spikes or not, hedging on or off — the merged
+/// stats and the trace depend only on the workload.
+#[test]
+fn soak_is_deterministic_for_any_topology() {
+    check(
+        6,
+        |g| (g.range(1usize..4), g.range(1usize..5), g.bool(), g.bool()),
+        |(clients, jobs, hedge, spikes)| {
+            let (stats_a, trace_a) = soak(hedge, spikes, clients, jobs);
+            let (stats_b, trace_b) = soak(hedge, spikes, 1, 1);
+            assert_eq!(stats_a, stats_b);
+            assert_eq!(trace_a, trace_b);
+        },
+    );
 }

@@ -6,7 +6,7 @@
 //! when it parses traces in parallel, so merge-equivalence is what
 //! makes its reports worker-count invariant.
 
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
 use hyrd::telemetry::Histogram;
 
@@ -20,81 +20,94 @@ fn feed(samples: &[u64]) -> Histogram {
 
 /// Samples spread across the interesting ranges: zero, small counts,
 /// nanosecond-scale latencies, and the extreme top buckets.
-fn sample() -> impl Strategy<Value = u64> {
-    prop_oneof![Just(0u64), 1u64..1024, 1_000u64..10_000_000_000, (u64::MAX - 1024)..=u64::MAX,]
+fn sample(g: &mut Gen) -> u64 {
+    match g.range(0..4u8) {
+        0 => 0,
+        1 => g.range(1u64..1024),
+        2 => g.range(1_000u64..10_000_000_000),
+        _ => g.range((u64::MAX - 1024)..=u64::MAX),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// merge(a, b) == feed(a ++ b): same buckets, count, sum, min, max —
+/// structural equality, not just matching summaries.
+#[test]
+fn merge_equals_combined_feed() {
+    check(
+        64,
+        |g| (g.vec(0..200, sample), g.vec(0..200, sample)),
+        |(xs, ys)| {
+            let mut merged = feed(&xs);
+            merged.merge(&feed(&ys));
 
-    /// merge(a, b) == feed(a ++ b): same buckets, count, sum, min, max —
-    /// structural equality, not just matching summaries.
-    #[test]
-    fn merge_equals_combined_feed(
-        xs in prop::collection::vec(sample(), 0..200),
-        ys in prop::collection::vec(sample(), 0..200),
-    ) {
-        let mut merged = feed(&xs);
-        merged.merge(&feed(&ys));
+            let mut combined: Vec<u64> = xs.clone();
+            combined.extend_from_slice(&ys);
+            assert_eq!(merged, feed(&combined));
+        },
+    );
+}
 
-        let mut combined: Vec<u64> = xs.clone();
-        combined.extend_from_slice(&ys);
-        prop_assert_eq!(merged, feed(&combined));
-    }
+/// Merging is commutative and merging an empty histogram is the
+/// identity — the fold order over parse chunks cannot matter.
+#[test]
+fn merge_is_commutative_with_empty_identity() {
+    check(
+        64,
+        |g| (g.vec(0..100, sample), g.vec(0..100, sample)),
+        |(xs, ys)| {
+            let mut ab = feed(&xs);
+            ab.merge(&feed(&ys));
+            let mut ba = feed(&ys);
+            ba.merge(&feed(&xs));
+            assert_eq!(&ab, &ba);
 
-    /// Merging is commutative and merging an empty histogram is the
-    /// identity — the fold order over parse chunks cannot matter.
-    #[test]
-    fn merge_is_commutative_with_empty_identity(
-        xs in prop::collection::vec(sample(), 0..100),
-        ys in prop::collection::vec(sample(), 0..100),
-    ) {
-        let mut ab = feed(&xs);
-        ab.merge(&feed(&ys));
-        let mut ba = feed(&ys);
-        ba.merge(&feed(&xs));
-        prop_assert_eq!(&ab, &ba);
+            let mut with_empty = feed(&xs);
+            with_empty.merge(&Histogram::new());
+            assert_eq!(with_empty, feed(&xs));
+        },
+    );
+}
 
-        let mut with_empty = feed(&xs);
-        with_empty.merge(&Histogram::new());
-        prop_assert_eq!(with_empty, feed(&xs));
-    }
+/// Quantiles are monotone non-decreasing in q and bounded by the
+/// exact min/max, on any sample set.
+#[test]
+fn quantiles_are_monotone_and_bounded() {
+    check(
+        64,
+        |g| (g.vec(1..300, sample), g.vec(2..16, |g| g.unit_inclusive())),
+        |(xs, qs)| {
+            let h = feed(&xs);
+            let mut sorted_q = qs.clone();
+            sorted_q.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-    /// Quantiles are monotone non-decreasing in q and bounded by the
-    /// exact min/max, on any sample set.
-    #[test]
-    fn quantiles_are_monotone_and_bounded(
-        xs in prop::collection::vec(sample(), 1..300),
-        qs in prop::collection::vec(0.0f64..=1.0, 2..16),
-    ) {
-        let h = feed(&xs);
-        let mut sorted_q = qs.clone();
-        sorted_q.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut prev = h.quantile(0.0);
+            assert!(prev >= h.min());
+            for &q in &sorted_q {
+                let v = h.quantile(q);
+                assert!(v >= prev, "quantile({q}) = {v} < earlier {prev}");
+                assert!(v >= h.min() && v <= h.max());
+                prev = v;
+            }
+            assert_eq!(h.quantile(1.0), h.max());
+        },
+    );
+}
 
-        let mut prev = h.quantile(0.0);
-        prop_assert!(prev >= h.min());
-        for &q in &sorted_q {
-            let v = h.quantile(q);
-            prop_assert!(v >= prev, "quantile({q}) = {v} < earlier {prev}");
-            prop_assert!(v >= h.min() && v <= h.max());
-            prev = v;
-        }
-        prop_assert_eq!(h.quantile(1.0), h.max());
-    }
-
-    /// Exact aggregates survive a merge: count adds, sum saturating-adds,
-    /// min/max take the extremes of either side.
-    #[test]
-    fn merge_preserves_exact_aggregates(
-        xs in prop::collection::vec(sample(), 1..100),
-        ys in prop::collection::vec(sample(), 1..100),
-    ) {
-        let (a, b) = (feed(&xs), feed(&ys));
-        let mut m = a.clone();
-        m.merge(&b);
-        prop_assert_eq!(m.count(), a.count() + b.count());
-        prop_assert_eq!(m.sum(), a.sum().saturating_add(b.sum()));
-        prop_assert_eq!(m.min(), a.min().min(b.min()));
-        prop_assert_eq!(m.max(), a.max().max(b.max()));
-    }
+/// Exact aggregates survive a merge: count adds, sum saturating-adds,
+/// min/max take the extremes of either side.
+#[test]
+fn merge_preserves_exact_aggregates() {
+    check(
+        64,
+        |g| (g.vec(1..100, sample), g.vec(1..100, sample)),
+        |(xs, ys)| {
+            let (a, b) = (feed(&xs), feed(&ys));
+            let mut m = a.clone();
+            m.merge(&b);
+            assert_eq!(m.count(), a.count() + b.count());
+            assert_eq!(m.sum(), a.sum().saturating_add(b.sum()));
+            assert_eq!(m.min(), a.min().min(b.min()));
+            assert_eq!(m.max(), a.max().max(b.max()));
+        },
+    );
 }

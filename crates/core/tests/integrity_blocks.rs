@@ -5,7 +5,7 @@
 //! Whatever path a block takes, its digest is `sha256` of it, a flipped
 //! bit in it is `Corrupt`, and `record_patch` of it ≡ `record`.
 //!
-//! Std-only and seeded, like `log_rule_model.rs`. The proptest suite
+//! Std-only and seeded, like `log_rule_model.rs`. The property suite
 //! beside it (`integrity_proptests.rs`) covers the small sizes.
 //!
 //! Last, where the time goes: the dispatcher times every `record`,

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use hyrd_testkit::check;
 
 use hyrd::config::HyrdConfig;
 use hyrd::crashtest::CrashHarness;
@@ -209,70 +209,71 @@ fn concurrent_readers_see_correct_bytes_throughout_migration() {
     assert_eq!(&bytes[..], &want[..]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+/// Randomised migration-under-fire: several candidate files of
+/// jittered sizes, all promoting or all demoting, with the client
+/// killed at an arbitrary crashpoint during an arbitrary (k-th)
+/// migration of the pass — so earlier migrations in the same pass
+/// have already committed when the kill lands. The restarted client
+/// must audit clean, and one more clean pass must converge without
+/// aborts.
+#[test]
+fn randomized_kills_mid_pass_audit_clean() {
+    check(
+        12,
+        |g| {
+            (
+                g.bool(),
+                g.range(1usize..4),
+                g.range(0usize..256),
+                g.range(0usize..MIGRATE_POINTS.len()),
+                g.range(1u64..4),
+            )
+        },
+        |(promote, files, jitter_kb, point_idx, kill_on)| {
+            hyrd::silence_crash_panics();
+            let point = MIGRATE_POINTS[point_idx];
+            let clock = SimClock::new();
+            let fleet = Fleet::standard_four(clock.clone());
+            let mut h = CrashHarness::new(&fleet, policy_config(), Collector::disabled())
+                .expect("valid policy config");
 
-    /// Randomised migration-under-fire: several candidate files of
-    /// jittered sizes, all promoting or all demoting, with the client
-    /// killed at an arbitrary crashpoint during an arbitrary (k-th)
-    /// migration of the pass — so earlier migrations in the same pass
-    /// have already committed when the kill lands. The restarted client
-    /// must audit clean, and one more clean pass must converge without
-    /// aborts.
-    #[test]
-    fn randomized_kills_mid_pass_audit_clean(
-        promote in any::<bool>(),
-        files in 1usize..4,
-        jitter_kb in 0usize..256,
-        point_idx in 0usize..MIGRATE_POINTS.len(),
-        kill_on in 1u64..4,
-    ) {
-        hyrd::silence_crash_panics();
-        let point = MIGRATE_POINTS[point_idx];
-        let clock = SimClock::new();
-        let fleet = Fleet::standard_four(clock.clone());
-        let mut h = CrashHarness::new(&fleet, policy_config(), Collector::disabled())
-            .expect("valid policy config");
-
-        // Promotion candidates are hot erasure-coded files (above the
-        // 1 MiB replication threshold, three reads); demotion candidates
-        // are replicated files left cold past `demote_idle`.
-        for i in 0..files {
-            let size = if promote { (1536 + jitter_kb) * KB } else { (128 + jitter_kb) * KB };
-            let path = format!("/mig/p{i}");
-            create(&mut h, &path, size);
-            if promote {
-                for _ in 0..3 {
-                    read(&mut h, &path);
+            // Promotion candidates are hot erasure-coded files (above the
+            // 1 MiB replication threshold, three reads); demotion candidates
+            // are replicated files left cold past `demote_idle`.
+            for i in 0..files {
+                let size = if promote { (1536 + jitter_kb) * KB } else { (128 + jitter_kb) * KB };
+                let path = format!("/mig/p{i}");
+                create(&mut h, &path, size);
+                if promote {
+                    for _ in 0..3 {
+                        read(&mut h, &path);
+                    }
                 }
             }
-        }
-        if !promote {
-            clock.advance(Duration::from_secs(120));
-        }
+            if !promote {
+                clock.advance(Duration::from_secs(120));
+            }
 
-        // Each migration crosses each crashpoint once, so clamping the
-        // hit count to the candidate count guarantees the switch fires.
-        let kill_on = kill_on.min(files as u64);
-        fleet.crash_switch().arm(CrashPlan::at_point(point, kill_on));
-        assert!(
-            h.migrate_pass().is_none(),
-            "{point} hit {kill_on}: the armed pass must die"
-        );
-        h.restart_and_audit();
-        assert_eq!(
-            h.violations(),
-            &[] as &[String],
-            "{point} hit {kill_on}: restart after mid-pass kill"
-        );
+            // Each migration crosses each crashpoint once, so clamping the
+            // hit count to the candidate count guarantees the switch fires.
+            let kill_on = kill_on.min(files as u64);
+            fleet.crash_switch().arm(CrashPlan::at_point(point, kill_on));
+            assert!(h.migrate_pass().is_none(), "{point} hit {kill_on}: the armed pass must die");
+            h.restart_and_audit();
+            assert_eq!(
+                h.violations(),
+                &[] as &[String],
+                "{point} hit {kill_on}: restart after mid-pass kill"
+            );
 
-        let report = h.migrate_pass().expect("clean pass after restart");
-        assert_eq!(report.aborted, 0, "{point} hit {kill_on}: clean pass must not abort");
-        h.final_audit();
-        assert_eq!(
-            h.violations(),
-            &[] as &[String],
-            "{point} hit {kill_on}: audit after converging"
-        );
-    }
+            let report = h.migrate_pass().expect("clean pass after restart");
+            assert_eq!(report.aborted, 0, "{point} hit {kill_on}: clean pass must not abort");
+            h.final_audit();
+            assert_eq!(
+                h.violations(),
+                &[] as &[String],
+                "{point} hit {kill_on}: audit after converging"
+            );
+        },
+    );
 }

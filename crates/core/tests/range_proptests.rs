@@ -8,7 +8,7 @@
 //! [`SchemeError::BadRange`] — these tests pin that behaviour with the
 //! exact wrap-around offsets plus a property sweep.
 
-use proptest::prelude::*;
+use hyrd_testkit::check;
 
 use hyrd::prelude::*;
 use hyrd::scheme::SchemeError;
@@ -36,32 +36,30 @@ fn offsets_near_u64_max_are_rejected_not_wrapped() {
     assert_eq!(bytes, vec![7u8; 8 * 1024]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Any offset in the top 4 KB of the u64 range — wrapping or merely
+/// astronomically past EOF — yields `BadRange`, never a panic; and
+/// the in-bounds boundary patch (ending exactly at EOF) still lands.
+#[test]
+fn out_of_range_updates_never_wrap_or_panic() {
+    check(
+        24,
+        |g| (g.range(0u64..4096), g.range(1usize..2048), g.range(1usize..(64 * 1024))),
+        |(gap, len, size)| {
+            let (_fleet, h) = client_with("/f", size);
 
-    /// Any offset in the top 4 KB of the u64 range — wrapping or merely
-    /// astronomically past EOF — yields `BadRange`, never a panic; and
-    /// the in-bounds boundary patch (ending exactly at EOF) still lands.
-    #[test]
-    fn out_of_range_updates_never_wrap_or_panic(
-        gap in 0u64..4096,
-        len in 1usize..2048,
-        size in 1usize..(64 * 1024),
-    ) {
-        let (_fleet, h) = client_with("/f", size);
+            // gap < len wraps end past zero; gap ≥ len stays representable
+            // but far beyond EOF — both must take the same refusal path.
+            let r = h.update_file("/f", u64::MAX - gap, &vec![3u8; len]);
+            assert!(matches!(r, Err(SchemeError::BadRange { .. })));
 
-        // gap < len wraps end past zero; gap ≥ len stays representable
-        // but far beyond EOF — both must take the same refusal path.
-        let r = h.update_file("/f", u64::MAX - gap, &vec![3u8; len]);
-        prop_assert!(matches!(r, Err(SchemeError::BadRange { .. })));
+            // One past the end, non-wrapping: refused too.
+            let r = h.update_file("/f", size as u64, &[3u8; 1]);
+            assert!(matches!(r, Err(SchemeError::BadRange { .. })));
 
-        // One past the end, non-wrapping: refused too.
-        let r = h.update_file("/f", size as u64, &[3u8; 1]);
-        prop_assert!(matches!(r, Err(SchemeError::BadRange { .. })));
-
-        // Boundary success: a patch ending exactly at EOF.
-        let l = len.min(size);
-        let patched = h.update_file("/f", (size - l) as u64, &vec![4u8; l]);
-        prop_assert!(patched.is_ok(), "in-bounds boundary update refused: {patched:?}");
-    }
+            // Boundary success: a patch ending exactly at EOF.
+            let l = len.min(size);
+            let patched = h.update_file("/f", (size - l) as u64, &vec![4u8; l]);
+            assert!(patched.is_ok(), "in-bounds boundary update refused: {patched:?}");
+        },
+    );
 }

@@ -5,7 +5,7 @@
 //! interleaved.
 
 use bytes::Bytes;
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
 use hyrd::recovery::UpdateLog;
 use hyrd_gcsapi::{CloudStorage, MemoryCloud, ObjectKey, ProviderId};
@@ -56,70 +56,71 @@ fn remove_then_put_lands_the_recreated_object() {
 
 /// One random missed-write interleaving step: `Some(fill)` is a Put of
 /// 16 bytes of `fill`, `None` is a Remove.
-fn step_strategy() -> impl Strategy<Value = (u8, Option<u8>)> {
-    (0..4u8, proptest::option::of(any::<u8>()))
+fn step_strategy(g: &mut Gen) -> (u8, Option<u8>) {
+    (g.range(0..4u8), g.option(|g| g.range(..)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// Replaying an arbitrary interleaving of missed Puts/Removes over a
-    /// small key space leaves the provider holding exactly the last
-    /// write per key; keys never written keep their pre-outage bytes;
-    /// the log drains completely.
-    #[test]
-    fn replay_applies_exactly_the_final_state(
-        steps in proptest::collection::vec(step_strategy(), 0..40)
-    ) {
-        let id = ProviderId(1);
-        let cloud = MemoryCloud::new(id, "returned");
-        cloud.create("hyrd").unwrap();
-        // Every key starts with a stale pre-outage copy.
-        for k in 0..4u8 {
-            cloud.put(&key(&format!("k{k}")), Bytes::from(vec![0xEE; 4])).unwrap();
-        }
-
-        let mut log = UpdateLog::new();
-        let mut last: [Option<Option<u8>>; 4] = [None, None, None, None];
-        for (k, write) in &steps {
-            let name = format!("k{k}");
-            match write {
-                Some(fill) => log.log_put(id, key(&name), Bytes::from(vec![*fill; 16])),
-                None => log.log_remove(id, key(&name)),
+/// Replaying an arbitrary interleaving of missed Puts/Removes over a
+/// small key space leaves the provider holding exactly the last
+/// write per key; keys never written keep their pre-outage bytes;
+/// the log drains completely.
+#[test]
+fn replay_applies_exactly_the_final_state() {
+    check(
+        128,
+        |g| g.vec(0..40, step_strategy),
+        |steps| {
+            let id = ProviderId(1);
+            let cloud = MemoryCloud::new(id, "returned");
+            cloud.create("hyrd").unwrap();
+            // Every key starts with a stale pre-outage copy.
+            for k in 0..4u8 {
+                cloud.put(&key(&format!("k{k}")), Bytes::from(vec![0xEE; 4])).unwrap();
             }
-            last[*k as usize] = Some(*write);
-        }
 
-        // Compaction invariant: at most one record per touched key.
-        let touched = last.iter().filter(|l| l.is_some()).count();
-        prop_assert_eq!(log.len(), touched);
-
-        let (report, _) = log.replay(&cloud).unwrap();
-        prop_assert!(log.is_empty(), "replay must drain the provider's log");
-        prop_assert_eq!(
-            (report.puts_replayed + report.removes_replayed) as usize,
-            touched,
-            "exactly one replayed op per touched key"
-        );
-
-        for k in 0..4u8 {
-            let stored = cloud.get(&key(&format!("k{k}"))).ok().map(|out| out.value);
-            match last[k as usize] {
-                None => prop_assert_eq!(
-                    stored.as_deref(),
-                    Some(&[0xEE; 4][..]),
-                    "untouched key k{} must keep its pre-outage bytes", k
-                ),
-                Some(Some(fill)) => prop_assert_eq!(
-                    stored.as_deref(),
-                    Some(&vec![fill; 16][..]),
-                    "k{} must hold the final put", k
-                ),
-                Some(None) => prop_assert!(
-                    stored.is_none(),
-                    "k{} was last removed and must stay gone", k
-                ),
+            let mut log = UpdateLog::new();
+            let mut last: [Option<Option<u8>>; 4] = [None, None, None, None];
+            for (k, write) in &steps {
+                let name = format!("k{k}");
+                match write {
+                    Some(fill) => log.log_put(id, key(&name), Bytes::from(vec![*fill; 16])),
+                    None => log.log_remove(id, key(&name)),
+                }
+                last[*k as usize] = Some(*write);
             }
-        }
-    }
+
+            // Compaction invariant: at most one record per touched key.
+            let touched = last.iter().filter(|l| l.is_some()).count();
+            assert_eq!(log.len(), touched);
+
+            let (report, _) = log.replay(&cloud).unwrap();
+            assert!(log.is_empty(), "replay must drain the provider's log");
+            assert_eq!(
+                (report.puts_replayed + report.removes_replayed) as usize,
+                touched,
+                "exactly one replayed op per touched key"
+            );
+
+            for k in 0..4u8 {
+                let stored = cloud.get(&key(&format!("k{k}"))).ok().map(|out| out.value);
+                match last[k as usize] {
+                    None => assert_eq!(
+                        stored.as_deref(),
+                        Some(&[0xEE; 4][..]),
+                        "untouched key k{} must keep its pre-outage bytes",
+                        k
+                    ),
+                    Some(Some(fill)) => assert_eq!(
+                        stored.as_deref(),
+                        Some(&vec![fill; 16][..]),
+                        "k{} must hold the final put",
+                        k
+                    ),
+                    Some(None) => {
+                        assert!(stored.is_none(), "k{} was last removed and must stay gone", k)
+                    }
+                }
+            }
+        },
+    );
 }

@@ -13,7 +13,7 @@
 //!   fraction of time each layout can serve. The two must agree, which
 //!   the tests enforce.
 
-use rand_like::SplitMix;
+use hyrd_workloads::rng::SplitMix64;
 
 /// `C(n, k)` as f64 (small n only).
 fn binomial(n: u64, k: u64) -> f64 {
@@ -96,11 +96,11 @@ pub fn monte_carlo_k_of_n(
     // up/down switch times and walk the merged timeline.
     let mut events: Vec<(f64, i32)> = Vec::new(); // (time, +1 up / -1 down)
     for prov in 0..n {
-        let mut rng = SplitMix::new(seed ^ (0x9E37 + prov));
+        let mut rng = SplitMix64::new(seed ^ (0x9E37 + prov));
         let mut t = 0.0;
         let mut up = true; // everyone starts up
         while t < horizon {
-            let dur = if up { rng.exp(mtbf) } else { rng.exp(mttr) };
+            let dur = exp(&mut rng, if up { mtbf } else { mttr });
             let end = (t + dur).min(horizon);
             if !up {
                 events.push((t, -1));
@@ -134,36 +134,11 @@ pub fn monte_carlo_k_of_n(
     McAvailability { available: available_time / horizon, mean_up: up_integral / horizon / 1.0 }
 }
 
-/// Minimal deterministic RNG (SplitMix64 + exponential sampling), local
-/// so the crate needs no extra dependency for the Monte Carlo.
-mod rand_like {
-    pub struct SplitMix {
-        state: u64,
-    }
-
-    impl SplitMix {
-        pub fn new(seed: u64) -> Self {
-            SplitMix { state: seed }
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in (0, 1).
-        pub fn unit(&mut self) -> f64 {
-            ((self.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64
-        }
-
-        /// Exponential with the given mean.
-        pub fn exp(&mut self, mean: f64) -> f64 {
-            -mean * self.unit().ln()
-        }
-    }
+/// Exponential with the given mean, by inverse transform of a uniform
+/// in (0, 1).
+fn exp(rng: &mut SplitMix64, mean: f64) -> f64 {
+    let unit = ((rng.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+    -mean * unit.ln()
 }
 
 #[cfg(test)]

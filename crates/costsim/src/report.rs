@@ -1,8 +1,6 @@
 //! Cost series: running a model over a trace, monthly/cumulative views,
 //! and the table rendering the figure binaries print.
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_cloudsim::{PriceBook, WellKnownProvider};
 use hyrd_workloads::IaTrace;
 
@@ -10,7 +8,7 @@ use crate::model::CostModel;
 use crate::usage::MonthlyUsage;
 
 /// One month's bill for one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonthCost {
     /// Month label ("Feb-08").
     pub label: String,
@@ -21,7 +19,7 @@ pub struct MonthCost {
 }
 
 /// A scheme's 12-month cost series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostSeries {
     /// Scheme name.
     pub scheme: String,

@@ -1,11 +1,9 @@
 //! Usage records: what gets billed.
 
-use serde::{Deserialize, Serialize};
-
 use hyrd_cloudsim::PriceBook;
 
 /// One scheme's consumption on one provider during one month.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MonthlyUsage {
     /// Bytes retained on the provider at month end (billed per GB-month;
     /// the paper's model bills the full balance each month, which is why

@@ -4,8 +4,7 @@
 //! bit-identity on random lengths including the empty input and the
 //! 63/64/65-byte block boundaries.
 
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use hyrd_testkit::check;
 
 use hyrd_dedup::sha256::{hex, sha256, sha256_with_kernel, Kernel, Sha256};
 
@@ -72,34 +71,38 @@ fn million_a_on_every_kernel() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+#[test]
+fn kernels_match_reference_on_random_inputs() {
+    check(
+        64,
+        |g| g.bytes(0..5000),
+        |data| {
+            let want = oracle::sha256(&data);
+            assert_eq!(sha256(&data), want);
+            for k in Kernel::available() {
+                assert_eq!(sha256_with_kernel(k, &data), want, "kernel {}", k.name());
+            }
+        },
+    );
+}
 
-    #[test]
-    fn kernels_match_reference_on_random_inputs(data in pvec(any::<u8>(), 0..5000)) {
-        let want = oracle::sha256(&data);
-        prop_assert_eq!(sha256(&data), want);
-        for k in Kernel::available() {
-            prop_assert_eq!(sha256_with_kernel(k, &data), want, "kernel {}", k.name());
-        }
-    }
-
-    #[test]
-    fn incremental_updates_match_oneshot_at_any_splits(
-        data in pvec(any::<u8>(), 0..3000),
-        a in 0usize..3000,
-        b in 0usize..3000,
-    ) {
-        let a = a.min(data.len());
-        let b = b.min(data.len());
-        let (lo, hi) = (a.min(b), a.max(b));
-        let want = oracle::sha256(&data);
-        for k in Kernel::available() {
-            let mut h = Sha256::with_kernel(k);
-            h.update(&data[..lo]);
-            h.update(&data[lo..hi]);
-            h.update(&data[hi..]);
-            prop_assert_eq!(h.finalize(), want, "kernel {} splits {lo}/{hi}", k.name());
-        }
-    }
+#[test]
+fn incremental_updates_match_oneshot_at_any_splits() {
+    check(
+        64,
+        |g| (g.bytes(0..3000), g.range(0usize..3000), g.range(0usize..3000)),
+        |(data, a, b)| {
+            let a = a.min(data.len());
+            let b = b.min(data.len());
+            let (lo, hi) = (a.min(b), a.max(b));
+            let want = oracle::sha256(&data);
+            for k in Kernel::available() {
+                let mut h = Sha256::with_kernel(k);
+                h.update(&data[..lo]);
+                h.update(&data[lo..hi]);
+                h.update(&data[hi..]);
+                assert_eq!(h.finalize(), want, "kernel {} splits {lo}/{hi}", k.name());
+            }
+        },
+    );
 }

@@ -22,6 +22,8 @@
 //!   benches to count write-amplification and recovery traffic.
 //! * [`retry`] — bounded retry policy for transient failures: capped
 //!   exponential backoff with deterministic jitter and a deadline budget.
+//! * [`sync`] — the poison-recovering `lock` / `read` / `write` every
+//!   `std::sync` lock in the stack is taken through.
 //! * [`compose`] — virtual-time composition of op reports: parallel
 //!   fan-out takes the max of branch latencies, serial rounds sum.
 
@@ -30,6 +32,7 @@ pub mod error;
 pub mod instrument;
 pub mod retry;
 pub mod storage;
+pub mod sync;
 pub mod types;
 
 pub use compose::{parallel_latency, serial_latency, BatchReport};

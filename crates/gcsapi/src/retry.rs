@@ -16,12 +16,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{CloudError, CloudResult};
 
 /// How (and how often) to re-attempt a transiently-failing operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts (>= 1). 1 means "no retries".
     pub max_attempts: u32,

@@ -5,7 +5,9 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use std::sync::RwLock;
+
+use crate::sync::{read, write};
 
 use crate::error::{CloudError, CloudResult};
 use crate::types::{ObjectKey, OpKind, OpOutcome, OpReport, ProviderId};
@@ -90,12 +92,12 @@ impl MemoryCloud {
 
     /// Total bytes currently stored, for space-overhead assertions.
     pub fn stored_bytes(&self) -> u64 {
-        self.containers.read().values().flat_map(|c| c.values()).map(|b| b.len() as u64).sum()
+        read(&self.containers).values().flat_map(|c| c.values()).map(|b| b.len() as u64).sum()
     }
 
     /// Number of objects stored across all containers.
     pub fn object_count(&self) -> usize {
-        self.containers.read().values().map(|c| c.len()).sum()
+        read(&self.containers).values().map(|c| c.len()).sum()
     }
 
     fn report(&self, kind: OpKind, bytes_in: u64, bytes_out: u64) -> OpReport {
@@ -119,7 +121,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn create(&self, container: &str) -> CloudResult<OpOutcome<()>> {
-        let mut c = self.containers.write();
+        let mut c = write(&self.containers);
         if c.contains_key(container) {
             return Err(CloudError::ContainerExists { container: container.to_string() });
         }
@@ -128,7 +130,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn put(&self, key: &ObjectKey, data: Bytes) -> CloudResult<OpOutcome<()>> {
-        let mut c = self.containers.write();
+        let mut c = write(&self.containers);
         let container = c
             .get_mut(&key.container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
@@ -138,7 +140,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn get(&self, key: &ObjectKey) -> CloudResult<OpOutcome<Bytes>> {
-        let c = self.containers.read();
+        let c = read(&self.containers);
         let container = c
             .get(&key.container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
@@ -151,7 +153,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn list(&self, container: &str) -> CloudResult<OpOutcome<Vec<String>>> {
-        let c = self.containers.read();
+        let c = read(&self.containers);
         let cont = c
             .get(container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: container.to_string() })?;
@@ -160,7 +162,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn remove(&self, key: &ObjectKey) -> CloudResult<OpOutcome<()>> {
-        let mut c = self.containers.write();
+        let mut c = write(&self.containers);
         let container = c
             .get_mut(&key.container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
@@ -169,7 +171,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> CloudResult<OpOutcome<Bytes>> {
-        let c = self.containers.read();
+        let c = read(&self.containers);
         let container = c
             .get(&key.container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
@@ -184,7 +186,7 @@ impl CloudStorage for MemoryCloud {
     }
 
     fn put_range(&self, key: &ObjectKey, offset: u64, data: Bytes) -> CloudResult<OpOutcome<()>> {
-        let mut c = self.containers.write();
+        let mut c = write(&self.containers);
         let container = c
             .get_mut(&key.container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;

@@ -3,11 +3,9 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one cloud storage provider within a fleet. Cheap to copy;
 /// the human-readable name lives on the provider object itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProviderId(pub u16);
 
 impl std::fmt::Display for ProviderId {
@@ -18,7 +16,7 @@ impl std::fmt::Display for ProviderId {
 
 /// Fully-qualified object name: container plus object name, mirroring the
 /// bucket/key model every RESTful object store exposes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectKey {
     /// Container (bucket) name.
     pub container: String,
@@ -58,7 +56,7 @@ impl std::fmt::Display for ObjectKey {
 /// transaction class each maps to in Table II's price sheet:
 /// Put/Copy/Post/List are billed together ("3Ps + List"), Get and
 /// everything else are billed as "Get and others".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Lists the objects of a container.
     List,
@@ -103,7 +101,7 @@ impl std::fmt::Display for OpKind {
 
 /// What one operation cost: the observable every experiment in the paper
 /// is built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpReport {
     /// Which provider served the op.
     pub provider: ProviderId,

@@ -13,17 +13,13 @@
 //! kernels degenerate to the plain XOR of the survivors; a healthy read
 //! does no arithmetic at all.
 //!
-//! The combination is computed in [`PARALLEL_BLOCK`] chunks of the output
-//! with rayon, each task writing its own disjoint block in place — no
-//! per-block buffers, nothing to stitch.
+//! The combination is computed in [`FUSED_BLOCK`] chunks of the output,
+//! each written in place — no per-block buffers, nothing to stitch.
 
 use std::cell::OnceCell;
 
-use rayon::prelude::*;
-
 use crate::gf256::{mul_slice, mul_slice_acc, Gf256, FUSED_BLOCK};
 use crate::matrix::Matrix;
-use crate::parallel::PARALLEL_BLOCK;
 use crate::stripe::FragmentLayout;
 use crate::{ErasureCode, GfecError, Result};
 
@@ -132,20 +128,18 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
         // The zero fill is the value of an all-zero combination; every
         // other block is overwritten by its first term below.
         out.resize(start + take, 0);
-        out[start..].par_chunks_mut(PARALLEL_BLOCK).enumerate().for_each(|(b, block)| {
-            // Sub-blocks keep the accumulator in L1 across the terms.
-            for (s, dst) in block.chunks_mut(FUSED_BLOCK).enumerate() {
-                let at = b * PARALLEL_BLOCK + s * FUSED_BLOCK;
-                for (k, &(c, src)) in terms.iter().enumerate() {
-                    let src = &src[at..at + dst.len()];
-                    if k == 0 {
-                        mul_slice(dst, src, c);
-                    } else {
-                        mul_slice_acc(dst, src, c);
-                    }
+        // Sub-blocks keep the accumulator in L1 across the terms.
+        for (s, dst) in out[start..].chunks_mut(FUSED_BLOCK).enumerate() {
+            let at = s * FUSED_BLOCK;
+            for (k, &(c, src)) in terms.iter().enumerate() {
+                let src = &src[at..at + dst.len()];
+                if k == 0 {
+                    mul_slice(dst, src, c);
+                } else {
+                    mul_slice_acc(dst, src, c);
                 }
             }
-        });
+        }
     }
 }
 
@@ -230,9 +224,9 @@ pub(crate) mod tests {
     fn every_single_loss_decodes_across_block_boundaries() {
         let planner = StripePlanner::new(3, 4).unwrap();
         let code = Raid5::new(3).unwrap();
-        let obj = object(3 * PARALLEL_BLOCK + 777);
+        let obj = object(48 * FUSED_BLOCK + 777);
         let (layout, frags) = planner.split_encode(&code, &obj).unwrap();
-        assert!(layout.shard_len > PARALLEL_BLOCK, "the lost shard spans two blocks");
+        assert!(layout.shard_len > 16 * FUSED_BLOCK, "the lost shard spans many blocks");
         for lost in 0..4 {
             let back = decode_object(&code, &layout, &without(&frags, &[lost])).unwrap();
             assert_eq!(back, obj, "lost={lost}");

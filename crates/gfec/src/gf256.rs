@@ -73,42 +73,6 @@ impl Gf256 {
     /// Multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
 
-    /// Field addition (XOR; identical to subtraction in GF(2^8)).
-    #[inline]
-    pub fn add(self, rhs: Gf256) -> Gf256 {
-        Gf256(self.0 ^ rhs.0)
-    }
-
-    /// Field subtraction (same as addition in characteristic 2).
-    #[inline]
-    pub fn sub(self, rhs: Gf256) -> Gf256 {
-        self.add(rhs)
-    }
-
-    /// Field multiplication via log/exp tables.
-    #[inline]
-    pub fn mul(self, rhs: Gf256) -> Gf256 {
-        if self.0 == 0 || rhs.0 == 0 {
-            return Gf256::ZERO;
-        }
-        let idx = LOG[self.0 as usize] as usize + LOG[rhs.0 as usize] as usize;
-        Gf256(EXP[idx])
-    }
-
-    /// Field division.
-    ///
-    /// # Panics
-    /// Panics on division by zero, mirroring integer division semantics.
-    #[inline]
-    pub fn div(self, rhs: Gf256) -> Gf256 {
-        assert!(rhs.0 != 0, "division by zero in GF(2^8)");
-        if self.0 == 0 {
-            return Gf256::ZERO;
-        }
-        let idx = LOG[self.0 as usize] as usize + 255 - LOG[rhs.0 as usize] as usize;
-        Gf256(EXP[idx])
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
@@ -153,31 +117,53 @@ impl From<Gf256> for u8 {
     }
 }
 
+/// Field addition (XOR; identical to subtraction in GF(2^8)).
 impl std::ops::Add for Gf256 {
     type Output = Gf256;
+    #[inline]
+    #[allow(clippy::suspicious_arithmetic_impl)] // addition in GF(2^8) *is* XOR
     fn add(self, rhs: Gf256) -> Gf256 {
-        Gf256::add(self, rhs)
+        Gf256(self.0 ^ rhs.0)
     }
 }
 
+/// Field subtraction (same as addition in characteristic 2).
 impl std::ops::Sub for Gf256 {
     type Output = Gf256;
+    #[inline]
+    #[allow(clippy::suspicious_arithmetic_impl)] // characteristic 2: a - b = a + b
     fn sub(self, rhs: Gf256) -> Gf256 {
-        Gf256::sub(self, rhs)
+        self + rhs
     }
 }
 
+/// Field multiplication via log/exp tables.
 impl std::ops::Mul for Gf256 {
     type Output = Gf256;
+    #[inline]
     fn mul(self, rhs: Gf256) -> Gf256 {
-        Gf256::mul(self, rhs)
+        if self.0 == 0 || rhs.0 == 0 {
+            return Gf256::ZERO;
+        }
+        let idx = LOG[self.0 as usize] as usize + LOG[rhs.0 as usize] as usize;
+        Gf256(EXP[idx])
     }
 }
 
+/// Field division.
+///
+/// # Panics
+/// Panics on division by zero, mirroring integer division semantics.
 impl std::ops::Div for Gf256 {
     type Output = Gf256;
+    #[inline]
     fn div(self, rhs: Gf256) -> Gf256 {
-        Gf256::div(self, rhs)
+        assert!(rhs.0 != 0, "division by zero in GF(2^8)");
+        if self.0 == 0 {
+            return Gf256::ZERO;
+        }
+        let idx = LOG[self.0 as usize] as usize + 255 - LOG[rhs.0 as usize] as usize;
+        Gf256(EXP[idx])
     }
 }
 
@@ -451,7 +437,7 @@ mod tests {
         }
         for a in 0..=255u8 {
             for b in 0..=255u8 {
-                assert_eq!(Gf256(a).mul(Gf256(b)).0, slow_mul(a, b), "mismatch at {a} * {b}");
+                assert_eq!((Gf256(a) * Gf256(b)).0, slow_mul(a, b), "mismatch at {a} * {b}");
             }
         }
     }
@@ -529,7 +515,7 @@ mod tests {
             assert_eq!(dst2, expect2, "mul c={c}");
         }
         let mut d = vec![0b1010u8; 16];
-        xor_slice(&mut d, &vec![0b0110u8; 16]);
+        xor_slice(&mut d, &[0b0110u8; 16]);
         assert!(d.iter().all(|&b| b == 0b1100));
     }
 

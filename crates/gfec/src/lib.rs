@@ -19,7 +19,7 @@
 //! * [`decode`] — the borrowed decode core: fragments come in as
 //!   `(index, &[u8])` views and the object (or one rebuilt fragment)
 //!   goes out in a single buffer written once.
-//! * [`parallel`] — rayon-parallel block encoding for large objects.
+//! * [`parallel`] — owned-shard adapters over the encode and decode cores.
 //!
 //! The code-rate terminology follows the paper (§II-B): a code that splits
 //! an object into `m` data fragments and stores `n` total fragments has

@@ -335,8 +335,8 @@ mod tests {
         for (i, row) in out.iter().enumerate() {
             for (b, byte) in row.iter().enumerate() {
                 let mut expect = Gf256::ZERO;
-                for j in 0..3 {
-                    expect = expect + a.get(i, j) * Gf256(shards[j][b]);
+                for (j, shard) in shards.iter().enumerate() {
+                    expect = expect + a.get(i, j) * Gf256(shard[b]);
                 }
                 assert_eq!(*byte, expect.0);
             }

@@ -8,15 +8,12 @@
 //! updates cheap to plan, and lets large reads fan out one Get per
 //! provider in parallel (the paper's latency argument for large files).
 
-use serde::{Deserialize, Serialize};
-
-use crate::parallel::encode_into_parallel;
 use crate::{ErasureCode, GfecError, Result};
 
 /// The geometry of one encoded object: everything needed to split, join
 /// and plan updates. Stored in HyRD's metadata next to the fragment
 /// locations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragmentLayout {
     /// Original object length in bytes (before padding).
     pub object_len: usize,
@@ -141,7 +138,7 @@ impl StripePlanner {
 
     /// Appends the `n - m` parity fragments to the `m` data fragments of
     /// [`Self::split`] — the second half of [`Self::split_encode`].
-    /// Parity is filled in place, block-parallel for multi-MB objects.
+    /// Parity is filled in place.
     pub fn push_parity<C: ErasureCode + ?Sized>(
         &self,
         code: &C,
@@ -157,7 +154,7 @@ impl StripePlanner {
         let (data, parity) = fragments.split_at_mut(self.m);
         let shards: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        encode_into_parallel(code, &shards, &mut rows)
+        code.encode_into(&shards, &mut rows)
     }
 
     /// Splits `object` into `m` data fragments and encodes the `n - m`
@@ -190,7 +187,7 @@ mod tests {
         let l = p.plan(1000);
         assert_eq!(l.m, 3);
         assert_eq!(l.n, 4);
-        assert!(l.shard_len % StripePlanner::ALIGN == 0);
+        assert!(l.shard_len.is_multiple_of(StripePlanner::ALIGN));
         assert!(l.padded_len() >= 1000);
         assert_eq!(l.padding(), l.padded_len() - 1000);
     }

@@ -98,6 +98,9 @@ pub fn parity_window(touched: &[(usize, usize, usize)]) -> (usize, usize) {
 /// row: `P_j'[pos] = P_j[pos] + c_js * (old_s[pos] + new_s[pos])`. The
 /// old segments and windows are only read, so fetched buffers can be
 /// passed as they are (`Bytes`, `Vec<u8>`, slices).
+// The pair is (new data segments, new parity windows), each one buffer per
+// touched shard; an alias would rename it without saying more.
+#[allow(clippy::type_complexity)]
 pub fn apply_ranged_update_multi<S: AsRef<[u8]>, P: AsRef<[u8]>>(
     touched: &[(usize, usize, usize)],
     old_segments: &[S],

@@ -6,10 +6,9 @@
 
 mod oracle;
 
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
-use hyrd_gfec::parallel::{reconstruct_parallel, PARALLEL_BLOCK};
+use hyrd_gfec::parallel::reconstruct_parallel;
 use hyrd_gfec::{
     decode_object, rebuild_fragment, Fragment, Raid5, Raid6, ReedSolomon, StripePlanner,
 };
@@ -28,22 +27,16 @@ fn payload(len: usize, seed: u8) -> Vec<u8> {
 }
 
 /// New path ≡ oracle on `object`, for every tolerated erasure pattern.
-fn check_against_oracle<C: OwningDecode>(code: &C, object: &[u8]) -> Result<(), TestCaseError> {
+fn check_against_oracle<C: OwningDecode>(code: &C, object: &[u8]) {
     let (m, n) = (code.data_fragments(), code.total_fragments());
     let planner = StripePlanner::new(m, n).unwrap();
 
     let (layout, frags) = planner.split_encode(code, object).unwrap();
     let (oracle_layout, oracle_frags) = oracle::encode_object(&planner, code, object).unwrap();
-    prop_assert_eq!(layout, oracle_layout);
+    assert_eq!(layout, oracle_layout);
     for (got, want) in frags.iter().zip(&oracle_frags) {
-        prop_assert_eq!(
-            got,
-            &want.data,
-            "fragment {} of a {}-byte object",
-            want.index,
-            object.len()
-        );
-        prop_assert_eq!(got.capacity(), layout.shard_len, "fragments are exactly sized");
+        assert_eq!(got, &want.data, "fragment {} of a {}-byte object", want.index, object.len());
+        assert_eq!(got.capacity(), layout.shard_len, "fragments are exactly sized");
     }
 
     for lost in erasure_patterns(n, n - m) {
@@ -52,37 +45,36 @@ fn check_against_oracle<C: OwningDecode>(code: &C, object: &[u8]) -> Result<(), 
         let views = oracle::without(&frags, &lost);
 
         let got = decode_object(code, &layout, &views).unwrap();
-        prop_assert_eq!(&got, &oracle::decode_object(code, &layout, &owned).unwrap());
-        prop_assert_eq!(&got[..], object, "len={} lost={:?}", object.len(), &lost);
-        prop_assert_eq!(got.capacity(), object.len(), "one exact allocation");
+        assert_eq!(&got, &oracle::decode_object(code, &layout, &owned).unwrap());
+        assert_eq!(&got[..], object, "len={} lost={:?}", object.len(), &lost);
+        assert_eq!(got.capacity(), object.len(), "one exact allocation");
 
-        prop_assert_eq!(
+        assert_eq!(
             reconstruct_parallel(code, &owned, layout.shard_len).unwrap(),
             code.reconstruct(&owned, layout.shard_len).unwrap()
         );
         for &target in &lost {
             let rebuilt = rebuild_fragment(code, layout.shard_len, &views, target).unwrap();
-            prop_assert_eq!(&rebuilt, &frags[target], "rebuild {} after {:?}", target, &lost);
+            assert_eq!(&rebuilt, &frags[target], "rebuild {} after {:?}", target, &lost);
         }
     }
-    Ok(())
 }
 
-fn check_all_codes(object: &[u8]) -> Result<(), TestCaseError> {
-    check_against_oracle(&Raid5::new(3).unwrap(), object)?;
-    check_against_oracle(&Raid6::new(3).unwrap(), object)?;
-    check_against_oracle(&ReedSolomon::new(4, 6).unwrap(), object)
+fn check_all_codes(object: &[u8]) {
+    check_against_oracle(&Raid5::new(3).unwrap(), object);
+    check_against_oracle(&Raid6::new(3).unwrap(), object);
+    check_against_oracle(&ReedSolomon::new(4, 6).unwrap(), object);
 }
 
 /// The lengths where the layout changes shape: empty, one byte, one
 /// byte either side of a whole shard (64 is the alignment, so these are
 /// `shard_len - 1`, `shard_len`, `shard_len + 1` of the planned
 /// layout), the same around two shards, a length no `m` divides, and
-/// one whose shards span more than one parallel block.
+/// one whose shards span many 16 KiB kernel blocks.
 #[test]
 fn boundary_lengths_match_the_oracle_for_every_erasure_pattern() {
-    for len in [0, 1, 63, 64, 65, 127, 128, 129, 1_000, 4 * PARALLEL_BLOCK + 4_321] {
-        check_all_codes(&payload(len, len as u8)).unwrap();
+    for len in [0, 1, 63, 64, 65, 127, 128, 129, 1_000, 4 * 256 * 1024 + 4_321] {
+        check_all_codes(&payload(len, len as u8));
     }
 }
 
@@ -95,13 +87,13 @@ enum Defect {
     WrongLength(usize, usize),
 }
 
-fn defect() -> impl Strategy<Value = Defect> {
-    prop_oneof![
-        Just(Defect::TooFew),
-        (0usize..8).prop_map(Defect::Duplicate),
-        (0usize..300).prop_map(Defect::OutOfRange),
-        (0usize..8, 0usize..200).prop_map(|(at, len)| Defect::WrongLength(at, len)),
-    ]
+fn defect(g: &mut Gen) -> Defect {
+    match g.range(0..4u8) {
+        0 => Defect::TooFew,
+        1 => Defect::Duplicate(g.range(0usize..8)),
+        2 => Defect::OutOfRange(g.range(0usize..300)),
+        _ => Defect::WrongLength(g.range(0usize..8), g.range(0usize..200)),
+    }
 }
 
 /// Applies `defect` to a fragment list.
@@ -124,11 +116,7 @@ fn corrupt(avail: &mut Vec<Fragment>, defect: &Defect, m: usize, n: usize) {
     }
 }
 
-fn check_error_parity<C: OwningDecode>(
-    code: &C,
-    object: &[u8],
-    defects: &[Defect],
-) -> Result<(), TestCaseError> {
+fn check_error_parity<C: OwningDecode>(code: &C, object: &[u8], defects: &[Defect]) {
     let (m, n) = (code.data_fragments(), code.total_fragments());
     let planner = StripePlanner::new(m, n).unwrap();
     let (layout, frags) = oracle::encode_object(&planner, code, object).unwrap();
@@ -139,33 +127,35 @@ fn check_error_parity<C: OwningDecode>(
     let views: Vec<(usize, &[u8])> = avail.iter().map(|f| (f.index, f.data.as_slice())).collect();
     // Two defects can cancel (a length changed and changed back).
     let Err(want) = oracle::decode_object(code, &layout, &avail) else {
-        return Ok(());
+        return;
     };
-    prop_assert_eq!(decode_object(code, &layout, &views).unwrap_err(), want.clone());
-    prop_assert_eq!(rebuild_fragment(code, layout.shard_len, &views, 0).unwrap_err(), want.clone());
-    prop_assert_eq!(reconstruct_parallel(code, &avail, layout.shard_len).unwrap_err(), want);
-    Ok(())
+    assert_eq!(decode_object(code, &layout, &views).unwrap_err(), want.clone());
+    assert_eq!(rebuild_fragment(code, layout.shard_len, &views, 0).unwrap_err(), want.clone());
+    assert_eq!(reconstruct_parallel(code, &avail, layout.shard_len).unwrap_err(), want);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn arbitrary_objects_match_the_oracle_for_every_erasure_pattern() {
+    check(
+        24,
+        |g| g.bytes(0..3_000),
+        |object| {
+            check_all_codes(&object);
+        },
+    );
+}
 
-    #[test]
-    fn arbitrary_objects_match_the_oracle_for_every_erasure_pattern(
-        object in pvec(any::<u8>(), 0..3_000),
-    ) {
-        check_all_codes(&object)?;
-    }
-
-    /// One or two defects at once: the first one met in input order is
-    /// the one reported, exactly as the per-code decoders did.
-    #[test]
-    fn malformed_inputs_get_the_oracles_error(
-        object in pvec(any::<u8>(), 0..600),
-        defects in pvec(defect(), 1..3),
-    ) {
-        check_error_parity(&Raid5::new(3).unwrap(), &object, &defects)?;
-        check_error_parity(&Raid6::new(3).unwrap(), &object, &defects)?;
-        check_error_parity(&ReedSolomon::new(4, 6).unwrap(), &object, &defects)?;
-    }
+/// One or two defects at once: the first one met in input order is
+/// the one reported, exactly as the per-code decoders did.
+#[test]
+fn malformed_inputs_get_the_oracles_error() {
+    check(
+        24,
+        |g| (g.bytes(0..600), g.vec(1..3, defect)),
+        |(object, defects)| {
+            check_error_parity(&Raid5::new(3).unwrap(), &object, &defects);
+            check_error_parity(&Raid6::new(3).unwrap(), &object, &defects);
+            check_error_parity(&ReedSolomon::new(4, 6).unwrap(), &object, &defects);
+        },
+    );
 }

@@ -11,8 +11,7 @@
 mod oracle;
 use oracle::reference;
 
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
 use hyrd_gfec::gf256::{self, Gf256, FUSED_BLOCK};
 use hyrd_gfec::raid5::Raid5;
@@ -23,221 +22,243 @@ use hyrd_gfec::{decode_object, ErasureCode, Matrix, StripePlanner};
 
 /// Lengths that stress every SWAR alignment case: empty, sub-chunk tails,
 /// exact multiples of 8, and odd sizes just past a multiple.
-fn kernel_len() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), 1usize..8, Just(8usize), Just(16usize), 9usize..300,]
+fn kernel_len(g: &mut Gen) -> usize {
+    match g.range(0..5u8) {
+        0 => 0,
+        1 => g.range(1usize..8),
+        2 => 8,
+        3 => 16,
+        _ => g.range(9usize..300),
+    }
 }
 
-proptest! {
-    // ---------------- slice kernels vs naive reference ----------------
+// ---------------- slice kernels vs naive reference ----------------
 
-    #[test]
-    fn mul_slice_acc_matches_reference(
-        len in kernel_len(),
-        c: u8,
-        seed in pvec(any::<u8>(), 2),
-    ) {
-        let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(37) ^ seed[0]).collect();
-        let base: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(seed[1])).collect();
-        let mut fast = base.clone();
-        let mut slow = base;
-        gf256::mul_slice_acc(&mut fast, &src, Gf256(c));
-        reference::mul_slice_acc(&mut slow, &src, Gf256(c));
-        prop_assert_eq!(fast, slow);
-    }
+#[test]
+fn mul_slice_acc_matches_reference() {
+    check(
+        256,
+        |g| (kernel_len(g), g.range::<u8>(..), g.bytes(2..3)),
+        |(len, c, seed)| {
+            let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(37) ^ seed[0]).collect();
+            let base: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(seed[1])).collect();
+            let mut fast = base.clone();
+            let mut slow = base;
+            gf256::mul_slice_acc(&mut fast, &src, Gf256(c));
+            reference::mul_slice_acc(&mut slow, &src, Gf256(c));
+            assert_eq!(fast, slow);
+        },
+    );
+}
 
-    #[test]
-    fn mul_slice_matches_reference(
-        len in kernel_len(),
-        c: u8,
-        seed: u8,
-    ) {
-        let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(113) ^ seed).collect();
-        let mut fast = vec![0xA5u8; len];
-        let mut slow = vec![0x5Au8; len];
-        gf256::mul_slice(&mut fast, &src, Gf256(c));
-        reference::mul_slice(&mut slow, &src, Gf256(c));
-        prop_assert_eq!(fast, slow);
-    }
+#[test]
+fn mul_slice_matches_reference() {
+    check(
+        256,
+        |g| (kernel_len(g), g.range::<u8>(..), g.range::<u8>(..)),
+        |(len, c, seed)| {
+            let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(113) ^ seed).collect();
+            let mut fast = vec![0xA5u8; len];
+            let mut slow = vec![0x5Au8; len];
+            gf256::mul_slice(&mut fast, &src, Gf256(c));
+            reference::mul_slice(&mut slow, &src, Gf256(c));
+            assert_eq!(fast, slow);
+        },
+    );
+}
 
-    #[test]
-    fn xor_slice_matches_reference(len in kernel_len(), seed in pvec(any::<u8>(), 2)) {
-        let src: Vec<u8> = (0..len).map(|i| (i as u8) ^ seed[0]).collect();
-        let base: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(seed[1] | 1)).collect();
-        let mut fast = base.clone();
-        let mut slow = base;
-        gf256::xor_slice(&mut fast, &src);
-        reference::xor_slice(&mut slow, &src);
-        prop_assert_eq!(fast, slow);
-    }
+#[test]
+fn xor_slice_matches_reference() {
+    check(
+        256,
+        |g| (kernel_len(g), g.bytes(2..3)),
+        |(len, seed)| {
+            let src: Vec<u8> = (0..len).map(|i| (i as u8) ^ seed[0]).collect();
+            let base: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(seed[1] | 1)).collect();
+            let mut fast = base.clone();
+            let mut slow = base;
+            gf256::xor_slice(&mut fast, &src);
+            reference::xor_slice(&mut slow, &src);
+            assert_eq!(fast, slow);
+        },
+    );
+}
 
-    // ---------------- fused matrix encode vs row-at-a-time naive ----------------
+// ---------------- fused matrix encode vs row-at-a-time naive ----------------
 
-    #[test]
-    fn fused_mul_shards_matches_naive_sweep(
-        m in 1usize..6,
-        p in 1usize..4,
-        len in kernel_len(),
-        seed: u8,
-    ) {
-        let a = Matrix::cauchy(p, m);
-        let shards: Vec<Vec<u8>> = (0..m)
-            .map(|j| (0..len).map(|b| (b as u8).wrapping_mul(j as u8 + 2) ^ seed).collect())
-            .collect();
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        // The seed algorithm: one full naive sweep per output row.
-        let mut expect = vec![vec![0u8; len]; p];
-        for (i, row) in expect.iter_mut().enumerate() {
-            for (j, shard) in refs.iter().enumerate() {
-                reference::mul_slice_acc(row, shard, a.get(i, j));
+#[test]
+fn fused_mul_shards_matches_naive_sweep() {
+    check(
+        256,
+        |g| (g.range(1usize..6), g.range(1usize..4), kernel_len(g), g.range::<u8>(..)),
+        |(m, p, len, seed)| {
+            let a = Matrix::cauchy(p, m);
+            let shards: Vec<Vec<u8>> = (0..m)
+                .map(|j| (0..len).map(|b| (b as u8).wrapping_mul(j as u8 + 2) ^ seed).collect())
+                .collect();
+            let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+            // The seed algorithm: one full naive sweep per output row.
+            let mut expect = vec![vec![0u8; len]; p];
+            for (i, row) in expect.iter_mut().enumerate() {
+                for (j, shard) in refs.iter().enumerate() {
+                    reference::mul_slice_acc(row, shard, a.get(i, j));
+                }
             }
-        }
-        prop_assert_eq!(a.mul_shards(&refs), expect);
-    }
+            assert_eq!(a.mul_shards(&refs), expect);
+        },
+    );
+}
 
-    #[test]
-    fn fused_encode_straddles_block_boundary(
-        m in 1usize..4,
-        off in 0usize..32,
-        seed: u8,
-    ) {
-        // Lengths around FUSED_BLOCK exercise multi-block accumulation.
-        let len = FUSED_BLOCK - 16 + off;
-        let code = ReedSolomon::new(m, m + 2).unwrap();
-        let shards: Vec<Vec<u8>> = (0..m)
-            .map(|j| (0..len).map(|b| ((b >> 3) as u8) ^ seed.wrapping_add(j as u8)).collect())
-            .collect();
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let coeffs = code.parity_coefficients();
-        let mut expect = vec![vec![0u8; len]; 2];
-        for (j, row) in coeffs.iter().enumerate() {
-            for (i, shard) in refs.iter().enumerate() {
-                reference::mul_slice_acc(&mut expect[j], shard, row[i]);
+#[test]
+fn fused_encode_straddles_block_boundary() {
+    check(
+        256,
+        |g| (g.range(1usize..4), g.range(0usize..32), g.range::<u8>(..)),
+        |(m, off, seed)| {
+            // Lengths around FUSED_BLOCK exercise multi-block accumulation.
+            let len = FUSED_BLOCK - 16 + off;
+            let code = ReedSolomon::new(m, m + 2).unwrap();
+            let shards: Vec<Vec<u8>> = (0..m)
+                .map(|j| (0..len).map(|b| ((b >> 3) as u8) ^ seed.wrapping_add(j as u8)).collect())
+                .collect();
+            let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+            let coeffs = code.parity_coefficients();
+            let mut expect = vec![vec![0u8; len]; 2];
+            for (j, row) in coeffs.iter().enumerate() {
+                for (i, shard) in refs.iter().enumerate() {
+                    reference::mul_slice_acc(&mut expect[j], shard, row[i]);
+                }
             }
-        }
-        prop_assert_eq!(code.encode(&refs).unwrap(), expect);
-    }
+            assert_eq!(code.encode(&refs).unwrap(), expect);
+        },
+    );
+}
 
-    // ---------------- encode / encode_into / fragments agree ----------------
+// ---------------- encode / encode_into / fragments agree ----------------
 
-    #[test]
-    fn encode_into_matches_encode_for_all_codes(
-        m in 2usize..5,
-        len in kernel_len(),
-        garbage: u8,
-    ) {
-        let shards: Vec<Vec<u8>> = (0..m)
-            .map(|j| (0..len).map(|b| (b as u8) ^ (j as u8 * 29)).collect())
-            .collect();
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let codes: Vec<Box<dyn ErasureCode>> = vec![
-            Box::new(Raid5::new(m).unwrap()),
-            Box::new(Raid6::new(m).unwrap()),
-            Box::new(ReedSolomon::new(m, m + 2).unwrap()),
-            Box::new(ReedSolomon::with_kind(m, m + 2, MatrixKind::Vandermonde).unwrap()),
-        ];
-        for code in &codes {
-            let expect = code.encode(&refs).unwrap();
-            // Dirty rows must not leak into output.
-            let mut parity = vec![vec![garbage; len]; code.parity_fragments()];
-            let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            code.encode_into(&refs, &mut rows).unwrap();
-            prop_assert_eq!(&parity, &expect);
-        }
-    }
-
-    #[test]
-    fn encode_fragments_is_systematic_and_matches_encode(
-        m in 2usize..5,
-        len in kernel_len(),
-        seed: u8,
-    ) {
-        let rs = ReedSolomon::new(m, m + 2).unwrap();
-        let shards: Vec<Vec<u8>> = (0..m)
-            .map(|j| (0..len).map(|b| (b as u8).wrapping_add(seed) ^ (j as u8)).collect())
-            .collect();
-        let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-        let parity = rs.encode(&refs).unwrap();
-        let frags = rs.encode_fragments(shards.clone()).unwrap();
-        prop_assert_eq!(frags.len(), m + 2);
-        for (i, f) in frags.iter().enumerate() {
-            prop_assert_eq!(f.index, i);
-            let want = if i < m { &shards[i] } else { &parity[i - m] };
-            prop_assert_eq!(&f.data, want);
-        }
-    }
-
-    // ---------------- decode through the fast kernels ----------------
-
-    #[test]
-    fn decode_recovers_exact_bytes_after_kernel_swap(
-        payload in pvec(any::<u8>(), 1..2048),
-        m in 2usize..5,
-        lose_seed: u64,
-    ) {
-        // End-to-end: encode with fused kernels, lose two fragments,
-        // reconstruct through the inverted-matrix path (also on the fast
-        // kernels) and demand the original bytes back.
-        let n = m + 2;
-        let planner = StripePlanner::new(m, n).unwrap();
-        let code = ReedSolomon::new(m, n).unwrap();
-        let (layout, frags) = planner.split_encode(&code, &payload).unwrap();
-        let a = (lose_seed % n as u64) as usize;
-        let b = ((lose_seed >> 17) % n as u64) as usize;
-        let back = decode_object(&code, &layout, &oracle::without(&frags, &[a, b])).unwrap();
-        prop_assert_eq!(back, payload);
-    }
-
-    // ---------------- partial update vs naive recompute ----------------
-
-    #[test]
-    fn ranged_update_windows_match_naive_recompute(
-        payload in pvec(any::<u8>(), 128..2048),
-        m in 2usize..4,
-        parities in 1usize..3,
-        offset_frac in 0.0f64..1.0,
-        len_frac in 0.0f64..1.0,
-    ) {
-        use hyrd_gfec::update::apply_ranged_update_multi;
-        let n = m + parities;
-        let planner = StripePlanner::new(m, n).unwrap();
-        let code = ReedSolomon::new(m, n).unwrap();
-        let mut obj = payload;
-        let (layout, mut frags) = planner.split_encode(&code, &obj).unwrap();
-        let coeffs = code.parity_coefficients();
-
-        let offset = ((obj.len() - 1) as f64 * offset_frac) as usize;
-        let len = (1 + ((obj.len() - offset - 1) as f64 * len_frac) as usize).max(1);
-        let new_bytes: Vec<u8> = (0..len).map(|i| (i * 89 + offset) as u8).collect();
-
-        let plan = plan_update(&layout, offset, len).unwrap();
-        let (lo, hi) = parity_window(&plan.touched);
-        let old_segments: Vec<Vec<u8>> = plan
-            .touched
-            .iter()
-            .map(|&(sh, st, l)| frags[sh][st..st + l].to_vec())
-            .collect();
-        let old_parities: Vec<Vec<u8>> =
-            (m..n).map(|p| frags[p][lo..hi].to_vec()).collect();
-        let (new_segs, new_pars) = apply_ranged_update_multi(
-            &plan.touched, &old_segments, &old_parities, &new_bytes, &coeffs,
-        )
-        .unwrap();
-        for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
-            frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
-        }
-
-        // Naive oracle: recompute each parity window from the (updated)
-        // data shards with the reference kernel, byte by byte.
-        obj[offset..offset + len].copy_from_slice(&new_bytes);
-        let (_, new_frags) = planner.split_encode(&code, &obj).unwrap();
-        for (j, row) in coeffs.iter().enumerate() {
-            let mut want = vec![0u8; hi - lo];
-            for (i, shard) in new_frags[..m].iter().enumerate() {
-                reference::mul_slice_acc(&mut want, &shard[lo..hi], row[i]);
+#[test]
+fn encode_into_matches_encode_for_all_codes() {
+    check(
+        256,
+        |g| (g.range(2usize..5), kernel_len(g), g.range::<u8>(..)),
+        |(m, len, garbage)| {
+            let shards: Vec<Vec<u8>> =
+                (0..m).map(|j| (0..len).map(|b| (b as u8) ^ (j as u8 * 29)).collect()).collect();
+            let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+            let codes: Vec<Box<dyn ErasureCode>> = vec![
+                Box::new(Raid5::new(m).unwrap()),
+                Box::new(Raid6::new(m).unwrap()),
+                Box::new(ReedSolomon::new(m, m + 2).unwrap()),
+                Box::new(ReedSolomon::with_kind(m, m + 2, MatrixKind::Vandermonde).unwrap()),
+            ];
+            for code in &codes {
+                let expect = code.encode(&refs).unwrap();
+                // Dirty rows must not leak into output.
+                let mut parity = vec![vec![garbage; len]; code.parity_fragments()];
+                let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+                code.encode_into(&refs, &mut rows).unwrap();
+                assert_eq!(&parity, &expect);
             }
-            prop_assert_eq!(&new_pars[j], &want, "parity {} window", j);
-        }
-    }
+        },
+    );
+}
+
+#[test]
+fn encode_fragments_is_systematic_and_matches_encode() {
+    check(
+        256,
+        |g| (g.range(2usize..5), kernel_len(g), g.range::<u8>(..)),
+        |(m, len, seed)| {
+            let rs = ReedSolomon::new(m, m + 2).unwrap();
+            let shards: Vec<Vec<u8>> = (0..m)
+                .map(|j| (0..len).map(|b| (b as u8).wrapping_add(seed) ^ (j as u8)).collect())
+                .collect();
+            let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
+            let parity = rs.encode(&refs).unwrap();
+            let frags = rs.encode_fragments(shards.clone()).unwrap();
+            assert_eq!(frags.len(), m + 2);
+            for (i, f) in frags.iter().enumerate() {
+                assert_eq!(f.index, i);
+                let want = if i < m { &shards[i] } else { &parity[i - m] };
+                assert_eq!(&f.data, want);
+            }
+        },
+    );
+}
+
+// ---------------- decode through the fast kernels ----------------
+
+#[test]
+fn decode_recovers_exact_bytes_after_kernel_swap() {
+    check(
+        256,
+        |g| (g.bytes(1..2048), g.range(2usize..5), g.u64()),
+        |(payload, m, lose_seed)| {
+            // End-to-end: encode with fused kernels, lose two fragments,
+            // reconstruct through the inverted-matrix path (also on the fast
+            // kernels) and demand the original bytes back.
+            let n = m + 2;
+            let planner = StripePlanner::new(m, n).unwrap();
+            let code = ReedSolomon::new(m, n).unwrap();
+            let (layout, frags) = planner.split_encode(&code, &payload).unwrap();
+            let a = (lose_seed % n as u64) as usize;
+            let b = ((lose_seed >> 17) % n as u64) as usize;
+            let back = decode_object(&code, &layout, &oracle::without(&frags, &[a, b])).unwrap();
+            assert_eq!(back, payload);
+        },
+    );
+}
+
+// ---------------- partial update vs naive recompute ----------------
+
+#[test]
+fn ranged_update_windows_match_naive_recompute() {
+    check(
+        256,
+        |g| (g.bytes(128..2048), g.range(2usize..4), g.range(1usize..3), g.unit(), g.unit()),
+        |(payload, m, parities, offset_frac, len_frac)| {
+            use hyrd_gfec::update::apply_ranged_update_multi;
+            let n = m + parities;
+            let planner = StripePlanner::new(m, n).unwrap();
+            let code = ReedSolomon::new(m, n).unwrap();
+            let mut obj = payload;
+            let (layout, mut frags) = planner.split_encode(&code, &obj).unwrap();
+            let coeffs = code.parity_coefficients();
+
+            let offset = ((obj.len() - 1) as f64 * offset_frac) as usize;
+            let len = (1 + ((obj.len() - offset - 1) as f64 * len_frac) as usize).max(1);
+            let new_bytes: Vec<u8> = (0..len).map(|i| (i * 89 + offset) as u8).collect();
+
+            let plan = plan_update(&layout, offset, len).unwrap();
+            let (lo, hi) = parity_window(&plan.touched);
+            let old_segments: Vec<Vec<u8>> =
+                plan.touched.iter().map(|&(sh, st, l)| frags[sh][st..st + l].to_vec()).collect();
+            let old_parities: Vec<Vec<u8>> = (m..n).map(|p| frags[p][lo..hi].to_vec()).collect();
+            let (new_segs, new_pars) = apply_ranged_update_multi(
+                &plan.touched,
+                &old_segments,
+                &old_parities,
+                &new_bytes,
+                &coeffs,
+            )
+            .unwrap();
+            for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
+                frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
+            }
+
+            // Naive oracle: recompute each parity window from the (updated)
+            // data shards with the reference kernel, byte by byte.
+            obj[offset..offset + len].copy_from_slice(&new_bytes);
+            let (_, new_frags) = planner.split_encode(&code, &obj).unwrap();
+            for (j, row) in coeffs.iter().enumerate() {
+                let mut want = vec![0u8; hi - lo];
+                for (i, shard) in new_frags[..m].iter().enumerate() {
+                    reference::mul_slice_acc(&mut want, &shard[lo..hi], row[i]);
+                }
+                assert_eq!(&new_pars[j], &want, "parity {} window", j);
+            }
+        },
+    );
 }
 
 // ---------------- fixed cases at the kernels' boundaries ----------------

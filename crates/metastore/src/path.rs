@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn ordering_is_lexicographic() {
-        let mut v = vec![
+        let mut v = [
             NormPath::parse("/b").unwrap(),
             NormPath::parse("/a/z").unwrap(),
             NormPath::parse("/a").unwrap(),

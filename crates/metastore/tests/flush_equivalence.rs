@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
 use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::FragmentLayout;
@@ -199,24 +199,24 @@ enum Op {
     Flush,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let (dir, name, size) = (0..3u8, 0..6u8, 1..1_000_000u64);
-    prop_oneof![
-        3 => (dir.clone(), name.clone(), size.clone())
-            .prop_map(|(dir, name, size)| Op::Create { dir, name, size }),
-        3 => (dir.clone(), name.clone(), size.clone(), any::<bool>())
-            .prop_map(|(dir, name, size, erasure)| Op::Place { dir, name, size, erasure }),
-        2 => (dir.clone(), name.clone(), size.clone(), any::<bool>())
-            .prop_map(|(dir, name, size, hit)| Op::CasPlace { dir, name, size, hit }),
-        2 => (dir.clone(), name.clone()).prop_map(|(dir, name)| Op::Remove { dir, name }),
-        2 => (dir.clone(), name.clone()).prop_map(|(dir, name)| Op::CreateThenRemove { dir, name }),
-        1 => (dir.clone(), name.clone(), size)
-            .prop_map(|(dir, name, size)| Op::RemoveThenCreate { dir, name, size }),
-        1 => dir.clone().prop_map(|dir| Op::Mkdir { dir }),
-        1 => (dir, proptest::collection::vec((name, 0..3u64), 0..4), any::<bool>())
-            .prop_map(|(dir, entries, seed)| Op::Load { dir, entries, seed }),
-        3 => Just(Op::Flush),
-    ]
+fn op_strategy(g: &mut Gen) -> Op {
+    let (dir, name) = (g.range(0..3u8), g.range(0..6u8));
+    let size = |g: &mut Gen| g.range(1..1_000_000u64);
+    match g.weighted(&[3, 3, 2, 2, 2, 1, 1, 1, 3]) {
+        0 => Op::Create { dir, name, size: size(g) },
+        1 => Op::Place { dir, name, size: size(g), erasure: g.bool() },
+        2 => Op::CasPlace { dir, name, size: size(g), hit: g.bool() },
+        3 => Op::Remove { dir, name },
+        4 => Op::CreateThenRemove { dir, name },
+        5 => Op::RemoveThenCreate { dir, name, size: size(g) },
+        6 => Op::Mkdir { dir },
+        7 => Op::Load {
+            dir,
+            entries: g.vec(0..4, |g| (g.range(0..6u8), g.range(0..3u64))),
+            seed: g.bool(),
+        },
+        _ => Op::Flush,
+    }
 }
 
 fn dir_of(dir: u8) -> NormPath {
@@ -435,18 +435,19 @@ fn assert_flush_equivalence(rounds: &[Vec<Op>]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    #[test]
-    fn flush_matches_the_full_walk_oracle(
-        rounds in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 0..8),
-            2 * (COMPACT_EVERY + 1) + 1..4 * (COMPACT_EVERY + 1),
-        )
-    ) {
-        assert_flush_equivalence(&rounds);
-    }
+#[test]
+fn flush_matches_the_full_walk_oracle() {
+    check(
+        48,
+        |g| {
+            g.vec(2 * (COMPACT_EVERY + 1) + 1..4 * (COMPACT_EVERY + 1), |g| {
+                g.vec(0..8, op_strategy)
+            })
+        },
+        |rounds| {
+            assert_flush_equivalence(&rounds);
+        },
+    );
 }
 
 /// The same property on fixed scripts, so the suite still covers it when

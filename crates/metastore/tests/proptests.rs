@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
 use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::FragmentLayout;
@@ -25,16 +25,13 @@ enum Op {
     Lookup { dir: u8, name: u8 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..4u8, 0..6u8, 1..1_000_000u64).prop_map(|(dir, name, size)| Op::Create {
-            dir,
-            name,
-            size
-        }),
-        (0..4u8, 0..6u8).prop_map(|(dir, name)| Op::Remove { dir, name }),
-        (0..4u8, 0..6u8).prop_map(|(dir, name)| Op::Lookup { dir, name }),
-    ]
+fn op_strategy(g: &mut Gen) -> Op {
+    let (dir, name) = (g.range(0..4u8), g.range(0..6u8));
+    match g.range(0..3u8) {
+        0 => Op::Create { dir, name, size: g.range(1..1_000_000u64) },
+        1 => Op::Remove { dir, name },
+        _ => Op::Lookup { dir, name },
+    }
 }
 
 fn path_of(dir: u8, name: u8) -> NormPath {
@@ -59,40 +56,32 @@ fn apply_sharded(store: &ShardedMetaStore, ops: &[Op], t: &mut u64) {
 }
 
 /// Inodes covering every placement arm of the wire format.
-fn inode_strategy() -> impl Strategy<Value = Inode> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), 0..3u8, 0..5usize).prop_map(
-        |(id, size, version, tag, n)| {
-            let nanos = (version % 1_000_000_000) as u32;
-            let mut inode = Inode::new(FileId(id), size, Duration::new(size, nanos));
-            inode.version = version;
-            let at = |i: usize| (ProviderId(i as u16), format!("o{id}.{i}"));
-            inode.placement = match tag {
-                0 => Placement::Pending,
-                1 => Placement::Replicated {
-                    providers: (0..n).map(|i| at(i).0).collect(),
-                    object: format!("o{id}"),
-                },
-                _ => Placement::ErasureCoded {
-                    layout: FragmentLayout {
-                        object_len: size as usize,
-                        m: n,
-                        n: n + 1,
-                        shard_len: n,
-                    },
-                    fragments: (0..=n).map(at).collect(),
-                    hot_copy: (n % 2 == 0).then(|| at(n)),
-                },
-            };
-            inode
+fn inode_strategy(g: &mut Gen) -> Inode {
+    let (id, size, version) = (g.u64(), g.u64(), g.u64());
+    let (tag, n) = (g.range(0..3u8), g.range(0..5usize));
+    let nanos = (version % 1_000_000_000) as u32;
+    let mut inode = Inode::new(FileId(id), size, Duration::new(size, nanos));
+    inode.version = version;
+    let at = |i: usize| (ProviderId(i as u16), format!("o{id}.{i}"));
+    inode.placement = match tag {
+        0 => Placement::Pending,
+        1 => Placement::Replicated {
+            providers: (0..n).map(|i| at(i).0).collect(),
+            object: format!("o{id}"),
         },
-    )
+        _ => Placement::ErasureCoded {
+            layout: FragmentLayout { object_len: size as usize, m: n, n: n + 1, shard_len: n },
+            fragments: (0..=n).map(at).collect(),
+            hot_copy: (n % 2 == 0).then(|| at(n)),
+        },
+    };
+    inode
 }
 
 /// `(name, inode)` tables; duplicate names are fine (later ones win in
 /// a block, and a diff may legitimately touch a name twice).
-fn entries_strategy() -> impl Strategy<Value = Vec<(String, Inode)>> {
-    proptest::collection::vec((0..12u8, inode_strategy()), 0..6)
-        .prop_map(|v| v.into_iter().map(|(n, i)| (format!("f{n}"), i)).collect())
+fn entries_strategy(g: &mut Gen) -> Vec<(String, Inode)> {
+    g.vec(0..6, |g| (format!("f{}", g.range(0..12u8)), inode_strategy(g)))
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -117,184 +106,225 @@ fn mutate_and_reseal(mut frame: Vec<u8>, edits: &[(usize, u8)], cut: Option<usiz
     frame
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+/// Neither decoder panics on arbitrary bytes, with or without the
+/// right magic in front.
+#[test]
+fn decoders_never_panic_on_arbitrary_bytes() {
+    check(
+        64,
+        |g| (g.bytes(0..256), g.range(0..3u8)),
+        |(bytes, magic)| {
+            let mut frame = match magic {
+                0 => Vec::new(),
+                1 => b"HYM2".to_vec(),
+                _ => b"HYD1".to_vec(),
+            };
+            frame.extend_from_slice(&bytes);
+            let _ = MetadataBlock::from_bytes(&frame);
+            let _ = DiffBlock::from_bytes(&frame);
+            // Same bytes behind a valid checksum reach the body parsers.
+            if frame.len() > 12 {
+                let sealed = mutate_and_reseal(frame, &[], None);
+                let _ = MetadataBlock::from_bytes(&sealed);
+                let _ = DiffBlock::from_bytes(&sealed);
+            }
+        },
+    );
+}
 
-    /// Neither decoder panics on arbitrary bytes, with or without the
-    /// right magic in front.
-    #[test]
-    fn decoders_never_panic_on_arbitrary_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        magic in 0..3u8,
-    ) {
-        let mut frame = match magic {
-            0 => Vec::new(),
-            1 => b"HYM2".to_vec(),
-            _ => b"HYD1".to_vec(),
-        };
-        frame.extend_from_slice(&bytes);
-        let _ = MetadataBlock::from_bytes(&frame);
-        let _ = DiffBlock::from_bytes(&frame);
-        // Same bytes behind a valid checksum reach the body parsers.
-        if frame.len() > 12 {
-            let sealed = mutate_and_reseal(frame, &[], None);
-            let _ = MetadataBlock::from_bytes(&sealed);
-            let _ = DiffBlock::from_bytes(&sealed);
-        }
-    }
-
-    /// Valid `HYM2` and `HYD1` frames, mutated in the body and
-    /// re-checksummed, decode or fail with an error — never a panic.
-    #[test]
-    fn decoders_never_panic_on_resealed_mutations(
-        entries in entries_strategy(),
-        version in any::<u64>(),
-        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
-        cut in proptest::option::of(any::<usize>()),
-    ) {
-        let dir = NormPath::parse("/some/dir").expect("well-formed");
-        let block =
-            MetadataBlock { dir: dir.clone(), version, entries: entries.iter().cloned().collect() };
-        let ops = entries
-            .into_iter()
-            .map(|(name, inode)| {
-                if inode.size % 4 == 0 { EntryOp::Remove(name) } else { EntryOp::Upsert(name, inode) }
-            })
-            .collect();
-        let diff = DiffBlock { dir, base: version / 2, version: version / 2 + 1, ops };
-
-        // Unmutated frames round-trip (the generators are honest)...
-        prop_assert_eq!(&MetadataBlock::from_bytes(&block.to_bytes()).expect("own bytes"), &block);
-        prop_assert_eq!(&DiffBlock::from_bytes(&diff.to_bytes()).expect("own bytes"), &diff);
-        // ...and whatever the mutation did, the parsers return.
-        let _ = MetadataBlock::from_bytes(&mutate_and_reseal(block.to_bytes(), &edits, cut));
-        let _ = DiffBlock::from_bytes(&mutate_and_reseal(diff.to_bytes(), &edits, cut));
-    }
-
-    #[test]
-    fn store_agrees_with_a_map_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
-        let store = ShardedMetaStore::with_shards(4);
-        let mut model: HashMap<String, u64> = HashMap::new();
-        let mut t = 0u64;
-
-        for op in ops {
-            t += 1;
-            match op {
-                Op::Create { dir, name, size } => {
-                    let p = path_of(dir, name);
-                    let created = store.create_file(&p, size, Duration::from_secs(t)).is_ok();
-                    prop_assert_eq!(
-                        created,
-                        !model.contains_key(p.as_str()),
-                        "create {} must succeed iff absent", p
-                    );
-                    if created {
-                        model.insert(p.as_str().to_string(), size);
+/// Valid `HYM2` and `HYD1` frames, mutated in the body and
+/// re-checksummed, decode or fail with an error — never a panic.
+#[test]
+fn decoders_never_panic_on_resealed_mutations() {
+    check(
+        64,
+        |g| {
+            (
+                entries_strategy(g),
+                g.u64(),
+                g.vec(0..6, |g| (g.range::<usize>(..), g.range::<u8>(..))),
+                g.option(|g| g.range::<usize>(..)),
+            )
+        },
+        |(entries, version, edits, cut)| {
+            let dir = NormPath::parse("/some/dir").expect("well-formed");
+            let block = MetadataBlock {
+                dir: dir.clone(),
+                version,
+                entries: entries.iter().cloned().collect(),
+            };
+            let ops = entries
+                .into_iter()
+                .map(|(name, inode)| {
+                    if inode.size % 4 == 0 {
+                        EntryOp::Remove(name)
+                    } else {
+                        EntryOp::Upsert(name, inode)
                     }
-                }
-                Op::Remove { dir, name } => {
-                    let p = path_of(dir, name);
-                    let removed = store.remove_file(&p).is_ok();
-                    prop_assert_eq!(removed, model.remove(p.as_str()).is_some());
-                }
-                Op::Lookup { dir, name } => {
-                    let p = path_of(dir, name);
-                    match model.get(p.as_str()) {
-                        Some(&size) => {
-                            let inode = store.inode(&p).expect("model says present");
-                            prop_assert_eq!(inode.size, size);
+                })
+                .collect();
+            let diff = DiffBlock { dir, base: version / 2, version: version / 2 + 1, ops };
+
+            // Unmutated frames round-trip (the generators are honest)...
+            assert_eq!(&MetadataBlock::from_bytes(&block.to_bytes()).expect("own bytes"), &block);
+            assert_eq!(&DiffBlock::from_bytes(&diff.to_bytes()).expect("own bytes"), &diff);
+            // ...and whatever the mutation did, the parsers return.
+            let _ = MetadataBlock::from_bytes(&mutate_and_reseal(block.to_bytes(), &edits, cut));
+            let _ = DiffBlock::from_bytes(&mutate_and_reseal(diff.to_bytes(), &edits, cut));
+        },
+    );
+}
+
+#[test]
+fn store_agrees_with_a_map_model() {
+    check(
+        64,
+        |g| g.vec(1..80, op_strategy),
+        |ops| {
+            let store = ShardedMetaStore::with_shards(4);
+            let mut model: HashMap<String, u64> = HashMap::new();
+            let mut t = 0u64;
+
+            for op in ops {
+                t += 1;
+                match op {
+                    Op::Create { dir, name, size } => {
+                        let p = path_of(dir, name);
+                        let created = store.create_file(&p, size, Duration::from_secs(t)).is_ok();
+                        assert_eq!(
+                            created,
+                            !model.contains_key(p.as_str()),
+                            "create {} must succeed iff absent",
+                            p
+                        );
+                        if created {
+                            model.insert(p.as_str().to_string(), size);
                         }
-                        None => prop_assert!(store.inode(&p).is_err()),
+                    }
+                    Op::Remove { dir, name } => {
+                        let p = path_of(dir, name);
+                        let removed = store.remove_file(&p).is_ok();
+                        assert_eq!(removed, model.remove(p.as_str()).is_some());
+                    }
+                    Op::Lookup { dir, name } => {
+                        let p = path_of(dir, name);
+                        match model.get(p.as_str()) {
+                            Some(&size) => {
+                                let inode = store.inode(&p).expect("model says present");
+                                assert_eq!(inode.size, size);
+                            }
+                            None => assert!(store.inode(&p).is_err()),
+                        }
                     }
                 }
             }
-        }
 
-        // Global invariants at the end.
-        prop_assert_eq!(store.file_count(), model.len());
-        let logical: u64 = model.values().sum();
-        prop_assert_eq!(store.logical_bytes(), logical);
-    }
+            // Global invariants at the end.
+            assert_eq!(store.file_count(), model.len());
+            let logical: u64 = model.values().sum();
+            assert_eq!(store.logical_bytes(), logical);
+        },
+    );
+}
 
-    #[test]
-    fn flush_and_reload_reconstructs_the_namespace(
-        ops in proptest::collection::vec(op_strategy(), 1..60)
-    ) {
-        // Apply ops, flush (every directory's first flush is a full
-        // block), load the shipped bytes into a fresh store: file sets
-        // and sizes must match.
-        let store = ShardedMetaStore::with_shards(4);
-        apply_sharded(&store, &ops, &mut 0);
+#[test]
+fn flush_and_reload_reconstructs_the_namespace() {
+    check(
+        64,
+        |g| g.vec(1..60, op_strategy),
+        |ops| {
+            // Apply ops, flush (every directory's first flush is a full
+            // block), load the shipped bytes into a fresh store: file sets
+            // and sizes must match.
+            let store = ShardedMetaStore::with_shards(4);
+            apply_sharded(&store, &ops, &mut 0);
 
-        let fresh = ShardedMetaStore::with_shards(4);
-        for item in store.flush_dirty_encoded() {
-            prop_assert_eq!(item.kind, FlushKind::Block);
-            let parsed = MetadataBlock::from_bytes(&item.bytes).expect("own serialization");
-            fresh.load_block(&parsed).expect("well-formed block");
-        }
+            let fresh = ShardedMetaStore::with_shards(4);
+            for item in store.flush_dirty_encoded() {
+                assert_eq!(item.kind, FlushKind::Block);
+                let parsed = MetadataBlock::from_bytes(&item.bytes).expect("own serialization");
+                fresh.load_block(&parsed).expect("well-formed block");
+            }
 
-        prop_assert_eq!(fresh.file_count(), store.file_count());
-        prop_assert_eq!(fresh.logical_bytes(), store.logical_bytes());
-        for dir in store.all_dirs() {
-            let a = store.list(&dir).expect("exists");
-            let b = fresh.list(&dir).expect("reloaded");
-            // Compare names (ids are preserved by load_block, but compare
-            // structurally to stay robust).
-            let names = |v: &[DirEntry]| -> Vec<String> {
-                v.iter()
-                    .map(|e| match e {
-                        DirEntry::Dir(n) => format!("d:{n}"),
-                        DirEntry::File(n, _) => format!("f:{n}"),
-                    })
-                    .collect()
-            };
-            prop_assert_eq!(names(&a), names(&b), "dir {}", dir);
-        }
-    }
+            assert_eq!(fresh.file_count(), store.file_count());
+            assert_eq!(fresh.logical_bytes(), store.logical_bytes());
+            for dir in store.all_dirs() {
+                let a = store.list(&dir).expect("exists");
+                let b = fresh.list(&dir).expect("reloaded");
+                // Compare names (ids are preserved by load_block, but compare
+                // structurally to stay robust).
+                let names = |v: &[DirEntry]| -> Vec<String> {
+                    v.iter()
+                        .map(|e| match e {
+                            DirEntry::Dir(n) => format!("d:{n}"),
+                            DirEntry::File(n, _) => format!("f:{n}"),
+                        })
+                        .collect()
+                };
+                assert_eq!(names(&a), names(&b), "dir {}", dir);
+            }
+        },
+    );
+}
 
-    /// Shard assignment is a pure, stable function of the path: always
-    /// in range, identical across calls, and degenerate at one shard.
-    #[test]
-    fn shard_assignment_is_stable_and_in_range(dir in 0..64u8, name in 0..64u8, shards in 1..32usize) {
-        let p = path_of(dir, name);
-        let s = ShardedMetaStore::shard_of(&p, shards);
-        prop_assert!(s < shards);
-        prop_assert_eq!(s, ShardedMetaStore::shard_of(&p, shards));
-        prop_assert_eq!(ShardedMetaStore::shard_of(&p, 1), 0);
-    }
+/// Shard assignment is a pure, stable function of the path: always
+/// in range, identical across calls, and degenerate at one shard.
+#[test]
+fn shard_assignment_is_stable_and_in_range() {
+    check(
+        64,
+        |g| (g.range(0..64u8), g.range(0..64u8), g.range(1..32usize)),
+        |(dir, name, shards)| {
+            let p = path_of(dir, name);
+            let s = ShardedMetaStore::shard_of(&p, shards);
+            assert!(s < shards);
+            assert_eq!(s, ShardedMetaStore::shard_of(&p, shards));
+            assert_eq!(ShardedMetaStore::shard_of(&p, 1), 0);
+        },
+    );
+}
 
-    /// The DESIGN §15 determinism contract: the shard count is purely a
-    /// concurrency knob. The same op sequence with flushes at the same
-    /// points must produce byte-identical flush items (names, versions,
-    /// kinds, wire bytes) at 1, 5 and 16 shards.
-    #[test]
-    fn flush_output_is_shard_count_independent(
-        rounds in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..40), 1..4)
-    ) {
-        assert_flush_shard_independent(&rounds);
-    }
+/// The DESIGN §15 determinism contract: the shard count is purely a
+/// concurrency knob. The same op sequence with flushes at the same
+/// points must produce byte-identical flush items (names, versions,
+/// kinds, wire bytes) at 1, 5 and 16 shards.
+#[test]
+fn flush_output_is_shard_count_independent() {
+    check(
+        64,
+        |g| g.vec(1..4, |g| g.vec(1..40, op_strategy)),
+        |rounds| {
+            assert_flush_shard_independent(&rounds);
+        },
+    );
+}
 
-    /// Replaying the shipped block + diff chain through
-    /// [`resolve_chain`] (with a wire round-trip on every frame)
-    /// reconstructs exactly the state the store last flushed.
-    #[test]
-    fn diff_chain_replay_matches_full_state(
-        rounds in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..30), 2..5)
-    ) {
-        assert_diff_chain_replay(&rounds);
-    }
+/// Replaying the shipped block + diff chain through
+/// [`resolve_chain`] (with a wire round-trip on every frame)
+/// reconstructs exactly the state the store last flushed.
+#[test]
+fn diff_chain_replay_matches_full_state() {
+    check(
+        64,
+        |g| g.vec(2..5, |g| g.vec(1..30, op_strategy)),
+        |rounds| {
+            assert_diff_chain_replay(&rounds);
+        },
+    );
+}
 
-    /// A torn diff mid-chain fails validation and strands only the
-    /// suffix behind the tear: resolution stops at the last version
-    /// that still links onto the base.
-    #[test]
-    fn torn_diff_strands_the_chain_suffix(
-        links in 2..7usize, victim_seed in any::<usize>()
-    ) {
-        assert_torn_diff(links, victim_seed % links);
-    }
+/// A torn diff mid-chain fails validation and strands only the
+/// suffix behind the tear: resolution stops at the last version
+/// that still links onto the base.
+#[test]
+fn torn_diff_strands_the_chain_suffix() {
+    check(
+        64,
+        |g| (g.range(2..7usize), g.range::<usize>(..)),
+        |(links, victim_seed)| {
+            assert_torn_diff(links, victim_seed % links);
+        },
+    );
 }
 
 /// Shared body: identical op rounds at 1, 5 and 16 shards must flush

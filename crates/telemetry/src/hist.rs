@@ -12,16 +12,17 @@
 /// Number of buckets: one for zero plus one per power of two up to `2^63`.
 pub const HIST_BUCKETS: usize = 65;
 
-/// A fixed-size log₂ histogram over `u64` samples (typically nanoseconds or
-/// bytes). `O(HIST_BUCKETS)` memory regardless of sample count.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+crate::json_struct! {
+    /// A fixed-size log₂ histogram over `u64` samples (typically nanoseconds or
+    /// bytes). `O(HIST_BUCKETS)` memory regardless of sample count.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Histogram {
+        buckets: Vec<u64>,
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    }
 }
 
 impl Default for Histogram {
@@ -163,7 +164,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 0 + 7 + 9 + 1000 + 65536);
+        assert_eq!(h.sum(), 7 + 9 + 1000 + 65536);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 65536);
         assert!((h.mean() - (66552.0 / 5.0)).abs() < 1e-9);

@@ -36,14 +36,16 @@
 #![forbid(unsafe_code)]
 
 mod hist;
-mod json;
+pub mod json;
 mod parse;
 mod record;
 mod registry;
 mod summary;
 
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use parse::{for_each_record, parse_jsonl, parse_line, LineParser, ParseError};
+pub use parse::{
+    for_each_record, parse_document, parse_jsonl, parse_line, Document, LineParser, ParseError,
+};
 pub use record::{
     Field, Fields, IntoValue, Record, RecordKind, RecordRef, TraceRecord, Value, ValueRef,
     TRACE_SCHEMA_VERSION,
@@ -118,6 +120,8 @@ impl TelemetryClock for WallClock {
 /// Number of completed spans retained for [`Collector::slowest_spans`].
 const SLOW_CAP: usize = 32;
 
+/// Lock that shrugs off poisoning: telemetry must never turn a panicking
+/// test into a deadlocked one.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -26,7 +26,7 @@
 
 use std::borrow::Cow;
 
-use crate::record::{Field, RecordRef, TraceRecord, ValueRef};
+use crate::record::{Field, RecordRef, TraceRecord, Value, ValueRef};
 
 /// Why a line failed to parse. The line number (0-based) is attached by
 /// [`for_each_record`] and [`parse_jsonl`]; single-line entry points
@@ -487,10 +487,93 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
     Ok(out)
 }
 
+/// A whole JSON document, as [`crate::json::to_string_pretty`] writes
+/// report files: unlike a trace line it may hold arrays, and it is built
+/// as a tree. Object members keep their order in the text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Document {
+    Null,
+    Scalar(Value),
+    Array(Vec<Document>),
+    Object(Vec<(String, Document)>),
+}
+
+impl Document {
+    /// The member `key` of an object (the last one, should it repeat).
+    pub fn get(&self, key: &str) -> Option<&Document> {
+        match self {
+            Document::Object(members) => {
+                members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Containers a document may nest before the parser refuses it, so that
+/// hostile input cannot exhaust the stack.
+const MAX_DOCUMENT_DEPTH: usize = 64;
+
+impl Cursor<'_> {
+    fn document(&mut self, depth: usize) -> Result<Document, ParseError> {
+        if depth > MAX_DOCUMENT_DEPTH {
+            return Err(self.err("document nests too deeply"));
+        }
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.members(|cur, key| {
+                    members.push((key.into_owned(), cur.document(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Document::Object(members))
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    return Ok(Document::Array(items));
+                }
+                loop {
+                    items.push(self.document(depth + 1)?);
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Document::Array(items));
+                        }
+                        _ => return Err(self.err("expected ',' or ']' in array")),
+                    }
+                }
+            }
+            _ => Ok(match self.value()? {
+                Json::Scalar(v) => Document::Scalar(v.to_value()),
+                _ => Document::Null,
+            }),
+        }
+    }
+}
+
+/// Parse a whole JSON document; anything but whitespace after it is an
+/// error.
+pub fn parse_document(text: &str) -> Result<Document, ParseError> {
+    let mut cur = Cursor { text, pos: 0 };
+    let doc = cur.document(0)?;
+    cur.skip_ws();
+    if cur.pos != text.len() {
+        return Err(cur.err("trailing bytes after document"));
+    }
+    Ok(doc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Fields, Record, Value, TRACE_SCHEMA_VERSION};
+    use crate::record::{Fields, Record, TRACE_SCHEMA_VERSION};
 
     fn roundtrip(r: &TraceRecord) {
         let parsed = parse_line(&r.to_json()).expect("parses");
@@ -633,5 +716,30 @@ mod tests {
         assert!(parse_line(members).is_ok());
         assert!(parse_line(&members.replace("{},", "{}")).is_err());
         assert!(parse_line(&members.replace("\"c\":1,", "\"c\":[],")).is_err());
+    }
+
+    #[test]
+    fn documents_parse_with_arrays_and_refuse_garbage() {
+        let doc = parse_document(
+            "{\n  \"label\": \"t\",\n  \"values\": [1, 2.5, []],\n  \"none\": null,\n  \"o\": {}\n}\n",
+        )
+        .expect("parses");
+        assert_eq!(doc.get("label"), Some(&Document::Scalar(Value::Str("t".into()))));
+        assert_eq!(
+            doc.get("values"),
+            Some(&Document::Array(vec![
+                Document::Scalar(Value::U64(1)),
+                Document::Scalar(Value::F64(2.5)),
+                Document::Array(vec![]),
+            ]))
+        );
+        assert_eq!(doc.get("none"), Some(&Document::Null));
+        assert_eq!(doc.get("o"), Some(&Document::Object(vec![])));
+        assert_eq!(doc.get("absent"), None);
+        for bad in ["", "[1,]", "[1 2]", "{\"a\":1} x", "{\"a\"}", "[", "nul"] {
+            assert!(parse_document(bad).is_err(), "{bad:?}");
+        }
+        let deep = "[".repeat(100_000);
+        assert!(parse_document(&deep).is_err(), "depth is bounded, not the stack");
     }
 }

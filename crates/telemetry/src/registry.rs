@@ -9,12 +9,7 @@ use std::fmt::{Display, Write as _};
 use std::sync::Mutex;
 
 use crate::hist::Histogram;
-
-/// Lock that shrugs off poisoning: metrics must never turn a panicking test
-/// into a deadlocked one.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use crate::lock;
 
 /// Longest `name[label]` that [`with_labeled`] renders on the stack.
 const LABELED_INLINE: usize = 96;
@@ -113,7 +108,6 @@ impl Registry {
 
 /// Point-in-time view of every registered metric.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, i64>,
@@ -156,7 +150,6 @@ impl MetricsSnapshot {
 
 /// Bucket-derived digest of one histogram.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HistogramSummary {
     pub count: u64,
     pub sum: u64,

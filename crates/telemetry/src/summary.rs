@@ -17,15 +17,16 @@ pub(crate) struct SpanAgg {
     pub total_ns: u64,
 }
 
-/// One completed span, kept for the "slowest spans" report section.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SlowSpan {
-    /// Full flame path, e.g. `read_file → fetch_fragment[aliyun]`.
-    pub path: String,
-    pub dur_ns: u64,
-    /// Trace-clock timestamp of the span start, to locate it in the JSONL.
-    pub start_ns: u64,
+crate::json_struct! {
+    /// One completed span, kept for the "slowest spans" report section.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlowSpan {
+        /// Full flame path, e.g. `read_file → fetch_fragment[aliyun]`.
+        pub path: String,
+        pub dur_ns: u64,
+        /// Trace-clock timestamp of the span start, to locate it in the JSONL.
+        pub start_ns: u64,
+    }
 }
 
 /// Deterministic ordering of completed spans, each given as `(dur_ns,
@@ -64,7 +65,7 @@ pub(crate) fn render(
         } else {
             format!("{}→ {}", "  ".repeat(depth), leaf)
         };
-        let mean = if a.count == 0 { 0 } else { a.total_ns / a.count };
+        let mean = a.total_ns.checked_div(a.count).unwrap_or(0);
         out.push_str(&format!(
             "{label:<44} calls={:<6} total={:<10} mean={}\n",
             a.count,

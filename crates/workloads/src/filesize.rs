@@ -13,12 +13,10 @@
 //! hold (verified by the tests below and by property tests at the
 //! integration level).
 
-use rand::distributions::Distribution;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use crate::rng::Rng;
 
 /// One log-uniform band of the mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Band {
     lo: u64,
     hi: u64,
@@ -26,9 +24,9 @@ struct Band {
 }
 
 impl Band {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample(&self, rng: &mut Rng) -> u64 {
         let (lo, hi) = (self.lo as f64, self.hi as f64);
-        let u: f64 = rng.gen();
+        let u = rng.unit();
         (lo * (hi / lo).powf(u)).round().clamp(lo, hi) as u64
     }
 
@@ -40,7 +38,7 @@ impl Band {
 }
 
 /// A file-size distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileSizeDist {
     bands: Vec<Band>,
 }
@@ -128,9 +126,22 @@ impl FileSizeDist {
         above / total
     }
 
+    /// One file size drawn from the mixture.
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        let total: f64 = self.bands.iter().map(|b| b.weight).sum();
+        let mut pick = rng.unit() * total;
+        for b in &self.bands {
+            if pick < b.weight {
+                return b.sample(rng);
+            }
+            pick -= b.weight;
+        }
+        self.bands.last().expect("mixture has at least one band").sample(rng)
+    }
+
     /// Summarizes the small/large mix at a given threshold by sampling —
     /// the numbers the HyRD dispatcher's behaviour is driven by.
-    pub fn summarize(&self, threshold: u64, samples: usize, rng: &mut impl Rng) -> SizeMixSummary {
+    pub fn summarize(&self, threshold: u64, samples: usize, rng: &mut Rng) -> SizeMixSummary {
         let mut small_count = 0u64;
         let mut small_bytes = 0u64;
         let mut total_bytes = 0u64;
@@ -158,22 +169,8 @@ fn whole_cdf(b: &Band, x: u64) -> f64 {
     ((x as f64 / b.lo as f64).ln() / (b.hi as f64 / b.lo as f64).ln()).clamp(0.0, 1.0)
 }
 
-impl Distribution<u64> for FileSizeDist {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let total: f64 = self.bands.iter().map(|b| b.weight).sum();
-        let mut pick = rng.gen::<f64>() * total;
-        for b in &self.bands {
-            if pick < b.weight {
-                return b.sample(rng);
-            }
-            pick -= b.weight;
-        }
-        self.bands.last().expect("mixture has at least one band").sample(rng)
-    }
-}
-
 /// Sampled small/large mix at a threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeMixSummary {
     /// The large/small boundary used.
     pub threshold: u64,
@@ -186,11 +183,9 @@ pub struct SizeMixSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn sample_n(dist: &FileSizeDist, n: usize, seed: u64) -> Vec<u64> {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n).map(|_| dist.sample(&mut rng)).collect()
     }
 
@@ -206,7 +201,7 @@ mod tests {
     fn agrawal_fact_2_3_to_9mb_carry_80pct_of_bytes() {
         let sizes = sample_n(&FileSizeDist::agrawal(), 50_000, 43);
         let total: u64 = sizes.iter().sum();
-        let band: u64 = sizes.iter().filter(|&&s| (3 << 20) <= s && s <= (9 << 20)).sum();
+        let band: u64 = sizes.iter().filter(|s| ((3 << 20)..=(9 << 20)).contains(*s)).sum();
         let frac = band as f64 / total as f64;
         assert!(frac > 0.80, "3-9MB byte fraction {frac}");
     }
@@ -216,18 +211,18 @@ mod tests {
         let sizes = sample_n(&FileSizeDist::agrawal(), 50_000, 44);
         let large = sizes.iter().filter(|&&s| s >= (1 << 20)).count() as f64;
         let frac = large / sizes.len() as f64;
-        assert!(frac >= 0.10 && frac <= 0.20, "large-file count fraction {frac}");
+        assert!((0.10..=0.20).contains(&frac), "large-file count fraction {frac}");
     }
 
     #[test]
     fn samples_stay_within_band_bounds() {
         let sizes = sample_n(&FileSizeDist::agrawal(), 10_000, 45);
         for s in sizes {
-            assert!(s >= 512 && s <= 9 << 20, "sample {s} out of range");
+            assert!((512..=9 << 20).contains(&s), "sample {s} out of range");
         }
         let pm = sample_n(&FileSizeDist::postmark_paper(), 10_000, 46);
         for s in pm {
-            assert!(s >= 1024 && s <= 100 << 20, "postmark sample {s} out of range");
+            assert!((1024..=100 << 20).contains(&s), "postmark sample {s} out of range");
         }
     }
 
@@ -252,7 +247,7 @@ mod tests {
         // The HyRD premise: small files are most of the *count* but a tiny
         // share of the *bytes* at the 1 MB threshold.
         let dist = FileSizeDist::agrawal();
-        let mut rng = SmallRng::seed_from_u64(48);
+        let mut rng = Rng::seed_from_u64(48);
         let s = dist.summarize(1 << 20, 40_000, &mut rng);
         assert!(s.small_count_frac > 0.8, "count frac {}", s.small_count_frac);
         assert!(s.small_bytes_frac < 0.2, "bytes frac {}", s.small_bytes_frac);

@@ -22,6 +22,8 @@
 //!   redundancy-policy experiments: the hottest ranks are erasure-coded
 //!   large files (promotion bait), the cold tail holds sizable
 //!   replicated files (demotion bait).
+//! * [`rng`] — the one generator all of the above (and the rest of the
+//!   workspace) draw from: xoshiro256++ seeded through splitmix64.
 //!
 //! Everything is deterministic given a seed, so every figure regenerates
 //! bit-identically.
@@ -31,6 +33,7 @@ pub mod ia_trace;
 pub mod openloop;
 pub mod ops;
 pub mod postmark;
+pub mod rng;
 pub mod zipf;
 
 pub use filesize::{FileSizeDist, SizeMixSummary};

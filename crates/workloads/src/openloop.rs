@@ -19,19 +19,18 @@
 //!    stream of [`Arrival`]s (small reads, large reads, directory
 //!    listings) with exponential interarrival gaps.
 //!
-//! Randomness comes from a private splitmix64 stream rather than the
-//! `rand` crate, so the arrival schedule is a pure function of the seed:
-//! same seed ⇒ byte-identical op stream, independent of rand versions
-//! and feature flags.
+//! Randomness comes from a [`SplitMix64`] stream, so the arrival schedule
+//! is a pure function of the seed: same seed ⇒ byte-identical op stream.
 
 use std::time::Duration;
 
 use crate::ops::FsOp;
+use crate::rng::SplitMix64;
 
 /// Knobs for the open-loop generator.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
-    /// Seed for the private splitmix64 stream.
+    /// Seed of the splitmix64 stream.
     pub seed: u64,
     /// Offered load: mean arrivals per (virtual) second.
     pub rate_per_sec: f64,
@@ -147,23 +146,20 @@ impl OpenLoop {
             "large reads need a large-file pool"
         );
 
-        let mut rng = SplitMix::new(cfg.seed);
+        let mut rng = SplitMix64::new(cfg.seed);
         let mut out = Vec::with_capacity(cfg.arrivals);
         let mut t_ns: u64 = 0;
         for _ in 0..cfg.arrivals {
             // Exponential gap via inverse transform: -ln(U)/λ, U ∈ (0, 1].
-            let gap_secs = -rng.unit().ln() / cfg.rate_per_sec;
+            let gap_secs = -rng.unit_nonzero().ln() / cfg.rate_per_sec;
             t_ns += (gap_secs * 1e9) as u64;
 
-            let mut pick = (rng.next() % total_weight as u64) as u32;
+            let pick = (rng.next_u64() % total_weight as u64) as u32;
             let op = if pick < cfg.weight_small_read {
-                let i = (rng.next() % cfg.small_files as u64) as usize;
+                let i = (rng.next_u64() % cfg.small_files as u64) as usize;
                 FsOp::Read { path: Self::small_path(i) }
-            } else if {
-                pick -= cfg.weight_small_read;
-                pick < cfg.weight_large_read
-            } {
-                let i = (rng.next() % cfg.large_files as u64) as usize;
+            } else if pick - cfg.weight_small_read < cfg.weight_large_read {
+                let i = (rng.next_u64() % cfg.large_files as u64) as usize;
                 FsOp::Read { path: Self::large_path(i) }
             } else {
                 FsOp::ListDir { path: POOL_DIR.to_string() }
@@ -171,29 +167,6 @@ impl OpenLoop {
             out.push(Arrival { at: Duration::from_nanos(t_ns), op });
         }
         out
-    }
-}
-
-/// splitmix64 (Steele et al.) — the same tiny generator the stats tests
-/// use. Private to keep the arrival schedule independent of `rand`.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn new(seed: u64) -> Self {
-        SplitMix(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in (0, 1] — never zero, so `ln` is always finite.
-    fn unit(&mut self) -> f64 {
-        ((self.next() >> 11) + 1) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -260,9 +233,9 @@ mod tests {
 
     #[test]
     fn unit_samples_stay_in_half_open_interval() {
-        let mut rng = SplitMix::new(42);
+        let mut rng = SplitMix64::new(42);
         for _ in 0..10_000 {
-            let u = rng.unit();
+            let u = rng.unit_nonzero();
             assert!(u > 0.0 && u <= 1.0, "u={u}");
         }
     }

@@ -1,13 +1,11 @@
 //! The file-system operation vocabulary workload generators emit and
 //! scheme drivers consume.
 
-use serde::{Deserialize, Serialize};
-
 /// One logical file-system operation against a Cloud-of-Clouds scheme.
 ///
 /// Paths are plain strings here (workload generators know nothing about
 /// the metadata layer); the driver normalizes them at the boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsOp {
     /// Create a file of `size` bytes.
     Create {

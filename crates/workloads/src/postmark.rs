@@ -10,16 +10,12 @@
 //! This implementation emits the operation stream as [`FsOp`]s so any
 //! scheme can replay it; it does not itself touch storage.
 
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
 use crate::filesize::FileSizeDist;
 use crate::ops::FsOp;
+use crate::rng::Rng;
 
 /// PostMark knobs (names follow the original's configuration file).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PostMarkConfig {
     /// Files created in the initial pool.
     pub initial_files: usize,
@@ -47,12 +43,7 @@ pub struct PostMarkConfig {
     /// Directory the pool lives under. Multi-client soaks give each
     /// generator its own root so independently seeded streams never
     /// collide on paths; defaults to the classic `/postmark`.
-    #[serde(default = "default_root")]
     pub root: String,
-}
-
-fn default_root() -> String {
-    "/postmark".to_string()
 }
 
 impl Default for PostMarkConfig {
@@ -67,26 +58,28 @@ impl Default for PostMarkConfig {
             update_len: 4 * 1024,
             list_every: 4,
             seed: 0xB0A7,
-            root: default_root(),
+            root: "/postmark".to_string(),
         }
     }
 }
 
-/// Aggregate counts of an emitted PostMark run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PostMarkReport {
-    /// Files created (pool + transaction creates).
-    pub creates: u64,
-    /// Whole-file reads.
-    pub reads: u64,
-    /// Small updates.
-    pub updates: u64,
-    /// Deletes (transaction deletes + final cleanup).
-    pub deletes: u64,
-    /// Directory listings.
-    pub lists: u64,
-    /// Total logical bytes written (creates + updates).
-    pub bytes_written: u64,
+hyrd_telemetry::json_struct! {
+    /// Aggregate counts of an emitted PostMark run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PostMarkReport {
+        /// Files created (pool + transaction creates).
+        pub creates: u64,
+        /// Whole-file reads.
+        pub reads: u64,
+        /// Small updates.
+        pub updates: u64,
+        /// Deletes (transaction deletes + final cleanup).
+        pub deletes: u64,
+        /// Directory listings.
+        pub lists: u64,
+        /// Total logical bytes written (creates + updates).
+        pub bytes_written: u64,
+    }
 }
 
 /// The PostMark engine.
@@ -121,15 +114,15 @@ impl PostMark {
     /// cleanup) plus aggregate counts.
     pub fn generate(&self) -> (Vec<FsOp>, PostMarkReport) {
         let c = &self.config;
-        let mut rng = SmallRng::seed_from_u64(c.seed);
+        let mut rng = Rng::seed_from_u64(c.seed);
         let mut ops = Vec::new();
         let mut report = PostMarkReport::default();
         let mut next_file = 0usize;
         let mut pool: Vec<(String, u64)> = Vec::with_capacity(c.initial_files);
 
         let mut used_dirs: Vec<usize> = Vec::new();
-        let new_path = |n: usize, rng: &mut SmallRng, used: &mut Vec<usize>| {
-            let dir = rng.gen_range(0..c.subdirectories);
+        let new_path = |n: usize, rng: &mut Rng, used: &mut Vec<usize>| {
+            let dir = rng.index(c.subdirectories);
             if !used.contains(&dir) {
                 used.push(dir);
             }
@@ -138,7 +131,7 @@ impl PostMark {
 
         // Phase 1: build the pool.
         for _ in 0..c.initial_files {
-            let size = rng.sample(&c.size_dist);
+            let size = c.size_dist.sample(&mut rng);
             let path = new_path(next_file, &mut rng, &mut used_dirs);
             next_file += 1;
             ops.push(FsOp::Create { path: path.clone(), size });
@@ -150,21 +143,21 @@ impl PostMark {
         // Phase 2: transactions.
         for t in 0..c.transactions {
             // I/O half: read or update an existing file.
-            let (path, size) = pool.choose(&mut rng).expect("pool never empties").clone();
-            if rng.gen_bool(c.read_bias) {
+            let (path, size) = rng.choose(&pool).expect("pool never empties").clone();
+            if rng.chance(c.read_bias) {
                 ops.push(FsOp::Read { path });
                 report.reads += 1;
             } else {
                 let len = c.update_len.min(size).max(1);
-                let offset = if size > len { rng.gen_range(0..=size - len) } else { 0 };
+                let offset = if size > len { rng.range_inclusive(0, size - len) } else { 0 };
                 ops.push(FsOp::Update { path, offset, len });
                 report.updates += 1;
                 report.bytes_written += len;
             }
 
             // Pool half: create or delete (keep at least one file).
-            if pool.len() <= 1 || rng.gen_bool(c.create_bias) {
-                let size = rng.sample(&c.size_dist);
+            if pool.len() <= 1 || rng.chance(c.create_bias) {
+                let size = c.size_dist.sample(&mut rng);
                 let path = new_path(next_file, &mut rng, &mut used_dirs);
                 next_file += 1;
                 ops.push(FsOp::Create { path: path.clone(), size });
@@ -172,7 +165,7 @@ impl PostMark {
                 report.bytes_written += size;
                 pool.push((path, size));
             } else {
-                let idx = rng.gen_range(0..pool.len());
+                let idx = rng.index(pool.len());
                 let (path, _) = pool.swap_remove(idx);
                 ops.push(FsOp::Delete { path });
                 report.deletes += 1;
@@ -181,7 +174,7 @@ impl PostMark {
             // Metadata accesses: list only directories that exist (have
             // received at least one file).
             if c.list_every > 0 && (t + 1) % c.list_every == 0 && !used_dirs.is_empty() {
-                let dir = used_dirs[rng.gen_range(0..used_dirs.len())];
+                let dir = used_dirs[rng.index(used_dirs.len())];
                 ops.push(FsOp::ListDir { path: format!("{}/s{dir:02}", c.root) });
                 report.lists += 1;
             }

@@ -22,16 +22,17 @@
 //!   policy's interaction with RAID5 read-modify-write and hot-copy
 //!   invalidation gets exercised, not just the pure-read path.
 //!
-//! Randomness comes from the same private splitmix64 stream the other
-//! generators use: the op stream is a pure function of the seed, so the
-//! policy experiments replay byte-identically at any `--jobs` level.
+//! Randomness comes from a [`SplitMix64`] stream: the op stream is a pure
+//! function of the seed, so the policy experiments replay
+//! byte-identically at any `--jobs` level.
 
 use crate::ops::FsOp;
+use crate::rng::SplitMix64;
 
 /// Knobs for the Zipf-popularity generator.
 #[derive(Debug, Clone)]
 pub struct ZipfConfig {
-    /// Seed for the private splitmix64 stream.
+    /// Seed of the splitmix64 stream.
     pub seed: u64,
     /// Number of files in the pool.
     pub files: usize,
@@ -147,7 +148,7 @@ impl ZipfWorkload {
 
     /// Whether pool file `i` is a large (erasure-coded) file.
     pub fn is_large(&self, i: usize) -> bool {
-        i % self.cfg.large_every == 0
+        i.is_multiple_of(self.cfg.large_every)
     }
 
     /// Size of pool file `i`.
@@ -172,16 +173,16 @@ impl ZipfWorkload {
     pub fn access_ops(&self) -> Vec<FsOp> {
         let cfg = &self.cfg;
         let zipf = ZipfPopularity::new(cfg.files, cfg.theta);
-        let mut rng = SplitMix::new(cfg.seed);
+        let mut rng = SplitMix64::new(cfg.seed);
         let mut out = Vec::with_capacity(cfg.ops);
         for _ in 0..cfg.ops {
-            let i = zipf.rank_of(rng.unit());
+            let i = zipf.rank_of(rng.unit_nonzero());
             let path = Self::path(i);
-            let op = if rng.unit() <= cfg.write_frac {
+            let op = if rng.unit_nonzero() <= cfg.write_frac {
                 let size = self.size_of(i);
                 let len = cfg.update_bytes.min(size);
                 let span = size - len;
-                let offset = if span == 0 { 0 } else { rng.next() % (span + 1) };
+                let offset = if span == 0 { 0 } else { rng.next_u64() % (span + 1) };
                 FsOp::Update { path, offset, len }
             } else {
                 FsOp::Read { path }
@@ -192,29 +193,6 @@ impl ZipfWorkload {
     }
 }
 
-/// splitmix64 (Steele et al.) — the same tiny generator the other
-/// workloads use. Private so the op stream is independent of `rand`.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn new(seed: u64) -> Self {
-        SplitMix(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in (0, 1] — never zero.
-    fn unit(&mut self) -> f64 {
-        ((self.next() >> 11) + 1) as f64 / (1u64 << 53) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,10 +200,10 @@ mod tests {
     #[test]
     fn zipf_head_dominates_the_tail() {
         let zipf = ZipfPopularity::new(50, 0.99);
-        let mut rng = SplitMix::new(7);
+        let mut rng = SplitMix64::new(7);
         let mut hits = vec![0usize; 50];
         for _ in 0..20_000 {
-            hits[zipf.rank_of(rng.unit())] += 1;
+            hits[zipf.rank_of(rng.unit_nonzero())] += 1;
         }
         let head: usize = hits[..5].iter().sum();
         let tail: usize = hits[25..].iter().sum();
@@ -239,10 +217,10 @@ mod tests {
     #[test]
     fn theta_zero_is_roughly_uniform() {
         let zipf = ZipfPopularity::new(10, 0.0);
-        let mut rng = SplitMix::new(3);
+        let mut rng = SplitMix64::new(3);
         let mut hits = vec![0usize; 10];
         for _ in 0..10_000 {
-            hits[zipf.rank_of(rng.unit())] += 1;
+            hits[zipf.rank_of(rng.unit_nonzero())] += 1;
         }
         for &h in &hits {
             assert!((700..=1300).contains(&h), "uniform bucket out of band: {hits:?}");

@@ -37,32 +37,12 @@ fn main() {
         "{:<12} {:>12} {:>10} {:>12} {:>12}",
         "scheme", "mean (s)", "errors", "ops issued", "egress MB"
     );
-    let schemes: Vec<(&str, Box<dyn Fn(&Fleet) -> Box<dyn Scheme>>)> = vec![
-        (
-            "Amazon S3",
-            Box::new(|f: &Fleet| {
-                Box::new(SingleCloud::amazon_s3(f).expect("fleet has S3")) as Box<dyn Scheme>
-            }),
-        ),
-        (
-            "DuraCloud",
-            Box::new(|f: &Fleet| {
-                Box::new(DuraCloud::standard(f).expect("standard fleet")) as Box<dyn Scheme>
-            }),
-        ),
-        (
-            "RACS",
-            Box::new(|f: &Fleet| {
-                Box::new(Racs::new(f).expect("4-provider fleet")) as Box<dyn Scheme>
-            }),
-        ),
-        (
-            "HyRD",
-            Box::new(|f: &Fleet| {
-                Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config"))
-                    as Box<dyn Scheme>
-            }),
-        ),
+    type Make = fn(&Fleet) -> Box<dyn Scheme>;
+    let schemes: [(&str, Make); 4] = [
+        ("Amazon S3", |f| Box::new(SingleCloud::amazon_s3(f).expect("fleet has S3"))),
+        ("DuraCloud", |f| Box::new(DuraCloud::standard(f).expect("standard fleet"))),
+        ("RACS", |f| Box::new(Racs::new(f).expect("4-provider fleet"))),
+        ("HyRD", |f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config"))),
     ];
     for (name, make) in schemes {
         let clock = SimClock::new();

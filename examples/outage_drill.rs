@@ -16,7 +16,7 @@ use hyrd_gcsapi::CloudStorage;
 fn main() {
     let clock = SimClock::new();
     let fleet = Fleet::standard_four(clock.clone());
-    let mut hyrd = Hyrd::new(&fleet, HyrdConfig::default()).expect("default config is valid");
+    let hyrd = Hyrd::new(&fleet, HyrdConfig::default()).expect("default config is valid");
 
     // The incident calendar: Aliyun drops out from hour 2 to hour 8
     // ("the period may be hours and up to days", §III-C).

@@ -13,7 +13,7 @@ fn main() {
     // simulated with their Table II prices and calibrated latencies.
     let clock = SimClock::new();
     let fleet = Fleet::standard_four(clock.clone());
-    let mut hyrd = Hyrd::new(&fleet, HyrdConfig::default()).expect("default config is valid");
+    let hyrd = Hyrd::new(&fleet, HyrdConfig::default()).expect("default config is valid");
 
     println!("== provider tiers derived by the evaluator ==");
     for a in hyrd.evaluator().assessments() {

@@ -1,12 +1,17 @@
-# Developer entry points. `just verify` is the tier-1 gate CI runs.
+# Developer entry points. `just verify` is the tier-1 gate, verbatim from
+# ROADMAP.md; `just lint` is the rest of CI's first job.
 
-# Format check, lints as errors, full test suite, then the hash kernels'
-# suites again under the release profile.
+# Release build, then the full test suite. The workspace names no
+# registry crate, so this runs from a bare checkout with no network.
 verify:
+    cargo build --release && cargo test -q
+
+# Format check, lints as errors, then the hash kernels' suites again
+# under the release profile.
+lint:
     cargo fmt --check
-    cargo clippy --workspace --all-targets -- -D warnings
-    cargo test -q
-    cargo test -q -p hyrd-dedup --release
+    cargo clippy --workspace --all-targets --offline -- -D warnings
+    cargo test -q --offline -p hyrd-dedup --release
 
 # Non-test Rust lines of code per crate (non-blank, non-comment, each
 # file cut at its `#[cfg(test)]` tail, `tests/` and `benches/` left out)

@@ -4,7 +4,7 @@
 
 use hyrd::driver::synth_content;
 use hyrd::prelude::*;
-use hyrd_gcsapi::{CloudStorage, OpKind};
+use hyrd_gcsapi::OpKind;
 use integration_tests::fresh_fleet;
 
 const KB: usize = 1024;
@@ -15,7 +15,7 @@ fn fresh_client_sees_everything_the_old_client_wrote() {
     let (_, fleet) = fresh_fleet();
     let mut audit: Vec<(String, Vec<u8>)> = Vec::new();
     {
-        let mut old = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let old = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
         for (path, size) in [
             ("/docs/a.txt", 2 * KB),
             ("/docs/b.txt", 700 * KB),
@@ -29,8 +29,7 @@ fn fresh_client_sees_everything_the_old_client_wrote() {
         // The old client goes away (dropped).
     }
 
-    let (mut fresh, bootstrap) =
-        Hyrd::attach(&fleet, HyrdConfig::default()).expect("namespace loads");
+    let (fresh, bootstrap) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("namespace loads");
     assert!(bootstrap.ops.iter().any(|o| o.kind == OpKind::List), "bootstrap Lists");
     assert!(
         bootstrap.ops.iter().filter(|o| o.kind == OpKind::Get).count() >= 3,
@@ -50,7 +49,7 @@ fn fresh_client_sees_everything_the_old_client_wrote() {
 fn fresh_client_writes_never_collide_with_adopted_objects() {
     let (_, fleet) = fresh_fleet();
     {
-        let mut old = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let old = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
         for i in 0..8 {
             old.create_file(&format!("/old/f{i}"), &synth_content("o", i, 4 * KB))
                 .expect("fleet up");
@@ -60,7 +59,7 @@ fn fresh_client_writes_never_collide_with_adopted_objects() {
         old.delete_file("/old/f3").expect("exists");
     }
 
-    let (mut fresh, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("loads");
+    let (fresh, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("loads");
     // New files must take ids beyond every adopted one.
     for i in 0..10 {
         let data = synth_content("n", i, 8 * KB);
@@ -82,12 +81,12 @@ fn attach_works_during_a_single_outage() {
     let (_, fleet) = fresh_fleet();
     let data = synth_content("/f", 0, 2 * MB);
     {
-        let mut old = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let old = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
         old.create_file("/f", &data).expect("fleet up");
     }
     // A metadata replica is down; the survivor serves the bootstrap.
     fleet.by_name("Aliyun").expect("standard fleet").force_down();
-    let (mut fresh, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("survivor serves");
+    let (fresh, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("survivor serves");
     let (got, _) = fresh.read_file("/f").expect("degraded read");
     assert_eq!(&got[..], &data[..]);
 }
@@ -95,8 +94,7 @@ fn attach_works_during_a_single_outage() {
 #[test]
 fn attach_to_an_empty_namespace_is_fine() {
     let (_, fleet) = fresh_fleet();
-    let (mut fresh, bootstrap) =
-        Hyrd::attach(&fleet, HyrdConfig::default()).expect("empty is valid");
+    let (fresh, bootstrap) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("empty is valid");
     assert_eq!(bootstrap.ops.iter().filter(|o| o.kind == OpKind::Get).count(), 0);
     fresh.create_file("/first", &[1u8; 100]).expect("fleet up");
     assert_eq!(fresh.file_size("/first"), Some(100));
@@ -107,16 +105,16 @@ fn updates_by_the_new_client_persist_through_another_attach() {
     let (_, fleet) = fresh_fleet();
     let mut content = synth_content("/f", 0, 2 * MB);
     {
-        let mut a = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let a = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
         a.create_file("/f", &content).expect("fleet up");
     }
     {
-        let (mut b, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("loads");
+        let (b, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("loads");
         let patch = synth_content("/f", 1, 32 * KB);
         b.update_file("/f", 500_000, &patch).expect("adopted placement");
         content[500_000..500_000 + patch.len()].copy_from_slice(&patch);
     }
-    let (mut c, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("loads again");
+    let (c, _) = Hyrd::attach(&fleet, HyrdConfig::default()).expect("loads again");
     let (got, _) = c.read_file("/f").expect("present");
     assert_eq!(&got[..], &content[..]);
 }

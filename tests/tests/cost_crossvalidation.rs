@@ -4,25 +4,25 @@
 //! prices, and require the analytic model to predict the same scheme
 //! ordering and roughly the same relative costs.
 
-use hyrd::driver::synth_content;
+use hyrd::driver::{synth_content, SweepCell};
 use hyrd::prelude::*;
 use hyrd_baselines::{DuraCloud, Racs, SingleCloud};
 use hyrd_cloudsim::pricing::PriceBook;
 use hyrd_costsim::model::{CostModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel, S3};
 use hyrd_costsim::usage::MonthlyUsage;
 use hyrd_workloads::ia_trace::MonthTraffic;
+use hyrd_workloads::rng::Rng;
 use hyrd_workloads::FileSizeDist;
-use rand::prelude::*;
 
 const READS_PER_FILE: usize = 2; // approximates the 2.1:1 volume ratio
 
 /// Builds the mini-month file set: Agrawal mix, deterministic.
 fn month_files() -> Vec<(String, Vec<u8>)> {
     let dist = FileSizeDist::agrawal();
-    let mut rng = SmallRng::seed_from_u64(0xC057);
+    let mut rng = Rng::seed_from_u64(0xC057);
     (0..60)
         .map(|i| {
-            let size = rng.sample(&dist) as usize;
+            let size = dist.sample(&mut rng) as usize;
             let path = format!("/m/f{i}");
             let data = synth_content(&path, 0, size);
             (path, data)
@@ -87,7 +87,7 @@ fn modelled_cost(model: &mut dyn CostModel) -> f64 {
 /// The four executable schemes, replayed as independent cells on worker
 /// threads; `replay_sweep` keeps the results in lineup order.
 fn measured_lineup(jobs: usize) -> Vec<(&'static str, f64)> {
-    let cells: Vec<Box<dyn FnOnce() -> f64 + Send>> = vec![
+    let cells: Vec<SweepCell<'_, f64>> = vec![
         Box::new(|| measured_cost(|f| Box::new(SingleCloud::amazon_s3(f).expect("has S3")))),
         Box::new(|| measured_cost(|f| Box::new(DuraCloud::standard(f).expect("std")))),
         Box::new(|| measured_cost(|f| Box::new(Racs::new(f).expect("4p")))),
@@ -137,7 +137,7 @@ fn analytic_models_match_the_executable_schemes() {
 
 #[test]
 fn measured_hyrd_discount_lands_in_the_papers_band() {
-    let cells: Vec<Box<dyn FnOnce() -> f64 + Send>> = vec![
+    let cells: Vec<SweepCell<'_, f64>> = vec![
         Box::new(|| measured_cost(|f| Box::new(DuraCloud::standard(f).expect("std")))),
         Box::new(|| {
             measured_cost(|f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config")))

@@ -3,7 +3,7 @@
 //! idempotence (DESIGN.md §12).
 
 use bytes::Bytes;
-use proptest::prelude::*;
+use hyrd_testkit::check;
 
 use hyrd::crashtest::{CrashHarness, OpOutcome};
 use hyrd::driver::synth_content;
@@ -240,40 +240,40 @@ fn truncated_metadata_replica_falls_back_to_intact_copy() {
     });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Replaying the same (compacted) recovery log twice produces the
+/// same provider inventory as replaying it once: replay is
+/// idempotent, so a crash after a partially-applied replay is
+/// always safe to redo from the journal's mirror.
+#[test]
+fn recovery_log_replay_is_idempotent() {
+    check(
+        24,
+        |g| g.vec(1..24, |g| (g.bool(), g.range(0u8..6), g.range(1u16..512))),
+        |ops| {
+            let (_clock, fleet) = fresh_fleet();
+            let provider = &fleet.providers()[0];
+            let id = provider.id();
 
-    /// Replaying the same (compacted) recovery log twice produces the
-    /// same provider inventory as replaying it once: replay is
-    /// idempotent, so a crash after a partially-applied replay is
-    /// always safe to redo from the journal's mirror.
-    #[test]
-    fn recovery_log_replay_is_idempotent(
-        ops in prop::collection::vec((any::<bool>(), 0u8..6, 1u16..512), 1..24)
-    ) {
-        let (_clock, fleet) = fresh_fleet();
-        let provider = &fleet.providers()[0];
-        let id = provider.id();
-
-        let mut log = UpdateLog::new();
-        for (is_put, name_idx, len) in &ops {
-            let key = ObjectKey::new("hyrd", &format!("obj-{name_idx}"));
-            if *is_put {
-                log.log_put(id, key, Bytes::from(vec![*name_idx; *len as usize]));
-            } else {
-                log.log_remove(id, key);
+            let mut log = UpdateLog::new();
+            for (is_put, name_idx, len) in &ops {
+                let key = ObjectKey::new("hyrd", format!("obj-{name_idx}"));
+                if *is_put {
+                    log.log_put(id, key, Bytes::from(vec![*name_idx; *len as usize]));
+                } else {
+                    log.log_remove(id, key);
+                }
             }
-        }
 
-        let mut first = log.clone();
-        first.replay(provider.as_ref()).expect("first replay");
-        prop_assert!(first.pending_for(id).is_empty(), "replay drains the provider's records");
-        let snap1 = provider.object_inventory(Fleet::CONTAINER);
+            let mut first = log.clone();
+            first.replay(provider.as_ref()).expect("first replay");
+            assert!(first.pending_for(id).is_empty(), "replay drains the provider's records");
+            let snap1 = provider.object_inventory(Fleet::CONTAINER);
 
-        let mut second = log.clone();
-        second.replay(provider.as_ref()).expect("second replay");
-        let snap2 = provider.object_inventory(Fleet::CONTAINER);
+            let mut second = log.clone();
+            second.replay(provider.as_ref()).expect("second replay");
+            let snap2 = provider.object_inventory(Fleet::CONTAINER);
 
-        prop_assert_eq!(snap1, snap2, "a second replay of the same log changes nothing");
-    }
+            assert_eq!(snap1, snap2, "a second replay of the same log changes nothing");
+        },
+    );
 }

@@ -142,7 +142,7 @@ fn fig3_shape_trace_ratios() {
 fn table1_shape_hybrid_overhead_sits_between_ec_and_replication() {
     use hyrd::driver::synth_content;
     let (_, fleet) = integration_tests::fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     // The Agrawal mix: mostly-small count, mostly-large bytes.
     for i in 0..20 {
         h.create_file(&format!("/s{i}"), &synth_content("s", i, 4 << 10)).expect("up");

@@ -23,7 +23,7 @@ fn fragment_key(path: &str, index: usize) -> ObjectKey {
 #[test]
 fn corrupted_fragment_is_masked_by_degraded_read_then_scrub_repairs_it() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let data = synth_content("/media/f", 0, 3 * MB);
     h.create_file("/media/f", &data).expect("up");
 
@@ -58,7 +58,7 @@ fn corrupted_fragment_is_masked_by_degraded_read_then_scrub_repairs_it() {
 #[test]
 fn breaker_trips_on_persistent_faults_and_recovers_on_the_virtual_clock() {
     let (clock, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let aliyun = fleet.by_name("Aliyun").expect("standard fleet");
 
     // Seed one healthy file, then make Aliyun fail every op.
@@ -106,7 +106,7 @@ fn breaker_trips_on_persistent_faults_and_recovers_on_the_virtual_clock() {
 #[test]
 fn moderate_flakiness_is_absorbed_by_backoff() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     fleet.by_name("Windows Azure").expect("standard fleet").set_flakiness(0.25);
 
     let mut audit = Vec::new();
@@ -126,7 +126,7 @@ fn moderate_flakiness_is_absorbed_by_backoff() {
 #[test]
 fn torn_puts_are_quarantined_by_the_log_until_replay() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let azure = fleet.by_name("Windows Azure").expect("standard fleet");
     azure.set_fault_plan(FaultPlan::quiet().with_seed(7).with_torn_puts(1000));
 

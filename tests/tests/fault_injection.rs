@@ -33,7 +33,7 @@ fn transient_faults_are_retryable_at_the_middleware() {
 #[test]
 fn provider_flapping_between_every_operation() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let victims = ["Amazon S3", "Windows Azure", "Aliyun", "Rackspace"];
     let mut audit: Vec<(String, Vec<u8>)> = Vec::new();
 
@@ -65,7 +65,7 @@ fn provider_flapping_between_every_operation() {
 #[test]
 fn recovery_with_a_second_provider_down_defers_what_it_cannot_rebuild() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
 
     let a = fleet.by_name("Windows Azure").expect("standard fleet");
     a.force_down();
@@ -90,7 +90,7 @@ fn recovery_with_a_second_provider_down_defers_what_it_cannot_rebuild() {
 #[test]
 fn writes_fail_cleanly_when_too_many_providers_are_down() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
 
     // RAID5(3+1) needs at least m=3 fragment targets for a large write.
     fleet.by_name("Amazon S3").expect("standard fleet").force_down();
@@ -114,7 +114,7 @@ fn evaluator_reassessment_after_topology_change() {
     // derive tiers from the survivors and still function.
     let (_, fleet) = fresh_fleet();
     fleet.by_name("Aliyun").expect("standard fleet").force_down();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let perf = h.evaluator().performance_tier();
     assert!(!perf.is_empty());
     assert!(perf.iter().all(|&id| fleet.get(id).expect("fleet member").name() != "Aliyun"));
@@ -137,7 +137,7 @@ fn ghost_mode_and_real_mode_agree_on_every_report_metric() {
                 p.set_ghost_mode(true);
             }
         }
-        let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+        let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
         let r1 = h.create_file("/a", &vec![7u8; 3 * MB]).expect("up");
         let r2 = h.read_file("/a").expect("up").1;
         (

@@ -14,7 +14,7 @@ const MB: usize = 1024 * 1024;
 #[test]
 fn hyrd_full_incident_with_mixed_writes_and_updates() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
     let mut audit: Vec<(String, Vec<u8>)> = Vec::new();
 
     // Pre-outage state.
@@ -122,7 +122,7 @@ fn duracloud_secondary_catches_up_after_its_outage() {
 fn scheduled_outage_windows_drive_degraded_service_automatically() {
     use hyrd_cloudsim::clock::units::hours;
     let (clock, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid config");
 
     fleet.by_name("Rackspace").expect("standard fleet").schedule_outage(hours(1), hours(5));
     let data = synth_content("/f", 0, 2 * MB);
@@ -145,9 +145,8 @@ fn scheduled_outage_windows_drive_degraded_service_automatically() {
 #[test]
 fn double_outage_of_raid6_hyrd_stays_available_and_recovers() {
     let (_, fleet) = fresh_fleet();
-    let mut cfg = HyrdConfig::default();
-    cfg.code = hyrd::CodeChoice::Raid6 { m: 2 };
-    let mut h = Hyrd::new(&fleet, cfg).expect("valid config");
+    let cfg = HyrdConfig { code: hyrd::CodeChoice::Raid6 { m: 2 }, ..HyrdConfig::default() };
+    let h = Hyrd::new(&fleet, cfg).expect("valid config");
 
     let data = synth_content("/f", 0, 4 * MB);
     h.create_file("/f", &data).expect("fleet up");

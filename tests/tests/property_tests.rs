@@ -2,7 +2,7 @@
 //! a model filesystem, with random single-provider outages interleaved —
 //! the schemes must always agree with the model bytewise.
 
-use proptest::prelude::*;
+use hyrd_testkit::{check, Gen};
 
 use hyrd::prelude::*;
 use hyrd_baselines::Racs;
@@ -20,20 +20,16 @@ enum Op {
     RestoreAll,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..6usize, prop_oneof![Just(512usize), Just(4096), Just(100_000), Just(2_200_000)])
-            .prop_map(|(slot, size)| Op::Create { slot, size }),
-        (0..6usize, 0.0..1.0f64, 1..4096usize).prop_map(|(slot, frac, len)| Op::Update {
-            slot,
-            frac,
-            len
-        }),
-        (0..6usize).prop_map(|slot| Op::Delete { slot }),
-        (0..6usize).prop_map(|slot| Op::Read { slot }),
-        (0..4usize).prop_map(|which| Op::FailProvider { which }),
-        Just(Op::RestoreAll),
-    ]
+fn op_strategy(g: &mut Gen) -> Op {
+    let slot = g.range(0..6usize);
+    match g.range(0..6u8) {
+        0 => Op::Create { slot, size: g.pick(&[512, 4096, 100_000, 2_200_000]) },
+        1 => Op::Update { slot, frac: g.unit(), len: g.range(1..4096usize) },
+        2 => Op::Delete { slot },
+        3 => Op::Read { slot },
+        4 => Op::FailProvider { which: g.range(0..4usize) },
+        _ => Op::RestoreAll,
+    }
 }
 
 fn run_against_model(mut scheme: Box<dyn Scheme>, fleet: &Fleet, ops: Vec<Op>) {
@@ -120,26 +116,50 @@ fn run_against_model(mut scheme: Box<dyn Scheme>, fleet: &Fleet, ops: Vec<Op>) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+#[test]
+fn hyrd_matches_the_model_under_random_ops_and_outages() {
+    check(
+        12,
+        |g| g.vec(1..60, op_strategy),
+        |ops| {
+            let (_, fleet) = fresh_fleet();
+            let scheme =
+                Box::new(Hyrd::new(&fleet, HyrdConfig::default()).expect("valid default config"));
+            run_against_model(scheme, &fleet, ops);
+        },
+    );
+}
 
-    #[test]
-    fn hyrd_matches_the_model_under_random_ops_and_outages(
-        ops in proptest::collection::vec(op_strategy(), 1..60)
-    ) {
-        let (_, fleet) = fresh_fleet();
-        let scheme = Box::new(
-            Hyrd::new(&fleet, HyrdConfig::default()).expect("valid default config"),
-        );
-        run_against_model(scheme, &fleet, ops);
-    }
+#[test]
+fn racs_matches_the_model_under_random_ops_and_outages() {
+    check(
+        12,
+        |g| g.vec(1..60, op_strategy),
+        |ops| {
+            let (_, fleet) = fresh_fleet();
+            let scheme = Box::new(Racs::new(&fleet).expect("4-provider fleet"));
+            run_against_model(scheme, &fleet, ops);
+        },
+    );
+}
 
-    #[test]
-    fn racs_matches_the_model_under_random_ops_and_outages(
-        ops in proptest::collection::vec(op_strategy(), 1..60)
-    ) {
-        let (_, fleet) = fresh_fleet();
-        let scheme = Box::new(Racs::new(&fleet).expect("4-provider fleet"));
-        run_against_model(scheme, &fleet, ops);
-    }
+/// The counterexample proptest once shrank to (the retired
+/// `property_tests.proptest-regressions`): a large file created while one
+/// provider is down must survive that provider's return and the next
+/// one's outage.
+#[test]
+fn a_large_file_created_during_an_outage_survives_the_next_outage() {
+    let ops = || {
+        vec![
+            Op::FailProvider { which: 0 },
+            Op::Create { slot: 1, size: 2_200_000 },
+            Op::FailProvider { which: 1 },
+            Op::Read { slot: 1 },
+        ]
+    };
+    let (_, fleet) = fresh_fleet();
+    let hyrd = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid default config");
+    run_against_model(Box::new(hyrd), &fleet, ops());
+    let (_, fleet) = fresh_fleet();
+    run_against_model(Box::new(Racs::new(&fleet).expect("4-provider fleet")), &fleet, ops());
 }

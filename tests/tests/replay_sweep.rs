@@ -4,7 +4,7 @@
 //! for every job count — worker threads may reorder execution, never
 //! results.
 
-use hyrd::driver::{replay, replay_sweep, ReplayOptions};
+use hyrd::driver::{replay, replay_sweep, ReplayOptions, SweepCell};
 use hyrd::prelude::*;
 use hyrd::telemetry::{Collector, SharedBuf};
 use hyrd_baselines::Racs;
@@ -60,11 +60,11 @@ fn run_cell(which: &str, ops: &[FsOp]) -> (ReplayStats, Vec<u8>) {
 
 #[test]
 fn sweep_results_are_identical_for_every_job_count() {
-    let ops = month_ops(0xA11_CE);
+    let ops = month_ops(0x000A_11CE);
     assert!(ops.len() > 60, "month sample has substance: {}", ops.len());
 
     let grid = |jobs: usize| -> Vec<(ReplayStats, Vec<u8>)> {
-        let cells: Vec<Box<dyn FnOnce() -> (ReplayStats, Vec<u8>) + Send + '_>> = vec![
+        let cells: Vec<SweepCell<'_, (ReplayStats, Vec<u8>)>> = vec![
             Box::new(|| run_cell("hyrd", &ops)),
             Box::new(|| run_cell("racs", &ops)),
             Box::new(|| run_cell("hyrd", &ops)),
@@ -98,7 +98,7 @@ fn sweep_results_are_identical_for_every_job_count() {
 fn sweep_preserves_submission_order_not_completion_order() {
     // Unequal workloads: later cells finish first under parallelism if
     // completion order leaked into collection order.
-    let cells: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..12usize)
+    let cells: Vec<SweepCell<'_, usize>> = (0..12usize)
         .map(|i| {
             Box::new(move || {
                 let mut acc = 0u64;
@@ -107,7 +107,7 @@ fn sweep_preserves_submission_order_not_completion_order() {
                 }
                 std::hint::black_box(acc);
                 i
-            }) as Box<dyn FnOnce() -> usize + Send>
+            }) as SweepCell<'_, usize>
         })
         .collect();
     assert_eq!(replay_sweep(cells, 8), (0..12).collect::<Vec<_>>());

@@ -3,7 +3,6 @@
 //! schemes differ in cost and latency, never in correctness.
 
 use hyrd::driver::{replay, synth_content, ReplayOptions};
-use hyrd::Scheme;
 use hyrd_workloads::{PostMark, PostMarkConfig};
 use integration_tests::{all_schemes, fresh_fleet};
 

@@ -37,7 +37,7 @@ fn breaker_walks_closed_open_half_open_closed_in_the_trace() {
         retry: RetryPolicy::none(),
         ..HyrdConfig::default()
     };
-    let mut h = Hyrd::with_telemetry(&fleet, config, telemetry.clone()).expect("valid config");
+    let h = Hyrd::with_telemetry(&fleet, config, telemetry.clone()).expect("valid config");
 
     // Construction probed a healthy fleet; now Azure starts failing
     // every call for the next 60 virtual seconds.
@@ -98,8 +98,7 @@ fn breaker_walks_closed_open_half_open_closed_in_the_trace() {
 fn crud_and_ec_spans_cover_the_request_path() {
     let (clock, fleet) = fresh_fleet();
     let telemetry = ring_collector(&clock);
-    let mut h =
-        Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
+    let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
 
     h.create_file("/small", &synth_content("/small", 0, 8 * KB)).expect("up");
     h.create_file("/big", &synth_content("/big", 0, 2 * MB)).expect("up");
@@ -123,9 +122,9 @@ fn crud_and_ec_spans_cover_the_request_path() {
         assert!(span_names.contains(&want), "missing span {want} in {span_names:?}");
     }
     // Erasure-path inner spans, labeled per provider where applicable.
-    assert!(span_names.iter().any(|n| *n == "ec.encode"), "{span_names:?}");
-    assert!(span_names.iter().any(|n| *n == "ec.decode"), "{span_names:?}");
-    assert!(span_names.iter().any(|n| *n == "ec.update"), "{span_names:?}");
+    assert!(span_names.contains(&"ec.encode"), "{span_names:?}");
+    assert!(span_names.contains(&"ec.decode"), "{span_names:?}");
+    assert!(span_names.contains(&"ec.update"), "{span_names:?}");
     assert!(span_names.iter().any(|n| n.starts_with("put_fragment[")), "{span_names:?}");
     assert!(span_names.iter().any(|n| n.starts_with("fetch_fragment[")), "{span_names:?}");
     assert!(span_names.iter().any(|n| n.starts_with("put_replica[")), "{span_names:?}");
@@ -148,8 +147,7 @@ fn crud_and_ec_spans_cover_the_request_path() {
 fn retry_backoffs_are_traced_per_attempt() {
     let (clock, fleet) = fresh_fleet();
     let telemetry = ring_collector(&clock);
-    let mut h =
-        Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
+    let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
     let azure = fleet.by_name("Windows Azure").expect("standard fleet");
     azure.set_fault_plan(FaultPlan::quiet().with_seed(3).with_burst(
         Duration::ZERO,
@@ -179,8 +177,7 @@ fn retry_backoffs_are_traced_per_attempt() {
 fn scrub_traces_corruption_and_repair() {
     let (clock, fleet) = fresh_fleet();
     let telemetry = ring_collector(&clock);
-    let mut h =
-        Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
+    let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
     let data = synth_content("/f", 0, 8 * KB);
     h.create_file("/f", &data).expect("up");
 
@@ -212,8 +209,7 @@ fn scrub_traces_corruption_and_repair() {
 fn degraded_reads_and_recovery_are_traced() {
     let (clock, fleet) = fresh_fleet();
     let telemetry = ring_collector(&clock);
-    let mut h =
-        Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
+    let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
     let data = synth_content("/big", 0, 3 * MB);
     h.create_file("/big", &data).expect("up");
     h.create_file("/small", &synth_content("/small", 0, 4 * KB)).expect("up");
@@ -259,7 +255,7 @@ fn same_seed_runs_emit_byte_identical_traces() {
         for p in fleet.providers() {
             p.set_fault_plan(FaultPlan::chaos(seed, secs(3600)));
         }
-        let mut h =
+        let h =
             Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
         for i in 0..8u32 {
             let path = format!("/d/f{i}");
@@ -289,7 +285,7 @@ fn same_seed_runs_emit_byte_identical_traces() {
 #[test]
 fn disabled_collector_stays_silent_end_to_end() {
     let (_, fleet) = fresh_fleet();
-    let mut h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid");
+    let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("valid");
     assert!(!h.telemetry().enabled());
     h.create_file("/x", &synth_content("/x", 0, 2 * MB)).expect("up");
     h.read_file("/x").expect("up");

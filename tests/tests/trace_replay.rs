@@ -58,7 +58,7 @@ fn hyrd_beats_racs_on_the_archive_day_too() {
     // read-heavy archive traffic, not just PostMark.
     let trace = IaTrace::synthesize(42);
     let ops = trace.sample_day_ops(2, 8e-6, 2);
-    let mean = |make: Box<dyn FnOnce(&Fleet) -> Box<dyn Scheme>>| {
+    let mean = |make: fn(&Fleet) -> Box<dyn Scheme>| {
         let (clock, fleet) = fresh_fleet();
         for p in fleet.providers() {
             p.set_ghost_mode(true);
@@ -68,8 +68,7 @@ fn hyrd_beats_racs_on_the_archive_day_too() {
             .mean_latency()
             .as_secs_f64()
     };
-    let hyrd =
-        mean(Box::new(|f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config"))));
-    let racs = mean(Box::new(|f| Box::new(Racs::new(f).expect("4p"))));
+    let hyrd = mean(|f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config")));
+    let racs = mean(|f| Box::new(Racs::new(f).expect("4p")));
     assert!(hyrd < racs, "HyRD {hyrd:.2}s vs RACS {racs:.2}s on archive traffic");
 }
