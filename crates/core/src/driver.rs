@@ -20,13 +20,17 @@ use crate::stats::{LatencyStats, OpClass};
 
 pub mod multi_client;
 pub mod openloop;
+pub mod oracle;
+
+use oracle::Expected;
 
 /// Replay knobs.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
-    /// Verify read contents against the driver's expected bytes. Costs
-    /// memory proportional to the live file set — use in tests, not in
-    /// ghost-mode benches.
+    /// Verify read contents, byte for byte, against what the driver
+    /// wrote. Costs one pass over each read and a few runs of state per
+    /// live file ([`oracle`]); ghost-mode providers hold no bytes to
+    /// check.
     pub verify_reads: bool,
     /// Advance the fleet clock by each request's latency.
     pub advance_clock: bool,
@@ -185,11 +189,12 @@ impl SynthBuf {
 
 /// Driver state that must persist across phased replays (pool
 /// initialization, then transactions): the live-file table and, when
-/// verification is on, the expected contents.
+/// verification is on, the expected contents — as the fill runs the
+/// driver wrote, not as bytes.
 #[derive(Debug, Default)]
 pub struct ReplayState {
     files: HashMap<String, (u64, u32)>,
-    expected: HashMap<String, Vec<u8>>,
+    expected: HashMap<String, Expected>,
 }
 
 impl ReplayState {
@@ -201,9 +206,10 @@ impl ReplayState {
         paths
     }
 
-    /// The bytes a verified replay expects `path` to hold right now.
-    pub fn expected_content(&self, path: &str) -> Option<&[u8]> {
-        self.expected.get(path).map(Vec::as_slice)
+    /// The bytes a verified replay expects `path` to hold right now,
+    /// materialised from its runs.
+    pub fn expected_content(&self, path: &str) -> Option<Vec<u8>> {
+        self.expected.get(path).map(Expected::to_vec)
     }
 
     /// Live files the replay has created and not deleted.
@@ -245,7 +251,7 @@ fn exec_one(
             };
             files.insert(path.clone(), (*size, 1));
             if opts.verify_reads {
-                expected.insert(path.clone(), data.to_vec());
+                expected.insert(path.clone(), Expected::filled(*size, fill_byte(path, 0)));
             }
             Ok((class, batch, false))
         }
@@ -255,7 +261,7 @@ fn exec_one(
             let class =
                 if size <= opts.stats_threshold { OpClass::SmallRead } else { OpClass::LargeRead };
             let verify_failure = if opts.verify_reads {
-                expected.get(path).is_some_and(|want| &bytes[..] != want.as_slice())
+                expected.get(path).is_some_and(|want| !want.matches(&bytes))
             } else {
                 bytes.len() as u64 != size
             };
@@ -270,8 +276,7 @@ fn exec_one(
             }
             if opts.verify_reads {
                 if let Some(content) = expected.get_mut(path) {
-                    let off = *offset as usize;
-                    content[off..off + data.len()].copy_from_slice(data);
+                    content.patch(*offset, *len, fill_byte(path, version));
                 }
             }
             Ok((OpClass::Update, batch, false))

@@ -212,7 +212,7 @@ impl<'a> MultiClient<'a> {
 
     /// The bytes the replay expects `path` to hold right now.
     pub fn expected_content(&self, path: &str) -> Option<Vec<u8>> {
-        self.lock().state.expected_content(path).map(|b| b.to_vec())
+        self.lock().state.expected_content(path)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {

@@ -34,6 +34,10 @@
 //! the block digests are computed sixteen at a time into a table on the
 //! stack, whichever kernel computes them.
 //!
+//! **The driver** (DESIGN.md §8.2): a verified replay remembers what it
+//! wrote as fill runs, not as bytes — a 2 MiB file with eight updates in
+//! it is held in under a kibibyte, and checking a read allocates nothing.
+//!
 //! One `#[test]` on purpose: the counters are process-wide, and a second
 //! test running on another thread would bill its bytes to this one.
 
@@ -41,11 +45,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyrd::config::HyrdConfig;
-use hyrd::driver::synth_content;
+use hyrd::driver::{replay_with_state, synth_content, ReplayOptions, ReplayState};
 use hyrd::observatory::{self, SharedObservatory};
 use hyrd::telemetry::{Collector, ManualClock, SharedBuf};
-use hyrd::{Hyrd, IntegrityIndex, Verdict};
+use hyrd::{Hyrd, IntegrityIndex, Scheme, SchemeResult, Verdict};
 use hyrd_cloudsim::{Fleet, SimClock};
+use hyrd_gcsapi::BatchReport;
+use hyrd_workloads::FsOp;
 
 /// System allocator that counts the calls made to it and adds up the
 /// bytes requested (a `realloc` requests its new size), the way
@@ -54,6 +60,8 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is
 // a statistic and touches no allocator state.
@@ -61,6 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -68,11 +77,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -80,6 +91,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -114,6 +127,81 @@ fn request_path_allocation_budgets() {
     small_object_ops_cost_what_they_change();
     telemetry_costs_what_it_writes();
     hashing_allocates_the_digest_table_and_nothing_else();
+    the_read_oracle_holds_runs_not_bytes();
+}
+
+/// A scheme that stores nothing and allocates nothing: whatever a replay
+/// through it requests, the driver requested.
+struct Inert {
+    content: bytes::Bytes,
+}
+
+impl Scheme for Inert {
+    fn name(&self) -> &str {
+        ""
+    }
+    fn create_file(&mut self, _: &str, _: &[u8]) -> SchemeResult<BatchReport> {
+        Ok(BatchReport::empty())
+    }
+    fn read_file(&mut self, _: &str) -> SchemeResult<(bytes::Bytes, BatchReport)> {
+        Ok((self.content.clone(), BatchReport::empty()))
+    }
+    fn update_file(&mut self, _: &str, _: u64, _: &[u8]) -> SchemeResult<BatchReport> {
+        Ok(BatchReport::empty())
+    }
+    fn delete_file(&mut self, _: &str) -> SchemeResult<BatchReport> {
+        Ok(BatchReport::empty())
+    }
+    fn list_dir(&mut self, _: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
+        Ok((Vec::new(), BatchReport::empty()))
+    }
+    fn file_size(&self, _: &str) -> Option<u64> {
+        None
+    }
+    fn recover_provider(
+        &mut self,
+        _: hyrd_gcsapi::ProviderId,
+    ) -> SchemeResult<(hyrd::RecoveryReport, BatchReport)> {
+        unreachable!("no replayed op recovers a provider")
+    }
+}
+
+fn the_read_oracle_holds_runs_not_bytes() {
+    const MB: u64 = 1024 * 1024;
+    let clock = SimClock::new();
+    let verified = ReplayOptions { verify_reads: true, ..ReplayOptions::default() };
+    let path = || "/big.bin".to_string();
+    let mut writes = vec![FsOp::Create { path: path(), size: 2 * MB }];
+    writes.extend((0..8).map(|k| FsOp::Update {
+        path: path(),
+        offset: k * 200_000 + 7,
+        len: 65_536,
+    }));
+    let read = [FsOp::Read { path: path() }];
+
+    let mut scheme = Inert { content: bytes::Bytes::new() };
+    let mut state = ReplayState::default();
+    let live = LIVE.load(Ordering::Relaxed);
+    let stats = replay_with_state(&mut scheme, &writes, &clock, &verified, &mut state);
+    assert_eq!((stats.errors, stats.overall.count()), (0, 9));
+    drop(stats);
+    // The file table, two copies of the path and seventeen runs.
+    let held = LIVE.load(Ordering::Relaxed) - live;
+    assert!(held < 1024, "a 2 MiB file with 8 updates is remembered in {held} B");
+
+    // The same read checked and unchecked: the check allocates nothing.
+    scheme.content = state.expected_content("/big.bin").expect("written above").into();
+    let unchecked = ReplayOptions::default();
+    let (plain, stats) =
+        cost_of(|| replay_with_state(&mut scheme, &read, &clock, &unchecked, &mut state));
+    assert_eq!((stats.errors, stats.verify_failures), (0, 0));
+    let (checked, stats) =
+        cost_of(|| replay_with_state(&mut scheme, &read, &clock, &verified, &mut state));
+    assert_eq!((stats.errors, stats.verify_failures), (0, 0));
+    assert_eq!(checked, plain, "verifying a read allocated");
+    println!(
+        "read oracle: {held} B held for a 2 MiB file with 8 updates; a read costs {checked:?}"
+    );
 }
 
 fn hashing_allocates_the_digest_table_and_nothing_else() {
@@ -384,6 +472,7 @@ fn large_object_ops_allocate_what_they_produce() {
     assert_eq!(&bytes[..], &data[..]);
     assert_eq!(report.op_count(), m as usize, "m fragments fetched");
     assert!(degraded < budget, "degraded read of {len} B requested {degraded} B (budget {budget})");
+    assert_eq!(Vec::from(bytes).capacity(), len, "the object is allocated once, at its length");
     println!(
         "{len} B object: create {create} B, healthy read {healthy} B, 64 KiB update {update} B, \
          degraded read {degraded} B"

@@ -6,6 +6,7 @@ use hyrd::driver::{multi_client, replay, replay_with_state, ReplayOptions, Repla
 use hyrd::prelude::*;
 use hyrd::stats::OpClass;
 use hyrd::telemetry::{json, parse_document, Collector, Document, SharedBuf};
+use hyrd::SchemeResult;
 use hyrd_workloads::{FileSizeDist, FsOp, PostMark, PostMarkConfig};
 
 const KB: u64 = 1024;
@@ -55,6 +56,76 @@ fn verification_catches_everything_in_real_mode() {
     let stats = replay(&mut h, &ops(), &clock, &opts);
     assert_eq!(stats.verify_failures, 0);
     assert_eq!(stats.errors, 0);
+}
+
+/// HyRD, except that a read comes back with one bit of one byte flipped.
+struct FlipsAByte {
+    inner: Hyrd,
+    at: Option<usize>,
+}
+
+impl Scheme for FlipsAByte {
+    fn name(&self) -> &str {
+        "flips-a-byte"
+    }
+    fn create_file(&mut self, path: &str, data: &[u8]) -> SchemeResult<BatchReport> {
+        self.inner.create_file(path, data)
+    }
+    fn read_file(&mut self, path: &str) -> SchemeResult<(bytes::Bytes, BatchReport)> {
+        let (bytes, report) = self.inner.read_file(path)?;
+        let mut bytes = bytes.to_vec();
+        if let Some(at) = self.at {
+            bytes[at] ^= 0x10;
+        }
+        Ok((bytes.into(), report))
+    }
+    fn update_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SchemeResult<BatchReport> {
+        self.inner.update_file(path, offset, data)
+    }
+    fn delete_file(&mut self, path: &str) -> SchemeResult<BatchReport> {
+        self.inner.delete_file(path)
+    }
+    fn list_dir(&mut self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
+        self.inner.list_dir(path)
+    }
+    fn file_size(&self, path: &str) -> Option<u64> {
+        self.inner.file_size(path)
+    }
+    fn recover_provider(
+        &mut self,
+        id: hyrd_gcsapi::ProviderId,
+    ) -> SchemeResult<(hyrd::RecoveryReport, BatchReport)> {
+        self.inner.recover_provider(id)
+    }
+}
+
+#[test]
+fn verification_is_byte_exact_at_the_edges_of_a_patched_window() {
+    let (clock, _, inner) = setup();
+    let mut scheme = FlipsAByte { inner, at: None };
+    let opts = ReplayOptions { verify_reads: true, ..Default::default() };
+    let mut state = ReplayState::default();
+    let (offset, len) = (70_001, 4_099);
+    let writes = [
+        FsOp::Create { path: "/f".into(), size: 2 * MB },
+        FsOp::Update { path: "/f".into(), offset, len },
+    ];
+    let stats = replay_with_state(&mut scheme, &writes, &clock, &opts, &mut state);
+    assert_eq!((stats.errors, stats.verify_failures), (0, 0));
+    let want = state.expected_content("/f").expect("a verified replay keeps what it wrote");
+    assert_eq!(want.len() as u64, 2 * MB);
+    assert_ne!(want[offset as usize - 1], want[offset as usize], "the update changed the fill");
+
+    let read = [FsOp::Read { path: "/f".into() }];
+    let mut failures = |at| {
+        scheme.at = at;
+        replay_with_state(&mut scheme, &read, &clock, &opts, &mut state).verify_failures
+    };
+    assert_eq!(failures(None), 0, "an honest read passes");
+    let last = (offset + len - 1) as usize;
+    for at in [0, offset as usize - 1, offset as usize, last, last + 1, 2 * MB as usize - 1] {
+        assert_eq!(failures(Some(at)), 1, "byte {at} came back wrong and was let through");
+    }
 }
 
 #[test]

@@ -10,15 +10,16 @@
 //! every code: an absent fragment is a fixed linear combination of any
 //! `m` present ones, with coefficients read off the inverse of those
 //! fragments' generator rows. For RAID5 every coefficient is 1 and the
-//! kernels degenerate to the plain XOR of the survivors; a healthy read
+//! kernel degenerates to the plain XOR of the survivors; a healthy read
 //! does no arithmetic at all.
 //!
-//! The combination is computed in [`FUSED_BLOCK`] chunks of the output,
-//! each written in place — no per-block buffers, nothing to stitch.
+//! The combination is one [`combine_into`] call: all survivors walked in
+//! lockstep, each output byte stored once into the buffer's spare
+//! capacity — no zero fill, no second visit (DESIGN.md §8.1).
 
 use std::cell::OnceCell;
 
-use crate::gf256::{mul_slice, mul_slice_acc, Gf256, FUSED_BLOCK};
+use crate::gf256::{combine_into, Gf256};
 use crate::matrix::Matrix;
 use crate::stripe::FragmentLayout;
 use crate::{ErasureCode, GfecError, Result};
@@ -117,28 +118,11 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
 
     /// Appends the first `take` bytes of fragment `index` to `out`: one
     /// copy when the fragment is present, otherwise its linear
-    /// combination computed block-parallel directly in place.
+    /// combination of the basis fragments, computed where it lands.
     pub(crate) fn append(&self, index: usize, take: usize, out: &mut Vec<u8>) {
-        if let Some(src) = self.by_index[index] {
-            out.extend_from_slice(&src[..take]);
-            return;
-        }
-        let terms = self.terms(index);
-        let start = out.len();
-        // The zero fill is the value of an all-zero combination; every
-        // other block is overwritten by its first term below.
-        out.resize(start + take, 0);
-        // Sub-blocks keep the accumulator in L1 across the terms.
-        for (s, dst) in out[start..].chunks_mut(FUSED_BLOCK).enumerate() {
-            let at = s * FUSED_BLOCK;
-            for (k, &(c, src)) in terms.iter().enumerate() {
-                let src = &src[at..at + dst.len()];
-                if k == 0 {
-                    mul_slice(dst, src, c);
-                } else {
-                    mul_slice_acc(dst, src, c);
-                }
-            }
+        match self.by_index[index] {
+            Some(src) => out.extend_from_slice(&src[..take]),
+            None => combine_into(out, take, &self.terms(index)),
         }
     }
 }
@@ -201,6 +185,7 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized, B: AsRef<[u8]>>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::gf256::FUSED_BLOCK;
     use crate::raid5::Raid5;
     use crate::raid6::Raid6;
     use crate::rs::ReedSolomon;

@@ -8,20 +8,21 @@
 //!
 //! ## Slice kernels
 //!
-//! The block operations ([`mul_slice`], [`mul_slice_acc`], [`xor_slice`])
-//! are the inner loops of every encode, decode, scrub and partial update
-//! in the system. They use per-coefficient **split-nibble product tables**
-//! (ISA-L style): for a fixed coefficient `c`, `c * x` is
-//! `LO[c][x & 0xf] ^ HI[c][x >> 4]` — two 16-entry lookups from one
-//! 32-byte table row that stays resident in L1, with no per-byte zero
-//! branch and no dependent log→exp lookup chain. On x86_64 with AVX2 the
-//! two 16-entry tables become `vpshufb` operands, doing 32 bytes of
-//! products per shuffle pair; elsewhere (and for tails) the products of
-//! an 8-byte chunk are assembled into a `u64` and XOR-accumulated with a
-//! single wide load/store pair (SWAR). `tests/oracle/` computes the same
-//! products one [`Gf256`] multiplication per byte; the fast kernels are
-//! proven bit-identical to that for every coefficient and every tail
-//! length (`tests/kernel_proptests.rs`).
+//! One loop is the inner loop of every encode, decode, scrub, rebuild and
+//! partial update in the system: [`combine`] (with [`combine_into`] and
+//! the accumulating [`combine_acc`] over it) computes one output row
+//! `dst[i] = Σ c_j * src_j[i]` walking all sources in lockstep, so each
+//! output byte is written once and every stream is read front to back.
+//! Products use per-coefficient **split-nibble tables** (ISA-L style):
+//! for a fixed coefficient `c`, `c * x` is `LO[c][x & 0xf] ^ HI[c][x >> 4]`
+//! — two 16-entry lookups from one 32-byte table row that stays resident
+//! in L1, with no per-byte zero branch and no dependent log→exp lookup
+//! chain. On x86_64 with AVX2 the two 16-entry tables become `vpshufb`
+//! operands, 64 bytes of every source per step; elsewhere (and for tails)
+//! a step is eight bytes. `tests/oracle/` computes the same sums one
+//! [`Gf256`] multiplication per byte; each implementation is proven
+//! bit-identical to that for every coefficient kind, term count, tail
+//! length and source alignment (`tests/kernel_proptests.rs`).
 
 /// The primitive polynomial 0x11d, with the implicit x^8 term.
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -214,176 +215,277 @@ const fn build_nibble_tables() -> [[u8; 32]; 256] {
 /// coefficient touches exactly one line of table state.
 static NIBBLE: [[u8; 32]; 256] = build_nibble_tables();
 
-/// Byte budget one fused encode pass keeps hot per shard; see
-/// `Matrix::mul_shards_into`. Sized so `(parity_rows + 1) * FUSED_BLOCK`
-/// fits comfortably in L1/L2 for realistic parity counts.
+/// Bytes of each shard one step of the multi-row encode works on; see
+/// `Matrix::mul_shards_into`. Sized so a block of every data shard
+/// (`m * FUSED_BLOCK`) stays in L2 while one output row after another is
+/// computed from it, for realistic shard counts.
 pub const FUSED_BLOCK: usize = 16 * 1024;
 
-/// AVX2 nibble-shuffle kernels: `vpshufb` performs all sixteen low-nibble
-/// table lookups of a 128-bit lane in a single instruction, so a 32-byte
-/// chunk costs two shuffles and three XORs instead of 64 scalar table
-/// loads. Gated at runtime; the portable SWAR loops below remain the
-/// fallback (and handle the tail the vector loop leaves behind).
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    use std::arch::x86_64::*;
+// ---------------------------------------------------------------------------
+// The lockstep kernel — the one loop under every slice operation.
+// ---------------------------------------------------------------------------
 
-    /// Whether the AVX2 path may be used. `std` caches the CPUID probe,
-    /// so calling this per slice operation is a load, not a `cpuid`.
-    #[inline]
-    pub fn usable() -> bool {
-        std::is_x86_feature_detected!("avx2")
+/// One term of a linear combination: a coefficient and the bytes it
+/// scales.
+pub trait Term {
+    /// The factor every byte of [`Term::source`] is multiplied by.
+    fn coefficient(&self) -> Gf256;
+    /// The bytes.
+    fn source(&self) -> &[u8];
+}
+
+impl Term for (Gf256, &[u8]) {
+    fn coefficient(&self) -> Gf256 {
+        self.0
     }
-
-    /// Processes the 32-byte-aligned prefix of `dst[i] ^= c * src[i]`,
-    /// returning the number of bytes consumed. `table` is the
-    /// coefficient's 32-byte split-nibble row (`lo` then `hi` half).
-    ///
-    /// # Safety
-    /// The caller must ensure AVX2 is available (see [`usable`]) and that
-    /// `dst` and `src` have equal length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_slice_acc(dst: &mut [u8], src: &[u8], table: &[u8; 32]) -> usize {
-        let n = dst.len() & !31;
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast()));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().add(16).cast()));
-        let mask = _mm256_set1_epi8(0x0f);
-        let mut i = 0;
-        while i < n {
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
-            let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask));
-            let prod = _mm256_xor_si256(lo, hi);
-            let d = dst.as_mut_ptr().add(i);
-            let acc = _mm256_xor_si256(_mm256_loadu_si256(d.cast()), prod);
-            _mm256_storeu_si256(d.cast(), acc);
-            i += 32;
-        }
-        n
-    }
-
-    /// Same shuffle kernel without the accumulate: `dst[i] = c * src[i]`.
-    ///
-    /// # Safety
-    /// As for [`mul_slice_acc`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_slice(dst: &mut [u8], src: &[u8], table: &[u8; 32]) -> usize {
-        let n = dst.len() & !31;
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast()));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().add(16).cast()));
-        let mask = _mm256_set1_epi8(0x0f);
-        let mut i = 0;
-        while i < n {
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
-            let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask));
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(lo, hi));
-            i += 32;
-        }
-        n
+    fn source(&self) -> &[u8] {
+        self.1
     }
 }
 
-// ---------------------------------------------------------------------------
-// Block (slice) operations — the hot loops of encoding.
-// ---------------------------------------------------------------------------
+/// A bare slice counts once: XOR parity takes its shards as they lie.
+impl Term for &[u8] {
+    fn coefficient(&self) -> Gf256 {
+        Gf256::ONE
+    }
+    fn source(&self) -> &[u8] {
+        self
+    }
+}
 
-/// `dst[i] ^= c * src[i]` over whole slices — the inner loop of
-/// Reed-Solomon encoding. Uses the split-nibble tables and processes
-/// 8 bytes per iteration, folding the accumulate into one u64 XOR.
+/// Which implementation runs the lockstep loop. Everything but the
+/// bit-identity tests takes [`Kernel::detect`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// `u64` SWAR, eight bytes a step; also finishes the tail the vector
+    /// loop leaves.
+    Portable,
+    /// `vpshufb` on 256-bit registers, 64 bytes a step. Asked for on a
+    /// CPU without AVX2, it is [`Kernel::Portable`].
+    Avx2,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs. `std` caches the CPUID probe, so
+    /// this is a load per slice operation, not a `cpuid`.
+    pub fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Portable
+    }
+}
+
+/// `c * b` through the coefficient's split-nibble row.
+#[inline(always)]
+fn mul_byte(c: Gf256, b: u8) -> u8 {
+    let row = &NIBBLE[c.0 as usize];
+    row[(b & 0x0f) as usize] ^ row[16 + (b >> 4) as usize]
+}
+
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use super::{Term, NIBBLE};
+    use std::arch::x86_64::*;
+
+    /// The 64-byte steps of [`super::lockstep`]; returns the bytes done.
+    /// `vpshufb` performs all sixteen nibble lookups of a 128-bit lane at
+    /// once, so a non-unit term costs two shuffles and three XORs per 32
+    /// bytes; the two table halves are broadcast loads that hit L1.
+    ///
+    /// # Safety
+    /// As for [`super::lockstep`], and the CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn lockstep<const ACC: bool, T: Term>(
+        dst: *mut u8,
+        len: usize,
+        terms: &[T],
+    ) -> usize {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn product(s: __m256i, lo_t: __m256i, hi_t: __m256i) -> __m256i {
+            let mask = _mm256_set1_epi8(0x0f);
+            let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
+            let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask));
+            _mm256_xor_si256(lo, hi)
+        }
+        let done = len & !63;
+        for at in (0..done).step_by(64) {
+            // SAFETY: `at + 64 <= len` bounds `dst` by the caller's contract,
+            // and each source by the 64-byte slice taken of it (a `Term` is
+            // safe code: it is checked at every step, not trusted); all loads and stores
+            // are the unaligned forms. `dst` is read only when the caller
+            // vouched for its contents (`ACC`).
+            unsafe {
+                let d = dst.add(at).cast::<__m256i>();
+                let (mut a0, mut a1) = if ACC {
+                    (_mm256_loadu_si256(d), _mm256_loadu_si256(d.add(1)))
+                } else {
+                    (_mm256_setzero_si256(), _mm256_setzero_si256())
+                };
+                for term in terms {
+                    let c = term.coefficient();
+                    let s = term.source()[at..at + 64].as_ptr().cast::<__m256i>();
+                    let (mut s0, mut s1) = (_mm256_loadu_si256(s), _mm256_loadu_si256(s.add(1)));
+                    if c.0 != 1 {
+                        let row = NIBBLE[c.0 as usize].as_ptr().cast::<__m128i>();
+                        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(row));
+                        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(1)));
+                        (s0, s1) = (product(s0, lo_t, hi_t), product(s1, lo_t, hi_t));
+                    }
+                    (a0, a1) = (_mm256_xor_si256(a0, s0), _mm256_xor_si256(a1, s1));
+                }
+                _mm256_storeu_si256(d, a0);
+                _mm256_storeu_si256(d.add(1), a1);
+            }
+        }
+        done
+    }
+}
+
+/// One `N`-byte step of the portable loop at `at`: `N` is 8 (the arrays
+/// compile to `u64` loads, XORs and one store) or 1 for the tail.
+///
+/// # Safety
+/// As for [`lockstep`], with `at + N <= len`.
+#[inline(always)]
+unsafe fn swar_step<const ACC: bool, const N: usize, T: Term>(
+    dst: *mut u8,
+    at: usize,
+    terms: &[T],
+) {
+    // SAFETY: `at + N <= len` keeps the pointer inside `dst`'s `len` bytes.
+    let d = unsafe { dst.add(at).cast::<[u8; N]>() };
+    // SAFETY: `[u8; N]` has alignment 1, and `dst` is readable when `ACC`.
+    let mut acc = if ACC { unsafe { d.read() } } else { [0u8; N] };
+    for term in terms {
+        let c = term.coefficient();
+        let s = <[u8; N]>::try_from(&term.source()[at..at + N]).expect("N-byte chunk");
+        let s = if c.0 == 1 { s } else { s.map(|b| mul_byte(c, b)) };
+        acc.iter_mut().zip(s).for_each(|(a, b)| *a ^= b);
+    }
+    // SAFETY: `[u8; N]` has alignment 1, and `dst` is writable.
+    unsafe { d.write(acc) };
+}
+
+/// `dst[i] = Σ c_j * src_j[i]` for `i < len` — added to what `dst` holds
+/// when `ACC` — walking every source in lockstep and writing each output
+/// byte exactly once: however many terms, the loop is one forward pass
+/// over `terms.len() + 1` streams, which is what the hardware prefetcher
+/// follows. A unit coefficient is a plain XOR, a zero one multiplies
+/// through the all-zero table row, and no term at all leaves the zero
+/// sum. Returns the bytes written, which is `len`.
+///
+/// # Safety
+/// `dst` must be valid for writes of `len` bytes, hold initialised bytes
+/// if `ACC`, and overlap no source.
+///
+/// # Panics
+/// If a source is shorter than `len` — at the step that runs off its end;
+/// the safe entry points check the lengths before the first byte moves.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables, unused_mut))]
+unsafe fn lockstep<const ACC: bool, T: Term>(
+    kernel: Kernel,
+    dst: *mut u8,
+    len: usize,
+    terms: &[T],
+) -> usize {
+    let mut at = 0;
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx2 && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected; the rest is this function's contract.
+        at = unsafe { simd::lockstep::<ACC, T>(dst, len, terms) };
+    }
+    while len - at >= 8 {
+        // SAFETY: `at + 8 <= len`; the rest is this function's contract.
+        unsafe { swar_step::<ACC, 8, T>(dst, at, terms) };
+        at += 8;
+    }
+    while at < len {
+        // SAFETY: `at + 1 <= len`; the rest is this function's contract.
+        unsafe { swar_step::<ACC, 1, T>(dst, at, terms) };
+        at += 1;
+    }
+    at
+}
+
+/// The length every source of `terms` has, if there is a source.
+///
+/// # Panics
+/// If two sources differ in length.
+fn source_len<T: Term>(terms: &[T]) -> Option<usize> {
+    let len = terms.first()?.source().len();
+    assert!(terms.iter().all(|t| t.source().len() == len), "sources differ in length");
+    Some(len)
+}
+
+/// `dst[i] = Σ c_j * src_j[i]` over whole slices: the single-output
+/// reconstruction every code shares (a lost fragment from the survivors,
+/// a parity row from the data), in one pass. Prior contents of `dst` are
+/// discarded.
+///
+/// # Panics
+/// If the sources do not all have `dst`'s length.
+pub fn combine<T: Term>(dst: &mut [u8], terms: &[T]) {
+    assert!(source_len(terms).is_none_or(|len| len == dst.len()), "combine length mismatch");
+    // SAFETY: a `&mut [u8]` is writable for its length and overlaps no `&[u8]`.
+    unsafe { lockstep::<false, T>(Kernel::detect(), dst.as_mut_ptr(), dst.len(), terms) };
+}
+
+/// Appends `Σ c_j * src_j[..take]` to `out`, written straight into the
+/// `Vec`'s spare capacity: no zero fill, each new byte stored once.
+///
+/// # Panics
+/// If the sources differ in length or are shorter than `take`.
+pub fn combine_into<T: Term>(out: &mut Vec<u8>, take: usize, terms: &[T]) {
+    combine_into_with(Kernel::detect(), out, take, terms);
+}
+
+/// [`combine_into`] on a chosen kernel — for the bit-identity tests, which
+/// must reach every implementation on one host.
+pub fn combine_into_with<T: Term>(kernel: Kernel, out: &mut Vec<u8>, take: usize, terms: &[T]) {
+    assert!(source_len(terms).is_none_or(|len| len >= take), "combine_into length mismatch");
+    out.reserve(take);
+    let spare = &mut out.spare_capacity_mut()[..take];
+    // SAFETY: `spare` is `take` writable bytes owned by `out`, which no
+    // source can borrow while `out` is borrowed mutably.
+    let written = unsafe { lockstep::<false, T>(kernel, spare.as_mut_ptr().cast(), take, terms) };
+    debug_assert_eq!(written, take, "the kernel skipped output bytes");
+    // SAFETY: `lockstep` stored every one of the `take` bytes after `len`.
+    unsafe { out.set_len(out.len() + take) };
+}
+
+/// `dst[i] ^= Σ c_j * src_j[i]` over whole slices — [`combine`] on top of
+/// what `dst` holds: one read-modify-write pass however many terms.
+///
+/// # Panics
+/// If the sources do not all have `dst`'s length.
+pub fn combine_acc<T: Term>(dst: &mut [u8], terms: &[T]) {
+    assert!(source_len(terms).is_none_or(|len| len == dst.len()), "combine_acc length mismatch");
+    // SAFETY: a `&mut [u8]` is initialised, writable for its length and
+    // overlaps no `&[u8]`.
+    unsafe { lockstep::<true, T>(Kernel::detect(), dst.as_mut_ptr(), dst.len(), terms) };
+}
+
+/// `dst[i] ^= c * src[i]` over whole slices: [`combine_acc`] of one term.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn mul_slice_acc(dst: &mut [u8], src: &[u8], c: Gf256) {
     assert_eq!(dst.len(), src.len(), "mul_slice_acc length mismatch");
-    if c.0 == 0 {
-        return;
-    }
-    if c.0 == 1 {
-        xor_slice(dst, src);
-        return;
-    }
-    let table = &NIBBLE[c.0 as usize];
-    #[allow(unused_mut)]
-    let mut done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if simd::usable() {
-        // SAFETY: AVX2 presence was just checked; lengths match per the
-        // assert above.
-        done = unsafe { simd::mul_slice_acc(dst, src, table) };
-    }
-    let (lo, hi) = table.split_at(16);
-    let mut d8 = dst[done..].chunks_exact_mut(8);
-    let mut s8 = src[done..].chunks_exact(8);
-    for (d, s) in (&mut d8).zip(&mut s8) {
-        let mut prod = [0u8; 8];
-        for (p, &b) in prod.iter_mut().zip(s) {
-            *p = lo[(b & 0x0f) as usize] ^ hi[(b >> 4) as usize];
-        }
-        let acc = u64::from_le_bytes(<[u8; 8]>::try_from(&d[..]).expect("8-byte chunk"))
-            ^ u64::from_le_bytes(prod);
-        d.copy_from_slice(&acc.to_le_bytes());
-    }
-    for (d, &b) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-        *d ^= lo[(b & 0x0f) as usize] ^ hi[(b >> 4) as usize];
+    if c.0 != 0 {
+        combine_acc(dst, &[(c, src)]);
     }
 }
 
-/// `dst[i] = c * src[i]` over whole slices, via the split-nibble tables.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn mul_slice(dst: &mut [u8], src: &[u8], c: Gf256) {
-    assert_eq!(dst.len(), src.len(), "mul_slice length mismatch");
-    if c.0 == 0 {
-        dst.fill(0);
-        return;
-    }
-    if c.0 == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let table = &NIBBLE[c.0 as usize];
-    #[allow(unused_mut)]
-    let mut done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if simd::usable() {
-        // SAFETY: AVX2 presence was just checked; lengths match per the
-        // assert above.
-        done = unsafe { simd::mul_slice(dst, src, table) };
-    }
-    let (lo, hi) = table.split_at(16);
-    let mut d8 = dst[done..].chunks_exact_mut(8);
-    let mut s8 = src[done..].chunks_exact(8);
-    for (d, s) in (&mut d8).zip(&mut s8) {
-        let mut prod = [0u8; 8];
-        for (p, &b) in prod.iter_mut().zip(s) {
-            *p = lo[(b & 0x0f) as usize] ^ hi[(b >> 4) as usize];
-        }
-        d.copy_from_slice(&prod);
-    }
-    for (d, &b) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-        *d = lo[(b & 0x0f) as usize] ^ hi[(b >> 4) as usize];
-    }
-}
-
-/// `dst[i] ^= src[i]` — pure XOR accumulate (the RAID5 hot loop),
-/// 8 bytes at a time via u64 loads with a scalar tail.
+/// `dst[i] ^= src[i]`: [`combine_acc`] of one unit term.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
-    let mut d8 = dst.chunks_exact_mut(8);
-    let mut s8 = src.chunks_exact(8);
-    for (d, s) in (&mut d8).zip(&mut s8) {
-        let x = u64::from_le_bytes(<[u8; 8]>::try_from(&d[..]).expect("8-byte chunk"))
-            ^ u64::from_le_bytes(<[u8; 8]>::try_from(s).expect("8-byte chunk"));
-        d.copy_from_slice(&x.to_le_bytes());
-    }
-    for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-        *d ^= *s;
-    }
+    combine_acc(dst, &[src]);
 }
 
 #[cfg(test)]
@@ -509,14 +611,22 @@ mod tests {
             }
             assert_eq!(dst, expect, "mul_acc c={c}");
 
-            let mut dst2 = vec![0u8; 256];
-            mul_slice(&mut dst2, &src, Gf256(c));
             let expect2: Vec<u8> = src.iter().map(|&s| (Gf256(c) * Gf256(s)).0).collect();
-            assert_eq!(dst2, expect2, "mul c={c}");
+            let mut dst2 = vec![0xAAu8; 256];
+            combine(&mut dst2, &[(Gf256(c), &src[..])]);
+            assert_eq!(dst2, expect2, "combine c={c}");
+            // Appended after what is there, into capacity that held other bytes.
+            let mut dst3 = vec![0xAAu8; 300];
+            dst3.truncate(7);
+            combine_into(&mut dst3, 200, &[(Gf256(c), &src[..])]);
+            assert_eq!(dst3, [&[0xAA; 7][..], &expect2[..200]].concat(), "combine_into c={c}");
         }
         let mut d = vec![0b1010u8; 16];
         xor_slice(&mut d, &[0b0110u8; 16]);
         assert!(d.iter().all(|&b| b == 0b1100));
+        let mut none = vec![7u8; 70];
+        combine::<&[u8]>(&mut none, &[]);
+        assert_eq!(none, vec![0u8; 70], "the empty sum is zero");
     }
 
     #[test]

@@ -157,10 +157,10 @@ pub trait ErasureCode: Send + Sync {
     /// Total number of fragments `n`.
     fn total_fragments(&self) -> usize;
     /// Fills the `n - m` caller-provided parity rows from `m`
-    /// equal-length data shards — the fused, allocation-free kernel every
-    /// encode goes through. Each row must already have the shard length
-    /// and is fully overwritten (prior contents are discarded), so rows
-    /// can be block views into preallocated fragments.
+    /// equal-length data shards — the entry point every encode goes
+    /// through; nothing payload-sized is allocated. Each row must already
+    /// have the shard length and is fully overwritten (prior contents are
+    /// discarded), so rows can be block views into preallocated fragments.
     fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()>;
 
     /// Encodes equal-length data shards into `n - m` freshly allocated

@@ -5,7 +5,7 @@
 //! elimination is the right tool — no blocking or pivot heuristics needed
 //! beyond partial pivoting for singularity detection.
 
-use crate::gf256::Gf256;
+use crate::gf256::{combine, Gf256, FUSED_BLOCK};
 use crate::{GfecError, Result};
 
 /// A row-major dense matrix over GF(2^8).
@@ -212,18 +212,17 @@ impl Matrix {
         out
     }
 
-    /// Fused, cache-blocked `mul_shards` into caller-provided rows — no
-    /// allocation at all, so the rows can be block views into larger
-    /// preallocated buffers.
+    /// Cache-blocked `mul_shards` into caller-provided rows — nothing
+    /// payload-sized is allocated, so the rows can be block views into
+    /// larger preallocated buffers.
     ///
     /// Output rows must already have the shard length and are recomputed
     /// from scratch (any prior contents are discarded). The sweep is
-    /// blocked along the byte axis in
-    /// [`FUSED_BLOCK`](crate::gf256::FUSED_BLOCK) chunks, and within a
-    /// block each shard is read once while hot and accumulated into
-    /// *every* output row before moving on — memory traffic is one pass
-    /// over the data plus one streaming pass per output row, instead of
-    /// one full data sweep per row.
+    /// blocked along the byte axis in [`FUSED_BLOCK`] chunks; within a
+    /// block every output row is one [`combine`] over all the shards, so
+    /// the first row streams the block's data in from memory, the others
+    /// find it in cache, and each row byte is stored once — memory traffic
+    /// is one pass over the data plus one write pass per output row.
     ///
     /// # Panics
     /// Panics if `shards.len() != cols`, `out.len() != rows`, or any
@@ -234,22 +233,16 @@ impl Matrix {
         let len = shards.first().map_or(0, |s| s.len());
         assert!(shards.iter().all(|s| s.len() == len), "ragged shards");
         assert!(out.iter().all(|r| r.len() == len), "output rows must have the shard length");
-        let mut start = 0;
-        while start < len {
-            let end = (start + crate::gf256::FUSED_BLOCK).min(len);
-            for (j, shard) in shards.iter().enumerate() {
-                let src = &shard[start..end];
-                for (i, row) in out.iter_mut().enumerate() {
-                    if j == 0 {
-                        // Overwrite instead of zero-then-accumulate: saves
-                        // the memset and one read pass over every row.
-                        crate::gf256::mul_slice(&mut row[start..end], src, self.get(i, 0));
-                    } else {
-                        crate::gf256::mul_slice_acc(&mut row[start..end], src, self.get(i, j));
-                    }
-                }
+        let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(self.cols);
+        for start in (0..len).step_by(FUSED_BLOCK) {
+            let end = (start + FUSED_BLOCK).min(len);
+            for (i, row) in out.iter_mut().enumerate() {
+                terms.clear();
+                terms.extend(
+                    shards.iter().enumerate().map(|(j, s)| (self.get(i, j), &s[start..end])),
+                );
+                combine(&mut row[start..end], &terms);
             }
-            start = end;
         }
     }
 }

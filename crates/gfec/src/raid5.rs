@@ -10,7 +10,7 @@
 //!    parity in, new data + new parity out), exactly the 4-access
 //!    amplification quoted for RACS in §I.
 
-use crate::gf256::xor_slice;
+use crate::gf256::{combine, combine_into, Gf256};
 use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// XOR-parity erasure code with `m` data fragments and one parity.
@@ -40,9 +40,8 @@ impl Raid5 {
                 got: old_data.len().max(new_data.len()),
             });
         }
-        let mut p = old_parity.to_vec();
-        xor_slice(&mut p, old_data);
-        xor_slice(&mut p, new_data);
+        let mut p = Vec::with_capacity(old_parity.len());
+        combine_into(&mut p, old_parity.len(), &[old_parity, old_data, new_data]);
         Ok(p)
     }
 }
@@ -58,18 +57,13 @@ impl ErasureCode for Raid5 {
 
     fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
         check_encode_shapes(self, shards, parity)?;
-        // The first shard overwrites the row, so a dirty buffer needs no
-        // zero fill.
-        let p = &mut *parity[0];
-        p.copy_from_slice(shards[0]);
-        for s in &shards[1..] {
-            xor_slice(p, s);
-        }
+        // The row is overwritten, so a dirty buffer needs no zero fill.
+        combine(parity[0], shards);
         Ok(())
     }
 
-    fn parity_coefficients(&self) -> Vec<Vec<crate::gf256::Gf256>> {
-        vec![vec![crate::gf256::Gf256::ONE; self.m]]
+    fn parity_coefficients(&self) -> Vec<Vec<Gf256>> {
+        vec![vec![Gf256::ONE; self.m]]
     }
 }
 

@@ -8,7 +8,7 @@
 //! `Q = sum_i g^i * D_i` over GF(2^8) — the classic Anvin construction
 //! used by Linux md.
 
-use crate::gf256::{mul_slice_acc, xor_slice, Gf256, FUSED_BLOCK};
+use crate::gf256::{combine, Gf256};
 use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// Double-parity erasure code: `m` data fragments, parity fragments P
@@ -38,28 +38,13 @@ impl ErasureCode for Raid6 {
     }
 
     fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
-        let len = check_encode_shapes(self, shards, parity)?;
-        let (p_row, q_row) = parity.split_at_mut(1);
-        let (p, q) = (&mut *p_row[0], &mut *q_row[0]);
-        // Shard 0 overwrites both rows (g^0 = 1, so Q's first term is a
-        // plain copy too), so dirty buffers need no zero fill and no
-        // wasted read pass over P and Q.
-        // Fused pass: within each block, every shard is read once while hot
-        // and accumulated into both P and Q before moving on.
-        let mut start = 0;
-        while start < len {
-            let end = (start + FUSED_BLOCK).min(len);
-            for (i, s) in shards.iter().enumerate() {
-                let src = &s[start..end];
-                if i == 0 {
-                    p[start..end].copy_from_slice(src);
-                    q[start..end].copy_from_slice(src);
-                } else {
-                    xor_slice(&mut p[start..end], src);
-                    mul_slice_acc(&mut q[start..end], src, Gf256::exp(i));
-                }
-            }
-            start = end;
+        check_encode_shapes(self, shards, parity)?;
+        // P, then Q: each row is overwritten (dirty buffers need no zero
+        // fill) in one lockstep pass over the shards.
+        for (row, coeffs) in parity.iter_mut().zip(self.parity_coefficients()) {
+            let terms: Vec<(Gf256, &[u8])> =
+                coeffs.into_iter().zip(shards.iter().copied()).collect();
+            combine(row, &terms);
         }
         Ok(())
     }

@@ -8,7 +8,7 @@
 //! applies the update given those fragments — so both the simulator and
 //! the real dispatcher share one authoritative amplification model.
 
-use crate::gf256::{mul_slice_acc, Gf256};
+use crate::gf256::{combine_acc, Gf256};
 use crate::stripe::FragmentLayout;
 use crate::{GfecError, Result};
 
@@ -140,16 +140,15 @@ pub fn apply_ranged_update_multi<S: AsRef<[u8]>, P: AsRef<[u8]>>(
         }
         let new_seg = &new_bytes[consumed..consumed + len];
         consumed += len;
-        // c * (old + new) = c * old + c * new: two accumulate passes per
-        // parity, no scratch buffer for the difference.
+        // c * (old + new) = c * old + c * new: both terms in one
+        // accumulate pass per parity, no scratch buffer for the difference.
         for (parity, row) in parities.iter_mut().zip(coeffs) {
             let c = row
                 .get(shard)
                 .copied()
                 .ok_or(GfecError::BadFragmentIndex { index: shard, n: row.len() })?;
             let w = &mut parity[start - lo..start - lo + len];
-            mul_slice_acc(w, old_seg, c);
-            mul_slice_acc(w, new_seg, c);
+            combine_acc(w, &[(c, old_seg), (c, new_seg)]);
         }
         segments.push(new_seg.to_vec());
     }

@@ -78,6 +78,41 @@ fn boundary_lengths_match_the_oracle_for_every_erasure_pattern() {
     }
 }
 
+/// Every single loss, for 2 to 6 data fragments (so 2 to 6 terms under
+/// the lockstep kernel, unit and general coefficients alike), at shard
+/// lengths around its 64-byte step and the encode's 16 KiB block: the
+/// shards and the rebuilt fragment are what each code's own hand-written
+/// reconstruct — XOR rebuild, the P/Q solve, invert-and-multiply, all on
+/// the byte-at-a-time kernels — makes of the same survivors.
+#[test]
+fn every_single_loss_decodes_as_the_oracle_reconstructs() {
+    fn check_single_losses<C: OwningDecode>(code: &C, shard_len: usize) {
+        let (m, n) = (code.data_fragments(), code.total_fragments());
+        let shards: Vec<Vec<u8>> = (0..m).map(|i| payload(shard_len, 31 * i as u8 + 1)).collect();
+        let views: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        let parity = code.encode(&views).unwrap();
+        let frags: Vec<Vec<u8>> = shards.iter().cloned().chain(parity).collect();
+        for lost in 0..n {
+            let owned: Vec<Fragment> =
+                (0..n).filter(|&i| i != lost).map(|i| Fragment::new(i, frags[i].clone())).collect();
+            let want = code.reconstruct(&owned, shard_len).unwrap();
+            assert_eq!(want, shards, "the oracle itself, m={m} lost={lost}");
+            assert_eq!(reconstruct_parallel(code, &owned, shard_len).unwrap(), want);
+            let survivors = oracle::without(&frags, &[lost]);
+            let rebuilt = rebuild_fragment(code, shard_len, &survivors, lost).unwrap();
+            assert_eq!(rebuilt, frags[lost], "m={m} len={shard_len} lost={lost}");
+            assert_eq!(rebuilt.capacity(), shard_len, "one exact allocation");
+        }
+    }
+    for m in 2..=6 {
+        for shard_len in [0, 1, 63, 64, 65, 129, 16 * 1024 - 1, 16 * 1024 + 65] {
+            check_single_losses(&Raid5::new(m).unwrap(), shard_len);
+            check_single_losses(&Raid6::new(m).unwrap(), shard_len);
+            check_single_losses(&ReedSolomon::new(m, m + 2).unwrap(), shard_len);
+        }
+    }
+}
+
 /// What a hostile or buggy caller can hand the decoder.
 #[derive(Debug, Clone)]
 enum Defect {

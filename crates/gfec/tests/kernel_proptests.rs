@@ -60,7 +60,7 @@ fn mul_slice_matches_reference() {
             let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(113) ^ seed).collect();
             let mut fast = vec![0xA5u8; len];
             let mut slow = vec![0x5Au8; len];
-            gf256::mul_slice(&mut fast, &src, Gf256(c));
+            gf256::combine(&mut fast, &[(Gf256(c), &src[..])]);
             reference::mul_slice(&mut slow, &src, Gf256(c));
             assert_eq!(fast, slow);
         },
@@ -82,6 +82,91 @@ fn xor_slice_matches_reference() {
             assert_eq!(fast, slow);
         },
     );
+}
+
+// ---------------- the lockstep kernel, each implementation forced ----------------
+
+/// `combine_into` ≡ the byte-at-a-time sum, on the portable and on the
+/// AVX2 loop alike, for every shape the loop can meet: 1 to 6 sources;
+/// all-zero, all-unit and mixed coefficients (a unit and a zero among
+/// random ones); every length up to three 64-byte steps and a tail, one
+/// byte either side of a 16 KiB block, and a length that straddles two;
+/// every source offset within a 64-byte line, each source at its own.
+/// The output lands in spare capacity that held `0xFF`s, after a prefix
+/// that must survive, so a byte the kernel skipped shows.
+#[test]
+fn combine_matches_reference_on_every_kernel_at_every_shape() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 24) as u8
+    };
+    let lengths =
+        (0..=200).chain([FUSED_BLOCK - 1, FUSED_BLOCK, FUSED_BLOCK + 1, 2 * FUSED_BLOCK + 77]);
+    for len in lengths {
+        let data: Vec<Vec<u8>> = (0..6).map(|_| (0..len).map(|_| next()).collect()).collect();
+        for sources in 1..=6usize {
+            for kind in 0..3 {
+                let coeffs: Vec<Gf256> = (0..sources)
+                    .map(|j| match (kind, j) {
+                        (0, _) | (2, 1) => Gf256::ZERO,
+                        (1, _) | (2, 0) => Gf256::ONE,
+                        _ => Gf256(next()),
+                    })
+                    .collect();
+                let aligned: Vec<(Gf256, &[u8])> =
+                    coeffs.iter().zip(&data).map(|(&c, d)| (c, d.as_slice())).collect();
+                let want = reference::combine(len, &aligned);
+                // Long inputs take a sample of the offsets; the loop's shape
+                // no longer depends on them.
+                for shift in (0..64).step_by(if len > 200 { 7 } else { 1 }) {
+                    let moved: Vec<Vec<u8>> = (0..sources)
+                        .map(|j| [&vec![0xEE; (shift + 9 * j) % 64][..], &data[j][..]].concat())
+                        .collect();
+                    let terms: Vec<(Gf256, &[u8])> = (0..sources)
+                        .map(|j| (coeffs[j], &moved[j][(shift + 9 * j) % 64..]))
+                        .collect();
+                    for kernel in [gf256::Kernel::Portable, gf256::Kernel::Avx2] {
+                        let prefix = shift % 5;
+                        let mut out = vec![0xFFu8; prefix + len + 3];
+                        out.truncate(prefix);
+                        gf256::combine_into_with(kernel, &mut out, len, &terms);
+                        assert_eq!(out[..prefix], vec![0xFF; prefix][..], "prefix kept");
+                        assert_eq!(
+                            out[prefix..],
+                            want[..],
+                            "{kernel:?} len={len} sources={sources} kind={kind} shift={shift}"
+                        );
+                    }
+                }
+                // The slice forms, on the detected kernel: overwrite a dirty
+                // row, and accumulate onto one.
+                let mut row = vec![0xFFu8; len];
+                gf256::combine(&mut row, &aligned);
+                assert_eq!(row, want, "combine len={len} sources={sources} kind={kind}");
+                gf256::combine_acc(&mut row, &aligned);
+                assert_eq!(row, vec![0u8; len], "combine_acc len={len} sources={sources}");
+            }
+        }
+    }
+}
+
+/// A source longer than `take` lends its first `take` bytes; a shorter
+/// one, or sources of two lengths, are refused before a byte is written.
+#[test]
+fn combine_checks_its_sources_up_front() {
+    let (long, short) = (vec![3u8; 100], vec![5u8; 99]);
+    let mut out = vec![1u8];
+    gf256::combine_into(&mut out, 70, &[(Gf256(2), &long[..]), (Gf256::ONE, &long[..])]);
+    assert_eq!(out, [&[1u8][..], &[(Gf256(2) * Gf256(3)).0 ^ 3; 70][..]].concat());
+    let refused = |f: &mut dyn FnMut()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    assert!(refused(&mut || gf256::combine_into(&mut out, 100, &[&short[..]])).is_err());
+    assert!(refused(&mut || gf256::combine_into(&mut out, 50, &[&long[..], &short[..]])).is_err());
+    assert!(refused(&mut || gf256::combine(&mut [0u8; 70], &[&long[..]])).is_err());
+    assert!(refused(&mut || gf256::combine_acc(&mut [0u8; 100], &[&short[..]])).is_err());
+    assert_eq!(out.len(), 71, "a refused call appends nothing");
 }
 
 // ---------------- fused matrix encode vs row-at-a-time naive ----------------
@@ -286,9 +371,9 @@ fn fast_kernels_match_reference_at_all_tail_lengths() {
 
             let mut fast = base.clone();
             let mut slow = base.clone();
-            gf256::mul_slice(&mut fast, &src, Gf256(c));
+            gf256::combine(&mut fast, &[(Gf256(c), &src[..])]);
             reference::mul_slice(&mut slow, &src, Gf256(c));
-            assert_eq!(fast, slow, "mul_slice len={len} c={c}");
+            assert_eq!(fast, slow, "one-term combine len={len} c={c}");
         }
         let mut fast = base.clone();
         let mut slow = base.clone();

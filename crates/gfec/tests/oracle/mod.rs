@@ -10,11 +10,12 @@
 
 #![allow(dead_code)]
 
-use hyrd_gfec::gf256::{mul_slice, mul_slice_acc, xor_slice, Gf256};
+use hyrd_gfec::gf256::Gf256;
 use hyrd_gfec::{
     ErasureCode, Fragment, FragmentLayout, GfecError, Matrix, Raid5, Raid6, ReedSolomon,
     StripePlanner,
 };
+use reference::{mul_slice, mul_slice_acc, xor_slice};
 
 type Result<T> = std::result::Result<T, GfecError>;
 
@@ -240,6 +241,13 @@ pub mod reference {
         for (d, s) in dst.iter_mut().zip(src) {
             *d = (c * Gf256(*s)).0;
         }
+    }
+
+    /// `Σ c_j * src_j[i]` for `i < len`, one product at a time.
+    pub fn combine(len: usize, terms: &[(Gf256, &[u8])]) -> Vec<u8> {
+        (0..len)
+            .map(|i| terms.iter().fold(0, |sum, &(c, src)| sum ^ (c * Gf256(src[i])).0))
+            .collect()
     }
 
     /// `dst[i] ^= src[i]`.
