@@ -17,7 +17,7 @@ use hyrd::driver::{effective_jobs, replay, ReplayOptions, ReplayStats, SweepCell
 use hyrd::prelude::*;
 use hyrd::telemetry::json;
 use hyrd_baselines::{DuraCloud, Racs};
-use hyrd_bench::fig6::SchemeFactory;
+use hyrd_bench::paper::SchemeFactory;
 use hyrd_bench::{flag_usize, header, write_json, Series};
 use hyrd_workloads::{FsOp, IaTrace};
 

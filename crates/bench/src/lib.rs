@@ -1,15 +1,14 @@
-//! Shared harness plumbing for the figure/table binaries.
-//!
-//! Every binary prints the series the paper plots *and* writes a JSON
-//! record under `target/experiments/` so EXPERIMENTS.md can be refreshed
-//! mechanically.
+//! The experiment harness: [`paper`] (the paper's evaluation, one
+//! function per section) and the plumbing the binaries share. Every
+//! binary prints what it measured *and* writes a JSON record under
+//! `target/experiments/`.
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use hyrd_telemetry::json::{self, ToJson};
 
-pub mod fig6;
+pub mod paper;
 
 /// Directory experiment outputs land in.
 pub fn experiments_dir() -> PathBuf {

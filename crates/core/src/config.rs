@@ -20,7 +20,7 @@ pub enum CodeChoice {
         n: usize,
     },
     /// Double parity (tolerates two concurrent outages) — the
-    /// `ablation_code_choice` extension.
+    /// `paper::code_choice` extension.
     Raid6 {
         /// Data fragments.
         m: usize,

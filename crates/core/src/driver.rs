@@ -399,7 +399,7 @@ pub type SweepCell<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 /// their results **in cell order**.
 ///
 /// Each cell must own everything it touches (fleet, clock, collector —
-/// the standing pattern in `fig6::run_scheme` and `chaos_drill`), which
+/// the standing pattern in `paper::run_scheme` and `chaos_drill`), which
 /// is what makes the sweep deterministic: cells never share mutable
 /// state, workers only race for *which* cell to run next, and results
 /// land in slots indexed by cell position. The output is therefore

@@ -42,9 +42,6 @@
 //! ([`Hyrd::restart`] — rebuilding a client purely from persisted state)
 //! and [`crashtest`] (the deterministic
 //! crash-injection harness and durability auditor; see DESIGN.md §12).
-//! Extension module: [`dedupstore`]
-//! (the §VI client-side deduplication layer over any [`Scheme`], built
-//! on the chunking/fingerprint primitives in [`hyrd_dedup`]).
 //!
 //! ## Quick start
 //!
@@ -69,7 +66,6 @@
 pub mod bootstrap;
 pub mod config;
 pub mod crashtest;
-pub mod dedupstore;
 pub mod dispatcher;
 pub mod driver;
 pub mod ecops;
@@ -89,7 +85,6 @@ pub mod stats;
 
 pub use config::{CodeChoice, FragmentSelection, HedgeConfig, HyrdConfig, PolicyConfig};
 pub use crashtest::{silence_crash_panics, ClientCrashed, CrashHarness};
-pub use dedupstore::{DedupStats, DedupStore};
 pub use dispatcher::Hyrd;
 pub use engine::HedgeStats;
 pub use evaluator::{Evaluator, ProviderAssessment};

@@ -1,7 +1,6 @@
-//! SHA-256 (FIPS 180-4), implemented from scratch for chunk
-//! fingerprinting. Collision-resistant fingerprints are what make
-//! dedup-by-hash sound: two chunks with equal digests are treated as
-//! identical content.
+//! SHA-256 (FIPS 180-4), implemented from scratch for the digests
+//! `hyrd::integrity` records and verifies: one per object, and one per
+//! 4 KiB block of it.
 //!
 //! Two compression kernels share one incremental hasher:
 //!

@@ -1,6 +1,6 @@
 //! Per-provider operation statistics, accumulated lock-free.
 //!
-//! The ablation experiments (DESIGN.md §4.5, `ablation_update_recovery`)
+//! The update and recovery experiments (DESIGN.md §4.5, `paper::update_recovery`)
 //! need exact op/byte counts per provider to show write amplification and
 //! recovery traffic. `Instrumented<C>` wraps any [`CloudStorage`] and
 //! counts everything that passes through, using relaxed atomics — counts

@@ -1,7 +1,7 @@
 //! RAID6: double parity (P + Q) tolerating any two erasures.
 //!
 //! This extends the paper's RAID5 choice for the large-file tier and backs
-//! the `ablation_code_choice` experiment (DESIGN.md §4.4): what does HyRD
+//! the `paper::code_choice` section (DESIGN.md §4.4): what does HyRD
 //! pay/gain if the Cloud-of-Clouds must survive two concurrent outages?
 //!
 //! P is the plain XOR parity; Q is the Reed-Solomon-style syndrome

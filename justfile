@@ -52,9 +52,11 @@ trace:
 multi-client:
     cargo run --release -p hyrd-bench --bin multi_client -- --smoke --clients 4 --check
 
-# Regenerate the paper-figure experiment JSONs.
+# The paper's evaluation, regenerated and checked: every section as
+# Markdown (EXPERIMENTS.md is this output), target/experiments/paper.json,
+# exit 1 if any of the paper's claims fails.
 experiments:
-    cargo run --release -p hyrd-bench --bin fig6
+    cargo run --release --offline -p hyrd-bench --bin paper
 
 # Jobs-invariance of the parallel sweep engine on a one-week archive
 # sweep: --check re-runs the grid single-threaded and asserts
