@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::atomic::AtomicBool;
 
 use bytes::Bytes;
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use hyrd_gcsapi::sync::{read, write};
 
@@ -20,7 +20,7 @@ use hyrd_gcsapi::{
     CloudError, CloudResult, CloudStorage, ObjectKey, OpKind, OpOutcome, OpReport, OpStats,
     ProviderId, StatsSnapshot,
 };
-use hyrd_telemetry::Collector;
+use hyrd_telemetry::{Collector, Counter, HistogramSeries};
 
 use crate::clock::SimClock;
 use crate::crash::CrashSwitch;
@@ -71,6 +71,17 @@ impl Stored {
     }
 }
 
+/// The collector a provider reports to, with the two series every op
+/// updates resolved to handles once, when the collector is installed.
+#[derive(Default)]
+struct Telemetry {
+    collector: Collector,
+    /// `provider.ops[name]`.
+    ops: Counter,
+    /// `provider.latency_ns[name]`.
+    latency_ns: HistogramSeries,
+}
+
 /// A simulated provider: latency model + prices + outage schedule around
 /// an in-memory object store.
 pub struct SimProvider {
@@ -93,7 +104,7 @@ pub struct SimProvider {
     /// How many of the plan's rot events have been applied.
     rot_applied: AtomicU64,
     /// Telemetry sink; disabled (no-op) by default.
-    telemetry: RwLock<Collector>,
+    telemetry: RwLock<Telemetry>,
     /// Fleet-shared client-crash switch; absent for standalone providers.
     crash: RwLock<Option<std::sync::Arc<CrashSwitch>>>,
     /// Concurrency-limited server slots the event engine admits reads
@@ -117,7 +128,7 @@ impl SimProvider {
             ghost: AtomicBool::new(false),
             faults: RwLock::new(FaultPlan::quiet()),
             rot_applied: AtomicU64::new(0),
-            telemetry: RwLock::new(Collector::disabled()),
+            telemetry: RwLock::new(Telemetry::default()),
             crash: RwLock::new(None),
             queue: ProviderQueue::new(crate::queue::DEFAULT_CONCURRENCY),
         }
@@ -134,17 +145,22 @@ impl SimProvider {
     /// fault a `provider.fault` event. Pass `Collector::disabled()` to
     /// turn instrumentation back into a no-op.
     pub fn set_telemetry(&self, collector: Collector) {
-        *write(&self.telemetry) = collector;
+        let name = self.profile.name.as_str();
+        *write(&self.telemetry) = Telemetry {
+            ops: collector.counter_series("provider.ops", name),
+            latency_ns: collector.histogram_series("provider.latency_ns", name),
+            collector,
+        };
     }
 
-    fn telemetry(&self) -> Collector {
-        read(&self.telemetry).clone()
+    fn telemetry(&self) -> RwLockReadGuard<'_, Telemetry> {
+        read(&self.telemetry)
     }
 
     /// Emits a fault event + counter. `reason` matches the `CloudError`
     /// reason string where one exists.
     fn note_fault(&self, reason: &str) {
-        let tel = self.telemetry();
+        let tel = &self.telemetry().collector;
         if tel.enabled() {
             tel.event("provider.fault")
                 .field("provider", self.profile.name.as_str())
@@ -207,7 +223,7 @@ impl SimProvider {
     pub fn credit_cancelled(&self, report: &OpReport, billed: std::time::Duration) {
         let latency_credit = report.latency.saturating_sub(billed);
         self.stats.credit_cancelled(report.bytes_out, latency_credit.as_nanos() as u64);
-        let tel = self.telemetry();
+        let tel = &self.telemetry().collector;
         if tel.enabled() {
             tel.event("provider.cancel")
                 .field("provider", self.profile.name.as_str())
@@ -241,7 +257,7 @@ impl SimProvider {
     /// Emits a `provider.status` lifecycle event (the observatory derives
     /// per-provider uptime windows from these).
     fn note_status(&self, state: &str, reason: &str) {
-        let tel = self.telemetry();
+        let tel = &self.telemetry().collector;
         if tel.enabled() {
             tel.event("provider.status")
                 .field("provider", self.profile.name.as_str())
@@ -267,7 +283,7 @@ impl SimProvider {
     /// Adds a scheduled outage window in virtual time.
     pub fn schedule_outage(&self, start: std::time::Duration, end: std::time::Duration) {
         write(&self.outage).add_window(start, end);
-        let tel = self.telemetry();
+        let tel = &self.telemetry().collector;
         if tel.enabled() {
             tel.event("provider.outage_scheduled")
                 .field("provider", self.profile.name.as_str())
@@ -405,24 +421,26 @@ impl SimProvider {
         let report = OpReport { provider: self.id, kind, latency, bytes_in, bytes_out };
         self.stats.record_ok(&report);
         let tel = self.telemetry();
-        if tel.enabled() {
+        if tel.collector.enabled() {
             // Priced cost of this single op under the provider's Table II
             // plan: its transaction class plus any transfer charges.
             let (put_class, get_class) = if kind.is_put_class() { (1, 0) } else { (0, 1) };
             let cost = self.profile.prices.transaction_cost(put_class, get_class)
                 + self.profile.prices.transfer_cost(bytes_in, bytes_out);
-            let name = self.profile.name.as_str();
             let latency_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-            tel.event("provider.op")
-                .field("provider", name)
-                .field("op", kind.name())
+            // In key order, the order the trace prints them in: each field
+            // then lands at the end of the record under construction.
+            tel.collector
+                .event("provider.op")
                 .field("bytes_in", bytes_in)
                 .field("bytes_out", bytes_out)
-                .field("latency_ns", latency_ns)
                 .field("cost", cost)
+                .field("latency_ns", latency_ns)
+                .field("op", kind.name())
+                .field("provider", self.profile.name.as_str())
                 .emit();
-            tel.inc_labeled("provider.ops", name, 1);
-            tel.observe_labeled("provider.latency_ns", name, latency_ns);
+            tel.ops.inc(1);
+            tel.latency_ns.observe(latency_ns);
         }
         report
     }

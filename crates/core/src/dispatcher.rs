@@ -93,7 +93,7 @@ use hyrd_gcsapi::{sync, BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, Raid5, Raid6, ReedSolomon};
 use hyrd_metastore::{MetaOccStats, NormPath, Placement, ShardedMetaStore};
-use hyrd_telemetry::Collector;
+use hyrd_telemetry::{Collector, Gauge, HistogramSeries, SpanGuard, SpanName};
 
 use crate::config::{CodeChoice, HyrdConfig};
 use crate::evaluator::Evaluator;
@@ -155,6 +155,54 @@ impl ReadCounts {
     }
 }
 
+/// The labelled spans the request path opens around a provider call,
+/// `put_replica[Aliyun]` and the like.
+#[derive(Clone, Copy)]
+pub(crate) enum ProviderSpan {
+    PutReplica,
+    PutFragment,
+    FetchReplica,
+    FetchFragment,
+}
+
+impl ProviderSpan {
+    const ALL: [ProviderSpan; 4] = [
+        ProviderSpan::PutReplica,
+        ProviderSpan::PutFragment,
+        ProviderSpan::FetchReplica,
+        ProviderSpan::FetchFragment,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            ProviderSpan::PutReplica => "put_replica",
+            ProviderSpan::PutFragment => "put_fragment",
+            ProviderSpan::FetchReplica => "fetch_replica",
+            ProviderSpan::FetchFragment => "fetch_fragment",
+        }
+    }
+}
+
+/// What the request path reports about one provider on every call it
+/// makes there, resolved once when the client is built: the labelled
+/// spans around the call and the engine's `engine.queue_depth[provider]`
+/// gauge and histogram.
+struct ProviderSeries {
+    spans: [SpanName; ProviderSpan::ALL.len()],
+    queue_depth: Gauge,
+    queue_depths: HistogramSeries,
+}
+
+impl ProviderSeries {
+    fn resolve(telemetry: &Collector, provider: &str) -> Self {
+        ProviderSeries {
+            spans: ProviderSpan::ALL.map(|span| telemetry.span_name(span.name(), provider)),
+            queue_depth: telemetry.gauge_series("engine.queue_depth", provider),
+            queue_depths: telemetry.histogram_series("engine.queue_depth", provider),
+        }
+    }
+}
+
 /// The HyRD client. See the crate docs for an end-to-end example.
 ///
 /// `Hyrd` is `Sync`: every CRUD operation takes `&self` (see the module
@@ -180,6 +228,8 @@ pub struct Hyrd {
     pub(crate) integrity: Mutex<IntegrityIndex>,
     pub(crate) counters: FaultCounters,
     pub(crate) telemetry: Collector,
+    /// Per provider, in fleet order.
+    series: Vec<ProviderSeries>,
     /// Crash journal (disabled outside the crash harness; see
     /// [`crate::journal`]).
     pub(crate) journal: Journal,
@@ -249,6 +299,11 @@ impl Hyrd {
             health,
             integrity: Mutex::new(IntegrityIndex::new()),
             counters: FaultCounters::default(),
+            series: fleet
+                .providers()
+                .iter()
+                .map(|p| ProviderSeries::resolve(&telemetry, p.name()))
+                .collect(),
             telemetry,
             config,
             journal,
@@ -581,6 +636,19 @@ impl Hyrd {
 
     pub(crate) fn provider(&self, id: ProviderId) -> &Arc<SimProvider> {
         self.fleet.get(id).expect("placement providers come from the fleet")
+    }
+
+    /// Opens `span` labelled with the provider `id`.
+    pub(crate) fn provider_span(&self, id: ProviderId, span: ProviderSpan) -> SpanGuard {
+        self.series[id.0 as usize].spans[span as usize].start()
+    }
+
+    /// Records the queue depth a read arriving at provider `id` contends
+    /// with (registry only, never the trace): last value + distribution.
+    pub(crate) fn note_queue_depth(&self, id: ProviderId, depth: u64) {
+        let series = &self.series[id.0 as usize];
+        series.queue_depth.set(depth as i64);
+        series.queue_depths.observe(depth);
     }
 
     /// Starts a wall-clock timer, but only when telemetry is enabled.

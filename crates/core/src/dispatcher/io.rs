@@ -30,7 +30,7 @@ use hyrd_gcsapi::{
     CloudError, CloudResult, CloudStorage, ObjectKey, OpOutcome, OpReport, ProviderId,
 };
 
-use super::Hyrd;
+use super::{Hyrd, ProviderSpan};
 
 /// What one [`Hyrd::retire`] call did with its objects (the ones found
 /// verifiably absent count as neither).
@@ -204,7 +204,7 @@ impl Hyrd {
         writes: impl Iterator<Item = (ProviderId, K, Bytes)>,
         patch: Option<(u64, &Bytes)>,
         floor: usize,
-        span: Option<&'static str>,
+        span: Option<ProviderSpan>,
     ) -> Vec<OpReport> {
         let mut ops = Vec::new();
         let mut rejected = Vec::new();
@@ -217,7 +217,7 @@ impl Hyrd {
                 rejected.push((t, key, full));
                 continue;
             }
-            let _span = span.map(|name| self.telemetry.span_labeled(name, self.provider(t).name()));
+            let _span = span.map(|span| self.provider_span(t, span));
             let put = match patch {
                 Some((offset, patch)) => self.put_object_range(t, key, offset, patch, &full),
                 None => self.put_object(t, key, &full),

@@ -13,7 +13,7 @@ use crate::evaluator::Evaluator;
 use crate::integrity::Verdict;
 use crate::scheme::{SchemeError, SchemeResult};
 
-use super::Hyrd;
+use super::{Hyrd, ProviderSpan};
 
 impl Hyrd {
     /// Counts a detected integrity failure and traces the object.
@@ -92,7 +92,8 @@ impl Hyrd {
         // One copy wins; the hedge timer fans out to a second replica
         // when the first is slow (metadata and small files included —
         // `list_dir`'s fastest-replica fetch rides the same path).
-        let mut fanout = ReadFanout { hyrd: self, span: "fetch_replica", candidates, expect_len };
+        let mut fanout =
+            ReadFanout { hyrd: self, span: ProviderSpan::FetchReplica, candidates, expect_len };
         let Some(mut outcome) = engine::fanout_read(&mut fanout, 1, &self.config.hedge, now) else {
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
@@ -186,7 +187,7 @@ impl Hyrd {
             candidates.into_iter().map(|(_, p, key)| (p, key)).collect();
         let mut fanout = ReadFanout {
             hyrd: self,
-            span: "fetch_fragment",
+            span: ProviderSpan::FetchFragment,
             candidates: fanout_candidates,
             expect_len: None,
         };
@@ -420,8 +421,8 @@ impl Hyrd {
 /// every admission/cancellation goes to the provider's queue.
 struct ReadFanout<'a> {
     hyrd: &'a Hyrd,
-    /// Telemetry span label ("fetch_replica" / "fetch_fragment").
-    span: &'static str,
+    /// The span around each fetch (`fetch_replica` / `fetch_fragment`).
+    span: ProviderSpan,
     candidates: Vec<(ProviderId, &'a ObjectKey)>,
     /// Length every payload must have, where the caller knows it.
     expect_len: Option<u64>,
@@ -467,7 +468,7 @@ impl FanoutDriver for ReadFanout<'_> {
     fn attempt(&mut self, idx: usize) -> Attempt {
         let (id, key) = self.candidates[idx];
         let fetched = {
-            let _get = self.hyrd.telemetry.span_labeled(self.span, self.hyrd.provider(id).name());
+            let _get = self.hyrd.provider_span(id, self.span);
             self.hyrd.get_object(id, key)
         };
         match fetched {
@@ -485,15 +486,11 @@ impl FanoutDriver for ReadFanout<'_> {
     }
 
     fn enqueue(&mut self, idx: usize, now_ns: u64, service_ns: u64) -> hyrd_cloudsim::Admission {
-        let provider = self.hyrd.provider(self.candidates[idx].0);
-        let admission = provider.queue().admit(now_ns, service_ns);
+        let id = self.candidates[idx].0;
+        let queue = self.hyrd.provider(id).queue();
+        let admission = queue.admit(now_ns, service_ns);
         if self.hyrd.telemetry.enabled() {
-            // Registry-only backlog gauges (never the trace): the depth
-            // this arrival contends with, last value + distribution.
-            let depth = provider.queue().busy_at(now_ns) as u64;
-            let telemetry = &self.hyrd.telemetry;
-            telemetry.set_gauge_labeled("engine.queue_depth", provider.name(), depth as i64);
-            telemetry.observe_labeled("engine.queue_depth", provider.name(), depth);
+            self.hyrd.note_queue_depth(id, queue.busy_at(now_ns) as u64);
         }
         admission
     }

@@ -10,7 +10,7 @@ use crate::journal::{FragWrite, Intent};
 use crate::monitor::DataClass;
 use crate::scheme::{SchemeError, SchemeResult};
 
-use super::Hyrd;
+use super::{Hyrd, ProviderSpan};
 
 impl Hyrd {
     /// Puts `data` to every target in one parallel round
@@ -27,7 +27,7 @@ impl Hyrd {
         // recorded up front so even log-replayed copies verify.
         self.record_digest(name, data);
         let writes = targets.iter().map(|&t| (t, &key, data.clone()));
-        self.publish(writes, None, 1, Some("put_replica"))
+        self.publish(writes, None, 1, Some(ProviderSpan::PutReplica))
     }
 
     /// Replicates every **changed** dirty directory's flush item to the
@@ -60,15 +60,13 @@ impl Hyrd {
                     FlushKind::Diff => ("meta.flush.diff", "meta.flush.diffs"),
                     FlushKind::Compact => ("meta.flush.compact", "meta.flush.compacts"),
                 };
+                // Fields in key order, as the trace prints them.
                 let mut ev = self.telemetry.event(event);
-                ev.field("dir", item.dir.as_str())
-                    .field("version", item.version)
-                    .field("records", item.records as u64)
-                    .field("bytes", bytes.len() as u64);
+                ev.field("bytes", bytes.len() as u64).field("dir", item.dir.as_str());
                 if item.kind == FlushKind::Compact {
                     ev.field("folded", item.supersedes.len() as u64);
                 }
-                ev.emit();
+                ev.field("records", item.records as u64).field("version", item.version).emit();
                 self.telemetry.inc(counter, 1);
             }
             // A compaction's full block supersedes its diff chain: the
@@ -156,7 +154,7 @@ impl Hyrd {
             self.record_digest(name, &bytes);
             (*target, Self::key(name), bytes)
         });
-        let mut ops = self.publish(writes, None, m, Some("put_fragment"));
+        let mut ops = self.publish(writes, None, m, Some(ProviderSpan::PutFragment));
         let live = ops.len();
         if live < m {
             // Not enough survivors to make the object durable: undo —
@@ -367,8 +365,8 @@ impl Hyrd {
         let _span = self
             .telemetry
             .span_with("create_file")
-            .field("path", path)
             .field("bytes", data.len() as u64)
+            .field("path", path)
             .start();
         let path = NormPath::parse(path)?;
         let result = match self.monitor_l().classify(data.len() as u64) {
@@ -388,9 +386,9 @@ impl Hyrd {
         let _span = self
             .telemetry
             .span_with("update_file")
-            .field("path", path)
-            .field("offset", offset)
             .field("bytes", data.len() as u64)
+            .field("offset", offset)
+            .field("path", path)
             .start();
         let npath = NormPath::parse(path)?;
         let inode = self.meta.inode(&npath)?;

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use hyrd_cloudsim::SimClock;
 use hyrd_gcsapi::BatchReport;
-use hyrd_telemetry::Collector;
+use hyrd_telemetry::{Collector, Counter, HistogramSeries};
 use hyrd_workloads::FsOp;
 
 use crate::scheme::Scheme;
@@ -187,6 +187,27 @@ impl SynthBuf {
     }
 }
 
+/// What a replay loop keeps between its steps: the content buffer, and
+/// the `replay.ops[class]` / `replay.latency_ns[class]` series its
+/// records count into, each resolved to handles on its class's first op.
+#[derive(Default)]
+pub(crate) struct StepCache {
+    synth: SynthBuf,
+    series: [Option<(Counter, HistogramSeries)>; OpClass::ALL.len()],
+}
+
+impl StepCache {
+    fn series(&mut self, telemetry: &Collector, class: OpClass) -> &(Counter, HistogramSeries) {
+        self.series[class as usize].get_or_insert_with(|| {
+            let name = class.as_str();
+            (
+                telemetry.counter_series("replay.ops", name),
+                telemetry.histogram_series("replay.latency_ns", name),
+            )
+        })
+    }
+}
+
 /// Driver state that must persist across phased replays (pool
 /// initialization, then transactions): the live-file table and, when
 /// verification is on, the expected contents — as the fill runs the
@@ -296,26 +317,34 @@ fn exec_one(
 
 /// Folds one executed op into `stats` and emits the `replay.op`
 /// telemetry.
-fn record_into(stats: &mut ReplayStats, class: OpClass, batch: &BatchReport, opts: &ReplayOptions) {
+fn record_into(
+    stats: &mut ReplayStats,
+    class: OpClass,
+    batch: &BatchReport,
+    cache: &mut StepCache,
+    opts: &ReplayOptions,
+) {
     stats.overall.record(batch.latency);
-    let class = class.as_str();
+    let name = class.as_str();
     // The key is allocated once per class, on the first miss only.
-    match stats.per_class.get_mut(class) {
+    match stats.per_class.get_mut(name) {
         Some(per_class) => per_class.record(batch.latency),
-        None => stats.per_class.entry(class.to_string()).or_default().record(batch.latency),
+        None => stats.per_class.entry(name.to_string()).or_default().record(batch.latency),
     }
     stats.provider_ops += batch.op_count() as u64;
     stats.bytes_in += batch.bytes_in();
     stats.bytes_out += batch.bytes_out();
     if opts.telemetry.enabled() {
+        let latency_ns = batch.latency.as_nanos() as u64;
         opts.telemetry
             .event("replay.op")
-            .field("class", class)
-            .field("latency_ns", batch.latency.as_nanos() as u64)
+            .field("class", name)
+            .field("latency_ns", latency_ns)
             .field("provider_ops", batch.op_count() as u64)
             .emit();
-        opts.telemetry.inc_labeled("replay.ops", class, 1);
-        opts.telemetry.observe_labeled("replay.latency_ns", class, batch.latency.as_nanos() as u64);
+        let (ops, latency) = cache.series(&opts.telemetry, class);
+        ops.inc(1);
+        latency.observe(latency_ns);
     }
 }
 
@@ -348,15 +377,16 @@ pub(crate) fn step(
     scheme: &mut dyn Scheme,
     op: &FsOp,
     state: &mut ReplayState,
-    synth: &mut SynthBuf,
+    cache: &mut StepCache,
     stats: &mut ReplayStats,
     opts: &ReplayOptions,
 ) -> Option<BatchReport> {
-    let Ok((class, batch, verify_failure)) = exec_one(scheme, op, state, synth, opts) else {
+    let Ok((class, batch, verify_failure)) = exec_one(scheme, op, state, &mut cache.synth, opts)
+    else {
         record_error(stats, op, opts);
         return None;
     };
-    record_into(stats, class, &batch, opts);
+    record_into(stats, class, &batch, cache, opts);
     stats.verify_failures += u64::from(verify_failure);
     Some(batch)
 }
@@ -372,9 +402,9 @@ pub fn replay_with_state(
     state: &mut ReplayState,
 ) -> ReplayStats {
     let mut stats = ReplayStats { scheme: scheme.name().to_string(), ..Default::default() };
-    let mut synth = SynthBuf::new();
+    let mut cache = StepCache::default();
     for op in ops {
-        if let Some(batch) = step(scheme, op, state, &mut synth, &mut stats, opts) {
+        if let Some(batch) = step(scheme, op, state, &mut cache, &mut stats, opts) {
             if opts.advance_clock {
                 clock.advance(batch.latency);
             }

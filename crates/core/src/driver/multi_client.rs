@@ -40,7 +40,7 @@ use std::time::Duration;
 use hyrd_cloudsim::SimClock;
 use hyrd_workloads::FsOp;
 
-use super::{effective_jobs, ReplayOptions, ReplayState, ReplayStats, SynthBuf};
+use super::{effective_jobs, ReplayOptions, ReplayState, ReplayStats, StepCache};
 use crate::dispatcher::Hyrd;
 use crate::scheme::Scheme;
 use crate::stats::LatencyStats;
@@ -113,7 +113,7 @@ struct Inner {
     batch: ReplayStats,
     /// Shared namespace bookkeeping, carried across batches.
     state: ReplayState,
-    synth: SynthBuf,
+    cache: StepCache,
     /// Virtual time each session is busy until.
     busy_until: Vec<Duration>,
     sessions: Vec<SessionReport>,
@@ -145,7 +145,7 @@ impl<'a> MultiClient<'a> {
                 next: 0,
                 batch: ReplayStats::default(),
                 state: ReplayState::default(),
-                synth: SynthBuf::new(),
+                cache: StepCache::default(),
                 busy_until: vec![Duration::ZERO; clients],
                 sessions,
             }),
@@ -231,10 +231,10 @@ impl<'a> MultiClient<'a> {
             .min_by_key(|(i, t)| (**t, *i))
             .map(|(i, _)| i)
             .expect("at least one session");
-        let Inner { state, synth, batch, busy_until, sessions, .. } = inner;
+        let Inner { state, cache, batch, busy_until, sessions, .. } = inner;
         let tally = &mut sessions[session];
         let mut scheme = self.scheme;
-        match super::step(&mut scheme, op, state, synth, batch, opts) {
+        match super::step(&mut scheme, op, state, cache, batch, opts) {
             Some(done) => {
                 tally.ops += 1;
                 tally.provider_ops += done.op_count() as u64;

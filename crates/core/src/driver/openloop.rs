@@ -16,7 +16,7 @@
 use hyrd_cloudsim::SimClock;
 use hyrd_workloads::openloop::Arrival;
 
-use super::{step, ReplayOptions, ReplayState, ReplayStats, SynthBuf};
+use super::{step, ReplayOptions, ReplayState, ReplayStats, StepCache};
 use crate::scheme::Scheme;
 
 /// Replays a timed arrival stream through `scheme`, carrying `state`
@@ -35,10 +35,10 @@ pub fn replay_arrivals(
 ) -> ReplayStats {
     let origin = clock.now();
     let mut stats = ReplayStats { scheme: scheme.name().to_string(), ..Default::default() };
-    let mut synth = SynthBuf::new();
+    let mut cache = StepCache::default();
     for arrival in arrivals {
         clock.advance_to(origin + arrival.at);
-        step(scheme, &arrival.op, state, &mut synth, &mut stats, opts);
+        step(scheme, &arrival.op, state, &mut cache, &mut stats, opts);
     }
     stats
 }

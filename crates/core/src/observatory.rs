@@ -10,7 +10,7 @@
 //! folding a record whose providers and files are already known allocates
 //! nothing:
 //!
-//! 1. **Per-provider SLIs** ([`ProviderTracker`] → [`ProviderHealthView`]):
+//! 1. **Per-provider SLIs** (a provider tracker → [`ProviderHealthView`]):
 //!    op counts and per-kind latency histograms, fault/cancel/backoff/
 //!    breaker-reject tallies, an error-rate EWMA, and an availability
 //!    fraction derived from `provider.status` down/up windows.
@@ -28,12 +28,12 @@
 //!    against the paper's analytical model.
 //!
 //! Determinism: ingestion is a pure left-fold over the record sequence and
-//! every map is a `BTreeMap`, so the rendered report is byte-identical for
-//! the same trace no matter how the records were produced or parsed
-//! ([`from_trace`] streams line by line; the parallel parser in
-//! [`parse_trace_jobs`] only parallelises *parsing*; ingestion order is
-//! always trace order). DESIGN.md §14 states the contract and defines each
-//! SLI precisely.
+//! everything it reports is in name order, so the rendered report is
+//! byte-identical for the same trace no matter how the records were
+//! produced or parsed ([`from_trace`] streams line by line; the parallel
+//! parser in [`parse_trace_jobs`] only parallelises *parsing*; ingestion
+//! order is always trace order). DESIGN.md §14 states the contract and
+//! defines each SLI precisely.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -63,6 +63,40 @@ fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut 
     map.get_mut(key).expect("present, or inserted above")
 }
 
+/// Values keyed by a short name — a provider, an op kind — in first-seen
+/// order. A fold meets a handful of each, so a record finds its entry by
+/// comparing a few short strings instead of walking a B-tree of them;
+/// whatever is rendered goes through [`Self::in_name_order`].
+#[derive(Debug, Clone)]
+struct ByName<V>(Vec<(String, V)>);
+
+impl<V> Default for ByName<V> {
+    fn default() -> Self {
+        ByName(Vec::new())
+    }
+}
+
+impl<V: Default> ByName<V> {
+    /// The entry for `name`, made on first sight (the only time the name
+    /// is copied).
+    fn slot(&mut self, name: &str) -> &mut V {
+        let at = match self.0.iter().position(|(n, _)| n == name) {
+            Some(at) => at,
+            None => {
+                self.0.push((name.to_string(), V::default()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    fn in_name_order(&self) -> Vec<&(String, V)> {
+        let mut entries: Vec<_> = self.0.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Per-provider tracking
 // ---------------------------------------------------------------------------
@@ -70,48 +104,48 @@ fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut 
 /// Streaming per-provider state. All counters are exact; the EWMA is the
 /// only smoothed quantity.
 #[derive(Debug, Clone, Default)]
-pub struct ProviderTracker {
+struct ProviderTracker {
     /// Completed provider operations.
-    pub ops: u64,
-    /// Ops broken down by kind ("Get", "Put", ...).
-    pub ops_by_kind: BTreeMap<String, u64>,
-    /// Latency histogram per op kind, nanoseconds.
-    pub latency_by_kind: BTreeMap<String, Histogram>,
+    ops: u64,
+    /// Ops and their latency histogram (nanoseconds) by op kind ("Get",
+    /// "Put", ...).
+    by_kind: ByName<(u64, Histogram)>,
     /// Latency across all kinds, nanoseconds.
-    pub latency: Histogram,
+    latency: Histogram,
     /// Bytes uploaded to the provider.
-    pub bytes_in: u64,
+    bytes_in: u64,
     /// Bytes downloaded from the provider.
-    pub bytes_out: u64,
+    bytes_out: u64,
     /// Faults, total and by reason string.
-    pub faults: u64,
-    pub faults_by_reason: BTreeMap<String, u64>,
+    faults: u64,
+    faults_by_reason: BTreeMap<String, u64>,
     /// Hedging cancellations credited to the provider.
-    pub cancels: u64,
+    cancels: u64,
     /// Retry backoffs attributed to the provider.
-    pub backoffs: u64,
+    backoffs: u64,
     /// Requests the circuit breaker refused to send.
-    pub breaker_rejects: u64,
+    breaker_rejects: u64,
     /// Error-rate EWMA in [0, 1]: ops pull toward 0, faults toward 1.
-    pub error_ewma: f64,
+    error_ewma: f64,
     /// When the provider went down, if currently down.
-    pub down_since: Option<u64>,
+    down_since: Option<u64>,
     /// Accumulated downtime from closed down/up windows, nanoseconds.
-    pub downtime_ns: u64,
+    downtime_ns: u64,
     /// Number of down transitions observed.
-    pub outages: u64,
+    outages: u64,
     /// Outage windows announced via `provider.outage_scheduled`.
-    pub outages_scheduled: u64,
+    outages_scheduled: u64,
     /// Peak engine queue depth, folded in from the metrics registry by
     /// [`Observatory::absorb_metrics`] (gauges never reach the trace).
-    pub queue_depth_peak: u64,
+    queue_depth_peak: u64,
 }
 
 impl ProviderTracker {
     fn note_op(&mut self, kind: &str, latency_ns: u64, bytes_in: u64, bytes_out: u64) {
         self.ops += 1;
-        *slot(&mut self.ops_by_kind, kind) += 1;
-        slot(&mut self.latency_by_kind, kind).record(latency_ns);
+        let (ops, latency) = self.by_kind.slot(kind);
+        *ops += 1;
+        latency.record(latency_ns);
         self.latency.record(latency_ns);
         self.bytes_in += bytes_in;
         self.bytes_out += bytes_out;
@@ -255,7 +289,7 @@ pub struct Observatory {
     start_ns: Option<u64>,
     /// Largest timestamp seen.
     last_ns: u64,
-    providers: BTreeMap<String, ProviderTracker>,
+    providers: ByName<ProviderTracker>,
     files: BTreeMap<String, FileTracker>,
     /// Successful reads by tier.
     pub reads_ok_small: u64,
@@ -294,7 +328,7 @@ impl Observatory {
     }
 
     fn provider(&mut self, name: &str) -> &mut ProviderTracker {
-        slot(&mut self.providers, name)
+        self.providers.slot(name)
     }
 
     fn file(&mut self, path: &str) -> &mut FileTracker {
@@ -319,42 +353,41 @@ impl Observatory {
         let (RecordKind::Event, Some(name)) = (rec.kind(), rec.name()) else {
             return;
         };
-        let fstr = |key: &str| rec.field_str(key);
-        let fu64 = |key: &str| rec.field_u64(key);
+        let mut f = EventFields::default();
+        rec.each_field(&mut |key, s, n| f.note(key, s, n));
         // The fragment a record is about: file, fragment index, holder.
-        let fragment = || Some((fstr("path")?, fu64("fragment")?, fstr("provider")?));
+        let fragment = || Some((f.path?, f.fragment?, f.provider?));
         match name {
             "provider.op" => {
-                if let Some(p) = fstr("provider") {
-                    let kind = fstr("op").unwrap_or("?");
-                    let lat = fu64("latency_ns").unwrap_or(0);
-                    let bin = fu64("bytes_in").unwrap_or(0);
-                    let bout = fu64("bytes_out").unwrap_or(0);
+                if let Some(p) = f.provider {
+                    let kind = f.op.unwrap_or("?");
+                    let lat = f.latency_ns.unwrap_or(0);
+                    let (bin, bout) = (f.bytes_in.unwrap_or(0), f.bytes_out.unwrap_or(0));
                     self.provider(p).note_op(kind, lat, bin, bout);
                 }
             }
             "provider.fault" => {
-                if let Some(p) = fstr("provider") {
-                    self.provider(p).note_fault(fstr("reason").unwrap_or("?"));
+                if let Some(p) = f.provider {
+                    self.provider(p).note_fault(f.reason.unwrap_or("?"));
                 }
             }
             "provider.cancel" => {
-                if let Some(p) = fstr("provider") {
+                if let Some(p) = f.provider {
                     self.provider(p).cancels += 1;
                 }
             }
             "retry.backoff" => {
-                if let Some(p) = fstr("provider") {
+                if let Some(p) = f.provider {
                     self.provider(p).backoffs += 1;
                 }
             }
             "breaker.reject" => {
-                if let Some(p) = fstr("provider") {
+                if let Some(p) = f.provider {
                     self.provider(p).breaker_rejects += 1;
                 }
             }
             "provider.status" => {
-                if let (Some(p), Some(state)) = (fstr("provider"), fstr("state")) {
+                if let (Some(p), Some(state)) = (f.provider, f.state) {
                     let tracker = self.provider(p);
                     match state {
                         "down" if tracker.down_since.is_none() => {
@@ -371,7 +404,7 @@ impl Observatory {
                 }
             }
             "provider.outage_scheduled" => {
-                if let Some(p) = fstr("provider") {
+                if let Some(p) = f.provider {
                     self.provider(p).outages_scheduled += 1;
                 }
             }
@@ -381,15 +414,15 @@ impl Observatory {
                 }
             }
             "read.degraded" => {
-                if let Some(path) = fstr("path") {
+                if let Some(path) = f.path {
                     self.file(path).degraded_reads += 1;
                 }
             }
             "scrub.corrupt" => {
-                if let Some(path) = fstr("path") {
+                if let Some(path) = f.path {
                     let tracker = self.file(path);
                     tracker.corrupt += 1;
-                    if let (Some(frag), Some(p)) = (fu64("fragment"), fstr("provider")) {
+                    if let (Some(frag), Some(p)) = (f.fragment, f.provider) {
                         tracker.open_interval(frag, p, t);
                     }
                 }
@@ -399,14 +432,14 @@ impl Observatory {
                     self.file(path).close_interval(frag, p, t);
                 }
             }
-            "replay.op" => match fstr("class") {
+            "replay.op" => match f.class {
                 Some("small-read") => self.reads_ok_small += 1,
                 Some("large-read") => self.reads_ok_large += 1,
                 Some(_) => self.other_ops_ok += 1,
                 None => {}
             },
             "replay.error" => {
-                if fstr("op") == Some("read") {
+                if f.op == Some("read") {
                     self.reads_failed += 1;
                 } else {
                     self.other_ops_failed += 1;
@@ -418,11 +451,11 @@ impl Observatory {
                     "meta.flush.diff" => self.meta.flush_diffs += 1,
                     _ => {
                         self.meta.flush_compacts += 1;
-                        self.meta.diffs_folded += fu64("folded").unwrap_or(0);
+                        self.meta.diffs_folded += f.folded.unwrap_or(0);
                     }
                 }
-                self.meta.records += fu64("records").unwrap_or(0);
-                self.meta.bytes += fu64("bytes").unwrap_or(0);
+                self.meta.records += f.records.unwrap_or(0);
+                self.meta.bytes += f.bytes.unwrap_or(0);
             }
             _ => {}
         }
@@ -474,11 +507,12 @@ impl Observatory {
         }
     }
 
-    /// Snapshot of the per-provider SLIs, horizon-closed.
+    /// Snapshot of the per-provider SLIs, horizon-closed, in name order.
     pub fn provider_health(&self) -> Vec<ProviderHealthView> {
         let horizon = self.horizon_ns();
         self.providers
-            .iter()
+            .in_name_order()
+            .into_iter()
             .map(|(name, tr)| {
                 let downtime = tr.downtime_at(self.last_ns);
                 let availability = if horizon == 0 {
@@ -558,6 +592,46 @@ impl Observatory {
             meta_occ_conflicts: self.meta.occ_conflicts,
             meta_occ_retries: self.meta.occ_retries,
             meta_chain_max: self.meta.chain_max,
+        }
+    }
+}
+
+/// The fields the fold reads, gathered in one pass over a record: each
+/// holds what `field_str` / `field_u64` of its key returns.
+#[derive(Default)]
+struct EventFields<'r> {
+    provider: Option<&'r str>,
+    op: Option<&'r str>,
+    reason: Option<&'r str>,
+    state: Option<&'r str>,
+    path: Option<&'r str>,
+    class: Option<&'r str>,
+    fragment: Option<u64>,
+    latency_ns: Option<u64>,
+    bytes_in: Option<u64>,
+    bytes_out: Option<u64>,
+    folded: Option<u64>,
+    records: Option<u64>,
+    bytes: Option<u64>,
+}
+
+impl<'r> EventFields<'r> {
+    fn note(&mut self, key: &'r str, s: Option<&'r str>, n: Option<u64>) {
+        match key {
+            "provider" => self.provider = s,
+            "op" => self.op = s,
+            "reason" => self.reason = s,
+            "state" => self.state = s,
+            "path" => self.path = s,
+            "class" => self.class = s,
+            "fragment" => self.fragment = n,
+            "latency_ns" => self.latency_ns = n,
+            "bytes_in" => self.bytes_in = n,
+            "bytes_out" => self.bytes_out = n,
+            "folded" => self.folded = n,
+            "records" => self.records = n,
+            "bytes" => self.bytes = n,
+            _ => {}
         }
     }
 }

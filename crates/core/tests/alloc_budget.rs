@@ -47,7 +47,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hyrd::config::HyrdConfig;
 use hyrd::driver::{replay_with_state, synth_content, ReplayOptions, ReplayState};
 use hyrd::observatory::{self, SharedObservatory};
-use hyrd::telemetry::{Collector, ManualClock, SharedBuf};
+use hyrd::telemetry::{
+    Collector, Counter, Gauge, HistogramSeries, ManualClock, SharedBuf, SpanName,
+};
 use hyrd::{Hyrd, IntegrityIndex, Scheme, SchemeResult, Verdict};
 use hyrd_cloudsim::{Fleet, SimClock};
 use hyrd_gcsapi::BatchReport;
@@ -221,14 +223,37 @@ fn hashing_allocates_the_digest_table_and_nothing_else() {
     println!("512 KiB object: record {record:?}, verify {verify:?}");
 }
 
+const PROVIDERS: [&str; 4] = ["Amazon S3", "Windows Azure", "Aliyun", "Rackspace"];
+
+/// What the request path resolves per provider once, as `SimProvider`
+/// and the dispatcher do: the labelled span around a provider call and
+/// the labelled series every op updates.
+struct ProviderSeries {
+    put_replica: SpanName,
+    ops: Counter,
+    latency_ns: HistogramSeries,
+    queue_depth: Gauge,
+}
+
+fn provider_series(c: &Collector) -> Vec<ProviderSeries> {
+    PROVIDERS
+        .iter()
+        .map(|&p| ProviderSeries {
+            put_replica: c.span_name("put_replica", p),
+            ops: c.counter_series("provider.ops", p),
+            latency_ns: c.histogram_series("provider.latency_ns", p),
+            queue_depth: c.gauge_series("engine.queue_depth", p),
+        })
+        .collect()
+}
+
 /// One request's worth of records, as `postmark_observed` emits them: a
 /// request span with a field, the provider ops under it in a labelled
 /// span, the metadata flush, the driver's verdict — over `PROVIDERS` and
 /// sixteen files, so the ground is known after the first few rounds. The
 /// integers are equally wide every round, so no later line outgrows a
 /// buffer an earlier one sized.
-fn emit_request(c: &Collector, clock: &ManualClock, round: u64) {
-    const PROVIDERS: [&str; 4] = ["Amazon S3", "Windows Azure", "Aliyun", "Rackspace"];
+fn emit_request(c: &Collector, series: &[ProviderSeries], clock: &ManualClock, round: u64) {
     const PATHS: [&str; 16] = [
         "/d/f00", "/d/f01", "/d/f02", "/d/f03", "/d/f04", "/d/f05", "/d/f06", "/d/f07", "/d/f08",
         "/d/f09", "/d/f10", "/d/f11", "/d/f12", "/d/f13", "/d/f14", "/d/f15",
@@ -236,20 +261,21 @@ fn emit_request(c: &Collector, clock: &ManualClock, round: u64) {
     let wide = 1_000_000_000_000_000 + round;
     let path = PATHS[round as usize % PATHS.len()];
     let _request = c.span_with("update_file").field("path", path).field("bytes", wide).start();
-    for provider in [PROVIDERS[round as usize % 4], PROVIDERS[(round as usize + 1) % 4]] {
-        let _put = c.span_labeled("put_replica", provider);
+    for at in [round as usize % 4, (round as usize + 1) % 4] {
+        let provider = &series[at];
+        let _put = provider.put_replica.start();
         clock.advance(1_000);
         c.event("provider.op")
-            .field("provider", provider)
+            .field("provider", PROVIDERS[at])
             .field("op", ["Put", "Get"][round as usize % 2])
             .field("bytes_in", wide)
             .field("bytes_out", 0u64)
             .field("latency_ns", wide)
             .field("cost", 0.047 / 10_000.0)
             .emit();
-        c.inc_labeled("provider.ops", provider, 1);
-        c.observe_labeled("provider.latency_ns", provider, round);
-        c.set_gauge_labeled("engine.queue_depth", provider, round as i64);
+        provider.ops.inc(1);
+        provider.latency_ns.observe(round);
+        provider.queue_depth.set(round as i64);
     }
     // Re-reported while still open: the exposure interval it names exists.
     c.event("update.dirty")
@@ -264,6 +290,7 @@ fn emit_request(c: &Collector, clock: &ManualClock, round: u64) {
         .field("bytes", wide)
         .emit();
     c.event("replay.op").field("class", "small-write").field("latency_ns", wide).emit();
+    c.inc_labeled("replay.ops", "small-write", 1);
 }
 
 fn telemetry_costs_what_it_writes() {
@@ -285,7 +312,10 @@ fn telemetry_costs_what_it_writes() {
     // Disabled: nothing, known ground or not.
     let clock = std::sync::Arc::new(ManualClock::new());
     let off = Collector::disabled();
-    let (cost, ()) = cost_of(|| (0..64).for_each(|round| emit_request(&off, &clock, round)));
+    let (cost, series) = cost_of(|| provider_series(&off));
+    assert_eq!(cost.allocs, 1, "a disabled collector's handles are inert: {cost:?}");
+    let (cost, ()) =
+        cost_of(|| (0..64).for_each(|round| emit_request(&off, &series, &clock, round)));
     assert_eq!(cost.allocs, 0, "the disabled collector allocated: {cost:?}");
 
     // Enabled, JSONL sink and the observatory's tap attached.
@@ -295,12 +325,14 @@ fn telemetry_costs_what_it_writes() {
         .tap(watcher.tap())
         .build();
     // Every provider, path, op kind, span path and metric series once.
-    (0..32).for_each(|round| emit_request(&on, &clock, round));
-    let (cost, ()) = cost_of(|| (32..96).for_each(|round| emit_request(&on, &clock, round)));
+    let series = provider_series(&on);
+    (0..32).for_each(|round| emit_request(&on, &series, &clock, round));
+    let (cost, ()) =
+        cost_of(|| (32..96).for_each(|round| emit_request(&on, &series, &clock, round)));
     let report = watcher.report();
     assert_eq!(report.providers.iter().map(|p| p.ops).sum::<u64>(), 2 * 96, "the tap folded");
     assert_eq!(report.files.len(), 1, "the dirty fragment is tracked");
-    println!("64 traced requests (11 records, 6 metric updates each) on known ground: {cost:?}");
+    println!("64 traced requests (11 records, 7 metric updates each) on known ground: {cost:?}");
     assert_eq!(cost.allocs, 0, "emitting on known ground allocated: {cost:?}");
 
     // Offline: the fold allocates for what the trace is about — a tracker
@@ -309,7 +341,8 @@ fn telemetry_costs_what_it_writes() {
         let sink = SharedBuf::new();
         let clock = std::sync::Arc::new(ManualClock::new());
         let c = Collector::builder(clock.clone()).jsonl(sink.clone()).build();
-        (0..requests).for_each(|round| emit_request(&c, &clock, round));
+        let series = provider_series(&c);
+        (0..requests).for_each(|round| emit_request(&c, &series, &clock, round));
         c.flush();
         sink.text()
     };

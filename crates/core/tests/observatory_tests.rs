@@ -3,13 +3,15 @@
 //! attributed to the right file and provider, the online tap must agree
 //! with an offline parse of the same trace, and the rendered report must
 //! be byte-identical for every parser worker count — and, on a drill-sized
-//! trace with every kind of trouble in it, for every way of folding it.
+//! trace with every kind of trouble in it, for every way of folding it,
+//! with every line of it rewritten byte for byte from its parse.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use hyrd::driver::{replay_with_state, synth_content, ReplayOptions, ReplayState};
 use hyrd::observatory::{self, Observatory, SharedObservatory};
-use hyrd::telemetry::{parse_jsonl, Collector, SharedBuf};
+use hyrd::telemetry::{parse_jsonl, Collector, LineParser, SharedBuf, ValueRef};
 use hyrd::{Hyrd, HyrdConfig};
 use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
 use hyrd_gcsapi::{CloudStorage, ObjectKey};
@@ -235,9 +237,15 @@ fn chaos_scenario() -> (String, SharedObservatory) {
     (buf.text(), obs)
 }
 
+/// [`chaos_scenario`], run once for the tests that read it.
+fn drill() -> &'static (String, SharedObservatory) {
+    static DRILL: OnceLock<(String, SharedObservatory)> = OnceLock::new();
+    DRILL.get_or_init(chaos_scenario)
+}
+
 #[test]
 fn every_way_of_folding_a_drill_trace_renders_the_same_report() {
-    let (trace, online) = chaos_scenario();
+    let (trace, online) = drill();
     let online = online.report();
 
     // The drill had what the exposure tracker and the SLIs exist for.
@@ -251,13 +259,13 @@ fn every_way_of_folding_a_drill_trace_renders_the_same_report() {
     assert!(trace.contains("\"name\":\"scrub.repair\""), "scrub repaired something");
     assert!(trace.lines().count() > 5_000, "drill-sized: {} records", trace.lines().count());
 
-    let streamed = |jobs: usize| observatory::from_trace(&trace, jobs).expect("own trace").report();
+    let streamed = |jobs: usize| observatory::from_trace(trace, jobs).expect("own trace").report();
     let mut owned = Observatory::new();
-    for record in &parse_jsonl(&trace).expect("own trace") {
+    for record in &parse_jsonl(trace).expect("own trace") {
         owned.ingest(record);
     }
     let mut by_jobs = Observatory::new();
-    for record in &observatory::parse_trace_jobs(&trace, 3).expect("own trace") {
+    for record in &observatory::parse_trace_jobs(trace, 3).expect("own trace") {
         by_jobs.ingest(record);
     }
     let want = online.render();
@@ -270,4 +278,33 @@ fn every_way_of_folding_a_drill_trace_renders_the_same_report() {
         assert_eq!(report, online, "{how} against the online tap");
         assert_eq!(report.render(), want, "{how} against the online tap");
     }
+}
+
+/// The writer and the parser pinned to each other on what the system
+/// actually emits: every line of the drill's trace — span records, events
+/// of every kind, `provider.op` costs as floats (zero among them) — parses
+/// to a record that writes back to exactly that line.
+#[test]
+fn every_line_of_a_drill_trace_writes_back_byte_for_byte() {
+    let (trace, online) = drill();
+    let mut parser = LineParser::new();
+    let mut rewritten = Vec::new();
+    let (mut floats, mut free) = (0, 0);
+    for (i, line) in trace.lines().enumerate() {
+        let record = parser.parse(line).expect("own trace");
+        for (key, value) in record.fields() {
+            match value {
+                ValueRef::F64(_) => floats += 1,
+                ValueRef::U64(0) if key == "cost" => free += 1,
+                _ => {}
+            }
+        }
+        rewritten.clear();
+        record.write_json(&mut rewritten);
+        assert_eq!(String::from_utf8_lossy(&rewritten), line, "line {i}");
+    }
+    assert!(floats > 1_000, "the drill's provider ops are priced: {floats} floats");
+    assert!(free > 0, "a free op's cost prints as 0 and reads back as an integer");
+    let offline = observatory::from_trace(trace, 1).expect("own trace").report();
+    assert_eq!(offline, online.report(), "from_trace against the online tap");
 }

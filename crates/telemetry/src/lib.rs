@@ -50,7 +50,7 @@ pub use record::{
     Field, Fields, IntoValue, Record, RecordKind, RecordRef, TraceRecord, Value, ValueRef,
     TRACE_SCHEMA_VERSION,
 };
-pub use registry::{HistogramSummary, MetricsSnapshot, Registry};
+pub use registry::{Counter, Gauge, HistogramSeries, HistogramSummary, MetricsSnapshot, Registry};
 pub use summary::{fmt_ns, SlowSpan};
 
 use std::collections::{BTreeMap, VecDeque};
@@ -128,12 +128,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The span tree seen so far, one node per distinct flame path. A span
 /// finds its node by walking from its parent's node to the child with its
-/// name, so opening and closing spans on known paths formats and allocates
-/// nothing: a path is rendered once, when its node is made.
+/// name — an interned name id, so the walk compares integers — and opening
+/// and closing spans on known paths formats and allocates nothing: a path
+/// is rendered once, when its node is made.
 #[derive(Default)]
 struct Flame {
+    /// Span names by id, and ids by name; a [`SpanName`] holds an id.
+    names: Vec<Box<str>>,
+    ids: BTreeMap<Box<str>, u32>,
     nodes: Vec<FlameNode>,
-    roots: BTreeMap<String, usize>,
+    /// `(name id, node)` of the roots.
+    roots: Vec<(u32, usize)>,
 }
 
 struct FlameNode {
@@ -141,7 +146,8 @@ struct FlameNode {
     path: String,
     /// Where the span's own name starts in `path`.
     name_at: usize,
-    children: BTreeMap<String, usize>,
+    /// `(name id, node)` of the children; a node has a handful.
+    children: Vec<(u32, usize)>,
     /// Completed spans on this path.
     agg: SpanAgg,
 }
@@ -153,31 +159,43 @@ impl FlameNode {
 }
 
 impl Flame {
-    /// The node for a span called `name` under `parent` (`None`: a root).
-    fn child(&mut self, parent: Option<usize>, name: &str) -> usize {
+    /// The id of span name `name`, made on first sight.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 span names");
+        self.names.push(name.into());
+        self.ids.insert(name.into(), id);
+        id
+    }
+
+    /// The node for a span with name id `name` under `parent` (`None`: a
+    /// root).
+    fn child(&mut self, parent: Option<usize>, name: u32) -> usize {
         let siblings = match parent {
             Some(p) => &self.nodes[p].children,
             None => &self.roots,
         };
-        if let Some(&node) = siblings.get(name) {
+        if let Some(&(_, node)) = siblings.iter().find(|&&(id, _)| id == name) {
             return node;
         }
+        let leaf = &self.names[name as usize];
         let path = match parent {
-            Some(p) => format!("{}{PATH_SEP}{name}", self.nodes[p].path),
-            None => name.to_string(),
+            Some(p) => format!("{}{PATH_SEP}{leaf}", self.nodes[p].path),
+            None => leaf.to_string(),
         };
         let node = self.nodes.len();
         self.nodes.push(FlameNode {
-            name_at: path.len() - name.len(),
+            name_at: path.len() - leaf.len(),
             path,
-            children: BTreeMap::new(),
+            children: Vec::new(),
             agg: SpanAgg::default(),
         });
-        let siblings = match parent {
-            Some(p) => &mut self.nodes[p].children,
-            None => &mut self.roots,
-        };
-        siblings.insert(name.to_string(), node);
+        match parent {
+            Some(p) => self.nodes[p].children.push((name, node)),
+            None => self.roots.push((name, node)),
+        }
         node
     }
 }
@@ -206,7 +224,7 @@ struct Ring {
 struct Sinks {
     jsonl: Option<Box<dyn Write + Send>>,
     /// The line being written, reused from record to record.
-    line: String,
+    line: Vec<u8>,
     ring: Option<Ring>,
     /// Online observer invoked with every record, in emission order and
     /// under the collector lock — the deterministic feed the availability
@@ -224,8 +242,8 @@ impl Sinks {
         if let Some(w) = self.jsonl.as_mut() {
             self.line.clear();
             rec.write_json(&mut self.line);
-            self.line.push('\n');
-            let _ = w.write_all(self.line.as_bytes());
+            self.line.push(b'\n');
+            let _ = w.write_all(&self.line);
         }
         if let Some(ring) = self.ring.as_mut() {
             if ring.buf.len() == ring.cap {
@@ -298,16 +316,31 @@ impl Collector {
     /// Open a span. Close it by dropping the guard (or calling
     /// [`SpanGuard::end`]).
     pub fn span(&self, name: &str) -> SpanGuard {
-        self.start_span(name, &[])
+        self.start_span(Named::Text(name), &[])
     }
 
     /// Open a span named `name[label]` — the conventional shape for
-    /// per-provider phases, e.g. `fetch_fragment[aliyun]`.
+    /// per-provider phases, e.g. `fetch_fragment[aliyun]`. A call site
+    /// that opens the same one again and again resolves it once with
+    /// [`Collector::span_name`].
     pub fn span_labeled(&self, name: &str, label: impl Display) -> SpanGuard {
         if self.0.is_none() {
             return SpanGuard::inert();
         }
-        with_labeled(name, label, |full| self.start_span(full, &[]))
+        with_labeled(name, label, |full| self.start_span(Named::Text(full), &[]))
+    }
+
+    /// The span name `name[label]`, resolved once: [`SpanName::start`]
+    /// then opens the span [`Collector::span_labeled`] would, rendering
+    /// and looking up nothing. Inert on a disabled collector.
+    pub fn span_name(&self, name: &str, label: impl Display) -> SpanName {
+        match &self.0 {
+            None => SpanName::default(),
+            Some(i) => {
+                let id = with_labeled(name, label, |full| lock(&i.state).flame.intern(full));
+                SpanName { collector: self.clone(), id }
+            }
+        }
     }
 
     /// Span builder, for attaching fields to the start record.
@@ -324,7 +357,7 @@ impl Collector {
 
     #[inline]
     fn pending<'a>(&'a self, name: &'a str) -> Pending<'a> {
-        Pending { collector: self, name, fields: self.0.as_ref().map(|_| FieldBuf::new()) }
+        Pending { collector: self, name, fields: self.0.as_ref().map(|_| FieldBuf::default()) }
     }
 
     /// Increment counter `name`.
@@ -367,6 +400,29 @@ impl Collector {
         if let Some(i) = &self.0 {
             with_labeled(name, label, |series| i.registry.set_gauge(series, v));
         }
+    }
+
+    /// The handle of counter `name[label]`, resolved once for a call site
+    /// that updates it again and again: [`Counter::inc`] is
+    /// [`Collector::inc_labeled`] without the name. Inert when disabled.
+    pub fn counter_series(&self, name: &str, label: impl Display) -> Counter {
+        self.0.as_ref().map_or_else(Counter::default, |i| {
+            with_labeled(name, label, |series| i.registry.counter_series(series))
+        })
+    }
+
+    /// The handle of histogram `name[label]` (see [`Self::counter_series`]).
+    pub fn histogram_series(&self, name: &str, label: impl Display) -> HistogramSeries {
+        self.0.as_ref().map_or_else(HistogramSeries::default, |i| {
+            with_labeled(name, label, |series| i.registry.histogram_series(series))
+        })
+    }
+
+    /// The handle of gauge `name[label]` (see [`Self::counter_series`]).
+    pub fn gauge_series(&self, name: &str, label: impl Display) -> Gauge {
+        self.0.as_ref().map_or_else(Gauge::default, |i| {
+            with_labeled(name, label, |series| i.registry.gauge_series(series))
+        })
     }
 
     /// Counter value (0 when disabled or never incremented).
@@ -449,7 +505,7 @@ impl Collector {
         self.0.as_ref().map(|i| i.clock.now_nanos())
     }
 
-    fn start_span(&self, name: &str, fields: &[Field<'_>]) -> SpanGuard {
+    fn start_span(&self, name: Named<'_>, fields: &[Field<'_>]) -> SpanGuard {
         let inner = match &self.0 {
             None => return SpanGuard::inert(),
             Some(i) => i,
@@ -459,10 +515,15 @@ impl Collector {
         let state = &mut *state;
         state.next_id += 1;
         let id = state.next_id;
+        let name = match name {
+            Named::Text(text) => state.flame.intern(text),
+            Named::Id(name) => name,
+        };
         let parent = state.open.last();
         let node = state.flame.child(parent.map(|p| p.node), name);
         let parent = parent.map(|p| p.id);
         state.open.push(OpenSpan { id, node, start: t });
+        let name = &state.flame.names[name as usize];
         state.sinks.emit(&RecordRef::SpanStart { id, parent, name, t, fields });
         SpanGuard { collector: self.clone(), id }
     }
@@ -490,9 +551,13 @@ impl Collector {
         let key = |s: &Slow| (s.dur_ns, s.start_ns, nodes[s.node].path.as_str());
         let slow = Slow { dur_ns, start_ns: span.start, node: span.node };
         // Behind every retained span that ranks no later, as a push and a
-        // stable sort would leave it; most spans rank behind all of them.
-        let rank = state.slowest.partition_point(|s| slow_span_order(key(s), key(&slow)).is_le());
-        if rank < SLOW_CAP {
+        // stable sort would leave it. Most spans rank behind all of them,
+        // which the last one settles.
+        let ranks_after = |s: &Slow| slow_span_order(key(s), key(&slow)).is_le();
+        let full_and_behind =
+            state.slowest.len() == SLOW_CAP && state.slowest.last().is_some_and(ranks_after);
+        if !full_and_behind {
+            let rank = state.slowest.partition_point(ranks_after);
             state.slowest.truncate(SLOW_CAP - 1);
             state.slowest.insert(rank, slow);
         }
@@ -510,6 +575,30 @@ impl Collector {
         let mut state = lock(&inner.state);
         let span = state.open.last().map(|s| s.id);
         state.sinks.emit(&RecordRef::Event { span, name, t, fields });
+    }
+}
+
+/// How a span being opened is named: by text, interned on the way in, or
+/// by the id a [`SpanName`] resolved.
+enum Named<'a> {
+    Text(&'a str),
+    Id(u32),
+}
+
+/// A span name resolved once by [`Collector::span_name`], for a call site
+/// that opens it again and again. The default is inert.
+#[derive(Clone, Default)]
+pub struct SpanName {
+    collector: Collector,
+    /// The name's id in the collector's flame tree.
+    id: u32,
+}
+
+impl SpanName {
+    /// Open a span under this name (see [`Collector::span`]).
+    #[inline]
+    pub fn start(&self) -> SpanGuard {
+        self.collector.start_span(Named::Id(self.id), &[])
     }
 }
 
@@ -557,7 +646,7 @@ impl CollectorBuilder {
         let t = self.clock.now_nanos();
         let mut sinks = Sinks {
             jsonl: self.jsonl,
-            line: String::new(),
+            line: Vec::new(),
             ring: self.ring.map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
             tap: self.tap,
         };
@@ -642,7 +731,9 @@ impl<'a> SpanBuilder<'a> {
     pub fn start(&mut self) -> SpanGuard {
         let guard = match &self.0.fields {
             None => SpanGuard::inert(),
-            Some(fields) => self.0.collector.start_span(self.0.name, fields.as_slice()),
+            Some(fields) => {
+                self.0.collector.start_span(Named::Text(self.0.name), fields.as_slice())
+            }
         };
         self.0.fields = None;
         guard

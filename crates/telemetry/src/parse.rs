@@ -26,7 +26,7 @@
 
 use std::borrow::Cow;
 
-use crate::record::{Field, RecordRef, TraceRecord, Value, ValueRef};
+use crate::record::{FieldBuf, RecordRef, TraceRecord, Value, ValueRef};
 
 /// Why a line failed to parse. The line number (0-based) is attached by
 /// [`for_each_record`] and [`parse_jsonl`]; single-line entry points
@@ -70,39 +70,80 @@ enum Json<'a> {
     Object,
 }
 
+/// A record key's value read as the record needs it; `what` is the error
+/// to stop with, which names the key.
 impl<'a> Json<'a> {
-    fn u64(&self, key: &str) -> Result<u64, ParseError> {
+    #[inline]
+    fn u64(&self, what: &'static str) -> Result<u64, Stop> {
         match self {
             Json::Scalar(ValueRef::U64(v)) => Ok(*v),
-            _ => Err(ParseError::new(0, format!("missing or non-integer '{key}'"))),
+            _ => Err(Stop { at: 0, what }),
         }
     }
 
     /// `parent` / `span`: an id, or `null` / absent for none.
-    fn opt_u64(&self, key: &str) -> Result<Option<u64>, ParseError> {
+    #[inline]
+    fn opt_u64(&self, what: &'static str) -> Result<Option<u64>, Stop> {
         match self {
             Json::Scalar(ValueRef::U64(v)) => Ok(Some(*v)),
             Json::Null | Json::Absent => Ok(None),
-            _ => Err(ParseError::new(0, format!("bad '{key}'"))),
+            _ => Err(Stop { at: 0, what }),
         }
     }
 
-    fn str(&self, key: &str) -> Result<&str, ParseError> {
+    #[inline]
+    fn str(&self, what: &'static str) -> Result<&str, Stop> {
         match self {
             Json::Scalar(ValueRef::Str(s)) => Ok(s),
-            _ => Err(ParseError::new(0, format!("missing or non-string '{key}'"))),
+            _ => Err(Stop { at: 0, what }),
         }
+    }
+}
+
+/// Where and why the cursor stopped. Two words, so that every result the
+/// cursor hands back stays small; the message becomes a [`ParseError`]
+/// only once parsing has failed.
+struct Stop {
+    at: usize,
+    what: &'static str,
+}
+
+impl From<Stop> for ParseError {
+    fn from(stop: Stop) -> Self {
+        ParseError::new(stop.at, stop.what)
     }
 }
 
 /// Where the stretch of string body starting at `from` stops: at the next
 /// `"` or `\`, or at the end of the text. Both are ASCII, so they never
 /// occur inside a multi-byte character and the stretch is sliceable.
+///
+/// Eight bytes are tested at a time: `x ^ (LO * q)` has a zero byte where
+/// `x` holds `q`, and `(y - LO) & !y & HI` flags zero bytes of `y`. A borrow
+/// can only flag a byte *above* a true zero, so the lowest flag (the first
+/// byte in the text) is always a real match.
+#[inline(always)]
 fn plain_end(text: &str, from: usize) -> usize {
-    text.as_bytes()[from..]
-        .iter()
-        .position(|b| matches!(b, b'"' | b'\\'))
-        .map_or(text.len(), |n| from + n)
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let bytes = text.as_bytes();
+    let zero_bytes = |y: u64| y.wrapping_sub(LO) & !y & HI;
+    let mut at = from;
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hits = zero_bytes(x ^ (LO * u64::from(b'"'))) | zero_bytes(x ^ (LO * u64::from(b'\\')));
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    bytes[at..].iter().position(|b| matches!(b, b'"' | b'\\')).map_or(bytes.len(), |n| at + n)
+}
+
+/// `str::parse::<f64>`, kept out of line: floats are rare in a trace.
+#[inline(never)]
+fn parse_f64(text: &str) -> Option<f64> {
+    text.parse().ok()
 }
 
 /// Position in one line.
@@ -112,61 +153,78 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn err(&self, what: impl Into<String>) -> ParseError {
-        ParseError::new(self.pos, what)
+    #[inline]
+    fn stop(&self, what: &'static str) -> Stop {
+        Stop { at: self.pos, what }
     }
 
+    #[inline(always)]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline(always)]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+    /// Steps over `b`, or stops with `what` (which names it).
+    #[inline(always)]
+    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), Stop> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(format!("expected '{}'", b as char)))
+            Err(self.stop(what))
         }
     }
 
     /// Any value. A nested object is validated and reported as
     /// [`Json::Object`] without being built.
-    fn value(&mut self) -> Result<Json<'a>, ParseError> {
+    ///
+    /// This and the other readers of one token are inlined into their
+    /// callers: what they return then stays in registers instead of
+    /// making a round trip through the stack per token.
+    #[inline(always)]
+    fn value(&mut self) -> Result<Json<'a>, Stop> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.skip_object().map(|()| Json::Object),
             Some(b'"') => Ok(Json::Scalar(ValueRef::Str(self.string()?))),
-            Some(b't') => self.literal("true", Json::Scalar(ValueRef::Bool(true))),
-            Some(b'f') => self.literal("false", Json::Scalar(ValueRef::Bool(false))),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => {
+                self.literal("true", "expected 'true'").map(|()| Json::Scalar(ValueRef::Bool(true)))
+            }
+            Some(b'f') => self
+                .literal("false", "expected 'false'")
+                .map(|()| Json::Scalar(ValueRef::Bool(false))),
+            Some(b'n') => self.literal("null", "expected 'null'").map(|()| Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number().map(Json::Scalar),
-            Some(b'[') => Err(self.err("arrays are not part of the trace format")),
-            _ => Err(self.err("expected a JSON value")),
+            Some(b'[') => Err(self.stop("arrays are not part of the trace format")),
+            _ => Err(self.stop("expected a JSON value")),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json<'a>) -> Result<Json<'a>, ParseError> {
+    /// Steps over the literal `lit`, or stops with `what` (which names it).
+    #[inline(always)]
+    fn literal(&mut self, lit: &str, what: &'static str) -> Result<(), Stop> {
         if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
-            Err(self.err(format!("expected '{lit}'")))
+            Err(self.stop(what))
         }
     }
 
     /// The members of the object at the cursor, in order: `on_member` is
     /// called after each `"key":` and must consume the value.
+    #[inline]
     fn members(
         &mut self,
-        mut on_member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
-    ) -> Result<(), ParseError> {
-        self.expect(b'{')?;
+        mut on_member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Stop>,
+    ) -> Result<(), Stop> {
+        self.expect(b'{', "expected '{'")?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -176,7 +234,7 @@ impl<'a> Cursor<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect(b':', "expected ':'")?;
             on_member(self, key)?;
             self.skip_ws();
             match self.peek() {
@@ -185,7 +243,7 @@ impl<'a> Cursor<'a> {
                     self.pos += 1;
                     return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                _ => return Err(self.stop("expected ',' or '}' in object")),
             }
         }
     }
@@ -193,11 +251,12 @@ impl<'a> Cursor<'a> {
     /// Checks the object at the cursor, and whatever objects it nests,
     /// against the grammar without building anything. Nesting is counted,
     /// not recursed into, so depth costs no stack.
-    fn skip_object(&mut self) -> Result<(), ParseError> {
+    #[inline(never)]
+    fn skip_object(&mut self) -> Result<(), Stop> {
         let mut depth = 0usize;
         loop {
             // At a '{'.
-            self.expect(b'{')?;
+            self.expect(b'{', "expected '{'")?;
             depth += 1;
             self.skip_ws();
             let mut after_value = self.peek() == Some(b'}');
@@ -214,13 +273,13 @@ impl<'a> Cursor<'a> {
                             }
                             continue;
                         }
-                        _ => return Err(self.err("expected ',' or '}' in object")),
+                        _ => return Err(self.stop("expected ',' or '}' in object")),
                     }
                 }
                 self.skip_ws();
                 self.string()?;
                 self.skip_ws();
-                self.expect(b':')?;
+                self.expect(b':', "expected ':'")?;
                 self.skip_ws();
                 if self.peek() == Some(b'{') {
                     break;
@@ -231,22 +290,32 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        self.expect(b'"')?;
+    /// A string, borrowed from the line unless it has escapes to resolve.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Cow<'a, str>, Stop> {
+        self.expect(b'"', "expected '\"'")?;
         let start = self.pos;
         self.pos = plain_end(self.text, start);
         if self.peek() == Some(b'"') {
             self.pos += 1;
             return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
         }
+        self.escaped_string(start).map(Cow::Owned)
+    }
+
+    /// The rest of a string whose plain stretch from `start` ended at an
+    /// escape (or at the end of the line).
+    #[cold]
+    #[inline(never)]
+    fn escaped_string(&mut self, start: usize) -> Result<String, Stop> {
         let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
+            let b = self.peek().ok_or_else(|| self.stop("unterminated string"))?;
             self.pos += 1;
             match b {
-                b'"' => return Ok(Cow::Owned(out)),
+                b'"' => return Ok(out),
                 b'\\' => {
-                    let e = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+                    let e = self.peek().ok_or_else(|| self.stop("unterminated escape"))?;
                     self.pos += 1;
                     match e {
                         b'"' => out.push('"'),
@@ -258,7 +327,7 @@ impl<'a> Cursor<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => out.push(self.unicode_escape()?),
-                        _ => return Err(self.err("unknown escape")),
+                        _ => return Err(self.stop("unknown escape")),
                     }
                 }
                 _ => {
@@ -272,7 +341,7 @@ impl<'a> Cursor<'a> {
 
     /// The character of a `\u` escape whose `\u` has been consumed,
     /// combining a surrogate pair if one follows.
-    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+    fn unicode_escape(&mut self) -> Result<char, Stop> {
         let cp = self.hex4()?;
         if (0xD800..0xDC00).contains(&cp) && self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
             let save = self.pos;
@@ -280,50 +349,116 @@ impl<'a> Cursor<'a> {
             let lo = self.hex4()?;
             if (0xDC00..0xE000).contains(&lo) {
                 let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                return char::from_u32(c).ok_or_else(|| self.err("bad surrogate pair"));
+                return char::from_u32(c).ok_or_else(|| self.stop("bad surrogate pair"));
             }
             self.pos = save;
         }
-        char::from_u32(cp).ok_or_else(|| self.err("bad \\u escape"))
+        char::from_u32(cp).ok_or_else(|| self.stop("bad \\u escape"))
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
+    /// Four ASCII hex digits — no sign, no space, nothing else.
+    fn hex4(&mut self) -> Result<u32, Stop> {
         let digits = self
             .text
             .as_bytes()
             .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
+            .ok_or_else(|| self.stop("truncated \\u escape"))?;
+        let mut v = 0;
+        for &b in digits {
+            v = v * 16 + char::from(b).to_digit(16).ok_or_else(|| self.stop("bad \\u escape"))?;
+        }
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<ValueRef<'a>, ParseError> {
+    /// A number: the run of `-`, digits, `.`, `e`, `E` and `+` at the
+    /// cursor. With any of `.eE+` (or a second `-`) in it the run is an
+    /// `f64` as `str::parse` reads it; otherwise it is digits, optionally
+    /// signed, and is read here as `str::parse` would read it — leading
+    /// zeros allowed, overflow refused.
+    #[inline(always)]
+    fn number(&mut self) -> Result<ValueRef<'a>, Stop> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let digits_from = self.pos;
+        // Eight bytes at a time while eight remain, then byte by byte.
+        // Exact up to nineteen digits; a longer run is read again below.
+        let mut magnitude = 0u64;
+        loop {
+            let Some(word) = word_at(bytes, self.pos) else {
+                while let Some(&d @ b'0'..=b'9') = bytes.get(self.pos) {
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
                     self.pos += 1;
                 }
-                _ => break,
+                break;
+            };
+            let (n, value) = leading_digits(word);
+            magnitude = magnitude.wrapping_mul(POW10[n]).wrapping_add(value);
+            self.pos += n;
+            if n < 8 {
+                break;
             }
         }
-        let text = &self.text[start..self.pos];
-        if float {
-            text.parse().map(ValueRef::F64).map_err(|_| self.err("bad float"))
-        } else if text.starts_with('-') {
-            text.parse().map(ValueRef::I64).map_err(|_| self.err("bad integer"))
-        } else {
-            text.parse().map(ValueRef::U64).map_err(|_| self.err("bad integer"))
+        if let Some(b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(self.pos) {
+            while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(self.pos) {
+                self.pos += 1;
+            }
+            let text = &self.text[start..self.pos];
+            return parse_f64(text).ok_or_else(|| self.stop("bad float")).map(ValueRef::F64);
+        }
+        let digits = &bytes[digits_from..self.pos];
+        let magnitude = match digits.len() {
+            0 => None,
+            1..=19 => Some(magnitude),
+            _ => digits
+                .iter()
+                .try_fold(0, |m: u64, &d| m.checked_mul(10)?.checked_add(u64::from(d - b'0'))),
+        };
+        match (negative, magnitude) {
+            (false, Some(m)) => Ok(ValueRef::U64(m)),
+            // Down to i64::MIN, whose magnitude is one past i64::MAX.
+            (true, Some(m)) if m <= 1 << 63 => Ok(ValueRef::I64((m as i64).wrapping_neg())),
+            _ => Err(self.stop("bad integer")),
         }
     }
+}
+
+/// `10^n` for the digit counts of one eight-byte word.
+const POW10: [u64; 9] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+
+/// The eight bytes of `bytes` from `at`, first byte lowest, if there are
+/// eight.
+#[inline(always)]
+fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
+    bytes.get(at..at + 8).map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+}
+
+/// How many bytes of `word` (first byte lowest) are ASCII digits before
+/// the first that is not, and the number they spell.
+///
+/// `word ^ "00000000"` turns digits into 0..=9; a byte is then flagged
+/// when adding 0x76 sets its top bit (it is ≥ 10) or it had the top bit
+/// already, and a carry out of a flagged byte only disturbs the bytes
+/// above it. The digits are moved to the top of the word — the bytes
+/// below become leading zeros — and combined pairwise: 2 digits per
+/// byte, 4 per 16 bits, 8 per 32.
+#[inline(always)]
+fn leading_digits(word: u64) -> (usize, u64) {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let values = word ^ (LO * u64::from(b'0'));
+    let flags = (values.wrapping_add(LO * 0x76) | values) & HI;
+    let n = (flags.trailing_zeros() / 8) as usize;
+    if n == 0 {
+        return (0, 0);
+    }
+    let mut v = values << (8 * (8 - n));
+    v = (v.wrapping_mul(10 << 8 | 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    v = (v.wrapping_mul(100 << 16 | 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    v = v.wrapping_mul(10_000 << 32 | 1) >> 32;
+    (n, v)
 }
 
 /// The record keys of one line, each holding the last value it was given.
@@ -353,7 +488,7 @@ struct Slots<'a> {
 pub struct LineParser<'a> {
     slots: Slots<'a>,
     /// Scalar members of the line's `fields` object, in line order.
-    fields: Vec<Field<'a>>,
+    fields: FieldBuf<'a>,
     /// Keys in `fields` whose value was `null` or an object, with
     /// `fields.len()` at that moment. Such a member refuses the line unless
     /// a later scalar under the same key replaces it.
@@ -375,7 +510,7 @@ impl<'a> LineParser<'a> {
         let mut cur = Cursor { text: line, pos: 0 };
         cur.skip_ws();
         if cur.peek() != Some(b'{') {
-            return Err(cur.err("record is not an object"));
+            return Err(cur.stop("record is not an object").into());
         }
         cur.members(|cur, key| {
             let slot = match key.as_ref() {
@@ -397,9 +532,22 @@ impl<'a> LineParser<'a> {
                         return cur.value().map(drop);
                     }
                     return cur.members(|cur, key| {
-                        match cur.value()? {
-                            Json::Scalar(v) => fields.push((key, v)),
-                            _ => not_scalar.push((key, fields.len())),
+                        // Strings and numbers, the values a trace holds,
+                        // go straight in; the rest through `value`.
+                        cur.skip_ws();
+                        match cur.peek() {
+                            Some(b'"') => {
+                                let s = cur.string()?;
+                                fields.push(key, ValueRef::Str(s));
+                            }
+                            Some(b'-' | b'0'..=b'9') => {
+                                let v = cur.number()?;
+                                fields.push(key, v);
+                            }
+                            _ => match cur.value()? {
+                                Json::Scalar(v) => fields.push(key, v),
+                                _ => not_scalar.push((key, fields.as_slice().len())),
+                            },
                         }
                         Ok(())
                     });
@@ -411,47 +559,47 @@ impl<'a> LineParser<'a> {
         })?;
         cur.skip_ws();
         if cur.pos != line.len() {
-            return Err(cur.err("trailing bytes after record"));
+            return Err(cur.stop("trailing bytes after record").into());
         }
 
         let slots: &Slots<'a> = slots;
-        let fields: &[Field<'a>] = fields;
+        let fields = fields.as_slice();
         // Only a record that has fields is refused for what sits under the key.
         let checked_fields = || {
             if slots.fields_not_an_object {
-                return Err(ParseError::new(0, "'fields' must be an object"));
+                return Err(Stop { at: 0, what: "'fields' must be an object" });
             }
             let replaced =
                 |(key, at): &(Cow<'_, str>, usize)| fields[*at..].iter().any(|(k, _)| k == key);
             if !not_scalar.iter().all(replaced) {
-                return Err(ParseError::new(0, "field values must be scalars"));
+                return Err(Stop { at: 0, what: "field values must be scalars" });
             }
             Ok(fields)
         };
-        let t = || slots.t.u64("t");
-        match slots.kind.str("kind")? {
+        let t = || slots.t.u64("missing or non-integer 't'");
+        match slots.kind.str("missing or non-string 'kind'")? {
             "meta" => Ok(RecordRef::Meta {
-                schema: slots.schema.u64("schema")? as u32,
-                clock: slots.clock.str("clock")?,
+                schema: slots.schema.u64("missing or non-integer 'schema'")? as u32,
+                clock: slots.clock.str("missing or non-string 'clock'")?,
                 t: t()?,
             }),
             "span_start" => Ok(RecordRef::SpanStart {
-                id: slots.id.u64("id")?,
-                parent: slots.parent.opt_u64("parent")?,
-                name: slots.name.str("name")?,
+                id: slots.id.u64("missing or non-integer 'id'")?,
+                parent: slots.parent.opt_u64("bad 'parent'")?,
+                name: slots.name.str("missing or non-string 'name'")?,
                 t: t()?,
                 fields: checked_fields()?,
             }),
             "span_end" => Ok(RecordRef::SpanEnd {
-                id: slots.id.u64("id")?,
-                name: slots.name.str("name")?,
+                id: slots.id.u64("missing or non-integer 'id'")?,
+                name: slots.name.str("missing or non-string 'name'")?,
                 t: t()?,
-                dur_ns: slots.dur_ns.u64("dur_ns")?,
+                dur_ns: slots.dur_ns.u64("missing or non-integer 'dur_ns'")?,
                 fields: checked_fields()?,
             }),
             "event" => Ok(RecordRef::Event {
-                span: slots.span.opt_u64("span")?,
-                name: slots.name.str("name")?,
+                span: slots.span.opt_u64("bad 'span'")?,
+                name: slots.name.str("missing or non-string 'name'")?,
                 t: t()?,
                 fields: checked_fields()?,
             }),
@@ -515,9 +663,9 @@ impl Document {
 const MAX_DOCUMENT_DEPTH: usize = 64;
 
 impl Cursor<'_> {
-    fn document(&mut self, depth: usize) -> Result<Document, ParseError> {
+    fn document(&mut self, depth: usize) -> Result<Document, Stop> {
         if depth > MAX_DOCUMENT_DEPTH {
-            return Err(self.err("document nests too deeply"));
+            return Err(self.stop("document nests too deeply"));
         }
         self.skip_ws();
         match self.peek() {
@@ -546,7 +694,7 @@ impl Cursor<'_> {
                             self.pos += 1;
                             return Ok(Document::Array(items));
                         }
-                        _ => return Err(self.err("expected ',' or ']' in array")),
+                        _ => return Err(self.stop("expected ',' or ']' in array")),
                     }
                 }
             }
@@ -565,7 +713,7 @@ pub fn parse_document(text: &str) -> Result<Document, ParseError> {
     let doc = cur.document(0)?;
     cur.skip_ws();
     if cur.pos != text.len() {
-        return Err(cur.err("trailing bytes after document"));
+        return Err(cur.stop("trailing bytes after document").into());
     }
     Ok(doc)
 }
@@ -643,6 +791,24 @@ mod tests {
         assert!(parse_line("{\"kind\":\"meta\",\"schema\":1,\"clock\":\"v\",\"t\":0}x").is_err());
         assert!(parse_line("[1,2]").is_err());
         assert!(parse_line("{\"kind\":\"nope\",\"t\":0}").is_err());
+    }
+
+    #[test]
+    fn leading_digits_reads_every_run_a_word_can_hold() {
+        // Every digit count, the run ended by every byte that is not a
+        // digit — the bytes after it digits again, which must not count.
+        for n in 0..=8 {
+            let digits: Vec<u8> = b"90817263".iter().copied().take(n).collect();
+            let value = std::str::from_utf8(&digits).unwrap().parse().unwrap_or(0);
+            for stop in (0..=u8::MAX).filter(|b| !b.is_ascii_digit()) {
+                let mut word = [b'7'; 8];
+                word[..n].copy_from_slice(&digits);
+                if n < 8 {
+                    word[n] = stop;
+                }
+                assert_eq!(leading_digits(u64::from_le_bytes(word)), (n, value), "{word:?}");
+            }
+        }
     }
 
     #[test]

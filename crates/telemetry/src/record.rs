@@ -87,9 +87,9 @@ pub enum ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
-    fn push_json(&self, out: &mut String) {
+    fn push_json(&self, out: &mut Vec<u8>) {
         match self {
-            ValueRef::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            ValueRef::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             ValueRef::U64(v) => push_u64(out, *v),
             ValueRef::I64(v) => push_i64(out, *v),
             ValueRef::F64(v) => push_f64(out, *v),
@@ -190,16 +190,28 @@ pub type Fields = BTreeMap<String, Value>;
 /// One `(key, value)` pair of a borrowed record.
 pub type Field<'a> = (Cow<'a, str>, ValueRef<'a>);
 
-/// Fields a builder can carry without touching the heap; `provider.op`,
+/// Fields a record can carry without touching the heap; `provider.op`,
 /// the busiest record, has six.
 const INLINE_FIELDS: usize = 8;
 
 const NO_FIELD: Field<'static> = (Cow::Borrowed(""), ValueRef::Bool(false));
 
-/// The fields of a record under construction, kept the way the trace
-/// prints them — sorted by key, one value per key, the last one set — so
-/// the record can be serialised as it stands. The first
-/// [`INLINE_FIELDS`] live inline; a larger record moves to the heap.
+/// `a.cmp(b)` for field keys, settled on the first byte where it can be:
+/// the keys of one record rarely share it, and a whole-string compare is a
+/// call.
+#[inline]
+fn key_cmp(a: &str, b: &str) -> Ordering {
+    match a.as_bytes().first().cmp(&b.as_bytes().first()) {
+        Ordering::Equal => a.cmp(b),
+        first => first,
+    }
+}
+
+/// The fields of one record: the first [`INLINE_FIELDS`] inline, a larger
+/// record on the heap. The builders [`insert`](Self::insert) — keeping the
+/// fields the way the trace prints them, sorted by key with one value per
+/// key, the last one set, so the record serialises as it stands — and the
+/// parser [`push`](Self::push)es them in line order.
 pub(crate) struct FieldBuf<'a> {
     inline: [Field<'a>; INLINE_FIELDS],
     /// Fields in use in `inline`; unused once `spill` has taken over.
@@ -207,11 +219,14 @@ pub(crate) struct FieldBuf<'a> {
     spill: Vec<Field<'a>>,
 }
 
-impl<'a> FieldBuf<'a> {
-    pub(crate) fn new() -> Self {
+impl Default for FieldBuf<'_> {
+    fn default() -> Self {
         FieldBuf { inline: [NO_FIELD; INLINE_FIELDS], len: 0, spill: Vec::new() }
     }
+}
 
+impl<'a> FieldBuf<'a> {
+    #[inline]
     pub(crate) fn as_slice(&self) -> &[Field<'a>] {
         if self.spill.is_empty() {
             &self.inline[..self.len]
@@ -220,21 +235,65 @@ impl<'a> FieldBuf<'a> {
         }
     }
 
+    /// Empties the buffer, keeping the heap part's storage. The inline
+    /// slots keep what they held until they are filled again.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+
+    /// Moves the inline fields to the heap, once a record outgrows them.
+    #[cold]
+    fn spill(&mut self) {
+        self.spill.extend(self.inline.iter_mut().map(|f| std::mem::replace(f, NO_FIELD)));
+        self.len = 0;
+    }
+
+    /// Appends the field `(key, value)`, after whatever is there.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, key: Cow<'a, str>, value: ValueRef<'a>) {
+        if self.len == INLINE_FIELDS {
+            self.spill();
+        }
+        if self.spill.is_empty() {
+            self.put(self.len, key, value);
+            self.len += 1;
+        } else {
+            self.spill.push((key, value));
+        }
+    }
+
+    /// Fills the unused slot `at`, key and value each written where they
+    /// are: a whole field put together first is a 48-byte copy through
+    /// the stack. What the slot held is dropped once the field is in, not
+    /// before — a drop might free, and the field would wait out that call
+    /// on the stack.
+    #[inline(always)]
+    fn put(&mut self, at: usize, key: Cow<'a, str>, value: ValueRef<'a>) {
+        let slot = &mut self.inline[at];
+        drop(std::mem::replace(&mut slot.0, key));
+        drop(std::mem::replace(&mut slot.1, value));
+    }
+
     /// `BTreeMap::insert` on a sorted array: a new key takes its sorted
     /// place, a repeated key keeps its place and takes the new value.
+    #[inline]
     pub(crate) fn insert(&mut self, key: &'static str, value: ValueRef<'a>) {
         if !self.spill.is_empty() {
-            match self.spill.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
+            match self.spill.binary_search_by(|(k, _)| key_cmp(k, key)) {
                 Ok(at) => self.spill[at].1 = value,
                 Err(at) => self.spill.insert(at, (Cow::Borrowed(key), value)),
             }
             return;
         }
         // A handful of fields at most: walk back from the end to the
-        // key's place, then shift the tail up by one through `carry`.
+        // key's place. A field given in key order — as the busiest call
+        // sites give theirs — lands at the end; any other shifts the tail
+        // up by one through `carry`.
         let mut at = self.len;
         while at > 0 {
-            match self.inline[at - 1].0.as_ref().cmp(key) {
+            match key_cmp(&self.inline[at - 1].0, key) {
                 Ordering::Less => break,
                 Ordering::Equal => {
                     self.inline[at - 1].1 = value;
@@ -243,14 +302,18 @@ impl<'a> FieldBuf<'a> {
                 Ordering::Greater => at -= 1,
             }
         }
-        let mut carry = (Cow::Borrowed(key), value);
         if self.len == INLINE_FIELDS {
-            self.spill.extend(self.inline.iter_mut().map(|f| std::mem::replace(f, NO_FIELD)));
-            self.spill.insert(at, carry);
+            self.spill();
+            self.spill.insert(at, (Cow::Borrowed(key), value));
             return;
         }
-        for slot in &mut self.inline[at..=self.len] {
-            std::mem::swap(slot, &mut carry);
+        if at == self.len {
+            self.put(at, Cow::Borrowed(key), value);
+        } else {
+            let mut carry = (Cow::Borrowed(key), value);
+            for slot in &mut self.inline[at..=self.len] {
+                std::mem::swap(slot, &mut carry);
+            }
         }
         self.len += 1;
     }
@@ -279,6 +342,11 @@ pub trait Record {
     fn field_str(&self, key: &str) -> Option<&str>;
     /// Field `key` as a u64, if present and an unsigned integer.
     fn field_u64(&self, key: &str) -> Option<u64>;
+    /// Every field as `(key, as a string, as a u64)` — [`Self::field_str`]
+    /// and [`Self::field_u64`] of all keys in one pass, for a reader that
+    /// wants several. A repeated key is passed once per occurrence, the
+    /// last last, as lookups take its last value.
+    fn each_field<'s>(&'s self, f: &mut dyn FnMut(&'s str, Option<&'s str>, Option<u64>));
 }
 
 /// One line of a trace, borrowing its strings (see the module docs).
@@ -299,70 +367,70 @@ pub enum RecordRef<'a> {
     Event { span: Option<u64>, name: &'a str, t: u64, fields: &'a [Field<'a>] },
 }
 
-fn push_fields(out: &mut String, fields: &[Field<'_>]) {
+fn push_fields(out: &mut Vec<u8>, fields: &[Field<'_>]) {
     if fields.is_empty() {
         return;
     }
-    out.push_str(",\"fields\":{");
+    out.extend_from_slice(b",\"fields\":{");
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         push_str_escaped(out, k);
-        out.push(':');
+        out.push(b':');
         v.push_json(out);
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 impl RecordRef<'_> {
     /// Append this record as a single JSON object (no trailing newline) —
     /// the one serialiser every trace byte comes from. Key order is fixed
     /// here and fields are written in slice order; see the `json` module
-    /// for why this is hand-rolled.
-    pub fn write_json(&self, out: &mut String) {
+    /// for why this is hand-rolled. What it appends is UTF-8.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
         match *self {
             RecordRef::Meta { schema, clock, t } => {
-                out.push_str("{\"kind\":\"meta\",\"schema\":");
+                out.extend_from_slice(b"{\"kind\":\"meta\",\"schema\":");
                 push_u64(out, schema.into());
-                out.push_str(",\"clock\":");
+                out.extend_from_slice(b",\"clock\":");
                 push_str_escaped(out, clock);
-                out.push_str(",\"t\":");
+                out.extend_from_slice(b",\"t\":");
                 push_u64(out, t);
             }
             RecordRef::SpanStart { id, parent, name, t, fields } => {
-                out.push_str("{\"kind\":\"span_start\",\"id\":");
+                out.extend_from_slice(b"{\"kind\":\"span_start\",\"id\":");
                 push_u64(out, id);
-                out.push_str(",\"parent\":");
+                out.extend_from_slice(b",\"parent\":");
                 push_opt_u64(out, parent);
-                out.push_str(",\"name\":");
+                out.extend_from_slice(b",\"name\":");
                 push_str_escaped(out, name);
-                out.push_str(",\"t\":");
+                out.extend_from_slice(b",\"t\":");
                 push_u64(out, t);
                 push_fields(out, fields);
             }
             RecordRef::SpanEnd { id, name, t, dur_ns, fields } => {
-                out.push_str("{\"kind\":\"span_end\",\"id\":");
+                out.extend_from_slice(b"{\"kind\":\"span_end\",\"id\":");
                 push_u64(out, id);
-                out.push_str(",\"name\":");
+                out.extend_from_slice(b",\"name\":");
                 push_str_escaped(out, name);
-                out.push_str(",\"t\":");
+                out.extend_from_slice(b",\"t\":");
                 push_u64(out, t);
-                out.push_str(",\"dur_ns\":");
+                out.extend_from_slice(b",\"dur_ns\":");
                 push_u64(out, dur_ns);
                 push_fields(out, fields);
             }
             RecordRef::Event { span, name, t, fields } => {
-                out.push_str("{\"kind\":\"event\",\"span\":");
+                out.extend_from_slice(b"{\"kind\":\"event\",\"span\":");
                 push_opt_u64(out, span);
-                out.push_str(",\"name\":");
+                out.extend_from_slice(b",\"name\":");
                 push_str_escaped(out, name);
-                out.push_str(",\"t\":");
+                out.extend_from_slice(b",\"t\":");
                 push_u64(out, t);
                 push_fields(out, fields);
             }
         }
-        out.push('}');
+        out.push(b'}');
     }
 
     /// The record's fields (none on a meta record).
@@ -381,8 +449,14 @@ impl RecordRef<'_> {
 
     /// The owned form of this record.
     pub fn to_owned(&self) -> TraceRecord {
+        // Inserted one by one — a repeated key's last value wins, as it
+        // would collected — so no intermediate vector is built and sorted.
         let owned = |fields: &[Field<'_>]| -> Fields {
-            fields.iter().map(|(k, v)| (k.to_string(), v.to_value())).collect()
+            let mut owned = Fields::new();
+            for (k, v) in fields {
+                owned.insert(k.to_string(), v.to_value());
+            }
+            owned
         };
         match *self {
             RecordRef::Meta { schema, clock, t } => {
@@ -451,6 +525,13 @@ impl Record for RecordRef<'_> {
     fn field_u64(&self, key: &str) -> Option<u64> {
         self.field(key).and_then(ValueRef::as_u64)
     }
+
+    #[inline]
+    fn each_field<'s>(&'s self, f: &mut dyn FnMut(&'s str, Option<&'s str>, Option<u64>)) {
+        for (k, v) in self.fields() {
+            f(k, v.as_str(), v.as_u64());
+        }
+    }
 }
 
 /// One line of a trace, owning its strings.
@@ -490,9 +571,9 @@ impl TraceRecord {
                 RecordRef::Event { span: *span, name, t: *t, fields: &fields }
             }
         };
-        let mut s = String::with_capacity(96);
-        borrowed.write_json(&mut s);
-        s
+        let mut line = Vec::with_capacity(96);
+        borrowed.write_json(&mut line);
+        String::from_utf8(line).expect("the writer emits UTF-8")
     }
 
     /// The record's `name` (span or event name); meta records have none.
@@ -568,6 +649,13 @@ impl Record for TraceRecord {
     fn field_u64(&self, key: &str) -> Option<u64> {
         TraceRecord::field_u64(self, key)
     }
+
+    #[inline]
+    fn each_field<'s>(&'s self, f: &mut dyn FnMut(&'s str, Option<&'s str>, Option<u64>)) {
+        for (k, v) in self.fields().into_iter().flatten() {
+            f(k, v.as_str(), v.as_u64());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -622,7 +710,7 @@ mod tests {
     #[test]
     fn field_buf_sorts_replaces_and_spills_like_a_map() {
         const KEYS: [&str; 12] = ["k", "c", "x", "a", "c", "m", "b", "z", "y", "d", "e", "k"];
-        let mut buf = FieldBuf::new();
+        let mut buf = FieldBuf::default();
         let mut map = BTreeMap::new();
         for (i, key) in KEYS.into_iter().enumerate() {
             buf.insert(key, ValueRef::U64(i as u64));
@@ -633,6 +721,27 @@ mod tests {
             assert_eq!(got, want, "after {} inserts", i + 1);
         }
         assert!(map.len() > INLINE_FIELDS, "the walk crosses the spill point");
+    }
+
+    #[test]
+    fn field_buf_pushes_in_line_order_and_is_reused_after_clear() {
+        let mut buf = FieldBuf::default();
+        let field = |i: usize| -> Field<'static> {
+            (Cow::Owned(format!("k{}", 12 - i)), ValueRef::Str(Cow::Owned(i.to_string())))
+        };
+        for round in 0..3 {
+            // Past the inline capacity on the first round, short after.
+            let n = [12, 3, 8][round];
+            buf.clear();
+            for i in 0..n {
+                let (k, v) = field(i);
+                buf.push(k, v);
+            }
+            let want: Vec<Field<'_>> = (0..n).map(field).collect();
+            assert_eq!(buf.as_slice(), &want[..], "round {round}");
+        }
+        buf.clear();
+        assert!(buf.as_slice().is_empty());
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! Metrics registry: named counters, gauges and histograms.
 //!
-//! All maps are `BTreeMap` so snapshots iterate in a deterministic order —
-//! anything derived from a snapshot (summaries, report sections) is then
-//! stable across runs with the same seed.
+//! Every series lives in a cell of its own, found by name in a `BTreeMap`
+//! — so snapshots iterate in a deterministic order, and anything derived
+//! from one (summaries, report sections) is stable across runs with the
+//! same seed. A hot call site resolves its series once, to a [`Counter`],
+//! [`Gauge`] or [`HistogramSeries`] handle holding the cell, and updates
+//! the cell straight through it from then on: no name is rendered and no
+//! map is searched per update. Updates by name find the same cells, so
+//! the two kinds of update mix freely.
 
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::hist::Histogram;
 use crate::lock;
@@ -46,62 +52,144 @@ pub(crate) fn with_labeled<R>(name: &str, label: impl Display, f: impl FnOnce(&s
     }
 }
 
+/// A counter or gauge value. `touched` is set by the first update: a series
+/// that has only been resolved to a handle stays out of snapshots, as a
+/// name nobody updated always has.
+#[derive(Debug, Default)]
+struct Scalar<A> {
+    value: A,
+    touched: AtomicBool,
+}
+
+/// Handle to one counter series. The default handle, and any handle a
+/// disabled collector resolves, counts nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Option<Arc<Scalar<AtomicU64>>>);
+
+impl Counter {
+    #[inline]
+    pub fn inc(&self, by: u64) {
+        if let Some(cell) = &self.0 {
+            add(cell, by);
+        }
+    }
+}
+
+fn add(cell: &Scalar<AtomicU64>, by: u64) {
+    cell.value.fetch_add(by, Ordering::Relaxed);
+    cell.touched.store(true, Ordering::Relaxed);
+}
+
+/// Handle to one gauge series (inert by default, as [`Counter`]).
+#[derive(Debug, Clone, Default)]
+pub struct Gauge(Option<Arc<Scalar<AtomicI64>>>);
+
+impl Gauge {
+    #[inline]
+    pub fn set(&self, v: i64) {
+        if let Some(cell) = &self.0 {
+            store(cell, v);
+        }
+    }
+}
+
+fn store(cell: &Scalar<AtomicI64>, v: i64) {
+    cell.value.store(v, Ordering::Relaxed);
+    cell.touched.store(true, Ordering::Relaxed);
+}
+
+/// Handle to one histogram series (inert by default, as [`Counter`]). A
+/// histogram that has counted nothing was never observed.
+#[derive(Debug, Clone, Default)]
+pub struct HistogramSeries(Option<Arc<Mutex<Histogram>>>);
+
+impl HistogramSeries {
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        if let Some(cell) = &self.0 {
+            lock(cell).record(v);
+        }
+    }
+}
+
+/// One kind of series: the cells by name.
+type Series<T> = Mutex<BTreeMap<String, Arc<T>>>;
+
+/// Runs `f` on the cell of series `name`, made on first sight. The name is
+/// copied only then: a known series allocates nothing.
+fn with_cell<T: Default, R>(series: &Series<T>, name: &str, f: impl FnOnce(&Arc<T>) -> R) -> R {
+    let mut cells = lock(series);
+    if let Some(cell) = cells.get(name) {
+        return f(cell);
+    }
+    f(cells.entry(name.to_string()).or_default())
+}
+
+/// The updated series of one kind, by name, read through `value`.
+fn touched<T, V>(series: &Series<T>, value: impl Fn(&T) -> Option<V>) -> BTreeMap<String, V> {
+    lock(series).iter().filter_map(|(k, cell)| Some((k.clone(), value(cell)?))).collect()
+}
+
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, i64>>,
-    hists: Mutex<BTreeMap<String, Histogram>>,
+    counters: Series<Scalar<AtomicU64>>,
+    gauges: Series<Scalar<AtomicI64>>,
+    hists: Series<Mutex<Histogram>>,
 }
 
 impl Registry {
+    /// The handle of counter `name`.
+    pub fn counter_series(&self, name: &str) -> Counter {
+        Counter(Some(with_cell(&self.counters, name, Arc::clone)))
+    }
+
+    /// The handle of gauge `name`.
+    pub fn gauge_series(&self, name: &str) -> Gauge {
+        Gauge(Some(with_cell(&self.gauges, name, Arc::clone)))
+    }
+
+    /// The handle of histogram `name`.
+    pub fn histogram_series(&self, name: &str) -> HistogramSeries {
+        HistogramSeries(Some(with_cell(&self.hists, name, Arc::clone)))
+    }
+
     pub fn inc(&self, name: &str, by: u64) {
-        let mut c = lock(&self.counters);
-        match c.get_mut(name) {
-            Some(v) => *v += by,
-            None => {
-                c.insert(name.to_string(), by);
-            }
-        }
+        with_cell(&self.counters, name, |c| add(c, by));
     }
 
     pub fn set_gauge(&self, name: &str, v: i64) {
-        let mut g = lock(&self.gauges);
-        match g.get_mut(name) {
-            Some(gauge) => *gauge = v,
-            None => {
-                g.insert(name.to_string(), v);
-            }
-        }
+        with_cell(&self.gauges, name, |g| store(g, v));
     }
 
     pub fn observe(&self, name: &str, v: u64) {
-        let mut h = lock(&self.hists);
-        match h.get_mut(name) {
-            Some(hist) => hist.record(v),
-            None => {
-                let mut hist = Histogram::new();
-                hist.record(v);
-                h.insert(name.to_string(), hist);
-            }
-        }
+        with_cell(&self.hists, name, |h| lock(h).record(v));
     }
 
     pub fn counter(&self, name: &str) -> u64 {
-        lock(&self.counters).get(name).copied().unwrap_or(0)
+        lock(&self.counters).get(name).map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        lock(&self.hists).get(name).cloned()
+        let hists = lock(&self.hists);
+        let hist = lock(hists.get(name)?);
+        (!hist.is_empty()).then(|| hist.clone())
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let load = |c: &Scalar<AtomicU64>| {
+            c.touched.load(Ordering::Relaxed).then(|| c.value.load(Ordering::Relaxed))
+        };
+        let load_gauge = |g: &Scalar<AtomicI64>| {
+            g.touched.load(Ordering::Relaxed).then(|| g.value.load(Ordering::Relaxed))
+        };
+        let summary = |h: &Mutex<Histogram>| {
+            let hist = lock(h);
+            (!hist.is_empty()).then(|| HistogramSummary::of(&hist))
+        };
         MetricsSnapshot {
-            counters: lock(&self.counters).clone(),
-            gauges: lock(&self.gauges).clone(),
-            histograms: lock(&self.hists)
-                .iter()
-                .map(|(k, h)| (k.clone(), HistogramSummary::of(h)))
-                .collect(),
+            counters: touched(&self.counters, load),
+            gauges: touched(&self.gauges, load_gauge),
+            histograms: touched(&self.hists, summary),
         }
     }
 }

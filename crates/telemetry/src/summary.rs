@@ -33,7 +33,7 @@ crate::json_struct! {
 /// start_ns, path)`: longest first, earliest start breaks ties, then path
 /// for full stability.
 pub(crate) fn slow_span_order(a: (u64, u64, &str), b: (u64, u64, &str)) -> std::cmp::Ordering {
-    b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(b.2))
+    b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(b.2))
 }
 
 /// Format nanoseconds with a unit chosen for readability. Deterministic

@@ -5,7 +5,9 @@
 //! Neither is fast and neither is used outside tests — they are here so
 //! the property suites can hold the single-pass parser and the one
 //! `write_json` to the exact accept/reject decisions, records and bytes
-//! of what they replaced.
+//! of what they replaced. One fix has been made to both sides since: a
+//! `\u` escape takes exactly four ASCII hex digits, where
+//! `u32::from_str_radix` also took a leading `+`.
 
 #![allow(dead_code)]
 
@@ -176,12 +178,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Four ASCII hex digits: `from_str_radix` alone would take a sign.
     fn hex4(&mut self) -> Result<u32, ParseError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
+        let digits = &self.bytes[self.pos..self.pos + 4];
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
+        }
+        let s = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)

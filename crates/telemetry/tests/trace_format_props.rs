@@ -207,6 +207,9 @@ fn hostile_lines() -> Vec<String> {
     .collect();
     let numbers = "- --1 -.5 1. 1.e5 1e 1e+ 1E-2 +1 .5 1-2 1e999 -1e999 0.1e-400 \
                    9223372036854775808 -9223372036854775808 -9223372036854775809 \
+                   9999999999999999999 99999999999999999999 -0 -00 00000000000000000000001 \
+                   000000000000000000018446744073709551615 000000000000000000018446744073709551616 \
+                   -000000000000000000009223372036854775808 -000000000000000000009223372036854775809 \
                    tru true false fals nul null nan inf 0x10 1_000";
     for v in numbers.split_whitespace() {
         lines.push(event(&format!(",\"fields\":{{\"v\":{v}}}")));
@@ -229,6 +232,9 @@ fn hostile_lines() -> Vec<String> {
         "\\u12g4",
         "\\u+123",
         "\\u-123",
+        "\\u+041",
+        "\\u-041",
+        "\\u 041",
         "\\u00é9",
         "\\x41",
         "\\",
@@ -335,6 +341,20 @@ fn parser_matches_the_retired_parser_on_hostile_lines() {
     }
 }
 
+/// `\u` takes four ASCII hex digits and nothing else: a sign or a space
+/// where a digit belongs refuses the line, on both sides of the oracle.
+#[test]
+fn unicode_escapes_take_four_hex_digits_only() {
+    let line = |escape: &str| format!("{{\"kind\":\"event\",\"name\":\"{escape}\",\"t\":1}}");
+    for bad in ["\\u+041", "\\u-041", "\\u 041", "\\u+04", "\\u004g"] {
+        assert!(parse_line(&line(bad)).is_err(), "{bad} was accepted");
+        assert!(oracle::parse_line(&line(bad)).is_err(), "{bad} was accepted by the oracle");
+    }
+    for (good, want) in [("\\u0041", "A"), ("\\u00e9", "é"), ("\\u00E9", "é")] {
+        assert_eq!(parse_line(&line(good)).expect("four hex digits").name(), Some(want));
+    }
+}
+
 #[test]
 fn parser_matches_the_retired_parser_on_every_truncation() {
     let mut rng = Rng(0x5EED_0002);
@@ -437,17 +457,17 @@ fn records_round_trip_through_the_trace_format() {
     assert_eq!(parse_jsonl(&text).expect("own output parses"), records);
     // Streaming sees the same records, and re-serialising what it lends
     // reproduces the trace byte for byte.
-    let mut rewritten = String::new();
+    let mut rewritten = Vec::new();
     let mut seen = 0;
     for_each_record(&text, |r| {
         assert_eq!(r.to_owned(), records[seen]);
         seen += 1;
         r.write_json(&mut rewritten);
-        rewritten.push('\n');
+        rewritten.push(b'\n');
     })
     .expect("own output parses");
     assert_eq!(seen, records.len());
-    assert_eq!(rewritten, text);
+    assert_eq!(rewritten, text.as_bytes());
 }
 
 /// The documented exception to the round trip: a float with no fractional

@@ -112,3 +112,12 @@ perf-test:
 # identical code. PERF_SEED overrides the default seed 11.
 perf-pairs base workloads pairs="10":
     scripts/perf_pairs.sh {{base}} {{workloads}} {{pairs}}
+
+# Byte-identity of what the telemetry path writes, <base> (a git revision,
+# unpacked with `git archive`) against the working tree: the chaos smoke
+# trace and its --obs report, trace_report --jobs 4 over it, the 4-client
+# multi_client smoke trace and the tail_latency smoke trace, each `cmp`ed.
+# Exits 1 on any difference — the proof a change to the collector, the
+# writer, the parser or the fold kept every trace byte.
+trace-cmp base:
+    scripts/trace_cmp.sh {{base}}
