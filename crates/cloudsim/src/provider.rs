@@ -6,8 +6,9 @@
 //! outage windows. It keeps its own op/byte statistics and a
 //! `stored_bytes` gauge, which is everything the cost simulator samples.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use std::sync::atomic::AtomicBool;
 
@@ -82,13 +83,22 @@ struct Telemetry {
     latency_ns: HistogramSeries,
 }
 
+/// One container's objects, keyed by the name the writer's [`ObjectKey`]
+/// shares (an insert bumps a reference count, it copies no string) and
+/// looked up by hash. Nothing depends on the map's iteration order:
+/// everything that can observe an order — [`CloudStorage::list`],
+/// [`SimProvider::object_inventory`], the object a rot event picks —
+/// sorts by name first.
+type Objects = HashMap<Arc<str>, Stored>;
+
 /// A simulated provider: latency model + prices + outage schedule around
 /// an in-memory object store.
 pub struct SimProvider {
     id: ProviderId,
     profile: ProviderProfile,
     clock: SimClock,
-    store: RwLock<BTreeMap<String, BTreeMap<String, Stored>>>,
+    /// Containers in name order, each with its objects.
+    store: RwLock<BTreeMap<String, Objects>>,
     /// When set, payload bytes are discarded and only lengths retained.
     ghost: AtomicBool,
     outage: RwLock<OutageSchedule>,
@@ -248,10 +258,12 @@ impl SimProvider {
     /// name order, without an op, stats, or latency — the durability
     /// auditor's ground-truth view of what physically exists.
     pub fn object_inventory(&self, container: &str) -> Vec<(String, u64)> {
-        read(&self.store)
+        let mut inventory: Vec<(String, u64)> = read(&self.store)
             .get(container)
-            .map(|c| c.iter().map(|(k, v)| (k.clone(), v.len())).collect())
-            .unwrap_or_default()
+            .map(|c| c.iter().map(|(k, v)| (k.to_string(), v.len())).collect())
+            .unwrap_or_default();
+        inventory.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        inventory
     }
 
     /// Emits a `provider.status` lifecycle event (the observatory derives
@@ -319,10 +331,10 @@ impl SimProvider {
     /// object is absent, empty, or ghost (nothing to corrupt).
     pub fn corrupt_object(&self, key: &ObjectKey, bit: u64) -> bool {
         let mut s = write(&self.store);
-        let Some(container) = s.get_mut(&key.container) else {
+        let Some(container) = s.get_mut(&*key.container) else {
             return false;
         };
-        let Some(Stored::Real(b)) = container.get_mut(&key.name) else {
+        let Some(Stored::Real(b)) = container.get_mut(&*key.name) else {
             return false;
         };
         if b.is_empty() {
@@ -336,9 +348,9 @@ impl SimProvider {
     }
 
     /// Applies any rot events whose time has passed: each flips one bit
-    /// of one stored object (chosen by the event's entropy over the
-    /// deterministic store order). Ghost objects absorb the event with
-    /// no effect.
+    /// of one stored object, the `entropy mod count`-th in (container,
+    /// name) order. Ghost objects count, and absorb the event with no
+    /// effect.
     fn apply_due_rot(&self) {
         loop {
             let consumed = self.rot_applied.load(Ordering::Relaxed) as usize;
@@ -353,20 +365,24 @@ impl SimProvider {
                 continue;
             }
             let mut k = (entropy as usize) % total;
-            'select: for objects in s.values_mut() {
-                for stored in objects.values_mut() {
-                    if k == 0 {
-                        if let Stored::Real(b) = stored {
-                            if !b.is_empty() {
-                                let mut v = b.to_vec();
-                                let target = ((entropy >> 17) as usize) % (v.len() * 8);
-                                v[target / 8] ^= 1 << (target % 8);
-                                *b = Bytes::from(v);
-                            }
-                        }
-                        break 'select;
+            let objects = s
+                .values_mut()
+                .find(|objects| {
+                    let here = k < objects.len();
+                    if !here {
+                        k -= objects.len();
                     }
-                    k -= 1;
+                    here
+                })
+                .expect("k < total");
+            let mut names: Vec<&Arc<str>> = objects.keys().collect();
+            let victim = Arc::clone(*names.select_nth_unstable(k).1);
+            if let Some(Stored::Real(b)) = objects.get_mut(&victim) {
+                if !b.is_empty() {
+                    let mut v = b.to_vec();
+                    let target = ((entropy >> 17) as usize) % (v.len() * 8);
+                    v[target / 8] ^= 1 << (target % 8);
+                    *b = Bytes::from(v);
                 }
             }
         }
@@ -462,7 +478,7 @@ impl CloudStorage for SimProvider {
             self.stats.record_err();
             return Err(CloudError::ContainerExists { container: container.to_string() });
         }
-        s.insert(container.to_string(), BTreeMap::new());
+        s.insert(container.to_string(), Objects::new());
         drop(s);
         Ok(OpOutcome::new((), self.report(OpKind::Create, 0, 0, seq)))
     }
@@ -471,9 +487,9 @@ impl CloudStorage for SimProvider {
         let seq = self.admit()?;
         let torn = read(&self.faults).torn_put(seq);
         let mut s = write(&self.store);
-        let container = s.get_mut(&key.container).ok_or_else(|| {
+        let container = s.get_mut(&*key.container).ok_or_else(|| {
             self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.clone() }
+            CloudError::NoSuchContainer { container: key.container.to_string() }
         })?;
         if let Some(entropy) = torn {
             // Torn write: a prefix lands, the op reports failure. The
@@ -510,11 +526,11 @@ impl CloudStorage for SimProvider {
     fn get(&self, key: &ObjectKey) -> CloudResult<OpOutcome<Bytes>> {
         let seq = self.admit()?;
         let s = read(&self.store);
-        let container = s.get(&key.container).ok_or_else(|| {
+        let container = s.get(&*key.container).ok_or_else(|| {
             self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.clone() }
+            CloudError::NoSuchContainer { container: key.container.to_string() }
         })?;
-        let mut data = container.get(&key.name).map(Stored::to_bytes).ok_or_else(|| {
+        let mut data = container.get(&*key.name).map(Stored::to_bytes).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchObject { key: key.clone() }
         })?;
@@ -540,19 +556,20 @@ impl CloudStorage for SimProvider {
             self.stats.record_err();
             CloudError::NoSuchContainer { container: container.to_string() }
         })?;
-        let names: Vec<String> = cont.keys().cloned().collect();
+        let mut names: Vec<String> = cont.keys().map(|name| name.to_string()).collect();
         drop(s);
+        names.sort_unstable();
         Ok(OpOutcome::new(names, self.report(OpKind::List, 0, 0, seq)))
     }
 
     fn remove(&self, key: &ObjectKey) -> CloudResult<OpOutcome<()>> {
         let seq = self.admit()?;
         let mut s = write(&self.store);
-        let container = s.get_mut(&key.container).ok_or_else(|| {
+        let container = s.get_mut(&*key.container).ok_or_else(|| {
             self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.clone() }
+            CloudError::NoSuchContainer { container: key.container.to_string() }
         })?;
-        let removed = container.remove(&key.name).ok_or_else(|| {
+        let removed = container.remove(&*key.name).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchObject { key: key.clone() }
         })?;
@@ -564,11 +581,11 @@ impl CloudStorage for SimProvider {
     fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> CloudResult<OpOutcome<Bytes>> {
         let seq = self.admit()?;
         let s = read(&self.store);
-        let container = s.get(&key.container).ok_or_else(|| {
+        let container = s.get(&*key.container).ok_or_else(|| {
             self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.clone() }
+            CloudError::NoSuchContainer { container: key.container.to_string() }
         })?;
-        let stored = container.get(&key.name).ok_or_else(|| {
+        let stored = container.get(&*key.name).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchObject { key: key.clone() }
         })?;
@@ -588,11 +605,11 @@ impl CloudStorage for SimProvider {
         let seq = self.admit()?;
         let written = data.len() as u64;
         let mut s = write(&self.store);
-        let container = s.get_mut(&key.container).ok_or_else(|| {
+        let container = s.get_mut(&*key.container).ok_or_else(|| {
             self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.clone() }
+            CloudError::NoSuchContainer { container: key.container.to_string() }
         })?;
-        let stored = container.get_mut(&key.name).ok_or_else(|| {
+        let stored = container.get_mut(&*key.name).ok_or_else(|| {
             self.stats.record_err();
             CloudError::NoSuchObject { key: key.clone() }
         })?;

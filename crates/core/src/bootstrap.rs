@@ -131,13 +131,13 @@ impl Hyrd {
         let journaled = || {
             pending.into_iter().flat_map(UpdateLog::records).filter_map(|(_, r)| match r {
                 LogRecord::Put { key, data } if is_meta_object(&key.name) => {
-                    Some((&key.name, data))
+                    Some((&*key.name, data))
                 }
                 _ => None,
             })
         };
         for (name, _) in journaled() {
-            listers.entry(name.clone()).or_default();
+            listers.entry(name.to_string()).or_default();
         }
 
         let mut winners: Vec<(MetadataBlock, Bytes)> = Vec::new();
@@ -169,7 +169,7 @@ impl Hyrd {
                     break;
                 }
             }
-            for (_, data) in journaled().filter(|(n, _)| *n == name) {
+            for (_, data) in journaled().filter(|(n, _)| n == name) {
                 vote.cast(is_diff, data);
             }
             match (vote.diff, vote.block) {

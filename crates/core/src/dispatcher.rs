@@ -203,6 +203,36 @@ impl ProviderSeries {
     }
 }
 
+/// The placement tiers padded to what a placement needs: a replica list
+/// `replication_level` long and a fragment list `n` long.
+struct Targets {
+    replicas: Vec<ProviderId>,
+    fragments: Vec<ProviderId>,
+}
+
+impl Targets {
+    fn derive(evaluator: &Evaluator, config: &HyrdConfig) -> Self {
+        // `tier`, padded with the remaining fastest providers up to `count`.
+        let padded = |tier: &[ProviderId], count: usize| {
+            let mut targets = tier.to_vec();
+            for &id in evaluator.fastest_first() {
+                if targets.len() >= count {
+                    break;
+                }
+                if !targets.contains(&id) {
+                    targets.push(id);
+                }
+            }
+            targets.truncate(count);
+            targets
+        };
+        Targets {
+            replicas: padded(evaluator.performance_tier(), config.replication_level),
+            fragments: padded(evaluator.cost_tier(), config.code.n()),
+        }
+    }
+}
+
 /// The HyRD client. See the crate docs for an end-to-end example.
 ///
 /// `Hyrd` is `Sync`: every CRUD operation takes `&self` (see the module
@@ -230,6 +260,9 @@ pub struct Hyrd {
     pub(crate) telemetry: Collector,
     /// Per provider, in fleet order.
     series: Vec<ProviderSeries>,
+    /// Where new replicas and fragments go, derived from the evaluator's
+    /// tiers whenever it assesses (construction, [`Hyrd::reassess`]).
+    targets: Targets,
     /// Crash journal (disabled outside the crash harness; see
     /// [`crate::journal`]).
     pub(crate) journal: Journal,
@@ -279,6 +312,7 @@ impl Hyrd {
                 .start();
             Evaluator::assess(fleet, config.probe_bytes)
         };
+        let targets = Targets::derive(&evaluator, &config);
         let code = CodeImpl::build(config.code)?;
         let planner = StripePlanner::new(config.code.m(), config.code.n())?;
         let mut health = HealthTracker::new(config.breaker);
@@ -304,6 +338,7 @@ impl Hyrd {
                 .iter()
                 .map(|p| ProviderSeries::resolve(&telemetry, p.name()))
                 .collect(),
+            targets,
             telemetry,
             config,
             journal,
@@ -417,14 +452,20 @@ impl Hyrd {
     }
 
     /// [`IntegrityIndex::record`], timed (see [`Hyrd::observe_hashing`]).
-    pub(crate) fn record_digest(&self, name: &str, bytes: &[u8]) {
+    pub(crate) fn record_digest(&self, name: impl AsRef<str> + Into<Arc<str>>, bytes: &[u8]) {
         let wall = self.wall_start();
         let hashed = self.integrity_l().record(name, bytes);
         self.observe_hashing(wall, hashed);
     }
 
     /// [`IntegrityIndex::record_patch`], timed.
-    pub(crate) fn patch_digest(&self, name: &str, bytes: &[u8], offset: usize, len: usize) {
+    pub(crate) fn patch_digest(
+        &self,
+        name: impl AsRef<str> + Into<Arc<str>>,
+        bytes: &[u8],
+        offset: usize,
+        len: usize,
+    ) {
         let wall = self.wall_start();
         let hashed = self.integrity_l().record_patch(name, bytes, offset, len);
         self.observe_hashing(wall, hashed);
@@ -494,6 +535,7 @@ impl Hyrd {
     /// basis; call this after topology or pricing changes.
     pub fn reassess(&mut self) -> BatchReport {
         let (evaluator, cost) = Evaluator::assess(&self.fleet, self.config.probe_bytes);
+        self.targets = Targets::derive(&evaluator, &self.config);
         self.evaluator = evaluator;
         cost
     }
@@ -665,35 +707,39 @@ impl Hyrd {
         }
     }
 
-    /// `tier`, padded with the remaining fastest providers up to `count`.
-    fn padded_tier(&self, tier: &[ProviderId], count: usize) -> Vec<ProviderId> {
-        let mut targets = tier.to_vec();
-        for &id in self.evaluator.fastest_first() {
-            if targets.len() >= count {
-                break;
-            }
-            if !targets.contains(&id) {
-                targets.push(id);
-            }
-        }
-        targets.truncate(count);
-        targets
-    }
-
     /// Replica targets for metadata/small files: performance tier fastest
     /// first, padded if the tier is smaller than the replication level.
-    pub(crate) fn replica_targets(&self) -> Vec<ProviderId> {
-        self.padded_tier(self.evaluator.performance_tier(), self.config.replication_level)
+    pub(crate) fn replica_targets(&self) -> &[ProviderId] {
+        &self.targets.replicas
     }
 
     /// Fragment targets for large files: cost tier cheapest-storage
     /// first, padded up to `n`.
-    pub(crate) fn fragment_targets(&self) -> Vec<ProviderId> {
-        self.padded_tier(self.evaluator.cost_tier(), self.config.code.n())
+    pub(crate) fn fragment_targets(&self) -> &[ProviderId] {
+        &self.targets.fragments
     }
 
+    /// The key of object `name` in the fleet's container. The request
+    /// path builds it once per object and op and lends it to every call
+    /// below; each layer that keeps it shares its name.
     pub(crate) fn key(name: &str) -> ObjectKey {
         ObjectKey::new(Fleet::CONTAINER, name)
+    }
+
+    /// The keys of a placement's objects (as [`Placement::objects`] lists
+    /// them), one name shared by each run of copies of one object.
+    pub(crate) fn keys_of<'a>(
+        objects: impl IntoIterator<Item = (ProviderId, &'a str)>,
+    ) -> Vec<(ProviderId, ObjectKey)> {
+        let mut keys: Vec<(ProviderId, ObjectKey)> = Vec::new();
+        for (p, name) in objects {
+            let key = match keys.last() {
+                Some((_, last)) if *last.name == *name => last.clone(),
+                _ => Self::key(name),
+            };
+            keys.push((p, key));
+        }
+        keys
     }
 
     /// Mirrors the dirty-fragment set into the journal. Call after any

@@ -21,8 +21,6 @@
 //! ([`Hyrd::put_fragment_range`], restart's redo of what `ecops` wrote):
 //! its recovery record is the dirty-fragment set.
 
-use std::borrow::Cow;
-
 use bytes::Bytes;
 
 use hyrd_cloudsim::SimProvider;
@@ -120,14 +118,13 @@ impl Hyrd {
     }
 
     /// Puts the whole object `full` under `key` at `target`.
-    pub(crate) fn put_object<'a>(
+    pub(crate) fn put_object(
         &self,
         target: ProviderId,
-        key: impl Into<Cow<'a, ObjectKey>>,
+        key: &ObjectKey,
         full: &Bytes,
     ) -> CloudResult<OpReport> {
-        let key = key.into();
-        let result = self.guarded(target, |p| p.put(&key, full.clone()));
+        let result = self.guarded(target, |p| p.put(key, full.clone()));
         self.settle_put(target, key, full, result)
     }
 
@@ -137,19 +134,18 @@ impl Hyrd {
     /// afterwards. A replica with a pending record missed an earlier
     /// write, so a patch would land on a stale base: it is sent `full`
     /// instead.
-    pub(crate) fn put_object_range<'a>(
+    pub(crate) fn put_object_range(
         &self,
         target: ProviderId,
-        key: impl Into<Cow<'a, ObjectKey>>,
+        key: &ObjectKey,
         offset: u64,
         patch: &Bytes,
         full: &Bytes,
     ) -> CloudResult<OpReport> {
-        let key = key.into();
-        if self.log_l().is_pending(target, &key) {
+        if self.log_l().is_pending(target, key) {
             return self.put_object(target, key, full);
         }
-        let result = self.guarded(target, |p| p.put_range(&key, offset, patch.clone()));
+        let result = self.guarded(target, |p| p.put_range(key, offset, patch.clone()));
         self.settle_put(target, key, full, result)
     }
 
@@ -167,24 +163,25 @@ impl Hyrd {
         self.guarded(target, |p| p.put_range(key, offset, bytes.clone())).map(|out| out.report)
     }
 
-    /// The log rule for a put of either kind (module docs).
+    /// The log rule for a put of either kind (module docs). A logged miss
+    /// keeps a clone of `key`, which shares its name.
     fn settle_put(
         &self,
         target: ProviderId,
-        key: Cow<'_, ObjectKey>,
+        key: &ObjectKey,
         full: &Bytes,
         result: CloudResult<OpOutcome<()>>,
     ) -> CloudResult<OpReport> {
         match result {
             Ok(out) => {
-                self.wal_discharge(target, &key);
+                self.wal_discharge(target, key);
                 Ok(out.report)
             }
             // Outages, exhausted retries, open breakers, container
             // errors — all become missed writes; the replay surfaces
             // persistent problems.
             Err(e) => {
-                self.wal_log_put(target, key.into_owned(), full.clone());
+                self.wal_log_put(target, key.clone(), full.clone());
                 Err(e)
             }
         }
@@ -192,28 +189,29 @@ impl Hyrd {
 
     /// Ships every `(target, key, full object)` of `writes` in one
     /// parallel round — as a `patch` at an offset where one is given —
-    /// and returns the ops that landed, one per write. A target whose
-    /// breaker is open is not called: its write is logged like any miss.
+    /// pushes onto `ops` the op of each write that landed and returns
+    /// how many did. A target whose breaker is open is not called: its
+    /// write is logged like any miss.
     /// If fewer than `floor` writes landed (1 for replicas, `m` for
     /// fragments), a breaker verdict may no longer cost the write: the
     /// desperation pass force-closes the rejected breakers and puts
     /// those objects whole (a patch could land on a base that missed
     /// earlier writes). `span` wraps each first-try call.
-    pub(crate) fn publish<'a, K: Into<Cow<'a, ObjectKey>>>(
+    pub(crate) fn publish<'a>(
         &self,
-        writes: impl Iterator<Item = (ProviderId, K, Bytes)>,
+        writes: impl Iterator<Item = (ProviderId, &'a ObjectKey, Bytes)>,
         patch: Option<(u64, &Bytes)>,
         floor: usize,
         span: Option<ProviderSpan>,
-    ) -> Vec<OpReport> {
-        let mut ops = Vec::new();
+        ops: &mut Vec<OpReport>,
+    ) -> usize {
+        let before = ops.len();
         let mut rejected = Vec::new();
         for (t, key, full) in writes {
-            let key = key.into();
             if !self.health.admits(t, self.now()) {
                 self.note_breaker_reject(t);
                 let refused = Err(CloudError::Unavailable { provider: t });
-                let _ = self.settle_put(t, Cow::Borrowed(&key), &full, refused);
+                let _ = self.settle_put(t, key, &full, refused);
                 rejected.push((t, key, full));
                 continue;
             }
@@ -226,7 +224,7 @@ impl Hyrd {
                 ops.push(report);
             }
         }
-        if ops.len() < floor {
+        if ops.len() - before < floor {
             for (t, key, full) in rejected {
                 self.health.reset(t);
                 if let Ok(report) = self.put_object(t, key, &full) {
@@ -234,7 +232,7 @@ impl Hyrd {
                 }
             }
         }
-        ops
+        ops.len() - before
     }
 
     /// Removes placement objects, tolerantly, dropping their digests:
@@ -242,26 +240,25 @@ impl Hyrd {
     /// write that never landed, say) ⇒ nothing to reclaim; out of reach
     /// ⇒ the object may well still occupy billed storage, so the remove
     /// is left to recovery. The log rule in the module docs, remove side.
-    pub(crate) fn retire<'a, K: Into<Cow<'a, ObjectKey>>>(
+    pub(crate) fn retire<'a>(
         &self,
-        objects: impl IntoIterator<Item = (ProviderId, K)>,
+        objects: impl IntoIterator<Item = (ProviderId, &'a ObjectKey)>,
         ops: &mut Vec<OpReport>,
     ) -> Retired {
         let mut retired = Retired::default();
         for (p, key) in objects {
-            let key = key.into();
             self.integrity_l().forget(&key.name);
-            match self.guarded(p, |prov| prov.remove(&key)) {
+            match self.guarded(p, |prov| prov.remove(key)) {
                 Ok(out) => {
                     ops.push(out.report);
                     retired.removed += 1;
-                    self.wal_discharge(p, &key);
+                    self.wal_discharge(p, key);
                 }
                 Err(CloudError::NoSuchObject { .. }) | Err(CloudError::NoSuchContainer { .. }) => {
-                    self.wal_discharge(p, &key);
+                    self.wal_discharge(p, key);
                 }
                 Err(_) => {
-                    self.wal_log_remove(p, key.into_owned());
+                    self.wal_log_remove(p, key.clone());
                     retired.logged += 1;
                 }
             }

@@ -65,18 +65,17 @@ impl Hyrd {
     // Read
     // ------------------------------------------------------------------
 
-    /// One whole replica of `object`. With `expect_len` (the inode's
-    /// size, for file payloads) a replica of any other length is an
-    /// erasure like a digest mismatch: the read fails over to the next
-    /// replica and no caller ever indexes into a short one.
+    /// One whole replica of the object `key` names. With `expect_len`
+    /// (the inode's size, for file payloads) a replica of any other
+    /// length is an erasure like a digest mismatch: the read fails over
+    /// to the next replica and no caller ever indexes into a short one.
     pub(crate) fn read_replicated(
         &self,
         path: &str,
         providers: &[ProviderId],
-        object: &str,
+        key: &ObjectKey,
         expect_len: Option<u64>,
     ) -> SchemeResult<(Bytes, BatchReport)> {
-        let key = Self::key(object);
         // Fastest replica first — the evaluator's whole purpose — with
         // breaker-suspect providers demoted to the back of the line.
         // A replica with a pending log record holds stale bytes (it
@@ -86,8 +85,8 @@ impl Hyrd {
         order.sort_by_key(|&id| !self.health.admits(id, now));
         let candidates: Vec<(ProviderId, &ObjectKey)> = order
             .into_iter()
-            .filter(|&id| !self.log_l().is_pending(id, &key))
-            .map(|id| (id, &key))
+            .filter(|&id| !self.log_l().is_pending(id, key))
+            .map(|id| (id, key))
             .collect();
         // One copy wins; the hedge timer fans out to a second replica
         // when the first is slow (metadata and small files included —
@@ -97,7 +96,7 @@ impl Hyrd {
         let Some(mut outcome) = engine::fanout_read(&mut fanout, 1, &self.config.hedge, now) else {
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
-                detail: format!("no replica of '{object}' reachable"),
+                detail: format!("no replica of '{}' reachable", key.name),
             });
         };
         self.note_hedges(&outcome.hedges);
@@ -268,7 +267,7 @@ impl Hyrd {
             return batch.with_background(BatchReport::parallel(ops));
         };
         let mut ops = vec![put];
-        self.record_digest(&name, data);
+        self.record_digest(hot_key.name.clone(), data);
         let landed = self.meta.set_placement_if_version(
             path,
             inode.version,
@@ -339,7 +338,8 @@ impl Hyrd {
                 detail: "file has no placement".to_string(),
             }),
             Placement::Replicated { providers, object } => {
-                let out = self.read_replicated(path, providers, object, Some(inode.size))?;
+                let key = Self::key(object);
+                let out = self.read_replicated(path, providers, &key, Some(inode.size))?;
                 if self.config.policy.enabled {
                     // The adaptive policy wants heat on every class of
                     // read; without it, promoted files would look cold
@@ -392,9 +392,8 @@ impl Hyrd {
     pub fn list_dir(&self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
         let _span = self.telemetry.span_with("list_dir").field("path", path).start();
         let npath = NormPath::parse(path)?;
-        let name = MetadataBlock::object_name(&npath);
-        let targets = self.replica_targets();
-        let batch = match self.read_replicated(path, &targets, &name, None) {
+        let key = Self::key(&MetadataBlock::object_name(&npath));
+        let batch = match self.read_replicated(path, self.replica_targets(), &key, None) {
             Ok((_bytes, batch)) => batch,
             // Directory never flushed (or all replicas down): local view,
             // zero ops. Availability of listings degrades gracefully.

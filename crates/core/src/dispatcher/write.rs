@@ -3,7 +3,8 @@
 
 use bytes::Bytes;
 
-use hyrd_gcsapi::{BatchReport, CloudStorage, OpReport, ProviderId};
+use hyrd_cloudsim::Fleet;
+use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
 use hyrd_metastore::{FlushKind, NormPath, Placement};
 
 use crate::journal::{FragWrite, Intent};
@@ -14,20 +15,21 @@ use super::{Hyrd, ProviderSpan};
 
 impl Hyrd {
     /// Puts `data` to every target in one parallel round
-    /// ([`Self::publish`] with a floor of one replica) and returns the
-    /// ops of the targets that took the write synchronously.
+    /// ([`Self::publish`] with a floor of one replica), pushes onto `ops`
+    /// the op of each target that took the write synchronously and
+    /// returns how many did.
     pub(crate) fn put_replicated(
         &self,
-        name: &str,
+        key: &ObjectKey,
         data: &Bytes,
         targets: &[ProviderId],
-    ) -> Vec<OpReport> {
-        let key = Self::key(name);
+        ops: &mut Vec<OpReport>,
+    ) -> usize {
         // The digest is what the object *should* hold from now on; it is
         // recorded up front so even log-replayed copies verify.
-        self.record_digest(name, data);
-        let writes = targets.iter().map(|&t| (t, &key, data.clone()));
-        self.publish(writes, None, 1, Some(ProviderSpan::PutReplica))
+        self.record_digest(key.name.clone(), data);
+        let writes = targets.iter().map(|&t| (t, key, data.clone()));
+        self.publish(writes, None, 1, Some(ProviderSpan::PutReplica), ops)
     }
 
     /// Replicates every **changed** dirty directory's flush item to the
@@ -53,7 +55,8 @@ impl Hyrd {
         let mut ops = Vec::new();
         for item in items {
             let bytes = Bytes::from(item.bytes);
-            ops.extend(self.put_replicated(&item.object, &bytes, &targets));
+            let key = ObjectKey::shared(Fleet::CONTAINER, item.object);
+            self.put_replicated(&key, &bytes, targets, &mut ops);
             if self.telemetry.enabled() {
                 let (event, counter) = match item.kind {
                     FlushKind::Block => ("meta.flush.block", "meta.flush.blocks"),
@@ -73,8 +76,8 @@ impl Hyrd {
             // diff objects are garbage now, and leaving them would both
             // leak billed storage and re-apply on the next restart (a
             // no-op by version, but the GC pass would never converge).
-            for stale in &item.supersedes {
-                let key = Self::key(stale);
+            for stale in item.supersedes {
+                let key = ObjectKey::shared(Fleet::CONTAINER, stale);
                 self.retire(targets.iter().map(|&t| (t, &key)), &mut ops);
             }
         }
@@ -90,6 +93,7 @@ impl Hyrd {
         let now = self.now();
         self.meta.create_file(path, data.len() as u64, now)?;
         let name = crate::scheme::object_name(path.as_str());
+        let key = Self::key(&name);
         let bytes = Bytes::copy_from_slice(data);
         let targets = self.replica_targets();
         let _intent = self.journal.begin(|| Intent::Create {
@@ -97,12 +101,12 @@ impl Hyrd {
             objects: targets.iter().map(|&t| (t, name.clone())).collect(),
         });
 
-        let ops = self.put_replicated(&name, &bytes, &targets);
-        if ops.is_empty() {
+        let mut ops = Vec::new();
+        if self.put_replicated(&key, &bytes, targets, &mut ops) == 0 {
             // No provider holds the data — fail the write and roll back.
             self.meta.remove_file(path)?;
             self.integrity_l().forget(&name);
-            self.roll_back_logged(&targets, &Self::key(&name), None);
+            self.roll_back_logged(targets, &key, None);
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
                 detail: "all replica targets unavailable".to_string(),
@@ -111,7 +115,7 @@ impl Hyrd {
         self.cache_l().put(path.as_str(), bytes);
         self.meta.set_placement(
             path,
-            Placement::Replicated { providers: targets, object: name },
+            Placement::Replicated { providers: targets.to_vec(), object: name },
             data.len() as u64,
             now,
         )?;
@@ -125,6 +129,7 @@ impl Hyrd {
         let targets = self.fragment_targets();
         let fragments: Vec<(ProviderId, String)> =
             targets.iter().enumerate().map(|(i, &t)| (t, format!("{base_name}.f{i}"))).collect();
+        let keys = Self::keys_of(fragments.iter().map(|(t, name)| (*t, name.as_str())));
         let _intent = self.journal.begin(|| Intent::Create {
             path: path.as_str().to_string(),
             objects: fragments.clone(),
@@ -149,18 +154,18 @@ impl Hyrd {
         // Each fragment's digest is recorded as it ships; `m` landed
         // fragments are the durability floor.
         let m = self.config.code.m();
-        let writes = encoded.into_iter().zip(&fragments).map(|(fragment, (target, name))| {
+        let writes = encoded.into_iter().zip(&keys).map(|(fragment, (target, key))| {
             let bytes = Bytes::from(fragment);
-            self.record_digest(name, &bytes);
-            (*target, Self::key(name), bytes)
+            self.record_digest(key.name.clone(), &bytes);
+            (*target, key, bytes)
         });
-        let mut ops = self.publish(writes, None, m, Some(ProviderSpan::PutFragment));
-        let live = ops.len();
+        let mut ops = Vec::new();
+        let live = self.publish(writes, None, m, Some(ProviderSpan::PutFragment), &mut ops);
         if live < m {
             // Not enough survivors to make the object durable: undo —
             // remove what landed, supersede the logged writes.
             self.meta.remove_file(path)?;
-            self.retire(fragments.iter().map(|(t, name)| (*t, Self::key(name))), &mut ops);
+            self.retire(keys.iter().map(|(t, key)| (*t, key)), &mut ops);
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
                 detail: format!("only {live} of {} fragment targets available", targets.len()),
@@ -190,6 +195,7 @@ impl Hyrd {
         data: &[u8],
     ) -> SchemeResult<BatchReport> {
         let (start, end) = (offset as usize, offset as usize + data.len());
+        let key = Self::key(&object);
         // Base version: the write-through cache's entry, lent out for the
         // length of the update, or one replica read. Either is exactly
         // `size` bytes, and either way this call now holds the client's
@@ -199,7 +205,7 @@ impl Hyrd {
             Some((bytes, generation)) => (bytes, Some(generation), BatchReport::empty()),
             None => {
                 let (bytes, report) =
-                    self.read_replicated(path.as_str(), &providers, &object, Some(size))?;
+                    self.read_replicated(path.as_str(), &providers, &key, Some(size))?;
                 (bytes, None, report)
             }
         };
@@ -216,7 +222,6 @@ impl Hyrd {
         let old_window = content[start..end].to_vec();
         content[start..end].copy_from_slice(data);
         let bytes = Bytes::from(content);
-        let key = Self::key(&object);
         let patch = Bytes::copy_from_slice(data);
         let _intent = self.journal.begin(|| Intent::UpdateReplicated {
             path: path.as_str().to_string(),
@@ -228,8 +233,8 @@ impl Hyrd {
         // it gets the *full* new content logged, so the consistency
         // update restores a complete object.
         let writes = providers.iter().map(|&t| (t, &key, bytes.clone()));
-        let ops = self.publish(writes, Some((offset, &patch)), 1, None);
-        if ops.is_empty() {
+        let mut ops = Vec::new();
+        if self.publish(writes, Some((offset, &patch)), 1, None, &mut ops) == 0 {
             // The update failed outright: supersede the logged entries
             // with the pre-update content so replay restores the state
             // the caller was told still stands.
@@ -249,7 +254,7 @@ impl Hyrd {
         // The object's authoritative content changed: refresh the digest
         // of the blocks the patch touched (live replicas hold the new
         // content; logged replicas will after replay).
-        self.patch_digest(&object, &bytes, offset as usize, data.len());
+        self.patch_digest(key.name.clone(), &bytes, offset as usize, data.len());
         self.cache_l().put(path.as_str(), bytes);
         let now = self.now();
         self.meta.set_placement(path, Placement::Replicated { providers, object }, size, now)?;
@@ -276,7 +281,7 @@ impl Hyrd {
             // One stripe at a time, log before dirty (DESIGN.md §11); by
             // name, so this per-update check builds no key.
             let pending =
-                self.log_l().records().iter().any(|(q, r)| q == p && r.key().name == *name);
+                self.log_l().records().iter().any(|(q, r)| q == p && *r.key().name == **name);
             (pending || self.dirty_l().contains(path.as_str(), *i))
                 && self.provider(*p).is_available()
         });
@@ -338,7 +343,7 @@ impl Hyrd {
         // A stale hot copy must not serve future reads: drop it, in the
         // background (its op is billed, the user does not wait for it).
         if let Some((p, name)) = hot_copy {
-            self.retire([(p, Self::key(&name))], &mut batch.ops);
+            self.retire([(p, &Self::key(&name))], &mut batch.ops);
         }
         // The content changed, so accumulated heat describes a file that
         // no longer exists. Reset unconditionally — not just when a hot
@@ -428,10 +433,10 @@ impl Hyrd {
         // touching metadata or providers: a crash mid-delete then rolls
         // forward (finish the removes) instead of leaking billed storage.
         let inode = self.meta.inode(&npath)?;
-        let doomed: Vec<(ProviderId, &str)> = inode.placement.objects().collect();
+        let doomed = Self::keys_of(inode.placement.objects());
         let _intent = self.journal.begin(|| Intent::Delete {
             path: npath.as_str().to_string(),
-            objects: doomed.iter().map(|&(p, name)| (p, name.to_string())).collect(),
+            objects: doomed.iter().map(|(p, key)| (*p, key.name.to_string())).collect(),
         });
         self.meta.remove_file(&npath)?;
         // Cache and dirty-set keys are *normalized* paths (that is what
@@ -447,7 +452,7 @@ impl Hyrd {
         // An object out of reach keeps its bytes (and its bill) while the
         // metadata is gone: `retire` leaves its removal to recovery.
         let mut ops = Vec::new();
-        self.retire(doomed.iter().map(|&(p, name)| (p, Self::key(name))), &mut ops);
+        self.retire(doomed.iter().map(|(p, key)| (*p, key)), &mut ops);
         Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
     }
 }

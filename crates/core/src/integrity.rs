@@ -16,8 +16,13 @@
 //! fails its block, a truncation or extension fails the length. An object
 //! of at most one block — the paper's ≤ 4 KB files, a metadata diff of a
 //! few entries — has the one digest `sha256(object)`.
+//!
+//! The index is a hash map from object name to digest, and the name is
+//! the one the writer's key already shares. Nothing iterates the index,
+//! so its order can reach no trace and no report.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use hyrd_dedup::sha256::{block_digests, sha256, Digest};
 
@@ -131,11 +136,12 @@ fn last_block(len: usize) -> usize {
     len.saturating_sub(1) / DIGEST_BLOCK
 }
 
-/// Object-name → digest map. `BTreeMap` so iteration order (and anything
-/// serialized from it) is deterministic.
+/// Object-name → digest map, hashed. A name is kept by reference count:
+/// an insert shares the `Arc<str>` of the caller's key, and a name given
+/// as a plain string is copied once, when it is new.
 #[derive(Debug, Clone, Default)]
 pub struct IntegrityIndex {
-    digests: BTreeMap<String, ObjectDigest>,
+    digests: HashMap<Arc<str>, ObjectDigest>,
 }
 
 impl IntegrityIndex {
@@ -144,20 +150,19 @@ impl IntegrityIndex {
         IntegrityIndex::default()
     }
 
-    /// The entry for `name`, created empty on first sight (the name is
-    /// only allocated then).
-    fn entry(&mut self, name: &str) -> &mut ObjectDigest {
-        if !self.digests.contains_key(name) {
-            let fresh = ObjectDigest { len: 0, head: [0; 32], tail: Vec::new() };
-            self.digests.insert(name.to_string(), fresh);
-        }
-        self.digests.get_mut(name).expect("present or just inserted")
-    }
-
     /// Records the digest of `bytes` under `name`, replacing any previous
     /// entry. Returns the bytes hashed.
-    pub fn record(&mut self, name: &str, bytes: &[u8]) -> usize {
-        self.entry(name).rehash(bytes, 0, last_block(bytes.len()))
+    pub fn record(&mut self, name: impl AsRef<str> + Into<Arc<str>>, bytes: &[u8]) -> usize {
+        let last = last_block(bytes.len());
+        match self.digests.get_mut(name.as_ref()) {
+            Some(digest) => digest.rehash(bytes, 0, last),
+            None => {
+                let mut fresh = ObjectDigest { len: 0, head: [0; 32], tail: Vec::new() };
+                let hashed = fresh.rehash(bytes, 0, last);
+                self.digests.insert(name.into(), fresh);
+                hashed
+            }
+        }
     }
 
     /// Brings `name`'s digest up to date after `bytes[offset..offset +
@@ -167,8 +172,14 @@ impl IntegrityIndex {
     /// no block. With nothing on record for `name`, or a recorded
     /// length other than `bytes`', there is nothing to patch and the
     /// object is recorded whole. Returns the bytes hashed.
-    pub fn record_patch(&mut self, name: &str, bytes: &[u8], offset: usize, len: usize) -> usize {
-        match self.digests.get_mut(name) {
+    pub fn record_patch(
+        &mut self,
+        name: impl AsRef<str> + Into<Arc<str>>,
+        bytes: &[u8],
+        offset: usize,
+        len: usize,
+    ) -> usize {
+        match self.digests.get_mut(name.as_ref()) {
             Some(digest) if digest.len == bytes.len() => {
                 let end = offset.saturating_add(len).min(bytes.len());
                 if offset < end {

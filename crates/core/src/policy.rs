@@ -49,7 +49,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use hyrd_gcsapi::{BatchReport, OpReport, ProviderId};
+use hyrd_gcsapi::{BatchReport, ObjectKey, OpReport, ProviderId};
 use hyrd_metastore::{Inode, NormPath, Placement};
 
 use crate::config::PolicyConfig;
@@ -299,7 +299,7 @@ impl Hyrd {
         let providers = self.replica_targets();
         let copies = vec![bytes.clone(); providers.len()];
         let object = crate::scheme::object_name(path.as_str());
-        let replicated = Placement::Replicated { providers, object };
+        let replicated = Placement::Replicated { providers: providers.to_vec(), object };
         if !self.migrate_commit(path, inode, replicated, copies, report, ops) {
             return None;
         }
@@ -329,9 +329,9 @@ impl Hyrd {
         let bytes = match self.cache_l().get(path.as_str()) {
             Some(b) => b,
             None => {
-                let (b, read_batch) = self
-                    .read_replicated(path.as_str(), providers, object, Some(inode.size))
-                    .ok()?;
+                let key = Self::key(object);
+                let (b, read_batch) =
+                    self.read_replicated(path.as_str(), providers, &key, Some(inode.size)).ok()?;
                 ops.extend(read_batch.ops);
                 b
             }
@@ -339,10 +339,10 @@ impl Hyrd {
 
         let base = crate::scheme::object_name(path.as_str());
         let (layout, encoded) = self.planner.split_encode(self.code.as_code(), &bytes).ok()?;
-        let targets = self.fragment_targets().into_iter().enumerate();
+        let targets = self.fragment_targets().iter().enumerate();
         let coded = Placement::ErasureCoded {
             layout,
-            fragments: targets.map(|(i, t)| (t, format!("{base}.f{i}"))).collect(),
+            fragments: targets.map(|(i, &t)| (t, format!("{base}.f{i}"))).collect(),
             hot_copy: None,
         };
         let encoded = encoded.into_iter().map(Bytes::from).collect();
@@ -384,14 +384,15 @@ impl Hyrd {
 
         self.journal.crashpoint("migrate.publish.pre");
         let mut live = 0;
-        let mut recorded = None;
-        for ((target, name), bytes) in placement.objects().zip(&data) {
+        let mut recorded: Option<&ObjectKey> = None;
+        let keys = Self::keys_of(placement.objects());
+        for ((target, key), bytes) in keys.iter().zip(&data) {
             // Replicas share one object name, and so one digest.
-            if recorded != Some(name) {
-                self.record_digest(name, bytes);
-                recorded = Some(name);
+            if recorded.is_none_or(|last| last.name != key.name) {
+                self.record_digest(key.name.clone(), bytes);
+                recorded = Some(key);
             }
-            if let Ok(put) = self.put_object(target, Self::key(name), bytes) {
+            if let Ok(put) = self.put_object(*target, key, bytes) {
                 ops.push(put);
                 live += 1;
             }
@@ -435,7 +436,8 @@ impl Hyrd {
         report: Option<&mut MigrationReport>,
         ops: &mut Vec<OpReport>,
     ) {
-        let retired = self.retire(doomed.iter().map(|(p, name)| (*p, Self::key(name))), ops);
+        let keys = Self::keys_of(doomed.iter().map(|(p, name)| (*p, name.as_str())));
+        let retired = self.retire(keys.iter().map(|(p, key)| (*p, key)), ops);
         if let Some(report) = report {
             report.gc_removed += retired.removed;
             report.gc_logged += retired.logged;

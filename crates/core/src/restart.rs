@@ -147,8 +147,8 @@ impl Hyrd {
         // ------------------------------------------------------------------
         let targets = hyrd.replica_targets();
         for dir in &loaded.dirs {
-            let name = MetadataBlock::object_name(&dir.block.dir);
-            hyrd.put_replicated(&name, &dir.bytes, &targets);
+            let key = Self::key(&MetadataBlock::object_name(&dir.block.dir));
+            hyrd.put_replicated(&key, &dir.bytes, targets, &mut Vec::new());
             report.replicas_healed += 1;
         }
 
@@ -182,7 +182,7 @@ impl Hyrd {
                     if refs.contains(&name) {
                         continue;
                     }
-                    let orphan = [(p.id(), Self::key(&name))];
+                    let orphan = [(p.id(), &Self::key(&name))];
                     if hyrd.retire(orphan, &mut Vec::new()).removed > 0 {
                         report.orphans_removed += 1;
                         if hyrd.telemetry.enabled() {
@@ -202,7 +202,7 @@ impl Hyrd {
             let mut log = hyrd.log_l();
             let before = log.len();
             log.retain_records(|_, record| match record {
-                LogRecord::Put { key, .. } => refs.contains(&key.name),
+                LogRecord::Put { key, .. } => refs.contains(&*key.name),
                 LogRecord::Remove { .. } => true,
             });
             report.pending_pruned = (before - log.len()) as u64;
@@ -236,8 +236,8 @@ impl Hyrd {
     /// [`Hyrd::retire`] for intent resolution, which keeps no op
     /// accounting.
     fn sweep<'a>(&self, objects: impl IntoIterator<Item = &'a (ProviderId, String)>) {
-        let keyed = objects.into_iter().map(|(p, name)| (*p, Self::key(name)));
-        self.retire(keyed, &mut Vec::new());
+        let keys = Self::keys_of(objects.into_iter().map(|(p, name)| (*p, name.as_str())));
+        self.retire(keys.iter().map(|(p, key)| (*p, key)), &mut Vec::new());
     }
 
     /// Resolves one in-flight intent (see the module docs for the
@@ -260,7 +260,7 @@ impl Hyrd {
                 // content, so re-putting it everywhere is idempotent and
                 // converges every replica on the new version.
                 let key = Self::key(object);
-                self.record_digest(object, bytes);
+                self.record_digest(key.name.clone(), bytes);
                 for &p in providers {
                     let _ = self.put_object(p, &key, bytes);
                 }

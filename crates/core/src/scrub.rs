@@ -129,7 +129,7 @@ impl Hyrd {
         good: &Bytes,
         ops: &mut Vec<OpReport>,
     ) -> bool {
-        match self.put_object(provider, Self::key(name), good) {
+        match self.put_object(provider, &Self::key(name), good) {
             Ok(put) => {
                 ops.push(put);
                 if self.telemetry.enabled() {
@@ -306,7 +306,7 @@ impl Hyrd {
                     report.repaired += 1;
                 }
             } else if *verdict == Verdict::Unknown {
-                self.record_digest(name, bytes);
+                self.record_digest(name.as_str(), bytes);
                 report.digests_refreshed += 1;
             }
         }
@@ -315,7 +315,7 @@ impl Hyrd {
             let good = Bytes::from(std::mem::take(&mut oracle[i]));
             if self.scrub_rewrite(path, Some(i as u64), *p, name, &good, ops) {
                 report.repaired += 1;
-                self.record_digest(name, &good);
+                self.record_digest(name.as_str(), &good);
             }
         }
 
@@ -333,7 +333,7 @@ impl Hyrd {
                 Fetched::Failed => report.skipped += 1,
                 Fetched::Copy(bytes) if bytes[..] == object[..] => {
                     if self.integrity_l().digest(name).is_none() {
-                        self.record_digest(name, &bytes);
+                        self.record_digest(name.as_str(), &bytes);
                         report.digests_refreshed += 1;
                     }
                 }
@@ -343,7 +343,7 @@ impl Hyrd {
                     let good = Bytes::from(object);
                     if self.scrub_rewrite(path, None, *p, name, &good, ops) {
                         report.repaired += 1;
-                        self.record_digest(name, &good);
+                        self.record_digest(name.as_str(), &good);
                     }
                 }
             }

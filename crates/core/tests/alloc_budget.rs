@@ -13,14 +13,17 @@
 //!   it patches (the provider patches a stored fragment in place as long
 //!   as nobody still holds a view of it).
 //!
-//! **Small objects** (DESIGN.md §7, §15): create, update, read and delete
-//! of a 4 KB replicated file cost a pinned number of allocations that
-//! does not depend on how many siblings share the directory — the
-//! metadata flush encodes what changed, not the directory — and a 4 KiB
-//! update of a large replica allocates for the 4 KiB, however long the
-//! replica is: the write-through cache's entry is the client's one copy
-//! (DESIGN.md §8.1) and is patched where it lies, copied only while
-//! something else still shares its buffer.
+//! **Small objects** (DESIGN.md §7, §11, §15): create, 4 KiB update,
+//! read, list and delete of a 4 KB replicated file on a quiet fleet,
+//! flush included, cost an exact number of allocations that does not
+//! depend on how many siblings share the directory — the metadata flush
+//! encodes what changed, not the directory; an object's key is built once
+//! per op and every layer below shares its name; a listing allocates one
+//! name per entry on top — and a 4 KiB update of a large replica
+//! allocates for the 4 KiB, however long the replica is: the
+//! write-through cache's entry is the client's one copy (DESIGN.md §8.1)
+//! and is patched where it lies, copied only while something else still
+//! shares its buffer.
 //!
 //! **Telemetry** (DESIGN.md §9): watching costs what it writes. With a
 //! JSONL sink and the observatory's tap attached, an event, a labelled
@@ -30,9 +33,10 @@
 //! providers and files in it, not for its records.
 //!
 //! **Integrity** (DESIGN.md §7 item 3): recording an object allocates its
-//! digest table and nothing to hash with, verifying allocates nothing —
-//! the block digests are computed sixteen at a time into a table on the
-//! stack, whichever kernel computes them.
+//! digest table and nothing to hash with — not even its name, which the
+//! index shares with the caller's key — and verifying allocates nothing:
+//! the block digests are computed into a table on the stack, whichever
+//! kernel computes them.
 //!
 //! **The driver** (DESIGN.md §8.2): a verified replay remembers what it
 //! wrote as fill runs, not as bytes — a 2 MiB file with eight updates in
@@ -43,6 +47,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use hyrd::config::HyrdConfig;
 use hyrd::driver::{replay_with_state, synth_content, ReplayOptions, ReplayState};
@@ -209,17 +214,24 @@ fn the_read_oracle_holds_runs_not_bytes() {
 fn hashing_allocates_the_digest_table_and_nothing_else() {
     let object = synth_content("/o", 0, 512 * 1024);
     let mut index = IntegrityIndex::new();
-    // The map's first node.
+    // The map's first table.
     index.record("warm", &object[..1]);
 
-    // The entry's name and the 127 digests after block 0, which is inline.
-    let (record, _) = cost_of(|| index.record("o", &object));
-    assert_eq!(record, Cost { allocs: 2, bytes: 1 + 127 * 32 }, "record of a 512 KiB object");
+    // The name is the caller's key's, shared: what is left are the 127
+    // digests after block 0, which is inline.
+    let name: Arc<str> = Arc::from("o");
+    let (record, _) = cost_of(|| index.record(Arc::clone(&name), &object));
+    assert_eq!(record, Cost { allocs: 1, bytes: 127 * 32 }, "record of a 512 KiB object");
     let (verify, verdict) = cost_of(|| index.verify("o", &object));
     assert_eq!(verdict, Verdict::Verified);
     assert_eq!(verify, Cost { allocs: 0, bytes: 0 }, "verify of a 512 KiB object");
-    let (again, _) = cost_of(|| index.record("o", &object));
+    let (again, _) = cost_of(|| index.record(Arc::clone(&name), &object));
     assert_eq!(again, Cost { allocs: 0, bytes: 0 }, "re-record over a table of the same size");
+    let (by_str, _) = cost_of(|| index.record("o", &object));
+    assert_eq!(by_str, Cost { allocs: 0, bytes: 0 }, "a known name given as a string");
+    // A new name given as a plain string is copied once, into the map.
+    let (fresh, _) = cost_of(|| index.record("p", &object[..1]));
+    assert_eq!(fresh.allocs, 1, "a new name given as a string: {fresh:?}");
     println!("512 KiB object: record {record:?}, verify {verify:?}");
 }
 
@@ -358,28 +370,37 @@ fn telemetry_costs_what_it_writes() {
     );
 }
 
-/// The floor cost of each of create / update / read / delete of a 4 KB
-/// file in `dir`, over `REPS` files: what the op costs when no B-tree
-/// node splits, no hash table grows and no diff chain compacts under it
-/// (each of those happens on a fixed fraction of ops whatever the
-/// directory holds — a compaction's body is the one per-directory cost
-/// left, every `COMPACT_EVERY`th flush).
-fn small_op_floor(h: &Hyrd, dir: &str) -> [Cost; 4] {
+/// The small-file ops [`small_op_floor`] prices, in its order.
+const SMALL_OPS: [&str; 5] = ["create", "update", "read", "list", "delete"];
+
+/// The floor cost of each of create / 4 KiB update / read / list /
+/// delete of a 4 KB file in `dir`, over `REPS` files: what the op costs
+/// when no B-tree node splits, no hash table grows and no diff chain
+/// compacts under it (each of those happens on a fixed fraction of ops
+/// whatever the directory holds — a compaction's body is the one
+/// per-directory cost left, every `COMPACT_EVERY`th flush). The files'
+/// names fall between the directory's own `f0000`, `f0001`, …, spread
+/// out so that some land in a B-tree leaf with room. A listing hands out
+/// one owned name per entry; those are taken off its count.
+fn small_op_floor(h: &Hyrd, dir: &str) -> [Cost; 5] {
     const REPS: usize = 24;
     let data = synth_content("/small", 0, 4096);
-    let patch = synth_content("/small", 1, 512);
-    let mut floor = [Cost { allocs: u64::MAX, bytes: u64::MAX }; 4];
+    let patch = synth_content("/small", 1, 4096);
+    let mut floor = [Cost { allocs: u64::MAX, bytes: u64::MAX }; 5];
     for i in 0..REPS {
-        let path = format!("{dir}/m{i:04}");
+        let path = format!("{dir}/f{:04}m", 8 * i);
         let (create, r) = cost_of(|| h.create_file(&path, &data));
         r.expect("fleet up");
-        let (update, r) = cost_of(|| h.update_file(&path, 1024, &patch));
+        let (update, r) = cost_of(|| h.update_file(&path, 0, &patch));
         r.expect("fleet up");
         let (read, r) = cost_of(|| h.read_file(&path));
         assert_eq!(r.expect("fleet up").0.len(), data.len());
+        let (list, r) = cost_of(|| h.list_dir(dir));
+        let entries = r.expect("fleet up").0.len() as u64;
+        let list = Cost { allocs: list.allocs - entries, bytes: list.bytes };
         let (delete, r) = cost_of(|| h.delete_file(&path));
         r.expect("fleet up");
-        for (floor, cost) in floor.iter_mut().zip([create, update, read, delete]) {
+        for (floor, cost) in floor.iter_mut().zip([create, update, read, list, delete]) {
             *floor = (*floor).min(cost);
         }
     }
@@ -390,37 +411,47 @@ fn small_object_ops_cost_what_they_change() {
     let fleet = Fleet::standard_four(SimClock::new());
     let h = Hyrd::new(&fleet, HyrdConfig::default()).expect("default config is valid");
     let data = synth_content("/small", 0, 4096);
-    // Both directories get the same history — 1,024 creates — so their
-    // flush versions, which object names carry in decimal, are as long;
-    // then one of them is emptied again.
-    for dir in ["/solo", "/full"] {
-        for i in 0..1024 {
+    // Both directories get 200 creates and then 198 more flushes — the
+    // small one deletes, the large one updates — so their flush
+    // versions, which object names carry in decimal, are as long.
+    for dir in ["/d002", "/d200"] {
+        for i in 0..200 {
             h.create_file(&format!("{dir}/f{i:04}"), &data).expect("fleet up");
         }
     }
-    for i in 0..1024 {
-        h.delete_file(&format!("/solo/f{i:04}")).expect("fleet up");
+    for i in 2..200 {
+        h.delete_file(&format!("/d002/f{i:04}")).expect("fleet up");
+        h.update_file(&format!("/d200/f{i:04}"), 0, &data).expect("fleet up");
     }
 
-    let solo = small_op_floor(&h, "/solo");
-    let full = small_op_floor(&h, "/full");
-    println!("4 KB file, [create, update, read, delete]: alone {solo:?}, beside 1,024 {full:?}");
-    assert_eq!(solo, full, "per-op allocations depend on the directory's size");
-    // Bytes: a create allocates the payload once (the providers and the
-    // write-through cache share it); the first update after it unshares
-    // the cache's copy, and — simulator-side — the first replica patched
-    // unshares its own from the second's.
+    let two = small_op_floor(&h, "/d002");
+    let many = small_op_floor(&h, "/d200");
+    println!("4 KB file, {SMALL_OPS:?}: beside 2 {two:?}, beside 200 {many:?}");
+    // The listing's names differ in number; every other byte is the same.
+    for (i, op) in SMALL_OPS.iter().enumerate() {
+        let (two, many) = (two[i], many[i]);
+        if *op == "list" {
+            assert_eq!(two.allocs, many.allocs, "list allocations beside 2 and beside 200 files");
+        } else {
+            assert_eq!(two, many, "{op}: per-op cost depends on the directory's size");
+        }
+    }
+    // Exact allocation counts; bytes: a create allocates the payload once
+    // (the providers and the write-through cache share it); the first
+    // update after it unshares the cache's copy, keeps the window it
+    // overwrites, ships a copy of the patch and — simulator-side — the
+    // first replica patched unshares its own from the second's.
     let budget = [
-        Cost { allocs: 36, bytes: 4096 + 3072 },
-        Cost { allocs: 36, bytes: 2 * 4096 + 4096 },
-        Cost { allocs: 12, bytes: 1024 },
-        Cost { allocs: 30, bytes: 2048 },
+        Cost { allocs: 17, bytes: 4096 + 1363 },
+        Cost { allocs: 20, bytes: 4 * 4096 + 1339 },
+        Cost { allocs: 9, bytes: 941 },
+        Cost { allocs: 9, bytes: 1035 },
+        Cost { allocs: 13, bytes: 1371 },
     ];
-    for ((op, cost), budget) in ["create", "update", "read", "delete"].iter().zip(full).zip(budget)
-    {
+    for ((op, cost), budget) in SMALL_OPS.iter().zip(two).zip(budget) {
         assert!(
-            cost.allocs <= budget.allocs && cost.bytes <= budget.bytes,
-            "{op} of a 4 KB file: {cost:?} exceeds {budget:?}"
+            cost.allocs == budget.allocs && cost.bytes <= budget.bytes,
+            "{op} of a 4 KB file: {cost:?}, budget {budget:?}"
         );
     }
 
@@ -435,11 +466,11 @@ fn small_object_ops_cost_what_they_change() {
     // measurement.
     const BUDGET: u64 = 64 * 1024;
     let len = 512 * 1024;
-    let patch = synth_content("/solo/replica", 1, 4096);
-    h.create_file("/solo/replica", &synth_content("/solo/replica", 0, len)).expect("fleet up");
-    h.update_file("/solo/replica", 300_000, &patch).expect("fleet up");
+    let patch = synth_content("/d002/replica", 1, 4096);
+    h.create_file("/d002/replica", &synth_content("/d002/replica", 0, len)).expect("fleet up");
+    h.update_file("/d002/replica", 300_000, &patch).expect("fleet up");
     for offset in [100_000, 0, len as u64 - 4096] {
-        let (update, r) = requested_by(|| h.update_file("/solo/replica", offset, &patch));
+        let (update, r) = requested_by(|| h.update_file("/d002/replica", offset, &patch));
         r.expect("fleet up");
         assert!(update < BUDGET, "4 KiB update of {len} B at {offset} requested {update} B");
         println!("4 KiB update of a {len} B replica at {offset}: {update} B");

@@ -14,8 +14,10 @@
 //! A single stream is a dependency chain, so that is as fast as one
 //! digest gets. Many *independent* digests of equal-length blocks are
 //! another matter: [`block_digests`] hashes sixteen at a time in the
-//! 32-bit lanes of AVX-512 where the CPU has it, and block by block on
-//! the kernels above where it does not (DESIGN.md §10).
+//! 32-bit lanes of AVX-512 where the CPU has it, and what that leaves —
+//! or everything, where it does not — four or two at a time on SHA-NI,
+//! the streams' round chains interleaved so that one stream's wait on
+//! the SHA unit is the others' turn (DESIGN.md §10).
 //!
 //! Every path produces identical digests for every input. The oracle is
 //! the seed's straightforward implementation under `tests/oracle/`; the
@@ -196,7 +198,7 @@ pub fn sha256_with_kernel(kernel: Kernel, data: &[u8]) -> Digest {
 }
 
 /// Fewest full blocks the 16-lane kernel takes in one pass; a shorter
-/// run goes block by block through [`sha256`]. A pass costs the same
+/// run goes to the interleaved SHA-NI streams. A pass costs the same
 /// however many lanes carry a block of their own, so this is where
 /// sixteen lanes' worth of work undercuts that many single-stream
 /// digests. Measured at 4 KiB blocks on the AVX-512 + SHA-NI host of
@@ -208,13 +210,14 @@ pub const WIDE_MIN_BLOCKS: usize = 8;
 
 /// Writes the SHA-256 of each consecutive `block`-byte block of `data`
 /// (the last one may be short) into `out`: `out[i]` is
-/// `sha256(&data[i * block..][..block])`, bit for bit. Where the CPU has
-/// AVX-512 and `block` is a multiple of 64, runs of at least
-/// [`WIDE_MIN_BLOCKS`] full blocks are hashed sixteen at a time — the
-/// blocks are independent, so each takes one 32-bit lane of the register
-/// file; everything else (a short run, the short last block, any other
-/// `block`, any other CPU) is the single-stream [`sha256`] per block.
-/// Allocates nothing.
+/// `sha256(&data[i * block..][..block])`, bit for bit. Where `block` is a
+/// multiple of 64 the full blocks are independent streams of one length:
+/// with AVX-512, runs of at least [`WIDE_MIN_BLOCKS`] of them are hashed
+/// sixteen at a time, one per 32-bit lane of the register file; with
+/// SHA-NI, the full blocks left over go four at a time, then two, their
+/// round chains interleaved. A last single full block, the short last
+/// block, any other `block` and any other CPU take the single-stream
+/// [`sha256`] per block. Allocates nothing.
 ///
 /// # Panics
 /// If `block` is zero or `out.len()` is not `data.len().div_ceil(block)`.
@@ -224,8 +227,9 @@ pub fn block_digests(data: &[u8], block: usize, out: &mut [Digest]) {
 
 /// [`block_digests`] with the wide kernel taking any run of at least
 /// `wide_from` full blocks — 1 puts every full block through it (idle
-/// lanes and all), `usize::MAX` none. For the bit-identity tests and
-/// benches, which must reach both paths on one host.
+/// lanes and all), `usize::MAX` none, leaving them all to the
+/// interleaved streams. For the bit-identity tests and benches, which
+/// must reach every path on one host.
 pub fn block_digests_with(wide_from: usize, data: &[u8], block: usize, out: &mut [Digest]) {
     assert!(block > 0, "block_digests: block length is zero");
     assert!(
@@ -241,6 +245,17 @@ pub fn block_digests_with(wide_from: usize, data: &[u8], block: usize, out: &mut
         while full - done >= wide_from.max(1) {
             let n = (full - done).min(16);
             wide16::digest_blocks(
+                &data[done * block..(done + n) * block],
+                block,
+                &mut out[done..done + n],
+            );
+            done += n;
+        }
+    }
+    if block.is_multiple_of(64) && shani::available() {
+        while full - done >= 2 {
+            let n = if full - done >= 4 { 4 } else { 2 };
+            shani::digest_blocks(
                 &data[done * block..(done + n) * block],
                 block,
                 &mut out[done..done + n],
@@ -392,12 +407,15 @@ mod scalar {
 /// x86 SHA extension kernel. The hardware computes two rounds per
 /// `sha256rnds2` and the message-schedule recurrence in
 /// `sha256msg1`/`sha256msg2`; state lives packed as ABEF/CDGH vectors
-/// across the whole input run.
+/// across the whole input run. One stream's rounds are a dependency
+/// chain through `sha256rnds2`'s latency, so independent streams of one
+/// length are compressed side by side, each round of each issued next to
+/// the same round of the others.
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use core::arch::x86_64::*;
 
-    use super::K;
+    use super::{Digest, H0, K};
 
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("sha")
@@ -411,59 +429,139 @@ mod shani {
         unsafe { compress_blocks_impl(state, blocks) }
     }
 
+    /// The digests of the `out.len()` (2 or 4) consecutive `block`-byte
+    /// blocks that make up `data`; `block` is a multiple of 64.
+    pub fn digest_blocks(data: &[u8], block: usize, out: &mut [Digest]) {
+        assert!(available(), "SHA-NI kernel invoked on a CPU without the sha feature");
+        assert!(block.is_multiple_of(64) && data.len() == block * out.len());
+        // SAFETY: the required target features were just verified.
+        unsafe {
+            match out.len() {
+                2 => digest_streams::<2>(data, block, out),
+                4 => digest_streams::<4>(data, block, out),
+                n => unreachable!("{n} interleaved streams"),
+            }
+        }
+    }
+
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    unsafe fn compress_blocks_impl(state: &mut [u32; 8], blocks: &[u8]) {
+    fn compress_blocks_impl(state: &mut [u32; 8], blocks: &[u8]) {
+        let (abef, cdgh) = pack(state);
+        let (mut state0, mut state1) = ([abef], [cdgh]);
+        for block in blocks.chunks_exact(64) {
+            let block: &[u8; 64] = block.try_into().expect("a chunk of 64 is an array of 64");
+            compress(&mut state0, &mut state1, [block]);
+        }
+        *state = unpack(state0[0], state1[0]);
+    }
+
+    /// `N` whole streams of `block` bytes, side by side, then the one
+    /// padding block they share (they have one length).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn digest_streams<const N: usize>(data: &[u8], block: usize, out: &mut [Digest]) {
+        let (abef, cdgh) = pack(&H0);
+        let (mut state0, mut state1) = ([abef; N], [cdgh; N]);
+        for step in (0..block).step_by(64) {
+            let chunks = std::array::from_fn(|l| {
+                data[l * block + step..][..64].try_into().expect("a slice of 64 is an array of 64")
+            });
+            compress(&mut state0, &mut state1, chunks);
+        }
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        pad[56..].copy_from_slice(&((block as u64) * 8).to_be_bytes());
+        compress(&mut state0, &mut state1, [&pad; N]);
+        for ((digest, abef), cdgh) in out.iter_mut().zip(state0).zip(state1) {
+            for (bytes, word) in digest.chunks_exact_mut(4).zip(unpack(abef, cdgh)) {
+                bytes.copy_from_slice(&word.to_be_bytes());
+            }
+        }
+    }
+
+    /// Packs `[a..h]` into the ABEF/CDGH layout.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn pack(state: &[u32; 8]) -> (__m128i, __m128i) {
+        // SAFETY: `state` is 32 readable bytes; the loads have no
+        // alignment requirement.
+        let (tmp, st1) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast::<__m128i>()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast::<__m128i>()),
+            )
+        };
+        let tmp = _mm_shuffle_epi32(tmp, 0xB1); // CDAB
+        let st1 = _mm_shuffle_epi32(st1, 0x1B); // EFGH
+        (_mm_alignr_epi8(tmp, st1, 8), _mm_blend_epi16(st1, tmp, 0xF0)) // ABEF, CDGH
+    }
+
+    /// Unpacks ABEF/CDGH back to `[a..h]`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn unpack(state0: __m128i, state1: __m128i) -> [u32; 8] {
+        let tmp = _mm_shuffle_epi32(state0, 0x1B); // FEBA
+        let st1 = _mm_shuffle_epi32(state1, 0xB1); // DCHG
+        let mut out = [0u32; 8];
+        // SAFETY: `out` is 32 writable bytes; the stores have no
+        // alignment requirement.
+        unsafe {
+            _mm_storeu_si128(out.as_mut_ptr().cast::<__m128i>(), _mm_blend_epi16(tmp, st1, 0xF0));
+            _mm_storeu_si128(
+                out.as_mut_ptr().add(4).cast::<__m128i>(),
+                _mm_alignr_epi8(st1, tmp, 8),
+            );
+        }
+        out
+    }
+
+    /// One 64-byte block of each of `N` streams.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress<const N: usize>(
+        state0: &mut [__m128i; N],
+        state1: &mut [__m128i; N],
+        blocks: [&[u8; 64]; N],
+    ) {
         // Byte shuffle turning a little-endian 16-byte load into the four
         // big-endian message words the SHA instructions expect.
         let mask = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0bu64 as i64, 0x0405_0607_0001_0203);
+        let (abef_save, cdgh_save) = (*state0, *state1);
 
-        // Pack [a,b,c,d] + [e,f,g,h] into the ABEF/CDGH layout.
-        let tmp = _mm_loadu_si128(state.as_ptr().cast::<__m128i>());
-        let st1 = _mm_loadu_si128(state.as_ptr().add(4).cast::<__m128i>());
-        let tmp = _mm_shuffle_epi32(tmp, 0xB1); // CDAB
-        let st1 = _mm_shuffle_epi32(st1, 0x1B); // EFGH
-        let mut state0 = _mm_alignr_epi8(tmp, st1, 8); // ABEF
-        let mut state1 = _mm_blend_epi16(st1, tmp, 0xF0); // CDGH
-
-        for block in blocks.chunks_exact(64) {
-            let abef_save = state0;
-            let cdgh_save = state1;
-
-            // W[0..16] as four vectors of four big-endian words.
-            let mut msgs = [_mm_setzero_si128(); 4];
+        // W[0..16] of each stream as four vectors of four words.
+        let mut msgs = [[_mm_setzero_si128(); 4]; N];
+        for (msgs, block) in msgs.iter_mut().zip(blocks) {
             for (j, m) in msgs.iter_mut().enumerate() {
-                *m = _mm_shuffle_epi8(
-                    _mm_loadu_si128(block.as_ptr().add(16 * j).cast::<__m128i>()),
-                    mask,
-                );
+                // SAFETY: 16 of the block's 64 readable bytes; the load
+                // has no alignment requirement.
+                let loaded = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * j).cast()) };
+                *m = _mm_shuffle_epi8(loaded, mask);
             }
+        }
 
-            // 16 groups of 4 rounds; groups 4..16 extend the schedule
-            // in-place: W[g] = msg2(msg1(W[g-4], W[g-3]) +
-            // alignr(W[g-1], W[g-2], 4), W[g-1]).
-            for g in 0..16 {
+        // 16 groups of 4 rounds; groups 4..16 extend the schedule
+        // in-place: W[g] = msg2(msg1(W[g-4], W[g-3]) +
+        // alignr(W[g-1], W[g-2], 4), W[g-1]).
+        for g in 0..16 {
+            // SAFETY: words 4g..4g + 4 of the 64 in `K`.
+            let kv = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * g).cast::<__m128i>()) };
+            for l in 0..N {
+                let msgs = &mut msgs[l];
                 if g >= 4 {
                     let carry = _mm_alignr_epi8(msgs[(g + 3) & 3], msgs[(g + 2) & 3], 4);
                     let m1 = _mm_sha256msg1_epu32(msgs[g & 3], msgs[(g + 1) & 3]);
                     msgs[g & 3] = _mm_sha256msg2_epu32(_mm_add_epi32(m1, carry), msgs[(g + 3) & 3]);
                 }
-                let kv = _mm_loadu_si128(K.as_ptr().add(4 * g).cast::<__m128i>());
                 let wk = _mm_add_epi32(msgs[g & 3], kv);
-                state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
-                state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(wk, 0x0E));
+                state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], wk);
+                state0[l] =
+                    _mm_sha256rnds2_epu32(state0[l], state1[l], _mm_shuffle_epi32(wk, 0x0E));
             }
-
-            state0 = _mm_add_epi32(state0, abef_save);
-            state1 = _mm_add_epi32(state1, cdgh_save);
         }
 
-        // Unpack ABEF/CDGH back to [a..d] + [e..h].
-        let tmp = _mm_shuffle_epi32(state0, 0x1B); // FEBA
-        let st1 = _mm_shuffle_epi32(state1, 0xB1); // DCHG
-        let out0 = _mm_blend_epi16(tmp, st1, 0xF0); // DCBA
-        let out1 = _mm_alignr_epi8(st1, tmp, 8); // HGFE
-        _mm_storeu_si128(state.as_mut_ptr().cast::<__m128i>(), out0);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast::<__m128i>(), out1);
+        for l in 0..N {
+            state0[l] = _mm_add_epi32(state0[l], abef_save[l]);
+            state1[l] = _mm_add_epi32(state1[l], cdgh_save[l]);
+        }
     }
 }
 
@@ -476,6 +574,10 @@ mod shani {
 
     pub fn compress_blocks(_state: &mut [u32; 8], _blocks: &[u8]) {
         unreachable!("SHA-NI kernel is x86_64-only and gated by Kernel::supported")
+    }
+
+    pub fn digest_blocks(_data: &[u8], _block: usize, _out: &mut [super::Digest]) {
+        unreachable!("SHA-NI kernel is x86_64-only and gated by available()")
     }
 }
 

@@ -1,11 +1,15 @@
-//! `block_digests` ≡ the oracle's SHA-256 of each block, on both of its
-//! paths: the 16-lane kernel forced onto every full block (`wide_from`
-//! 1, so every lane count 1..=16 of a last group and every group count
-//! occurs) and the single-stream loop forced onto all of them
-//! (`usize::MAX`). For each block size the grid is every block count
-//! 0..=40 × every tail length in `TAILS` × every misalignment 0..64 of
-//! the base pointer against a cache line. On a CPU without AVX-512 both
-//! settings take the single-stream loop, which is then all there is to
+//! `block_digests` ≡ the oracle's SHA-256 of each block, on every one of
+//! its paths: the 16-lane kernel forced onto every full block
+//! (`wide_from` 1, so every lane count 1..=16 of a last group and every
+//! group count occurs) and the wide kernel forced off (`usize::MAX`),
+//! which leaves every full block to the interleaved SHA-NI streams —
+//! four, then two, then a last single one. For each block size the grid
+//! is every block count 0..=40 × every tail length in `TAILS` × every
+//! misalignment 0..64 of the base pointer against a cache line; on top,
+//! `every_stream_count_at_4_kib_blocks` walks each run length a stream
+//! mix and a wide pass plus an interleaved remainder can take. On a CPU
+//! without AVX-512 both grid settings take the streams (or, without
+//! SHA-NI either, the single-stream loop), which is then all there is to
 //! check.
 //!
 //! Std-only and seeded (splitmix64), so it also runs from a scratch
@@ -16,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use hyrd_dedup::sha256::{block_digests, block_digests_with, Digest, WIDE_MIN_BLOCKS};
+use hyrd_dedup::sha256::{block_digests, block_digests_with, Digest, Kernel, WIDE_MIN_BLOCKS};
 
 mod oracle;
 
@@ -119,9 +123,44 @@ fn a_block_that_is_not_whole_compressions_falls_through() {
 }
 
 #[test]
+fn every_stream_count_at_4_kib_blocks() {
+    if !Kernel::ShaNi.supported() {
+        eprintln!("every_stream_count_at_4_kib_blocks: skipped, this CPU has no SHA-NI streams");
+        return;
+    }
+    const BLOCK: usize = 4096;
+    let content = SplitMix64(0x5ec).bytes(32 * BLOCK + TAILS[TAILS.len() - 1]);
+    let mut memo = HashMap::new();
+    let mut arena = vec![0u8; content.len() + 128];
+    let line = arena.as_ptr().align_offset(64);
+    // Wide kernel off: runs of 1..=16 full blocks are every mix of four,
+    // two and one streams. Wide kernel on from sixteen blocks: one pass,
+    // then 1..=15 blocks of interleaved remainder, or a second pass.
+    for (from, runs) in [(usize::MAX, 1..=16), (16, 17..=32)] {
+        for n in runs {
+            for tail in TAILS {
+                let len = n * BLOCK + tail;
+                let want = expected(&mut memo, &content, BLOCK, len);
+                for misalign in 0..64 {
+                    let base = line + misalign;
+                    arena[base..base + len].copy_from_slice(&content[..len]);
+                    let mut got = vec![[0xa5u8; 32]; want.len()];
+                    block_digests_with(from, &arena[base..base + len], BLOCK, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "{n} blocks + {tail}, misaligned by {misalign}, wide from {from}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn the_entry_point_is_the_break_even_dispatch() {
-    // `block_digests` itself, where 7 full blocks stay single-stream, 8
-    // go wide, 23 are one pass and 7 singles and 24 a pass and a half.
+    // `block_digests` itself, where 7 full blocks stay off the wide
+    // kernel, 8 go wide, 23 are one pass and 7 streams and 24 a pass and
+    // a half.
     assert_eq!(WIDE_MIN_BLOCKS, 8, "the counts in this test straddle the break-even");
     let content = SplitMix64(0x21).bytes(MAX_BLOCKS * 4096 + 4095);
     let mut memo = HashMap::new();

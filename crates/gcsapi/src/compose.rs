@@ -71,7 +71,11 @@ impl BatchReport {
     /// Appends another batch that ran *after* this one (latencies add).
     pub fn then(mut self, next: BatchReport) -> Self {
         self.latency += next.latency;
-        self.ops.extend(next.ops);
+        if self.ops.is_empty() {
+            self.ops = next.ops;
+        } else {
+            self.ops.extend(next.ops);
+        }
         self
     }
 

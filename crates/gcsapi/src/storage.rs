@@ -3,6 +3,7 @@
 //! used as the reference semantics for conformance tests.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use std::sync::RwLock;
@@ -81,7 +82,7 @@ pub trait CloudStorage: Send + Sync {
 pub struct MemoryCloud {
     id: ProviderId,
     name: String,
-    containers: RwLock<BTreeMap<String, BTreeMap<String, Bytes>>>,
+    containers: RwLock<BTreeMap<String, BTreeMap<Arc<str>, Bytes>>>,
 }
 
 impl MemoryCloud {
@@ -132,8 +133,8 @@ impl CloudStorage for MemoryCloud {
     fn put(&self, key: &ObjectKey, data: Bytes) -> CloudResult<OpOutcome<()>> {
         let mut c = write(&self.containers);
         let container = c
-            .get_mut(&key.container)
-            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
+            .get_mut(&*key.container)
+            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.to_string() })?;
         let len = data.len() as u64;
         container.insert(key.name.clone(), data);
         Ok(OpOutcome::new((), self.report(OpKind::Put, len, 0)))
@@ -142,10 +143,10 @@ impl CloudStorage for MemoryCloud {
     fn get(&self, key: &ObjectKey) -> CloudResult<OpOutcome<Bytes>> {
         let c = read(&self.containers);
         let container = c
-            .get(&key.container)
-            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
+            .get(&*key.container)
+            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.to_string() })?;
         let data = container
-            .get(&key.name)
+            .get(&*key.name)
             .cloned()
             .ok_or_else(|| CloudError::NoSuchObject { key: key.clone() })?;
         let len = data.len() as u64;
@@ -157,26 +158,28 @@ impl CloudStorage for MemoryCloud {
         let cont = c
             .get(container)
             .ok_or_else(|| CloudError::NoSuchContainer { container: container.to_string() })?;
-        let names: Vec<String> = cont.keys().cloned().collect();
+        let names: Vec<String> = cont.keys().map(|name| name.to_string()).collect();
         Ok(OpOutcome::new(names, self.report(OpKind::List, 0, 0)))
     }
 
     fn remove(&self, key: &ObjectKey) -> CloudResult<OpOutcome<()>> {
         let mut c = write(&self.containers);
         let container = c
-            .get_mut(&key.container)
-            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
-        container.remove(&key.name).ok_or_else(|| CloudError::NoSuchObject { key: key.clone() })?;
+            .get_mut(&*key.container)
+            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.to_string() })?;
+        container
+            .remove(&*key.name)
+            .ok_or_else(|| CloudError::NoSuchObject { key: key.clone() })?;
         Ok(OpOutcome::new((), self.report(OpKind::Remove, 0, 0)))
     }
 
     fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> CloudResult<OpOutcome<Bytes>> {
         let c = read(&self.containers);
         let container = c
-            .get(&key.container)
-            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
+            .get(&*key.container)
+            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.to_string() })?;
         let data = container
-            .get(&key.name)
+            .get(&*key.name)
             .ok_or_else(|| CloudError::NoSuchObject { key: key.clone() })?;
         let end = ((offset + len) as usize).min(data.len());
         let start = (offset as usize).min(end);
@@ -188,10 +191,10 @@ impl CloudStorage for MemoryCloud {
     fn put_range(&self, key: &ObjectKey, offset: u64, data: Bytes) -> CloudResult<OpOutcome<()>> {
         let mut c = write(&self.containers);
         let container = c
-            .get_mut(&key.container)
-            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.clone() })?;
+            .get_mut(&*key.container)
+            .ok_or_else(|| CloudError::NoSuchContainer { container: key.container.to_string() })?;
         let existing = container
-            .get_mut(&key.name)
+            .get_mut(&*key.name)
             .ok_or_else(|| CloudError::NoSuchObject { key: key.clone() })?;
         let mut content = existing.to_vec();
         let end = offset as usize + data.len();

@@ -1,6 +1,8 @@
 //! Core vocabulary of the GCS-API: who (provider), what (object key),
 //! which op, and what it cost.
 
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Identifies one cloud storage provider within a fleet. Cheap to copy;
@@ -16,33 +18,31 @@ impl std::fmt::Display for ProviderId {
 
 /// Fully-qualified object name: container plus object name, mirroring the
 /// bucket/key model every RESTful object store exposes.
+///
+/// Both parts are shared immutable strings, so a clone allocates
+/// nothing: a container is almost always a `'static` constant, and a name
+/// is allocated once, when the key is built, then kept by reference count
+/// by whatever holds on to the object — the recovery log, a provider's
+/// store, the integrity index. `Eq`, `Ord`, `Hash`, `Debug` and `Display`
+/// are those of the `(container, name)` string pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectKey {
     /// Container (bucket) name.
-    pub container: String,
+    pub container: Cow<'static, str>,
     /// Object name within the container.
-    pub name: String,
+    pub name: Arc<str>,
 }
 
 impl ObjectKey {
-    /// Builds a key from container and name.
-    pub fn new(container: impl Into<String>, name: impl Into<String>) -> Self {
-        ObjectKey { container: container.into(), name: name.into() }
+    /// Builds a key from a container — a `'static` string is borrowed,
+    /// an owned one kept — and a name, copied once into a shared string.
+    pub fn new(container: impl Into<Cow<'static, str>>, name: impl AsRef<str>) -> Self {
+        ObjectKey::shared(container, Arc::from(name.as_ref()))
     }
-}
 
-/// A call that may have to keep the key (the recovery log does) takes
-/// `impl Into<Cow<ObjectKey>>`: lend a key shared between calls, or
-/// give away one the caller is done with and spare the copy.
-impl<'a> From<&'a ObjectKey> for std::borrow::Cow<'a, ObjectKey> {
-    fn from(key: &'a ObjectKey) -> Self {
-        std::borrow::Cow::Borrowed(key)
-    }
-}
-
-impl From<ObjectKey> for std::borrow::Cow<'_, ObjectKey> {
-    fn from(key: ObjectKey) -> Self {
-        std::borrow::Cow::Owned(key)
+    /// Builds a key over a name that is already shared: no copy.
+    pub fn shared(container: impl Into<Cow<'static, str>>, name: Arc<str>) -> Self {
+        ObjectKey { container: container.into(), name }
     }
 }
 

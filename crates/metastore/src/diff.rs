@@ -58,29 +58,28 @@ pub(crate) const OP_UPSERT: u8 = 0;
 /// Wire tag of a remove op; the name follows.
 pub(crate) const OP_REMOVE: u8 = 1;
 
-/// Assembles the full `HYD1` wire bytes from `count` pre-encoded ops —
-/// the diff twin of [`codec::assemble_block`]. The flush path feeds it
-/// the cached entry encodings directly, so shipping a diff clones no
-/// inode.
-pub(crate) fn assemble_diff(
-    dir: &NormPath,
-    base: u64,
-    version: u64,
-    count: usize,
-    ops: &[u8],
-) -> Vec<u8> {
-    let dir = dir.as_str();
-    let mut out = Vec::with_capacity(DIFF_MAGIC.len() + 8 + 4 + dir.len() + 8 + 8 + 4 + ops.len());
+/// Starts a `HYD1` frame in `out` (empty): the header, with the checksum
+/// and the op count left for [`end_diff`]. The caller appends the ops
+/// straight after it — the flush path writes each changed entry's
+/// encoding once, into the buffer that ships.
+pub(crate) fn begin_diff(out: &mut Vec<u8>, dir: &NormPath, base: u64, version: u64) {
+    debug_assert!(out.is_empty());
     out.extend_from_slice(DIFF_MAGIC);
-    out.extend_from_slice(&[0u8; 8]); // checksum, patched below
-    codec::put_str(&mut out, dir);
-    codec::put_u64(&mut out, base);
-    codec::put_u64(&mut out, version);
-    codec::put_u32(&mut out, count as u32);
-    out.extend_from_slice(ops);
+    out.extend_from_slice(&[0u8; 8]); // checksum, patched by `end_diff`
+    codec::put_str(out, dir.as_str());
+    codec::put_u64(out, base);
+    codec::put_u64(out, version);
+    codec::put_u32(out, 0); // op count, patched by `end_diff`
+}
+
+/// Completes a frame [`begin_diff`] started and `count` ops followed.
+pub(crate) fn end_diff(out: &mut [u8], count: usize) {
+    // The count sits right after the directory, base and version.
+    let dir_len = u32::from_le_bytes(out[12..16].try_into().expect("4 bytes")) as usize;
+    let at = 16 + dir_len + 16;
+    out[at..at + 4].copy_from_slice(&(count as u32).to_le_bytes());
     let checksum = codec::fnv64(&out[12..]);
     out[4..12].copy_from_slice(&checksum.to_le_bytes());
-    out
 }
 
 /// A directory's changes between flushed versions `base` → `version`.
@@ -115,20 +114,22 @@ impl DiffBlock {
 
     /// Serializes to the checksummed `HYD1` wire frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut ops = Vec::with_capacity(self.ops.len() * 128);
+        let mut out = Vec::with_capacity(64 + self.ops.len() * 128);
+        begin_diff(&mut out, &self.dir, self.base, self.version);
         for op in &self.ops {
             match op {
                 EntryOp::Upsert(name, inode) => {
-                    ops.push(OP_UPSERT);
-                    codec::encode_entry(&mut ops, name, inode);
+                    out.push(OP_UPSERT);
+                    codec::encode_entry(&mut out, name, inode);
                 }
                 EntryOp::Remove(name) => {
-                    ops.push(OP_REMOVE);
-                    codec::put_str(&mut ops, name);
+                    out.push(OP_REMOVE);
+                    codec::put_str(&mut out, name);
                 }
             }
         }
-        assemble_diff(&self.dir, self.base, self.version, self.ops.len(), &ops)
+        end_diff(&mut out, self.ops.len());
+        out
     }
 
     /// Parses a diff fetched from a provider. A torn or bit-flipped

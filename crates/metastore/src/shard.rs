@@ -35,15 +35,19 @@
 //!   compaction body and [`ShardedMetaStore::seed_flushed`] are
 //!   O(directory). Restart reconstructs state with
 //!   [`crate::diff::resolve_chain`]: the highest intact full block plus
-//!   every intact diff that links onto it.
+//!   every intact diff that links onto it. A flush locks only the shards
+//!   marked as holding a dirty directory; the mark is set and cleared
+//!   under the shard's own write lock, so it never disagrees with the
+//!   shard's dirty list where anyone can look.
 //!
 //! Lock-contention telemetry (contended acquisitions and wall-clock
 //! wait) is accumulated in atomics and published to the metrics
 //! registry by the dispatcher — never into the byte-compared trace.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::Bound::Included;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crate::codec::{self, MetadataBlock};
@@ -88,8 +92,9 @@ pub struct FlushItem {
     pub dir: NormPath,
     /// The flushed version the directory reaches with this item.
     pub version: u64,
-    /// Provider object name to store the bytes under.
-    pub object: String,
+    /// Provider object name to store the bytes under — for a diff, the
+    /// same shared string the directory's live chain records.
+    pub object: Arc<str>,
     /// The exact bytes to ship to every replica.
     pub bytes: Vec<u8>,
     /// Full block, diff, or compaction.
@@ -97,7 +102,7 @@ pub struct FlushItem {
     /// Changed entries (diff ops, or entry count for full blocks).
     pub records: usize,
     /// Diff objects this item makes obsolete (compaction only).
-    pub supersedes: Vec<String>,
+    pub supersedes: Vec<Arc<str>>,
 }
 
 /// Counter snapshot for the metrics registry (monotone totals).
@@ -122,28 +127,30 @@ pub struct ShardGauge {
     pub chain_max: usize,
 }
 
-/// One directory's entries plus its flush bookkeeping.
+/// One directory's entries plus its flush bookkeeping. An entry's name
+/// is allocated once, when the file is created or loaded, and shared by
+/// every table below that names it.
 #[derive(Debug, Default)]
 struct DirState {
     /// Child directory names (structure only; not persisted in blocks).
     subdirs: BTreeSet<String>,
     /// File entries: name → inode.
-    files: BTreeMap<String, Inode>,
+    files: BTreeMap<Arc<str>, Inode>,
     /// Version reached by the last flush, `None` before the first.
     flushed_version: Option<u64>,
     /// Per-entry wire encoding (`name + inode`) at the last flush — the
     /// unit of change detection, and the body source for full blocks so
     /// unchanged entries are never re-encoded.
-    flushed_entries: BTreeMap<String, Vec<u8>>,
+    flushed_entries: BTreeMap<Arc<str>, Vec<u8>>,
     /// Live diff object names since the last full block, version order.
-    chain: Vec<String>,
+    chain: Vec<Arc<str>>,
     /// Names whose entry in `files` may differ from `flushed_entries`
     /// (created, re-placed, removed or loaded since the last flush), in
     /// the order they were touched, repeats included. Invariant: every
     /// name *not* in here has `files[name]` encoding to exactly
     /// `flushed_entries[name]`, or is absent from both — so a flush need
     /// look at nothing else.
-    touched: Vec<String>,
+    touched: Vec<Arc<str>>,
 }
 
 impl DirState {
@@ -158,7 +165,7 @@ impl DirState {
         for (name, inode) in &self.files {
             let mut enc = Vec::with_capacity(128);
             codec::encode_entry(&mut enc, name, inode);
-            self.flushed_entries.insert(name.clone(), enc);
+            self.flushed_entries.insert(Arc::clone(name), enc);
         }
         self.touched.clear();
     }
@@ -171,20 +178,37 @@ struct Shard {
     version: u64,
     /// Directories assigned to this shard.
     dirs: BTreeMap<NormPath, DirState>,
-    /// Directories with unflushed changes.
-    dirty: BTreeSet<NormPath>,
+    /// Directories with unflushed changes, each once, in the order they
+    /// were first marked. A flush drains it and keeps the capacity; it is
+    /// short, because every writer flushes what it marked.
+    dirty: Vec<NormPath>,
 }
 
 impl Shard {
     /// Marks `dir` dirty and `name` inside it touched — what every
     /// mutation of a (plan-validated) directory's entry table ends with.
-    fn touch(&mut self, dir: &str, name: &str) {
-        self.dirs.get_mut(dir).expect("validated by plan").touched.push(name.to_string());
+    /// `name` is the entry's own shared name.
+    fn touch(&mut self, dir: &str, name: Arc<str>) {
+        let (dir, state) = self
+            .dirs
+            .range_mut::<str, _>((Included(dir), Included(dir)))
+            .next()
+            .expect("validated by plan");
+        state.touched.push(name);
         if !self.dirty.contains(dir) {
-            let (key, _) = self.dirs.get_key_value(dir).expect("validated by plan");
-            self.dirty.insert(key.clone());
+            self.dirty.push(dir.clone());
         }
     }
+}
+
+/// The entry `name` of a file table, if any: its shared name and its
+/// inode, found in one descent.
+fn find_mut<'a>(
+    files: &'a mut BTreeMap<Arc<str>, Inode>,
+    name: &str,
+) -> Option<(Arc<str>, &'a mut Inode)> {
+    let (key, inode) = files.range_mut::<str, _>((Included(name), Included(name))).next()?;
+    Some((Arc::clone(key), inode))
 }
 
 /// The sharded store. All methods take `&self`; synchronization is
@@ -193,6 +217,11 @@ impl Shard {
 #[derive(Debug)]
 pub struct ShardedMetaStore {
     shards: Vec<RwLock<Shard>>,
+    /// Per shard: set, under the shard's write lock, by every commit that
+    /// leaves its dirty list non-empty, and cleared, under the same lock,
+    /// by the flush that empties it — so a flush visits only the shards
+    /// that hold a dirty directory and can lose no mark.
+    marked: Vec<AtomicBool>,
     next_id: AtomicU64,
     occ_conflicts: AtomicU64,
     occ_retries: AtomicU64,
@@ -214,6 +243,7 @@ impl ShardedMetaStore {
         let shards = shards.max(1);
         let store = ShardedMetaStore {
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
+            marked: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             next_id: AtomicU64::new(0),
             occ_conflicts: AtomicU64::new(0),
             occ_retries: AtomicU64::new(0),
@@ -294,6 +324,9 @@ impl ShardedMetaStore {
             }
             let out = apply(&mut shard, planned);
             shard.version += 1;
+            if !shard.dirty.is_empty() {
+                self.marked[idx].store(true, Ordering::Release);
+            }
             return Ok(out);
         }
     }
@@ -355,7 +388,9 @@ impl ShardedMetaStore {
             |_| Ok(()),
             |shard, ()| {
                 shard.dirs.entry(dir.clone()).or_default();
-                shard.dirty.insert(dir.clone());
+                if !shard.dirty.contains(dir) {
+                    shard.dirty.push(dir.clone());
+                }
             },
         )
     }
@@ -382,7 +417,8 @@ impl ShardedMetaStore {
             |shard, ()| {
                 let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
                 let dir = shard.dirs.get_mut(parent).expect("validated by plan");
-                dir.files.insert(name.to_string(), Inode::new(id, size, now));
+                let name: Arc<str> = Arc::from(name);
+                dir.files.insert(Arc::clone(&name), Inode::new(id, size, now));
                 shard.touch(parent, name);
                 id
             },
@@ -429,7 +465,7 @@ impl ShardedMetaStore {
             },
             |shard, ()| {
                 let dir = shard.dirs.get_mut(parent).expect("validated by plan");
-                let inode = dir.files.get_mut(name).expect("validated by plan");
+                let (name, inode) = find_mut(&mut dir.files, name).expect("validated by plan");
                 inode.placement = placement;
                 inode.size = size;
                 inode.touch(now);
@@ -473,7 +509,7 @@ impl ShardedMetaStore {
                     return false;
                 }
                 let dir = shard.dirs.get_mut(parent).expect("validated by plan");
-                let inode = dir.files.get_mut(name).expect("validated by plan");
+                let (name, inode) = find_mut(&mut dir.files, name).expect("validated by plan");
                 // Re-check under the write lock: the plan may have been
                 // re-run there after exhausted OCC retries, but a racing
                 // commit between plan and apply is impossible either way
@@ -510,7 +546,7 @@ impl ShardedMetaStore {
             },
             |shard, ()| {
                 let dir = shard.dirs.get_mut(parent).expect("validated by plan");
-                let inode = dir.files.remove(name).expect("validated by plan");
+                let (name, inode) = dir.files.remove_entry(name).expect("validated by plan");
                 shard.touch(parent, name);
                 inode
             },
@@ -530,7 +566,7 @@ impl ShardedMetaStore {
             out.push(DirEntry::Dir(name.clone()));
         }
         for (name, inode) in &state.files {
-            out.push(DirEntry::File(name.clone(), inode.id));
+            out.push(DirEntry::File(name.to_string(), inode.id));
         }
         Ok(out)
     }
@@ -544,7 +580,7 @@ impl ShardedMetaStore {
             .dirs
             .get(dir)
             .ok_or_else(|| MetaError::NoSuchDirectory(dir.as_str().to_string()))?;
-        Ok(state.files.iter().map(|(n, i)| (n.clone(), i.clone())).collect())
+        Ok(state.files.iter().map(|(n, i)| (n.to_string(), i.clone())).collect())
     }
 
     /// Every directory, depth-first from the root (children in name
@@ -612,9 +648,8 @@ impl ShardedMetaStore {
 
     /// Directories with unflushed changes, sorted (test/debug surface).
     pub fn dirty_dirs(&self) -> Vec<NormPath> {
-        let mut out: Vec<NormPath> = (0..self.shards.len())
-            .flat_map(|i| self.read_shard(i).dirty.iter().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut out: Vec<NormPath> =
+            (0..self.shards.len()).flat_map(|i| self.read_shard(i).dirty.to_vec()).collect();
         out.sort();
         out
     }
@@ -634,16 +669,23 @@ impl ShardedMetaStore {
     ///
     /// Items come out sorted by directory, so the shipped sequence is
     /// independent of the shard count and layout.
+    ///
+    /// Only the shards marked as holding a dirty directory are locked.
     pub fn flush_dirty_encoded(&self) -> Vec<FlushItem> {
         let mut items = Vec::new();
         for idx in 0..self.shards.len() {
-            let mut shard = self.write_shard(idx);
-            if shard.dirty.is_empty() {
+            // Acquire pairs with the Release in `commit`: a mark this
+            // load sees comes with the commit that set it. The dirty list
+            // itself is read under the lock below; a clear store needs no
+            // ordering of its own, the lock's release publishes it.
+            if !self.marked[idx].load(Ordering::Acquire) {
                 continue;
             }
-            let dirty = std::mem::take(&mut shard.dirty);
+            let mut guard = self.write_shard(idx);
+            self.marked[idx].store(false, Ordering::Relaxed);
+            let shard = &mut *guard;
             let mut mutated = false;
-            for dir in dirty {
+            for dir in shard.dirty.drain(..) {
                 let Some(state) = shard.dirs.get_mut(&dir) else {
                     continue;
                 };
@@ -676,40 +718,53 @@ impl ShardedMetaStore {
         state.touched.sort_unstable();
         state.touched.dedup();
 
-        // Fold each touched name into `flushed_entries`, keeping the wire
-        // form of every byte-level change. The byte compare is what lets
-        // a rollback (create + remove) or a change that netted out ship
-        // nothing.
+        // Fold each touched name into `flushed_entries`. Each entry is
+        // encoded once, at the end of the diff that ships, and dropped
+        // from it again when its bytes match the last flush — the byte
+        // compare is what lets a rollback (create + remove) or a change
+        // that netted out ship nothing. A compaction ships the full block
+        // instead, and the buffer is only the encoder's scratch.
+        let version = base + 1;
         let compact = state.chain.len() >= COMPACT_EVERY;
-        let mut ops = Vec::with_capacity(if compact { 0 } else { 160 * state.touched.len() });
+        let mut out = if compact {
+            Vec::with_capacity(160)
+        } else {
+            let mut out = Vec::with_capacity(64 + dir.as_str().len() + 160 * state.touched.len());
+            diff::begin_diff(&mut out, &dir, base, version);
+            out
+        };
         let mut records = 0;
-        let mut enc = Vec::with_capacity(128);
         for name in &state.touched {
+            let mark = out.len();
             match state.files.get(name) {
                 Some(inode) => {
-                    enc.clear();
-                    codec::encode_entry(&mut enc, name, inode);
+                    out.push(diff::OP_UPSERT);
+                    codec::encode_entry(&mut out, name, inode);
+                    let enc = &out[mark + 1..];
                     match state.flushed_entries.get_mut(name) {
-                        Some(flushed) if *flushed == enc => continue,
-                        Some(flushed) => flushed.clone_from(&enc),
-                        None => {
-                            state.flushed_entries.insert(name.clone(), enc.clone());
+                        Some(flushed) if flushed[..] == *enc => {
+                            out.truncate(mark);
+                            continue;
                         }
-                    }
-                    if !compact {
-                        ops.push(diff::OP_UPSERT);
-                        ops.extend_from_slice(&enc);
+                        Some(flushed) => {
+                            flushed.clear();
+                            flushed.extend_from_slice(enc);
+                        }
+                        None => {
+                            state.flushed_entries.insert(Arc::clone(name), enc.to_vec());
+                        }
                     }
                 }
                 None => {
                     if state.flushed_entries.remove(name).is_none() {
                         continue;
                     }
-                    if !compact {
-                        ops.push(diff::OP_REMOVE);
-                        codec::put_str(&mut ops, name);
-                    }
+                    out.push(diff::OP_REMOVE);
+                    codec::put_str(&mut out, name);
                 }
+            }
+            if compact {
+                out.truncate(mark);
             }
             records += 1;
         }
@@ -717,21 +772,21 @@ impl ShardedMetaStore {
         if records == 0 {
             return None;
         }
-        let version = base + 1;
         if compact {
             return Some(Self::full_block(dir, state, version, FlushKind::Compact));
         }
 
-        // Incremental diff on top of the previous flushed version.
-        let bytes = diff::assemble_diff(&dir, base, version, records, &ops);
-        let object = DiffBlock::object_name(&dir, version);
-        state.chain.push(object.clone());
+        // Incremental diff on top of the previous flushed version, named
+        // once for the chain and the item.
+        diff::end_diff(&mut out, records);
+        let object: Arc<str> = DiffBlock::object_name(&dir, version).into();
+        state.chain.push(Arc::clone(&object));
         state.flushed_version = Some(version);
         Some(FlushItem {
             dir,
             version,
             object,
-            bytes,
+            bytes: out,
             kind: FlushKind::Diff,
             records,
             supersedes: Vec::new(),
@@ -750,7 +805,7 @@ impl ShardedMetaStore {
         }
         state.flushed_version = Some(version);
         FlushItem {
-            object: MetadataBlock::object_name(&dir),
+            object: MetadataBlock::object_name(&dir).into(),
             bytes: codec::assemble_block(&dir, version, &body),
             dir,
             version,
@@ -784,7 +839,7 @@ impl ShardedMetaStore {
         let Some(state) = shard.dirs.get_mut(dir) else {
             return;
         };
-        state.chain = chain;
+        state.chain = chain.into_iter().map(Arc::from).collect();
         shard.version += 1;
     }
 
@@ -816,21 +871,24 @@ impl ShardedMetaStore {
             |shard, ()| {
                 let dir = shard.dirs.get_mut(&block.dir).expect("validated by plan");
                 for (name, inode) in &block.entries {
-                    match dir.files.get_mut(name) {
-                        Some(existing) => {
+                    let name = match find_mut(&mut dir.files, name) {
+                        Some((name, existing)) => {
                             if inode.version <= existing.version {
                                 continue;
                             }
                             let keep = existing.id; // path keeps its local id
                             *existing = inode.clone();
                             existing.id = keep;
+                            name
                         }
                         None => {
-                            dir.files.insert(name.clone(), inode.clone());
+                            let name: Arc<str> = Arc::from(name.as_str());
+                            dir.files.insert(Arc::clone(&name), inode.clone());
                             self.next_id.fetch_max(inode.id.0 + 1, Ordering::Relaxed);
+                            name
                         }
-                    }
-                    dir.touched.push(name.clone());
+                    };
+                    dir.touched.push(name);
                 }
             },
         )
@@ -864,7 +922,7 @@ impl ShardedMetaStore {
                 self.read_shard(i)
                     .dirs
                     .values()
-                    .flat_map(|d| d.chain.iter().cloned())
+                    .flat_map(|d| d.chain.iter().map(|name| name.to_string()))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -1059,7 +1117,7 @@ mod tests {
         let first = s.flush_dirty_encoded();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].kind, FlushKind::Block);
-        assert_eq!(first[0].object, MetadataBlock::object_name(&p("/d")));
+        assert_eq!(*first[0].object, MetadataBlock::object_name(&p("/d")));
         let block = MetadataBlock::from_bytes(&first[0].bytes).unwrap();
         assert_eq!(block.entries.len(), 1);
         assert_eq!(block.version, first[0].version);

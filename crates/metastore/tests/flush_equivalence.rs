@@ -93,11 +93,14 @@ impl Oracle {
                 items.push(FlushItem {
                     dir: dir.clone(),
                     version,
-                    object: MetadataBlock::object_name(&dir),
+                    object: MetadataBlock::object_name(&dir).into(),
                     bytes: assemble_block(&dir, version, &body),
                     kind: if first { FlushKind::Block } else { FlushKind::Compact },
                     records: state.flushed_entries.len(),
-                    supersedes: std::mem::take(&mut state.chain),
+                    supersedes: std::mem::take(&mut state.chain)
+                        .into_iter()
+                        .map(Into::into)
+                        .collect(),
                 });
                 continue;
             }
@@ -121,7 +124,7 @@ impl Oracle {
             items.push(FlushItem {
                 dir: dir.clone(),
                 version,
-                object,
+                object: object.into(),
                 bytes: DiffBlock { dir, base, version, ops }.to_bytes(),
                 kind: FlushKind::Diff,
                 records,

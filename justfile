@@ -113,6 +113,15 @@ perf-test:
 perf-pairs base workloads pairs="10":
     scripts/perf_pairs.sh {{base}} {{workloads}} {{pairs}}
 
+# The per-layer ledger of <base> (a git revision, unpacked with `git
+# archive`) against the working tree: `--trace 1` runs of one workload,
+# alternating sides, each per-layer metric's median on both sides and
+# their ratio — where a wall-clock change went. Exits 1 when a count row
+# (provider ops and bytes, flush bytes, hashed MiB, gfec calls, trace
+# records and bytes) differs in any run.
+ledger-cmp base workload runs="3":
+    scripts/ledger_cmp.sh {{base}} {{workload}} {{runs}}
+
 # Byte-identity of what the telemetry path writes, <base> (a git revision,
 # unpacked with `git archive`) against the working tree: the chaos smoke
 # trace and its --obs report, trace_report --jobs 4 over it, the 4-client
