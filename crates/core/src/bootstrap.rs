@@ -11,7 +11,7 @@
 //!   have been mid-ship, so those bytes can be newer than anything that
 //!   landed.
 //! * **Fetch** each name from the providers that listed it. A torn read
-//!   (truncated or bit-flipped, caught by the `HYM2` / `HYD1` checksum)
+//!   (truncated or bit-flipped, caught by the `HYM3` / `HYD2` checksum)
 //!   is retried twice — wire corruption is transient — before that
 //!   replica is skipped.
 //! * **Vote**: the highest intact version of a full block wins; a diff

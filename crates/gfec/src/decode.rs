@@ -13,13 +13,17 @@
 //! kernel degenerates to the plain XOR of the survivors; a healthy read
 //! does no arithmetic at all.
 //!
-//! The combination is one [`combine_into`] call: all survivors walked in
-//! lockstep, each output byte stored once into the buffer's spare
-//! capacity — no zero fill, no second visit (DESIGN.md §8.1).
+//! [`decode_object`] walks the stripe in [`FUSED_BLOCK`]-wide columns. In
+//! each it first copies every present data shard's block into place,
+//! then combines every absent shard's block from the same column of the
+//! basis fragments — which the copies have just pulled into cache — all
+//! survivors walked in lockstep. So each fetched byte is read from memory
+//! once and each output byte stored once, into the buffer's spare
+//! capacity: no zero fill, no second visit (DESIGN.md §8.1).
 
 use std::cell::OnceCell;
 
-use crate::gf256::{combine_into, Gf256};
+use crate::gf256::{combine_into, combine_window, Gf256, Kernel, Term, FUSED_BLOCK};
 use crate::matrix::Matrix;
 use crate::stripe::FragmentLayout;
 use crate::{ErasureCode, GfecError, Result};
@@ -99,11 +103,11 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
     /// The nonzero `(coefficient, source)` terms whose GF(2^8) sum is the
     /// absent fragment `index`: its generator row pushed through the
     /// inverse of the basis rows.
-    fn terms(&self, index: usize) -> Vec<(Gf256, &'a [u8])> {
+    fn terms(&self, index: usize) -> impl Iterator<Item = (Gf256, &'a [u8])> + '_ {
         self.basis
             .iter()
             .enumerate()
-            .map(|(j, &i)| {
+            .map(move |(j, &i)| {
                 let c = match &self.inverse {
                     None => self.generator(index, j),
                     Some(inverse) => (0..self.m).fold(Gf256::ZERO, |acc, k| {
@@ -113,7 +117,6 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
                 (c, self.by_index[i].expect("basis fragments are present"))
             })
             .filter(|(c, _)| c.0 != 0)
-            .collect()
     }
 
     /// Appends the first `take` bytes of fragment `index` to `out`: one
@@ -122,8 +125,25 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
     pub(crate) fn append(&self, index: usize, take: usize, out: &mut Vec<u8>) {
         match self.by_index[index] {
             Some(src) => out.extend_from_slice(&src[..take]),
-            None => combine_into(out, take, &self.terms(index)),
+            None => combine_into(out, take, &self.terms(index).collect::<Vec<_>>()),
         }
+    }
+}
+
+/// One term of an absent data shard's combination, tagged with the shard
+/// it makes, so that every absent shard's terms share one list.
+struct Part<'a> {
+    shard: usize,
+    coefficient: Gf256,
+    source: &'a [u8],
+}
+
+impl Term for Part<'_> {
+    fn coefficient(&self) -> Gf256 {
+        self.coefficient
+    }
+    fn source(&self) -> &[u8] {
+        self.source
     }
 }
 
@@ -154,14 +174,59 @@ pub fn decode_object<C: ErasureCode + ?Sized, B: AsRef<[u8]>>(
     layout: &FragmentLayout,
     available: &[(usize, B)],
 ) -> Result<Vec<u8>> {
+    decode_object_with(Kernel::detect(), code, layout, available)
+}
+
+/// [`decode_object`] on a chosen kernel — for the bit-identity tests,
+/// which must reach every implementation on one host.
+pub fn decode_object_with<C: ErasureCode + ?Sized, B: AsRef<[u8]>>(
+    kernel: Kernel,
+    code: &C,
+    layout: &FragmentLayout,
+    available: &[(usize, B)],
+) -> Result<Vec<u8>> {
     let decoder = Decoder::new(code, layout.shard_len, available)?;
+    let (m, shard_len) = (decoder.m, layout.shard_len);
     // The fragments bound the allocation, whatever the layout claims.
-    let len = layout.object_len.min(decoder.m * layout.shard_len);
-    let mut object = Vec::with_capacity(len);
-    for shard in 0..decoder.m {
-        let take = (len - object.len()).min(layout.shard_len);
-        decoder.append(shard, take, &mut object);
+    let len = layout.object_len.min(m * shard_len);
+    let absent = (0..m).filter(|&shard| decoder.by_index[shard].is_none());
+    // Every absent shard's terms in one list, shard by shard.
+    let mut parts = Vec::with_capacity(absent.clone().count() * m);
+    for shard in absent.clone() {
+        parts.extend(decoder.terms(shard).map(|(coefficient, source)| Part {
+            shard,
+            coefficient,
+            source,
+        }));
     }
+    let mut object = Vec::with_capacity(len);
+    let out = &mut object.spare_capacity_mut()[..len];
+    for column in (0..len.min(shard_len)).step_by(FUSED_BLOCK) {
+        // Shard `s`'s block of this column, clipped to the object.
+        let block = |s: usize| {
+            let start = (s * shard_len + column).min(len);
+            start..(start + FUSED_BLOCK).min((s + 1) * shard_len).min(len)
+        };
+        for (s, fragment) in decoder.by_index[..m].iter().enumerate() {
+            if let Some(fragment) = fragment {
+                let dst = &mut out[block(s)];
+                dst.write_copy_of_slice(&fragment[column..column + dst.len()]);
+            }
+        }
+        let mut rest = &parts[..];
+        for s in absent.clone() {
+            let (run, tail) = rest.split_at(rest.iter().take_while(|p| p.shard == s).count());
+            combine_window(kernel, &mut out[block(s)], column, run);
+            rest = tail;
+        }
+    }
+    // SAFETY: every byte of every window was stored — a present shard's
+    // by `write_copy_of_slice`, an absent one's by `combine_window` (an
+    // empty run stores zeros) — and the windows tile `0..len`: data shard
+    // `s` owns `s * shard_len..(s + 1) * shard_len` clipped to `len`,
+    // never more than `min(len, shard_len)` bytes, which the columns
+    // cover, and every data shard got its window of every column.
+    unsafe { object.set_len(len) };
     Ok(object)
 }
 

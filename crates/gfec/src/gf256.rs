@@ -18,11 +18,16 @@
 //! — two 16-entry lookups from one 32-byte table row that stays resident
 //! in L1, with no per-byte zero branch and no dependent log→exp lookup
 //! chain. On x86_64 with AVX2 the two 16-entry tables become `vpshufb`
-//! operands, 64 bytes of every source per step; elsewhere (and for tails)
-//! a step is eight bytes. `tests/oracle/` computes the same sums one
-//! [`Gf256`] multiplication per byte; each implementation is proven
-//! bit-identical to that for every coefficient kind, term count, tail
-//! length and source alignment (`tests/kernel_proptests.rs`).
+//! operands, 64 bytes of every source per step; with AVX-512F a set of
+//! unit terms — all of RAID5 — needs no tables and is XORed 128 bytes a
+//! step; elsewhere (and for tails) a step is eight bytes. The loop reads
+//! its sources from an offset, so a blocked caller hands it one window of
+//! whole fragments without re-slicing them. `tests/oracle/` computes the
+//! same sums one [`Gf256`] multiplication per byte; each implementation
+//! is proven bit-identical to that for every coefficient kind, term
+//! count, tail length and source alignment (`tests/kernel_proptests.rs`).
+
+use std::mem::MaybeUninit;
 
 /// The primitive polynomial 0x11d, with the implicit x^8 term.
 pub const PRIMITIVE_POLY: u16 = 0x11d;
@@ -263,15 +268,24 @@ pub enum Kernel {
     /// `vpshufb` on 256-bit registers, 64 bytes a step. Asked for on a
     /// CPU without AVX2, it is [`Kernel::Portable`].
     Avx2,
+    /// A term set whose every coefficient is 1 — every RAID5 encode,
+    /// decode, parity update and rebuild — XORed in 512-bit registers,
+    /// 128 bytes a step; any other term set runs [`Kernel::Avx2`]. Asked
+    /// for on a CPU without AVX-512F, it is [`Kernel::Avx2`].
+    Avx512,
 }
 
 impl Kernel {
     /// The fastest kernel this CPU runs. `std` caches the CPUID probe, so
-    /// this is a load per slice operation, not a `cpuid`.
+    /// this is a load or two per slice operation, not a `cpuid`.
     pub fn detect() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
+            return if std::is_x86_feature_detected!("avx512f") {
+                Kernel::Avx512
+            } else {
+                Kernel::Avx2
+            };
         }
         Kernel::Portable
     }
@@ -300,6 +314,7 @@ mod simd {
     pub unsafe fn lockstep<const ACC: bool, T: Term>(
         dst: *mut u8,
         len: usize,
+        offset: usize,
         terms: &[T],
     ) -> usize {
         #[inline]
@@ -326,7 +341,7 @@ mod simd {
                 };
                 for term in terms {
                     let c = term.coefficient();
-                    let s = term.source()[at..at + 64].as_ptr().cast::<__m256i>();
+                    let s = term.source()[offset + at..offset + at + 64].as_ptr().cast::<__m256i>();
                     let (mut s0, mut s1) = (_mm256_loadu_si256(s), _mm256_loadu_si256(s.add(1)));
                     if c.0 != 1 {
                         let row = NIBBLE[c.0 as usize].as_ptr().cast::<__m128i>();
@@ -342,6 +357,44 @@ mod simd {
         }
         done
     }
+
+    /// The 128-byte steps of [`super::lockstep`] for a term set whose
+    /// every coefficient is 1: two 512-bit loads and XORs per term and
+    /// step, no tables. Returns the bytes done.
+    ///
+    /// # Safety
+    /// As for [`super::lockstep`], and the CPU must have AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn xor_lockstep<const ACC: bool, T: Term>(
+        dst: *mut u8,
+        len: usize,
+        offset: usize,
+        terms: &[T],
+    ) -> usize {
+        let done = len & !127;
+        for at in (0..done).step_by(128) {
+            // SAFETY: as in `lockstep` above, with 128-byte steps: `at + 128
+            // <= len` bounds `dst`, the slice taken of each source bounds
+            // it, and every load and store is the unaligned form.
+            unsafe {
+                let d = dst.add(at);
+                let (mut a0, mut a1) = if ACC {
+                    let d = d.cast_const();
+                    (_mm512_loadu_si512(d.cast()), _mm512_loadu_si512(d.add(64).cast()))
+                } else {
+                    (_mm512_setzero_si512(), _mm512_setzero_si512())
+                };
+                for term in terms {
+                    let s = term.source()[offset + at..offset + at + 128].as_ptr();
+                    a0 = _mm512_xor_si512(a0, _mm512_loadu_si512(s.cast()));
+                    a1 = _mm512_xor_si512(a1, _mm512_loadu_si512(s.add(64).cast()));
+                }
+                _mm512_storeu_si512(d.cast(), a0);
+                _mm512_storeu_si512(d.add(64).cast(), a1);
+            }
+        }
+        done
+    }
 }
 
 /// One `N`-byte step of the portable loop at `at`: `N` is 8 (the arrays
@@ -353,6 +406,7 @@ mod simd {
 unsafe fn swar_step<const ACC: bool, const N: usize, T: Term>(
     dst: *mut u8,
     at: usize,
+    offset: usize,
     terms: &[T],
 ) {
     // SAFETY: `at + N <= len` keeps the pointer inside `dst`'s `len` bytes.
@@ -361,7 +415,8 @@ unsafe fn swar_step<const ACC: bool, const N: usize, T: Term>(
     let mut acc = if ACC { unsafe { d.read() } } else { [0u8; N] };
     for term in terms {
         let c = term.coefficient();
-        let s = <[u8; N]>::try_from(&term.source()[at..at + N]).expect("N-byte chunk");
+        let from = offset + at;
+        let s = <[u8; N]>::try_from(&term.source()[from..from + N]).expect("N-byte chunk");
         let s = if c.0 == 1 { s } else { s.map(|b| mul_byte(c, b)) };
         acc.iter_mut().zip(s).for_each(|(a, b)| *a ^= b);
     }
@@ -369,42 +424,58 @@ unsafe fn swar_step<const ACC: bool, const N: usize, T: Term>(
     unsafe { d.write(acc) };
 }
 
-/// `dst[i] = Σ c_j * src_j[i]` for `i < len` — added to what `dst` holds
-/// when `ACC` — walking every source in lockstep and writing each output
-/// byte exactly once: however many terms, the loop is one forward pass
-/// over `terms.len() + 1` streams, which is what the hardware prefetcher
-/// follows. A unit coefficient is a plain XOR, a zero one multiplies
-/// through the all-zero table row, and no term at all leaves the zero
-/// sum. Returns the bytes written, which is `len`.
+/// `dst[i] = Σ c_j * src_j[offset + i]` for `i < len` — added to what
+/// `dst` holds when `ACC` — walking every source in lockstep and writing
+/// each output byte exactly once: however many terms, the loop is one
+/// forward pass over `terms.len() + 1` streams, which is what the
+/// hardware prefetcher follows. A unit coefficient is a plain XOR (and a
+/// set of nothing else takes the AVX-512 loop where [`Kernel::Avx512`]
+/// runs), a zero one multiplies through the all-zero table row, and no
+/// term at all leaves the zero sum. Returns the bytes written, which is
+/// `len`.
 ///
 /// # Safety
 /// `dst` must be valid for writes of `len` bytes, hold initialised bytes
 /// if `ACC`, and overlap no source.
 ///
 /// # Panics
-/// If a source is shorter than `len` — at the step that runs off its end;
-/// the safe entry points check the lengths before the first byte moves.
+/// If a source is shorter than `offset + len` — at the step that runs off
+/// its end; the safe entry points check the lengths before the first byte
+/// moves.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables, unused_mut))]
 unsafe fn lockstep<const ACC: bool, T: Term>(
     kernel: Kernel,
     dst: *mut u8,
     len: usize,
+    offset: usize,
     terms: &[T],
 ) -> usize {
     let mut at = 0;
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was just detected; the rest is this function's contract.
-        at = unsafe { simd::lockstep::<ACC, T>(dst, len, terms) };
+    {
+        if kernel == Kernel::Avx512
+            && terms.iter().all(|t| t.coefficient() == Gf256::ONE)
+            && std::is_x86_feature_detected!("avx512f")
+        {
+            // SAFETY: AVX-512F was just detected; the rest is this
+            // function's contract.
+            at = unsafe { simd::xor_lockstep::<ACC, T>(dst, len, offset, terms) };
+        }
+        if kernel != Kernel::Portable && std::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected; `dst + at` has `len - at`
+            // bytes left and the sources `offset + at` onwards, and the
+            // rest is this function's contract.
+            at += unsafe { simd::lockstep::<ACC, T>(dst.add(at), len - at, offset + at, terms) };
+        }
     }
     while len - at >= 8 {
         // SAFETY: `at + 8 <= len`; the rest is this function's contract.
-        unsafe { swar_step::<ACC, 8, T>(dst, at, terms) };
+        unsafe { swar_step::<ACC, 8, T>(dst, at, offset, terms) };
         at += 8;
     }
     while at < len {
         // SAFETY: `at + 1 <= len`; the rest is this function's contract.
-        unsafe { swar_step::<ACC, 1, T>(dst, at, terms) };
+        unsafe { swar_step::<ACC, 1, T>(dst, at, offset, terms) };
         at += 1;
     }
     at
@@ -430,7 +501,7 @@ fn source_len<T: Term>(terms: &[T]) -> Option<usize> {
 pub fn combine<T: Term>(dst: &mut [u8], terms: &[T]) {
     assert!(source_len(terms).is_none_or(|len| len == dst.len()), "combine length mismatch");
     // SAFETY: a `&mut [u8]` is writable for its length and overlaps no `&[u8]`.
-    unsafe { lockstep::<false, T>(Kernel::detect(), dst.as_mut_ptr(), dst.len(), terms) };
+    unsafe { lockstep::<false, T>(Kernel::detect(), dst.as_mut_ptr(), dst.len(), 0, terms) };
 }
 
 /// Appends `Σ c_j * src_j[..take]` to `out`, written straight into the
@@ -445,15 +516,49 @@ pub fn combine_into<T: Term>(out: &mut Vec<u8>, take: usize, terms: &[T]) {
 /// [`combine_into`] on a chosen kernel — for the bit-identity tests, which
 /// must reach every implementation on one host.
 pub fn combine_into_with<T: Term>(kernel: Kernel, out: &mut Vec<u8>, take: usize, terms: &[T]) {
-    assert!(source_len(terms).is_none_or(|len| len >= take), "combine_into length mismatch");
+    combine_into_at(kernel, out, take, 0, terms);
+}
+
+/// [`combine_into_with`] from `offset` on: appends `take` bytes of
+/// `Σ c_j * src_j[offset..]` to `out` — one column of a blocked encode.
+///
+/// # Panics
+/// If the sources differ in length or end before `offset + take`.
+pub(crate) fn combine_into_at<T: Term>(
+    kernel: Kernel,
+    out: &mut Vec<u8>,
+    take: usize,
+    offset: usize,
+    terms: &[T],
+) {
     out.reserve(take);
-    let spare = &mut out.spare_capacity_mut()[..take];
-    // SAFETY: `spare` is `take` writable bytes owned by `out`, which no
-    // source can borrow while `out` is borrowed mutably.
-    let written = unsafe { lockstep::<false, T>(kernel, spare.as_mut_ptr().cast(), take, terms) };
-    debug_assert_eq!(written, take, "the kernel skipped output bytes");
-    // SAFETY: `lockstep` stored every one of the `take` bytes after `len`.
+    combine_window(kernel, &mut out.spare_capacity_mut()[..take], offset, terms);
+    // SAFETY: `combine_window` stored every one of the `take` bytes after
+    // `len`.
     unsafe { out.set_len(out.len() + take) };
+}
+
+/// Stores `Σ c_j * src_j[offset..offset + dst.len()]` into `dst`, which
+/// need not be initialised: one window of every source, each byte of
+/// `dst` written once — the step of the column decode, and under
+/// [`combine_into`].
+///
+/// # Panics
+/// If the sources differ in length or end before `offset + dst.len()`,
+/// before a byte is written.
+pub(crate) fn combine_window<T: Term>(
+    kernel: Kernel,
+    dst: &mut [MaybeUninit<u8>],
+    offset: usize,
+    terms: &[T],
+) {
+    let end = offset.checked_add(dst.len()).expect("window end overflows");
+    assert!(source_len(terms).is_none_or(|len| len >= end), "combine window out of bounds");
+    // SAFETY: `dst` is writable for its length and, borrowed mutably,
+    // overlaps no source.
+    let written =
+        unsafe { lockstep::<false, T>(kernel, dst.as_mut_ptr().cast(), dst.len(), offset, terms) };
+    assert_eq!(written, dst.len(), "the kernel skipped output bytes");
 }
 
 /// `dst[i] ^= Σ c_j * src_j[i]` over whole slices — [`combine`] on top of
@@ -462,10 +567,15 @@ pub fn combine_into_with<T: Term>(kernel: Kernel, out: &mut Vec<u8>, take: usize
 /// # Panics
 /// If the sources do not all have `dst`'s length.
 pub fn combine_acc<T: Term>(dst: &mut [u8], terms: &[T]) {
+    combine_acc_with(Kernel::detect(), dst, terms);
+}
+
+/// [`combine_acc`] on a chosen kernel — for the bit-identity tests.
+pub fn combine_acc_with<T: Term>(kernel: Kernel, dst: &mut [u8], terms: &[T]) {
     assert!(source_len(terms).is_none_or(|len| len == dst.len()), "combine_acc length mismatch");
     // SAFETY: a `&mut [u8]` is initialised, writable for its length and
     // overlaps no `&[u8]`.
-    unsafe { lockstep::<true, T>(Kernel::detect(), dst.as_mut_ptr(), dst.len(), terms) };
+    unsafe { lockstep::<true, T>(kernel, dst.as_mut_ptr(), dst.len(), 0, terms) };
 }
 
 /// `dst[i] ^= c * src[i]` over whole slices: [`combine_acc`] of one term.

@@ -35,7 +35,7 @@ pub mod rs;
 pub mod stripe;
 pub mod update;
 
-pub use decode::{decode_object, rebuild_fragment};
+pub use decode::{decode_object, decode_object_with, rebuild_fragment};
 pub use gf256::Gf256;
 pub use matrix::Matrix;
 pub use raid5::Raid5;
@@ -124,8 +124,7 @@ impl Fragment {
 }
 
 /// Validates one `encode_into` call of `code`: exactly `m` equal-length
-/// shards and `n - m` parity rows of that same length. Returns the
-/// shard length.
+/// shards and `n - m` parity rows. Returns the shard length.
 ///
 /// # Panics
 /// Panics if the number of parity rows is not `n - m` — a caller bug,
@@ -133,7 +132,7 @@ impl Fragment {
 pub(crate) fn check_encode_shapes<C: ErasureCode + ?Sized>(
     code: &C,
     shards: &[&[u8]],
-    parity: &[&mut [u8]],
+    parity: &[Vec<u8>],
 ) -> Result<usize> {
     let m = code.data_fragments();
     if shards.len() != m {
@@ -141,8 +140,7 @@ pub(crate) fn check_encode_shapes<C: ErasureCode + ?Sized>(
     }
     assert_eq!(parity.len(), code.parity_fragments(), "parity row count must equal n - m");
     let len = shards[0].len();
-    let rows = parity.iter().map(|p| p.len());
-    if let Some(got) = shards.iter().map(|s| s.len()).chain(rows).find(|&l| l != len) {
+    if let Some(got) = shards.iter().map(|s| s.len()).find(|&l| l != len) {
         return Err(GfecError::FragmentSizeMismatch { expected: len, got });
     }
     Ok(len)
@@ -156,22 +154,22 @@ pub trait ErasureCode: Send + Sync {
     fn data_fragments(&self) -> usize;
     /// Total number of fragments `n`.
     fn total_fragments(&self) -> usize;
-    /// Fills the `n - m` caller-provided parity rows from `m`
-    /// equal-length data shards — the entry point every encode goes
-    /// through; nothing payload-sized is allocated. Each row must already
-    /// have the shard length and is fully overwritten (prior contents are
-    /// discarded), so rows can be block views into preallocated fragments.
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()>;
+    /// Appends the `n - m` parity rows of `m` equal-length data shards to
+    /// the caller's `parity` buffers, one shard length each — the entry
+    /// point every encode goes through. Each row is written straight into
+    /// its buffer's spare capacity: no zero fill, every parity byte stored
+    /// once, and nothing payload-sized allocated when the buffers already
+    /// have the room. On an error no buffer has changed.
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()>;
 
     /// Encodes equal-length data shards into `n - m` freshly allocated
-    /// parity shards. `shards` must contain exactly `m` equal-length
-    /// slices.
+    /// parity shards, each exactly the shard length. `shards` must
+    /// contain exactly `m` equal-length slices.
     fn encode(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
         let len = shards.first().map_or(0, |s| s.len());
         let mut parity: Vec<Vec<u8>> =
-            (0..self.parity_fragments()).map(|_| vec![0u8; len]).collect();
-        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        self.encode_into(shards, &mut rows)?;
+            (0..self.parity_fragments()).map(|_| Vec::with_capacity(len)).collect();
+        self.encode_into(shards, &mut parity)?;
         Ok(parity)
     }
 

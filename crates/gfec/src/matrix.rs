@@ -5,7 +5,7 @@
 //! elimination is the right tool — no blocking or pivot heuristics needed
 //! beyond partial pivoting for singularity detection.
 
-use crate::gf256::{combine, Gf256, FUSED_BLOCK};
+use crate::gf256::{combine_into_at, Gf256, Kernel, FUSED_BLOCK};
 use crate::{GfecError, Result};
 
 /// A row-major dense matrix over GF(2^8).
@@ -206,42 +206,39 @@ impl Matrix {
     /// Panics if `shards.len() != cols` or shard lengths differ.
     pub fn mul_shards(&self, shards: &[&[u8]]) -> Vec<Vec<u8>> {
         let len = shards.first().map_or(0, |s| s.len());
-        let mut out: Vec<Vec<u8>> = (0..self.rows).map(|_| vec![0u8; len]).collect();
-        let mut rows: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-        self.mul_shards_into(shards, &mut rows);
+        let mut out: Vec<Vec<u8>> = (0..self.rows).map(|_| Vec::with_capacity(len)).collect();
+        self.mul_shards_into(shards, &mut out);
         out
     }
 
-    /// Cache-blocked `mul_shards` into caller-provided rows — nothing
-    /// payload-sized is allocated, so the rows can be block views into
-    /// larger preallocated buffers.
+    /// Cache-blocked `mul_shards` appended to caller-provided rows: row
+    /// `i` grows by the shard length, written straight into its spare
+    /// capacity (no zero fill), so nothing payload-sized is allocated when
+    /// the rows already have the room.
     ///
-    /// Output rows must already have the shard length and are recomputed
-    /// from scratch (any prior contents are discarded). The sweep is
-    /// blocked along the byte axis in [`FUSED_BLOCK`] chunks; within a
-    /// block every output row is one [`combine`] over all the shards, so
-    /// the first row streams the block's data in from memory, the others
-    /// find it in cache, and each row byte is stored once — memory traffic
-    /// is one pass over the data plus one write pass per output row.
+    /// The sweep is blocked along the byte axis in [`FUSED_BLOCK`]
+    /// columns; within a column every output row is one lockstep
+    /// combination over all the shards, so the first row streams the
+    /// column's data in from memory, the others find it in cache, and
+    /// each row byte is stored once — memory traffic is one pass over the
+    /// data plus one write pass per output row.
     ///
     /// # Panics
-    /// Panics if `shards.len() != cols`, `out.len() != rows`, or any
-    /// shard or output row length differs from the first shard's.
-    pub fn mul_shards_into(&self, shards: &[&[u8]], out: &mut [&mut [u8]]) {
+    /// Panics if `shards.len() != cols`, `out.len() != rows`, or the
+    /// shards differ in length.
+    pub fn mul_shards_into(&self, shards: &[&[u8]], out: &mut [Vec<u8>]) {
         assert_eq!(shards.len(), self.cols, "shard count must equal matrix cols");
         assert_eq!(out.len(), self.rows, "output row count must equal matrix rows");
         let len = shards.first().map_or(0, |s| s.len());
         assert!(shards.iter().all(|s| s.len() == len), "ragged shards");
-        assert!(out.iter().all(|r| r.len() == len), "output rows must have the shard length");
+        let kernel = Kernel::detect();
         let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(self.cols);
         for start in (0..len).step_by(FUSED_BLOCK) {
-            let end = (start + FUSED_BLOCK).min(len);
+            let width = (len - start).min(FUSED_BLOCK);
             for (i, row) in out.iter_mut().enumerate() {
                 terms.clear();
-                terms.extend(
-                    shards.iter().enumerate().map(|(j, s)| (self.get(i, j), &s[start..end])),
-                );
-                combine(&mut row[start..end], &terms);
+                terms.extend(shards.iter().enumerate().map(|(j, &s)| (self.get(i, j), s)));
+                combine_into_at(kernel, row, width, start, &terms);
             }
         }
     }
@@ -342,11 +339,11 @@ mod tests {
         let shards: Vec<Vec<u8>> = (0..4u8).map(|j| vec![j * 17 + 1; 100]).collect();
         let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
         let expect = a.mul_shards(&refs);
-        // Garbage-filled rows must still produce identical output — rows
-        // are block views into buffers that are never pre-zeroed.
+        // Rows whose spare capacity held garbage must still come out
+        // identical — they are never pre-zeroed.
         let mut out = vec![vec![0xEEu8; 100], vec![0x55u8; 100], vec![1u8; 100]];
-        let mut rows: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-        a.mul_shards_into(&refs, &mut rows);
+        out.iter_mut().for_each(Vec::clear);
+        a.mul_shards_into(&refs, &mut out);
         assert_eq!(out, expect);
     }
 

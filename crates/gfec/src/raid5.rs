@@ -10,7 +10,7 @@
 //!    parity in, new data + new parity out), exactly the 4-access
 //!    amplification quoted for RACS in §I.
 
-use crate::gf256::{combine, combine_into, Gf256};
+use crate::gf256::{combine_into, Gf256};
 use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// XOR-parity erasure code with `m` data fragments and one parity.
@@ -55,10 +55,9 @@ impl ErasureCode for Raid5 {
         self.m + 1
     }
 
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
-        check_encode_shapes(self, shards, parity)?;
-        // The row is overwritten, so a dirty buffer needs no zero fill.
-        combine(parity[0], shards);
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
+        let len = check_encode_shapes(self, shards, parity)?;
+        combine_into(&mut parity[0], len, shards);
         Ok(())
     }
 
@@ -176,14 +175,19 @@ mod tests {
         let d = mk_shards(3, 50);
         let refs: Vec<&[u8]> = d.iter().map(|x| x.as_slice()).collect();
         let expect = r.encode(&refs).unwrap();
-        let mut parity = vec![vec![0xABu8; 50]];
-        r.encode_into(&refs, &mut [parity[0].as_mut_slice()]).unwrap();
-        assert_eq!(parity, expect);
-        // A row of the wrong length is an error, not a resize.
+        // Appended after the row's own bytes, into capacity that held
+        // other ones.
+        let mut row = vec![0xABu8; 60];
+        row.truncate(3);
+        let mut parity = [row];
+        r.encode_into(&refs, &mut parity).unwrap();
+        assert_eq!(parity[0], [&[0xAB; 3][..], &expect[0][..]].concat());
+        // A shard of the wrong length is an error, and no row grows.
         assert!(matches!(
-            r.encode_into(&refs, &mut [&mut parity[0][..9]]),
+            r.encode_into(&[refs[0], refs[1], &d[2][..9]], &mut parity),
             Err(GfecError::FragmentSizeMismatch { expected: 50, got: 9 })
         ));
+        assert_eq!(parity[0].len(), 53);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `Q = sum_i g^i * D_i` over GF(2^8) — the classic Anvin construction
 //! used by Linux md.
 
-use crate::gf256::{combine, Gf256};
+use crate::gf256::{combine_into, Gf256};
 use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// Double-parity erasure code: `m` data fragments, parity fragments P
@@ -37,14 +37,13 @@ impl ErasureCode for Raid6 {
         self.m + 2
     }
 
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
-        check_encode_shapes(self, shards, parity)?;
-        // P, then Q: each row is overwritten (dirty buffers need no zero
-        // fill) in one lockstep pass over the shards.
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
+        let len = check_encode_shapes(self, shards, parity)?;
+        // P, then Q: each row appended in one lockstep pass over the shards.
         for (row, coeffs) in parity.iter_mut().zip(self.parity_coefficients()) {
             let terms: Vec<(Gf256, &[u8])> =
                 coeffs.into_iter().zip(shards.iter().copied()).collect();
-            combine(row, &terms);
+            combine_into(row, len, &terms);
         }
         Ok(())
     }
@@ -141,9 +140,10 @@ mod tests {
         let d = mk_shards(m, 100);
         let refs: Vec<&[u8]> = d.iter().map(|x| x.as_slice()).collect();
         let expect = r.encode(&refs).unwrap();
+        // Rows whose spare capacity held other bytes.
         let mut parity = vec![vec![0x11u8; 100], vec![0x22u8; 100]];
-        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        r.encode_into(&refs, &mut rows).unwrap();
+        parity.iter_mut().for_each(Vec::clear);
+        r.encode_into(&refs, &mut parity).unwrap();
         assert_eq!(parity, expect);
     }
 

@@ -121,7 +121,7 @@ impl ErasureCode for ReedSolomon {
         self.n
     }
 
-    fn encode_into(&self, shards: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
+    fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
         check_encode_shapes(self, shards, parity)?;
         self.parity_matrix.mul_shards_into(shards, parity);
         Ok(())
@@ -285,11 +285,12 @@ mod tests {
         let data = shards(3, 100, 4);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let expect = rs.encode(&refs).unwrap();
+        // Rows whose spare capacity held other bytes.
         let mut parity = vec![vec![0xDDu8; 100], vec![0u8; 100]];
-        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        rs.encode_into(&refs, &mut rows).unwrap();
+        parity.iter_mut().for_each(Vec::clear);
+        rs.encode_into(&refs, &mut parity).unwrap();
         // Validation errors surface before any buffer is touched.
-        assert!(rs.encode_into(&refs[..2], &mut rows).is_err());
+        assert!(rs.encode_into(&refs[..2], &mut parity).is_err());
         assert_eq!(parity, expect);
     }
 

@@ -137,8 +137,9 @@ impl StripePlanner {
     }
 
     /// Appends the `n - m` parity fragments to the `m` data fragments of
-    /// [`Self::split`] — the second half of [`Self::split_encode`].
-    /// Parity is filled in place.
+    /// [`Self::split`] — the second half of [`Self::split_encode`]. Each
+    /// is allocated at the shard length and filled straight into its
+    /// spare capacity, no zero fill first.
     pub fn push_parity<C: ErasureCode + ?Sized>(
         &self,
         code: &C,
@@ -150,11 +151,10 @@ impl StripePlanner {
             return Err(GfecError::NotEnoughFragments { have: fragments.len(), need: self.m });
         }
         let len = fragments[0].len();
-        fragments.extend((self.m..self.n).map(|_| vec![0u8; len]));
+        fragments.extend((self.m..self.n).map(|_| Vec::with_capacity(len)));
         let (data, parity) = fragments.split_at_mut(self.m);
         let shards: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        code.encode_into(&shards, &mut rows)
+        code.encode_into(&shards, parity)
     }
 
     /// Splits `object` into `m` data fragments and encodes the `n - m`

@@ -2,17 +2,72 @@
 //! they replaced (`tests/oracle`): same bytes for every erasure pattern
 //! a code tolerates, at the object lengths where trimming, padding and
 //! block boundaries bite, and the same `GfecError` for every malformed
-//! input.
+//! input. The column decode also against the shard-major one it
+//! replaced, on every kernel, and its allocations counted.
 
 mod oracle;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use hyrd_testkit::{check, Gen};
 
+use hyrd_gfec::gf256::{Kernel, FUSED_BLOCK};
 use hyrd_gfec::parallel::reconstruct_parallel;
 use hyrd_gfec::{
-    decode_object, rebuild_fragment, Fragment, Raid5, Raid6, ReedSolomon, StripePlanner,
+    decode_object, decode_object_with, rebuild_fragment, ErasureCode, Fragment, FragmentLayout,
+    Raid5, Raid6, ReedSolomon, StripePlanner,
 };
 use oracle::OwningDecode;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// statistic and touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Counted per thread, so the other tests in this binary cannot bill
+/// theirs to the one that counts.
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// This thread's allocator calls while `op` runs.
+fn allocs_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = op();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Every implementation the lockstep loop has; one the CPU lacks runs
+/// the next one down.
+const KERNELS: [Kernel; 3] = [Kernel::Portable, Kernel::Avx2, Kernel::Avx512];
 
 /// Every way of losing at most `max_lost` of `n` fragments.
 fn erasure_patterns(n: usize, max_lost: usize) -> Vec<Vec<usize>> {
@@ -194,3 +249,84 @@ fn malformed_inputs_get_the_oracles_error() {
         },
     );
 }
+
+/// The column decode ≡ the shard-major decode it replaced
+/// (`oracle::shard_major_decode`) on every kernel, for every loss
+/// pattern of RAID5(3+1), RAID6(4+2) and RS(4,6), where the columns meet
+/// the shards: shards shorter than one column, `k·FUSED_BLOCK` and
+/// `k·FUSED_BLOCK ± 64`; objects that fill the stripe, miss it by a byte,
+/// end in a tail shard shorter than one column, or are one byte long.
+#[test]
+fn column_decode_matches_the_shard_major_decode_on_every_kernel() {
+    fn check_code<C: ErasureCode>(code: &C) {
+        let (m, n) = (code.data_fragments(), code.total_fragments());
+        let k = FUSED_BLOCK;
+        for shard_len in [64, 1_000, k - 64, k, k + 64, 2 * k - 64, 2 * k + 64] {
+            let shards: Vec<Vec<u8>> =
+                (0..m).map(|i| payload(shard_len, 57 * i as u8 + 3)).collect();
+            let views: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+            let parity = code.encode(&views).unwrap();
+            let frags: Vec<Vec<u8>> = shards.iter().cloned().chain(parity).collect();
+            let whole = shards.concat();
+            let tail = (m - 1) * shard_len + 100.min(shard_len - 1);
+            for object_len in [m * shard_len, m * shard_len - 1, tail, 1] {
+                let layout = FragmentLayout { object_len, m, n, shard_len };
+                for lost in erasure_patterns(n, n - m) {
+                    let views = oracle::without(&frags, &lost);
+                    let want = oracle::shard_major_decode(Kernel::detect(), code, &layout, &views)
+                        .unwrap();
+                    assert_eq!(want, whole[..object_len], "the oracle itself");
+                    for kernel in KERNELS {
+                        let got = decode_object_with(kernel, code, &layout, &views).unwrap();
+                        assert!(
+                            got == want,
+                            "{kernel:?} m={m} shard_len={shard_len} len={object_len} lost={lost:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    check_code(&Raid5::new(3).unwrap());
+    check_code(&Raid6::new(4).unwrap());
+    check_code(&ReedSolomon::new(4, 6).unwrap());
+}
+
+/// `decode_object` allocates no more than the shard-major decode did:
+/// the object once, the decoder's index and basis, and — only when a
+/// data shard is absent — its term list (one for all of them now, one
+/// per absent shard then) and the inverted basis. The counts are what the
+/// shard-major decode made of the same inputs.
+#[test]
+fn decode_allocates_no_more_than_the_shard_major_decode() {
+    fn allocs<C: ErasureCode>(code: &C, lost: &[usize]) -> u64 {
+        let (m, n) = (code.data_fragments(), code.total_fragments());
+        let planner = StripePlanner::new(m, n).unwrap();
+        let object = payload(3 * FUSED_BLOCK + 777, 9);
+        let (layout, frags) = planner.split_encode(code, &object).unwrap();
+        let views = oracle::without(&frags, lost);
+        let (allocs, got) = allocs_of(|| decode_object(code, &layout, &views));
+        assert_eq!(got.unwrap(), object);
+        allocs
+    }
+    let raid5 = Raid5::new(3).unwrap();
+    let raid6 = Raid6::new(4).unwrap();
+    let rs = ReedSolomon::new(4, 6).unwrap();
+    // (allocations here, at the shard-major decode) per loss pattern.
+    let cases = [
+        (allocs(&raid5, &[]), SHARD_MAJOR[0], "RAID5 healthy"),
+        (allocs(&raid5, &[3]), SHARD_MAJOR[1], "RAID5 parity lost"),
+        (allocs(&raid5, &[1]), SHARD_MAJOR[2], "RAID5 data lost"),
+        (allocs(&raid6, &[0, 2]), SHARD_MAJOR[3], "RAID6 two data lost"),
+        (allocs(&raid6, &[1, 5]), SHARD_MAJOR[4], "RAID6 data and Q lost"),
+        (allocs(&rs, &[0, 3]), SHARD_MAJOR[5], "RS two data lost"),
+        (allocs(&rs, &[2]), SHARD_MAJOR[6], "RS one data lost"),
+    ];
+    for (now, then, case) in cases {
+        println!("{case}: {now} allocations (shard-major: {then})");
+        assert!(now <= then, "{case}: {now} allocations, the shard-major decode made {then}");
+    }
+}
+
+/// What the shard-major decode allocated for the cases above, in order.
+const SHARD_MAJOR: [u64; 7] = [3, 3, 13, 16, 15, 16, 15];

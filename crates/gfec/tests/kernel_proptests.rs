@@ -128,7 +128,9 @@ fn combine_matches_reference_on_every_kernel_at_every_shape() {
                     let terms: Vec<(Gf256, &[u8])> = (0..sources)
                         .map(|j| (coeffs[j], &moved[j][(shift + 9 * j) % 64..]))
                         .collect();
-                    for kernel in [gf256::Kernel::Portable, gf256::Kernel::Avx2] {
+                    for kernel in
+                        [gf256::Kernel::Portable, gf256::Kernel::Avx2, gf256::Kernel::Avx512]
+                    {
                         let prefix = shift % 5;
                         let mut out = vec![0xFFu8; prefix + len + 3];
                         out.truncate(prefix);
@@ -148,6 +150,73 @@ fn combine_matches_reference_on_every_kernel_at_every_shape() {
                 assert_eq!(row, want, "combine len={len} sources={sources} kind={kind}");
                 gf256::combine_acc(&mut row, &aligned);
                 assert_eq!(row, vec![0u8; len], "combine_acc len={len} sources={sources}");
+            }
+        }
+    }
+}
+
+fn has_avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// `Kernel::Avx512` ≡ the byte-at-a-time sum. Every set of 1 to 6 unit
+/// terms — the 512-bit XOR loop — at every length 0..=255 (no step, one
+/// step, and every tail after it) and every source offset within a
+/// 64-byte line, each source at its own, overwriting dirty spare capacity
+/// (`combine_into_with`) and accumulating onto a row
+/// (`combine_acc_with`); and sets with other coefficients among the
+/// units, which run the AVX2 loop instead. Skipped, and says so, on a CPU
+/// without AVX-512F (where the kernel is the AVX2 one, tested above).
+#[test]
+fn avx512_unit_path_matches_reference_at_every_tail_and_offset() {
+    if !has_avx512f() {
+        println!("skipped: this CPU has no avx512f");
+        return;
+    }
+    let mut state = 0xD1B5_4A32_D192_ED03u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 24) as u8
+    };
+    let kernel = gf256::Kernel::Avx512;
+    for len in 0..=255usize {
+        let data: Vec<Vec<u8>> = (0..6).map(|_| (0..len).map(|_| next()).collect()).collect();
+        let base: Vec<u8> = (0..len).map(|_| next()).collect();
+        for sources in 1..=6usize {
+            let mixed: Vec<Gf256> =
+                (0..sources).map(|j| if j == 0 { Gf256(next() | 2) } else { Gf256::ONE }).collect();
+            for coeffs in [vec![Gf256::ONE; sources], mixed] {
+                let aligned: Vec<(Gf256, &[u8])> =
+                    coeffs.iter().zip(&data).map(|(&c, d)| (c, d.as_slice())).collect();
+                let want = reference::combine(len, &aligned);
+                for shift in 0..64 {
+                    let moved: Vec<Vec<u8>> = (0..sources)
+                        .map(|j| [&vec![0xEE; (shift + 9 * j) % 64][..], &data[j][..]].concat())
+                        .collect();
+                    let terms: Vec<(Gf256, &[u8])> = (0..sources)
+                        .map(|j| (coeffs[j], &moved[j][(shift + 9 * j) % 64..]))
+                        .collect();
+                    let prefix = shift % 5;
+                    let mut out = vec![0xFFu8; prefix + len + 3];
+                    out.truncate(prefix);
+                    gf256::combine_into_with(kernel, &mut out, len, &terms);
+                    assert_eq!(out[..prefix], vec![0xFF; prefix][..], "prefix kept");
+                    let what = format!("len={len} sources={sources} {coeffs:?} shift={shift}");
+                    assert_eq!(out[prefix..], want[..], "overwrite {what}");
+                    let mut row = base.clone();
+                    gf256::combine_acc_with(kernel, &mut row, &terms);
+                    let sum: Vec<u8> = base.iter().zip(&want).map(|(b, w)| b ^ w).collect();
+                    assert_eq!(row, sum, "accumulate {what}");
+                }
             }
         }
     }
@@ -238,10 +307,10 @@ fn encode_into_matches_encode_for_all_codes() {
             ];
             for code in &codes {
                 let expect = code.encode(&refs).unwrap();
-                // Dirty rows must not leak into output.
+                // Dirty spare capacity must not leak into output.
                 let mut parity = vec![vec![garbage; len]; code.parity_fragments()];
-                let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-                code.encode_into(&refs, &mut rows).unwrap();
+                parity.iter_mut().for_each(Vec::clear);
+                code.encode_into(&refs, &mut parity).unwrap();
                 assert_eq!(&parity, &expect);
             }
         },

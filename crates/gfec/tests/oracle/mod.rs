@@ -4,13 +4,14 @@
 //! bit-identical against — the role [`reference`] plays for the slice
 //! kernels. Each code keeps its own hand-written `reconstruct`
 //! (XOR rebuild, the RAID6 two-erasure solve, invert-and-multiply), so
-//! agreement with the one generic core is a real cross-check. Also home of
-//! the integration tests' shared fragment-view helper. Never used
-//! outside tests.
+//! agreement with the one generic core is a real cross-check. The
+//! shard-major borrowed decode the column decode replaced lives here too
+//! ([`shard_major_decode`]), as are the integration tests' shared
+//! fragment-view helper. Never used outside tests.
 
 #![allow(dead_code)]
 
-use hyrd_gfec::gf256::Gf256;
+use hyrd_gfec::gf256::{combine_into_with, Gf256, Kernel};
 use hyrd_gfec::{
     ErasureCode, Fragment, FragmentLayout, GfecError, Matrix, Raid5, Raid6, ReedSolomon,
     StripePlanner,
@@ -218,6 +219,53 @@ pub fn decode_object<C: OwningDecode + ?Sized>(
     available: &[Fragment],
 ) -> Result<Vec<u8>> {
     Ok(join(layout, &code.reconstruct(available, layout.shard_len)?))
+}
+
+/// The borrowed decode as it was before it walked columns: one data
+/// shard after another, whole — copied when present, else one
+/// `combine_into_with` over the basis fragments (the lowest `m` present
+/// indices), its coefficients the shard's row of the inverse of their
+/// generator rows. Takes well-formed input only (`m` distinct in-range
+/// fragments of `shard_len` bytes).
+pub fn shard_major_decode<C: ErasureCode + ?Sized>(
+    kernel: Kernel,
+    code: &C,
+    layout: &FragmentLayout,
+    available: &[(usize, &[u8])],
+) -> Result<Vec<u8>> {
+    let (m, n) = (code.data_fragments(), code.total_fragments());
+    let mut by_index: Vec<Option<&[u8]>> = vec![None; n];
+    for &(index, bytes) in available {
+        by_index[index] = Some(bytes);
+    }
+    let basis: Vec<usize> = (0..n).filter(|&i| by_index[i].is_some()).take(m).collect();
+    let parity = code.parity_coefficients();
+    let generator = |i: usize| -> Vec<u8> {
+        match i.checked_sub(m) {
+            None => (0..m).map(|col| u8::from(col == i)).collect(),
+            Some(p) => parity[p].iter().map(|c| c.0).collect(),
+        }
+    };
+    let rows: Vec<Vec<u8>> = basis.iter().map(|&i| generator(i)).collect();
+    let inverse = Matrix::from_rows(&rows).invert()?;
+    let len = layout.object_len.min(m * layout.shard_len);
+    let mut object = Vec::with_capacity(len);
+    for shard in 0..m {
+        let take = (len - object.len()).min(layout.shard_len);
+        match by_index[shard] {
+            Some(bytes) => object.extend_from_slice(&bytes[..take]),
+            None => {
+                let terms: Vec<(Gf256, &[u8])> = basis
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &i)| (inverse.get(shard, j), by_index[i].expect("present")))
+                    .filter(|(c, _)| c.0 != 0)
+                    .collect();
+                combine_into_with(kernel, &mut object, take, &terms);
+            }
+        }
+    }
+    Ok(object)
 }
 
 /// The slice kernels straight from the field's definition: one

@@ -1,4 +1,4 @@
-//! The metadata block and its `HYM2` wire format — the flush hot path.
+//! The metadata block and its `HYM3` wire format — the flush hot path.
 //!
 //! The replication unit is the **metadata block**: one record per
 //! directory holding that directory's file entries and their inodes
@@ -7,18 +7,19 @@
 //! framing, and that framing is the only encoding this crate reads or
 //! writes.
 //!
-//! The frame carries an FNV-1a-64 checksum over everything after the
+//! The frame carries a [`frame_checksum`] over everything after the
 //! 12-byte header, so a **torn block** — a write truncated or
 //! bit-flipped by a crash or fault mid-flush — fails validation
 //! deterministically instead of decoding into garbage (the reader's
 //! length framing alone already catches most truncations; the checksum
 //! closes the rest, including bit flips and torn tails that happen to
-//! land on a frame boundary).
+//! land on a frame boundary). A change confined to one 8-byte word of
+//! the checksummed bytes always fails it.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! block   := MAGIC("HYM2") checksum:u64 dir:str version:u64 body
+//! block   := MAGIC("HYM3") checksum:u64 dir:str version:u64 body
 //! body    := count:u32 entry*
 //! entry   := name:str inode
 //! inode   := id:u64 size:u64 version:u64 created:time modified:time place
@@ -28,7 +29,7 @@
 //!          | 0x02 object_len:u64 m:u32 n:u32 shard_len:u64
 //!                 frags:u32 (provider:u16 object:str)* hot:u8 (provider:u16 object:str)?
 //! str     := len:u32 utf8*
-//! checksum := FNV-1a-64 of every byte after the checksum field
+//! checksum := frame_checksum of every byte after the checksum field
 //! ```
 
 use std::collections::BTreeMap;
@@ -42,7 +43,11 @@ use crate::path::NormPath;
 use crate::{MetaError, Result};
 
 /// Leading bytes of a binary-encoded block.
-pub const MAGIC: &[u8; 4] = b"HYM2";
+pub const MAGIC: &[u8; 4] = b"HYM3";
+
+/// Bytes before the checksummed part of a frame: the magic and the
+/// checksum itself.
+pub(crate) const HEADER: usize = 12;
 
 /// One directory's replicable metadata record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,13 +61,13 @@ pub struct MetadataBlock {
 }
 
 impl MetadataBlock {
-    /// Serializes to the `HYM2` frame the dispatcher ships to providers.
+    /// Serializes to the `HYM3` frame the dispatcher ships to providers.
     pub fn to_bytes(&self) -> Vec<u8> {
         encode_block(self)
     }
 
     /// Parses a block fetched from a provider. Anything that is not an
-    /// intact `HYM2` frame — wrong magic, torn, bit-flipped — is a
+    /// intact `HYM3` frame — wrong magic, torn, bit-flipped — is a
     /// [`MetaError::CorruptBlock`], never garbage.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         decode_block(bytes)
@@ -83,29 +88,83 @@ pub(crate) fn flat_name(prefix: &str, dir: &NormPath, extra: usize) -> String {
     name
 }
 
-/// FNV-1a 64-bit. Not cryptographic — it guards against *accidental*
-/// corruption (torn writes, bit rot), which is all a metadata block
-/// needs; tamper resistance is out of scope for the simulator.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// The multiplier of every checksum step. Odd, so multiplying by it is a
+/// bijection of `u64`.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The checksum of `HYM3` blocks and `HYD2` diffs, over every byte after
+/// the header.
+///
+/// Four independent 64-bit lanes take the little-endian words in turn —
+/// word `i` goes to lane `i % 4` — each step
+/// `lane = ((lane ^ word) * K).rotate_left(31)`; the short tail is
+/// zero-padded into one last step of all four. The lanes then fold, in
+/// order, into a state seeded with the byte count, each fold
+/// `h = mix(h ^ lane)`.
+///
+/// Every step is a bijection of the value it updates (XOR with a word,
+/// multiplying by an odd constant, a rotation, [`mix`]), so a change
+/// confined to one 8-byte word changes its lane's final value and hence
+/// the checksum: such a change **always** fails validation, where
+/// byte-serial FNV-1a guaranteed that for one byte. The rotation is there
+/// because a product's high bits never reach its low ones: without it,
+/// flipping the same top bit of two words of one lane would cancel out.
+/// Not a MAC — whoever can change a frame can recompute its checksum.
+///
+/// Public so that tests can reseal a frame they tampered with.
+#[doc(hidden)]
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [
+        0x243F_6A88_85A3_08D3,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    let mut groups = bytes.chunks_exact(32);
+    for group in &mut groups {
+        absorb(&mut lanes, group.try_into().expect("32-byte group"));
     }
-    h
+    let tail = groups.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 32];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &last);
+    }
+    lanes.into_iter().fold(bytes.len() as u64, |h, lane| mix(h ^ lane))
 }
 
-/// Encodes the entry table alone — the frame body [`assemble_block`]
-/// wraps (the header carries dir + version).
-pub fn encode_entries(entries: &BTreeMap<String, Inode>) -> Vec<u8> {
-    // Entries dominate: ~90 bytes each plus names; headroom avoids
-    // doubling mid-encode.
-    let mut out = Vec::with_capacity(16 + entries.len() * 128);
-    put_u32(&mut out, entries.len() as u32);
-    for (name, inode) in entries {
-        encode_entry(&mut out, name, inode);
+/// One step of every lane, over four consecutive words.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], group: &[u8; 32]) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let word = u64::from_le_bytes(group[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+        *lane = (*lane ^ word).wrapping_mul(K).rotate_left(31);
     }
-    out
+}
+
+/// A bijective mixer: multiply, then fold the high half down.
+#[inline(always)]
+fn mix(h: u64) -> u64 {
+    let h = h.wrapping_mul(K);
+    h ^ (h >> 32)
+}
+
+/// Starts an `HYM3` frame in `out` (empty): the header, with the checksum
+/// left for [`seal`], then the directory, the version and the entry
+/// count. The caller appends exactly `count` entry encodings.
+pub(crate) fn begin_block(out: &mut Vec<u8>, dir: &NormPath, version: u64, count: usize) {
+    debug_assert!(out.is_empty());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&[0u8; 8]); // checksum, patched by `seal`
+    put_str(out, dir.as_str());
+    put_u64(out, version);
+    put_u32(out, count as u32);
+}
+
+/// Patches a finished frame's checksum into its header.
+pub(crate) fn seal(frame: &mut [u8]) {
+    let checksum = frame_checksum(&frame[HEADER..]);
+    frame[4..HEADER].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Encodes one `name → inode` entry exactly as it appears inside a block
@@ -116,34 +175,28 @@ pub(crate) fn encode_entry(out: &mut Vec<u8>, name: &str, inode: &Inode) {
     put_inode(out, inode);
 }
 
-/// Assembles the full wire bytes from a pre-encoded entry body: an
-/// `HYM2` frame whose checksum covers everything after the header.
-pub fn assemble_block(dir: &NormPath, version: u64, body: &[u8]) -> Vec<u8> {
-    let dir = dir.as_str();
-    let mut out = Vec::with_capacity(MAGIC.len() + 8 + 4 + dir.len() + 8 + body.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&[0u8; 8]); // checksum, patched below
-    put_str(&mut out, dir);
-    put_u64(&mut out, version);
-    out.extend_from_slice(body);
-    let checksum = fnv64(&out[12..]);
-    out[4..12].copy_from_slice(&checksum.to_le_bytes());
+/// Encodes a whole block.
+pub fn encode_block(block: &MetadataBlock) -> Vec<u8> {
+    // Entries dominate: ~90 bytes each plus names; headroom avoids
+    // doubling mid-encode.
+    let dir = block.dir.as_str();
+    let mut out = Vec::with_capacity(HEADER + 16 + dir.len() + block.entries.len() * 128);
+    begin_block(&mut out, &block.dir, block.version, block.entries.len());
+    for (name, inode) in &block.entries {
+        encode_entry(&mut out, name, inode);
+    }
+    seal(&mut out);
     out
 }
 
-/// Encodes a whole block.
-pub fn encode_block(block: &MetadataBlock) -> Vec<u8> {
-    assemble_block(&block.dir, block.version, &encode_entries(&block.entries))
-}
-
-/// Decodes a checksum-validated `HYM2` block.
+/// Decodes a checksum-validated `HYM3` block.
 pub fn decode_block(bytes: &[u8]) -> Result<MetadataBlock> {
     if !bytes.starts_with(MAGIC) {
         return Err(MetaError::CorruptBlock("bad magic".to_string()));
     }
     let mut r = Reader { bytes, pos: MAGIC.len() };
     let stored = r.u64()?;
-    let computed = fnv64(&bytes[12..]);
+    let computed = frame_checksum(&bytes[HEADER..]);
     if stored != computed {
         return Err(MetaError::CorruptBlock(format!(
             "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
@@ -398,15 +451,17 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(decode_block(&trailing), Err(MetaError::CorruptBlock(_))));
-        assert!(matches!(decode_block(b"HYM2"), Err(MetaError::CorruptBlock(_))));
+        assert!(matches!(decode_block(MAGIC), Err(MetaError::CorruptBlock(_))));
     }
 
+    /// The current magic only: `HYM1` and `HYM2` (the FNV-1a-checked
+    /// format) included.
     #[test]
-    fn anything_but_the_hym2_magic_is_bad_magic() {
-        let mut other_magic = encode_block(&sample_block());
-        other_magic[3] = b'1';
-        for bytes in [&other_magic[..], b"", b"HYM", b"not a block", br#"{"dir":"/","version":0}"#]
-        {
+    fn anything_but_the_hym3_magic_is_bad_magic() {
+        let (mut hym1, mut hym2) = (encode_block(&sample_block()), encode_block(&sample_block()));
+        hym1[3] = b'1';
+        hym2[3] = b'2';
+        for bytes in [&hym1[..], &hym2[..], b"", b"HYM", b"not a block", br#"{"dir":"/"}"#] {
             assert_eq!(
                 MetadataBlock::from_bytes(bytes),
                 Err(MetaError::CorruptBlock("bad magic".to_string()))
@@ -415,10 +470,9 @@ mod tests {
     }
 
     /// Re-checksums a frame after tampering — what a hostile provider
-    /// can do, since FNV-1a is not a MAC.
+    /// can do, since the checksum is not a MAC.
     fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
-        let checksum = fnv64(&frame[12..]);
-        frame[4..12].copy_from_slice(&checksum.to_le_bytes());
+        seal(&mut frame);
         frame
     }
 
@@ -468,10 +522,42 @@ mod tests {
         assert!(!a.contains('/'));
     }
 
+    /// A frame assembled the way a compaction writes it — the header,
+    /// then entry encodings cached one by one, then the checksum patched
+    /// in — is the frame `encode_block` makes.
     #[test]
     fn assemble_matches_encode() {
         let block = sample_block();
-        let body = encode_entries(&block.entries);
-        assert_eq!(assemble_block(&block.dir, block.version, &body), encode_block(&block));
+        let cached: Vec<Vec<u8>> = block
+            .entries
+            .iter()
+            .map(|(name, inode)| {
+                let mut enc = Vec::new();
+                encode_entry(&mut enc, name, inode);
+                enc
+            })
+            .collect();
+        let mut frame = Vec::new();
+        begin_block(&mut frame, &block.dir, block.version, cached.len());
+        cached.iter().for_each(|enc| frame.extend_from_slice(enc));
+        seal(&mut frame);
+        assert_eq!(frame, encode_block(&block));
+    }
+
+    /// Zero bytes appended change only the length the fold is seeded
+    /// with, and the same top bit flipped in two words of one lane (32
+    /// bytes apart) — which a multiply alone would carry unchanged to the
+    /// lane's end, cancelling — is caught.
+    #[test]
+    fn the_checksum_sees_the_length_and_high_bits() {
+        let zeros = [0u8; 70];
+        let sums: Vec<u64> = (0..=zeros.len()).map(|n| frame_checksum(&zeros[..n])).collect();
+        for (i, sum) in sums.iter().enumerate() {
+            assert!(!sums[i + 1..].contains(sum), "{i} zero bytes collide with more");
+        }
+        let mut both = zeros;
+        both[7] ^= 0x80;
+        both[39] ^= 0x80;
+        assert_ne!(frame_checksum(&both), frame_checksum(&zeros));
     }
 }

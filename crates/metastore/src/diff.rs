@@ -1,4 +1,4 @@
-//! Incremental metadata **state diffs** — the `HYD1` wire frame.
+//! Incremental metadata **state diffs** — the `HYD2` wire frame.
 //!
 //! A full metadata block re-encodes every entry in a directory on every
 //! flush; at many-writer scale that is quadratic in directory size. A
@@ -9,16 +9,17 @@
 //! directory state from the highest intact full block plus every intact
 //! diff that links onto it ([`resolve_chain`]).
 //!
-//! The frame extends the block codec's `HYM2` convention: an FNV-1a-64
-//! checksum over everything after the 12-byte header, so a **torn
-//! diff** — truncated or bit-flipped mid-flush — fails validation
-//! deterministically and the reader falls back to the last full block
-//! (dropping the torn suffix of the chain) instead of decoding garbage.
+//! The frame extends the block codec's `HYM3` convention: the same
+//! [`codec::frame_checksum`] over everything after the 12-byte header,
+//! so a **torn diff** — truncated or bit-flipped mid-flush — fails
+//! validation deterministically and the reader falls back to the last
+//! full block (dropping the torn suffix of the chain) instead of
+//! decoding garbage.
 //!
-//! Layout (all integers little-endian, `str`/`inode` as in HYM2):
+//! Layout (all integers little-endian, `str`/`inode` as in HYM3):
 //!
 //! ```text
-//! diff := MAGIC("HYD1") checksum:u64 dir:str base:u64 version:u64
+//! diff := MAGIC("HYD2") checksum:u64 dir:str base:u64 version:u64
 //!         count:u32 op*
 //! op   := 0x00 name:str inode     (upsert: create or update)
 //!       | 0x01 name:str           (remove)
@@ -30,7 +31,7 @@ use crate::path::NormPath;
 use crate::{MetaError, Result};
 
 /// Leading bytes of a binary-encoded metadata diff.
-pub const DIFF_MAGIC: &[u8; 4] = b"HYD1";
+pub const DIFF_MAGIC: &[u8; 4] = b"HYD2";
 
 /// Object-name prefix for diff objects (`metad:<dir>:<version>`).
 pub const DIFF_PREFIX: &str = "metad:";
@@ -58,7 +59,7 @@ pub(crate) const OP_UPSERT: u8 = 0;
 /// Wire tag of a remove op; the name follows.
 pub(crate) const OP_REMOVE: u8 = 1;
 
-/// Starts a `HYD1` frame in `out` (empty): the header, with the checksum
+/// Starts a `HYD2` frame in `out` (empty): the header, with the checksum
 /// and the op count left for [`end_diff`]. The caller appends the ops
 /// straight after it — the flush path writes each changed entry's
 /// encoding once, into the buffer that ships.
@@ -78,8 +79,7 @@ pub(crate) fn end_diff(out: &mut [u8], count: usize) {
     let dir_len = u32::from_le_bytes(out[12..16].try_into().expect("4 bytes")) as usize;
     let at = 16 + dir_len + 16;
     out[at..at + 4].copy_from_slice(&(count as u32).to_le_bytes());
-    let checksum = codec::fnv64(&out[12..]);
-    out[4..12].copy_from_slice(&checksum.to_le_bytes());
+    codec::seal(out);
 }
 
 /// A directory's changes between flushed versions `base` → `version`.
@@ -112,7 +112,7 @@ impl DiffBlock {
         name.starts_with(DIFF_PREFIX)
     }
 
-    /// Serializes to the checksummed `HYD1` wire frame.
+    /// Serializes to the checksummed `HYD2` wire frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.ops.len() * 128);
         begin_diff(&mut out, &self.dir, self.base, self.version);
@@ -142,7 +142,7 @@ impl DiffBlock {
             return Err(MetaError::CorruptBlock("bad diff magic".to_string()));
         }
         let stored = r.u64()?;
-        let computed = codec::fnv64(&bytes[12..]);
+        let computed = codec::frame_checksum(&bytes[codec::HEADER..]);
         if stored != computed {
             return Err(MetaError::CorruptBlock(format!(
                 "diff checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"

@@ -15,7 +15,7 @@
 //!   [`hyrd_gfec::FragmentLayout`]).
 //! * [`codec`] — the per-directory [`MetadataBlock`], the replication
 //!   unit the dispatcher ships to performance-oriented providers, and
-//!   `HYM2`, the checksummed length-framed binary frame it travels in —
+//!   `HYM3`, the checksummed length-framed binary frame it travels in —
 //!   the only block encoding this crate reads or writes.
 //! * [`shard`] — the [`ShardedMetaStore`], the one namespace every
 //!   scheme runs on (HyRD's dispatcher at 16 shards, the baselines at
@@ -24,7 +24,7 @@
 //!   tracking, and change-detected incremental flushes that ship
 //!   per-directory **state diffs** with periodic compaction back into
 //!   full blocks.
-//! * [`diff`] — the `HYD1` wire frame for those diffs and
+//! * [`diff`] — the `HYD2` wire frame for those diffs and
 //!   [`resolve_chain`], which folds a block + diff chain back into the
 //!   directory's current state on restart/attach.
 

@@ -267,7 +267,12 @@ impl ShardedMetaStore {
     }
 
     fn shard_of_str(dir: &str, shards: usize) -> usize {
-        (codec::fnv64(dir.as_bytes()) % shards.max(1) as u64) as usize
+        // FNV-1a-64: it names a shard and verifies nothing (frames carry
+        // `codec::frame_checksum`), so it stays byte-serial.
+        let hash = dir
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        (hash % shards.max(1) as u64) as usize
     }
 
     fn idx(&self, dir: &str) -> usize {
@@ -794,19 +799,21 @@ impl ShardedMetaStore {
     }
 
     /// A full block at `version` from the (already current) cached entry
-    /// encodings — no entry is re-encoded. Folds and supersedes the live
-    /// diff chain.
+    /// encodings — no entry is re-encoded, and the frame is written once:
+    /// the header, each cached encoding, then the checksum patched in.
+    /// Folds and supersedes the live diff chain.
     fn full_block(dir: NormPath, state: &mut DirState, version: u64, kind: FlushKind) -> FlushItem {
-        let mut body =
-            Vec::with_capacity(4 + state.flushed_entries.values().map(Vec::len).sum::<usize>());
-        codec::put_u32(&mut body, state.flushed_entries.len() as u32);
+        let body = state.flushed_entries.values().map(Vec::len).sum::<usize>();
+        let mut bytes = Vec::with_capacity(codec::HEADER + 16 + dir.as_str().len() + body);
+        codec::begin_block(&mut bytes, &dir, version, state.flushed_entries.len());
         for enc in state.flushed_entries.values() {
-            body.extend_from_slice(enc);
+            bytes.extend_from_slice(enc);
         }
+        codec::seal(&mut bytes);
         state.flushed_version = Some(version);
         FlushItem {
             object: MetadataBlock::object_name(&dir).into(),
-            bytes: codec::assemble_block(&dir, version, &body),
+            bytes,
             dir,
             version,
             kind,

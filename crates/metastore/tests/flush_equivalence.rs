@@ -17,7 +17,6 @@ use hyrd_testkit::{check, Gen};
 
 use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::FragmentLayout;
-use hyrd_metastore::codec::{assemble_block, encode_entries};
 use hyrd_metastore::shard::COMPACT_EVERY;
 use hyrd_metastore::{
     resolve_chain, DiffBlock, EntryOp, FileId, FlushItem, FlushKind, Inode, MetadataBlock,
@@ -39,11 +38,13 @@ struct Oracle {
     dirs: BTreeMap<NormPath, OracleDir>,
 }
 
-/// `name + inode` exactly as inside a block body (the body of a
-/// one-entry table minus its count).
+/// `name + inode` exactly as inside a block body: a one-entry block of
+/// the root directory after its header, directory, version and count.
 fn encode_entry(name: &str, inode: &Inode) -> Vec<u8> {
-    let one = BTreeMap::from([(name.to_string(), inode.clone())]);
-    encode_entries(&one)[4..].to_vec()
+    const BEFORE_ENTRIES: usize = 12 + (4 + "/".len()) + 8 + 4;
+    let entries = BTreeMap::from([(name.to_string(), inode.clone())]);
+    let one = MetadataBlock { dir: NormPath::root(), version: 0, entries };
+    one.to_bytes()[BEFORE_ENTRIES..].to_vec()
 }
 
 impl Oracle {
@@ -85,16 +86,15 @@ impl Oracle {
                     None => files.values().map(|i| i.version).max().unwrap_or(0),
                     Some(v) => v + 1,
                 };
-                let mut body = (state.flushed_entries.len() as u32).to_le_bytes().to_vec();
-                for enc in state.flushed_entries.values() {
-                    body.extend_from_slice(enc);
-                }
+                // The cached encodings are now those of `files`, so the
+                // block is the full encode of `files`.
                 state.flushed_version = Some(version);
+                let block = MetadataBlock { dir: dir.clone(), version, entries: files.clone() };
                 items.push(FlushItem {
                     dir: dir.clone(),
                     version,
                     object: MetadataBlock::object_name(&dir).into(),
-                    bytes: assemble_block(&dir, version, &body),
+                    bytes: block.to_bytes(),
                     kind: if first { FlushKind::Block } else { FlushKind::Compact },
                     records: state.flushed_entries.len(),
                     supersedes: std::mem::take(&mut state.chain)

@@ -13,6 +13,8 @@ use hyrd_testkit::{check, Gen};
 
 use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::FragmentLayout;
+use hyrd_metastore::codec::{frame_checksum, MAGIC};
+use hyrd_metastore::diff::DIFF_MAGIC;
 use hyrd_metastore::{
     resolve_chain, DiffBlock, DirEntry, EntryOp, FileId, FlushKind, Inode, MetadataBlock, NormPath,
     Placement, ShardedMetaStore,
@@ -84,14 +86,10 @@ fn entries_strategy(g: &mut Gen) -> Vec<(String, Inode)> {
     g.vec(0..6, |g| (format!("f{}", g.range(0..12u8)), inode_strategy(g)))
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
 /// Overwrites body bytes of a valid frame, optionally truncates it, and
-/// then **re-checksums** it: FNV-1a is not a MAC, so this is what a
-/// hostile provider can serve — and it gets past the checksum gate to
-/// the body parser, which plain bit flips never do.
+/// then **re-checksums** it: the frame checksum is not a MAC, so this is
+/// what a hostile provider can serve — and it gets past the checksum gate
+/// to the body parser, which plain bit flips never do.
 fn mutate_and_reseal(mut frame: Vec<u8>, edits: &[(usize, u8)], cut: Option<usize>) -> Vec<u8> {
     const HEADER: usize = 12; // magic + checksum
     for &(at, byte) in edits {
@@ -101,7 +99,7 @@ fn mutate_and_reseal(mut frame: Vec<u8>, edits: &[(usize, u8)], cut: Option<usiz
     if let Some(cut) = cut {
         frame.truncate(HEADER + cut % (frame.len() - HEADER + 1));
     }
-    let checksum = fnv64(&frame[HEADER..]);
+    let checksum = frame_checksum(&frame[HEADER..]);
     frame[4..HEADER].copy_from_slice(&checksum.to_le_bytes());
     frame
 }
@@ -116,8 +114,8 @@ fn decoders_never_panic_on_arbitrary_bytes() {
         |(bytes, magic)| {
             let mut frame = match magic {
                 0 => Vec::new(),
-                1 => b"HYM2".to_vec(),
-                _ => b"HYD1".to_vec(),
+                1 => MAGIC.to_vec(),
+                _ => DIFF_MAGIC.to_vec(),
             };
             frame.extend_from_slice(&bytes);
             let _ = MetadataBlock::from_bytes(&frame);
@@ -132,7 +130,7 @@ fn decoders_never_panic_on_arbitrary_bytes() {
     );
 }
 
-/// Valid `HYM2` and `HYD1` frames, mutated in the body and
+/// Valid `HYM3` and `HYD2` frames, mutated in the body and
 /// re-checksummed, decode or fail with an error — never a panic.
 #[test]
 fn decoders_never_panic_on_resealed_mutations() {
