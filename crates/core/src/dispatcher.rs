@@ -84,6 +84,7 @@
 //! byte-deterministic.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::Bytes;
@@ -92,7 +93,7 @@ use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{sync, BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, Raid5, Raid6, ReedSolomon};
-use hyrd_metastore::{MetaOccStats, NormPath, Placement, ShardedMetaStore};
+use hyrd_metastore::{BlockDelta, FlushItem, MetaOccStats, NormPath, Placement, ShardedMetaStore};
 use hyrd_telemetry::{Collector, Gauge, HistogramSeries, SpanGuard, SpanName};
 
 use crate::config::{CodeChoice, HyrdConfig};
@@ -463,11 +464,18 @@ impl Hyrd {
         &self,
         name: impl AsRef<str> + Into<Arc<str>>,
         bytes: &[u8],
-        offset: usize,
-        len: usize,
+        base_len: usize,
+        changed: &[Range<usize>],
     ) {
         let wall = self.wall_start();
-        let hashed = self.integrity_l().record_patch(name, bytes, offset, len);
+        let hashed = self.integrity_l().record_patch(name, bytes, base_len, changed);
+        self.observe_hashing(wall, hashed);
+    }
+
+    /// [`IntegrityIndex::record_flush_item`], timed.
+    pub(crate) fn record_flushed_digest(&self, item: &FlushItem, delta: Option<&BlockDelta>) {
+        let wall = self.wall_start();
+        let hashed = self.integrity_l().record_flush_item(item, delta);
         self.observe_hashing(wall, hashed);
     }
 

@@ -41,13 +41,21 @@ impl Hyrd {
     /// flush folding the chain back into a full block and deleting the
     /// superseded diff objects.
     ///
+    /// Each item's digest is recorded as the metastore makes it, under
+    /// the lock of its shard, so one directory's digests change in the
+    /// order its blocks were made: a compaction re-hashes only the digest
+    /// blocks its [`BlockDelta`](hyrd_metastore::BlockDelta) touches — the
+    /// header and the entries changed since the directory's previous full
+    /// block — and everything else records whole.
+    ///
     /// Each shipped item leaves a `meta.flush.block` / `meta.flush.diff`
     /// / `meta.flush.compact` trace event. The fields (dir, version,
     /// records, bytes) are pure functions of the serialized op order, so
     /// deterministic runs stay byte-identical.
     pub(crate) fn flush_metadata(&self) -> BatchReport {
         self.journal.crashpoint("meta.flush.pre");
-        let items = self.meta.flush_dirty_encoded();
+        let items =
+            self.meta.flush_dirty_with(|item, delta| self.record_flushed_digest(item, delta));
         if items.is_empty() {
             return BatchReport::empty();
         }
@@ -56,7 +64,8 @@ impl Hyrd {
         for item in items {
             let bytes = Bytes::from(item.bytes);
             let key = ObjectKey::shared(Fleet::CONTAINER, item.object);
-            self.put_replicated(&key, &bytes, targets, &mut ops);
+            let writes = targets.iter().map(|&t| (t, &key, bytes.clone()));
+            self.publish(writes, None, 1, Some(ProviderSpan::PutReplica), &mut ops);
             if self.telemetry.enabled() {
                 let (event, counter) = match item.kind {
                     FlushKind::Block => ("meta.flush.block", "meta.flush.blocks"),
@@ -222,7 +231,9 @@ impl Hyrd {
         let old_window = content[start..end].to_vec();
         content[start..end].copy_from_slice(data);
         let bytes = Bytes::from(content);
-        let patch = Bytes::copy_from_slice(data);
+        // The patch is a view of the new content: a provider's ranged put
+        // copies it into its own buffer.
+        let patch = bytes.slice(start..end);
         let _intent = self.journal.begin(|| Intent::UpdateReplicated {
             path: path.as_str().to_string(),
             object: object.clone(),
@@ -254,7 +265,8 @@ impl Hyrd {
         // The object's authoritative content changed: refresh the digest
         // of the blocks the patch touched (live replicas hold the new
         // content; logged replicas will after replay).
-        self.patch_digest(key.name.clone(), &bytes, offset as usize, data.len());
+        let patched = start..end;
+        self.patch_digest(key.name.clone(), &bytes, bytes.len(), std::slice::from_ref(&patched));
         self.cache_l().put(path.as_str(), bytes);
         let now = self.now();
         self.meta.set_placement(path, Placement::Replicated { providers, object }, size, now)?;

@@ -9,8 +9,10 @@
 //! reconstruction, and the scrub pass rewrites the damaged copy.
 //!
 //! A digest is the object's length plus the SHA-256 of each
-//! [`DIGEST_BLOCK`]-sized block of it, so a ranged update re-hashes the
-//! blocks it overlaps instead of the object ([`IntegrityIndex::record_patch`]).
+//! [`DIGEST_BLOCK`]-sized block of it, so a change re-hashes the blocks
+//! it touched instead of the object ([`IntegrityIndex::record_patch`]):
+//! a ranged update the blocks it overlaps, a metadata compaction the
+//! blocks of its directory's block that differ from the one before it.
 //! Verification hashes the same bytes once, block by block, and every
 //! bit of the object is under exactly one block hash: a flipped bit
 //! fails its block, a truncation or extension fails the length. An object
@@ -22,17 +24,19 @@
 //! so its order can reach no trace and no report.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use hyrd_dedup::sha256::{block_digests, sha256, Digest};
+use hyrd_dedup::sha256::{digests_of, Digest};
+use hyrd_metastore::{BlockDelta, FlushItem};
 
 /// Bytes under one block hash: the paper's small-file class and the unit
 /// both workload generators update in, so a 4 KiB patch re-hashes what it
 /// changed (at most two blocks when unaligned) whatever the object's
 /// size. The table costs 32 B per 4 KiB indexed, 0.78 %. Small blocks
 /// are also what makes a whole object cheap to hash: they are
-/// independent, so `block_digests` runs sixteen side by side in AVX-512
-/// lanes and `record` of 512 KiB takes ≈ 195 µs where the same blocks
+/// independent, so `sha256::digests_of` runs sixteen side by side in
+/// AVX-512 lanes and `record` of 512 KiB takes ≈ 195 µs where the same blocks
 /// one after another on SHA-NI take 420–550 (DESIGN.md §7 item 3). Where
 /// only the single-stream kernels exist, 4 KiB blocks cost ≈ 7 % more
 /// than 64 KiB ones: 64 compressions per digest against one block of
@@ -86,20 +90,37 @@ impl ObjectDigest {
         }
     }
 
-    /// Re-hashes blocks `first..=last` from `bytes`, growing or shrinking
-    /// the table to `bytes`' block count. Returns the bytes hashed.
-    fn rehash(&mut self, bytes: &[u8], first: usize, last: usize) -> usize {
-        self.len = bytes.len();
-        self.tail.resize(last_block(bytes.len()), [0; 32]);
-        let mut group = [[0; 32]; GROUP];
-        for start in (first..=last).step_by(GROUP) {
-            let fresh = &mut group[..GROUP.min(last + 1 - start)];
-            hash_blocks(bytes, start, fresh);
-            for (index, digest) in (start..).zip(fresh.iter()) {
-                *self.block_mut(index) = *digest;
+    /// Re-hashes the blocks of `bytes` that `indices` names, each index
+    /// once and ascending, a group at a time: wherever the blocks lie,
+    /// the kernels take a group side by side as they would a run.
+    /// Returns the bytes hashed.
+    fn rehash(&mut self, bytes: &[u8], indices: impl IntoIterator<Item = usize>) -> usize {
+        let (mut group, mut queued, mut hashed) = ([0; GROUP], 0, 0);
+        for index in indices {
+            group[queued] = index;
+            queued += 1;
+            if queued == GROUP {
+                hashed += self.rehash_group(bytes, &group);
+                queued = 0;
             }
         }
-        bytes.len().min((last + 1) * DIGEST_BLOCK) - first * DIGEST_BLOCK
+        hashed + self.rehash_group(bytes, &group[..queued])
+    }
+
+    /// [`Self::rehash`] of at most [`GROUP`] blocks.
+    fn rehash_group(&mut self, bytes: &[u8], indices: &[usize]) -> usize {
+        let mut fresh = [[0; 32]; GROUP];
+        let hashed = hash_blocks(bytes, indices.iter().copied(), &mut fresh[..indices.len()]);
+        for (&index, digest) in indices.iter().zip(&fresh) {
+            *self.block_mut(index) = *digest;
+        }
+        hashed
+    }
+
+    /// Grows or shrinks the table to `bytes`' block count.
+    fn resize(&mut self, bytes: &[u8]) {
+        self.len = bytes.len();
+        self.tail.resize(last_block(bytes.len()), [0; 32]);
     }
 
     /// Whether `bytes` is the recorded object: the length, then every
@@ -110,25 +131,33 @@ impl ObjectDigest {
         bytes.len() == self.len
             && (0..blocks).step_by(GROUP).all(|start| {
                 let fresh = &mut group[..GROUP.min(blocks - start)];
-                hash_blocks(bytes, start, fresh);
+                hash_blocks(bytes, start.., fresh);
                 self.blocks().skip(start).zip(fresh.iter()).all(|(on_record, now)| on_record == now)
             })
     }
 }
 
 /// Blocks hashed per call into a table on the stack — one full pass of
-/// the 16-lane kernel — so neither recording nor verifying allocates.
+/// the 16-lane kernel — so neither recording, patching nor verifying
+/// allocates.
 const GROUP: usize = 16;
 
-/// The digests of blocks `start..start + out.len()` of `bytes`.
-fn hash_blocks(bytes: &[u8], start: usize, out: &mut [Digest]) {
-    let from = start * DIGEST_BLOCK;
-    let to = bytes.len().min(from + out.len() * DIGEST_BLOCK);
-    match &bytes[from..to] {
-        // An empty object is one empty block, not no blocks.
-        [] => out[0] = sha256(&[]),
-        run => block_digests(run, DIGEST_BLOCK, out),
+/// Writes the digest of each block of `bytes` that `indices` names —
+/// `out.len()` of them, at most [`GROUP`] — into `out`, the blocks side
+/// by side wherever they lie; an empty object is one empty block.
+/// Returns the bytes hashed.
+fn hash_blocks(
+    bytes: &[u8],
+    indices: impl IntoIterator<Item = usize>,
+    out: &mut [Digest],
+) -> usize {
+    let mut blocks: [&[u8]; GROUP] = [&[]; GROUP];
+    for (block, index) in blocks[..out.len()].iter_mut().zip(indices) {
+        *block = &bytes[index * DIGEST_BLOCK..bytes.len().min((index + 1) * DIGEST_BLOCK)];
     }
+    let blocks = &blocks[..out.len()];
+    digests_of(blocks, out);
+    blocks.iter().map(|block| block.len()).sum()
 }
 
 /// Index of the last block of a `len`-byte object.
@@ -155,40 +184,85 @@ impl IntegrityIndex {
     pub fn record(&mut self, name: impl AsRef<str> + Into<Arc<str>>, bytes: &[u8]) -> usize {
         let last = last_block(bytes.len());
         match self.digests.get_mut(name.as_ref()) {
-            Some(digest) => digest.rehash(bytes, 0, last),
+            Some(digest) => {
+                digest.resize(bytes);
+                digest.rehash(bytes, 0..=last)
+            }
             None => {
                 let mut fresh = ObjectDigest { len: 0, head: [0; 32], tail: Vec::new() };
-                let hashed = fresh.rehash(bytes, 0, last);
+                fresh.resize(bytes);
+                let hashed = fresh.rehash(bytes, 0..=last);
                 self.digests.insert(name.into(), fresh);
                 hashed
             }
         }
     }
 
-    /// Brings `name`'s digest up to date after `bytes[offset..offset +
-    /// len]` was overwritten in place: only the blocks that range
-    /// overlaps are hashed again. `bytes` is the whole object *after*
-    /// the patch, and the part of the range that lies past its end names
-    /// no block. With nothing on record for `name`, or a recorded
-    /// length other than `bytes`', there is nothing to patch and the
-    /// object is recorded whole. Returns the bytes hashed.
+    /// Brings `name`'s digest up to date after the object changed from
+    /// `base_len` bytes to `bytes`, where every byte of `bytes` that may
+    /// differ from the old object's byte at the same offset — or has none
+    /// there — lies in one of `changed`: only the blocks those ranges
+    /// touch are hashed again, each once, and the table grows or shrinks
+    /// to the new length (the block that held the shorter object's last
+    /// byte is hashed again too, since its length may have changed).
+    /// Ranges must ascend by start; parts past the end of `bytes` name no
+    /// block.
+    ///
+    /// An in-place overwrite of `len` bytes at `offset` is one range,
+    /// `offset..offset + len`, with `base_len` the length of `bytes`.
+    /// With nothing on record for `name`, a recorded length other than
+    /// `base_len`, or ranges out of order, there is nothing to patch
+    /// against and the object is recorded whole. Returns the bytes
+    /// hashed.
     pub fn record_patch(
         &mut self,
         name: impl AsRef<str> + Into<Arc<str>>,
         bytes: &[u8],
-        offset: usize,
-        len: usize,
+        base_len: usize,
+        changed: &[Range<usize>],
     ) -> usize {
-        match self.digests.get_mut(name.as_ref()) {
-            Some(digest) if digest.len == bytes.len() => {
-                let end = offset.saturating_add(len).min(bytes.len());
-                if offset < end {
-                    digest.rehash(bytes, offset / DIGEST_BLOCK, (end - 1) / DIGEST_BLOCK)
-                } else {
-                    0
-                }
-            }
-            _ => self.record(name, bytes),
+        let ordered = changed.windows(2).all(|pair| pair[0].start <= pair[1].start);
+        let patchable = self.digests.get(name.as_ref()).is_some_and(|d| d.len == base_len);
+        if !(patchable && ordered) || bytes.is_empty() {
+            return self.record(name, bytes);
+        }
+        let digest = self.digests.get_mut(name.as_ref()).expect("on record");
+        digest.resize(bytes);
+        // A length change re-hashes everything from the block that held
+        // the shorter object's last byte, which subsumes the ranges past it.
+        let tail = (base_len != bytes.len())
+            .then(|| base_len.min(bytes.len()).saturating_sub(1)..usize::MAX);
+        let cut = tail.as_ref().map_or(usize::MAX, |tail| tail.start);
+        // The blocks the ranges touch, each once: those before `next`
+        // are named already.
+        let mut next = 0;
+        let touched = changed.iter().take_while(|r| r.start < cut).chain(&tail).flat_map(|range| {
+            let end = range.end.min(bytes.len());
+            let blocks = if range.start < end {
+                next.max(range.start / DIGEST_BLOCK)..end.div_ceil(DIGEST_BLOCK)
+            } else {
+                0..0
+            };
+            next = next.max(blocks.end);
+            blocks
+        });
+        digest.rehash(bytes, touched)
+    }
+
+    /// Records the digest of a metadata flush item under its object name:
+    /// patched by `delta` when the metastore handed one over with the
+    /// item — a compaction, which re-hashes the blocks its directory
+    /// changed since the full block shipped before it — and whole
+    /// otherwise. Items of one directory must come in the order they
+    /// were made, as [`ShardedMetaStore::flush_dirty_with`] hands them
+    /// out. Returns the bytes hashed.
+    ///
+    /// [`ShardedMetaStore::flush_dirty_with`]: hyrd_metastore::ShardedMetaStore::flush_dirty_with
+    pub fn record_flush_item(&mut self, item: &FlushItem, delta: Option<&BlockDelta>) -> usize {
+        let name = Arc::clone(&item.object);
+        match delta {
+            Some(delta) => self.record_patch(name, &item.bytes, delta.base_len, &delta.ranges),
+            None => self.record(name, &item.bytes),
         }
     }
 

@@ -10,13 +10,17 @@
 //!
 //! Last, where the time goes: the dispatcher times every `record`,
 //! `record_patch` and `verify` it makes into the registry — and only
-//! there.
+//! there; and what a metadata compaction hashes: the blocks its
+//! directory changed, not the directory.
+
+use std::slice::from_ref;
 
 use hyrd::config::HyrdConfig;
 use hyrd::telemetry::{Collector, SharedBuf};
 use hyrd::{Hyrd, IntegrityIndex, Verdict, DIGEST_BLOCK};
 use hyrd_cloudsim::{Fleet, SimClock};
 use hyrd_dedup::sha256::sha256;
+use hyrd_metastore::shard::COMPACT_EVERY;
 
 const B: usize = DIGEST_BLOCK;
 
@@ -116,7 +120,7 @@ fn record_patch_is_record_at_every_size() {
         ] {
             let fresh = rng.content(patch);
             object[offset..offset + patch].copy_from_slice(&fresh);
-            let hashed = idx.record_patch("o", &object, offset, patch);
+            let hashed = idx.record_patch("o", &object, len, from_ref(&(offset..offset + patch)));
             assert!((patch..patch + 2 * B).contains(&hashed), "{patch}-byte patch hashed {hashed}");
             let mut whole = IntegrityIndex::new();
             whole.record("o", &object);
@@ -134,20 +138,24 @@ fn a_patch_range_past_the_end_is_clamped_to_the_object() {
     whole.record("o", &object);
 
     let mut idx = whole.clone();
-    assert_eq!(idx.record_patch("o", &object, 8000, 5000), B, "block 1 is all the range names");
+    assert_eq!(
+        idx.record_patch("o", &object, 8192, from_ref(&(8000..13_000))),
+        B,
+        "block 1 is all the range names"
+    );
     assert_eq!(idx.digest("o"), whole.digest("o"));
-    // Wholly outside, and a length that overflows `offset + len`: no
-    // block to hash, nothing changed.
-    assert_eq!(idx.record_patch("o", &object, 8192, 1), 0);
-    assert_eq!(idx.record_patch("o", &object, 1 << 40, 4096), 0);
-    assert_eq!(idx.record_patch("o", &object, 4096, usize::MAX), B);
+    // Wholly outside, and a range that runs to `usize::MAX`: no block
+    // to hash past the end, nothing changed.
+    assert_eq!(idx.record_patch("o", &object, 8192, from_ref(&(8192..8193))), 0);
+    assert_eq!(idx.record_patch("o", &object, 8192, from_ref(&(1 << 40..(1 << 40) + 4096))), 0);
+    assert_eq!(idx.record_patch("o", &object, 8192, from_ref(&(4096..usize::MAX))), B);
     assert_eq!(idx.digest("o"), whole.digest("o"));
     assert_eq!(idx.verify("o", &object), Verdict::Verified);
 
     // The clamped part is still re-hashed.
     let mut changed = object;
     changed[8191] = 1;
-    idx.record_patch("o", &changed, 8191, 5000);
+    idx.record_patch("o", &changed, 8192, from_ref(&(8191..13_191)));
     assert_eq!(idx.verify("o", &changed), Verdict::Verified);
     assert_eq!(idx.verify("o", &object), Verdict::Corrupt);
 }
@@ -178,4 +186,45 @@ fn the_dispatcher_times_hashing_in_the_registry_and_never_in_the_trace() {
     let text = trace.text();
     assert!(text.contains("create_file"), "the trace is on");
     assert!(!text.contains("integrity.hash"), "hashing leaked into the trace");
+}
+
+/// The compaction of a 4,096-entry directory (a ≈ 250 KB block, 60
+/// digest blocks) after its chain changed k entries in place hashes the
+/// header's block and at most two blocks per changed entry — at most
+/// (k + 1) · 2 · 4 KiB, against the whole block before.
+#[test]
+fn a_compaction_hashes_the_blocks_its_directory_changed() {
+    const FILES: usize = 4096;
+    let clock = SimClock::new();
+    let fleet = Fleet::standard_four(clock.clone());
+    let telemetry = Collector::builder(clock).build();
+    let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone()).expect("valid");
+    let file = |i: usize| format!("/dir/f{i:04}");
+    for i in 0..FILES {
+        h.create_file(&file(i), &[1]).expect("fleet up");
+    }
+    let counter = |name: &str| telemetry.metrics().counter(name);
+    // Run to the next compaction, so the chain starts empty.
+    while counter("meta.flush.diffs") % COMPACT_EVERY as u64 != 0 {
+        h.update_file(&file(0), 0, &[2]).expect("fleet up");
+    }
+    for k in [1, 3, COMPACT_EVERY] {
+        // COMPACT_EVERY diffs over k entries, then the compacting write
+        // to one of them: a 1-byte file, so its own patch hashes 1 byte.
+        let entry = |j: usize| file((j % k) * (FILES / k) + 7);
+        for j in 0..COMPACT_EVERY {
+            h.update_file(&entry(j), 0, &[j as u8]).expect("fleet up");
+        }
+        let (compacts, hashed) =
+            (counter("meta.flush.compacts"), counter("integrity.hashed_bytes"));
+        h.update_file(&entry(COMPACT_EVERY), 0, &[3]).expect("fleet up");
+        assert_eq!(
+            counter("meta.flush.compacts"),
+            compacts + 1,
+            "the write after k = {k} compacts"
+        );
+        let hashed = counter("integrity.hashed_bytes") - hashed - 1;
+        println!("compaction after {k} changed entries hashed {hashed} B");
+        assert!(hashed as usize <= (k + 1) * 2 * B, "after {k} changed entries: {hashed} B");
+    }
 }

@@ -1,12 +1,22 @@
 //! Block digests (DESIGN.md §7): re-hashing the blocks a patch overlaps
 //! is the same as re-recording the patched object, detection power is
 //! what a whole-object SHA-256 had, and an object of at most one block
-//! *has* the whole-object SHA-256.
+//! *has* the whole-object SHA-256. The same holds for the digest of a
+//! directory's metadata block, which a compaction patches by the ranges
+//! the metastore reports (DESIGN.md §15).
+
+use std::time::Duration;
+
+use std::slice::from_ref;
 
 use hyrd_testkit::{check, Gen};
 
 use hyrd::{IntegrityIndex, Verdict, DIGEST_BLOCK};
 use hyrd_dedup::sha256::sha256;
+use hyrd_gcsapi::ProviderId;
+use hyrd_metastore::{
+    resolve_chain, DiffBlock, FlushKind, MetadataBlock, NormPath, Placement, ShardedMetaStore,
+};
 
 const B: usize = DIGEST_BLOCK;
 
@@ -64,7 +74,7 @@ fn patch_rehash_equals_full_record() {
 
             let mut incremental = IntegrityIndex::new();
             incremental.record("o", &base);
-            incremental.record_patch("o", &patched, offset, patch_len);
+            incremental.record_patch("o", &patched, len, from_ref(&(offset..offset + patch_len)));
             let mut full = IntegrityIndex::new();
             full.record("o", &patched);
 
@@ -90,12 +100,12 @@ fn patching_an_unknown_or_resized_object_records_it_whole() {
             full.record("o", &object);
 
             let mut unknown = IntegrityIndex::new();
-            unknown.record_patch("o", &object, offset, patch_len);
+            unknown.record_patch("o", &object, len, from_ref(&(offset..offset + patch_len)));
             assert_eq!(unknown.digest("o"), full.digest("o"));
 
             let mut resized = IntegrityIndex::new();
             resized.record("o", &content(other_len, 9));
-            resized.record_patch("o", &object, offset, patch_len);
+            resized.record_patch("o", &object, len, from_ref(&(offset..offset + patch_len)));
             if other_len != len {
                 assert_eq!(resized.digest("o"), full.digest("o"));
             }
@@ -184,11 +194,201 @@ fn a_4k_patch_of_a_512k_object_rehashes_at_most_two_blocks() {
     {
         let before = blocks(&idx);
         object[offset..offset + PATCH].copy_from_slice(&content(PATCH, round as u64));
-        idx.record_patch("o", &object, offset, PATCH);
+        idx.record_patch("o", &object, LEN, from_ref(&(offset..offset + PATCH)));
         let changed = before.iter().zip(blocks(&idx)).filter(|(old, new)| *old != new).count();
         assert!((1..=2).contains(&changed), "patch at {offset} changed {changed} block digests");
         let mut fresh = IntegrityIndex::new();
         fresh.record("o", &object);
         assert_eq!(idx.digest("o"), fresh.digest("o"), "patch at {offset}");
     }
+}
+
+/// One op on the directory [`DirModel`] drives.
+#[derive(Debug, Clone)]
+enum DirOp {
+    Create(u16),
+    /// A placement change that keeps the entry's length: overwritten in
+    /// place in the metastore's frame.
+    Update(u16),
+    /// A placement change to an object name `len` bytes long: usually a
+    /// new length, so the frame is spliced.
+    Resize(u16, u8),
+    Remove(u16),
+    Flush,
+    /// `seed_flushed` at the version just flushed.
+    Seed,
+    /// A new client over what the flushes shipped: `attach` keeps the
+    /// diff chain and starts with an empty index, a restart heals the
+    /// resolved block and records it whole.
+    Restart {
+        attach: bool,
+    },
+}
+
+/// An op on one of `names` names; `splices` weighs the ops that change
+/// an entry's length against the 60 of an in-place update. A seed or a
+/// restart makes the next compaction record its block whole, so they
+/// come about once every 30 flushes: most compactions patch.
+fn dir_op(g: &mut Gen, names: u16, splices: u32) -> DirOp {
+    let name = g.range(0..names);
+    match g.weighted(&[splices, 60, splices, splices, 30, 1, 1]) {
+        0 => DirOp::Create(name),
+        1 => DirOp::Update(name),
+        2 => DirOp::Resize(name, g.range(1..48u8)),
+        3 => DirOp::Remove(name),
+        4 => DirOp::Flush,
+        5 => DirOp::Seed,
+        _ => DirOp::Restart { attach: g.bool() },
+    }
+}
+
+/// One directory's metadata, flushed the way the dispatcher flushes it:
+/// every item's digest goes through `IntegrityIndex::record_flush_item`
+/// as the metastore makes it. `block` and `diffs` are what the providers
+/// hold.
+struct DirModel {
+    dir: NormPath,
+    store: ShardedMetaStore,
+    index: IntegrityIndex,
+    block: Vec<u8>,
+    diffs: Vec<DiffBlock>,
+    version: u64,
+    tick: u64,
+    compactions: usize,
+}
+
+impl DirModel {
+    fn new(entries: u16) -> Self {
+        let mut model = DirModel {
+            dir: NormPath::parse("/dir").expect("well-formed"),
+            store: ShardedMetaStore::with_shards(4),
+            index: IntegrityIndex::new(),
+            block: Vec::new(),
+            diffs: Vec::new(),
+            version: 0,
+            tick: 0,
+            compactions: 0,
+        };
+        for name in 0..entries {
+            model.apply(&DirOp::Create(name));
+        }
+        model.flush();
+        model
+    }
+
+    fn path(&self, name: u16) -> NormPath {
+        self.dir.join(&format!("f{name:05}")).expect("well-formed")
+    }
+
+    fn apply(&mut self, op: &DirOp) {
+        self.tick += 1;
+        let now = Duration::from_secs(self.tick);
+        let place = |name: u16, len: u8| Placement::Replicated {
+            providers: vec![ProviderId(0), ProviderId(1)],
+            object: format!("{name:05}{}", "o".repeat(len as usize)),
+        };
+        match *op {
+            DirOp::Create(name) => {
+                let path = self.path(name);
+                if self.store.create_file(&path, 4096, now).is_ok() {
+                    self.store.set_placement(&path, place(name, 8), 4096, now).expect("created");
+                }
+            }
+            DirOp::Update(name) => {
+                if let Ok(inode) = self.store.inode(&self.path(name)) {
+                    let path = self.path(name);
+                    self.store
+                        .set_placement(&path, inode.placement, inode.size, now)
+                        .expect("lives");
+                }
+            }
+            DirOp::Resize(name, len) => {
+                let _ = self.store.set_placement(&self.path(name), place(name, len), 4096, now);
+            }
+            DirOp::Remove(name) => {
+                let _ = self.store.remove_file(&self.path(name));
+            }
+            DirOp::Flush => self.flush(),
+            DirOp::Seed => {
+                self.flush();
+                self.store.seed_flushed(&self.dir, self.version);
+            }
+            DirOp::Restart { attach } => self.restart(attach),
+        }
+    }
+
+    /// Flushes, then checks the property: the digest on record for the
+    /// directory's block is the one a whole `record` of the block the
+    /// providers hold makes.
+    fn flush(&mut self) {
+        let index = &mut self.index;
+        for item in self.store.flush_dirty_with(|item, delta| {
+            index.record_flush_item(item, delta);
+        }) {
+            self.version = item.version;
+            match item.kind {
+                FlushKind::Diff => {
+                    self.diffs.push(DiffBlock::from_bytes(&item.bytes).expect("own"))
+                }
+                FlushKind::Block | FlushKind::Compact => {
+                    self.compactions += (item.kind == FlushKind::Compact) as usize;
+                    self.block = item.bytes;
+                    self.diffs.clear();
+                }
+            }
+        }
+        let name = MetadataBlock::object_name(&self.dir);
+        if let Some(digest) = self.index.digest(&name) {
+            let mut whole = IntegrityIndex::new();
+            whole.record(name.as_str(), &self.block);
+            assert_eq!(Some(digest), whole.digest(&name), "block at version {}", self.version);
+            assert_eq!(self.index.verify(&name, &self.block), Verdict::Verified);
+        }
+    }
+
+    /// What `Hyrd::attach` / `Hyrd::restart` do with the directory:
+    /// load the resolved chain into a fresh store and seed it there.
+    fn restart(&mut self, attach: bool) {
+        let base = MetadataBlock::from_bytes(&self.block).expect("own block");
+        let resolved = resolve_chain(base, self.diffs.clone());
+        self.store = ShardedMetaStore::with_shards(4);
+        self.store.load_block(&resolved.block).expect("a plain directory");
+        self.store.seed_flushed(&self.dir, resolved.block.version);
+        self.version = resolved.block.version;
+        self.index = IntegrityIndex::new();
+        if attach {
+            self.store.seed_chain(&self.dir, resolved.applied);
+        } else {
+            self.block = resolved.block.to_bytes();
+            self.diffs.clear();
+            self.index.record(MetadataBlock::object_name(&self.dir), &self.block);
+        }
+    }
+}
+
+/// A compaction re-hashes only the digest blocks its ranges touch, and
+/// the table it leaves is the one a whole `record` of the shipped block
+/// builds — after in-place updates, splices that grow, shrink, insert
+/// and remove entries, seeds, restarts and attaches, in directories of
+/// 1 to 1,500 entries (up to ≈ 40 digest blocks).
+#[test]
+fn a_patched_block_digest_is_the_digest_of_the_shipped_block() {
+    check(
+        24,
+        |g| {
+            let entries = g.len(1..1501) as u16;
+            // No splices at all in some cases, so that chains of in-place
+            // updates alone reach their compactions.
+            let splices = g.pick(&[0, 5, 15]);
+            let ops = g.vec(60..300, |g| dir_op(g, 2 * entries, splices));
+            (entries, ops)
+        },
+        |(entries, ops)| {
+            let mut model = DirModel::new(entries);
+            for op in &ops {
+                model.apply(op);
+            }
+            model.flush();
+        },
+    );
 }

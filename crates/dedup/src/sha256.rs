@@ -17,7 +17,8 @@
 //! 32-bit lanes of AVX-512 where the CPU has it, and what that leaves —
 //! or everything, where it does not — four or two at a time on SHA-NI,
 //! the streams' round chains interleaved so that one stream's wait on
-//! the SHA unit is the others' turn (DESIGN.md §10).
+//! the SHA unit is the others' turn (DESIGN.md §10). [`digests_of`]
+//! feeds the same kernels blocks that are not neighbours in memory.
 //!
 //! Every path produces identical digests for every input. The oracle is
 //! the seed's straightforward implementation under `tests/oracle/`; the
@@ -239,32 +240,76 @@ pub fn block_digests_with(wide_from: usize, data: &[u8], block: usize, out: &mut
         data.len(),
         data.len().div_ceil(block),
     );
-    let full = data.len() / block;
-    let mut done = 0;
-    if block.is_multiple_of(64) && wide16::available() {
-        while full - done >= wide_from.max(1) {
-            let n = (full - done).min(16);
-            wide16::digest_blocks(
-                &data[done * block..(done + n) * block],
-                block,
-                &mut out[done..done + n],
-            );
-            done += n;
-        }
-    }
-    if block.is_multiple_of(64) && shani::available() {
-        while full - done >= 2 {
-            let n = if full - done >= 4 { 4 } else { 2 };
-            shani::digest_blocks(
-                &data[done * block..(done + n) * block],
-                block,
-                &mut out[done..done + n],
-            );
-            done += n;
-        }
-    }
-    for (bytes, digest) in data[done * block..].chunks(block).zip(&mut out[done..]) {
+    let full = if block.is_multiple_of(64) { data.len() / block } else { 0 };
+    let (whole, rest) = out.split_at_mut(full);
+    equal_lengths(wide_from, |i| &data[i * block..][..block], whole);
+    for (bytes, digest) in data[full * block..].chunks(block).zip(rest) {
         *digest = sha256(bytes);
+    }
+}
+
+/// Writes the SHA-256 of each of `blocks` — independent messages,
+/// anywhere in memory — into `out`: `out[i]` is `sha256(blocks[i])`, bit
+/// for bit. A run of neighbours of one length that is a multiple of 64
+/// takes the kernels [`block_digests`] takes (from [`WIDE_MIN_BLOCKS`] of
+/// them sixteen at a time with AVX-512, then four or two interleaved
+/// SHA-NI streams); anything else is the single-stream [`sha256`] per
+/// message. For hashing the blocks a patch touched, which need not be
+/// adjacent. Allocates nothing.
+///
+/// # Panics
+/// If `out.len()` is not `blocks.len()`.
+pub fn digests_of(blocks: &[&[u8]], out: &mut [Digest]) {
+    assert_eq!(out.len(), blocks.len(), "digests_of: one digest per message");
+    let mut done = 0;
+    while done < blocks.len() {
+        let len = blocks[done].len();
+        let run = if len > 0 && len.is_multiple_of(64) {
+            blocks[done..].iter().take_while(|b| b.len() == len).count()
+        } else {
+            0
+        };
+        if run == 0 {
+            out[done] = sha256(blocks[done]);
+            done += 1;
+        } else {
+            let run_blocks = &blocks[done..done + run];
+            equal_lengths(WIDE_MIN_BLOCKS, |i| run_blocks[i], &mut out[done..done + run]);
+            done += run;
+        }
+    }
+}
+
+/// The digests of `out.len()` messages of one length that is a multiple
+/// of 64, message `i` being `message(i)`: sixteen at a time on the wide
+/// kernel while at least `wide_from` are left, then four or two at a time
+/// on the interleaved SHA-NI streams, the last one alone.
+fn equal_lengths<'a>(wide_from: usize, message: impl Fn(usize) -> &'a [u8], out: &mut [Digest]) {
+    let count = out.len();
+    let mut done = 0;
+    let mut lanes: [&[u8]; 16] = [&[]; 16];
+    if wide16::available() {
+        while count - done >= wide_from.max(1) {
+            let n = (count - done).min(16);
+            for (l, lane) in lanes[..n].iter_mut().enumerate() {
+                *lane = message(done + l);
+            }
+            wide16::digest_lanes(&lanes[..n], &mut out[done..done + n]);
+            done += n;
+        }
+    }
+    if shani::available() {
+        while count - done >= 2 {
+            let n = if count - done >= 4 { 4 } else { 2 };
+            for (l, lane) in lanes[..n].iter_mut().enumerate() {
+                *lane = message(done + l);
+            }
+            shani::digest_lanes(&lanes[..n], &mut out[done..done + n]);
+            done += n;
+        }
+    }
+    for (i, digest) in out.iter_mut().enumerate().skip(done) {
+        *digest = sha256(message(i));
     }
 }
 
@@ -429,17 +474,19 @@ mod shani {
         unsafe { compress_blocks_impl(state, blocks) }
     }
 
-    /// The digests of the `out.len()` (2 or 4) consecutive `block`-byte
-    /// blocks that make up `data`; `block` is a multiple of 64.
-    pub fn digest_blocks(data: &[u8], block: usize, out: &mut [Digest]) {
+    /// The digests of `blocks` (2 or 4 of them, anywhere in memory, of
+    /// one length that is a multiple of 64) into `out`, one per block.
+    pub fn digest_lanes(blocks: &[&[u8]], out: &mut [Digest]) {
         assert!(available(), "SHA-NI kernel invoked on a CPU without the sha feature");
-        assert!(block.is_multiple_of(64) && data.len() == block * out.len());
+        let block = blocks[0].len();
+        assert!(block.is_multiple_of(64) && blocks.iter().all(|b| b.len() == block));
+        assert_eq!(out.len(), blocks.len());
         // SAFETY: the required target features were just verified.
         unsafe {
-            match out.len() {
-                2 => digest_streams::<2>(data, block, out),
-                4 => digest_streams::<4>(data, block, out),
-                n => unreachable!("{n} interleaved streams"),
+            match *blocks {
+                [a, b] => digest_streams([a, b], out),
+                [a, b, c, d] => digest_streams([a, b, c, d], out),
+                _ => unreachable!("{} interleaved streams", blocks.len()),
             }
         }
     }
@@ -455,15 +502,16 @@ mod shani {
         *state = unpack(state0[0], state1[0]);
     }
 
-    /// `N` whole streams of `block` bytes, side by side, then the one
-    /// padding block they share (they have one length).
+    /// `N` whole streams of one length, side by side, then the one
+    /// padding block they share.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn digest_streams<const N: usize>(data: &[u8], block: usize, out: &mut [Digest]) {
+    fn digest_streams<const N: usize>(streams: [&[u8]; N], out: &mut [Digest]) {
         let (abef, cdgh) = pack(&H0);
         let (mut state0, mut state1) = ([abef; N], [cdgh; N]);
+        let block = streams[0].len();
         for step in (0..block).step_by(64) {
             let chunks = std::array::from_fn(|l| {
-                data[l * block + step..][..64].try_into().expect("a slice of 64 is an array of 64")
+                streams[l][step..][..64].try_into().expect("a slice of 64 is an array of 64")
             });
             compress(&mut state0, &mut state1, chunks);
         }
@@ -576,7 +624,7 @@ mod shani {
         unreachable!("SHA-NI kernel is x86_64-only and gated by Kernel::supported")
     }
 
-    pub fn digest_blocks(_data: &[u8], _block: usize, _out: &mut [super::Digest]) {
+    pub fn digest_lanes(_blocks: &[&[u8]], _out: &mut [super::Digest]) {
         unreachable!("SHA-NI kernel is x86_64-only and gated by available()")
     }
 }
@@ -600,24 +648,23 @@ mod wide16 {
             && std::arch::is_x86_feature_detected!("avx512bw")
     }
 
-    /// The digests of the `out.len()` (1 to 16) consecutive `block`-byte
-    /// blocks that make up `data`; `block` is a multiple of 64.
-    pub fn digest_blocks(data: &[u8], block: usize, out: &mut [Digest]) {
+    /// The digests of `blocks` (1 to 16 of them, anywhere in memory, of
+    /// one length that is a multiple of 64) into `out`, one per block.
+    pub fn digest_lanes(blocks: &[&[u8]], out: &mut [Digest]) {
         assert!(available(), "16-lane kernel invoked on a CPU without avx512f + avx512bw");
-        assert!(block.is_multiple_of(64) && (1..=16).contains(&out.len()));
-        assert_eq!(data.len(), block * out.len());
+        assert!((1..=16).contains(&blocks.len()) && out.len() == blocks.len());
+        let block = blocks[0].len();
+        assert!(block.is_multiple_of(64) && blocks.iter().all(|b| b.len() == block));
         // SAFETY: the required target features were just verified.
-        unsafe { digest_blocks_impl(data, block, out) }
+        unsafe { digest_lanes_impl(blocks, block, out) }
     }
 
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn digest_blocks_impl(data: &[u8], block: usize, out: &mut [Digest]) {
+    fn digest_lanes_impl(blocks: &[&[u8]], block: usize, out: &mut [Digest]) {
         // Lane `l` reads block `l`; the idle lanes of a short group
         // re-read block 0 and their digests are dropped.
-        let mut lanes = [&data[..block]; 16];
-        for (lane, bytes) in lanes.iter_mut().zip(data.chunks_exact(block)) {
-            *lane = bytes;
-        }
+        let mut lanes = [blocks[0]; 16];
+        lanes[..blocks.len()].copy_from_slice(blocks);
         // Per 128-bit quarter, the shuffle that turns four little-endian
         // loads into big-endian message words.
         let swap = _mm512_broadcast_i32x4(_mm_set_epi64x(
@@ -790,7 +837,7 @@ mod wide16 {
         false
     }
 
-    pub fn digest_blocks(_data: &[u8], _block: usize, _out: &mut [super::Digest]) {
+    pub fn digest_lanes(_blocks: &[&[u8]], _out: &mut [super::Digest]) {
         unreachable!("16-lane kernel is x86_64-only and gated by available()")
     }
 }

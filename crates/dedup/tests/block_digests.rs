@@ -7,7 +7,9 @@
 //! is every block count 0..=40 × every tail length in `TAILS` × every
 //! misalignment 0..64 of the base pointer against a cache line; on top,
 //! `every_stream_count_at_4_kib_blocks` walks each run length a stream
-//! mix and a wide pass plus an interleaved remainder can take. On a CPU
+//! mix and a wide pass plus an interleaved remainder can take, and
+//! `digests_of_scattered_messages` feeds the same kernels messages from
+//! anywhere in memory. On a CPU
 //! without AVX-512 both grid settings take the streams (or, without
 //! SHA-NI either, the single-stream loop), which is then all there is to
 //! check.
@@ -20,7 +22,9 @@
 
 use std::collections::HashMap;
 
-use hyrd_dedup::sha256::{block_digests, block_digests_with, Digest, Kernel, WIDE_MIN_BLOCKS};
+use hyrd_dedup::sha256::{
+    block_digests, block_digests_with, digests_of, Digest, Kernel, WIDE_MIN_BLOCKS,
+};
 
 mod oracle;
 
@@ -172,6 +176,45 @@ fn the_entry_point_is_the_break_even_dispatch() {
             assert_eq!(got, expected(&mut memo, &content, 4096, len), "{n} blocks + {tail}");
         }
     }
+}
+
+/// `digests_of` ≡ the oracle per message, for messages scattered over a
+/// buffer: runs of 1..=40 equal whole-compression lengths (every wide
+/// pass and stream mix, as in the grid) between messages of lengths that
+/// break a run — empty, short, not whole compressions, another whole
+/// length — each message at its own offset, misaligned at random.
+#[test]
+fn digests_of_scattered_messages() {
+    const LENGTHS: [usize; 9] = [0, 1, 63, 64, 65, 1000, 4095, 4096, 8192];
+    let mut rng = SplitMix64(0xd15);
+    let content = rng.bytes(1 << 20);
+    for round in 0..300 {
+        let mut messages: Vec<&[u8]> = Vec::new();
+        while messages.len() < 48 {
+            let len = LENGTHS[(rng.next() % LENGTHS.len() as u64) as usize];
+            let run = if len == 4096 { 1 + (rng.next() % 40) as usize } else { 1 };
+            for _ in 0..run {
+                let at = (rng.next() % (content.len() - len) as u64) as usize;
+                messages.push(&content[at..at + len]);
+            }
+        }
+        let want: Vec<Digest> = messages.iter().map(|m| oracle::sha256(m)).collect();
+        let mut got = vec![[0xa5u8; 32]; messages.len()];
+        digests_of(&messages, &mut got);
+        assert_eq!(
+            got,
+            want,
+            "round {round}: lengths {:?}",
+            messages.iter().map(|m| m.len()).collect::<Vec<_>>()
+        );
+    }
+    digests_of(&[], &mut []);
+}
+
+#[test]
+#[should_panic(expected = "digests_of: one digest per message")]
+fn digests_of_wants_one_digest_per_message() {
+    digests_of(&[&[1u8; 64]], &mut [[0u8; 32]; 2]);
 }
 
 #[test]

@@ -522,9 +522,9 @@ mod tests {
         assert!(!a.contains('/'));
     }
 
-    /// A frame assembled the way a compaction writes it — the header,
-    /// then entry encodings cached one by one, then the checksum patched
-    /// in — is the frame `encode_block` makes.
+    /// A frame assembled the way a directory's flushed frame is built —
+    /// the header, then entry encodings one by one, then the checksum
+    /// patched in — is the frame `encode_block` makes.
     #[test]
     fn assemble_matches_encode() {
         let block = sample_block();

@@ -30,12 +30,14 @@
 
 pub mod codec;
 pub mod diff;
+mod frame;
 pub mod inode;
 pub mod path;
 pub mod shard;
 
 pub use codec::MetadataBlock;
 pub use diff::{resolve_chain, ChainResolution, DiffBlock, EntryOp};
+pub use frame::BlockDelta;
 pub use inode::{FileId, Inode, Placement};
 pub use path::NormPath;
 pub use shard::{DirEntry, FlushItem, FlushKind, MetaOccStats, ShardGauge, ShardedMetaStore};

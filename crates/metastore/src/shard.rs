@@ -25,15 +25,21 @@
 //! * **Incremental flushes, O(changed).** Every mutation records the
 //!   entry *name* it touched next to the directory's dirty mark. A
 //!   flush visits only those names: it re-encodes each, byte-compares
-//!   it with the entry's encoding at the last flush, and ships a compact
-//!   [`DiffBlock`] of just the entries that really changed — a rollback
-//!   or a netted-out change ships nothing. Every [`COMPACT_EVERY`] diffs
-//!   the chain is folded back into a full block (a
-//!   [`FlushKind::Compact`] item, a concatenation of the cached
-//!   encodings, that also names the superseded diff objects so the
-//!   dispatcher can delete them). Only a directory's first flush, a
-//!   compaction body and [`ShardedMetaStore::seed_flushed`] are
-//!   O(directory). Restart reconstructs state with
+//!   it with the entry's bytes in the directory's flushed frame — the
+//!   full block as of the last flush, kept as one buffer — and ships a
+//!   compact [`DiffBlock`] of just the entries that really changed — a
+//!   rollback or a netted-out change ships nothing. A changed entry of
+//!   the same length is overwritten in the frame where it lies, any
+//!   other change is spliced in. Every [`COMPACT_EVERY`] diffs the chain
+//!   is folded back into a full block (a [`FlushKind::Compact`] item: a
+//!   copy of the frame with its header rewritten and resealed, naming
+//!   the superseded diff objects so the dispatcher can delete them, and
+//!   handed out with the byte ranges where it differs from the block
+//!   before it, so the dispatcher re-hashes only those). Only a
+//!   directory's first flush and [`ShardedMetaStore::seed_flushed`]
+//!   walk the directory's entries; a compaction copies and checksums
+//!   its frame, and a splice moves the bytes after it, without walking
+//!   or allocating. Restart reconstructs state with
 //!   [`crate::diff::resolve_chain`]: the highest intact full block plus
 //!   every intact diff that links onto it. A flush locks only the shards
 //!   marked as holding a dirty directory; the mark is set and cleared
@@ -52,6 +58,7 @@ use std::time::{Duration, Instant};
 
 use crate::codec::{self, MetadataBlock};
 use crate::diff::{self, DiffBlock};
+use crate::frame::{BlockDelta, Frame};
 use crate::inode::{FileId, Inode, Placement};
 use crate::path::NormPath;
 use crate::{MetaError, Result};
@@ -129,7 +136,7 @@ pub struct ShardGauge {
 
 /// One directory's entries plus its flush bookkeeping. An entry's name
 /// is allocated once, when the file is created or loaded, and shared by
-/// every table below that names it.
+/// `files` and `touched`.
 #[derive(Debug, Default)]
 struct DirState {
     /// Child directory names (structure only; not persisted in blocks).
@@ -138,18 +145,18 @@ struct DirState {
     files: BTreeMap<Arc<str>, Inode>,
     /// Version reached by the last flush, `None` before the first.
     flushed_version: Option<u64>,
-    /// Per-entry wire encoding (`name + inode`) at the last flush — the
-    /// unit of change detection, and the body source for full blocks so
-    /// unchanged entries are never re-encoded.
-    flushed_entries: BTreeMap<Arc<str>, Vec<u8>>,
+    /// The full block of the entries as of the last flush, kept as one
+    /// frame — the unit of change detection, and what a compaction
+    /// ships, so unchanged entries are never re-encoded or walked.
+    frame: Frame,
     /// Live diff object names since the last full block, version order.
     chain: Vec<Arc<str>>,
-    /// Names whose entry in `files` may differ from `flushed_entries`
-    /// (created, re-placed, removed or loaded since the last flush), in
-    /// the order they were touched, repeats included. Invariant: every
-    /// name *not* in here has `files[name]` encoding to exactly
-    /// `flushed_entries[name]`, or is absent from both — so a flush need
-    /// look at nothing else.
+    /// Names whose entry in `files` may differ from `frame` (created,
+    /// re-placed, removed or loaded since the last flush), in the order
+    /// they were touched, repeats included. Invariant: every name *not*
+    /// in here has `files[name]` encoding to exactly its entry in
+    /// `frame`, or is absent from both — so a flush need look at nothing
+    /// else.
     touched: Vec<Arc<str>>,
 }
 
@@ -158,15 +165,10 @@ impl DirState {
         self.files.values().map(|i| i.version).max().unwrap_or(0)
     }
 
-    /// Makes `flushed_entries` the encoding of `files` as they stand —
+    /// Makes `frame` the block of `files` as they stand at `version` —
     /// the O(directory) step of a first flush and of a seed.
-    fn snapshot_entries(&mut self) {
-        self.flushed_entries.clear();
-        for (name, inode) in &self.files {
-            let mut enc = Vec::with_capacity(128);
-            codec::encode_entry(&mut enc, name, inode);
-            self.flushed_entries.insert(Arc::clone(name), enc);
-        }
+    fn snapshot(&mut self, dir: &NormPath, version: u64) {
+        self.frame = Frame::build(dir, version, &self.files);
         self.touched.clear();
     }
 }
@@ -677,6 +679,22 @@ impl ShardedMetaStore {
     ///
     /// Only the shards marked as holding a dirty directory are locked.
     pub fn flush_dirty_encoded(&self) -> Vec<FlushItem> {
+        self.flush_dirty_with(|_, _| {})
+    }
+
+    /// [`Self::flush_dirty_encoded`], handing each item to `made` as it
+    /// is made, while the lock of its shard is still held, together with
+    /// where a full block differs from the one this store shipped before
+    /// it under the same object name — `None` for a diff (a new object),
+    /// a directory's first block and the first block after
+    /// [`Self::seed_flushed`]. Whoever keeps state per shipped object
+    /// (the dispatcher's digest of each block, which a compaction patches
+    /// by the delta) sees one directory's items in the order they were
+    /// made, whatever flushes run beside this one.
+    pub fn flush_dirty_with(
+        &self,
+        mut made: impl FnMut(&FlushItem, Option<&BlockDelta>),
+    ) -> Vec<FlushItem> {
         let mut items = Vec::new();
         for idx in 0..self.shards.len() {
             // Acquire pairs with the Release in `commit`: a mark this
@@ -695,6 +713,11 @@ impl ShardedMetaStore {
                     continue;
                 };
                 if let Some(item) = Self::flush_dir(dir, state) {
+                    let delta = match item.kind {
+                        FlushKind::Diff => None,
+                        FlushKind::Block | FlushKind::Compact => state.frame.delta(),
+                    };
+                    made(&item, delta);
                     items.push(item);
                     mutated = true;
                 }
@@ -710,25 +733,26 @@ impl ShardedMetaStore {
     /// Flushes one directory in place, returning the item to ship (or
     /// `None` when nothing changed since the last flush). Work is
     /// proportional to the names touched since then, not to the
-    /// directory — except on the first flush and for a compaction's body.
+    /// directory — except on the first flush; a compaction copies the
+    /// frame and walks no entry.
     fn flush_dir(dir: NormPath, state: &mut DirState) -> Option<FlushItem> {
         let Some(base) = state.flushed_version else {
             // First flush: every entry is new.
-            state.snapshot_entries();
             let version = state.max_inode_version();
+            state.snapshot(&dir, version);
             return Some(Self::full_block(dir, state, version, FlushKind::Block));
         };
         // Each touched name once, in name order — the order diff ops
-        // travel in.
+        // travel in and the frame is edited in.
         state.touched.sort_unstable();
         state.touched.dedup();
 
-        // Fold each touched name into `flushed_entries`. Each entry is
-        // encoded once, at the end of the diff that ships, and dropped
-        // from it again when its bytes match the last flush — the byte
-        // compare is what lets a rollback (create + remove) or a change
-        // that netted out ship nothing. A compaction ships the full block
-        // instead, and the buffer is only the encoder's scratch.
+        // Fold each touched name into the frame. Each entry is encoded
+        // once, at the end of the diff that ships, and dropped from it
+        // again when its bytes match the frame's — the byte compare is
+        // what lets a rollback (create + remove) or a change that netted
+        // out ship nothing. A compaction ships the frame instead, and the
+        // buffer is only the encoder's scratch.
         let version = base + 1;
         let compact = state.chain.len() >= COMPACT_EVERY;
         let mut out = if compact {
@@ -739,40 +763,27 @@ impl ShardedMetaStore {
             out
         };
         let mut records = 0;
+        let mut frame = state.frame.editor();
         for name in &state.touched {
             let mark = out.len();
-            match state.files.get(name) {
+            let changed = match state.files.get(name) {
                 Some(inode) => {
                     out.push(diff::OP_UPSERT);
                     codec::encode_entry(&mut out, name, inode);
-                    let enc = &out[mark + 1..];
-                    match state.flushed_entries.get_mut(name) {
-                        Some(flushed) if flushed[..] == *enc => {
-                            out.truncate(mark);
-                            continue;
-                        }
-                        Some(flushed) => {
-                            flushed.clear();
-                            flushed.extend_from_slice(enc);
-                        }
-                        None => {
-                            state.flushed_entries.insert(Arc::clone(name), enc.to_vec());
-                        }
-                    }
+                    frame.set(name, Some(&out[mark + 1..]))
                 }
                 None => {
-                    if state.flushed_entries.remove(name).is_none() {
-                        continue;
-                    }
                     out.push(diff::OP_REMOVE);
                     codec::put_str(&mut out, name);
+                    frame.set(name, None)
                 }
-            }
-            if compact {
+            };
+            if compact || !changed {
                 out.truncate(mark);
             }
-            records += 1;
+            records += changed as usize;
         }
+        drop(frame);
         state.touched.clear();
         if records == 0 {
             return None;
@@ -798,18 +809,11 @@ impl ShardedMetaStore {
         })
     }
 
-    /// A full block at `version` from the (already current) cached entry
-    /// encodings — no entry is re-encoded, and the frame is written once:
-    /// the header, each cached encoding, then the checksum patched in.
-    /// Folds and supersedes the live diff chain.
+    /// The frame shipped as a full block at `version`: its header
+    /// rewritten and resealed, then copied out. Folds and supersedes the
+    /// live diff chain.
     fn full_block(dir: NormPath, state: &mut DirState, version: u64, kind: FlushKind) -> FlushItem {
-        let body = state.flushed_entries.values().map(Vec::len).sum::<usize>();
-        let mut bytes = Vec::with_capacity(codec::HEADER + 16 + dir.as_str().len() + body);
-        codec::begin_block(&mut bytes, &dir, version, state.flushed_entries.len());
-        for enc in state.flushed_entries.values() {
-            bytes.extend_from_slice(enc);
-        }
-        codec::seal(&mut bytes);
+        let bytes = state.frame.ship(version);
         state.flushed_version = Some(version);
         FlushItem {
             object: MetadataBlock::object_name(&dir).into(),
@@ -817,7 +821,7 @@ impl ShardedMetaStore {
             dir,
             version,
             kind,
-            records: state.flushed_entries.len(),
+            records: state.frame.entries(),
             supersedes: std::mem::take(&mut state.chain),
         }
     }
@@ -832,7 +836,7 @@ impl ShardedMetaStore {
         let Some(state) = shard.dirs.get_mut(dir) else {
             return;
         };
-        state.snapshot_entries();
+        state.snapshot(dir, version);
         state.flushed_version = Some(version);
         state.chain.clear();
         shard.version += 1;

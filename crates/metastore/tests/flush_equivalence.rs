@@ -8,7 +8,9 @@
 //! op sequences the two must emit identical [`FlushItem`]s — object
 //! names, versions, wire bytes, kinds, `records`, `supersedes`,
 //! compaction cadence — and the shipped objects must resolve back to the
-//! store's live state.
+//! store's live state. A compaction also says where its bytes differ
+//! from the block shipped before it ([`BlockDelta`]); the oracle checks
+//! that every differing byte is inside a reported range.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -19,8 +21,8 @@ use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::FragmentLayout;
 use hyrd_metastore::shard::COMPACT_EVERY;
 use hyrd_metastore::{
-    resolve_chain, DiffBlock, EntryOp, FileId, FlushItem, FlushKind, Inode, MetadataBlock,
-    NormPath, Placement, ShardedMetaStore,
+    resolve_chain, BlockDelta, DiffBlock, EntryOp, FileId, FlushItem, FlushKind, Inode,
+    MetadataBlock, NormPath, Placement, ShardedMetaStore,
 };
 
 /// One directory's flush bookkeeping, as the store kept it before it
@@ -30,6 +32,9 @@ struct OracleDir {
     flushed_version: Option<u64>,
     flushed_entries: BTreeMap<String, Vec<u8>>,
     chain: Vec<String>,
+    /// The last full block the store shipped, while the store can know
+    /// it: cleared by `seed_flushed`.
+    shipped: Option<Vec<u8>>,
 }
 
 /// The full-walk flush, fed from the store's public read surface.
@@ -89,12 +94,14 @@ impl Oracle {
                 // The cached encodings are now those of `files`, so the
                 // block is the full encode of `files`.
                 state.flushed_version = Some(version);
-                let block = MetadataBlock { dir: dir.clone(), version, entries: files.clone() };
+                let bytes =
+                    MetadataBlock { dir: dir.clone(), version, entries: files.clone() }.to_bytes();
+                state.shipped = Some(bytes.clone());
                 items.push(FlushItem {
                     dir: dir.clone(),
                     version,
                     object: MetadataBlock::object_name(&dir).into(),
-                    bytes: block.to_bytes(),
+                    bytes,
                     kind: if first { FlushKind::Block } else { FlushKind::Compact },
                     records: state.flushed_entries.len(),
                     supersedes: std::mem::take(&mut state.chain)
@@ -144,10 +151,33 @@ impl Oracle {
             .collect();
         state.flushed_version = Some(version);
         state.chain.clear();
+        state.shipped = None;
+    }
+
+    /// The last full block shipped for `dir`, if the store can know it.
+    fn shipped(&self, dir: &NormPath) -> Option<&[u8]> {
+        self.dirs.get(dir)?.shipped.as_deref()
     }
 
     fn seed_chain(&mut self, dir: &NormPath, chain: Vec<String>) {
         self.dirs.entry(dir.clone()).or_default().chain = chain;
+    }
+}
+
+/// Every byte of `new` that differs from `old`'s at the same offset (or
+/// has none there) lies in one of `delta`'s ranges, which ascend, do not
+/// overlap and stay inside `new`.
+fn assert_covers(old: &[u8], new: &[u8], delta: &BlockDelta) {
+    assert_eq!(delta.base_len, old.len());
+    let ranges = &delta.ranges;
+    assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start), "{ranges:?}");
+    assert!(ranges.iter().all(|r| r.start < r.end && r.end <= new.len()), "{ranges:?}");
+    let mut ranges = ranges.iter().peekable();
+    for (at, byte) in new.iter().enumerate() {
+        while ranges.next_if(|r| r.end <= at).is_some() {}
+        if old.get(at) != Some(byte) {
+            assert!(ranges.peek().is_some_and(|r| r.contains(&at)), "byte {at} changed, uncovered");
+        }
     }
 }
 
@@ -256,6 +286,8 @@ struct Rig {
     diffs: BTreeMap<NormPath, Vec<DiffBlock>>,
     flushes: usize,
     compactions: usize,
+    /// Full blocks shipped with a delta against the block before them.
+    patched: usize,
 }
 
 impl Rig {
@@ -268,6 +300,7 @@ impl Rig {
             diffs: BTreeMap::new(),
             flushes: 0,
             compactions: 0,
+            patched: 0,
         }
     }
 
@@ -278,9 +311,36 @@ impl Rig {
 
     /// The equivalence itself, then the provider model.
     fn flush(&mut self) -> Vec<FlushItem> {
+        let before: BTreeMap<NormPath, Vec<u8>> = self
+            .store
+            .dirty_dirs()
+            .into_iter()
+            .filter_map(|dir| Some((dir.clone(), self.oracle.shipped(&dir)?.to_vec())))
+            .collect();
         let want = self.oracle.flush(&self.store);
-        let got = self.store.flush_dirty_encoded();
+        let mut deltas = BTreeMap::new();
+        let got = self.store.flush_dirty_with(|item, delta| {
+            if let Some(delta) = delta {
+                deltas.insert(item.dir.clone(), delta.clone());
+            }
+        });
         assert_eq!(got, want, "flush {} diverged from the full walk", self.flushes);
+        // A full block reports where it differs from the block before it
+        // exactly when this store shipped one since it was last seeded;
+        // the ranges are the store's to choose, as long as they cover
+        // every byte that differs.
+        for item in got.iter().filter(|item| item.kind != FlushKind::Diff) {
+            match (before.get(&item.dir), deltas.get(&item.dir)) {
+                (Some(old), Some(delta)) => {
+                    assert_covers(old, &item.bytes, delta);
+                    self.patched += 1;
+                }
+                (None, None) => {}
+                (old, delta) => {
+                    panic!("{}: shipped before {}, delta {delta:?}", item.dir, old.is_some())
+                }
+            }
+        }
         assert!(self.store.dirty_dirs().is_empty());
         self.flushes += 1;
         for item in &got {
@@ -347,26 +407,30 @@ impl Rig {
                 }
             }
             Op::Mkdir { dir } => self.store.mkdir_all(&dir_of(*dir)).expect("plain directory"),
-            Op::Load { dir, entries, seed } => self.load(*dir, entries, *seed, now),
+            Op::Load { dir, entries, seed } => {
+                let entries: Vec<(String, u64)> =
+                    entries.iter().map(|&(name, bump)| (format!("f{name}"), bump)).collect();
+                self.load(&dir_of(*dir), &entries, *seed, now)
+            }
             Op::Flush => {
                 self.flush();
             }
         }
     }
 
-    fn load(&mut self, dir: u8, entries: &[(u8, u64)], seed: bool, now: Duration) {
-        let dpath = dir_of(dir);
+    fn load(&mut self, dpath: &NormPath, entries: &[(String, u64)], seed: bool, now: Duration) {
+        let dpath = dpath.clone();
         let mut block = MetadataBlock { dir: dpath.clone(), version: 0, entries: BTreeMap::new() };
-        for &(name, bump) in entries {
-            let inode = match self.store.inode(&path_of(dir, name)) {
+        for (i, (name, bump)) in entries.iter().enumerate() {
+            let inode = match self.store.inode(&dpath.join(name).expect("well-formed")) {
                 Ok(mut local) => {
                     local.version += bump;
                     local.size += bump;
                     local
                 }
-                Err(_) => Inode::new(FileId(1_000_000 + self.tick * 8 + name as u64), bump, now),
+                Err(_) => Inode::new(FileId(1_000_000 + self.tick * 8 + i as u64), *bump, now),
             };
-            block.entries.insert(format!("f{name}"), inode);
+            block.entries.insert(name.clone(), inode);
         }
         self.store.load_block(&block).expect("no name is a directory");
         if seed {
@@ -503,7 +567,7 @@ fn an_unseeded_load_is_flushed_with_the_next_change() {
     rig.store.create_file(&path_of(1, 1), 20, now).unwrap();
     rig.flush();
 
-    rig.load(1, &[(0, 2), (5, 0)], false, now);
+    rig.load(&dir_of(1), &[("f0".to_string(), 2), ("f5".to_string(), 0)], false, now);
     assert!(rig.store.dirty_dirs().is_empty(), "loads mark nothing dirty");
     assert!(rig.flush().is_empty());
 
@@ -513,5 +577,61 @@ fn an_unseeded_load_is_flushed_with_the_next_change() {
     let diff = DiffBlock::from_bytes(&items[0].bytes).unwrap();
     let names: Vec<&str> = diff.ops.iter().map(EntryOp::name).collect();
     assert_eq!(names, ["f0", "f5"]);
+    rig.assert_reload_state();
+}
+
+/// The frame at scale: a 1,024-entry directory through four
+/// compactions, with long runs of in-place updates, splices that grow,
+/// shrink, insert and remove entries, and loads with and without a seed
+/// in between — every item what the full walk ships, every compaction's
+/// delta covering every byte that differs from the block before it.
+#[test]
+fn a_large_directory_compacts_from_its_frame() {
+    const FILES: usize = 1024;
+    let dir = NormPath::parse("/big").expect("well-formed");
+    let file = |i: usize| dir.join(&format!("f{i:04}")).expect("well-formed");
+    let mut rig = Rig::new(4);
+    for i in 0..FILES {
+        let now = rig.now();
+        rig.store.create_file(&file(i), 4096, now).expect("fresh name");
+        rig.store.set_placement(&file(i), placement(i as u64, false), 4096, now).expect("created");
+    }
+    rig.flush();
+    for round in 0..4 * (COMPACT_EVERY + 1) {
+        let now = rig.now();
+        // A run of 24 neighbours, each keeping its encoding's length.
+        let start = (round * 379) % (FILES - 24);
+        for i in start..start + 24 {
+            if let Ok(inode) = rig.store.inode(&file(i)) {
+                rig.store.set_placement(&file(i), inode.placement, inode.size, now).expect("lives");
+            }
+        }
+        match round % 6 {
+            // A placement of another length: the entry is spliced.
+            1 => {
+                let at = file((round * 131) % FILES);
+                let _ = rig.store.set_placement(&at, placement(round as u64, true), 7, now);
+            }
+            // A new entry between two old ones, and one gone.
+            2 => {
+                let name = format!("f{:04}x", (round * 53) % FILES);
+                rig.store.create_file(&dir.join(&name).expect("well-formed"), 1, now).expect("new");
+                let _ = rig.store.remove_file(&file((round * 211) % FILES));
+            }
+            // Loaded entries, newer than local state: in place. Once
+            // (a chain after the first compaction), seeded as attach does,
+            // so that the next compaction has no block to patch.
+            3 => {
+                let entries: Vec<(String, u64)> = (0..6)
+                    .map(|j| (format!("f{:04}", (round * 97 + j * 150) % FILES), 1))
+                    .collect();
+                rig.load(&dir, &entries, round == 15, now);
+            }
+            _ => {}
+        }
+        rig.flush();
+    }
+    assert!(rig.compactions >= 3, "{} compactions", rig.compactions);
+    assert!(rig.patched >= 2, "{} compactions patched the block before", rig.patched);
     rig.assert_reload_state();
 }
