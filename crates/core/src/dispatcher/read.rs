@@ -61,6 +61,23 @@ impl Hyrd {
         }
     }
 
+    /// [`Hyrd::check`], after the length: a payload of any length but
+    /// `expect_len` (where the caller knows it) is corrupt whatever the
+    /// integrity index knows — it knows nothing on a freshly attached
+    /// client or a ghost fleet.
+    fn check_sized(
+        &self,
+        id: ProviderId,
+        object: &str,
+        bytes: &[u8],
+        expect_len: Option<u64>,
+    ) -> Verdict {
+        if expect_len.is_some_and(|len| bytes.len() as u64 != len) {
+            return Verdict::Corrupt;
+        }
+        self.check(id, object, bytes)
+    }
+
     // ------------------------------------------------------------------
     // Read
     // ------------------------------------------------------------------
@@ -358,7 +375,7 @@ impl Hyrd {
                     if !self.log_l().is_pending(*p, &hot_key) && self.health.admits(*p, self.now())
                     {
                         if let Ok(out) = self.get_object(*p, &hot_key) {
-                            match self.check(*p, name, &out.value) {
+                            match self.check_sized(*p, name, &out.value, Some(inode.size)) {
                                 Verdict::Corrupt => self.note_corruption(*p, name),
                                 Verdict::Verified | Verdict::Unknown => {
                                     if self.config.policy.enabled {
@@ -427,18 +444,6 @@ struct ReadFanout<'a> {
     expect_len: Option<u64>,
 }
 
-impl ReadFanout<'_> {
-    /// [`Hyrd::check`], after the length: a payload of the wrong length
-    /// is corrupt whatever the integrity index knows (it knows nothing
-    /// on a freshly attached client or a ghost fleet).
-    fn check(&self, id: ProviderId, object: &str, bytes: &[u8]) -> Verdict {
-        if self.expect_len.is_some_and(|len| bytes.len() as u64 != len) {
-            return Verdict::Corrupt;
-        }
-        self.hyrd.check(id, object, bytes)
-    }
-}
-
 impl FanoutDriver for ReadFanout<'_> {
     fn candidates(&self) -> usize {
         self.candidates.len()
@@ -471,7 +476,7 @@ impl FanoutDriver for ReadFanout<'_> {
             self.hyrd.get_object(id, key)
         };
         match fetched {
-            Ok(out) => match self.check(id, &key.name, &out.value) {
+            Ok(out) => match self.hyrd.check_sized(id, &key.name, &out.value, self.expect_len) {
                 Verdict::Corrupt => {
                     self.hyrd.note_corruption(id, &key.name);
                     Attempt::Corrupt { report: out.report }

@@ -1,4 +1,4 @@
-//! Client-side integrity: SHA-256 digests for every object HyRD writes.
+//! Client-side integrity: BLAKE3 digests for every object HyRD writes.
 //!
 //! Cloud storage returns whatever bytes it holds; it does not promise they
 //! are the bytes you stored. The dispatcher records a digest at write time
@@ -8,16 +8,21 @@
 //! erasure: the read fails over to another replica or to erasure-coded
 //! reconstruction, and the scrub pass rewrites the damaged copy.
 //!
-//! A digest is the object's length plus the SHA-256 of each
-//! [`DIGEST_BLOCK`]-sized block of it, so a change re-hashes the blocks
-//! it touched instead of the object ([`IntegrityIndex::record_patch`]):
-//! a ranged update the blocks it overlaps, a metadata compaction the
-//! blocks of its directory's block that differ from the one before it.
-//! Verification hashes the same bytes once, block by block, and every
-//! bit of the object is under exactly one block hash: a flipped bit
-//! fails its block, a truncation or extension fails the length. An object
-//! of at most one block — the paper's ≤ 4 KB files, a metadata diff of a
-//! few entries — has the one digest `sha256(object)`.
+//! A digest is the object's length plus one value per
+//! [`DIGEST_BLOCK`]-sized block of it: block `i`'s is the chaining value
+//! of BLAKE3's subtree over the object's chunks `4i..4i + 4`, counted
+//! from the object's start and never root-flagged. Blocks stay
+//! independent, so a change re-hashes the blocks it touched instead of
+//! the object ([`IntegrityIndex::record_patch`]): a ranged update the
+//! blocks it overlaps, a metadata compaction the blocks of its
+//! directory's block that differ from the one before it. Verification
+//! hashes the same bytes once, block by block, and every bit of the
+//! object is under exactly one block value: a flipped bit fails its
+//! block, a truncation or extension fails the length, and since the chunk
+//! counters are the block's position, a block moved to another position
+//! fails too. Each value is a node of the object's own BLAKE3 tree, so
+//! for any object longer than one block the table folds, parent by
+//! parent, to `blake3(object)`.
 //!
 //! The index is a hash map from object name to digest, and the name is
 //! the one the writer's key already shares. Nothing iterates the index,
@@ -27,21 +32,17 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use hyrd_dedup::sha256::{digests_of, Digest};
+use hyrd_dedup::blake3::{self, Digest};
 use hyrd_metastore::{BlockDelta, FlushItem};
 
-/// Bytes under one block hash: the paper's small-file class and the unit
-/// both workload generators update in, so a 4 KiB patch re-hashes what it
-/// changed (at most two blocks when unaligned) whatever the object's
-/// size. The table costs 32 B per 4 KiB indexed, 0.78 %. Small blocks
-/// are also what makes a whole object cheap to hash: they are
-/// independent, so `sha256::digests_of` runs sixteen side by side in
-/// AVX-512 lanes and `record` of 512 KiB takes ≈ 195 µs where the same blocks
-/// one after another on SHA-NI take 420–550 (DESIGN.md §7 item 3). Where
-/// only the single-stream kernels exist, 4 KiB blocks cost ≈ 7 % more
-/// than 64 KiB ones: 64 compressions per digest against one block of
-/// padding and a state load and store.
-pub const DIGEST_BLOCK: usize = 4 * 1024;
+/// Bytes under one block value: the paper's small-file class and the
+/// unit both workload generators update in, so a 4 KiB patch re-hashes
+/// what it changed (at most two blocks when unaligned) whatever the
+/// object's size. The table costs 32 B per 4 KiB indexed, 0.78 %. A
+/// block is four BLAKE3 chunks, and `blake3::subtree_cvs` hashes the
+/// chunks of sixteen blocks side by side in AVX-512 lanes (DESIGN.md §7
+/// item 3, §10).
+pub const DIGEST_BLOCK: usize = blake3::SUBTREE_LEN;
 
 /// Outcome of verifying fetched bytes against the recorded digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +56,7 @@ pub enum Verdict {
     Unknown,
 }
 
-/// What is on record for one object: its length and a SHA-256 per block.
+/// What is on record for one object: its length and a value per block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectDigest {
     len: usize,
@@ -77,8 +78,8 @@ impl ObjectDigest {
         self.len == 0
     }
 
-    /// The block digests in order; at least one (an empty object has the
-    /// digest of the empty string).
+    /// The block values in order; at least one (an empty object has the
+    /// value of one empty chunk).
     pub fn blocks(&self) -> impl Iterator<Item = &Digest> {
         std::iter::once(&self.head).chain(&self.tail)
     }
@@ -137,12 +138,12 @@ impl ObjectDigest {
     }
 }
 
-/// Blocks hashed per call into a table on the stack — one full pass of
-/// the 16-lane kernel — so neither recording, patching nor verifying
-/// allocates.
-const GROUP: usize = 16;
+/// Blocks hashed per call into a table on the stack — the most one
+/// `blake3::subtree_cvs` call takes — so neither recording, patching nor
+/// verifying allocates.
+const GROUP: usize = blake3::MAX_SUBTREES;
 
-/// Writes the digest of each block of `bytes` that `indices` names —
+/// Writes the value of each block of `bytes` that `indices` names —
 /// `out.len()` of them, at most [`GROUP`] — into `out`, the blocks side
 /// by side wherever they lie; an empty object is one empty block.
 /// Returns the bytes hashed.
@@ -151,13 +152,14 @@ fn hash_blocks(
     indices: impl IntoIterator<Item = usize>,
     out: &mut [Digest],
 ) -> usize {
-    let mut blocks: [&[u8]; GROUP] = [&[]; GROUP];
+    let mut blocks: [(u64, &[u8]); GROUP] = [(0, &[]); GROUP];
     for (block, index) in blocks[..out.len()].iter_mut().zip(indices) {
-        *block = &bytes[index * DIGEST_BLOCK..bytes.len().min((index + 1) * DIGEST_BLOCK)];
+        let end = bytes.len().min((index + 1) * DIGEST_BLOCK);
+        *block = (index as u64, &bytes[index * DIGEST_BLOCK..end]);
     }
     let blocks = &blocks[..out.len()];
-    digests_of(blocks, out);
-    blocks.iter().map(|block| block.len()).sum()
+    blake3::subtree_cvs(blocks, out);
+    blocks.iter().map(|(_, block)| block.len()).sum()
 }
 
 /// Index of the last block of a `len`-byte object.

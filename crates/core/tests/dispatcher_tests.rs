@@ -5,6 +5,7 @@ use std::time::Duration;
 use hyrd::config::{CodeChoice, FragmentSelection, HyrdConfig};
 use hyrd::driver::synth_content;
 use hyrd::scheme::SchemeError;
+use hyrd::telemetry::Collector;
 use hyrd::Hyrd;
 use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
 use hyrd_gcsapi::{CloudStorage, ObjectKey, OpKind};
@@ -1017,4 +1018,37 @@ fn an_erasure_update_never_builds_on_a_stale_fragment_of_a_returned_provider() {
         assert!(bytes[..] == acked[..], "without {}", down.name());
         down.restore();
     }
+}
+
+#[test]
+fn an_attached_client_rejects_a_truncated_hot_copy() {
+    // The attached client's integrity index is empty, so only the length
+    // can tell the truncated copy from the file.
+    let clock = SimClock::new();
+    let fleet = Fleet::standard_four(clock.clone());
+    let cfg = HyrdConfig { hot_read_threshold: Some(1), ..HyrdConfig::default() };
+    let writer = Hyrd::new(&fleet, cfg.clone()).unwrap();
+    let content = synth_content("/hot", 0, 2 * MB);
+    writer.create_file("/hot", &content).unwrap();
+    writer.read_file("/hot").unwrap(); // installs hot copy
+
+    let hot = fleet
+        .providers()
+        .iter()
+        .find_map(|p| {
+            let inventory = p.object_inventory(Fleet::CONTAINER);
+            let name = inventory.into_iter().find(|(name, _)| name.ends_with(".hot"))?.0;
+            Some((p.clone(), ObjectKey::new(Fleet::CONTAINER, &name)))
+        })
+        .expect("the read installed a hot copy");
+    let (provider, key) = hot;
+    let stored = provider.get(&key).unwrap().value;
+    assert_eq!(stored.len(), content.len());
+    provider.put(&key, stored.slice(..stored.len() - 1)).unwrap();
+
+    let telemetry = Collector::builder(clock).build();
+    let (reader, _) = Hyrd::attach_with(&fleet, cfg, telemetry.clone()).unwrap();
+    let (bytes, _) = reader.read_file("/hot").unwrap();
+    assert!(bytes[..] == content[..], "served {} B, not the file from the fragments", bytes.len());
+    assert_eq!(telemetry.metrics().counter("read.fallbacks"), 1);
 }

@@ -1,9 +1,10 @@
-//! The digest table at the sizes where its hashing changes hands: since
-//! PR 21 `record` and `verify` go through `block_digests` in groups of
-//! 16, which hashes runs of 8 or more full blocks in the 16-lane kernel
-//! and the rest (a short run, the short last block) one block at a time.
-//! Whatever path a block takes, its digest is `sha256` of it, a flipped
-//! bit in it is `Corrupt`, and `record_patch` of it ≡ `record`.
+//! The digest table at the sizes where its hashing changes hands:
+//! `record` and `verify` go through `blake3::subtree_cvs` in groups of
+//! 16 blocks, whose full chunks fill 16- and 8-lane passes and whose
+//! leftover and short chunks go row-wise, up to four chains at a time. Whatever path a
+//! block takes, its value is the portable kernel's subtree value of it at
+//! its position, a flipped bit in it is `Corrupt`, and `record_patch` of
+//! it ≡ `record`.
 //!
 //! Std-only and seeded, like `log_rule_model.rs`. The property suite
 //! beside it (`integrity_proptests.rs`) covers the small sizes.
@@ -19,13 +20,14 @@ use hyrd::config::HyrdConfig;
 use hyrd::telemetry::{Collector, SharedBuf};
 use hyrd::{Hyrd, IntegrityIndex, Verdict, DIGEST_BLOCK};
 use hyrd_cloudsim::{Fleet, SimClock};
-use hyrd_dedup::sha256::sha256;
+use hyrd_dedup::blake3::{subtree_cvs_with, Kernel};
 use hyrd_metastore::shard::COMPACT_EVERY;
 
 const B: usize = DIGEST_BLOCK;
 
-/// Block counts either side of the wide kernel's break-even (8), of one
-/// full group (16) and of two (33 = 16 + 16 + 1).
+/// Block counts whose chunks take mixes of 16- and 8-lane passes and
+/// row-wise leftovers (7 blocks: 16 + 8 + 4 chunks; 9: 16 + 16 + 4), of
+/// one full group (16) and of two (33 = 16 + 16 + 1).
 const BLOCKS: [usize; 7] = [7, 8, 9, 15, 16, 17, 33];
 /// `len % 4096`: a full, a one-byte and an all-but-one-byte last block.
 const LAST: [usize; 3] = [0, 1, B - 1];
@@ -68,15 +70,28 @@ fn table(idx: &IntegrityIndex) -> Vec<[u8; 32]> {
     idx.digest("o").expect("recorded").blocks().copied().collect()
 }
 
+/// Each block's value as the portable kernel computes it, one at a time.
+fn values(object: &[u8]) -> Vec<[u8; 32]> {
+    object
+        .chunks(B)
+        .enumerate()
+        .map(|(i, block)| {
+            let mut value = [[0; 32]];
+            subtree_cvs_with(Kernel::Portable, &[(i as u64, block)], &mut value);
+            value[0]
+        })
+        .collect()
+}
+
 #[test]
-fn record_then_verify_round_trips_and_the_table_is_sha256_per_block() {
+fn record_then_verify_round_trips_and_the_table_is_a_subtree_value_per_block() {
     let mut rng = SplitMix64(21);
     for (blocks, len) in objects() {
         let object = rng.content(len);
         let mut idx = IntegrityIndex::new();
         assert_eq!(idx.record("o", &object), len, "record hashes the object once");
         assert_eq!(idx.verify("o", &object), Verdict::Verified, "{blocks} blocks, {len} bytes");
-        assert_eq!(table(&idx), object.chunks(B).map(sha256).collect::<Vec<_>>(), "{len} bytes");
+        assert_eq!(table(&idx), values(&object), "{len} bytes");
         assert_eq!(table(&idx).len(), blocks);
         // The length is part of the digest at these sizes too.
         assert_eq!(idx.verify("o", &object[..len - 1]), Verdict::Corrupt);
@@ -85,8 +100,8 @@ fn record_then_verify_round_trips_and_the_table_is_sha256_per_block() {
 
 #[test]
 fn one_flipped_bit_in_each_block_of_a_17_block_object_is_corrupt() {
-    // Blocks 0..16 fill every lane of one wide pass; block 16, one byte
-    // long, takes the single-stream path.
+    // The chunks of blocks 0..16 fill four 16-lane passes; block 16, one
+    // byte long, goes row-wise.
     let mut rng = SplitMix64(17);
     let object = rng.content(16 * B + 1);
     let mut idx = IntegrityIndex::new();

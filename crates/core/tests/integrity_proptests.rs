@@ -1,9 +1,10 @@
 //! Block digests (DESIGN.md §7): re-hashing the blocks a patch overlaps
-//! is the same as re-recording the patched object, detection power is
-//! what a whole-object SHA-256 had, and an object of at most one block
-//! *has* the whole-object SHA-256. The same holds for the digest of a
-//! directory's metadata block, which a compaction patches by the ranges
-//! the metastore reports (DESIGN.md §15).
+//! is the same as re-recording the patched object, any flip, truncation,
+//! extension or swap of blocks is caught, and the table of an object
+//! longer than one block folds to the object's BLAKE3 hash. The same
+//! holds for the digest of a directory's metadata block, which a
+//! compaction patches by the ranges the metastore reports (DESIGN.md
+//! §15).
 
 use std::time::Duration;
 
@@ -11,8 +12,8 @@ use std::slice::from_ref;
 
 use hyrd_testkit::{check, Gen};
 
-use hyrd::{IntegrityIndex, Verdict, DIGEST_BLOCK};
-use hyrd_dedup::sha256::sha256;
+use hyrd::{IntegrityIndex, ObjectDigest, Verdict, DIGEST_BLOCK};
+use hyrd_dedup::blake3::{self, subtree_cvs_with, Digest, Kernel};
 use hyrd_gcsapi::ProviderId;
 use hyrd_metastore::{
     resolve_chain, DiffBlock, FlushKind, MetadataBlock, NormPath, Placement, ShardedMetaStore,
@@ -154,11 +155,18 @@ fn any_flip_truncation_or_extension_is_corrupt() {
     );
 }
 
-/// The layout: one SHA-256 per block of the object, so an object of
-/// at most one block is digested exactly as before blocks existed —
-/// plain `sha256(bytes)`.
+/// Block `i`'s value as the portable kernel computes it, alone.
+fn subtree_value(i: usize, block: &[u8]) -> Digest {
+    let mut value = [[0; 32]];
+    subtree_cvs_with(Kernel::Portable, &[(i as u64, block)], &mut value);
+    value[0]
+}
+
+/// The layout: one subtree value per block of the object, at its
+/// position; an object of at most one block (the empty one included)
+/// has the one value of block 0.
 #[test]
-fn digest_is_the_sha256_of_each_block() {
+fn digest_is_the_subtree_value_of_each_block() {
     check(64, len_strategy, |len| {
         let object = content(len, 11);
         let mut idx = IntegrityIndex::new();
@@ -167,11 +175,116 @@ fn digest_is_the_sha256_of_each_block() {
         assert_eq!(digest.len(), len);
         let blocks: Vec<_> = digest.blocks().copied().collect();
         if len <= B {
-            assert_eq!(blocks, vec![sha256(&object)]);
+            assert_eq!(blocks, vec![subtree_value(0, &object)]);
         } else {
-            assert_eq!(blocks, object.chunks(B).map(sha256).collect::<Vec<_>>());
+            let values: Vec<_> =
+                object.chunks(B).enumerate().map(|(i, b)| subtree_value(i, b)).collect();
+            assert_eq!(blocks, values);
         }
     });
+}
+
+/// The root of a table: BLAKE3's left-balanced tree over the block
+/// values — the left side the largest power of two that leaves the right
+/// one some — in parent nodes, `ROOT` on the top one.
+fn fold(digest: &ObjectDigest) -> Digest {
+    fn node(values: &[Digest], root: bool) -> Digest {
+        if values.len() == 1 {
+            return values[0];
+        }
+        let left = 1 << (values.len() - 1).ilog2();
+        blake3::parent(&node(&values[..left], false), &node(&values[left..], false), root)
+    }
+    let values: Vec<Digest> = digest.blocks().copied().collect();
+    assert!(values.len() > 1, "a one-block table is no root");
+    node(&values, true)
+}
+
+/// An edit of the object [`a_table_folds_to_the_blake3_hash_of_its_object`]
+/// builds: an overwrite in place, or a new length.
+#[derive(Debug, Clone)]
+enum Edit {
+    Patch { at: f64, len: usize },
+    Resize(usize),
+}
+
+/// The table an object reaches through `record`, patches and resizes —
+/// and a directory's block through `record_flush_item` deltas — folds to
+/// `blake3::hash` of the bytes whenever they are longer than one block:
+/// the table is BLAKE3's own tree, cut at 4 KiB.
+#[test]
+fn a_table_folds_to_the_blake3_hash_of_its_object() {
+    check(
+        48,
+        |g| {
+            let edit = |g: &mut Gen| match g.range(0..3u8) {
+                0 => Edit::Resize(B + 1 + g.range(0..12 * B)),
+                _ => Edit::Patch { at: g.unit(), len: g.range(1..2 * B) },
+            };
+            (B + 1 + g.range(0..12 * B), g.u64(), g.vec(1..12, edit))
+        },
+        |(len, salt, edits)| {
+            let mut object = content(len, salt);
+            let mut idx = IntegrityIndex::new();
+            idx.record("o", &object);
+            for (round, edit) in edits.iter().enumerate() {
+                let base_len = object.len();
+                let changed = match *edit {
+                    Edit::Patch { at, len } => {
+                        let offset = ((object.len() - 1) as f64 * at) as usize;
+                        let end = object.len().min(offset + len);
+                        object[offset..end].copy_from_slice(&content(end - offset, round as u64));
+                        offset..end
+                    }
+                    Edit::Resize(len) => {
+                        object.resize(len, round as u8);
+                        base_len.min(len)..len
+                    }
+                };
+                idx.record_patch("o", &object, base_len, from_ref(&changed));
+                let digest = idx.digest("o").expect("recorded");
+                assert_eq!(fold(digest), blake3::hash(&object), "after {edit:?}");
+            }
+        },
+    );
+    // A directory's metadata block, patched by compaction deltas.
+    let mut model = DirModel::new(400);
+    let name = MetadataBlock::object_name(&model.dir);
+    let mut g = Gen::new(31, 64);
+    for _ in 0..400 {
+        model.apply(&dir_op(&mut g, 800, 5));
+        if let Some(digest) = model.index.digest(&name).filter(|_| model.block.len() > B) {
+            assert_eq!(
+                fold(digest),
+                blake3::hash(&model.block),
+                "block of {} B",
+                model.block.len()
+            );
+        }
+    }
+    assert!(model.compactions > 0 && model.block.len() > B, "the run reached a patched block");
+}
+
+/// Two blocks of an object trading places is `Corrupt`: each value is
+/// bound to its block's position by the chunk counters.
+#[test]
+fn swapping_two_blocks_is_corrupt() {
+    check(
+        48,
+        |g| (2 + g.range(0usize..14), g.u64(), g.range(0usize..B), g.u64()),
+        |(blocks, salt, tail, pick)| {
+            let object = content(blocks * B + tail, salt);
+            let mut idx = IntegrityIndex::new();
+            idx.record("o", &object);
+            let i = pick as usize % blocks;
+            let j = (i + 1 + (pick >> 32) as usize % (blocks - 1)) % blocks;
+            let mut swapped = object.clone();
+            swapped[i * B..(i + 1) * B].copy_from_slice(&object[j * B..(j + 1) * B]);
+            swapped[j * B..(j + 1) * B].copy_from_slice(&object[i * B..(i + 1) * B]);
+            assert_eq!(idx.verify("o", &swapped), Verdict::Corrupt, "blocks {i} and {j}");
+            assert_eq!(idx.verify("o", &object), Verdict::Verified);
+        },
+    );
 }
 
 /// The grain the block size is chosen for: a 4 KiB patch of a 512 KiB

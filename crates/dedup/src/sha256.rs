@@ -1,6 +1,6 @@
-//! SHA-256 (FIPS 180-4), implemented from scratch for the digests
-//! `hyrd::integrity` records and verifies: one per object, and one per
-//! 4 KiB block of it.
+//! SHA-256 (FIPS 180-4), implemented from scratch. `hyrd::integrity`
+//! digests with [`crate::blake3`] now; the perf ledger's `dedup.sha256_*`
+//! probes and its host line still time and name this one.
 //!
 //! Two compression kernels share one incremental hasher:
 //!
@@ -11,20 +11,12 @@
 //! * [`Kernel::Scalar`] — a fully-unrolled portable compress with a
 //!   rolling 16-word message schedule; the fallback everywhere else.
 //!
-//! A single stream is a dependency chain, so that is as fast as one
-//! digest gets. Many *independent* digests of equal-length blocks are
-//! another matter: [`block_digests`] hashes sixteen at a time in the
-//! 32-bit lanes of AVX-512 where the CPU has it, and what that leaves —
-//! or everything, where it does not — four or two at a time on SHA-NI,
-//! the streams' round chains interleaved so that one stream's wait on
-//! the SHA unit is the others' turn (DESIGN.md §10). [`digests_of`]
-//! feeds the same kernels blocks that are not neighbours in memory.
-//!
-//! Every path produces identical digests for every input. The oracle is
+//! Both kernels produce identical digests for every input. The oracle is
 //! the seed's straightforward implementation under `tests/oracle/`; the
 //! tests here and in `tests/{sha_kernels,block_digests}.rs` assert it on
 //! the FIPS vectors, on random lengths, on the 63/64/65-byte block
-//! boundaries and on every lane and tail position of the wide kernel.
+//! boundaries and on every block of a grid of objects at every
+//! misalignment.
 
 use std::sync::OnceLock;
 
@@ -198,121 +190,6 @@ pub fn sha256_with_kernel(kernel: Kernel, data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Fewest full blocks the 16-lane kernel takes in one pass; a shorter
-/// run goes to the interleaved SHA-NI streams. A pass costs the same
-/// however many lanes carry a block of their own, so this is where
-/// sixteen lanes' worth of work undercuts that many single-stream
-/// digests. Measured at 4 KiB blocks on the AVX-512 + SHA-NI host of
-/// DESIGN.md §10: a pass takes 20.5–22.8 µs with one lane filled or
-/// sixteen, a single-stream block 2.9–4.1 µs as the neighbours' load
-/// moves, so 7 blocks tie on a quiet host (21.3 µs both ways) and 8 win
-/// in every run (20.5–22.4 against 23.6–33.3 µs).
-pub const WIDE_MIN_BLOCKS: usize = 8;
-
-/// Writes the SHA-256 of each consecutive `block`-byte block of `data`
-/// (the last one may be short) into `out`: `out[i]` is
-/// `sha256(&data[i * block..][..block])`, bit for bit. Where `block` is a
-/// multiple of 64 the full blocks are independent streams of one length:
-/// with AVX-512, runs of at least [`WIDE_MIN_BLOCKS`] of them are hashed
-/// sixteen at a time, one per 32-bit lane of the register file; with
-/// SHA-NI, the full blocks left over go four at a time, then two, their
-/// round chains interleaved. A last single full block, the short last
-/// block, any other `block` and any other CPU take the single-stream
-/// [`sha256`] per block. Allocates nothing.
-///
-/// # Panics
-/// If `block` is zero or `out.len()` is not `data.len().div_ceil(block)`.
-pub fn block_digests(data: &[u8], block: usize, out: &mut [Digest]) {
-    block_digests_with(WIDE_MIN_BLOCKS, data, block, out);
-}
-
-/// [`block_digests`] with the wide kernel taking any run of at least
-/// `wide_from` full blocks — 1 puts every full block through it (idle
-/// lanes and all), `usize::MAX` none, leaving them all to the
-/// interleaved streams. For the bit-identity tests and benches, which
-/// must reach every path on one host.
-pub fn block_digests_with(wide_from: usize, data: &[u8], block: usize, out: &mut [Digest]) {
-    assert!(block > 0, "block_digests: block length is zero");
-    assert!(
-        out.len() == data.len().div_ceil(block),
-        "block_digests: {} digests for {} bytes in {block}-byte blocks, expected {}",
-        out.len(),
-        data.len(),
-        data.len().div_ceil(block),
-    );
-    let full = if block.is_multiple_of(64) { data.len() / block } else { 0 };
-    let (whole, rest) = out.split_at_mut(full);
-    equal_lengths(wide_from, |i| &data[i * block..][..block], whole);
-    for (bytes, digest) in data[full * block..].chunks(block).zip(rest) {
-        *digest = sha256(bytes);
-    }
-}
-
-/// Writes the SHA-256 of each of `blocks` — independent messages,
-/// anywhere in memory — into `out`: `out[i]` is `sha256(blocks[i])`, bit
-/// for bit. A run of neighbours of one length that is a multiple of 64
-/// takes the kernels [`block_digests`] takes (from [`WIDE_MIN_BLOCKS`] of
-/// them sixteen at a time with AVX-512, then four or two interleaved
-/// SHA-NI streams); anything else is the single-stream [`sha256`] per
-/// message. For hashing the blocks a patch touched, which need not be
-/// adjacent. Allocates nothing.
-///
-/// # Panics
-/// If `out.len()` is not `blocks.len()`.
-pub fn digests_of(blocks: &[&[u8]], out: &mut [Digest]) {
-    assert_eq!(out.len(), blocks.len(), "digests_of: one digest per message");
-    let mut done = 0;
-    while done < blocks.len() {
-        let len = blocks[done].len();
-        let run = if len > 0 && len.is_multiple_of(64) {
-            blocks[done..].iter().take_while(|b| b.len() == len).count()
-        } else {
-            0
-        };
-        if run == 0 {
-            out[done] = sha256(blocks[done]);
-            done += 1;
-        } else {
-            let run_blocks = &blocks[done..done + run];
-            equal_lengths(WIDE_MIN_BLOCKS, |i| run_blocks[i], &mut out[done..done + run]);
-            done += run;
-        }
-    }
-}
-
-/// The digests of `out.len()` messages of one length that is a multiple
-/// of 64, message `i` being `message(i)`: sixteen at a time on the wide
-/// kernel while at least `wide_from` are left, then four or two at a time
-/// on the interleaved SHA-NI streams, the last one alone.
-fn equal_lengths<'a>(wide_from: usize, message: impl Fn(usize) -> &'a [u8], out: &mut [Digest]) {
-    let count = out.len();
-    let mut done = 0;
-    let mut lanes: [&[u8]; 16] = [&[]; 16];
-    if wide16::available() {
-        while count - done >= wide_from.max(1) {
-            let n = (count - done).min(16);
-            for (l, lane) in lanes[..n].iter_mut().enumerate() {
-                *lane = message(done + l);
-            }
-            wide16::digest_lanes(&lanes[..n], &mut out[done..done + n]);
-            done += n;
-        }
-    }
-    if shani::available() {
-        while count - done >= 2 {
-            let n = if count - done >= 4 { 4 } else { 2 };
-            for (l, lane) in lanes[..n].iter_mut().enumerate() {
-                *lane = message(done + l);
-            }
-            shani::digest_lanes(&lanes[..n], &mut out[done..done + n]);
-            done += n;
-        }
-    }
-    for (i, digest) in out.iter_mut().enumerate().skip(done) {
-        *digest = sha256(message(i));
-    }
-}
-
 /// Renders a digest as lowercase hex (object-name safe).
 pub fn hex(d: &Digest) -> String {
     let mut s = String::with_capacity(64);
@@ -452,15 +329,12 @@ mod scalar {
 /// x86 SHA extension kernel. The hardware computes two rounds per
 /// `sha256rnds2` and the message-schedule recurrence in
 /// `sha256msg1`/`sha256msg2`; state lives packed as ABEF/CDGH vectors
-/// across the whole input run. One stream's rounds are a dependency
-/// chain through `sha256rnds2`'s latency, so independent streams of one
-/// length are compressed side by side, each round of each issued next to
-/// the same round of the others.
+/// across the whole input run.
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use core::arch::x86_64::*;
 
-    use super::{Digest, H0, K};
+    use super::K;
 
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("sha")
@@ -474,56 +348,14 @@ mod shani {
         unsafe { compress_blocks_impl(state, blocks) }
     }
 
-    /// The digests of `blocks` (2 or 4 of them, anywhere in memory, of
-    /// one length that is a multiple of 64) into `out`, one per block.
-    pub fn digest_lanes(blocks: &[&[u8]], out: &mut [Digest]) {
-        assert!(available(), "SHA-NI kernel invoked on a CPU without the sha feature");
-        let block = blocks[0].len();
-        assert!(block.is_multiple_of(64) && blocks.iter().all(|b| b.len() == block));
-        assert_eq!(out.len(), blocks.len());
-        // SAFETY: the required target features were just verified.
-        unsafe {
-            match *blocks {
-                [a, b] => digest_streams([a, b], out),
-                [a, b, c, d] => digest_streams([a, b, c, d], out),
-                _ => unreachable!("{} interleaved streams", blocks.len()),
-            }
-        }
-    }
-
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     fn compress_blocks_impl(state: &mut [u32; 8], blocks: &[u8]) {
-        let (abef, cdgh) = pack(state);
-        let (mut state0, mut state1) = ([abef], [cdgh]);
+        let (mut abef, mut cdgh) = pack(state);
         for block in blocks.chunks_exact(64) {
             let block: &[u8; 64] = block.try_into().expect("a chunk of 64 is an array of 64");
-            compress(&mut state0, &mut state1, [block]);
+            compress(&mut abef, &mut cdgh, block);
         }
-        *state = unpack(state0[0], state1[0]);
-    }
-
-    /// `N` whole streams of one length, side by side, then the one
-    /// padding block they share.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn digest_streams<const N: usize>(streams: [&[u8]; N], out: &mut [Digest]) {
-        let (abef, cdgh) = pack(&H0);
-        let (mut state0, mut state1) = ([abef; N], [cdgh; N]);
-        let block = streams[0].len();
-        for step in (0..block).step_by(64) {
-            let chunks = std::array::from_fn(|l| {
-                streams[l][step..][..64].try_into().expect("a slice of 64 is an array of 64")
-            });
-            compress(&mut state0, &mut state1, chunks);
-        }
-        let mut pad = [0u8; 64];
-        pad[0] = 0x80;
-        pad[56..].copy_from_slice(&((block as u64) * 8).to_be_bytes());
-        compress(&mut state0, &mut state1, [&pad; N]);
-        for ((digest, abef), cdgh) in out.iter_mut().zip(state0).zip(state1) {
-            for (bytes, word) in digest.chunks_exact_mut(4).zip(unpack(abef, cdgh)) {
-                bytes.copy_from_slice(&word.to_be_bytes());
-            }
-        }
+        *state = unpack(abef, cdgh);
     }
 
     /// Packs `[a..h]` into the ABEF/CDGH layout.
@@ -562,28 +394,22 @@ mod shani {
         out
     }
 
-    /// One 64-byte block of each of `N` streams.
+    /// One 64-byte block.
     #[inline]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn compress<const N: usize>(
-        state0: &mut [__m128i; N],
-        state1: &mut [__m128i; N],
-        blocks: [&[u8; 64]; N],
-    ) {
+    fn compress(state0: &mut __m128i, state1: &mut __m128i, block: &[u8; 64]) {
         // Byte shuffle turning a little-endian 16-byte load into the four
         // big-endian message words the SHA instructions expect.
         let mask = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0bu64 as i64, 0x0405_0607_0001_0203);
         let (abef_save, cdgh_save) = (*state0, *state1);
 
-        // W[0..16] of each stream as four vectors of four words.
-        let mut msgs = [[_mm_setzero_si128(); 4]; N];
-        for (msgs, block) in msgs.iter_mut().zip(blocks) {
-            for (j, m) in msgs.iter_mut().enumerate() {
-                // SAFETY: 16 of the block's 64 readable bytes; the load
-                // has no alignment requirement.
-                let loaded = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * j).cast()) };
-                *m = _mm_shuffle_epi8(loaded, mask);
-            }
+        // W[0..16] as four vectors of four words.
+        let mut msgs = [_mm_setzero_si128(); 4];
+        for (j, m) in msgs.iter_mut().enumerate() {
+            // SAFETY: 16 of the block's 64 readable bytes; the load has no
+            // alignment requirement.
+            let loaded = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * j).cast()) };
+            *m = _mm_shuffle_epi8(loaded, mask);
         }
 
         // 16 groups of 4 rounds; groups 4..16 extend the schedule
@@ -592,24 +418,18 @@ mod shani {
         for g in 0..16 {
             // SAFETY: words 4g..4g + 4 of the 64 in `K`.
             let kv = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * g).cast::<__m128i>()) };
-            for l in 0..N {
-                let msgs = &mut msgs[l];
-                if g >= 4 {
-                    let carry = _mm_alignr_epi8(msgs[(g + 3) & 3], msgs[(g + 2) & 3], 4);
-                    let m1 = _mm_sha256msg1_epu32(msgs[g & 3], msgs[(g + 1) & 3]);
-                    msgs[g & 3] = _mm_sha256msg2_epu32(_mm_add_epi32(m1, carry), msgs[(g + 3) & 3]);
-                }
-                let wk = _mm_add_epi32(msgs[g & 3], kv);
-                state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], wk);
-                state0[l] =
-                    _mm_sha256rnds2_epu32(state0[l], state1[l], _mm_shuffle_epi32(wk, 0x0E));
+            if g >= 4 {
+                let carry = _mm_alignr_epi8(msgs[(g + 3) & 3], msgs[(g + 2) & 3], 4);
+                let m1 = _mm_sha256msg1_epu32(msgs[g & 3], msgs[(g + 1) & 3]);
+                msgs[g & 3] = _mm_sha256msg2_epu32(_mm_add_epi32(m1, carry), msgs[(g + 3) & 3]);
             }
+            let wk = _mm_add_epi32(msgs[g & 3], kv);
+            *state1 = _mm_sha256rnds2_epu32(*state1, *state0, wk);
+            *state0 = _mm_sha256rnds2_epu32(*state0, *state1, _mm_shuffle_epi32(wk, 0x0E));
         }
 
-        for l in 0..N {
-            state0[l] = _mm_add_epi32(state0[l], abef_save[l]);
-            state1[l] = _mm_add_epi32(state1[l], cdgh_save[l]);
-        }
+        *state0 = _mm_add_epi32(*state0, abef_save);
+        *state1 = _mm_add_epi32(*state1, cdgh_save);
     }
 }
 
@@ -622,223 +442,6 @@ mod shani {
 
     pub fn compress_blocks(_state: &mut [u32; 8], _blocks: &[u8]) {
         unreachable!("SHA-NI kernel is x86_64-only and gated by Kernel::supported")
-    }
-
-    pub fn digest_lanes(_blocks: &[&[u8]], _out: &mut [super::Digest]) {
-        unreachable!("SHA-NI kernel is x86_64-only and gated by available()")
-    }
-}
-
-/// Sixteen independent SHA-256 streams in the sixteen 32-bit lanes of
-/// the AVX-512 register file: the eight working variables are eight
-/// `zmm` registers, lane `l` of each belonging to block `l`, and every
-/// round is the scalar round with `vprord` for the rotations and
-/// `vpternlogd` for Ch, Maj and the three-way XORs. Message words reach
-/// that layout through a byte swap and a 16×16 word transpose per
-/// 64-byte step. All sixteen blocks have one length, so they share one
-/// padding block, broadcast.
-#[cfg(target_arch = "x86_64")]
-mod wide16 {
-    use core::arch::x86_64::*;
-
-    use super::{Digest, H0, K};
-
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-    }
-
-    /// The digests of `blocks` (1 to 16 of them, anywhere in memory, of
-    /// one length that is a multiple of 64) into `out`, one per block.
-    pub fn digest_lanes(blocks: &[&[u8]], out: &mut [Digest]) {
-        assert!(available(), "16-lane kernel invoked on a CPU without avx512f + avx512bw");
-        assert!((1..=16).contains(&blocks.len()) && out.len() == blocks.len());
-        let block = blocks[0].len();
-        assert!(block.is_multiple_of(64) && blocks.iter().all(|b| b.len() == block));
-        // SAFETY: the required target features were just verified.
-        unsafe { digest_lanes_impl(blocks, block, out) }
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn digest_lanes_impl(blocks: &[&[u8]], block: usize, out: &mut [Digest]) {
-        // Lane `l` reads block `l`; the idle lanes of a short group
-        // re-read block 0 and their digests are dropped.
-        let mut lanes = [blocks[0]; 16];
-        lanes[..blocks.len()].copy_from_slice(blocks);
-        // Per 128-bit quarter, the shuffle that turns four little-endian
-        // loads into big-endian message words.
-        let swap = _mm512_broadcast_i32x4(_mm_set_epi64x(
-            0x0c0d_0e0f_0809_0a0bu64 as i64,
-            0x0405_0607_0001_0203,
-        ));
-
-        let mut state = H0.map(|h| _mm512_set1_epi32(h as i32));
-        let mut w = [_mm512_setzero_si512(); 16];
-        for step in 0..block / 64 {
-            for (row, lane) in w.iter_mut().zip(lanes) {
-                let bytes: &[u8; 64] =
-                    lane[64 * step..][..64].try_into().expect("a slice of 64 is an array of 64");
-                // SAFETY: `bytes` is 64 readable bytes and the load has no
-                // alignment requirement.
-                let loaded = unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) };
-                *row = _mm512_shuffle_epi8(loaded, swap);
-            }
-            transpose(&mut w);
-            compress(&mut state, &mut w);
-        }
-        // 0x80, zeros, the bit length: the same block in every lane.
-        let bits = (block as u64) * 8;
-        w = [_mm512_setzero_si512(); 16];
-        w[0] = _mm512_set1_epi32(0x8000_0000u32 as i32);
-        w[14] = _mm512_set1_epi32((bits >> 32) as i32);
-        w[15] = _mm512_set1_epi32(bits as i32);
-        compress(&mut state, &mut w);
-
-        let mut words = [[0u32; 16]; 8];
-        for (row, v) in words.iter_mut().zip(state) {
-            // SAFETY: `row` is 64 writable bytes and the store has no
-            // alignment requirement.
-            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
-        }
-        for (l, digest) in out.iter_mut().enumerate() {
-            for (i, row) in words.iter().enumerate() {
-                digest[4 * i..4 * i + 4].copy_from_slice(&row[l].to_be_bytes());
-            }
-        }
-    }
-
-    /// In: `w[l]` is the sixteen message words of lane `l`. Out: `w[t]`
-    /// is word `t` of all sixteen lanes. Interleave 32-bit then 64-bit
-    /// pairs inside each 128-bit quarter, then transpose the quarters.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn transpose(w: &mut [__m512i; 16]) {
-        let mut t = [_mm512_setzero_si512(); 16];
-        for i in 0..8 {
-            t[2 * i] = _mm512_unpacklo_epi32(w[2 * i], w[2 * i + 1]);
-            t[2 * i + 1] = _mm512_unpackhi_epi32(w[2 * i], w[2 * i + 1]);
-        }
-        // u[4g + j], quarter q = word 4q + j of lanes 4g..4g + 4.
-        let mut u = [_mm512_setzero_si512(); 16];
-        for g in 0..4 {
-            u[4 * g] = _mm512_unpacklo_epi64(t[4 * g], t[4 * g + 2]);
-            u[4 * g + 1] = _mm512_unpackhi_epi64(t[4 * g], t[4 * g + 2]);
-            u[4 * g + 2] = _mm512_unpacklo_epi64(t[4 * g + 1], t[4 * g + 3]);
-            u[4 * g + 3] = _mm512_unpackhi_epi64(t[4 * g + 1], t[4 * g + 3]);
-        }
-        for j in 0..4 {
-            let even_lo = _mm512_shuffle_i32x4(u[j], u[4 + j], 0x88);
-            let odd_lo = _mm512_shuffle_i32x4(u[j], u[4 + j], 0xdd);
-            let even_hi = _mm512_shuffle_i32x4(u[8 + j], u[12 + j], 0x88);
-            let odd_hi = _mm512_shuffle_i32x4(u[8 + j], u[12 + j], 0xdd);
-            w[j] = _mm512_shuffle_i32x4(even_lo, even_hi, 0x88);
-            w[4 + j] = _mm512_shuffle_i32x4(odd_lo, odd_hi, 0x88);
-            w[8 + j] = _mm512_shuffle_i32x4(even_lo, even_hi, 0xdd);
-            w[12 + j] = _mm512_shuffle_i32x4(odd_lo, odd_hi, 0xdd);
-        }
-    }
-
-    /// One 64-byte step of all sixteen lanes; `w` is the rolling
-    /// sixteen-word schedule window, as in the scalar kernel.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn compress(state: &mut [__m512i; 8], w: &mut [__m512i; 16]) {
-        // Truth tables for `vpternlogd`.
-        const XOR3: i32 = 0x96;
-        const CH: i32 = 0xca; // e ? f : g
-        const MAJ: i32 = 0xe8;
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-
-        macro_rules! round {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
-             $k:expr, $w:expr) => {{
-                let s1 = _mm512_ternarylogic_epi32::<XOR3>(
-                    _mm512_ror_epi32::<6>($e),
-                    _mm512_ror_epi32::<11>($e),
-                    _mm512_ror_epi32::<25>($e),
-                );
-                let ch = _mm512_ternarylogic_epi32::<CH>($e, $f, $g);
-                let kw = _mm512_add_epi32(_mm512_set1_epi32($k as i32), $w);
-                let t1 = _mm512_add_epi32(_mm512_add_epi32($h, s1), _mm512_add_epi32(ch, kw));
-                let s0 = _mm512_ternarylogic_epi32::<XOR3>(
-                    _mm512_ror_epi32::<2>($a),
-                    _mm512_ror_epi32::<13>($a),
-                    _mm512_ror_epi32::<22>($a),
-                );
-                let maj = _mm512_ternarylogic_epi32::<MAJ>($a, $b, $c);
-                $d = _mm512_add_epi32($d, t1);
-                $h = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
-            }};
-        }
-        // Schedule word for round 16r + $i, r >= 1, updating the window.
-        macro_rules! sched {
-            ($i:expr) => {{
-                let w15 = w[($i + 1) & 15];
-                let w2 = w[($i + 14) & 15];
-                let s0 = _mm512_ternarylogic_epi32::<XOR3>(
-                    _mm512_ror_epi32::<7>(w15),
-                    _mm512_ror_epi32::<18>(w15),
-                    _mm512_srli_epi32::<3>(w15),
-                );
-                let s1 = _mm512_ternarylogic_epi32::<XOR3>(
-                    _mm512_ror_epi32::<17>(w2),
-                    _mm512_ror_epi32::<19>(w2),
-                    _mm512_srli_epi32::<10>(w2),
-                );
-                w[$i] = _mm512_add_epi32(
-                    _mm512_add_epi32(w[$i], s0),
-                    _mm512_add_epi32(w[($i + 9) & 15], s1),
-                );
-                w[$i]
-            }};
-        }
-        // Sixteen rounds: two turns of the eight-variable rotation.
-        macro_rules! rounds16 {
-            ($k:expr, $word:ident) => {{
-                round!(a, b, c, d, e, f, g, h, $k[0], $word!(0));
-                round!(h, a, b, c, d, e, f, g, $k[1], $word!(1));
-                round!(g, h, a, b, c, d, e, f, $k[2], $word!(2));
-                round!(f, g, h, a, b, c, d, e, $k[3], $word!(3));
-                round!(e, f, g, h, a, b, c, d, $k[4], $word!(4));
-                round!(d, e, f, g, h, a, b, c, $k[5], $word!(5));
-                round!(c, d, e, f, g, h, a, b, $k[6], $word!(6));
-                round!(b, c, d, e, f, g, h, a, $k[7], $word!(7));
-                round!(a, b, c, d, e, f, g, h, $k[8], $word!(8));
-                round!(h, a, b, c, d, e, f, g, $k[9], $word!(9));
-                round!(g, h, a, b, c, d, e, f, $k[10], $word!(10));
-                round!(f, g, h, a, b, c, d, e, $k[11], $word!(11));
-                round!(e, f, g, h, a, b, c, d, $k[12], $word!(12));
-                round!(d, e, f, g, h, a, b, c, $k[13], $word!(13));
-                round!(c, d, e, f, g, h, a, b, $k[14], $word!(14));
-                round!(b, c, d, e, f, g, h, a, $k[15], $word!(15));
-            }};
-        }
-        macro_rules! loaded {
-            ($i:expr) => {
-                w[$i]
-            };
-        }
-
-        rounds16!(K[..16], loaded);
-        for k in K[16..].chunks_exact(16) {
-            rounds16!(k, sched);
-        }
-        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = _mm512_add_epi32(*s, v);
-        }
-    }
-}
-
-/// Stub for non-x86 targets: the kernel is simply never available.
-#[cfg(not(target_arch = "x86_64"))]
-mod wide16 {
-    pub fn available() -> bool {
-        false
-    }
-
-    pub fn digest_lanes(_blocks: &[&[u8]], _out: &mut [super::Digest]) {
-        unreachable!("16-lane kernel is x86_64-only and gated by available()")
     }
 }
 
