@@ -1,14 +1,16 @@
 //! The experiment harness: [`paper`] (the paper's evaluation, one
-//! function per section) and the plumbing the binaries share. Every
-//! binary prints what it measured *and* writes a JSON record under
-//! `target/experiments/`.
+//! function per section), [`drill`] (the availability drills, one row
+//! per scenario), [`trace_report`] (the offline trace analysis) and the
+//! plumbing the binaries share. Every binary prints what it measured
+//! *and* writes its records under `target/experiments/`.
 
-use std::io::Write;
 use std::path::PathBuf;
 
 use hyrd_telemetry::json::{self, ToJson};
 
+pub mod drill;
 pub mod paper;
+pub mod trace_report;
 
 /// Directory experiment outputs land in.
 pub fn experiments_dir() -> PathBuf {
@@ -19,10 +21,13 @@ pub fn experiments_dir() -> PathBuf {
 
 /// Writes an experiment's JSON record.
 pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let path = experiments_dir().join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path).expect("create experiment file");
-    let body = json::to_string_pretty(value);
-    f.write_all(body.as_bytes()).expect("write experiment");
+    write_file(&format!("{name}.json"), json::to_string_pretty(value).as_bytes());
+}
+
+/// Writes one file under [`experiments_dir`].
+pub fn write_file(file: &str, bytes: &[u8]) {
+    let path = experiments_dir().join(file);
+    std::fs::write(&path, bytes).expect("write experiment file");
     println!("\n[written {}]", path.display());
 }
 
@@ -32,7 +37,7 @@ pub fn header(title: &str) {
 }
 
 /// Parses `--<flag> N` from the process arguments, falling back to a
-/// default. Shared by the binaries that take `--jobs`, `--weeks`, …
+/// default. `paper` reads its `--jobs` with it.
 pub fn flag_usize(flag: &str, default: usize) -> usize {
     let needle = format!("--{flag}");
     let mut args = std::env::args();

@@ -140,8 +140,7 @@ fn digests_of_scattered_messages() {
         }
         let want: Vec<Digest> = messages.iter().map(|m| oracle::sha256(m)).collect();
         for kernel in Kernel::available() {
-            let got: Vec<Digest> =
-                messages.iter().map(|m| sha256_with_kernel(kernel, m)).collect();
+            let got: Vec<Digest> = messages.iter().map(|m| sha256_with_kernel(kernel, m)).collect();
             assert_eq!(
                 got,
                 want,

@@ -21,75 +21,21 @@ lint:
 loc *dirs:
     scripts/loc.sh {{dirs}}
 
-# Quick chaos soak: seeded fault schedule, asserts zero unrecoverable
-# reads and a byte-identical report across two same-seed runs.
-chaos:
-    cargo run --release -p hyrd-bench --bin chaos_drill -- --smoke --selfcheck
-
-# Full-length drill (10k ops) with the default seed.
-chaos-full:
-    cargo run --release -p hyrd-bench --bin chaos_drill
-
-# Crash-restart durability torture (DESIGN.md §12): exhaustive sweep of
-# every provider-op budget and journal crashpoint on a mixed trace, plus
-# seeded sampling on the IA trace; asserts zero durability violations
-# and a byte-identical report across worker counts. The crash-mode
-# chaos drill composes client crashes with live provider faults.
-crash-torture:
-    cargo run --release -p hyrd-bench --bin crash_torture -- --selfcheck
-    cargo run --release -p hyrd-bench --bin chaos_drill -- --smoke --crash --selfcheck
-
-# Smoke drill with the telemetry trace written out: every span and event
-# on the request path, stamped with the virtual clock, as JSONL.
-trace:
-    mkdir -p target/experiments
-    cargo run --release -p hyrd-bench --bin chaos_drill -- --smoke --trace target/experiments/chaos_trace.jsonl
-    @echo "trace at target/experiments/chaos_trace.jsonl"
-
-# Multi-client determinism soak: N closed-loop sessions over one shared
-# client; --check asserts merged stats + traces are byte-identical for
-# every session/worker count (DESIGN.md §11).
-multi-client:
-    cargo run --release -p hyrd-bench --bin multi_client -- --smoke --clients 4 --check
+# The availability drills (hyrd_bench::drill): every scenario of the
+# table, or those named — chaos, chaos_migrate, chaos_crash,
+# crash_torture, multi_client, tail, policy, replay — each claim printed,
+# records and traces under target/experiments, exit 1 if a claim fails.
+# `--smoke` is CI's short run, `--seed S` replaces every default seed,
+# `--check` re-runs each scenario across its jobs/clients grid and claims
+# report and trace byte-identical. `just drill --smoke --check chaos`.
+drill *args:
+    cargo run --release --offline -p hyrd-bench --bin drill -- {{args}}
 
 # The paper's evaluation, regenerated and checked: every section as
 # Markdown (EXPERIMENTS.md is this output), target/experiments/paper.json,
 # exit 1 if any of the paper's claims fails.
 experiments:
     cargo run --release --offline -p hyrd-bench --bin paper
-
-# Jobs-invariance of the parallel sweep engine on a one-week archive
-# sweep: --check re-runs the grid single-threaded and asserts
-# byte-identical serialized stats.
-replay-sweep:
-    cargo run --release -p hyrd-bench --bin replay_sweep -- --weeks 1 --jobs 2 --check
-
-# Tail-latency sweep: the open-loop Poisson workload over hedging delay
-# × fault plan (rotating x8 latency spikes), with --check proving stats
-# and traces are byte-identical across worker counts, hedging on or off.
-# The committed numbers for this regime are the ledger's
-# `engine.step*_read_p99_s` rows on `openloop_zipf` (`just perf`).
-tail-check:
-    cargo run --release -p hyrd-bench --bin tail_latency -- --check
-
-# Availability-observatory report over a seeded smoke drill: writes the
-# telemetry trace, then renders provider SLIs, redundancy exposure and
-# the read ledger from it, with the analyzer's waterfalls/flame/heatmap
-# appendix and the measured-vs-modeled availability cross-check.
-obs-report:
-    mkdir -p target/experiments
-    cargo run --release -p hyrd-bench --bin chaos_drill -- --smoke --trace target/experiments/chaos_trace.jsonl --obs target/experiments/obs_report.txt
-    cargo run --release -p hyrd-bench --bin trace_report -- --trace target/experiments/chaos_trace.jsonl --jobs 4 --check-model --out target/experiments/trace_report.txt
-    @echo "observatory report at target/experiments/obs_report.txt"
-    @echo "trace analysis at target/experiments/trace_report.txt"
-
-# Adaptive-policy Pareto sweep (static baselines vs SLI-gated background
-# migration, DESIGN.md §16): --check asserts the adaptive cell dominates
-# at least one static baseline and that cells + traces are
-# byte-identical across job counts; the record lands in
-# target/experiments/policy_sweep.json.
-policy-check:
-    cargo run --release -p hyrd-bench --bin policy_sweep -- --check
 
 # The two-clock perf ledger (BENCHMARK.json): all four hyrd-perf
 # workloads, end to end + per-layer, results under hyrd-perf/target/perf.
@@ -123,9 +69,10 @@ ledger-cmp base workload runs="3":
     scripts/ledger_cmp.sh {{base}} {{workload}} {{runs}}
 
 # Byte-identity of what the telemetry path writes, <base> (a git revision,
-# unpacked with `git archive`) against the working tree: the chaos smoke
-# trace and its --obs report, trace_report --jobs 4 over it, the 4-client
-# multi_client smoke trace and the tail_latency smoke trace, each `cmp`ed.
+# unpacked with `git archive`) against the working tree: `drill --smoke`
+# on both sides, and the traces of chaos, chaos_migrate, multi_client,
+# tail and policy, the observatory report and the trace analysis, each
+# `cmp`ed.
 # Exits 1 on any difference — the proof a change to the collector, the
 # writer, the parser or the fold kept every trace byte.
 trace-cmp base:

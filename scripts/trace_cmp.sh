@@ -8,21 +8,27 @@
 #
 # Unpacks <base-rev> with `git archive` (as scripts/perf_pairs.sh does),
 # builds `hyrd-bench` there and in the working tree, each with its own
-# CARGO_TARGET_DIR, runs the same seeded smoke commands on both sides and
-# `cmp`s five outputs:
+# CARGO_TARGET_DIR, runs `drill --smoke` over the traced scenarios on both
+# sides and `cmp`s what each writes under its target/experiments:
 #
-#   chaos_trace.jsonl     chaos_drill --smoke --trace
-#   obs_report.txt        chaos_drill --smoke --obs (the observatory's report)
-#   trace_report_j4.txt   trace_report --jobs 4 over that chaos trace
-#   mc_trace_c04.jsonl    multi_client --smoke --clients 4 --trace
-#   tail_trace.jsonl      tail_latency --smoke --trace
+#   chaos_trace.jsonl          the chaos drill's trace
+#   obs_report.txt             the observatory's report over it
+#   trace_report.txt           the trace analysis over it (jobs 1; the
+#                              drill claims jobs 4 gives the same bytes)
+#   chaos_migrate_trace.jsonl  the chaos drill with background migration
+#   multi_client_trace.jsonl   4 closed-loop sessions on a quiet fleet
+#   tail_trace.jsonl           the hedged cell under latency spikes
+#   policy_trace.jsonl         the Pareto sweep, every cell
 #
-# Exit status: 1 when any pair differs, 0 when all five are identical.
+# Exit status: 1 when any pair differs, 0 when all are identical. A claim
+# failing on either side (drill exit 1) is reported but does not stop the
+# comparison; any other failure of the drill (a panic) stops the script
+# with its status.
 # Scratch space: <repo>/target/trace-cmp.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base_rev=$1
@@ -42,20 +48,28 @@ echo "building base $(git -C "$root" rev-parse --short "$base_rev") and the work
 build "$base_dir" "$work/target-base"
 build "$root" "$work/target-change"
 
-outputs="chaos_trace.jsonl obs_report.txt trace_report_j4.txt mc_trace_c04.jsonl tail_trace.jsonl"
+outputs="chaos_trace.jsonl obs_report.txt trace_report.txt chaos_migrate_trace.jsonl
+multi_client_trace.jsonl tail_trace.jsonl policy_trace.jsonl"
 
 produce() { # <side> <checkout> <target-dir>
-    local out=$work/out/$1 bin=$3/release
+    local out=$work/out/$1 status=0
     mkdir -p "$out"
-    # From the side's own checkout: the bins drop their JSON reports under
-    # its target/experiments.
-    (
-        cd "$2"
-        "$bin/chaos_drill" --smoke --trace "$out/chaos_trace.jsonl" --obs "$out/obs_report.txt"
-        "$bin/trace_report" --trace "$out/chaos_trace.jsonl" --jobs 4 --out "$out/trace_report_j4.txt"
-        "$bin/multi_client" --smoke --clients 4 --trace "$out/mc_trace_c04.jsonl"
-        "$bin/tail_latency" --smoke --trace "$out/tail_trace.jsonl"
-    ) >"$work/out/$1.log"
+    # The drill writes under its own checkout's target/experiments; clear
+    # what an earlier run left there, so a missing file stops the script
+    # at `cp` instead of being compared stale.
+    for f in $outputs; do
+        rm -f "$2/target/experiments/$f"
+    done
+    "$3/release/drill" --smoke chaos chaos_migrate multi_client tail policy \
+        >"$work/out/$1.log" || status=$?
+    case $status in
+        0) ;;
+        1) echo "$1: a drill claim fails (see $work/out/$1.log)" >&2 ;;
+        *) echo "$1: drill exited $status (see $work/out/$1.log)" >&2; exit "$status" ;;
+    esac
+    for f in $outputs; do
+        cp "$2/target/experiments/$f" "$out/"
+    done
 }
 produce base "$base_dir" "$work/target-base"
 produce change "$root" "$work/target-change"
@@ -63,9 +77,9 @@ produce change "$root" "$work/target-change"
 status=0
 for f in $outputs; do
     if cmp -s "$work/out/base/$f" "$work/out/change/$f"; then
-        printf '%-22s identical (%s bytes)\n' "$f" "$(wc -c <"$work/out/change/$f")"
+        printf '%-26s identical (%s bytes)\n' "$f" "$(wc -c <"$work/out/change/$f")"
     else
-        printf '%-22s DIFFERS: ' "$f"
+        printf '%-26s DIFFERS: ' "$f"
         cmp "$work/out/base/$f" "$work/out/change/$f" || true
         status=1
     fi
