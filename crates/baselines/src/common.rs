@@ -219,11 +219,14 @@ pub fn fastest_first(providers: &[Arc<SimProvider>]) -> Vec<Arc<SimProvider>> {
     v
 }
 
+/// Where each fragment of an object lives: `(provider, object name)`.
+pub type FragmentMap = Vec<(ProviderId, Arc<str>)>;
+
 /// What [`ec_write`] put where.
 pub struct EcWrite {
     pub layout: FragmentLayout,
     /// The fragment map for the placement record.
-    pub fragments: Vec<(ProviderId, String)>,
+    pub fragments: FragmentMap,
     pub report: BatchReport,
     /// Fragments that landed (the rest are in the update log).
     pub live: usize,
@@ -249,8 +252,8 @@ pub fn ec_write<C: ErasureCode + ?Sized>(
     let mut map = Vec::with_capacity(n);
     for (index, frag) in frags.into_iter().enumerate() {
         let p = &providers[(index + rot) % n];
-        let name = format!("{base_name}.f{index}");
-        let k = key(&name);
+        let name: Arc<str> = hyrd::scheme::fragment_name(base_name, index);
+        let k = ObjectKey::shared(Fleet::CONTAINER, Arc::clone(&name));
         let bytes = Bytes::from(frag);
         match p.put(&k, bytes.clone()) {
             Ok(out) => {
@@ -272,7 +275,7 @@ pub fn ec_read<C: ErasureCode + ?Sized>(
     code: &C,
     fleet_lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
     layout: &FragmentLayout,
-    fragments: &[(ProviderId, String)],
+    fragments: &[(ProviderId, Arc<str>)],
     path: &str,
 ) -> SchemeResult<(Bytes, BatchReport)> {
     let m = layout.m;
@@ -312,7 +315,7 @@ pub fn ec_update<C: ErasureCode + ?Sized>(
     code: &C,
     fleet_lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
     layout: &FragmentLayout,
-    fragments: &[(ProviderId, String)],
+    fragments: &[(ProviderId, Arc<str>)],
     path: &str,
     offset: usize,
     data: &[u8],
@@ -433,7 +436,7 @@ mod tests {
         let file = |i: usize| dir.join(&format!("f{i}")).unwrap();
         let placed = |object: &str| Placement::Replicated {
             providers: vec![ProviderId(0)],
-            object: object.to_string(),
+            object: object.into(),
         };
         // Flushes the way every scheme does, recording what was shipped.
         fn flush(core: &mut SchemeCore) -> Vec<(String, Vec<u8>)> {
@@ -448,7 +451,7 @@ mod tests {
         let full_block = |core: &SchemeCore, version: u64| {
             let entries = core.meta.inodes_in(&dir).unwrap().into_iter().collect();
             let block = MetadataBlock { dir: dir.clone(), version, entries };
-            vec![(MetadataBlock::object_name(&dir), block.to_bytes())]
+            vec![(MetadataBlock::object_name(&dir).to_string(), block.to_bytes())]
         };
 
         // N creates (create + place, like `Scheme::create_file`): the

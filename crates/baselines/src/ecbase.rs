@@ -15,7 +15,7 @@ use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, FragmentLayout};
 use hyrd_metastore::{MetadataBlock, NormPath, Placement};
 
-use crate::common::{self, SchemeCore};
+use crate::common::{self, FragmentMap, SchemeCore};
 use crate::strips::StripStore;
 
 /// What a whole-provider repair moved (the recovery-traffic experiment).
@@ -47,7 +47,7 @@ pub struct EcEverything<C: ErasureCode> {
     scheme_name: String,
     /// Metadata-block placements (object name → layout + fragment
     /// map), client state mirroring the dirty-block bookkeeping.
-    meta_blocks: HashMap<String, (FragmentLayout, Vec<(ProviderId, String)>)>,
+    meta_blocks: HashMap<String, (FragmentLayout, FragmentMap)>,
     /// Fragments that missed degraded updates, awaiting rebuild.
     dirty: hyrd::ecops::DirtyFragments,
     /// RAID-style strip groups for small objects (including metadata
@@ -193,7 +193,7 @@ impl<C: ErasureCode> EcEverything<C> {
         let mut ops = Vec::new();
 
         // Collect every placement that has a fragment on `id`.
-        let mut jobs: Vec<(FragmentLayout, Vec<(ProviderId, String)>)> = Vec::new();
+        let mut jobs: Vec<(FragmentLayout, FragmentMap)> = Vec::new();
         for path in self.all_file_paths() {
             if let Ok(inode) = self.core.meta.inode(&path) {
                 if let Placement::ErasureCoded { layout, fragments, .. } = &inode.placement {
@@ -434,7 +434,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
             let (_, batch) = self.strips.read(&strip_name, path)?;
             return Ok((self.core.local_listing(&npath)?, batch));
         }
-        let batch = match self.meta_blocks.get(&strip_name).cloned() {
+        let batch = match self.meta_blocks.get(&*strip_name).cloned() {
             Some((layout, map)) => {
                 common::ec_read(&self.code, &self.lookup(), &layout, &map, path)?.1
             }

@@ -29,6 +29,7 @@
 //! (object, provider that listed it), paid once per mount (DESIGN §15).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -55,7 +56,7 @@ pub(crate) struct LoadedDir {
     /// `block` on the wire (the winner's own bytes when no diff applied).
     pub bytes: Bytes,
     /// Object names of the diffs folded in, in version order.
-    pub chain: Vec<String>,
+    pub chain: Vec<Arc<str>>,
 }
 
 /// What [`Hyrd::load_namespace`] found and what finding it cost.
@@ -145,7 +146,7 @@ impl Hyrd {
         for (name, holders) in &listers {
             let is_diff = DiffBlock::is_diff_object(name);
             let mut vote = Vote::default();
-            let key = Self::key(name);
+            let key = Self::key(name.as_str());
             for &id in holders {
                 for _attempt in 0..TORN_READ_TRIES {
                     let Ok(got) = self.get_object(id, &key) else {

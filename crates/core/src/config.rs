@@ -207,6 +207,12 @@ impl HyrdConfig {
         if self.replication_level == 0 {
             return Err("replication level must be at least 1".to_string());
         }
+        if providers > crate::MAX_FLEET {
+            return Err(format!(
+                "fleet of {providers} providers exceeds the {} a client works over",
+                crate::MAX_FLEET
+            ));
+        }
         if self.replication_level > providers {
             return Err(format!(
                 "replication level {} exceeds fleet size {providers}",

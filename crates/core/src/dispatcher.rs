@@ -92,12 +92,15 @@ use bytes::Bytes;
 use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{sync, BatchReport, CloudStorage, ObjectKey, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
-use hyrd_gfec::{ErasureCode, Raid5, Raid6, ReedSolomon};
-use hyrd_metastore::{BlockDelta, FlushItem, MetaOccStats, NormPath, Placement, ShardedMetaStore};
+use hyrd_gfec::{ErasureCode, FragmentLayout, Raid5, Raid6, ReedSolomon};
+use hyrd_metastore::{
+    BlockDelta, FlushItem, Inode, MetaOccStats, NormPath, Placement, ShardedMetaStore,
+};
 use hyrd_telemetry::{Collector, Gauge, HistogramSeries, SpanGuard, SpanName};
 
 use crate::config::{CodeChoice, HyrdConfig};
 use crate::evaluator::Evaluator;
+use crate::fleet_list::FleetList;
 use crate::health::{FaultCounterSnapshot, FaultCounters, HealthTracker};
 use crate::integrity::{IntegrityIndex, Verdict};
 use crate::journal::Journal;
@@ -234,6 +237,58 @@ impl Targets {
     }
 }
 
+/// A file's inode as one request uses it, lent out of its shard
+/// ([`ShardedMetaStore::with_inode`]) as provider ids and shared names:
+/// taking it copies no name and allocates nothing, and nothing of the
+/// store stays locked while the request talks to providers.
+pub(crate) struct Lent {
+    pub(crate) size: u64,
+    pub(crate) version: u64,
+    pub(crate) stored: Stored,
+    /// The replicas, or the fragments in order, each with its provider.
+    pub(crate) copies: FleetList<(ProviderId, Arc<str>)>,
+    /// An erasure-coded file's hot copy.
+    pub(crate) hot_copy: Option<(ProviderId, Arc<str>)>,
+}
+
+/// How a [`Lent`] file is stored.
+pub(crate) enum Stored {
+    Pending,
+    /// Whole copies under one object name.
+    Replicated(Arc<str>),
+    ErasureCoded(FragmentLayout),
+}
+
+impl Lent {
+    fn of(inode: &Inode) -> Self {
+        let (stored, copies, hot_copy) = match &inode.placement {
+            Placement::Pending => (Stored::Pending, FleetList::new(), None),
+            Placement::Replicated { providers, object } => (
+                Stored::Replicated(Arc::clone(object)),
+                providers.iter().map(|&p| (p, Arc::clone(object))).collect(),
+                None,
+            ),
+            Placement::ErasureCoded { layout, fragments, hot_copy } => (
+                Stored::ErasureCoded(*layout),
+                fragments.iter().cloned().collect(),
+                hot_copy.clone(),
+            ),
+        };
+        Lent { size: inode.size, version: inode.version, stored, copies, hot_copy }
+    }
+
+    /// Every physical object with the provider holding it, in
+    /// [`Placement::objects`] order.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = (ProviderId, &Arc<str>)> {
+        self.copies.iter().chain(&self.hot_copy).map(|(p, name)| (*p, name))
+    }
+
+    /// The providers of the copies.
+    pub(crate) fn providers(&self) -> impl Iterator<Item = ProviderId> + '_ {
+        self.copies.iter().map(|&(p, _)| p)
+    }
+}
+
 /// The HyRD client. See the crate docs for an end-to-end example.
 ///
 /// `Hyrd` is `Sync`: every CRUD operation takes `&self` (see the module
@@ -267,6 +322,9 @@ pub struct Hyrd {
     /// Crash journal (disabled outside the crash harness; see
     /// [`crate::journal`]).
     pub(crate) journal: Journal,
+    /// The list a metadata flush collects its items in, lent to each
+    /// flush in turn so that a flush allocates only what it ships.
+    flush_items: Mutex<Vec<FlushItem>>,
 }
 
 impl Hyrd {
@@ -343,6 +401,7 @@ impl Hyrd {
             telemetry,
             config,
             journal,
+            flush_items: Mutex::new(Vec::new()),
         })
     }
 
@@ -727,27 +786,24 @@ impl Hyrd {
         &self.targets.fragments
     }
 
-    /// The key of object `name` in the fleet's container. The request
-    /// path builds it once per object and op and lends it to every call
-    /// below; each layer that keeps it shares its name.
-    pub(crate) fn key(name: &str) -> ObjectKey {
-        ObjectKey::new(Fleet::CONTAINER, name)
+    /// The key of object `name` in the fleet's container. A placement's
+    /// names are shared, so the request path passes a clone and the key
+    /// copies nothing; every layer below that keeps the key shares it too.
+    pub(crate) fn key(name: impl Into<Arc<str>>) -> ObjectKey {
+        ObjectKey::shared(Fleet::CONTAINER, name.into())
     }
 
-    /// The keys of a placement's objects (as [`Placement::objects`] lists
-    /// them), one name shared by each run of copies of one object.
+    /// The keys of a placement's objects, as [`Placement::objects`] lists
+    /// them.
     pub(crate) fn keys_of<'a>(
-        objects: impl IntoIterator<Item = (ProviderId, &'a str)>,
-    ) -> Vec<(ProviderId, ObjectKey)> {
-        let mut keys: Vec<(ProviderId, ObjectKey)> = Vec::new();
-        for (p, name) in objects {
-            let key = match keys.last() {
-                Some((_, last)) if *last.name == *name => last.clone(),
-                _ => Self::key(name),
-            };
-            keys.push((p, key));
-        }
-        keys
+        objects: impl IntoIterator<Item = (ProviderId, &'a Arc<str>)>,
+    ) -> FleetList<(ProviderId, ObjectKey)> {
+        objects.into_iter().map(|(p, name)| (p, Self::key(Arc::clone(name)))).collect()
+    }
+
+    /// Lends a file's inode to the request path: see [`Lent`].
+    pub(crate) fn lend_inode(&self, path: &NormPath) -> SchemeResult<Lent> {
+        Ok(self.meta.with_inode(path, Lent::of)?)
     }
 
     /// Mirrors the dirty-fragment set into the journal. Call after any
@@ -801,7 +857,7 @@ impl Hyrd {
     /// Logical size of a file.
     pub fn file_size(&self, path: &str) -> Option<u64> {
         let npath = NormPath::parse(path).ok()?;
-        self.meta.inode(&npath).ok().map(|i| i.size)
+        self.meta.with_inode(&npath, |i| i.size).ok()
     }
 }
 

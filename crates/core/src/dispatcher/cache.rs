@@ -1,9 +1,9 @@
 //! The small-file write-through cache (DESIGN.md §8.1).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use bytes::Bytes;
+use hyrd_metastore::NormPath;
 
 /// Bounded write-through cache of small-file contents, so small updates
 /// need no read round. FIFO eviction is enough: the workloads touch
@@ -25,8 +25,8 @@ pub(crate) struct SmallFileCache {
     budget: usize,
     used: usize,
     generation: u64,
-    map: HashMap<Arc<str>, Slot>,
-    order: VecDeque<(Arc<str>, u64)>,
+    map: HashMap<NormPath, Slot>,
+    order: VecDeque<(NormPath, u64)>,
 }
 
 struct Slot {
@@ -49,7 +49,7 @@ impl SmallFileCache {
         }
     }
 
-    pub(crate) fn put(&mut self, path: &str, data: Bytes) {
+    pub(crate) fn put(&mut self, path: &NormPath, data: Bytes) {
         // A payload larger than the whole budget can never stay resident:
         // admitting it would evict every live entry and then evict itself
         // — a full cache flush that caches nothing. Reject it up front.
@@ -57,18 +57,14 @@ impl SmallFileCache {
         // authoritative content just changed, so the cached bytes are
         // stale either way.
         if data.len() > self.budget {
-            self.remove(path);
+            self.remove(path.as_str());
             return;
         }
-        // One key allocation per path, shared by the map and the FIFO
-        // and kept across re-insertions.
-        let key = match self.map.remove_entry(path) {
-            Some((key, old)) => {
-                self.used -= old.len;
-                key
-            }
-            None => Arc::from(path),
-        };
+        // The key shares the caller's path, in the map and the FIFO.
+        if let Some(old) = self.map.remove(path.as_str()) {
+            self.used -= old.len;
+        }
+        let key = path.clone();
         self.generation += 1;
         self.used += data.len();
         let slot = Slot { len: data.len(), data: Some(data), generation: self.generation };
@@ -80,7 +76,7 @@ impl SmallFileCache {
             };
             // Stale record: the path was removed or re-inserted since.
             if self.map.get(&victim).is_some_and(|slot| slot.generation == generation) {
-                self.remove(&victim);
+                self.remove(victim.as_str());
             }
         }
         // Bound the stale-record backlog independently of the byte
@@ -132,18 +128,23 @@ impl SmallFileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    fn p(path: &str) -> NormPath {
+        NormPath::parse(path).expect("well-formed")
+    }
 
     #[test]
     fn oversized_cache_put_is_rejected_without_flushing_live_entries() {
         let mut cache = SmallFileCache::new(100);
-        cache.put("/a", Bytes::from(vec![1u8; 40]));
-        cache.put("/b", Bytes::from(vec![2u8; 40]));
+        cache.put(&p("/a"), Bytes::from(vec![1u8; 40]));
+        cache.put(&p("/b"), Bytes::from(vec![2u8; 40]));
         assert_eq!(cache.used, 80);
 
         // A payload over the whole budget must not land — and, crucially,
         // must not evict every live entry on its way to being evicted
         // itself (the pre-fix behaviour flushed the entire cache).
-        cache.put("/huge", Bytes::from(vec![3u8; 101]));
+        cache.put(&p("/huge"), Bytes::from(vec![3u8; 101]));
         assert!(cache.get("/huge").is_none());
         assert_eq!(cache.used, 80, "live entries survive an oversized put");
         assert_eq!(cache.map.len(), 2);
@@ -154,11 +155,11 @@ mod tests {
     #[test]
     fn oversized_cache_put_still_invalidates_the_stale_entry() {
         let mut cache = SmallFileCache::new(100);
-        cache.put("/f", Bytes::from(vec![1u8; 30]));
-        cache.put("/other", Bytes::from(vec![2u8; 30]));
+        cache.put(&p("/f"), Bytes::from(vec![1u8; 30]));
+        cache.put(&p("/other"), Bytes::from(vec![2u8; 30]));
         // The file grew past the budget: its cached bytes are stale and
         // must go, but unrelated entries stay.
-        cache.put("/f", Bytes::from(vec![9u8; 200]));
+        cache.put(&p("/f"), Bytes::from(vec![9u8; 200]));
         assert!(cache.get("/f").is_none());
         assert!(cache.get("/other").is_some());
         assert_eq!(cache.used, 30);
@@ -227,10 +228,15 @@ mod tests {
     fn assert_same_state(cache: &SmallFileCache, oracle: &OracleCache, lent: Option<&str>) {
         assert_eq!(cache.used, oracle.used);
         assert_eq!(cache.generation, oracle.generation);
-        assert_eq!(cache.order, oracle.order);
+        let order = |o: &VecDeque<(NormPath, u64)>| -> Vec<(String, u64)> {
+            o.iter().map(|(path, g)| (path.to_string(), *g)).collect()
+        };
+        let oracle_order: Vec<(String, u64)> =
+            oracle.order.iter().map(|(path, g)| (path.to_string(), *g)).collect();
+        assert_eq!(order(&cache.order), oracle_order);
         assert_eq!(cache.map.len(), oracle.map.len());
         for (path, (bytes, generation)) in &oracle.map {
-            let slot = &cache.map[path];
+            let slot = &cache.map[&**path];
             assert_eq!((slot.len, slot.generation), (bytes.len(), *generation), "{path}");
             if lent == Some(&**path) {
                 assert!(slot.data.is_none() && cache.get(path).is_none(), "{path} is lent");
@@ -241,7 +247,7 @@ mod tests {
     }
 
     fn put_both(cache: &mut SmallFileCache, oracle: &mut OracleCache, path: &str, data: Bytes) {
-        cache.put(path, data.clone());
+        cache.put(&p(path), data.clone());
         oracle.put(path, data);
     }
 
@@ -341,7 +347,7 @@ mod tests {
     #[test]
     fn exactly_budget_sized_put_is_admitted() {
         let mut cache = SmallFileCache::new(100);
-        cache.put("/f", Bytes::from(vec![1u8; 100]));
+        cache.put(&p("/f"), Bytes::from(vec![1u8; 100]));
         assert!(cache.get("/f").is_some());
         assert_eq!(cache.used, 100);
     }

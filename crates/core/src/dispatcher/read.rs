@@ -1,6 +1,8 @@
 //! The read path: replica and fragment reads fanned out on the event
 //! engine, the hot copy of an erasure-coded file, directory listings.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
@@ -10,10 +12,11 @@ use hyrd_metastore::{MetadataBlock, NormPath, Placement};
 use crate::config::FragmentSelection;
 use crate::engine::{self, Attempt, FanoutDriver, FanoutOutcome, HedgeStats, LaunchKind};
 use crate::evaluator::Evaluator;
+use crate::fleet_list::{FleetList, CAPACITY};
 use crate::integrity::Verdict;
 use crate::scheme::{SchemeError, SchemeResult};
 
-use super::{Hyrd, ProviderSpan};
+use super::{Hyrd, Lent, ProviderSpan, Stored};
 
 impl Hyrd {
     /// Counts a detected integrity failure and traces the object.
@@ -89,7 +92,7 @@ impl Hyrd {
     pub(crate) fn read_replicated(
         &self,
         path: &str,
-        providers: &[ProviderId],
+        providers: impl IntoIterator<Item = ProviderId>,
         key: &ObjectKey,
         expect_len: Option<u64>,
     ) -> SchemeResult<(Bytes, BatchReport)> {
@@ -100,7 +103,7 @@ impl Hyrd {
         let mut order = Evaluator::order_by(self.evaluator.fastest_first(), providers);
         let now = self.now();
         order.sort_by_key(|&id| !self.health.admits(id, now));
-        let candidates: Vec<(ProviderId, &ObjectKey)> = order
+        let candidates = order
             .into_iter()
             .filter(|&id| !self.log_l().is_pending(id, key))
             .map(|id| (id, key))
@@ -124,11 +127,11 @@ impl Hyrd {
     /// Fetches any `m` fragments (policy-ordered) and decodes. The
     /// degraded-read path is implicit: a lost data fragment simply means
     /// a parity fragment gets picked and the decode reconstructs.
-    pub(crate) fn read_erasure(
+    pub(crate) fn read_erasure<'a>(
         &self,
         path: &str,
         layout: &hyrd_gfec::FragmentLayout,
-        fragments: &[(ProviderId, String)],
+        fragments: impl IntoIterator<Item = &'a (ProviderId, Arc<str>)>,
     ) -> SchemeResult<(Bytes, BatchReport)> {
         let ranking = match self.config.fragment_selection {
             FragmentSelection::CheapestEgress => self.evaluator.cheapest_egress_first(),
@@ -139,17 +142,17 @@ impl Hyrd {
         // degraded update), ordered by the selection policy with
         // breaker-suspect providers last.
         let now = self.now();
-        let keys: Vec<ObjectKey> = fragments.iter().map(|(_, name)| Self::key(name)).collect();
-        let mut candidates: Vec<(usize, ProviderId, &ObjectKey)> = fragments
+        let keys: FleetList<(ProviderId, ObjectKey)> =
+            Self::keys_of(fragments.into_iter().map(|(p, name)| (*p, name)));
+        let mut candidates: FleetList<(usize, ProviderId, &ObjectKey)> = keys
             .iter()
-            .zip(&keys)
             .enumerate()
-            .filter(|(i, ((p, _), key))| {
+            .filter(|(i, (p, key))| {
                 self.provider(*p).is_available()
                     && !self.log_l().is_pending(*p, key)
                     && !self.dirty_l().contains(path, *i)
             })
-            .map(|(i, ((p, _), key))| (i, *p, key))
+            .map(|(i, (p, key))| (i, *p, key))
             .collect();
         candidates.sort_by_key(|(_, p, _)| {
             (
@@ -158,19 +161,19 @@ impl Hyrd {
             )
         });
 
-        if self.telemetry.enabled() && candidates.len() < fragments.len() {
+        if self.telemetry.enabled() && candidates.len() < keys.len() {
             // Some fragment was unreachable or stale: this read runs
             // degraded (or fails below) — worth a mark either way.
             self.telemetry
                 .event("read.degraded")
                 .field("path", path)
                 .field("reachable", candidates.len() as u64)
-                .field("total", fragments.len() as u64)
+                .field("total", keys.len() as u64)
                 .emit();
             self.telemetry.inc("read.degraded", 1);
             // One event per missing fragment so the exposure tracker can
             // attribute the degradation to a fragment and its provider.
-            for (i, (p, _)) in fragments.iter().enumerate() {
+            for (i, (p, _)) in keys.iter().enumerate() {
                 if candidates.iter().any(|(ci, _, _)| *ci == i) {
                     continue;
                 }
@@ -190,7 +193,7 @@ impl Hyrd {
                 detail: format!(
                     "{} of {} fragments reachable, need {m}",
                     candidates.len(),
-                    fragments.len()
+                    keys.len()
                 ),
             });
         }
@@ -198,13 +201,10 @@ impl Hyrd {
         // Fan the read out on the event engine: `m` required fragment
         // fetches in flight at once, redundant extras after the hedge
         // deadline, first `m` completions win, stragglers cancelled.
-        let frag_index: Vec<usize> = candidates.iter().map(|(i, _, _)| *i).collect();
-        let fanout_candidates: Vec<(ProviderId, &ObjectKey)> =
-            candidates.into_iter().map(|(_, p, key)| (p, key)).collect();
         let mut fanout = ReadFanout {
             hyrd: self,
             span: ProviderSpan::FetchFragment,
-            candidates: fanout_candidates,
+            candidates: candidates.iter().map(|&(_, p, key)| (p, key)).collect(),
             expect_len: None,
         };
         let Some(outcome) = engine::fanout_read(&mut fanout, m, &self.config.hedge, self.now())
@@ -218,8 +218,11 @@ impl Hyrd {
         let FanoutOutcome { winners, report, .. } = outcome;
         // The fetched payloads are borrowed as they arrived; the decode
         // writes the object straight into its one buffer.
-        let got: Vec<(usize, &Bytes)> =
-            winners.iter().map(|w| (frag_index[w.candidate], &w.payload)).collect();
+        let mut got: [(usize, &[u8]); CAPACITY] = [(0, &[]); CAPACITY];
+        for (slot, w) in got.iter_mut().zip(winners.iter()) {
+            *slot = (candidates[w.candidate].0, &w.payload[..]);
+        }
+        let got = &got[..winners.len()];
         let ops = report;
         let object = {
             let _dec = self
@@ -229,7 +232,7 @@ impl Hyrd {
                 .field("fragments", got.len() as u64)
                 .start();
             let wall = self.wall_start();
-            let object = decode_object(self.code.as_code(), layout, &got)?;
+            let object = decode_object(self.code.as_code(), layout, got)?;
             self.observe_wall("ec.decode_wall_ns", wall);
             object
         };
@@ -250,7 +253,7 @@ impl Hyrd {
     fn maybe_cache_hot(
         &self,
         path: &NormPath,
-        inode: &hyrd_metastore::Inode,
+        inode: &Lent,
         data: &Bytes,
         batch: BatchReport,
     ) -> BatchReport {
@@ -266,15 +269,15 @@ impl Hyrd {
         if count != threshold {
             return batch;
         }
-        let Placement::ErasureCoded { layout, fragments, hot_copy: None } = &inode.placement else {
+        let (Stored::ErasureCoded(layout), None) = (&inode.stored, &inode.hot_copy) else {
             return batch;
         };
         let Some(&target) = self.evaluator.performance_tier().first() else {
             return batch;
         };
-        let name = format!("{}.hot", crate::scheme::object_name(path.as_str()));
+        let name = crate::scheme::hot_copy_name(&crate::scheme::object_name(path.as_str()));
         let now = self.now();
-        let hot_key = Self::key(&name);
+        let hot_key = Self::key(Arc::clone(&name));
         let staged = [(target, &hot_key)];
         let Ok(put) = self.put_object(target, &hot_key, data) else {
             // The copy joins no placement, so nothing is owed a replay:
@@ -290,8 +293,8 @@ impl Hyrd {
             inode.version,
             Placement::ErasureCoded {
                 layout: *layout,
-                fragments: fragments.clone(),
-                hot_copy: Some((target, name.clone())),
+                fragments: inode.copies.iter().cloned().collect(),
+                hot_copy: Some((target, name)),
             },
             inode.size,
             now,
@@ -306,18 +309,17 @@ impl Hyrd {
             }
             return batch.with_background(BatchReport::parallel(ops));
         }
-        let meta_batch = self.flush_metadata();
-        batch.with_background(BatchReport::parallel(ops).then(meta_batch))
+        batch.with_background(self.flush_metadata(BatchReport::parallel(ops)))
     }
 
     /// Reads a whole file (degraded reads during outages are automatic).
     pub fn read_file(&self, path: &str) -> SchemeResult<(Bytes, BatchReport)> {
         let _span = self.telemetry.span_with("read_file").field("path", path).start();
         let npath = NormPath::parse(path)?;
-        // Clone the placement out of the metadata stripe: the lock must
+        // Lend the placement out of the metadata stripe: the lock must
         // not be held across provider fetches (other sessions' metadata
         // operations would serialize behind this read).
-        let mut inode = self.meta.inode(&npath)?;
+        let mut inode = self.lend_inode(&npath)?;
         // A concurrent migration can flip the placement and GC the old
         // objects between our metadata fetch and the provider ops. That
         // manifests as a read error against a placement whose inode
@@ -335,7 +337,7 @@ impl Hyrd {
             if attempts >= PLACEMENT_RETRIES {
                 return Err(err);
             }
-            match self.meta.inode(&npath) {
+            match self.lend_inode(&npath) {
                 Ok(fresh) if fresh.version != inode.version => inode = fresh,
                 _ => return Err(err),
             }
@@ -347,16 +349,16 @@ impl Hyrd {
         &self,
         npath: &NormPath,
         path: &str,
-        inode: &hyrd_metastore::Inode,
+        inode: &Lent,
     ) -> SchemeResult<(Bytes, BatchReport)> {
-        match &inode.placement {
-            Placement::Pending => Err(SchemeError::DataUnavailable {
+        match &inode.stored {
+            Stored::Pending => Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
                 detail: "file has no placement".to_string(),
             }),
-            Placement::Replicated { providers, object } => {
-                let key = Self::key(object);
-                let out = self.read_replicated(path, providers, &key, Some(inode.size))?;
+            Stored::Replicated(object) => {
+                let key = Self::key(Arc::clone(object));
+                let out = self.read_replicated(path, inode.providers(), &key, Some(inode.size))?;
                 if self.config.policy.enabled {
                     // The adaptive policy wants heat on every class of
                     // read; without it, promoted files would look cold
@@ -365,13 +367,13 @@ impl Hyrd {
                 }
                 Ok(out)
             }
-            Placement::ErasureCoded { layout, fragments, hot_copy } => {
+            Stored::ErasureCoded(layout) => {
                 // Prefer the hot copy (one fast whole-object Get) — but
                 // only when it is current (no pending replay), its
                 // breaker admits the call, and its bytes verify; any
                 // doubt falls back to the erasure-coded truth.
-                if let Some((p, name)) = hot_copy {
-                    let hot_key = Self::key(name);
+                if let Some((p, name)) = &inode.hot_copy {
+                    let hot_key = Self::key(Arc::clone(name));
                     if !self.log_l().is_pending(*p, &hot_key) && self.health.admits(*p, self.now())
                     {
                         if let Ok(out) = self.get_object(*p, &hot_key) {
@@ -390,13 +392,13 @@ impl Hyrd {
                         }
                     }
                 }
-                if self.telemetry.enabled() && hot_copy.is_some() {
+                if self.telemetry.enabled() && inode.hot_copy.is_some() {
                     // The fast whole-object path existed but could not
                     // serve this read (stale, rejected or corrupt).
                     self.telemetry.event("read.fallback").field("path", path).emit();
                     self.telemetry.inc("read.fallbacks", 1);
                 }
-                let (bytes, batch) = self.read_erasure(path, layout, fragments)?;
+                let (bytes, batch) = self.read_erasure(path, layout, &inode.copies)?;
                 let batch = self.maybe_cache_hot(npath, inode, &bytes, batch);
                 Ok((bytes, batch))
             }
@@ -409,23 +411,15 @@ impl Hyrd {
     pub fn list_dir(&self, path: &str) -> SchemeResult<(Vec<String>, BatchReport)> {
         let _span = self.telemetry.span_with("list_dir").field("path", path).start();
         let npath = NormPath::parse(path)?;
-        let key = Self::key(&MetadataBlock::object_name(&npath));
-        let batch = match self.read_replicated(path, self.replica_targets(), &key, None) {
+        let key = Self::key(MetadataBlock::object_name(&npath));
+        let replicas = self.replica_targets().iter().copied();
+        let batch = match self.read_replicated(path, replicas, &key, None) {
             Ok((_bytes, batch)) => batch,
             // Directory never flushed (or all replicas down): local view,
             // zero ops. Availability of listings degrades gracefully.
             Err(_) => BatchReport::empty(),
         };
-        let names = self
-            .meta
-            .list(&npath)?
-            .into_iter()
-            .map(|e| match e {
-                hyrd_metastore::DirEntry::Dir(n) => n,
-                hyrd_metastore::DirEntry::File(n, _) => n,
-            })
-            .collect();
-        Ok((names, batch))
+        Ok((self.meta.names(&npath)?, batch))
     }
 }
 
@@ -439,7 +433,7 @@ struct ReadFanout<'a> {
     hyrd: &'a Hyrd,
     /// The span around each fetch (`fetch_replica` / `fetch_fragment`).
     span: ProviderSpan,
-    candidates: Vec<(ProviderId, &'a ObjectKey)>,
+    candidates: FleetList<(ProviderId, &'a ObjectKey)>,
     /// Length every payload must have, where the caller knows it.
     expect_len: Option<u64>,
 }

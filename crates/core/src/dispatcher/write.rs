@@ -1,17 +1,20 @@
 //! The write path: create, update, delete and the metadata flush, all
 //! built on [`Hyrd::publish`] and [`Hyrd::retire`].
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use hyrd_cloudsim::Fleet;
-use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
+use hyrd_gcsapi::{parallel_latency, BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
 use hyrd_metastore::{FlushKind, NormPath, Placement};
 
+use crate::fleet_list::FleetList;
 use crate::journal::{FragWrite, Intent};
 use crate::monitor::DataClass;
 use crate::scheme::{SchemeError, SchemeResult};
 
-use super::{Hyrd, ProviderSpan};
+use super::{Hyrd, ProviderSpan, Stored};
 
 impl Hyrd {
     /// Puts `data` to every target in one parallel round
@@ -52,20 +55,29 @@ impl Hyrd {
     /// / `meta.flush.compact` trace event. The fields (dir, version,
     /// records, bytes) are pure functions of the serialized op order, so
     /// deterministic runs stay byte-identical.
-    pub(crate) fn flush_metadata(&self) -> BatchReport {
+    ///
+    /// The flush runs after `done`, what the op has done so far: its
+    /// ops are appended to `done`'s and its latency, one parallel round,
+    /// added to `done`'s — `done.then(flush)`, with one list of ops per
+    /// request.
+    pub(crate) fn flush_metadata(&self, mut done: BatchReport) -> BatchReport {
         self.journal.crashpoint("meta.flush.pre");
-        let items =
-            self.meta.flush_dirty_with(|item, delta| self.record_flushed_digest(item, delta));
+        // Taken out of its stripe (empty, with the capacity earlier
+        // flushes left it) and put back below.
+        let mut items = std::mem::take(&mut *self.stripe("flush_items", &self.flush_items));
+        self.meta
+            .flush_dirty_with(&mut items, |item, delta| self.record_flushed_digest(item, delta));
         if items.is_empty() {
-            return BatchReport::empty();
+            *self.stripe("flush_items", &self.flush_items) = items;
+            return done;
         }
         let targets = self.replica_targets();
-        let mut ops = Vec::new();
-        for item in items {
+        let first = done.ops.len();
+        for item in items.drain(..) {
             let bytes = Bytes::from(item.bytes);
             let key = ObjectKey::shared(Fleet::CONTAINER, item.object);
             let writes = targets.iter().map(|&t| (t, &key, bytes.clone()));
-            self.publish(writes, None, 1, Some(ProviderSpan::PutReplica), &mut ops);
+            self.publish(writes, None, 1, Some(ProviderSpan::PutReplica), &mut done.ops);
             if self.telemetry.enabled() {
                 let (event, counter) = match item.kind {
                     FlushKind::Block => ("meta.flush.block", "meta.flush.blocks"),
@@ -87,11 +99,13 @@ impl Hyrd {
             // no-op by version, but the GC pass would never converge).
             for stale in item.supersedes {
                 let key = ObjectKey::shared(Fleet::CONTAINER, stale);
-                self.retire(targets.iter().map(|&t| (t, &key)), &mut ops);
+                self.retire(targets.iter().map(|&t| (t, &key)), &mut done.ops);
             }
         }
+        *self.stripe("flush_items", &self.flush_items) = items;
         self.journal.crashpoint("meta.flush.post");
-        BatchReport::parallel(ops)
+        done.latency += parallel_latency(&done.ops[first..]);
+        done
     }
 
     // ------------------------------------------------------------------
@@ -102,12 +116,12 @@ impl Hyrd {
         let now = self.now();
         self.meta.create_file(path, data.len() as u64, now)?;
         let name = crate::scheme::object_name(path.as_str());
-        let key = Self::key(&name);
+        let key = Self::key(Arc::clone(&name));
         let bytes = Bytes::copy_from_slice(data);
         let targets = self.replica_targets();
         let _intent = self.journal.begin(|| Intent::Create {
             path: path.as_str().to_string(),
-            objects: targets.iter().map(|&t| (t, name.clone())).collect(),
+            objects: targets.iter().map(|&t| (t, Arc::clone(&name))).collect(),
         });
 
         let mut ops = Vec::new();
@@ -121,14 +135,14 @@ impl Hyrd {
                 detail: "all replica targets unavailable".to_string(),
             });
         }
-        self.cache_l().put(path.as_str(), bytes);
+        self.cache_l().put(path, bytes);
         self.meta.set_placement(
             path,
             Placement::Replicated { providers: targets.to_vec(), object: name },
             data.len() as u64,
             now,
         )?;
-        Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
+        Ok(self.flush_metadata(BatchReport::parallel(ops)))
     }
 
     fn create_large(&self, path: &NormPath, data: &[u8]) -> SchemeResult<BatchReport> {
@@ -136,9 +150,12 @@ impl Hyrd {
         self.meta.create_file(path, data.len() as u64, now)?;
         let base_name = crate::scheme::object_name(path.as_str());
         let targets = self.fragment_targets();
-        let fragments: Vec<(ProviderId, String)> =
-            targets.iter().enumerate().map(|(i, &t)| (t, format!("{base_name}.f{i}"))).collect();
-        let keys = Self::keys_of(fragments.iter().map(|(t, name)| (*t, name.as_str())));
+        let fragments: Vec<(ProviderId, Arc<str>)> = targets
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, crate::scheme::fragment_name(&base_name, i)))
+            .collect();
+        let keys = Self::keys_of(fragments.iter().map(|(t, name)| (*t, name)));
         let _intent = self.journal.begin(|| Intent::Create {
             path: path.as_str().to_string(),
             objects: fragments.clone(),
@@ -163,7 +180,7 @@ impl Hyrd {
         // Each fragment's digest is recorded as it ships; `m` landed
         // fragments are the durability floor.
         let m = self.config.code.m();
-        let writes = encoded.into_iter().zip(&keys).map(|(fragment, (target, key))| {
+        let writes = encoded.into_iter().zip(keys.iter()).map(|(fragment, (target, key))| {
             let bytes = Bytes::from(fragment);
             self.record_digest(key.name.clone(), &bytes);
             (*target, key, bytes)
@@ -187,7 +204,7 @@ impl Hyrd {
             data.len() as u64,
             now,
         )?;
-        Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
+        Ok(self.flush_metadata(BatchReport::parallel(ops)))
     }
 
     // ------------------------------------------------------------------
@@ -197,24 +214,24 @@ impl Hyrd {
     fn update_replicated(
         &self,
         path: &NormPath,
-        providers: Vec<ProviderId>,
-        object: String,
+        providers: FleetList<ProviderId>,
+        object: Arc<str>,
         size: u64,
         offset: u64,
         data: &[u8],
     ) -> SchemeResult<BatchReport> {
         let (start, end) = (offset as usize, offset as usize + data.len());
-        let key = Self::key(&object);
+        let key = Self::key(Arc::clone(&object));
         // Base version: the write-through cache's entry, lent out for the
         // length of the update, or one replica read. Either is exactly
         // `size` bytes, and either way this call now holds the client's
         // one copy of the file.
         let lent = self.cache_l().lend(path.as_str(), size as usize);
-        let (base, lent_generation, read_batch) = match lent {
+        let (base, lent_generation, mut batch) = match lent {
             Some((bytes, generation)) => (bytes, Some(generation), BatchReport::empty()),
             None => {
                 let (bytes, report) =
-                    self.read_replicated(path.as_str(), &providers, &key, Some(size))?;
+                    self.read_replicated(path.as_str(), providers, &key, Some(size))?;
                 (bytes, None, report)
             }
         };
@@ -236,22 +253,24 @@ impl Hyrd {
         let patch = bytes.slice(start..end);
         let _intent = self.journal.begin(|| Intent::UpdateReplicated {
             path: path.as_str().to_string(),
-            object: object.clone(),
-            providers: providers.clone(),
+            object: Arc::clone(&object),
+            providers: providers.iter().copied().collect(),
             bytes: bytes.clone(),
         });
         // Only the patch travels to each replica; a replica that misses
         // it gets the *full* new content logged, so the consistency
-        // update restores a complete object.
+        // update restores a complete object. The write round runs after
+        // the read round, if there was one.
         let writes = providers.iter().map(|&t| (t, &key, bytes.clone()));
-        let mut ops = Vec::new();
-        if self.publish(writes, Some((offset, &patch)), 1, None, &mut ops) == 0 {
+        let first = batch.ops.len();
+        if self.publish(writes, Some((offset, &patch)), 1, None, &mut batch.ops) == 0 {
             // The update failed outright: supersede the logged entries
             // with the pre-update content so replay restores the state
             // the caller was told still stands.
             let mut old = Vec::from(bytes);
             old[start..end].copy_from_slice(&old_window);
             let old_bytes = Bytes::from(old);
+            let providers: Vec<ProviderId> = providers.iter().copied().collect();
             self.roll_back_logged(&providers, &key, Some(&old_bytes));
             if let Some(generation) = lent_generation {
                 self.cache_l().hand_back(path.as_str(), generation, old_bytes);
@@ -261,16 +280,17 @@ impl Hyrd {
                 detail: "no replica target available for update".to_string(),
             });
         }
-        let write_batch = BatchReport::parallel(ops);
+        batch.latency += parallel_latency(&batch.ops[first..]);
         // The object's authoritative content changed: refresh the digest
         // of the blocks the patch touched (live replicas hold the new
         // content; logged replicas will after replay).
         let patched = start..end;
         self.patch_digest(key.name.clone(), &bytes, bytes.len(), std::slice::from_ref(&patched));
-        self.cache_l().put(path.as_str(), bytes);
+        self.cache_l().put(path, bytes);
         let now = self.now();
+        let providers = providers.iter().copied().collect();
         self.meta.set_placement(path, Placement::Replicated { providers, object }, size, now)?;
-        Ok(read_batch.then(write_batch).then(self.flush_metadata()))
+        Ok(self.flush_metadata(batch))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -278,8 +298,8 @@ impl Hyrd {
         &self,
         path: &NormPath,
         layout: hyrd_gfec::FragmentLayout,
-        fragments: Vec<(ProviderId, String)>,
-        hot_copy: Option<(ProviderId, String)>,
+        fragments: FleetList<(ProviderId, Arc<str>)>,
+        hot_copy: Option<(ProviderId, Arc<str>)>,
         size: u64,
         offset: u64,
         data: &[u8],
@@ -303,6 +323,9 @@ impl Hyrd {
                 detail: format!("fragment {i} awaits recovery of {}", self.provider(*p).name()),
             });
         }
+        // The placement this update commits, and the stripe the engine
+        // below patches.
+        let fragments: Vec<(ProviderId, Arc<str>)> = fragments.into_iter().collect();
         // One engine for every code and every availability state: ranged
         // RMW when all touched providers are up, the window-decode
         // degraded path otherwise (missed fragments go dirty and are
@@ -355,7 +378,7 @@ impl Hyrd {
         // A stale hot copy must not serve future reads: drop it, in the
         // background (its op is billed, the user does not wait for it).
         if let Some((p, name)) = hot_copy {
-            self.retire([(p, &Self::key(&name))], &mut batch.ops);
+            self.retire([(p, &Self::key(name))], &mut batch.ops);
         }
         // The content changed, so accumulated heat describes a file that
         // no longer exists. Reset unconditionally — not just when a hot
@@ -370,7 +393,7 @@ impl Hyrd {
             size,
             now,
         )?;
-        Ok(batch.then(self.flush_metadata()))
+        Ok(self.flush_metadata(batch))
     }
 
     // ------------------------------------------------------------------
@@ -408,7 +431,7 @@ impl Hyrd {
             .field("path", path)
             .start();
         let npath = NormPath::parse(path)?;
-        let inode = self.meta.inode(&npath)?;
+        let inode = self.lend_inode(&npath)?;
         let size = inode.size;
         // `offset + len` can wrap for offsets near `u64::MAX`, which
         // would pass a plain `>` check and then panic at the slice index
@@ -423,16 +446,18 @@ impl Hyrd {
                 size,
             });
         }
-        match inode.placement {
-            Placement::Pending => Err(SchemeError::DataUnavailable {
+        match &inode.stored {
+            Stored::Pending => Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
                 detail: "file has no placement".to_string(),
             }),
-            Placement::Replicated { providers, object } => {
+            Stored::Replicated(object) => {
+                let (providers, object) = (inode.providers().collect(), Arc::clone(object));
                 self.update_replicated(&npath, providers, object, size, offset, data)
             }
-            Placement::ErasureCoded { layout, fragments, hot_copy } => {
-                self.update_erasure(&npath, layout, fragments, hot_copy, size, offset, data)
+            Stored::ErasureCoded(layout) => {
+                let (fragments, hot_copy) = (inode.copies, inode.hot_copy);
+                self.update_erasure(&npath, *layout, fragments, hot_copy, size, offset, data)
             }
         }
     }
@@ -444,11 +469,11 @@ impl Hyrd {
         // Enumerate the doomed objects and journal the intent *before*
         // touching metadata or providers: a crash mid-delete then rolls
         // forward (finish the removes) instead of leaking billed storage.
-        let inode = self.meta.inode(&npath)?;
-        let doomed = Self::keys_of(inode.placement.objects());
+        let inode = self.lend_inode(&npath)?;
+        let doomed = Self::keys_of(inode.objects());
         let _intent = self.journal.begin(|| Intent::Delete {
             path: npath.as_str().to_string(),
-            objects: doomed.iter().map(|(p, key)| (*p, key.name.to_string())).collect(),
+            objects: doomed.iter().map(|(p, key)| (*p, Arc::clone(&key.name))).collect(),
         });
         self.meta.remove_file(&npath)?;
         // Cache and dirty-set keys are *normalized* paths (that is what
@@ -465,6 +490,6 @@ impl Hyrd {
         // metadata is gone: `retire` leaves its removal to recovery.
         let mut ops = Vec::new();
         self.retire(doomed.iter().map(|(p, key)| (*p, key)), &mut ops);
-        Ok(BatchReport::parallel(ops).then(self.flush_metadata()))
+        Ok(self.flush_metadata(BatchReport::parallel(ops)))
     }
 }

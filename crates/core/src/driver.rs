@@ -214,15 +214,29 @@ impl StepCache {
 /// driver wrote, not as bytes.
 #[derive(Debug, Default)]
 pub struct ReplayState {
-    files: HashMap<String, (u64, u32)>,
-    expected: HashMap<String, Expected>,
+    files: HashMap<String, LiveFile>,
+}
+
+/// What the driver knows of one live file, under one copy of its path.
+#[derive(Debug)]
+struct LiveFile {
+    size: u64,
+    /// The fill version its next update writes.
+    version: u32,
+    /// What a verified read must return (verified replays only).
+    expected: Option<Expected>,
 }
 
 impl ReplayState {
     /// Paths with verified expected contents, sorted (deterministic
     /// iteration for final verification sweeps).
     pub fn expected_paths(&self) -> Vec<&str> {
-        let mut paths: Vec<&str> = self.expected.keys().map(String::as_str).collect();
+        let mut paths: Vec<&str> = self
+            .files
+            .iter()
+            .filter(|(_, file)| file.expected.is_some())
+            .map(|(path, _)| path.as_str())
+            .collect();
         paths.sort_unstable();
         paths
     }
@@ -230,7 +244,7 @@ impl ReplayState {
     /// The bytes a verified replay expects `path` to hold right now,
     /// materialised from its runs.
     pub fn expected_content(&self, path: &str) -> Option<Vec<u8>> {
-        self.expected.get(path).map(Expected::to_vec)
+        self.files.get(path)?.expected.as_ref().map(Expected::to_vec)
     }
 
     /// Live files the replay has created and not deleted.
@@ -260,7 +274,7 @@ fn exec_one(
     synth: &mut SynthBuf,
     opts: &ReplayOptions,
 ) -> Result<(OpClass, BatchReport, bool), ()> {
-    let ReplayState { files, expected } = state;
+    let files = &mut state.files;
     match op {
         FsOp::Create { path, size } => {
             let data = synth.fill(path, 0, *size as usize);
@@ -270,33 +284,31 @@ fn exec_one(
             } else {
                 OpClass::LargeWrite
             };
-            files.insert(path.clone(), (*size, 1));
-            if opts.verify_reads {
-                expected.insert(path.clone(), Expected::filled(*size, fill_byte(path, 0)));
-            }
+            let expected = opts.verify_reads.then(|| Expected::filled(*size, fill_byte(path, 0)));
+            files.insert(path.clone(), LiveFile { size: *size, version: 1, expected });
             Ok((class, batch, false))
         }
         FsOp::Read { path } => {
-            let size = files.get(path).map_or(0, |(s, _)| *s);
+            let file = files.get(path);
+            let size = file.map_or(0, |f| f.size);
             let (bytes, batch) = scheme.read_file(path).map_err(|_| ())?;
             let class =
                 if size <= opts.stats_threshold { OpClass::SmallRead } else { OpClass::LargeRead };
             let verify_failure = if opts.verify_reads {
-                expected.get(path).is_some_and(|want| !want.matches(&bytes))
+                file.and_then(|f| f.expected.as_ref()).is_some_and(|want| !want.matches(&bytes))
             } else {
                 bytes.len() as u64 != size
             };
             Ok((class, batch, verify_failure))
         }
         FsOp::Update { path, offset, len } => {
-            let version = files.get(path).map_or(1, |(_, v)| *v);
+            let file = files.get_mut(path);
+            let version = file.as_ref().map_or(1, |f| f.version);
             let data = synth.fill(path, version, *len as usize);
             let batch = scheme.update_file(path, *offset, data).map_err(|_| ())?;
-            if let Some((_, v)) = files.get_mut(path) {
-                *v += 1;
-            }
-            if opts.verify_reads {
-                if let Some(content) = expected.get_mut(path) {
+            if let Some(file) = file {
+                file.version += 1;
+                if let Some(content) = file.expected.as_mut().filter(|_| opts.verify_reads) {
                     content.patch(*offset, *len, fill_byte(path, version));
                 }
             }
@@ -305,7 +317,6 @@ fn exec_one(
         FsOp::Delete { path } => {
             let batch = scheme.delete_file(path).map_err(|_| ())?;
             files.remove(path);
-            expected.remove(path);
             Ok((OpClass::Delete, batch, false))
         }
         FsOp::ListDir { path } => {

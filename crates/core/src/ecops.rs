@@ -35,8 +35,8 @@ use hyrd_telemetry::Collector;
 use crate::journal::FragWrite;
 use crate::scheme::{SchemeError, SchemeResult};
 
-fn key(name: &str) -> ObjectKey {
-    ObjectKey::new(Fleet::CONTAINER, name)
+fn key(name: &Arc<str>) -> ObjectKey {
+    ObjectKey::shared(Fleet::CONTAINER, Arc::clone(name))
 }
 
 /// Escalates an injected client crash before the caller's fault
@@ -144,7 +144,7 @@ pub fn ranged_update<C: ErasureCode + ?Sized>(
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
     telemetry: &Collector,
     layout: &FragmentLayout,
-    fragments: &[(ProviderId, String)],
+    fragments: &[(ProviderId, Arc<str>)],
     path: &str,
     offset: usize,
     data: &[u8],
@@ -165,7 +165,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
     telemetry: &Collector,
     layout: &FragmentLayout,
-    fragments: &[(ProviderId, String)],
+    fragments: &[(ProviderId, Arc<str>)],
     path: &str,
     offset: usize,
     data: &[u8],
@@ -223,7 +223,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
             planned.push(FragWrite {
                 index: shard,
                 provider: *pid,
-                object: name.clone(),
+                object: Arc::clone(name),
                 offset: start as u64,
                 bytes: Bytes::from(seg),
             });
@@ -234,7 +234,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
             planned.push(FragWrite {
                 index: idx,
                 provider: *pid,
-                object: name.clone(),
+                object: Arc::clone(name),
                 offset: lo as u64,
                 bytes: Bytes::from(w),
             });
@@ -334,7 +334,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         planned.push(FragWrite {
             index: shard,
             provider: *pid,
-            object: name.clone(),
+            object: Arc::clone(name),
             offset: start as u64,
             bytes: Bytes::copy_from_slice(&data[consumed..consumed + len]),
         });
@@ -346,7 +346,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         planned.push(FragWrite {
             index: idx,
             provider: *pid,
-            object: name.clone(),
+            object: Arc::clone(name),
             offset: lo as u64,
             bytes: Bytes::from(w),
         });
@@ -381,7 +381,7 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
     telemetry: &Collector,
     layout: &FragmentLayout,
-    fragments: &[(ProviderId, String)],
+    fragments: &[(ProviderId, Arc<str>)],
     target: usize,
     path: &str,
 ) -> SchemeResult<(BatchReport, u64)> {
@@ -436,7 +436,7 @@ mod tests {
     use hyrd_cloudsim::SimClock;
     use hyrd_gfec::{Raid5, StripePlanner};
 
-    fn setup(obj: &[u8]) -> (Fleet, Raid5, FragmentLayout, Vec<(ProviderId, String)>) {
+    fn setup(obj: &[u8]) -> (Fleet, Raid5, FragmentLayout, Vec<(ProviderId, Arc<str>)>) {
         let fleet = Fleet::standard_four(SimClock::new());
         let code = Raid5::new(3).unwrap();
         let planner = StripePlanner::new(3, 4).unwrap();
@@ -444,7 +444,7 @@ mod tests {
         let mut map = Vec::new();
         for (index, data) in frags.into_iter().enumerate() {
             let pid = fleet.providers()[index].id();
-            let name = format!("t.f{index}");
+            let name: Arc<str> = format!("t.f{index}").into();
             fleet.providers()[index].put(&key(&name), Bytes::from(data)).unwrap();
             map.push((pid, name));
         }
@@ -455,7 +455,7 @@ mod tests {
         fleet: &Fleet,
         code: &Raid5,
         layout: &FragmentLayout,
-        map: &[(ProviderId, String)],
+        map: &[(ProviderId, Arc<str>)],
     ) -> Vec<u8> {
         let frags: Vec<(usize, Bytes)> = map
             .iter()

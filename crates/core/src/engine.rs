@@ -32,13 +32,17 @@
 //! virtual time, serial corrupt re-fetches — byte-identical traces.
 //!
 //! The dispatcher supplies the cloud-touching side through
-//! [`FanoutDriver`]; the engine owns only time.
+//! [`FanoutDriver`]; the engine owns only time. Its candidates are the
+//! fleet's providers, so the flights in the air and the winners are
+//! [`FleetList`]s: a read allocates only its timeline's ops.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use hyrd_cloudsim::Admission;
 use hyrd_gcsapi::{BatchReport, OpReport};
+
+use crate::fleet_list::{FleetList, CAPACITY};
 
 pub use crate::config::HedgeConfig;
 
@@ -79,7 +83,8 @@ pub enum Attempt {
 }
 
 /// The cloud-touching half of a fan-out read. The dispatcher implements
-/// this over its candidate list; the engine calls back in a fixed,
+/// this over its candidate list — at most one candidate per provider, a
+/// [`FleetList`]'s capacity — and the engine calls back in a fixed,
 /// deterministic order.
 pub trait FanoutDriver {
     /// Number of ranked candidates.
@@ -149,7 +154,7 @@ pub struct HedgeStats {
 /// The composed result of a fan-out read.
 pub struct FanoutOutcome {
     /// The first `need` verified payloads, in completion order.
-    pub winners: Vec<Winner>,
+    pub winners: FleetList<Winner>,
     /// The whole timeline as one batch: `latency` = finish − start,
     /// `ops` = every attempt (corrupt transfers bill in full, cancelled
     /// stragglers bill zero bytes and their in-flight time only).
@@ -227,17 +232,23 @@ fn launch_next(
 /// the driver's ranked candidates, hedging per `hedge`, starting at
 /// virtual time `t0`. Returns `None` when the candidates cannot supply
 /// `need` payloads (the caller owns the error story).
+///
+/// # Panics
+///
+/// If the driver ranks more candidates than a [`FleetList`] holds.
 pub fn fanout_read(
     driver: &mut dyn FanoutDriver,
     need: usize,
     hedge: &HedgeConfig,
     t0: Duration,
 ) -> Option<FanoutOutcome> {
+    assert!(driver.candidates() <= CAPACITY, "at most {CAPACITY} fan-out candidates");
     let t0_ns = t0.as_nanos() as u64;
     let mut next = 0usize;
     let mut seq = 0u64;
-    let mut active: Vec<Flight> = Vec::new();
-    let mut winners: Vec<Winner> = Vec::new();
+    // Every candidate flies at most once, so neither list overflows.
+    let mut active: FleetList<Flight> = FleetList::new();
+    let mut winners: FleetList<Winner> = FleetList::new();
     let mut ops: Vec<OpReport> = Vec::new();
     let mut stats = HedgeStats::default();
 

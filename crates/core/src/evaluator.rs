@@ -28,6 +28,8 @@ use hyrd_cloudsim::pricing::PriceBook;
 use hyrd_cloudsim::Fleet;
 use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
 
+use crate::fleet_list::FleetList;
+
 /// The evaluator's verdict on one provider.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProviderAssessment {
@@ -194,9 +196,12 @@ impl Evaluator {
 
     /// Orders the given providers by a reference ranking (providers not
     /// in the ranking keep their relative order at the end).
-    pub fn order_by(ranking: &[ProviderId], subset: &[ProviderId]) -> Vec<ProviderId> {
+    pub fn order_by(
+        ranking: &[ProviderId],
+        subset: impl IntoIterator<Item = ProviderId>,
+    ) -> FleetList<ProviderId> {
         let pos = |id: ProviderId| ranking.iter().position(|&r| r == id).unwrap_or(usize::MAX);
-        let mut out = subset.to_vec();
+        let mut out: FleetList<ProviderId> = subset.into_iter().collect();
         out.sort_by_key(|&id| (pos(id), id));
         out
     }
@@ -319,15 +324,12 @@ mod tests {
     fn order_by_follows_reference_ranking() {
         let ranking = vec![ProviderId(2), ProviderId(0), ProviderId(1)];
         let subset = vec![ProviderId(0), ProviderId(1), ProviderId(2)];
-        assert_eq!(
-            Evaluator::order_by(&ranking, &subset),
-            vec![ProviderId(2), ProviderId(0), ProviderId(1)]
-        );
+        let ordered = |subset: &[ProviderId]| -> Vec<ProviderId> {
+            Evaluator::order_by(&ranking, subset.iter().copied()).into_iter().collect()
+        };
+        assert_eq!(ordered(&subset), vec![ProviderId(2), ProviderId(0), ProviderId(1)]);
         // Unknown ids sink to the end.
         let with_unknown = vec![ProviderId(9), ProviderId(2)];
-        assert_eq!(
-            Evaluator::order_by(&ranking, &with_unknown),
-            vec![ProviderId(2), ProviderId(9)]
-        );
+        assert_eq!(ordered(&with_unknown), vec![ProviderId(2), ProviderId(9)]);
     }
 }

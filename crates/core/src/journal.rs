@@ -51,7 +51,7 @@ pub struct FragWrite {
     /// Provider holding the fragment.
     pub provider: ProviderId,
     /// Fragment object name.
-    pub object: String,
+    pub object: Arc<str>,
     /// Byte offset of the range within the fragment.
     pub offset: u64,
     /// The bytes the range must hold after the update.
@@ -73,7 +73,7 @@ pub enum Intent {
         /// File path being created.
         path: String,
         /// Every (provider, object) the create was going to write.
-        objects: Vec<(ProviderId, String)>,
+        objects: Vec<(ProviderId, Arc<str>)>,
     },
     /// A replicated (small-file) update was in flight. Rolled *forward*:
     /// the full new content is in the intent, so re-putting it to every
@@ -83,7 +83,7 @@ pub enum Intent {
         /// File path being updated.
         path: String,
         /// Replica object name.
-        object: String,
+        object: Arc<str>,
         /// Replica providers.
         providers: Vec<ProviderId>,
         /// The complete new object content.
@@ -101,7 +101,7 @@ pub enum Intent {
         /// The complete planned write set, or empty if not yet planned.
         writes: Vec<FragWrite>,
         /// Hot copy to invalidate once the stripe holds the new bytes.
-        hot_remove: Option<(ProviderId, String)>,
+        hot_remove: Option<(ProviderId, Arc<str>)>,
     },
     /// A delete was in flight. Rolled *forward*: finish removing the
     /// objects and the metadata entry.
@@ -109,7 +109,7 @@ pub enum Intent {
         /// File path being deleted.
         path: String,
         /// Every (provider, object) the delete must remove.
-        objects: Vec<(ProviderId, String)>,
+        objects: Vec<(ProviderId, Arc<str>)>,
     },
     /// A policy migration (scheme change) was in flight. Resolution is
     /// decided by the *recovered metadata*: the flip through the
@@ -124,9 +124,9 @@ pub enum Intent {
         /// File path being migrated.
         path: String,
         /// The staged objects of the new placement.
-        new_objects: Vec<(ProviderId, String)>,
+        new_objects: Vec<(ProviderId, Arc<str>)>,
         /// The objects of the old placement, doomed once the flip lands.
-        old_objects: Vec<(ProviderId, String)>,
+        old_objects: Vec<(ProviderId, Arc<str>)>,
     },
 }
 

@@ -71,6 +71,7 @@ pub mod driver;
 pub mod ecops;
 pub mod engine;
 pub mod evaluator;
+pub mod fleet_list;
 pub mod health;
 pub mod integrity;
 pub mod journal;
@@ -88,6 +89,7 @@ pub use crashtest::{silence_crash_panics, ClientCrashed, CrashHarness};
 pub use dispatcher::Hyrd;
 pub use engine::HedgeStats;
 pub use evaluator::{Evaluator, ProviderAssessment};
+pub use fleet_list::{FleetList, MAX_FLEET};
 pub use health::{BreakerSettings, BreakerState, FaultCounterSnapshot, HealthTracker};
 pub use integrity::{IntegrityIndex, ObjectDigest, Verdict, DIGEST_BLOCK};
 pub use journal::{FragWrite, Intent, Journal};

@@ -45,6 +45,7 @@
 //! vanish mid-read; `read_file` retries on a version bump, so they
 //! converge on the new placement instead of failing.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -309,7 +310,7 @@ impl Hyrd {
         self.sync_dirty_journal();
         // The whole object now lives replicated: updates can come
         // through the write-through cache like any replicated file.
-        self.cache_l().put(path.as_str(), bytes.clone());
+        self.cache_l().put(path, bytes.clone());
         self.journal.crashpoint("migrate.gc.post");
         Some(bytes.len() as u64)
     }
@@ -329,7 +330,8 @@ impl Hyrd {
         let bytes = match self.cache_l().get(path.as_str()) {
             Some(b) => b,
             None => {
-                let key = Self::key(object);
+                let key = Self::key(Arc::clone(object));
+                let providers = providers.iter().copied();
                 let (b, read_batch) =
                     self.read_replicated(path.as_str(), providers, &key, Some(inode.size)).ok()?;
                 ops.extend(read_batch.ops);
@@ -342,7 +344,7 @@ impl Hyrd {
         let targets = self.fragment_targets().iter().enumerate();
         let coded = Placement::ErasureCoded {
             layout,
-            fragments: targets.map(|(i, &t)| (t, format!("{base}.f{i}"))).collect(),
+            fragments: targets.map(|(i, &t)| (t, crate::scheme::fragment_name(&base, i))).collect(),
             hot_copy: None,
         };
         let encoded = encoded.into_iter().map(Bytes::from).collect();
@@ -372,8 +374,8 @@ impl Hyrd {
         report: &mut MigrationReport,
         ops: &mut Vec<OpReport>,
     ) -> bool {
-        let owned = |placement: &Placement| -> Vec<(ProviderId, String)> {
-            placement.objects().map(|(p, name)| (p, name.to_string())).collect()
+        let owned = |placement: &Placement| -> Vec<(ProviderId, Arc<str>)> {
+            placement.objects().map(|(p, name)| (p, Arc::clone(name))).collect()
         };
         let (new_objects, old_objects) = (owned(&placement), owned(&inode.placement));
         let _intent = self.journal.begin(|| Intent::Migrate {
@@ -417,7 +419,7 @@ impl Hyrd {
         self.journal.crashpoint("migrate.flip.post");
         // The flip must be durable *before* the old objects go away —
         // restart decides forward-vs-back from recovered metadata.
-        let meta_batch = self.flush_metadata();
+        let meta_batch = self.flush_metadata(BatchReport::empty());
         ops.extend(meta_batch.ops);
 
         self.journal.crashpoint("migrate.gc.pre");
@@ -432,11 +434,11 @@ impl Hyrd {
     /// an aborted publish.
     fn migrate_sweep(
         &self,
-        doomed: &[(ProviderId, String)],
+        doomed: &[(ProviderId, Arc<str>)],
         report: Option<&mut MigrationReport>,
         ops: &mut Vec<OpReport>,
     ) {
-        let keys = Self::keys_of(doomed.iter().map(|(p, name)| (*p, name.as_str())));
+        let keys = Self::keys_of(doomed.iter().map(|(p, name)| (*p, name)));
         let retired = self.retire(keys.iter().map(|(p, key)| (*p, key)), ops);
         if let Some(report) = report {
             report.gc_removed += retired.removed;

@@ -44,9 +44,10 @@
 //! reports stay byte-deterministic.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use hyrd_cloudsim::Fleet;
-use hyrd_gcsapi::{CloudStorage, ProviderId};
+use hyrd_gcsapi::{BatchReport, CloudStorage, ProviderId};
 use hyrd_metastore::{MetadataBlock, NormPath, Placement};
 use hyrd_telemetry::Collector;
 
@@ -147,7 +148,7 @@ impl Hyrd {
         // ------------------------------------------------------------------
         let targets = hyrd.replica_targets();
         for dir in &loaded.dirs {
-            let key = Self::key(&MetadataBlock::object_name(&dir.block.dir));
+            let key = Self::key(MetadataBlock::object_name(&dir.block.dir));
             hyrd.put_replicated(&key, &dir.bytes, targets, &mut Vec::new());
             report.replicas_healed += 1;
         }
@@ -182,7 +183,7 @@ impl Hyrd {
                     if refs.contains(&name) {
                         continue;
                     }
-                    let orphan = [(p.id(), &Self::key(&name))];
+                    let orphan = [(p.id(), &Self::key(name.as_str()))];
                     if hyrd.retire(orphan, &mut Vec::new()).removed > 0 {
                         report.orphans_removed += 1;
                         if hyrd.telemetry.enabled() {
@@ -217,7 +218,7 @@ impl Hyrd {
         // ------------------------------------------------------------------
         // Phase 7: ship whatever metadata the resolution dirtied.
         // ------------------------------------------------------------------
-        let _ = hyrd.flush_metadata();
+        let _ = hyrd.flush_metadata(BatchReport::empty());
 
         if hyrd.telemetry.enabled() {
             hyrd.telemetry
@@ -235,9 +236,11 @@ impl Hyrd {
 
     /// [`Hyrd::retire`] for intent resolution, which keeps no op
     /// accounting.
-    fn sweep<'a>(&self, objects: impl IntoIterator<Item = &'a (ProviderId, String)>) {
-        let keys = Self::keys_of(objects.into_iter().map(|(p, name)| (*p, name.as_str())));
-        self.retire(keys.iter().map(|(p, key)| (*p, key)), &mut Vec::new());
+    fn sweep<'a>(&self, objects: impl IntoIterator<Item = &'a (ProviderId, Arc<str>)>) {
+        let mut ops = Vec::new();
+        for (p, name) in objects {
+            self.retire([(*p, &Self::key(Arc::clone(name)))], &mut ops);
+        }
     }
 
     /// Resolves one in-flight intent (see the module docs for the
@@ -249,7 +252,7 @@ impl Hyrd {
                 // outcome is total absence — no objects, no metadata.
                 self.sweep(objects);
                 if let Ok(npath) = NormPath::parse(path) {
-                    if self.meta.inode(&npath).is_ok() {
+                    if self.meta.with_inode(&npath, |_| ()).is_ok() {
                         let _ = self.meta.remove_file(&npath);
                     }
                 }
@@ -259,7 +262,7 @@ impl Hyrd {
                 // Roll forward: the intent holds the complete new
                 // content, so re-putting it everywhere is idempotent and
                 // converges every replica on the new version.
-                let key = Self::key(object);
+                let key = Self::key(Arc::clone(object));
                 self.record_digest(key.name.clone(), bytes);
                 for &p in providers {
                     let _ = self.put_object(p, &key, bytes);
@@ -278,7 +281,7 @@ impl Hyrd {
                 // puts are idempotent); what cannot be redone goes
                 // dirty for recover_provider to rebuild.
                 for w in writes {
-                    let key = Self::key(&w.object);
+                    let key = Self::key(Arc::clone(&w.object));
                     self.integrity_l().forget(&w.object);
                     if self.put_fragment_range(w.provider, &key, w.offset, &w.bytes).is_err() {
                         self.dirty_l().mark(path, w.index);
@@ -310,7 +313,7 @@ impl Hyrd {
                 // Roll forward: finish removing the objects and the
                 // metadata entry.
                 if let Ok(npath) = NormPath::parse(path) {
-                    if self.meta.inode(&npath).is_ok() {
+                    if self.meta.with_inode(&npath, |_| ()).is_ok() {
                         let _ = self.meta.remove_file(&npath);
                     }
                     self.dirty_l().forget(path);
@@ -327,21 +330,27 @@ impl Hyrd {
                 // placement); if not, the flip never happened — roll back
                 // (remove the staged objects). A deleted file references
                 // neither set, so both are swept.
-                let recovered =
-                    NormPath::parse(path).ok().and_then(|npath| self.meta.inode(&npath).ok());
-                let committed = recovered.as_ref().is_some_and(|inode| {
+                let staged = |inode: &hyrd_metastore::Inode| {
                     let mut placed = inode.placement.objects();
                     placed.any(|(_, name)| new_objects.iter().any(|(_, staged)| staged == name))
-                });
-                if recovered.is_none() {
-                    self.sweep(new_objects.iter().chain(old_objects));
-                    report.intents_rolled_forward += 1;
-                } else if committed {
-                    self.sweep(old_objects);
-                    report.intents_rolled_forward += 1;
-                } else {
-                    self.sweep(new_objects);
-                    report.intents_rolled_back += 1;
+                };
+                // `None`: the file is gone; else whether the flip committed.
+                let committed = NormPath::parse(path)
+                    .ok()
+                    .and_then(|npath| self.meta.with_inode(&npath, staged).ok());
+                match committed {
+                    None => {
+                        self.sweep(new_objects.iter().chain(old_objects));
+                        report.intents_rolled_forward += 1;
+                    }
+                    Some(true) => {
+                        self.sweep(old_objects);
+                        report.intents_rolled_forward += 1;
+                    }
+                    Some(false) => {
+                        self.sweep(new_objects);
+                        report.intents_rolled_back += 1;
+                    }
                 }
                 // Heat accumulated against the old scheme means nothing
                 // for the new one (and the file may be gone entirely).
@@ -361,7 +370,7 @@ impl Hyrd {
     pub fn audit_references(&self) -> BTreeSet<String> {
         let mut refs = BTreeSet::new();
         for (dir, files) in self.meta.walk() {
-            refs.insert(MetadataBlock::object_name(&dir));
+            refs.insert(MetadataBlock::object_name(&dir).to_string());
             for (_, inode) in files {
                 refs.extend(inode.placement.objects().map(|(_, name)| name.to_string()));
             }

@@ -4,6 +4,8 @@
 //! replays identical workloads through `&mut dyn Scheme` and compares the
 //! resulting [`BatchReport`]s.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use hyrd_gcsapi::{BatchReport, CloudError, ProviderId};
@@ -95,15 +97,37 @@ pub type SchemeResult<T> = Result<T, SchemeError>;
 /// from the *path* rather than a per-client counter so that independent
 /// clients sharing one fleet never collide on unrelated files, and a
 /// client attaching to an existing namespace regenerates the same names.
-pub fn object_name(path: &str) -> String {
+/// Made once, as the shared string every key and placement then holds.
+pub fn object_name(path: &str) -> Arc<str> {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in path.bytes() {
         h = (h ^ b as u64).wrapping_mul(0x100000001b3);
     }
-    use std::fmt::Write;
-    let mut name = String::with_capacity(17);
-    write!(name, "o{h:016x}").expect("writing to a String");
-    name
+    shared_name(format_args!("o{h:016x}"))
+}
+
+/// The name of fragment `index` of the object `base` names.
+pub fn fragment_name(base: &str, index: usize) -> Arc<str> {
+    shared_name(format_args!("{base}.f{index}"))
+}
+
+/// The name of the hot copy of the object `base` names.
+pub fn hot_copy_name(base: &str) -> Arc<str> {
+    shared_name(format_args!("{base}.hot"))
+}
+
+/// `name` as a shared string in one allocation: formatted on the stack,
+/// then copied once (a name past the stack buffer goes through a
+/// `String`).
+fn shared_name(name: std::fmt::Arguments<'_>) -> Arc<str> {
+    use std::io::Write;
+    let mut buf = [0u8; 64];
+    let mut rest = &mut buf[..];
+    if rest.write_fmt(name).is_ok() {
+        let len = 64 - rest.len();
+        return Arc::from(std::str::from_utf8(&buf[..len]).expect("formatted from str"));
+    }
+    Arc::from(name.to_string())
 }
 
 /// A Cloud-of-Clouds data distribution scheme.
@@ -163,6 +187,17 @@ mod tests {
         assert!(e.to_string().contains("2 of 4 down"));
         let e = SchemeError::BadRange { path: "/f".into(), offset: 9, len: 5, size: 10 };
         assert!(e.to_string().contains("9+5"));
+    }
+
+    #[test]
+    fn names_are_made_whole_at_any_length() {
+        let base = object_name("/a/b");
+        assert_eq!(base.len(), 17);
+        assert!(base.starts_with('o'));
+        assert_eq!(*fragment_name(&base, 3), format!("{base}.f3"));
+        assert_eq!(*hot_copy_name(&base), format!("{base}.hot"));
+        let long = "x".repeat(100);
+        assert_eq!(*fragment_name(&long, 12), format!("{long}.f12"));
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! traffic runs through the same hardened verbs as foreground I/O
 //! ([`Hyrd::get_object`], [`Hyrd::put_object`]).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, OpReport, ProviderId};
@@ -99,15 +101,20 @@ impl Hyrd {
     }
 
     /// Whether scrub may touch `provider`'s copy of `object` right now.
-    fn scrubbable(&self, provider: ProviderId, name: &str) -> bool {
+    fn scrubbable(&self, provider: ProviderId, name: &Arc<str>) -> bool {
         self.provider(provider).is_available()
             && self.health.admits(provider, self.now())
-            && !self.log_l().is_pending(provider, &Self::key(name))
+            && !self.log_l().is_pending(provider, &Self::key(Arc::clone(name)))
     }
 
     /// Fetches one copy for scrubbing, pushing its op on success.
-    fn scrub_fetch(&self, provider: ProviderId, name: &str, ops: &mut Vec<OpReport>) -> Fetched {
-        match self.get_object(provider, &Self::key(name)) {
+    fn scrub_fetch(
+        &self,
+        provider: ProviderId,
+        name: &Arc<str>,
+        ops: &mut Vec<OpReport>,
+    ) -> Fetched {
+        match self.get_object(provider, &Self::key(Arc::clone(name))) {
             Ok(out) => {
                 ops.push(out.report);
                 Fetched::Copy(out.value)
@@ -125,18 +132,18 @@ impl Hyrd {
         path: &str,
         fragment: Option<u64>,
         provider: ProviderId,
-        name: &str,
+        name: &Arc<str>,
         good: &Bytes,
         ops: &mut Vec<OpReport>,
     ) -> bool {
-        match self.put_object(provider, &Self::key(name), good) {
+        match self.put_object(provider, &Self::key(Arc::clone(name)), good) {
             Ok(put) => {
                 ops.push(put);
                 if self.telemetry.enabled() {
                     let mut ev = self.telemetry.event("scrub.repair");
                     ev.field("path", path)
                         .field("provider", self.provider(provider).name())
-                        .field("object", name);
+                        .field("object", &**name);
                     if let Some(idx) = fragment {
                         ev.field("fragment", idx);
                     }
@@ -153,7 +160,7 @@ impl Hyrd {
         &self,
         path: &str,
         providers: &[ProviderId],
-        object: &str,
+        object: &Arc<str>,
         report: &mut ScrubReport,
         ops: &mut Vec<OpReport>,
     ) {
@@ -204,7 +211,7 @@ impl Hyrd {
             return;
         };
         if !known {
-            self.record_digest(object, good);
+            self.record_digest(Arc::clone(object), good);
             report.digests_refreshed += 1;
         }
         for p in bad {
@@ -219,8 +226,8 @@ impl Hyrd {
         &self,
         path: &str,
         layout: &hyrd_gfec::FragmentLayout,
-        fragments: &[(ProviderId, String)],
-        hot_copy: &Option<(ProviderId, String)>,
+        fragments: &[(ProviderId, Arc<str>)],
+        hot_copy: &Option<(ProviderId, Arc<str>)>,
         report: &mut ScrubReport,
         ops: &mut Vec<OpReport>,
     ) {
@@ -306,7 +313,7 @@ impl Hyrd {
                     report.repaired += 1;
                 }
             } else if *verdict == Verdict::Unknown {
-                self.record_digest(name.as_str(), bytes);
+                self.record_digest(Arc::clone(name), bytes);
                 report.digests_refreshed += 1;
             }
         }
@@ -315,7 +322,7 @@ impl Hyrd {
             let good = Bytes::from(std::mem::take(&mut oracle[i]));
             if self.scrub_rewrite(path, Some(i as u64), *p, name, &good, ops) {
                 report.repaired += 1;
-                self.record_digest(name.as_str(), &good);
+                self.record_digest(Arc::clone(name), &good);
             }
         }
 
@@ -333,7 +340,7 @@ impl Hyrd {
                 Fetched::Failed => report.skipped += 1,
                 Fetched::Copy(bytes) if bytes[..] == object[..] => {
                     if self.integrity_l().digest(name).is_none() {
-                        self.record_digest(name.as_str(), &bytes);
+                        self.record_digest(Arc::clone(name), &bytes);
                         report.digests_refreshed += 1;
                     }
                 }
@@ -343,7 +350,7 @@ impl Hyrd {
                     let good = Bytes::from(object);
                     if self.scrub_rewrite(path, None, *p, name, &good, ops) {
                         report.repaired += 1;
-                        self.record_digest(name.as_str(), &good);
+                        self.record_digest(Arc::clone(name), &good);
                     }
                 }
             }
@@ -425,7 +432,7 @@ mod tests {
 
         // Flip a bit in one replica via the maintenance backdoor.
         let object = crate::scheme::object_name("/f");
-        let key = Hyrd::key(&object);
+        let key = Hyrd::key(object.clone());
         let victim = fleet
             .providers()
             .iter()
@@ -455,7 +462,7 @@ mod tests {
         h.create_file("/big", &data).expect("up");
 
         let base = crate::scheme::object_name("/big");
-        let key0 = Hyrd::key(&format!("{base}.f0"));
+        let key0 = Hyrd::key(format!("{base}.f0"));
         fleet
             .providers()
             .iter()
@@ -487,8 +494,8 @@ mod tests {
         h.create_file("/big", &large).expect("up");
 
         // Remove one replica and one fragment behind the client's back.
-        let replica = Hyrd::key(&crate::scheme::object_name("/f"));
-        let fragment = Hyrd::key(&format!("{}.f2", crate::scheme::object_name("/big")));
+        let replica = Hyrd::key(crate::scheme::object_name("/f"));
+        let fragment = Hyrd::key(format!("{}.f2", crate::scheme::object_name("/big")));
         let lose = |key: &hyrd_gcsapi::ObjectKey| {
             let holder = fleet.providers().iter().find(|p| p.get(key).is_ok());
             let holder = holder.expect("some provider holds the object");

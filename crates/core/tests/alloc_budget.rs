@@ -6,7 +6,7 @@
 //!
 //! * a read — healthy or degraded — allocates the object once: fetched
 //!   fragments are borrowed where they lie and the decode writes into
-//!   one exactly-sized buffer;
+//!   one exactly-sized buffer — in a pinned number of allocations;
 //! * a create allocates the `n` fragments it ships (`n/m` × the object)
 //!   and nothing payload-sized besides;
 //! * a ranged update allocates the ranges it writes, never the fragments
@@ -17,9 +17,10 @@
 //! read, list and delete of a 4 KB replicated file on a quiet fleet,
 //! flush included, cost an exact number of allocations that does not
 //! depend on how many siblings share the directory — the metadata flush
-//! encodes what changed, not the directory; an object's key is built once
-//! per op and every layer below shares its name; a listing allocates one
-//! name per entry on top — and a 4 KiB update of a large replica
+//! encodes what changed, not the directory; an object's name is made
+//! once, when the object is, and every key and layer below shares it; the
+//! inode is lent, not cloned; a listing allocates one name per entry on
+//! top — and a 4 KiB update of a large replica
 //! allocates for the 4 KiB, however long the replica is: the
 //! write-through cache's entry is the client's one copy (DESIGN.md §8.1)
 //! and is patched where it lies, copied only while something else still
@@ -41,6 +42,9 @@
 //! **The driver** (DESIGN.md §8.2): a verified replay remembers what it
 //! wrote as fill runs, not as bytes — a 2 MiB file with eight updates in
 //! it is held in under a kibibyte, and checking a read allocates nothing.
+//!
+//! The counts are the same under the dev and the release profile (CI
+//! runs this test under both; `hyrd-perf` measures release builds).
 //!
 //! One `#[test]` on purpose: the counters are process-wide, and a second
 //! test running on another thread would bill its bytes to this one.
@@ -192,7 +196,7 @@ fn the_read_oracle_holds_runs_not_bytes() {
     let stats = replay_with_state(&mut scheme, &writes, &clock, &verified, &mut state);
     assert_eq!((stats.errors, stats.overall.count()), (0, 9));
     drop(stats);
-    // The file table, two copies of the path and seventeen runs.
+    // The file table, one copy of the path and seventeen runs.
     let held = LIVE.load(Ordering::Relaxed) - live;
     assert!(held < 1024, "a 2 MiB file with 8 updates is remembered in {held} B");
 
@@ -437,20 +441,35 @@ fn small_object_ops_cost_what_they_change() {
             assert_eq!(two, many, "{op}: per-op cost depends on the directory's size");
         }
     }
-    // Exact allocation counts; bytes: a create allocates the payload once
-    // (the providers and the write-through cache share it); the first
-    // update after it unshares the cache's copy, keeps the window it
-    // overwrites, ships the patch as a view of the new content (each
-    // replica copies it into its own buffer) and — simulator-side — the
-    // first replica patched unshares its own from the second's. The
-    // metadata a create adds is spliced into its directory's flushed
+    // Exact allocation counts: each op allocates what it hands on and
+    // nothing else. Every op parses its path into one shared string and
+    // returns one list of provider ops; a flush (create, update, delete)
+    // ships its diff bytes in a `Bytes` handle under the diff's new
+    // object name. Besides:
+    //
+    // * create (10): the entry's name, the object's name, the payload
+    //   and its `Bytes` handle (the providers and the write-through
+    //   cache share it) and the inode's replica list;
+    // * update (12): the cache's copy, unshared from the replicas that
+    //   still hold it (the first update after a create), the window it
+    //   overwrites (kept in case no replica takes the write), the new
+    //   content's `Bytes` handle, the inode's replica list, and —
+    //   simulator-side — each replica's patch and the first replica
+    //   patched unsharing its buffer from the second's;
+    // * read (2): nothing else — the inode is lent, the key shares the
+    //   placement's name and the fan-out's lists are inline;
+    // * list (4): the block's object name and the list of names, plus
+    //   one per name (taken off the count above);
+    // * delete (5): nothing else.
+    //
+    // The metadata a create adds is spliced into its directory's flushed
     // frame, which allocates nothing per entry.
     let budget = [
-        Cost { allocs: 16, bytes: 4096 + 1275 },
-        Cost { allocs: 18, bytes: 3 * 4096 + 1299 },
-        Cost { allocs: 9, bytes: 941 },
-        Cost { allocs: 9, bytes: 1035 },
-        Cost { allocs: 13, bytes: 1371 },
+        Cost { allocs: 10, bytes: 4697 },
+        Cost { allocs: 12, bytes: 12909 },
+        Cost { allocs: 2, bytes: 192 },
+        Cost { allocs: 4, bytes: 304 },
+        Cost { allocs: 5, bytes: 493 },
     ];
     for ((op, cost), budget) in SMALL_OPS.iter().zip(two).zip(budget) {
         assert!(
@@ -514,9 +533,10 @@ fn large_object_ops_allocate_what_they_produce() {
     // metadata diff and names. Hashing the fragments adds nothing to it.
     assert!(create < 4_257_218, "create of {len} B requested {create} B, over 4.06 MiB");
 
-    let (healthy, r) = requested_by(|| h.read_file("/big.bin"));
+    let (healthy, r) = cost_of(|| h.read_file("/big.bin"));
     assert_eq!(&r.expect("fleet up").0[..], &data[..]);
     let budget = len as u64 + SLACK;
+    let (healthy_allocs, healthy) = (healthy.allocs, healthy.bytes);
     assert!(healthy < budget, "healthy read of {len} B requested {healthy} B (budget {budget})");
 
     let patch = synth_content("/big.bin", 1, 64 * 1024);
@@ -535,14 +555,23 @@ fn large_object_ops_allocate_what_they_produce() {
         .find(|p| p.object_inventory(Fleet::CONTAINER).iter().any(|(name, _)| *name == fragment0))
         .expect("fragment 0 was stored");
     holder.force_down();
-    let (degraded, r) = requested_by(|| h.read_file("/big.bin"));
+    let (degraded, r) = cost_of(|| h.read_file("/big.bin"));
+    let (degraded_allocs, degraded) = (degraded.allocs, degraded.bytes);
     let (bytes, report) = r.expect("one outage is tolerated");
     assert_eq!(&bytes[..], &data[..]);
     assert_eq!(report.op_count(), m as usize, "m fragments fetched");
     assert!(degraded < budget, "degraded read of {len} B requested {degraded} B (budget {budget})");
     assert_eq!(Vec::from(bytes).capacity(), len, "the object is allocated once, at its length");
+    // Allocations: the path, the list of provider ops and the object's
+    // `Bytes` handle; the inode is lent, each fragment key shares its
+    // name and the fan-out's lists are inline. The other thirteen are
+    // the decoder's: the object and the bookkeeping of its coefficient
+    // matrix and its inverse, which a healthy read builds too.
+    assert_eq!(healthy_allocs, 16, "allocations of a healthy read of {len} B");
+    assert_eq!(degraded_allocs, 16, "allocations of a degraded read of {len} B");
     println!(
-        "{len} B object: create {create} B, healthy read {healthy} B, 64 KiB update {update} B, \
-         degraded read {degraded} B"
+        "{len} B object: create {create} B, healthy read {healthy} B in {healthy_allocs} \
+         allocations, 64 KiB update {update} B, degraded read {degraded} B in {degraded_allocs} \
+         allocations"
     );
 }

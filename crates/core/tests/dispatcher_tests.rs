@@ -932,7 +932,7 @@ fn stored_objects_of(fleet: &Fleet, path: &str) -> usize {
         .providers()
         .iter()
         .flat_map(|p| p.object_inventory(Fleet::CONTAINER))
-        .filter(|(name, _)| name.starts_with(&prefix))
+        .filter(|(name, _)| name.starts_with(&*prefix))
         .count()
 }
 

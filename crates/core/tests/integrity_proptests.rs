@@ -398,7 +398,7 @@ impl DirModel {
         let now = Duration::from_secs(self.tick);
         let place = |name: u16, len: u8| Placement::Replicated {
             providers: vec![ProviderId(0), ProviderId(1)],
-            object: format!("{name:05}{}", "o".repeat(len as usize)),
+            object: format!("{name:05}{}", "o".repeat(len as usize)).into(),
         };
         match *op {
             DirOp::Create(name) => {
@@ -435,9 +435,11 @@ impl DirModel {
     /// providers hold makes.
     fn flush(&mut self) {
         let index = &mut self.index;
-        for item in self.store.flush_dirty_with(|item, delta| {
+        let mut items = Vec::new();
+        self.store.flush_dirty_with(&mut items, |item, delta| {
             index.record_flush_item(item, delta);
-        }) {
+        });
+        for item in items {
             self.version = item.version;
             match item.kind {
                 FlushKind::Diff => {
@@ -453,7 +455,7 @@ impl DirModel {
         let name = MetadataBlock::object_name(&self.dir);
         if let Some(digest) = self.index.digest(&name) {
             let mut whole = IntegrityIndex::new();
-            whole.record(name.as_str(), &self.block);
+            whole.record(&*name, &self.block);
             assert_eq!(Some(digest), whole.digest(&name), "block at version {}", self.version);
             assert_eq!(self.index.verify(&name, &self.block), Verdict::Verified);
         }

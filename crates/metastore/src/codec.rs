@@ -33,6 +33,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use hyrd_gcsapi::ProviderId;
@@ -74,18 +75,39 @@ impl MetadataBlock {
     }
 
     /// The object name this block is stored under on every replica.
-    pub fn object_name(dir: &NormPath) -> String {
-        flat_name("meta:", dir, 0)
+    pub fn object_name(dir: &NormPath) -> Arc<str> {
+        flat_name("meta:", dir, None)
     }
 }
 
 /// `prefix` + `dir` with its slashes encoded, so the path is a legal flat
-/// object name — built in one allocation with `extra` bytes to spare.
-pub(crate) fn flat_name(prefix: &str, dir: &NormPath, extra: usize) -> String {
-    let mut name = String::with_capacity(prefix.len() + dir.as_str().len() + extra);
-    name.push_str(prefix);
-    name.extend(dir.as_str().chars().map(|c| if c == '/' { '\u{1}' } else { c }));
-    name
+/// object name, then `:version` where one is given — made in one
+/// allocation, the shared string itself: the name is assembled on the
+/// stack and copied once (a name longer than the stack buffer is built
+/// in a `String` first).
+pub(crate) fn flat_name(prefix: &str, dir: &NormPath, version: Option<u64>) -> Arc<str> {
+    use std::io::Write;
+    // A `/` is one byte that no multi-byte UTF-8 sequence contains, so
+    // rewriting it byte by byte keeps the string valid.
+    let flat = |b: u8| if b == b'/' { 1 } else { b };
+    let (prefix, dir) = (prefix.as_bytes(), dir.as_str().as_bytes());
+    let mut buf = [0u8; 160];
+    let path_end = prefix.len() + dir.len();
+    if let Some(mut rest) = buf.get_mut(path_end..) {
+        let room = rest.len();
+        if version.is_none_or(|version| write!(rest, ":{version}").is_ok()) {
+            let end = path_end + room - rest.len();
+            let (head, tail) = buf.split_at_mut(prefix.len());
+            head.copy_from_slice(prefix);
+            tail.iter_mut().zip(dir).for_each(|(out, &b)| *out = flat(b));
+            return Arc::from(std::str::from_utf8(&buf[..end]).expect("UTF-8 in, UTF-8 out"));
+        }
+    }
+    let mut name: Vec<u8> = prefix.iter().copied().chain(dir.iter().map(|&b| flat(b))).collect();
+    if let Some(version) = version {
+        write!(name, ":{version}").expect("writing to a Vec");
+    }
+    Arc::from(String::from_utf8(name).expect("UTF-8 in, UTF-8 out"))
 }
 
 /// The multiplier of every checksum step. Odd, so multiplying by it is a
@@ -339,7 +361,7 @@ impl<'a> Reader<'a> {
                 for _ in 0..n {
                     providers.push(self.provider()?);
                 }
-                let object = self.str()?.to_string();
+                let object = Arc::from(self.str()?);
                 Placement::Replicated { providers, object }
             }
             2 => {
@@ -353,13 +375,13 @@ impl<'a> Reader<'a> {
                 let mut fragments = Vec::with_capacity(nf.min(1024));
                 for _ in 0..nf {
                     let p = self.provider()?;
-                    fragments.push((p, self.str()?.to_string()));
+                    fragments.push((p, Arc::from(self.str()?)));
                 }
                 let hot_copy = match self.take(1)?[0] {
                     0 => None,
                     1 => {
                         let p = self.provider()?;
-                        Some((p, self.str()?.to_string()))
+                        Some((p, Arc::from(self.str()?)))
                     }
                     t => {
                         return Err(MetaError::CorruptBlock(format!("bad hot-copy tag {t}")));
@@ -393,7 +415,7 @@ mod tests {
         let mut b = Inode::new(FileId(9), 4 << 20, Duration::from_secs(40));
         b.placement = Placement::ErasureCoded {
             layout: FragmentLayout { object_len: 4 << 20, m: 3, n: 5, shard_len: 1398112 },
-            fragments: (0..5).map(|i| (ProviderId(i), format!("frag{i}"))).collect(),
+            fragments: (0..5).map(|i| (ProviderId(i), format!("frag{i}").into())).collect(),
             hot_copy: Some((ProviderId(1), "hot".into())),
         };
         entries.insert("b.bin".to_string(), b);
@@ -520,6 +542,14 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(b, r);
         assert!(!a.contains('/'));
+        assert_eq!(&*a, "meta:\u{1}a\u{1}b");
+        assert_eq!(&*r, "meta:\u{1}");
+        // Past the stack buffer, the same bytes.
+        let long = format!("/{}/ü", "d".repeat(300));
+        let name = MetadataBlock::object_name(&p(&long));
+        assert_eq!(*name, format!("meta:\u{1}{}\u{1}ü", "d".repeat(300)));
+        let diff = crate::DiffBlock::object_name(&p(&long), 17);
+        assert!(diff.ends_with(&format!("\u{1}{}\u{1}ü:17", "d".repeat(300))));
     }
 
     /// A frame assembled the way a directory's flushed frame is built —

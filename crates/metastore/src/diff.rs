@@ -25,6 +25,8 @@
 //!       | 0x01 name:str           (remove)
 //! ```
 
+use std::sync::Arc;
+
 use crate::codec::{self, MetadataBlock};
 use crate::inode::Inode;
 use crate::path::NormPath;
@@ -100,11 +102,8 @@ impl DiffBlock {
     /// Unlike full blocks (one object per directory, overwritten in
     /// place), every diff version is its own object — the chain must
     /// stay individually addressable for restart to walk it.
-    pub fn object_name(dir: &NormPath, version: u64) -> String {
-        use std::fmt::Write;
-        let mut name = codec::flat_name(DIFF_PREFIX, dir, 21);
-        write!(name, ":{version}").expect("writing to a String");
-        name
+    pub fn object_name(dir: &NormPath, version: u64) -> Arc<str> {
+        codec::flat_name(DIFF_PREFIX, dir, Some(version))
     }
 
     /// Whether a provider object name is a metadata diff.
@@ -187,7 +186,7 @@ pub struct ChainResolution {
     pub block: MetadataBlock,
     /// Object names of the diffs applied, in version order — the live
     /// chain a reader that keeps the diffs on the providers must record.
-    pub applied: Vec<String>,
+    pub applied: Vec<Arc<str>>,
     /// Diffs ignored: superseded by the base version, duplicates, or
     /// stranded past a gap/torn link in the chain.
     pub stale: usize,
@@ -244,7 +243,7 @@ mod tests {
         i.version = version;
         i.placement = Placement::Replicated {
             providers: vec![ProviderId(0), ProviderId(1)],
-            object: format!("o{id}"),
+            object: format!("o{id}").into(),
         };
         i
     }

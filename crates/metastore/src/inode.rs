@@ -1,5 +1,6 @@
 //! File metadata records and physical placement descriptors.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use hyrd_gcsapi::ProviderId;
@@ -16,6 +17,10 @@ impl std::fmt::Display for FileId {
 }
 
 /// Where a file's bytes physically live in the Cloud-of-Clouds.
+///
+/// Object names are shared strings, made once when the object is named:
+/// an object key, a recovery record or a request's copy of the placement
+/// shares the name instead of copying it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Not yet dispatched (metadata exists, data write pending).
@@ -26,7 +31,7 @@ pub enum Placement {
         /// Providers holding a complete copy.
         providers: Vec<ProviderId>,
         /// Object name common to all replicas.
-        object: String,
+        object: Arc<str>,
     },
     /// Erasure-coded fragments — the large-file tier. `fragments[i]` is
     /// the provider holding code fragment `i` and its object name.
@@ -34,11 +39,11 @@ pub enum Placement {
         /// The code geometry needed to decode.
         layout: FragmentLayout,
         /// Per-fragment location: `(provider, object_name)`.
-        fragments: Vec<(ProviderId, String)>,
+        fragments: Vec<(ProviderId, Arc<str>)>,
         /// Optional whole-object cache on a performance-oriented
         /// provider — Figure 2's "frequently accessed large files are
         /// also placed in performance-oriented providers".
-        hot_copy: Option<(ProviderId, String)>,
+        hot_copy: Option<(ProviderId, Arc<str>)>,
     },
 }
 
@@ -63,16 +68,20 @@ impl Placement {
 
     /// Every physical object of this placement with the provider that
     /// holds it: each replica, or each fragment and then the hot copy.
-    pub fn objects(&self) -> impl Iterator<Item = (ProviderId, &str)> {
-        let (replicas, object, fragments, hot_copy): (&[ProviderId], &str, &[_], _) = match self {
-            Placement::Pending => (&[], "", &[], None),
-            Placement::Replicated { providers, object } => (providers, object, &[], None),
+    pub fn objects(&self) -> impl Iterator<Item = (ProviderId, &Arc<str>)> {
+        let (replicas, fragments, hot_copy) = match self {
+            Placement::Pending => (None, &[][..], None),
+            Placement::Replicated { providers, object } => {
+                (Some((providers, object)), &[][..], None)
+            }
             Placement::ErasureCoded { fragments, hot_copy, .. } => {
-                (&[], "", fragments, hot_copy.as_ref())
+                (None, &fragments[..], hot_copy.as_ref())
             }
         };
-        let placed = fragments.iter().chain(hot_copy).map(|(p, name)| (*p, name.as_str()));
-        replicas.iter().map(move |&p| (p, object)).chain(placed)
+        let replicas = replicas
+            .into_iter()
+            .flat_map(|(providers, object)| providers.iter().map(move |&p| (p, object)));
+        replicas.chain(fragments.iter().chain(hot_copy).map(|(p, name)| (*p, name)))
     }
 
     /// Number of provider outages this placement survives while staying
@@ -135,7 +144,7 @@ mod tests {
     fn ec_placement() -> Placement {
         Placement::ErasureCoded {
             layout: FragmentLayout { object_len: 1000, m: 3, n: 4, shard_len: 384 },
-            fragments: (0..4).map(|i| (ProviderId(i), format!("f{i}"))).collect(),
+            fragments: (0..4).map(|i| (ProviderId(i), format!("f{i}").into())).collect(),
             hot_copy: None,
         }
     }
@@ -157,7 +166,8 @@ mod tests {
             providers: vec![ProviderId(2), ProviderId(0)],
             object: "o".into(),
         };
-        assert_eq!(r2.objects().collect::<Vec<_>>(), [(ProviderId(2), "o"), (ProviderId(0), "o")]);
+        let listed: Vec<(ProviderId, &str)> = r2.objects().map(|(p, name)| (p, &**name)).collect();
+        assert_eq!(listed, [(ProviderId(2), "o"), (ProviderId(0), "o")]);
         let Placement::ErasureCoded { layout, fragments, .. } = ec_placement() else {
             unreachable!("built erasure-coded");
         };
@@ -166,9 +176,9 @@ mod tests {
             fragments,
             hot_copy: Some((ProviderId(9), "o.hot".into())),
         };
-        let names: Vec<&str> = hot.objects().map(|(_, name)| name).collect();
+        let names: Vec<&str> = hot.objects().map(|(_, name)| &**name).collect();
         assert_eq!(names, ["f0", "f1", "f2", "f3", "o.hot"]);
-        assert_eq!(hot.objects().last(), Some((ProviderId(9), "o.hot")));
+        assert_eq!(hot.objects().last(), Some((ProviderId(9), &Arc::from("o.hot"))));
         assert_eq!(Placement::Pending.objects().count(), 0);
     }
 

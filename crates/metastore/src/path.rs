@@ -4,17 +4,23 @@
 //! defines its own: absolute, `/`-separated, no empty or `.`/`..`
 //! components. Normalization happens once at the boundary; everything
 //! downstream works with [`NormPath`] and cannot hold a malformed path.
+//!
+//! A `NormPath` is a shared string: parsing a path that is already
+//! normal allocates it once, and every clone after that — a dirty mark,
+//! a cache key, a hot-read counter — shares it.
+
+use std::sync::Arc;
 
 use crate::{MetaError, Result};
 
 /// An absolute, normalized path ("/", "/a", "/a/b").
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NormPath(String);
+pub struct NormPath(Arc<str>);
 
 impl NormPath {
     /// The root directory.
     pub fn root() -> Self {
-        NormPath("/".to_string())
+        NormPath(Arc::from("/"))
     }
 
     /// Parses and normalizes. Accepts optional trailing slashes; rejects
@@ -22,6 +28,11 @@ impl NormPath {
     pub fn parse(raw: &str) -> Result<Self> {
         if !raw.starts_with('/') {
             return Err(MetaError::BadPath(raw.to_string()));
+        }
+        // Already normal — every component non-empty and neither `.`
+        // nor `..` — is the common case: one allocation, the shared copy.
+        if raw.len() > 1 && raw[1..].split('/').all(|c| !matches!(c, "" | "." | "..")) {
+            return Ok(NormPath(Arc::from(raw)));
         }
         let mut out = String::with_capacity(raw.len());
         for comp in raw.split('/') {
@@ -37,7 +48,7 @@ impl NormPath {
         if out.is_empty() {
             return Ok(NormPath::root());
         }
-        Ok(NormPath(out))
+        Ok(NormPath(out.into()))
     }
 
     /// The path as a string slice.
@@ -47,7 +58,7 @@ impl NormPath {
 
     /// Whether this is the root.
     pub fn is_root(&self) -> bool {
-        self.0 == "/"
+        &*self.0 == "/"
     }
 
     /// Path components, root yielding none.
@@ -57,7 +68,7 @@ impl NormPath {
 
     /// Parent directory; root's parent is root.
     pub fn parent(&self) -> NormPath {
-        NormPath(self.parent_str().to_string())
+        NormPath(Arc::from(self.parent_str()))
     }
 
     /// [`parent`](Self::parent) as a borrowed slice of this path — what
@@ -85,11 +96,12 @@ impl NormPath {
         if name.is_empty() || name.contains('/') || name == "." || name == ".." {
             return Err(MetaError::BadPath(name.to_string()));
         }
-        if self.is_root() {
-            Ok(NormPath(format!("/{name}")))
-        } else {
-            Ok(NormPath(format!("{}/{name}", self.0)))
-        }
+        let base = if self.is_root() { "" } else { self.as_str() };
+        let mut joined = String::with_capacity(base.len() + 1 + name.len());
+        joined.push_str(base);
+        joined.push('/');
+        joined.push_str(name);
+        Ok(NormPath(joined.into()))
     }
 }
 
@@ -126,6 +138,15 @@ mod tests {
         assert_eq!(NormPath::parse("//a///b").unwrap().as_str(), "/a/b");
         assert_eq!(NormPath::parse("/").unwrap().as_str(), "/");
         assert_eq!(NormPath::parse("///").unwrap().as_str(), "/");
+    }
+
+    #[test]
+    fn parse_keeps_normal_paths_and_shares_clones() {
+        for normal in ["/a", "/a/b", "/usr/local/bin", "/x.y/..z/.w"] {
+            assert_eq!(NormPath::parse(normal).unwrap().as_str(), normal);
+        }
+        let p = NormPath::parse("/a/b").unwrap();
+        assert!(std::ptr::eq(p.as_str(), p.clone().as_str()), "a clone shares the string");
     }
 
     #[test]

@@ -189,7 +189,8 @@ struct Shard {
 impl Shard {
     /// Marks `dir` dirty and `name` inside it touched — what every
     /// mutation of a (plan-validated) directory's entry table ends with.
-    /// `name` is the entry's own shared name.
+    /// `name` is the entry's own shared name, and the dirty mark shares
+    /// the directory's path.
     fn touch(&mut self, dir: &str, name: Arc<str>) {
         let (dir, state) = self
             .dirs
@@ -432,19 +433,28 @@ impl ShardedMetaStore {
         )
     }
 
-    /// Looks up a file's inode by path and clones it out — the caller
-    /// copies the placement and does provider I/O with no lock held.
-    pub fn inode(&self, path: &NormPath) -> Result<Inode> {
+    /// Runs `look` on a file's inode under its shard's read lock and
+    /// returns what it returns — the request path's borrowing read:
+    /// `look` copies out what the request needs (provider ids, shared
+    /// object names, the size), so nothing else is copied and no lock is
+    /// held across provider I/O. `look` must not call into the store.
+    pub fn with_inode<R>(&self, path: &NormPath, look: impl FnOnce(&Inode) -> R) -> Result<R> {
         let name =
             path.file_name().ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
         let parent = path.parent_str();
         let shard = self.read_shard(self.idx(parent));
-        shard
+        let inode = shard
             .dirs
             .get(parent)
             .and_then(|d| d.files.get(name))
-            .cloned()
-            .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))
+            .ok_or_else(|| MetaError::NoSuchFile(path.as_str().to_string()))?;
+        Ok(look(inode))
+    }
+
+    /// A file's inode, cloned out — for callers that keep it or take its
+    /// placement apart ([`Self::with_inode`] lends it instead).
+    pub fn inode(&self, path: &NormPath) -> Result<Inode> {
+        self.with_inode(path, Inode::clone)
     }
 
     /// Updates a file's placement (and optionally size) after dispatch,
@@ -563,18 +573,33 @@ impl ShardedMetaStore {
     /// Sorted listing: subdirectories first, then files, both in name
     /// order.
     pub fn list(&self, dir: &NormPath) -> Result<Vec<DirEntry>> {
+        self.listed(dir, |name, id| match id {
+            None => DirEntry::Dir(name.to_string()),
+            Some(id) => DirEntry::File(name.to_string(), id),
+        })
+    }
+
+    /// The names of [`Self::list`], in its order: one allocation for the
+    /// list and one per name.
+    pub fn names(&self, dir: &NormPath) -> Result<Vec<String>> {
+        self.listed(dir, |name, _| name.to_string())
+    }
+
+    /// `entry` of each subdirectory (no id) and then each file, in name
+    /// order, under one read lock.
+    fn listed<T>(
+        &self,
+        dir: &NormPath,
+        entry: impl Fn(&str, Option<FileId>) -> T,
+    ) -> Result<Vec<T>> {
         let shard = self.read_shard(self.idx(dir.as_str()));
         let state = shard
             .dirs
             .get(dir)
             .ok_or_else(|| MetaError::NoSuchDirectory(dir.as_str().to_string()))?;
         let mut out = Vec::with_capacity(state.subdirs.len() + state.files.len());
-        for name in &state.subdirs {
-            out.push(DirEntry::Dir(name.clone()));
-        }
-        for (name, inode) in &state.files {
-            out.push(DirEntry::File(name.to_string(), inode.id));
-        }
+        out.extend(state.subdirs.iter().map(|name| entry(name, None)));
+        out.extend(state.files.iter().map(|(name, inode)| entry(name, Some(inode.id))));
         Ok(out)
     }
 
@@ -679,11 +704,15 @@ impl ShardedMetaStore {
     ///
     /// Only the shards marked as holding a dirty directory are locked.
     pub fn flush_dirty_encoded(&self) -> Vec<FlushItem> {
-        self.flush_dirty_with(|_, _| {})
+        let mut items = Vec::new();
+        self.flush_dirty_with(&mut items, |_, _| {});
+        items
     }
 
-    /// [`Self::flush_dirty_encoded`], handing each item to `made` as it
-    /// is made, while the lock of its shard is still held, together with
+    /// [`Self::flush_dirty_encoded`] into `items` (appended, sorted by
+    /// directory — the caller lends the list, so a flush allocates what
+    /// it ships and not the list), handing each item to `made` as it is
+    /// made, while the lock of its shard is still held, together with
     /// where a full block differs from the one this store shipped before
     /// it under the same object name — `None` for a diff (a new object),
     /// a directory's first block and the first block after
@@ -693,9 +722,10 @@ impl ShardedMetaStore {
     /// made, whatever flushes run beside this one.
     pub fn flush_dirty_with(
         &self,
+        items: &mut Vec<FlushItem>,
         mut made: impl FnMut(&FlushItem, Option<&BlockDelta>),
-    ) -> Vec<FlushItem> {
-        let mut items = Vec::new();
+    ) {
+        let first = items.len();
         for idx in 0..self.shards.len() {
             // Acquire pairs with the Release in `commit`: a mark this
             // load sees comes with the commit that set it. The dirty list
@@ -726,8 +756,7 @@ impl ShardedMetaStore {
                 shard.version += 1;
             }
         }
-        items.sort_by(|a, b| a.dir.cmp(&b.dir));
-        items
+        items[first..].sort_by(|a, b| a.dir.cmp(&b.dir));
     }
 
     /// Flushes one directory in place, returning the item to ship (or
@@ -795,7 +824,12 @@ impl ShardedMetaStore {
         // Incremental diff on top of the previous flushed version, named
         // once for the chain and the item.
         diff::end_diff(&mut out, records);
-        let object: Arc<str> = DiffBlock::object_name(&dir, version).into();
+        let object = DiffBlock::object_name(&dir, version);
+        // A chain grows to `COMPACT_EVERY` names and is then handed over
+        // whole: one allocation per chain.
+        if state.chain.capacity() == 0 {
+            state.chain.reserve_exact(COMPACT_EVERY);
+        }
         state.chain.push(Arc::clone(&object));
         state.flushed_version = Some(version);
         Some(FlushItem {
@@ -816,7 +850,7 @@ impl ShardedMetaStore {
         let bytes = state.frame.ship(version);
         state.flushed_version = Some(version);
         FlushItem {
-            object: MetadataBlock::object_name(&dir).into(),
+            object: MetadataBlock::object_name(&dir),
             bytes,
             dir,
             version,
@@ -845,12 +879,12 @@ impl ShardedMetaStore {
     /// Records recovered-but-unhealed diff objects as the live chain
     /// for `dir` (the attach path, which loads state without rewriting
     /// providers): the next compaction then supersedes them properly.
-    pub fn seed_chain(&self, dir: &NormPath, chain: Vec<String>) {
+    pub fn seed_chain(&self, dir: &NormPath, chain: Vec<Arc<str>>) {
         let mut shard = self.write_shard(self.idx(dir.as_str()));
         let Some(state) = shard.dirs.get_mut(dir) else {
             return;
         };
-        state.chain = chain.into_iter().map(Arc::from).collect();
+        state.chain = chain;
         shard.version += 1;
     }
 
@@ -1128,7 +1162,7 @@ mod tests {
         let first = s.flush_dirty_encoded();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].kind, FlushKind::Block);
-        assert_eq!(*first[0].object, MetadataBlock::object_name(&p("/d")));
+        assert_eq!(first[0].object, MetadataBlock::object_name(&p("/d")));
         let block = MetadataBlock::from_bytes(&first[0].bytes).unwrap();
         assert_eq!(block.entries.len(), 1);
         assert_eq!(block.version, first[0].version);

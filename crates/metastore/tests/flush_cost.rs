@@ -64,7 +64,7 @@ fn path(i: usize) -> NormPath {
 fn placement(round: u64) -> Placement {
     Placement::Replicated {
         providers: vec![ProviderId(0), ProviderId(1)],
-        object: format!("obj-{round:08}"),
+        object: format!("obj-{round:08}").into(),
     }
 }
 

@@ -13,6 +13,7 @@
 //! that every differing byte is inside a reported range.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use hyrd_testkit::{check, Gen};
@@ -31,7 +32,7 @@ use hyrd_metastore::{
 struct OracleDir {
     flushed_version: Option<u64>,
     flushed_entries: BTreeMap<String, Vec<u8>>,
-    chain: Vec<String>,
+    chain: Vec<Arc<str>>,
     /// The last full block the store shipped, while the store can know
     /// it: cleared by `seed_flushed`.
     shipped: Option<Vec<u8>>,
@@ -100,14 +101,11 @@ impl Oracle {
                 items.push(FlushItem {
                     dir: dir.clone(),
                     version,
-                    object: MetadataBlock::object_name(&dir).into(),
+                    object: MetadataBlock::object_name(&dir),
                     bytes,
                     kind: if first { FlushKind::Block } else { FlushKind::Compact },
                     records: state.flushed_entries.len(),
-                    supersedes: std::mem::take(&mut state.chain)
-                        .into_iter()
-                        .map(Into::into)
-                        .collect(),
+                    supersedes: std::mem::take(&mut state.chain),
                 });
                 continue;
             }
@@ -131,7 +129,7 @@ impl Oracle {
             items.push(FlushItem {
                 dir: dir.clone(),
                 version,
-                object: object.into(),
+                object,
                 bytes: DiffBlock { dir, base, version, ops }.to_bytes(),
                 kind: FlushKind::Diff,
                 records,
@@ -159,7 +157,7 @@ impl Oracle {
         self.dirs.get(dir)?.shipped.as_deref()
     }
 
-    fn seed_chain(&mut self, dir: &NormPath, chain: Vec<String>) {
+    fn seed_chain(&mut self, dir: &NormPath, chain: Vec<Arc<str>>) {
         self.dirs.entry(dir.clone()).or_default().chain = chain;
     }
 }
@@ -262,7 +260,7 @@ fn path_of(dir: u8, name: u8) -> NormPath {
 
 fn placement(size: u64, erasure: bool) -> Placement {
     if erasure {
-        let at = |i: usize| (ProviderId(i as u16), format!("o{size}.f{i}"));
+        let at = |i: usize| (ProviderId(i as u16), format!("o{size}.f{i}").into());
         Placement::ErasureCoded {
             layout: FragmentLayout { object_len: size as usize, m: 2, n: 3, shard_len: 7 },
             fragments: (0..3).map(at).collect(),
@@ -271,7 +269,7 @@ fn placement(size: u64, erasure: bool) -> Placement {
     } else {
         Placement::Replicated {
             providers: vec![ProviderId(0), ProviderId((size % 3) as u16 + 1)],
-            object: format!("o{size}"),
+            object: format!("o{size}").into(),
         }
     }
 }
@@ -319,7 +317,8 @@ impl Rig {
             .collect();
         let want = self.oracle.flush(&self.store);
         let mut deltas = BTreeMap::new();
-        let got = self.store.flush_dirty_with(|item, delta| {
+        let mut got = Vec::new();
+        self.store.flush_dirty_with(&mut got, |item, delta| {
             if let Some(delta) = delta {
                 deltas.insert(item.dir.clone(), delta.clone());
             }
@@ -439,7 +438,7 @@ impl Rig {
             let version = self.bases.get(&dpath).map_or(0, |b| b.version)
                 + self.diffs.get(&dpath).map_or(0, |d| d.len() as u64)
                 + 3;
-            let chain: Vec<String> = (0..entries.len() as u64)
+            let chain: Vec<Arc<str>> = (0..entries.len() as u64)
                 .map(|i| DiffBlock::object_name(&dpath, 900 + i))
                 .collect();
             self.store.seed_flushed(&dpath, version);

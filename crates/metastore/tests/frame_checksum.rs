@@ -30,12 +30,14 @@ fn inode(g: &mut Gen) -> Inode {
     let mut inode = Inode::new(FileId(id), size, created);
     inode.version = g.u64();
     let n = g.range(1..6usize);
-    let at = |i: usize| (ProviderId(i as u16), format!("o{id:x}.{i}"));
+    let at = |i: usize| -> (ProviderId, std::sync::Arc<str>) {
+        (ProviderId(i as u16), format!("o{id:x}.{i}").into())
+    };
     inode.placement = match g.range(0..3u8) {
         0 => Placement::Pending,
         1 => Placement::Replicated {
             providers: (0..n).map(|i| at(i).0).collect(),
-            object: format!("o{id:x}"),
+            object: format!("o{id:x}").into(),
         },
         _ => Placement::ErasureCoded {
             layout: FragmentLayout { object_len: size as usize, m: n, n: n + 1, shard_len: 64 * n },
@@ -186,8 +188,8 @@ fn golden_inode() -> Inode {
     inode.modified = Duration::new(1_700_000_100, 999_999_999);
     inode.placement = Placement::ErasureCoded {
         layout: FragmentLayout { object_len: 1_966_080, m: 3, n: 4, shard_len: 655_360 },
-        fragments: (0..4).map(|i| (ProviderId(i), format!("big.f{i}"))).collect(),
-        hot_copy: Some((ProviderId(2), "big.hot".to_string())),
+        fragments: (0..4).map(|i| (ProviderId(i), format!("big.f{i}").into())).collect(),
+        hot_copy: Some((ProviderId(2), "big.hot".into())),
     };
     inode
 }

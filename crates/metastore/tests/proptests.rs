@@ -64,12 +64,14 @@ fn inode_strategy(g: &mut Gen) -> Inode {
     let nanos = (version % 1_000_000_000) as u32;
     let mut inode = Inode::new(FileId(id), size, Duration::new(size, nanos));
     inode.version = version;
-    let at = |i: usize| (ProviderId(i as u16), format!("o{id}.{i}"));
+    let at = |i: usize| -> (ProviderId, std::sync::Arc<str>) {
+        (ProviderId(i as u16), format!("o{id}.{i}").into())
+    };
     inode.placement = match tag {
         0 => Placement::Pending,
         1 => Placement::Replicated {
             providers: (0..n).map(|i| at(i).0).collect(),
-            object: format!("o{id}"),
+            object: format!("o{id}").into(),
         },
         _ => Placement::ErasureCoded {
             layout: FragmentLayout { object_len: size as usize, m: n, n: n + 1, shard_len: n },

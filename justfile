@@ -7,12 +7,14 @@ verify:
     cargo build --release && cargo test -q
 
 # Format check, lints as errors, then the hash and GF(2^8) kernels'
-# suites again under the release profile.
+# suites and the request path's allocation budgets again under the
+# release profile (the one hyrd-perf measures).
 lint:
     cargo fmt --check
     cargo clippy --workspace --all-targets --offline -- -D warnings
     cargo test -q --offline -p hyrd-dedup --release
     cargo test -q --offline -p hyrd-gfec --release
+    cargo test -q --offline -p hyrd --release --test alloc_budget
 
 # Non-test Rust lines of code per crate (non-blank, non-comment, each
 # file cut at its `#[cfg(test)]` tail, `tests/` and `benches/` left out)

@@ -197,10 +197,10 @@ fn scrub_traces_corruption_and_repair() {
         .iter()
         .find(|r| r.is_event("scrub.corrupt"))
         .expect("scrub must trace the mismatch");
-    assert_eq!(corrupt.field_str("object"), Some(object.as_str()));
+    assert_eq!(corrupt.field_str("object"), Some(&*object));
     let repair =
         records.iter().find(|r| r.is_event("scrub.repair")).expect("scrub must trace the rewrite");
-    assert_eq!(repair.field_str("object"), Some(object.as_str()));
+    assert_eq!(repair.field_str("object"), Some(&*object));
     assert_eq!(telemetry.counter("scrub.corruptions"), 1);
     assert_eq!(telemetry.counter("scrub.repairs"), 1);
 }
