@@ -11,7 +11,7 @@ use bytes::Bytes;
 use hyrd::recovery::UpdateLog;
 use hyrd::scheme::{SchemeError, SchemeResult};
 use hyrd_cloudsim::{Fleet, SimProvider};
-use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
+use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, FragmentLayout};
 use hyrd_metastore::{DirEntry, MetadataBlock, NormPath, ShardedMetaStore};
@@ -75,101 +75,71 @@ impl ContentCache {
     }
 }
 
-/// Puts `data` on every provider **in parallel** (latency = max).
-/// Unavailable providers get the write logged. Returns `(batch, live)`.
-pub fn put_parallel(
-    providers: &[Arc<SimProvider>],
-    name: &str,
-    data: &Bytes,
-    log: &mut UpdateLog,
-) -> (BatchReport, usize) {
-    let k = key(name);
-    let mut ops = Vec::new();
-    let mut live = 0;
-    for p in providers {
-        match p.put(&k, data.clone()) {
-            Ok(out) => {
-                ops.push(out.report);
-                live += 1;
-            }
-            Err(_) => log.log_put(p.id(), k.clone(), data.clone()),
-        }
-    }
-    (BatchReport::parallel(ops), live)
+/// How a replica write round composes into the latency the client sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteRule {
+    /// One target after another (latency = sum) — DuraCloud's
+    /// synchronised path: primary copy, then the sync to the secondary.
+    Serial,
+    /// Every target at once, acknowledged at the `k`-th fastest put that
+    /// landed; the stragglers complete in the background, still charged
+    /// as ops. `k = n` is a plain parallel write (latency = max), DepSky's
+    /// majority quorum is `k = n / 2 + 1`. With fewer than `k` landed the
+    /// write waits for the slowest survivor, hoping for a quorum.
+    AckedAt(usize),
 }
 
-/// Puts `data` on every provider **serially** (latency = sum) — the
-/// DuraCloud synchronization model.
-pub fn put_serial(
-    providers: &[Arc<SimProvider>],
-    name: &str,
-    data: &Bytes,
-    log: &mut UpdateLog,
-) -> (BatchReport, usize) {
-    let k = key(name);
-    let mut ops = Vec::new();
-    let mut live = 0;
-    for p in providers {
-        match p.put(&k, data.clone()) {
-            Ok(out) => {
-                ops.push(out.report);
-                live += 1;
+impl WriteRule {
+    /// The batch of the puts that landed, timed under this rule.
+    fn compose(self, ops: Vec<OpReport>) -> BatchReport {
+        match self {
+            WriteRule::Serial => BatchReport::serial(ops),
+            WriteRule::AckedAt(k) if k < ops.len() => {
+                let mut lats: Vec<_> = ops.iter().map(|o| o.latency).collect();
+                lats.sort();
+                BatchReport { latency: lats[k - 1], ops }
             }
-            Err(_) => log.log_put(p.id(), k.clone(), data.clone()),
+            WriteRule::AckedAt(_) => BatchReport::parallel(ops),
         }
     }
-    (BatchReport::serial(ops), live)
 }
 
-/// Ranged overwrite on every provider **in parallel**. Unavailable
-/// providers get the *full* new content logged (the replay log restores
-/// whole objects). Returns `(batch, live)`.
-pub fn put_range_parallel(
-    providers: &[Arc<SimProvider>],
-    name: &str,
-    offset: u64,
-    patch: &Bytes,
-    full_for_log: &Bytes,
-    log: &mut UpdateLog,
-) -> (BatchReport, usize) {
-    let k = key(name);
-    let mut ops = Vec::new();
-    let mut live = 0;
-    for p in providers {
-        match p.put_range(&k, offset, patch.clone()) {
-            Ok(out) => {
-                ops.push(out.report);
-                live += 1;
-            }
-            Err(_) => log.log_put(p.id(), k.clone(), full_for_log.clone()),
-        }
-    }
-    (BatchReport::parallel(ops), live)
+/// What one replica write round sends each target.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Write<'a> {
+    /// The whole object.
+    Put(&'a Bytes),
+    /// `patch` at `offset`. A target that misses it gets `full`, the
+    /// whole new content, logged: the replay log restores whole objects.
+    Range { offset: u64, patch: &'a Bytes, full: &'a Bytes },
 }
 
-/// Ranged overwrite on every provider **serially** (the DuraCloud
-/// synchronization path).
-pub fn put_range_serial(
+/// Writes `name` to every target, timed under `rule`. Unavailable
+/// targets get the whole object logged; the batch holds one op per
+/// target the write landed on (none: the write failed everywhere).
+pub(crate) fn put_all(
     providers: &[Arc<SimProvider>],
     name: &str,
-    offset: u64,
-    patch: &Bytes,
-    full_for_log: &Bytes,
+    write: Write<'_>,
+    rule: WriteRule,
     log: &mut UpdateLog,
-) -> (BatchReport, usize) {
+) -> BatchReport {
     let k = key(name);
     let mut ops = Vec::new();
-    let mut live = 0;
     for p in providers {
-        match p.put_range(&k, offset, patch.clone()) {
-            Ok(out) => {
-                ops.push(out.report);
-                live += 1;
+        let landed = match write {
+            Write::Put(data) => p.put(&k, data.clone()),
+            Write::Range { offset, patch, .. } => p.put_range(&k, offset, patch.clone()),
+        };
+        match landed {
+            Ok(out) => ops.push(out.report),
+            Err(_) => {
+                let (Write::Put(whole) | Write::Range { full: whole, .. }) = write;
+                log.log_put(p.id(), k.clone(), whole.clone())
             }
-            Err(_) => log.log_put(p.id(), k.clone(), full_for_log.clone()),
         }
     }
-    (BatchReport::serial(ops), live)
+    rule.compose(ops)
 }
 
 /// Gets the object from the first provider (in the given order) that
@@ -305,36 +275,6 @@ pub fn ec_read<C: ErasureCode + ?Sized>(
     Ok((Bytes::from(object), BatchReport::parallel(ops)))
 }
 
-/// Updates a byte range of an erasure-coded object through the shared
-/// engine in `hyrd::ecops` (ranged RMW when possible, window-decode
-/// degraded path otherwise). Returns the batch and the fragment indices
-/// that missed the write and must be rebuilt at recovery.
-#[allow(clippy::too_many_arguments)]
-pub fn ec_update<C: ErasureCode + ?Sized>(
-    planner: &StripePlanner,
-    code: &C,
-    fleet_lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
-    layout: &FragmentLayout,
-    fragments: &[(ProviderId, Arc<str>)],
-    path: &str,
-    offset: usize,
-    data: &[u8],
-    log: &mut UpdateLog,
-) -> SchemeResult<(BatchReport, Vec<usize>)> {
-    let _ = (planner, log); // placement/compaction handled by the caller
-    let out = hyrd::ecops::ranged_update(
-        code,
-        fleet_lookup,
-        &hyrd::telemetry::Collector::disabled(),
-        layout,
-        fragments,
-        path,
-        offset,
-        data,
-    )?;
-    Ok((out.batch, out.missed))
-}
-
 /// State every baseline scheme carries: the fleet handle, a metadata
 /// store, the client content cache and the outage log. Scheme structs
 /// embed this and differ only in *placement policy*.
@@ -425,6 +365,31 @@ mod tests {
 
     fn fleet() -> Fleet {
         Fleet::standard_four(SimClock::new())
+    }
+
+    /// A plain parallel write round: `(batch, live)`.
+    fn put_parallel(
+        providers: &[Arc<SimProvider>],
+        name: &str,
+        data: &Bytes,
+        log: &mut UpdateLog,
+    ) -> (BatchReport, usize) {
+        let batch =
+            put_all(providers, name, Write::Put(data), WriteRule::AckedAt(providers.len()), log);
+        let live = batch.op_count();
+        (batch, live)
+    }
+
+    /// A serial write round: `(batch, live)`.
+    fn put_serial(
+        providers: &[Arc<SimProvider>],
+        name: &str,
+        data: &Bytes,
+        log: &mut UpdateLog,
+    ) -> (BatchReport, usize) {
+        let batch = put_all(providers, name, Write::Put(data), WriteRule::Serial, log);
+        let live = batch.op_count();
+        (batch, live)
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The erasure-everything engine: stripes *all* data — large files, small
+//! The erasure-coded baselines: stripes *all* data — large files, small
 //! files, and metadata blocks alike — across every provider with one
-//! erasure code. RACS (RAID5) and NCCloud-lite (RS(2,4)) are thin
-//! wrappers around this engine; the uniform treatment of small data is
-//! exactly what HyRD's hybrid design fixes.
+//! erasure code. RACS is `EcEverything<Raid5>` and NCCloud-lite
+//! `EcEverything<ReedSolomon>`, each with its own constructor; the
+//! uniform treatment of small data is exactly what HyRD's hybrid design
+//! fixes.
 
 use std::collections::HashMap;
 
@@ -58,9 +59,9 @@ pub struct EcEverything<C: ErasureCode> {
 }
 
 impl<C: ErasureCode> EcEverything<C> {
-    /// Builds the engine; the code's `n` must equal the fleet size (one
-    /// fragment per provider — the RACS layout).
-    pub fn new(fleet: &Fleet, code: C, scheme_name: impl Into<String>) -> SchemeResult<Self> {
+    /// Builds the scheme over `code`; the code's `n` must equal the fleet
+    /// size (one fragment per provider — the RACS layout).
+    pub fn with_code(fleet: &Fleet, code: C, scheme_name: &str) -> SchemeResult<Self> {
         if code.total_fragments() != fleet.len() {
             return Err(SchemeError::DataUnavailable {
                 path: String::new(),
@@ -77,7 +78,7 @@ impl<C: ErasureCode> EcEverything<C> {
             core: SchemeCore::new(fleet),
             planner,
             code,
-            scheme_name: scheme_name.into(),
+            scheme_name: scheme_name.to_string(),
             meta_blocks: HashMap::new(),
             dirty: hyrd::ecops::DirtyFragments::new(),
             strips,
@@ -113,61 +114,6 @@ impl<C: ErasureCode> EcEverything<C> {
                 Err(_) => BatchReport::empty(),
             }
         })
-    }
-
-    /// Replays missed writes onto a returned provider and rebuilds
-    /// fragments dirtied by degraded updates (consistency update).
-    pub fn recover_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> SchemeResult<(hyrd::recovery::RecoveryReport, BatchReport)> {
-        let (mut report, mut batch) = self.core.recover_provider(id)?;
-        let lookup = {
-            let fleet = self.core.fleet.clone();
-            move |pid: ProviderId| fleet.get(pid).expect("fleet member").clone()
-        };
-        for path in self.dirty.paths() {
-            let placement = NormPath::parse(&path).ok().and_then(|np| {
-                self.core.meta.inode(&np).ok().and_then(|inode| match &inode.placement {
-                    Placement::ErasureCoded { layout, fragments, .. } => {
-                        Some((*layout, fragments.clone()))
-                    }
-                    _ => None,
-                })
-            });
-            let Some((layout, fragments)) = placement else {
-                self.dirty.forget(&path);
-                continue;
-            };
-            let indices = self.dirty.take(&path);
-            let mut remaining = std::collections::BTreeSet::new();
-            for idx in indices {
-                if fragments.get(idx).map(|(p, _)| *p) != Some(id) {
-                    remaining.insert(idx);
-                    continue;
-                }
-                match hyrd::ecops::rebuild_fragment(
-                    &self.code,
-                    &lookup,
-                    &hyrd::telemetry::Collector::disabled(),
-                    &layout,
-                    &fragments,
-                    idx,
-                    &path,
-                ) {
-                    Ok((b, bytes)) => {
-                        report.puts_replayed += 1;
-                        report.bytes_restored += bytes;
-                        batch = batch.then(b);
-                    }
-                    Err(_) => {
-                        remaining.insert(idx);
-                    }
-                }
-            }
-            self.dirty.put_back(&path, remaining);
-        }
-        Ok((report, batch))
     }
 
     /// Fragments awaiting rebuild after degraded updates.
@@ -344,13 +290,9 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         let npath = NormPath::parse(path)?;
         let inode = self.core.meta.inode(&npath)?;
         let size = inode.size;
-        if offset + data.len() as u64 > size {
-            return Err(SchemeError::BadRange {
-                path: path.to_string(),
-                offset,
-                len: data.len() as u64,
-                size,
-            });
+        if offset.checked_add(data.len() as u64).is_none_or(|end| end > size) {
+            let len = data.len() as u64;
+            return Err(SchemeError::BadRange { path: path.to_string(), offset, len, size });
         }
         let (layout, fragments) = match inode.placement.clone() {
             Placement::Replicated { object, .. } if self.strips.contains(&object) => {
@@ -374,19 +316,17 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
                 })
             }
         };
-        let lookup = |id: ProviderId| self.core.fleet.get(id).expect("fleet member").clone();
-        let (batch, missed) = common::ec_update(
-            &self.planner,
+        let update = hyrd::ecops::ranged_update(
             &self.code,
-            &lookup,
+            &self.lookup(),
+            &hyrd::telemetry::Collector::disabled(),
             &layout,
             &fragments,
             path,
             offset as usize,
             data,
-            &mut self.core.log,
         )?;
-        for idx in missed {
+        for idx in update.missed {
             self.dirty.mark(path, idx);
         }
         let now = self.core.now();
@@ -396,7 +336,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
             size,
             now,
         )?;
-        Ok(batch.then(self.flush_metadata()))
+        Ok(update.batch.then(self.flush_metadata()))
     }
 
     fn delete_file(&mut self, path: &str) -> SchemeResult<BatchReport> {
@@ -448,10 +388,40 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         self.core.meta.inode(&npath).ok().map(|i| i.size)
     }
 
+    /// Replays missed writes onto a returned provider and rebuilds
+    /// fragments dirtied by degraded updates (consistency update).
     fn recover_provider(
         &mut self,
         id: ProviderId,
     ) -> SchemeResult<(hyrd::recovery::RecoveryReport, BatchReport)> {
-        EcEverything::recover_provider(self, id)
+        let mut recovered = self.core.recover_provider(id)?;
+        let provider = self.core.provider(id);
+        let lookup = |pid: ProviderId| self.core.provider(pid);
+        for path in self.dirty.paths() {
+            let placement = NormPath::parse(&path).ok().and_then(|np| {
+                self.core.meta.inode(&np).ok().and_then(|inode| match inode.placement {
+                    Placement::ErasureCoded { layout, fragments, .. } => Some((layout, fragments)),
+                    _ => None,
+                })
+            });
+            let Some((layout, fragments)) = placement else {
+                self.dirty.forget(&path);
+                continue;
+            };
+            let indices = self.dirty.take(&path);
+            let remaining = hyrd::ecops::rebuild_dirty(
+                &self.code,
+                &lookup,
+                &hyrd::telemetry::Collector::disabled(),
+                &provider,
+                &layout,
+                &fragments,
+                &path,
+                indices,
+                &mut recovered,
+            );
+            self.dirty.put_back(&path, remaining);
+        }
+        Ok(recovered)
     }
 }

@@ -1,5 +1,5 @@
-//! NCCloud-lite: the rate-1/2 regenerating-code layout in NCCloud's
-//! 4-cloud configuration.
+//! NCCloud-lite: NCCloud's rate-1/2 layout in its 4-cloud configuration,
+//! as a systematic RS(2, 4).
 //!
 //! NCCloud (§V) "is built on top of network-coding-based storage schemes
 //! called regenerating codes with an emphasis on storage repair". Its
@@ -14,83 +14,21 @@
 //! The layout-level ordering — NCCloud repairs cheaper than RACS — is
 //! preserved, which is what Table I's "Moderate recovery" row claims.
 
-use hyrd::scheme::SchemeResult;
+use hyrd::scheme::{SchemeError, SchemeResult};
 use hyrd_cloudsim::Fleet;
-use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::ReedSolomon;
 
-use crate::ecbase::{EcEverything, RepairTraffic};
+use crate::ecbase::EcEverything;
 
 /// RS(2,4)-across-the-fleet (NCCloud's 4-cloud shape).
-pub struct NcCloudLite {
-    inner: EcEverything<ReedSolomon>,
-}
+pub type NcCloudLite = EcEverything<ReedSolomon>;
 
 impl NcCloudLite {
     /// Builds the scheme; requires a 4-provider fleet (the NCCloud
     /// configuration).
     pub fn new(fleet: &Fleet) -> SchemeResult<Self> {
-        let code = ReedSolomon::new(2, 4).map_err(hyrd::scheme::SchemeError::from)?;
-        Ok(NcCloudLite { inner: EcEverything::new(fleet, code, "NCCloud-lite")? })
-    }
-
-    /// Whole-provider rebuild: the experiment NCCloud optimizes.
-    pub fn repair_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> SchemeResult<(RepairTraffic, hyrd_gcsapi::BatchReport)> {
-        self.inner.repair_provider(id)
-    }
-
-    /// Replays missed writes onto a returned provider.
-    pub fn recover_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> SchemeResult<(hyrd::recovery::RecoveryReport, hyrd_gcsapi::BatchReport)> {
-        self.inner.recover_provider(id)
-    }
-}
-
-impl hyrd::Scheme for NcCloudLite {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn create_file(&mut self, path: &str, data: &[u8]) -> SchemeResult<hyrd_gcsapi::BatchReport> {
-        self.inner.create_file(path, data)
-    }
-
-    fn read_file(&mut self, path: &str) -> SchemeResult<(bytes::Bytes, hyrd_gcsapi::BatchReport)> {
-        self.inner.read_file(path)
-    }
-
-    fn update_file(
-        &mut self,
-        path: &str,
-        offset: u64,
-        data: &[u8],
-    ) -> SchemeResult<hyrd_gcsapi::BatchReport> {
-        self.inner.update_file(path, offset, data)
-    }
-
-    fn delete_file(&mut self, path: &str) -> SchemeResult<hyrd_gcsapi::BatchReport> {
-        self.inner.delete_file(path)
-    }
-
-    fn list_dir(&mut self, path: &str) -> SchemeResult<(Vec<String>, hyrd_gcsapi::BatchReport)> {
-        self.inner.list_dir(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.inner.file_size(path)
-    }
-
-    fn recover_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> hyrd::scheme::SchemeResult<(hyrd::recovery::RecoveryReport, hyrd_gcsapi::BatchReport)>
-    {
-        NcCloudLite::recover_provider(self, id)
+        let code = ReedSolomon::new(2, 4).map_err(SchemeError::from)?;
+        EcEverything::with_code(fleet, code, "NCCloud-lite")
     }
 }
 

@@ -9,87 +9,20 @@
 //! §I), which is exactly the behaviour HyRD's workload-aware hybrid
 //! avoids.
 
-use hyrd::scheme::SchemeResult;
+use hyrd::scheme::{SchemeError, SchemeResult};
 use hyrd_cloudsim::Fleet;
-use hyrd_gcsapi::ProviderId;
 use hyrd_gfec::Raid5;
 
-use crate::ecbase::{EcEverything, RepairTraffic};
+use crate::ecbase::EcEverything;
 
 /// RAID5-across-the-fleet (the paper's RACS configuration).
-pub struct Racs {
-    inner: EcEverything<Raid5>,
-}
+pub type Racs = EcEverything<Raid5>;
 
 impl Racs {
     /// Builds RACS on a fleet of `n` providers as an `(n-1) + 1` RAID5.
     pub fn new(fleet: &Fleet) -> SchemeResult<Self> {
-        let code = Raid5::new(fleet.len() - 1).map_err(hyrd::scheme::SchemeError::from)?;
-        Ok(Racs { inner: EcEverything::new(fleet, code, "RACS")? })
-    }
-
-    /// Replays missed writes onto a returned provider.
-    pub fn recover_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> SchemeResult<(hyrd::recovery::RecoveryReport, hyrd_gcsapi::BatchReport)> {
-        self.inner.recover_provider(id)
-    }
-
-    /// Pending missed-write records.
-    pub fn pending_log_len(&self) -> usize {
-        self.inner.pending_log_len()
-    }
-
-    /// Whole-provider rebuild (recovery-traffic experiment).
-    pub fn repair_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> SchemeResult<(RepairTraffic, hyrd_gcsapi::BatchReport)> {
-        self.inner.repair_provider(id)
-    }
-}
-
-impl hyrd::Scheme for Racs {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn create_file(&mut self, path: &str, data: &[u8]) -> SchemeResult<hyrd_gcsapi::BatchReport> {
-        self.inner.create_file(path, data)
-    }
-
-    fn read_file(&mut self, path: &str) -> SchemeResult<(bytes::Bytes, hyrd_gcsapi::BatchReport)> {
-        self.inner.read_file(path)
-    }
-
-    fn update_file(
-        &mut self,
-        path: &str,
-        offset: u64,
-        data: &[u8],
-    ) -> SchemeResult<hyrd_gcsapi::BatchReport> {
-        self.inner.update_file(path, offset, data)
-    }
-
-    fn delete_file(&mut self, path: &str) -> SchemeResult<hyrd_gcsapi::BatchReport> {
-        self.inner.delete_file(path)
-    }
-
-    fn list_dir(&mut self, path: &str) -> SchemeResult<(Vec<String>, hyrd_gcsapi::BatchReport)> {
-        self.inner.list_dir(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.inner.file_size(path)
-    }
-
-    fn recover_provider(
-        &mut self,
-        id: ProviderId,
-    ) -> hyrd::scheme::SchemeResult<(hyrd::recovery::RecoveryReport, hyrd_gcsapi::BatchReport)>
-    {
-        Racs::recover_provider(self, id)
+        let code = Raid5::new(fleet.len() - 1).map_err(SchemeError::from)?;
+        EcEverything::with_code(fleet, code, "RACS")
     }
 }
 

@@ -442,7 +442,7 @@ impl StripStore {
             detail: format!("'{object}' is not strip-placed"),
         })?;
         let member_len = self.groups[r.group].members[r.slot].as_ref().expect("in sync").len;
-        if offset + patch.len() > member_len {
+        if offset.checked_add(patch.len()).is_none_or(|end| end > member_len) {
             return Err(SchemeError::BadRange {
                 path: path.to_string(),
                 offset: offset as u64,

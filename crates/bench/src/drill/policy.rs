@@ -23,7 +23,7 @@ use hyrd::observatory;
 use hyrd::policy::MigrationReport;
 use hyrd::prelude::*;
 use hyrd::telemetry::{json, Collector};
-use hyrd_baselines::{DuraCloud, Racs};
+use hyrd_baselines::{Racs, Replicated};
 use hyrd_workloads::{FsOp, ZipfConfig, ZipfWorkload};
 
 use super::{Claim, Options, Outcome, Point, Rig};
@@ -128,7 +128,10 @@ pub(super) fn run(opts: &Options, p: Point) -> Outcome {
     config.seed = opts.seed.unwrap_or(config.seed);
     let workload = ZipfWorkload::new(config);
     let lineup: [(&str, Option<Make>); 5] = [
-        ("DuraCloud", Some(|f, _| Box::new(DuraCloud::standard(f).expect("standard fleet")))),
+        (
+            "DuraCloud",
+            Some(|f, _| Box::new(Replicated::duracloud_standard(f).expect("standard fleet"))),
+        ),
         ("RACS", Some(|f, _| Box::new(Racs::new(f).expect("4-provider fleet")))),
         (
             "HyRD",

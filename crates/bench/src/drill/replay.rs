@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use hyrd::prelude::*;
 use hyrd::telemetry::json;
-use hyrd_baselines::{DuraCloud, Racs};
+use hyrd_baselines::{Racs, Replicated};
 use hyrd_workloads::{FsOp, IaTrace};
 
 use super::{Claim, Options, Outcome, Point, Rig};
@@ -28,7 +28,7 @@ fn lineup() -> [(&'static str, SchemeFactory); 3] {
     [
         ("HyRD", |f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid default config"))),
         ("RACS", |f| Box::new(Racs::new(f).expect("4-provider fleet"))),
-        ("DuraCloud", |f| Box::new(DuraCloud::standard(f).expect("standard fleet"))),
+        ("DuraCloud", |f| Box::new(Replicated::duracloud_standard(f).expect("standard fleet"))),
     ]
 }
 

@@ -19,7 +19,7 @@ use hyrd::evaluator::Evaluator;
 use hyrd::prelude::*;
 use hyrd::scheme::SchemeResult;
 use hyrd::stats::OpClass;
-use hyrd_baselines::{DepSky, DuraCloud, NcCloudLite, Racs, SingleCloud};
+use hyrd_baselines::{NcCloudLite, Racs, Replicated};
 use hyrd_cloudsim::WellKnownProvider;
 use hyrd_costsim::availability::{at_least_k_of_n, monte_carlo_k_of_n, nines};
 use hyrd_costsim::model::{CostModel, DepSkyModel, DuraCloudModel, HyrdModel, RacsModel};
@@ -350,8 +350,8 @@ fn run_lineup_sweep(schemes: Lineup, config: &PostMarkConfig, jobs: usize) -> Ve
 /// The schemes of Figure 6.
 pub fn paper_schemes() -> Lineup {
     vec![
-        ("Amazon S3", |f| Box::new(SingleCloud::amazon_s3(f).expect("fleet has S3"))),
-        ("DuraCloud", |f| Box::new(DuraCloud::standard(f).expect("standard fleet"))),
+        ("Amazon S3", |f| Box::new(Replicated::amazon_s3(f).expect("fleet has S3"))),
+        ("DuraCloud", |f| Box::new(Replicated::duracloud_standard(f).expect("standard fleet"))),
         ("RACS", |f| Box::new(Racs::new(f).expect("4-provider fleet"))),
         ("HyRD", |f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid default config"))),
     ]
@@ -366,7 +366,7 @@ pub fn extended_schemes() -> Lineup {
         let cfg = HyrdConfig { hot_read_threshold: Some(2), ..HyrdConfig::default() };
         Box::new(Hyrd::new(f, cfg).expect("valid config"))
     }));
-    v.push(("DepSky", |f| Box::new(DepSky::new(f).expect("4-provider fleet"))));
+    v.push(("DepSky", |f| Box::new(Replicated::depsky(f).expect("4-provider fleet"))));
     v.push(("NCCloud-lite", |f| Box::new(NcCloudLite::new(f).expect("4-provider fleet"))));
     v
 }
@@ -902,7 +902,7 @@ mod tests {
     fn s3_baseline_runs_clean_in_normal_mode() {
         let cfg = PostMarkConfig { initial_files: 10, transactions: 30, ..postmark(2) };
         let (stats, stored) =
-            run_scheme(|f| Box::new(SingleCloud::amazon_s3(f).unwrap()), false, &cfg);
+            run_scheme(|f| Box::new(Replicated::amazon_s3(f).unwrap()), false, &cfg);
         assert_eq!(stats.errors, 0);
         assert!(stats.overall.count() > 30);
         assert_eq!(stats.verify_failures, 0);

@@ -657,7 +657,7 @@ impl Hyrd {
             }
             result
         };
-        let (mut report, mut batch) = match replayed {
+        let mut recovered = match replayed {
             Ok(ok) => ok,
             Err(e) => {
                 crate::crashtest::escalate_if_crashed(&e);
@@ -665,6 +665,7 @@ impl Hyrd {
             }
         };
         if self.telemetry.enabled() {
+            let report = &recovered.0;
             self.telemetry
                 .event("recovery.replay")
                 .field("provider", provider.name())
@@ -693,45 +694,21 @@ impl Hyrd {
                 continue;
             };
             let indices = self.dirty_l().take(&path);
-            let mut remaining = std::collections::BTreeSet::new();
-            for idx in indices {
-                if fragments.get(idx).map(|(p, _)| *p) != Some(id) {
-                    remaining.insert(idx);
-                    continue;
-                }
-                match crate::ecops::rebuild_fragment(
-                    self.code.as_code(),
-                    &lookup,
-                    &self.telemetry,
-                    &layout,
-                    &fragments,
-                    idx,
-                    &path,
-                ) {
-                    Ok((b, bytes)) => {
-                        if self.telemetry.enabled() {
-                            self.telemetry
-                                .event("recovery.rebuild")
-                                .field("path", path.as_str())
-                                .field("fragment", idx as u64)
-                                .field("provider", provider.name())
-                                .field("bytes", bytes)
-                                .emit();
-                            self.telemetry.inc("recovery.rebuilds", 1);
-                        }
-                        report.puts_replayed += 1;
-                        report.bytes_restored += bytes;
-                        batch = batch.then(b);
-                    }
-                    Err(_) => {
-                        remaining.insert(idx);
-                    }
-                }
-            }
+            let remaining = crate::ecops::rebuild_dirty(
+                self.code.as_code(),
+                &lookup,
+                &self.telemetry,
+                &provider,
+                &layout,
+                &fragments,
+                &path,
+                indices,
+                &mut recovered,
+            );
             self.dirty_l().put_back(&path, remaining);
         }
         self.sync_dirty_journal();
-        Ok((report, batch))
+        Ok(recovered)
     }
 
     /// Fragments awaiting rebuild after degraded updates.

@@ -33,6 +33,7 @@ use hyrd_gfec::ErasureCode;
 use hyrd_telemetry::Collector;
 
 use crate::journal::FragWrite;
+use crate::recovery::RecoveryReport;
 use crate::scheme::{SchemeError, SchemeResult};
 
 fn key(name: &Arc<str>) -> ObjectKey {
@@ -371,6 +372,57 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         batch: BatchReport::parallel(read_ops).then(BatchReport::parallel(write_ops)),
         missed,
     })
+}
+
+/// Rebuilds the dirty fragments `indices` of one erasure-coded file that
+/// live on the returned `provider` — the per-path step of the consistency
+/// update, shared by HyRD's recovery and the erasure-coded baselines'.
+/// Each rebuild counts as one replayed put with its bytes restored in
+/// `recovered`, whose batch it extends; with telemetry on it also emits
+/// `recovery.rebuild` and bumps `recovery.rebuilds`. Returns the indices
+/// that stay dirty: those on other providers and those whose rebuild
+/// failed (too few survivors).
+#[allow(clippy::too_many_arguments)]
+pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
+    code: &C,
+    lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
+    telemetry: &Collector,
+    provider: &SimProvider,
+    layout: &FragmentLayout,
+    fragments: &[(ProviderId, Arc<str>)],
+    path: &str,
+    indices: BTreeSet<usize>,
+    recovered: &mut (RecoveryReport, BatchReport),
+) -> BTreeSet<usize> {
+    let mut remaining = BTreeSet::new();
+    for idx in indices {
+        if fragments.get(idx).map(|(p, _)| *p) != Some(provider.id()) {
+            remaining.insert(idx);
+            continue;
+        }
+        match rebuild_fragment(code, lookup, telemetry, layout, fragments, idx, path) {
+            Ok((b, bytes)) => {
+                if telemetry.enabled() {
+                    telemetry
+                        .event("recovery.rebuild")
+                        .field("path", path)
+                        .field("fragment", idx as u64)
+                        .field("provider", provider.name())
+                        .field("bytes", bytes)
+                        .emit();
+                    telemetry.inc("recovery.rebuilds", 1);
+                }
+                let (report, batch) = recovered;
+                report.puts_replayed += 1;
+                report.bytes_restored += bytes;
+                *batch = std::mem::take(batch).then(b);
+            }
+            Err(_) => {
+                remaining.insert(idx);
+            }
+        }
+    }
+    remaining
 }
 
 /// Rebuilds one fragment from `m` surviving fragments and writes it to

@@ -77,7 +77,7 @@ impl CostModel for SingleModel {
 /// Full replication on S3 (primary) + Azure (backup); reads are served
 /// by the primary — DuraCloud is a synchronization service, so user I/O
 /// stays on the primary store and the mirror exists for durability
-/// (matching `hyrd_baselines::DuraCloud`).
+/// (matching `hyrd_baselines::Replicated::duracloud_standard`).
 pub struct DuraCloudModel {
     retained: u64,
 }

@@ -1,20 +1,15 @@
 //! Per-provider operation statistics, accumulated lock-free.
 //!
-//! The update and recovery experiments (DESIGN.md §4.5, `paper::update_recovery`)
-//! need exact op/byte counts per provider to show write amplification and
-//! recovery traffic. `Instrumented<C>` wraps any [`CloudStorage`] and
-//! counts everything that passes through, using relaxed atomics — counts
-//! are monotonic tallies with no cross-counter invariants to order, so
-//! `Relaxed` is the correct (and cheapest) ordering per the Rust memory
-//! model.
+//! Every simulated provider keeps an [`OpStats`] of the ops it served
+//! (`SimProvider::stats`), and the perf ledger reads its per-provider
+//! op/byte counts from the same snapshots. The tallies are relaxed
+//! atomics — counts are monotonic tallies with no cross-counter
+//! invariants to order, so `Relaxed` is the correct (and cheapest)
+//! ordering per the Rust memory model.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::Bytes;
-
-use crate::error::CloudResult;
-use crate::storage::CloudStorage;
-use crate::types::{ObjectKey, OpKind, OpOutcome, ProviderId};
+use crate::types::OpKind;
 
 /// Lock-free tally of operations through one provider.
 #[derive(Debug, Default)]
@@ -118,16 +113,6 @@ impl OpStats {
         self.latency_ns.fetch_sub(latency_ns, Ordering::Relaxed);
     }
 
-    fn record<T>(&self, kind: OpKind, result: &CloudResult<OpOutcome<T>>) {
-        match result {
-            Ok(out) => {
-                debug_assert_eq!(out.report.kind, kind);
-                self.record_ok(&out.report);
-            }
-            Err(_) => self.record_err(),
-        }
-    }
-
     /// Copies the current tallies.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -144,102 +129,36 @@ impl OpStats {
     }
 }
 
-/// Transparent statistics-collecting wrapper around any provider.
-pub struct Instrumented<C> {
-    inner: C,
-    stats: OpStats,
-}
-
-impl<C: CloudStorage> Instrumented<C> {
-    /// Wraps a provider.
-    pub fn new(inner: C) -> Self {
-        Instrumented { inner, stats: OpStats::default() }
-    }
-
-    /// Access to the accumulated statistics.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Access to the wrapped provider.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-}
-
-impl<C: CloudStorage> CloudStorage for Instrumented<C> {
-    fn id(&self) -> ProviderId {
-        self.inner.id()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn create(&self, container: &str) -> CloudResult<OpOutcome<()>> {
-        let r = self.inner.create(container);
-        self.stats.record(OpKind::Create, &r);
-        r
-    }
-
-    fn put(&self, key: &ObjectKey, data: Bytes) -> CloudResult<OpOutcome<()>> {
-        let r = self.inner.put(key, data);
-        self.stats.record(OpKind::Put, &r);
-        r
-    }
-
-    fn get(&self, key: &ObjectKey) -> CloudResult<OpOutcome<Bytes>> {
-        let r = self.inner.get(key);
-        self.stats.record(OpKind::Get, &r);
-        r
-    }
-
-    fn list(&self, container: &str) -> CloudResult<OpOutcome<Vec<String>>> {
-        let r = self.inner.list(container);
-        self.stats.record(OpKind::List, &r);
-        r
-    }
-
-    fn remove(&self, key: &ObjectKey) -> CloudResult<OpOutcome<()>> {
-        let r = self.inner.remove(key);
-        self.stats.record(OpKind::Remove, &r);
-        r
-    }
-
-    fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> CloudResult<OpOutcome<Bytes>> {
-        let r = self.inner.get_range(key, offset, len);
-        self.stats.record(OpKind::Get, &r);
-        r
-    }
-
-    fn put_range(&self, key: &ObjectKey, offset: u64, data: Bytes) -> CloudResult<OpOutcome<()>> {
-        let r = self.inner.put_range(key, offset, data);
-        self.stats.record(OpKind::Put, &r);
-        r
-    }
-
-    fn is_available(&self) -> bool {
-        self.inner.is_available()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemoryCloud;
+    use bytes::Bytes;
+
+    use crate::error::CloudResult;
+    use crate::storage::{CloudStorage, MemoryCloud};
+    use crate::types::{ObjectKey, OpOutcome, ProviderId};
+
+    /// Tallies one op's result into `stats` and hands it back.
+    fn tally<T>(stats: &OpStats, result: CloudResult<OpOutcome<T>>) -> CloudResult<OpOutcome<T>> {
+        match &result {
+            Ok(out) => stats.record_ok(&out.report),
+            Err(_) => stats.record_err(),
+        }
+        result
+    }
 
     #[test]
     fn counts_every_op_kind_and_bytes() {
-        let c = Instrumented::new(MemoryCloud::new(ProviderId(0), "mem"));
-        c.create("data").unwrap();
+        let (c, stats) = (MemoryCloud::new(ProviderId(0), "mem"), OpStats::default());
+        tally(&stats, c.create("data")).unwrap();
         let key = ObjectKey::new("data", "k");
-        c.put(&key, Bytes::from(vec![0u8; 100])).unwrap();
-        c.get(&key).unwrap();
-        c.get(&key).unwrap();
-        c.list("data").unwrap();
-        c.remove(&key).unwrap();
+        tally(&stats, c.put(&key, Bytes::from(vec![0u8; 100]))).unwrap();
+        tally(&stats, c.get(&key)).unwrap();
+        tally(&stats, c.get(&key)).unwrap();
+        tally(&stats, c.list("data")).unwrap();
+        tally(&stats, c.remove(&key)).unwrap();
 
-        let s = c.stats();
+        let s = stats.snapshot();
         assert_eq!(s.create, 1);
         assert_eq!(s.put, 1);
         assert_eq!(s.get, 2);
@@ -255,22 +174,22 @@ mod tests {
 
     #[test]
     fn errors_counted_separately() {
-        let c = Instrumented::new(MemoryCloud::new(ProviderId(0), "mem"));
+        let (c, stats) = (MemoryCloud::new(ProviderId(0), "mem"), OpStats::default());
         let key = ObjectKey::new("missing", "k");
-        assert!(c.get(&key).is_err());
-        assert!(c.remove(&key).is_err());
-        let s = c.stats();
+        assert!(tally(&stats, c.get(&key)).is_err());
+        assert!(tally(&stats, c.remove(&key)).is_err());
+        let s = stats.snapshot();
         assert_eq!(s.errors, 2);
         assert_eq!(s.total_ops(), 0);
     }
 
     #[test]
     fn delta_since_isolates_an_interval() {
-        let c = Instrumented::new(MemoryCloud::new(ProviderId(0), "mem"));
-        c.create("data").unwrap();
-        let before = c.stats();
-        c.put(&ObjectKey::new("data", "a"), Bytes::from(vec![1u8; 10])).unwrap();
-        let d = c.stats().delta_since(&before);
+        let (c, stats) = (MemoryCloud::new(ProviderId(0), "mem"), OpStats::default());
+        tally(&stats, c.create("data")).unwrap();
+        let before = stats.snapshot();
+        tally(&stats, c.put(&ObjectKey::new("data", "a"), Bytes::from(vec![1u8; 10]))).unwrap();
+        let d = stats.snapshot().delta_since(&before);
         assert_eq!(d.put, 1);
         assert_eq!(d.create, 0);
         assert_eq!(d.bytes_in, 10);
@@ -279,16 +198,17 @@ mod tests {
     #[test]
     fn concurrent_updates_do_not_lose_counts() {
         use std::sync::Arc;
-        let c = Arc::new(Instrumented::new(MemoryCloud::new(ProviderId(0), "mem")));
-        c.create("data").unwrap();
+        let c = Arc::new((MemoryCloud::new(ProviderId(0), "mem"), OpStats::default()));
+        tally(&c.1, c.0.create("data")).unwrap();
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
+                    let (cloud, stats) = &*c;
                     for i in 0..100 {
                         let key = ObjectKey::new("data", format!("{t}-{i}"));
-                        c.put(&key, Bytes::from(vec![0u8; 8])).unwrap();
-                        c.get(&key).unwrap();
+                        tally(stats, cloud.put(&key, Bytes::from(vec![0u8; 8]))).unwrap();
+                        tally(stats, cloud.get(&key)).unwrap();
                     }
                 })
             })
@@ -296,7 +216,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let s = c.stats();
+        let s = c.1.snapshot();
         assert_eq!(s.put, 800);
         assert_eq!(s.get, 800);
         assert_eq!(s.bytes_in, 6400);

@@ -11,7 +11,7 @@
 
 use hyrd::driver::{replay, ReplayOptions};
 use hyrd::prelude::*;
-use hyrd_baselines::{DuraCloud, Racs, SingleCloud};
+use hyrd_baselines::{Racs, Replicated};
 use hyrd_costsim::model::{CostModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel, S3};
 use hyrd_costsim::report::run_model;
 use hyrd_workloads::{FsOp, IaTrace, PostMark, PostMarkConfig};
@@ -39,8 +39,8 @@ fn main() {
     );
     type Make = fn(&Fleet) -> Box<dyn Scheme>;
     let schemes: [(&str, Make); 4] = [
-        ("Amazon S3", |f| Box::new(SingleCloud::amazon_s3(f).expect("fleet has S3"))),
-        ("DuraCloud", |f| Box::new(DuraCloud::standard(f).expect("standard fleet"))),
+        ("Amazon S3", |f| Box::new(Replicated::amazon_s3(f).expect("fleet has S3"))),
+        ("DuraCloud", |f| Box::new(Replicated::duracloud_standard(f).expect("standard fleet"))),
         ("RACS", |f| Box::new(Racs::new(f).expect("4-provider fleet"))),
         ("HyRD", |f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config"))),
     ];

@@ -70,12 +70,13 @@ perf-pairs base workloads pairs="10":
 ledger-cmp base workload runs="3":
     scripts/ledger_cmp.sh {{base}} {{workload}} {{runs}}
 
-# Byte-identity of what the telemetry path writes, <base> (a git revision,
-# unpacked with `git archive`) against the working tree: `drill --smoke`
-# on both sides, and the traces of chaos, chaos_migrate, multi_client,
-# tail and policy, the observatory report and the trace analysis, each
-# `cmp`ed.
+# Byte-identity of what the telemetry path and the baselines write,
+# <base> (a git revision, unpacked with `git archive`) against the
+# working tree: `drill --smoke` and `paper` on both sides, and the traces
+# of chaos, chaos_migrate, multi_client, tail and policy, the observatory
+# report, the trace analysis, the policy and replay records, `paper.json`
+# and `paper`'s Markdown, each `cmp`ed.
 # Exits 1 on any difference — the proof a change to the collector, the
-# writer, the parser or the fold kept every trace byte.
+# writer, the parser, the fold or a baseline kept every byte.
 trace-cmp base:
     scripts/trace_cmp.sh {{base}}

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Byte-identity of everything the telemetry path writes, a base revision
-# against the working tree: a change to the collector, the writer, the
-# parser or the observatory's fold that claims to keep every trace byte
-# proves it here.
+# Byte-identity of everything the telemetry path and the comparison
+# schemes write, a base revision against the working tree: a change to
+# the collector, the writer, the parser, the observatory's fold or a
+# baseline scheme that claims to keep every trace and record byte proves
+# it here.
 #
 #   scripts/trace_cmp.sh <base-rev>
 #
 # Unpacks <base-rev> with `git archive` (as scripts/perf_pairs.sh does),
 # builds `hyrd-bench` there and in the working tree, each with its own
-# CARGO_TARGET_DIR, runs `drill --smoke` over the traced scenarios on both
-# sides and `cmp`s what each writes under its target/experiments:
+# CARGO_TARGET_DIR, runs `drill --smoke` over the traced scenarios and
+# `replay`, then `paper`, on both sides and `cmp`s what each writes under
+# its target/experiments:
 #
 #   chaos_trace.jsonl          the chaos drill's trace
 #   obs_report.txt             the observatory's report over it
@@ -19,16 +21,23 @@
 #   multi_client_trace.jsonl   4 closed-loop sessions on a quiet fleet
 #   tail_trace.jsonl           the hedged cell under latency spikes
 #   policy_trace.jsonl         the Pareto sweep, every cell
+#   policy_sweep.json          the sweep's record: HyRD's cells, DuraCloud
+#                              and RACS
+#   replay_sweep_latency.json  HyRD, RACS and DuraCloud on one op stream
+#   paper.json                 `paper`'s record: every scheme of the
+#                              evaluation (≈ 2.5 s a side)
+#   paper.md                   `paper`'s Markdown on stdout, less the
+#                              `[written …]` line (an absolute path)
 #
 # Exit status: 1 when any pair differs, 0 when all are identical. A claim
-# failing on either side (drill exit 1) is reported but does not stop the
-# comparison; any other failure of the drill (a panic) stops the script
-# with its status.
+# failing on either side (drill or paper exit 1) is reported but does not
+# stop the comparison; any other failure (a panic) stops the script with
+# its status.
 # Scratch space: <repo>/target/trace-cmp.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base_rev=$1
@@ -49,7 +58,16 @@ build "$base_dir" "$work/target-base"
 build "$root" "$work/target-change"
 
 outputs="chaos_trace.jsonl obs_report.txt trace_report.txt chaos_migrate_trace.jsonl
-multi_client_trace.jsonl tail_trace.jsonl policy_trace.jsonl"
+multi_client_trace.jsonl tail_trace.jsonl policy_trace.jsonl policy_sweep.json
+replay_sweep_latency.json paper.json"
+
+checked() { # <side> <program> <exit status> <log>
+    case $3 in
+        0) ;;
+        1) echo "$1: a $2 claim fails (see $4)" >&2 ;;
+        *) echo "$1: $2 exited $3 (see $4)" >&2; exit "$3" ;;
+    esac
+}
 
 produce() { # <side> <checkout> <target-dir>
     local out=$work/out/$1 status=0
@@ -60,13 +78,13 @@ produce() { # <side> <checkout> <target-dir>
     for f in $outputs; do
         rm -f "$2/target/experiments/$f"
     done
-    "$3/release/drill" --smoke chaos chaos_migrate multi_client tail policy \
+    "$3/release/drill" --smoke chaos chaos_migrate multi_client tail policy replay \
         >"$work/out/$1.log" || status=$?
-    case $status in
-        0) ;;
-        1) echo "$1: a drill claim fails (see $work/out/$1.log)" >&2 ;;
-        *) echo "$1: drill exited $status (see $work/out/$1.log)" >&2; exit "$status" ;;
-    esac
+    checked "$1" drill $status "$work/out/$1.log"
+    status=0
+    "$3/release/paper" >"$work/out/$1.paper.log" || status=$?
+    checked "$1" paper $status "$work/out/$1.paper.log"
+    grep -v '^\[written ' "$work/out/$1.paper.log" >"$out/paper.md"
     for f in $outputs; do
         cp "$2/target/experiments/$f" "$out/"
     done
@@ -75,7 +93,7 @@ produce base "$base_dir" "$work/target-base"
 produce change "$root" "$work/target-change"
 
 status=0
-for f in $outputs; do
+for f in $outputs paper.md; do
     if cmp -s "$work/out/base/$f" "$work/out/change/$f"; then
         printf '%-26s identical (%s bytes)\n' "$f" "$(wc -c <"$work/out/change/$f")"
     else

@@ -6,7 +6,7 @@
 
 use hyrd::driver::{synth_content, SweepCell};
 use hyrd::prelude::*;
-use hyrd_baselines::{DuraCloud, Racs, SingleCloud};
+use hyrd_baselines::{Racs, Replicated};
 use hyrd_cloudsim::pricing::PriceBook;
 use hyrd_costsim::model::{CostModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel, S3};
 use hyrd_costsim::usage::MonthlyUsage;
@@ -88,8 +88,8 @@ fn modelled_cost(model: &mut dyn CostModel) -> f64 {
 /// threads; `replay_sweep` keeps the results in lineup order.
 fn measured_lineup(jobs: usize) -> Vec<(&'static str, f64)> {
     let cells: Vec<SweepCell<'_, f64>> = vec![
-        Box::new(|| measured_cost(|f| Box::new(SingleCloud::amazon_s3(f).expect("has S3")))),
-        Box::new(|| measured_cost(|f| Box::new(DuraCloud::standard(f).expect("std")))),
+        Box::new(|| measured_cost(|f| Box::new(Replicated::amazon_s3(f).expect("has S3")))),
+        Box::new(|| measured_cost(|f| Box::new(Replicated::duracloud_standard(f).expect("std")))),
         Box::new(|| measured_cost(|f| Box::new(Racs::new(f).expect("4p")))),
         Box::new(|| {
             measured_cost(|f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config")))
@@ -138,7 +138,7 @@ fn analytic_models_match_the_executable_schemes() {
 #[test]
 fn measured_hyrd_discount_lands_in_the_papers_band() {
     let cells: Vec<SweepCell<'_, f64>> = vec![
-        Box::new(|| measured_cost(|f| Box::new(DuraCloud::standard(f).expect("std")))),
+        Box::new(|| measured_cost(|f| Box::new(Replicated::duracloud_standard(f).expect("std")))),
         Box::new(|| {
             measured_cost(|f| Box::new(Hyrd::new(f, HyrdConfig::default()).expect("valid config")))
         }),

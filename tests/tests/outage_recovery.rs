@@ -4,7 +4,7 @@
 
 use hyrd::driver::synth_content;
 use hyrd::prelude::*;
-use hyrd_baselines::{DuraCloud, Racs};
+use hyrd_baselines::{Racs, Replicated};
 use hyrd_gcsapi::CloudStorage;
 use integration_tests::fresh_fleet;
 
@@ -99,7 +99,7 @@ fn racs_recovers_strip_and_fragment_writes() {
 #[test]
 fn duracloud_secondary_catches_up_after_its_outage() {
     let (_, fleet) = fresh_fleet();
-    let mut d = DuraCloud::standard(&fleet).expect("standard fleet");
+    let mut d = Replicated::duracloud_standard(&fleet).expect("standard fleet");
     let azure = fleet.by_name("Windows Azure").expect("standard fleet");
 
     azure.force_down();

@@ -3,6 +3,7 @@
 //! schemes differ in cost and latency, never in correctness.
 
 use hyrd::driver::{replay, synth_content, ReplayOptions};
+use hyrd::scheme::SchemeError;
 use hyrd_workloads::{PostMark, PostMarkConfig};
 use integration_tests::{all_schemes, fresh_fleet};
 
@@ -52,6 +53,17 @@ fn updates_are_consistent_across_schemes() {
             content[*offset..offset + len].copy_from_slice(&patch);
             let (bytes, _) = scheme.read_file("/f").expect("exists");
             assert_eq!(&bytes[..], &content[..], "{name} after update {i}");
+        }
+        // An 8-byte patch whose end lies past the file, including ends
+        // that overflow a u64: refused, and the file is left as it was.
+        let size = content.len() as u64;
+        for offset in [u64::MAX, u64::MAX - 3, size - 3] {
+            match scheme.update_file("/f", offset, &[0xA5; 8]) {
+                Err(SchemeError::BadRange { .. }) => {}
+                other => panic!("{name} update at {offset}: {other:?}"),
+            }
+            let (bytes, _) = scheme.read_file("/f").expect("exists");
+            assert_eq!(&bytes[..], &content[..], "{name} after refused update at {offset}");
         }
         scheme.delete_file("/f").expect("exists");
     }
