@@ -11,7 +11,7 @@ use bytes::Bytes;
 use hyrd::recovery::UpdateLog;
 use hyrd::scheme::{SchemeError, SchemeResult};
 use hyrd_cloudsim::{Fleet, SimProvider};
-use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
+use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, ObjectKey, OpReport, ProviderId};
 use hyrd_gfec::stripe::StripePlanner;
 use hyrd_gfec::{ErasureCode, FragmentLayout};
 use hyrd_metastore::{DirEntry, MetadataBlock, NormPath, ShardedMetaStore};
@@ -142,6 +142,26 @@ pub(crate) fn put_all(
     rule.compose(ops)
 }
 
+/// Takes a refused replica write back out of the log. A write no target
+/// took left each target's record holding it; each is superseded by
+/// `before`, or by a remove when there was no object before, so that
+/// replay restores what the caller was told still stands — as HyRD's
+/// `roll_back_logged` does.
+pub(crate) fn roll_back_logged(
+    providers: &[Arc<SimProvider>],
+    name: &str,
+    before: Option<&Bytes>,
+    log: &mut UpdateLog,
+) {
+    let k = key(name);
+    for p in providers {
+        match before {
+            Some(bytes) => log.log_put(p.id(), k.clone(), bytes.clone()),
+            None => log.log_remove(p.id(), k.clone()),
+        }
+    }
+}
+
 /// Gets the object from the first provider (in the given order) that
 /// serves it.
 pub fn get_first(
@@ -173,7 +193,7 @@ pub fn remove_everywhere(
     for p in providers {
         match p.remove(&k) {
             Ok(out) => ops.push(out.report),
-            Err(hyrd_gcsapi::CloudError::Unavailable { .. }) => log.log_remove(p.id(), k.clone()),
+            Err(CloudError::Unavailable { .. }) => log.log_remove(p.id(), k.clone()),
             Err(_) => {}
         }
     }
@@ -317,6 +337,24 @@ impl SchemeCore {
     ) -> SchemeResult<(hyrd::recovery::RecoveryReport, BatchReport)> {
         let p = self.provider(id);
         Ok(self.log.replay(p.as_ref())?)
+    }
+
+    /// Takes back an erasure-coded write that landed on too few
+    /// providers: a fragment that landed is removed again, and one that
+    /// did not has its logged put superseded by a remove (or dropped,
+    /// when its provider answers that there is nothing to remove) — as
+    /// HyRD's `create_large` retires the fragments of such a write.
+    pub fn retire(&mut self, fragments: &FragmentMap) {
+        for (pid, name) in fragments {
+            let k = key(name);
+            match self.provider(*pid).remove(&k) {
+                Ok(_)
+                | Err(CloudError::NoSuchObject { .. } | CloudError::NoSuchContainer { .. }) => {
+                    self.log.discharge(*pid, &k);
+                }
+                Err(_) => self.log.log_remove(*pid, k),
+            }
+        }
     }
 
     /// Directory-listing names from local metadata.

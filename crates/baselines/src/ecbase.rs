@@ -255,6 +255,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         )?;
         if live < layout.m {
             self.core.meta.remove_file(&npath)?;
+            self.core.retire(&map);
             return Err(SchemeError::DataUnavailable {
                 path: path.to_string(),
                 detail: format!("only {live} fragment targets available"),

@@ -48,6 +48,10 @@ pub use replicated::Replicated;
 #[path = "tests/replica_ops.rs"]
 mod replica_ops;
 
+#[cfg(test)]
+#[path = "tests/refused_writes.rs"]
+mod refused_writes;
+
 // The unit tests of the three replica layouts keep the module paths
 // (`single::tests::…`) they had when each layout was its own scheme.
 #[cfg(test)]

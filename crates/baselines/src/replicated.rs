@@ -172,6 +172,7 @@ impl Scheme for Replicated {
         let batch = self.put_all(&name, Write::Put(&bytes));
         if batch.ops.is_empty() {
             self.core.meta.remove_file(&npath)?;
+            common::roll_back_logged(&self.targets, &name, None, &mut self.core.log);
             return Err(unavailable(path, "no replica target available"));
         }
         self.core.cache.put(path, bytes);
@@ -201,19 +202,18 @@ impl Scheme for Replicated {
         let Placement::Replicated { object, providers } = inode.placement else {
             return Err(unavailable(path, "no placement"));
         };
-        let (mut content, read_batch) = match self.core.cache.get(path) {
-            Some(b) => (b.to_vec(), BatchReport::empty()),
-            None => {
-                let (b, r) = common::get_first(&self.read_order(), &object, path)?;
-                (b.to_vec(), r)
-            }
+        let (before, read_batch) = match self.core.cache.get(path) {
+            Some(b) => (b, BatchReport::empty()),
+            None => common::get_first(&self.read_order(), &object, path)?,
         };
+        let mut content = before.to_vec();
         content[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         let bytes = Bytes::from(content);
         let patch = Bytes::copy_from_slice(data);
         let write_batch =
             self.put_all(&object, Write::Range { offset, patch: &patch, full: &bytes });
         if write_batch.ops.is_empty() {
+            common::roll_back_logged(&self.targets, &object, Some(&before), &mut self.core.log);
             return Err(unavailable(path, "no replica target available"));
         }
         self.core.cache.put(path, bytes);

@@ -133,7 +133,7 @@ update /d/a hit err DataUnavailable
 update /d/a miss err DataUnavailable
 delete /d/b err Meta(NoSuchFile("/d/b"))
 list /d ok 0
-recover ok 643684905 | p0 Put 5000/0, p0 Put 3000/0
+recover ok 323626788 | p0 Put 3000/0
 # DuraCloud down
 setup create /d/a ok 892560669 | p0 Put 3000/0, p1 Put 3000/0, p0 Put 113/0, p1 Put 113/0
 create /d/b ok 247544234 | p1 Put 5000/0, p1 Put 196/0

@@ -4,7 +4,13 @@
 //!
 //! Usage: `trace_report --trace PATH [--jobs N] [--out PATH]
 //! [--check-model] [--tolerance F] [--slo-ms N] [--top N] [--buckets N]
-//! [--rep R] [--m M] [--n N]`
+//! [--rep R] [--m M] [--n N]`, or `trace_report --expand PATH`.
+//!
+//! `--expand` prints the trace one record per line in the plain layout
+//! (`RecordRef::write_json`: every key written, no two records on one
+//! line) and nothing else: two traces of different schemas that hold the
+//! same records expand alike, less their `meta` line
+//! (`scripts/trace_cmp.sh`).
 //!
 //! The report is byte-identical for every `--jobs`. `--check-model`
 //! exits 1 when measured and modelled availability differ by more than
@@ -12,7 +18,10 @@
 //! refused with the reason (for a parse error, the line it is on) on
 //! stderr and exit code 2.
 
+use std::io::Write;
+
 use hyrd_bench::trace_report::{build_report, ReportOptions};
+use hyrd_telemetry::for_each_record;
 
 /// The trace is outside input: whatever is wrong with it is said on
 /// stderr and answered with exit code 2, never a panic.
@@ -21,7 +30,30 @@ fn refuse(trace: &str, why: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// `--expand PATH`: the trace's records, one per line, on stdout.
+fn expand(trace: &str) {
+    let text = std::fs::read_to_string(trace).unwrap_or_else(|e| refuse(trace, e));
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let mut line = Vec::new();
+    let mut written = Ok(());
+    let parsed = for_each_record(&text, |rec| {
+        line.clear();
+        rec.write_json(&mut line);
+        line.push(b'\n');
+        if written.is_ok() {
+            written = out.write_all(&line);
+        }
+    });
+    parsed.unwrap_or_else(|e| refuse(trace, e));
+    written.and_then(|()| out.flush()).unwrap_or_else(|e| refuse(trace, e));
+}
+
 fn main() {
+    if let [flag, path] = &std::env::args().skip(1).collect::<Vec<_>>()[..] {
+        if flag == "--expand" {
+            return expand(path);
+        }
+    }
     let mut trace: Option<String> = None;
     let mut jobs: usize = 1;
     let mut out_path: Option<String> = None;

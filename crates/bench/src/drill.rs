@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use hyrd::driver::{replay_sweep, ReplayOptions};
 use hyrd::prelude::*;
-use hyrd::telemetry::{Collector, SharedBuf};
+use hyrd::telemetry::{for_each_record, Collector, SharedBuf};
 use hyrd_cloudsim::FaultPlan;
 use hyrd_workloads::{FsOp, IaTrace};
 
@@ -315,9 +315,13 @@ impl Rig {
     }
 }
 
-/// Lines (records) in a JSONL trace.
+/// Records in a JSONL trace the drill wrote — more than its lines, since
+/// an op line and a span end carrying its replay record hold several.
 fn records(trace: &[u8]) -> u64 {
-    trace.iter().filter(|b| **b == b'\n').count() as u64
+    let text = std::str::from_utf8(trace).expect("the trace writer writes UTF-8");
+    let mut n = 0;
+    for_each_record(text, |_| n += 1).expect("a trace the drill wrote parses");
+    n
 }
 
 /// The IA trace of `seed` as a drill's op stream: the archive's

@@ -854,11 +854,12 @@ pub fn parse_trace_jobs(text: &str, jobs: usize) -> Result<Vec<TraceRecord>, Par
         .map(|chunk| {
             move || -> Result<Vec<TraceRecord>, ParseError> {
                 let mut parser = LineParser::new();
-                let owned = |&(i, line)| match parser.parse(line) {
-                    Ok(rec) => Ok(rec.to_owned()),
-                    Err(e) => Err(e.on_line(i)),
-                };
-                chunk.iter().map(owned).collect()
+                let mut owned = Vec::with_capacity(chunk.len());
+                for &(i, line) in chunk {
+                    let records = parser.parse(line).map_err(|e| e.on_line(i))?;
+                    owned.extend(records.iter().map(|rec| rec.to_owned()));
+                }
+                Ok(owned)
             }
         })
         .collect();

@@ -269,18 +269,33 @@ fn provider_series(c: &Collector) -> Vec<ProviderSeries> {
 /// sixteen files, so the ground is known after the first few rounds. The
 /// integers are equally wide every round, so no later line outgrows a
 /// buffer an earlier one sized.
-fn emit_request(c: &Collector, series: &[ProviderSeries], clock: &ManualClock, round: u64) {
+///
+/// `fused`: each provider op at its span's instant and the request span
+/// closed before the verdict, as the request path emits them — the
+/// shapes the trace writer puts on one line (an op line, a span end
+/// carrying its replay record). Otherwise each op lands 1 µs into its
+/// span and the verdict inside the request span, and every record takes
+/// a line of its own.
+fn emit_request(
+    c: &Collector,
+    series: &[ProviderSeries],
+    clock: &ManualClock,
+    round: u64,
+    fused: bool,
+) {
     const PATHS: [&str; 16] = [
         "/d/f00", "/d/f01", "/d/f02", "/d/f03", "/d/f04", "/d/f05", "/d/f06", "/d/f07", "/d/f08",
         "/d/f09", "/d/f10", "/d/f11", "/d/f12", "/d/f13", "/d/f14", "/d/f15",
     ];
     let wide = 1_000_000_000_000_000 + round;
     let path = PATHS[round as usize % PATHS.len()];
-    let _request = c.span_with("update_file").field("path", path).field("bytes", wide).start();
+    let request = c.span_with("update_file").field("path", path).field("bytes", wide).start();
     for at in [round as usize % 4, (round as usize + 1) % 4] {
         let provider = &series[at];
-        let _put = provider.put_replica.start();
-        clock.advance(1_000);
+        let put = provider.put_replica.start();
+        if !fused {
+            clock.advance(1_000);
+        }
         c.event("provider.op")
             .field("provider", PROVIDERS[at])
             .field("op", ["Put", "Get"][round as usize % 2])
@@ -289,6 +304,10 @@ fn emit_request(c: &Collector, series: &[ProviderSeries], clock: &ManualClock, r
             .field("latency_ns", wide)
             .field("cost", 0.047 / 10_000.0)
             .emit();
+        drop(put);
+        if fused {
+            clock.advance(1_000);
+        }
         provider.ops.inc(1);
         provider.latency_ns.observe(round);
         provider.queue_depth.set(round as i64);
@@ -305,7 +324,9 @@ fn emit_request(c: &Collector, series: &[ProviderSeries], clock: &ManualClock, r
         .field("records", 1u64)
         .field("bytes", wide)
         .emit();
+    let request = (!fused).then_some(request);
     c.event("replay.op").field("class", "small-write").field("latency_ns", wide).emit();
+    drop(request);
     c.inc_labeled("replay.ops", "small-write", 1);
 }
 
@@ -331,7 +352,7 @@ fn telemetry_costs_what_it_writes() {
     let (cost, series) = cost_of(|| provider_series(&off));
     assert_eq!(cost.allocs, 1, "a disabled collector's handles are inert: {cost:?}");
     let (cost, ()) =
-        cost_of(|| (0..64).for_each(|round| emit_request(&off, &series, &clock, round)));
+        cost_of(|| (0..64).for_each(|round| emit_request(&off, &series, &clock, round, false)));
     assert_eq!(cost.allocs, 0, "the disabled collector allocated: {cost:?}");
 
     // Enabled, JSONL sink and the observatory's tap attached.
@@ -342,14 +363,21 @@ fn telemetry_costs_what_it_writes() {
         .build();
     // Every provider, path, op kind, span path and metric series once.
     let series = provider_series(&on);
-    (0..32).for_each(|round| emit_request(&on, &series, &clock, round));
+    (0..32).for_each(|round| emit_request(&on, &series, &clock, round, round % 2 == 0));
     let (cost, ()) =
-        cost_of(|| (32..96).for_each(|round| emit_request(&on, &series, &clock, round)));
-    let report = watcher.report();
-    assert_eq!(report.providers.iter().map(|p| p.ops).sum::<u64>(), 2 * 96, "the tap folded");
-    assert_eq!(report.files.len(), 1, "the dirty fragment is tracked");
+        cost_of(|| (32..96).for_each(|round| emit_request(&on, &series, &clock, round, false)));
     println!("64 traced requests (11 records, 7 metric updates each) on known ground: {cost:?}");
     assert_eq!(cost.allocs, 0, "emitting on known ground allocated: {cost:?}");
+    // The same requests with their provider ops on op lines and their
+    // verdicts on their span ends: the writer holds those records back in
+    // buffers it keeps.
+    let (cost, ()) =
+        cost_of(|| (96..160).for_each(|round| emit_request(&on, &series, &clock, round, true)));
+    println!("64 traced requests, fused ops and verdicts, on known ground: {cost:?}");
+    assert_eq!(cost.allocs, 0, "emitting fused ops on known ground allocated: {cost:?}");
+    let report = watcher.report();
+    assert_eq!(report.providers.iter().map(|p| p.ops).sum::<u64>(), 2 * 160, "the tap folded");
+    assert_eq!(report.files.len(), 1, "the dirty fragment is tracked");
 
     // Offline: the fold allocates for what the trace is about — a tracker
     // per provider and file, the parser's field storage — not per record.
@@ -358,11 +386,14 @@ fn telemetry_costs_what_it_writes() {
         let clock = std::sync::Arc::new(ManualClock::new());
         let c = Collector::builder(clock.clone()).jsonl(sink.clone()).build();
         let series = provider_series(&c);
-        (0..requests).for_each(|round| emit_request(&c, &series, &clock, round));
+        (0..requests).for_each(|round| emit_request(&c, &series, &clock, round, round % 2 == 0));
         c.flush();
         sink.text()
     };
     let (short, long) = (trace_of(200), trace_of(400));
+    // A fused request's 11 records take 6 lines: two op lines, the verdict
+    // on the request's span end.
+    assert_eq!(short.lines().count(), 1 + 11 * 100 + 6 * 100);
     let (short_cost, folded) = cost_of(|| observatory::from_trace(&short, 1));
     assert_eq!(folded.expect("own trace parses").records, 1 + 11 * 200);
     let (long_cost, folded) = cost_of(|| observatory::from_trace(&long, 1));

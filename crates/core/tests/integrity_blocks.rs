@@ -198,6 +198,7 @@ fn the_dispatcher_times_hashing_in_the_registry_and_never_in_the_trace() {
     assert!(verified as usize >= payload.len(), "read hashed {verified} B");
 
     // Wall time is not a deterministic quantity: none of it in the trace.
+    telemetry.flush();
     let text = trace.text();
     assert!(text.contains("create_file"), "the trace is on");
     assert!(!text.contains("integrity.hash"), "hashing leaked into the trace");

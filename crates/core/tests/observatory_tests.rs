@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use hyrd::driver::{replay_with_state, synth_content, ReplayOptions, ReplayState};
 use hyrd::observatory::{self, Observatory, SharedObservatory};
-use hyrd::telemetry::{parse_jsonl, Collector, LineParser, SharedBuf, ValueRef};
+use hyrd::telemetry::{parse_jsonl, Collector, LineParser, SharedBuf, TraceWriter, ValueRef};
 use hyrd::{Hyrd, HyrdConfig};
 use hyrd_cloudsim::{FaultPlan, Fleet, SimClock};
 use hyrd_gcsapi::{CloudStorage, ObjectKey};
@@ -282,29 +282,38 @@ fn every_way_of_folding_a_drill_trace_renders_the_same_report() {
 
 /// The writer and the parser pinned to each other on what the system
 /// actually emits: every line of the drill's trace — span records, events
-/// of every kind, `provider.op` costs as floats (zero among them) — parses
-/// to a record that writes back to exactly that line.
+/// of every kind, op lines, span ends carrying their replay record,
+/// `provider.op` costs as floats (zero among them) — parses to records
+/// that the trace writer writes back to exactly that line.
 #[test]
 fn every_line_of_a_drill_trace_writes_back_byte_for_byte() {
     let (trace, online) = drill();
     let mut parser = LineParser::new();
-    let mut rewritten = Vec::new();
-    let (mut floats, mut free) = (0, 0);
-    for (i, line) in trace.lines().enumerate() {
-        let record = parser.parse(line).expect("own trace");
-        for (key, value) in record.fields() {
-            match value {
-                ValueRef::F64(_) => floats += 1,
-                ValueRef::U64(0) if key == "cost" => free += 1,
-                _ => {}
+    let mut writer = TraceWriter::new(Vec::new());
+    let (mut floats, mut free, mut shared) = (0, 0, 0);
+    for line in trace.lines() {
+        let records = parser.parse(line).expect("own trace");
+        shared += records.len() - 1;
+        for record in records.iter() {
+            for (key, value) in record.fields() {
+                match value {
+                    ValueRef::F64(_) => floats += 1,
+                    ValueRef::U64(0) if key == "cost" => free += 1,
+                    _ => {}
+                }
             }
+            writer.write(record);
         }
-        rewritten.clear();
-        record.write_json(&mut rewritten);
-        assert_eq!(String::from_utf8_lossy(&rewritten), line, "line {i}");
     }
+    writer.flush().expect("a Vec takes every byte");
+    let rewritten = String::from_utf8_lossy(writer.get_ref());
+    for (i, (got, want)) in rewritten.lines().zip(trace.lines()).enumerate() {
+        assert_eq!(got, want, "line {i}");
+    }
+    assert_eq!(rewritten, trace.as_str());
     assert!(floats > 1_000, "the drill's provider ops are priced: {floats} floats");
     assert!(free > 0, "a free op's cost prints as 0 and reads back as an integer");
+    assert!(shared > 1_000, "provider ops and replay records share lines: {shared} records");
     let offline = observatory::from_trace(trace, 1).expect("own trace").report();
     assert_eq!(offline, online.report(), "from_trace against the online tap");
 }

@@ -5,8 +5,8 @@
 //! nothing) or *enabled*, in which case it stamps structured spans and
 //! events with a [`TelemetryClock`] and fans them out to sinks:
 //!
-//! * a JSONL trace writer (one [`TraceRecord`] per line, schema
-//!   [`TRACE_SCHEMA_VERSION`]),
+//! * a JSONL trace writer ([`TraceWriter`]: one line per record, or per
+//!   provider op, schema [`TRACE_SCHEMA_VERSION`]),
 //! * an in-memory ring buffer for tests ([`Collector::ring_records`]),
 //! * an aggregated flame-style summary ([`Collector::summary`]).
 //!
@@ -29,7 +29,7 @@
 //! clock.advance(1_000);
 //! c.event("retry.backoff").field("delay_ns", 1_000u64).emit();
 //! drop(span);
-//! c.flush();
+//! c.flush(); // the span end was held back, to see what followed it
 //! assert!(buf.text().lines().count() == 4); // meta, start, event, end
 //! ```
 
@@ -41,10 +41,12 @@ mod parse;
 mod record;
 mod registry;
 mod summary;
+mod writer;
 
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use parse::{
     for_each_record, parse_document, parse_jsonl, parse_line, Document, LineParser, ParseError,
+    Records,
 };
 pub use record::{
     Field, Fields, IntoValue, Record, RecordKind, RecordRef, TraceRecord, Value, ValueRef,
@@ -52,6 +54,7 @@ pub use record::{
 };
 pub use registry::{Counter, Gauge, HistogramSeries, HistogramSummary, MetricsSnapshot, Registry};
 pub use summary::{fmt_ns, SlowSpan};
+pub use writer::TraceWriter;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Display;
@@ -222,9 +225,7 @@ struct Ring {
 /// Where records go. A record reaches every sink as the same borrowed
 /// [`RecordRef`]; only the ring, which keeps records, makes an owned copy.
 struct Sinks {
-    jsonl: Option<Box<dyn Write + Send>>,
-    /// The line being written, reused from record to record.
-    line: Vec<u8>,
+    jsonl: Option<TraceWriter<Box<dyn Write + Send>>>,
     ring: Option<Ring>,
     /// Online observer invoked with every record, in emission order and
     /// under the collector lock — the deterministic feed the availability
@@ -240,10 +241,7 @@ impl Sinks {
             tap(rec);
         }
         if let Some(w) = self.jsonl.as_mut() {
-            self.line.clear();
-            rec.write_json(&mut self.line);
-            self.line.push(b'\n');
-            let _ = w.write_all(&self.line);
+            w.write(rec);
         }
         if let Some(ring) = self.ring.as_mut() {
             if ring.buf.len() == ring.cap {
@@ -489,7 +487,8 @@ impl Collector {
         }
     }
 
-    /// Flush the JSONL sink.
+    /// Flush the JSONL sink, writing first the records the writer holds
+    /// back to see whether the next one shares their line.
     pub fn flush(&self) {
         if let Some(i) = &self.0 {
             let mut state = lock(&i.state);
@@ -645,8 +644,7 @@ impl CollectorBuilder {
     pub fn build(self) -> Collector {
         let t = self.clock.now_nanos();
         let mut sinks = Sinks {
-            jsonl: self.jsonl,
-            line: Vec::new(),
+            jsonl: self.jsonl.map(TraceWriter::new),
             ring: self.ring.map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
             tap: self.tap,
         };

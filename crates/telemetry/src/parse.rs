@@ -1,18 +1,23 @@
-//! Trace parsing: the inverse of [`RecordRef::write_json`].
+//! Trace parsing: the inverse of [`crate::TraceWriter`] and of
+//! [`RecordRef::write_json`].
 //!
 //! The observatory and the `trace_report` analyzer consume traces that
 //! were written by this crate's own hand-rolled emitter, so the parser
 //! here is deliberately small: a JSON reader covering exactly the shapes
 //! the emitter produces (flat objects of scalars plus one nested `fields`
-//! object; unknown keys may hold scalars or nested objects and are
-//! skipped, arrays are refused). Keeping it dependency-free means the
-//! whole trace → report pipeline stays testable in minimal environments
-//! and byte-level behaviour never drifts with an external serializer.
+//! object, and a span end's `replay` object; unknown keys may hold
+//! scalars or nested objects and are skipped, arrays are refused).
+//! Keeping it dependency-free means the whole trace → report pipeline
+//! stays testable in minimal environments and byte-level behaviour never
+//! drifts with an external serializer.
 //!
-//! It reads a line once, left to right, and yields a [`RecordRef`] that
-//! borrows its strings from the line: a string is copied only when it
-//! contains escapes, and a [`LineParser`] keeps its field storage between
-//! lines, so streaming a trace allocates nothing per record.
+//! It reads a line once, left to right, and yields the records the line
+//! holds ([`Records`]: the writer puts a provider op's span and event on
+//! one line, and a request's `replay.op` on its span end) as
+//! [`RecordRef`]s that borrow their strings from the line: a string is
+//! copied only when it contains escapes, and a [`LineParser`] keeps its
+//! field storage between lines, so streaming a trace allocates nothing
+//! per record.
 //! [`parse_line`] / [`parse_jsonl`] are the same parser followed by
 //! [`RecordRef::to_owned`]. A key that occurs twice takes its last value,
 //! at the top level and inside `fields`, as it would in a map.
@@ -27,6 +32,9 @@
 use std::borrow::Cow;
 
 use crate::record::{FieldBuf, RecordRef, TraceRecord, Value, ValueRef};
+use crate::writer::{
+    op_span_provider, BYTE_KEYS, OP_EVENT, PROVIDER_KEY, REPLAY_EVENT, REPLAY_KEY,
+};
 
 /// Why a line failed to parse. The line number (0-based) is attached by
 /// [`for_each_record`] and [`parse_jsonl`]; single-line entry points
@@ -78,6 +86,15 @@ impl<'a> Json<'a> {
         match self {
             Json::Scalar(ValueRef::U64(v)) => Ok(*v),
             _ => Err(Stop { at: 0, what }),
+        }
+    }
+
+    /// `dur_ns`: absent reads as 0.
+    #[inline]
+    fn u64_or_zero(&self, what: &'static str) -> Result<u64, Stop> {
+        match self {
+            Json::Absent => Ok(0),
+            _ => self.u64(what),
         }
     }
 
@@ -473,26 +490,124 @@ struct Slots<'a> {
     name: Json<'a>,
     dur_ns: Json<'a>,
     span: Json<'a>,
-    /// The last `fields` key held something other than an object (an
-    /// object's scalar members are in [`LineParser::fields`]).
-    fields_not_an_object: bool,
 }
 
-/// The trace parser: one line in, one borrowed record out.
-///
-/// `'a` is the lifetime of the text the lines come from; the returned
-/// record also borrows the parser (its field storage, and any string that
-/// had escapes to resolve), so it has to be dropped — folded, copied,
-/// `to_owned()` — before the next line is parsed.
+/// The scalar members of one object a line holds — its `fields`, or the
+/// `replay` record a span end carries.
 #[derive(Default)]
-pub struct LineParser<'a> {
-    slots: Slots<'a>,
-    /// Scalar members of the line's `fields` object, in line order.
+struct Members<'a> {
+    /// The key was there, last holding an object.
+    present: bool,
+    /// The key was there, last holding something other than an object.
+    not_an_object: bool,
+    /// Scalar members of the object, in line order.
     fields: FieldBuf<'a>,
     /// Keys in `fields` whose value was `null` or an object, with
     /// `fields.len()` at that moment. Such a member refuses the line unless
     /// a later scalar under the same key replaces it.
     not_scalar: Vec<(Cow<'a, str>, usize)>,
+}
+
+impl<'a> Members<'a> {
+    fn clear(&mut self) {
+        self.present = false;
+        self.not_an_object = false;
+        self.fields.clear();
+        self.not_scalar.clear();
+    }
+
+    /// The value at the cursor, the last under this key so far.
+    fn read(&mut self, cur: &mut Cursor<'a>) -> Result<(), Stop> {
+        self.clear();
+        cur.skip_ws();
+        if cur.peek() != Some(b'{') {
+            self.not_an_object = true;
+            return cur.value().map(drop);
+        }
+        self.present = true;
+        let Members { fields, not_scalar, .. } = self;
+        cur.members(|cur, key| {
+            // Strings and numbers, the values a trace holds, go straight
+            // in; the rest through `value`.
+            cur.skip_ws();
+            match cur.peek() {
+                Some(b'"') => {
+                    let s = cur.string()?;
+                    fields.push(key, ValueRef::Str(s));
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    let v = cur.number()?;
+                    fields.push(key, v);
+                }
+                _ => match cur.value()? {
+                    Json::Scalar(v) => fields.push(key, v),
+                    _ => not_scalar.push((key, fields.as_slice().len())),
+                },
+            }
+            Ok(())
+        })
+    }
+
+    /// The members, once a record that has them is being built: refused
+    /// if the key held something other than an object, or a member is not
+    /// a scalar.
+    fn checked(&self, what: &'static str) -> Result<(), Stop> {
+        if self.not_an_object {
+            return Err(Stop { at: 0, what });
+        }
+        let fields = self.fields.as_slice();
+        let replaced =
+            |(key, at): &(Cow<'_, str>, usize)| fields[*at..].iter().any(|(k, _)| k == key);
+        if !self.not_scalar.iter().all(replaced) {
+            return Err(Stop { at: 0, what: "field values must be scalars" });
+        }
+        Ok(())
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.fields.as_slice().iter().any(|(k, _)| k == key)
+    }
+}
+
+/// The records one trace line holds, in trace order: one for most lines,
+/// three for an op line (span start, `provider.op`, span end), two for a
+/// span end carrying its `replay.op` (see [`crate::TraceWriter`]). It
+/// derefs to the slice of them.
+#[derive(Debug, Clone, Copy)]
+pub struct Records<'r> {
+    records: [RecordRef<'r>; 3],
+    len: usize,
+}
+
+impl<'r> Records<'r> {
+    const NONE: RecordRef<'static> = RecordRef::Meta { schema: 0, clock: "", t: 0 };
+
+    fn new(held: &[RecordRef<'r>]) -> Self {
+        let mut records: [RecordRef<'r>; 3] = [Self::NONE; 3];
+        records[..held.len()].copy_from_slice(held);
+        Records { records, len: held.len() }
+    }
+}
+
+impl<'r> std::ops::Deref for Records<'r> {
+    type Target = [RecordRef<'r>];
+
+    fn deref(&self) -> &[RecordRef<'r>] {
+        &self.records[..self.len]
+    }
+}
+
+/// The trace parser: one line in, its records out.
+///
+/// `'a` is the lifetime of the text the lines come from; the returned
+/// records also borrow the parser (its field storage, and any string that
+/// had escapes to resolve), so they have to be dropped — folded, copied,
+/// `to_owned()` — before the next line is parsed.
+#[derive(Default)]
+pub struct LineParser<'a> {
+    slots: Slots<'a>,
+    fields: Members<'a>,
+    replay: Members<'a>,
 }
 
 impl<'a> LineParser<'a> {
@@ -501,11 +616,11 @@ impl<'a> LineParser<'a> {
     }
 
     /// Parse one JSONL line.
-    pub fn parse(&mut self, line: &'a str) -> Result<RecordRef<'_>, ParseError> {
-        let LineParser { slots, fields, not_scalar } = self;
+    pub fn parse(&mut self, line: &'a str) -> Result<Records<'_>, ParseError> {
+        let LineParser { slots, fields, replay } = self;
         *slots = Slots::default();
         fields.clear();
-        not_scalar.clear();
+        replay.clear();
 
         let mut cur = Cursor { text: line, pos: 0 };
         cur.skip_ws();
@@ -523,35 +638,8 @@ impl<'a> LineParser<'a> {
                 "name" => &mut slots.name,
                 "dur_ns" => &mut slots.dur_ns,
                 "span" => &mut slots.span,
-                "fields" => {
-                    fields.clear();
-                    not_scalar.clear();
-                    cur.skip_ws();
-                    slots.fields_not_an_object = cur.peek() != Some(b'{');
-                    if slots.fields_not_an_object {
-                        return cur.value().map(drop);
-                    }
-                    return cur.members(|cur, key| {
-                        // Strings and numbers, the values a trace holds,
-                        // go straight in; the rest through `value`.
-                        cur.skip_ws();
-                        match cur.peek() {
-                            Some(b'"') => {
-                                let s = cur.string()?;
-                                fields.push(key, ValueRef::Str(s));
-                            }
-                            Some(b'-' | b'0'..=b'9') => {
-                                let v = cur.number()?;
-                                fields.push(key, v);
-                            }
-                            _ => match cur.value()? {
-                                Json::Scalar(v) => fields.push(key, v),
-                                _ => not_scalar.push((key, fields.as_slice().len())),
-                            },
-                        }
-                        Ok(())
-                    });
-                }
+                "fields" => return fields.read(cur),
+                REPLAY_KEY => return replay.read(cur),
                 _ => return cur.value().map(drop),
             };
             *slot = cur.value()?;
@@ -562,58 +650,113 @@ impl<'a> LineParser<'a> {
             return Err(cur.stop("trailing bytes after record").into());
         }
 
-        let slots: &Slots<'a> = slots;
-        let fields = fields.as_slice();
+        let kind = slots.kind.str("missing or non-string 'kind'")?;
+        if (replay.present || replay.not_an_object) && kind != "span_end" {
+            return Err(ParseError::new(0, "only a span_end carries 'replay'"));
+        }
         // Only a record that has fields is refused for what sits under the key.
-        let checked_fields = || {
-            if slots.fields_not_an_object {
-                return Err(Stop { at: 0, what: "'fields' must be an object" });
+        if kind != "meta" {
+            fields.checked("'fields' must be an object")?;
+        }
+        let t = slots.t.u64("missing or non-integer 't'")?;
+        let id = || slots.id.u64("missing or non-integer 'id'");
+        let name = || slots.name.str("missing or non-string 'name'");
+        if kind == "op" {
+            // The op event's keys the line leaves out, put back in their
+            // sorted place: the provider from the span's name, zero bytes.
+            let provider = match &slots.name {
+                Json::Scalar(ValueRef::Str(name)) => op_label(name),
+                _ => None,
             }
-            let replaced =
-                |(key, at): &(Cow<'_, str>, usize)| fields[*at..].iter().any(|(k, _)| k == key);
-            if !not_scalar.iter().all(replaced) {
-                return Err(Stop { at: 0, what: "field values must be scalars" });
+            .ok_or(Stop { at: 0, what: "an op line names a per-provider span" })?;
+            if !fields.has(PROVIDER_KEY) {
+                fields.fields.insert(PROVIDER_KEY, ValueRef::Str(provider));
             }
-            Ok(fields)
-        };
-        let t = || slots.t.u64("missing or non-integer 't'");
-        match slots.kind.str("missing or non-string 'kind'")? {
-            "meta" => Ok(RecordRef::Meta {
+            for key in BYTE_KEYS {
+                if !fields.has(key) {
+                    fields.fields.insert(key, ValueRef::U64(0));
+                }
+            }
+        }
+        let slots: &Slots<'a> = slots;
+        let fields = fields.fields.as_slice();
+        let records = match kind {
+            "meta" => Records::new(&[RecordRef::Meta {
                 schema: slots.schema.u64("missing or non-integer 'schema'")? as u32,
                 clock: slots.clock.str("missing or non-string 'clock'")?,
-                t: t()?,
-            }),
-            "span_start" => Ok(RecordRef::SpanStart {
-                id: slots.id.u64("missing or non-integer 'id'")?,
+                t,
+            }]),
+            "span_start" => Records::new(&[RecordRef::SpanStart {
+                id: id()?,
                 parent: slots.parent.opt_u64("bad 'parent'")?,
-                name: slots.name.str("missing or non-string 'name'")?,
-                t: t()?,
-                fields: checked_fields()?,
-            }),
-            "span_end" => Ok(RecordRef::SpanEnd {
-                id: slots.id.u64("missing or non-integer 'id'")?,
-                name: slots.name.str("missing or non-string 'name'")?,
-                t: t()?,
-                dur_ns: slots.dur_ns.u64("missing or non-integer 'dur_ns'")?,
-                fields: checked_fields()?,
-            }),
-            "event" => Ok(RecordRef::Event {
+                name: name()?,
+                t,
+                fields,
+            }]),
+            "span_end" => {
+                let end = RecordRef::SpanEnd {
+                    id: id()?,
+                    name: name()?,
+                    t,
+                    dur_ns: slots.dur_ns.u64_or_zero("non-integer 'dur_ns'")?,
+                    fields,
+                };
+                replay.checked("'replay' must be an object")?;
+                if replay.present {
+                    let fields = replay.fields.as_slice();
+                    Records::new(&[
+                        end,
+                        RecordRef::Event { span: None, name: REPLAY_EVENT, t, fields },
+                    ])
+                } else {
+                    Records::new(&[end])
+                }
+            }
+            "event" => Records::new(&[RecordRef::Event {
                 span: slots.span.opt_u64("bad 'span'")?,
-                name: slots.name.str("missing or non-string 'name'")?,
-                t: t()?,
-                fields: checked_fields()?,
-            }),
-            other => Err(ParseError::new(0, format!("unknown record kind '{other}'"))),
-        }
+                name: name()?,
+                t,
+                fields,
+            }]),
+            "op" => {
+                let (id, name) = (id()?, name()?);
+                Records::new(&[
+                    RecordRef::SpanStart {
+                        id,
+                        parent: slots.parent.opt_u64("bad 'parent'")?,
+                        name,
+                        t,
+                        fields: &[],
+                    },
+                    RecordRef::Event { span: Some(id), name: OP_EVENT, t, fields },
+                    RecordRef::SpanEnd { id, name, t, dur_ns: 0, fields: &[] },
+                ])
+            }
+            other => return Err(ParseError::new(0, format!("unknown record kind '{other}'"))),
+        };
+        Ok(records)
     }
 }
 
-/// Parse one JSONL line into an owned [`TraceRecord`].
-pub fn parse_line(line: &str) -> Result<TraceRecord, ParseError> {
-    LineParser::new().parse(line).map(|r| r.to_owned())
+/// The provider label of a per-provider span's name, borrowed from the
+/// line where the name is.
+fn op_label<'a>(name: &Cow<'a, str>) -> Option<Cow<'a, str>> {
+    let label = op_span_provider(name)?;
+    Some(match name {
+        Cow::Borrowed(name) => {
+            let name: &'a str = name;
+            Cow::Borrowed(&name[name.len() - 1 - label.len()..name.len() - 1])
+        }
+        Cow::Owned(_) => Cow::Owned(label.to_string()),
+    })
 }
 
-/// Stream a whole JSONL trace through `f`, one borrowed record per line.
+/// Parse one JSONL line into the owned records it holds.
+pub fn parse_line(line: &str) -> Result<Vec<TraceRecord>, ParseError> {
+    Ok(LineParser::new().parse(line)?.iter().map(RecordRef::to_owned).collect())
+}
+
+/// Stream a whole JSONL trace through `f`, one borrowed record at a time.
 /// Blank lines are skipped; the first failing line aborts with its
 /// 0-based line number folded into the message.
 pub fn for_each_record(text: &str, mut f: impl FnMut(&RecordRef<'_>)) -> Result<(), ParseError> {
@@ -622,7 +765,9 @@ pub fn for_each_record(text: &str, mut f: impl FnMut(&RecordRef<'_>)) -> Result<
         if line.trim().is_empty() {
             continue;
         }
-        f(&parser.parse(line).map_err(|e| e.on_line(i))?);
+        for record in parser.parse(line).map_err(|e| e.on_line(i))?.iter() {
+            f(record);
+        }
     }
     Ok(())
 }
@@ -725,7 +870,7 @@ mod tests {
 
     fn roundtrip(r: &TraceRecord) {
         let parsed = parse_line(&r.to_json()).expect("parses");
-        assert_eq!(&parsed, r);
+        assert_eq!(parsed, std::slice::from_ref(r));
     }
 
     #[test]
@@ -817,7 +962,7 @@ mod tests {
         let line = "{\"kind\":\"event\",\"span\":null,\"name\":\"n\",\"t\":1,\
                     \"fields\":{\"s\":\"\\ud834\\udd1e\"}}";
         let r = parse_line(line).unwrap();
-        assert_eq!(r.field_str("s"), Some("\u{1D11E}"));
+        assert_eq!(r[0].field_str("s"), Some("\u{1D11E}"));
     }
 
     #[test]
@@ -825,7 +970,8 @@ mod tests {
         let line = "{\"kind\":\"event\",\"span\":3,\"name\":\"provider.op\",\"t\":1,\
                     \"fields\":{\"provider\":\"Aliyun\",\"why\":\"a\\tb\"}}";
         let mut parser = LineParser::new();
-        let r = parser.parse(line).unwrap();
+        let records = parser.parse(line).unwrap();
+        let r = &records[0];
         let in_line = |s: &str| line.as_bytes().as_ptr_range().contains(&s.as_ptr());
         assert!(in_line(r.name().unwrap()));
         assert!(in_line(r.field_str("provider").unwrap()));
@@ -843,7 +989,7 @@ mod tests {
         let mut fields = Fields::new();
         fields.insert("j".into(), Value::Str("x".into()));
         fields.insert("k".into(), Value::U64(7));
-        assert_eq!(r, TraceRecord::Event { span: None, name: "n".into(), t: 2, fields });
+        assert_eq!(r, [TraceRecord::Event { span: None, name: "n".into(), t: 2, fields }]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Trace records: the wire format of a telemetry trace.
 //!
-//! A trace is a sequence of JSONL lines, one record each. The first
+//! A trace is a sequence of records written as JSONL lines — one record
+//! a line, except where [`crate::TraceWriter`] puts a provider op's span
+//! and event, or a span end and its `replay.op`, on one. The first
 //! record is always a `meta` line carrying [`TRACE_SCHEMA_VERSION`] and the
 //! clock domain; the rest are span starts/ends and point events. All
 //! timestamps are nanoseconds on the collector's clock — for simulation runs
@@ -8,7 +10,7 @@
 //!
 //! A record exists in two forms. [`RecordRef`] borrows everything — names,
 //! field keys, string values — from whoever produced it: the collector's
-//! builders on the way out, one line of trace text on the way back in. It
+//! builders on the way out, a line of trace text on the way back in. It
 //! is what the serialiser writes, what the parser yields and what a tap
 //! sees, and making one allocates nothing. [`TraceRecord`] owns its
 //! strings; it is built from a `RecordRef` only where a record has to
@@ -32,7 +34,14 @@ use crate::json::{push_f64, push_i64, push_opt_u64, push_str_escaped, push_u64};
 ///   `read.degraded.fragment` events; `provider.status` /
 ///   `provider.outage_scheduled` lifecycle events; `replay.error` events
 ///   for refused requests.
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+/// * **3** — one line per provider op: a per-provider span holding just
+///   its `provider.op` is one `op` line, a span end carries the
+///   `replay.op` that follows it as `replay`, and `"dur_ns":0`,
+///   `"parent":null` and `"span":null` are left out (see [`TraceWriter`]).
+///   The records are those of schema 2; only the lines changed.
+///
+/// [`TraceWriter`]: crate::TraceWriter
+pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 /// A typed field value attached to a span or event, owning its string.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +96,7 @@ pub enum ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
-    fn push_json(&self, out: &mut Vec<u8>) {
+    pub(crate) fn push_json(&self, out: &mut Vec<u8>) {
         match self {
             ValueRef::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             ValueRef::U64(v) => push_u64(out, *v),
@@ -367,11 +376,12 @@ pub enum RecordRef<'a> {
     Event { span: Option<u64>, name: &'a str, t: u64, fields: &'a [Field<'a>] },
 }
 
-fn push_fields(out: &mut Vec<u8>, fields: &[Field<'_>]) {
-    if fields.is_empty() {
-        return;
-    }
-    out.extend_from_slice(b",\"fields\":{");
+/// Appends `,"<key>":{…}` holding `fields`, empty or not. `key` is a
+/// plain identifier.
+pub(crate) fn push_object(out: &mut Vec<u8>, key: &str, fields: &[Field<'_>]) {
+    out.extend_from_slice(b",\"");
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(b"\":{");
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(b',');
@@ -383,12 +393,51 @@ fn push_fields(out: &mut Vec<u8>, fields: &[Field<'_>]) {
     out.push(b'}');
 }
 
+/// Appends a record's `,"fields":{…}`, or nothing when it has none.
+fn push_fields(out: &mut Vec<u8>, fields: &[Field<'_>]) {
+    if !fields.is_empty() {
+        push_object(out, "fields", fields);
+    }
+}
+
+/// Appends a span start's keys after its `kind`: `,"id":…,"parent":…,
+/// "name":…,"t":…`. `compact` leaves out `"parent":null`.
+pub(crate) fn push_span_head(
+    out: &mut Vec<u8>,
+    id: u64,
+    parent: Option<u64>,
+    name: &str,
+    t: u64,
+    compact: bool,
+) {
+    out.extend_from_slice(b",\"id\":");
+    push_u64(out, id);
+    if !compact || parent.is_some() {
+        out.extend_from_slice(b",\"parent\":");
+        push_opt_u64(out, parent);
+    }
+    out.extend_from_slice(b",\"name\":");
+    push_str_escaped(out, name);
+    out.extend_from_slice(b",\"t\":");
+    push_u64(out, t);
+}
+
 impl RecordRef<'_> {
-    /// Append this record as a single JSON object (no trailing newline) —
-    /// the one serialiser every trace byte comes from. Key order is fixed
-    /// here and fields are written in slice order; see the `json` module
-    /// for why this is hand-rolled. What it appends is UTF-8.
+    /// Append this record as a single JSON object (no trailing newline) in
+    /// the plain layout: every key written, one record per object — the
+    /// layout of schema 2, and of `trace_report --expand`. Key order is
+    /// fixed here and fields are written in slice order; see the `json`
+    /// module for why this is hand-rolled. What it appends is UTF-8.
     pub fn write_json(&self, out: &mut Vec<u8>) {
+        self.write_open(out, false);
+        out.push(b'}');
+    }
+
+    /// The record's object without its closing brace, so that a writer
+    /// can add a key. `compact` leaves out the keys whose value the parser
+    /// supplies when they are absent: `"dur_ns":0`, `"parent":null` and
+    /// `"span":null`.
+    pub(crate) fn write_open(&self, out: &mut Vec<u8>, compact: bool) {
         match *self {
             RecordRef::Meta { schema, clock, t } => {
                 out.extend_from_slice(b"{\"kind\":\"meta\",\"schema\":");
@@ -399,14 +448,8 @@ impl RecordRef<'_> {
                 push_u64(out, t);
             }
             RecordRef::SpanStart { id, parent, name, t, fields } => {
-                out.extend_from_slice(b"{\"kind\":\"span_start\",\"id\":");
-                push_u64(out, id);
-                out.extend_from_slice(b",\"parent\":");
-                push_opt_u64(out, parent);
-                out.extend_from_slice(b",\"name\":");
-                push_str_escaped(out, name);
-                out.extend_from_slice(b",\"t\":");
-                push_u64(out, t);
+                out.extend_from_slice(b"{\"kind\":\"span_start\"");
+                push_span_head(out, id, parent, name, t, compact);
                 push_fields(out, fields);
             }
             RecordRef::SpanEnd { id, name, t, dur_ns, fields } => {
@@ -416,13 +459,18 @@ impl RecordRef<'_> {
                 push_str_escaped(out, name);
                 out.extend_from_slice(b",\"t\":");
                 push_u64(out, t);
-                out.extend_from_slice(b",\"dur_ns\":");
-                push_u64(out, dur_ns);
+                if !compact || dur_ns != 0 {
+                    out.extend_from_slice(b",\"dur_ns\":");
+                    push_u64(out, dur_ns);
+                }
                 push_fields(out, fields);
             }
             RecordRef::Event { span, name, t, fields } => {
-                out.extend_from_slice(b"{\"kind\":\"event\",\"span\":");
-                push_opt_u64(out, span);
+                out.extend_from_slice(b"{\"kind\":\"event\"");
+                if !compact || span.is_some() {
+                    out.extend_from_slice(b",\"span\":");
+                    push_opt_u64(out, span);
+                }
                 out.extend_from_slice(b",\"name\":");
                 push_str_escaped(out, name);
                 out.extend_from_slice(b",\"t\":");
@@ -430,7 +478,6 @@ impl RecordRef<'_> {
                 push_fields(out, fields);
             }
         }
-        out.push(b'}');
     }
 
     /// The record's fields (none on a meta record).
@@ -665,7 +712,7 @@ mod tests {
     #[test]
     fn meta_json_shape() {
         let r = TraceRecord::Meta { schema: TRACE_SCHEMA_VERSION, clock: "virtual".into(), t: 0 };
-        assert_eq!(r.to_json(), "{\"kind\":\"meta\",\"schema\":2,\"clock\":\"virtual\",\"t\":0}");
+        assert_eq!(r.to_json(), "{\"kind\":\"meta\",\"schema\":3,\"clock\":\"virtual\",\"t\":0}");
     }
 
     #[test]

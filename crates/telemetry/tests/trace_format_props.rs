@@ -9,12 +9,13 @@
 
 mod oracle;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hyrd_telemetry::{
-    for_each_record, parse_jsonl, parse_line, Collector, Fields, LineParser, ManualClock, Record,
-    SharedBuf, TraceRecord, Value,
+    for_each_record, parse_jsonl, parse_line, Collector, Field, Fields, LineParser, ManualClock,
+    Record, RecordRef, SharedBuf, TraceRecord, TraceWriter, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -308,13 +309,16 @@ fn assert_parsers_agree(line: &str) {
     let old = oracle::parse_line(line);
     let new = parse_line(line);
     match (&old, &new) {
-        (Ok(old), Ok(new)) => assert_eq!(new, old, "records differ on {line:?}"),
+        (Ok(old), Ok(new)) => {
+            assert_eq!(new, std::slice::from_ref(old), "records differ on {line:?}")
+        }
         (Err(_), Err(_)) => return,
         _ => panic!("accept/reject differs on {line:?}:\n  old {old:?}\n  new {new:?}"),
     }
-    let owned = new.expect("both accepted");
+    let owned = old.expect("both accepted");
     let mut parser = LineParser::new();
-    let borrowed = parser.parse(line).expect("parse_line accepted it");
+    let records = parser.parse(line).expect("parse_line accepted it");
+    let borrowed = records[0];
     assert_eq!(borrowed.to_owned(), owned);
     assert_eq!(Record::kind(&borrowed), Record::kind(&owned));
     assert_eq!(Record::t(&borrowed), Record::t(&owned));
@@ -351,7 +355,7 @@ fn unicode_escapes_take_four_hex_digits_only() {
         assert!(oracle::parse_line(&line(bad)).is_err(), "{bad} was accepted by the oracle");
     }
     for (good, want) in [("\\u0041", "A"), ("\\u00e9", "é"), ("\\u00E9", "é")] {
-        assert_eq!(parse_line(&line(good)).expect("four hex digits").name(), Some(want));
+        assert_eq!(parse_line(&line(good)).expect("four hex digits")[0].name(), Some(want));
     }
 }
 
@@ -434,7 +438,7 @@ fn parser_never_panics_on_mutations_of_valid_lines() {
     // half-read `fields` object, a refused value — must not reach the next.
     let mut parser = LineParser::new();
     for line in &lines {
-        let reused = parser.parse(line).map(|r| r.to_owned());
+        let reused = parser.parse(line).map(|r| r.iter().map(|r| r.to_owned()).collect());
         assert_eq!(reused, parse_line(line), "a reused parser carried state into {line:?}");
     }
 }
@@ -450,7 +454,11 @@ fn records_round_trip_through_the_trace_format() {
     let mut text = String::new();
     for r in &records {
         let line = r.to_json();
-        assert_eq!(&parse_line(&line).expect("own output parses"), r, "{line}");
+        assert_eq!(
+            parse_line(&line).expect("own output parses"),
+            std::slice::from_ref(r),
+            "{line}"
+        );
         text.push_str(&line);
         text.push('\n');
     }
@@ -479,7 +487,7 @@ fn integral_floats_read_back_as_integers() {
         let fields = Fields::from([("v".to_string(), Value::F64(v))]);
         TraceRecord::Event { span: None, name: "e".into(), t: 0, fields }.to_json()
     };
-    let back = |v: f64| parse_line(&event(v)).map(|r| r.fields().unwrap()["v"].clone());
+    let back = |v: f64| parse_line(&event(v)).map(|r| r[0].fields().unwrap()["v"].clone());
     assert_eq!(back(3.0), Ok(Value::U64(3)));
     assert_eq!(back(0.0), Ok(Value::U64(0)));
     assert_eq!(back(-3.0), Ok(Value::I64(-3)));
@@ -595,17 +603,430 @@ fn collector_writes_what_to_json_writes() {
 
     let text = sink.text();
     let records = c.ring_records();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), records.len());
     assert_eq!(records.len(), 1 + expected.len());
     assert!(matches!(records[0], TraceRecord::Meta { .. }));
+    // The sink holds what the one writer makes of the records the ring
+    // was given, and each record lays out as the retired writer laid it.
+    assert_eq!(text, write_trace(&records));
     // `NaN != NaN`: compare fields by what they print as.
     let print = |f: &Fields| -> BTreeMap<String, String> {
         f.iter().map(|(k, v)| (k.clone(), format!("{v:?}"))).collect()
     };
-    for ((line, record), want) in lines.iter().zip(&records).skip(1).zip(&expected) {
-        assert_eq!(*line, record.to_json());
-        assert_eq!(*line, oracle::to_json(record));
+    for (record, want) in records.iter().skip(1).zip(&expected) {
+        let line = record.to_json();
+        assert_eq!(line, oracle::to_json(record));
         assert_eq!(print(record.fields().expect("not a meta record")), print(want), "{line}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// (e) schema 3: the lines several records share
+// ---------------------------------------------------------------------------
+
+/// Lends `r` as the borrowed record the writer takes.
+fn lend<R>(r: &TraceRecord, f: impl FnOnce(&RecordRef<'_>) -> R) -> R {
+    let fields: Vec<Field<'_>> = r
+        .fields()
+        .into_iter()
+        .flatten()
+        .map(|(k, v)| (Cow::Borrowed(k.as_str()), v.as_ref()))
+        .collect();
+    let fields = &fields[..];
+    let borrowed = match r {
+        TraceRecord::Meta { schema, clock, t } => RecordRef::Meta { schema: *schema, clock, t: *t },
+        TraceRecord::SpanStart { id, parent, name, t, .. } => {
+            RecordRef::SpanStart { id: *id, parent: *parent, name, t: *t, fields }
+        }
+        TraceRecord::SpanEnd { id, name, t, dur_ns, .. } => {
+            RecordRef::SpanEnd { id: *id, name, t: *t, dur_ns: *dur_ns, fields }
+        }
+        TraceRecord::Event { span, name, t, .. } => {
+            RecordRef::Event { span: *span, name, t: *t, fields }
+        }
+    };
+    f(&borrowed)
+}
+
+/// `records` as the trace writer writes them.
+fn write_trace(records: &[TraceRecord]) -> String {
+    let mut writer = TraceWriter::new(Vec::new());
+    for r in records {
+        lend(r, |r| writer.write(r));
+    }
+    writer.flush().expect("a Vec takes every byte");
+    String::from_utf8(writer.get_ref().clone()).expect("the writer writes UTF-8")
+}
+
+const OP_SPANS: [&str; 4] = ["put_replica", "fetch_replica", "put_fragment", "fetch_fragment"];
+
+fn gen_provider(rng: &mut Rng) -> String {
+    match rng.below(3) {
+        0 => gen_string(rng),
+        _ => {
+            rng.pick(&["Aliyun", "Windows Azure", "Amazon S3", "Rack\"space", "a]b", "a[b"]).into()
+        }
+    }
+}
+
+/// A `provider.op`'s fields as `SimProvider` gives them, for `provider`,
+/// sometimes with more fields beside them.
+fn gen_op_fields(rng: &mut Rng, provider: &str) -> Fields {
+    let bytes = |rng: &mut Rng| Value::U64(if rng.below(2) == 0 { 0 } else { gen_u64(rng) });
+    let mut fields = Fields::from([
+        ("bytes_in".into(), bytes(rng)),
+        ("bytes_out".into(), bytes(rng)),
+        ("latency_ns".into(), Value::U64(gen_u64(rng))),
+        ("op".into(), Value::Str(rng.pick(&["Put", "Get", "Remove", "List"]).into())),
+        ("provider".into(), Value::Str(provider.into())),
+    ]);
+    let cost = match rng.below(3) {
+        0 => Value::U64(0),
+        _ => Value::F64(gen_fractional(rng)),
+    };
+    fields.insert("cost".into(), cost);
+    if rng.below(6) == 0 {
+        fields.insert(gen_string(rng), gen_value(rng));
+    }
+    fields
+}
+
+/// How a generated group departs from the shape that shares a line.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Miss {
+    None,
+    SecondOp,
+    FaultInside,
+    OtherProvider,
+    TimeMoves,
+    Lasts,
+    UnderASpan,
+    Interleaved,
+    StartHasFields,
+    EndHasFields,
+    NoByteCount,
+    NotAnOpSpan,
+    OtherEnd,
+    Unfinished,
+}
+
+const MISSES: [Miss; 14] = [
+    Miss::None,
+    Miss::SecondOp,
+    Miss::FaultInside,
+    Miss::OtherProvider,
+    Miss::TimeMoves,
+    Miss::Lasts,
+    Miss::UnderASpan,
+    Miss::Interleaved,
+    Miss::StartHasFields,
+    Miss::EndHasFields,
+    Miss::NoByteCount,
+    Miss::NotAnOpSpan,
+    Miss::OtherEnd,
+    Miss::Unfinished,
+];
+
+/// A per-provider span holding its `provider.op`, or a near miss of one.
+fn gen_op_group(rng: &mut Rng, out: &mut Vec<TraceRecord>, miss: Miss) {
+    let (id, t) = (gen_u64(rng), gen_u64(rng));
+    let provider = gen_provider(rng);
+    let span = if miss == Miss::NotAnOpSpan {
+        rng.pick(&["recover_provider", "put_replicas", "fetch_replica ", ""])
+    } else {
+        rng.pick(&OP_SPANS)
+    };
+    let name = format!("{span}[{provider}]");
+    let mut start = Fields::new();
+    if miss == Miss::StartHasFields {
+        start.insert(gen_string(rng), gen_value(rng));
+    }
+    out.push(TraceRecord::SpanStart {
+        id,
+        parent: gen_opt_id(rng),
+        name: name.clone(),
+        t,
+        fields: start,
+    });
+    let event = |span: Option<u64>, name: &str, t: u64, fields: Fields| TraceRecord::Event {
+        span,
+        name: name.into(),
+        t,
+        fields,
+    };
+    if miss == Miss::FaultInside && rng.below(2) == 0 {
+        let fields = Fields::from([("provider".into(), Value::Str(provider.clone()))]);
+        out.push(event(Some(id), pick_fault(rng), t, fields));
+    }
+    if miss == Miss::Interleaved && rng.below(2) == 0 {
+        out.push(gen_record(rng));
+    }
+    let mut fields = gen_op_fields(rng, &provider);
+    match miss {
+        Miss::OtherProvider => {
+            let other = format!("{provider}x");
+            fields.insert("provider".into(), Value::Str(other));
+        }
+        Miss::NoByteCount => {
+            fields.remove(rng.pick(&["bytes_in", "bytes_out", "provider"]));
+        }
+        _ => {}
+    }
+    let (op_span, op_t) = match miss {
+        Miss::UnderASpan => (rng.pick(&[None, Some(id.wrapping_add(1))]), t),
+        Miss::TimeMoves if rng.below(2) == 0 => (Some(id), t.wrapping_add(1)),
+        _ => (Some(id), t),
+    };
+    out.push(event(op_span, "provider.op", op_t, fields));
+    match miss {
+        Miss::SecondOp => {
+            let fields = gen_op_fields(rng, &provider);
+            out.push(event(Some(id), "provider.op", t, fields));
+        }
+        Miss::FaultInside => {
+            let fields = Fields::from([("delay_ns".into(), Value::U64(gen_u64(rng)))]);
+            out.push(event(Some(id), pick_fault(rng), t, fields));
+        }
+        Miss::Interleaved => out.push(gen_record(rng)),
+        Miss::Unfinished => return,
+        _ => {}
+    }
+    let end_t = if miss == Miss::TimeMoves { t.wrapping_add(1) } else { t };
+    let dur_ns = if miss == Miss::Lasts { 1 + gen_u64(rng) / 2 } else { 0 };
+    let (end_id, end_name) = match (miss, rng.below(2)) {
+        (Miss::OtherEnd, 0) => (id.wrapping_add(1), name),
+        (Miss::OtherEnd, _) => (id, format!("{name}.")),
+        _ => (id, name),
+    };
+    let mut end = Fields::new();
+    if miss == Miss::EndHasFields {
+        end.insert(gen_string(rng), gen_value(rng));
+    }
+    out.push(TraceRecord::SpanEnd { id: end_id, name: end_name, t: end_t, dur_ns, fields: end });
+}
+
+fn pick_fault(rng: &mut Rng) -> &'static str {
+    rng.pick(&["provider.fault", "retry.backoff", "breaker.reject"])
+}
+
+/// A span end followed by the replay driver's `replay.op`, or a near miss
+/// of one.
+fn gen_replay_group(rng: &mut Rng, out: &mut Vec<TraceRecord>, miss: Miss) {
+    let t = gen_u64(rng);
+    let dur_ns = if rng.below(2) == 0 { 0 } else { gen_u64(rng) };
+    let name = rng.pick(&["read_file", "create_file", "update_file"]).to_string();
+    out.push(TraceRecord::SpanEnd { id: gen_u64(rng), name, t, dur_ns, fields: gen_fields(rng) });
+    match miss {
+        Miss::Interleaved => out.push(gen_record(rng)),
+        Miss::Unfinished => return,
+        _ => {}
+    }
+    let span = if miss == Miss::UnderASpan { Some(gen_u64(rng)) } else { None };
+    let t = if miss == Miss::TimeMoves { t.wrapping_add(1 + gen_u64(rng) / 2) } else { t };
+    let mut fields = gen_fields(rng);
+    if rng.below(2) == 0 {
+        fields.insert("class".into(), Value::Str("small-read".into()));
+        fields.insert("latency_ns".into(), Value::U64(gen_u64(rng)));
+    }
+    out.push(TraceRecord::Event { span, name: "replay.op".into(), t, fields });
+}
+
+/// A record stream holding every shape the writer puts on one line and
+/// every near miss of them, run together and among unrelated records.
+fn gen_stream(rng: &mut Rng) -> Vec<TraceRecord> {
+    let mut out = Vec::new();
+    for _ in 0..rng.below(24) {
+        match rng.below(5) {
+            0 => out.push(gen_record(rng)),
+            1 | 2 => {
+                let miss = if rng.below(2) == 0 { Miss::None } else { rng.pick(&MISSES) };
+                gen_op_group(rng, &mut out, miss);
+            }
+            _ => {
+                let miss = rng.pick(&[
+                    Miss::None,
+                    Miss::None,
+                    Miss::UnderASpan,
+                    Miss::TimeMoves,
+                    Miss::Interleaved,
+                    Miss::Unfinished,
+                ]);
+                gen_replay_group(rng, &mut out, miss);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn record_streams_round_trip_through_the_trace_writer() {
+    let mut rng = Rng(0x5EED_0009);
+    let (mut records, mut lines) = (0, 0);
+    for case in 0..3_000 {
+        let stream = gen_stream(&mut rng);
+        let text = write_trace(&stream);
+        assert_eq!(parse_jsonl(&text).as_ref(), Ok(&stream), "case {case}:\n{text}");
+        // Every line decodes on its own: a trace cut at any line boundary
+        // reads as the records after the cut.
+        let mut one_by_one = Vec::new();
+        for line in text.lines() {
+            one_by_one.extend(parse_line(line).expect("each line parses alone"));
+        }
+        assert_eq!(one_by_one, stream, "case {case}");
+        // The expansion is the plain layout of every record, and writing
+        // what was read gives the same lines.
+        let mut expanded = String::new();
+        for r in &stream {
+            expanded.push_str(&r.to_json());
+            expanded.push('\n');
+        }
+        let mut plain = Vec::new();
+        for_each_record(&text, |r| {
+            r.write_json(&mut plain);
+            plain.push(b'\n');
+        })
+        .expect("own output parses");
+        assert_eq!(String::from_utf8(plain).unwrap(), expanded, "case {case}");
+        assert_eq!(write_trace(&parse_jsonl(&text).unwrap()), text, "case {case}");
+        records += stream.len();
+        lines += text.lines().count();
+    }
+    assert!(lines < records * 3 / 4, "{records} records took {lines} lines");
+}
+
+/// The shapes pinned byte for byte: what `SimProvider` and the replay
+/// driver emit, one line each, and the defaults left out of a plain line.
+#[test]
+fn the_writer_lays_out_op_lines_replays_and_defaults() {
+    let op_fields = Fields::from([
+        ("bytes_in".into(), Value::U64(26_773)),
+        ("bytes_out".into(), Value::U64(0)),
+        ("cost".into(), Value::F64(1.6e-7)),
+        ("latency_ns".into(), Value::U64(70_649_236)),
+        ("op".into(), Value::Str("Put".into())),
+        ("provider".into(), Value::Str("Windows Azure".into())),
+    ]);
+    let name = "put_replica[Windows Azure]".to_string();
+    let stream = vec![
+        TraceRecord::SpanStart {
+            id: 2,
+            parent: None,
+            name: "create_file".into(),
+            t: 7,
+            fields: Fields::new(),
+        },
+        TraceRecord::SpanStart {
+            id: 3,
+            parent: Some(2),
+            name: name.clone(),
+            t: 7,
+            fields: Fields::new(),
+        },
+        TraceRecord::Event { span: Some(3), name: "provider.op".into(), t: 7, fields: op_fields },
+        TraceRecord::SpanEnd { id: 3, name, t: 7, dur_ns: 0, fields: Fields::new() },
+        TraceRecord::Event {
+            span: Some(2),
+            name: "meta.flush.diff".into(),
+            t: 7,
+            fields: Fields::new(),
+        },
+        TraceRecord::SpanEnd {
+            id: 2,
+            name: "create_file".into(),
+            t: 7,
+            dur_ns: 0,
+            fields: Fields::new(),
+        },
+        TraceRecord::Event {
+            span: None,
+            name: "replay.op".into(),
+            t: 7,
+            fields: Fields::from([("class".into(), Value::Str("small-write".into()))]),
+        },
+        TraceRecord::Event { span: None, name: "scrub".into(), t: 9, fields: Fields::new() },
+    ];
+    assert_eq!(
+        write_trace(&stream),
+        "{\"kind\":\"span_start\",\"id\":2,\"name\":\"create_file\",\"t\":7}\n\
+         {\"kind\":\"op\",\"id\":3,\"parent\":2,\"name\":\"put_replica[Windows Azure]\",\"t\":7,\
+         \"fields\":{\"bytes_in\":26773,\"cost\":0.00000016,\"latency_ns\":70649236,\"op\":\"Put\"}}\n\
+         {\"kind\":\"event\",\"span\":2,\"name\":\"meta.flush.diff\",\"t\":7}\n\
+         {\"kind\":\"span_end\",\"id\":2,\"name\":\"create_file\",\"t\":7,\
+         \"replay\":{\"class\":\"small-write\"}}\n\
+         {\"kind\":\"event\",\"name\":\"scrub\",\"t\":9}\n"
+    );
+    assert_eq!(parse_jsonl(&write_trace(&stream)), Ok(stream));
+}
+
+/// What a schema-3 line may not say: an op line names a per-provider
+/// span, and only a span end carries a replay record, as an object.
+#[test]
+fn schema_3_lines_are_checked_like_the_rest() {
+    let good = [
+        "{\"kind\":\"op\",\"id\":1,\"name\":\"fetch_fragment[a]\",\"t\":0}",
+        "{\"kind\":\"op\",\"id\":1,\"name\":\"fetch_fragment[\\u0041]\",\"t\":0}",
+        "{\"kind\":\"span_end\",\"id\":1,\"name\":\"n\",\"t\":0,\"replay\":{}}",
+        "{\"kind\":\"span_end\",\"id\":1,\"name\":\"n\",\"t\":0}",
+    ];
+    for line in good {
+        assert!(parse_line(line).is_ok(), "{line}");
+    }
+    let records = parse_line(good[1]).unwrap();
+    assert_eq!(records.len(), 3);
+    assert_eq!(records[1].field_str("provider"), Some("A"));
+    assert_eq!(records[1].field_u64("bytes_out"), Some(0));
+    let bad = [
+        "{\"kind\":\"op\",\"id\":1,\"name\":\"read_file[a]\",\"t\":0}",
+        "{\"kind\":\"op\",\"id\":1,\"name\":\"fetch_fragment\",\"t\":0}",
+        "{\"kind\":\"op\",\"name\":\"fetch_fragment[a]\",\"t\":0}",
+        "{\"kind\":\"op\",\"id\":1,\"name\":\"fetch_fragment[a]\",\"t\":0,\"fields\":{\"k\":null}}",
+        "{\"kind\":\"span_end\",\"id\":1,\"name\":\"n\",\"t\":0,\"replay\":7}",
+        "{\"kind\":\"span_end\",\"id\":1,\"name\":\"n\",\"t\":0,\"replay\":{\"k\":{}}}",
+        "{\"kind\":\"event\",\"name\":\"n\",\"t\":0,\"replay\":{}}",
+        "{\"kind\":\"span_end\",\"id\":1,\"name\":\"n\",\"t\":0,\"dur_ns\":null}",
+    ];
+    for line in bad {
+        assert!(parse_line(line).is_err(), "{line}");
+    }
+}
+
+/// The collector feeds its JSONL sink the records its ring and tap see,
+/// op spans and replay records included, and the lines it writes expand
+/// back to exactly them.
+#[test]
+fn collector_op_lines_expand_to_the_records_it_emitted() {
+    let mut rng = Rng(0x5EED_000A);
+    let clock = Arc::new(ManualClock::new());
+    let sink = SharedBuf::new();
+    let c = Collector::builder(clock.clone()).jsonl(sink.clone()).ring(1 << 16).build();
+    for round in 0..500u64 {
+        let request = c.span_with("read_file").field("path", "/d/f").start();
+        for _ in 0..rng.below(4) {
+            let provider = gen_provider(&mut rng);
+            let _op = c.span_labeled(rng.pick(&OP_SPANS), &provider);
+            if rng.below(5) == 0 {
+                c.event("provider.fault").field("provider", provider.as_str()).emit();
+            }
+            if rng.below(5) == 0 {
+                clock.advance(1);
+            }
+            let bytes = [0, gen_u64(&mut rng)];
+            c.event("provider.op")
+                .field("bytes_in", bytes[rng.below(2)])
+                .field("bytes_out", bytes[rng.below(2)])
+                .field("cost", rng.pick(&[1.6e-7, 4.7e-6]))
+                .field("latency_ns", gen_u64(&mut rng))
+                .field("op", rng.pick(&["Put", "Get"]))
+                .field("provider", provider.as_str())
+                .emit();
+        }
+        drop(request);
+        c.event("replay.op").field("class", "small-read").field("round", round).emit();
+        clock.advance(rng.next() % 3);
+    }
+    c.flush();
+    let text = sink.text();
+    let records = c.ring_records();
+    assert_eq!(parse_jsonl(&text), Ok(records.clone()));
+    assert_eq!(text, write_trace(&records));
+    assert!(text.lines().count() < records.len() * 2 / 3);
 }

@@ -33,6 +33,14 @@ loc *dirs:
 drill *args:
     cargo run --release --offline -p hyrd-bench --bin drill -- {{args}}
 
+# ROADMAP item 1's gate, one row per seed: the full-length `chaos` and
+# `chaos_migrate` drills at seeds 1..8 and 42 (unrecoverable reads) and
+# the smoke `chaos_crash` drill at seeds 1..8 (durability violations),
+# then the totals. A failing claim is counted, not fatal; ≈ 2 minutes.
+drill-sweep:
+    cargo build --release --offline -p hyrd-bench
+    scripts/drill_sweep.sh target/release/drill
+
 # The paper's evaluation, regenerated and checked: every section as
 # Markdown (EXPERIMENTS.md is this output), target/experiments/paper.json,
 # exit 1 if any of the paper's claims fails.

@@ -29,6 +29,15 @@
 #   paper.md                   `paper`'s Markdown on stdout, less the
 #                              `[written …]` line (an absolute path)
 #
+# The five traces are compared by what they hold, not by how it is laid
+# out: the working tree's `trace_report --expand` prints each side's trace
+# one record per line in the plain layout, and the two expansions must be
+# identical less their `meta` records (which carry the schema number). In
+# `obs_report.txt` and `trace_report.txt` the `schema=N` the reports print
+# is masked on both sides the same way. So a change of the trace schema
+# that keeps every record passes, as any other change to the telemetry
+# path that keeps every byte does.
+#
 # Exit status: 1 when any pair differs, 0 when all are identical. A claim
 # failing on either side (drill or paper exit 1) is reported but does not
 # stop the comparison; any other failure (a panic) stops the script with
@@ -37,7 +46,7 @@
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-    sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base_rev=$1
@@ -92,13 +101,33 @@ produce() { # <side> <checkout> <target-dir>
 produce base "$base_dir" "$work/target-base"
 produce change "$root" "$work/target-change"
 
+# Each side's traces by their records, its reports less the schema they
+# name; compared under the same names in $work/out/<side>/cmp.
+normalise() { # <side>
+    local out=$work/out/$1
+    mkdir -p "$out/cmp"
+    for f in $outputs paper.md; do
+        case $f in
+            *.jsonl)
+                "$work/target-change/release/trace_report" --expand "$out/$f" |
+                    grep -v '^{"kind":"meta",' >"$out/cmp/$f" ;;
+            obs_report.txt | trace_report.txt)
+                sed -E 's/^schema=[0-9]+ clock=/schema=* clock=/' "$out/$f" >"$out/cmp/$f" ;;
+            *) cp "$out/$f" "$out/cmp/$f" ;;
+        esac
+    done
+}
+normalise base
+normalise change
+
 status=0
 for f in $outputs paper.md; do
-    if cmp -s "$work/out/base/$f" "$work/out/change/$f"; then
-        printf '%-26s identical (%s bytes)\n' "$f" "$(wc -c <"$work/out/change/$f")"
+    if cmp -s "$work/out/base/cmp/$f" "$work/out/change/cmp/$f"; then
+        printf '%-26s identical (%s bytes; base %s)\n' "$f" "$(wc -c <"$work/out/change/$f")" \
+            "$(wc -c <"$work/out/base/$f")"
     else
         printf '%-26s DIFFERS: ' "$f"
-        cmp "$work/out/base/$f" "$work/out/change/$f" || true
+        cmp "$work/out/base/cmp/$f" "$work/out/change/cmp/$f" || true
         status=1
     fi
 done
