@@ -327,7 +327,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
             offset as usize,
             data,
         )?;
-        for idx in update.missed {
+        for &idx in &update.missed {
             self.dirty.mark(path, idx);
         }
         let now = self.core.now();
@@ -419,6 +419,7 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
                 &fragments,
                 &path,
                 indices,
+                &hyrd::ecops::unverified,
                 &mut recovered,
             );
             self.dirty.put_back(&path, remaining);

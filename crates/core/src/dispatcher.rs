@@ -676,9 +676,15 @@ impl Hyrd {
             self.telemetry.inc("recovery.replays", 1);
         }
         // Phase 2b: rebuild fragments dirtied by degraded updates.
-        let lookup = {
-            let fleet = self.fleet.clone();
-            move |pid: ProviderId| fleet.get(pid).expect("fleet member").clone()
+        let lookup = |pid: ProviderId| Arc::clone(self.provider(pid));
+        // A rebuild takes only sources that do not fail their digest; a
+        // rotten one is counted like one a read meets.
+        let verify = |p: ProviderId, name: &str, bytes: &[u8]| {
+            let verdict = self.check(p, name, bytes);
+            if verdict == Verdict::Corrupt {
+                self.note_corruption(p, name);
+            }
+            verdict
         };
         let dirty_paths = self.dirty_l().paths();
         for path in dirty_paths {
@@ -703,6 +709,7 @@ impl Hyrd {
                 &fragments,
                 &path,
                 indices,
+                &verify,
                 &mut recovered,
             );
             self.dirty_l().put_back(&path, remaining);

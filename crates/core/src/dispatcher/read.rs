@@ -20,7 +20,7 @@ use super::{Hyrd, Lent, ProviderSpan, Stored};
 
 impl Hyrd {
     /// Counts a detected integrity failure and traces the object.
-    fn note_corruption(&self, id: ProviderId, object: &str) {
+    pub(crate) fn note_corruption(&self, id: ProviderId, object: &str) {
         self.counters.note_corruption();
         if self.telemetry.enabled() {
             self.telemetry
@@ -127,11 +127,11 @@ impl Hyrd {
     /// Fetches any `m` fragments (policy-ordered) and decodes. The
     /// degraded-read path is implicit: a lost data fragment simply means
     /// a parity fragment gets picked and the decode reconstructs.
-    pub(crate) fn read_erasure<'a>(
+    pub(crate) fn read_erasure(
         &self,
         path: &str,
         layout: &hyrd_gfec::FragmentLayout,
-        fragments: impl IntoIterator<Item = &'a (ProviderId, Arc<str>)>,
+        fragments: &[(ProviderId, Arc<str>)],
     ) -> SchemeResult<(Bytes, BatchReport)> {
         let ranking = match self.config.fragment_selection {
             FragmentSelection::CheapestEgress => self.evaluator.cheapest_egress_first(),
@@ -142,17 +142,15 @@ impl Hyrd {
         // degraded update), ordered by the selection policy with
         // breaker-suspect providers last.
         let now = self.now();
-        let keys: FleetList<(ProviderId, ObjectKey)> =
-            Self::keys_of(fragments.into_iter().map(|(p, name)| (*p, name)));
-        let mut candidates: FleetList<(usize, ProviderId, &ObjectKey)> = keys
+        let mut candidates: FleetList<(usize, ProviderId, ObjectKey)> = fragments
             .iter()
             .enumerate()
-            .filter(|(i, (p, key))| {
+            .map(|(i, (p, name))| (i, *p, Self::key(Arc::clone(name))))
+            .filter(|(i, p, key)| {
                 self.provider(*p).is_available()
                     && !self.log_l().is_pending(*p, key)
                     && !self.dirty_l().contains(path, *i)
             })
-            .map(|(i, (p, key))| (i, *p, key))
             .collect();
         candidates.sort_by_key(|(_, p, _)| {
             (
@@ -161,19 +159,19 @@ impl Hyrd {
             )
         });
 
-        if self.telemetry.enabled() && candidates.len() < keys.len() {
+        if self.telemetry.enabled() && candidates.len() < fragments.len() {
             // Some fragment was unreachable or stale: this read runs
             // degraded (or fails below) — worth a mark either way.
             self.telemetry
                 .event("read.degraded")
                 .field("path", path)
                 .field("reachable", candidates.len() as u64)
-                .field("total", keys.len() as u64)
+                .field("total", fragments.len() as u64)
                 .emit();
             self.telemetry.inc("read.degraded", 1);
             // One event per missing fragment so the exposure tracker can
             // attribute the degradation to a fragment and its provider.
-            for (i, (p, _)) in keys.iter().enumerate() {
+            for (i, (p, _)) in fragments.iter().enumerate() {
                 if candidates.iter().any(|(ci, _, _)| *ci == i) {
                     continue;
                 }
@@ -193,7 +191,7 @@ impl Hyrd {
                 detail: format!(
                     "{} of {} fragments reachable, need {m}",
                     candidates.len(),
-                    keys.len()
+                    fragments.len()
                 ),
             });
         }
@@ -204,7 +202,7 @@ impl Hyrd {
         let mut fanout = ReadFanout {
             hyrd: self,
             span: ProviderSpan::FetchFragment,
-            candidates: candidates.iter().map(|&(_, p, key)| (p, key)).collect(),
+            candidates: candidates.iter().map(|(_, p, key)| (*p, key)).collect(),
             expect_len: None,
         };
         let Some(outcome) = engine::fanout_read(&mut fanout, m, &self.config.hedge, self.now())

@@ -185,7 +185,8 @@ impl Hyrd {
             self.record_digest(key.name.clone(), &bytes);
             (*target, key, bytes)
         });
-        let mut ops = Vec::new();
+        // The fragments' puts, then the flush's.
+        let mut ops = Vec::with_capacity(targets.len() + self.replica_targets().len());
         let live = self.publish(writes, None, m, Some(ProviderSpan::PutFragment), &mut ops);
         if live < m {
             // Not enough survivors to make the object durable: undo —
@@ -230,8 +231,12 @@ impl Hyrd {
         let (base, lent_generation, mut batch) = match lent {
             Some((bytes, generation)) => (bytes, Some(generation), BatchReport::empty()),
             None => {
-                let (bytes, report) =
-                    self.read_replicated(path.as_str(), providers, &key, Some(size))?;
+                let (bytes, report) = self.read_replicated(
+                    path.as_str(),
+                    providers.iter().copied(),
+                    &key,
+                    Some(size),
+                )?;
                 (bytes, None, report)
             }
         };
@@ -323,17 +328,11 @@ impl Hyrd {
                 detail: format!("fragment {i} awaits recovery of {}", self.provider(*p).name()),
             });
         }
-        // The placement this update commits, and the stripe the engine
-        // below patches.
-        let fragments: Vec<(ProviderId, Arc<str>)> = fragments.into_iter().collect();
         // One engine for every code and every availability state: ranged
         // RMW when all touched providers are up, the window-decode
         // degraded path otherwise (missed fragments go dirty and are
         // rebuilt by recover_provider).
-        let lookup = {
-            let fleet = self.fleet.clone();
-            move |id: ProviderId| fleet.get(id).expect("fleet member").clone()
-        };
+        let lookup = |id: ProviderId| Arc::clone(self.provider(id));
         // The intent starts with an empty write set: it is amended with
         // the planned fragment writes *inside* the engine, after the
         // deltas are computed but before the first provider mutation, so
@@ -356,11 +355,13 @@ impl Hyrd {
             offset as usize,
             data,
             wal,
+            // The update's reads and writes, then the flush's puts.
+            Vec::with_capacity(2 * layout.n + self.replica_targets().len()),
         )?;
         let mut batch = outcome.batch;
         {
             let mut dirty = self.dirty_l();
-            for idx in outcome.missed {
+            for &idx in &outcome.missed {
                 dirty.mark(path.as_str(), idx);
             }
         }
@@ -387,6 +388,8 @@ impl Hyrd {
         self.reads_remove(path);
 
         let now = self.now();
+        // The placement this update commits: the stripe it patched.
+        let fragments = fragments.to_vec();
         self.meta.set_placement(
             path,
             Placement::ErasureCoded { layout, fragments, hot_copy: None },

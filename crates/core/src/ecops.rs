@@ -26,12 +26,15 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use hyrd_cloudsim::{Fleet, SimProvider};
-use hyrd_gcsapi::{BatchReport, CloudStorage, ObjectKey, ProviderId};
+use hyrd_gcsapi::{parallel_latency, BatchReport, CloudStorage, ObjectKey, OpReport, ProviderId};
 use hyrd_gfec::stripe::FragmentLayout;
-use hyrd_gfec::update::{apply_ranged_update_multi, parity_window, plan_update};
-use hyrd_gfec::ErasureCode;
+use hyrd_gfec::update::{
+    apply_ranged_update_into, parity_window, plan_update, Indices, UpdatePlan,
+};
+use hyrd_gfec::{ErasureCode, InlineVec, INLINE};
 use hyrd_telemetry::Collector;
 
+use crate::integrity::Verdict;
 use crate::journal::FragWrite;
 use crate::recovery::RecoveryReport;
 use crate::scheme::{SchemeError, SchemeResult};
@@ -132,10 +135,23 @@ impl DirtyFragments {
 
 /// Outcome of an erasure-coded update.
 pub struct EcUpdateOutcome {
-    /// Latency/ops of the update.
+    /// Latency/ops of the update: its reads, then its writes.
     pub batch: BatchReport,
-    /// Fragment indices that missed the write (mark these dirty).
-    pub missed: Vec<usize>,
+    /// Fragment indices that missed the write (mark these dirty), in
+    /// index order.
+    pub missed: Indices,
+}
+
+/// Judges a fetched source before a rebuild trusts it: `(provider,
+/// object name, bytes)`. HyRD passes its integrity check, which counts
+/// what it finds corrupt; a scheme that keeps no digests passes
+/// [`unverified`].
+pub type Verifier<'a> = &'a dyn Fn(ProviderId, &str, &[u8]) -> Verdict;
+
+/// The [`Verifier`] of a scheme that keeps no digests: every source is
+/// [`Verdict::Unknown`] and used as fetched.
+pub fn unverified(_: ProviderId, _: &str, _: &[u8]) -> Verdict {
+    Verdict::Unknown
 }
 
 /// Range-granular update of an erasure-coded object (see module docs).
@@ -150,7 +166,8 @@ pub fn ranged_update<C: ErasureCode + ?Sized>(
     offset: usize,
     data: &[u8],
 ) -> SchemeResult<EcUpdateOutcome> {
-    ranged_update_with(code, lookup, telemetry, layout, fragments, path, offset, data, None)
+    let (wal, ops) = (None, Vec::new());
+    ranged_update_with(code, lookup, telemetry, layout, fragments, path, offset, data, wal, ops)
 }
 
 /// [`ranged_update`] with a write-ahead hook: `wal`, when present, is
@@ -159,6 +176,15 @@ pub fn ranged_update<C: ErasureCode + ?Sized>(
 /// is computed but before the first range write is issued. The crash
 /// journal uses it to record an intent that can be rolled forward if
 /// the client dies mid-write-phase.
+///
+/// `ops` is the request's op list, empty: the update appends its reads
+/// and then its writes, reserving room for both (`2n` ops bound either
+/// path), and returns it in its batch — room the caller reserved
+/// beforehand for what it appends afterwards (a metadata flush) spares
+/// the list a second allocation. Both paths compute the new parity
+/// windows into one buffer and hand them to one write phase; every other
+/// list is inline. So the update allocates the ranges it writes and, at
+/// most, its op list.
 // `wal` is an optional borrowed callback; an alias would only rename it.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn ranged_update_with<C: ErasureCode + ?Sized>(
@@ -171,6 +197,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
     offset: usize,
     data: &[u8],
     wal: Option<&dyn Fn(&[FragWrite])>,
+    mut ops: Vec<OpReport>,
 ) -> SchemeResult<EcUpdateOutcome> {
     let _span = telemetry
         .span_with("ec.update")
@@ -179,91 +206,70 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         .field("bytes", data.len() as u64)
         .start();
     let plan = plan_update(layout, offset, data.len())?;
-    let coeffs = code.parity_coefficients();
     let (lo, hi) = parity_window(&plan.touched);
+    let width = hi - lo;
     let up = |i: usize| lookup(fragments[i].0).is_available();
 
     let all_needed_up = plan.touched.iter().all(|&(s, _, _)| up(s)) && (layout.m..layout.n).all(up);
-
-    if all_needed_up {
-        // Normal ranged RMW.
-        let mut read_ops = Vec::new();
-        let mut old_segments = Vec::with_capacity(plan.touched.len());
-        for &(shard, start, len) in &plan.touched {
-            let (pid, name) = &fragments[shard];
+    debug_assert!(ops.is_empty(), "the op list comes in empty");
+    ops.reserve(2 * layout.n);
+    let parity = if all_needed_up {
+        // Normal ranged RMW: each touched range, then each parity window.
+        let mut old: InlineVec<Bytes, INLINE> = InlineVec::new();
+        let parity_windows = (layout.m..layout.n).map(|i| (i, lo, width));
+        for (i, start, len) in plan.touched.iter().copied().chain(parity_windows) {
+            let (pid, name) = &fragments[i];
             let out = chk(lookup(*pid).get_range(&key(name), start as u64, len as u64))?;
-            read_ops.push(out.report);
-            old_segments.push(out.value);
+            ops.push(out.report);
+            old.push(out.value);
         }
-        let mut old_parities = Vec::with_capacity(layout.n - layout.m);
-        for (pid, name) in &fragments[layout.m..layout.n] {
-            let out = chk(lookup(*pid).get_range(&key(name), lo as u64, (hi - lo) as u64))?;
-            read_ops.push(out.report);
-            old_parities.push(out.value);
-        }
-
         let wall = telemetry.enabled().then(std::time::Instant::now);
-        let (new_segments, new_parities) =
-            apply_ranged_update_multi(&plan.touched, &old_segments, &old_parities, data, &coeffs)?;
+        let (segments, windows) = old.split_at(plan.touched.len());
+        let mut parity = Vec::with_capacity((layout.n - layout.m) * width);
+        apply_ranged_update_into(code, &plan.touched, segments, windows, data, &mut parity)?;
         if let Some(t0) = wall {
             telemetry.observe("ec.update_wall_ns", t0.elapsed().as_nanos() as u64);
         }
         // The old ranges are views into the stored fragments; let go of
         // them so the range writes below can patch those in place.
-        drop((old_segments, old_parities));
+        drop(old);
+        let parity = Bytes::from(parity);
+        (0..layout.n - layout.m).map(|j| parity.slice(j * width..(j + 1) * width)).collect()
+    } else {
+        degraded_windows(code, lookup, telemetry, layout, fragments, path, &plan, data, &mut ops)?
+    };
 
-        // Writes are not allowed to abort the stripe half-written: a
-        // provider that fails mid-phase (a transient burst, say) just
-        // misses the write and its fragment goes dirty, exactly like the
-        // degraded path below. The full write set is handed to the WAL
-        // hook before the first write so a crash mid-phase rolls forward.
-        let mut planned: Vec<FragWrite> =
-            Vec::with_capacity(plan.touched.len() + layout.n - layout.m);
-        for (&(shard, start, _), seg) in plan.touched.iter().zip(new_segments) {
-            let (pid, name) = &fragments[shard];
-            planned.push(FragWrite {
-                index: shard,
-                provider: *pid,
-                object: Arc::clone(name),
-                offset: start as u64,
-                bytes: Bytes::from(seg),
-            });
-        }
-        for (j, w) in new_parities.into_iter().enumerate() {
-            let idx = layout.m + j;
-            let (pid, name) = &fragments[idx];
-            planned.push(FragWrite {
-                index: idx,
-                provider: *pid,
-                object: Arc::clone(name),
-                offset: lo as u64,
-                bytes: Bytes::from(w),
-            });
-        }
-        if let Some(wal) = wal {
-            wal(&planned);
-        }
-        let mut write_ops = Vec::new();
-        let mut missed = Vec::new();
-        for w in &planned {
-            match chk(lookup(w.provider).put_range(&key(&w.object), w.offset, w.bytes.clone())) {
-                Ok(out) => write_ops.push(out.report),
-                Err(_) => {
-                    note_missed_write(telemetry, lookup, path, w);
-                    missed.push(w.index);
-                }
-            }
-        }
-        missed.sort_unstable();
-        missed.dedup();
-        return Ok(EcUpdateOutcome {
-            batch: BatchReport::parallel(read_ops).then(BatchReport::parallel(write_ops)),
-            missed,
-        });
-    }
+    let reads = ops.len();
+    let missed = write_phase(
+        lookup, telemetry, layout, fragments, path, &plan, lo, data, parity, wal, &mut ops,
+    );
+    let latency = parallel_latency(&ops[..reads]) + parallel_latency(&ops[reads..]);
+    Ok(EcUpdateOutcome { batch: BatchReport { latency, ops }, missed })
+}
 
-    // Degraded update: decode the window from any m reachable fragments.
-    let reachable: Vec<usize> = (0..layout.n).filter(|&i| up(i)).collect();
+/// The new parity windows of an update, one per parity fragment.
+type Parity = InlineVec<Bytes, INLINE>;
+
+/// The degraded update's read phase (some fragment provider in outage,
+/// but ≥ m reachable): fetch the parity window from every reachable
+/// fragment, decode the data windows, patch, recompute the parity
+/// windows. The reads go to `ops`.
+#[allow(clippy::too_many_arguments)]
+fn degraded_windows<C: ErasureCode + ?Sized>(
+    code: &C,
+    lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
+    telemetry: &Collector,
+    layout: &FragmentLayout,
+    fragments: &[(ProviderId, Arc<str>)],
+    path: &str,
+    plan: &UpdatePlan,
+    data: &[u8],
+    ops: &mut Vec<OpReport>,
+) -> SchemeResult<Parity> {
+    let (lo, hi) = parity_window(&plan.touched);
+    let width = hi - lo;
+    let reachable: Indices =
+        (0..layout.n).filter(|&i| lookup(fragments[i].0).is_available()).collect();
     if telemetry.enabled() {
         telemetry
             .event("update.degraded")
@@ -284,12 +290,11 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
             ),
         });
     }
-    let mut read_ops = Vec::new();
-    let mut fetched: Vec<(usize, Bytes)> = Vec::new();
+    let mut fetched: InlineVec<(usize, Bytes), INLINE> = InlineVec::new();
     for &i in &reachable {
         let (pid, name) = &fragments[i];
-        if let Ok(out) = chk(lookup(*pid).get_range(&key(name), lo as u64, (hi - lo) as u64)) {
-            read_ops.push(out.report);
+        if let Ok(out) = chk(lookup(*pid).get_range(&key(name), lo as u64, width as u64)) {
+            ops.push(out.report);
             fetched.push((i, out.value));
         }
     }
@@ -302,7 +307,6 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
     // Decode the data windows: the codes work positionwise, so the
     // windows of a stripe are themselves a stripe of `width`-byte shards
     // whose "object" is the m data windows back to back.
-    let width = hi - lo;
     let window_stripe =
         FragmentLayout { object_len: layout.m * width, m: layout.m, n: layout.n, shard_len: width };
     let wall = telemetry.enabled().then(std::time::Instant::now);
@@ -310,6 +314,9 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
     if let Some(t0) = wall {
         telemetry.observe("ec.update_wall_ns", t0.elapsed().as_nanos() as u64);
     }
+    // The fetched windows are views into the stored fragments; let go of
+    // them so the range writes can patch those in place.
+    drop(fetched);
 
     // Patch the new bytes into the decoded windows, then re-encode them.
     let mut consumed = 0usize;
@@ -319,59 +326,69 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         consumed += len;
     }
     // Sliced by index, not `chunks(width)`: an empty update has width 0.
-    let shards: Vec<&[u8]> =
+    let shards: InlineVec<&[u8], INLINE> =
         (0..layout.m).map(|i| &data_windows[i * width..(i + 1) * width]).collect();
-    let new_parities = code.encode(&shards)?;
-    // The fetched windows are views into the stored fragments; let go of
-    // them so the range writes below can patch those in place.
-    drop(fetched);
+    let mut rows: InlineVec<Vec<u8>, INLINE> =
+        (layout.m..layout.n).map(|_| Vec::with_capacity(width)).collect();
+    code.encode_into(&shards, &mut rows)?;
+    Ok(rows.iter_mut().map(|row| Bytes::from(std::mem::take(row))).collect())
+}
 
-    // Write back what is reachable; everything else goes dirty. As in
-    // the normal path, the WAL hook sees the full write set first.
-    let mut planned: Vec<FragWrite> = Vec::new();
+/// The write phase both update paths share. The planned writes — each
+/// touched data range, cut from one copy of `data`, then each parity
+/// window — go to the WAL hook whole, then to their providers one by
+/// one, each landed write appended to `ops`. Writes are not allowed to
+/// abort the stripe half-written: a provider that fails mid-phase (a
+/// transient burst, an outage) just misses its write and its fragment
+/// goes dirty. Returns the fragments that missed, in index order.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn write_phase(
+    lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
+    telemetry: &Collector,
+    layout: &FragmentLayout,
+    fragments: &[(ProviderId, Arc<str>)],
+    path: &str,
+    plan: &UpdatePlan,
+    lo: usize,
+    data: &[u8],
+    parity: Parity,
+    wal: Option<&dyn Fn(&[FragWrite])>,
+    ops: &mut Vec<OpReport>,
+) -> Indices {
+    let new = Bytes::copy_from_slice(data);
     let mut consumed = 0usize;
-    for &(shard, start, len) in &plan.touched {
-        let (pid, name) = &fragments[shard];
-        planned.push(FragWrite {
-            index: shard,
-            provider: *pid,
-            object: Arc::clone(name),
-            offset: start as u64,
-            bytes: Bytes::copy_from_slice(&data[consumed..consumed + len]),
-        });
+    let segments = plan.touched.iter().map(|&(shard, start, len)| {
         consumed += len;
-    }
-    for (j, w) in new_parities.into_iter().enumerate() {
-        let idx = layout.m + j;
-        let (pid, name) = &fragments[idx];
-        planned.push(FragWrite {
-            index: idx,
-            provider: *pid,
-            object: Arc::clone(name),
-            offset: lo as u64,
-            bytes: Bytes::from(w),
-        });
-    }
+        (shard, start, new.slice(consumed - len..consumed))
+    });
+    let windows = (layout.m..layout.n).zip(&parity).map(|(i, w)| (i, lo, w.clone()));
+    let planned: InlineVec<FragWrite, INLINE> = segments
+        .chain(windows)
+        .map(|(index, offset, bytes)| {
+            let (provider, object) = &fragments[index];
+            FragWrite {
+                index,
+                provider: *provider,
+                object: Arc::clone(object),
+                offset: offset as u64,
+                bytes,
+            }
+        })
+        .collect();
     if let Some(wal) = wal {
         wal(&planned);
     }
-    let mut write_ops = Vec::new();
-    let mut missed = Vec::new();
+    let mut missed = Indices::new();
     for w in &planned {
         match chk(lookup(w.provider).put_range(&key(&w.object), w.offset, w.bytes.clone())) {
-            Ok(out) => write_ops.push(out.report),
+            Ok(out) => ops.push(out.report),
             Err(_) => {
                 note_missed_write(telemetry, lookup, path, w);
                 missed.push(w.index);
             }
         }
     }
-    missed.sort_unstable();
-    missed.dedup();
-    Ok(EcUpdateOutcome {
-        batch: BatchReport::parallel(read_ops).then(BatchReport::parallel(write_ops)),
-        missed,
-    })
+    missed
 }
 
 /// Rebuilds the dirty fragments `indices` of one erasure-coded file that
@@ -381,7 +398,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
 /// `recovered`, whose batch it extends; with telemetry on it also emits
 /// `recovery.rebuild` and bumps `recovery.rebuilds`. Returns the indices
 /// that stay dirty: those on other providers and those whose rebuild
-/// failed (too few survivors).
+/// failed (too few survivors that `verify` does not call corrupt).
 #[allow(clippy::too_many_arguments)]
 pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
     code: &C,
@@ -392,6 +409,7 @@ pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
     fragments: &[(ProviderId, Arc<str>)],
     path: &str,
     indices: BTreeSet<usize>,
+    verify: Verifier,
     recovered: &mut (RecoveryReport, BatchReport),
 ) -> BTreeSet<usize> {
     let mut remaining = BTreeSet::new();
@@ -400,7 +418,7 @@ pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
             remaining.insert(idx);
             continue;
         }
-        match rebuild_fragment(code, lookup, telemetry, layout, fragments, idx, path) {
+        match rebuild_fragment(code, lookup, telemetry, layout, fragments, idx, path, verify) {
             Ok((b, bytes)) => {
                 if telemetry.enabled() {
                     telemetry
@@ -427,7 +445,11 @@ pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
 
 /// Rebuilds one fragment from `m` surviving fragments and writes it to
 /// its (returned) provider — the per-fragment unit of the consistency
-/// update. Returns the ops and the rebuilt byte count.
+/// update. Survivors are fetched in index order; one that `verify` calls
+/// [`Verdict::Corrupt`] is skipped and the next one tried, and with fewer
+/// than `m` left the rebuild fails with `DataUnavailable` and writes
+/// nothing. Returns the ops and the rebuilt byte count.
+#[allow(clippy::too_many_arguments)]
 pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
     code: &C,
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
@@ -436,6 +458,7 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
     fragments: &[(ProviderId, Arc<str>)],
     target: usize,
     path: &str,
+    verify: Verifier,
 ) -> SchemeResult<(BatchReport, u64)> {
     let _span = telemetry
         .span_with("ec.rebuild")
@@ -448,8 +471,8 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
             n: fragments.len(),
         }));
     }
-    let mut read_ops = Vec::new();
-    let mut got: Vec<(usize, Bytes)> = Vec::new();
+    let mut ops = Vec::with_capacity(layout.m + 1);
+    let mut got: InlineVec<(usize, Bytes), INLINE> = InlineVec::new();
     for (i, (pid, name)) in fragments.iter().enumerate() {
         if i == target || got.len() == layout.m {
             continue;
@@ -459,14 +482,16 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
             continue;
         }
         if let Ok(out) = chk(p.get(&key(name))) {
-            read_ops.push(out.report);
-            got.push((i, out.value));
+            ops.push(out.report);
+            if verify(*pid, name, &out.value) != Verdict::Corrupt {
+                got.push((i, out.value));
+            }
         }
     }
     if got.len() < layout.m {
         return Err(SchemeError::DataUnavailable {
             path: path.to_string(),
-            detail: format!("only {} survivors for rebuild, need {}", got.len(), layout.m),
+            detail: format!("only {} sound survivors for rebuild, need {}", got.len(), layout.m),
         });
     }
     let wall = telemetry.enabled().then(std::time::Instant::now);
@@ -477,7 +502,6 @@ pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
     let n = bytes.len() as u64;
     let (pid, name) = &fragments[target];
     let out = chk(lookup(*pid).put(&key(name), Bytes::from(bytes)))?;
-    let mut ops = read_ops;
     ops.push(out.report);
     Ok((BatchReport::serial(ops), n))
 }
@@ -544,7 +568,7 @@ mod tests {
         let patch = vec![0xABu8; 64];
         let off = Collector::disabled();
         let out = ranged_update(&code, &lookup, &off, &layout, &map, "/t", 10, &patch).unwrap();
-        assert_eq!(out.missed, vec![0], "fragment 0 missed the write");
+        assert_eq!(out.missed[..], [0], "fragment 0 missed the write");
         obj[10..74].copy_from_slice(&patch);
 
         // Survivors already encode the new content (decode avoids frag 0
@@ -552,7 +576,7 @@ mod tests {
         // restore+rebuild).
         fleet.get(victim).unwrap().restore();
         let (batch, bytes) =
-            rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/t").unwrap();
+            rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/t", &unverified).unwrap();
         assert!(bytes > 0);
         assert!(batch.op_count() >= 4, "m reads + 1 write");
         assert_eq!(read_all(&fleet, &code, &layout, &map), obj);
@@ -590,6 +614,60 @@ mod tests {
                 assert_eq!(&got[..], &oracle[i][..], "down={down:?} fragment {i}");
             }
         }
+    }
+
+    /// RS(2,4) keeps a spare survivor: a rebuild that meets a rotten
+    /// source skips it and decodes from the next one, and with no spare
+    /// left it fails and writes nothing.
+    #[test]
+    fn a_rebuild_skips_a_corrupt_source_for_a_spare_survivor() {
+        use hyrd_gfec::ReedSolomon;
+        let obj: Vec<u8> = (0..5000).map(|i| (i % 239) as u8).collect();
+        let fleet = Fleet::standard_four(SimClock::new());
+        let code = ReedSolomon::new(2, 4).unwrap();
+        let (layout, frags) = StripePlanner::new(2, 4).unwrap().split_encode(&code, &obj).unwrap();
+        let mut map = Vec::new();
+        for (index, data) in frags.iter().enumerate() {
+            let name: Arc<str> = format!("rs.f{index}").into();
+            fleet.providers()[index].put(&key(&name), Bytes::from(data.clone())).unwrap();
+            map.push((fleet.providers()[index].id(), name));
+        }
+        let lookup = |id: ProviderId| fleet.get(id).unwrap().clone();
+        let off = Collector::disabled();
+        // The writer's digests, as a verifier: fragment i must be frags[i].
+        let checked = std::cell::Cell::new(0);
+        let verify = |_: ProviderId, name: &str, bytes: &[u8]| {
+            checked.set(checked.get() + 1);
+            let i = map.iter().position(|(_, n)| &**n == name).unwrap();
+            if bytes == &frags[i][..] {
+                Verdict::Verified
+            } else {
+                Verdict::Corrupt
+            }
+        };
+        // Fragment 0 is lost; fragment 1 has rotted.
+        fleet.providers()[0].remove(&key(&map[0].1)).unwrap();
+        assert!(fleet.providers()[1].corrupt_object(&key(&map[1].1), 77));
+
+        let (batch, bytes) =
+            rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/rs", &verify).unwrap();
+        assert_eq!(checked.get(), 3, "fragments 1, 2 and 3 fetched and checked");
+        assert_eq!((batch.op_count(), bytes), (4, layout.shard_len as u64), "3 reads + 1 put");
+        let got = fleet.providers()[0].get(&key(&map[0].1)).unwrap().value;
+        assert_eq!(&got[..], &frags[0][..], "rebuilt from fragments 2 and 3");
+
+        // Unchecked, the same rebuild takes the rotten fragment 1.
+        fleet.providers()[0].remove(&key(&map[0].1)).unwrap();
+        rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/rs", &unverified).unwrap();
+        let got = fleet.providers()[0].get(&key(&map[0].1)).unwrap().value;
+        assert_ne!(&got[..], &frags[0][..], "an unverified rebuild spreads the rot");
+
+        // A second rotten source leaves one sound survivor: no rebuild.
+        fleet.providers()[0].remove(&key(&map[0].1)).unwrap();
+        assert!(fleet.providers()[2].corrupt_object(&key(&map[2].1), 5));
+        let r = rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/rs", &verify);
+        assert!(matches!(r, Err(SchemeError::DataUnavailable { .. })));
+        assert!(fleet.providers()[0].get(&key(&map[0].1)).is_err(), "nothing was written");
     }
 
     #[test]

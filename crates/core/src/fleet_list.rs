@@ -7,6 +7,8 @@
 //! no allocation; [`crate::Hyrd`] refuses a fleet larger than
 //! [`MAX_FLEET`].
 
+use hyrd_gfec::inline::{InlineVec, IntoIter};
+
 /// The most providers a client works over.
 pub const MAX_FLEET: usize = 16;
 
@@ -14,64 +16,34 @@ pub const MAX_FLEET: usize = 16;
 /// hot copy besides its fragments.
 pub const CAPACITY: usize = MAX_FLEET + 1;
 
-/// An inline list of at most [`CAPACITY`] items. Pushing past it panics:
-/// the fleet's size is checked when the client is built.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetList<T> {
-    slots: [Option<T>; CAPACITY],
-    len: usize,
-}
+/// An inline list of at most [`CAPACITY`] items: `hyrd_gfec`'s
+/// [`InlineVec`] at the fleet's capacity — the same list the decoder and
+/// the ranged update keep their plans in — with the bound checked. It
+/// derefs to a slice. Pushing past the bound panics: the fleet's size is
+/// checked when the client is built.
+#[derive(Debug, Clone)]
+pub struct FleetList<T>(InlineVec<T, CAPACITY>);
 
 impl<T> FleetList<T> {
     /// An empty list.
-    pub fn new() -> Self {
-        FleetList { slots: [const { None }; CAPACITY], len: 0 }
+    pub const fn new() -> Self {
+        FleetList(InlineVec::new())
     }
 
     /// Appends `item`.
     pub fn push(&mut self, item: T) {
-        assert!(self.len < CAPACITY, "a fleet list holds at most {CAPACITY} items");
-        self.slots[self.len] = Some(item);
-        self.len += 1;
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The items in order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + Clone + '_ {
-        self.slots[..self.len].iter().flatten()
-    }
-
-    /// Item `index`, if there is one.
-    pub fn get(&self, index: usize) -> Option<&T> {
-        self.slots[..self.len].get(index)?.as_ref()
+        assert!(self.len() < CAPACITY, "a fleet list holds at most {CAPACITY} items");
+        self.0.push(item);
     }
 
     /// Removes the last item.
     pub fn pop(&mut self) -> Option<T> {
-        self.len = self.len.checked_sub(1)?;
-        self.slots[self.len].take()
+        self.0.pop()
     }
 
     /// Removes item `index`, moving the last item into its place.
     pub fn swap_remove(&mut self, index: usize) -> T {
-        assert!(index < self.len, "index {index} out of a list of {}", self.len);
-        self.len -= 1;
-        self.slots.swap(index, self.len);
-        self.slots[self.len].take().expect("slots below len are filled")
-    }
-
-    /// Sorts the items by `key`, stably.
-    pub fn sort_by_key<K: Ord>(&mut self, mut key: impl FnMut(&T) -> K) {
-        self.slots[..self.len].sort_by_key(|slot| key(slot.as_ref().expect("filled")));
+        self.0.swap_remove(index)
     }
 }
 
@@ -81,11 +53,17 @@ impl<T> Default for FleetList<T> {
     }
 }
 
-impl<T> std::ops::Index<usize> for FleetList<T> {
-    type Output = T;
+impl<T> std::ops::Deref for FleetList<T> {
+    type Target = [T];
 
-    fn index(&self, index: usize) -> &T {
-        self.get(index).unwrap_or_else(|| panic!("index {index} out of a list of {}", self.len))
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for FleetList<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.0
     }
 }
 
@@ -99,19 +77,19 @@ impl<T> FromIterator<T> for FleetList<T> {
 
 impl<T> IntoIterator for FleetList<T> {
     type Item = T;
-    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<T>, CAPACITY>>;
+    type IntoIter = IntoIter<T, CAPACITY>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.slots.into_iter().flatten()
+        self.0.into_iter()
     }
 }
 
 impl<'a, T> IntoIterator for &'a FleetList<T> {
     type Item = &'a T;
-    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Option<T>>>;
+    type IntoIter = std::slice::Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.slots[..self.len].iter().flatten()
+        self.iter()
     }
 }
 

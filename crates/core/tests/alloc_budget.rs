@@ -11,7 +11,10 @@
 //!   and nothing payload-sized besides;
 //! * a ranged update allocates the ranges it writes, never the fragments
 //!   it patches (the provider patches a stored fragment in place as long
-//!   as nobody still holds a view of it).
+//!   as nobody still holds a view of it);
+//! * and each of them, and a fragment rebuild, in a pinned number of
+//!   allocations: the erasure-coded path keeps its decode plans and
+//!   ranged-update lists on the stack (DESIGN.md §8.1).
 //!
 //! **Small objects** (DESIGN.md §7, §11, §15): create, 4 KiB update,
 //! read, list and delete of a 4 KB replicated file on a quiet fleet,
@@ -61,7 +64,7 @@ use hyrd::telemetry::{
 };
 use hyrd::{Hyrd, IntegrityIndex, Scheme, SchemeResult, Verdict};
 use hyrd_cloudsim::{Fleet, SimClock};
-use hyrd_gcsapi::BatchReport;
+use hyrd_gcsapi::{BatchReport, CloudStorage};
 use hyrd_workloads::FsOp;
 
 /// System allocator that counts the calls made to it and adds up the
@@ -556,8 +559,9 @@ fn large_object_ops_allocate_what_they_produce() {
     h.create_file("/warm.bin", &data).expect("fleet up");
     h.read_file("/warm.bin").expect("fleet up");
 
-    let (create, r) = requested_by(|| h.create_file("/big.bin", &data));
+    let (create_cost, r) = cost_of(|| h.create_file("/big.bin", &data));
     r.expect("fleet up");
+    let (create_allocs, create) = (create_cost.allocs, create_cost.bytes);
     let budget = len as u64 * n / m + SLACK;
     assert!(create < budget, "create of {len} B requested {create} B (budget {budget})");
     // Measured: 4.05 MiB — the fragments plus 37 KiB of digest tables,
@@ -571,8 +575,9 @@ fn large_object_ops_allocate_what_they_produce() {
     assert!(healthy < budget, "healthy read of {len} B requested {healthy} B (budget {budget})");
 
     let patch = synth_content("/big.bin", 1, 64 * 1024);
-    let (update, r) = requested_by(|| h.update_file("/big.bin", 1_000, &patch));
+    let (update_cost, r) = cost_of(|| h.update_file("/big.bin", 1_000, &patch));
     r.expect("fleet up");
+    let (update_allocs, update) = (update_cost.allocs, update_cost.bytes);
     let update_budget = 2 * patch.len() as u64 + SLACK;
     assert!(update < update_budget, "64 KiB update requested {update} B (budget {update_budget})");
     let data = [&data[..1_000], &patch[..], &data[1_000 + patch.len()..]].concat();
@@ -593,16 +598,72 @@ fn large_object_ops_allocate_what_they_produce() {
     assert_eq!(report.op_count(), m as usize, "m fragments fetched");
     assert!(degraded < budget, "degraded read of {len} B requested {degraded} B (budget {budget})");
     assert_eq!(Vec::from(bytes).capacity(), len, "the object is allocated once, at its length");
-    // Allocations: the path, the list of provider ops and the object's
-    // `Bytes` handle; the inode is lent, each fragment key shares its
-    // name and the fan-out's lists are inline. The other thirteen are
-    // the decoder's: the object and the bookkeeping of its coefficient
-    // matrix and its inverse, which a healthy read builds too.
-    assert_eq!(healthy_allocs, 16, "allocations of a healthy read of {len} B");
-    assert_eq!(degraded_allocs, 16, "allocations of a degraded read of {len} B");
+
+    // A degraded update over fragment 0's window misses fragment 0, and
+    // the consistency update rebuilds it when its provider returns.
+    let (degraded_update, r) = cost_of(|| h.update_file("/big.bin", 2_000, &patch));
+    r.expect("one outage is tolerated");
+    assert_eq!(h.pending_dirty_fragments(), 1, "fragment 0 missed the update");
+    let data = [&data[..2_000], &patch[..], &data[2_000 + patch.len()..]].concat();
+    holder.restore();
+    let (rebuild, r) = cost_of(|| h.recover_provider(CloudStorage::id(holder.as_ref())));
+    r.expect("the provider is back");
+    assert_eq!(h.pending_dirty_fragments(), 0, "fragment 0 was rebuilt");
+    assert_eq!(&h.read_file("/big.bin").expect("fleet up").0[..], &data[..]);
+    // Across the boundary of fragments 0 and 1: two data ranges, one copy.
+    let across = (len / 3 - 1_000) as u64;
+    let (crossing, r) = cost_of(|| h.update_file("/big.bin", across, &patch));
+    r.expect("fleet up");
+
+    // Exact allocation counts. Every op parses its path into one shared
+    // string and returns one list of provider ops, sized up front for
+    // the op's own ops and its metadata flush; a flush (create, update)
+    // ships its diff bytes in a `Bytes` handle under the diff's new
+    // object name, and encodes the changed inode's name in its own buffer.
+    // The inode is lent, each fragment key shares its name, and every
+    // plan and scratch list of the erasure-coded path — the decoder's
+    // fragment table, basis and inverse, an update's touched ranges,
+    // fetched windows and planned writes, a rebuild's survivors — is
+    // inline. Besides:
+    //
+    // * read (4), healthy or degraded: the object and its `Bytes` handle;
+    // * 64 KiB update (13): the placement's fragment list, one copy of
+    //   the new bytes and one buffer of the new parity window, each with
+    //   its `Bytes` handle, and — simulator-side — each patched
+    //   fragment's new handle: one more (14) across a shard boundary,
+    //   where two data ranges, cut from the one copy, patch two fragments;
+    // * degraded 64 KiB update (17): as above, but the data windows are
+    //   decoded (one buffer) before the parity window is encoded, only
+    //   the parity fragment is patched, the missed fragment's dirty mark
+    //   costs its path and two tree nodes, and the flush's put to the
+    //   down provider is logged for replay;
+    // * create (32): the inode, the object's and four fragments' names,
+    //   the placement's fragment list, the list of fragments, the four
+    //   fragments each with a `Bytes` handle and a digest table, the
+    //   digest index growing, three buffers of the flushed frame's edit,
+    //   and the simulator's two new map nodes;
+    // * one-fragment rebuild through `recover_provider` (9 all told, no
+    //   path of its own to parse): the replay's
+    //   list, the dirty paths and their list, the dirty path parsed, the
+    //   inode, the rebuild's op list, the fragment and its `Bytes`
+    //   handle, and the recovery batch taking the rebuild's ops.
+    let pins = [
+        ("healthy read", healthy_allocs, 4),
+        ("degraded read", degraded_allocs, 4),
+        ("64 KiB update", update_allocs, 13),
+        ("64 KiB update across a shard boundary", crossing.allocs, 14),
+        ("degraded 64 KiB update", degraded_update.allocs, 17),
+        ("create", create_allocs, 32),
+        ("one-fragment rebuild", rebuild.allocs, 9),
+    ];
     println!(
-        "{len} B object: create {create} B, healthy read {healthy} B in {healthy_allocs} \
-         allocations, 64 KiB update {update} B, degraded read {degraded} B in {degraded_allocs} \
-         allocations"
+        "{len} B object: create {create} B, healthy read {healthy} B, 64 KiB update {update} B, \
+         degraded read {degraded} B, degraded update {} B, rebuild {} B; allocations {:?}",
+        degraded_update.bytes,
+        rebuild.bytes,
+        pins.map(|(op, allocs, _)| (op, allocs))
     );
+    for (op, allocs, pin) in pins {
+        assert_eq!(allocs, pin, "allocations of a {op} of a {len} B object");
+    }
 }

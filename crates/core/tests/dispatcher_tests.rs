@@ -270,6 +270,47 @@ fn update_during_outage_takes_degraded_path_and_recovers() {
     assert_eq!(&bytes[..], &content[..]);
 }
 
+/// The consistency update rebuilds a dirty fragment only from sources
+/// that pass their digest. Here a survivor rots after a scrub has
+/// re-recorded the digests a degraded update dropped: the rebuild counts
+/// it as a corruption and skips it, too few sound survivors remain, so
+/// the fragment stays dirty and the read is a typed error — not the
+/// pre-rebuild bytes decoded from the rotten copy.
+#[test]
+fn recovery_does_not_rebuild_a_fragment_from_a_corrupt_survivor() {
+    let fleet = fleet();
+    let h = hyrd(&fleet);
+    h.create_file("/big", &synth_content("/big", 0, 3 * MB)).unwrap();
+    let name = |i: usize| format!("{}.f{i}", hyrd::scheme::object_name("/big"));
+    let holder = |i: usize| {
+        let name = name(i);
+        let found = fleet.providers().iter().find(|p| {
+            p.object_inventory(Fleet::CONTAINER).iter().any(|(object, _)| *object == name)
+        });
+        found.expect("every fragment is stored").clone()
+    };
+
+    // Fragment 0 misses a 64 KiB update over its own window.
+    let returning = holder(0);
+    returning.force_down();
+    h.update_file("/big", 1_000, &synth_content("/big", 1, 64 * KB)).unwrap();
+    assert_eq!(h.pending_dirty_fragments(), 1);
+    let (scrubbed, _) = h.scrub().unwrap();
+    assert_eq!(scrubbed.digests_refreshed, 3, "the survivors' digests are on record again");
+
+    // The provider returns; survivor 1 has rotted meanwhile.
+    returning.restore();
+    let key = ObjectKey::new(Fleet::CONTAINER, name(1));
+    assert!(holder(1).corrupt_object(&key, 12_345));
+    let corrupt_before = h.fault_counters().corrupt_gets;
+    h.recover_provider(returning.id()).unwrap();
+    assert_eq!(h.pending_dirty_fragments(), 1, "fragment 0 stays dirty");
+    assert_eq!(h.fault_counters().corrupt_gets, corrupt_before + 1, "the rot was counted");
+
+    let read = h.read_file("/big");
+    assert!(matches!(read, Err(SchemeError::DataUnavailable { .. })), "{read:?}");
+}
+
 #[test]
 fn empty_update_of_a_large_file_is_harmless_through_any_outage() {
     let fleet = fleet();

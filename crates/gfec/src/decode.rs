@@ -21,30 +21,31 @@
 //! once and each output byte stored once, into the buffer's spare
 //! capacity: no zero fill, no second visit (DESIGN.md §8.1).
 
-use std::cell::OnceCell;
-
 use crate::gf256::{combine_into, combine_window, Gf256, Kernel, Term, FUSED_BLOCK};
-use crate::matrix::Matrix;
+use crate::inline::{InlineVec, INLINE};
+use crate::matrix::invert_into;
 use crate::stripe::FragmentLayout;
 use crate::{ErasureCode, GfecError, Result};
 
+/// A square matrix over the basis, row-major: `INLINE x INLINE` in place.
+type Square = InlineVec<u8, { INLINE * INLINE }>;
+
 /// A validated set of borrowed fragments of one stripe, ready to produce
-/// any fragment of that stripe.
+/// any fragment of that stripe: the decode plan for the `m` fragments
+/// that arrived. It lives on the stack of the read that uses it — its
+/// tables are inline up to [`INLINE`] fragments — and borrows the code's
+/// parity rows, so building one allocates nothing.
 pub(crate) struct Decoder<'a, C: ErasureCode + ?Sized> {
     code: &'a C,
     m: usize,
     n: usize,
-    by_index: Vec<Option<&'a [u8]>>,
-    /// Generator rows of the parity fragments (row `j` makes fragment
-    /// `m + j`); data fragment `i`'s row is the unit vector `e_i`.
-    /// Fetched on first use: a healthy read never asks.
-    parity_rows: OnceCell<Vec<Vec<Gf256>>>,
+    by_index: InlineVec<Option<&'a [u8]>, INLINE>,
     /// The `m` present fragments every absent one is computed from:
     /// lowest indices first, so data before parity.
-    basis: Vec<usize>,
-    /// Inverse of the basis fragments' generator rows; `None` when the
+    basis: InlineVec<usize, INLINE>,
+    /// Inverse of the basis fragments' generator rows; empty when the
     /// basis is the data fragments themselves (the identity).
-    inverse: Option<Matrix>,
+    inverse: Square,
 }
 
 impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
@@ -59,7 +60,8 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
         if available.len() < m {
             return Err(GfecError::NotEnoughFragments { have: available.len(), need: m });
         }
-        let mut by_index: Vec<Option<&'a [u8]>> = vec![None; n];
+        let mut by_index: InlineVec<Option<&'a [u8]>, INLINE> =
+            std::iter::repeat_n(None, n).collect();
         for (index, bytes) in available {
             let (index, bytes) = (*index, bytes.as_ref());
             if index >= n {
@@ -76,16 +78,17 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
             }
             by_index[index] = Some(bytes);
         }
-        let basis: Vec<usize> = (0..n).filter(|&i| by_index[i].is_some()).take(m).collect();
-        let mut decoder =
-            Decoder { code, m, n, by_index, parity_rows: OnceCell::new(), basis, inverse: None };
+        let basis = (0..n).filter(|&i| by_index[i].is_some()).take(m).collect();
+        let mut decoder = Decoder { code, m, n, by_index, basis, inverse: Square::new() };
         if decoder.basis.iter().copied().ne(0..m) {
-            let rows: Vec<Vec<u8>> = decoder
+            let mut rows: Square = decoder
                 .basis
                 .iter()
-                .map(|&i| (0..m).map(|col| decoder.generator(i, col).0).collect())
+                .flat_map(|&i| (0..m).map(move |col| (i, col)))
+                .map(|(i, col)| decoder.generator(i, col).0)
                 .collect();
-            decoder.inverse = Some(Matrix::from_rows(&rows).invert()?);
+            decoder.inverse = std::iter::repeat_n(0, m * m).collect();
+            invert_into(&mut rows, &mut decoder.inverse, m)?;
         }
         Ok(decoder)
     }
@@ -95,8 +98,7 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
         if index < self.m {
             Gf256(u8::from(index == col))
         } else {
-            let rows = self.parity_rows.get_or_init(|| self.code.parity_coefficients());
-            rows[index - self.m][col]
+            self.code.parity_row(index - self.m)[col]
         }
     }
 
@@ -108,11 +110,12 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
             .iter()
             .enumerate()
             .map(move |(j, &i)| {
-                let c = match &self.inverse {
-                    None => self.generator(index, j),
-                    Some(inverse) => (0..self.m).fold(Gf256::ZERO, |acc, k| {
-                        acc + self.generator(index, k) * inverse.get(k, j)
-                    }),
+                let c = if self.inverse.is_empty() {
+                    self.generator(index, j)
+                } else {
+                    (0..self.m).fold(Gf256::ZERO, |acc, k| {
+                        acc + self.generator(index, k) * Gf256(self.inverse[k * self.m + j])
+                    })
                 };
                 (c, self.by_index[i].expect("basis fragments are present"))
             })
@@ -125,7 +128,10 @@ impl<'a, C: ErasureCode + ?Sized> Decoder<'a, C> {
     pub(crate) fn append(&self, index: usize, take: usize, out: &mut Vec<u8>) {
         match self.by_index[index] {
             Some(src) => out.extend_from_slice(&src[..take]),
-            None => combine_into(out, take, &self.terms(index).collect::<Vec<_>>()),
+            None => {
+                let terms: InlineVec<_, INLINE> = self.terms(index).collect();
+                combine_into(out, take, &terms);
+            }
         }
     }
 }
@@ -190,8 +196,10 @@ pub fn decode_object_with<C: ErasureCode + ?Sized, B: AsRef<[u8]>>(
     // The fragments bound the allocation, whatever the layout claims.
     let len = layout.object_len.min(m * shard_len);
     let absent = (0..m).filter(|&shard| decoder.by_index[shard].is_none());
-    // Every absent shard's terms in one list, shard by shard.
-    let mut parts = Vec::with_capacity(absent.clone().count() * m);
+    // Every absent shard's terms in one list, shard by shard: at most
+    // `m` for each of at most `n - m` absent shards, so `n² / 4` in all,
+    // which is inline up to `INLINE` fragments.
+    let mut parts: InlineVec<Part, { INLINE * INLINE / 4 }> = InlineVec::new();
     for shard in absent.clone() {
         parts.extend(decoder.terms(shard).map(|(coefficient, source)| Part {
             shard,

@@ -64,6 +64,21 @@ pub static EXP: [u8; 512] = TABLES.0;
 /// `LOG[a] = log_g a` for `a in 1..=255`; `LOG[0]` is unused and 0.
 pub static LOG: [u8; 256] = TABLES.1;
 
+/// The all-ones parity row, as long as a code over GF(2^8) can be: XOR
+/// parity's coefficients, lent by RAID5 and RAID6's P.
+pub(crate) static ONES: [Gf256; 255] = [Gf256::ONE; 255];
+
+/// `POWERS[i] = g^i`: RAID6's Q row, lent like [`ONES`].
+pub(crate) static POWERS: [Gf256; 255] = {
+    let mut powers = [Gf256::ZERO; 255];
+    let mut i = 0;
+    while i < 255 {
+        powers[i] = Gf256(TABLES.0[i]);
+        i += 1;
+    }
+    powers
+};
+
 /// An element of GF(2^8).
 ///
 /// Addition is XOR; multiplication goes through the log/exp tables. The

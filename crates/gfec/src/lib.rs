@@ -20,6 +20,8 @@
 //!   `(index, &[u8])` views and the object (or one rebuilt fragment)
 //!   goes out in a single buffer written once.
 //! * [`parallel`] — owned-shard adapters over the encode and decode cores.
+//! * [`inline`] — the list a plan keeps on the stack, one entry per
+//!   fragment, spilling to the heap only for codes wider than a fleet.
 //!
 //! The code-rate terminology follows the paper (§II-B): a code that splits
 //! an object into `m` data fragments and stores `n` total fragments has
@@ -27,6 +29,7 @@
 
 pub mod decode;
 pub mod gf256;
+pub mod inline;
 pub mod matrix;
 pub mod parallel;
 pub mod raid5;
@@ -37,6 +40,7 @@ pub mod update;
 
 pub use decode::{decode_object, decode_object_with, rebuild_fragment};
 pub use gf256::Gf256;
+pub use inline::{InlineVec, INLINE};
 pub use matrix::Matrix;
 pub use raid5::Raid5;
 pub use raid6::Raid6;
@@ -173,13 +177,23 @@ pub trait ErasureCode: Send + Sync {
         Ok(parity)
     }
 
-    /// The parity generator coefficients: `coeffs[j][i]` is the factor
-    /// applied to data shard `i` when computing parity shard `j`
-    /// (`parity_j[pos] = sum_i coeffs[j][i] * data_i[pos]`). Because every
-    /// code here is linear and positionwise, these coefficients also
-    /// drive *range-granular* parity updates:
+    /// Parity row `j < n - m`, lent: entry `i` is the factor applied to
+    /// data shard `i` when computing parity shard `m + j`
+    /// (`parity_j[pos] = sum_i row_j[i] * data_i[pos]`). Each code builds
+    /// its rows once — RAID5 and RAID6 at compile time, Reed-Solomon at
+    /// construction — so asking costs nothing. Because every code here is
+    /// linear and positionwise, these coefficients also drive
+    /// *range-granular* parity updates:
     /// `P_j'[pos] = P_j[pos] + c_ji * (old_i[pos] + new_i[pos])`.
-    fn parity_coefficients(&self) -> Vec<Vec<gf256::Gf256>>;
+    ///
+    /// # Panics
+    /// Panics if `j >= n - m`.
+    fn parity_row(&self, j: usize) -> &[gf256::Gf256];
+
+    /// Every parity row, copied out: `coeffs[j]` is [`Self::parity_row`]`(j)`.
+    fn parity_coefficients(&self) -> Vec<Vec<gf256::Gf256>> {
+        (0..self.parity_fragments()).map(|j| self.parity_row(j).to_vec()).collect()
+    }
 
     /// Number of parity fragments `n - m`.
     fn parity_fragments(&self) -> usize {

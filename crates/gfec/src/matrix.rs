@@ -143,60 +143,9 @@ impl Matrix {
     /// matrix has no inverse.
     pub fn invert(&self) -> Result<Matrix> {
         assert_eq!(self.rows, self.cols, "only square matrices invert");
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = Matrix::identity(n);
-
-        for col in 0..n {
-            // Partial pivot: find a nonzero entry at or below the diagonal.
-            let pivot =
-                (col..n).find(|&r| a.get(r, col).0 != 0).ok_or(GfecError::SingularMatrix)?;
-            if pivot != col {
-                a.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
-            }
-            // Scale pivot row to make the diagonal 1.
-            let p = a.get(col, col).inv();
-            a.scale_row(col, p);
-            inv.scale_row(col, p);
-            // Eliminate the column everywhere else.
-            for r in 0..n {
-                if r == col {
-                    continue;
-                }
-                let f = a.get(r, col);
-                if f.0 == 0 {
-                    continue;
-                }
-                a.add_scaled_row(r, col, f);
-                inv.add_scaled_row(r, col, f);
-            }
-        }
+        let mut inv = Matrix::zero(self.rows, self.cols);
+        invert_into(&mut self.data.clone(), &mut inv.data, self.rows)?;
         Ok(inv)
-    }
-
-    fn swap_rows(&mut self, r1: usize, r2: usize) {
-        if r1 == r2 {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(r1 * self.cols + c, r2 * self.cols + c);
-        }
-    }
-
-    fn scale_row(&mut self, r: usize, f: Gf256) {
-        for c in 0..self.cols {
-            let v = self.get(r, c);
-            self.set(r, c, v * f);
-        }
-    }
-
-    /// `row[dst] += f * row[src]`.
-    fn add_scaled_row(&mut self, dst: usize, src: usize, f: Gf256) {
-        for c in 0..self.cols {
-            let v = self.get(dst, c) + f * self.get(src, c);
-            self.set(dst, c, v);
-        }
     }
 
     /// Multiplies this matrix by a set of equal-length data shards:
@@ -254,6 +203,45 @@ impl std::fmt::Display for Matrix {
         }
         Ok(())
     }
+}
+
+/// Gauss-Jordan inversion of the row-major `n x n` matrix `a`, which the
+/// elimination consumes, into `inv` (`n * n` bytes, overwritten) — the
+/// one inversion behind [`Matrix::invert`] and the decoder's plan, which
+/// keeps both on the stack. `GfecError::SingularMatrix` if `a` has no
+/// inverse.
+pub(crate) fn invert_into(a: &mut [u8], inv: &mut [u8], n: usize) -> Result<()> {
+    assert!(a.len() == n * n && inv.len() == n * n, "square matrices of side {n}");
+    for (i, v) in inv.iter_mut().enumerate() {
+        *v = u8::from(i / n == i % n);
+    }
+    let at = |r: usize, c: usize| r * n + c;
+    for col in 0..n {
+        // Partial pivot: find a nonzero entry at or below the diagonal.
+        let pivot = (col..n).find(|&r| a[at(r, col)] != 0).ok_or(GfecError::SingularMatrix)?;
+        for c in 0..n {
+            a.swap(at(pivot, c), at(col, c));
+            inv.swap(at(pivot, c), at(col, c));
+        }
+        // Scale the pivot row to make the diagonal 1.
+        let p = Gf256(a[at(col, col)]).inv();
+        for c in 0..n {
+            a[at(col, c)] = (Gf256(a[at(col, c)]) * p).0;
+            inv[at(col, c)] = (Gf256(inv[at(col, c)]) * p).0;
+        }
+        // Eliminate the column everywhere else: `row[r] += f * row[col]`.
+        for r in (0..n).filter(|&r| r != col) {
+            let f = Gf256(a[at(r, col)]);
+            if f.0 == 0 {
+                continue;
+            }
+            for c in 0..n {
+                a[at(r, c)] ^= (f * Gf256(a[at(col, c)])).0;
+                inv[at(r, c)] ^= (f * Gf256(inv[at(col, c)])).0;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

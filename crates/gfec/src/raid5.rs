@@ -10,7 +10,7 @@
 //!    parity in, new data + new parity out), exactly the 4-access
 //!    amplification quoted for RACS in §I.
 
-use crate::gf256::{combine_into, Gf256};
+use crate::gf256::{combine_into, Gf256, ONES};
 use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// XOR-parity erasure code with `m` data fragments and one parity.
@@ -61,8 +61,9 @@ impl ErasureCode for Raid5 {
         Ok(())
     }
 
-    fn parity_coefficients(&self) -> Vec<Vec<Gf256>> {
-        vec![vec![Gf256::ONE; self.m]]
+    fn parity_row(&self, j: usize) -> &[Gf256] {
+        assert_eq!(j, 0, "RAID5 has one parity row");
+        &ONES[..self.m]
     }
 }
 

@@ -8,7 +8,8 @@
 //! `Q = sum_i g^i * D_i` over GF(2^8) — the classic Anvin construction
 //! used by Linux md.
 
-use crate::gf256::{combine_into, Gf256};
+use crate::gf256::{combine_into, Gf256, ONES, POWERS};
+use crate::inline::{InlineVec, INLINE};
 use crate::{check_encode_shapes, ErasureCode, GfecError, Result};
 
 /// Double-parity erasure code: `m` data fragments, parity fragments P
@@ -40,16 +41,16 @@ impl ErasureCode for Raid6 {
     fn encode_into(&self, shards: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<()> {
         let len = check_encode_shapes(self, shards, parity)?;
         // P, then Q: each row appended in one lockstep pass over the shards.
-        for (row, coeffs) in parity.iter_mut().zip(self.parity_coefficients()) {
-            let terms: Vec<(Gf256, &[u8])> =
-                coeffs.into_iter().zip(shards.iter().copied()).collect();
+        for (j, row) in parity.iter_mut().enumerate() {
+            let terms: InlineVec<(Gf256, &[u8]), INLINE> =
+                self.parity_row(j).iter().copied().zip(shards.iter().copied()).collect();
             combine_into(row, len, &terms);
         }
         Ok(())
     }
 
-    fn parity_coefficients(&self) -> Vec<Vec<Gf256>> {
-        vec![vec![Gf256::ONE; self.m], (0..self.m).map(Gf256::exp).collect()]
+    fn parity_row(&self, j: usize) -> &[Gf256] {
+        [&ONES[..self.m], &POWERS[..self.m]][j]
     }
 }
 

@@ -48,6 +48,9 @@ pub struct ReedSolomon {
     /// every encode goes straight into the fused kernel without an
     /// allocating `select_rows` per call.
     parity_matrix: Matrix,
+    /// The same rows as field elements, row-major, for
+    /// [`ErasureCode::parity_row`] to lend.
+    parity_rows: Vec<Gf256>,
 }
 
 impl ReedSolomon {
@@ -86,7 +89,9 @@ impl ReedSolomon {
             }
         };
         let parity_matrix = encode_matrix.select_rows(&(m..n).collect::<Vec<_>>());
-        Ok(ReedSolomon { m, n, encode_matrix, parity_matrix })
+        let parity_rows =
+            (0..n - m).flat_map(|r| parity_matrix.row(r)).map(|&c| Gf256(c)).collect();
+        Ok(ReedSolomon { m, n, encode_matrix, parity_matrix, parity_rows })
     }
 
     /// The full `n x m` encode matrix (top `m` rows are the identity).
@@ -127,10 +132,8 @@ impl ErasureCode for ReedSolomon {
         Ok(())
     }
 
-    fn parity_coefficients(&self) -> Vec<Vec<Gf256>> {
-        (self.m..self.n)
-            .map(|r| (0..self.m).map(|c| self.encode_matrix.get(r, c)).collect())
-            .collect()
+    fn parity_row(&self, j: usize) -> &[Gf256] {
+        &self.parity_rows[j * self.m..(j + 1) * self.m]
     }
 }
 

@@ -8,6 +8,8 @@
 //! updates cheap to plan, and lets large reads fan out one Get per
 //! provider in parallel (the paper's latency argument for large files).
 
+use crate::inline::{InlineVec, INLINE};
+use crate::update::Touched;
 use crate::{ErasureCode, GfecError, Result};
 
 /// The geometry of one encoded object: everything needed to split, join
@@ -52,18 +54,11 @@ impl FragmentLayout {
 
     /// Maps an absolute byte range of the object to the set of data
     /// shards it touches, as `(shard_index, start_within_shard, len)`.
-    pub fn shards_for_range(
-        &self,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<(usize, usize, usize)>> {
+    pub fn shards_for_range(&self, offset: usize, len: usize) -> Result<Touched> {
         if offset + len > self.object_len {
             return Err(GfecError::RangeOutOfBounds { offset, len, object: self.object_len });
         }
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
+        let mut out = Touched::new();
         let mut pos = offset;
         let end = offset + len;
         while pos < end {
@@ -153,7 +148,7 @@ impl StripePlanner {
         let len = fragments[0].len();
         fragments.extend((self.m..self.n).map(|_| Vec::with_capacity(len)));
         let (data, parity) = fragments.split_at_mut(self.m);
-        let shards: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let shards: InlineVec<&[u8], INLINE> = data.iter().map(Vec::as_slice).collect();
         code.encode_into(&shards, parity)
     }
 

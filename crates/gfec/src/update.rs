@@ -8,23 +8,33 @@
 //! applies the update given those fragments — so both the simulator and
 //! the real dispatcher share one authoritative amplification model.
 
-use crate::gf256::{combine_acc, Gf256};
+use crate::gf256::combine_acc;
+use crate::inline::{InlineVec, INLINE};
+use crate::raid5::Raid5;
 use crate::stripe::FragmentLayout;
-use crate::{GfecError, Result};
+use crate::{ErasureCode, GfecError, Result};
+
+/// Fragment indices, inline up to [`INLINE`].
+pub type Indices = InlineVec<usize, INLINE>;
+
+/// The byte sub-ranges of the data shards an update touches, inline:
+/// `(shard, start, len)`, in shard order.
+pub type Touched = InlineVec<(usize, usize, usize), INLINE>;
 
 /// The I/O plan for one byte-range update of an erasure-coded object.
+/// Its lists are inline, so planning allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdatePlan {
     /// Data-shard indices whose old contents must be read.
-    pub reads: Vec<usize>,
+    pub reads: Indices,
     /// Parity fragment indices that must be read (old parity for RMW).
-    pub parity_reads: Vec<usize>,
+    pub parity_reads: Indices,
     /// Data-shard indices that will be rewritten.
-    pub writes: Vec<usize>,
+    pub writes: Indices,
     /// Parity fragment indices that will be rewritten.
-    pub parity_writes: Vec<usize>,
+    pub parity_writes: Indices,
     /// The byte sub-ranges of each touched shard: `(shard, start, len)`.
-    pub touched: Vec<(usize, usize, usize)>,
+    pub touched: Touched,
 }
 
 impl UpdatePlan {
@@ -53,29 +63,14 @@ impl UpdatePlan {
 /// parity must be read and rewritten.
 pub fn plan_update(layout: &FragmentLayout, offset: usize, len: usize) -> Result<UpdatePlan> {
     let touched = layout.shards_for_range(offset, len)?;
-    let shards: Vec<usize> = touched.iter().map(|&(s, _, _)| s).collect();
-    let parity: Vec<usize> = (layout.m..layout.n).collect();
+    let shards: Indices = touched.iter().map(|&(s, _, _)| s).collect();
+    let parity: Indices = (layout.m..layout.n).collect();
 
     let full_rewrite = shards.len() == layout.m
         && touched.iter().all(|&(_, start, l)| start == 0 && l == layout.shard_len);
-
-    if full_rewrite {
-        Ok(UpdatePlan {
-            reads: Vec::new(),
-            parity_reads: Vec::new(),
-            writes: shards,
-            parity_writes: parity,
-            touched,
-        })
-    } else {
-        Ok(UpdatePlan {
-            reads: shards.clone(),
-            parity_reads: parity.clone(),
-            writes: shards,
-            parity_writes: parity,
-            touched,
-        })
-    }
+    let (reads, parity_reads) =
+        if full_rewrite { Default::default() } else { (shards.clone(), parity.clone()) };
+    Ok(UpdatePlan { reads, parity_reads, writes: shards, parity_writes: parity, touched })
 }
 
 /// The parity byte-window `[lo, hi)` a set of touched segments dirties.
@@ -87,93 +82,110 @@ pub fn parity_window(touched: &[(usize, usize, usize)]) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Range-granular read-modify-write for any linear code: given the *old*
-/// bytes of each touched data-shard segment (in `touched` order), every
-/// parity shard's old bytes over [`parity_window`] and the new bytes,
-/// produces the new data segments and the new parity windows — exactly
-/// what gets `put_range`'d back. Transfers only the touched bytes instead
-/// of whole fragments, matching object stores' HTTP Range semantics.
+/// Range-granular read-modify-write for any linear code, into a buffer
+/// the caller provides: given the *old* bytes of each touched data-shard
+/// segment (in `touched` order), every parity shard's old bytes over
+/// [`parity_window`] and the new bytes, appends the `n - m` new parity
+/// windows to `parity`, back to back (window `j` is parity fragment
+/// `m + j`'s) — exactly what gets `put_range`'d back beside the new
+/// bytes themselves, which are the new data segments. Transfers only the
+/// touched bytes instead of whole fragments, matching object stores'
+/// HTTP Range semantics, and allocates nothing when `parity` has the
+/// room.
 ///
-/// Parity `j` moves by its [`crate::ErasureCode::parity_coefficients`]
-/// row: `P_j'[pos] = P_j[pos] + c_js * (old_s[pos] + new_s[pos])`. The
-/// old segments and windows are only read, so fetched buffers can be
-/// passed as they are (`Bytes`, `Vec<u8>`, slices).
-// The pair is (new data segments, new parity windows), each one buffer per
-// touched shard; an alias would rename it without saying more.
-#[allow(clippy::type_complexity)]
-pub fn apply_ranged_update_multi<S: AsRef<[u8]>, P: AsRef<[u8]>>(
+/// Parity `j` moves by its [`ErasureCode::parity_row`]:
+/// `P_j'[pos] = P_j[pos] + c_js * (old_s[pos] + new_s[pos])`. The old
+/// segments and windows are only read, so fetched buffers can be passed
+/// as they are (`Bytes`, `Vec<u8>`, slices). On an error `parity` has not
+/// changed.
+pub fn apply_ranged_update_into<C, S, P>(
+    code: &C,
     touched: &[(usize, usize, usize)],
     old_segments: &[S],
     old_parity_windows: &[P],
     new_bytes: &[u8],
-    coeffs: &[Vec<Gf256>],
-) -> Result<(Vec<Vec<u8>>, Vec<Vec<u8>>)> {
+    parity: &mut Vec<u8>,
+) -> Result<()>
+where
+    C: ErasureCode + ?Sized,
+    S: AsRef<[u8]>,
+    P: AsRef<[u8]>,
+{
+    let (m, parities) = (code.data_fragments(), code.parity_fragments());
     if old_segments.len() != touched.len() {
         return Err(GfecError::NotEnoughFragments {
             have: old_segments.len(),
             need: touched.len(),
         });
     }
-    if old_parity_windows.len() != coeffs.len() {
+    if old_parity_windows.len() != parities {
         return Err(GfecError::NotEnoughFragments {
             have: old_parity_windows.len(),
-            need: coeffs.len(),
+            need: parities,
         });
     }
     let (lo, hi) = parity_window(touched);
-    for w in old_parity_windows {
-        if w.as_ref().len() != hi - lo {
-            return Err(GfecError::FragmentSizeMismatch {
-                expected: hi - lo,
-                got: w.as_ref().len(),
-            });
+    let width = hi - lo;
+    if let Some(w) = old_parity_windows.iter().find(|w| w.as_ref().len() != width) {
+        return Err(GfecError::FragmentSizeMismatch { expected: width, got: w.as_ref().len() });
+    }
+    for (&(shard, _, len), old) in touched.iter().zip(old_segments) {
+        if old.as_ref().len() != len {
+            return Err(GfecError::FragmentSizeMismatch { expected: len, got: old.as_ref().len() });
+        }
+        if shard >= m {
+            return Err(GfecError::BadFragmentIndex { index: shard, n: m });
         }
     }
-    let mut parities: Vec<Vec<u8>> =
-        old_parity_windows.iter().map(|w| w.as_ref().to_vec()).collect();
-    let mut segments = Vec::with_capacity(touched.len());
+    let base = parity.len();
+    parity.reserve(parities * width);
+    old_parity_windows.iter().for_each(|w| parity.extend_from_slice(w.as_ref()));
     let mut consumed = 0usize;
-    for (&(shard, start, len), old_seg) in touched.iter().zip(old_segments) {
-        let old_seg = old_seg.as_ref();
-        if old_seg.len() != len {
-            return Err(GfecError::FragmentSizeMismatch { expected: len, got: old_seg.len() });
-        }
-        let new_seg = &new_bytes[consumed..consumed + len];
+    for (&(shard, start, len), old) in touched.iter().zip(old_segments) {
+        let new = &new_bytes[consumed..consumed + len];
         consumed += len;
         // c * (old + new) = c * old + c * new: both terms in one
         // accumulate pass per parity, no scratch buffer for the difference.
-        for (parity, row) in parities.iter_mut().zip(coeffs) {
-            let c = row
-                .get(shard)
-                .copied()
-                .ok_or(GfecError::BadFragmentIndex { index: shard, n: row.len() })?;
-            let w = &mut parity[start - lo..start - lo + len];
-            combine_acc(w, &[(c, old_seg), (c, new_seg)]);
+        for j in 0..parities {
+            let c = code.parity_row(j)[shard];
+            let at = base + j * width + start - lo;
+            combine_acc(&mut parity[at..at + len], &[(c, old.as_ref()), (c, new)]);
         }
-        segments.push(new_seg.to_vec());
     }
     debug_assert_eq!(consumed, new_bytes.len());
-    Ok((segments, parities))
+    Ok(())
 }
 
-/// Single-parity (RAID5) form of [`apply_ranged_update_multi`]: every
-/// coefficient is 1, so the identity is `P' = P ^ D_old ^ D_new` over the
-/// touched ranges.
+/// Single-parity (RAID5) form of [`apply_ranged_update_into`] on owned
+/// buffers: every coefficient is 1, so the identity is
+/// `P' = P ^ D_old ^ D_new` over the touched ranges. Returns the new data
+/// segments and the new parity window.
 pub fn apply_ranged_update(
     touched: &[(usize, usize, usize)],
     old_segments: &[Vec<u8>],
     old_parity_window: &[u8],
     new_bytes: &[u8],
 ) -> Result<(Vec<Vec<u8>>, Vec<u8>)> {
-    let shards = touched.iter().map(|&(shard, _, _)| shard + 1).max().unwrap_or(0);
-    let (segments, mut parities) = apply_ranged_update_multi(
+    // Any RAID5 as wide as the touched shards: all its rows are ones.
+    let m = touched.iter().map(|&(shard, _, _)| shard + 1).max().unwrap_or(1);
+    let mut parity = Vec::with_capacity(old_parity_window.len());
+    apply_ranged_update_into(
+        &Raid5::new(m)?,
         touched,
         old_segments,
         &[old_parity_window],
         new_bytes,
-        &[vec![Gf256::ONE; shards]],
+        &mut parity,
     )?;
-    Ok((segments, parities.swap_remove(0)))
+    let mut consumed = 0usize;
+    let segments = touched
+        .iter()
+        .map(|&(_, _, len)| {
+            consumed += len;
+            new_bytes[consumed - len..consumed].to_vec()
+        })
+        .collect();
+    Ok((segments, parity))
 }
 
 #[cfg(test)]
@@ -196,10 +208,10 @@ mod tests {
         // The paper's headline number: small update = 2 reads + 2 writes.
         let (_, _, _, layout, _) = setup(64 * 1024);
         let plan = plan_update(&layout, 100, 64).unwrap();
-        assert_eq!(plan.reads, vec![0]);
-        assert_eq!(plan.parity_reads, vec![3]);
-        assert_eq!(plan.writes, vec![0]);
-        assert_eq!(plan.parity_writes, vec![3]);
+        assert_eq!(plan.reads[..], [0]);
+        assert_eq!(plan.parity_reads[..], [3]);
+        assert_eq!(plan.writes[..], [0]);
+        assert_eq!(plan.parity_writes[..], [3]);
         assert_eq!(plan.total_accesses(), 4);
         assert_eq!(plan.read_ops(), 2);
         assert_eq!(plan.write_ops(), 2);
@@ -209,7 +221,7 @@ mod tests {
     fn boundary_crossing_update_touches_two_shards() {
         let (_, _, _, layout, _) = setup(64 * 1024);
         let plan = plan_update(&layout, layout.shard_len - 8, 16).unwrap();
-        assert_eq!(plan.reads, vec![0, 1]);
+        assert_eq!(plan.reads[..], [0, 1]);
         assert_eq!(plan.total_accesses(), 6); // 3 reads + 3 writes
     }
 
@@ -224,7 +236,7 @@ mod tests {
         assert!(plan.reads.is_empty());
         assert!(plan.parity_reads.is_empty());
         assert_eq!(plan.writes.len(), 3);
-        assert_eq!(plan.parity_writes, vec![3]);
+        assert_eq!(plan.parity_writes[..], [3]);
     }
 
     #[test]
@@ -270,30 +282,34 @@ mod tests {
         fn check<C: ErasureCode>(code: &C, planner: &StripePlanner) {
             let mut obj: Vec<u8> = (0..6000).map(|i| (i * 11 % 256) as u8).collect();
             let (layout, mut frags) = planner.split_encode(code, &obj).unwrap();
-            let coeffs = code.parity_coefficients();
 
             for (offset, len) in [(0usize, 40usize), (2500, 300), (5990, 10)] {
                 let plan = plan_update(&layout, offset, len).unwrap();
                 let new_bytes: Vec<u8> = (0..len).map(|i| (i * 73 + offset) as u8).collect();
                 let (lo, hi) = parity_window(&plan.touched);
 
-                let old_segments: Vec<Vec<u8>> =
-                    plan.touched.iter().map(|&(s, st, l)| frags[s][st..st + l].to_vec()).collect();
-                let old_parities: Vec<Vec<u8>> =
-                    (layout.m..layout.n).map(|p| frags[p][lo..hi].to_vec()).collect();
-
-                let (new_segs, new_parities) = apply_ranged_update_multi(
+                let old_segments: Vec<&[u8]> =
+                    plan.touched.iter().map(|&(s, st, l)| &frags[s][st..st + l]).collect();
+                let old_parities: Vec<&[u8]> =
+                    (layout.m..layout.n).map(|p| &frags[p][lo..hi]).collect();
+                // Appended after what the buffer already holds.
+                let mut parity = vec![0xEE; 3];
+                apply_ranged_update_into(
+                    code,
                     &plan.touched,
                     &old_segments,
                     &old_parities,
                     &new_bytes,
-                    &coeffs,
+                    &mut parity,
                 )
                 .unwrap();
-                for (k, &(s, st, l)) in plan.touched.iter().enumerate() {
-                    frags[s][st..st + l].copy_from_slice(&new_segs[k]);
+                assert_eq!(parity[..3], [0xEE; 3]);
+                let mut consumed = 0;
+                for &(s, st, l) in &plan.touched {
+                    frags[s][st..st + l].copy_from_slice(&new_bytes[consumed..consumed + l]);
+                    consumed += l;
                 }
-                for (j, w) in new_parities.iter().enumerate() {
+                for (j, w) in parity[3..].chunks(hi - lo).enumerate() {
                     frags[layout.m + j][lo..hi].copy_from_slice(w);
                 }
 

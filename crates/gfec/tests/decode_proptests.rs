@@ -16,7 +16,7 @@ use hyrd_gfec::gf256::{Kernel, FUSED_BLOCK};
 use hyrd_gfec::parallel::reconstruct_parallel;
 use hyrd_gfec::{
     decode_object, decode_object_with, rebuild_fragment, ErasureCode, Fragment, FragmentLayout,
-    Raid5, Raid6, ReedSolomon, StripePlanner,
+    Raid5, Raid6, ReedSolomon, StripePlanner, INLINE,
 };
 use oracle::OwningDecode;
 
@@ -168,6 +168,23 @@ fn every_single_loss_decodes_as_the_oracle_reconstructs() {
     }
 }
 
+/// The decode plan lives inline up to `INLINE` fragments and on the heap
+/// past that: the same bytes either way. Every erasure pattern of
+/// RAID5(3+1), of RAID6 up to n = 16, of Reed-Solomon codes up to
+/// n = 16, and of RS(15, 18), whose plan does not fit inline.
+#[test]
+fn inline_decode_plans_match_the_oracle_up_to_sixteen_fragments_and_beyond() {
+    let object = |m: usize| payload(m * 128 + 77, m as u8);
+    check_against_oracle(&Raid5::new(3).unwrap(), &object(3));
+    for m in [2, 7, 14] {
+        check_against_oracle(&Raid6::new(m).unwrap(), &object(m));
+    }
+    for (m, n) in [(2, 5), (4, 8), (8, 12), (13, 16), (15, 18)] {
+        assert_eq!(n > INLINE, m == 15, "one code past the inline capacity");
+        check_against_oracle(&ReedSolomon::new(m, n).unwrap(), &object(m));
+    }
+}
+
 /// What a hostile or buggy caller can hand the decoder.
 #[derive(Debug, Clone)]
 enum Defect {
@@ -292,11 +309,13 @@ fn column_decode_matches_the_shard_major_decode_on_every_kernel() {
     check_code(&ReedSolomon::new(4, 6).unwrap());
 }
 
-/// `decode_object` allocates no more than the shard-major decode did:
-/// the object once, the decoder's index and basis, and — only when a
-/// data shard is absent — its term list (one for all of them now, one
-/// per absent shard then) and the inverted basis. The counts are what the
-/// shard-major decode made of the same inputs.
+/// `decode_object` allocates no more than the shard-major decode did —
+/// which allocated the object once, the decoder's index and basis, and,
+/// only when a data shard was absent, its term lists and the inverted
+/// basis. Now the plan is inline, so the object is the one allocation,
+/// and a rebuilt fragment is the one allocation of `rebuild_fragment`.
+/// The counts beside are what the shard-major decode made of the same
+/// inputs.
 #[test]
 fn decode_allocates_no_more_than_the_shard_major_decode() {
     fn allocs<C: ErasureCode>(code: &C, lost: &[usize]) -> u64 {
@@ -307,6 +326,12 @@ fn decode_allocates_no_more_than_the_shard_major_decode() {
         let views = oracle::without(&frags, lost);
         let (allocs, got) = allocs_of(|| decode_object(code, &layout, &views));
         assert_eq!(got.unwrap(), object);
+        for &target in lost {
+            let (rebuild, got) =
+                allocs_of(|| rebuild_fragment(code, layout.shard_len, &views, target));
+            assert_eq!(got.unwrap(), frags[target]);
+            assert_eq!(rebuild, 1, "allocations of a rebuild of fragment {target}");
+        }
         allocs
     }
     let raid5 = Raid5::new(3).unwrap();
@@ -325,6 +350,7 @@ fn decode_allocates_no_more_than_the_shard_major_decode() {
     for (now, then, case) in cases {
         println!("{case}: {now} allocations (shard-major: {then})");
         assert!(now <= then, "{case}: {now} allocations, the shard-major decode made {then}");
+        assert_eq!(now, 1, "{case}: allocations besides the object");
     }
 }
 

@@ -371,7 +371,7 @@ fn ranged_update_windows_match_naive_recompute() {
         256,
         |g| (g.bytes(128..2048), g.range(2usize..4), g.range(1usize..3), g.unit(), g.unit()),
         |(payload, m, parities, offset_frac, len_frac)| {
-            use hyrd_gfec::update::apply_ranged_update_multi;
+            use hyrd_gfec::update::apply_ranged_update_into;
             let n = m + parities;
             let planner = StripePlanner::new(m, n).unwrap();
             let code = ReedSolomon::new(m, n).unwrap();
@@ -388,17 +388,22 @@ fn ranged_update_windows_match_naive_recompute() {
             let old_segments: Vec<Vec<u8>> =
                 plan.touched.iter().map(|&(sh, st, l)| frags[sh][st..st + l].to_vec()).collect();
             let old_parities: Vec<Vec<u8>> = (m..n).map(|p| frags[p][lo..hi].to_vec()).collect();
-            let (new_segs, new_pars) = apply_ranged_update_multi(
+            let mut new_pars = Vec::new();
+            apply_ranged_update_into(
+                &code,
                 &plan.touched,
                 &old_segments,
                 &old_parities,
                 &new_bytes,
-                &coeffs,
+                &mut new_pars,
             )
             .unwrap();
-            for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
-                frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
+            let mut consumed = 0;
+            for &(sh, st, l) in &plan.touched {
+                frags[sh][st..st + l].copy_from_slice(&new_bytes[consumed..consumed + l]);
+                consumed += l;
             }
+            let new_pars: Vec<&[u8]> = new_pars.chunks(hi - lo).collect();
 
             // Naive oracle: recompute each parity window from the (updated)
             // data shards with the reference kernel, byte by byte.

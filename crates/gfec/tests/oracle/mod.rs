@@ -6,8 +6,10 @@
 //! (XOR rebuild, the RAID6 two-erasure solve, invert-and-multiply), so
 //! agreement with the one generic core is a real cross-check. The
 //! shard-major borrowed decode the column decode replaced lives here too
-//! ([`shard_major_decode`]), as are the integration tests' shared
-//! fragment-view helper. Never used outside tests.
+//! ([`shard_major_decode`]), and so does the owning ranged-update kernel
+//! the caller-buffer one replaced ([`apply_ranged_update_multi`]), as are
+//! the integration tests' shared fragment-view helper. Never used outside
+//! tests.
 
 #![allow(dead_code)]
 
@@ -266,6 +268,67 @@ pub fn shard_major_decode<C: ErasureCode + ?Sized>(
         }
     }
     Ok(object)
+}
+
+/// The owning ranged-update kernel `hyrd_gfec::update` shipped before
+/// `apply_ranged_update_into`, on the byte-at-a-time kernels: from the
+/// old touched segments (in `touched` order), every parity window over
+/// `parity_window(touched)` and the new bytes, the new data segments and
+/// the new parity windows, one owned buffer each. Parity `j` moves by
+/// `coeffs[j]`: `P_j' = P_j + c_js * (old_s + new_s)`.
+#[allow(clippy::type_complexity)]
+pub fn apply_ranged_update_multi<S: AsRef<[u8]>, P: AsRef<[u8]>>(
+    touched: &[(usize, usize, usize)],
+    old_segments: &[S],
+    old_parity_windows: &[P],
+    new_bytes: &[u8],
+    coeffs: &[Vec<Gf256>],
+) -> Result<(Vec<Vec<u8>>, Vec<Vec<u8>>)> {
+    if old_segments.len() != touched.len() {
+        return Err(GfecError::NotEnoughFragments {
+            have: old_segments.len(),
+            need: touched.len(),
+        });
+    }
+    if old_parity_windows.len() != coeffs.len() {
+        return Err(GfecError::NotEnoughFragments {
+            have: old_parity_windows.len(),
+            need: coeffs.len(),
+        });
+    }
+    let lo = touched.iter().map(|&(_, start, _)| start).min().unwrap_or(0);
+    let hi = touched.iter().map(|&(_, start, len)| start + len).max().unwrap_or(0);
+    for w in old_parity_windows {
+        if w.as_ref().len() != hi - lo {
+            return Err(GfecError::FragmentSizeMismatch {
+                expected: hi - lo,
+                got: w.as_ref().len(),
+            });
+        }
+    }
+    let mut parities: Vec<Vec<u8>> =
+        old_parity_windows.iter().map(|w| w.as_ref().to_vec()).collect();
+    let mut segments = Vec::with_capacity(touched.len());
+    let mut consumed = 0usize;
+    for (&(shard, start, len), old_seg) in touched.iter().zip(old_segments) {
+        let old_seg = old_seg.as_ref();
+        if old_seg.len() != len {
+            return Err(GfecError::FragmentSizeMismatch { expected: len, got: old_seg.len() });
+        }
+        let new_seg = &new_bytes[consumed..consumed + len];
+        consumed += len;
+        for (parity, row) in parities.iter_mut().zip(coeffs) {
+            let c = row
+                .get(shard)
+                .copied()
+                .ok_or(GfecError::BadFragmentIndex { index: shard, n: row.len() })?;
+            let w = &mut parity[start - lo..start - lo + len];
+            mul_slice_acc(w, old_seg, c);
+            mul_slice_acc(w, new_seg, c);
+        }
+        segments.push(new_seg.to_vec());
+    }
+    Ok((segments, parities))
 }
 
 /// The slice kernels straight from the field's definition: one

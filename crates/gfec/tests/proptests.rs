@@ -9,7 +9,9 @@ use hyrd_gfec::raid5::Raid5;
 use hyrd_gfec::raid6::Raid6;
 use hyrd_gfec::rs::{MatrixKind, ReedSolomon};
 use hyrd_gfec::stripe::StripePlanner;
-use hyrd_gfec::update::{apply_ranged_update, parity_window, plan_update};
+use hyrd_gfec::update::{
+    apply_ranged_update, apply_ranged_update_into, parity_window, plan_update,
+};
 use hyrd_gfec::{decode_object, ErasureCode, Matrix};
 use oracle::without;
 
@@ -226,13 +228,11 @@ fn multi_parity_ranged_update_matches_reencode() {
         256,
         |g| (g.bytes(256..4096), g.range(2usize..5), g.range(1usize..3), g.unit(), g.unit()),
         |(payload, m, parities, offset_frac, len_frac)| {
-            use hyrd_gfec::update::apply_ranged_update_multi;
             let n = m + parities;
             let planner = StripePlanner::new(m, n).unwrap();
             let code = ReedSolomon::new(m, n).unwrap();
             let mut obj = payload;
             let (layout, mut frags) = planner.split_encode(&code, &obj).unwrap();
-            let coeffs = code.parity_coefficients();
 
             let offset = ((obj.len() - 1) as f64 * offset_frac) as usize;
             let len = (1 + ((obj.len() - offset - 1) as f64 * len_frac) as usize).max(1);
@@ -243,18 +243,22 @@ fn multi_parity_ranged_update_matches_reencode() {
             let old_segments: Vec<Vec<u8>> =
                 plan.touched.iter().map(|&(sh, st, l)| frags[sh][st..st + l].to_vec()).collect();
             let old_parities: Vec<Vec<u8>> = (m..n).map(|p| frags[p][lo..hi].to_vec()).collect();
-            let (new_segs, new_pars) = apply_ranged_update_multi(
+            let mut new_pars = Vec::new();
+            apply_ranged_update_into(
+                &code,
                 &plan.touched,
                 &old_segments,
                 &old_parities,
                 &new_bytes,
-                &coeffs,
+                &mut new_pars,
             )
             .unwrap();
-            for (k, &(sh, st, l)) in plan.touched.iter().enumerate() {
-                frags[sh][st..st + l].copy_from_slice(&new_segs[k]);
+            let mut consumed = 0;
+            for &(sh, st, l) in &plan.touched {
+                frags[sh][st..st + l].copy_from_slice(&new_bytes[consumed..consumed + l]);
+                consumed += l;
             }
-            for (j, w) in new_pars.iter().enumerate() {
+            for (j, w) in new_pars.chunks(hi - lo).enumerate() {
                 frags[m + j][lo..hi].copy_from_slice(w);
             }
             obj[offset..offset + len].copy_from_slice(&new_bytes);
@@ -262,6 +266,86 @@ fn multi_parity_ranged_update_matches_reencode() {
             for (got, want) in frags.iter().zip(&oracle) {
                 assert_eq!(got, want);
             }
+        },
+    );
+}
+
+/// The ranged-update kernel that writes into the caller's buffer ≡ the
+/// owning kernel it replaced (`oracle::apply_ranged_update_multi`, on the
+/// byte-at-a-time products) for RAID5, RAID6 and RS with three parities,
+/// any range including an empty one: the new parity windows are appended
+/// back to back after whatever the buffer held, and the new data segments
+/// are the new bytes. A window of the wrong length is the same error and
+/// leaves the buffer as it was.
+#[test]
+fn ranged_update_into_caller_buffers_matches_the_owning_kernel() {
+    check(
+        256,
+        |g| {
+            (
+                g.bytes(1..4096),
+                g.range(1usize..7),
+                g.range(0u8..3),
+                g.unit(),
+                g.unit(),
+                g.bytes(0..40),
+            )
+        },
+        |(payload, m, kind, offset_frac, len_frac, held)| {
+            let code: Box<dyn ErasureCode> = match kind {
+                0 => Box::new(Raid5::new(m).unwrap()),
+                1 => Box::new(Raid6::new(m).unwrap()),
+                _ => Box::new(ReedSolomon::new(m, m + 3).unwrap()),
+            };
+            let (m, n) = (code.data_fragments(), code.total_fragments());
+            let planner = StripePlanner::new(m, n).unwrap();
+            let (layout, frags) = planner.split_encode(&*code, &payload).unwrap();
+            let offset = (payload.len() as f64 * offset_frac) as usize;
+            let len = ((payload.len() - offset) as f64 * len_frac) as usize;
+            let new_bytes: Vec<u8> = (0..len).map(|i| (i * 197 + offset) as u8).collect();
+
+            let plan = plan_update(&layout, offset, len).unwrap();
+            let (lo, hi) = parity_window(&plan.touched);
+            let old_segments: Vec<&[u8]> =
+                plan.touched.iter().map(|&(sh, st, l)| &frags[sh][st..st + l]).collect();
+            let old_parities: Vec<&[u8]> = (m..n).map(|p| &frags[p][lo..hi]).collect();
+            let (want_segments, want_parities) = oracle::apply_ranged_update_multi(
+                &plan.touched,
+                &old_segments,
+                &old_parities,
+                &new_bytes,
+                &code.parity_coefficients(),
+            )
+            .unwrap();
+            assert_eq!(want_segments.concat(), new_bytes);
+
+            let into = |windows: &[&[u8]], buffer: &mut Vec<u8>| {
+                apply_ranged_update_into(
+                    &*code,
+                    &plan.touched,
+                    &old_segments,
+                    windows,
+                    &new_bytes,
+                    buffer,
+                )
+            };
+            let mut buffer = held.clone();
+            into(&old_parities, &mut buffer).unwrap();
+            assert_eq!(buffer[..held.len()], held[..], "what the buffer held stays");
+            assert_eq!(buffer[held.len()..], want_parities.concat()[..]);
+
+            let mut short = old_parities.clone();
+            short[0] = &short[0][..(hi - lo).saturating_sub(1)];
+            let mut buffer = held.clone();
+            let want = oracle::apply_ranged_update_multi(
+                &plan.touched,
+                &old_segments,
+                &short,
+                &new_bytes,
+                &code.parity_coefficients(),
+            );
+            assert_eq!(into(&short, &mut buffer).map(|_| ()), want.map(|_| ()));
+            assert_eq!(buffer, held, "a failed update leaves the buffer as it was");
         },
     );
 }
