@@ -5,9 +5,9 @@
 //!
 //! A row is a run function and the grid it must be invariant over. The
 //! run keeps its scenario's own op stream and report; everything else is
-//! written once here: the rig ([`Rig`]: clock, standard fleet, trace
-//! collector), the IA-trace op builder ([`ia_ops`]), the coin flips
-//! ([`mix`]), artefact writing, the claims table and the invariance
+//! written once here: the rig (`Rig`: clock, standard fleet, trace
+//! collector), the IA-trace op builder (`ia_ops`), the coin flips
+//! (`mix`), artefact writing, the claims table and the invariance
 //! harness ([`check`]). With `--check` the harness re-runs the scenario
 //! at every other worker and client count of its grid — concurrently, two
 //! at a time — and claims the report and the trace byte-identical to the
@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use hyrd::driver::{replay_sweep, ReplayOptions};
 use hyrd::prelude::*;
-use hyrd::telemetry::{for_each_record, Collector, SharedBuf};
+use hyrd::telemetry::{for_each_record, Collector, RecordRef, SharedBuf};
 use hyrd_cloudsim::FaultPlan;
 use hyrd_workloads::{FsOp, IaTrace};
 
@@ -316,11 +316,16 @@ impl Rig {
 }
 
 /// Records in a JSONL trace the drill wrote — more than its lines, since
-/// an op line and a span end carrying its replay record hold several.
-fn records(trace: &[u8]) -> u64 {
+/// an op line and a span end carrying its replay record hold several —
+/// each lent to `fold` on the way.
+fn records(trace: &[u8], mut fold: impl FnMut(&RecordRef<'_>)) -> u64 {
     let text = std::str::from_utf8(trace).expect("the trace writer writes UTF-8");
     let mut n = 0;
-    for_each_record(text, |_| n += 1).expect("a trace the drill wrote parses");
+    for_each_record(text, |r| {
+        n += 1;
+        fold(r);
+    })
+    .expect("a trace the drill wrote parses");
     n
 }
 

@@ -25,6 +25,7 @@
 //!   crash journal, and the run ends with the strict durability audit —
 //!   zero violations required.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -32,7 +33,7 @@ use hyrd::crashtest::CrashHarness;
 use hyrd::policy::MigrationReport;
 use hyrd::prelude::*;
 use hyrd::scrub::ScrubReport;
-use hyrd::telemetry::{json, SlowSpan};
+use hyrd::telemetry::{json, RecordRef};
 use hyrd_cloudsim::CrashPlan;
 use hyrd_workloads::FsOp;
 
@@ -135,7 +136,7 @@ hyrd::telemetry::json_struct! {
     struct TelemetrySection {
         /// Lines in the JSONL trace (spans, events, meta).
         trace_records: u64,
-        /// The five slowest spans by virtual duration, flame path included.
+        /// The five slowest spans by virtual duration, path included.
         spans_top5: Vec<SlowSpan>,
         /// Provider operations issued, per provider.
         provider_ops: BTreeMap<String, u64>,
@@ -144,6 +145,66 @@ hyrd::telemetry::json_struct! {
         /// Retry backoffs taken by the dispatcher, per provider.
         retry_backoffs: BTreeMap<String, u64>,
     }
+}
+
+hyrd::telemetry::json_struct! {
+    /// One completed span of the trace, for the slowest-spans section.
+    #[derive(Debug, Clone, PartialEq)]
+    struct SlowSpan {
+        /// The names of the span's ancestors and its own, root first,
+        /// e.g. `read_file → fetch_fragment[aliyun]`.
+        path: String,
+        dur_ns: u64,
+        /// Trace-clock timestamp of the span start, to locate it in the JSONL.
+        start_ns: u64,
+    }
+}
+
+/// Between the names of a [`SlowSpan::path`].
+const PATH_SEP: &str = " → ";
+
+/// The `k` slowest completed spans of a trace, folded record by record:
+/// longest first, then earliest start, then path. A span's path is read
+/// off its parent's while both are open, as the collector links them.
+struct SlowestSpans {
+    k: usize,
+    /// Path and start of each open span.
+    open: BTreeMap<u64, (String, u64)>,
+    /// The slowest so far, in rank order; at most `k`.
+    top: Vec<SlowSpan>,
+}
+
+impl SlowestSpans {
+    fn new(k: usize) -> Self {
+        SlowestSpans { k, open: BTreeMap::new(), top: Vec::with_capacity(k) }
+    }
+
+    fn fold(&mut self, rec: &RecordRef<'_>) {
+        match *rec {
+            RecordRef::SpanStart { id, parent, name, t, .. } => {
+                let path = match parent.and_then(|p| self.open.get(&p)) {
+                    Some((up, _)) => format!("{up}{PATH_SEP}{name}"),
+                    None => name.to_string(),
+                };
+                self.open.insert(id, (path, t));
+            }
+            RecordRef::SpanEnd { id, dur_ns, .. } => {
+                let Some((path, start_ns)) = self.open.remove(&id) else { return };
+                let span = SlowSpan { path, dur_ns, start_ns };
+                let at = self.top.partition_point(|s| slower(s, &span).is_le());
+                if at < self.k {
+                    self.top.truncate(self.k - 1);
+                    self.top.insert(at, span);
+                }
+            }
+            RecordRef::Meta { .. } | RecordRef::Event { .. } => {}
+        }
+    }
+}
+
+/// The slowest-spans order: `Less` when `a` ranks before `b`.
+fn slower(a: &SlowSpan, b: &SlowSpan) -> Ordering {
+    b.dur_ns.cmp(&a.dur_ns).then(a.start_ns.cmp(&b.start_ns)).then_with(|| a.path.cmp(&b.path))
 }
 
 /// The `chaos_migrate` config: adaptive policy on, tuned so both
@@ -250,9 +311,10 @@ fn run_drill(seed: u64, ops_target: usize, p: Point, migrate: bool) -> (ChaosRep
 
     let trace = rig.trace();
     let snapshot = rig.telemetry.metrics();
+    let mut slowest = SlowestSpans::new(5);
     let telemetry = TelemetrySection {
-        trace_records: records(&trace),
-        spans_top5: rig.telemetry.slowest_spans(5),
+        trace_records: records(&trace, |r| slowest.fold(r)),
+        spans_top5: slowest.top,
         provider_ops: snapshot.counters_labeled("provider.ops").into_iter().collect(),
         provider_faults: snapshot.counters_labeled("provider.faults").into_iter().collect(),
         retry_backoffs: snapshot.counters_labeled("retry.backoffs").into_iter().collect(),
@@ -446,5 +508,87 @@ pub(super) fn crash(opts: &Options, _: Point) -> Outcome {
         claims: vec![Claim::zero("durability_violations", r.total_violations)],
         summary,
         ..Outcome::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hyrd::telemetry::{Collector, ManualClock, SharedBuf, SpanGuard};
+    use hyrd_testkit::{check, Gen};
+    use std::sync::Arc;
+
+    /// What a script does to a collector.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Open a span with this name inside the innermost open one.
+        Open(&'static str),
+        /// Move the clock; 0 ties the next start or end with the last.
+        Advance(u64),
+        /// Drop the guard of the open span at this index modulo their
+        /// count: out of order unless it is the innermost.
+        Close(usize),
+    }
+
+    fn script(g: &mut Gen) -> (usize, Vec<Step>) {
+        let names = ["read_file", "fetch_fragment[aliyun]", "ec.decode", "a → b"];
+        let steps = g.vec(0..80, |g| match g.weighted(&[3, 2, 3]) {
+            0 => Step::Open(g.pick(&names)),
+            1 => Step::Advance(g.range(0..4u64)),
+            _ => Step::Close(g.range(0..8usize)),
+        });
+        (g.range(0..8usize), steps)
+    }
+
+    #[test]
+    fn slow_span_ordering_is_total() {
+        let span = |path: &str, dur_ns, start_ns| SlowSpan { path: path.into(), dur_ns, start_ns };
+        let (a, b, c, d) = (span("a", 10, 5), span("b", 10, 3), span("c", 99, 9), span("a", 10, 3));
+        let mut v = vec![a.clone(), b.clone(), c.clone(), d.clone()];
+        v.sort_by(slower);
+        assert_eq!(v, [c, d, b, a]);
+    }
+
+    #[test]
+    fn top_k_fold_matches_a_sort_of_every_closed_span() {
+        check(256, script, |(k, steps)| {
+            let clock = Arc::new(ManualClock::new());
+            let buf = SharedBuf::new();
+            let c = Collector::builder(clock.clone()).jsonl(buf.clone()).build();
+            // The model: open spans with their guard, path and start, in
+            // the order they opened (the collector's parent is the last).
+            let mut open: Vec<(SpanGuard, String, u64)> = Vec::new();
+            let mut closed: Vec<SlowSpan> = Vec::new();
+            for step in steps {
+                let now = c.now_nanos().unwrap();
+                match step {
+                    Step::Open(name) => {
+                        let path = match open.last() {
+                            Some((_, up, _)) => format!("{up}{PATH_SEP}{name}"),
+                            None => name.to_string(),
+                        };
+                        open.push((c.span(name), path, now));
+                    }
+                    Step::Advance(ns) => clock.advance(ns),
+                    Step::Close(_) if open.is_empty() => {}
+                    Step::Close(i) => {
+                        let (guard, path, start_ns) = open.remove(i % open.len());
+                        drop(guard);
+                        closed.push(SlowSpan { path, dur_ns: now - start_ns, start_ns });
+                    }
+                }
+            }
+            // What is still open stays out of the trace's ranking.
+            c.flush();
+            let trace = buf.contents();
+            drop(open);
+
+            let mut fold = SlowestSpans::new(k);
+            let n = records(&trace, |r| fold.fold(r));
+            assert!(n as usize > closed.len());
+            closed.sort_by(slower);
+            closed.truncate(k);
+            assert_eq!(fold.top, closed);
+        });
     }
 }

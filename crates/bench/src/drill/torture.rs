@@ -290,7 +290,7 @@ pub(super) fn run(opts: &Options, p: Point) -> Outcome {
         setup_ops: clean.setup_ops,
         trace_provider_ops: clean.total_ops - clean.setup_ops,
         clean_point_hits: clean.point_hits,
-        clean_trace_records: records(&clean.trace),
+        clean_trace_records: records(&clean.trace, |_| {}),
         budget_cells,
         point_cells,
         cells_crashed: agg.crashed,

@@ -7,7 +7,8 @@
 //! a recovery-log write or a metadata flush). The plan is armed on a
 //! [`CrashSwitch`] shared by every provider in a [`Fleet`](crate::Fleet):
 //! once the budget is reached the switch latches, the triggering op —
-//! and every op after it — fails with [`CloudError::Crashed`], and the
+//! and every op after it — fails with
+//! [`CloudError::Crashed`](hyrd_gcsapi::CloudError::Crashed), and the
 //! dispatcher escalates that to a simulated process death (a panic the
 //! crash harness catches). Nothing here is random: a crash-torture
 //! sweep first runs the trace with a disarmed switch to *count* ops and

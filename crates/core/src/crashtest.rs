@@ -1,7 +1,7 @@
 //! Crash-restart testing: the simulated process death and the
 //! end-to-end durability auditor.
 //!
-//! The simulator's [`CrashSwitch`] makes every provider op after a
+//! The simulator's [`CrashSwitch`](hyrd_cloudsim::CrashSwitch) makes every provider op after a
 //! chosen boundary fail with [`CloudError::Crashed`]. This module turns
 //! that error into an actual control-flow death — a panic carrying
 //! [`ClientCrashed`] that no dispatcher code catches — and provides the

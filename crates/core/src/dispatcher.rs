@@ -45,7 +45,7 @@
 //! retry with capped exponential backoff on transient faults (sleeps
 //! advance the virtual clock), a per-provider circuit breaker
 //! ([`crate::health`]) that short-circuits providers in a failure
-//! streak, and — on whole-object Gets — client-side SHA-256 verification
+//! streak, and — on whole-object Gets — client-side BLAKE3 verification
 //! ([`crate::integrity`]); a corrupt payload is treated as an erasure
 //! (failover / degraded read) and repaired by the scrub pass
 //! ([`crate::scrub`]). Breakers never veto a read outright: when no

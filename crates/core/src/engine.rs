@@ -6,7 +6,7 @@
 //! first is still running — so this module replaces it with an explicit
 //! event schedule on the virtual clock:
 //!
-//! * every launched fetch becomes a [`Flight`] that **posts its
+//! * every launched fetch becomes a `Flight` that **posts its
 //!   completion time** (queue admission via the provider's
 //!   [`hyrd_cloudsim::ProviderQueue`], so concurrency limits and
 //!   queueing delay are part of the schedule),

@@ -16,7 +16,7 @@
 //! * **intents**: one record per mutating operation, appended before the
 //!   operation's first provider write and committed when the operation
 //!   returns. An intent found at restart is rolled forward (updates,
-//!   deletes) or rolled back (creates) by [`Hyrd::restart`]
+//!   deletes) or rolled back (creates) by [`Hyrd::restart`](crate::Hyrd::restart)
 //!   (see `restart.rs`).
 //!
 //! The journal is a cheap-clone handle. [`Journal::disabled`] is a

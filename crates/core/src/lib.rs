@@ -33,7 +33,7 @@
 //! operations on the virtual clock, per-provider queueing, hedged
 //! requests with straggler cancellation; DESIGN.md §13).
 //! Hardening modules: [`health`] (per-provider circuit breakers and fault
-//! counters), [`integrity`] (client-side SHA-256 digests verified on
+//! counters), [`integrity`] (client-side BLAKE3 4 KiB block digests verified on
 //! every whole-object read), [`scrub`] (the background sweep that finds
 //! and repairs silent corruption). Crash-durability modules: [`journal`]
 //! (the crash journal: mirrored recovery state plus per-operation

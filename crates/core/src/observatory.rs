@@ -1048,11 +1048,7 @@ mod tests {
         let obs = SharedObservatory::new();
         let buf = SharedBuf::new();
         let clock = ManualClock::new();
-        let c = Collector::builder(clock)
-            .clock_label("virtual")
-            .jsonl(buf.clone())
-            .tap(obs.tap())
-            .build();
+        let c = Collector::builder(clock).jsonl(buf.clone()).tap(obs.tap()).build();
         c.event("provider.op")
             .field("provider", "Aliyun")
             .field("op", "Put")

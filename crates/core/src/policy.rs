@@ -25,7 +25,7 @@
 //!    read path;
 //! 2. journal an [`Intent::Migrate`] naming both object sets;
 //! 3. **publish** the new placement's objects (crashpoint
-//!    `migrate.publish.pre`) through [`Hyrd::put_object`], one target at
+//!    `migrate.publish.pre`) through `Hyrd::put_object`, one target at
 //!    a time with no desperation pass: a migration below its durability
 //!    floor aborts, it does not force breakers;
 //! 4. **flip** the metadata through

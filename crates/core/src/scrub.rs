@@ -6,7 +6,7 @@
 //! degraded read. The scrub pass closes that gap. It walks the namespace,
 //! fetches every reachable copy/fragment, and
 //!
-//! * **verifies** each against the recorded SHA-256 digest,
+//! * **verifies** each against the recorded BLAKE3 block digests,
 //! * **repairs** corrupt replicas from a verified sibling, and corrupt
 //!   fragments by decoding the object from `m` verified fragments and
 //!   re-encoding the damaged one,
@@ -21,7 +21,7 @@
 //! them. A reachable holder that answers "no such object" is different:
 //! that copy is **lost**, and is restored like a corrupt one. Scrub
 //! traffic runs through the same hardened verbs as foreground I/O
-//! ([`Hyrd::get_object`], [`Hyrd::put_object`]).
+//! (`Hyrd::get_object`, `Hyrd::put_object`).
 
 use std::sync::Arc;
 

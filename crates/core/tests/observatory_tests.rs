@@ -30,11 +30,7 @@ fn outage_scenario() -> (String, SharedObservatory) {
     let fleet = Fleet::standard_four(clock.clone());
     let buf = SharedBuf::new();
     let obs = SharedObservatory::new();
-    let telemetry = Collector::builder(clock.clone())
-        .clock_label("virtual")
-        .jsonl(buf.clone())
-        .tap(obs.tap())
-        .build();
+    let telemetry = Collector::builder(clock.clone()).jsonl(buf.clone()).tap(obs.tap()).build();
     let h = Hyrd::with_telemetry(&fleet, HyrdConfig::default(), telemetry.clone())
         .expect("valid default config");
 

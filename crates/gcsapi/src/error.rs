@@ -63,7 +63,7 @@ pub enum CloudError {
         waited: Duration,
     },
     /// The *client* process died at this operation boundary. Synthesized
-    /// by the crash-injection harness ([`CrashPlan`] in the simulator):
+    /// by the crash-injection harness (`CrashPlan` in the simulator):
     /// once armed, the fleet returns this from every subsequent op, and
     /// the dispatcher escalates it to an immediate simulated process
     /// death — no retry, no failover, no cleanup code may run.

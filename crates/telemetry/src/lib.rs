@@ -8,10 +8,12 @@
 //! * a JSONL trace writer ([`TraceWriter`]: one line per record, or per
 //!   provider op, schema [`TRACE_SCHEMA_VERSION`]),
 //! * an in-memory ring buffer for tests ([`Collector::ring_records`]),
-//! * an aggregated flame-style summary ([`Collector::summary`]).
+//! * an online observer ([`CollectorBuilder::tap`]) that sees each record
+//!   as it is emitted.
 //!
-//! Alongside the trace it keeps a [`Registry`] of counters, gauges and
-//! bounded log₂ [`Histogram`]s.
+//! It aggregates no spans: a flame, a ranking or a waterfall is folded
+//! from the trace by whoever reads it. Alongside the trace it keeps a
+//! [`Registry`] of counters, gauges and bounded log₂ [`Histogram`]s.
 //!
 //! Determinism is a design invariant, not an accident: with a fixed seed
 //! and the simulator's virtual clock, two identical runs emit
@@ -40,7 +42,6 @@ pub mod json;
 mod parse;
 mod record;
 mod registry;
-mod summary;
 mod writer;
 
 pub use hist::{Histogram, HIST_BUCKETS};
@@ -53,7 +54,6 @@ pub use record::{
     TRACE_SCHEMA_VERSION,
 };
 pub use registry::{Counter, Gauge, HistogramSeries, HistogramSummary, MetricsSnapshot, Registry};
-pub use summary::{fmt_ns, SlowSpan};
 pub use writer::TraceWriter;
 
 use std::collections::{BTreeMap, VecDeque};
@@ -64,10 +64,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use record::FieldBuf;
 use registry::with_labeled;
-use summary::{slow_span_order, SpanAgg, PATH_SEP};
 
 /// Clock a collector stamps records with. Simulation code implements this
-/// for its virtual clock; [`WallClock`] is provided for real-time use.
+/// for its virtual clock; [`ManualClock`] is a hand-cranked one.
 pub trait TelemetryClock: Send + Sync {
     fn now_nanos(&self) -> u64;
 }
@@ -102,66 +101,22 @@ impl TelemetryClock for Arc<ManualClock> {
     }
 }
 
-/// Wall-clock time, anchored at construction. Traces stamped with this are
-/// *not* reproducible; the simulator uses its virtual clock instead.
-#[derive(Debug, Clone)]
-pub struct WallClock(std::time::Instant);
-
-impl WallClock {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        WallClock(std::time::Instant::now())
-    }
-}
-
-impl TelemetryClock for WallClock {
-    fn now_nanos(&self) -> u64 {
-        self.0.elapsed().as_nanos() as u64
-    }
-}
-
-/// Number of completed spans retained for [`Collector::slowest_spans`].
-const SLOW_CAP: usize = 32;
-
 /// Lock that shrugs off poisoning: telemetry must never turn a panicking
 /// test into a deadlocked one.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The span tree seen so far, one node per distinct flame path. A span
-/// finds its node by walking from its parent's node to the child with its
-/// name — an interned name id, so the walk compares integers — and opening
-/// and closing spans on known paths formats and allocates nothing: a path
-/// is rendered once, when its node is made.
+/// Span names by id, and ids by name; a [`SpanName`] holds an id, and an
+/// open span its name's. Opening and closing spans with known names
+/// allocates nothing.
 #[derive(Default)]
-struct Flame {
-    /// Span names by id, and ids by name; a [`SpanName`] holds an id.
+struct Names {
     names: Vec<Box<str>>,
     ids: BTreeMap<Box<str>, u32>,
-    nodes: Vec<FlameNode>,
-    /// `(name id, node)` of the roots.
-    roots: Vec<(u32, usize)>,
 }
 
-struct FlameNode {
-    /// Full flame path including ancestors, e.g. `read_file → ec.decode`.
-    path: String,
-    /// Where the span's own name starts in `path`.
-    name_at: usize,
-    /// `(name id, node)` of the children; a node has a handful.
-    children: Vec<(u32, usize)>,
-    /// Completed spans on this path.
-    agg: SpanAgg,
-}
-
-impl FlameNode {
-    fn name(&self) -> &str {
-        &self.path[self.name_at..]
-    }
-}
-
-impl Flame {
+impl Names {
     /// The id of span name `name`, made on first sight.
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.ids.get(name) {
@@ -172,49 +127,13 @@ impl Flame {
         self.ids.insert(name.into(), id);
         id
     }
-
-    /// The node for a span with name id `name` under `parent` (`None`: a
-    /// root).
-    fn child(&mut self, parent: Option<usize>, name: u32) -> usize {
-        let siblings = match parent {
-            Some(p) => &self.nodes[p].children,
-            None => &self.roots,
-        };
-        if let Some(&(_, node)) = siblings.iter().find(|&&(id, _)| id == name) {
-            return node;
-        }
-        let leaf = &self.names[name as usize];
-        let path = match parent {
-            Some(p) => format!("{}{PATH_SEP}{leaf}", self.nodes[p].path),
-            None => leaf.to_string(),
-        };
-        let node = self.nodes.len();
-        self.nodes.push(FlameNode {
-            name_at: path.len() - leaf.len(),
-            path,
-            children: Vec::new(),
-            agg: SpanAgg::default(),
-        });
-        match parent {
-            Some(p) => self.nodes[p].children.push((name, node)),
-            None => self.roots.push((name, node)),
-        }
-        node
-    }
 }
 
 struct OpenSpan {
     id: u64,
-    /// The span's node in [`Flame`].
-    node: usize,
+    /// The span's name id in [`Names`].
+    name: u32,
     start: u64,
-}
-
-/// A completed span in the slowest-spans ranking.
-struct Slow {
-    dur_ns: u64,
-    start_ns: u64,
-    node: usize,
 }
 
 struct Ring {
@@ -258,10 +177,7 @@ struct State {
     /// Open spans, innermost last (the instrumented request path is
     /// single-threaded; events attribute to the innermost open span).
     open: Vec<OpenSpan>,
-    flame: Flame,
-    /// The [`SLOW_CAP`] slowest completed spans, in [`slow_span_order`].
-    slowest: Vec<Slow>,
-    spans_ended: u64,
+    names: Names,
 }
 
 struct Inner {
@@ -276,7 +192,7 @@ struct Inner {
 /// on hot paths.
 ///
 /// An enabled collector allocates only for what it has not seen before — a
-/// new span path, a new metric series, a record with more fields than a
+/// new span name, a new metric series, a record with more fields than a
 /// builder holds inline — and for what a sink keeps (the ring's owned
 /// records, the JSONL writer's own buffering). Emitting on known paths
 /// with a JSONL sink and a tap attached allocates nothing.
@@ -297,13 +213,7 @@ impl Collector {
 
     /// Start building an enabled collector stamping records with `clock`.
     pub fn builder(clock: impl TelemetryClock + 'static) -> CollectorBuilder {
-        CollectorBuilder {
-            clock: Box::new(clock),
-            clock_label: "virtual",
-            jsonl: None,
-            ring: None,
-            tap: None,
-        }
+        CollectorBuilder { clock: Box::new(clock), jsonl: None, ring: None, tap: None }
     }
 
     #[inline]
@@ -335,7 +245,7 @@ impl Collector {
         match &self.0 {
             None => SpanName::default(),
             Some(i) => {
-                let id = with_labeled(name, label, |full| lock(&i.state).flame.intern(full));
+                let id = with_labeled(name, label, |full| lock(&i.state).names.intern(full));
                 SpanName { collector: self.clone(), id }
             }
         }
@@ -450,43 +360,6 @@ impl Collector {
         }
     }
 
-    /// The `k` slowest completed spans (deterministic order; at most
-    /// `SLOW_CAP` retained).
-    pub fn slowest_spans(&self, k: usize) -> Vec<SlowSpan> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(i) => {
-                let state = lock(&i.state);
-                let slow_span = |s: &Slow| SlowSpan {
-                    path: state.flame.nodes[s.node].path.clone(),
-                    dur_ns: s.dur_ns,
-                    start_ns: s.start_ns,
-                };
-                state.slowest.iter().take(k).map(slow_span).collect()
-            }
-        }
-    }
-
-    /// Render the flame-style summary of where (trace-clock) time went.
-    pub fn summary(&self) -> String {
-        match &self.0 {
-            None => String::new(),
-            Some(i) => {
-                let snapshot = i.registry.snapshot();
-                let state = lock(&i.state);
-                // Keyed by rendered path: two nodes can render alike when a
-                // span name itself contains the separator.
-                let mut agg: BTreeMap<String, SpanAgg> = BTreeMap::new();
-                for node in state.flame.nodes.iter().filter(|n| n.agg.count > 0) {
-                    let a = agg.entry(node.path.clone()).or_default();
-                    a.count += node.agg.count;
-                    a.total_ns += node.agg.total_ns;
-                }
-                summary::render(&agg, state.spans_ended, &snapshot)
-            }
-        }
-    }
-
     /// Flush the JSONL sink, writing first the records the writer holds
     /// back to see whether the next one shares their line.
     pub fn flush(&self) {
@@ -515,14 +388,12 @@ impl Collector {
         state.next_id += 1;
         let id = state.next_id;
         let name = match name {
-            Named::Text(text) => state.flame.intern(text),
+            Named::Text(text) => state.names.intern(text),
             Named::Id(name) => name,
         };
-        let parent = state.open.last();
-        let node = state.flame.child(parent.map(|p| p.node), name);
-        let parent = parent.map(|p| p.id);
-        state.open.push(OpenSpan { id, node, start: t });
-        let name = &state.flame.names[name as usize];
+        let parent = state.open.last().map(|p| p.id);
+        state.open.push(OpenSpan { id, name, start: t });
+        let name = &state.names.names[name as usize];
         state.sinks.emit(&RecordRef::SpanStart { id, parent, name, t, fields });
         SpanGuard { collector: self.clone(), id }
     }
@@ -542,26 +413,7 @@ impl Collector {
             Some(at) => state.open.remove(at),
         };
         let dur_ns = t.saturating_sub(span.start);
-        let nodes = &mut state.flame.nodes;
-        nodes[span.node].agg.count += 1;
-        nodes[span.node].agg.total_ns += dur_ns;
-        state.spans_ended += 1;
-
-        let key = |s: &Slow| (s.dur_ns, s.start_ns, nodes[s.node].path.as_str());
-        let slow = Slow { dur_ns, start_ns: span.start, node: span.node };
-        // Behind every retained span that ranks no later, as a push and a
-        // stable sort would leave it. Most spans rank behind all of them,
-        // which the last one settles.
-        let ranks_after = |s: &Slow| slow_span_order(key(s), key(&slow)).is_le();
-        let full_and_behind =
-            state.slowest.len() == SLOW_CAP && state.slowest.last().is_some_and(ranks_after);
-        if !full_and_behind {
-            let rank = state.slowest.partition_point(ranks_after);
-            state.slowest.truncate(SLOW_CAP - 1);
-            state.slowest.insert(rank, slow);
-        }
-
-        let name = nodes[span.node].name();
+        let name = &state.names.names[span.name as usize];
         state.sinks.emit(&RecordRef::SpanEnd { id, name, t, dur_ns, fields: &[] });
     }
 
@@ -589,7 +441,7 @@ enum Named<'a> {
 #[derive(Clone, Default)]
 pub struct SpanName {
     collector: Collector,
-    /// The name's id in the collector's flame tree.
+    /// The name's id in the collector's name table.
     id: u32,
 }
 
@@ -604,7 +456,6 @@ impl SpanName {
 /// Builder for an enabled [`Collector`].
 pub struct CollectorBuilder {
     clock: Box<dyn TelemetryClock>,
-    clock_label: &'static str,
     jsonl: Option<Box<dyn Write + Send>>,
     ring: Option<usize>,
     tap: Option<Tap>,
@@ -633,13 +484,6 @@ impl CollectorBuilder {
         self
     }
 
-    /// Label for the clock domain in the trace's meta record (default
-    /// `"virtual"`; pass `"wall"` with [`WallClock`]).
-    pub fn clock_label(mut self, label: &'static str) -> Self {
-        self.clock_label = label;
-        self
-    }
-
     /// Build the collector and emit the leading meta record.
     pub fn build(self) -> Collector {
         let t = self.clock.now_nanos();
@@ -648,16 +492,14 @@ impl CollectorBuilder {
             ring: self.ring.map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
             tap: self.tap,
         };
-        sinks.emit(&RecordRef::Meta { schema: TRACE_SCHEMA_VERSION, clock: self.clock_label, t });
+        sinks.emit(&RecordRef::Meta { schema: TRACE_SCHEMA_VERSION, clock: "virtual", t });
         Collector(Some(Arc::new(Inner {
             clock: self.clock,
             state: Mutex::new(State {
                 next_id: 0,
                 sinks,
                 open: Vec::new(),
-                flame: Flame::default(),
-                slowest: Vec::with_capacity(SLOW_CAP),
-                spans_ended: 0,
+                names: Names::default(),
             }),
             registry: Registry::default(),
         })))
@@ -762,7 +604,7 @@ impl<'a> EventBuilder<'a> {
 
 /// Cloneable in-memory byte sink for JSONL traces in tests and drills.
 ///
-/// Bytes are kept in chunks of [`SharedBuf::CHUNK`] rather than one
+/// Bytes are kept in chunks of a mebibyte rather than one
 /// growing `Vec`: a trace of tens of megabytes is then never copied while
 /// it is written (a doubling `Vec` copies it about once over, through
 /// ever larger fresh allocations), and reading it out copies it exactly
@@ -832,8 +674,6 @@ mod tests {
         assert_eq!(c.counter("n"), 0);
         assert!(c.ring_records().is_empty());
         assert!(c.metrics().counters.is_empty());
-        assert_eq!(c.summary(), "");
-        assert!(c.slowest_spans(5).is_empty());
         assert_eq!(c.now_nanos(), None);
     }
 
@@ -855,40 +695,53 @@ mod tests {
         clock.advance(10);
         {
             let _inner = c.span_labeled("fetch_fragment", "aliyun");
-            clock.advance(5);
+            clock.advance(2);
+            let _leaf = c.span_name("ec.decode", "x").start();
+            clock.advance(3);
         }
         clock.advance(1);
         drop(outer);
 
         let recs = c.ring_records();
-        // meta, start(outer), start(inner), end(inner), end(outer)
-        assert_eq!(recs.len(), 5);
-        let outer_id = match &recs[1] {
-            TraceRecord::SpanStart { id, parent: None, name, .. } if name == "read_file" => *id,
-            r => panic!("unexpected: {r:?}"),
-        };
-        match &recs[2] {
-            TraceRecord::SpanStart { parent, name, .. } => {
-                assert_eq!(*parent, Some(outer_id));
-                assert_eq!(name, "fetch_fragment[aliyun]");
+        // meta, start(outer), start(inner), start(leaf), end(leaf),
+        // end(inner), end(outer)
+        assert_eq!(recs.len(), 7);
+        let mut parents = BTreeMap::new();
+        let mut names = BTreeMap::new();
+        for r in &recs[1..4] {
+            match r {
+                TraceRecord::SpanStart { id, parent, name, .. } => {
+                    parents.insert(*id, *parent);
+                    names.insert(*id, name.as_str());
+                }
+                r => panic!("unexpected: {r:?}"),
             }
-            r => panic!("unexpected: {r:?}"),
         }
-        match &recs[3] {
-            TraceRecord::SpanEnd { dur_ns, .. } => assert_eq!(*dur_ns, 5),
-            r => panic!("unexpected: {r:?}"),
+        // The path a reader folds from the parent links, leaf first.
+        let leaf = *names.keys().max().unwrap();
+        let mut path = vec![names[&leaf]];
+        let mut at = parents[&leaf];
+        while let Some(id) = at {
+            path.push(names[&id]);
+            at = parents[&id];
         }
-        match &recs[4] {
-            TraceRecord::SpanEnd { name, dur_ns, .. } => {
-                assert_eq!(name, "read_file");
-                assert_eq!(*dur_ns, 16);
-            }
-            r => panic!("unexpected: {r:?}"),
-        }
-
-        let summary = c.summary();
-        assert!(summary.contains("read_file"), "{summary}");
-        assert!(summary.contains("→ fetch_fragment[aliyun]"), "{summary}");
+        assert_eq!(path, ["ec.decode[x]", "fetch_fragment[aliyun]", "read_file"]);
+        let ends: Vec<(u64, &str, u64)> = recs[4..]
+            .iter()
+            .map(|r| match r {
+                TraceRecord::SpanEnd { id, name, dur_ns, .. } => (*id, name.as_str(), *dur_ns),
+                r => panic!("unexpected: {r:?}"),
+            })
+            .collect();
+        let (outer_id, inner_id) = (leaf - 2, leaf - 1);
+        assert_eq!(
+            ends,
+            [
+                (leaf, "ec.decode[x]", 3),
+                (inner_id, "fetch_fragment[aliyun]", 5),
+                (outer_id, "read_file", 16)
+            ]
+        );
     }
 
     #[test]
@@ -941,18 +794,29 @@ mod tests {
     }
 
     #[test]
-    fn slowest_spans_deterministic_and_capped() {
+    fn span_ends_carry_their_name_and_duration() {
         let (clock, c, _) = manual();
+        let named = c.span_name("op", "named");
         for i in 0..40u64 {
-            let g = c.span("op");
+            let g = if i % 2 == 0 { c.span("op") } else { named.start() };
             clock.advance(100 * (i % 7 + 1));
             drop(g);
         }
-        let top = c.slowest_spans(5);
-        assert_eq!(top.len(), 5);
-        assert!(top.windows(2).all(|w| w[0].dur_ns >= w[1].dur_ns));
-        assert_eq!(top[0].dur_ns, 700);
-        assert_eq!(c.slowest_spans(1000).len(), SLOW_CAP);
+        let ends: Vec<(String, u64)> = c
+            .ring_records()
+            .into_iter()
+            .filter_map(|r| match r {
+                TraceRecord::SpanEnd { name, dur_ns, .. } => Some((name, dur_ns)),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<(String, u64)> = (0..40u64)
+            .map(|i| {
+                let name = if i % 2 == 0 { "op" } else { "op[named]" };
+                (name.to_string(), 100 * (i % 7 + 1))
+            })
+            .collect();
+        assert_eq!(ends, want);
     }
 
     #[test]

@@ -366,7 +366,7 @@ pub trait Record {
 /// the owned form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecordRef<'a> {
-    /// Leading record: schema version and clock domain ("virtual" or "wall").
+    /// Leading record: schema version and clock domain (a collector writes "virtual").
     Meta { schema: u32, clock: &'a str, t: u64 },
     /// A span opened at `t`; `parent` links to the enclosing span, if any.
     SpanStart { id: u64, parent: Option<u64>, name: &'a str, t: u64, fields: &'a [Field<'a>] },
@@ -584,7 +584,7 @@ impl Record for RecordRef<'_> {
 /// One line of a trace, owning its strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceRecord {
-    /// Leading record: schema version and clock domain ("virtual" or "wall").
+    /// Leading record: schema version and clock domain (a collector writes "virtual").
     Meta { schema: u32, clock: String, t: u64 },
     /// A span opened at `t`; `parent` links to the enclosing span, if any.
     SpanStart { id: u64, parent: Option<u64>, name: String, t: u64, fields: Fields },

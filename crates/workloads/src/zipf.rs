@@ -1,6 +1,6 @@
 //! Zipf-skewed popularity workload for the redundancy-policy engine.
 //!
-//! The adaptive placement policy ([`hyrd::policy`] in the core crate)
+//! The adaptive placement policy (`hyrd::policy` in the core crate)
 //! reacts to *heat*: files read far more often than their peers are
 //! promotion candidates, files never touched again after creation are
 //! demotion candidates. Uniform access (as in [`crate::openloop`])

@@ -16,6 +16,11 @@ lint:
     cargo test -q --offline -p hyrd-gfec --release
     cargo test -q --offline -p hyrd --release --test alloc_budget
 
+# The API docs, every rustdoc warning an error (as CI's first job runs
+# them): an intra-doc link to an item that is gone or private fails.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Non-test Rust lines of code per crate (non-blank, non-comment, each
 # file cut at its `#[cfg(test)]` tail, `tests/` and `benches/` left out)
 # — the count every simplicity gate in ROADMAP.md quotes before/after.
