@@ -686,27 +686,30 @@ impl Hyrd {
             }
             verdict
         };
-        let dirty_paths = self.dirty_l().paths();
-        for path in dirty_paths {
+        // Each dirty path is taken out of the set in turn (the walk keeps
+        // its place in `path`) and what could not be rebuilt is put back.
+        let mut path = String::new();
+        loop {
+            let Some(indices) = self.dirty_l().take_next(&mut path) else {
+                break;
+            };
             let Ok(npath) = NormPath::parse(&path) else {
+                self.dirty_l().put_back(&path, indices);
                 continue;
             };
-            let Ok(inode) = self.meta.inode(&npath) else {
-                self.dirty_l().forget(&path);
+            let Ok(Lent { stored: Stored::ErasureCoded(layout), copies, .. }) =
+                self.lend_inode(&npath)
+            else {
+                // Gone, or no longer erasure-coded: nothing to rebuild.
                 continue;
             };
-            let Placement::ErasureCoded { layout, fragments, .. } = inode.placement else {
-                self.dirty_l().forget(&path);
-                continue;
-            };
-            let indices = self.dirty_l().take(&path);
             let remaining = crate::ecops::rebuild_dirty(
                 self.code.as_code(),
                 &lookup,
                 &self.telemetry,
                 &provider,
                 &layout,
-                &fragments,
+                &copies,
                 &path,
                 indices,
                 &verify,

@@ -21,6 +21,7 @@
 //!   "consistency update upon service's return".
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -118,6 +119,19 @@ impl DirtyFragments {
     /// Paths with dirty fragments (for recovery iteration).
     pub fn paths(&self) -> Vec<String> {
         self.map.keys().cloned().collect()
+    }
+
+    /// Takes the indices of the first dirty path after `after` (of the
+    /// first path, when `after` is empty), leaving that path clean, and
+    /// leaves the path in `after`: a walk that puts some paths back as it
+    /// goes visits each path once, and copies each name into one reused
+    /// buffer.
+    pub fn take_next(&mut self, after: &mut String) -> Option<BTreeSet<usize>> {
+        let (path, _) =
+            self.map.range::<str, _>((Bound::Excluded(after.as_str()), Bound::Unbounded)).next()?;
+        after.clear();
+        after.push_str(path);
+        self.map.remove(after.as_str())
     }
 
     /// Takes the dirty indices of one path (leaving it clean).

@@ -797,12 +797,15 @@ impl ObservatoryReport {
 /// let obs = SharedObservatory::new();
 /// let collector = Collector::builder(clock).tap(obs.tap()).build();
 /// // ... run the workload ...
+/// collector.flush();
 /// let report = obs.report();
 /// ```
 ///
-/// The tap runs under the collector lock in emission order, so the
-/// online fold sees exactly the sequence an offline parse of the same
+/// The tap runs on the collector's writer thread in emission order, so
+/// the online fold sees exactly the sequence an offline parse of the same
 /// trace would — [`Observatory::report`] output is identical either way.
+/// It folds behind the request path: read the report after
+/// `Collector::flush`, which waits for it.
 #[derive(Clone, Default)]
 pub struct SharedObservatory(Arc<Mutex<Observatory>>);
 

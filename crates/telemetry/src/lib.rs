@@ -9,7 +9,14 @@
 //!   provider op, schema [`TRACE_SCHEMA_VERSION`]),
 //! * an in-memory ring buffer for tests ([`Collector::ring_records`]),
 //! * an online observer ([`CollectorBuilder::tap`]) that sees each record
-//!   as it is emitted.
+//!   in the order it was emitted.
+//!
+//! The sinks run on a writer thread of the collector's own: emitting a
+//! record stamps it and copies it into a batch, and every read of what a
+//! sink holds ([`Collector::flush`], [`Collector::ring_records`],
+//! [`SharedBuf::contents`], dropping the collector) first waits for the
+//! writer to catch up, so it reads what a sink fed on the emitting thread
+//! would hold.
 //!
 //! It aggregates no spans: a flame, a ranking or a waterfall is folded
 //! from the trace by whoever reads it. Alongside the trace it keeps a
@@ -37,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 
+mod feed;
 mod hist;
 pub mod json;
 mod parse;
@@ -56,12 +64,14 @@ pub use record::{
 pub use registry::{Counter, Gauge, HistogramSeries, HistogramSummary, MetricsSnapshot, Registry};
 pub use writer::TraceWriter;
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Display;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
+use feed::Feed;
 use record::FieldBuf;
 use registry::with_labeled;
 
@@ -141,14 +151,15 @@ struct Ring {
     buf: VecDeque<TraceRecord>,
 }
 
-/// Where records go. A record reaches every sink as the same borrowed
-/// [`RecordRef`]; only the ring, which keeps records, makes an owned copy.
+/// Where records go, on the collector's writer thread. A record reaches
+/// every sink as the same borrowed [`RecordRef`]; only the ring, which
+/// keeps records, makes an owned copy.
 struct Sinks {
     jsonl: Option<TraceWriter<Box<dyn Write + Send>>>,
     ring: Option<Ring>,
-    /// Online observer invoked with every record, in emission order and
-    /// under the collector lock — the deterministic feed the availability
-    /// observatory ingests without waiting for the JSONL trace.
+    /// Online observer invoked with every record, in emission order — the
+    /// deterministic feed the availability observatory ingests without
+    /// parsing the JSONL trace.
     tap: Option<Tap>,
 }
 
@@ -173,7 +184,9 @@ impl Sinks {
 
 struct State {
     next_id: u64,
-    sinks: Sinks,
+    /// The way to the sinks' writer thread; `None` when no sink is
+    /// attached, and then records go nowhere.
+    feed: Option<Feed>,
     /// Open spans, innermost last (the instrumented request path is
     /// single-threaded; events attribute to the innermost open span).
     open: Vec<OpenSpan>,
@@ -186,6 +199,18 @@ struct Inner {
     registry: Registry,
 }
 
+impl Inner {
+    /// Waits until the sinks hold every record emitted so far, then
+    /// lends them to `read`; `None` when no sink is attached.
+    fn drained<T>(&self, read: impl FnOnce(&mut Sinks) -> T) -> Option<T> {
+        let mut state = lock(&self.state);
+        let feed = state.feed.as_mut()?;
+        feed.drain();
+        let mut sinks = feed.sinks();
+        Some(read(&mut sinks))
+    }
+}
+
 /// Telemetry handle. `Collector::default()` / [`Collector::disabled`] is
 /// the no-op collector: every method returns immediately without touching a
 /// lock or allocating, so instrumentation can stay unconditionally in place
@@ -195,7 +220,13 @@ struct Inner {
 /// new span name, a new metric series, a record with more fields than a
 /// builder holds inline — and for what a sink keeps (the ring's owned
 /// records, the JSONL writer's own buffering). Emitting on known paths
-/// with a JSONL sink and a tap attached allocates nothing.
+/// with a JSONL sink and a tap attached allocates nothing, on the
+/// emitting thread or on the writer thread.
+///
+/// A collector with a sink runs its sinks on a thread of its own, which
+/// dropping the last clone joins. A panic in a sink or the tap is resumed
+/// on the thread that next flushes, reads the ring or the linked
+/// [`SharedBuf`], or drops the last clone.
 #[derive(Clone, Default)]
 pub struct Collector(Option<Arc<Inner>>);
 
@@ -213,7 +244,13 @@ impl Collector {
 
     /// Start building an enabled collector stamping records with `clock`.
     pub fn builder(clock: impl TelemetryClock + 'static) -> CollectorBuilder {
-        CollectorBuilder { clock: Box::new(clock), jsonl: None, ring: None, tap: None }
+        CollectorBuilder {
+            clock: Box::new(clock),
+            jsonl: None,
+            linked: None,
+            ring: None,
+            tap: None,
+        }
     }
 
     #[inline]
@@ -349,25 +386,21 @@ impl Collector {
     }
 
     /// Contents of the ring-buffer sink, oldest first (empty when disabled
-    /// or no ring was configured).
+    /// or no ring was configured), once it holds every record emitted so
+    /// far.
     pub fn ring_records(&self) -> Vec<TraceRecord> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(i) => {
-                let state = lock(&i.state);
-                state.sinks.ring.as_ref().map_or_else(Vec::new, |r| r.buf.iter().cloned().collect())
-            }
-        }
+        let ring = |sinks: &mut Sinks| {
+            sinks.ring.as_ref().map_or_else(Vec::new, |r| r.buf.iter().cloned().collect())
+        };
+        self.0.as_ref().and_then(|i| i.drained(ring)).unwrap_or_default()
     }
 
-    /// Flush the JSONL sink, writing first the records the writer holds
-    /// back to see whether the next one shares their line.
+    /// Flush the JSONL sink once it has every record emitted so far,
+    /// writing first the records the writer holds back to see whether the
+    /// next one shares their line.
     pub fn flush(&self) {
         if let Some(i) = &self.0 {
-            let mut state = lock(&i.state);
-            if let Some(w) = state.sinks.jsonl.as_mut() {
-                let _ = w.flush();
-            }
+            i.drained(|sinks| sinks.jsonl.as_mut().map(TraceWriter::flush));
         }
     }
 
@@ -393,8 +426,9 @@ impl Collector {
         };
         let parent = state.open.last().map(|p| p.id);
         state.open.push(OpenSpan { id, name, start: t });
-        let name = &state.names.names[name as usize];
-        state.sinks.emit(&RecordRef::SpanStart { id, parent, name, t, fields });
+        if let Some(feed) = &mut state.feed {
+            feed.span_start(&state.names.names, id, parent, name, t, fields);
+        }
         SpanGuard { collector: self.clone(), id }
     }
 
@@ -413,8 +447,9 @@ impl Collector {
             Some(at) => state.open.remove(at),
         };
         let dur_ns = t.saturating_sub(span.start);
-        let name = &state.names.names[span.name as usize];
-        state.sinks.emit(&RecordRef::SpanEnd { id, name, t, dur_ns, fields: &[] });
+        if let Some(feed) = &mut state.feed {
+            feed.span_end(&state.names.names, id, span.name, t, dur_ns);
+        }
     }
 
     fn emit_event(&self, name: &str, fields: &[Field<'_>]) {
@@ -424,8 +459,11 @@ impl Collector {
         };
         let t = inner.clock.now_nanos();
         let mut state = lock(&inner.state);
+        let state = &mut *state;
         let span = state.open.last().map(|s| s.id);
-        state.sinks.emit(&RecordRef::Event { span, name, t, fields });
+        if let Some(feed) = &mut state.feed {
+            feed.event(span, name, t, fields);
+        }
     }
 }
 
@@ -457,13 +495,21 @@ impl SpanName {
 pub struct CollectorBuilder {
     clock: Box<dyn TelemetryClock>,
     jsonl: Option<Box<dyn Write + Send>>,
+    /// The JSONL sink, when it is a [`SharedBuf`]: linked to the
+    /// collector at build, so that reading it drains the writer thread.
+    linked: Option<SharedBuf>,
     ring: Option<usize>,
     tap: Option<Tap>,
 }
 
 impl CollectorBuilder {
-    /// Attach a JSONL trace sink.
+    /// Attach a JSONL trace sink. A [`SharedBuf`] given here is linked to
+    /// the collector: reading it ([`SharedBuf::contents`]) first waits for
+    /// the writer thread, so it holds every line written so far. The
+    /// records the writer holds back, to see whether the next one shares
+    /// their line, wait for [`Collector::flush`] or the last drop.
     pub fn jsonl(mut self, w: impl Write + Send + 'static) -> Self {
+        self.linked = (&w as &dyn Any).downcast_ref::<SharedBuf>().cloned();
         self.jsonl = Some(Box::new(w));
         self
     }
@@ -475,34 +521,49 @@ impl CollectorBuilder {
     }
 
     /// Attach an online record observer: `f` sees every record (the
-    /// leading meta line included) in emission order, under the collector
-    /// lock. Streaming consumers — the availability observatory — hang
-    /// off this instead of re-parsing the JSONL sink. The record is lent
-    /// for the call; a tap that keeps one calls [`RecordRef::to_owned`].
+    /// leading meta line included) in emission order, on the collector's
+    /// writer thread. Streaming consumers — the availability observatory —
+    /// hang off this instead of re-parsing the JSONL sink; they read what
+    /// it folded after a [`Collector::flush`]. The record is lent for the
+    /// call; a tap that keeps one calls [`RecordRef::to_owned`].
+    ///
+    /// A tap (or a sink) must not read the trace it feeds — flush the
+    /// collector, read its ring or its linked [`SharedBuf`]: that read
+    /// waits for the writer thread the tap runs on, and never returns.
     pub fn tap(mut self, f: impl FnMut(&RecordRef<'_>) + Send + 'static) -> Self {
         self.tap = Some(Box::new(f));
         self
     }
 
-    /// Build the collector and emit the leading meta record.
+    /// Build the collector, start its writer thread if it has a sink and
+    /// emit the leading meta record.
     pub fn build(self) -> Collector {
         let t = self.clock.now_nanos();
-        let mut sinks = Sinks {
-            jsonl: self.jsonl.map(TraceWriter::new),
-            ring: self.ring.map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
-            tap: self.tap,
-        };
-        sinks.emit(&RecordRef::Meta { schema: TRACE_SCHEMA_VERSION, clock: "virtual", t });
-        Collector(Some(Arc::new(Inner {
+        let feed = (self.jsonl.is_some() || self.ring.is_some() || self.tap.is_some()).then(|| {
+            let mut feed = Feed::start(Sinks {
+                jsonl: self.jsonl.map(TraceWriter::new),
+                ring: self
+                    .ring
+                    .map(|cap| Ring { cap, buf: VecDeque::with_capacity(cap.min(1024)) }),
+                tap: self.tap,
+            });
+            feed.meta(TRACE_SCHEMA_VERSION, "virtual", t);
+            feed
+        });
+        let inner = Arc::new(Inner {
             clock: self.clock,
             state: Mutex::new(State {
                 next_id: 0,
-                sinks,
+                feed,
                 open: Vec::new(),
                 names: Names::default(),
             }),
             registry: Registry::default(),
-        })))
+        });
+        if let Some(buf) = self.linked {
+            *lock(&buf.0.feeder) = Arc::downgrade(&inner);
+        }
+        Collector(Some(inner))
     }
 }
 
@@ -609,8 +670,19 @@ impl<'a> EventBuilder<'a> {
 /// it is written (a doubling `Vec` copies it about once over, through
 /// ever larger fresh allocations), and reading it out copies it exactly
 /// once.
+///
+/// Given to [`CollectorBuilder::jsonl`], the buffer is linked to that
+/// collector, and a read first waits for the collector's writer thread to
+/// write every record emitted so far (see [`CollectorBuilder::jsonl`]).
 #[derive(Clone, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<Vec<u8>>>>);
+pub struct SharedBuf(Arc<BufState>);
+
+#[derive(Default)]
+struct BufState {
+    chunks: Mutex<Vec<Vec<u8>>>,
+    /// The collector whose JSONL sink this is, if any.
+    feeder: Mutex<Weak<Inner>>,
+}
 
 impl SharedBuf {
     const CHUNK: usize = 1 << 20;
@@ -619,8 +691,14 @@ impl SharedBuf {
         Self::default()
     }
 
+    /// Every byte written so far, once the linked collector's writer
+    /// thread has caught up.
     pub fn contents(&self) -> Vec<u8> {
-        lock(&self.0).concat()
+        let feeder = lock(&self.0.feeder).upgrade();
+        if let Some(inner) = feeder {
+            inner.drained(|_| ());
+        }
+        lock(&self.0.chunks).concat()
     }
 
     pub fn text(&self) -> String {
@@ -631,7 +709,7 @@ impl SharedBuf {
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut chunks = lock(&self.0);
+        let mut chunks = lock(&self.0.chunks);
         // A write is never split: when the last chunk cannot take it
         // whole, the next one is made large enough.
         match chunks.last_mut() {
@@ -866,13 +944,73 @@ mod tests {
             buf.write_all(piece.as_bytes()).unwrap();
             want.extend_from_slice(piece.as_bytes());
         }
-        assert!(lock(&buf.0).len() >= 10, "the walk crossed chunks");
+        assert!(lock(&buf.0.chunks).len() >= 10, "the walk crossed chunks");
         assert_eq!(buf.contents(), want);
         assert_eq!(buf.text().as_bytes(), want);
         // Bytes that are not UTF-8 are replaced, not refused.
         buf.write_all(b"\xff!").unwrap();
         assert!(buf.text().ends_with("\u{fffd}!"));
         assert_eq!(SharedBuf::new().text(), "");
+    }
+
+    /// A collector whose tap panics on its 100th record.
+    fn failing() -> Collector {
+        let mut seen = 0;
+        Collector::builder(ManualClock::new())
+            .tap(move |_| {
+                seen += 1;
+                assert!(seen < 100, "the tap gave up at record {seen}");
+            })
+            .ring(8)
+            .build()
+    }
+
+    fn message(panic: &(dyn std::any::Any + Send)) -> &str {
+        panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("")
+    }
+
+    #[test]
+    fn a_panic_on_the_writer_thread_is_resumed_at_the_next_flush() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let c = failing();
+        // Enough records to fill batches after the writer died.
+        for i in 0..20_000u64 {
+            c.event("e").field("i", i).emit();
+        }
+        let panic = catch_unwind(AssertUnwindSafe(|| c.flush())).expect_err("the tap's panic");
+        assert_eq!(message(&*panic), "the tap gave up at record 100");
+        // The writer is dead: a read returns at once, with what the sinks
+        // had before the panic (the ring last took the 99th record, event
+        // 97, after the meta record), and raises nothing twice.
+        c.event("after").emit();
+        c.flush();
+        assert_eq!(c.ring_records().last().and_then(|r| r.field_u64("i")), Some(97));
+    }
+
+    #[test]
+    fn a_panic_on_the_writer_thread_is_resumed_by_the_last_drop() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let c = failing();
+        for _ in 0..200 {
+            c.event("e").emit();
+        }
+        let panic = catch_unwind(AssertUnwindSafe(|| drop(c))).expect_err("the tap's panic");
+        assert_eq!(message(&*panic), "the tap gave up at record 100");
+        // Dropped while this thread unwinds, the collector only joins its
+        // writer: the panic that is already under way is the one caught.
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            let c = failing();
+            for _ in 0..200 {
+                c.event("e").emit();
+            }
+            panic!("the request failed");
+        }))
+        .expect_err("the request's panic");
+        assert_eq!(message(&*panic), "the request failed");
     }
 
     #[test]

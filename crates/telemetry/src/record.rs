@@ -598,29 +598,38 @@ impl TraceRecord {
     /// Render this record as a single JSON object (no trailing newline),
     /// through [`RecordRef::write_json`].
     pub fn to_json(&self) -> String {
+        let mut line = Vec::with_capacity(96);
+        self.lend(|r| r.write_json(&mut line));
+        String::from_utf8(line).expect("the writer emits UTF-8")
+    }
+
+    /// Lends this record to `f` as the borrowed form a [`TraceWriter`]
+    /// or a tap takes.
+    ///
+    /// [`TraceWriter`]: crate::TraceWriter
+    pub fn lend<R>(&self, f: impl FnOnce(&RecordRef<'_>) -> R) -> R {
         let fields: Vec<Field<'_>> = self
             .fields()
             .into_iter()
             .flatten()
             .map(|(k, v)| (Cow::Borrowed(k.as_str()), v.as_ref()))
             .collect();
+        let fields = &fields[..];
         let borrowed = match self {
             TraceRecord::Meta { schema, clock, t } => {
                 RecordRef::Meta { schema: *schema, clock, t: *t }
             }
             TraceRecord::SpanStart { id, parent, name, t, .. } => {
-                RecordRef::SpanStart { id: *id, parent: *parent, name, t: *t, fields: &fields }
+                RecordRef::SpanStart { id: *id, parent: *parent, name, t: *t, fields }
             }
             TraceRecord::SpanEnd { id, name, t, dur_ns, .. } => {
-                RecordRef::SpanEnd { id: *id, name, t: *t, dur_ns: *dur_ns, fields: &fields }
+                RecordRef::SpanEnd { id: *id, name, t: *t, dur_ns: *dur_ns, fields }
             }
             TraceRecord::Event { span, name, t, .. } => {
-                RecordRef::Event { span: *span, name, t: *t, fields: &fields }
+                RecordRef::Event { span: *span, name, t: *t, fields }
             }
         };
-        let mut line = Vec::with_capacity(96);
-        borrowed.write_json(&mut line);
-        String::from_utf8(line).expect("the writer emits UTF-8")
+        f(&borrowed)
     }
 
     /// The record's `name` (span or event name); meta records have none.

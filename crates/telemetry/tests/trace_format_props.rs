@@ -9,13 +9,12 @@
 
 mod oracle;
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hyrd_telemetry::{
-    for_each_record, parse_jsonl, parse_line, Collector, Field, Fields, LineParser, ManualClock,
-    Record, RecordRef, SharedBuf, TraceRecord, TraceWriter, Value,
+    for_each_record, parse_jsonl, parse_line, Collector, Fields, LineParser, ManualClock, Record,
+    SharedBuf, TraceRecord, TraceWriter, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -623,35 +622,11 @@ fn collector_writes_what_to_json_writes() {
 // (e) schema 3: the lines several records share
 // ---------------------------------------------------------------------------
 
-/// Lends `r` as the borrowed record the writer takes.
-fn lend<R>(r: &TraceRecord, f: impl FnOnce(&RecordRef<'_>) -> R) -> R {
-    let fields: Vec<Field<'_>> = r
-        .fields()
-        .into_iter()
-        .flatten()
-        .map(|(k, v)| (Cow::Borrowed(k.as_str()), v.as_ref()))
-        .collect();
-    let fields = &fields[..];
-    let borrowed = match r {
-        TraceRecord::Meta { schema, clock, t } => RecordRef::Meta { schema: *schema, clock, t: *t },
-        TraceRecord::SpanStart { id, parent, name, t, .. } => {
-            RecordRef::SpanStart { id: *id, parent: *parent, name, t: *t, fields }
-        }
-        TraceRecord::SpanEnd { id, name, t, dur_ns, .. } => {
-            RecordRef::SpanEnd { id: *id, name, t: *t, dur_ns: *dur_ns, fields }
-        }
-        TraceRecord::Event { span, name, t, .. } => {
-            RecordRef::Event { span: *span, name, t: *t, fields }
-        }
-    };
-    f(&borrowed)
-}
-
 /// `records` as the trace writer writes them.
 fn write_trace(records: &[TraceRecord]) -> String {
     let mut writer = TraceWriter::new(Vec::new());
     for r in records {
-        lend(r, |r| writer.write(r));
+        r.lend(|r| writer.write(r));
     }
     writer.flush().expect("a Vec takes every byte");
     String::from_utf8(writer.get_ref().clone()).expect("the writer writes UTF-8")
