@@ -16,7 +16,10 @@
 //! the sweep exhaustive rather than sampled.
 //!
 //! Counters keep counting while the plan is disarmed, so the same
-//! switch measures a clean run and then replays crashes from it.
+//! switch measures a clean run and then replays crashes from it. A
+//! disarmed switch only counts: every provider op passes through
+//! [`CrashSwitch::on_op`], and the plan's lock is taken only while a
+//! plan is armed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,6 +82,10 @@ impl CrashPlan {
 #[derive(Debug, Default)]
 pub struct CrashSwitch {
     plan: Mutex<CrashPlan>,
+    /// Whether `plan` names a site; written under the plan's lock and
+    /// read without it, so a disarmed [`on_op`](Self::on_op) skips that
+    /// lock.
+    armed: AtomicBool,
     crashed: AtomicBool,
     ops: AtomicU64,
     points: Mutex<BTreeMap<String, u64>>,
@@ -94,7 +101,9 @@ impl CrashSwitch {
     /// run, [`reset`](Self::reset), and arm again on the same switch.
     pub fn arm(&self, plan: CrashPlan) {
         self.crashed.store(false, Ordering::SeqCst);
-        *lock(&self.plan) = plan;
+        let mut current = lock(&self.plan);
+        self.armed.store(plan.site().is_some(), Ordering::SeqCst);
+        *current = plan;
     }
 
     /// Disarms the plan and clears the latch. Counters are *kept*: a
@@ -124,6 +133,9 @@ impl CrashSwitch {
             return true;
         }
         let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
+        if !self.armed.load(Ordering::SeqCst) {
+            return false;
+        }
         if let Some(CrashSite::AtOp(budget)) = lock(&self.plan).site() {
             if n >= *budget {
                 self.crashed.store(true, Ordering::SeqCst);
@@ -167,6 +179,10 @@ impl CrashSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use hyrd_gcsapi::{CloudError, CloudStorage, ObjectKey, ProviderId};
 
     #[test]
     fn disarmed_switch_counts_but_never_fires() {
@@ -215,5 +231,67 @@ mod tests {
         s.reset_counters();
         assert_eq!(s.op_count(), 0);
         assert!(s.point_hits().is_empty());
+    }
+
+    /// A provider wired to `switch`, with a container to write into.
+    fn provider_on(switch: &Arc<CrashSwitch>) -> crate::SimProvider {
+        let p = crate::SimProvider::well_known(
+            ProviderId(0),
+            crate::WellKnownProvider::AmazonS3,
+            crate::SimClock::new(),
+        );
+        p.set_crash_switch(switch.clone());
+        p.create("data").unwrap();
+        p
+    }
+
+    #[test]
+    fn a_disarmed_switch_counts_every_admitted_op() {
+        let switch = Arc::new(CrashSwitch::new());
+        let p = provider_on(&switch);
+        let key = ObjectKey::new("data", "k");
+        p.put(&key, Bytes::from_static(b"v")).unwrap();
+        p.get(&key).unwrap();
+        assert!(p.get(&ObjectKey::new("data", "missing")).is_err(), "a failed op counts too");
+        p.force_down();
+        assert!(p.list("data").is_err(), "so does one an outage refuses");
+        p.restore();
+        p.remove(&key).unwrap();
+        assert_eq!(switch.op_count(), 6, "create, put, get, failed get, refused list, remove");
+        assert!(!switch.crashed());
+    }
+
+    #[test]
+    fn arming_after_k_ops_fires_exactly_at_op_n() {
+        let switch = Arc::new(CrashSwitch::new());
+        let p = provider_on(&switch);
+        let key = ObjectKey::new("data", "k");
+        for _ in 0..4 {
+            p.put(&key, Bytes::from_static(b"v")).unwrap();
+        }
+        let k = switch.op_count();
+        assert_eq!(k, 5);
+        switch.arm(CrashPlan::at_op(k + 3));
+        assert!(p.get(&key).is_ok(), "op k + 1");
+        assert!(p.get(&key).is_ok(), "op k + 2");
+        assert!(matches!(p.get(&key), Err(CloudError::Crashed { .. })), "op k + 3 fires");
+        assert_eq!(switch.op_count(), k + 3);
+        assert!(matches!(p.get(&key), Err(CloudError::Crashed { .. })), "latched");
+    }
+
+    #[test]
+    fn reset_disarms_an_armed_plan() {
+        let s = CrashSwitch::new();
+        s.arm(CrashPlan::at_op(3));
+        assert!(!s.on_op());
+        s.reset();
+        for _ in 0..5 {
+            assert!(!s.on_op(), "the op budget no longer applies");
+        }
+        s.arm(CrashPlan::at_point("meta.flush.pre", 1));
+        s.reset();
+        assert!(!s.at_point("meta.flush.pre"), "nor does the crashpoint");
+        assert_eq!(s.op_count(), 6);
+        assert!(!s.crashed());
     }
 }

@@ -5,21 +5,20 @@
 //! calibrated [`crate::latency::LatencyModel`] predicts and refusing service during
 //! outage windows. It keeps its own op/byte statistics and a
 //! `stored_bytes` gauge, which is everything the cost simulator samples.
+//! One op is one critical section: admission, the store access and the
+//! report run under the provider's single lock.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use bytes::Bytes;
-use std::sync::{RwLock, RwLockReadGuard};
 
-use hyrd_gcsapi::sync::{read, write};
+use hyrd_gcsapi::sync::lock;
 
 use hyrd_gcsapi::{
-    CloudError, CloudResult, CloudStorage, ObjectKey, OpKind, OpOutcome, OpReport, OpStats,
-    ProviderId, StatsSnapshot,
+    CloudError, CloudResult, CloudStorage, ObjectKey, OpKind, OpOutcome, OpReport, ProviderId,
+    StatsSnapshot,
 };
 use hyrd_telemetry::{Collector, Counter, HistogramSeries};
 
@@ -39,7 +38,7 @@ const GHOST_ZEROS_LEN: usize = 4 << 20;
 /// `len` zero bytes for a ghost read: a view of the shared zero run, or
 /// a fresh buffer for the rare object beyond it.
 fn ghost_zeros(len: usize) -> Bytes {
-    static ZEROS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    static ZEROS: OnceLock<Bytes> = OnceLock::new();
     if len > GHOST_ZEROS_LEN {
         return Bytes::from(vec![0u8; len]);
     }
@@ -91,32 +90,48 @@ struct Telemetry {
 /// sorts by name first.
 type Objects = HashMap<Arc<str>, Stored>;
 
+/// Everything an op reads or writes, behind the provider's one lock.
+struct State {
+    /// Containers in name order, each with its objects.
+    store: BTreeMap<String, Objects>,
+    outage: OutageSchedule,
+    /// Jitter stream position; one tick per op that passes the outage
+    /// check.
+    seq: u64,
+    stats: StatsSnapshot,
+    /// Sum of the stored objects' lengths (the storage-cost gauge).
+    stored_bytes: u64,
+    /// Probability in ‰ (deterministic, per-op-seq) of a transient fault.
+    flakiness_milli: u64,
+    /// Seeded fault schedule (bursts, spikes, corruption, torn writes,
+    /// rot). Quiet by default.
+    faults: FaultPlan,
+    /// How many of the plan's rot events have been applied.
+    rot_applied: usize,
+    /// Telemetry sink; disabled (no-op) by default.
+    telemetry: Telemetry,
+}
+
 /// A simulated provider: latency model + prices + outage schedule around
 /// an in-memory object store.
 pub struct SimProvider {
     id: ProviderId,
     profile: ProviderProfile,
     clock: SimClock,
-    /// Containers in name order, each with its objects.
-    store: RwLock<BTreeMap<String, Objects>>,
+    /// The provider's one lock: an op admits, touches the store and
+    /// reports under a single guard, so what it decides and emits is
+    /// one atomic step. Lock order is *provider state → collector*: the
+    /// `provider.op` and `provider.fault` events are emitted with this
+    /// lock held (and the fleet's crash switch is consulted under it), so
+    /// a collector sink or tap — which runs on the collector's writer
+    /// thread — must never call into a provider.
+    state: Mutex<State>,
     /// When set, payload bytes are discarded and only lengths retained.
+    /// Outside the lock: readers ask for it between ops.
     ghost: AtomicBool,
-    outage: RwLock<OutageSchedule>,
-    /// Jitter stream position; one tick per op.
-    seq: AtomicU64,
-    stats: OpStats,
-    stored_bytes: AtomicU64,
-    /// Probability (deterministic, per-op-seq) of a transient fault.
-    flakiness_milli: AtomicU64,
-    /// Seeded fault schedule (bursts, spikes, corruption, torn writes,
-    /// rot). Quiet by default.
-    faults: RwLock<FaultPlan>,
-    /// How many of the plan's rot events have been applied.
-    rot_applied: AtomicU64,
-    /// Telemetry sink; disabled (no-op) by default.
-    telemetry: RwLock<Telemetry>,
-    /// Fleet-shared client-crash switch; absent for standalone providers.
-    crash: RwLock<Option<std::sync::Arc<CrashSwitch>>>,
+    /// Fleet-shared client-crash switch, set once by `Fleet::new`;
+    /// absent for standalone providers.
+    crash: OnceLock<Arc<CrashSwitch>>,
     /// Concurrency-limited server slots the event engine admits reads
     /// through; closed-loop replay never saturates the default width.
     queue: ProviderQueue,
@@ -129,25 +144,32 @@ impl SimProvider {
             id,
             profile,
             clock,
-            store: RwLock::new(BTreeMap::new()),
-            outage: RwLock::new(OutageSchedule::always_up()),
-            seq: AtomicU64::new(0),
-            stats: OpStats::default(),
-            stored_bytes: AtomicU64::new(0),
-            flakiness_milli: AtomicU64::new(0),
+            state: Mutex::new(State {
+                store: BTreeMap::new(),
+                outage: OutageSchedule::always_up(),
+                seq: 0,
+                stats: StatsSnapshot::default(),
+                stored_bytes: 0,
+                flakiness_milli: 0,
+                faults: FaultPlan::quiet(),
+                rot_applied: 0,
+                telemetry: Telemetry::default(),
+            }),
             ghost: AtomicBool::new(false),
-            faults: RwLock::new(FaultPlan::quiet()),
-            rot_applied: AtomicU64::new(0),
-            telemetry: RwLock::new(Telemetry::default()),
-            crash: RwLock::new(None),
+            crash: OnceLock::new(),
             queue: ProviderQueue::new(crate::queue::DEFAULT_CONCURRENCY),
         }
     }
 
     /// Attaches the fleet's shared [`CrashSwitch`]; every admitted op
-    /// consults (and counts on) it. Called by `Fleet::new`.
-    pub fn set_crash_switch(&self, switch: std::sync::Arc<CrashSwitch>) {
-        *write(&self.crash) = Some(switch);
+    /// consults (and counts on) it. Called once, by `Fleet::new`; a
+    /// provider keeps the first switch it is given.
+    pub fn set_crash_switch(&self, switch: Arc<CrashSwitch>) {
+        let _ = self.crash.set(switch);
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        lock(&self.state)
     }
 
     /// Installs a telemetry collector; every subsequent op emits a
@@ -156,21 +178,20 @@ impl SimProvider {
     /// turn instrumentation back into a no-op.
     pub fn set_telemetry(&self, collector: Collector) {
         let name = self.profile.name.as_str();
-        *write(&self.telemetry) = Telemetry {
+        let telemetry = Telemetry {
             ops: collector.counter_series("provider.ops", name),
             latency_ns: collector.histogram_series("provider.latency_ns", name),
             collector,
         };
-    }
-
-    fn telemetry(&self) -> RwLockReadGuard<'_, Telemetry> {
-        read(&self.telemetry)
+        // The old collector is dropped after the guard: dropping a
+        // collector's last clone joins its writer thread.
+        let _old = std::mem::replace(&mut self.state().telemetry, telemetry);
     }
 
     /// Emits a fault event + counter. `reason` matches the `CloudError`
     /// reason string where one exists.
-    fn note_fault(&self, reason: &str) {
-        let tel = &self.telemetry().collector;
+    fn note_fault(&self, s: &State, reason: &str) {
+        let tel = &s.telemetry.collector;
         if tel.enabled() {
             tel.event("provider.fault")
                 .field("provider", self.profile.name.as_str())
@@ -208,7 +229,7 @@ impl SimProvider {
 
     /// Accumulated op statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.state().stats
     }
 
     /// The provider's concurrency-limited admission queue. Only the
@@ -232,8 +253,9 @@ impl SimProvider {
     /// agrees with what the client actually consumed.
     pub fn credit_cancelled(&self, report: &OpReport, billed: std::time::Duration) {
         let latency_credit = report.latency.saturating_sub(billed);
-        self.stats.credit_cancelled(report.bytes_out, latency_credit.as_nanos() as u64);
-        let tel = &self.telemetry().collector;
+        let mut s = self.state();
+        s.stats.credit_cancelled(report.bytes_out, latency_credit.as_nanos() as u64);
+        let tel = &s.telemetry.collector;
         if tel.enabled() {
             tel.event("provider.cancel")
                 .field("provider", self.profile.name.as_str())
@@ -246,19 +268,21 @@ impl SimProvider {
 
     /// Bytes currently stored (the storage-cost gauge).
     pub fn stored_bytes(&self) -> u64 {
-        self.stored_bytes.load(Ordering::Relaxed)
+        self.state().stored_bytes
     }
 
     /// Number of stored objects across containers.
     pub fn object_count(&self) -> usize {
-        read(&self.store).values().map(|c| c.len()).sum()
+        self.state().store.values().map(|c| c.len()).sum()
     }
 
     /// Audit backdoor: every `(name, length)` stored in `container`, in
     /// name order, without an op, stats, or latency — the durability
     /// auditor's ground-truth view of what physically exists.
     pub fn object_inventory(&self, container: &str) -> Vec<(String, u64)> {
-        let mut inventory: Vec<(String, u64)> = read(&self.store)
+        let mut inventory: Vec<(String, u64)> = self
+            .state()
+            .store
             .get(container)
             .map(|c| c.iter().map(|(k, v)| (k.to_string(), v.len())).collect())
             .unwrap_or_default();
@@ -268,8 +292,8 @@ impl SimProvider {
 
     /// Emits a `provider.status` lifecycle event (the observatory derives
     /// per-provider uptime windows from these).
-    fn note_status(&self, state: &str, reason: &str) {
-        let tel = &self.telemetry().collector;
+    fn note_status(&self, s: &State, state: &str, reason: &str) {
+        let tel = &s.telemetry.collector;
         if tel.enabled() {
             tel.event("provider.status")
                 .field("provider", self.profile.name.as_str())
@@ -282,20 +306,23 @@ impl SimProvider {
 
     /// Forces the provider into an outage (Figure 6 methodology).
     pub fn force_down(&self) {
-        write(&self.outage).force_down();
-        self.note_status("down", "forced");
+        let mut s = self.state();
+        s.outage.force_down();
+        self.note_status(&s, "down", "forced");
     }
 
     /// Ends a forced outage.
     pub fn restore(&self) {
-        write(&self.outage).restore();
-        self.note_status("up", "restored");
+        let mut s = self.state();
+        s.outage.restore();
+        self.note_status(&s, "up", "restored");
     }
 
     /// Adds a scheduled outage window in virtual time.
     pub fn schedule_outage(&self, start: std::time::Duration, end: std::time::Duration) {
-        write(&self.outage).add_window(start, end);
-        let tel = &self.telemetry().collector;
+        let mut s = self.state();
+        s.outage.add_window(start, end);
+        let tel = &s.telemetry.collector;
         if tel.enabled() {
             tel.event("provider.outage_scheduled")
                 .field("provider", self.profile.name.as_str())
@@ -308,15 +335,15 @@ impl SimProvider {
     /// Sets the transient-fault probability (0.0–1.0), deterministic in
     /// the op sequence. Used by failure-injection tests.
     pub fn set_flakiness(&self, p: f64) {
-        let milli = (p.clamp(0.0, 1.0) * 1000.0) as u64;
-        self.flakiness_milli.store(milli, Ordering::Relaxed);
+        self.state().flakiness_milli = (p.clamp(0.0, 1.0) * 1000.0) as u64;
     }
 
     /// Installs a fault schedule (replacing any previous one; the rot
     /// cursor restarts with the new plan).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *write(&self.faults) = plan;
-        self.rot_applied.store(0, Ordering::Relaxed);
+        let mut s = self.state();
+        s.faults = plan;
+        s.rot_applied = 0;
     }
 
     /// Whether ghost mode is on (payloads discarded, Gets zero-filled).
@@ -330,8 +357,8 @@ impl SimProvider {
     /// rest*, without an op, stats, or latency. Returns false when the
     /// object is absent, empty, or ghost (nothing to corrupt).
     pub fn corrupt_object(&self, key: &ObjectKey, bit: u64) -> bool {
-        let mut s = write(&self.store);
-        let Some(container) = s.get_mut(&*key.container) else {
+        let mut s = self.state();
+        let Some(container) = s.store.get_mut(&*key.container) else {
             return false;
         };
         let Some(Stored::Real(b)) = container.get_mut(&*key.name) else {
@@ -351,21 +378,17 @@ impl SimProvider {
     /// of one stored object, the `entropy mod count`-th in (container,
     /// name) order. Ghost objects count, and absorb the event with no
     /// effect.
-    fn apply_due_rot(&self) {
-        loop {
-            let consumed = self.rot_applied.load(Ordering::Relaxed) as usize;
-            let Some(entropy) = read(&self.faults).rot_due(consumed, self.clock.now()) else {
-                return;
-            };
-            self.rot_applied.store(consumed as u64 + 1, Ordering::Relaxed);
-            self.note_fault("bit rot");
-            let mut s = write(&self.store);
-            let total: usize = s.values().map(|c| c.len()).sum();
+    fn apply_due_rot(&self, s: &mut State) {
+        while let Some(entropy) = s.faults.rot_due(s.rot_applied, self.clock.now()) {
+            s.rot_applied += 1;
+            self.note_fault(s, "bit rot");
+            let total: usize = s.store.values().map(|c| c.len()).sum();
             if total == 0 {
                 continue;
             }
             let mut k = (entropy as usize) % total;
             let objects = s
+                .store
                 .values_mut()
                 .find(|objects| {
                     let here = k < objects.len();
@@ -388,55 +411,65 @@ impl SimProvider {
         }
     }
 
-    /// Availability check + per-op bookkeeping; returns the jitter seq.
-    fn admit(&self) -> CloudResult<u64> {
+    /// Availability check + per-op bookkeeping under the op's guard;
+    /// returns the jitter seq.
+    fn admit(&self, s: &mut State) -> CloudResult<u64> {
         // Crash check first: a dead client issues no ops at all, so the
         // boundary counter must see every attempt, including ones an
         // outage or fault would have rejected anyway.
-        if let Some(crash) = read(&self.crash).clone() {
+        if let Some(crash) = self.crash.get() {
             if crash.on_op() {
-                self.stats.record_err();
-                self.note_fault("crash");
+                s.stats.record_err();
+                self.note_fault(s, "crash");
                 return Err(CloudError::Crashed { provider: self.id });
             }
         }
-        self.apply_due_rot();
-        if !read(&self.outage).is_up(self.clock.now()) {
-            self.stats.record_err();
-            self.note_fault("outage");
+        self.apply_due_rot(s);
+        if !s.outage.is_up(self.clock.now()) {
+            s.stats.record_err();
+            self.note_fault(s, "outage");
             return Err(CloudError::Unavailable { provider: self.id });
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let flake = self.flakiness_milli.load(Ordering::Relaxed);
+        let seq = s.seq;
+        s.seq += 1;
+        let flake = s.flakiness_milli;
         if flake > 0 {
             // SplitMix on the seq, compared against the probability.
             let mut z = seq.wrapping_add(0x9E3779B97F4A7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z ^= z >> 31;
             if z % 1000 < flake {
-                self.stats.record_err();
-                self.note_fault("injected");
+                s.stats.record_err();
+                self.note_fault(s, "injected");
                 return Err(CloudError::Transient { provider: self.id, reason: "injected" });
             }
         }
-        if read(&self.faults).burst_error(self.clock.now(), seq) {
-            self.stats.record_err();
-            self.note_fault("burst");
+        if s.faults.burst_error(self.clock.now(), seq) {
+            s.stats.record_err();
+            self.note_fault(s, "burst");
             return Err(CloudError::Transient { provider: self.id, reason: "burst" });
         }
         Ok(seq)
     }
 
-    fn report(&self, kind: OpKind, bytes_in: u64, bytes_out: u64, seq: u64) -> OpReport {
+    /// Prices, tallies and traces one successful op under its guard.
+    fn report(
+        &self,
+        s: &mut State,
+        kind: OpKind,
+        bytes_in: u64,
+        bytes_out: u64,
+        seq: u64,
+    ) -> OpReport {
         let payload = bytes_in.max(bytes_out);
         let mut latency = self.profile.latency.latency(kind, payload, seq);
-        let spike = read(&self.faults).latency_multiplier(self.clock.now());
+        let spike = s.faults.latency_multiplier(self.clock.now());
         if spike > 1.0 {
             latency = latency.mul_f64(spike);
         }
         let report = OpReport { provider: self.id, kind, latency, bytes_in, bytes_out };
-        self.stats.record_ok(&report);
-        let tel = self.telemetry();
+        s.stats.record_ok(&report);
+        let tel = &s.telemetry;
         if tel.collector.enabled() {
             // Priced cost of this single op under the provider's Table II
             // plan: its transaction class plus any transfer charges.
@@ -462,6 +495,18 @@ impl SimProvider {
     }
 }
 
+/// Counts a failed op and names the container it did not find.
+fn no_container(stats: &mut StatsSnapshot, container: &str) -> CloudError {
+    stats.record_err();
+    CloudError::NoSuchContainer { container: container.to_string() }
+}
+
+/// Counts a failed op and names the object it did not find.
+fn no_object(stats: &mut StatsSnapshot, key: &ObjectKey) -> CloudError {
+    stats.record_err();
+    CloudError::NoSuchObject { key: key.clone() }
+}
+
 impl CloudStorage for SimProvider {
     fn id(&self) -> ProviderId {
         self.id
@@ -472,123 +517,106 @@ impl CloudStorage for SimProvider {
     }
 
     fn create(&self, container: &str) -> CloudResult<OpOutcome<()>> {
-        let seq = self.admit()?;
-        let mut s = write(&self.store);
-        if s.contains_key(container) {
-            self.stats.record_err();
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
+        if s.store.contains_key(container) {
+            s.stats.record_err();
             return Err(CloudError::ContainerExists { container: container.to_string() });
         }
-        s.insert(container.to_string(), Objects::new());
-        drop(s);
-        Ok(OpOutcome::new((), self.report(OpKind::Create, 0, 0, seq)))
+        s.store.insert(container.to_string(), Objects::new());
+        Ok(OpOutcome::new((), self.report(s, OpKind::Create, 0, 0, seq)))
     }
 
     fn put(&self, key: &ObjectKey, data: Bytes) -> CloudResult<OpOutcome<()>> {
-        let seq = self.admit()?;
-        let torn = read(&self.faults).torn_put(seq);
-        let mut s = write(&self.store);
-        let container = s.get_mut(&*key.container).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.to_string() }
-        })?;
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
+        let torn = s.faults.torn_put(seq);
+        let container = s
+            .store
+            .get_mut(&*key.container)
+            .ok_or_else(|| no_container(&mut s.stats, &key.container))?;
+        let ghost = self.ghost.load(Ordering::Relaxed);
         if let Some(entropy) = torn {
             // Torn write: a prefix lands, the op reports failure. The
             // kept fraction is 10%–90% of the payload.
             let frac_milli = 100 + entropy % 801;
             let keep = (data.len() as u64 * frac_milli / 1000) as usize;
-            let record = if self.ghost.load(Ordering::Relaxed) {
-                Stored::Ghost(keep as u64)
-            } else {
-                Stored::Real(data.slice(..keep))
-            };
+            let record =
+                if ghost { Stored::Ghost(keep as u64) } else { Stored::Real(data.slice(..keep)) };
             let old_len = container.insert(key.name.clone(), record).map_or(0, |b| b.len());
-            drop(s);
-            self.stored_bytes.fetch_add(keep as u64, Ordering::Relaxed);
-            self.stored_bytes.fetch_sub(old_len, Ordering::Relaxed);
-            self.stats.record_err();
-            self.note_fault("torn write");
+            s.stored_bytes = s.stored_bytes + keep as u64 - old_len;
+            s.stats.record_err();
+            self.note_fault(s, "torn write");
             return Err(CloudError::Transient { provider: self.id, reason: "torn write" });
         }
         let new_len = data.len() as u64;
-        let record = if self.ghost.load(Ordering::Relaxed) {
-            Stored::Ghost(new_len)
-        } else {
-            Stored::Real(data)
-        };
+        let record = if ghost { Stored::Ghost(new_len) } else { Stored::Real(data) };
         let old_len = container.insert(key.name.clone(), record).map_or(0, |b| b.len());
-        drop(s);
         // Gauge update: overwrite replaces the old size.
-        self.stored_bytes.fetch_add(new_len, Ordering::Relaxed);
-        self.stored_bytes.fetch_sub(old_len, Ordering::Relaxed);
-        Ok(OpOutcome::new((), self.report(OpKind::Put, new_len, 0, seq)))
+        s.stored_bytes = s.stored_bytes + new_len - old_len;
+        Ok(OpOutcome::new((), self.report(s, OpKind::Put, new_len, 0, seq)))
     }
 
     fn get(&self, key: &ObjectKey) -> CloudResult<OpOutcome<Bytes>> {
-        let seq = self.admit()?;
-        let s = read(&self.store);
-        let container = s.get(&*key.container).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.to_string() }
-        })?;
-        let mut data = container.get(&*key.name).map(Stored::to_bytes).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchObject { key: key.clone() }
-        })?;
-        drop(s);
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
+        let container = s
+            .store
+            .get(&*key.container)
+            .ok_or_else(|| no_container(&mut s.stats, &key.container))?;
+        let mut data = container
+            .get(&*key.name)
+            .map(Stored::to_bytes)
+            .ok_or_else(|| no_object(&mut s.stats, key))?;
         if !data.is_empty() {
-            if let Some(entropy) = read(&self.faults).wire_corruption(seq) {
+            if let Some(entropy) = s.faults.wire_corruption(seq) {
                 // One bit flips on the wire; the stored object is intact.
                 let mut v = data.to_vec();
                 let target = ((entropy >> 11) as usize) % (v.len() * 8);
                 v[target / 8] ^= 1 << (target % 8);
                 data = Bytes::from(v);
-                self.note_fault("wire corruption");
+                self.note_fault(s, "wire corruption");
             }
         }
         let len = data.len() as u64;
-        Ok(OpOutcome::new(data, self.report(OpKind::Get, 0, len, seq)))
+        Ok(OpOutcome::new(data, self.report(s, OpKind::Get, 0, len, seq)))
     }
 
     fn list(&self, container: &str) -> CloudResult<OpOutcome<Vec<String>>> {
-        let seq = self.admit()?;
-        let s = read(&self.store);
-        let cont = s.get(container).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchContainer { container: container.to_string() }
-        })?;
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
+        let cont = s.store.get(container).ok_or_else(|| no_container(&mut s.stats, container))?;
         let mut names: Vec<String> = cont.keys().map(|name| name.to_string()).collect();
-        drop(s);
         names.sort_unstable();
-        Ok(OpOutcome::new(names, self.report(OpKind::List, 0, 0, seq)))
+        Ok(OpOutcome::new(names, self.report(s, OpKind::List, 0, 0, seq)))
     }
 
     fn remove(&self, key: &ObjectKey) -> CloudResult<OpOutcome<()>> {
-        let seq = self.admit()?;
-        let mut s = write(&self.store);
-        let container = s.get_mut(&*key.container).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.to_string() }
-        })?;
-        let removed = container.remove(&*key.name).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchObject { key: key.clone() }
-        })?;
-        drop(s);
-        self.stored_bytes.fetch_sub(removed.len(), Ordering::Relaxed);
-        Ok(OpOutcome::new((), self.report(OpKind::Remove, 0, 0, seq)))
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
+        let container = s
+            .store
+            .get_mut(&*key.container)
+            .ok_or_else(|| no_container(&mut s.stats, &key.container))?;
+        let removed = container.remove(&*key.name).ok_or_else(|| no_object(&mut s.stats, key))?;
+        s.stored_bytes -= removed.len();
+        Ok(OpOutcome::new((), self.report(s, OpKind::Remove, 0, 0, seq)))
     }
 
     fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> CloudResult<OpOutcome<Bytes>> {
-        let seq = self.admit()?;
-        let s = read(&self.store);
-        let container = s.get(&*key.container).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.to_string() }
-        })?;
-        let stored = container.get(&*key.name).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchObject { key: key.clone() }
-        })?;
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
+        let container = s
+            .store
+            .get(&*key.container)
+            .ok_or_else(|| no_container(&mut s.stats, &key.container))?;
+        let stored = container.get(&*key.name).ok_or_else(|| no_object(&mut s.stats, key))?;
         let total = stored.len();
         let end = (offset + len).min(total);
         let start = offset.min(end);
@@ -596,23 +624,20 @@ impl CloudStorage for SimProvider {
             Stored::Real(b) => b.slice(start as usize..end as usize),
             Stored::Ghost(_) => ghost_zeros((end - start) as usize),
         };
-        drop(s);
         let n = slice.len() as u64;
-        Ok(OpOutcome::new(slice, self.report(OpKind::Get, 0, n, seq)))
+        Ok(OpOutcome::new(slice, self.report(s, OpKind::Get, 0, n, seq)))
     }
 
     fn put_range(&self, key: &ObjectKey, offset: u64, data: Bytes) -> CloudResult<OpOutcome<()>> {
-        let seq = self.admit()?;
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let seq = self.admit(s)?;
         let written = data.len() as u64;
-        let mut s = write(&self.store);
-        let container = s.get_mut(&*key.container).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchContainer { container: key.container.to_string() }
-        })?;
-        let stored = container.get_mut(&*key.name).ok_or_else(|| {
-            self.stats.record_err();
-            CloudError::NoSuchObject { key: key.clone() }
-        })?;
+        let container = s
+            .store
+            .get_mut(&*key.container)
+            .ok_or_else(|| no_container(&mut s.stats, &key.container))?;
+        let stored = container.get_mut(&*key.name).ok_or_else(|| no_object(&mut s.stats, key))?;
         let old_len = stored.len();
         let end = offset + written;
         match stored {
@@ -635,15 +660,14 @@ impl CloudStorage for SimProvider {
             }
         }
         let new_len = stored.len();
-        drop(s);
         if new_len > old_len {
-            self.stored_bytes.fetch_add(new_len - old_len, Ordering::Relaxed);
+            s.stored_bytes += new_len - old_len;
         }
-        Ok(OpOutcome::new((), self.report(OpKind::Put, written, 0, seq)))
+        Ok(OpOutcome::new((), self.report(s, OpKind::Put, written, 0, seq)))
     }
 
     fn is_available(&self) -> bool {
-        read(&self.outage).is_up(self.clock.now())
+        self.state().outage.is_up(self.clock.now())
     }
 }
 

@@ -374,7 +374,7 @@ impl Hyrd {
         let targets = Targets::derive(&evaluator, &config);
         let code = CodeImpl::build(config.code)?;
         let planner = StripePlanner::new(config.code.m(), config.code.n())?;
-        let mut health = HealthTracker::new(config.breaker);
+        let mut health = HealthTracker::new(config.breaker, fleet.len());
         health.set_telemetry(telemetry.clone());
         Ok(Hyrd {
             fleet: fleet.clone(),

@@ -56,8 +56,8 @@ impl Hyrd {
             self.note_breaker_reject(id);
             return Err(CloudError::Unavailable { provider: id });
         }
-        let provider = self.provider(id).clone();
-        let clock = self.fleet.clock().clone();
+        let provider: &SimProvider = self.provider(id);
+        let clock = self.fleet.clock();
         let policy = self.config.retry;
         let telemetry = &self.telemetry;
         let mut retries = 0u32;
@@ -75,7 +75,7 @@ impl Hyrd {
                 }
                 clock.advance(delay);
             },
-            || op(provider.as_ref()),
+            || op(provider),
         );
         self.counters.note_retries(retries);
         match result {

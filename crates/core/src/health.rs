@@ -10,8 +10,7 @@
 //! outcome closes or re-trips the circuit. No wall-clock time anywhere:
 //! state advances only with the [`hyrd_cloudsim::SimClock`]'s `now`.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use std::sync::Mutex;
@@ -151,21 +150,39 @@ fn state_name(s: BreakerState) -> &'static str {
     }
 }
 
-/// The dispatcher's per-provider breaker map. Interior mutability so the
-/// read paths (which take `&self`) can record outcomes.
-#[derive(Debug, Default)]
+/// One provider's breaker behind its own lock, with a mark that lets the
+/// quiet path skip the lock.
+#[derive(Debug)]
+struct Slot {
+    /// Set exactly while the breaker is closed with no failure streak,
+    /// the one state in which `probe`, `admits` and `record_success`
+    /// change nothing and answer yes: they read the mark and take no
+    /// lock. Written only under `breaker`'s lock, after each change.
+    clean: AtomicBool,
+    breaker: Mutex<CircuitBreaker>,
+}
+
+/// The dispatcher's per-provider breakers, one per fleet provider, built
+/// with the tracker. Interior mutability so the read paths (which take
+/// `&self`) can record outcomes.
+#[derive(Debug)]
 pub struct HealthTracker {
-    settings: BreakerSettings,
-    breakers: Mutex<BTreeMap<ProviderId, CircuitBreaker>>,
+    /// Indexed by provider id.
+    breakers: Vec<Slot>,
     telemetry: Collector,
 }
 
 impl HealthTracker {
-    /// A tracker with the given settings (every provider starts closed).
-    pub fn new(settings: BreakerSettings) -> Self {
+    /// A tracker for providers `0..providers` with the given settings
+    /// (every breaker starts closed).
+    pub fn new(settings: BreakerSettings, providers: usize) -> Self {
         HealthTracker {
-            settings,
-            breakers: Mutex::new(BTreeMap::new()),
+            breakers: (0..providers)
+                .map(|_| Slot {
+                    clean: AtomicBool::new(true),
+                    breaker: Mutex::new(CircuitBreaker::new(settings)),
+                })
+                .collect(),
             telemetry: Collector::disabled(),
         }
     }
@@ -177,12 +194,24 @@ impl HealthTracker {
         self.telemetry = collector;
     }
 
+    fn slot(&self, id: ProviderId) -> &Slot {
+        &self.breakers[usize::from(id.0)]
+    }
+
+    /// Whether `id`'s breaker is closed with no failure streak, read
+    /// without its lock.
+    fn clean(&self, id: ProviderId) -> bool {
+        self.slot(id).clean.load(Ordering::Acquire)
+    }
+
     fn with<T>(&self, id: ProviderId, f: impl FnOnce(&mut CircuitBreaker) -> T) -> T {
-        let mut map = lock(&self.breakers);
-        let breaker = map.entry(id).or_insert_with(|| CircuitBreaker::new(self.settings));
+        let slot = self.slot(id);
+        let mut breaker = lock(&slot.breaker);
         let before = breaker.state();
-        let out = f(breaker);
+        let out = f(&mut breaker);
         let after = breaker.state();
+        slot.clean
+            .store(after == BreakerState::Closed { consecutive_failures: 0 }, Ordering::Release);
         if self.telemetry.enabled() && state_name(before) != state_name(after) {
             self.telemetry
                 .event("breaker.transition")
@@ -198,12 +227,12 @@ impl HealthTracker {
     /// Consuming admission check for a call happening now (see
     /// [`CircuitBreaker::probe`]).
     pub fn probe(&self, id: ProviderId, now: Duration) -> bool {
-        self.with(id, |b| b.probe(now))
+        self.clean(id) || self.with(id, |b| b.probe(now))
     }
 
     /// Non-consuming admission check (candidate filtering).
     pub fn admits(&self, id: ProviderId, now: Duration) -> bool {
-        self.with(id, |b| b.admits(now))
+        self.clean(id) || self.with(id, |b| b.admits(now))
     }
 
     /// Whether the breaker currently rejects calls at `now`.
@@ -213,7 +242,9 @@ impl HealthTracker {
 
     /// Records a successful call.
     pub fn record_success(&self, id: ProviderId) {
-        self.with(id, |b| b.on_success());
+        if !self.clean(id) {
+            self.with(id, |b| b.on_success());
+        }
     }
 
     /// Records a health-relevant failure.
@@ -228,16 +259,16 @@ impl HealthTracker {
 
     /// Total trips across providers.
     pub fn trips(&self) -> u64 {
-        lock(&self.breakers).values().map(|b| b.trips()).sum()
+        self.breakers.iter().map(|slot| lock(&slot.breaker).trips()).sum()
     }
 
     /// Per-provider trip counts for providers that have tripped at
     /// least once, sorted by provider id (deterministic).
     pub fn trip_counts(&self) -> Vec<(ProviderId, u64)> {
-        lock(&self.breakers)
-            .iter()
-            .filter(|(_, b)| b.trips() > 0)
-            .map(|(id, b)| (*id, b.trips()))
+        (0u16..)
+            .zip(&self.breakers)
+            .map(|(id, slot)| (ProviderId(id), lock(&slot.breaker).trips()))
+            .filter(|&(_, trips)| trips > 0)
             .collect()
     }
 }
@@ -347,7 +378,7 @@ mod tests {
 
     #[test]
     fn tracker_tracks_providers_independently() {
-        let t = HealthTracker::new(BreakerSettings { trip_after: 2, cooldown: secs(30) });
+        let t = HealthTracker::new(BreakerSettings { trip_after: 2, cooldown: secs(30) }, 2);
         let (a, b) = (ProviderId(0), ProviderId(1));
         t.record_failure(a, secs(1));
         t.record_failure(a, secs(2));
@@ -366,7 +397,7 @@ mod tests {
         use std::sync::Arc;
 
         let collector = Collector::builder(Arc::new(ManualClock::new())).ring(64).build();
-        let mut t = HealthTracker::new(BreakerSettings { trip_after: 3, cooldown: secs(10) });
+        let mut t = HealthTracker::new(BreakerSettings { trip_after: 3, cooldown: secs(10) }, 3);
         t.set_telemetry(collector.clone());
         let id = ProviderId(2);
 

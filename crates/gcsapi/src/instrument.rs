@@ -1,31 +1,14 @@
-//! Per-provider operation statistics, accumulated lock-free.
+//! Per-provider operation statistics.
 //!
-//! Every simulated provider keeps an [`OpStats`] of the ops it served
-//! (`SimProvider::stats`), and the perf ledger reads its per-provider
-//! op/byte counts from the same snapshots. The tallies are relaxed
-//! atomics — counts are monotonic tallies with no cross-counter
-//! invariants to order, so `Relaxed` is the correct (and cheapest)
-//! ordering per the Rust memory model.
+//! Every simulated provider tallies the ops it served into a
+//! [`StatsSnapshot`] it keeps under its own lock (`SimProvider::stats`
+//! hands out a copy), and the perf ledger reads its per-provider op/byte
+//! counts from the same copies. The tallies are plain integers: the
+//! provider's one critical section per op already orders them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::types::{OpKind, OpReport};
 
-use crate::types::OpKind;
-
-/// Lock-free tally of operations through one provider.
-#[derive(Debug, Default)]
-pub struct OpStats {
-    list: AtomicU64,
-    get: AtomicU64,
-    create: AtomicU64,
-    put: AtomicU64,
-    remove: AtomicU64,
-    errors: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    latency_ns: AtomicU64,
-}
-
-/// A point-in-time copy of [`OpStats`], cheap to diff and print.
+/// Operation tallies of one provider, cheap to copy, diff and print.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// List op count.
@@ -78,54 +61,39 @@ impl StatsSnapshot {
             latency_ns: self.latency_ns - earlier.latency_ns,
         }
     }
-}
 
-impl OpStats {
-    fn counter(&self, kind: OpKind) -> &AtomicU64 {
+    fn counter(&mut self, kind: OpKind) -> &mut u64 {
         match kind {
-            OpKind::List => &self.list,
-            OpKind::Get => &self.get,
-            OpKind::Create => &self.create,
-            OpKind::Put => &self.put,
-            OpKind::Remove => &self.remove,
+            OpKind::List => &mut self.list,
+            OpKind::Get => &mut self.get,
+            OpKind::Create => &mut self.create,
+            OpKind::Put => &mut self.put,
+            OpKind::Remove => &mut self.remove,
         }
     }
 
     /// Records a successful operation's report.
-    pub fn record_ok(&self, report: &crate::types::OpReport) {
-        self.counter(report.kind).fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(report.bytes_in, Ordering::Relaxed);
-        self.bytes_out.fetch_add(report.bytes_out, Ordering::Relaxed);
-        self.latency_ns.fetch_add(report.latency.as_nanos() as u64, Ordering::Relaxed);
+    pub fn record_ok(&mut self, report: &OpReport) {
+        *self.counter(report.kind) += 1;
+        self.bytes_in += report.bytes_in;
+        self.bytes_out += report.bytes_out;
+        self.latency_ns += report.latency.as_nanos() as u64;
     }
 
     /// Records a failed operation.
-    pub fn record_err(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+    pub fn record_err(&mut self) {
+        self.errors += 1;
     }
 
     /// Credits back the unused portion of a cancelled op that was
-    /// previously recorded via [`OpStats::record_ok`]: the op count
+    /// previously recorded via [`StatsSnapshot::record_ok`]: the op count
     /// stands (the request was issued), but `bytes_out` were never
     /// delivered and only part of the latency elapsed before the abort.
-    pub fn credit_cancelled(&self, bytes_out: u64, latency_ns: u64) {
-        self.bytes_out.fetch_sub(bytes_out, Ordering::Relaxed);
-        self.latency_ns.fetch_sub(latency_ns, Ordering::Relaxed);
-    }
-
-    /// Copies the current tallies.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            list: self.list.load(Ordering::Relaxed),
-            get: self.get.load(Ordering::Relaxed),
-            create: self.create.load(Ordering::Relaxed),
-            put: self.put.load(Ordering::Relaxed),
-            remove: self.remove.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            latency_ns: self.latency_ns.load(Ordering::Relaxed),
-        }
+    /// The subtraction wraps, as the atomic tallies this replaced did,
+    /// so an over-credit never panics a debug build.
+    pub fn credit_cancelled(&mut self, bytes_out: u64, latency_ns: u64) {
+        self.bytes_out = self.bytes_out.wrapping_sub(bytes_out);
+        self.latency_ns = self.latency_ns.wrapping_sub(latency_ns);
     }
 }
 
@@ -139,7 +107,10 @@ mod tests {
     use crate::types::{ObjectKey, OpOutcome, ProviderId};
 
     /// Tallies one op's result into `stats` and hands it back.
-    fn tally<T>(stats: &OpStats, result: CloudResult<OpOutcome<T>>) -> CloudResult<OpOutcome<T>> {
+    fn tally<T>(
+        stats: &mut StatsSnapshot,
+        result: CloudResult<OpOutcome<T>>,
+    ) -> CloudResult<OpOutcome<T>> {
         match &result {
             Ok(out) => stats.record_ok(&out.report),
             Err(_) => stats.record_err(),
@@ -149,47 +120,54 @@ mod tests {
 
     #[test]
     fn counts_every_op_kind_and_bytes() {
-        let (c, stats) = (MemoryCloud::new(ProviderId(0), "mem"), OpStats::default());
-        tally(&stats, c.create("data")).unwrap();
+        let (c, mut stats) = (MemoryCloud::new(ProviderId(0), "mem"), StatsSnapshot::default());
+        tally(&mut stats, c.create("data")).unwrap();
         let key = ObjectKey::new("data", "k");
-        tally(&stats, c.put(&key, Bytes::from(vec![0u8; 100]))).unwrap();
-        tally(&stats, c.get(&key)).unwrap();
-        tally(&stats, c.get(&key)).unwrap();
-        tally(&stats, c.list("data")).unwrap();
-        tally(&stats, c.remove(&key)).unwrap();
+        tally(&mut stats, c.put(&key, Bytes::from(vec![0u8; 100]))).unwrap();
+        tally(&mut stats, c.get(&key)).unwrap();
+        tally(&mut stats, c.get(&key)).unwrap();
+        tally(&mut stats, c.list("data")).unwrap();
+        tally(&mut stats, c.remove(&key)).unwrap();
 
-        let s = stats.snapshot();
-        assert_eq!(s.create, 1);
-        assert_eq!(s.put, 1);
-        assert_eq!(s.get, 2);
-        assert_eq!(s.list, 1);
-        assert_eq!(s.remove, 1);
-        assert_eq!(s.total_ops(), 6);
-        assert_eq!(s.bytes_in, 100);
-        assert_eq!(s.bytes_out, 200);
-        assert_eq!(s.errors, 0);
-        assert_eq!(s.put_class_ops(), 3);
-        assert_eq!(s.get_class_ops(), 3);
+        assert_eq!(stats.create, 1);
+        assert_eq!(stats.put, 1);
+        assert_eq!(stats.get, 2);
+        assert_eq!(stats.list, 1);
+        assert_eq!(stats.remove, 1);
+        assert_eq!(stats.total_ops(), 6);
+        assert_eq!(stats.bytes_in, 100);
+        assert_eq!(stats.bytes_out, 200);
+        assert_eq!(stats.errors, 0);
+        assert_eq!(stats.put_class_ops(), 3);
+        assert_eq!(stats.get_class_ops(), 3);
     }
 
     #[test]
     fn errors_counted_separately() {
-        let (c, stats) = (MemoryCloud::new(ProviderId(0), "mem"), OpStats::default());
+        let (c, mut stats) = (MemoryCloud::new(ProviderId(0), "mem"), StatsSnapshot::default());
         let key = ObjectKey::new("missing", "k");
-        assert!(tally(&stats, c.get(&key)).is_err());
-        assert!(tally(&stats, c.remove(&key)).is_err());
-        let s = stats.snapshot();
-        assert_eq!(s.errors, 2);
-        assert_eq!(s.total_ops(), 0);
+        assert!(tally(&mut stats, c.get(&key)).is_err());
+        assert!(tally(&mut stats, c.remove(&key)).is_err());
+        assert_eq!(stats.errors, 2);
+        assert_eq!(stats.total_ops(), 0);
+    }
+
+    #[test]
+    fn credit_cancelled_wraps_instead_of_panicking() {
+        let mut stats = StatsSnapshot { bytes_out: 10, latency_ns: 5, ..StatsSnapshot::default() };
+        stats.credit_cancelled(4, 5);
+        assert_eq!((stats.bytes_out, stats.latency_ns), (6, 0));
+        stats.credit_cancelled(7, 1);
+        assert_eq!((stats.bytes_out, stats.latency_ns), (u64::MAX, u64::MAX));
     }
 
     #[test]
     fn delta_since_isolates_an_interval() {
-        let (c, stats) = (MemoryCloud::new(ProviderId(0), "mem"), OpStats::default());
-        tally(&stats, c.create("data")).unwrap();
-        let before = stats.snapshot();
-        tally(&stats, c.put(&ObjectKey::new("data", "a"), Bytes::from(vec![1u8; 10]))).unwrap();
-        let d = stats.snapshot().delta_since(&before);
+        let (c, mut stats) = (MemoryCloud::new(ProviderId(0), "mem"), StatsSnapshot::default());
+        tally(&mut stats, c.create("data")).unwrap();
+        let before = stats;
+        tally(&mut stats, c.put(&ObjectKey::new("data", "a"), Bytes::from(vec![1u8; 10]))).unwrap();
+        let d = stats.delta_since(&before);
         assert_eq!(d.put, 1);
         assert_eq!(d.create, 0);
         assert_eq!(d.bytes_in, 10);
@@ -197,9 +175,9 @@ mod tests {
 
     #[test]
     fn concurrent_updates_do_not_lose_counts() {
-        use std::sync::Arc;
-        let c = Arc::new((MemoryCloud::new(ProviderId(0), "mem"), OpStats::default()));
-        tally(&c.1, c.0.create("data")).unwrap();
+        use std::sync::{Arc, Mutex};
+        let c = Arc::new((MemoryCloud::new(ProviderId(0), "mem"), Mutex::default()));
+        tally(&mut c.1.lock().unwrap(), c.0.create("data")).unwrap();
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let c = Arc::clone(&c);
@@ -207,8 +185,10 @@ mod tests {
                     let (cloud, stats) = &*c;
                     for i in 0..100 {
                         let key = ObjectKey::new("data", format!("{t}-{i}"));
-                        tally(stats, cloud.put(&key, Bytes::from(vec![0u8; 8]))).unwrap();
-                        tally(stats, cloud.get(&key)).unwrap();
+                        let put = cloud.put(&key, Bytes::from(vec![0u8; 8]));
+                        tally(&mut stats.lock().unwrap(), put).unwrap();
+                        let get = cloud.get(&key);
+                        tally(&mut stats.lock().unwrap(), get).unwrap();
                     }
                 })
             })
@@ -216,7 +196,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let s = c.1.snapshot();
+        let s: StatsSnapshot = *c.1.lock().unwrap();
         assert_eq!(s.put, 800);
         assert_eq!(s.get, 800);
         assert_eq!(s.bytes_in, 6400);

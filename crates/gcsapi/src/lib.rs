@@ -17,9 +17,9 @@
 //!   looks like to a client).
 //! * [`storage`] — the [`CloudStorage`] trait plus an in-memory reference
 //!   implementation used by unit tests.
-//! * [`instrument`] — per-op statistics accumulated with atomics (op
-//!   counts, bytes, latency): every simulated provider's tally, read by
-//!   the experiments and the perf ledger.
+//! * [`instrument`] — per-op statistics (op counts, bytes, latency):
+//!   every simulated provider's tally, read by the experiments and the
+//!   perf ledger.
 //! * [`retry`] — bounded retry policy for transient failures: capped
 //!   exponential backoff with deterministic jitter and a deadline budget.
 //! * [`sync`] — the poison-recovering `lock` / `read` / `write` every
@@ -37,7 +37,7 @@ pub mod types;
 
 pub use compose::{parallel_latency, serial_latency, BatchReport};
 pub use error::{CloudError, CloudResult};
-pub use instrument::{OpStats, StatsSnapshot};
+pub use instrument::StatsSnapshot;
 pub use retry::{RetryError, RetryPolicy};
 pub use storage::{CloudStorage, MemoryCloud};
 pub use types::{ObjectKey, OpKind, OpOutcome, OpReport, ProviderId};
