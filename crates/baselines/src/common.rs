@@ -1,9 +1,6 @@
 //! Shared plumbing for the baseline schemes: replica fan-out with outage
-//! logging, fastest-first reads, erasure-coded object I/O, and the
-//! client-side content cache all schemes get (so comparisons measure the
-//! redundancy layout, not cache luck).
+//! logging, fastest-first reads and erasure-coded object I/O.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -19,60 +16,6 @@ use hyrd_metastore::{DirEntry, MetadataBlock, NormPath, ShardedMetaStore};
 /// The container every scheme stores under.
 pub fn key(name: &str) -> ObjectKey {
     ObjectKey::new(Fleet::CONTAINER, name)
-}
-
-/// Client-side write-through cache of file contents, shared by the
-/// replication-based schemes so update operations need no extra read
-/// round when the client recently produced the data. Bounded with FIFO
-/// eviction so terabyte-scale replays stay in memory budget.
-#[derive(Debug)]
-pub struct ContentCache {
-    budget: usize,
-    used: usize,
-    map: HashMap<String, Bytes>,
-    order: std::collections::VecDeque<String>,
-}
-
-impl Default for ContentCache {
-    fn default() -> Self {
-        ContentCache::with_budget(512 << 20)
-    }
-}
-
-impl ContentCache {
-    /// A cache bounded to `budget` bytes.
-    pub fn with_budget(budget: usize) -> Self {
-        ContentCache { budget, used: 0, map: HashMap::new(), order: Default::default() }
-    }
-
-    /// Stores/updates a path's content.
-    pub fn put(&mut self, path: &str, data: Bytes) {
-        self.remove(path);
-        self.used += data.len();
-        self.map.insert(path.to_string(), data);
-        self.order.push_back(path.to_string());
-        while self.used > self.budget {
-            let Some(victim) = self.order.pop_front() else {
-                break;
-            };
-            if let Some(b) = self.map.remove(&victim) {
-                self.used -= b.len();
-            }
-        }
-    }
-
-    /// Fetches a path's content.
-    pub fn get(&self, path: &str) -> Option<Bytes> {
-        self.map.get(path).cloned()
-    }
-
-    /// Drops a path.
-    pub fn remove(&mut self, path: &str) {
-        if let Some(b) = self.map.remove(path) {
-            self.used -= b.len();
-            self.order.retain(|p| p != path);
-        }
-    }
 }
 
 /// How a replica write round composes into the latency the client sees.
@@ -296,15 +239,13 @@ pub fn ec_read<C: ErasureCode + ?Sized>(
 }
 
 /// State every baseline scheme carries: the fleet handle, a metadata
-/// store, the client content cache and the outage log. Scheme structs
+/// store and the outage log. Scheme structs
 /// embed this and differ only in *placement policy*.
 pub struct SchemeCore {
     /// The Cloud-of-Clouds.
     pub fleet: Fleet,
     /// Client-side metadata (one shard: baselines are single-session).
     pub meta: ShardedMetaStore,
-    /// Client content cache (write-through).
-    pub cache: ContentCache,
     /// Missed writes per provider in outage.
     pub log: UpdateLog,
 }
@@ -315,7 +256,6 @@ impl SchemeCore {
         SchemeCore {
             fleet: fleet.clone(),
             meta: ShardedMetaStore::with_shards(1),
-            cache: ContentCache::default(),
             log: UpdateLog::new(),
         }
     }

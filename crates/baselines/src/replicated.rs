@@ -42,6 +42,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use hyrd::dispatcher::SmallFileCache;
 use hyrd::scheme::{Scheme, SchemeError, SchemeResult};
 use hyrd_cloudsim::{Fleet, SimProvider};
 use hyrd_gcsapi::{BatchReport, CloudStorage, ProviderId};
@@ -61,12 +62,18 @@ pub(crate) enum ReadRule {
 /// Full replication on a fixed target set.
 pub struct Replicated {
     pub(crate) core: SchemeCore,
+    /// Write-through copy of recent file contents, so an update needs no
+    /// read round when the client produced the data.
+    pub(crate) cache: SmallFileCache,
     name: String,
     /// The providers holding a copy of every object, primary first.
     targets: Vec<Arc<SimProvider>>,
     write: WriteRule,
     read: ReadRule,
 }
+
+/// The content cache's budget.
+const CACHE_BYTES: usize = 512 << 20;
 
 /// A constructor's refusal: the fleet lacks what the layout names.
 fn refused(detail: String) -> SchemeError {
@@ -94,7 +101,8 @@ impl Replicated {
         read: ReadRule,
     ) -> Self {
         let name = name.to_string();
-        Replicated { core: SchemeCore::new(fleet), name, targets, write, read }
+        let (core, cache) = (SchemeCore::new(fleet), SmallFileCache::new(CACHE_BYTES));
+        Replicated { core, cache, name, targets, write, read }
     }
 
     /// Single cloud: everything on the given fleet member, no redundancy.
@@ -175,7 +183,7 @@ impl Scheme for Replicated {
             common::roll_back_logged(&self.targets, &name, None, &mut self.core.log);
             return Err(unavailable(path, "no replica target available"));
         }
-        self.core.cache.put(path, bytes);
+        self.cache.put(&npath, bytes);
         let providers = self.targets.iter().map(|p| p.id()).collect();
         let placement = Placement::Replicated { providers, object: name };
         self.core.meta.set_placement(&npath, placement, data.len() as u64, now)?;
@@ -202,7 +210,7 @@ impl Scheme for Replicated {
         let Placement::Replicated { object, providers } = inode.placement else {
             return Err(unavailable(path, "no placement"));
         };
-        let (before, read_batch) = match self.core.cache.get(path) {
+        let (before, read_batch) = match self.cache.get(npath.as_str()) {
             Some(b) => (b, BatchReport::empty()),
             None => common::get_first(&self.read_order(), &object, path)?,
         };
@@ -216,7 +224,7 @@ impl Scheme for Replicated {
             common::roll_back_logged(&self.targets, &object, Some(&before), &mut self.core.log);
             return Err(unavailable(path, "no replica target available"));
         }
-        self.core.cache.put(path, bytes);
+        self.cache.put(&npath, bytes);
         let now = self.core.now();
         let placement = Placement::Replicated { providers, object };
         self.core.meta.set_placement(&npath, placement, size, now)?;
@@ -226,7 +234,7 @@ impl Scheme for Replicated {
     fn delete_file(&mut self, path: &str) -> SchemeResult<BatchReport> {
         let npath = NormPath::parse(path)?;
         let inode = self.core.meta.remove_file(&npath)?;
-        self.core.cache.remove(path);
+        self.cache.remove(npath.as_str());
         let batch = match &inode.placement {
             Placement::Replicated { object, .. } => {
                 common::remove_everywhere(&self.targets, object, &mut self.core.log)

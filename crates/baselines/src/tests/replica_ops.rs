@@ -85,17 +85,17 @@ fn sequences() -> Vec<String> {
         let fleet = Fleet::standard_four(SimClock::new());
         let s = Replicated::amazon_s3(&fleet).unwrap();
         out.push(format!("# {} {}", s.name(), if victim.is_some() { "down" } else { "up" }));
-        out.extend(run(s, &fleet, victim.map(|_| "Amazon S3"), |s, p| s.core.cache.remove(p)));
+        out.extend(run(s, &fleet, victim.map(|_| "Amazon S3"), |s, p| s.cache.remove(p)));
 
         let fleet = Fleet::standard_four(SimClock::new());
         let s = Replicated::duracloud_standard(&fleet).unwrap();
         out.push(format!("# {} {}", s.name(), if victim.is_some() { "down" } else { "up" }));
-        out.extend(run(s, &fleet, victim.map(|_| "Amazon S3"), |s, p| s.core.cache.remove(p)));
+        out.extend(run(s, &fleet, victim.map(|_| "Amazon S3"), |s, p| s.cache.remove(p)));
 
         let fleet = Fleet::standard_four(SimClock::new());
         let s = Replicated::depsky(&fleet).unwrap();
         out.push(format!("# {} {}", s.name(), if victim.is_some() { "down" } else { "up" }));
-        out.extend(run(s, &fleet, victim.map(|_| "Aliyun"), |s, p| s.core.cache.remove(p)));
+        out.extend(run(s, &fleet, victim.map(|_| "Aliyun"), |s, p| s.cache.remove(p)));
     }
     out
 }

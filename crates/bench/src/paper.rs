@@ -22,9 +22,8 @@ use hyrd::stats::OpClass;
 use hyrd_baselines::{NcCloudLite, Racs, Replicated};
 use hyrd_cloudsim::WellKnownProvider;
 use hyrd_costsim::availability::{at_least_k_of_n, monte_carlo_k_of_n, nines};
-use hyrd_costsim::model::{CostModel, DepSkyModel, DuraCloudModel, HyrdModel, RacsModel};
-use hyrd_costsim::model::{SingleModel, ALIYUN, AZURE, RACKSPACE, S3};
-use hyrd_costsim::report::run_model;
+use hyrd_costsim::model::{Layout, DEPSKY, DURACLOUD, HYRD, RACS};
+use hyrd_costsim::price;
 use hyrd_gcsapi::{ObjectKey, OpKind};
 use hyrd_telemetry::json::{JsonWriter, ToJson};
 use hyrd_workloads::rng::Rng;
@@ -470,22 +469,25 @@ const FIG4: &[Spec] = &[
     ("monotone_bills", "Azure's and Rackspace's bills grow every month (drops)", In(0., 0.)),
 ];
 
+/// Figure 4's lineup: each single cloud, then the Cloud-of-Clouds
+/// schemes.
+const FIG4_LAYOUTS: [(&str, Layout); 8] = [
+    ("Amazon S3", Layout::single(&WellKnownProvider::AmazonS3)),
+    ("Windows Azure", Layout::single(&WellKnownProvider::WindowsAzure)),
+    ("Aliyun", Layout::single(&WellKnownProvider::Aliyun)),
+    ("Rackspace", Layout::single(&WellKnownProvider::Rackspace)),
+    ("DuraCloud", DURACLOUD),
+    ("RACS", RACS),
+    ("HyRD", HYRD),
+    ("DepSky", DEPSKY),
+];
+
 /// Figure 4: the monthly bill of hosting the trace on each single cloud
 /// and each Cloud-of-Clouds scheme (Table II prices), and the year.
 pub fn cost(trace: &IaTrace) -> Section {
-    let mut models: Vec<Box<dyn CostModel>> = vec![
-        Box::new(SingleModel::new("Amazon S3", S3)),
-        Box::new(SingleModel::new("Windows Azure", AZURE)),
-        Box::new(SingleModel::new("Aliyun", ALIYUN)),
-        Box::new(SingleModel::new("Rackspace", RACKSPACE)),
-        Box::new(DuraCloudModel::new()),
-        Box::new(RacsModel::new()),
-        Box::new(HyrdModel::paper_default()),
-        Box::new(DepSkyModel::new()),
-    ];
-    let rows = models.iter_mut().map(|m| {
-        let bill = run_model(m.as_mut(), trace);
-        row(bill.scheme.clone(), bill.monthly().into_iter().chain([bill.total()]).collect())
+    let rows = FIG4_LAYOUTS.iter().map(|(name, layout)| {
+        let bill = price(layout, trace);
+        row(*name, bill.monthly().iter().copied().chain([bill.total()]).collect())
     });
     let months: Vec<&str> = trace.months().iter().map(|m| m.label.as_str()).collect();
     let head = format!("scheme|{}|year", months.join("|"));
@@ -619,7 +621,7 @@ pub fn threshold(config: &PostMarkConfig, jobs: usize) -> Section {
             h.create_file(&format!("/f{i}"), &vec![0u8; size]).expect("fleet up");
         }
         let trace = IaTrace::synthesize(TRACE_SEED);
-        let year = run_model(&mut HyrdModel::new(t, &dist), &trace).total();
+        let year = price(&Layout::hyrd(t), &trace).total();
         let stored = h.physical_bytes() as f64 / h.logical_bytes() as f64;
         row(size_label(t), vec![mean(stats), stored, year, dist.count_frac_below(t) * 100.0])
     });

@@ -18,7 +18,8 @@
 //! Counters keep counting while the plan is disarmed, so the same
 //! switch measures a clean run and then replays crashes from it. A
 //! disarmed switch only counts: every provider op passes through
-//! [`CrashSwitch::on_op`], and the plan's lock is taken only while a
+//! [`CrashSwitch::on_op`] and every named crashpoint through
+//! [`CrashSwitch::at_point`], and the plan's lock is taken only while a
 //! plan is armed.
 
 use std::collections::BTreeMap;
@@ -83,8 +84,8 @@ impl CrashPlan {
 pub struct CrashSwitch {
     plan: Mutex<CrashPlan>,
     /// Whether `plan` names a site; written under the plan's lock and
-    /// read without it, so a disarmed [`on_op`](Self::on_op) skips that
-    /// lock.
+    /// read without it, so a disarmed [`on_op`](Self::on_op) or
+    /// [`at_point`](Self::at_point) skips that lock.
     armed: AtomicBool,
     crashed: AtomicBool,
     ops: AtomicU64,
@@ -152,10 +153,21 @@ impl CrashSwitch {
             return true;
         }
         let mut points = lock(&self.points);
-        let hits = points.entry(name.to_string()).or_insert(0);
-        *hits += 1;
-        let n = *hits;
+        // The name is copied into the map on its first hit only.
+        let n = match points.get_mut(name) {
+            Some(hits) => {
+                *hits += 1;
+                *hits
+            }
+            None => {
+                points.insert(name.to_string(), 1);
+                1
+            }
+        };
         drop(points);
+        if !self.armed.load(Ordering::SeqCst) {
+            return false;
+        }
         if let Some(CrashSite::AtPoint { name: want, hit }) = lock(&self.plan).site() {
             if want == name && n >= *hit {
                 self.crashed.store(true, Ordering::SeqCst);

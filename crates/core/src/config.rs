@@ -105,9 +105,6 @@ pub struct PolicyConfig {
     /// erasure-coded file is promoted to whole-object replication on
     /// the performance tier.
     pub promote_reads: u32,
-    /// A replicated file with at most this many reads is a demotion
-    /// candidate (0 = only never-read files demote).
-    pub demote_max_reads: u32,
     /// Minimum *virtual* idle time (since last modification) before a
     /// cold replicated file may demote — young files get a grace
     /// period so a burst of creates is not immediately re-encoded.
@@ -118,13 +115,6 @@ pub struct PolicyConfig {
     /// Migrations per [`crate::Hyrd::migrate_pass`] — bounds the
     /// background traffic one pass may generate.
     pub max_per_pass: usize,
-    /// SLI gate: migration only runs when every provider's measured
-    /// availability is at least this (see
-    /// [`crate::observatory::ProviderHealthView`]).
-    pub min_availability: f64,
-    /// SLI gate: migration only runs when every provider's error EWMA
-    /// is at most this.
-    pub max_error_ewma: f64,
 }
 
 impl Default for PolicyConfig {
@@ -132,12 +122,9 @@ impl Default for PolicyConfig {
         PolicyConfig {
             enabled: false,
             promote_reads: 3,
-            demote_max_reads: 0,
             demote_idle: std::time::Duration::from_secs(3600),
             demote_min_bytes: 256 * 1024,
             max_per_pass: 8,
-            min_availability: 0.9,
-            max_error_ewma: 0.5,
         }
     }
 }
@@ -239,15 +226,6 @@ impl HyrdConfig {
             if self.policy.max_per_pass == 0 {
                 return Err("policy.max_per_pass must be at least 1".to_string());
             }
-            if !(0.0..=1.0).contains(&self.policy.min_availability) {
-                return Err(format!(
-                    "policy.min_availability {} outside [0, 1]",
-                    self.policy.min_availability
-                ));
-            }
-            if self.policy.max_error_ewma < 0.0 {
-                return Err("policy.max_error_ewma must be non-negative".to_string());
-            }
         }
         Ok(())
     }
@@ -320,12 +298,6 @@ mod tests {
         assert!(c.validate(4).is_err());
         c.policy.promote_reads = 3;
         c.policy.max_per_pass = 0;
-        assert!(c.validate(4).is_err());
-        c.policy.max_per_pass = 8;
-        c.policy.min_availability = 1.5;
-        assert!(c.validate(4).is_err());
-        c.policy.min_availability = 0.9;
-        c.policy.max_error_ewma = -0.1;
         assert!(c.validate(4).is_err());
     }
 }

@@ -113,7 +113,7 @@ mod io;
 mod read;
 mod write;
 
-use cache::SmallFileCache;
+pub use cache::SmallFileCache;
 
 /// Concrete erasure code behind [`CodeChoice`].
 pub(crate) enum CodeImpl {

@@ -10,10 +10,9 @@ use hyrd_metastore::NormPath;
 /// recent files.
 ///
 /// An entry is the client's one copy of a replicated file (DESIGN.md
-/// §8.1): an update [`lend`](Self::lend)s it out, patches the buffer
+/// §8.1): the dispatcher's update `lend`s it out, patches the buffer
 /// where it lies and [`put`](Self::put)s it back, or hands the
-/// pre-update bytes back ([`hand_back`](Self::hand_back)) when no
-/// replica took the write.
+/// pre-update bytes back (`hand_back`) when no replica took the write.
 ///
 /// Entries carry a generation stamp so removal and re-insertion are
 /// O(1): the FIFO keeps stale `(path, generation)` records and the
@@ -21,7 +20,9 @@ use hyrd_metastore::NormPath;
 /// live entry (the classic lazy-deletion queue — the previous
 /// `order.retain` walked the whole queue on every update/delete, which
 /// was quadratic over a replay).
-pub(crate) struct SmallFileCache {
+///
+/// The replicated baselines keep their client copy in one too.
+pub struct SmallFileCache {
     budget: usize,
     used: usize,
     generation: u64,
@@ -39,7 +40,8 @@ struct Slot {
 }
 
 impl SmallFileCache {
-    pub(super) fn new(budget: usize) -> Self {
+    /// An empty cache holding at most `budget` bytes.
+    pub fn new(budget: usize) -> Self {
         SmallFileCache {
             budget,
             used: 0,
@@ -49,7 +51,9 @@ impl SmallFileCache {
         }
     }
 
-    pub(crate) fn put(&mut self, path: &NormPath, data: Bytes) {
+    /// Caches `data` as the content of `path`, evicting the oldest
+    /// entries past the budget.
+    pub fn put(&mut self, path: &NormPath, data: Bytes) {
         // A payload larger than the whole budget can never stay resident:
         // admitting it would evict every live entry and then evict itself
         // — a full cache flush that caches nothing. Reject it up front.
@@ -87,9 +91,9 @@ impl SmallFileCache {
         }
     }
 
-    /// A shared view of the entry (the migration engine's read; an
-    /// update takes the entry itself with [`Self::lend`]).
-    pub(crate) fn get(&self, path: &str) -> Option<Bytes> {
+    /// A shared view of the entry (the migration engine's read; the
+    /// dispatcher's update takes the entry itself with `lend`).
+    pub fn get(&self, path: &str) -> Option<Bytes> {
         self.map.get(path).and_then(|slot| slot.data.clone())
     }
 
@@ -117,7 +121,8 @@ impl SmallFileCache {
         }
     }
 
-    pub(crate) fn remove(&mut self, path: &str) {
+    /// Drops the entry for `path`, if any.
+    pub fn remove(&mut self, path: &str) {
         if let Some(slot) = self.map.remove(path) {
             self.used -= slot.len;
             // The FIFO record goes stale and is skipped at eviction.

@@ -29,7 +29,7 @@
 //! process death the harness catches.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use std::sync::Mutex;
@@ -154,7 +154,8 @@ struct JournalState {
 #[derive(Debug)]
 struct JournalInner {
     state: Mutex<JournalState>,
-    switch: Mutex<Option<Arc<CrashSwitch>>>,
+    /// The fleet's crash switch, attached once.
+    switch: OnceLock<Arc<CrashSwitch>>,
 }
 
 /// A handle on the crash journal (see module docs). Cloning shares the
@@ -175,7 +176,7 @@ impl Journal {
         Journal {
             inner: Some(Arc::new(JournalInner {
                 state: Mutex::new(JournalState::default()),
-                switch: Mutex::new(None),
+                switch: OnceLock::new(),
             })),
         }
     }
@@ -187,10 +188,13 @@ impl Journal {
 
     /// Attaches the fleet's crash switch so journal boundaries double as
     /// named crashpoints. No-op on a disabled journal. Installed by
-    /// [`Hyrd::with_journal`](crate::Hyrd::with_journal).
+    /// [`Hyrd::with_journal`](crate::Hyrd::with_journal), again on each
+    /// restart over the same fleet: a journal serves one fleet, so the
+    /// first switch attached stays.
     pub fn set_crash_switch(&self, switch: Arc<CrashSwitch>) {
         if let Some(inner) = &self.inner {
-            *lock(&inner.switch) = Some(switch);
+            let attached = inner.switch.get_or_init(|| switch.clone());
+            debug_assert!(Arc::ptr_eq(attached, &switch), "a journal serves one fleet");
         }
     }
 
@@ -199,13 +203,9 @@ impl Journal {
     /// [`ClientCrashed`](crate::crashtest::ClientCrashed), which the
     /// crash harness catches as the simulated process death.
     pub fn crashpoint(&self, name: &str) {
-        if let Some(inner) = &self.inner {
-            let switch = lock(&inner.switch).clone();
-            if let Some(switch) = switch {
-                if switch.at_point(name) {
-                    std::panic::panic_any(crate::crashtest::ClientCrashed);
-                }
-            }
+        let switch = self.inner.as_ref().and_then(|inner| inner.switch.get());
+        if switch.is_some_and(|switch| switch.at_point(name)) {
+            std::panic::panic_any(crate::crashtest::ClientCrashed);
         }
     }
 

@@ -72,6 +72,14 @@ pub enum MigrationKind {
     Demote,
 }
 
+/// SLI gate: migration only runs when every provider's measured
+/// availability is at least this.
+pub const MIN_AVAILABILITY: f64 = 0.9;
+
+/// SLI gate: migration only runs when every provider's error EWMA is at
+/// most this.
+pub const MAX_ERROR_EWMA: f64 = 0.5;
+
 /// The placement decision function: pure, so it can be unit-tested
 /// without a fleet and reasoned about without reading the migrator.
 #[derive(Debug, Clone)]
@@ -94,7 +102,8 @@ impl PolicyEngine {
                 (reads >= self.config.promote_reads).then_some(MigrationKind::Promote)
             }
             Placement::Replicated { .. } => {
-                let cold = reads <= self.config.demote_max_reads;
+                // Cold: not read once since its creation or last migration.
+                let cold = reads == 0;
                 let heavy = inode.size >= self.config.demote_min_bytes;
                 let idle = now.saturating_sub(inode.modified) >= self.config.demote_idle;
                 (cold && heavy && idle).then_some(MigrationKind::Demote)
@@ -105,10 +114,7 @@ impl PolicyEngine {
     /// SLI gate: every provider must clear the availability floor and
     /// the error-EWMA ceiling for migration to run at all.
     pub fn fleet_healthy(&self, slis: &[ProviderHealthView]) -> bool {
-        slis.iter().all(|p| {
-            p.availability >= self.config.min_availability
-                && p.error_ewma <= self.config.max_error_ewma
-        })
+        slis.iter().all(|p| p.availability >= MIN_AVAILABILITY && p.error_ewma <= MAX_ERROR_EWMA)
     }
 }
 

@@ -9,15 +9,15 @@
 //!
 //! * [`usage`] — what one scheme consumed on one provider in one month
 //!   (GB-months retained, bytes out, transactions by billing class), and
-//!   the ledger that turns usage into dollars via a
-//!   [`hyrd_cloudsim::PriceBook`].
-//! * [`model`] — per-scheme accounting models: how DuraCloud, RACS,
-//!   HyRD, DepSky and each single cloud translate a month of trace
-//!   traffic into per-provider usage. These encode the placement rules of
-//!   the actual scheme implementations (verified against them in the
-//!   integration tests).
-//! * [`report`] — monthly and cumulative series (Figures 4a and 4b) plus
-//!   markdown/CSV rendering for the bench harness.
+//!   its dollar cost under a [`hyrd_cloudsim::PriceBook`].
+//! * [`model`] — one [`Layout`] value per scheme (replicas, an m-of-n
+//!   stripe, or HyRD's threshold split of the two, each with the read
+//!   rule its data path uses) and the one function that turns a month of
+//!   trace traffic into per-provider usage. The integration tests check
+//!   it against the executable schemes.
+//! * [`report`] — [`price`]: a layout's monthly bill over the trace
+//!   (Figure 4).
+//! * [`availability`] — closed-form and simulated k-of-n availability.
 
 pub mod availability;
 pub mod model;
@@ -25,6 +25,6 @@ pub mod report;
 pub mod usage;
 
 pub use availability::{erasure_availability, hyrd_availability, nines, replication_availability};
-pub use model::{CostModel, DepSkyModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel};
-pub use report::{CostSeries, MonthCost};
+pub use model::{Layout, ReadRule, Tier};
+pub use report::{price, CostSeries};
 pub use usage::MonthlyUsage;

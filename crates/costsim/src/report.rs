@@ -1,187 +1,94 @@
-//! Cost series: running a model over a trace, monthly/cumulative views,
-//! and the table rendering the figure binaries print.
+//! Cost series: a layout priced over a trace, month by month (Figure 4).
 
-use hyrd_cloudsim::{PriceBook, WellKnownProvider};
+use hyrd_cloudsim::WellKnownProvider;
 use hyrd_workloads::IaTrace;
 
-use crate::model::CostModel;
-use crate::usage::MonthlyUsage;
+use crate::model::Layout;
 
-/// One month's bill for one scheme.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonthCost {
-    /// Month label ("Feb-08").
-    pub label: String,
-    /// Dollar cost per provider (Table II order).
-    pub per_provider: Vec<f64>,
-    /// Whole-fleet cost this month.
-    pub total: f64,
-}
-
-/// A scheme's 12-month cost series.
+/// A layout's whole-fleet bill for each month of a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostSeries {
-    /// Scheme name.
-    pub scheme: String,
-    /// Monthly bills in trace order.
-    pub months: Vec<MonthCost>,
+    months: Vec<f64>,
 }
 
 impl CostSeries {
-    /// Monthly totals (Figure 4a's series).
-    pub fn monthly(&self) -> Vec<f64> {
-        self.months.iter().map(|m| m.total).collect()
-    }
-
-    /// Running cumulative totals (Figure 4b's series).
-    pub fn cumulative(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.months
-            .iter()
-            .map(|m| {
-                acc += m.total;
-                acc
-            })
-            .collect()
+    /// Monthly totals in trace order (Figure 4a's series).
+    pub fn monthly(&self) -> &[f64] {
+        &self.months
     }
 
     /// Year total.
     pub fn total(&self) -> f64 {
-        self.months.iter().map(|m| m.total).sum()
+        self.months.iter().sum()
     }
 }
 
-/// The Table II price books in provider-index order.
-pub fn price_books() -> Vec<PriceBook> {
-    WellKnownProvider::ALL.iter().map(|w| w.profile().prices).collect()
-}
-
-/// Runs a cost model over the trace.
-pub fn run_model(model: &mut dyn CostModel, trace: &IaTrace) -> CostSeries {
-    let prices = price_books();
-    let months = trace
-        .months()
-        .iter()
-        .map(|t| {
-            let usage: Vec<MonthlyUsage> = model.month(t);
-            assert_eq!(usage.len(), prices.len(), "usage per provider");
-            let per_provider: Vec<f64> =
-                usage.iter().zip(&prices).map(|(u, p)| u.cost(p)).collect();
-            MonthCost { label: t.label.clone(), total: per_provider.iter().sum(), per_provider }
-        })
-        .collect();
-    CostSeries { scheme: model.name().to_string(), months }
-}
-
-/// Renders schemes side by side as a markdown table of monthly totals.
-pub fn monthly_table(series: &[CostSeries]) -> String {
-    let mut out = String::new();
-    out.push_str("| month |");
-    for s in series {
-        out.push_str(&format!(" {} |", s.scheme));
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    for _ in series {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    let n = series.first().map_or(0, |s| s.months.len());
-    for i in 0..n {
-        out.push_str(&format!("| {} |", series[0].months[i].label));
-        for s in series {
-            out.push_str(&format!(" {:.2} |", s.months[i].total));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders the cumulative view (Figure 4b).
-pub fn cumulative_table(series: &[CostSeries]) -> String {
-    let mut out = String::new();
-    out.push_str("| month |");
-    for s in series {
-        out.push_str(&format!(" {} |", s.scheme));
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    for _ in series {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    let cums: Vec<Vec<f64>> = series.iter().map(|s| s.cumulative()).collect();
-    let n = series.first().map_or(0, |s| s.months.len());
-    for i in 0..n {
-        out.push_str(&format!("| {} |", series[0].months[i].label));
-        for c in &cums {
-            out.push_str(&format!(" {:.2} |", c[i]));
-        }
-        out.push('\n');
-    }
-    out
+/// Bills `layout` for the trace at Table II prices: each month's usage
+/// from [`Layout::monthly_usage`] over the trace's file-size mix.
+pub fn price(layout: &Layout, trace: &IaTrace) -> CostSeries {
+    let prices = WellKnownProvider::ALL.map(|w| w.profile().prices);
+    let usage = layout.monthly_usage(trace.months(), trace.size_dist());
+    let months =
+        usage.iter().map(|u| u.iter().zip(&prices).map(|(u, p)| u.cost(p)).sum()).collect();
+    CostSeries { months }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{
-        DepSkyModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel, ALIYUN, AZURE, RACKSPACE,
-        S3,
-    };
+    use crate::model::{column, ReadRule, Tier, DEPSKY, DURACLOUD, HYRD, RACS};
+    use hyrd_cloudsim::WellKnownProvider::{Aliyun, AmazonS3, Rackspace, WindowsAzure};
 
     fn trace() -> IaTrace {
         IaTrace::synthesize(42)
     }
 
-    fn run(model: &mut dyn CostModel) -> CostSeries {
-        run_model(model, &trace())
+    fn run(layout: Layout) -> CostSeries {
+        price(&layout, &trace())
+    }
+
+    fn single(p: &'static WellKnownProvider) -> CostSeries {
+        run(Layout::single(p))
     }
 
     #[test]
-    fn cumulative_is_running_sum_of_monthly() {
-        let s = run(&mut SingleModel::new("Amazon S3", S3));
-        let m = s.monthly();
-        let c = s.cumulative();
-        assert_eq!(m.len(), 12);
-        let mut acc = 0.0;
-        for i in 0..12 {
-            acc += m[i];
-            assert!((c[i] - acc).abs() < 1e-9);
-        }
+    fn year_total_is_the_sum_of_monthly() {
+        let s = single(&AmazonS3);
+        assert_eq!(s.monthly().len(), 12);
+        let acc: f64 = s.monthly().iter().sum();
         assert!((s.total() - acc).abs() < 1e-9);
+        assert!(s.monthly().iter().all(|&m| m > 0.0));
     }
 
     // ----- Figure 4 shape assertions (the paper's §IV-B findings) -----
 
     #[test]
     fn fig4_aliyun_is_the_cheapest_single_cloud() {
-        let aliyun = run(&mut SingleModel::new("Aliyun", ALIYUN)).total();
-        for (name, idx) in [("S3", S3), ("Azure", AZURE), ("Rackspace", RACKSPACE)] {
-            let other = run(&mut SingleModel::new(name, idx)).total();
-            assert!(aliyun < other, "Aliyun {aliyun} vs {name} {other}");
+        let aliyun = single(&Aliyun).total();
+        for other in [&AmazonS3, &WindowsAzure, &Rackspace] {
+            let cost = single(other).total();
+            assert!(aliyun < cost, "Aliyun {aliyun} vs {other} {cost}");
         }
     }
 
     #[test]
     fn fig4_duracloud_is_the_most_costly_scheme() {
-        let dura = run(&mut DuraCloudModel::new()).total();
-        let racs = run(&mut RacsModel::new()).total();
-        let hyrd = run(&mut HyrdModel::paper_default()).total();
+        let dura = run(DURACLOUD).total();
+        let racs = run(RACS).total();
+        let hyrd = run(HYRD).total();
         for (n, c) in [("RACS", racs), ("HyRD", hyrd)] {
             assert!(dura > c, "DuraCloud {dura} vs {n} {c}");
         }
-        for idx in [S3, AZURE, ALIYUN, RACKSPACE] {
-            let single = run(&mut SingleModel::new("x", idx)).total();
-            assert!(dura > single);
+        for p in &WellKnownProvider::ALL {
+            assert!(dura > single(p).total());
         }
     }
 
     #[test]
     fn fig4_hyrd_beats_duracloud_and_racs_by_paper_magnitudes() {
-        let dura = run(&mut DuraCloudModel::new()).total();
-        let racs = run(&mut RacsModel::new()).total();
-        let hyrd = run(&mut HyrdModel::paper_default()).total();
+        let dura = run(DURACLOUD).total();
+        let racs = run(RACS).total();
+        let hyrd = run(HYRD).total();
         let vs_dura = 1.0 - hyrd / dura;
         let vs_racs = 1.0 - hyrd / racs;
         // Paper: 33.4% and 20.4%. Shape check: clearly cheaper, in the
@@ -194,18 +101,10 @@ mod tests {
     fn fig4_coc_schemes_cost_more_than_single_clouds() {
         // "the three Cloud-of-Clouds schemes are more costly than the
         // individual cloud storage providers" — redundancy isn't free.
-        let cheapest_single = run(&mut SingleModel::new("Aliyun", ALIYUN)).total();
-        for series in [
-            run(&mut DuraCloudModel::new()),
-            run(&mut RacsModel::new()),
-            run(&mut HyrdModel::paper_default()),
-        ] {
-            assert!(
-                series.total() > cheapest_single,
-                "{} {} vs Aliyun {cheapest_single}",
-                series.scheme,
-                series.total()
-            );
+        let cheapest_single = single(&Aliyun).total();
+        for (name, layout) in [("DuraCloud", DURACLOUD), ("RACS", RACS), ("HyRD", HYRD)] {
+            let cost = run(layout).total();
+            assert!(cost > cheapest_single, "{name} {cost} vs Aliyun {cheapest_single}");
         }
     }
 
@@ -214,15 +113,10 @@ mod tests {
         // §IV-B: "the monthly costs of all the schemes, except for Amazon
         // S3 and Aliyun, increase nearly monotonously" (their bills are
         // storage-dominated; S3/Aliyun bills track fluctuating reads).
-        for idx in [AZURE, RACKSPACE] {
-            let m = run(&mut SingleModel::new("x", idx)).monthly();
-            let mut increases = 0;
-            for w in m.windows(2) {
-                if w[1] > w[0] * 0.98 {
-                    increases += 1;
-                }
-            }
-            assert!(increases >= 10, "provider {idx} not near-monotone");
+        for p in [&WindowsAzure, &Rackspace] {
+            let m = single(p).monthly().to_vec();
+            let increases = m.windows(2).filter(|w| w[1] > w[0] * 0.98).count();
+            assert!(increases >= 10, "{p} not near-monotone");
         }
     }
 
@@ -230,34 +124,33 @@ mod tests {
     fn fig4_s3_aliyun_bills_are_read_dominated() {
         // First-month decomposition: egress > storage for S3 and Aliyun.
         let t = trace();
-        let first = t.months()[0].clone();
-        for idx in [S3, ALIYUN] {
-            let mut m = SingleModel::new("x", idx);
-            let u = m.month(&first)[idx];
-            let p = price_books()[idx];
+        for p in [&AmazonS3, &Aliyun] {
+            let u = Layout::single(p).monthly_usage(&t.months()[..1], t.size_dist())[0];
+            let (u, prices) = (u[column(*p)], p.profile().prices);
             assert!(
-                p.transfer_cost(0, u.bytes_out) > p.storage_cost(u.stored_bytes),
-                "provider {idx} should be read-dominated in month 1"
+                prices.transfer_cost(0, u.bytes_out) > prices.storage_cost(u.stored_bytes),
+                "{p} should be read-dominated in month 1"
             );
         }
     }
 
     #[test]
     fn depsky_is_costlier_than_duracloud() {
-        let dep = run(&mut DepSkyModel::new()).total();
-        let dura = run(&mut DuraCloudModel::new()).total();
+        let dep = run(DEPSKY).total();
+        let dura = run(DURACLOUD).total();
         assert!(dep > dura, "4 replicas cost more than 2");
     }
 
     #[test]
-    fn tables_render_all_series() {
-        let series =
-            vec![run(&mut SingleModel::new("Amazon S3", S3)), run(&mut HyrdModel::paper_default())];
-        let m = monthly_table(&series);
-        assert!(m.contains("Amazon S3"));
-        assert!(m.contains("HyRD"));
-        assert!(m.lines().count() >= 14);
-        let c = cumulative_table(&series);
-        assert!(c.contains("Feb-08") && c.contains("Jan-09"));
+    fn the_read_rule_is_priced() {
+        // DuraCloud reading from its faster replica (Azure, free egress)
+        // instead of its primary: S3 serves nothing and the bill drops.
+        let fastest =
+            Layout::Whole(Tier::replicate(&[AmazonS3, WindowsAzure], ReadRule::FastestFirst));
+        let t = trace();
+        let usage = fastest.monthly_usage(t.months(), t.size_dist());
+        assert!(usage.iter().all(|u| u[column(AmazonS3)].bytes_out == 0));
+        assert!(usage.iter().all(|u| u[column(WindowsAzure)].bytes_out > 0));
+        assert!(run(fastest).total() < run(DURACLOUD).total());
     }
 }

@@ -22,15 +22,6 @@ pub struct MonthlyUsage {
 }
 
 impl MonthlyUsage {
-    /// Adds another usage record onto this one.
-    pub fn add(&mut self, other: &MonthlyUsage) {
-        self.stored_bytes += other.stored_bytes;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.put_class_ops += other.put_class_ops;
-        self.get_class_ops += other.get_class_ops;
-    }
-
     /// Dollar cost of this month under a price plan.
     pub fn cost(&self, prices: &PriceBook) -> f64 {
         prices.storage_cost(self.stored_bytes)
@@ -67,20 +58,5 @@ mod tests {
             get_class_ops: 1,
         };
         assert_eq!(u.cost(&PriceBook::FREE), 0.0);
-    }
-
-    #[test]
-    fn add_accumulates_fieldwise() {
-        let mut a = MonthlyUsage {
-            stored_bytes: 1,
-            bytes_in: 2,
-            bytes_out: 3,
-            put_class_ops: 4,
-            get_class_ops: 5,
-        };
-        let b = a;
-        a.add(&b);
-        assert_eq!(a.stored_bytes, 2);
-        assert_eq!(a.get_class_ops, 10);
     }
 }

@@ -12,8 +12,9 @@
 use hyrd::driver::{replay, ReplayOptions};
 use hyrd::prelude::*;
 use hyrd_baselines::{Racs, Replicated};
-use hyrd_costsim::model::{CostModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel, S3};
-use hyrd_costsim::report::run_model;
+use hyrd_cloudsim::WellKnownProvider::AmazonS3;
+use hyrd_costsim::model::{Layout, DURACLOUD, HYRD, RACS};
+use hyrd_costsim::price;
 use hyrd_workloads::{FsOp, IaTrace, PostMark, PostMarkConfig};
 
 fn library_workload(seed: u64) -> Vec<FsOp> {
@@ -64,15 +65,14 @@ fn main() {
 
     println!("\n== the yearly bill for hosting the whole archive (Figure 4) ==");
     let trace = IaTrace::synthesize(7);
-    let mut models: Vec<Box<dyn CostModel>> = vec![
-        Box::new(SingleModel::new("Amazon S3", S3)),
-        Box::new(DuraCloudModel::new()),
-        Box::new(RacsModel::new()),
-        Box::new(HyrdModel::paper_default()),
+    let layouts = [
+        ("Amazon S3", Layout::single(&AmazonS3)),
+        ("DuraCloud", DURACLOUD),
+        ("RACS", RACS),
+        ("HyRD", HYRD),
     ];
-    for m in models.iter_mut() {
-        let series = run_model(m.as_mut(), &trace);
-        println!("{:<12} ${:>9.0} / year", series.scheme, series.total());
+    for (name, layout) in &layouts {
+        println!("{:<12} ${:>9.0} / year", name, price(layout, &trace).total());
     }
     println!("\nHyRD keeps the replication where it is cheap (small, hot data) and the");
     println!("erasure coding where it pays (the big cold archive) — same availability,");

@@ -1,14 +1,14 @@
-//! Cross-validation of the analytic cost models (`hyrd-costsim`) against
+//! Cross-validation of the priced layouts (`hyrd-costsim`) against
 //! the *executable* schemes: replay a miniature "month" through the real
 //! implementations, bill the actual per-provider usage with Table II
-//! prices, and require the analytic model to predict the same scheme
+//! prices, and require the priced layout to predict the same scheme
 //! ordering and roughly the same relative costs.
 
 use hyrd::driver::{synth_content, SweepCell};
 use hyrd::prelude::*;
 use hyrd_baselines::{Racs, Replicated};
-use hyrd_cloudsim::pricing::PriceBook;
-use hyrd_costsim::model::{CostModel, DuraCloudModel, HyrdModel, RacsModel, SingleModel, S3};
+use hyrd_cloudsim::WellKnownProvider;
+use hyrd_costsim::model::{Layout, DURACLOUD, HYRD, RACS};
 use hyrd_costsim::usage::MonthlyUsage;
 use hyrd_workloads::ia_trace::MonthTraffic;
 use hyrd_workloads::rng::Rng;
@@ -66,8 +66,8 @@ where
         .sum()
 }
 
-/// Runs the analytic model on traffic matching the mini-month.
-fn modelled_cost(model: &mut dyn CostModel) -> f64 {
+/// Prices the layout on traffic matching the mini-month.
+fn modelled_cost(layout: Layout) -> f64 {
     let files = month_files();
     let written: u64 = files.iter().map(|(_, d)| d.len() as u64).sum();
     let traffic = MonthTraffic {
@@ -78,9 +78,8 @@ fn modelled_cost(model: &mut dyn CostModel) -> f64 {
         write_requests: files.len() as u64,
         read_requests: (files.len() * READS_PER_FILE) as u64,
     };
-    let usage = model.month(&traffic);
-    let prices =
-        [PriceBook::AMAZON_S3, PriceBook::WINDOWS_AZURE, PriceBook::ALIYUN, PriceBook::RACKSPACE];
+    let usage = layout.monthly_usage(&[traffic], &FileSizeDist::agrawal())[0];
+    let prices = WellKnownProvider::ALL.map(|w| w.profile().prices);
     usage.iter().zip(prices).map(|(u, p)| u.cost(&p)).sum()
 }
 
@@ -102,10 +101,10 @@ fn measured_lineup(jobs: usize) -> Vec<(&'static str, f64)> {
 fn analytic_models_match_the_executable_schemes() {
     let measured = measured_lineup(0);
     let modelled = [
-        ("S3", modelled_cost(&mut SingleModel::new("S3", S3))),
-        ("DuraCloud", modelled_cost(&mut DuraCloudModel::new())),
-        ("RACS", modelled_cost(&mut RacsModel::new())),
-        ("HyRD", modelled_cost(&mut HyrdModel::paper_default())),
+        ("S3", modelled_cost(Layout::single(&WellKnownProvider::AmazonS3))),
+        ("DuraCloud", modelled_cost(DURACLOUD)),
+        ("RACS", modelled_cost(RACS)),
+        ("HyRD", modelled_cost(HYRD)),
     ];
 
     // 1. Same ordering: HyRD < RACS < DuraCloud on both sides, singles
