@@ -398,7 +398,10 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         let mut recovered = self.core.recover_provider(id)?;
         let provider = self.core.provider(id);
         let lookup = |pid: ProviderId| self.core.provider(pid);
-        for path in self.dirty.paths() {
+        let off = hyrd::telemetry::Collector::disabled();
+        let (mut path, mut from) = (String::new(), 0);
+        while let Some(index) = self.dirty.next_at(&mut path, from) {
+            from = index + 1;
             let placement = NormPath::parse(&path).ok().and_then(|np| {
                 self.core.meta.inode(&np).ok().and_then(|inode| match inode.placement {
                     Placement::ErasureCoded { layout, fragments, .. } => Some((layout, fragments)),
@@ -409,20 +412,20 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
                 self.dirty.forget(&path);
                 continue;
             };
-            let indices = self.dirty.take(&path);
-            let remaining = hyrd::ecops::rebuild_dirty(
+            if hyrd::ecops::rebuild_dirty(
                 &self.code,
                 &lookup,
-                &hyrd::telemetry::Collector::disabled(),
+                &off,
                 &provider,
                 &layout,
                 &fragments,
                 &path,
-                indices,
+                index,
                 &hyrd::ecops::unverified,
                 &mut recovered,
-            );
-            self.dirty.put_back(&path, remaining);
+            ) {
+                self.dirty.clear(&path, index);
+            }
         }
         Ok(recovered)
     }

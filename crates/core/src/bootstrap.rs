@@ -6,10 +6,10 @@
 //! object itself.
 //!
 //! * **List** every available provider and union the `meta:` / `metad:`
-//!   names, remembering who listed what. With a journal, the names of
-//!   its pending metadata puts join the union — the crashed client may
-//!   have been mid-ship, so those bytes can be newer than anything that
-//!   landed.
+//!   names, remembering who listed what. On restart, the names of the
+//!   journal's pending metadata puts join the union — the crashed client
+//!   may have been mid-ship, so those bytes can be newer than anything
+//!   that landed.
 //! * **Fetch** each name from the providers that listed it. A torn read
 //!   (truncated or bit-flipped, caught by the `HYM3` / `HYD2` checksum)
 //!   is retried twice — wire corruption is transient — before that
@@ -38,7 +38,6 @@ use hyrd_gcsapi::{CloudStorage, OpReport, ProviderId};
 use hyrd_metastore::{resolve_chain, DiffBlock, MetadataBlock, NormPath};
 
 use crate::dispatcher::Hyrd;
-use crate::recovery::{LogRecord, UpdateLog};
 use crate::scheme::{SchemeError, SchemeResult};
 
 /// How often one replica is asked for an object that arrives torn.
@@ -101,13 +100,13 @@ impl Vote {
 
 impl Hyrd {
     /// Loads the namespace into this (fresh) client's metastore from the
-    /// providers' metadata objects and, when there is a journal, the
-    /// `pending` puts it mirrors. See the module docs for the rule.
-    /// Fails only when there is nothing to read from: no provider
-    /// answered the List and there is no journal.
+    /// providers' metadata objects and, on restart, the `journaled`
+    /// metadata puts the journal's log holds, by object name. See the
+    /// module docs for the rule. Fails only when there is nothing to read
+    /// from: no provider answered the List and there is no journal.
     pub(crate) fn load_namespace(
         &self,
-        pending: Option<&UpdateLog>,
+        journaled: Option<&[(Arc<str>, Bytes)]>,
     ) -> SchemeResult<LoadedNamespace> {
         let mut out = LoadedNamespace::default();
 
@@ -123,21 +122,14 @@ impl Hyrd {
                 listers.entry(name).or_default().push(p.id());
             }
         }
-        if !answered && pending.is_none() {
+        if !answered && journaled.is_none() {
             return Err(SchemeError::DataUnavailable {
                 path: String::new(),
                 detail: "no provider answered the bootstrap List".to_string(),
             });
         }
-        let journaled = || {
-            pending.into_iter().flat_map(UpdateLog::records).filter_map(|(_, r)| match r {
-                LogRecord::Put { key, data } if is_meta_object(&key.name) => {
-                    Some((&*key.name, data))
-                }
-                _ => None,
-            })
-        };
-        for (name, _) in journaled() {
+        let journaled = journaled.unwrap_or_default();
+        for (name, _) in journaled {
             listers.entry(name.to_string()).or_default();
         }
 
@@ -170,7 +162,7 @@ impl Hyrd {
                     break;
                 }
             }
-            for (_, data) in journaled().filter(|(n, _)| n == name) {
+            for (_, data) in journaled.iter().filter(|(n, _)| **n == **name) {
                 vote.cast(is_diff, data);
             }
             match (vote.diff, vote.block) {

@@ -123,7 +123,7 @@ impl CrashHarness {
     /// durable and not worth a sweep cell.
     pub fn new(fleet: &Fleet, config: HyrdConfig, telemetry: Collector) -> SchemeResult<Self> {
         silence_crash_panics();
-        let journal = Journal::recording();
+        let journal = Journal::new();
         let client = Hyrd::with_journal(fleet, config.clone(), telemetry.clone(), journal.clone())?;
         Ok(CrashHarness {
             fleet: fleet.clone(),

@@ -18,7 +18,8 @@
 //! * **large updates** → the RAID5 read-modify-write of §II-B (2 reads +
 //!   2 writes for a sub-shard update);
 //! * **writes a provider missed** → applied to the providers that take
-//!   them and recorded in the [`UpdateLog`] for the consistency update
+//!   them and recorded in the journal's
+//!   [`UpdateLog`](crate::recovery::UpdateLog) for the consistency update
 //!   when the provider returns (recovery phase 2).
 //!
 //! # The log rule
@@ -64,10 +65,11 @@
 //! # Concurrency
 //!
 //! The whole CRUD surface takes `&self`: the mutable interior state is
-//! **lock-striped** — the update log, the small-file cache, the
-//! dirty-fragment set, the workload monitor and the integrity index each
-//! sit behind their own `Mutex` (fleet, health, counters and telemetry
-//! were already interior-mutable). Namespace metadata no
+//! **lock-striped** — the small-file cache, the workload monitor and the
+//! integrity index each sit behind their own `Mutex`, and the recovery
+//! state (the update log and the dirty-fragment set) behind the
+//! [`Journal`]'s one lock (fleet, health, counters and telemetry were
+//! already interior-mutable). Namespace metadata no
 //! longer has a stripe at all: it lives in a
 //! [`hyrd_metastore::ShardedMetaStore`] — hash-partitioned by directory
 //! into independently `RwLock`ed shards with optimistic
@@ -75,7 +77,7 @@
 //! counters are sharded alongside it, keyed by [`NormPath`]. Guards are
 //! scoped to single statements, so the client never holds two stripes at
 //! once; the canonical acquisition order (monitor → meta shard → cache →
-//! read_counts shard → log → dirty → integrity) is documented in
+//! read_counts shard → journal → integrity) is documented in
 //! DESIGN.md §11 for any future section that must nest. Contended
 //! acquisitions are counted and timed into registry histograms
 //! (`lock.contended[..]`, `lock.wait_ns[..]`; the meta shards publish
@@ -105,7 +107,7 @@ use crate::health::{FaultCounterSnapshot, FaultCounters, HealthTracker};
 use crate::integrity::{IntegrityIndex, Verdict};
 use crate::journal::Journal;
 use crate::monitor::WorkloadMonitor;
-use crate::recovery::{RecoveryReport, UpdateLog};
+use crate::recovery::RecoveryReport;
 use crate::scheme::{Scheme, SchemeError, SchemeResult};
 
 mod cache;
@@ -300,7 +302,6 @@ pub struct Hyrd {
     monitor: Mutex<WorkloadMonitor>,
     evaluator: Evaluator,
     pub(crate) meta: ShardedMetaStore,
-    pub(crate) log: Mutex<UpdateLog>,
     pub(crate) planner: StripePlanner,
     pub(crate) code: CodeImpl,
     cache: Mutex<SmallFileCache>,
@@ -308,7 +309,6 @@ pub struct Hyrd {
     /// Meta-shard contention totals already published to the registry
     /// (so [`Hyrd::publish_meta_metrics`] increments deltas, not totals).
     meta_published: Mutex<MetaOccStats>,
-    pub(crate) dirty: Mutex<crate::ecops::DirtyFragments>,
     setup_cost: BatchReport,
     pub(crate) health: HealthTracker,
     pub(crate) integrity: Mutex<IntegrityIndex>,
@@ -319,8 +319,8 @@ pub struct Hyrd {
     /// Where new replicas and fragments go, derived from the evaluator's
     /// tiers whenever it assesses (construction, [`Hyrd::reassess`]).
     targets: Targets,
-    /// Crash journal (disabled outside the crash harness; see
-    /// [`crate::journal`]).
+    /// The recovery state: the update log, the dirty-fragment set and,
+    /// with a crash switch attached, the intents (see [`crate::journal`]).
     pub(crate) journal: Journal,
     /// The list a metadata flush collects its items in, lent to each
     /// flush in turn so that a flush allocates only what it ships.
@@ -345,14 +345,15 @@ impl Hyrd {
         config: HyrdConfig,
         telemetry: Collector,
     ) -> SchemeResult<Self> {
-        Hyrd::with_journal(fleet, config, telemetry, Journal::disabled())
+        Hyrd::build(fleet, config, telemetry, Journal::new())
     }
 
-    /// Like [`Hyrd::with_telemetry`], with an attached crash journal:
-    /// the dispatcher mirrors its recovery log and dirty-fragment set
-    /// into the journal and records per-operation intents, and the
-    /// journal's crashpoints become live (see [`crate::journal`] and
-    /// [`Hyrd::restart`]). Ordinary clients pass [`Journal::disabled`].
+    /// Like [`Hyrd::with_telemetry`], over a given `journal` with the
+    /// fleet's crash switch attached to it: the dispatcher records
+    /// per-operation intents and the journal's crashpoints become live
+    /// (see [`crate::journal`]). A client restarted over the journal of
+    /// one that died takes over its update log and dirty set
+    /// ([`Hyrd::restart`]).
     pub fn with_journal(
         fleet: &Fleet,
         config: HyrdConfig,
@@ -360,6 +361,15 @@ impl Hyrd {
         journal: Journal,
     ) -> SchemeResult<Self> {
         journal.set_crash_switch(fleet.crash_switch().clone());
+        Hyrd::build(fleet, config, telemetry, journal)
+    }
+
+    fn build(
+        fleet: &Fleet,
+        config: HyrdConfig,
+        telemetry: Collector,
+        journal: Journal,
+    ) -> SchemeResult<Self> {
         config
             .validate(fleet.len())
             .map_err(|detail| SchemeError::DataUnavailable { path: String::new(), detail })?;
@@ -381,13 +391,11 @@ impl Hyrd {
             monitor: Mutex::new(WorkloadMonitor::new(config.threshold)),
             evaluator,
             meta: ShardedMetaStore::with_shards(config.meta_shards),
-            log: Mutex::new(UpdateLog::new()),
             planner,
             code,
             cache: Mutex::new(SmallFileCache::new(256 << 20)),
             read_counts: ReadCounts::new(config.meta_shards),
             meta_published: Mutex::new(MetaOccStats::default()),
-            dirty: Mutex::new(crate::ecops::DirtyFragments::new()),
             setup_cost,
             health,
             integrity: Mutex::new(IntegrityIndex::new()),
@@ -497,14 +505,6 @@ impl Hyrd {
     /// completed migration starting a fresh heat epoch).
     pub(crate) fn reads_remove(&self, path: &NormPath) {
         self.stripe("read_counts", self.read_counts.shard(path)).remove(path);
-    }
-
-    pub(crate) fn log_l(&self) -> MutexGuard<'_, UpdateLog> {
-        self.stripe("log", &self.log)
-    }
-
-    pub(crate) fn dirty_l(&self) -> MutexGuard<'_, crate::ecops::DirtyFragments> {
-        self.stripe("dirty", &self.dirty)
     }
 
     pub(crate) fn integrity_l(&self) -> MutexGuard<'_, IntegrityIndex> {
@@ -625,7 +625,7 @@ impl Hyrd {
     /// Pending consistency-update records (writes missed by providers
     /// currently in outage).
     pub fn pending_log_len(&self) -> usize {
-        self.log_l().len()
+        self.journal.pending_len()
     }
 
     /// Runs the consistency-update phase for a returned provider —
@@ -644,20 +644,8 @@ impl Hyrd {
         // so the replay and the reads that follow are not short-circuited
         // by a breaker left open from its bad spell.
         self.health.reset(id);
-        // Phase 2a: replay whole-object writes the provider missed. The
-        // log stripe stays held across the replay so a concurrent writer
-        // cannot append a record for this provider mid-drain; the
-        // journal mirror is synced under the same guard so a crash can
-        // never observe the drain half-recorded.
-        let replayed = {
-            let mut log = self.log_l();
-            let result = log.replay(provider.as_ref());
-            if result.is_ok() {
-                self.journal.sync_pending(&log);
-            }
-            result
-        };
-        let mut recovered = match replayed {
+        // Phase 2a: replay whole-object writes the provider missed.
+        let mut recovered = match self.journal.replay(provider.as_ref()) {
             Ok(ok) => ok,
             Err(e) => {
                 crate::crashtest::escalate_if_crashed(&e);
@@ -686,24 +674,24 @@ impl Hyrd {
             }
             verdict
         };
-        // Each dirty path is taken out of the set in turn (the walk keeps
-        // its place in `path`) and what could not be rebuilt is put back.
-        let mut path = String::new();
-        loop {
-            let Some(indices) = self.dirty_l().take_next(&mut path) else {
-                break;
-            };
+        // The walk visits each dirty fragment once, in path and index
+        // order, keeping its place in `path` and `from`. A fragment leaves
+        // the set only once its rebuild's Put has landed, so a crash
+        // mid-rebuild leaves it dirty for the restart to redo.
+        let (mut path, mut from) = (String::new(), 0);
+        while let Some(index) = self.journal.next_dirty(&mut path, from) {
+            from = index + 1;
             let Ok(npath) = NormPath::parse(&path) else {
-                self.dirty_l().put_back(&path, indices);
                 continue;
             };
             let Ok(Lent { stored: Stored::ErasureCoded(layout), copies, .. }) =
                 self.lend_inode(&npath)
             else {
                 // Gone, or no longer erasure-coded: nothing to rebuild.
+                self.journal.forget_dirty(&path);
                 continue;
             };
-            let remaining = crate::ecops::rebuild_dirty(
+            if crate::ecops::rebuild_dirty(
                 self.code.as_code(),
                 &lookup,
                 &self.telemetry,
@@ -711,19 +699,19 @@ impl Hyrd {
                 &layout,
                 &copies,
                 &path,
-                indices,
+                index,
                 &verify,
                 &mut recovered,
-            );
-            self.dirty_l().put_back(&path, remaining);
+            ) {
+                self.journal.clear_dirty(&path, index);
+            }
         }
-        self.sync_dirty_journal();
         Ok(recovered)
     }
 
     /// Fragments awaiting rebuild after degraded updates.
     pub fn pending_dirty_fragments(&self) -> usize {
-        self.dirty_l().len()
+        self.journal.dirty_len()
     }
 
     // ------------------------------------------------------------------
@@ -791,15 +779,6 @@ impl Hyrd {
     /// Lends a file's inode to the request path: see [`Lent`].
     pub(crate) fn lend_inode(&self, path: &NormPath) -> SchemeResult<Lent> {
         Ok(self.meta.with_inode(path, Lent::of)?)
-    }
-
-    /// Mirrors the dirty-fragment set into the journal. Call after any
-    /// dirty mutation, with the dirty stripe released.
-    pub(crate) fn sync_dirty_journal(&self) {
-        if self.journal.enabled() {
-            let snapshot = self.dirty_l().clone();
-            self.journal.sync_dirty(&snapshot);
-        }
     }
 
     /// Publishes the sharded metastore's health into the metrics

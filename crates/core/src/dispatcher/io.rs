@@ -142,7 +142,7 @@ impl Hyrd {
         patch: &Bytes,
         full: &Bytes,
     ) -> CloudResult<OpReport> {
-        if self.log_l().is_pending(target, key) {
+        if self.journal.stale(target, &key.name, None) {
             return self.put_object(target, key, full);
         }
         let result = self.guarded(target, |p| p.put_range(key, offset, patch.clone()));
@@ -174,14 +174,14 @@ impl Hyrd {
     ) -> CloudResult<OpReport> {
         match result {
             Ok(out) => {
-                self.wal_discharge(target, key);
+                self.journal.discharge(target, key);
                 Ok(out.report)
             }
             // Outages, exhausted retries, open breakers, container
             // errors — all become missed writes; the replay surfaces
             // persistent problems.
             Err(e) => {
-                self.wal_log_put(target, key.clone(), full.clone());
+                self.journal.log_put(target, key.clone(), full.clone());
                 Err(e)
             }
         }
@@ -252,13 +252,13 @@ impl Hyrd {
                 Ok(out) => {
                     ops.push(out.report);
                     retired.removed += 1;
-                    self.wal_discharge(p, key);
+                    self.journal.discharge(p, key);
                 }
                 Err(CloudError::NoSuchObject { .. }) | Err(CloudError::NoSuchContainer { .. }) => {
-                    self.wal_discharge(p, key);
+                    self.journal.discharge(p, key);
                 }
                 Err(_) => {
-                    self.wal_log_remove(p, key.clone());
+                    self.journal.log_remove(p, key.clone());
                     retired.logged += 1;
                 }
             }
@@ -278,39 +278,9 @@ impl Hyrd {
     ) {
         for &t in targets {
             match before {
-                Some(bytes) => self.wal_log_put(t, key.clone(), bytes.clone()),
-                None => self.wal_log_remove(t, key.clone()),
+                Some(bytes) => self.journal.log_put(t, key.clone(), bytes.clone()),
+                None => self.journal.log_remove(t, key.clone()),
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Write-ahead log helpers
-    //
-    // Every recovery-log mutation goes through one of these so the crash
-    // journal's mirror is synced under the same stripe guard — before
-    // the next provider op (the next possible crash boundary) can run.
-    // ------------------------------------------------------------------
-
-    fn wal_log_put(&self, target: ProviderId, key: ObjectKey, data: Bytes) {
-        let mut log = self.log_l();
-        log.log_put(target, key, data);
-        self.journal.sync_pending(&log);
-    }
-
-    fn wal_log_remove(&self, target: ProviderId, key: ObjectKey) {
-        let mut log = self.log_l();
-        log.log_remove(target, key);
-        self.journal.sync_pending(&log);
-    }
-
-    /// Takes the log guard once — check, supersede, sync — and does
-    /// nothing when the log holds no record for the pair, so a quiet run
-    /// hits no journal sync (and no crashpoint) here.
-    fn wal_discharge(&self, target: ProviderId, key: &ObjectKey) {
-        let mut log = self.log_l();
-        if log.discharge(target, key) {
-            self.journal.sync_pending(&log);
         }
     }
 }

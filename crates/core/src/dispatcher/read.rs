@@ -105,7 +105,7 @@ impl Hyrd {
         order.sort_by_key(|&id| !self.health.admits(id, now));
         let candidates = order
             .into_iter()
-            .filter(|&id| !self.log_l().is_pending(id, key))
+            .filter(|&id| !self.journal.stale(id, &key.name, None))
             .map(|id| (id, key))
             .collect();
         // One copy wins; the hedge timer fans out to a second replica
@@ -148,8 +148,7 @@ impl Hyrd {
             .map(|(i, (p, name))| (i, *p, Self::key(Arc::clone(name))))
             .filter(|(i, p, key)| {
                 self.provider(*p).is_available()
-                    && !self.log_l().is_pending(*p, key)
-                    && !self.dirty_l().contains(path, *i)
+                    && !self.journal.stale(*p, &key.name, Some((path, *i)))
             })
             .collect();
         candidates.sort_by_key(|(_, p, _)| {
@@ -372,8 +371,7 @@ impl Hyrd {
                 // doubt falls back to the erasure-coded truth.
                 if let Some((p, name)) = &inode.hot_copy {
                     let hot_key = Self::key(Arc::clone(name));
-                    if !self.log_l().is_pending(*p, &hot_key) && self.health.admits(*p, self.now())
-                    {
+                    if !self.journal.stale(*p, name, None) && self.health.admits(*p, self.now()) {
                         if let Ok(out) = self.get_object(*p, &hot_key) {
                             match self.check_sized(*p, name, &out.value, Some(inode.size)) {
                                 Verdict::Corrupt => self.note_corruption(*p, name),

@@ -315,11 +315,7 @@ impl Hyrd {
         // (a predecessor's bytes, even): parity computed over that would
         // corrupt the stripe, so the update waits for the recovery.
         let stale = fragments.iter().enumerate().find(|(i, (p, name))| {
-            // One stripe at a time, log before dirty (DESIGN.md §11); by
-            // name, so this per-update check builds no key.
-            let pending =
-                self.log_l().records().iter().any(|(q, r)| q == p && *r.key().name == **name);
-            (pending || self.dirty_l().contains(path.as_str(), *i))
+            self.journal.stale(*p, name, Some((path.as_str(), *i)))
                 && self.provider(*p).is_available()
         });
         if let Some((i, (p, _))) = stale {
@@ -344,7 +340,7 @@ impl Hyrd {
         });
         let seq = intent.seq();
         let wal_cb = |writes: &[FragWrite]| self.journal.amend_update_writes(seq, writes.to_vec());
-        let wal = self.journal.enabled().then_some(&wal_cb as &dyn Fn(&[FragWrite]));
+        let wal = self.journal.live().then_some(&wal_cb as &dyn Fn(&[FragWrite]));
         let outcome = crate::ecops::ranged_update_with(
             self.code.as_code(),
             &lookup,
@@ -359,13 +355,7 @@ impl Hyrd {
             Vec::with_capacity(2 * layout.n + self.replica_targets().len()),
         )?;
         let mut batch = outcome.batch;
-        {
-            let mut dirty = self.dirty_l();
-            for &idx in &outcome.missed {
-                dirty.mark(path.as_str(), idx);
-            }
-        }
-        self.sync_dirty_journal();
+        self.journal.mark_dirty(path.as_str(), &outcome.missed);
         // Ranged writes changed the fragments in place; the recorded
         // whole-fragment digests no longer apply. Drop them — reads fall
         // back to `Unknown` until the scrub pass re-records them.
@@ -485,8 +475,7 @@ impl Hyrd {
         // `/a//b`, and a stale cached body later poisons update digests.
         self.cache_l().remove(npath.as_str());
         self.reads_remove(&npath);
-        self.dirty_l().forget(npath.as_str());
-        self.sync_dirty_journal();
+        self.journal.forget_dirty(npath.as_str());
         self.monitor_l().forget(inode.size);
 
         // An object out of reach keeps its bytes (and its bill) while the

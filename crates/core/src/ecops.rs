@@ -116,33 +116,29 @@ impl DirtyFragments {
         self.map.get(path).is_some_and(|s| s.contains(&index))
     }
 
-    /// Paths with dirty fragments (for recovery iteration).
-    pub fn paths(&self) -> Vec<String> {
-        self.map.keys().cloned().collect()
+    /// The first dirty fragment at or after fragment `from` of `path`, in
+    /// path then index order; when it belongs to a later path, that path
+    /// is left in `path`. A walk that passes `index + 1` back each time
+    /// visits every fragment once, even while fragments are cleared
+    /// behind it, and copies each name into one reused buffer.
+    pub fn next_at(&self, path: &mut String, from: usize) -> Option<usize> {
+        if let Some(&i) = self.map.get(path.as_str()).and_then(|s| s.range(from..).next()) {
+            return Some(i);
+        }
+        let (next, indices) =
+            self.map.range::<str, _>((Bound::Excluded(path.as_str()), Bound::Unbounded)).next()?;
+        path.clear();
+        path.push_str(next);
+        indices.first().copied()
     }
 
-    /// Takes the indices of the first dirty path after `after` (of the
-    /// first path, when `after` is empty), leaving that path clean, and
-    /// leaves the path in `after`: a walk that puts some paths back as it
-    /// goes visits each path once, and copies each name into one reused
-    /// buffer.
-    pub fn take_next(&mut self, after: &mut String) -> Option<BTreeSet<usize>> {
-        let (path, _) =
-            self.map.range::<str, _>((Bound::Excluded(after.as_str()), Bound::Unbounded)).next()?;
-        after.clear();
-        after.push_str(path);
-        self.map.remove(after.as_str())
-    }
-
-    /// Takes the dirty indices of one path (leaving it clean).
-    pub fn take(&mut self, path: &str) -> BTreeSet<usize> {
-        self.map.remove(path).unwrap_or_default()
-    }
-
-    /// Puts back indices that could not be rebuilt yet.
-    pub fn put_back(&mut self, path: &str, indices: BTreeSet<usize>) {
-        if !indices.is_empty() {
-            self.map.entry(path.to_string()).or_default().extend(indices);
+    /// Clears fragment `index` of `path` (its rebuild landed).
+    pub fn clear(&mut self, path: &str, index: usize) {
+        if let Some(indices) = self.map.get_mut(path) {
+            indices.remove(&index);
+            if indices.is_empty() {
+                self.map.remove(path);
+            }
         }
     }
 }
@@ -405,14 +401,15 @@ fn write_phase(
     missed
 }
 
-/// Rebuilds the dirty fragments `indices` of one erasure-coded file that
-/// live on the returned `provider` — the per-path step of the consistency
+/// Rebuilds dirty fragment `index` of one erasure-coded file if it lives
+/// on the returned `provider` — the per-fragment step of the consistency
 /// update, shared by HyRD's recovery and the erasure-coded baselines'.
-/// Each rebuild counts as one replayed put with its bytes restored in
+/// A rebuild counts as one replayed put with its bytes restored in
 /// `recovered`, whose batch it extends; with telemetry on it also emits
-/// `recovery.rebuild` and bumps `recovery.rebuilds`. Returns the indices
-/// that stay dirty: those on other providers and those whose rebuild
-/// failed (too few survivors that `verify` does not call corrupt).
+/// `recovery.rebuild` and bumps `recovery.rebuilds`. Returns whether the
+/// fragment was rebuilt; it stays dirty when it lives on another
+/// provider or its rebuild failed (too few survivors that `verify` does
+/// not call corrupt).
 #[allow(clippy::too_many_arguments)]
 pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
     code: &C,
@@ -422,39 +419,33 @@ pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
     layout: &FragmentLayout,
     fragments: &[(ProviderId, Arc<str>)],
     path: &str,
-    indices: BTreeSet<usize>,
+    index: usize,
     verify: Verifier,
     recovered: &mut (RecoveryReport, BatchReport),
-) -> BTreeSet<usize> {
-    let mut remaining = BTreeSet::new();
-    for idx in indices {
-        if fragments.get(idx).map(|(p, _)| *p) != Some(provider.id()) {
-            remaining.insert(idx);
-            continue;
-        }
-        match rebuild_fragment(code, lookup, telemetry, layout, fragments, idx, path, verify) {
-            Ok((b, bytes)) => {
-                if telemetry.enabled() {
-                    telemetry
-                        .event("recovery.rebuild")
-                        .field("path", path)
-                        .field("fragment", idx as u64)
-                        .field("provider", provider.name())
-                        .field("bytes", bytes)
-                        .emit();
-                    telemetry.inc("recovery.rebuilds", 1);
-                }
-                let (report, batch) = recovered;
-                report.puts_replayed += 1;
-                report.bytes_restored += bytes;
-                *batch = std::mem::take(batch).then(b);
-            }
-            Err(_) => {
-                remaining.insert(idx);
-            }
-        }
+) -> bool {
+    if fragments.get(index).map(|(p, _)| *p) != Some(provider.id()) {
+        return false;
     }
-    remaining
+    let Ok((b, bytes)) =
+        rebuild_fragment(code, lookup, telemetry, layout, fragments, index, path, verify)
+    else {
+        return false;
+    };
+    if telemetry.enabled() {
+        telemetry
+            .event("recovery.rebuild")
+            .field("path", path)
+            .field("fragment", index as u64)
+            .field("provider", provider.name())
+            .field("bytes", bytes)
+            .emit();
+        telemetry.inc("recovery.rebuilds", 1);
+    }
+    let (report, batch) = recovered;
+    report.puts_replayed += 1;
+    report.bytes_restored += bytes;
+    *batch = std::mem::take(batch).then(b);
+    true
 }
 
 /// Rebuilds one fragment from `m` surviving fragments and writes it to
@@ -692,19 +683,22 @@ mod tests {
         d.mark("/a", 3);
         d.mark("/b", 0);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.paths(), vec!["/a".to_string(), "/b".to_string()], "sorted");
         assert!(d.contains("/a", 1));
         assert!(!d.contains("/a", 2));
         assert!(!d.contains("/c", 0));
-        let taken = d.take("/a");
-        assert_eq!(taken.into_iter().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(d.len(), 1);
-        let mut back = BTreeSet::new();
-        back.insert(3usize);
-        d.put_back("/a", back);
+        let mut path = String::new();
+        let mut walk = |from| d.next_at(&mut path, from).map(|i| (path.clone(), i));
+        assert_eq!(walk(0), Some(("/a".to_string(), 1)));
+        assert_eq!(walk(2), Some(("/a".to_string(), 3)));
+        assert_eq!(walk(4), Some(("/b".to_string(), 0)), "paths in order");
+        assert_eq!(walk(1), None);
+        d.clear("/a", 1);
+        d.clear("/a", 2);
         assert_eq!(d.len(), 2);
+        d.clear("/a", 3);
+        assert!(!d.contains("/a", 3));
         d.forget("/b");
-        assert_eq!(d.len(), 1);
+        assert!(d.is_empty(), "a path whose last fragment cleared is gone");
     }
 
     #[test]

@@ -1,46 +1,48 @@
-//! The crash journal: a write-ahead mirror of the dispatcher's volatile
-//! recovery state, plus per-operation intents.
+//! The crash journal: the dispatcher's one recovery state — the update
+//! log and the dirty-fragment set — plus per-operation intents.
 //!
 //! The paper's prototype keeps the update log and the dirty-fragment set
 //! in client memory; a client crash would lose both and strand the fleet
-//! with unhealed replicas and half-written stripes. This module models
-//! the durable journal a production client would keep on local stable
-//! storage:
+//! with unhealed replicas and half-written stripes. This module is their
+//! only home, modelled as the durable journal a production client would
+//! keep on local stable storage:
 //!
-//! * a **pending mirror** of the [`UpdateLog`] — synced immediately
-//!   after every log mutation, *before* the next provider op can run
-//!   (write-ahead ordering: there is no crash boundary between a log
-//!   mutation and its sync, because crashes only fire at provider-op
-//!   admission and at named crashpoints);
-//! * a **dirty mirror** of the [`DirtyFragments`] set, same discipline;
+//! * the [`UpdateLog`] and the [`DirtyFragments`] set, under one lock.
+//!   Every mutation is a journal method that fires the `wal.sync`
+//!   crashpoint and only then applies the change: a crash at that
+//!   boundary loses exactly the one mutation, which the operation's
+//!   still-uncommitted intent re-creates when it is rolled forward;
 //! * **intents**: one record per mutating operation, appended before the
 //!   operation's first provider write and committed when the operation
 //!   returns. An intent found at restart is rolled forward (updates,
 //!   deletes) or rolled back (creates) by [`Hyrd::restart`](crate::Hyrd::restart)
 //!   (see `restart.rs`).
 //!
-//! The journal is a cheap-clone handle. [`Journal::disabled`] is a
-//! zero-cost no-op used by every ordinary client; [`Journal::recording`]
-//! is what the crash harness installs. When a [`CrashSwitch`] is
-//! attached, the journal also fires the named crashpoints
-//! (`wal.append.pre/post`, `wal.amend.pre/post`, `wal.commit.pre/post`,
-//! `wal.sync`, `meta.flush.pre/post`) by panicking with
+//! Every client has a journal; a cheap-clone handle shares it, which is
+//! how a restarted client takes over the log and dirty set of the one
+//! that died. What the crash harness adds is only the fleet's
+//! [`CrashSwitch`], attached by [`Hyrd::with_journal`](crate::Hyrd::with_journal).
+//! Intents and crashpoints are live only with a switch attached, so an
+//! ordinary client builds no intent and counts no crashpoint. A live
+//! journal fires the named crashpoints (`wal.append.pre/post`,
+//! `wal.amend.pre/post`, `wal.commit.pre/post`, `wal.sync`,
+//! `meta.flush.pre/post`) by panicking with
 //! [`ClientCrashed`](crate::crashtest::ClientCrashed) — the simulated
 //! process death the harness catches.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use bytes::Bytes;
-use std::sync::Mutex;
 
 use hyrd_gcsapi::sync::lock;
 
 use hyrd_cloudsim::CrashSwitch;
-use hyrd_gcsapi::ProviderId;
+use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, ObjectKey, ProviderId};
 
+use crate::bootstrap::is_meta_object;
 use crate::ecops::DirtyFragments;
-use crate::recovery::UpdateLog;
+use crate::recovery::{LogRecord, RecoveryReport, UpdateLog};
 
 /// One planned range write of an erasure-coded update: enough to redo
 /// the write verbatim at restart (range puts are idempotent).
@@ -145,13 +147,13 @@ impl Intent {
 
 #[derive(Debug, Default)]
 struct JournalState {
-    pending: UpdateLog,
+    log: UpdateLog,
     dirty: DirtyFragments,
     intents: BTreeMap<u64, Intent>,
     next_seq: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct JournalInner {
     state: Mutex<JournalState>,
     /// The fleet's crash switch, attached once.
@@ -159,43 +161,32 @@ struct JournalInner {
 }
 
 /// A handle on the crash journal (see module docs). Cloning shares the
-/// underlying journal; the disabled journal makes every method a no-op.
+/// underlying journal.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
-    inner: Option<Arc<JournalInner>>,
+    inner: Arc<JournalInner>,
 }
 
 impl Journal {
-    /// The no-op journal every ordinary client runs with.
-    pub fn disabled() -> Self {
-        Journal { inner: None }
+    /// An empty journal with no crash switch.
+    pub fn new() -> Self {
+        Journal::default()
     }
 
-    /// A recording journal for the crash harness.
-    pub fn recording() -> Self {
-        Journal {
-            inner: Some(Arc::new(JournalInner {
-                state: Mutex::new(JournalState::default()),
-                switch: OnceLock::new(),
-            })),
-        }
-    }
-
-    /// Whether this journal records anything.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Attaches the fleet's crash switch so journal boundaries double as
-    /// named crashpoints. No-op on a disabled journal. Installed by
+    /// Attaches the fleet's crash switch, which makes intents and
+    /// crashpoints live. Installed by
     /// [`Hyrd::with_journal`](crate::Hyrd::with_journal), again on each
     /// restart over the same fleet: a journal serves one fleet, so the
     /// first switch attached stays.
     pub fn set_crash_switch(&self, switch: Arc<CrashSwitch>) {
-        if let Some(inner) = &self.inner {
-            let attached = inner.switch.get_or_init(|| switch.clone());
-            debug_assert!(Arc::ptr_eq(attached, &switch), "a journal serves one fleet");
-        }
+        let attached = self.inner.switch.get_or_init(|| switch.clone());
+        debug_assert!(Arc::ptr_eq(attached, &switch), "a journal serves one fleet");
+    }
+
+    /// Whether a crash switch is attached: only then are intents built
+    /// and crashpoints counted.
+    pub fn live(&self) -> bool {
+        self.inner.switch.get().is_some()
     }
 
     /// Declares a named crashpoint. If the attached switch's plan fires
@@ -203,10 +194,20 @@ impl Journal {
     /// [`ClientCrashed`](crate::crashtest::ClientCrashed), which the
     /// crash harness catches as the simulated process death.
     pub fn crashpoint(&self, name: &str) {
-        let switch = self.inner.as_ref().and_then(|inner| inner.switch.get());
-        if switch.is_some_and(|switch| switch.at_point(name)) {
+        if self.inner.switch.get().is_some_and(|switch| switch.at_point(name)) {
             std::panic::panic_any(crate::crashtest::ClientCrashed);
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, JournalState> {
+        lock(&self.inner.state)
+    }
+
+    /// The write-ahead boundary of every recovery-state mutation:
+    /// `wal.sync` fires, then `change` runs under the lock.
+    fn apply<R>(&self, change: impl FnOnce(&mut JournalState) -> R) -> R {
+        self.crashpoint("wal.sync");
+        change(&mut self.state())
     }
 
     /// Appends an operation intent (crashpoints `wal.append.pre` /
@@ -214,23 +215,21 @@ impl Journal {
     /// commits the intent on every normal exit of the operation — and
     /// deliberately does *not* commit while unwinding from a crash.
     ///
-    /// The intent is built by `intent` only on a recording journal: an
+    /// The intent is built by `intent` only on a live journal: an
     /// ordinary client never pays for the paths, object lists and
     /// payload handles an intent owns.
     pub fn begin(&self, intent: impl FnOnce() -> Intent) -> IntentGuard<'_> {
-        let seq = if let Some(inner) = &self.inner {
+        let mut seq = 0;
+        if self.live() {
             let intent = intent();
             self.crashpoint("wal.append.pre");
-            let mut state = lock(&inner.state);
-            let seq = state.next_seq;
+            let mut state = self.state();
+            seq = state.next_seq;
             state.next_seq += 1;
             state.intents.insert(seq, intent);
             drop(state);
             self.crashpoint("wal.append.post");
-            seq
-        } else {
-            0
-        };
+        }
         IntentGuard { journal: self, seq }
     }
 
@@ -239,74 +238,148 @@ impl Journal {
     /// WAL hook of `ecops::ranged_update_with` after the delta is
     /// computed, before the first range write.
     pub fn amend_update_writes(&self, seq: u64, writes: Vec<FragWrite>) {
-        if let Some(inner) = &self.inner {
+        if self.live() {
             self.crashpoint("wal.amend.pre");
-            let mut state = lock(&inner.state);
-            if let Some(Intent::UpdateErasure { writes: w, .. }) = state.intents.get_mut(&seq) {
+            if let Some(Intent::UpdateErasure { writes: w, .. }) =
+                self.state().intents.get_mut(&seq)
+            {
                 *w = writes;
             }
-            drop(state);
             self.crashpoint("wal.amend.post");
         }
     }
 
     /// Commits (removes) an intent: the operation completed and its
-    /// effects are fully described by ordinary state (metadata, pending
-    /// log, dirty set). `wal.commit.pre` fires before the removal —
-    /// a crash there must leave the intent for restart to resolve —
-    /// and `wal.commit.post` after it.
+    /// effects are fully described by ordinary state (metadata, the log,
+    /// the dirty set). `wal.commit.pre` fires before the removal — a
+    /// crash there must leave the intent for restart to resolve — and
+    /// `wal.commit.post` after it.
     pub fn commit(&self, seq: u64) {
-        if let Some(inner) = &self.inner {
+        if self.live() {
             self.crashpoint("wal.commit.pre");
-            lock(&inner.state).intents.remove(&seq);
+            self.state().intents.remove(&seq);
             self.crashpoint("wal.commit.post");
         }
     }
 
-    /// Mirrors the recovery log after a mutation. The single `wal.sync`
-    /// crashpoint fires *before* the mirror write, modeling a crash that
-    /// loses the latest log mutation — safe because the mutating
-    /// operation's intent is still uncommitted and re-creates the lost
-    /// records when rolled forward.
-    pub fn sync_pending(&self, log: &UpdateLog) {
-        if let Some(inner) = &self.inner {
-            self.crashpoint("wal.sync");
-            lock(&inner.state).pending = log.clone();
-        }
-    }
-
-    /// Mirrors the dirty-fragment set after a mutation (same contract as
-    /// [`sync_pending`](Self::sync_pending)).
-    pub fn sync_dirty(&self, dirty: &DirtyFragments) {
-        if let Some(inner) = &self.inner {
-            self.crashpoint("wal.sync");
-            lock(&inner.state).dirty = dirty.clone();
-        }
-    }
-
-    /// Everything the journal holds, for the restart path: the mirrored
-    /// pending log, the mirrored dirty set, and the unresolved intents
-    /// in sequence order. The journal keeps its contents (restart
-    /// commits intents one by one as it resolves them).
-    pub fn restart_state(&self) -> (UpdateLog, DirtyFragments, Vec<(u64, Intent)>) {
-        match &self.inner {
-            Some(inner) => {
-                let state = lock(&inner.state);
-                let intents = state.intents.iter().map(|(s, i)| (*s, i.clone())).collect();
-                (state.pending.clone(), state.dirty.clone(), intents)
-            }
-            None => (UpdateLog::new(), DirtyFragments::new(), Vec::new()),
-        }
+    /// The unresolved intents in sequence order, for the restart path
+    /// (which commits each one as it resolves it).
+    pub(crate) fn intents(&self) -> Vec<(u64, Intent)> {
+        self.state().intents.iter().map(|(seq, intent)| (*seq, intent.clone())).collect()
     }
 
     /// Unresolved intents (tests and reports).
     pub fn intent_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| lock(&i.state).intents.len())
+        self.state().intents.len()
     }
 
-    /// Mirrored pending-log records (tests and reports).
+    // ------------------------------------------------------------------
+    // The update log
+    // ------------------------------------------------------------------
+
+    /// Logs a Put that `provider` missed ([`UpdateLog::log_put`]).
+    pub(crate) fn log_put(&self, provider: ProviderId, key: ObjectKey, data: Bytes) {
+        self.apply(|s| s.log.log_put(provider, key, data));
+    }
+
+    /// Logs a Remove that `provider` missed ([`UpdateLog::log_remove`]).
+    pub(crate) fn log_remove(&self, provider: ProviderId, key: ObjectKey) {
+        self.apply(|s| s.log.log_remove(provider, key));
+    }
+
+    /// Discharges the pair's record ([`UpdateLog::discharge`]). A pair
+    /// with no record is no mutation, so a quiet run meets no `wal.sync`
+    /// here.
+    pub(crate) fn discharge(&self, provider: ProviderId, key: &ObjectKey) {
+        let mut state = self.state();
+        if state.log.is_pending(provider, &key.name) {
+            self.crashpoint("wal.sync");
+            state.log.discharge(provider, key);
+        }
+    }
+
+    /// Replays the log onto a returned provider ([`UpdateLog::replay`]).
+    /// The lock is held across the replay so no concurrent write can
+    /// append a record for the provider mid-drain, and the drained
+    /// records leave only once every one of them has landed.
+    pub(crate) fn replay(
+        &self,
+        provider: &dyn CloudStorage,
+    ) -> Result<(RecoveryReport, BatchReport), CloudError> {
+        self.apply(|s| s.log.replay(provider))
+    }
+
+    /// Keeps only the records `keep` accepts; returns how many went.
+    pub(crate) fn retain_log(&self, keep: impl FnMut(&LogRecord) -> bool) -> usize {
+        self.apply(|s| {
+            let before = s.log.len();
+            s.log.retain_records(keep);
+            before - s.log.len()
+        })
+    }
+
+    /// The log's pending metadata puts by object name: a restarted
+    /// client's bootstrap candidates besides what the providers list.
+    pub(crate) fn meta_puts(&self) -> Vec<(Arc<str>, Bytes)> {
+        let state = self.state();
+        let puts = state.log.records().iter().filter_map(|(_, record)| match record {
+            LogRecord::Put { key, data } if is_meta_object(&key.name) => {
+                Some((Arc::clone(&key.name), data.clone()))
+            }
+            _ => None,
+        });
+        puts.collect()
+    }
+
+    /// Pending log records across providers.
     pub fn pending_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| lock(&i.state).pending.len())
+        self.state().log.len()
+    }
+
+    // ------------------------------------------------------------------
+    // The dirty-fragment set
+    // ------------------------------------------------------------------
+
+    /// Marks fragments `indices` of `path` dirty (one `wal.sync`, even
+    /// for none: an erasure-coded update meets the boundary once).
+    pub(crate) fn mark_dirty(&self, path: &str, indices: &[usize]) {
+        self.apply(|s| indices.iter().for_each(|&i| s.dirty.mark(path, i)));
+    }
+
+    /// Drops every dirty mark of `path` (deleted, or no longer
+    /// erasure-coded).
+    pub(crate) fn forget_dirty(&self, path: &str) {
+        self.apply(|s| s.dirty.forget(path));
+    }
+
+    /// Clears fragment `index` of `path` once its rebuild has landed.
+    pub(crate) fn clear_dirty(&self, path: &str, index: usize) {
+        self.apply(|s| s.dirty.clear(path, index));
+    }
+
+    /// The walk over the dirty set: see [`DirtyFragments::next_at`].
+    pub(crate) fn next_dirty(&self, path: &mut String, from: usize) -> Option<usize> {
+        self.state().dirty.next_at(path, from)
+    }
+
+    /// Fragments awaiting rebuild.
+    pub fn dirty_len(&self) -> usize {
+        self.state().dirty.len()
+    }
+
+    /// Whether `provider`'s copy of `object` is stale and must serve no
+    /// read, scrub or update base: the log holds a write the provider
+    /// missed, or — for fragment `i` of the erasure-coded `path` — a
+    /// degraded update left the copy dirty.
+    pub(crate) fn stale(
+        &self,
+        provider: ProviderId,
+        object: &str,
+        fragment: Option<(&str, usize)>,
+    ) -> bool {
+        let state = self.state();
+        state.log.is_pending(provider, object)
+            || fragment.is_some_and(|(path, i)| state.dirty.contains(path, i))
     }
 }
 
@@ -338,31 +411,111 @@ impl Drop for IntentGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyrd_cloudsim::CrashPlan;
-    use hyrd_gcsapi::ObjectKey;
+    use hyrd_cloudsim::{CrashPlan, Fleet, SimClock};
+    use hyrd_telemetry::Collector;
+
+    use crate::{Hyrd, HyrdConfig};
 
     fn create_intent(path: &str) -> Intent {
         Intent::Create { path: path.to_string(), objects: vec![(ProviderId(0), "o".into())] }
     }
 
+    /// A journal with a fresh crash switch attached, and the switch.
+    fn live() -> (Journal, Arc<CrashSwitch>) {
+        let (j, switch) = (Journal::new(), Arc::new(CrashSwitch::new()));
+        j.set_crash_switch(switch.clone());
+        (j, switch)
+    }
+
+    fn key(name: &str) -> ObjectKey {
+        ObjectKey::new("hyrd", name)
+    }
+
     #[test]
-    fn disabled_journal_is_a_noop() {
-        let j = Journal::disabled();
-        assert!(!j.enabled());
-        let guard = j.begin(|| unreachable!("a disabled journal builds no intent"));
+    fn a_journal_with_no_switch_builds_no_intent_yet_holds_the_log() {
+        let j = Journal::new();
+        assert!(!j.live());
+        let guard = j.begin(|| unreachable!("a journal with no switch builds no intent"));
         assert_eq!(guard.seq(), 0);
         drop(guard);
         j.crashpoint("meta.flush.pre");
-        j.sync_pending(&UpdateLog::new());
-        let (log, dirty, intents) = j.restart_state();
-        assert!(log.is_empty());
-        assert!(dirty.is_empty());
-        assert!(intents.is_empty());
+        assert_eq!(j.intent_count(), 0);
+
+        j.log_put(ProviderId(1), key("x"), Bytes::from_static(b"v"));
+        j.mark_dirty("/a", &[2]);
+        assert_eq!(j.pending_len(), 1, "the log lives in the journal");
+        assert!(j.stale(ProviderId(1), "x", None));
+        assert!(j.stale(ProviderId(0), "a.f2", Some(("/a", 2))));
+        assert!(!j.stale(ProviderId(0), "a.f1", Some(("/a", 1))));
+        j.discharge(ProviderId(1), &key("x"));
+        j.clear_dirty("/a", 2);
+        assert_eq!((j.pending_len(), j.dirty_len()), (0, 0));
+    }
+
+    #[test]
+    fn a_log_put_crashes_at_wal_sync_before_the_record_lands() {
+        let (j, switch) = live();
+        switch.arm(CrashPlan::at_point("wal.sync", 1));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            j.log_put(ProviderId(1), key("x"), Bytes::from_static(b"v"));
+        }));
+        assert!(result.is_err(), "the armed crashpoint kills the client");
+        assert!(switch.crashed());
+        assert_eq!(j.pending_len(), 0, "died before the record landed");
+    }
+
+    #[test]
+    fn the_dirty_walk_visits_each_fragment_once_in_order() {
+        let j = Journal::new();
+        j.mark_dirty("/b", &[0]);
+        j.mark_dirty("/a", &[3, 1]);
+        let (mut path, mut from, mut seen) = (String::new(), 0, Vec::new());
+        while let Some(i) = j.next_dirty(&mut path, from) {
+            seen.push((path.clone(), i));
+            from = i + 1;
+            if i == 1 {
+                j.clear_dirty(&path, i);
+            }
+        }
+        let expect = [("/a", 1), ("/a", 3), ("/b", 0)].map(|(p, i)| (p.to_string(), i));
+        assert_eq!(seen, expect);
+        assert_eq!(j.dirty_len(), 2, "only the cleared fragment left");
+    }
+
+    #[test]
+    fn restart_sees_a_record_put_by_the_dead_client() {
+        let fleet = Fleet::standard_four(SimClock::new());
+        let config = HyrdConfig::default();
+        let journal = Journal::new();
+        let client =
+            Hyrd::with_journal(&fleet, config.clone(), Collector::disabled(), journal.clone())
+                .unwrap();
+        client.create_file("/d/a.txt", &[1; 2048]).unwrap();
+        let object = crate::scheme::object_name("/d/a.txt");
+        let down = fleet
+            .providers()
+            .iter()
+            .find(|p| p.object_inventory(Fleet::CONTAINER).iter().any(|(n, _)| **n == *object))
+            .unwrap()
+            .clone();
+        down.force_down();
+        client.update_file("/d/a.txt", 0, &[2; 16]).unwrap();
+        drop(client);
+
+        let (restarted, report) =
+            Hyrd::restart(&fleet, config, Collector::disabled(), journal).unwrap();
+        assert_eq!(report.log_records_restored, 1, "the missed replica put, less metadata");
+        assert_eq!(restarted.pending_log_len(), 1);
+        down.restore();
+        restarted.recover_provider(down.id()).unwrap();
+        assert_eq!(restarted.pending_log_len(), 0);
+        let replica = down.get(&key(&object)).unwrap().value;
+        assert_eq!(&replica[..16], &[2; 16], "the replay shipped the dead client's update");
     }
 
     #[test]
     fn guard_commits_on_normal_exit() {
-        let j = Journal::recording();
+        let (j, _switch) = live();
         {
             let _g = j.begin(|| create_intent("/a"));
             assert_eq!(j.intent_count(), 1);
@@ -372,39 +525,20 @@ mod tests {
 
     #[test]
     fn guard_keeps_intent_across_a_crash_panic() {
-        let j = Journal::recording();
+        let (j, _switch) = live();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = j.begin(|| create_intent("/a"));
             std::panic::panic_any(crate::crashtest::ClientCrashed);
         }));
         assert!(result.is_err());
-        assert_eq!(j.intent_count(), 1, "crash unwind must not commit");
-        let (_, _, intents) = j.restart_state();
-        assert_eq!(intents.len(), 1);
+        let intents = j.intents();
+        assert_eq!(intents.len(), 1, "crash unwind must not commit");
         assert_eq!(intents[0].1.path(), "/a");
     }
 
     #[test]
-    fn mirrors_follow_the_latest_sync() {
-        let j = Journal::recording();
-        let mut log = UpdateLog::new();
-        log.log_put(ProviderId(1), ObjectKey::new("hyrd", "x"), Bytes::from_static(b"v"));
-        j.sync_pending(&log);
-        assert_eq!(j.pending_len(), 1);
-        log.discharge(ProviderId(1), &ObjectKey::new("hyrd", "x"));
-        j.sync_pending(&log);
-        assert_eq!(j.pending_len(), 0);
-
-        let mut dirty = DirtyFragments::new();
-        dirty.mark("/a", 2);
-        j.sync_dirty(&dirty);
-        let (_, mirrored, _) = j.restart_state();
-        assert!(mirrored.contains("/a", 2));
-    }
-
-    #[test]
     fn amend_fills_in_erasure_writes() {
-        let j = Journal::recording();
+        let (j, _switch) = live();
         let g = j.begin(|| Intent::UpdateErasure {
             path: "/big".into(),
             writes: Vec::new(),
@@ -420,8 +554,7 @@ mod tests {
                 bytes: Bytes::from_static(b"pp"),
             }],
         );
-        let (_, _, intents) = j.restart_state();
-        match &intents[0].1 {
+        match &j.intents()[0].1 {
             Intent::UpdateErasure { writes, .. } => {
                 assert_eq!(writes.len(), 1);
                 assert_eq!(writes[0].index, 3);
@@ -433,9 +566,7 @@ mod tests {
 
     #[test]
     fn crashpoint_fires_through_an_attached_switch() {
-        let j = Journal::recording();
-        let switch = Arc::new(CrashSwitch::new());
-        j.set_crash_switch(switch.clone());
+        let (j, switch) = live();
         switch.arm(CrashPlan::at_point("wal.append.pre", 1));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = j.begin(|| create_intent("/a"));

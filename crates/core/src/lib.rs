@@ -36,7 +36,7 @@
 //! counters), [`integrity`] (client-side BLAKE3 4 KiB block digests verified on
 //! every whole-object read), [`scrub`] (the background sweep that finds
 //! and repairs silent corruption). Crash-durability modules: [`journal`]
-//! (the crash journal: mirrored recovery state plus per-operation
+//! (the crash journal: the one recovery state plus per-operation
 //! intents), [`bootstrap`] (the one loader of the namespace from stored
 //! state, under both [`Hyrd::attach`] and [`Hyrd::restart`]), [`restart`]
 //! ([`Hyrd::restart`] — rebuilding a client purely from persisted state)

@@ -312,8 +312,7 @@ impl Hyrd {
         }
         // Stale dirty-fragment marks describe fragments that no longer
         // exist.
-        self.dirty_l().forget(path.as_str());
-        self.sync_dirty_journal();
+        self.journal.forget_dirty(path.as_str());
         // The whole object now lives replicated: updates can come
         // through the write-through cache like any replicated file.
         self.cache_l().put(path, bytes.clone());

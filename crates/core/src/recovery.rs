@@ -97,15 +97,15 @@ impl UpdateLog {
         self.records.push((provider, LogRecord::Remove { key }));
     }
 
-    /// All pending records in append order, for journaling and audit.
+    /// All pending records in append order.
     pub fn records(&self) -> &[(ProviderId, LogRecord)] {
         &self.records
     }
 
     /// Keeps only the records the predicate accepts (restart GC drops
     /// pending puts for objects no longer referenced by any inode).
-    pub fn retain_records(&mut self, mut keep: impl FnMut(ProviderId, &LogRecord) -> bool) {
-        self.records.retain(|(p, r)| keep(*p, r));
+    pub fn retain_records(&mut self, mut keep: impl FnMut(&LogRecord) -> bool) {
+        self.records.retain(|(_, r)| keep(r));
     }
 
     /// Number of pending records across providers.
@@ -123,11 +123,11 @@ impl UpdateLog {
         self.records.iter().filter(|(p, _)| *p == provider).map(|(_, r)| r).collect()
     }
 
-    /// Whether `provider` has a pending record for `key` — i.e. whatever
-    /// the provider currently stores under `key` is stale and must not
-    /// serve reads.
-    pub fn is_pending(&self, provider: ProviderId, key: &ObjectKey) -> bool {
-        self.records.iter().any(|(p, r)| *p == provider && r.key() == key)
+    /// Whether `provider` has a pending record for the object `name` —
+    /// i.e. whatever the provider currently stores under it is stale and
+    /// must not serve reads. By name: every key lives in one container.
+    pub fn is_pending(&self, provider: ProviderId, name: &str) -> bool {
+        self.records.iter().any(|(p, r)| *p == provider && *r.key().name == *name)
     }
 
     /// Providers with at least one pending record, sorted and deduped.
@@ -214,9 +214,9 @@ mod tests {
         log.log_put(p, key("b"), Bytes::from_static(b"v1"));
         log.log_put(ProviderId(1), key("a"), Bytes::from_static(b"v1"));
         assert!(log.discharge(p, &key("a")));
-        assert!(!log.is_pending(p, &key("a")));
-        assert!(log.is_pending(p, &key("b")));
-        assert!(log.is_pending(ProviderId(1), &key("a")));
+        assert!(!log.is_pending(p, "a"));
+        assert!(log.is_pending(p, "b"));
+        assert!(log.is_pending(ProviderId(1), "a"));
         // Discharging an absent record is a no-op, and says so.
         assert!(!log.discharge(p, &key("zzz")));
         assert_eq!(log.len(), 2);
@@ -231,9 +231,9 @@ mod tests {
         assert_eq!(log.pending_for(ProviderId(0)).len(), 1);
         assert_eq!(log.pending_for(ProviderId(1)).len(), 1);
         assert_eq!(log.pending_providers(), vec![ProviderId(0), ProviderId(1)]);
-        assert!(log.is_pending(ProviderId(0), &key("a")));
-        assert!(!log.is_pending(ProviderId(0), &key("b")));
-        assert!(!log.is_pending(ProviderId(2), &key("a")));
+        assert!(log.is_pending(ProviderId(0), "a"));
+        assert!(!log.is_pending(ProviderId(0), "b"));
+        assert!(!log.is_pending(ProviderId(2), "a"));
     }
 
     #[test]

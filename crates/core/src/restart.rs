@@ -5,23 +5,23 @@
 //! two durable sources a crashed client leaves behind —
 //!
 //! 1. the **metadata blocks** replicated on the providers (plus any
-//!    block bytes still sitting in the journal's pending-log mirror,
-//!    which may be newer than anything that landed), and
-//! 2. the **crash journal** ([`crate::journal`]): the mirrored recovery
-//!    log, the mirrored dirty-fragment set, and the intents of the
-//!    operations in flight when the client died.
+//!    block bytes still sitting in the journal's update log, which may
+//!    be newer than anything that landed), and
+//! 2. the **crash journal** ([`crate::journal`]): the update log, the
+//!    dirty-fragment set, and the intents of the operations in flight
+//!    when the client died. The restarted client works on that journal
+//!    itself; nothing is copied out of it or reinstalled.
 //!
 //! The flow, in order:
 //!
-//! * **Recover metadata**: [`crate::bootstrap`] with the journal's
-//!   pending block/diff puts among the candidates — highest intact
-//!   version per block, chains folded, loaded parent-first, flush state
-//!   seeded at each resolved version so re-flushes never regress (a torn
-//!   or lost object strands what hung off it; the journal re-drives the
+//! * **Recover metadata**: [`crate::bootstrap`] with the log's pending
+//!   block/diff puts among the candidates — highest intact version per
+//!   block, chains folded, loaded parent-first, flush state seeded at
+//!   each resolved version so re-flushes never regress (a torn or lost
+//!   object strands what hung off it; the journal re-drives the
 //!   operations that produced it).
-//! * **Reinstall journal state**: the mirrored recovery log (minus
-//!   `meta:` records — the heal below re-establishes those) and the
-//!   mirrored dirty set become the new dispatcher's volatile state.
+//! * **Drop the log's `meta:` records** in place: the heal below
+//!   re-establishes metadata replication from the winning bytes.
 //! * **Heal replicas**: re-put each winning block to the metadata tier,
 //!   converging replicas that diverged mid-flush (unavailable replicas
 //!   get the write logged, like any replicated put).
@@ -30,7 +30,7 @@
 //!   and deletes roll *forward* (redo is idempotent). Each resolved
 //!   intent is committed.
 //! * **Recover providers**: run the consistency-update replay for every
-//!   available provider, draining the restored log and rebuilding dirty
+//!   available provider, draining the log and rebuilding dirty
 //!   fragments.
 //! * **Collect garbage**: any object on an available provider that no
 //!   inode, hot copy or metadata block references is removed, and
@@ -72,9 +72,10 @@ pub struct RestartReport {
     pub blocks_lost: u64,
     /// Winning blocks re-replicated to the metadata tier.
     pub replicas_healed: u64,
-    /// Recovery-log records reinstalled from the journal mirror.
+    /// Recovery-log records the dead client left in the journal, less its
+    /// metadata puts.
     pub log_records_restored: u64,
-    /// Dirty fragments reinstalled from the journal mirror.
+    /// Dirty fragments the dead client left in the journal.
     pub dirty_restored: u64,
     /// In-flight intents rolled forward (updates, deletes).
     pub intents_rolled_forward: u64,
@@ -90,8 +91,9 @@ pub struct RestartReport {
 
 impl Hyrd {
     /// Restarts a crashed client: builds a fresh dispatcher over `fleet`
-    /// and rebuilds its state purely from the persisted metadata blocks
-    /// and the crash `journal` (see the module docs for the exact flow).
+    /// and the crash `journal` the dead client shared, and rebuilds its
+    /// state from the persisted metadata blocks and that journal (see
+    /// the module docs for the exact flow).
     /// Disarm the fleet's crash switch first — a client cannot restart
     /// while the injected crash is still killing every op.
     pub fn restart(
@@ -100,45 +102,36 @@ impl Hyrd {
         telemetry: Collector,
         journal: Journal,
     ) -> SchemeResult<(Self, RestartReport)> {
-        let hyrd = Hyrd::with_journal(fleet, config, telemetry, journal.clone())?;
+        let hyrd = Hyrd::with_journal(fleet, config, telemetry, journal)?;
+        let journal = &hyrd.journal;
         let mut report = RestartReport::default();
         let _span = hyrd.telemetry.span_with("restart").start();
         if hyrd.telemetry.enabled() {
             hyrd.telemetry.event("restart.begin").emit();
         }
 
-        let (pending, dirty, intents) = journal.restart_state();
-
         // ------------------------------------------------------------------
         // Phase 1: recover the metadata blocks — the one bootstrap, with
-        // the journal's pending puts among the candidates.
+        // the log's pending metadata puts among the candidates.
         // ------------------------------------------------------------------
-        let loaded = hyrd.load_namespace(Some(&pending))?;
+        let loaded = hyrd.load_namespace(Some(&journal.meta_puts()))?;
         report.meta_blocks_loaded = loaded.dirs.len() as u64;
         report.diffs_applied = loaded.dirs.iter().map(|d| d.chain.len() as u64).sum();
         report.torn_blocks = loaded.torn;
         report.blocks_lost = loaded.lost;
 
         // ------------------------------------------------------------------
-        // Phase 2: reinstall the journal's mirrored recovery state.
-        // `meta:` records are dropped — the heal below re-establishes
-        // metadata replication from the winning (max-version) bytes,
-        // which supersede whatever block bytes the old log carried.
+        // Phase 2: drop the log's `meta:` records — the heal below
+        // re-establishes metadata replication from the winning
+        // (max-version) bytes, which supersede whatever block bytes the
+        // log carried.
         // ------------------------------------------------------------------
-        let mut pending = pending;
-        pending.retain_records(|_, record| match record {
+        journal.retain_log(|record| match record {
             LogRecord::Put { key, .. } => !is_meta_object(&key.name),
             LogRecord::Remove { .. } => true,
         });
-        report.log_records_restored = pending.len() as u64;
-        {
-            let mut log = hyrd.log_l();
-            *log = pending;
-            hyrd.journal.sync_pending(&log);
-        }
-        report.dirty_restored = dirty.len() as u64;
-        *hyrd.dirty_l() = dirty;
-        hyrd.sync_dirty_journal();
+        report.log_records_restored = journal.pending_len() as u64;
+        report.dirty_restored = journal.dirty_len() as u64;
 
         // ------------------------------------------------------------------
         // Phase 3: heal metadata replicas (diverged mid-flush crashes).
@@ -156,7 +149,7 @@ impl Hyrd {
         // ------------------------------------------------------------------
         // Phase 4: resolve in-flight intents, in journal order.
         // ------------------------------------------------------------------
-        for (seq, intent) in intents {
+        for (seq, intent) in journal.intents() {
             hyrd.resolve_intent(&intent, &mut report);
             journal.commit(seq);
         }
@@ -200,14 +193,11 @@ impl Hyrd {
             // Pending puts for unreferenced objects would only recreate
             // the orphans on replay; prune them (removes stay — they
             // still reclaim storage on providers currently down).
-            let mut log = hyrd.log_l();
-            let before = log.len();
-            log.retain_records(|_, record| match record {
+            let pruned = journal.retain_log(|record| match record {
                 LogRecord::Put { key, .. } => refs.contains(&*key.name),
                 LogRecord::Remove { .. } => true,
             });
-            report.pending_pruned = (before - log.len()) as u64;
-            hyrd.journal.sync_pending(&log);
+            report.pending_pruned = pruned as u64;
         } else {
             report.gc_skipped = true;
             if hyrd.telemetry.enabled() {
@@ -280,13 +270,15 @@ impl Hyrd {
                 // Roll forward: redo every planned range write (range
                 // puts are idempotent); what cannot be redone goes
                 // dirty for recover_provider to rebuild.
+                let mut missed = Vec::new();
                 for w in writes {
                     let key = Self::key(Arc::clone(&w.object));
                     self.integrity_l().forget(&w.object);
                     if self.put_fragment_range(w.provider, &key, w.offset, &w.bytes).is_err() {
-                        self.dirty_l().mark(path, w.index);
+                        missed.push(w.index);
                     }
                 }
+                self.journal.mark_dirty(path, &missed);
                 self.sweep(hot_remove);
                 // The stripe now holds the new bytes; a recovered
                 // placement may still advertise the stale hot copy.
@@ -306,7 +298,6 @@ impl Hyrd {
                         }
                     }
                 }
-                self.sync_dirty_journal();
                 report.intents_rolled_forward += 1;
             }
             Intent::Delete { path, objects } => {
@@ -316,8 +307,7 @@ impl Hyrd {
                     if self.meta.with_inode(&npath, |_| ()).is_ok() {
                         let _ = self.meta.remove_file(&npath);
                     }
-                    self.dirty_l().forget(path);
-                    self.sync_dirty_journal();
+                    self.journal.forget_dirty(path);
                 }
                 self.sweep(objects);
                 report.intents_rolled_forward += 1;

@@ -100,11 +100,17 @@ impl Hyrd {
         }
     }
 
-    /// Whether scrub may touch `provider`'s copy of `object` right now.
-    fn scrubbable(&self, provider: ProviderId, name: &Arc<str>) -> bool {
+    /// Whether scrub may touch `provider`'s copy of `object` (fragment
+    /// `i` of `path`, for an erasure-coded file) right now.
+    fn scrubbable(
+        &self,
+        provider: ProviderId,
+        name: &str,
+        fragment: Option<(&str, usize)>,
+    ) -> bool {
         self.provider(provider).is_available()
             && self.health.admits(provider, self.now())
-            && !self.log_l().is_pending(provider, &Self::key(Arc::clone(name)))
+            && !self.journal.stale(provider, name, fragment)
     }
 
     /// Fetches one copy for scrubbing, pushing its op on success.
@@ -167,7 +173,7 @@ impl Hyrd {
         // `None` is a lost copy.
         let mut copies: Vec<(ProviderId, Option<Bytes>)> = Vec::new();
         for &p in providers {
-            if !self.scrubbable(p, object) {
+            if !self.scrubbable(p, object, None) {
                 report.skipped += 1;
                 continue;
             }
@@ -234,7 +240,7 @@ impl Hyrd {
         let mut fetched: Vec<(usize, ProviderId, Bytes, Verdict)> = Vec::new();
         let mut lost: Vec<usize> = Vec::new();
         for (i, (p, name)) in fragments.iter().enumerate() {
-            if !self.scrubbable(*p, name) || self.dirty_l().contains(path, i) {
+            if !self.scrubbable(*p, name, Some((path, i))) {
                 report.skipped += 1;
                 continue;
             }
@@ -328,7 +334,7 @@ impl Hyrd {
 
         // The hot copy, when reachable, must match the decoded object.
         if let Some((p, name)) = hot_copy {
-            let fetched = if self.scrubbable(*p, name) {
+            let fetched = if self.scrubbable(*p, name, None) {
                 self.scrub_fetch(*p, name, ops)
             } else {
                 Fetched::Failed

@@ -83,13 +83,15 @@ perf-pairs base workloads pairs="10":
 ledger-cmp base workload runs="3":
     scripts/ledger_cmp.sh {{base}} {{workload}} {{runs}}
 
-# Byte-identity of what the telemetry path and the baselines write,
-# <base> (a git revision, unpacked with `git archive`) against the
-# working tree: `drill --smoke` and `paper` on both sides, and the traces
-# of chaos, chaos_migrate, multi_client, tail and policy, the observatory
-# report, the trace analysis, the policy and replay records, `paper.json`
-# and `paper`'s Markdown, each `cmp`ed.
+# Byte-identity of what the telemetry path, the crash drills and the
+# baselines write, <base> (a git revision, unpacked with `git archive`)
+# against the working tree: `drill --smoke` and `paper` on both sides, and
+# the traces of chaos, chaos_migrate, multi_client, tail, policy and
+# crash_torture, the observatory report, the trace analysis, the policy,
+# replay, crash_torture and chaos_crash records, `paper.json` and
+# `paper`'s Markdown, each `cmp`ed.
 # Exits 1 on any difference — the proof a change to the collector, the
-# writer, the parser, the fold or a baseline kept every byte.
+# writer, the parser, the fold, the crash journal or a baseline kept
+# every byte.
 trace-cmp base:
     scripts/trace_cmp.sh {{base}}

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
-# Byte-identity of everything the telemetry path and the comparison
-# schemes write, a base revision against the working tree: a change to
-# the collector, the writer, the parser, the observatory's fold or a
-# baseline scheme that claims to keep every trace and record byte proves
-# it here.
+# Byte-identity of everything the telemetry path, the crash drills and
+# the comparison schemes write, a base revision against the working tree:
+# a change to the collector, the writer, the parser, the observatory's
+# fold, the crash journal or a baseline scheme that claims to keep every
+# trace and record byte proves it here.
 #
 #   scripts/trace_cmp.sh <base-rev>
 #
 # Unpacks <base-rev> with `git archive` (as scripts/perf_pairs.sh does),
 # builds `hyrd-bench` there and in the working tree, each with its own
-# CARGO_TARGET_DIR, runs `drill --smoke` over the traced scenarios and
-# `replay`, then `paper`, on both sides and `cmp`s what each writes under
-# its target/experiments:
+# CARGO_TARGET_DIR, runs `drill --smoke` over the traced scenarios, the
+# two crash drills and `replay`, then `paper`, on both sides and `cmp`s
+# what each writes under its target/experiments:
 #
 #   chaos_trace.jsonl          the chaos drill's trace
 #   obs_report.txt             the observatory's report over it
@@ -24,12 +24,16 @@
 #   policy_sweep.json          the sweep's record: HyRD's cells, DuraCloud
 #                              and RACS
 #   replay_sweep_latency.json  HyRD, RACS and DuraCloud on one op stream
+#   crash_torture.json         the crash sweep's record: cells, restarts,
+#                              the clean run's crashpoint hits, violations
+#   crash_torture_trace.jsonl  the torture's clean run
+#   chaos_crash_drill.json     crashes composed with faults and an outage
 #   paper.json                 `paper`'s record: every scheme of the
 #                              evaluation (≈ 2.5 s a side)
 #   paper.md                   `paper`'s Markdown on stdout, less the
 #                              `[written …]` line (an absolute path)
 #
-# The five traces are compared by what they hold, not by how it is laid
+# The six traces are compared by what they hold, not by how it is laid
 # out: the working tree's `trace_report --expand` prints each side's trace
 # one record per line in the plain layout, and the two expansions must be
 # identical less their `meta` records (which carry the schema number). In
@@ -46,7 +50,7 @@
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-    sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,49p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 base_rev=$1
@@ -68,7 +72,8 @@ build "$root" "$work/target-change"
 
 outputs="chaos_trace.jsonl obs_report.txt trace_report.txt chaos_migrate_trace.jsonl
 multi_client_trace.jsonl tail_trace.jsonl policy_trace.jsonl policy_sweep.json
-replay_sweep_latency.json paper.json"
+replay_sweep_latency.json crash_torture.json crash_torture_trace.jsonl
+chaos_crash_drill.json paper.json"
 
 checked() { # <side> <program> <exit status> <log>
     case $3 in
@@ -88,6 +93,7 @@ produce() { # <side> <checkout> <target-dir>
         rm -f "$2/target/experiments/$f"
     done
     "$3/release/drill" --smoke chaos chaos_migrate multi_client tail policy replay \
+        crash_torture chaos_crash \
         >"$work/out/$1.log" || status=$?
     checked "$1" drill $status "$work/out/$1.log"
     status=0

@@ -155,6 +155,98 @@ fn exhaustive_op_budget_sweep_is_violation_free() {
     }
 }
 
+/// One step of the outage trace: a file op, or the fleet's outage and
+/// its recovery.
+enum Step {
+    Op(FsOp),
+    Down,
+    Up,
+    Recover,
+}
+
+/// Two files, then provider `down` out while both are updated, a file
+/// is created and deleted again; the provider returns, recovery runs and
+/// the big file is read. The outage leaves log records and dirty
+/// fragments behind, so crashes land on a live recovery state.
+fn outage_trace() -> Vec<Step> {
+    vec![
+        Step::Op(create("/o/small.txt", 2 * 1024)),
+        Step::Op(create("/o/big.bin", 16 * 1024)),
+        Step::Down,
+        Step::Op(update("/o/big.bin", 1000, 3000)),
+        Step::Op(update("/o/big.bin", 9000, 500)),
+        Step::Op(update("/o/small.txt", 100, 200)),
+        Step::Op(create("/o/late.dat", 6 * 1024)),
+        Step::Op(FsOp::Delete { path: "/o/late.dat".to_string() }),
+        Step::Up,
+        Step::Recover,
+        Step::Op(FsOp::Read { path: "/o/big.bin".to_string() }),
+    ]
+}
+
+/// Runs the outage trace with provider `down` out, restarting (with
+/// relaxed audit reads) whenever the client is dead.
+fn run_outage(fleet: &Fleet, h: &mut CrashHarness, down: usize) {
+    h.set_strict_reads(false);
+    for step in outage_trace() {
+        if h.is_dead() {
+            h.restart_and_audit();
+        }
+        match step {
+            Step::Op(op) => {
+                h.execute(&op);
+            }
+            Step::Down => fleet.providers()[down].force_down(),
+            Step::Up => fleet.providers()[down].restore(),
+            Step::Recover => h.recover_all(),
+        }
+    }
+}
+
+/// The crash sweep over an outage: with each provider in turn taken
+/// down, crash at every provider-op budget and at every (crashpoint,
+/// hit) the clean run counts — while the recovery log and the dirty set
+/// hold entries — and every cell must restart to zero violations.
+#[test]
+fn outage_crash_sweep_is_violation_free() {
+    let mut cells = 0;
+    let mut failures = Vec::new();
+    for down in 0..4 {
+        let (fleet, mut clean) = harness(small_config());
+        let switch = fleet.crash_switch();
+        let start = switch.op_count();
+        run_outage(&fleet, &mut clean, down);
+        let (end, hits) = (switch.op_count(), switch.point_hits());
+        clean.final_audit();
+        assert_eq!(clean.violations(), &[] as &[String], "clean run, provider {down} down");
+        let mut plans: Vec<(String, CrashPlan)> =
+            ((start + 1)..=end).map(|b| (format!("op {b}"), CrashPlan::at_op(b))).collect();
+        for (name, n) in hits {
+            plans.extend((1..=n).map(|k| (format!("{name}#{k}"), CrashPlan::at_point(&name, k))));
+        }
+        for (label, plan) in plans {
+            let (fleet, mut h) = harness(small_config());
+            fleet.crash_switch().arm(plan);
+            run_outage(&fleet, &mut h, down);
+            h.final_audit();
+            cells += 1;
+            let mut found = h.violations().to_vec();
+            if h.tallies().2 == 0 {
+                found.push("never crashed".to_string());
+            }
+            if !found.is_empty() {
+                failures.push(format!("provider {down} down, {label}: {}", found.join("; ")));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {cells} cells fail:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 /// Restart is idempotent: a second restart directly after the first has
 /// nothing left to resolve — no intents, no orphans, no pruned records.
 #[test]
@@ -198,7 +290,7 @@ fn corrupt_one_meta_replica(fleet: &Fleet, dir: &str, mutate: impl Fn(&mut Vec<u
 fn torn_replica_round_trip(mutate: impl Fn(&mut Vec<u8>)) {
     let (_clock, fleet) = fresh_fleet();
     let config = small_config();
-    let journal = Journal::recording();
+    let journal = Journal::new();
     let client = Hyrd::with_journal(&fleet, config.clone(), Collector::disabled(), journal.clone())
         .expect("client builds");
 
@@ -242,8 +334,9 @@ fn truncated_metadata_replica_falls_back_to_intact_copy() {
 
 /// Replaying the same (compacted) recovery log twice produces the
 /// same provider inventory as replaying it once: replay is
-/// idempotent, so a crash after a partially-applied replay is
-/// always safe to redo from the journal's mirror.
+/// idempotent, so a crash mid-replay, which leaves the journal's log
+/// whole (records leave only once every one has landed), is always safe
+/// to redo from that log.
 #[test]
 fn recovery_log_replay_is_idempotent() {
     check(
