@@ -276,7 +276,7 @@ impl SchemeCore {
         id: ProviderId,
     ) -> SchemeResult<(hyrd::recovery::RecoveryReport, BatchReport)> {
         let p = self.provider(id);
-        Ok(self.log.replay(p.as_ref())?)
+        Ok(self.log.replay(p.as_ref(), &hyrd::telemetry::Collector::disabled())?)
     }
 
     /// Takes back an erasure-coded write that landed on too few

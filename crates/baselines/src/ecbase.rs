@@ -49,8 +49,6 @@ pub struct EcEverything<C: ErasureCode> {
     /// Metadata-block placements (object name → layout + fragment
     /// map), client state mirroring the dirty-block bookkeeping.
     meta_blocks: HashMap<String, (FragmentLayout, FragmentMap)>,
-    /// Fragments that missed degraded updates, awaiting rebuild.
-    dirty: hyrd::ecops::DirtyFragments,
     /// RAID-style strip groups for small objects (including metadata
     /// blocks): one strip on one provider, parity elsewhere.
     strips: StripStore,
@@ -80,7 +78,6 @@ impl<C: ErasureCode> EcEverything<C> {
             code,
             scheme_name: scheme_name.to_string(),
             meta_blocks: HashMap::new(),
-            dirty: hyrd::ecops::DirtyFragments::new(),
             strips,
             strip_unit: 1024 * 1024,
         })
@@ -116,9 +113,9 @@ impl<C: ErasureCode> EcEverything<C> {
         })
     }
 
-    /// Fragments awaiting rebuild after degraded updates.
+    /// Fragment objects with windows of degraded updates pending replay.
     pub fn pending_dirty_fragments(&self) -> usize {
-        self.dirty.len()
+        self.core.log.window_objects()
     }
 
     /// Pending missed-write records.
@@ -327,9 +324,8 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
             offset as usize,
             data,
         )?;
-        for &idx in &update.missed {
-            self.dirty.mark(path, idx);
-        }
+        let logged = npath.shared();
+        update.missed.into_iter().for_each(|w| self.core.log.log_window(&logged, w));
         let now = self.core.now();
         self.core.meta.set_placement(
             &npath,
@@ -343,7 +339,6 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
     fn delete_file(&mut self, path: &str) -> SchemeResult<BatchReport> {
         let npath = NormPath::parse(path)?;
         let inode = self.core.meta.remove_file(&npath)?;
-        self.dirty.forget(path);
         if let Placement::Replicated { object, .. } = &inode.placement {
             if self.strips.contains(object) {
                 let batch = self.strips.remove(object, &mut self.core.log, path)?;
@@ -389,44 +384,12 @@ impl<C: ErasureCode> Scheme for EcEverything<C> {
         self.core.meta.inode(&npath).ok().map(|i| i.size)
     }
 
-    /// Replays missed writes onto a returned provider and rebuilds
-    /// fragments dirtied by degraded updates (consistency update).
+    /// Replays missed writes — whole objects and the windows of
+    /// degraded updates — onto a returned provider (consistency update).
     fn recover_provider(
         &mut self,
         id: ProviderId,
     ) -> SchemeResult<(hyrd::recovery::RecoveryReport, BatchReport)> {
-        let mut recovered = self.core.recover_provider(id)?;
-        let provider = self.core.provider(id);
-        let lookup = |pid: ProviderId| self.core.provider(pid);
-        let off = hyrd::telemetry::Collector::disabled();
-        let (mut path, mut from) = (String::new(), 0);
-        while let Some(index) = self.dirty.next_at(&mut path, from) {
-            from = index + 1;
-            let placement = NormPath::parse(&path).ok().and_then(|np| {
-                self.core.meta.inode(&np).ok().and_then(|inode| match inode.placement {
-                    Placement::ErasureCoded { layout, fragments, .. } => Some((layout, fragments)),
-                    _ => None,
-                })
-            });
-            let Some((layout, fragments)) = placement else {
-                self.dirty.forget(&path);
-                continue;
-            };
-            if hyrd::ecops::rebuild_dirty(
-                &self.code,
-                &lookup,
-                &off,
-                &provider,
-                &layout,
-                &fragments,
-                &path,
-                index,
-                &hyrd::ecops::unverified,
-                &mut recovered,
-            ) {
-                self.dirty.clear(&path, index);
-            }
-        }
-        Ok(recovered)
+        self.core.recover_provider(id)
     }
 }

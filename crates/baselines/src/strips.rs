@@ -692,7 +692,7 @@ mod tests {
         assert_eq!(&bytes[..], &data[..]);
         // Replay restores the member strip.
         victim.restore();
-        log.replay(victim.as_ref()).unwrap();
+        log.replay(victim.as_ref(), &hyrd::telemetry::Collector::disabled()).unwrap();
         let (bytes, report) = s.read("during", "/p").unwrap();
         assert_eq!(&bytes[..], &data[..]);
         assert_eq!(report.op_count(), 1, "back to the one-access path");

@@ -9,6 +9,7 @@
 //! report run under the provider's single lock.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -87,8 +88,11 @@ struct Telemetry {
 /// looked up by hash. Nothing depends on the map's iteration order:
 /// everything that can observe an order — [`CloudStorage::list`],
 /// [`SimProvider::object_inventory`], the object a rot event picks —
-/// sorts by name first.
-type Objects = HashMap<Arc<str>, Stored>;
+/// sorts by name first. The hasher's key is fixed, not drawn per
+/// process: how often a map with removals grows (an allocation) rather
+/// than rehashes in place depends on where its hashes leave deleted
+/// slots, so a random key made a run's allocation count vary.
+type Objects = HashMap<Arc<str>, Stored, BuildHasherDefault<DefaultHasher>>;
 
 /// Everything an op reads or writes, behind the provider's one lock.
 struct State {
@@ -524,7 +528,7 @@ impl CloudStorage for SimProvider {
             s.stats.record_err();
             return Err(CloudError::ContainerExists { container: container.to_string() });
         }
-        s.store.insert(container.to_string(), Objects::new());
+        s.store.insert(container.to_string(), Objects::default());
         Ok(OpOutcome::new((), self.report(s, OpKind::Create, 0, 0, seq)))
     }
 

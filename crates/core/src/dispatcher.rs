@@ -36,9 +36,11 @@
 //! definition. `publish` (breaker pre-admission, then a desperation pass
 //! below the durability floor) and `retire` (tolerant removes) are built
 //! on those verbs, and every write path, the scrub, migration and
-//! restart go through them; only `ecops`' ranged fragment writes stay on
-//! their own `lookup` closure, with the dirty-fragment set as their
-//! recovery record.
+//! restart go through them. Only `ecops`' ranged fragment writes stay on
+//! their own `lookup` closure; the writes they miss come back to the
+//! update path, which logs each one as a *window* record of the same
+//! log. A window goes after whatever its pair already holds, and a later
+//! whole Put or Remove of the pair drops it like any other record.
 //!
 //! # Hardening
 //!
@@ -67,7 +69,7 @@
 //! The whole CRUD surface takes `&self`: the mutable interior state is
 //! **lock-striped** — the small-file cache, the workload monitor and the
 //! integrity index each sit behind their own `Mutex`, and the recovery
-//! state (the update log and the dirty-fragment set) behind the
+//! state (the update log) behind the
 //! [`Journal`]'s one lock (fleet, health, counters and telemetry were
 //! already interior-mutable). Namespace metadata no
 //! longer has a stripe at all: it lives in a
@@ -319,7 +321,7 @@ pub struct Hyrd {
     /// Where new replicas and fragments go, derived from the evaluator's
     /// tiers whenever it assesses (construction, [`Hyrd::reassess`]).
     targets: Targets,
-    /// The recovery state: the update log, the dirty-fragment set and,
+    /// The recovery state: the update log and,
     /// with a crash switch attached, the intents (see [`crate::journal`]).
     pub(crate) journal: Journal,
     /// The list a metadata flush collects its items in, lent to each
@@ -352,8 +354,7 @@ impl Hyrd {
     /// fleet's crash switch attached to it: the dispatcher records
     /// per-operation intents and the journal's crashpoints become live
     /// (see [`crate::journal`]). A client restarted over the journal of
-    /// one that died takes over its update log and dirty set
-    /// ([`Hyrd::restart`]).
+    /// one that died takes over its update log ([`Hyrd::restart`]).
     pub fn with_journal(
         fleet: &Fleet,
         config: HyrdConfig,
@@ -644,8 +645,9 @@ impl Hyrd {
         // so the replay and the reads that follow are not short-circuited
         // by a breaker left open from its bad spell.
         self.health.reset(id);
-        // Phase 2a: replay whole-object writes the provider missed.
-        let mut recovered = match self.journal.replay(provider.as_ref()) {
+        // Replay what the provider missed: whole objects and the windows
+        // of erasure-coded updates, in log order.
+        let recovered = match self.journal.replay(provider.as_ref(), &self.telemetry) {
             Ok(ok) => ok,
             Err(e) => {
                 crate::crashtest::escalate_if_crashed(&e);
@@ -663,55 +665,12 @@ impl Hyrd {
                 .emit();
             self.telemetry.inc("recovery.replays", 1);
         }
-        // Phase 2b: rebuild fragments dirtied by degraded updates.
-        let lookup = |pid: ProviderId| Arc::clone(self.provider(pid));
-        // A rebuild takes only sources that do not fail their digest; a
-        // rotten one is counted like one a read meets.
-        let verify = |p: ProviderId, name: &str, bytes: &[u8]| {
-            let verdict = self.check(p, name, bytes);
-            if verdict == Verdict::Corrupt {
-                self.note_corruption(p, name);
-            }
-            verdict
-        };
-        // The walk visits each dirty fragment once, in path and index
-        // order, keeping its place in `path` and `from`. A fragment leaves
-        // the set only once its rebuild's Put has landed, so a crash
-        // mid-rebuild leaves it dirty for the restart to redo.
-        let (mut path, mut from) = (String::new(), 0);
-        while let Some(index) = self.journal.next_dirty(&mut path, from) {
-            from = index + 1;
-            let Ok(npath) = NormPath::parse(&path) else {
-                continue;
-            };
-            let Ok(Lent { stored: Stored::ErasureCoded(layout), copies, .. }) =
-                self.lend_inode(&npath)
-            else {
-                // Gone, or no longer erasure-coded: nothing to rebuild.
-                self.journal.forget_dirty(&path);
-                continue;
-            };
-            if crate::ecops::rebuild_dirty(
-                self.code.as_code(),
-                &lookup,
-                &self.telemetry,
-                &provider,
-                &layout,
-                &copies,
-                &path,
-                index,
-                &verify,
-                &mut recovered,
-            ) {
-                self.journal.clear_dirty(&path, index);
-            }
-        }
         Ok(recovered)
     }
 
-    /// Fragments awaiting rebuild after degraded updates.
+    /// Fragment objects with windows of degraded updates pending replay.
     pub fn pending_dirty_fragments(&self) -> usize {
-        self.journal.dirty_len()
+        self.journal.window_objects()
     }
 
     // ------------------------------------------------------------------

@@ -16,10 +16,13 @@
 //!
 //! [`Hyrd::publish`] and [`Hyrd::retire`] are the two shapes every write
 //! path is made of; migration's publish and restart's roll-forward have
-//! no desperation pass and call [`Hyrd::put_object`] per target. The one
-//! mutation that does not meet the log is a ranged *fragment* write
-//! ([`Hyrd::put_fragment_range`], restart's redo of what `ecops` wrote):
-//! its recovery record is the dirty-fragment set.
+//! no desperation pass and call [`Hyrd::put_object`] per target. A ranged
+//! *fragment* write ([`Hyrd::redo_fragment_write`], restart's redo of
+//! what `ecops` wrote) has no whole object to fall back on: what does
+//! not land is logged by its caller as a window, after whatever the
+//! pair already holds.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -29,6 +32,7 @@ use hyrd_gcsapi::{
 };
 
 use super::{Hyrd, ProviderSpan};
+use crate::journal::FragWrite;
 
 /// What one [`Hyrd::retire`] call did with its objects (the ones found
 /// verifiably absent count as neither).
@@ -142,25 +146,23 @@ impl Hyrd {
         patch: &Bytes,
         full: &Bytes,
     ) -> CloudResult<OpReport> {
-        if self.journal.stale(target, &key.name, None) {
+        if self.journal.stale(target, &key.name) {
             return self.put_object(target, key, full);
         }
         let result = self.guarded(target, |p| p.put_range(key, offset, patch.clone()));
         self.settle_put(target, key, full, result)
     }
 
-    /// A ranged write to an erasure-coded fragment. There is no whole
-    /// object to fall back on, so a miss does not meet the log: the
-    /// caller marks the fragment dirty, as `ecops` does for the writes
-    /// this redoes at restart.
-    pub(crate) fn put_fragment_range(
-        &self,
-        target: ProviderId,
-        key: &ObjectKey,
-        offset: u64,
-        bytes: &Bytes,
-    ) -> CloudResult<OpReport> {
-        self.guarded(target, |p| p.put_range(key, offset, bytes.clone())).map(|out| out.report)
+    /// Redoes a planned range write of an erasure-coded update; returns
+    /// whether it landed. A fragment with a pending record is not
+    /// written: the window would land before the older ones its replay
+    /// still owes the provider. What does not land, the caller logs as a
+    /// window ([`Journal::log_windows`](crate::journal::Journal::log_windows)),
+    /// as the update path does for the writes `ecops` missed.
+    pub(crate) fn redo_fragment_write(&self, w: &FragWrite) -> bool {
+        let key = Self::key(Arc::clone(&w.object));
+        !self.journal.stale(w.provider, &w.object)
+            && self.guarded(w.provider, |p| p.put_range(&key, w.offset, w.bytes.clone())).is_ok()
     }
 
     /// The log rule for a put of either kind (module docs). A logged miss

@@ -105,7 +105,7 @@ impl Hyrd {
         order.sort_by_key(|&id| !self.health.admits(id, now));
         let candidates = order
             .into_iter()
-            .filter(|&id| !self.journal.stale(id, &key.name, None))
+            .filter(|&id| !self.journal.stale(id, &key.name))
             .map(|id| (id, key))
             .collect();
         // One copy wins; the hedge timer fans out to a second replica
@@ -138,17 +138,16 @@ impl Hyrd {
             FragmentSelection::Fastest => self.evaluator.fastest_first(),
         };
         // A fragment is a candidate when its provider is up, its stored
-        // bytes are current (no pending replay, not dirtied by a
-        // degraded update), ordered by the selection policy with
+        // bytes are current (no pending replay: no whole write, no window
+        // of a degraded update), ordered by the selection policy with
         // breaker-suspect providers last.
         let now = self.now();
         let mut candidates: FleetList<(usize, ProviderId, ObjectKey)> = fragments
             .iter()
             .enumerate()
             .map(|(i, (p, name))| (i, *p, Self::key(Arc::clone(name))))
-            .filter(|(i, p, key)| {
-                self.provider(*p).is_available()
-                    && !self.journal.stale(*p, &key.name, Some((path, *i)))
+            .filter(|(_, p, key)| {
+                self.provider(*p).is_available() && !self.journal.stale(*p, &key.name)
             })
             .collect();
         candidates.sort_by_key(|(_, p, _)| {
@@ -371,7 +370,7 @@ impl Hyrd {
                 // doubt falls back to the erasure-coded truth.
                 if let Some((p, name)) = &inode.hot_copy {
                     let hot_key = Self::key(Arc::clone(name));
-                    if !self.journal.stale(*p, name, None) && self.health.admits(*p, self.now()) {
+                    if !self.journal.stale(*p, name) && self.health.admits(*p, self.now()) {
                         if let Ok(out) = self.get_object(*p, &hot_key) {
                             match self.check_sized(*p, name, &out.value, Some(inode.size)) {
                                 Verdict::Corrupt => self.note_corruption(*p, name),

@@ -311,12 +311,13 @@ impl Hyrd {
     ) -> SchemeResult<BatchReport> {
         // The engine below reads its base from every provider that is up.
         // A provider that has returned but not had its consistency update
-        // may still hold a fragment the log or the dirty set calls stale
-        // (a predecessor's bytes, even): parity computed over that would
-        // corrupt the stripe, so the update waits for the recovery.
-        let stale = fragments.iter().enumerate().find(|(i, (p, name))| {
-            self.journal.stale(*p, name, Some((path.as_str(), *i)))
-                && self.provider(*p).is_available()
+        // may still hold a fragment the log calls stale (a predecessor's
+        // bytes, even, or one missing a window): parity computed over that
+        // would corrupt the stripe, and a window written over it would
+        // land before the older ones the replay still owes it. So the
+        // update waits for the recovery.
+        let stale = fragments.iter().enumerate().find(|(_, (p, name))| {
+            self.journal.stale(*p, name) && self.provider(*p).is_available()
         });
         if let Some((i, (p, _))) = stale {
             return Err(SchemeError::DataUnavailable {
@@ -326,8 +327,8 @@ impl Hyrd {
         }
         // One engine for every code and every availability state: ranged
         // RMW when all touched providers are up, the window-decode
-        // degraded path otherwise (missed fragments go dirty and are
-        // rebuilt by recover_provider).
+        // degraded path otherwise (the writes that miss are logged as
+        // windows and replayed by recover_provider).
         let lookup = |id: ProviderId| Arc::clone(self.provider(id));
         // The intent starts with an empty write set: it is amended with
         // the planned fragment writes *inside* the engine, after the
@@ -355,14 +356,16 @@ impl Hyrd {
             Vec::with_capacity(2 * layout.n + self.replica_targets().len()),
         )?;
         let mut batch = outcome.batch;
-        self.journal.mark_dirty(path.as_str(), &outcome.missed);
+        self.journal.log_windows(&path.shared(), outcome.missed);
         // Ranged writes changed the fragments in place; the recorded
-        // whole-fragment digests no longer apply. Drop them — reads fall
-        // back to `Unknown` until the scrub pass re-records them.
+        // whole-fragment digests no longer apply to the window. Suspend
+        // them — reads fall back to `Unknown` until the scrub pass
+        // re-records them, and the scrub still checks every block outside
+        // the window, so rot that landed there before the update is found.
         {
             let mut integrity = self.integrity_l();
             for (_, name) in &fragments {
-                integrity.forget(name);
+                integrity.suspend(name, outcome.window.clone());
             }
         }
 
@@ -469,13 +472,12 @@ impl Hyrd {
             objects: doomed.iter().map(|(p, key)| (*p, Arc::clone(&key.name))).collect(),
         });
         self.meta.remove_file(&npath)?;
-        // Cache and dirty-set keys are *normalized* paths (that is what
-        // the write paths insert); evicting under the caller's raw
-        // spelling would leave a live entry behind for aliases like
-        // `/a//b`, and a stale cached body later poisons update digests.
+        // Cache keys are *normalized* paths (that is what the write paths
+        // insert); evicting under the caller's raw spelling would leave a
+        // live entry behind for aliases like `/a//b`, and a stale cached
+        // body later poisons update digests.
         self.cache_l().remove(npath.as_str());
         self.reads_remove(&npath);
-        self.journal.forget_dirty(npath.as_str());
         self.monitor_l().forget(inode.size);
 
         // An object out of reach keeps its bytes (and its bill) while the

@@ -1,6 +1,5 @@
 //! Shared erasure-coded object operations over a provider fleet: the
-//! range-granular update engine (normal and degraded) and the fragment
-//! rebuild used by the consistency-update phase of recovery. Both HyRD's
+//! range-granular update engine, normal and degraded. Both HyRD's
 //! dispatcher and the erasure-coded baselines (RACS, NCCloud-lite) run on
 //! this module, so the paper's write-amplification accounting has exactly
 //! one implementation.
@@ -15,13 +14,12 @@
 //! * **Degraded update** (some fragment provider in outage, but ≥ m
 //!   reachable): fetch the parity window from every reachable fragment,
 //!   decode the data windows, patch, recompute parity windows, write the
-//!   ranges to the reachable fragments — and mark the unreachable
-//!   fragments **dirty**. Dirty fragments are rebuilt from survivors when
-//!   their provider returns ([`rebuild_fragment`]), completing §III-C's
-//!   "consistency update upon service's return".
+//!   ranges to the reachable fragments — and hand the writes that missed
+//!   back to the caller, who logs each one as a *window* of its
+//!   provider's update log ([`crate::recovery::UpdateLog::log_window`]).
+//!   The log replays exactly those bytes when the provider returns,
+//!   completing §III-C's "consistency update upon service's return".
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -35,9 +33,7 @@ use hyrd_gfec::update::{
 use hyrd_gfec::{ErasureCode, InlineVec, INLINE};
 use hyrd_telemetry::Collector;
 
-use crate::integrity::Verdict;
 use crate::journal::FragWrite;
-use crate::recovery::RecoveryReport;
 use crate::scheme::{SchemeError, SchemeResult};
 
 fn key(name: &Arc<str>) -> ObjectKey {
@@ -45,8 +41,8 @@ fn key(name: &Arc<str>) -> ObjectKey {
 }
 
 /// Escalates an injected client crash before the caller's fault
-/// tolerance can swallow it: a dead client must not mark fragments
-/// dirty and ack the update (the crash harness would then observe an
+/// tolerance can swallow it: a dead client must not log the missed
+/// windows and ack the update (the crash harness would then observe an
 /// acked write whose bytes exist nowhere).
 fn chk<T>(r: hyrd_gcsapi::CloudResult<T>) -> hyrd_gcsapi::CloudResult<T> {
     if let Err(e) = &r {
@@ -58,7 +54,8 @@ fn chk<T>(r: hyrd_gcsapi::CloudResult<T>) -> hyrd_gcsapi::CloudResult<T> {
 /// Traces one fragment write that missed during an update: the exposure
 /// tracker opens a below-redundancy interval keyed on exactly these
 /// fields (path, fragment index, provider) and closes it again at the
-/// matching `recovery.rebuild`.
+/// matching `recovery.rebuild`, which the replay of the fragment's last
+/// logged window emits.
 fn note_missed_write(
     telemetry: &Collector,
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
@@ -76,92 +73,19 @@ fn note_missed_write(
     }
 }
 
-/// Fragments that missed a write during an outage and must be rebuilt
-/// from survivors when their provider returns, keyed by file path.
-/// `BTreeMap` so recovery and scrub iterate paths deterministically.
-#[derive(Debug, Clone, Default)]
-pub struct DirtyFragments {
-    map: BTreeMap<String, BTreeSet<usize>>,
-}
-
-impl DirtyFragments {
-    /// An empty set.
-    pub fn new() -> Self {
-        DirtyFragments::default()
-    }
-
-    /// Marks fragment `index` of `path` as needing rebuild.
-    pub fn mark(&mut self, path: &str, index: usize) {
-        self.map.entry(path.to_string()).or_default().insert(index);
-    }
-
-    /// Total dirty fragments.
-    pub fn len(&self) -> usize {
-        self.map.values().map(|s| s.len()).sum()
-    }
-
-    /// Whether anything is dirty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops all entries for a deleted path.
-    pub fn forget(&mut self, path: &str) {
-        self.map.remove(path);
-    }
-
-    /// Whether fragment `index` of `path` is dirty (its stored bytes are
-    /// stale and must not serve reads).
-    pub fn contains(&self, path: &str, index: usize) -> bool {
-        self.map.get(path).is_some_and(|s| s.contains(&index))
-    }
-
-    /// The first dirty fragment at or after fragment `from` of `path`, in
-    /// path then index order; when it belongs to a later path, that path
-    /// is left in `path`. A walk that passes `index + 1` back each time
-    /// visits every fragment once, even while fragments are cleared
-    /// behind it, and copies each name into one reused buffer.
-    pub fn next_at(&self, path: &mut String, from: usize) -> Option<usize> {
-        if let Some(&i) = self.map.get(path.as_str()).and_then(|s| s.range(from..).next()) {
-            return Some(i);
-        }
-        let (next, indices) =
-            self.map.range::<str, _>((Bound::Excluded(path.as_str()), Bound::Unbounded)).next()?;
-        path.clear();
-        path.push_str(next);
-        indices.first().copied()
-    }
-
-    /// Clears fragment `index` of `path` (its rebuild landed).
-    pub fn clear(&mut self, path: &str, index: usize) {
-        if let Some(indices) = self.map.get_mut(path) {
-            indices.remove(&index);
-            if indices.is_empty() {
-                self.map.remove(path);
-            }
-        }
-    }
-}
+/// The writes of an update that missed their provider, in index order.
+pub type Missed = InlineVec<FragWrite, INLINE>;
 
 /// Outcome of an erasure-coded update.
 pub struct EcUpdateOutcome {
     /// Latency/ops of the update: its reads, then its writes.
     pub batch: BatchReport,
-    /// Fragment indices that missed the write (mark these dirty), in
+    /// The range writes that missed their provider (log each one), in
     /// index order.
-    pub missed: Indices,
-}
-
-/// Judges a fetched source before a rebuild trusts it: `(provider,
-/// object name, bytes)`. HyRD passes its integrity check, which counts
-/// what it finds corrupt; a scheme that keeps no digests passes
-/// [`unverified`].
-pub type Verifier<'a> = &'a dyn Fn(ProviderId, &str, &[u8]) -> Verdict;
-
-/// The [`Verifier`] of a scheme that keeps no digests: every source is
-/// [`Verdict::Unknown`] and used as fetched.
-pub fn unverified(_: ProviderId, _: &str, _: &[u8]) -> Verdict {
-    Verdict::Unknown
+    pub missed: Missed,
+    /// The bytes of each fragment the update's writes fall in: the
+    /// parity window, which holds every touched data range too.
+    pub window: std::ops::Range<usize>,
 }
 
 /// Range-granular update of an erasure-coded object (see module docs).
@@ -254,7 +178,7 @@ pub fn ranged_update_with<C: ErasureCode + ?Sized>(
         lookup, telemetry, layout, fragments, path, &plan, lo, data, parity, wal, &mut ops,
     );
     let latency = parallel_latency(&ops[..reads]) + parallel_latency(&ops[reads..]);
-    Ok(EcUpdateOutcome { batch: BatchReport { latency, ops }, missed })
+    Ok(EcUpdateOutcome { batch: BatchReport { latency, ops }, missed, window: lo..hi })
 }
 
 /// The new parity windows of an update, one per parity fragment.
@@ -349,8 +273,9 @@ fn degraded_windows<C: ErasureCode + ?Sized>(
 /// window — go to the WAL hook whole, then to their providers one by
 /// one, each landed write appended to `ops`. Writes are not allowed to
 /// abort the stripe half-written: a provider that fails mid-phase (a
-/// transient burst, an outage) just misses its write and its fragment
-/// goes dirty. Returns the fragments that missed, in index order.
+/// transient burst, an outage) just misses its write, which is handed
+/// back for the caller to log. Returns the writes that missed, in index
+/// order.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn write_phase(
     lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
@@ -364,7 +289,7 @@ fn write_phase(
     parity: Parity,
     wal: Option<&dyn Fn(&[FragWrite])>,
     ops: &mut Vec<OpReport>,
-) -> Indices {
+) -> Missed {
     let new = Bytes::copy_from_slice(data);
     let mut consumed = 0usize;
     let segments = plan.touched.iter().map(|&(shard, start, len)| {
@@ -388,127 +313,17 @@ fn write_phase(
     if let Some(wal) = wal {
         wal(&planned);
     }
-    let mut missed = Indices::new();
-    for w in &planned {
+    let mut missed = Missed::new();
+    for w in planned {
         match chk(lookup(w.provider).put_range(&key(&w.object), w.offset, w.bytes.clone())) {
             Ok(out) => ops.push(out.report),
             Err(_) => {
-                note_missed_write(telemetry, lookup, path, w);
-                missed.push(w.index);
+                note_missed_write(telemetry, lookup, path, &w);
+                missed.push(w);
             }
         }
     }
     missed
-}
-
-/// Rebuilds dirty fragment `index` of one erasure-coded file if it lives
-/// on the returned `provider` — the per-fragment step of the consistency
-/// update, shared by HyRD's recovery and the erasure-coded baselines'.
-/// A rebuild counts as one replayed put with its bytes restored in
-/// `recovered`, whose batch it extends; with telemetry on it also emits
-/// `recovery.rebuild` and bumps `recovery.rebuilds`. Returns whether the
-/// fragment was rebuilt; it stays dirty when it lives on another
-/// provider or its rebuild failed (too few survivors that `verify` does
-/// not call corrupt).
-#[allow(clippy::too_many_arguments)]
-pub fn rebuild_dirty<C: ErasureCode + ?Sized>(
-    code: &C,
-    lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
-    telemetry: &Collector,
-    provider: &SimProvider,
-    layout: &FragmentLayout,
-    fragments: &[(ProviderId, Arc<str>)],
-    path: &str,
-    index: usize,
-    verify: Verifier,
-    recovered: &mut (RecoveryReport, BatchReport),
-) -> bool {
-    if fragments.get(index).map(|(p, _)| *p) != Some(provider.id()) {
-        return false;
-    }
-    let Ok((b, bytes)) =
-        rebuild_fragment(code, lookup, telemetry, layout, fragments, index, path, verify)
-    else {
-        return false;
-    };
-    if telemetry.enabled() {
-        telemetry
-            .event("recovery.rebuild")
-            .field("path", path)
-            .field("fragment", index as u64)
-            .field("provider", provider.name())
-            .field("bytes", bytes)
-            .emit();
-        telemetry.inc("recovery.rebuilds", 1);
-    }
-    let (report, batch) = recovered;
-    report.puts_replayed += 1;
-    report.bytes_restored += bytes;
-    *batch = std::mem::take(batch).then(b);
-    true
-}
-
-/// Rebuilds one fragment from `m` surviving fragments and writes it to
-/// its (returned) provider — the per-fragment unit of the consistency
-/// update. Survivors are fetched in index order; one that `verify` calls
-/// [`Verdict::Corrupt`] is skipped and the next one tried, and with fewer
-/// than `m` left the rebuild fails with `DataUnavailable` and writes
-/// nothing. Returns the ops and the rebuilt byte count.
-#[allow(clippy::too_many_arguments)]
-pub fn rebuild_fragment<C: ErasureCode + ?Sized>(
-    code: &C,
-    lookup: &dyn Fn(ProviderId) -> Arc<SimProvider>,
-    telemetry: &Collector,
-    layout: &FragmentLayout,
-    fragments: &[(ProviderId, Arc<str>)],
-    target: usize,
-    path: &str,
-    verify: Verifier,
-) -> SchemeResult<(BatchReport, u64)> {
-    let _span = telemetry
-        .span_with("ec.rebuild")
-        .field("path", path)
-        .field("fragment", target as u64)
-        .start();
-    if target >= fragments.len() {
-        return Err(SchemeError::Code(hyrd_gfec::GfecError::BadFragmentIndex {
-            index: target,
-            n: fragments.len(),
-        }));
-    }
-    let mut ops = Vec::with_capacity(layout.m + 1);
-    let mut got: InlineVec<(usize, Bytes), INLINE> = InlineVec::new();
-    for (i, (pid, name)) in fragments.iter().enumerate() {
-        if i == target || got.len() == layout.m {
-            continue;
-        }
-        let p = lookup(*pid);
-        if !p.is_available() {
-            continue;
-        }
-        if let Ok(out) = chk(p.get(&key(name))) {
-            ops.push(out.report);
-            if verify(*pid, name, &out.value) != Verdict::Corrupt {
-                got.push((i, out.value));
-            }
-        }
-    }
-    if got.len() < layout.m {
-        return Err(SchemeError::DataUnavailable {
-            path: path.to_string(),
-            detail: format!("only {} sound survivors for rebuild, need {}", got.len(), layout.m),
-        });
-    }
-    let wall = telemetry.enabled().then(std::time::Instant::now);
-    let bytes = hyrd_gfec::rebuild_fragment(code, layout.shard_len, &got, target)?;
-    if let Some(t0) = wall {
-        telemetry.observe("ec.rebuild_wall_ns", t0.elapsed().as_nanos() as u64);
-    }
-    let n = bytes.len() as u64;
-    let (pid, name) = &fragments[target];
-    let out = chk(lookup(*pid).put(&key(name), Bytes::from(bytes)))?;
-    ops.push(out.report);
-    Ok((BatchReport::serial(ops), n))
 }
 
 #[cfg(test)]
@@ -516,6 +331,8 @@ mod tests {
     use super::*;
     use hyrd_cloudsim::SimClock;
     use hyrd_gfec::{Raid5, StripePlanner};
+
+    use crate::recovery::UpdateLog;
 
     fn setup(obj: &[u8]) -> (Fleet, Raid5, FragmentLayout, Vec<(ProviderId, Arc<str>)>) {
         let fleet = Fleet::standard_four(SimClock::new());
@@ -561,8 +378,21 @@ mod tests {
         assert_eq!(read_all(&fleet, &code, &layout, &map), obj);
     }
 
+    /// Logs `missed` and replays the log onto each restored provider.
+    fn replay_missed(fleet: &Fleet, missed: Missed) {
+        let mut log = UpdateLog::new();
+        let path: Arc<str> = "/t".into();
+        let providers: Vec<ProviderId> = missed.iter().map(|w| w.provider).collect();
+        missed.into_iter().for_each(|w| log.log_window(&path, w));
+        for id in providers {
+            fleet.get(id).unwrap().restore();
+            log.replay(fleet.get(id).unwrap().as_ref(), &Collector::disabled()).unwrap();
+        }
+        assert!(log.is_empty());
+    }
+
     #[test]
-    fn degraded_update_marks_dirty_and_rebuild_restores() {
+    fn a_degraded_update_hands_back_the_missed_window_and_its_replay_restores() {
         let mut obj: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
         let (fleet, code, layout, map) = setup(&obj);
         let lookup = |id: ProviderId| fleet.get(id).unwrap().clone();
@@ -573,24 +403,57 @@ mod tests {
         let patch = vec![0xABu8; 64];
         let off = Collector::disabled();
         let out = ranged_update(&code, &lookup, &off, &layout, &map, "/t", 10, &patch).unwrap();
-        assert_eq!(out.missed[..], [0], "fragment 0 missed the write");
+        let missed: Vec<_> =
+            out.missed.iter().map(|w| (w.index, w.offset, w.bytes.len())).collect();
+        assert_eq!(missed, [(0, 10, 64)], "fragment 0 missed exactly the patched window");
         obj[10..74].copy_from_slice(&patch);
 
-        // Survivors already encode the new content (decode avoids frag 0
-        // because its provider is down... verify via full read after
-        // restore+rebuild).
-        fleet.get(victim).unwrap().restore();
-        let (batch, bytes) =
-            rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/t", &unverified).unwrap();
-        assert!(bytes > 0);
-        assert!(batch.op_count() >= 4, "m reads + 1 write");
+        replay_missed(&fleet, out.missed);
         assert_eq!(read_all(&fleet, &code, &layout, &map), obj);
-
         // And fragment 0 alone now matches a fresh encode.
         let planner = StripePlanner::new(3, 4).unwrap();
         let (_, oracle) = planner.split_encode(&code, &obj).unwrap();
         let got = fleet.get(victim).unwrap().get(&key(&map[0].1)).unwrap().value;
         assert_eq!(&got[..], &oracle[0][..]);
+    }
+
+    /// The lost-window case: one update misses both data fragment 0's
+    /// window and the parity window (both providers go down between the
+    /// read phase and the first write), so no survivor holds the new
+    /// window. Replaying the logged windows restores the update's bytes;
+    /// a rebuild of the two fragments from the survivors could only
+    /// restore the old ones.
+    #[test]
+    fn a_window_missed_by_a_fragment_and_its_parity_is_replayed_not_lost() {
+        let obj: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        let (fleet, code, layout, map) = setup(&obj);
+        let lookup = |id: ProviderId| fleet.get(id).unwrap().clone();
+        let patch = vec![0x5Au8; 64];
+        let down = |_: &[FragWrite]| {
+            fleet.get(map[0].0).unwrap().force_down();
+            fleet.get(map[3].0).unwrap().force_down();
+        };
+        let off = Collector::disabled();
+        let out = ranged_update_with(
+            &code,
+            &lookup,
+            &off,
+            &layout,
+            &map,
+            "/t",
+            10,
+            &patch,
+            Some(&down),
+            Vec::new(),
+        )
+        .unwrap();
+        let missed: Vec<usize> = out.missed.iter().map(|w| w.index).collect();
+        assert_eq!(missed, [0, 3]);
+
+        replay_missed(&fleet, out.missed);
+        let mut want = obj.clone();
+        want[10..74].copy_from_slice(&patch);
+        assert_eq!(read_all(&fleet, &code, &layout, &map), want, "the update's bytes");
     }
 
     #[test]
@@ -607,7 +470,7 @@ mod tests {
             let out = ranged_update(&code, &lookup, &off, &layout, &map, "/t", 10, &[]).unwrap();
             // No data fragment is touched; only a zero-width parity write
             // to a down provider can miss.
-            assert!(out.missed.iter().all(|&i| i >= layout.m), "down={down:?}");
+            assert!(out.missed.iter().all(|w| w.index >= layout.m), "down={down:?}");
             if let Some(i) = down {
                 fleet.get(map[i].0).unwrap().restore();
             }
@@ -619,86 +482,6 @@ mod tests {
                 assert_eq!(&got[..], &oracle[i][..], "down={down:?} fragment {i}");
             }
         }
-    }
-
-    /// RS(2,4) keeps a spare survivor: a rebuild that meets a rotten
-    /// source skips it and decodes from the next one, and with no spare
-    /// left it fails and writes nothing.
-    #[test]
-    fn a_rebuild_skips_a_corrupt_source_for_a_spare_survivor() {
-        use hyrd_gfec::ReedSolomon;
-        let obj: Vec<u8> = (0..5000).map(|i| (i % 239) as u8).collect();
-        let fleet = Fleet::standard_four(SimClock::new());
-        let code = ReedSolomon::new(2, 4).unwrap();
-        let (layout, frags) = StripePlanner::new(2, 4).unwrap().split_encode(&code, &obj).unwrap();
-        let mut map = Vec::new();
-        for (index, data) in frags.iter().enumerate() {
-            let name: Arc<str> = format!("rs.f{index}").into();
-            fleet.providers()[index].put(&key(&name), Bytes::from(data.clone())).unwrap();
-            map.push((fleet.providers()[index].id(), name));
-        }
-        let lookup = |id: ProviderId| fleet.get(id).unwrap().clone();
-        let off = Collector::disabled();
-        // The writer's digests, as a verifier: fragment i must be frags[i].
-        let checked = std::cell::Cell::new(0);
-        let verify = |_: ProviderId, name: &str, bytes: &[u8]| {
-            checked.set(checked.get() + 1);
-            let i = map.iter().position(|(_, n)| &**n == name).unwrap();
-            if bytes == &frags[i][..] {
-                Verdict::Verified
-            } else {
-                Verdict::Corrupt
-            }
-        };
-        // Fragment 0 is lost; fragment 1 has rotted.
-        fleet.providers()[0].remove(&key(&map[0].1)).unwrap();
-        assert!(fleet.providers()[1].corrupt_object(&key(&map[1].1), 77));
-
-        let (batch, bytes) =
-            rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/rs", &verify).unwrap();
-        assert_eq!(checked.get(), 3, "fragments 1, 2 and 3 fetched and checked");
-        assert_eq!((batch.op_count(), bytes), (4, layout.shard_len as u64), "3 reads + 1 put");
-        let got = fleet.providers()[0].get(&key(&map[0].1)).unwrap().value;
-        assert_eq!(&got[..], &frags[0][..], "rebuilt from fragments 2 and 3");
-
-        // Unchecked, the same rebuild takes the rotten fragment 1.
-        fleet.providers()[0].remove(&key(&map[0].1)).unwrap();
-        rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/rs", &unverified).unwrap();
-        let got = fleet.providers()[0].get(&key(&map[0].1)).unwrap().value;
-        assert_ne!(&got[..], &frags[0][..], "an unverified rebuild spreads the rot");
-
-        // A second rotten source leaves one sound survivor: no rebuild.
-        fleet.providers()[0].remove(&key(&map[0].1)).unwrap();
-        assert!(fleet.providers()[2].corrupt_object(&key(&map[2].1), 5));
-        let r = rebuild_fragment(&code, &lookup, &off, &layout, &map, 0, "/rs", &verify);
-        assert!(matches!(r, Err(SchemeError::DataUnavailable { .. })));
-        assert!(fleet.providers()[0].get(&key(&map[0].1)).is_err(), "nothing was written");
-    }
-
-    #[test]
-    fn dirty_fragments_bookkeeping() {
-        let mut d = DirtyFragments::new();
-        assert!(d.is_empty());
-        d.mark("/a", 1);
-        d.mark("/a", 3);
-        d.mark("/b", 0);
-        assert_eq!(d.len(), 3);
-        assert!(d.contains("/a", 1));
-        assert!(!d.contains("/a", 2));
-        assert!(!d.contains("/c", 0));
-        let mut path = String::new();
-        let mut walk = |from| d.next_at(&mut path, from).map(|i| (path.clone(), i));
-        assert_eq!(walk(0), Some(("/a".to_string(), 1)));
-        assert_eq!(walk(2), Some(("/a".to_string(), 3)));
-        assert_eq!(walk(4), Some(("/b".to_string(), 0)), "paths in order");
-        assert_eq!(walk(1), None);
-        d.clear("/a", 1);
-        d.clear("/a", 2);
-        assert_eq!(d.len(), 2);
-        d.clear("/a", 3);
-        assert!(!d.contains("/a", 3));
-        d.forget("/b");
-        assert!(d.is_empty(), "a path whose last fragment cleared is gone");
     }
 
     #[test]

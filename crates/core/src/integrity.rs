@@ -15,7 +15,11 @@
 //! independent, so a change re-hashes the blocks it touched instead of
 //! the object ([`IntegrityIndex::record_patch`]): a ranged update the
 //! blocks it overlaps, a metadata compaction the blocks of its
-//! directory's block that differ from the one before it. Verification
+//! directory's block that differ from the one before it. A ranged
+//! erasure-coded update has only its window, not the blocks around it,
+//! so it *suspends* the fragment's digest instead
+//! ([`IntegrityIndex::suspend`]): reads get `Unknown`, and the scrub
+//! still checks the blocks outside the window. Verification
 //! hashes the same bytes once, block by block, and every bit of the
 //! object is under exactly one block value: a flipped bit fails its
 //! block, a truncation or extension fails the length, and since the chunk
@@ -26,9 +30,13 @@
 //!
 //! The index is a hash map from object name to digest, and the name is
 //! the one the writer's key already shares. Nothing iterates the index,
-//! so its order can reach no trace and no report.
+//! so its order can reach no trace and no report. Its hasher's key is
+//! fixed rather than drawn per process, so that how often the map grows
+//! — which depends on where its hashes leave deleted slots — and with
+//! it a run's allocation count repeat run over run.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -65,7 +73,14 @@ pub struct ObjectDigest {
     head: Digest,
     /// Blocks 1.. (the last one may be short).
     tail: Vec<Digest>,
+    /// Set by [`IntegrityIndex::suspend`]: the blocks a ranged write
+    /// changed hold [`OFF_RECORD`], and [`IntegrityIndex::verify`]
+    /// answers `Unknown` until the object is recorded again.
+    suspended: bool,
 }
+
+/// The value a suspended digest holds for a block that left the record.
+const OFF_RECORD: Digest = [0; 32];
 
 impl ObjectDigest {
     /// Length of the recorded object.
@@ -125,7 +140,8 @@ impl ObjectDigest {
     }
 
     /// Whether `bytes` is the recorded object: the length, then every
-    /// block, a group at a time, stopping at the first group that differs.
+    /// block on record, a group at a time, stopping at the first group
+    /// that differs.
     fn matches(&self, bytes: &[u8]) -> bool {
         let blocks = last_block(self.len) + 1;
         let mut group = [[0; 32]; GROUP];
@@ -133,7 +149,8 @@ impl ObjectDigest {
             && (0..blocks).step_by(GROUP).all(|start| {
                 let fresh = &mut group[..GROUP.min(blocks - start)];
                 hash_blocks(bytes, start.., fresh);
-                self.blocks().skip(start).zip(fresh.iter()).all(|(on_record, now)| on_record == now)
+                let mut pairs = self.blocks().skip(start).zip(fresh.iter());
+                pairs.all(|(on_record, now)| on_record == now || *on_record == OFF_RECORD)
             })
     }
 }
@@ -172,7 +189,7 @@ fn last_block(len: usize) -> usize {
 /// as a plain string is copied once, when it is new.
 #[derive(Debug, Clone, Default)]
 pub struct IntegrityIndex {
-    digests: HashMap<Arc<str>, ObjectDigest>,
+    digests: HashMap<Arc<str>, ObjectDigest, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl IntegrityIndex {
@@ -188,10 +205,12 @@ impl IntegrityIndex {
         match self.digests.get_mut(name.as_ref()) {
             Some(digest) => {
                 digest.resize(bytes);
+                digest.suspended = false;
                 digest.rehash(bytes, 0..=last)
             }
             None => {
-                let mut fresh = ObjectDigest { len: 0, head: [0; 32], tail: Vec::new() };
+                let mut fresh =
+                    ObjectDigest { len: 0, head: [0; 32], tail: Vec::new(), suspended: false };
                 fresh.resize(bytes);
                 let hashed = fresh.rehash(bytes, 0..=last);
                 self.digests.insert(name.into(), fresh);
@@ -224,7 +243,8 @@ impl IntegrityIndex {
         changed: &[Range<usize>],
     ) -> usize {
         let ordered = changed.windows(2).all(|pair| pair[0].start <= pair[1].start);
-        let patchable = self.digests.get(name.as_ref()).is_some_and(|d| d.len == base_len);
+        let patchable =
+            self.digests.get(name.as_ref()).is_some_and(|d| d.len == base_len && !d.suspended);
         if !(patchable && ordered) || bytes.is_empty() {
             return self.record(name, bytes);
         }
@@ -273,13 +293,48 @@ impl IntegrityIndex {
         self.digests.remove(name);
     }
 
+    /// Suspends `name`'s digest after a ranged write changed bytes in
+    /// `range` without the whole blocks at hand to re-hash: the blocks
+    /// the range overlaps leave the record and the rest stay. A
+    /// suspended object is `Unknown` to [`Self::verify`] — a read pays
+    /// no hash for an object it could not check whole — but
+    /// [`Self::check_suspended`] still finds a flipped bit in a block on
+    /// record, which is how the scrub tells a fragment that rotted
+    /// before an update from its sound siblings.
+    pub fn suspend(&mut self, name: &str, range: Range<usize>) {
+        let Some(digest) = self.digests.get_mut(name) else {
+            return;
+        };
+        digest.suspended = true;
+        let end = range.end.min(digest.len);
+        if range.start < end {
+            for index in range.start / DIGEST_BLOCK..end.div_ceil(DIGEST_BLOCK) {
+                *digest.block_mut(index) = OFF_RECORD;
+            }
+        }
+    }
+
     /// Verifies `bytes` against the recorded digest for `name`: the
-    /// length and every block.
+    /// length and every block. A suspended digest is `Unknown`.
     pub fn verify(&self, name: &str, bytes: &[u8]) -> Verdict {
         match self.digests.get(name) {
             None => Verdict::Unknown,
+            Some(expected) if expected.suspended => Verdict::Unknown,
             Some(expected) if expected.matches(bytes) => Verdict::Verified,
             Some(_) => Verdict::Corrupt,
+        }
+    }
+
+    /// Checks `bytes` against what a suspended digest for `name` still
+    /// holds — the length and every block on record: `Verified` when all
+    /// of it matches (the blocks the suspending writes changed are taken
+    /// on trust), `Corrupt` when any of it differs, `Unknown` when no
+    /// suspended digest is on record.
+    pub fn check_suspended(&self, name: &str, bytes: &[u8]) -> Verdict {
+        match self.digests.get(name) {
+            Some(expected) if expected.suspended && expected.matches(bytes) => Verdict::Verified,
+            Some(expected) if expected.suspended => Verdict::Corrupt,
+            _ => Verdict::Unknown,
         }
     }
 
@@ -341,5 +396,24 @@ mod tests {
         assert_eq!(idx.verify("empty", b"x"), Verdict::Corrupt);
         assert_eq!(idx.len(), 1);
         assert!(idx.digest("empty").is_some());
+    }
+
+    #[test]
+    fn a_suspended_digest_still_catches_a_flip_outside_the_suspended_blocks() {
+        let mut idx = IntegrityIndex::new();
+        let mut data = vec![0x5Au8; 5 * DIGEST_BLOCK];
+        idx.record("frag", &data);
+        idx.suspend("frag", 100..DIGEST_BLOCK + 1);
+        data[150] ^= 0x40;
+        data[DIGEST_BLOCK] ^= 0x01;
+        assert_eq!(idx.verify("frag", &data), Verdict::Unknown, "reads do not hash");
+        assert_eq!(idx.check_suspended("frag", &data), Verdict::Verified, "blocks 0 and 1 left");
+        let mut rotten = data.clone();
+        rotten[3 * DIGEST_BLOCK + 7] ^= 0x02;
+        assert_eq!(idx.check_suspended("frag", &rotten), Verdict::Corrupt);
+        assert_eq!(idx.check_suspended("frag", &data[1..]), Verdict::Corrupt, "length");
+        idx.record("frag", &data);
+        assert_eq!(idx.verify("frag", &data), Verdict::Verified, "recorded whole again");
+        assert_eq!(idx.check_suspended("frag", &data), Verdict::Unknown);
     }
 }

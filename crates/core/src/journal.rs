@@ -1,14 +1,15 @@
 //! The crash journal: the dispatcher's one recovery state — the update
-//! log and the dirty-fragment set — plus per-operation intents.
+//! log — plus per-operation intents.
 //!
-//! The paper's prototype keeps the update log and the dirty-fragment set
-//! in client memory; a client crash would lose both and strand the fleet
-//! with unhealed replicas and half-written stripes. This module is their
-//! only home, modelled as the durable journal a production client would
-//! keep on local stable storage:
+//! The paper's prototype keeps the update log in client memory; a client
+//! crash would lose it and strand the fleet with unhealed replicas and
+//! half-written stripes. This module is its only home, modelled as the
+//! durable journal a production client would keep on local stable
+//! storage:
 //!
-//! * the [`UpdateLog`] and the [`DirtyFragments`] set, under one lock.
-//!   Every mutation is a journal method that fires the `wal.sync`
+//! * the [`UpdateLog`], under one lock: every write a provider missed,
+//!   whole objects and the windows of ranged erasure-coded updates
+//!   alike. Every mutation is a journal method that fires the `wal.sync`
 //!   crashpoint and only then applies the change: a crash at that
 //!   boundary loses exactly the one mutation, which the operation's
 //!   still-uncommitted intent re-creates when it is rolled forward;
@@ -19,8 +20,7 @@
 //!   (see `restart.rs`).
 //!
 //! Every client has a journal; a cheap-clone handle shares it, which is
-//! how a restarted client takes over the log and dirty set of the one
-//! that died. What the crash harness adds is only the fleet's
+//! how a restarted client takes over the log of the one that died. What the crash harness adds is only the fleet's
 //! [`CrashSwitch`], attached by [`Hyrd::with_journal`](crate::Hyrd::with_journal).
 //! Intents and crashpoints are live only with a switch attached, so an
 //! ordinary client builds no intent and counts no crashpoint. A live
@@ -39,9 +39,9 @@ use hyrd_gcsapi::sync::lock;
 
 use hyrd_cloudsim::CrashSwitch;
 use hyrd_gcsapi::{BatchReport, CloudError, CloudStorage, ObjectKey, ProviderId};
+use hyrd_telemetry::Collector;
 
 use crate::bootstrap::is_meta_object;
-use crate::ecops::DirtyFragments;
 use crate::recovery::{LogRecord, RecoveryReport, UpdateLog};
 
 /// One planned range write of an erasure-coded update: enough to redo
@@ -148,7 +148,6 @@ impl Intent {
 #[derive(Debug, Default)]
 struct JournalState {
     log: UpdateLog,
-    dirty: DirtyFragments,
     intents: BTreeMap<u64, Intent>,
     next_seq: u64,
 }
@@ -250,8 +249,7 @@ impl Journal {
     }
 
     /// Commits (removes) an intent: the operation completed and its
-    /// effects are fully described by ordinary state (metadata, the log,
-    /// the dirty set). `wal.commit.pre` fires before the removal — a
+    /// effects are fully described by ordinary state (metadata, the log). `wal.commit.pre` fires before the removal — a
     /// crash there must leave the intent for restart to resolve — and
     /// `wal.commit.post` after it.
     pub fn commit(&self, seq: u64) {
@@ -287,6 +285,14 @@ impl Journal {
         self.apply(|s| s.log.log_remove(provider, key));
     }
 
+    /// Logs the range writes of an erasure-coded update of `path` that
+    /// missed their providers ([`UpdateLog::log_window`]) — one
+    /// `wal.sync`, even for none: an erasure-coded update meets the
+    /// boundary once.
+    pub(crate) fn log_windows(&self, path: &Arc<str>, missed: impl IntoIterator<Item = FragWrite>) {
+        self.apply(|s| missed.into_iter().for_each(|w| s.log.log_window(path, w)));
+    }
+
     /// Discharges the pair's record ([`UpdateLog::discharge`]). A pair
     /// with no record is no mutation, so a quiet run meets no `wal.sync`
     /// here.
@@ -305,8 +311,9 @@ impl Journal {
     pub(crate) fn replay(
         &self,
         provider: &dyn CloudStorage,
+        telemetry: &Collector,
     ) -> Result<(RecoveryReport, BatchReport), CloudError> {
-        self.apply(|s| s.log.replay(provider))
+        self.apply(|s| s.log.replay(provider, telemetry))
     }
 
     /// Keeps only the records `keep` accepts; returns how many went.
@@ -336,50 +343,17 @@ impl Journal {
         self.state().log.len()
     }
 
-    // ------------------------------------------------------------------
-    // The dirty-fragment set
-    // ------------------------------------------------------------------
-
-    /// Marks fragments `indices` of `path` dirty (one `wal.sync`, even
-    /// for none: an erasure-coded update meets the boundary once).
-    pub(crate) fn mark_dirty(&self, path: &str, indices: &[usize]) {
-        self.apply(|s| indices.iter().for_each(|&i| s.dirty.mark(path, i)));
-    }
-
-    /// Drops every dirty mark of `path` (deleted, or no longer
-    /// erasure-coded).
-    pub(crate) fn forget_dirty(&self, path: &str) {
-        self.apply(|s| s.dirty.forget(path));
-    }
-
-    /// Clears fragment `index` of `path` once its rebuild has landed.
-    pub(crate) fn clear_dirty(&self, path: &str, index: usize) {
-        self.apply(|s| s.dirty.clear(path, index));
-    }
-
-    /// The walk over the dirty set: see [`DirtyFragments::next_at`].
-    pub(crate) fn next_dirty(&self, path: &mut String, from: usize) -> Option<usize> {
-        self.state().dirty.next_at(path, from)
-    }
-
-    /// Fragments awaiting rebuild.
-    pub fn dirty_len(&self) -> usize {
-        self.state().dirty.len()
+    /// Fragment objects with window records pending
+    /// ([`UpdateLog::window_objects`]).
+    pub fn window_objects(&self) -> usize {
+        self.state().log.window_objects()
     }
 
     /// Whether `provider`'s copy of `object` is stale and must serve no
     /// read, scrub or update base: the log holds a write the provider
-    /// missed, or — for fragment `i` of the erasure-coded `path` — a
-    /// degraded update left the copy dirty.
-    pub(crate) fn stale(
-        &self,
-        provider: ProviderId,
-        object: &str,
-        fragment: Option<(&str, usize)>,
-    ) -> bool {
-        let state = self.state();
-        state.log.is_pending(provider, object)
-            || fragment.is_some_and(|(path, i)| state.dirty.contains(path, i))
+    /// missed — a whole object, or a window of a fragment.
+    pub(crate) fn stale(&self, provider: ProviderId, object: &str) -> bool {
+        self.state().log.is_pending(provider, object)
     }
 }
 
@@ -442,14 +416,16 @@ mod tests {
         assert_eq!(j.intent_count(), 0);
 
         j.log_put(ProviderId(1), key("x"), Bytes::from_static(b"v"));
-        j.mark_dirty("/a", &[2]);
-        assert_eq!(j.pending_len(), 1, "the log lives in the journal");
-        assert!(j.stale(ProviderId(1), "x", None));
-        assert!(j.stale(ProviderId(0), "a.f2", Some(("/a", 2))));
-        assert!(!j.stale(ProviderId(0), "a.f1", Some(("/a", 1))));
+        let bytes = Bytes::from_static(b"w");
+        let (provider, object) = (ProviderId(0), "a.f2".into());
+        j.log_windows(&"/a".into(), [FragWrite { index: 2, provider, object, offset: 0, bytes }]);
+        assert_eq!((j.pending_len(), j.window_objects()), (2, 1), "the log lives in the journal");
+        assert!(j.stale(ProviderId(1), "x"));
+        assert!(j.stale(ProviderId(0), "a.f2"));
+        assert!(!j.stale(ProviderId(0), "a.f1"));
         j.discharge(ProviderId(1), &key("x"));
-        j.clear_dirty("/a", 2);
-        assert_eq!((j.pending_len(), j.dirty_len()), (0, 0));
+        j.discharge(ProviderId(0), &key("a.f2"));
+        assert_eq!((j.pending_len(), j.window_objects()), (0, 0));
     }
 
     #[test]
@@ -462,24 +438,6 @@ mod tests {
         assert!(result.is_err(), "the armed crashpoint kills the client");
         assert!(switch.crashed());
         assert_eq!(j.pending_len(), 0, "died before the record landed");
-    }
-
-    #[test]
-    fn the_dirty_walk_visits_each_fragment_once_in_order() {
-        let j = Journal::new();
-        j.mark_dirty("/b", &[0]);
-        j.mark_dirty("/a", &[3, 1]);
-        let (mut path, mut from, mut seen) = (String::new(), 0, Vec::new());
-        while let Some(i) = j.next_dirty(&mut path, from) {
-            seen.push((path.clone(), i));
-            from = i + 1;
-            if i == 1 {
-                j.clear_dirty(&path, i);
-            }
-        }
-        let expect = [("/a", 1), ("/a", 3), ("/b", 0)].map(|(p, i)| (p.to_string(), i));
-        assert_eq!(seen, expect);
-        assert_eq!(j.dirty_len(), 2, "only the cleared fragment left");
     }
 
     #[test]

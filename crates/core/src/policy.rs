@@ -310,9 +310,6 @@ impl Hyrd {
         if !self.migrate_commit(path, inode, replicated, copies, report, ops) {
             return None;
         }
-        // Stale dirty-fragment marks describe fragments that no longer
-        // exist.
-        self.journal.forget_dirty(path.as_str());
         // The whole object now lives replicated: updates can come
         // through the write-through cache like any replicated file.
         self.cache_l().put(path, bytes.clone());

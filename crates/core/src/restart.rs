@@ -7,9 +7,8 @@
 //! 1. the **metadata blocks** replicated on the providers (plus any
 //!    block bytes still sitting in the journal's update log, which may
 //!    be newer than anything that landed), and
-//! 2. the **crash journal** ([`crate::journal`]): the update log, the
-//!    dirty-fragment set, and the intents of the operations in flight
-//!    when the client died. The restarted client works on that journal
+//! 2. the **crash journal** ([`crate::journal`]): the update log and the
+//!    intents of the operations in flight when the client died. The restarted client works on that journal
 //!    itself; nothing is copied out of it or reinstalled.
 //!
 //! The flow, in order:
@@ -27,11 +26,12 @@
 //!   get the write logged, like any replicated put).
 //! * **Resolve intents** in journal order: creates roll *back* (the
 //!   caller never got an ack; absence is the clean outcome), updates
-//!   and deletes roll *forward* (redo is idempotent). Each resolved
-//!   intent is committed.
+//!   and deletes roll *forward* (redo is idempotent). An erasure-coded
+//!   update's redo logs each range write it cannot land as a window,
+//!   so every acknowledged window is on its provider or in the log.
+//!   Each resolved intent is committed.
 //! * **Recover providers**: run the consistency-update replay for every
-//!   available provider, draining the log and rebuilding dirty
-//!   fragments.
+//!   available provider, draining the log.
 //! * **Collect garbage**: any object on an available provider that no
 //!   inode, hot copy or metadata block references is removed, and
 //!   pending-log puts for unreferenced objects are pruned. GC only runs
@@ -75,8 +75,6 @@ pub struct RestartReport {
     /// Recovery-log records the dead client left in the journal, less its
     /// metadata puts.
     pub log_records_restored: u64,
-    /// Dirty fragments the dead client left in the journal.
-    pub dirty_restored: u64,
     /// In-flight intents rolled forward (updates, deletes).
     pub intents_rolled_forward: u64,
     /// In-flight intents rolled back (creates, unplanned updates).
@@ -128,10 +126,9 @@ impl Hyrd {
         // ------------------------------------------------------------------
         journal.retain_log(|record| match record {
             LogRecord::Put { key, .. } => !is_meta_object(&key.name),
-            LogRecord::Remove { .. } => true,
+            LogRecord::Remove { .. } | LogRecord::Window { .. } => true,
         });
         report.log_records_restored = journal.pending_len() as u64;
-        report.dirty_restored = journal.dirty_len() as u64;
 
         // ------------------------------------------------------------------
         // Phase 3: heal metadata replicas (diverged mid-flush crashes).
@@ -156,7 +153,7 @@ impl Hyrd {
 
         // ------------------------------------------------------------------
         // Phase 5: consistency-update replay for every available
-        // provider (drains the restored log, rebuilds dirty fragments).
+        // provider (drains the restored log).
         // ------------------------------------------------------------------
         for p in fleet.available() {
             let _ = hyrd.recover_provider(p.id());
@@ -191,10 +188,13 @@ impl Hyrd {
                 }
             }
             // Pending puts for unreferenced objects would only recreate
-            // the orphans on replay; prune them (removes stay — they
-            // still reclaim storage on providers currently down).
+            // the orphans on replay, and their windows patch nothing;
+            // prune them (removes stay — they still reclaim storage on
+            // providers currently down).
             let pruned = journal.retain_log(|record| match record {
-                LogRecord::Put { key, .. } => refs.contains(&*key.name),
+                LogRecord::Put { key, .. } | LogRecord::Window { key, .. } => {
+                    refs.contains(&*key.name)
+                }
                 LogRecord::Remove { .. } => true,
             });
             report.pending_pruned = pruned as u64;
@@ -268,17 +268,16 @@ impl Hyrd {
                     return;
                 }
                 // Roll forward: redo every planned range write (range
-                // puts are idempotent); what cannot be redone goes
-                // dirty for recover_provider to rebuild.
+                // puts are idempotent); what cannot be redone is logged
+                // as a window for recover_provider to replay.
                 let mut missed = Vec::new();
                 for w in writes {
-                    let key = Self::key(Arc::clone(&w.object));
                     self.integrity_l().forget(&w.object);
-                    if self.put_fragment_range(w.provider, &key, w.offset, &w.bytes).is_err() {
-                        missed.push(w.index);
+                    if !self.redo_fragment_write(w) {
+                        missed.push(w.clone());
                     }
                 }
-                self.journal.mark_dirty(path, &missed);
+                self.journal.log_windows(&Arc::from(path.as_str()), missed);
                 self.sweep(hot_remove);
                 // The stripe now holds the new bytes; a recovered
                 // placement may still advertise the stale hot copy.
@@ -307,7 +306,6 @@ impl Hyrd {
                     if self.meta.with_inode(&npath, |_| ()).is_ok() {
                         let _ = self.meta.remove_file(&npath);
                     }
-                    self.journal.forget_dirty(path);
                 }
                 self.sweep(objects);
                 report.intents_rolled_forward += 1;

@@ -10,15 +10,18 @@
 //! * **repairs** corrupt replicas from a verified sibling, and corrupt
 //!   fragments by decoding the object from `m` verified fragments and
 //!   re-encoding the damaged one,
-//! * **refreshes** digests the dispatcher had to drop (ranged erasure
+//! * **refreshes** digests the dispatcher had to suspend (ranged erasure
 //!   updates rewrite fragments in place), once the stored state proves
-//!   self-consistent,
+//!   self-consistent — checking meanwhile every block of a suspended
+//!   digest that the update did not touch, so a fragment that rotted
+//!   before the update is found and repaired, not just called
+//!   inconsistent,
 //! * reports anything it cannot restore as **unrecoverable** — the number
 //!   the chaos drill asserts to be zero.
 //!
-//! Unreachable copies (provider in outage, open breaker, pending replay,
-//! dirty fragment) are *skipped*, not condemned: outage recovery owns
-//! them. A reachable holder that answers "no such object" is different:
+//! Unreachable copies (provider in outage, open breaker, a pending
+//! replay — a whole write or a window of a degraded update) are
+//! *skipped*, not condemned: outage recovery owns them. A reachable holder that answers "no such object" is different:
 //! that copy is **lost**, and is restored like a corrupt one. Scrub
 //! traffic runs through the same hardened verbs as foreground I/O
 //! (`Hyrd::get_object`, `Hyrd::put_object`).
@@ -48,7 +51,7 @@ hyrd_telemetry::json_struct! {
         pub digests_refreshed: u64,
         /// Objects with no intact source left to repair from.
         pub unrecoverable: u64,
-        /// Copies not examined (outage, open breaker, pending replay, dirty).
+        /// Copies not examined (outage, open breaker, pending replay).
         pub skipped: u64,
     }
 }
@@ -100,17 +103,11 @@ impl Hyrd {
         }
     }
 
-    /// Whether scrub may touch `provider`'s copy of `object` (fragment
-    /// `i` of `path`, for an erasure-coded file) right now.
-    fn scrubbable(
-        &self,
-        provider: ProviderId,
-        name: &str,
-        fragment: Option<(&str, usize)>,
-    ) -> bool {
+    /// Whether scrub may touch `provider`'s copy of `object` right now.
+    fn scrubbable(&self, provider: ProviderId, name: &str) -> bool {
         self.provider(provider).is_available()
             && self.health.admits(provider, self.now())
-            && !self.journal.stale(provider, name, fragment)
+            && !self.journal.stale(provider, name)
     }
 
     /// Fetches one copy for scrubbing, pushing its op on success.
@@ -173,7 +170,7 @@ impl Hyrd {
         // `None` is a lost copy.
         let mut copies: Vec<(ProviderId, Option<Bytes>)> = Vec::new();
         for &p in providers {
-            if !self.scrubbable(p, object, None) {
+            if !self.scrubbable(p, object) {
                 report.skipped += 1;
                 continue;
             }
@@ -237,10 +234,12 @@ impl Hyrd {
         report: &mut ScrubReport,
         ops: &mut Vec<OpReport>,
     ) {
-        let mut fetched: Vec<(usize, ProviderId, Bytes, Verdict)> = Vec::new();
+        // Each fetched fragment with its verdict and whether its digest is
+        // to be (re-)recorded once the stripe proves consistent.
+        let mut fetched: Vec<(usize, ProviderId, Bytes, Verdict, bool)> = Vec::new();
         let mut lost: Vec<usize> = Vec::new();
         for (i, (p, name)) in fragments.iter().enumerate() {
-            if !self.scrubbable(*p, name, Some((path, i))) {
+            if !self.scrubbable(*p, name) {
                 report.skipped += 1;
                 continue;
             }
@@ -248,11 +247,18 @@ impl Hyrd {
                 Fetched::Copy(bytes) => {
                     report.objects_swept += 1;
                     let verdict = self.verify_digest(name, &bytes);
+                    let refresh = verdict == Verdict::Unknown;
+                    // A digest a ranged update suspended still holds every
+                    // block outside the update's window: check those.
+                    let verdict = match verdict {
+                        Verdict::Unknown => self.integrity_l().check_suspended(name, &bytes),
+                        verdict => verdict,
+                    };
                     if verdict == Verdict::Corrupt {
                         report.corrupt_detected += 1;
                         self.note_scrub_corrupt(path, Some(i as u64), *p, name);
                     }
-                    fetched.push((i, *p, bytes, verdict));
+                    fetched.push((i, *p, bytes, verdict, refresh));
                 }
                 Fetched::Lost => {
                     report.corrupt_detected += 1;
@@ -264,17 +270,22 @@ impl Hyrd {
         }
 
         // Reconstruct the truth from m trusted fragments: verified ones
-        // if we have enough, otherwise (digests dropped after a ranged
-        // update) any m fetched — the re-encode check below catches an
-        // inconsistent stripe.
+        // if we have enough, otherwise (digests dropped) any m fetched —
+        // the re-encode check below catches an inconsistent stripe. A
+        // fragment verified against a suspended digest is trusted only up
+        // to the window its update wrote, so a decode that leans on one
+        // is checked too.
         let m = layout.m;
-        let trusted: Vec<&(usize, ProviderId, Bytes, Verdict)> =
-            fetched.iter().filter(|(_, _, _, v)| *v == Verdict::Verified).collect();
+        let trusted: Vec<_> =
+            fetched.iter().filter(|(_, _, _, v, _)| *v == Verdict::Verified).collect();
         let from_verified = trusted.len() >= m;
-        let source: Vec<&(usize, ProviderId, Bytes, Verdict)> = if from_verified {
+        let checked = from_verified && trusted.iter().take(m).all(|(.., refresh)| !refresh);
+        let sound: Vec<_> =
+            fetched.iter().filter(|(_, _, _, v, _)| *v != Verdict::Corrupt).collect();
+        let source = if from_verified {
             trusted
-        } else if fetched.len() >= m && fetched.iter().all(|(_, _, _, v)| *v != Verdict::Corrupt) {
-            fetched.iter().collect()
+        } else if fetched.len() >= m && sound.len() == fetched.len() {
+            sound.clone()
         } else if !fetched.is_empty() {
             // Corrupt fragments and not enough verified ones to decode
             // around them: nothing trustworthy to rebuild from.
@@ -285,7 +296,7 @@ impl Hyrd {
         };
 
         let frags: Vec<(usize, &Bytes)> =
-            source.iter().take(m).map(|(i, _, b, _)| (*i, b)).collect();
+            source.iter().take(m).map(|(i, _, b, ..)| (*i, b)).collect();
         let Ok(object) = hyrd_gfec::decode_object(self.code.as_code(), layout, &frags) else {
             report.unrecoverable += 1;
             return;
@@ -295,12 +306,13 @@ impl Hyrd {
             return;
         };
 
-        if !from_verified {
-            // The decode came from unverified fragments; only adopt it if
-            // the whole fetched stripe is consistent with the re-encode.
-            let consistent = fetched
+        if !checked {
+            // The decode came from fragments not verified whole; only
+            // adopt it if every sound fetched fragment is consistent with
+            // the re-encode.
+            let consistent = sound
                 .iter()
-                .all(|(i, _, b, _)| oracle.get(*i).is_some_and(|want| want[..] == b[..]));
+                .all(|(i, _, b, ..)| oracle.get(*i).is_some_and(|want| want[..] == b[..]));
             if !consistent {
                 report.unrecoverable += 1;
                 return;
@@ -309,7 +321,7 @@ impl Hyrd {
 
         // The truth is established: repair mismatching fragments and
         // (re-)record every fragment digest we are now sure of.
-        for (i, p, bytes, verdict) in &fetched {
+        for (i, p, bytes, _, refresh) in &fetched {
             let name = &fragments[*i].1;
             if bytes[..] != oracle[*i][..] {
                 // Each fragment was fetched once, so its oracle copy can
@@ -318,7 +330,7 @@ impl Hyrd {
                 if self.scrub_rewrite(path, Some(*i as u64), *p, name, &good, ops) {
                     report.repaired += 1;
                 }
-            } else if *verdict == Verdict::Unknown {
+            } else if *refresh {
                 self.record_digest(Arc::clone(name), bytes);
                 report.digests_refreshed += 1;
             }
@@ -334,7 +346,7 @@ impl Hyrd {
 
         // The hot copy, when reachable, must match the decoded object.
         if let Some((p, name)) = hot_copy {
-            let fetched = if self.scrubbable(*p, name, None) {
+            let fetched = if self.scrubbable(*p, name) {
                 self.scrub_fetch(*p, name, ops)
             } else {
                 Fetched::Failed
@@ -534,11 +546,12 @@ mod tests {
         h.create_file("/big", &data).expect("up");
         h.update_file("/big", 4096, &synth_content("/big", 1, 32 * KB)).expect("up");
 
+        // Dropped for reads, that is: suspended, so the entries stay.
         let before = h.integrity_len();
         let (report, _) = h.scrub().expect("scrub runs");
         assert!(report.digests_refreshed >= 4, "all four fragment digests return");
         assert_eq!(report.unrecoverable, 0);
-        assert!(h.integrity_len() > before);
+        assert_eq!(h.integrity_len(), before);
 
         // Refreshed digests verify on the next scrub.
         let (again, _) = h.scrub().expect("scrub runs");

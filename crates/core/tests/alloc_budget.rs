@@ -11,8 +11,9 @@
 //!   and nothing payload-sized besides;
 //! * a ranged update allocates the ranges it writes, never the fragments
 //!   it patches (the provider patches a stored fragment in place as long
-//!   as nobody still holds a view of it);
-//! * and each of them, and a fragment rebuild, in a pinned number of
+//!   as nobody still holds a view of it), and the replay of a window it
+//!   missed allocates no window-sized buffer at all;
+//! * and each of them, and that replay, in a pinned number of
 //!   allocations: the erasure-coded path keeps its decode plans and
 //!   ranged-update lists on the stack (DESIGN.md §8.1).
 //!
@@ -608,15 +609,22 @@ fn large_object_ops_allocate_what_they_produce() {
     assert_eq!(Vec::from(bytes).capacity(), len, "the object is allocated once, at its length");
 
     // A degraded update over fragment 0's window misses fragment 0, and
-    // the consistency update rebuilds it when its provider returns.
+    // the consistency update replays that window when its provider
+    // returns: the bytes it requests are for the window, not a fragment.
     let (degraded_update, r) = cost_of(|| h.update_file("/big.bin", 2_000, &patch));
     r.expect("one outage is tolerated");
     assert_eq!(h.pending_dirty_fragments(), 1, "fragment 0 missed the update");
     let data = [&data[..2_000], &patch[..], &data[2_000 + patch.len()..]].concat();
     holder.restore();
-    let (rebuild, r) = cost_of(|| h.recover_provider(CloudStorage::id(holder.as_ref())));
+    let (replay, r) = cost_of(|| h.recover_provider(CloudStorage::id(holder.as_ref())));
     r.expect("the provider is back");
-    assert_eq!(h.pending_dirty_fragments(), 0, "fragment 0 was rebuilt");
+    assert_eq!(h.pending_dirty_fragments(), 0, "fragment 0's window was replayed");
+    let budget = patch.len() as u64 + SLACK;
+    assert!(
+        replay.bytes < budget,
+        "one-window replay requested {} B (budget {budget})",
+        replay.bytes
+    );
     assert_eq!(&h.read_file("/big.bin").expect("fleet up").0[..], &data[..]);
     // Across the boundary of fragments 0 and 1: two data ranges, one copy.
     let across = (len / 3 - 1_000) as u64;
@@ -631,8 +639,7 @@ fn large_object_ops_allocate_what_they_produce() {
     // The inode is lent, each fragment key shares its name, and every
     // plan and scratch list of the erasure-coded path — the decoder's
     // fragment table, basis and inverse, an update's touched ranges,
-    // fetched windows and planned writes, a rebuild's survivors — is
-    // inline. Besides:
+    // fetched windows, planned and missed writes — is inline. Besides:
     //
     // * read (4), healthy or degraded: the object and its `Bytes` handle;
     // * 64 KiB update (13): the placement's fragment list, one copy of
@@ -640,36 +647,36 @@ fn large_object_ops_allocate_what_they_produce() {
     //   its `Bytes` handle, and — simulator-side — each patched
     //   fragment's new handle: one more (14) across a shard boundary,
     //   where two data ranges, cut from the one copy, patch two fragments;
-    // * degraded 64 KiB update (17): as above, but the data windows are
-    //   decoded (one buffer) before the parity window is encoded, only
-    //   the parity fragment is patched, the missed fragment's dirty mark
-    //   costs its path and two tree nodes, and the flush's put to the
-    //   down provider is logged for replay;
+    // * degraded 64 KiB update (14): as above, but the data windows are
+    //   decoded (one buffer) before the parity window is encoded and only
+    //   the parity fragment is patched. The missed window becomes a log
+    //   record that shares the path, the fragment's name and the copy of
+    //   the new bytes, so it costs only the log's list, which the flush's
+    //   put to the down provider, logged for replay, then shares;
     // * create (32): the inode, the object's and four fragments' names,
     //   the placement's fragment list, the list of fragments, the four
     //   fragments each with a `Bytes` handle and a digest table, the
     //   digest index growing, three buffers of the flushed frame's edit,
     //   and the simulator's two new map nodes;
-    // * one-fragment rebuild through `recover_provider` (7 all told, no
-    //   path of its own to parse): the replay's list, the buffer the
-    //   walk over the dirty set copies each path into, the dirty path
-    //   parsed, the rebuild's op list, the fragment and its `Bytes`
-    //   handle, and the recovery batch taking the rebuild's ops. The
-    //   inode is lent, not cloned.
+    // * one-window replay through `recover_provider` (2 all told, no
+    //   path of its own to parse): the replay's op list and —
+    //   simulator-side — the patched fragment's new handle. The window's
+    //   bytes are the log's; no survivor is read and no fragment is
+    //   rebuilt.
     let pins = [
         ("healthy read", healthy_allocs, 4),
         ("degraded read", degraded_allocs, 4),
         ("64 KiB update", update_allocs, 13),
         ("64 KiB update across a shard boundary", crossing.allocs, 14),
-        ("degraded 64 KiB update", degraded_update.allocs, 17),
+        ("degraded 64 KiB update", degraded_update.allocs, 14),
         ("create", create_allocs, 32),
-        ("one-fragment rebuild", rebuild.allocs, 7),
+        ("one-window replay", replay.allocs, 2),
     ];
     println!(
         "{len} B object: create {create} B, healthy read {healthy} B, 64 KiB update {update} B, \
-         degraded read {degraded} B, degraded update {} B, rebuild {} B; allocations {:?}",
+         degraded read {degraded} B, degraded update {} B, replay {} B; allocations {:?}",
         degraded_update.bytes,
-        rebuild.bytes,
+        replay.bytes,
         pins.map(|(op, allocs, _)| (op, allocs))
     );
     for (op, allocs, pin) in pins {

@@ -270,17 +270,18 @@ fn update_during_outage_takes_degraded_path_and_recovers() {
     assert_eq!(&bytes[..], &content[..]);
 }
 
-/// The consistency update rebuilds a dirty fragment only from sources
-/// that pass their digest. Here a survivor rots after a scrub has
-/// re-recorded the digests a degraded update dropped: the rebuild counts
-/// it as a corruption and skips it, too few sound survivors remain, so
-/// the fragment stays dirty and the read is a typed error — not the
-/// pre-rebuild bytes decoded from the rotten copy.
+/// The consistency update replays the window a fragment missed; it reads
+/// no survivor, so it cannot rebuild a fragment from a corrupt one. Here
+/// a survivor rots after a scrub has re-recorded the digests a degraded
+/// update dropped: the replay neither reads nor counts it, fragment 0
+/// receives exactly the missed window, and a read returns the update's
+/// bytes.
 #[test]
 fn recovery_does_not_rebuild_a_fragment_from_a_corrupt_survivor() {
     let fleet = fleet();
     let h = hyrd(&fleet);
-    h.create_file("/big", &synth_content("/big", 0, 3 * MB)).unwrap();
+    let content = synth_content("/big", 0, 3 * MB);
+    h.create_file("/big", &content).unwrap();
     let name = |i: usize| format!("{}.f{i}", hyrd::scheme::object_name("/big"));
     let holder = |i: usize| {
         let name = name(i);
@@ -293,7 +294,8 @@ fn recovery_does_not_rebuild_a_fragment_from_a_corrupt_survivor() {
     // Fragment 0 misses a 64 KiB update over its own window.
     let returning = holder(0);
     returning.force_down();
-    h.update_file("/big", 1_000, &synth_content("/big", 1, 64 * KB)).unwrap();
+    let patch = synth_content("/big", 1, 64 * KB);
+    h.update_file("/big", 1_000, &patch).unwrap();
     assert_eq!(h.pending_dirty_fragments(), 1);
     let (scrubbed, _) = h.scrub().unwrap();
     assert_eq!(scrubbed.digests_refreshed, 3, "the survivors' digests are on record again");
@@ -303,12 +305,51 @@ fn recovery_does_not_rebuild_a_fragment_from_a_corrupt_survivor() {
     let key = ObjectKey::new(Fleet::CONTAINER, name(1));
     assert!(holder(1).corrupt_object(&key, 12_345));
     let corrupt_before = h.fault_counters().corrupt_gets;
-    h.recover_provider(returning.id()).unwrap();
-    assert_eq!(h.pending_dirty_fragments(), 1, "fragment 0 stays dirty");
-    assert_eq!(h.fault_counters().corrupt_gets, corrupt_before + 1, "the rot was counted");
+    let (recovered, batch) = h.recover_provider(returning.id()).unwrap();
+    assert_eq!(h.pending_dirty_fragments(), 0, "the window was replayed");
+    assert!(batch.ops.iter().all(|op| op.bytes_out == 0), "the replay reads nothing");
+    let moved = recovered.bytes_restored;
+    assert!(moved < (patch.len() + 4 * KB) as u64, "the window and a metadata block: {moved} B");
+    assert_eq!(h.fault_counters().corrupt_gets, corrupt_before, "no survivor was read");
 
-    let read = h.read_file("/big");
-    assert!(matches!(read, Err(SchemeError::DataUnavailable { .. })), "{read:?}");
+    let mut want = content.clone();
+    want[1_000..1_000 + patch.len()].copy_from_slice(&patch);
+    let (read, _) = h.read_file("/big").unwrap();
+    assert!(read[..] == want[..], "the update's bytes");
+}
+
+/// Rot that lands on a fragment before a ranged update, outside the
+/// update's window, stays findable: the update suspends the fragments'
+/// digests instead of dropping them, so the scrub still checks every
+/// block outside the window, finds the flipped bit, and repairs the
+/// fragment from its siblings. With the digests dropped the stripe is
+/// merely inconsistent, and the scrub cannot tell which fragment to
+/// trust.
+#[test]
+fn rot_before_a_ranged_update_is_found_and_repaired_by_the_scrub() {
+    let fleet = fleet();
+    let h = hyrd(&fleet);
+    let content = synth_content("/big", 0, 3 * MB);
+    h.create_file("/big", &content).unwrap();
+    let name = format!("{}.f0", hyrd::scheme::object_name("/big"));
+    let holder = fleet
+        .providers()
+        .iter()
+        .find(|p| p.object_inventory(Fleet::CONTAINER).iter().any(|(object, _)| *object == name))
+        .expect("fragment 0 is stored")
+        .clone();
+    // One bit of fragment 0, 512 KiB in: far outside the update below.
+    assert!(holder.corrupt_object(&ObjectKey::new(Fleet::CONTAINER, name), 8 * 512 * KB as u64));
+    let patch = synth_content("/big", 1, 4 * KB);
+    h.update_file("/big", 1_000, &patch).unwrap();
+
+    let (scrubbed, _) = h.scrub().unwrap();
+    assert_eq!((scrubbed.corrupt_detected, scrubbed.repaired), (1, 1), "{scrubbed:?}");
+    assert_eq!(scrubbed.unrecoverable, 0, "{scrubbed:?}");
+    let mut want = content.clone();
+    want[1_000..1_000 + patch.len()].copy_from_slice(&patch);
+    let (read, _) = h.read_file("/big").unwrap();
+    assert!(read[..] == want[..], "the update's bytes, and no rot");
 }
 
 #[test]

@@ -8,6 +8,7 @@ use bytes::Bytes;
 use hyrd_testkit::{check, Gen};
 
 use hyrd::recovery::UpdateLog;
+use hyrd::telemetry::Collector;
 use hyrd_gcsapi::{CloudStorage, MemoryCloud, ObjectKey, ProviderId};
 
 fn key(name: &str) -> ObjectKey {
@@ -29,7 +30,7 @@ fn put_then_remove_coalesces_and_does_not_resurrect() {
     log.log_remove(ProviderId(2), key("doomed"));
     assert_eq!(log.len(), 1, "the remove supersedes the put");
 
-    let (report, _) = log.replay(&cloud).unwrap();
+    let (report, _) = log.replay(&cloud, &Collector::disabled()).unwrap();
     assert_eq!(report.puts_replayed, 0, "the superseded put must not run");
     assert_eq!(report.removes_replayed, 1);
     assert!(cloud.get(&key("doomed")).is_err(), "no resurrection");
@@ -49,7 +50,7 @@ fn remove_then_put_lands_the_recreated_object() {
     log.log_put(ProviderId(0), key("phoenix"), Bytes::from_static(b"reborn"));
     assert_eq!(log.len(), 1);
 
-    let (report, _) = log.replay(&cloud).unwrap();
+    let (report, _) = log.replay(&cloud, &Collector::disabled()).unwrap();
     assert_eq!(report.puts_replayed, 1);
     assert_eq!(&cloud.get(&key("phoenix")).unwrap().value[..], b"reborn");
 }
@@ -93,7 +94,7 @@ fn replay_applies_exactly_the_final_state() {
             let touched = last.iter().filter(|l| l.is_some()).count();
             assert_eq!(log.len(), touched);
 
-            let (report, _) = log.replay(&cloud).unwrap();
+            let (report, _) = log.replay(&cloud, &Collector::disabled()).unwrap();
             assert!(log.is_empty(), "replay must drain the provider's log");
             assert_eq!(
                 (report.puts_replayed + report.removes_replayed) as usize,

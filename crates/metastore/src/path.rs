@@ -56,6 +56,12 @@ impl NormPath {
         &self.0
     }
 
+    /// The path as the shared string it is held in (a new handle, no
+    /// copy).
+    pub fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
+
     /// Whether this is the root.
     pub fn is_root(&self) -> bool {
         &*self.0 == "/"

@@ -166,8 +166,9 @@ enum Step {
 
 /// Two files, then provider `down` out while both are updated, a file
 /// is created and deleted again; the provider returns, recovery runs and
-/// the big file is read. The outage leaves log records and dirty
-/// fragments behind, so crashes land on a live recovery state.
+/// the big file is read. The outage leaves whole-object and window
+/// records in the log, so crashes land on a live recovery state — with
+/// windows pending, and in the middle of their replay.
 fn outage_trace() -> Vec<Step> {
     vec![
         Step::Op(create("/o/small.txt", 2 * 1024)),
@@ -205,8 +206,8 @@ fn run_outage(fleet: &Fleet, h: &mut CrashHarness, down: usize) {
 
 /// The crash sweep over an outage: with each provider in turn taken
 /// down, crash at every provider-op budget and at every (crashpoint,
-/// hit) the clean run counts — while the recovery log and the dirty set
-/// hold entries — and every cell must restart to zero violations.
+/// hit) the clean run counts — while the recovery log holds records —
+/// and every cell must restart to zero violations.
 #[test]
 fn outage_crash_sweep_is_violation_free() {
     let mut cells = 0;
@@ -358,15 +359,67 @@ fn recovery_log_replay_is_idempotent() {
             }
 
             let mut first = log.clone();
-            first.replay(provider.as_ref()).expect("first replay");
+            first.replay(provider.as_ref(), &Collector::disabled()).expect("first replay");
             assert!(first.pending_for(id).is_empty(), "replay drains the provider's records");
             let snap1 = provider.object_inventory(Fleet::CONTAINER);
 
             let mut second = log.clone();
-            second.replay(provider.as_ref()).expect("second replay");
+            second.replay(provider.as_ref(), &Collector::disabled()).expect("second replay");
             let snap2 = provider.object_inventory(Fleet::CONTAINER);
 
             assert_eq!(snap1, snap2, "a second replay of the same log changes nothing");
         },
     );
+}
+
+/// The lost window through `Hyrd`: the client dies after planning an
+/// erasure-coded update and before its first range write; the restart
+/// rolls the update forward while both providers it writes (data
+/// fragment 0 and the parity fragment) are down, so no survivor holds
+/// the new window. The roll-forward logs both windows; once the
+/// providers return and are recovered, the file holds the update's
+/// bytes.
+#[test]
+fn a_rolled_forward_window_missed_by_a_fragment_and_its_parity_is_not_lost() {
+    let (_clock, fleet) = fresh_fleet();
+    // Metadata on every provider, so the namespace loads with two down.
+    let config = HyrdConfig { replication_level: 4, ..HyrdConfig::default() };
+    let journal = Journal::new();
+    let client =
+        Hyrd::with_journal(&fleet, config.clone(), Collector::disabled(), journal.clone()).unwrap();
+    let content = synth_content("/big", 0, 3 << 20);
+    client.create_file("/big", &content).unwrap();
+    let holder = |i: usize| {
+        let name = format!("{}.f{i}", hyrd::scheme::object_name("/big"));
+        let found = fleet.providers().iter().find(|p| {
+            p.object_inventory(Fleet::CONTAINER).iter().any(|(object, _)| *object == name)
+        });
+        found.expect("every fragment is stored").clone()
+    };
+    let patch = synth_content("/big", 1, 4096);
+    fleet.crash_switch().arm(CrashPlan::at_point("wal.amend.post", 1));
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        client.update_file("/big", 100, &patch)
+    }));
+    assert!(died.is_err(), "the client dies between planning and writing");
+    drop(client);
+    fleet.crash_switch().reset();
+
+    let (data0, parity) = (holder(0), holder(3));
+    data0.force_down();
+    parity.force_down();
+    let (restarted, report) =
+        Hyrd::restart(&fleet, config, Collector::disabled(), journal).unwrap();
+    assert_eq!(report.intents_rolled_forward, 1, "{report:?}");
+    assert_eq!(restarted.pending_dirty_fragments(), 2, "both windows are logged");
+    data0.restore();
+    parity.restore();
+    restarted.recover_provider(data0.id()).unwrap();
+    restarted.recover_provider(parity.id()).unwrap();
+
+    let mut want = content.clone();
+    want[100..100 + patch.len()].copy_from_slice(&patch);
+    assert_eq!(restarted.pending_log_len(), 0);
+    let (got, _) = restarted.read_file("/big").unwrap();
+    assert!(got[..] == want[..], "the file holds the update's bytes");
 }
